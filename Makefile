@@ -48,11 +48,14 @@ bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkSelectContexts|BenchmarkEngineSearch' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector' -benchmem ./internal/index/
 
-# The offline-build benchmarks behind BENCH_PR4.json: sharded corpus
-# analysis, TF-IDF warming, inverted/positional index construction, and the
-# end-to-end system build at 1 vs 8 workers.
+# The offline-build benchmarks behind BENCH_PR4.json and BENCH_PR12.json:
+# sharded corpus analysis (and one paper's steady-state analysis, whose
+# allocs/op CI gates), TF-IDF warming, inverted/positional index
+# construction, the postings-driven text context set, and the end-to-end
+# system build at 1 vs 8 workers.
 bench-build:
-	$(GO) test -run xxx -bench 'BenchmarkAnalyzerBuild|BenchmarkAnalyzerWarm' -benchmem ./internal/corpus/
+	$(GO) test -run xxx -bench 'BenchmarkAnalyzerBuild|BenchmarkAnalyzerWarm|BenchmarkAnalyzePaper' -benchmem ./internal/corpus/
+	$(GO) test -run xxx -bench 'BenchmarkTextContextSet' -benchmem ./internal/contextset/
 	$(GO) test -run xxx -bench 'BenchmarkIndexBuildWorkers' -benchmem ./internal/index/
 	$(GO) test -run xxx -bench 'BenchmarkPosIndexBuildWorkers' -benchmem ./internal/pattern/
 	$(GO) test -run xxx -bench 'BenchmarkSystemBuild' -benchmem .

@@ -49,7 +49,7 @@ func BenchmarkSetup(b *testing.B) {
 }
 
 // benchSystemBuild measures the end-to-end offline build (analysis, TF-IDF
-// warm, inverted index, positional index) at a fixed worker count; the
+// warm, inverted index) at a fixed worker count; the
 // synthetic ontology/corpus generation is excluded by reusing them across
 // iterations.
 func benchSystemBuild(b *testing.B, workers int) {

@@ -56,19 +56,36 @@ func TestParallelBuildPipelineGolden(t *testing.T) {
 	}
 }
 
-// TestBuildStatsRecorded checks that NewSystem records the four build stages
-// and that later pipeline steps append to the same record.
+// TestBuildStatsRecorded checks that NewSyntheticSystem records generation
+// and the three eager build stages, that the positional index is timed only
+// once something asks for it, and that later pipeline steps append to the
+// same record.
 func TestBuildStatsRecorded(t *testing.T) {
-	sys := testSystem(t)
+	sys, err := NewSyntheticSystem(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	st := sys.BuildStats()
 	if st == nil {
 		t.Fatal("no build stats recorded")
 	}
+	sys.BuildTextContextSet()
 	sum := st.Summary()
-	for _, stage := range []string{"analyze", "tfidf-warm", "index", "posindex"} {
+	for _, stage := range []string{"generate", "analyze", "tfidf-warm", "index", "contextset-text"} {
 		if !strings.Contains(sum, stage) {
 			t.Fatalf("summary missing stage %q:\n%s", stage, sum)
 		}
+	}
+	if strings.Contains(sum, "posindex") {
+		t.Fatalf("text-only build paid for the positional index:\n%s", sum)
+	}
+	if st.Stages()[0].Name != "generate" {
+		t.Fatalf("generation is not the first stage:\n%s", sum)
+	}
+	sys.PosIndex()
+	sys.PosIndex()
+	if n := strings.Count(st.Summary(), "posindex"); n != 1 {
+		t.Fatalf("posindex recorded %d times after use, want once:\n%s", n, st.Summary())
 	}
 	if st.Total() <= 0 {
 		t.Fatal("zero total build time")

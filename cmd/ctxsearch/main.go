@@ -513,7 +513,7 @@ func buildAndInstall(out io.Writer, srv *server.Server, o serveOpts) error {
 // last in-flight request releases it. A state file written by a newer
 // binary fails here with the version diagnostic, before readiness flips.
 func serveFromState(out io.Writer, srv *server.Server, o serveOpts, start time.Time) (err error) {
-	onto, c, err := loadOrGenData(o.cfg, o.corpusPath, o.oboPath, false)
+	onto, c, _, err := loadOrGenData(o.cfg, o.corpusPath, o.oboPath, false)
 	if err != nil {
 		return fmt.Errorf("building system: %w", err)
 	}
@@ -624,26 +624,39 @@ func finishColdStart(out io.Writer, srv *server.Server, sys *ctxsearch.System, s
 }
 
 // buildSystem loads corpus/ontology from files when they exist, generates
-// otherwise, and saves when generating with paths given.
+// otherwise, and saves when generating with paths given. Producing the
+// inputs is recorded as the first build stage ("generate", or "load" when
+// both came from files), so the -v summary adds up to the process's wall
+// time.
 func buildSystem(cfg ctxsearch.Config, corpusPath, oboPath string, forceGenerate bool) (*ctxsearch.System, error) {
-	o, c, err := loadOrGenData(cfg, corpusPath, oboPath, forceGenerate)
+	start := time.Now()
+	o, c, generated, err := loadOrGenData(cfg, corpusPath, oboPath, forceGenerate)
 	if err != nil {
 		return nil, err
 	}
-	return ctxsearch.NewSystem(o, c, cfg)
+	took := time.Since(start)
+	sys, err := ctxsearch.NewSystem(o, c, cfg)
+	if err != nil {
+		return nil, err
+	}
+	stage := "load"
+	if generated {
+		stage = "generate"
+	}
+	sys.BuildStats().AddFirst(stage, took, c.Len(), "papers")
+	return sys, nil
 }
 
 // loadOrGenData resolves the ontology and corpus without analysing them —
-// the raw inputs both the full build and the mapped-state cold start need.
-func loadOrGenData(cfg ctxsearch.Config, corpusPath, oboPath string, forceGenerate bool) (*ctxsearch.Ontology, *ctxsearch.Corpus, error) {
-	var o *ctxsearch.Ontology
-	var c *ctxsearch.Corpus
+// the raw inputs both the full build and the mapped-state cold start need —
+// and reports whether either had to be generated.
+func loadOrGenData(cfg ctxsearch.Config, corpusPath, oboPath string, forceGenerate bool) (o *ctxsearch.Ontology, c *ctxsearch.Corpus, generated bool, err error) {
 	if !forceGenerate && oboPath != "" {
 		if f, err := os.Open(oboPath); err == nil {
 			defer f.Close()
 			parsed, err := ontology.ParseOBO(f)
 			if err != nil {
-				return nil, nil, fmt.Errorf("parsing %s: %w", oboPath, err)
+				return nil, nil, false, fmt.Errorf("parsing %s: %w", oboPath, err)
 			}
 			o = parsed
 		}
@@ -652,48 +665,50 @@ func loadOrGenData(cfg ctxsearch.Config, corpusPath, oboPath string, forceGenera
 		if _, err := os.Stat(corpusPath); err == nil {
 			loaded, err := corpus.LoadFile(corpusPath)
 			if err != nil {
-				return nil, nil, fmt.Errorf("loading %s: %w", corpusPath, err)
+				return nil, nil, false, fmt.Errorf("loading %s: %w", corpusPath, err)
 			}
 			c = loaded
 		}
 	}
 	if o == nil {
+		generated = true
 		gen, err := ontology.Generate(ontology.GenConfig{
 			Seed: cfg.Seed, NumTerms: cfg.OntologyTerms, MaxDepth: cfg.MaxDepth, SecondParentProb: 0.12,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, false, err
 		}
 		o = gen
 		if oboPath != "" {
 			f, err := os.Create(oboPath)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, false, err
 			}
 			if err := o.WriteOBO(f); err != nil {
 				f.Close()
-				return nil, nil, err
+				return nil, nil, false, err
 			}
 			if err := f.Close(); err != nil {
-				return nil, nil, err
+				return nil, nil, false, err
 			}
 		}
 	}
 	if c == nil {
+		generated = true
 		gcfg := corpus.DefaultGenConfig(cfg.Papers)
 		gcfg.Seed = cfg.Seed
 		gen, err := corpus.Generate(o, gcfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, false, err
 		}
 		c = gen
 		if corpusPath != "" {
 			if err := c.SaveFile(corpusPath); err != nil {
-				return nil, nil, err
+				return nil, nil, false, err
 			}
 		}
 	}
-	return o, c, nil
+	return o, c, generated, nil
 }
 
 // prepare builds (or loads from statePath) the context set and prestige

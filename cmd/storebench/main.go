@@ -227,7 +227,7 @@ func runParent(papers, terms int, procsSpec, formatsSpec, out string) error {
 		return err
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(a, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
 	st := &store.State{
 		ContextSet: cs,
 		Matrices: map[string]*prestige.Matrix{

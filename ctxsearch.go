@@ -25,6 +25,7 @@ package ctxsearch
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"ctxsearch/internal/buildstats"
 	"ctxsearch/internal/citegraph"
@@ -185,9 +186,9 @@ type System struct {
 	index    *index.Index
 	stats    *buildstats.Stats
 
-	// posIndex is built eagerly by NewSystem; a frozen system (NewFrozenSystem)
-	// leaves it nil and posOnce builds it on first use — serving plain vector
-	// queries from a mapped state never pays for positional postings.
+	// posIndex is built by posOnce on first use: only pattern-based stages
+	// read positional postings, so a text-only build and plain vector serving
+	// never pay for them.
 	posOnce  sync.Once
 	posIndex *pattern.PosIndex
 
@@ -224,9 +225,6 @@ func NewSystem(o *Ontology, c *Corpus, cfg Config) (*System, error) {
 	st.Time("index", c.Len(), "papers", func() {
 		s.index = index.BuildWorkersBlock(s.analyzer, workers, cfg.indexBlockSize())
 		s.index.SetDefaultTopKWorkers(cfg.TopKWorkers)
-	})
-	st.Time("posindex", c.Len(), "papers", func() {
-		s.posIndex = pattern.NewPosIndexWorkers(s.analyzer, workers)
 	})
 	return s, nil
 }
@@ -265,8 +263,10 @@ func NewFrozenSystem(o *Ontology, c *Corpus, parts *index.Parts, df *vector.DF, 
 
 // NewSyntheticSystem generates a deterministic synthetic ontology + corpus
 // at the configured scale and analyses them — the substitution for the
-// paper's 72k PubMed papers and the Gene Ontology.
+// paper's 72k PubMed papers and the Gene Ontology. Generation is recorded
+// as the first build stage, "generate".
 func NewSyntheticSystem(cfg Config) (*System, error) {
+	start := time.Now()
 	o, err := ontology.Generate(ontology.GenConfig{
 		Seed:             cfg.Seed,
 		NumTerms:         cfg.OntologyTerms,
@@ -285,7 +285,13 @@ func NewSyntheticSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ctxsearch: generating corpus: %w", err)
 	}
-	return NewSystem(o, c, cfg)
+	took := time.Since(start)
+	s, err := NewSystem(o, c, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.stats.AddFirst("generate", took, c.Len(), "papers")
+	return s, nil
 }
 
 // Config returns the system's configuration.
@@ -314,7 +320,7 @@ func (s *System) contextWorkers() contextset.Config {
 func (s *System) BuildTextContextSet() *ContextSet {
 	var cs *ContextSet
 	s.stats.Time("contextset-text", s.Corpus.Len(), "papers", func() {
-		cs = contextset.BuildTextBased(s.analyzer, s.Ontology, s.contextWorkers())
+		cs = contextset.BuildTextBased(s.index, s.Ontology, s.contextWorkers())
 	})
 	return cs
 }
@@ -323,8 +329,9 @@ func (s *System) BuildTextContextSet() *ContextSet {
 // paper set (§4).
 func (s *System) BuildPatternContextSet() *ContextSet {
 	var cs *ContextSet
+	pos := s.PosIndex() // outside the timed stage: its first use records its own
 	s.stats.Time("contextset-pattern", s.Corpus.Len(), "papers", func() {
-		cs = contextset.BuildPatternBased(s.PosIndex(), s.analyzer, s.Ontology, s.contextWorkers())
+		cs = contextset.BuildPatternBased(pos, s.analyzer, s.Ontology, s.contextWorkers())
 	})
 	return cs
 }
@@ -409,16 +416,14 @@ func (s *System) Analyzer() *corpus.Analyzer { return s.analyzer }
 // Index exposes the inverted index (advanced use).
 func (s *System) Index() *index.Index { return s.index }
 
-// PosIndex exposes the positional index (advanced use). On a frozen system
-// the first call builds it — the only stage of a mapped-state boot that
-// re-reads paper text, paid solely by pattern-based features.
+// PosIndex exposes the positional index (advanced use). The first call
+// builds it, recording a "posindex" build stage — on a frozen system the
+// only stage of a mapped-state boot that re-reads paper text.
 func (s *System) PosIndex() *pattern.PosIndex {
 	s.posOnce.Do(func() {
-		if s.posIndex == nil {
-			s.stats.Time("posindex", s.Corpus.Len(), "papers", func() {
-				s.posIndex = pattern.NewPosIndexWorkers(s.analyzer, s.cfg.BuildWorkers)
-			})
-		}
+		s.stats.Time("posindex", s.Corpus.Len(), "papers", func() {
+			s.posIndex = pattern.NewPosIndexWorkers(s.analyzer, s.cfg.BuildWorkers)
+		})
 	})
 	return s.posIndex
 }

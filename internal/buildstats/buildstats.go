@@ -101,6 +101,17 @@ func (s *Stats) Add(name string, d time.Duration, items int, unit string) {
 	s.mu.Unlock()
 }
 
+// AddFirst is Add for a stage that ran before the Stats existed — producing
+// the inputs the build was constructed from — and so is listed first.
+func (s *Stats) AddFirst(name string, d time.Duration, items int, unit string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.stages = append([]Stage{{Name: name, Duration: d, Items: items, Unit: unit}}, s.stages...)
+	s.mu.Unlock()
+}
+
 func (s *Stats) observeGoroutines() {
 	n := runtime.NumGoroutine()
 	s.mu.Lock()

@@ -68,6 +68,18 @@ func TestSummaryMentionsStagesAndWorkers(t *testing.T) {
 	}
 }
 
+func TestAddFirstListsStageFirstAndCountsIt(t *testing.T) {
+	s := New(1)
+	s.Add("analyze", 3*time.Millisecond, 10, "papers")
+	s.AddFirst("generate", 2*time.Millisecond, 10, "papers")
+	if st := s.Stages(); len(st) != 2 || st[0].Name != "generate" || st[1].Name != "analyze" {
+		t.Fatalf("stages = %+v, want generate then analyze", st)
+	}
+	if s.Total() != 5*time.Millisecond {
+		t.Fatalf("total = %v, want 5ms", s.Total())
+	}
+}
+
 func TestNilStatsIsSafe(t *testing.T) {
 	var s *Stats
 	ran := false
@@ -75,6 +87,7 @@ func TestNilStatsIsSafe(t *testing.T) {
 	if !ran {
 		t.Fatal("nil Stats must still run fn")
 	}
+	s.AddFirst("y", time.Millisecond, 0, "")
 }
 
 func TestConcurrentTime(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/pattern"
 )
@@ -22,13 +23,14 @@ func benchFixture(b *testing.B) (*ontology.Ontology, *corpus.Analyzer, *pattern.
 	return o, a, pattern.NewPosIndex(a)
 }
 
-func BenchmarkBuildTextBased(b *testing.B) {
+func BenchmarkTextContextSet(b *testing.B) {
 	o, a, _ := benchFixture(b)
+	ix := index.Build(a)
 	cfg := DefaultConfig()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildTextBased(a, o, cfg)
+		_ = BuildTextBased(ix, o, cfg)
 	}
 }
 

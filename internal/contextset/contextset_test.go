@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/pattern"
 )
@@ -26,7 +27,7 @@ func fixture(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.Analyzer
 
 func TestBuildTextBased(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(a, o, DefaultConfig())
+	cs := BuildTextBased(index.Build(a), o, DefaultConfig())
 	if cs.Kind() != TextBased {
 		t.Fatal("kind wrong")
 	}
@@ -68,8 +69,8 @@ func TestTextBasedThresholdMonotone(t *testing.T) {
 	loose.TextThreshold = 0.05
 	strict := DefaultConfig()
 	strict.TextThreshold = 0.5
-	csLoose := BuildTextBased(a, o, loose)
-	csStrict := BuildTextBased(a, o, strict)
+	csLoose := BuildTextBased(index.Build(a), o, loose)
+	csStrict := BuildTextBased(index.Build(a), o, strict)
 	totalLoose, totalStrict := 0, 0
 	for _, ctx := range csLoose.Contexts() {
 		totalLoose += csLoose.Size(ctx)
@@ -87,7 +88,7 @@ func TestTextBasedMaxPerContext(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TextThreshold = 0.01
 	cfg.MaxPerContext = 7
-	cs := BuildTextBased(a, o, cfg)
+	cs := BuildTextBased(index.Build(a), o, cfg)
 	for _, ctx := range cs.Contexts() {
 		// Evidence papers are added on top of the cap, so allow the slack.
 		if cs.Size(ctx) > cfg.MaxPerContext+6 {
@@ -173,7 +174,7 @@ func TestPatternBasedInheritance(t *testing.T) {
 
 func TestContextsWithMinSize(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(a, o, DefaultConfig())
+	cs := BuildTextBased(index.Build(a), o, DefaultConfig())
 	all := cs.Contexts()
 	big := cs.ContextsWithMinSize(10)
 	if len(big) > len(all) {
@@ -188,7 +189,7 @@ func TestContextsWithMinSize(t *testing.T) {
 
 func TestContextsOf(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(a, o, DefaultConfig())
+	cs := BuildTextBased(index.Build(a), o, DefaultConfig())
 	// Any evidence paper must list its term among its contexts.
 	term := c.EvidenceTerms()[0]
 	e := c.EvidencePapers(term)[0]
@@ -214,7 +215,7 @@ func TestKindString(t *testing.T) {
 
 func TestPaperSetIsCopy(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(a, o, DefaultConfig())
+	cs := BuildTextBased(index.Build(a), o, DefaultConfig())
 	ctx := cs.Contexts()[0]
 	set := cs.PaperSet(ctx)
 	before := cs.Size(ctx)
@@ -233,7 +234,8 @@ func TestParallelConstructionMatchesSerial(t *testing.T) {
 	parallel := DefaultConfig()
 	parallel.Workers = 4
 
-	ts, tp := BuildTextBased(a, o, serial), BuildTextBased(a, o, parallel)
+	tix := index.Build(a)
+	ts, tp := BuildTextBased(tix, o, serial), BuildTextBased(tix, o, parallel)
 	compareSets(t, "text", ts, tp)
 	ps, pp := BuildPatternBased(ix, a, o, serial), BuildPatternBased(ix, a, o, parallel)
 	compareSets(t, "pattern", ps, pp)

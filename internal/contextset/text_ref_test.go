@@ -1,0 +1,113 @@
+package contextset
+
+import (
+	"sort"
+
+	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/par"
+	"ctxsearch/internal/vector"
+)
+
+// buildTextBasedReference is the papers × contexts construction
+// BuildTextBased replaced, kept verbatim as the differential reference: one
+// map-keyed vector.CosineWithNorms per (paper, context) pair.
+func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Config) *ContextSet {
+	cs := newContextSet(TextBased, onto)
+	c := a.Corpus()
+	terms := make([]ontology.TermID, 0, len(c.EvidenceTerms()))
+	repVecs := make(map[ontology.TermID]vector.Sparse)
+	repNorms := make(map[ontology.TermID]float64)
+	for _, term := range c.EvidenceTerms() {
+		if onto.Term(term) == nil {
+			continue
+		}
+		rep := chooseRepresentative(a, c.EvidencePapers(term))
+		cs.reps[term] = rep
+		repVecs[term] = a.TFIDFAll(rep)
+		repNorms[term] = a.TFIDFAllNorm(rep)
+		terms = append(terms, term)
+	}
+
+	type cand struct {
+		id  corpus.PaperID
+		sim float64
+	}
+	members := make(map[ontology.TermID][]cand, len(terms))
+	// Per-paper pass: threshold membership plus the paper's top-M contexts
+	// (generic papers join the broad contexts they match best, even with
+	// low absolute similarity).
+	type ts struct {
+		term ontology.TermID
+		sim  float64
+	}
+	// Per-paper similarity rows computed in parallel, merged in paper order
+	// so the result is identical to the serial construction.
+	type paperRow struct {
+		thresholded []ts
+		top         []ts
+	}
+	papers := c.Papers()
+	// Warm the TF-IDF caches in parallel; after Warm the per-paper reads
+	// below are lock-free instead of serialising on the analyzer mutex.
+	a.Warm(cfg.Workers)
+	rows := make([]paperRow, len(papers))
+	par.For(len(papers), cfg.Workers, func(i int) {
+		p := papers[i]
+		pv := a.TFIDFAll(p.ID)
+		pn := a.TFIDFAllNorm(p.ID)
+		var row paperRow
+		var best []ts
+		for _, term := range terms {
+			sim := vector.CosineWithNorms(repVecs[term], pv, repNorms[term], pn)
+			if sim >= cfg.TextThreshold {
+				row.thresholded = append(row.thresholded, ts{term, sim})
+			} else if cfg.TopContextsPerPaper > 0 && sim > 0 {
+				best = append(best, ts{term, sim})
+			}
+		}
+		if cfg.TopContextsPerPaper > 0 && len(best) > 0 {
+			sort.Slice(best, func(x, y int) bool {
+				if best[x].sim != best[y].sim {
+					return best[x].sim > best[y].sim
+				}
+				return best[x].term < best[y].term
+			})
+			m := cfg.TopContextsPerPaper
+			if m > len(best) {
+				m = len(best)
+			}
+			row.top = best[:m]
+		}
+		rows[i] = row
+	})
+	for i, p := range papers {
+		for _, e := range rows[i].thresholded {
+			members[e.term] = append(members[e.term], cand{p.ID, e.sim})
+		}
+		for _, e := range rows[i].top {
+			members[e.term] = append(members[e.term], cand{p.ID, e.sim})
+		}
+	}
+
+	for _, term := range terms {
+		cands := members[term]
+		if cfg.MaxPerContext > 0 && len(cands) > cfg.MaxPerContext {
+			sort.Slice(cands, func(i, j int) bool {
+				if cands[i].sim != cands[j].sim {
+					return cands[i].sim > cands[j].sim
+				}
+				return cands[i].id < cands[j].id
+			})
+			cands = cands[:cfg.MaxPerContext]
+		}
+		for _, cd := range cands {
+			cs.add(term, cd.id, cd.sim)
+		}
+		// Evidence papers always belong to their context.
+		for _, e := range c.EvidencePapers(term) {
+			cs.add(term, e, 1)
+		}
+	}
+	return cs
+}

@@ -31,11 +31,16 @@ type Features struct {
 type Analyzer struct {
 	corpus *Corpus
 	tok    *textproc.Tokenizer
-	feats  []*Features
+	// forms memoises the tokenizer per distinct raw word of the paper text;
+	// see formTable.
+	forms formTable
+	// feats publishes each paper's features through its own atomic slot, so
+	// readers of an analysed paper never take a lock.
+	feats []atomic.Pointer[Features]
 	// lazy marks an analyzer built by NewAnalyzerFrozen: features are
-	// analysed on first demand instead of eagerly at construction. The
-	// serving hot path (query weighting, snippets) never needs them, so a
-	// frozen analyzer binds in O(1).
+	// analysed on first demand (under mu) instead of eagerly at
+	// construction. The serving hot path (query weighting, snippets) never
+	// needs them, so a frozen analyzer binds in O(1).
 	lazy bool
 	// DF over whole-paper term supports, used for TF-IDF weighting.
 	df *vector.DF
@@ -60,15 +65,16 @@ func NewAnalyzer(c *Corpus) *Analyzer { return NewAnalyzerWorkers(c, 0) }
 // are split into contiguous shards, each shard is analysed by one worker
 // into its own document-frequency table, and the per-shard tables are
 // merged in shard order. The result is identical at every worker count —
-// per-paper analysis is independent (the tokenizer and stemmer are
-// stateless and shared), each Features slot is written by exactly one
-// worker, and DF counts are order-independent integers. workers <= 0
+// per-paper analysis is independent (the tokenizer is a pure function of the
+// word, so the shared surface-form table holds the same entries whoever
+// fills them), each Features slot is written by exactly one worker, and DF
+// counts are order-independent integers. workers <= 0
 // selects GOMAXPROCS; 1 reproduces the sequential build directly.
 func NewAnalyzerWorkers(c *Corpus, workers int) *Analyzer {
 	a := &Analyzer{
 		corpus:      c,
 		tok:         textproc.NewTokenizer(textproc.WithStemming(), textproc.WithStopwords(), textproc.WithMinLength(2)),
-		feats:       make([]*Features, c.Len()),
+		feats:       make([]atomic.Pointer[Features], c.Len()),
 		df:          vector.NewDF(),
 		weighted:    make([]map[Section]vector.Sparse, c.Len()),
 		weightedAll: make([]vector.Sparse, c.Len()),
@@ -85,7 +91,7 @@ func NewAnalyzerWorkers(c *Corpus, workers int) *Analyzer {
 		df := vector.NewDF()
 		for i := sh.Lo; i < sh.Hi; i++ {
 			f := a.analyzePaper(papers[i])
-			a.feats[f.ID] = f
+			a.feats[f.ID].Store(f)
 			df.AddDoc(f.AllTF)
 		}
 		dfs[si] = df
@@ -111,7 +117,7 @@ func NewAnalyzerFrozen(c *Corpus, df *vector.DF) *Analyzer {
 	a := &Analyzer{
 		corpus:      c,
 		tok:         textproc.NewTokenizer(textproc.WithStemming(), textproc.WithStopwords(), textproc.WithMinLength(2)),
-		feats:       make([]*Features, c.Len()),
+		feats:       make([]atomic.Pointer[Features], c.Len()),
 		lazy:        true,
 		df:          df,
 		weighted:    make([]map[Section]vector.Sparse, c.Len()),
@@ -125,14 +131,15 @@ func NewAnalyzerFrozen(c *Corpus, df *vector.DF) *Analyzer {
 	return a
 }
 
-// featLocked returns a paper's features, analysing them first on a lazy
-// analyzer. Caller holds a.mu (or is otherwise the sole accessor).
+// featLocked returns a paper's features, analysing and publishing them
+// first on a lazy analyzer. Caller holds a.mu, so no two fillers ever
+// analyse the same slot.
 func (a *Analyzer) featLocked(id PaperID) *Features {
-	f := a.feats[id]
+	f := a.feats[id].Load()
 	if f == nil {
 		if p := a.corpus.Paper(id); p != nil {
 			f = a.analyzePaper(p)
-			a.feats[id] = f
+			a.feats[id].Store(f)
 		}
 	}
 	return f
@@ -152,8 +159,10 @@ func (a *Analyzer) ensureFeatures() {
 	}
 }
 
-// analyzePaper tokenizes one paper into its Features. Safe for concurrent
-// use: the tokenizer is stateless and nothing on the analyzer is written.
+// analyzePaper tokenizes one paper into its Features — the only place corpus
+// text is tokenized, and the only writer of the surface-form table. Safe
+// for concurrent use: the table locks itself and nothing else on the
+// analyzer is written.
 func (a *Analyzer) analyzePaper(p *Paper) *Features {
 	f := &Features{
 		ID:      p.ID,
@@ -162,8 +171,12 @@ func (a *Analyzer) analyzePaper(p *Paper) *Features {
 		AllTF:   vector.New(),
 		Authors: make(map[string]bool, len(p.Authors)),
 	}
+	var words, buf []string // split and token scratch shared by the sections
 	for _, s := range Sections {
-		toks := a.tok.Terms(p.SectionText(s))
+		words = textproc.AppendWords(words[:0], p.SectionText(s))
+		buf = a.forms.appendTerms(buf[:0], a.tok, words)
+		toks := make([]string, len(buf))
+		copy(toks, buf)
 		f.Tokens[s] = toks
 		tf := vector.FromTerms(toks)
 		f.TF[s] = tf
@@ -192,16 +205,10 @@ func (a *Analyzer) Warm(workers int) {
 		return
 	}
 	par.For(len(a.feats), workers, func(i int) {
-		f := a.feats[i]
-		if f == nil {
-			// Lazy analyzer: analyse on the way through. Each slot is
-			// written by exactly one worker (disjoint indices), so the
-			// fill is race-free under the held cache lock.
-			if p := a.corpus.Paper(PaperID(i)); p != nil {
-				f = a.analyzePaper(p)
-				a.feats[i] = f
-			}
-		}
+		// Lazy analyzer: analyse on the way through. The held cache lock
+		// keeps every other slot filler out, and each slot is written by
+		// exactly one worker (disjoint indices).
+		f := a.featLocked(PaperID(i))
 		if f == nil {
 			return
 		}
@@ -242,12 +249,12 @@ func (a *Analyzer) Features(id PaperID) *Features {
 	if int(id) < 0 || int(id) >= len(a.feats) {
 		return nil
 	}
-	if a.lazy && !a.warmed.Load() {
-		a.mu.Lock()
-		defer a.mu.Unlock()
-		return a.featLocked(id)
+	if f := a.feats[id].Load(); f != nil || !a.lazy {
+		return f
 	}
-	return a.feats[id]
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.featLocked(id)
 }
 
 // DF returns the corpus document-frequency table.
@@ -353,8 +360,8 @@ func (a *Analyzer) DocFreqOfPhrase(words []string) int {
 	}
 	a.ensureFeatures()
 	n := 0
-	for _, f := range a.feats {
-		if paperHasPhrase(f, words) {
+	for i := range a.feats {
+		if paperHasPhrase(a.feats[i].Load(), words) {
 			n++
 		}
 	}
@@ -392,7 +399,8 @@ outer:
 func (a *Analyzer) CoAuthorIndex() map[string][]PaperID {
 	a.ensureFeatures()
 	idx := make(map[string][]PaperID)
-	for _, f := range a.feats {
+	for i := range a.feats {
+		f := a.feats[i].Load()
 		for au := range f.Authors {
 			idx[au] = append(idx[au], f.ID)
 		}

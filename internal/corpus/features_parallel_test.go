@@ -2,24 +2,86 @@ package corpus
 
 import (
 	"reflect"
+	"sync"
 	"testing"
+
+	"ctxsearch/internal/vector"
 )
+
+// referenceFeatures analyses one paper with the tokenizer alone — no
+// surface-form table — the way analyzePaper did before the table existed.
+func referenceFeatures(a *Analyzer, p *Paper) *Features {
+	f := &Features{
+		ID:      p.ID,
+		Tokens:  make(map[Section][]string, len(Sections)),
+		TF:      make(map[Section]vector.Sparse, len(Sections)),
+		AllTF:   vector.New(),
+		Authors: make(map[string]bool, len(p.Authors)),
+	}
+	for _, s := range Sections {
+		toks := a.tok.Terms(p.SectionText(s))
+		f.Tokens[s] = toks
+		tf := vector.FromTerms(toks)
+		f.TF[s] = tf
+		f.AllTF.Add(tf)
+	}
+	for _, au := range p.Authors {
+		f.Authors[normAuthor(au)] = true
+	}
+	return f
+}
 
 // TestParallelAnalyzerMatchesSequential is the golden equivalence test for
 // the sharded analyzer build: every worker count must produce exactly the
-// features, DF table and (after warming) TF-IDF caches of the sequential
-// build.
+// DF table of the sequential build, and exactly the features the tokenizer
+// yields without the surface-form table the workers share.
 func TestParallelAnalyzerMatchesSequential(t *testing.T) {
 	c, _ := testCorpus(t, 120)
 	seq := NewAnalyzerWorkers(c, 1)
-	for _, workers := range []int{2, 3, 8} {
+	for _, workers := range []int{1, 2, 3, 8} {
 		par := NewAnalyzerWorkers(c, workers)
-		if !reflect.DeepEqual(seq.feats, par.feats) {
-			t.Fatalf("workers=%d: features differ from sequential build", workers)
+		for _, p := range c.Papers() {
+			if !reflect.DeepEqual(referenceFeatures(par, p), par.Features(p.ID)) {
+				t.Fatalf("workers=%d: features of paper %d differ from the table-free analysis", workers, p.ID)
+			}
 		}
 		if !reflect.DeepEqual(seq.df, par.df) {
 			t.Fatalf("workers=%d: DF table differs from sequential build", workers)
 		}
+	}
+}
+
+// TestFrozenFeaturesConcurrentWithWarm hammers the lock-free readers of a
+// lazy analyzer while Warm fills every slot: each reader must see either
+// nothing yet (and then analyse under the lock) or the finished features,
+// never a torn one. Run under -race.
+func TestFrozenFeaturesConcurrentWithWarm(t *testing.T) {
+	c, _ := testCorpus(t, 80)
+	eager := NewAnalyzerWorkers(c, 1)
+	eager.Warm(1)
+	lazy := NewAnalyzerFrozen(c, eager.DF())
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*c.Len(); k++ {
+				id := PaperID((k*7 + g*11) % c.Len())
+				if !reflect.DeepEqual(lazy.Features(id), eager.Features(id)) {
+					t.Errorf("paper %d: lazy features differ from eager", id)
+					return
+				}
+				if !reflect.DeepEqual(lazy.TFIDFAll(id), eager.TFIDFAll(id)) {
+					t.Errorf("paper %d: lazy TFIDFAll differs from eager", id)
+					return
+				}
+			}
+		}(g)
+	}
+	lazy.Warm(4)
+	wg.Wait()
+	if lazy.SurfaceForms() != eager.SurfaceForms() {
+		t.Fatalf("lazy analyzer recorded %d surface forms, eager %d", lazy.SurfaceForms(), eager.SurfaceForms())
 	}
 }
 

@@ -39,7 +39,7 @@ func buildFixture(t *testing.T) *fixture {
 	}
 	a := corpus.NewAnalyzer(c)
 	ix := index.Build(a)
-	cs := contextset.BuildTextBased(a, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
 	cached = &fixture{
 		onto: o, c: c, a: a, ix: ix, cs: cs, scores: scores,

@@ -339,9 +339,11 @@ func (ix *Index) postingsOf(t int32) ([]corpus.PaperID, []float64) {
 	return ix.docs[lo:hi], ix.weights[lo:hi]
 }
 
-// termPostings returns the postings of a term string (nil slices when the
-// term is not indexed).
-func (ix *Index) termPostings(term string) ([]corpus.PaperID, []float64) {
+// Postings returns the posting run of a term string — ascending document
+// IDs and, aligned with them, each document's full-text TF-IDF weight for
+// the term (nil slices when the term is not indexed). The slices alias the
+// index and must not be modified.
+func (ix *Index) Postings(term string) ([]corpus.PaperID, []float64) {
 	t, ok := ix.termIDs[term]
 	if !ok {
 		return nil, nil

@@ -99,11 +99,11 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 			parts = append(parts, BuildRangeWorkers(a, cuts[i], cuts[i+1], 2))
 		}
 		for term := range full.termIDs {
-			wantDocs, wantWts := full.termPostings(term)
+			wantDocs, wantWts := full.Postings(term)
 			var gotDocs []corpus.PaperID
 			var gotWts []float64
 			for _, p := range parts {
-				d, w := p.termPostings(term)
+				d, w := p.Postings(term)
 				gotDocs = append(gotDocs, d...)
 				gotWts = append(gotWts, w...)
 			}

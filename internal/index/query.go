@@ -36,7 +36,7 @@ type Query interface {
 type termQuery struct{ term string }
 
 func (q termQuery) matches(ix *Index, doc corpus.PaperID) bool {
-	docs, _ := ix.termPostings(q.term)
+	docs, _ := ix.Postings(q.term)
 	// Postings are sorted by doc: binary search.
 	_, ok := slices.BinarySearch(docs, doc)
 	return ok
@@ -243,7 +243,7 @@ func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		docs, _ := ix.termPostings(term)
+		docs, _ := ix.Postings(term)
 		for _, doc := range docs {
 			if restricted && !opts.allows(doc) {
 				continue

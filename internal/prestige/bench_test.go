@@ -6,6 +6,7 @@ import (
 	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/pattern"
 )
@@ -32,7 +33,7 @@ func benchFix(b *testing.B) *fixture {
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
-		text: contextset.BuildTextBased(a, o, cfg),
+		text: contextset.BuildTextBased(index.Build(a), o, cfg),
 		pat:  contextset.BuildPatternBased(ix, a, o, cfg),
 	}
 	return cachedFixture
@@ -145,7 +146,7 @@ func bigFix(b *testing.B) (*corpus.Corpus, *contextset.ContextSet) {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(a, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
 	if n := len(cs.Contexts()); n < 1000 {
 		b.Fatalf("fixture too small: %d contexts, want >= 1000", n)
 	}

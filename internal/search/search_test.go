@@ -36,7 +36,7 @@ func buildFixture(t testing.TB) *fixture {
 	}
 	a := corpus.NewAnalyzer(c)
 	ix := index.Build(a)
-	cs := contextset.BuildTextBased(a, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scorer := prestige.NewTextScorer(a, prestige.DefaultTextWeights())
 	scores := prestige.ScoreAll(scorer, cs, 0)
 	prestige.PropagateMax(o, scores)

@@ -6,6 +6,7 @@ import (
 
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/prestige"
 	"ctxsearch/internal/search"
@@ -74,7 +75,7 @@ func benchFixture(b *testing.B) *fixture {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(a, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
 	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
 	prestige.PropagateMax(o, scores)
 	m := scores.Freeze()

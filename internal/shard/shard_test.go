@@ -41,7 +41,7 @@ func buildFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(a, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
 	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
 	prestige.PropagateMax(o, scores)
 	m := scores.Freeze()

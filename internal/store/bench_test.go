@@ -27,7 +27,7 @@ func benchState(b *testing.B) (*ontology.Ontology, *State) {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(a, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
 	scores := map[string]prestige.Scores{
 		"text":     prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0),
 		"citation": prestige.ScoreAll(prestige.NewCitationScorer(c, citegraph.PageRankOpts{}), cs, 0),

@@ -11,6 +11,7 @@ import (
 	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/prestige"
 )
@@ -26,7 +27,7 @@ func fixture(t *testing.T) (*ontology.Ontology, *State) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(a, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
 	scores := map[string]prestige.Scores{
 		"text":     prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0),
 		"citation": prestige.ScoreAll(prestige.NewCitationScorer(c, citegraph.PageRankOpts{}), cs, 0),

@@ -10,6 +10,7 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Token is a single processed token with its position in the source text.
@@ -59,26 +60,34 @@ func NewTokenizer(opts ...TokenizerOption) *Tokenizer {
 // matching how biomedical index terms are written; all other punctuation
 // splits. Positions count every emitted token.
 func (t *Tokenizer) Tokenize(text string) []Token {
-	raw := splitWords(text)
+	raw := AppendWords(nil, text)
 	out := make([]Token, 0, len(raw))
-	pos := 0
 	for _, w := range raw {
-		w = strings.ToLower(w)
-		if t.dropStops {
-			if _, stop := t.stops[w]; stop {
-				continue
-			}
+		if term, ok := t.Term(w); ok {
+			out = append(out, Token{Text: term, Pos: len(out)})
 		}
-		if t.stem {
-			w = t.stemmer.Stem(w)
-		}
-		if len([]rune(w)) < t.minLen {
-			continue
-		}
-		out = append(out, Token{Text: w, Pos: pos})
-		pos++
 	}
 	return out
+}
+
+// Term normalises one raw word as produced by AppendWords — lowercase,
+// stopword filter, stem, minimum length — and reports whether it survives.
+// Tokenize is exactly AppendWords followed by Term on every word, so a caller
+// that memoises Term per distinct word reproduces Terms token for token.
+func (t *Tokenizer) Term(word string) (string, bool) {
+	w := strings.ToLower(word)
+	if t.dropStops {
+		if _, stop := t.stops[w]; stop {
+			return "", false
+		}
+	}
+	if t.stem {
+		w = t.stemmer.Stem(w)
+	}
+	if len([]rune(w)) < t.minLen {
+		return "", false
+	}
+	return w, true
 }
 
 // Terms is a convenience wrapper returning only the token strings.
@@ -91,16 +100,49 @@ func (t *Tokenizer) Terms(text string) []string {
 	return out
 }
 
-// splitWords performs the raw lexical split: maximal runs of letters/digits,
-// with single interior hyphens between letters preserved.
-func splitWords(text string) []string {
-	var words []string
+// AppendWords appends the raw lexical split of text to dst: maximal runs of
+// letters/digits, with single interior hyphens between letters preserved.
+// Pure-ASCII text is split byte-wise into substrings of text (no per-word
+// allocation); the first non-ASCII byte restarts the split on the rune path,
+// which defines the behaviour.
+func AppendWords(dst []string, text string) []string {
+	base := len(dst)
+	start := -1
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return appendWordsRunes(dst[:base], text)
+		case isASCIILetter(c) || (c >= '0' && c <= '9'):
+			if start < 0 {
+				start = i
+			}
+		case c == '-' && start >= 0 && i+1 < len(text) && isASCIILetter(text[i+1]) && isASCIILetter(text[i-1]):
+			// keep interior hyphen
+		default:
+			if start >= 0 {
+				dst = append(dst, text[start:i])
+				start = -1
+			}
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, text[start:])
+	}
+	return dst
+}
+
+func isASCIILetter(c byte) bool { return (c|0x20) >= 'a' && (c|0x20) <= 'z' }
+
+// appendWordsRunes is AppendWords over decoded runes, for text with any
+// non-ASCII byte (invalid bytes decode to U+FFFD, a separator).
+func appendWordsRunes(dst []string, text string) []string {
 	runes := []rune(text)
 	n := len(runes)
 	start := -1
 	flush := func(end int) {
 		if start >= 0 && end > start {
-			words = append(words, string(runes[start:end]))
+			dst = append(dst, string(runes[start:end]))
 		}
 		start = -1
 	}
@@ -119,7 +161,7 @@ func splitWords(text string) []string {
 		}
 	}
 	flush(n)
-	return words
+	return dst
 }
 
 // IsStopword reports whether w (already lowercased) is in the built-in

@@ -137,3 +137,25 @@ func TestTokenizeIdempotentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzSplitWords checks the byte-wise ASCII fast path of AppendWords against
+// the rune path that defines the split, on arbitrary (also invalid) UTF-8.
+func FuzzSplitWords(f *testing.F) {
+	for _, s := range []string{
+		"co-citation text-based -leading trailing- double--hyphen a-1 1-a a-b-c",
+		"RNA polymerase II, 5'-UTR; p<0.05 (n=12)",
+		"naïve β-catenin Ångström x-é é-x",
+		"\xffbad\x80 bytes-\xc3",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		prefix := []string{"kept"}
+		got := AppendWords(prefix, text)
+		want := appendWordsRunes([]string{"kept"}, text)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("AppendWords(%q) = %q, rune path %q", text, got, want)
+		}
+	})
+}

@@ -68,7 +68,7 @@ func (v Sparse) Dot(u Sparse) float64 {
 			prods = append(prods, x*y)
 		}
 	}
-	return sumSorted(prods)
+	return SumSorted(prods)
 }
 
 // Norm returns the Euclidean norm of v, deterministically (see Dot).
@@ -90,7 +90,7 @@ func (v Sparse) NormWith(buf []float64) (float64, []float64) {
 	for _, x := range v {
 		buf = append(buf, x*x)
 	}
-	return math.Sqrt(sumSorted(buf)), buf
+	return math.Sqrt(SumSorted(buf)), buf
 }
 
 // NormOfSquares returns √(Σ sq) with the summands sorted ascending first —
@@ -98,12 +98,14 @@ func (v Sparse) NormWith(buf []float64) (float64, []float64) {
 // weights themselves while making another pass over the vector. Sorts sq in
 // place.
 func NormOfSquares(sq []float64) float64 {
-	return math.Sqrt(sumSorted(sq))
+	return math.Sqrt(SumSorted(sq))
 }
 
-// sumSorted sums values in ascending order — a deterministic and
-// numerically favourable accumulation order.
-func sumSorted(xs []float64) float64 {
+// SumSorted sums values in ascending order — a deterministic and
+// numerically favourable accumulation order, and the one reduction behind
+// Dot and Norm: a caller that gathers the same products itself and reduces
+// them here gets Dot's result bit for bit. Sorts xs in place.
+func SumSorted(xs []float64) float64 {
 	slices.Sort(xs)
 	var s float64
 	for _, x := range xs {
