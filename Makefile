@@ -43,10 +43,11 @@ serve-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Just the query-path benchmarks behind BENCH_PR1.json.
+# Just the query-path benchmarks behind BENCH_PR1.json, plus the boolean
+# evaluator's term / phrase / NOT arms on a state-booted index shape.
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkSelectContexts|BenchmarkEngineSearch' -benchmem ./internal/search/
-	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector' -benchmem ./internal/index/
+	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean' -benchmem ./internal/index/
 
 # The offline-build benchmarks behind BENCH_PR4.json and BENCH_PR12.json:
 # sharded corpus analysis (and one paper's steady-state analysis, whose

@@ -15,3 +15,18 @@ func (a *Analyzer) SurfaceForms() int {
 func (a *Analyzer) TableTerms(text string) []string {
 	return a.forms.appendTerms(nil, a.tok, textproc.AppendWords(nil, text))
 }
+
+// CachedWeights returns how many per-paper weight slots (per-section and
+// whole-text together) the analyzer has filled.
+func (a *Analyzer) CachedWeights() int {
+	n := 0
+	for i := range a.sectionW {
+		if a.sectionW[i].Load() != nil {
+			n++
+		}
+		if a.fullTextW[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,16 +45,28 @@ type Analyzer struct {
 	lazy bool
 	// DF over whole-paper term supports, used for TF-IDF weighting.
 	df *vector.DF
-	// cached TF-IDF vectors per section, computed lazily; mu guards the
-	// caches so parallel scorers can share one analyzer. Once Warm has
-	// populated every slot, warmed flips and readers skip the lock — the
-	// caches are immutable from then on.
-	mu          sync.Mutex
-	warmed      atomic.Bool
-	weighted    []map[Section]vector.Sparse
-	weightedAll []vector.Sparse
-	norms       []map[Section]float64
-	normsAll    []float64
+	// Lazily computed TF-IDF vectors and norms, published like feats through
+	// one atomic slot per paper: a filled slot is immutable and read without
+	// a lock; mu is taken only to fill a missing slot (features included), so
+	// no two fillers compute the same one. Warm fills every slot and sets
+	// warmed.
+	mu        sync.Mutex
+	warmed    atomic.Bool
+	sectionW  []atomic.Pointer[sectionWeights]
+	fullTextW []atomic.Pointer[fullTextWeights]
+}
+
+// sectionWeights holds one paper's per-section TF-IDF vectors and their
+// norms, indexed by Section.
+type sectionWeights struct {
+	vec  [NumSections]vector.Sparse
+	norm [NumSections]float64
+}
+
+// fullTextWeights holds one paper's whole-text TF-IDF vector and its norm.
+type fullTextWeights struct {
+	vec  vector.Sparse
+	norm float64
 }
 
 // NewAnalyzer analyses every paper in the corpus with a stemming,
@@ -72,17 +85,12 @@ func NewAnalyzer(c *Corpus) *Analyzer { return NewAnalyzerWorkers(c, 0) }
 // selects GOMAXPROCS; 1 reproduces the sequential build directly.
 func NewAnalyzerWorkers(c *Corpus, workers int) *Analyzer {
 	a := &Analyzer{
-		corpus:      c,
-		tok:         textproc.NewTokenizer(textproc.WithStemming(), textproc.WithStopwords(), textproc.WithMinLength(2)),
-		feats:       make([]atomic.Pointer[Features], c.Len()),
-		df:          vector.NewDF(),
-		weighted:    make([]map[Section]vector.Sparse, c.Len()),
-		weightedAll: make([]vector.Sparse, c.Len()),
-		norms:       make([]map[Section]float64, c.Len()),
-		normsAll:    make([]float64, c.Len()),
-	}
-	for i := range a.normsAll {
-		a.normsAll[i] = -1
+		corpus:    c,
+		tok:       textproc.NewTokenizer(textproc.WithStemming(), textproc.WithStopwords(), textproc.WithMinLength(2)),
+		feats:     make([]atomic.Pointer[Features], c.Len()),
+		df:        vector.NewDF(),
+		sectionW:  make([]atomic.Pointer[sectionWeights], c.Len()),
+		fullTextW: make([]atomic.Pointer[fullTextWeights], c.Len()),
 	}
 	papers := c.Papers()
 	shards := par.Shards(len(papers), workers)
@@ -108,27 +116,21 @@ func NewAnalyzerWorkers(c *Corpus, workers int) *Analyzer {
 // TF-IDF vectors are already frozen on disk. Query weighting
 // (QueryVector) needs only the DF table and tokenizer, both available
 // immediately; per-paper features are analysed lazily on first demand
-// (pattern mining, MatchScore, co-author paths), bit-identical to the
-// eager build since the tokenizer and stemmer are stateless.
+// (pattern mining, the TFIDF* accessors, co-author paths), bit-identical
+// to the eager build since the tokenizer and stemmer are stateless.
 //
 // The DF table must be the one built from this corpus: every weight and
 // norm — and therefore every score — derives from it.
 func NewAnalyzerFrozen(c *Corpus, df *vector.DF) *Analyzer {
-	a := &Analyzer{
-		corpus:      c,
-		tok:         textproc.NewTokenizer(textproc.WithStemming(), textproc.WithStopwords(), textproc.WithMinLength(2)),
-		feats:       make([]atomic.Pointer[Features], c.Len()),
-		lazy:        true,
-		df:          df,
-		weighted:    make([]map[Section]vector.Sparse, c.Len()),
-		weightedAll: make([]vector.Sparse, c.Len()),
-		norms:       make([]map[Section]float64, c.Len()),
-		normsAll:    make([]float64, c.Len()),
+	return &Analyzer{
+		corpus:    c,
+		tok:       textproc.NewTokenizer(textproc.WithStemming(), textproc.WithStopwords(), textproc.WithMinLength(2)),
+		feats:     make([]atomic.Pointer[Features], c.Len()),
+		lazy:      true,
+		df:        df,
+		sectionW:  make([]atomic.Pointer[sectionWeights], c.Len()),
+		fullTextW: make([]atomic.Pointer[fullTextWeights], c.Len()),
 	}
-	for i := range a.normsAll {
-		a.normsAll[i] = -1
-	}
-	return a
 }
 
 // featLocked returns a paper's features, analysing and publishing them
@@ -159,10 +161,22 @@ func (a *Analyzer) ensureFeatures() {
 	}
 }
 
-// analyzePaper tokenizes one paper into its Features — the only place corpus
-// text is tokenized, and the only writer of the surface-form table. Safe
-// for concurrent use: the table locks itself and nothing else on the
-// analyzer is written.
+// SectionTokens tokenizes a paper section by section, in Sections order,
+// and hands each section's stemmed, stopword-filtered token stream to fn —
+// the only place corpus text is tokenized, and the only writer of the
+// surface-form table. toks is scratch reused for the next section: fn must
+// copy what it keeps. Safe for concurrent use: the table locks itself and
+// nothing else on the analyzer is written.
+func (a *Analyzer) SectionTokens(p *Paper, fn func(s Section, toks []string)) {
+	var words, toks []string // split and token scratch shared by the sections
+	for _, s := range Sections {
+		words = textproc.AppendWords(words[:0], p.SectionText(s))
+		toks = a.forms.appendTerms(toks[:0], a.tok, words)
+		fn(s, toks)
+	}
+}
+
+// analyzePaper tokenizes one paper into its Features.
 func (a *Analyzer) analyzePaper(p *Paper) *Features {
 	f := &Features{
 		ID:      p.ID,
@@ -171,17 +185,13 @@ func (a *Analyzer) analyzePaper(p *Paper) *Features {
 		AllTF:   vector.New(),
 		Authors: make(map[string]bool, len(p.Authors)),
 	}
-	var words, buf []string // split and token scratch shared by the sections
-	for _, s := range Sections {
-		words = textproc.AppendWords(words[:0], p.SectionText(s))
-		buf = a.forms.appendTerms(buf[:0], a.tok, words)
-		toks := make([]string, len(buf))
-		copy(toks, buf)
+	a.SectionTokens(p, func(s Section, toks []string) {
+		toks = slices.Clone(toks)
 		f.Tokens[s] = toks
 		tf := vector.FromTerms(toks)
 		f.TF[s] = tf
 		f.AllTF.Add(tf)
-	}
+	})
 	for _, au := range p.Authors {
 		f.Authors[normAuthor(au)] = true
 	}
@@ -189,12 +199,12 @@ func (a *Analyzer) analyzePaper(p *Paper) *Features {
 }
 
 // Warm precomputes every per-section and whole-paper TF-IDF vector and norm
-// in parallel and freezes the caches: every subsequent TFIDF*/QueryVector
-// cache read is lock-free. Values are bit-identical to lazy computation
-// (the same df.Weight and Norm calls run, just eagerly), so a warmed and an
-// unwarmed analyzer are observationally indistinguishable apart from speed.
-// workers <= 0 selects GOMAXPROCS. Idempotent; concurrent lazy readers are
-// held off by the cache lock until the warm completes.
+// in parallel, so no later TFIDF* call fills a slot. Values are
+// bit-identical to lazy computation (the same fill functions run, just
+// eagerly), so a warmed and an unwarmed analyzer are observationally
+// indistinguishable apart from speed. workers <= 0 selects GOMAXPROCS.
+// Idempotent; concurrent readers of slots already filled are not held up,
+// readers of a missing slot wait on the fill lock until the warm completes.
 func (a *Analyzer) Warm(workers int) {
 	if a.warmed.Load() {
 		return
@@ -204,28 +214,75 @@ func (a *Analyzer) Warm(workers int) {
 	if a.warmed.Load() {
 		return
 	}
+	// The held fill lock keeps every other slot filler out, and each slot is
+	// written by exactly one worker (disjoint indices).
 	par.For(len(a.feats), workers, func(i int) {
-		// Lazy analyzer: analyse on the way through. The held cache lock
-		// keeps every other slot filler out, and each slot is written by
-		// exactly one worker (disjoint indices).
-		f := a.featLocked(PaperID(i))
-		if f == nil {
-			return
-		}
-		w := make(map[Section]vector.Sparse, len(Sections))
-		n := make(map[Section]float64, len(Sections))
-		for _, s := range Sections {
-			v := a.df.Weight(f.TF[s])
-			w[s] = v
-			n[s] = v.Norm()
-		}
-		a.weighted[i] = w
-		a.norms[i] = n
-		va := a.df.Weight(f.AllTF)
-		a.weightedAll[i] = va
-		a.normsAll[i] = va.Norm()
+		a.sectionWLocked(PaperID(i))
+		a.fullTextWLocked(PaperID(i))
 	})
 	a.warmed.Store(true)
+}
+
+// sectionWLocked returns a paper's per-section weights, computing and
+// publishing them first when the slot is empty (nil for an ID without a
+// paper). Caller holds a.mu.
+func (a *Analyzer) sectionWLocked(id PaperID) *sectionWeights {
+	w := a.sectionW[id].Load()
+	if w == nil {
+		f := a.featLocked(id)
+		if f == nil {
+			return nil
+		}
+		w = new(sectionWeights)
+		for _, s := range Sections {
+			w.vec[s] = a.df.Weight(f.TF[s])
+			w.norm[s] = w.vec[s].Norm()
+		}
+		a.sectionW[id].Store(w)
+	}
+	return w
+}
+
+// fullTextWLocked is sectionWLocked for the whole-text vector.
+func (a *Analyzer) fullTextWLocked(id PaperID) *fullTextWeights {
+	w := a.fullTextW[id].Load()
+	if w == nil {
+		f := a.featLocked(id)
+		if f == nil {
+			return nil
+		}
+		w = &fullTextWeights{vec: a.df.Weight(f.AllTF)}
+		w.norm = w.vec.Norm()
+		a.fullTextW[id].Store(w)
+	}
+	return w
+}
+
+// sectionWeightsOf returns a paper's per-section weights without a lock
+// when the slot is filled; nil when id or s is out of range.
+func (a *Analyzer) sectionWeightsOf(id PaperID, s Section) *sectionWeights {
+	if int(id) < 0 || int(id) >= len(a.feats) || s < 0 || s >= numSections {
+		return nil
+	}
+	if w := a.sectionW[id].Load(); w != nil {
+		return w
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.sectionWLocked(id)
+}
+
+// fullTextWeightsOf is sectionWeightsOf for the whole-text vector.
+func (a *Analyzer) fullTextWeightsOf(id PaperID) *fullTextWeights {
+	if int(id) < 0 || int(id) >= len(a.feats) {
+		return nil
+	}
+	if w := a.fullTextW[id].Load(); w != nil {
+		return w
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.fullTextWLocked(id)
 }
 
 func normAuthor(a string) string {
@@ -260,85 +317,51 @@ func (a *Analyzer) Features(id PaperID) *Features {
 // DF returns the corpus document-frequency table.
 func (a *Analyzer) DF() *vector.DF { return a.df }
 
+// AnalyzedPapers returns how many papers' Features this analyzer has
+// materialised: every paper on an eager analyzer, and on a frozen one only
+// those some caller demanded — 0 for a state-booted process that only
+// serves queries.
+func (a *Analyzer) AnalyzedPapers() int {
+	n := 0
+	for i := range a.feats {
+		if a.feats[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // TFIDF returns the cached TF-IDF vector of a paper section.
 func (a *Analyzer) TFIDF(id PaperID, s Section) vector.Sparse {
-	if int(id) < 0 || int(id) >= len(a.feats) {
-		return nil
+	if w := a.sectionWeightsOf(id, s); w != nil {
+		return w.vec[s]
 	}
-	if a.warmed.Load() {
-		return a.weighted[id][s]
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.weighted[id] == nil {
-		a.weighted[id] = make(map[Section]vector.Sparse, len(Sections))
-	}
-	if v, ok := a.weighted[id][s]; ok {
-		return v
-	}
-	v := a.df.Weight(a.featLocked(id).TF[s])
-	a.weighted[id][s] = v
-	return v
+	return nil
 }
 
 // TFIDFAll returns the cached TF-IDF vector over the paper's full text.
 func (a *Analyzer) TFIDFAll(id PaperID) vector.Sparse {
-	if int(id) < 0 || int(id) >= len(a.feats) {
-		return nil
+	if w := a.fullTextWeightsOf(id); w != nil {
+		return w.vec
 	}
-	if a.warmed.Load() {
-		return a.weightedAll[id]
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if v := a.weightedAll[id]; v != nil {
-		return v
-	}
-	v := a.df.Weight(a.featLocked(id).AllTF)
-	a.weightedAll[id] = v
-	return v
+	return nil
 }
 
 // TFIDFNorm returns the cached Euclidean norm of a section's TF-IDF vector.
 func (a *Analyzer) TFIDFNorm(id PaperID, s Section) float64 {
-	if int(id) < 0 || int(id) >= len(a.feats) {
-		return 0
+	if w := a.sectionWeightsOf(id, s); w != nil {
+		return w.norm[s]
 	}
-	if a.warmed.Load() {
-		return a.norms[id][s]
-	}
-	v := a.TFIDF(id, s)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.norms[id] == nil {
-		a.norms[id] = make(map[Section]float64, len(Sections))
-	}
-	if n, ok := a.norms[id][s]; ok {
-		return n
-	}
-	n := v.Norm()
-	a.norms[id][s] = n
-	return n
+	return 0
 }
 
 // TFIDFAllNorm returns the cached norm of the paper's full-text TF-IDF
 // vector.
 func (a *Analyzer) TFIDFAllNorm(id PaperID) float64 {
-	if int(id) < 0 || int(id) >= len(a.feats) {
-		return 0
+	if w := a.fullTextWeightsOf(id); w != nil {
+		return w.norm
 	}
-	if a.warmed.Load() {
-		return a.normsAll[id]
-	}
-	v := a.TFIDFAll(id)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.normsAll[id] >= 0 {
-		return a.normsAll[id]
-	}
-	n := v.Norm()
-	a.normsAll[id] = n
-	return n
+	return 0
 }
 
 // QueryVector tokenizes a free-text query with the analyzer's tokenizer and

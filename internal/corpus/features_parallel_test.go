@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -122,5 +123,70 @@ func TestWarmIsIdempotent(t *testing.T) {
 	a.Warm(2)
 	if !reflect.DeepEqual(first, a.TFIDFAll(0)) {
 		t.Fatal("second Warm changed cached vectors")
+	}
+}
+
+// TestFrozenWeightsConcurrentWithWarm reads all four weight accessors of a
+// lazy analyzer from 8 goroutines while Warm fills every slot: a reader
+// sees a finished slot without a lock or fills a missing one under it,
+// never a torn value. Run under -race.
+func TestFrozenWeightsConcurrentWithWarm(t *testing.T) {
+	c, _ := testCorpus(t, 80)
+	eager := NewAnalyzerWorkers(c, 1)
+	eager.Warm(1)
+	lazy := NewAnalyzerFrozen(c, eager.DF())
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3*c.Len(); k++ {
+				id := PaperID((k*7 + g*11) % c.Len())
+				s := Sections[(k+g)%len(Sections)]
+				if !reflect.DeepEqual(lazy.TFIDF(id, s), eager.TFIDF(id, s)) || lazy.TFIDFNorm(id, s) != eager.TFIDFNorm(id, s) {
+					t.Errorf("paper %d %v: lazy section weights differ from eager", id, s)
+					return
+				}
+				if !reflect.DeepEqual(lazy.TFIDFAll(id), eager.TFIDFAll(id)) || lazy.TFIDFAllNorm(id) != eager.TFIDFAllNorm(id) {
+					t.Errorf("paper %d: lazy whole-text weights differ from eager", id)
+					return
+				}
+			}
+		}(g)
+	}
+	lazy.Warm(4)
+	wg.Wait()
+	if got, want := lazy.CachedWeights(), 2*c.Len(); got != want {
+		t.Fatalf("%d weight slots filled after Warm, want %d", got, want)
+	}
+}
+
+// TestSectionTokensLeaveAnalyzerFrozen: the shared section tokenizer yields
+// exactly the build-time token streams and materialises nothing on the
+// analyzer — no Features, no weight vector — while any TF-IDF accessor
+// does analyse its paper, so "zero analysed papers" implies "zero cached
+// vectors".
+func TestSectionTokensLeaveAnalyzerFrozen(t *testing.T) {
+	c, _ := testCorpus(t, 40)
+	eager := NewAnalyzerWorkers(c, 1)
+	lazy := NewAnalyzerFrozen(c, eager.DF())
+	for _, p := range c.Papers() {
+		want := eager.Features(p.ID).Tokens
+		lazy.SectionTokens(p, func(s Section, toks []string) {
+			if !slices.Equal(toks, want[s]) {
+				t.Fatalf("paper %d %v: section tokens differ from Features.Tokens", p.ID, s)
+			}
+		})
+	}
+	if lazy.AnalyzedPapers() != 0 || lazy.CachedWeights() != 0 {
+		t.Fatalf("tokenizing analysed %d papers and cached %d weight slots", lazy.AnalyzedPapers(), lazy.CachedWeights())
+	}
+	if eager.AnalyzedPapers() != c.Len() {
+		t.Fatalf("eager analyzer reports %d analysed papers of %d", eager.AnalyzedPapers(), c.Len())
+	}
+	lazy.TFIDFAll(3)
+	lazy.TFIDFNorm(5, SecTitle)
+	if lazy.AnalyzedPapers() != 2 || lazy.CachedWeights() != 2 {
+		t.Fatalf("two accessor calls analysed %d papers and cached %d weight slots, want 2 and 2", lazy.AnalyzedPapers(), lazy.CachedWeights())
 	}
 }

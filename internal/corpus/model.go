@@ -35,6 +35,10 @@ const (
 	numSections
 )
 
+// NumSections is the number of paper sections, for fixed-size per-section
+// arrays indexed by Section.
+const NumSections = int(numSections)
+
 // Sections lists all text sections in a fixed order.
 var Sections = []Section{SecTitle, SecAbstract, SecBody, SecIndexTerms}
 

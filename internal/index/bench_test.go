@@ -72,18 +72,35 @@ func BenchmarkSearch(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchQueryBoolean evaluates parsed boolean queries on a
+// state-booted index shape (FromParts over a frozen analyzer): a term-only
+// filter, a phrase (token-table scans over ~240 candidates), and NOT over a
+// term and a field predicate. The token table fills during the first
+// iterations; steady state is table reads and posting gathers.
 func BenchmarkSearchQueryBoolean(b *testing.B) {
-	ix := benchIndex(b)
-	q, err := ix.ParseQuery(`(regulation OR control) AND transcription AND NOT metallurgy`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ix.SearchQuery(q, Options{Limit: 20}); err != nil {
-			b.Fatal(err)
-		}
+	eager := benchIndex(b)
+	ix := frozenTwin(b, eager.Analyzer(), eager)
+	for _, arm := range []struct{ name, expr string }{
+		{"terms", `(regulation OR control) AND transcription AND NOT metallurgy`},
+		{"phrase", `"regulation of actin ribosome" OR "folding initiation"`},
+		{"not", `regulation AND NOT transcription AND NOT title:folding`},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			q, err := ix.ParseQuery(arm.expr)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if hits, err := ix.SearchQuery(q, Options{}); err != nil || len(hits) == 0 {
+				b.Fatalf("%s: %d hits, err %v", arm.expr, len(hits), err)
+			}
+			b.ResetTimer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.SearchQuery(q, Options{Limit: 20}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -15,6 +15,7 @@ package index
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -77,6 +78,9 @@ type Index struct {
 	blockOffsets   []int32
 	blockMaxWeight []float64
 	blockMaxRatio  []float64
+	// tokens is the lazily filled phrase/field token table, one slot per
+	// paper (see tokens.go).
+	tokens []atomic.Pointer[docTokens]
 	// accPool recycles dense score accumulators across searches; topkPool
 	// recycles per-query top-k evaluation scratch (see topk.go).
 	accPool  sync.Pool
@@ -174,13 +178,14 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers, blockSize 
 	ix := &Index{
 		analyzer: a,
 		norms:    make([]float64, n),
+		tokens:   make([]atomic.Pointer[docTokens], n),
 	}
 
 	shards := par.Shards(len(papers), workers)
 
 	// Pass 1 (sharded): per-shard term posting counts; norms land in
-	// disjoint slots. TFIDFAll hits the analyzer cache lock-free when the
-	// analyzer is warmed (NewSystem warms before building).
+	// disjoint slots. TFIDFAll reads a filled analyzer slot without a lock
+	// (NewSystem warms before building).
 	shardCounts := make([]map[string]int32, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
 		m := make(map[string]int32)
@@ -570,14 +575,62 @@ func (ix *Index) BlockSize() int { return ix.blockSize }
 
 // MatchScore returns the cosine text-matching score between a query and one
 // document — the Text_Matching_Score(p, q) term of the paper's relevancy
-// formula.
+// formula — read off the document's postings (0 for a document the index
+// holds no postings of).
 func (ix *Index) MatchScore(qv vector.Sparse, doc corpus.PaperID) float64 {
-	if int(doc) < 0 || int(doc) >= len(ix.norms) || ix.norms[doc] == 0 {
+	if int(doc) < 0 || int(doc) >= len(ix.norms) {
 		return 0
 	}
-	qn := qv.Norm()
-	if qn == 0 {
+	sc := ix.newTextScorer(qv)
+	return sc.score(doc)
+}
+
+// textScorer scores single documents against one query from the frozen
+// postings: the query's indexed terms with their posting runs, resolved
+// once. Not safe for concurrent use (prods is scratch).
+type textScorer struct {
+	qn    float64 // ‖q‖
+	norms []float64
+	terms []scorerTerm
+	prods []float64
+}
+
+// scorerTerm is one query term with postings: its query weight and run.
+type scorerTerm struct {
+	w       float64
+	docs    []corpus.PaperID
+	weights []float64
+}
+
+// newTextScorer resolves the query's terms to their posting runs; terms
+// without postings contribute to no score and are dropped.
+func (ix *Index) newTextScorer(qv vector.Sparse) textScorer {
+	sc := textScorer{qn: qv.Norm(), norms: ix.norms, terms: make([]scorerTerm, 0, len(qv))}
+	for term, w := range qv {
+		if docs, weights := ix.Postings(term); len(docs) > 0 {
+			sc.terms = append(sc.terms, scorerTerm{w, docs, weights})
+		}
+	}
+	sc.prods = make([]float64, 0, len(sc.terms))
+	return sc
+}
+
+// score returns the cosine between the query and doc (0 <= doc <
+// len(norms)). A posting weight is the document's TF-IDF component for the
+// term, so the products gathered here are the multiset Sparse.Dot forms
+// over the query and document vectors; summed ascending like Dot and
+// divided by the same ‖q‖·‖d‖, the score equals the vector-form cosine bit
+// for bit.
+func (sc *textScorer) score(doc corpus.PaperID) float64 {
+	dn := sc.norms[doc]
+	if dn == 0 || sc.qn == 0 {
 		return 0
 	}
-	return qv.Dot(ix.analyzer.TFIDFAll(doc)) / (qn * ix.norms[doc])
+	prods := sc.prods[:0]
+	for _, t := range sc.terms {
+		if i, ok := slices.BinarySearch(t.docs, doc); ok {
+			prods = append(prods, t.w*t.weights[i])
+		}
+	}
+	return vector.SumSorted(prods) / (sc.qn * dn)
 }

@@ -10,7 +10,7 @@ import (
 	"ctxsearch/internal/vector"
 )
 
-func buildTestIndex(t *testing.T) (*Index, *corpus.Corpus) {
+func buildTestIndex(t testing.TB) (*Index, *corpus.Corpus) {
 	t.Helper()
 	papers := []*corpus.Paper{
 		{ID: 0, Title: "rna polymerase transcription", Abstract: "transcription of rna by polymerase enzymes", Body: "the rna polymerase complex transcription machinery", Authors: []string{"a b"}},

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ctxsearch/internal/corpus"
 )
@@ -100,6 +101,7 @@ func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
 		norms:     p.Norms,
 		maxWeight: p.MaxWeight,
 		maxRatio:  p.MaxRatio,
+		tokens:    make([]atomic.Pointer[docTokens], len(p.Norms)),
 	}
 	for i, term := range p.Terms {
 		if i > 0 && p.Terms[i-1] >= term {

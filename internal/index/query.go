@@ -10,7 +10,9 @@ import (
 	"ctxsearch/internal/vector"
 )
 
-// Query is a parsed boolean query tree. Evaluate with Index.SearchQuery.
+// Query is a parsed boolean query tree. Evaluate with Index.SearchQuery on
+// the index that parsed it: leaves are bound to that index's postings and
+// term dictionary at parse time.
 //
 // The grammar (case-insensitive keywords):
 //
@@ -27,42 +29,44 @@ type Query interface {
 	// matches reports whether doc satisfies the boolean constraint.
 	matches(ix *Index, doc corpus.PaperID) bool
 	// positiveTerms accumulates the stemmed terms used for ranking.
-	positiveTerms(ix *Index, into vector.Sparse)
+	positiveTerms(into vector.Sparse)
 	// String renders the canonical query form.
 	String() string
 }
 
-// termQuery matches documents containing the (stemmed) term.
-type termQuery struct{ term string }
+// termQuery matches documents containing the (stemmed) term: those of its
+// posting run, bound at parse time (nil when the term is not indexed).
+type termQuery struct {
+	term string
+	docs []corpus.PaperID
+}
 
-func (q termQuery) matches(ix *Index, doc corpus.PaperID) bool {
-	docs, _ := ix.Postings(q.term)
+func (q termQuery) matches(_ *Index, doc corpus.PaperID) bool {
 	// Postings are sorted by doc: binary search.
-	_, ok := slices.BinarySearch(docs, doc)
+	_, ok := slices.BinarySearch(q.docs, doc)
 	return ok
 }
 
-func (q termQuery) positiveTerms(ix *Index, into vector.Sparse) { into[q.term]++ }
-func (q termQuery) String() string                              { return q.term }
+func (q termQuery) positiveTerms(into vector.Sparse) { into[q.term]++ }
+func (q termQuery) String() string                   { return q.term }
 
 // phraseQuery matches documents containing the stemmed words contiguously
-// in one section.
-type phraseQuery struct{ words []string }
-
-func (q phraseQuery) matches(ix *Index, doc corpus.PaperID) bool {
-	f := ix.analyzer.Features(doc)
-	if f == nil {
-		return false
-	}
-	for _, s := range corpus.Sections {
-		if containsSeq(f.Tokens[s], q.words) {
-			return true
-		}
-	}
-	return false
+// in one section. ids holds the words as index term IDs; it is nil when
+// some word is not in the dictionary, and the phrase then matches nothing.
+type phraseQuery struct {
+	words []string
+	ids   []int32
 }
 
-func (q phraseQuery) positiveTerms(ix *Index, into vector.Sparse) {
+func (q phraseQuery) matches(ix *Index, doc corpus.PaperID) bool {
+	if q.ids == nil {
+		return false
+	}
+	d := ix.tokensOf(doc)
+	return d != nil && d.hasPhrase(q.ids)
+}
+
+func (q phraseQuery) positiveTerms(into vector.Sparse) {
 	for _, w := range q.words {
 		into[w]++
 	}
@@ -70,43 +74,24 @@ func (q phraseQuery) positiveTerms(ix *Index, into vector.Sparse) {
 
 func (q phraseQuery) String() string { return `"` + strings.Join(q.words, " ") + `"` }
 
-func containsSeq(toks, words []string) bool {
-	if len(words) == 0 || len(toks) < len(words) {
-		return false
-	}
-outer:
-	for i := 0; i+len(words) <= len(toks); i++ {
-		for j, w := range words {
-			if toks[i+j] != w {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // fieldQuery matches documents containing the term within one section,
-// e.g. title:polymerase.
+// e.g. title:polymerase. id is the term's index ID, unknownTerm (matching
+// nothing) when the dictionary does not hold it.
 type fieldQuery struct {
 	section corpus.Section
 	term    string
+	id      int32
 }
 
 func (q fieldQuery) matches(ix *Index, doc corpus.PaperID) bool {
-	f := ix.analyzer.Features(doc)
-	if f == nil {
+	if q.id == unknownTerm {
 		return false
 	}
-	for _, w := range f.Tokens[q.section] {
-		if w == q.term {
-			return true
-		}
-	}
-	return false
+	d := ix.tokensOf(doc)
+	return d != nil && slices.Contains(d.section(q.section), q.id)
 }
 
-func (q fieldQuery) positiveTerms(ix *Index, into vector.Sparse) { into[q.term]++ }
+func (q fieldQuery) positiveTerms(into vector.Sparse) { into[q.term]++ }
 func (q fieldQuery) String() string {
 	return q.section.String() + ":" + q.term
 }
@@ -139,9 +124,9 @@ func (q andQuery) matches(ix *Index, doc corpus.PaperID) bool {
 	return true
 }
 
-func (q andQuery) positiveTerms(ix *Index, into vector.Sparse) {
+func (q andQuery) positiveTerms(into vector.Sparse) {
 	for _, k := range q.kids {
-		k.positiveTerms(ix, into)
+		k.positiveTerms(into)
 	}
 }
 
@@ -159,9 +144,9 @@ func (q orQuery) matches(ix *Index, doc corpus.PaperID) bool {
 	return false
 }
 
-func (q orQuery) positiveTerms(ix *Index, into vector.Sparse) {
+func (q orQuery) positiveTerms(into vector.Sparse) {
 	for _, k := range q.kids {
-		k.positiveTerms(ix, into)
+		k.positiveTerms(into)
 	}
 }
 
@@ -174,8 +159,8 @@ func (q notQuery) matches(ix *Index, doc corpus.PaperID) bool {
 	return !q.kid.matches(ix, doc)
 }
 
-func (q notQuery) positiveTerms(*Index, vector.Sparse) {}
-func (q notQuery) String() string                      { return "NOT (" + q.kid.String() + ")" }
+func (q notQuery) positiveTerms(vector.Sparse) {}
+func (q notQuery) String() string              { return "NOT (" + q.kid.String() + ")" }
 
 func joinQueries(kids []Query, sep string) string {
 	parts := make([]string, len(kids))
@@ -226,25 +211,29 @@ func (ix *Index) SearchQuery(q Query, opts Options) ([]Hit, error) {
 // the expensive part for phrase and field queries — checks every few
 // hundred candidates. A completed call returns exactly the hits
 // SearchQuery would; a cancelled call returns (nil, ctx.Err()).
+//
+// The whole evaluation runs on the frozen index data: candidates and scores
+// come from the posting runs (see textScorer), phrase and field predicates
+// from the token table (see tokensOf). No paper's build-time Features or
+// TF-IDF vector is touched.
 func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) ([]Hit, error) {
 	raw := vector.New()
-	q.positiveTerms(ix, raw)
+	q.positiveTerms(raw)
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("index: query has no positive terms to rank by")
 	}
-	qv := ix.analyzer.DF().Weight(raw)
+	sc := ix.newTextScorer(ix.analyzer.DF().Weight(raw))
 
 	// Candidates: union of postings of positive terms, deduplicated with
 	// the pooled dense scratchpad instead of a per-query map.
 	acc := ix.getAccum()
 	defer ix.putAccum(acc)
 	restricted := opts.restricted()
-	for term := range raw {
+	for _, t := range sc.terms {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		docs, _ := ix.Postings(term)
-		for _, doc := range docs {
+		for _, doc := range t.docs {
 			if restricted && !opts.allows(doc) {
 				continue
 			}
@@ -256,7 +245,7 @@ func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) 
 	}
 	var hits []Hit
 	for i, doc := range acc.touched {
-		// Boolean matching walks token slices per candidate (phrase scans
+		// Boolean matching walks token streams per candidate (phrase scans
 		// especially), so check cancellation on a tighter stride than the
 		// vector path.
 		if i&511 == 0 {
@@ -267,7 +256,7 @@ func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) 
 		if !q.matches(ix, doc) {
 			continue
 		}
-		score := ix.MatchScore(qv, doc)
+		score := sc.score(doc)
 		if score >= opts.Threshold && score > 0 {
 			hits = append(hits, Hit{doc, score})
 		}
@@ -447,7 +436,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 				}
 				kids := make([]Query, len(fieldTerms))
 				for i, tm := range fieldTerms {
-					kids[i] = fieldQuery{sec, tm}
+					kids[i] = fieldQuery{sec, tm, p.ix.termID(tm)}
 				}
 				if len(kids) == 1 {
 					return kids[0], nil
@@ -459,14 +448,15 @@ func (p *queryParser) parseAtom() (Query, error) {
 		if len(terms) == 0 {
 			return nil, errStopTerm
 		}
-		if len(terms) == 1 {
-			return termQuery{terms[0]}, nil
-		}
 		// A hyphenated compound can normalise to several terms: implicit
 		// AND over them.
 		kids := make([]Query, len(terms))
 		for i, tm := range terms {
-			kids[i] = termQuery{tm}
+			docs, _ := p.ix.Postings(tm)
+			kids[i] = termQuery{tm, docs}
+		}
+		if len(kids) == 1 {
+			return kids[0], nil
 		}
 		return andQuery{kids}, nil
 	case "phrase":
@@ -475,7 +465,13 @@ func (p *queryParser) parseAtom() (Query, error) {
 		if len(words) == 0 {
 			return nil, errStopTerm
 		}
-		return phraseQuery{words}, nil
+		ids := make([]int32, len(words))
+		for i, w := range words {
+			if ids[i] = p.ix.termID(w); ids[i] == unknownTerm {
+				return phraseQuery{words: words}, nil
+			}
+		}
+		return phraseQuery{words, ids}, nil
 	default:
 		return nil, fmt.Errorf("index: unexpected %q", t.text)
 	}

@@ -407,7 +407,9 @@ type searchParams struct {
 // handler and the scatter-gather Coordinator so both fronts accept exactly
 // the same requests.
 func parseSearchParams(w http.ResponseWriter, r *http.Request) (p searchParams, ok bool) {
-	p.q = strings.TrimSpace(r.URL.Query().Get("q"))
+	// URL.Query re-parses the raw query string on every call: parse once.
+	vals := r.URL.Query()
+	p.q = strings.TrimSpace(vals.Get("q"))
 	if p.q == "" {
 		writeErr(w, http.StatusBadRequest, "missing query parameter q")
 		return p, false
@@ -417,7 +419,7 @@ func parseSearchParams(w http.ResponseWriter, r *http.Request) (p searchParams, 
 	// corpus" (clients wanting more pages page explicitly, up to MaxLimit
 	// per request).
 	p.opts = ctxsearch.SearchOptions{Limit: DefaultLimit}
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := vals.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			writeErr(w, http.StatusBadRequest, "bad limit %q", v)
@@ -429,7 +431,7 @@ func parseSearchParams(w http.ResponseWriter, r *http.Request) (p searchParams, 
 		}
 		p.opts.Limit = n
 	}
-	if v := r.URL.Query().Get("offset"); v != "" {
+	if v := vals.Get("offset"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			writeErr(w, http.StatusBadRequest, "bad offset %q", v)
@@ -441,7 +443,7 @@ func parseSearchParams(w http.ResponseWriter, r *http.Request) (p searchParams, 
 		}
 		p.opts.Offset = n
 	}
-	if v := r.URL.Query().Get("threshold"); v != "" {
+	if v := vals.Get("threshold"); v != "" {
 		t, err := strconv.ParseFloat(v, 64)
 		if err != nil || t < 0 || t > 1 {
 			writeErr(w, http.StatusBadRequest, "bad threshold %q", v)
@@ -449,7 +451,7 @@ func parseSearchParams(w http.ResponseWriter, r *http.Request) (p searchParams, 
 		}
 		p.opts.Threshold = t
 	}
-	if v := r.URL.Query().Get("boolean"); v == "1" || v == "true" {
+	if v := vals.Get("boolean"); v == "1" || v == "true" {
 		p.boolean = true
 	}
 	return p, true
@@ -773,6 +775,13 @@ type StatsResponse struct {
 	// parallelism counters for the installed generation (reset on every
 	// SetReady* swap); absent when the searcher does not expose them.
 	TopK *index.TopKStats `json:"topk,omitempty"`
+	// AnalyzedPapers counts the papers whose build-time features this
+	// generation's analyzer has materialised: all of them after an
+	// in-process build, 0 on a state-booted server that only serves.
+	AnalyzedPapers int `json:"analyzed_papers"`
+	// TokenTablePapers counts the papers in the boolean evaluator's
+	// phrase/field token table (filled on first phrase or field check).
+	TokenTablePapers int `json:"token_table_papers"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -793,6 +802,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheCoalesced: cst.Coalesced,
 		CacheEntries:   cst.Entries,
 		MappedState:    b.ref != nil,
+		AnalyzedPapers: b.sys.Analyzer().AnalyzedPapers(),
 	}
 	if cs := s.coldStart.Load(); cs > 0 {
 		resp.ColdStartMS = float64(cs) / float64(time.Millisecond)
@@ -804,6 +814,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if ts, ok := b.searcher.(interface{ TopKStats() index.TopKStats }); ok {
 		st := ts.TopKStats()
 		resp.TopK = &st
+	}
+	if tt, ok := b.searcher.(interface{ TokenTablePapers() int }); ok {
+		resp.TokenTablePapers = tt.TokenTablePapers()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -194,6 +194,16 @@ func (g *Group) ResetTopKStats() {
 	}
 }
 
+// TokenTablePapers sums the shard indexes' phrase/field token tables; the
+// ranges are disjoint, so no paper is counted twice.
+func (g *Group) TokenTablePapers() int {
+	n := 0
+	for _, e := range g.engines {
+		n += e.TokenTablePapers()
+	}
+	return n
+}
+
 // SelectContextsContext reports which contexts a query selects. Selection
 // metadata is identical on every shard (see NewGroup), so shard 0 answers
 // for the group.
