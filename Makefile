@@ -1,7 +1,7 @@
 # Developer entry points. `make verify` is the tier-1 gate every PR must
 # keep green; it includes a -race pass over the parallelized query path
-# (internal/search fans per-context scoring over a worker pool and
-# internal/index pools accumulators across goroutines), over the serving
+# (internal/search pools its per-query scratch and internal/index its
+# accumulators across goroutines), over the serving
 # path (middleware stack, graceful shutdown, fault injection), over the
 # arena-reusing offline scoring pipeline (internal/prestige workers hand
 # pooled citegraph scratch buffers between goroutines), over the sharded
@@ -43,8 +43,11 @@ serve-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Just the query-path benchmarks behind BENCH_PR1.json, plus the boolean
-# evaluator's term / phrase / NOT arms on a state-booted index shape.
+# Just the query-path benchmarks behind BENCH_PR1.json — among them
+# BenchmarkEngineSearchFull, the serving benchmark's library_batch workload
+# as a micro-benchmark (frozen engine, Limit 0, 800 papers / 160 terms) —
+# plus the boolean evaluator's term / phrase / NOT arms on a state-booted
+# index shape.
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkSelectContexts|BenchmarkEngineSearch' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean' -benchmem ./internal/index/

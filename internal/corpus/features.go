@@ -367,7 +367,14 @@ func (a *Analyzer) TFIDFAllNorm(id PaperID) float64 {
 // QueryVector tokenizes a free-text query with the analyzer's tokenizer and
 // returns its TF-IDF vector under the corpus DF table.
 func (a *Analyzer) QueryVector(q string) vector.Sparse {
-	return a.df.Weight(vector.FromTerms(a.tok.Terms(q)))
+	return a.TermsVector(a.tok.Terms(q))
+}
+
+// TermsVector is QueryVector for a query already tokenized by the
+// analyzer's tokenizer — a caller that needs the terms anyway (context
+// selection does) tokenizes and stems once.
+func (a *Analyzer) TermsVector(terms []string) vector.Sparse {
+	return a.df.Weight(vector.FromTerms(terms))
 }
 
 // Tokenizer returns the analyzer's tokenizer, so other components (pattern

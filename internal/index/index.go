@@ -14,6 +14,7 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sort"
@@ -429,7 +430,8 @@ type queryTerm struct {
 // resolveQuery interns the query vector's terms, dropping unindexed ones
 // (they have no postings, hence no contribution), sorted by term ID —
 // lexicographic term order, so accumulation order matches the historical
-// sort.Strings order bit for bit.
+// sort.Strings order bit for bit. The vector pass and the boolean text
+// scorer both resolve through here.
 func (ix *Index) resolveQuery(qv vector.Sparse) []queryTerm {
 	qts := make([]queryTerm, 0, len(qv))
 	for term, w := range qv {
@@ -437,8 +439,13 @@ func (ix *Index) resolveQuery(qv vector.Sparse) []queryTerm {
 			qts = append(qts, queryTerm{id, w})
 		}
 	}
-	sort.Slice(qts, func(i, j int) bool { return qts[i].id < qts[j].id })
+	sortQueryTerms(qts)
 	return qts
+}
+
+// sortQueryTerms orders resolved terms by ascending term ID.
+func sortQueryTerms(qts []queryTerm) {
+	slices.SortFunc(qts, func(a, b queryTerm) int { return cmp.Compare(a.id, b.id) })
 }
 
 // SearchVector searches with a pre-built query vector (used by expansion
@@ -459,12 +466,26 @@ func (ix *Index) SearchVector(qv vector.Sparse, opts Options) []Hit {
 // than the corpus, and the returned page — documents, order, and score
 // bits — is identical to the exhaustive evaluation's.
 func (ix *Index) SearchVectorContext(ctx context.Context, qv vector.Sparse, opts Options) ([]Hit, error) {
+	if opts.Limit > 0 {
+		if qv.Norm() == 0 {
+			return nil, ctx.Err()
+		}
+		return ix.searchTopK(ctx, qv, opts)
+	}
+	return ix.AppendVectorHits(ctx, qv, opts, true, nil)
+}
+
+// AppendVectorHits appends to dst every hit an unlimited SearchVectorContext
+// would return — same documents, same score bits, opts.Limit ignored — in
+// that function's order when sorted is set and in unspecified order
+// otherwise. It is the entry point of callers that recycle the hit buffer
+// and may rank the hits under an order of their own (the engine's relevancy
+// merge), which then skip the match-score sort. On cancellation dst is
+// returned unextended with ctx's error.
+func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Options, sorted bool, dst []Hit) ([]Hit, error) {
 	qn := qv.Norm()
 	if qn == 0 {
-		return nil, ctx.Err()
-	}
-	if opts.Limit > 0 {
-		return ix.searchTopK(ctx, qv, opts)
+		return dst, ctx.Err()
 	}
 	qts := ix.resolveQuery(qv)
 	acc := ix.getAccum()
@@ -472,7 +493,7 @@ func (ix *Index) SearchVectorContext(ctx context.Context, qv vector.Sparse, opts
 	restricted := opts.restricted()
 	for _, qt := range qts {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		qw := qt.w
 		docs, ws := ix.postingsOf(qt.id)
@@ -487,11 +508,11 @@ func (ix *Index) SearchVectorContext(ctx context.Context, qv vector.Sparse, opts
 			acc.val[doc] += qw * ws[i]
 		}
 	}
-	hits := make([]Hit, 0, len(acc.touched))
+	hits := slices.Grow(dst, len(acc.touched))
 	for i, doc := range acc.touched {
 		if i&cancelCheckMask == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return dst, err
 			}
 		}
 		dn := ix.norms[doc]
@@ -503,9 +524,8 @@ func (ix *Index) SearchVectorContext(ctx context.Context, qv vector.Sparse, opts
 			hits = append(hits, Hit{doc, score})
 		}
 	}
-	sortHits(hits)
-	if opts.Limit > 0 && len(hits) > opts.Limit {
-		hits = hits[:opts.Limit]
+	if sorted {
+		sortHits(hits[len(dst):])
 	}
 	return hits, nil
 }
@@ -602,13 +622,15 @@ type scorerTerm struct {
 	weights []float64
 }
 
-// newTextScorer resolves the query's terms to their posting runs; terms
-// without postings contribute to no score and are dropped.
+// newTextScorer resolves the query's terms to their posting runs (through
+// resolveQuery, like the vector pass); terms without postings contribute to
+// no score and are dropped.
 func (ix *Index) newTextScorer(qv vector.Sparse) textScorer {
-	sc := textScorer{qn: qv.Norm(), norms: ix.norms, terms: make([]scorerTerm, 0, len(qv))}
-	for term, w := range qv {
-		if docs, weights := ix.Postings(term); len(docs) > 0 {
-			sc.terms = append(sc.terms, scorerTerm{w, docs, weights})
+	qts := ix.resolveQuery(qv)
+	sc := textScorer{qn: qv.Norm(), norms: ix.norms, terms: make([]scorerTerm, 0, len(qts))}
+	for _, qt := range qts {
+		if docs, weights := ix.postingsOf(qt.id); len(docs) > 0 {
+			sc.terms = append(sc.terms, scorerTerm{qt.w, docs, weights})
 		}
 	}
 	sc.prods = make([]float64, 0, len(sc.terms))

@@ -217,10 +217,25 @@ func (ix *Index) SearchQuery(q Query, opts Options) ([]Hit, error) {
 // from the token table (see tokensOf). No paper's build-time Features or
 // TF-IDF vector is touched.
 func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) ([]Hit, error) {
+	hits, err := ix.AppendQueryHits(ctx, q, opts, true, nil)
+	if err != nil {
+		return nil, err
+	}
+	if opts.Limit > 0 && len(hits) > opts.Limit {
+		hits = hits[:opts.Limit]
+	}
+	return hits, nil
+}
+
+// AppendQueryHits is the boolean counterpart of AppendVectorHits: every hit
+// an unlimited SearchQueryContext would return is appended to dst, in that
+// function's order when sorted is set. On an error dst is returned
+// unextended.
+func (ix *Index) AppendQueryHits(ctx context.Context, q Query, opts Options, sorted bool, dst []Hit) ([]Hit, error) {
 	raw := vector.New()
 	q.positiveTerms(raw)
 	if len(raw) == 0 {
-		return nil, fmt.Errorf("index: query has no positive terms to rank by")
+		return dst, fmt.Errorf("index: query has no positive terms to rank by")
 	}
 	sc := ix.newTextScorer(ix.analyzer.DF().Weight(raw))
 
@@ -231,7 +246,7 @@ func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) 
 	restricted := opts.restricted()
 	for _, t := range sc.terms {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return dst, err
 		}
 		for _, doc := range t.docs {
 			if restricted && !opts.allows(doc) {
@@ -243,14 +258,14 @@ func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) 
 			}
 		}
 	}
-	var hits []Hit
+	hits := dst
 	for i, doc := range acc.touched {
 		// Boolean matching walks token streams per candidate (phrase scans
 		// especially), so check cancellation on a tighter stride than the
 		// vector path.
 		if i&511 == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return dst, err
 			}
 		}
 		if !q.matches(ix, doc) {
@@ -261,9 +276,8 @@ func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) 
 			hits = append(hits, Hit{doc, score})
 		}
 	}
-	sortHits(hits)
-	if opts.Limit > 0 && len(hits) > opts.Limit {
-		hits = hits[:opts.Limit]
+	if sorted {
+		sortHits(hits[len(dst):])
 	}
 	return hits, nil
 }

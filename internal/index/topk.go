@@ -343,15 +343,7 @@ func (ix *Index) resolveQueryNormInto(qv vector.Sparse, qts []queryTerm, sq []fl
 			qts = append(qts, queryTerm{id, w})
 		}
 	}
-	slices.SortFunc(qts, func(a, b queryTerm) int {
-		switch {
-		case a.id < b.id:
-			return -1
-		case a.id > b.id:
-			return 1
-		}
-		return 0
-	})
+	sortQueryTerms(qts)
 	return qts, sq
 }
 

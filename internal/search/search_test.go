@@ -23,14 +23,20 @@ var cached *fixture
 
 func buildFixture(t testing.TB) *fixture {
 	t.Helper()
-	if cached != nil {
-		return cached
+	if cached == nil {
+		cached = newFixture(t, 6, corpus.DefaultGenConfig(250))
 	}
-	o, err := ontology.Generate(ontology.GenConfig{Seed: 6, NumTerms: 60, MaxDepth: 6, SecondParentProb: 0.1})
+	return cached
+}
+
+// newFixture builds an eager engine over a generated ontology and corpus.
+func newFixture(t testing.TB, ontoSeed int64, gcfg corpus.GenConfig) *fixture {
+	t.Helper()
+	o, err := ontology.Generate(ontology.GenConfig{Seed: ontoSeed, NumTerms: 60, MaxDepth: 6, SecondParentProb: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := corpus.Generate(o, corpus.DefaultGenConfig(250))
+	c, err := corpus.Generate(o, gcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +46,10 @@ func buildFixture(t testing.TB) *fixture {
 	scorer := prestige.NewTextScorer(a, prestige.DefaultTextWeights())
 	scores := prestige.ScoreAll(scorer, cs, 0)
 	prestige.PropagateMax(o, scores)
-	cached = &fixture{
+	return &fixture{
 		onto: o, c: c, ix: ix, cs: cs, scores: scores,
 		engine: NewEngine(ix, cs, scores, DefaultWeights()),
 	}
-	return cached
 }
 
 // queryForSomeContext returns a scored context's term name to use as query.

@@ -90,28 +90,6 @@ func TestSearchTopKGoldenEquality(t *testing.T) {
 	}
 }
 
-// TestSearchTopKPooledGoldenEquality repeats a slice of the bounded-merge
-// battery with the worker pool forced on, so the windowed scoring runs
-// through the parallel path too.
-func TestSearchTopKPooledGoldenEquality(t *testing.T) {
-	f := buildFixture(t)
-	oldChunk, oldThreshold := topkChunk, parallelMergeThreshold
-	topkChunk, parallelMergeThreshold = 4, 0
-	t.Cleanup(func() { topkChunk, parallelMergeThreshold = oldChunk, oldThreshold })
-
-	rng := rand.New(rand.NewSource(7))
-	for qi, q := range goldenQueries(f) {
-		opts := Options{
-			Limit:       1 + rng.Intn(10),
-			Offset:      rng.Intn(5),
-			MaxContexts: 8, MinContextMatch: 0.01,
-			Threshold: rng.Float64() * 0.2,
-		}
-		label := fmt.Sprintf("pooled query %d %q opts %+v", qi, q, opts)
-		diffResults(t, label, f.engine.Search(q, opts), f.engine.searchNaive(q, opts))
-	}
-}
-
 // TestSearchBooleanTopKGoldenEquality covers the bounded merge on the
 // boolean query path (same hit ordering contract, different index pass).
 func TestSearchBooleanTopKGoldenEquality(t *testing.T) {

@@ -34,6 +34,7 @@ import (
 	"ctxsearch"
 	"ctxsearch/internal/cache"
 	"ctxsearch/internal/index"
+	"ctxsearch/internal/search"
 	"ctxsearch/internal/shard"
 )
 
@@ -275,13 +276,16 @@ func (s *Server) SetReadySharded(sys *ctxsearch.System, cs *ctxsearch.ContextSet
 // backend's mapping is closed after the swap — its pages stay valid until
 // the last in-flight request that retained them releases, then unmap.
 func (s *Server) SetReadyMapped(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher Searcher, ref StateRef) {
-	// /stats reports top-k evaluator counters per generation, not per
-	// process: zero them as the generation is installed. (Engines are not
-	// shared across generations — a rebuild or remap constructs new ones —
-	// so in-flight queries of the old generation never pollute the new
-	// counters.)
+	// /stats reports top-k evaluator and merge counters per generation,
+	// not per process: zero them as the generation is installed. (Engines
+	// are not shared across generations — a rebuild or remap constructs new
+	// ones — so in-flight queries of the old generation never pollute the
+	// new counters.)
 	if ts, ok := searcher.(interface{ ResetTopKStats() }); ok {
 		ts.ResetTopKStats()
+	}
+	if ms, ok := searcher.(interface{ ResetMergeStats() }); ok {
+		ms.ResetMergeStats()
 	}
 	old := s.backend.Swap(&backend{
 		sys:      sys,
@@ -775,6 +779,12 @@ type StatsResponse struct {
 	// parallelism counters for the installed generation (reset on every
 	// SetReady* swap); absent when the searcher does not expose them.
 	TopK *index.TopKStats `json:"topk,omitempty"`
+	// Merge holds the prestige merge's counters for the installed
+	// generation, reset like TopK: merges by path (exhaustive, bounded),
+	// hits folded, and how often the bounded merge's early termination
+	// fired (window_breaks) — zero there means every page so far needed
+	// its whole hit list.
+	Merge *search.MergeStats `json:"merge,omitempty"`
 	// AnalyzedPapers counts the papers whose build-time features this
 	// generation's analyzer has materialised: all of them after an
 	// in-process build, 0 on a state-booted server that only serves.
@@ -814,6 +824,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if ts, ok := b.searcher.(interface{ TopKStats() index.TopKStats }); ok {
 		st := ts.TopKStats()
 		resp.TopK = &st
+	}
+	if ms, ok := b.searcher.(interface{ MergeStats() search.MergeStats }); ok {
+		st := ms.MergeStats()
+		resp.Merge = &st
 	}
 	if tt, ok := b.searcher.(interface{ TokenTablePapers() int }); ok {
 		resp.TokenTablePapers = tt.TokenTablePapers()

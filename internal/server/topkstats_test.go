@@ -3,9 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"net/url"
 	"testing"
 
 	"ctxsearch/internal/index"
+	"ctxsearch/internal/search"
+	"ctxsearch/internal/shard"
 )
 
 // TestStatsTopKPerGeneration: /stats carries the bounded-query evaluator's
@@ -49,5 +52,60 @@ func TestStatsTopKPerGeneration(t *testing.T) {
 	srv.SetReady(sys, cs, scores)
 	if st := topk(); st.Visited != 0 {
 		t.Fatalf("post-swap generation reports visited %d, want 0", st.Visited)
+	}
+}
+
+// TestStatsMergePerGeneration: /stats carries the prestige merge's counters
+// beside topk — a page smaller than the hit list runs the bounded merge, a
+// page covering it the exhaustive one — for a single engine and summed over
+// a shard group, and a SetReady* swap zeroes them.
+func TestStatsMergePerGeneration(t *testing.T) {
+	sys, cs, scores, query := testState(t)
+	srv := New(sys, cs, scores)
+
+	merge := func() search.MergeStats {
+		t.Helper()
+		rec := get(t, srv, "/stats")
+		if rec.Code != 200 {
+			t.Fatalf("stats = %d: %s", rec.Code, rec.Body)
+		}
+		var resp StatsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Merge == nil {
+			t.Fatal("stats response has no merge section")
+		}
+		return *resp.Merge
+	}
+	page := func(limit string) {
+		t.Helper()
+		if rec := get(t, srv, "/search?q="+url.QueryEscape(query)+"&limit="+limit); rec.Code != 200 {
+			t.Fatalf("search = %d: %s", rec.Code, rec.Body)
+		}
+	}
+
+	if st := merge(); st != (search.MergeStats{}) {
+		t.Fatalf("fresh generation reports %+v, want zeroes", st)
+	}
+	page("1")
+	st := merge()
+	if st.Bounded != 1 || st.Exhaustive != 0 || st.WindowsScored == 0 || st.HitsMerged == 0 {
+		t.Fatalf("after a limit=1 page: %+v, want one bounded merge with scored windows", st)
+	}
+	page("1000")
+	if st2 := merge(); st2.Exhaustive != 1 || st2.Bounded != 1 || st2.HitsMerged <= st.HitsMerged {
+		t.Fatalf("after a limit=1000 page: %+v (before: %+v), want one more exhaustive merge", st2, st)
+	}
+
+	m := scores.Freeze()
+	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	srv.SetReadySharded(sys, cs, m, g)
+	if st := merge(); st != (search.MergeStats{}) {
+		t.Fatalf("post-swap generation reports %+v, want zeroes", st)
+	}
+	page("1000")
+	if st := merge(); st.Exhaustive == 0 || st.Exhaustive != g.Engine(0).MergeStats().Exhaustive+g.Engine(1).MergeStats().Exhaustive {
+		t.Fatalf("group merge stats %+v are not the sum over its engines", st)
 	}
 }

@@ -194,6 +194,22 @@ func (g *Group) ResetTopKStats() {
 	}
 }
 
+// MergeStats sums the prestige-merge counters over every shard engine.
+func (g *Group) MergeStats() search.MergeStats {
+	var sum search.MergeStats
+	for _, e := range g.engines {
+		sum.Add(e.MergeStats())
+	}
+	return sum
+}
+
+// ResetMergeStats zeroes every shard engine's merge counters.
+func (g *Group) ResetMergeStats() {
+	for _, e := range g.engines {
+		e.ResetMergeStats()
+	}
+}
+
 // TokenTablePapers sums the shard indexes' phrase/field token tables; the
 // ranges are disjoint, so no paper is counted twice.
 func (g *Group) TokenTablePapers() int {
