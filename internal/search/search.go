@@ -88,19 +88,24 @@ type Options struct {
 	MinExpandSim float64
 }
 
-// Result is one ranked search result.
+// Result is one ranked search result. The JSON form is the unrendered row
+// of the shard wire protocol (internal/server), sent once per candidate row
+// and never shown to a client, hence the one-letter keys: d(oc),
+// r(elevancy), m(atch), p(restige), c(ontext). encoding/json writes a
+// float64 in its shortest round-trip form, so a decoded row carries the
+// engine's score bits and WorseResult orders it exactly as before the hop.
 type Result struct {
-	Doc corpus.PaperID
+	Doc corpus.PaperID `json:"d"`
 	// Relevancy is the combined score R(p, q, ci) maximised over the
 	// selected contexts containing the paper.
-	Relevancy float64
+	Relevancy float64 `json:"r"`
 	// Match and Prestige are the components at the maximising context;
 	// Prestige is the effective value (context-weighted when the engine's
 	// Weights.ContextWeighted is set).
-	Match    float64
-	Prestige float64
+	Match    float64 `json:"m"`
+	Prestige float64 `json:"p"`
 	// Context is the maximising context.
-	Context ontology.TermID
+	Context ontology.TermID `json:"c"`
 }
 
 // Engine is the context-based search engine. Construct with NewEngine after

@@ -9,7 +9,7 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -18,7 +18,6 @@ import (
 	"ctxsearch/internal/par"
 	"ctxsearch/internal/resilience"
 	"ctxsearch/internal/shard"
-	"ctxsearch/internal/topk"
 )
 
 // DefaultShardTimeout bounds each shard sub-request of a scatter-gather
@@ -96,10 +95,11 @@ func (c ShardConfig) maxRetries() int {
 
 // Coordinator is the multi-process scatter-gather front: a stateless
 // http.Handler that fans /search out to shard servers' POST /shard/search,
-// merges the rendered pages exactly (the healthy-path body is
-// byte-identical to a single-engine server's), and proxies the per-paper
-// endpoints to the backends. It holds no corpus state at all — it can boot
-// instantly and restart freely.
+// merges their unrendered rows exactly, has one backend render the merged
+// page through POST /shard/render and relays that body verbatim (the
+// healthy-path body is byte-identical to a single-engine server's), and
+// proxies the per-paper endpoints to the backends. It holds no corpus state
+// at all — it can boot instantly and restart freely.
 //
 // Each shard range may be served by several replicas (all built from the
 // same deterministic artifact, so any replica's page is byte-identical).
@@ -152,10 +152,11 @@ type Coordinator struct {
 	// soonest a retry could plausibly see a recovered backend.
 	retryAfter string
 
-	// rr distributes proxied single-backend requests (/contexts,
-	// /papers/{id}, /stats) across all backends. Every backend holds the
-	// full corpus-global system state, so any backend answers these
-	// exactly. replicaRR rotates the preferred replica within each range.
+	// rr distributes single-backend requests (/contexts, /papers/{id},
+	// /stats, and the /shard/render call of each search) across backends.
+	// Every backend holds the full corpus-global system state, so any
+	// backend answers these exactly. replicaRR rotates the preferred
+	// replica within each range.
 	rr        atomic.Uint64
 	replicaRR []atomic.Uint64
 }
@@ -175,7 +176,6 @@ func NewCoordinator(urls []string, cfg Config, scfg ShardConfig) *Coordinator {
 		cfg:     cfg,
 		scfg:    scfg,
 		logger:  cfg.Logger,
-		client:  &http.Client{},
 		backoff: scfg.Backoff,
 	}
 	for ri, group := range urls {
@@ -197,9 +197,18 @@ func NewCoordinator(urls []string, cfg Config, scfg ShardConfig) *Coordinator {
 	if c.logger == nil {
 		c.logger = log.New(io.Discard, "", 0)
 	}
+	// Every admitted query holds at most one connection per backend at a
+	// time, so the admission cap is also the idle pool a backend needs for
+	// connections to survive a burst. http.DefaultTransport keeps two.
+	conns := DefaultMaxInflight
 	if n := cfg.maxInflight(); n > 0 {
 		c.inflight = make(chan struct{}, n)
+		conns = n
 	}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConnsPerHost = conns
+	tr.MaxIdleConns = conns * len(c.backends)
+	c.client = &http.Client{Transport: tr}
 	c.cache = cache.New[[]byte](cfg.cacheEntries(), cfg.cacheTTL())
 	c.metrics = shard.NewMetricsReplicated(len(c.ranges), c.rangeOf)
 	c.replicaRR = make([]atomic.Uint64, len(c.ranges))
@@ -258,12 +267,13 @@ func NewCoordinator(urls []string, cfg Config, scfg ShardConfig) *Coordinator {
 	return c
 }
 
-// Close stops the health prober's goroutines. Safe to call on a
-// coordinator without one.
+// Close stops the health prober's goroutines (safe to call on a
+// coordinator without one) and closes the idle backend connections.
 func (c *Coordinator) Close() {
 	if c.prober != nil {
 		c.prober.Close()
 	}
+	c.client.CloseIdleConnections()
 }
 
 // onProbe feeds one health-probe verdict into the backend's breaker. A
@@ -393,25 +403,47 @@ func (c *Coordinator) pickReplica(ri int, tried map[int]bool) (int, bool) {
 	return 0, false
 }
 
-// callReplica runs one POST /shard/search attempt against backend g under
-// a fresh per-attempt deadline, decodes the page, and folds the outcome
-// into the backend's breaker and replica counters. A cancelled attempt
-// (hedge loser, abandoned client) is never recorded into the breaker — a
-// cancellation says nothing about the backend.
-func (c *Coordinator) callReplica(ctx context.Context, ri, g int, payload []byte) ([]SearchResult, *shardCallError) {
-	rows, cerr := c.doShardSearch(ctx, ri, g, payload)
-	canceled := cerr != nil && errors.Is(ctx.Err(), context.Canceled)
+// rangePage is one range's answer to /shard/search: its ranked, unrendered
+// rows and the backend that produced them.
+type rangePage struct {
+	rows []ShardRow
+	from int
+}
+
+// callReplica runs one POST /shard/search attempt against backend g and
+// decodes the page. An answer in any other shape — a backend of another
+// version — is that backend's failure, not a page.
+func (c *Coordinator) callReplica(ctx context.Context, g int, payload []byte) (rangePage, *shardCallError) {
+	body, cerr := c.post(ctx, g, "/shard/search", payload)
+	var page ShardSearchResponse
+	if cerr == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&page); err != nil {
+			cerr = &shardCallError{shard: c.rangeOf[g], err: fmt.Errorf("bad shard response: %w", err)}
+		}
+	}
+	c.record(ctx, g, cerr, true)
+	return rangePage{rows: page.Results, from: g}, cerr
+}
+
+// record folds one attempt against backend g into its breaker and replica
+// counters. A cancelled attempt (hedge loser, abandoned client) is never
+// recorded into the breaker — a cancellation says nothing about the
+// backend. A /shard/render success (search false) completes a half-open
+// probe but leaves a closed breaker alone: it must not reset the failure
+// count of a backend whose /shard/search is failing.
+func (c *Coordinator) record(ctx context.Context, g int, cerr *shardCallError, search bool) {
 	switch {
-	case canceled:
+	case cerr != nil && errors.Is(ctx.Err(), context.Canceled):
 		c.metrics.ObserveReplica(g, context.Canceled)
-	case cerr == nil:
-		c.metrics.ObserveReplica(g, nil)
-		c.breakers[g].Record(true)
-	case cerr.status >= 400 && cerr.status < 500:
+	case cerr == nil || cerr.status >= 400 && cerr.status < 500:
 		// A client error means the backend is alive and answering; it is a
-		// property of the query, not the replica.
+		// property of the request, not the replica.
 		c.metrics.ObserveReplica(g, nil)
-		c.breakers[g].Record(true)
+		if search || c.breakers[g].State() != resilience.Closed {
+			c.breakers[g].Record(true)
+		}
 	default:
 		err := cerr.err
 		if err == nil {
@@ -420,17 +452,18 @@ func (c *Coordinator) callReplica(ctx context.Context, ri, g int, payload []byte
 		c.metrics.ObserveReplica(g, err)
 		c.breakers[g].Record(false)
 	}
-	return rows, cerr
 }
 
-// doShardSearch is the bare HTTP exchange of one attempt.
-func (c *Coordinator) doShardSearch(ctx context.Context, ri, g int, payload []byte) ([]SearchResult, *shardCallError) {
+// post is the bare HTTP exchange of one attempt: payload to backend g's
+// path under a fresh per-attempt deadline, returning the body of a 200.
+func (c *Coordinator) post(ctx context.Context, g int, path string, payload []byte) ([]byte, *shardCallError) {
+	ri := c.rangeOf[g]
 	if d := c.scfg.shardTimeout(); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.backends[g]+"/shard/search", bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.backends[g]+path, bytes.NewReader(payload))
 	if err != nil {
 		return nil, &shardCallError{shard: ri, err: err}
 	}
@@ -455,11 +488,7 @@ func (c *Coordinator) doShardSearch(ctx context.Context, ri, g int, payload []by
 	if resp.StatusCode != http.StatusOK {
 		return nil, &shardCallError{shard: ri, status: resp.StatusCode, body: body}
 	}
-	var page ShardSearchResponse
-	if err := json.Unmarshal(body, &page); err != nil {
-		return nil, &shardCallError{shard: ri, err: fmt.Errorf("bad shard response: %w", err)}
-	}
-	return page.Results, nil
+	return body, nil
 }
 
 // callAttempt runs one (possibly hedged) attempt for range ri, marking
@@ -467,7 +496,7 @@ func (c *Coordinator) doShardSearch(ctx context.Context, ri, g int, payload []by
 // replica call. With hedging, if the primary has not answered within
 // HedgeAfter and the budget covers it, a second replica races it: the
 // first success wins and the loser is cancelled.
-func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]bool, payload []byte) ([]SearchResult, *shardCallError) {
+func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]bool, payload []byte) (rangePage, *shardCallError) {
 	g, ok := c.pickReplica(ri, tried)
 	if !ok && len(tried) > 0 {
 		// Every replica has been tried this call: a retry may revisit them
@@ -478,15 +507,15 @@ func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]boo
 		g, ok = c.pickReplica(ri, tried)
 	}
 	if !ok {
-		return nil, &shardCallError{shard: ri, err: errAllReplicasDown}
+		return rangePage{}, &shardCallError{shard: ri, err: errAllReplicasDown}
 	}
 	tried[g] = true
 	if c.scfg.HedgeAfter <= 0 || len(c.ranges[ri]) < 2 {
-		return c.callReplica(ctx, ri, g, payload)
+		return c.callReplica(ctx, g, payload)
 	}
 
 	type outcome struct {
-		rows   []SearchResult
+		page   rangePage
 		err    *shardCallError
 		hedged bool
 	}
@@ -494,8 +523,8 @@ func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]boo
 	defer cancelAll()
 	ch := make(chan outcome, 2)
 	go func() {
-		rows, err := c.callReplica(actx, ri, g, payload)
-		ch <- outcome{rows, err, false}
+		page, err := c.callReplica(actx, g, payload)
+		ch <- outcome{page, err, false}
 	}()
 
 	timer := time.NewTimer(c.scfg.HedgeAfter)
@@ -503,9 +532,9 @@ func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]boo
 	select {
 	case o := <-ch:
 		// Primary resolved before the hedge delay: no hedge needed.
-		return o.rows, o.err
+		return o.page, o.err
 	case <-ctx.Done():
-		return nil, &shardCallError{shard: ri, err: ctx.Err()}
+		return rangePage{}, &shardCallError{shard: ri, err: ctx.Err()}
 	case <-timer.C:
 	}
 
@@ -515,15 +544,15 @@ func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]boo
 	if !ok2 || !c.budgetWithdraw() {
 		select {
 		case o := <-ch:
-			return o.rows, o.err
+			return o.page, o.err
 		case <-ctx.Done():
-			return nil, &shardCallError{shard: ri, err: ctx.Err()}
+			return rangePage{}, &shardCallError{shard: ri, err: ctx.Err()}
 		}
 	}
 	tried[g2] = true
 	go func() {
-		rows, err := c.callReplica(actx, ri, g2, payload)
-		ch <- outcome{rows, err, true}
+		page, err := c.callReplica(actx, g2, payload)
+		ch <- outcome{page, err, true}
 	}()
 
 	var lastErr *shardCallError
@@ -533,22 +562,22 @@ func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]boo
 			if o.err == nil {
 				cancelAll() // the loser stops; its cancel is not recorded
 				c.metrics.ObserveHedge(o.hedged)
-				return o.rows, nil
+				return o.page, nil
 			}
 			lastErr = o.err
 		case <-ctx.Done():
-			return nil, &shardCallError{shard: ri, err: ctx.Err()}
+			return rangePage{}, &shardCallError{shard: ri, err: ctx.Err()}
 		}
 	}
 	c.metrics.ObserveHedge(false)
-	return nil, lastErr
+	return rangePage{}, lastErr
 }
 
 // callRange resolves range ri: a first attempt plus up to MaxRetries
 // budget-covered retries with exponential backoff, each attempt preferring
 // a replica not yet tried. Client errors (4xx) and cancellations are
 // returned immediately — retrying them is waste.
-func (c *Coordinator) callRange(ctx context.Context, ri int, payload []byte) ([]SearchResult, *shardCallError) {
+func (c *Coordinator) callRange(ctx context.Context, ri int, payload []byte) (rangePage, *shardCallError) {
 	if c.budget != nil {
 		c.budget.Deposit()
 	}
@@ -563,41 +592,82 @@ func (c *Coordinator) callRange(ctx context.Context, ri int, payload []byte) ([]
 			}
 			c.metrics.ObserveRetry()
 			if err := sleepCtx(ctx, c.backoff.Delay(attempt, nil)); err != nil {
-				return nil, &shardCallError{shard: ri, err: err}
+				return rangePage{}, &shardCallError{shard: ri, err: err}
 			}
 		}
-		rows, cerr := c.callAttempt(ctx, ri, tried, payload)
+		page, cerr := c.callAttempt(ctx, ri, tried, payload)
 		if cerr == nil {
 			if fails > 0 {
 				c.metrics.ObserveFailover()
 			}
-			return rows, nil
+			return page, nil
 		}
 		lastErr = cerr
 		if cerr.status >= 400 && cerr.status < 500 {
-			return nil, cerr // deterministic client error: never retry
+			return rangePage{}, cerr // deterministic client error: never retry
 		}
 		if ctx.Err() != nil {
-			return nil, cerr // the request itself is over
+			return rangePage{}, cerr // the request itself is over
 		}
 		fails++
 	}
-	return nil, lastErr
+	return rangePage{}, lastErr
 }
 
-// worseRow orders rendered rows exactly as search.WorseResult orders engine
-// rows (descending relevancy, ties by ascending paper id): relevancy is
-// serialised at full precision, so the JSON round-trip through the shard
-// preserves the engine's total order bit for bit.
-func worseRow(a, b SearchResult) bool {
-	if a.Relevancy != b.Relevancy {
-		return a.Relevancy < b.Relevancy
+// renderPage has one backend turn the merged page into the finished /search
+// body; any backend can, each holds the whole corpus. The replicas that just
+// answered this query's /shard/search come first — known alive, connection
+// warm — rotated so the rendering spreads over the ranges; the remaining
+// backends follow as failover targets. Attempts past the first draw on the
+// retry budget and count against MaxRetries, and a client error is final.
+func (c *Coordinator) renderPage(ctx context.Context, req ShardRenderRequest, answered []int) ([]byte, *shardCallError) {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return nil, &shardCallError{err: err}
 	}
-	return a.PaperID > b.PaperID
-}
-
-func sortRows(rows []SearchResult) {
-	sort.Slice(rows, func(i, j int) bool { return worseRow(rows[j], rows[i]) })
+	start := int(c.rr.Add(1) - 1)
+	order := make([]int, 0, len(c.backends))
+	for k := range answered {
+		order = append(order, answered[(start+k)%len(answered)])
+	}
+	for k := range c.backends {
+		if g := (start + k) % len(c.backends); !slices.Contains(answered, g) {
+			order = append(order, g)
+		}
+	}
+	lastErr := &shardCallError{shard: c.rangeOf[order[0]], err: errAllReplicasDown}
+	attempts := 0
+	for _, g := range order {
+		if attempts > c.scfg.maxRetries() {
+			break
+		}
+		if !c.breakers[g].Allow() {
+			continue
+		}
+		if attempts > 0 {
+			if !c.budgetWithdraw() {
+				c.metrics.ObserveRetryDenied()
+				break
+			}
+			c.metrics.ObserveRetry()
+		}
+		attempts++
+		t0 := time.Now()
+		body, cerr := c.post(ctx, g, "/shard/render", payload)
+		c.metrics.ObserveRender(len(req.Rows), time.Since(t0))
+		c.record(ctx, g, cerr, false)
+		if cerr == nil {
+			if attempts > 1 {
+				c.metrics.ObserveFailover()
+			}
+			return body, nil
+		}
+		lastErr = cerr
+		if cerr.status >= 400 && cerr.status < 500 || ctx.Err() != nil {
+			break
+		}
+	}
+	return nil, lastErr
 }
 
 func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -622,30 +692,30 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// buildSearchResponse fans one query out to every shard range and merges.
-// The returned error is either a *shardCallError / pipeline error (request
-// failed) or *errPartial (degraded body that must bypass the cache).
+// buildSearchResponse fans one query out to every shard range, merges the
+// unrendered rows and has the merged page rendered once. The returned error
+// is either a *shardCallError / pipeline error (request failed) or
+// *errPartial (degraded body that must bypass the cache).
 func (c *Coordinator) buildSearchResponse(ctx context.Context, p searchParams) ([]byte, error) {
 	// The scatter transformation: every range returns its own top
 	// offset+limit rows; the offset is applied after the merge.
 	// parseSearchParams guarantees limit >= 1.
-	k := p.opts.Offset + p.opts.Limit
 	payload, err := json.Marshal(ShardSearchRequest{
 		Q:         p.q,
 		Boolean:   p.boolean,
-		Limit:     k,
+		Limit:     p.opts.Offset + p.opts.Limit,
 		Threshold: p.opts.Threshold,
 	})
 	if err != nil {
 		return nil, err
 	}
 	n := len(c.ranges)
-	pages := make([][]SearchResult, n)
+	got := make([]rangePage, n)
 	errs := make([]*shardCallError, n)
 	var maxShard shard.AtomicMaxDuration
 	par.For(n, c.scfg.FanOut, func(ri int) {
 		t0 := time.Now()
-		pages[ri], errs[ri] = c.callRange(ctx, ri, payload)
+		got[ri], errs[ri] = c.callRange(ctx, ri, payload)
 		maxShard.Observe(time.Since(t0))
 		if errs[ri] != nil {
 			c.metrics.ObserveShard(ri, errs[ri])
@@ -654,51 +724,47 @@ func (c *Coordinator) buildSearchResponse(ctx context.Context, p searchParams) (
 		}
 	})
 
-	partial := false
-	healthy := 0
-	for _, e := range errs {
+	pages := make([][]ShardRow, 0, n)
+	answered := make([]int, 0, n)
+	for ri, e := range errs {
 		switch {
 		case e == nil:
-			healthy++
+			pages = append(pages, got[ri].rows)
+			answered = append(answered, got[ri].from)
 		case e.status >= 400 && e.status < 500:
 			// A client error is deterministic across shards (same query,
 			// same analyzer): relay the first one instead of degrading.
 			return nil, e
 		}
 	}
-	if healthy < n {
-		if !c.scfg.AllowPartial || healthy == 0 {
-			for _, e := range errs {
-				if e != nil {
-					return nil, e
-				}
+	partial := len(answered) < n
+	if partial && (!c.scfg.AllowPartial || len(answered) == 0) {
+		for _, e := range errs {
+			if e != nil {
+				return nil, e
 			}
 		}
-		partial = true
 	}
 
 	t0 := time.Now()
-	heap := topk.New(k, worseRow)
-	for _, page := range pages {
-		for _, row := range page {
-			if heap.Full() && !worseRow(heap.Min(), row) {
-				break // pages are sorted: every later row is worse still
-			}
-			heap.Offer(row)
-		}
-	}
-	merged := heap.Items()
-	sortRows(merged)
-	rows := []SearchResult{}
-	if p.opts.Offset < len(merged) {
-		rows = append(rows, merged[p.opts.Offset:]...)
-	}
+	rows := shard.MergePages(pages, p.opts)
 	c.metrics.ObserveSearch(maxShard.Load(), time.Since(t0))
 
-	body, err := json.Marshal(SearchResponse{Query: p.q, Results: rows, Partial: partial})
-	if err != nil {
-		return nil, err
+	// An empty page has nothing to render: the coordinator writes it itself,
+	// from the struct the backends marshal. Any other page is finished by one
+	// backend and relayed as it arrives — never decoded, never re-marshalled.
+	var body []byte
+	if len(rows) == 0 {
+		if body, err = json.Marshal(SearchResponse{Query: p.q, Results: []SearchResult{}, Partial: partial}); err != nil {
+			return nil, err
+		}
+	} else {
+		var cerr *shardCallError
+		if body, cerr = c.renderPage(ctx, ShardRenderRequest{Q: p.q, Partial: partial, Rows: rows}, answered); cerr != nil {
+			return nil, cerr
+		}
 	}
+	c.metrics.ObserveServed(len(rows))
 	if partial {
 		c.metrics.ObservePartial()
 		return nil, &errPartial{body: body}

@@ -1,24 +1,29 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"ctxsearch"
+	"ctxsearch/internal/search"
 	"ctxsearch/internal/shard"
 )
 
 var cachedMatrix *ctxsearch.Matrix
 
 // frozenMatrix freezes the shared test scores once.
-func frozenMatrix(t *testing.T) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, string) {
+func frozenMatrix(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, string) {
 	t.Helper()
 	sys, cs, scores, query := testState(t)
 	if cachedMatrix == nil {
@@ -80,39 +85,212 @@ func coordQueries(t *testing.T) []string {
 }
 
 // TestCoordinatorGoldenEquality is the HTTP half of the tentpole guarantee:
-// for several shard counts, the coordinator's /search body is byte-identical
-// to a single-engine server's across randomized paging options, on both the
-// vector and boolean paths.
+// on 1, 2, 3 and 5 ranges and on 2 ranges x 2 replicas, for three parameter
+// seeds, the coordinator's /search body is byte-identical to a single-engine
+// server's across randomized paging options, on both the vector and the
+// boolean path — and the cluster rendered exactly the rows it served.
 func TestCoordinatorGoldenEquality(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	ref := NewPending(Config{})
 	ref.SetReadyFrozen(sys, cs, m)
 	queries := coordQueries(t)
-	rng := rand.New(rand.NewSource(17))
+	clusters := map[string]*Coordinator{"2x2 replicas": replicatedCluster(t, 2, nil, fastResilience())}
 	for _, n := range []int{1, 2, 3, 5} {
-		coord, _ := shardCluster(t, n, ShardConfig{})
-		for qi, q := range queries {
-			for trial := 0; trial < 4; trial++ {
-				params := "q=" + urlQuery(q) + fmt.Sprintf("&limit=%d", 1+rng.Intn(20))
-				if rng.Intn(2) == 0 {
-					params += fmt.Sprintf("&offset=%d", rng.Intn(15))
-				}
-				if rng.Intn(3) == 0 {
-					params += fmt.Sprintf("&threshold=%.2f", rng.Float64()*0.4)
-				}
-				if rng.Intn(3) == 0 {
-					params += "&boolean=1"
-				}
-				want := get(t, ref, "/search?"+params)
-				got := coordGet(t, coord, "/search?"+params)
-				label := fmt.Sprintf("shards=%d query %d %q trial %d params %s", n, qi, q, trial, params)
-				if got.Code != want.Code {
-					t.Fatalf("%s: coordinator %d, single server %d\n%s", label, got.Code, want.Code, got.Body)
-				}
-				if got.Body.String() != want.Body.String() {
-					t.Fatalf("%s: bodies differ\ncoordinator: %s\nsingle:      %s", label, got.Body, want.Body)
+		clusters[fmt.Sprintf("%d ranges", n)], _ = shardCluster(t, n, ShardConfig{})
+	}
+	for name, coord := range clusters {
+		for _, seed := range []int64{17, 18, 19} {
+			rng := rand.New(rand.NewSource(seed))
+			for qi, q := range queries {
+				for _, mode := range []string{"", "&boolean=1"} {
+					params := "q=" + urlQuery(q) + fmt.Sprintf("&limit=%d", 1+rng.Intn(20)) + mode
+					if rng.Intn(2) == 0 {
+						params += fmt.Sprintf("&offset=%d", rng.Intn(15))
+					}
+					if rng.Intn(3) == 0 {
+						params += fmt.Sprintf("&threshold=%.2f", rng.Float64()*0.4)
+					}
+					want := get(t, ref, "/search?"+params)
+					got := coordGet(t, coord, "/search?"+params)
+					label := fmt.Sprintf("%s seed %d query %d %q params %s", name, seed, qi, q, params)
+					if got.Code != want.Code {
+						t.Fatalf("%s: coordinator %d, single server %d\n%s", label, got.Code, want.Code, got.Body)
+					}
+					if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+						t.Fatalf("%s: bodies differ\ncoordinator: %s\nsingle:      %s", label, got.Body, want.Body)
+					}
 				}
 			}
+		}
+		snap := coord.Metrics().Snapshot()
+		if snap.RowsServed == 0 || snap.RowsRendered != snap.RowsServed || snap.RenderCalls > snap.Searches {
+			t.Fatalf("%s: rendered %d rows in %d calls for %d served over %d searches",
+				name, snap.RowsRendered, snap.RenderCalls, snap.RowsServed, snap.Searches)
+		}
+	}
+}
+
+// TestCoordinatorEmptyPageNotRendered: a page with no rows — an offset past
+// the end of the ranking, a query nothing matches — is written by the
+// coordinator itself, identical to the single server's, without a
+// /shard/render call.
+func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
+	sys, cs, m, query := frozenMatrix(t)
+	ref := NewPending(Config{})
+	ref.SetReadyFrozen(sys, cs, m)
+	coord, _ := shardCluster(t, 2, ShardConfig{})
+	for _, path := range []string{
+		"/search?q=" + urlQuery(query) + "&limit=10&offset=5000",
+		"/search?q=" + urlQuery(query) + "&limit=10&offset=5000&boolean=1",
+		"/search?q=qqqzzz+unknown+words&limit=10",
+	} {
+		want := get(t, ref, path)
+		got := coordGet(t, coord, path)
+		if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s: coordinator (%d) %s\nsingle (%d) %s", path, got.Code, got.Body, want.Code, want.Body)
+		}
+		if !strings.Contains(got.Body.String(), `"results":[]`) {
+			t.Fatalf("%s: page not empty: %s", path, got.Body)
+		}
+	}
+	if snap := coord.Metrics().Snapshot(); snap.RenderCalls != 0 || snap.Searches != 3 {
+		t.Fatalf("empty pages made %d render calls over %d searches, want 0 over 3", snap.RenderCalls, snap.Searches)
+	}
+}
+
+// renderFaultCluster boots a 2-shard cluster whose backend i answers
+// /shard/render through fault(i) when that returns a handler, and the
+// coordinator (cache off, no prober) in front of it.
+func renderFaultCluster(t *testing.T, fault func(i int) http.HandlerFunc, scfg ShardConfig) *Coordinator {
+	t.Helper()
+	sys, cs, m, _ := frozenMatrix(t)
+	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	var urls []string
+	for i := 0; i < g.NumShards(); i++ {
+		srv := NewPending(Config{})
+		srv.SetReadySharded(sys, cs, m, g.Engine(i))
+		broken := fault(i)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if broken != nil && r.URL.Path == "/shard/render" {
+				broken(w, r)
+				return
+			}
+			srv.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	scfg.ProbeInterval = -1
+	coord := NewCoordinator(urls, Config{CacheEntries: -1}, scfg)
+	t.Cleanup(coord.Close)
+	return coord
+}
+
+// TestCoordinatorRenderFailover: a backend whose /shard/render answers 500,
+// or never answers, costs a failover inside ShardTimeout and nothing else —
+// every page is still the single server's. With every backend's render down
+// the query is a 503 with Retry-After, never a 200 with unrendered rows.
+func TestCoordinatorRenderFailover(t *testing.T) {
+	sys, cs, m, _ := frozenMatrix(t)
+	ref := NewPending(Config{})
+	ref.SetReadyFrozen(sys, cs, m)
+	queries := coordQueries(t)
+	fail := func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "render down", http.StatusInternalServerError)
+	}
+	// With the body read, the server sees the coordinator give up on the
+	// connection and ends the request context.
+	hang := func(_ http.ResponseWriter, r *http.Request) {
+		_, _ = io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}
+	scfg := fastResilience()
+	scfg.BreakerThreshold = 1000 // every query must meet the broken backend
+
+	for name, broken := range map[string]http.HandlerFunc{"500": fail, "hang": hang} {
+		coord := renderFaultCluster(t, func(i int) http.HandlerFunc {
+			if i == 0 {
+				return broken
+			}
+			return nil
+		}, scfg)
+		start := time.Now()
+		for _, q := range queries[:4] {
+			path := "/search?q=" + urlQuery(q) + "&limit=10"
+			want := get(t, ref, path)
+			got := coordGet(t, coord, path)
+			if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("render %s on shard 0: %q differs (%d vs %d): %s", name, q, got.Code, want.Code, got.Body)
+			}
+		}
+		if elapsed := time.Since(start); elapsed > 4*(scfg.ShardTimeout+100*time.Millisecond) {
+			t.Fatalf("render %s: 4 queries took %v, each failover must fit one ShardTimeout (%v)", name, elapsed, scfg.ShardTimeout)
+		}
+		snap := coord.Metrics().Snapshot()
+		if snap.Failovers == 0 || snap.RowsRendered <= snap.RowsServed {
+			t.Fatalf("render %s: the broken backend was never tried: %+v", name, snap)
+		}
+	}
+
+	coord := renderFaultCluster(t, func(int) http.HandlerFunc { return fail }, scfg)
+	rec := coordGet(t, coord, "/search?q="+urlQuery(queries[0])+"&limit=10")
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("render down everywhere = %d (Retry-After %q), want 503 with a hint: %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	if snap := coord.Metrics().Snapshot(); snap.RowsServed != 0 {
+		t.Fatalf("a failed render served %d rows", snap.RowsServed)
+	}
+}
+
+// TestCoordinatorReusesConnections: the coordinator's idle pool holds a
+// connection per admitted query and backend, so rounds of 16 concurrent
+// searches dial each shard about 16 times in total, not 16 times a round
+// (http.DefaultTransport keeps 2 idle connections per host and re-dials the
+// rest of every burst).
+func TestCoordinatorReusesConnections(t *testing.T) {
+	sys, cs, m, _ := frozenMatrix(t)
+	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	var dials [2]atomic.Int64
+	var urls []string
+	for i := 0; i < g.NumShards(); i++ {
+		srv := NewPending(Config{})
+		srv.SetReadySharded(sys, cs, m, g.Engine(i))
+		ts := httptest.NewUnstartedServer(srv)
+		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				dials[i].Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	coord := NewCoordinator(urls, Config{CacheEntries: -1}, ShardConfig{ProbeInterval: -1})
+	t.Cleanup(coord.Close)
+	queries := coordQueries(t)
+
+	const clients, rounds = 16, 20
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for k := 0; k < clients; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				req := httptest.NewRequest("GET", "/search?q="+urlQuery(queries[k%4])+"&limit=5", nil)
+				rec := httptest.NewRecorder()
+				coord.ServeHTTP(rec, req)
+				if rec.Code != 200 {
+					t.Errorf("round %d client %d = %d: %s", round, k, rec.Code, rec.Body)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i := range dials {
+		if n := dials[i].Load(); n > 2*clients {
+			t.Fatalf("shard %d accepted %d connections for %d rounds of %d concurrent searches, want at most %d",
+				i, n, rounds, clients, 2*clients)
 		}
 	}
 }
@@ -261,36 +439,32 @@ func TestCoordinatorPartial(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("degraded search = %d: %s", rec.Code, rec.Body)
 	}
-	var degraded SearchResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &degraded); err != nil {
-		t.Fatal(err)
-	}
-	if !degraded.Partial {
-		t.Fatalf("degraded response not flagged partial: %s", rec.Body)
-	}
+	// The degraded page is the single server's ranking restricted to the
+	// healthy range, rendered the same and flagged: byte for byte.
 	var full SearchResponse
-	if err := json.Unmarshal(get(t, ref, path).Body.Bytes(), &full); err != nil {
+	if err := json.Unmarshal(get(t, ref, "/search?q="+urlQuery(query)+"&limit=1000").Body.Bytes(), &full); err != nil {
 		t.Fatal(err)
 	}
-	// The degraded page holds only shard 0's rows — a strict subset when
-	// the full page draws from both shards, but always consistent rows.
-	seen := map[int]bool{}
+	want := SearchResponse{Query: query, Results: []SearchResult{}, Partial: true}
 	for _, r := range full.Results {
-		seen[r.PaperID] = true
-	}
-	for _, r := range degraded.Results {
-		if int(g.Ranges()[0].Hi) <= r.PaperID {
-			t.Fatalf("degraded page has row from failed shard: %+v", r)
+		if r.PaperID < int(g.Ranges()[0].Hi) && len(want.Results) < 10 {
+			want.Results = append(want.Results, r)
 		}
 	}
-	_ = seen
+	wantBody, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Results) == 0 || !bytes.Equal(rec.Body.Bytes(), wantBody) {
+		t.Fatalf("degraded page differs\ncoordinator: %s\nwant:        %s", rec.Body, wantBody)
+	}
 
 	// Recovered: same request now serves the exact page, unflagged —
 	// proving the partial body was not cached.
 	rec = coordGet(t, coord, path)
-	want := get(t, ref, path)
-	if rec.Code != 200 || rec.Body.String() != want.Body.String() {
-		t.Fatalf("recovered search not exact:\ncoordinator: %s\nsingle:      %s", rec.Body, want.Body)
+	exact := get(t, ref, path)
+	if rec.Code != 200 || rec.Body.String() != exact.Body.String() {
+		t.Fatalf("recovered search not exact:\ncoordinator: %s\nsingle:      %s", rec.Body, exact.Body)
 	}
 	snap := coord.Metrics().Snapshot()
 	if snap.Partial != 1 {
@@ -393,7 +567,7 @@ func TestCoordinatorReadyz(t *testing.T) {
 }
 
 // TestShardSearchEndpoint pins the internal endpoint's contract directly:
-// rendered rows in engine order, validation of the extended limit range.
+// unrendered rows in engine order, validation of the extended limit range.
 func TestShardSearchEndpoint(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	srv := NewPending(Config{})
@@ -418,9 +592,12 @@ func TestShardSearchEndpoint(t *testing.T) {
 		t.Fatalf("shard rows = %d", len(resp.Results))
 	}
 	for i := 1; i < len(resp.Results); i++ {
-		if worseRow(resp.Results[i-1], resp.Results[i]) {
+		if search.WorseResult(resp.Results[i-1], resp.Results[i]) {
 			t.Fatalf("shard rows not in engine order at %d: %+v", i, resp.Results)
 		}
+	}
+	if strings.Contains(rec.Body.String(), "title") || strings.Contains(rec.Body.String(), "snippet") {
+		t.Fatalf("shard rows are rendered: %s", rec.Body)
 	}
 
 	// The coordinator's folded limit (offset+limit) must be accepted beyond

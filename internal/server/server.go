@@ -222,6 +222,7 @@ func NewPending(cfg Config) *Server {
 	s.cache = cache.New[[]byte](cfg.cacheEntries(), cfg.cacheTTL())
 	s.mux.HandleFunc("GET /search", s.handleSearch)
 	s.mux.HandleFunc("POST /shard/search", s.handleShardSearch)
+	s.mux.HandleFunc("POST /shard/render", s.handleShardRender)
 	s.mux.HandleFunc("GET /contexts", s.handleContexts)
 	s.mux.HandleFunc("GET /papers/{id}", s.handlePaper)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -449,7 +450,7 @@ func parseSearchParams(w http.ResponseWriter, r *http.Request) (p searchParams, 
 	}
 	if v := vals.Get("threshold"); v != "" {
 		t, err := strconv.ParseFloat(v, 64)
-		if err != nil || t < 0 || t > 1 {
+		if err != nil || !(t >= 0 && t <= 1) { // NaN parses and fails both comparisons
 			writeErr(w, http.StatusBadRequest, "bad threshold %q", v)
 			return p, false
 		}
@@ -539,17 +540,25 @@ func (s *Server) buildSearchResponse(ctx context.Context, q string, boolean bool
 	if err != nil {
 		return nil, err
 	}
+	return b.renderPage(ctx, q, results, false)
+}
+
+// renderPage renders ranked rows and marshals the finished /search body.
+// /search and /shard/render both end here, so a single server's page and
+// the page a coordinator has rendered from merged shard rows are the output
+// of one function on the same inputs.
+func (b *backend) renderPage(ctx context.Context, q string, results []ctxsearch.SearchResult, partial bool) ([]byte, error) {
 	rows, err := b.renderResults(ctx, q, results)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(SearchResponse{Query: q, Results: rows})
+	return json.Marshal(SearchResponse{Query: q, Results: rows, Partial: partial})
 }
 
 // renderResults resolves engine rows into API rows: paper metadata, the
-// highlighted snippet and the context name. Shared by the /search and
-// /shard/search handlers, so a coordinator that merges shard rows serves
-// exactly what the single-engine server would have rendered.
+// highlighted snippet and the context name. Every row's Doc and Context must
+// exist in b.sys (engine rows always do; handleShardRender checks rows that
+// arrive over the wire).
 func (b *backend) renderResults(ctx context.Context, q string, results []ctxsearch.SearchResult) ([]SearchResult, error) {
 	rows := []SearchResult{}
 	for _, res := range results {
@@ -588,16 +597,31 @@ type ShardSearchRequest struct {
 	Threshold float64 `json:"threshold,omitempty"`
 }
 
-// ShardSearchResponse carries one shard's rendered, ranked page back to the
-// coordinator. Rows are in the engine's result order (descending relevancy,
-// ties by ascending paper id).
+// ShardRow is one unrendered row on the shard wire — the engine's result
+// {Doc, Relevancy, Match, Prestige, Context} as {"d","r","m","p","c"},
+// which is all a merge needs.
+type ShardRow = ctxsearch.SearchResult
+
+// ShardSearchResponse carries one shard's ranked, unrendered page back to
+// the coordinator. Rows are in the engine's result order (descending
+// relevancy, ties by ascending paper id).
 type ShardSearchResponse struct {
-	Results []SearchResult `json:"results"`
+	Results []ShardRow `json:"results"`
+}
+
+// ShardRenderRequest is the POST /shard/render payload: the merged page of a
+// scatter-gather query, to be rendered into the finished /search body.
+// Partial is copied into the body's "partial" flag.
+type ShardRenderRequest struct {
+	Q       string     `json:"q"`
+	Partial bool       `json:"partial,omitempty"`
+	Rows    []ShardRow `json:"rows"`
 }
 
 // handleShardSearch serves the internal scatter-gather endpoint: the
-// backend's own ranked page for one query, fully rendered. Every server
-// exposes it — what makes a process a "shard" is being handed a
+// backend's own ranked page for one query, unrendered — titles and snippets
+// are added by one /shard/render call on the merged page. Every server
+// exposes both — what makes a process a "shard" is being handed a
 // range-restricted searcher at boot, not a different route table.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	b := s.ready(w)
@@ -645,12 +669,42 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryErr(w, r, err)
 		return
 	}
-	rows, err := b.renderResults(ctx, req.Q, results)
+	writeJSON(w, http.StatusOK, ShardSearchResponse{Results: results})
+}
+
+// handleShardRender renders a merged page: rows any shards ranked, finished
+// by this backend (every backend holds the whole corpus) into the body a
+// single server's /search would have written. The rows come off the wire, so
+// each must name a paper and a context this corpus has.
+func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
+	b := s.ready(w)
+	if b == nil {
+		return
+	}
+	defer b.release()
+	var req ShardRenderRequest
+	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad render request: %v", err)
+		return
+	}
+	if len(req.Rows) > MaxLimit {
+		writeErr(w, http.StatusBadRequest, "%d render rows exceed maximum %d", len(req.Rows), MaxLimit)
+		return
+	}
+	for _, row := range req.Rows {
+		if b.sys.Corpus.Paper(row.Doc) == nil || b.sys.Ontology.Term(row.Context) == nil {
+			writeErr(w, http.StatusBadRequest, "bad render row: doc %d, context %q", row.Doc, row.Context)
+			return
+		}
+	}
+	body, err := b.renderPage(r.Context(), req.Q, req.Rows, req.Partial)
 	if err != nil {
 		s.writeQueryErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ShardSearchResponse{Results: rows})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // ContextInfo is one /contexts row.

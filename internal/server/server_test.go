@@ -19,7 +19,7 @@ var (
 
 // testState builds (once) the engine state shared by every server fixture,
 // so fault tests can wrap it in servers with different Configs.
-func testState(t *testing.T) (*ctxsearch.System, *ctxsearch.ContextSet, ctxsearch.Scores, string) {
+func testState(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, ctxsearch.Scores, string) {
 	t.Helper()
 	if cachedSys == nil {
 		cfg := ctxsearch.DefaultConfig()

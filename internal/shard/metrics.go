@@ -19,6 +19,12 @@ type Metrics struct {
 	mergeNanos    atomic.Int64
 	shards        []shardCounters
 
+	// Late rendering (HTTP coordinator only; zero elsewhere).
+	renderCalls  atomic.Uint64
+	renderNanos  atomic.Int64
+	rowsRendered atomic.Uint64
+	rowsServed   atomic.Uint64
+
 	// Resilience counters (replicated coordinator only; zero elsewhere).
 	retries       atomic.Uint64
 	retriesDenied atomic.Uint64
@@ -78,6 +84,19 @@ func (m *Metrics) ObserveSearch(maxShard, merge time.Duration) {
 	m.maxShardNanos.Add(int64(maxShard))
 	m.mergeNanos.Add(int64(merge))
 }
+
+// ObserveRender records one /shard/render attempt: the rows it submitted
+// and how long the hop took, whatever its outcome.
+func (m *Metrics) ObserveRender(rows int, d time.Duration) {
+	m.renderCalls.Add(1)
+	m.renderNanos.Add(int64(d))
+	m.rowsRendered.Add(uint64(rows))
+}
+
+// ObserveServed records the rows of one page built for a client. With
+// ObserveRender it shows rendering amplification: rows_rendered equals
+// rows_served when every render attempt succeeded.
+func (m *Metrics) ObserveServed(rows int) { m.rowsServed.Add(uint64(rows)) }
 
 // ObservePartial records a search answered with a flagged partial result
 // (some shard failed and the coordinator's partial policy allowed it).
@@ -153,6 +172,14 @@ type Snapshot struct {
 	MaxShardMicrosTotal uint64      `json:"max_shard_micros_total"`
 	MergeMicrosTotal    uint64      `json:"merge_micros_total"`
 	Shards              []ShardStat `json:"shards"`
+	// Late rendering: /shard/render attempts, their summed duration, the
+	// rows they submitted and the rows of the pages built. Only the HTTP
+	// coordinator moves these; rows_rendered == rows_served means no row
+	// was rendered that no client asked for.
+	RenderCalls       uint64 `json:"render_calls,omitempty"`
+	RenderMicrosTotal uint64 `json:"render_micros_total,omitempty"`
+	RowsRendered      uint64 `json:"rows_rendered,omitempty"`
+	RowsServed        uint64 `json:"rows_served,omitempty"`
 	// Resilience counters: budget-approved retries and budget-denied
 	// ones, hedges fired / won, breaker trips, and range calls rescued by
 	// failover. Only the replicated coordinator moves these.
@@ -175,6 +202,10 @@ func (m *Metrics) Snapshot() Snapshot {
 		MaxShardMicrosTotal: uint64(m.maxShardNanos.Load() / 1e3),
 		MergeMicrosTotal:    uint64(m.mergeNanos.Load() / 1e3),
 		Shards:              make([]ShardStat, len(m.shards)),
+		RenderCalls:         m.renderCalls.Load(),
+		RenderMicrosTotal:   uint64(m.renderNanos.Load() / 1e3),
+		RowsRendered:        m.rowsRendered.Load(),
+		RowsServed:          m.rowsServed.Load(),
 		Retries:             m.retries.Load(),
 		RetriesDenied:       m.retriesDenied.Load(),
 		Hedges:              m.hedges.Load(),

@@ -18,7 +18,7 @@
 // This package is the in-process deployment shape: one binary, N shard
 // engines, per-query fan-out over a bounded goroutine pool. The HTTP/JSON
 // shape (multi-process shards behind POST /shard/search) lives in
-// internal/server's Coordinator and reuses MergePages' contract.
+// internal/server's Coordinator, which merges with MergePages.
 package shard
 
 import (

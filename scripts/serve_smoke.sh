@@ -159,8 +159,15 @@ code="${body##*$'\n'}"
 grep -q '"paper_id"' <<<"$body" || fail "coordinator /search returned no result rows: $body"
 grep -q '"partial"' <<<"$body" && fail "healthy cluster flagged a partial response: $body"
 
-# Stats through the coordinator must include the sharding counters.
-curl -s "$cbase/stats" | grep -q '"sharding"' || fail "coordinator /stats has no sharding block"
+# Stats through the coordinator must include the sharding counters, and the
+# cluster must have rendered exactly the rows it served (5, in one call).
+stats="$(curl -s "$cbase/stats")"
+grep -q '"sharding"' <<<"$stats" || fail "coordinator /stats has no sharding block"
+rendered="$(grep -o '"rows_rendered":[0-9]*' <<<"$stats" | cut -d: -f2)"
+served="$(grep -o '"rows_served":[0-9]*' <<<"$stats" | cut -d: -f2)"
+[[ -n "$served" && "$rendered" == "$served" ]] ||
+    fail "cluster rendered ${rendered:-0} rows to serve ${served:-0}: $stats"
+grep -q '"render_calls":1[,}]' <<<"$stats" || fail "one page, yet not one /shard/render call: $stats"
 
 # Graceful drain: coordinator first, then the shards.
 echo "serve-smoke: SIGTERM cluster"
