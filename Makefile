@@ -45,9 +45,9 @@ bench:
 
 # Just the query-path benchmarks behind BENCH_PR1.json — among them
 # BenchmarkEngineSearchFull, the serving benchmark's library_batch workload
-# as a micro-benchmark (frozen engine, Limit 0, 800 papers / 160 terms) —
-# plus the boolean evaluator's term / phrase / NOT arms on a state-booted
-# index shape.
+# as a micro-benchmark (frozen engine, Limit 0, 800 papers / 160 terms),
+# which fails itself above 21 allocs/op — plus the boolean evaluator's term /
+# phrase / NOT arms on a state-booted index shape.
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkSelectContexts|BenchmarkEngineSearch' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean' -benchmem ./internal/index/

@@ -19,10 +19,10 @@ import (
 // The cosines are computed term-at-a-time over the index rather than as
 // papers × contexts map-keyed dot products: per context, the postings of the
 // representative's terms yield every product w_rep·w_doc, grouped by paper
-// (count, then fill), and each paper's group is reduced by
-// vector.SumSorted and divided by ‖rep‖·‖doc‖. That is the multiset of
-// products, the summation order and the division vector.CosineWithNorms
-// performs on the two TF-IDF maps, so every similarity has the same bits.
+// (count, then fill), and each group that can be kept (see the bound in the
+// loop) is reduced by vector.SumSorted and divided by ‖rep‖·‖doc‖. That is
+// the multiset of products, the summation order and the division
+// vector.CosineWithNorms performs, so every kept similarity has the same bits.
 // Contexts fan out over cfg.Workers; each worker needs scratch for one
 // representative only.
 func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *ContextSet {
@@ -63,7 +63,23 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 			for d, dn := range norms {
 				var sim float64
 				if run := sc.prods[sc.start[d]:sc.start[d+1]]; len(run) > 0 && repNorm != 0 && dn != 0 {
-					sim = vector.SumSorted(run) / (repNorm * dn)
+					// Bound, then verify: non-negative products summed in any order
+					// land within 1e-12 relative of the sorted sum and the division
+					// is the same monotone one, so a pair whose inflated bound reaches
+					// neither the threshold nor the paper's full top-m list would be
+					// dropped whatever its exact value. Only the others are sorted.
+					var s float64
+					for _, x := range run {
+						s += x
+					}
+					hi := s / (repNorm * dn) * (1 + 1e-9)
+					skip := hi < cfg.TextThreshold && (m == 0 || len(top.of(d)) == m && hi < top.of(d)[m-1].sim)
+					if pairHook != nil {
+						pairHook(!skip)
+					}
+					if !skip {
+						sim = vector.SumSorted(run) / (repNorm * dn)
+					}
 				}
 				if sim >= cfg.TextThreshold {
 					members[i] = append(members[i], cand{corpus.PaperID(d), sim})
@@ -113,6 +129,10 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	}
 	return cs
 }
+
+// pairHook, when non-nil, is told for each (context, paper) pair sharing a
+// term whether it was sorted. Tests count with it; production never sets it.
+var pairHook func(sorted bool)
 
 // cand is one candidate member of a context.
 type cand struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"ctxsearch/internal/corpus"
@@ -47,11 +48,28 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBuildTextBasedBreaksTiesLikeReference covers what random corpora never
-// produce: contexts whose representatives have identical text, so a paper's
-// similarities to them tie exactly and the top-M merge must fall back on
-// term order — within one worker's list and across workers' lists.
-func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
+// countPairs installs pairHook for the rest of the test: the counters hold
+// how many (context, paper) pairs BuildTextBased sorted and how many it
+// dropped on the unsorted bound.
+func countPairs(t *testing.T) (sorted, skipped *atomic.Int64) {
+	sorted, skipped = new(atomic.Int64), new(atomic.Int64)
+	pairHook = func(s bool) {
+		if s {
+			sorted.Add(1)
+		} else {
+			skipped.Add(1)
+		}
+	}
+	t.Cleanup(func() { pairHook = nil })
+	return sorted, skipped
+}
+
+// tieFixture is what random corpora never produce: four contexts whose
+// representatives (papers 0-3) have identical text, so every paper's
+// similarities to them tie exactly, and two papers (4, 5) that share a few
+// words with them.
+func tieFixture(t *testing.T) (*ontology.Ontology, *corpus.Analyzer, *index.Index) {
+	t.Helper()
 	o := ontology.New()
 	_ = o.Add(ontology.Term{ID: "GO:1", Name: "root"})
 	var papers []*corpus.Paper
@@ -74,7 +92,16 @@ func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzer(c)
-	ix := index.Build(a)
+	return o, a, index.Build(a)
+}
+
+// TestBuildTextBasedBreaksTiesLikeReference: the top-M merge must fall back
+// on term order — within one worker's list and across workers' lists. A
+// similarity tied with a full list's worst entry is not below it, so no pair
+// of this fixture may be dropped on the bound.
+func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
+	o, a, ix := tieFixture(t)
+	_, skipped := countPairs(t)
 	for _, top := range []int{1, 2, 3} {
 		cfg := Config{TextThreshold: 0.99, TopContextsPerPaper: top, Workers: 1}
 		want := buildTextBasedReference(a, o, cfg)
@@ -84,6 +111,79 @@ func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			cfg.Workers = workers
 			requireSameSet(t, fmt.Sprintf("top=%d workers=%d", top, workers), want, BuildTextBased(ix, o, cfg))
+		}
+	}
+	if n := skipped.Load(); n != 0 {
+		t.Fatalf("%d pairs dropped on the bound; ties with a list's worst entry must take the exact path", n)
+	}
+}
+
+// TestBuildTextBasedBoundKeepsTheMargin puts the threshold on a similarity
+// itself and one ulp above it: the unsorted bound of those pairs lies within
+// its margin of the threshold, so they must be sorted and decided on the
+// exact value, while the pairs well below are dropped unsorted.
+func TestBuildTextBasedBoundKeepsTheMargin(t *testing.T) {
+	o, a, ix := tieFixture(t)
+	all := BuildTextBased(ix, o, Config{Workers: 1}) // threshold 0: every pair is a member
+	near, far := all.AssignScore("GO:2", 4), all.AssignScore("GO:2", 5)
+	if near < far {
+		near, far = far, near
+	}
+	if far <= 0 || far*(1+1e-6) >= near {
+		t.Fatalf("fixture broken: similarities %v and %v must be positive and well apart", near, far)
+	}
+	sorted, skipped := countPairs(t)
+	for _, threshold := range []float64{near, math.Nextafter(near, 2)} {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := Config{TextThreshold: threshold, Workers: workers}
+			sorted.Store(0)
+			skipped.Store(0)
+			got := BuildTextBased(ix, o, cfg)
+			requireSameSet(t, fmt.Sprintf("threshold=%x workers=%d", math.Float64bits(threshold), workers), buildTextBasedReference(a, o, cfg), got)
+			// Four representatives and the near paper against four contexts are
+			// sorted; the far paper's four pairs are not.
+			if s, k := sorted.Load(), skipped.Load(); s != 20 || k != 4 {
+				t.Fatalf("threshold=%x workers=%d: %d pairs sorted and %d dropped, want 20 and 4", math.Float64bits(threshold), workers, s, k)
+			}
+		}
+	}
+}
+
+// TestBuildTextBasedSortsAMinorityOfPairs: on the corpus shape of the root
+// package's smallConfig with the default knobs, the bound must spare most
+// pairs the sort (it is what the build time rests on) and the set must still
+// be the reference's. 29 % of this corpus's 12 540 pairs reach the threshold
+// and 11 % more fill or enter a top-2 list, so 40 % is what any exact bound
+// sorts here; at the benchmark's 800 papers / 160 terms it is 24.5 %. Every
+// worker fills top lists of its own, so with more workers over these 57
+// contexts more pairs meet a list that is not full yet (50 % at 2 workers,
+// 77 % at 8): there only the set is checked.
+func TestBuildTextBasedSortsAMinorityOfPairs(t *testing.T) {
+	o, err := ontology.Generate(ontology.GenConfig{Seed: 1, NumTerms: 60, MaxDepth: 7, SecondParentProb: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := corpus.DefaultGenConfig(220)
+	gen.Seed = 1
+	c, err := corpus.Generate(o, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := corpus.NewAnalyzer(c)
+	ix := index.Build(a)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	want := buildTextBasedReference(a, o, cfg)
+	sorted, skipped := countPairs(t)
+	for _, workers := range []int{1, 2, 8} {
+		cfg.Workers = workers
+		sorted.Store(0)
+		skipped.Store(0)
+		requireSameSet(t, fmt.Sprintf("workers=%d", workers), want, BuildTextBased(ix, o, cfg))
+		s, k := sorted.Load(), skipped.Load()
+		t.Logf("workers=%d: %d of %d pairs sorted", workers, s, s+k)
+		if workers == 1 && 2*s >= s+k {
+			t.Fatalf("workers=%d: %d of %d pairs sorted, want fewer than half", workers, s, s+k)
 		}
 	}
 }

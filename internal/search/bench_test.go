@@ -124,7 +124,12 @@ func BenchmarkEngineSearchBoolean(b *testing.B) {
 // micro-benchmark: full ranked lists (Limit 0) from an engine over frozen
 // state — frozen context set, prestige matrix built without its map form —
 // at the benchmark's corpus shape (800 papers, 160 terms, seed 1), cycling
-// through the scored contexts' names as queries.
+// through the scored contexts' names as queries. It fails above
+// engineSearchFullAllocCeiling allocations per list: the count is
+// deterministic where ns/op is noise (19 measured — tokenizer, query vector,
+// selected contexts, result list; the merge itself allocates nothing).
+const engineSearchFullAllocCeiling = 21
+
 func BenchmarkEngineSearchFull(b *testing.B) {
 	cfg := ctxsearch.DefaultConfig()
 	cfg.Seed, cfg.Papers, cfg.OntologyTerms = 1, 800, 160
@@ -148,11 +153,19 @@ func BenchmarkEngineSearchFull(b *testing.B) {
 	if len(queries) == 0 {
 		b.Fatal("no context name returns a result")
 	}
+	next := 0
+	search := func() {
+		if len(e.Search(queries[next%len(queries)], ctxsearch.SearchOptions{})) == 0 {
+			b.Fatal("no results")
+		}
+		next++
+	}
+	if n := testing.AllocsPerRun(2*len(queries), search); n > engineSearchFullAllocCeiling {
+		b.Fatalf("a full list allocates %.0f times, ceiling %d", n, engineSearchFullAllocCeiling)
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if len(e.Search(queries[i%len(queries)], ctxsearch.SearchOptions{})) == 0 {
-			b.Fatal("no results")
-		}
+		search()
 	}
 }

@@ -196,12 +196,26 @@ func newHandFixture(w Weights, scores prestige.Scores, papers int, ctxs ...ontol
 	return h
 }
 
-// reference merges hits the naive way: per context in selection order, a
-// later context wins only on a strictly greater relevancy; then SortResults.
+// restrict makes the i-th selected context contain exactly docs. The bitset
+// is grown by Add, so like a context set's own it ends at the last member.
+func (h *handFixture) restrict(i int, docs ...int) {
+	var mb bitset.Set
+	for _, d := range docs {
+		mb.Add(d)
+	}
+	h.sc.member[i] = mb
+}
+
+// reference merges hits the naive way: per context in selection order over
+// the hits it contains, a later context wins only on a strictly greater
+// relevancy; then SortResults.
 func (h *handFixture) reference(hits []index.Hit, opts Options) []Result {
 	best := map[corpus.PaperID]Result{}
-	for _, c := range h.ctxs {
+	for i, c := range h.ctxs {
 		for _, hit := range hits {
+			if !h.sc.member[i].Contains(int(hit.Doc)) {
+				continue
+			}
 			p := h.e.matrix.Get(c.Context, hit.Doc)
 			r := h.e.weights.Prestige*p + h.e.weights.Matching*hit.Score
 			if r < opts.Threshold {
@@ -237,10 +251,57 @@ func docsOf(rs []Result) []corpus.PaperID {
 	return out
 }
 
-// TestMergeTieFixtures pins the three places where exactness rests on a tie
-// rule rather than on arithmetic.
+// TestMergeTieFixtures pins the places where exactness rests on a tie rule
+// or on the fold's bit arithmetic rather than on floating point.
 func TestMergeTieFixtures(t *testing.T) {
 	plain := Weights{Prestige: 0.5, Matching: 0.5}
+
+	t.Run("members are found across word boundaries, short bitsets and windows", func(t *testing.T) {
+		oldChunk := topkChunk
+		topkChunk = 2
+		t.Cleanup(func() { topkChunk = oldChunk })
+		h := newHandFixture(plain, prestige.Scores{
+			"A": {63: 0.25, 64: 0.125},
+			"B": {64: 0.5, 127: 0.125, 128: 0.875},
+			"C": {7: 1},
+			"D": {5: 0.75, 63: 1},
+			"E": {1: 0.5},
+		}, 200, "A", "B", "C", "D", "E")
+		h.restrict(0, 5, 63, 64)         // two words, the hits need three
+		h.restrict(1, 64, 127, 128, 190) // 190 is a member the run does not list
+		h.restrict(2, 7, 70)             // no member among the hits
+		h.restrict(3, 5)                 // first member in the third window; 63 is scored but not a member
+		h.restrict(4, 63)                // a member E does not score, right after D scored it: prestige 0, not 1
+		// Descending match score, as the bounded merge requires: windows of two
+		// are {63, 64}, {128, 127}, {5, 190}, {100}. Doc 100 is in no context.
+		hits := []index.Hit{
+			{Doc: 63, Score: 0.875}, {Doc: 64, Score: 0.75}, {Doc: 128, Score: 0.625}, {Doc: 127, Score: 0.5},
+			{Doc: 5, Score: 0.375}, {Doc: 190, Score: 0.25}, {Doc: 100, Score: 0.125},
+		}
+		if words := len(h.sc.member[0]); words >= 190/64+1 {
+			t.Fatalf("fixture broken: context A's bitset has %d words, want fewer than the hit bitset's", words)
+		}
+		full := h.reference(hits, Options{})
+		if want := []corpus.PaperID{128, 64, 5, 63, 127, 190}; !slices.Equal(docsOf(full), want) {
+			t.Fatalf("fixture broken: reference order %v, want %v", docsOf(full), want)
+		}
+		if r := full[2]; r.Context != "D" || r.Prestige != 0.75 {
+			t.Fatalf("fixture broken: doc 5 should be won by D, its only scoring context: %+v", r)
+		}
+		for _, opts := range []Options{{}, {Threshold: 0.3}, {Limit: 1}, {Limit: 2}, {Limit: 2, Offset: 1}, {Limit: 3, Threshold: 0.3}} {
+			h.e.ResetMergeStats()
+			got := Paginate(h.merge(t, hits, opts), opts)
+			diffBits(t, fmt.Sprintf("bit fixture %+v", opts), got, Paginate(h.reference(hits, opts), opts))
+			if st := h.e.MergeStats(); opts.Limit == 2 && st.WindowsScored < 3 {
+				t.Fatalf("%+v: %d windows scored, want the third (doc 5, D's only member) folded", opts, st.WindowsScored)
+			}
+			for d, j := range h.sc.hitOf {
+				if j != 0 {
+					t.Fatalf("%+v: doc→hit table not reset at doc %d", opts, d)
+				}
+			}
+		}
+	})
 
 	t.Run("equal relevancy in two papers orders by ascending doc", func(t *testing.T) {
 		h := newHandFixture(plain, prestige.Scores{"A": {1: 0.25, 4: 0.25, 6: 0.5}}, 8, "A")

@@ -139,9 +139,10 @@ type Engine struct {
 // scratch is the reusable per-query arena. Selection counts query∩name
 // tokens in inter (all zero between queries, reset through touched); the
 // merge keeps the selected contexts' membership bitsets and their union,
-// the hit list, a dense doc→(hit index+1) table through which a context's
-// CSR run is scattered (sparsely reset: only the hit docs are zeroed), one
-// prestige row, the per-hit fold state and the sort keys.
+// the hit list, a dense doc→(hit index+1) table over every document of the
+// index (sparsely reset: only the hit docs are zeroed) with the same hits as
+// a bitset, the current context's members among the hits, one prestige row,
+// the per-hit fold state and the sort keys.
 type scratch struct {
 	inter   []int32
 	touched []int32
@@ -151,7 +152,10 @@ type scratch struct {
 	union  bitset.Set
 	hits   []index.Hit
 	hitOf  []int32
-	row    []float64
+	hitSet bitset.Set
+	// members lists the hit indexes of the context being folded.
+	members []int32
+	row     []float64
 	// bestR/bestP/bestI[j] are hit j's best relevancy so far, the effective
 	// prestige behind it and the selection index of its context (-1: no
 	// context has admitted the hit).
@@ -168,7 +172,7 @@ func (e *Engine) getScratch() *scratch {
 	if sc, _ := e.pool.Get().(*scratch); sc != nil {
 		return sc
 	}
-	return &scratch{inter: make([]int32, len(e.names))}
+	return &scratch{inter: make([]int32, len(e.names)), hitOf: make([]int32, e.ix.Analyzer().Corpus().Len())}
 }
 
 // NewEngine assembles an engine from an index, a context paper set and the
@@ -519,26 +523,26 @@ func WorseResult(a, b Result) bool {
 	return a.Relevancy < b.Relevancy || (a.Relevancy == b.Relevancy && a.Doc > b.Doc)
 }
 
-// fold scores one window of hits against every selected context, in
-// selection order: the context's prestige row is filled (0 for a member the
+// fold scores one window of hits against the selected contexts, in selection
+// order, touching only the hits each context contains: the set bits of the
+// context's membership bitset ANDed with the window's hit bitset are mapped
+// through the doc→hit table into a member list (no per-hit membership
+// branch), the members' prestige is written into the row — 0 for a member the
 // CSR run does not list, the run's value times the context weight for one it
-// does, -1 for a non-member) and folded at once into the per-hit best
-// arrays. The relevancy expression and the threshold test are the naive
-// loop's, and a later context replaces an earlier one only on a strictly
-// greater relevancy, so the first selected context keeps ties — as there.
-// Cancellation is checked between context rows; a cancelled fold returns
-// ctx.Err() with the doc→hit table reset.
+// does — and folded into the per-hit best arrays. Only members' row slots are
+// read, and each is zeroed when its member is listed, so the row is never
+// reset: a context costs its members, not the window. The relevancy
+// expression and the threshold test are the naive loop's, and a later context
+// replaces an earlier one only on a strictly greater relevancy, so the first
+// selected context keeps ties — as there. Cancellation is checked between
+// context rows; a cancelled fold returns ctx.Err() with the doc→hit table
+// reset.
 func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hits []index.Hit, threshold float64, st *MergeStats) error {
 	n := len(hits)
 	st.HitsMerged += uint64(n)
 	maxDoc := 0
-	for _, h := range hits {
-		maxDoc = max(maxDoc, int(h.Doc))
-	}
-	if len(sc.hitOf) <= maxDoc {
-		sc.hitOf = make([]int32, maxDoc+1) // the old table is all zero between folds
-	}
 	for j, h := range hits {
+		maxDoc = max(maxDoc, int(h.Doc))
 		sc.hitOf[h.Doc] = int32(j + 1)
 	}
 	defer func() {
@@ -546,8 +550,13 @@ func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hit
 			sc.hitOf[h.Doc] = 0
 		}
 	}()
+	hitSet := resized(sc.hitSet, maxDoc>>6+1)
+	clear(hitSet)
+	for _, h := range hits {
+		hitSet[h.Doc>>6] |= 1 << (h.Doc & 63)
+	}
 	row := resized(sc.row, n)
-	sc.row, sc.bestR, sc.bestP, sc.bestI = row, resized(sc.bestR, n), resized(sc.bestP, n), resized(sc.bestI, n)
+	sc.hitSet, sc.row, sc.bestR, sc.bestP, sc.bestI = hitSet, row, resized(sc.bestR, n), resized(sc.bestP, n), resized(sc.bestI, n)
 	for j := range sc.bestI {
 		sc.bestI[j] = -1
 	}
@@ -564,12 +573,18 @@ func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hit
 		if e.weights.ContextWeighted {
 			w = c.Score
 		}
-		for j, h := range hits {
-			row[j] = -1
-			if sc.member[i].Contains(int(h.Doc)) {
+		// A membership bitset ends at its context's last paper, so it can be
+		// shorter than the hit bitset.
+		mb := sc.member[i]
+		members := sc.members[:0]
+		for wi, x := range hitSet[:min(len(mb), len(hitSet))] {
+			for x &= mb[wi]; x != 0; x &= x - 1 {
+				j := sc.hitOf[wi<<6+bits.TrailingZeros64(x)] - 1
+				members = append(members, j)
 				row[j] = 0
 			}
 		}
+		sc.members = members
 		if len(run.Docs) <= n*8 {
 			// Scatter the context's CSR run through the dense doc→hit table:
 			// O(|run|) with O(1) array reads. Docs are sorted, so the scan
@@ -578,23 +593,19 @@ func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hit
 				if int(d) > maxDoc {
 					break
 				}
-				if j := sc.hitOf[d] - 1; j >= 0 && row[j] >= 0 {
+				if j := sc.hitOf[d] - 1; j >= 0 {
 					row[j] = run.Vals[k] * w
 				}
 			}
 		} else {
-			// Run much longer than the hit list: per-hit binary search over
+			// Run much longer than the hit list: per-member binary search over
 			// the run's packed doc IDs wins.
-			for j, h := range hits {
-				if row[j] >= 0 {
-					row[j] = run.Get(h.Doc) * w
-				}
+			for _, j := range members {
+				row[j] = run.Get(hits[j].Doc) * w
 			}
 		}
-		for j, p := range row {
-			if p < 0 {
-				continue
-			}
+		for _, j := range members {
+			p := row[j]
 			rel := wp*p + wm*hits[j].Score
 			if rel < threshold {
 				continue

@@ -18,9 +18,12 @@ type Sparse map[string]float64
 // New returns an empty sparse vector.
 func New() Sparse { return make(Sparse) }
 
-// FromTerms builds a raw term-frequency vector from a token stream.
+// FromTerms builds a raw term-frequency vector from a token stream. The map
+// is sized for the distinct terms a text of that length has, not for its
+// tokens: a vocabulary grows about as the square root of the text (Heaps'
+// law), and the factor leaves room before the first growth.
 func FromTerms(terms []string) Sparse {
-	v := make(Sparse, len(terms))
+	v := make(Sparse, min(len(terms), int(8*math.Sqrt(float64(len(terms))))))
 	for _, t := range terms {
 		v[t]++
 	}
