@@ -27,8 +27,9 @@
 //	shard              run one shard server of a multi-process deployment
 //	                   (-shard-index, -shard-count): the full system is
 //	                   built, but queries run on the shard's paper range
-//	                   and the internal POST /shard/search and
-//	                   /shard/render endpoints serve the coordinator
+//	                   and the internal POST /shard/search endpoint
+//	                   serves the coordinator: a range's unrendered
+//	                   rows, or with "finish" the finished page
 //
 // Flags:
 //

@@ -9,11 +9,12 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
+	"ctxsearch"
 	"ctxsearch/internal/cache"
 	"ctxsearch/internal/par"
 	"ctxsearch/internal/resilience"
@@ -94,12 +95,12 @@ func (c ShardConfig) maxRetries() int {
 }
 
 // Coordinator is the multi-process scatter-gather front: a stateless
-// http.Handler that fans /search out to shard servers' POST /shard/search,
-// merges their unrendered rows exactly, has one backend render the merged
-// page through POST /shard/render and relays that body verbatim (the
-// healthy-path body is byte-identical to a single-engine server's), and
-// proxies the per-paper endpoints to the backends. It holds no corpus state
-// at all — it can boot instantly and restart freely.
+// http.Handler that fans /search out to shard servers' POST /shard/search —
+// every range but one answers unrendered rows, the last is handed their exact
+// merge and answers the finished page, relayed verbatim (the healthy-path
+// body is byte-identical to a single-engine server's) — and proxies the
+// per-paper endpoints to the backends. It holds no corpus state at all — it
+// can boot instantly and restart freely.
 //
 // Each shard range may be served by several replicas (all built from the
 // same deterministic artifact, so any replica's page is byte-identical).
@@ -120,8 +121,10 @@ func (c ShardConfig) maxRetries() int {
 // (bad queries are deterministic across shards). A range whose replicas
 // all fail either fails the query with 503 (default) or, with
 // ShardConfig.AllowPartial, degrades it into a page flagged "partial":
-// true computed from the healthy ranges. Partial pages are never cached,
-// so a recovered range immediately restores exact answers. Every attempt
+// true computed from the healthy ranges; if the range that failed was the
+// one asked to finish, the next answered range finishes instead, searching
+// its own papers a second time. Partial pages are never cached, so a
+// recovered range immediately restores exact answers. Every attempt
 // is bounded by ShardTimeout — a dead or hung replica can delay a query,
 // never hang it.
 type Coordinator struct {
@@ -153,9 +156,9 @@ type Coordinator struct {
 	retryAfter string
 
 	// rr distributes single-backend requests (/contexts, /papers/{id},
-	// /stats, and the /shard/render call of each search) across backends.
-	// Every backend holds the full corpus-global system state, so any
-	// backend answers these exactly. replicaRR rotates the preferred
+	// /stats) across backends — every backend holds the full corpus-global
+	// system state, so any backend answers these exactly — and rotates the
+	// range that finishes each search. replicaRR rotates the preferred
 	// replica within each range.
 	rr        atomic.Uint64
 	replicaRR []atomic.Uint64
@@ -403,37 +406,59 @@ func (c *Coordinator) pickReplica(ri int, tried map[int]bool) (int, bool) {
 	return 0, false
 }
 
-// rangePage is one range's answer to /shard/search: its ranked, unrendered
-// rows and the backend that produced them.
-type rangePage struct {
-	rows []ShardRow
-	from int
+// rangeCall is one range's /shard/search request: the marshalled payload and
+// whether it carries "finish".
+type rangeCall struct {
+	payload []byte
+	finish  bool
 }
 
-// callReplica runs one POST /shard/search attempt against backend g and
-// decodes the page. An answer in any other shape — a backend of another
-// version — is that backend's failure, not a page.
-func (c *Coordinator) callReplica(ctx context.Context, g int, payload []byte) (rangePage, *shardCallError) {
-	body, cerr := c.post(ctx, g, "/shard/search", payload)
-	var page ShardSearchResponse
-	if cerr == nil {
+// rangePage is one range's answer to /shard/search: its ranked, unrendered
+// rows or, to a finishing call, the finished /search body and its row count.
+type rangePage struct {
+	rows []ShardRow
+	body []byte
+	n    int
+}
+
+// callReplica runs one POST /shard/search attempt against backend g. An
+// answer in any other shape than the one asked for — rows without unknown
+// fields, or a page under pageRowsHeader — comes from a backend of another
+// version and is that backend's failure, never relayed.
+func (c *Coordinator) callReplica(ctx context.Context, g int, call rangeCall) (rangePage, *shardCallError) {
+	t0 := time.Now()
+	body, hdr, cerr := c.post(ctx, g, call.payload)
+	var page rangePage
+	var err error
+	switch {
+	case cerr != nil:
+	case call.finish:
+		page.body = body
+		if page.n, err = strconv.Atoi(hdr.Get(pageRowsHeader)); err != nil || page.n < 0 {
+			err = fmt.Errorf("finished page with %s %q", pageRowsHeader, hdr.Get(pageRowsHeader))
+		}
+	default:
+		var resp ShardSearchResponse
 		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&page); err != nil {
-			cerr = &shardCallError{shard: c.rangeOf[g], err: fmt.Errorf("bad shard response: %w", err)}
-		}
+		err = dec.Decode(&resp)
+		page.rows = resp.Results
 	}
-	c.record(ctx, g, cerr, true)
-	return rangePage{rows: page.Results, from: g}, cerr
+	if err != nil {
+		page, cerr = rangePage{}, &shardCallError{shard: c.rangeOf[g], err: fmt.Errorf("bad shard response: %w", err)}
+	}
+	if call.finish {
+		c.metrics.ObserveRender(page.n, time.Since(t0))
+	}
+	c.record(ctx, g, cerr)
+	return page, cerr
 }
 
 // record folds one attempt against backend g into its breaker and replica
 // counters. A cancelled attempt (hedge loser, abandoned client) is never
 // recorded into the breaker — a cancellation says nothing about the
-// backend. A /shard/render success (search false) completes a half-open
-// probe but leaves a closed breaker alone: it must not reset the failure
-// count of a backend whose /shard/search is failing.
-func (c *Coordinator) record(ctx context.Context, g int, cerr *shardCallError, search bool) {
+// backend.
+func (c *Coordinator) record(ctx context.Context, g int, cerr *shardCallError) {
 	switch {
 	case cerr != nil && errors.Is(ctx.Err(), context.Canceled):
 		c.metrics.ObserveReplica(g, context.Canceled)
@@ -441,9 +466,7 @@ func (c *Coordinator) record(ctx context.Context, g int, cerr *shardCallError, s
 		// A client error means the backend is alive and answering; it is a
 		// property of the request, not the replica.
 		c.metrics.ObserveReplica(g, nil)
-		if search || c.breakers[g].State() != resilience.Closed {
-			c.breakers[g].Record(true)
-		}
+		c.breakers[g].Record(true)
 	default:
 		err := cerr.err
 		if err == nil {
@@ -454,18 +477,32 @@ func (c *Coordinator) record(ctx context.Context, g int, cerr *shardCallError, s
 	}
 }
 
+// maxBackendBody caps what the coordinator reads of one backend answer.
+const maxBackendBody = 64 << 20
+
+// readBody reads a backend answer whole; one past the cap is an error, not a
+// body cut short.
+func readBody(resp *http.Response) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBackendBody+1))
+	if err == nil && len(body) > maxBackendBody {
+		err = fmt.Errorf("backend answer exceeds %d bytes", maxBackendBody)
+	}
+	return body, err
+}
+
 // post is the bare HTTP exchange of one attempt: payload to backend g's
-// path under a fresh per-attempt deadline, returning the body of a 200.
-func (c *Coordinator) post(ctx context.Context, g int, path string, payload []byte) ([]byte, *shardCallError) {
+// /shard/search under a fresh per-attempt deadline, returning the body and
+// header of a 200.
+func (c *Coordinator) post(ctx context.Context, g int, payload []byte) ([]byte, http.Header, *shardCallError) {
 	ri := c.rangeOf[g]
 	if d := c.scfg.shardTimeout(); d > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, d)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.backends[g]+path, bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.backends[g]+"/shard/search", bytes.NewReader(payload))
 	if err != nil {
-		return nil, &shardCallError{shard: ri, err: err}
+		return nil, nil, &shardCallError{shard: ri, err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.client.Do(req)
@@ -475,20 +512,20 @@ func (c *Coordinator) post(ctx context.Context, g int, path string, payload []by
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			err = ctxErr
 		}
-		return nil, &shardCallError{shard: ri, err: err}
+		return nil, nil, &shardCallError{shard: ri, err: err}
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := readBody(resp)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			err = ctxErr
 		}
-		return nil, &shardCallError{shard: ri, err: err}
+		return nil, nil, &shardCallError{shard: ri, err: err}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, &shardCallError{shard: ri, status: resp.StatusCode, body: body}
+		return nil, nil, &shardCallError{shard: ri, status: resp.StatusCode, body: body}
 	}
-	return body, nil
+	return body, resp.Header, nil
 }
 
 // callAttempt runs one (possibly hedged) attempt for range ri, marking
@@ -496,7 +533,7 @@ func (c *Coordinator) post(ctx context.Context, g int, path string, payload []by
 // replica call. With hedging, if the primary has not answered within
 // HedgeAfter and the budget covers it, a second replica races it: the
 // first success wins and the loser is cancelled.
-func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]bool, payload []byte) (rangePage, *shardCallError) {
+func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]bool, call rangeCall) (rangePage, *shardCallError) {
 	g, ok := c.pickReplica(ri, tried)
 	if !ok && len(tried) > 0 {
 		// Every replica has been tried this call: a retry may revisit them
@@ -511,7 +548,7 @@ func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]boo
 	}
 	tried[g] = true
 	if c.scfg.HedgeAfter <= 0 || len(c.ranges[ri]) < 2 {
-		return c.callReplica(ctx, g, payload)
+		return c.callReplica(ctx, g, call)
 	}
 
 	type outcome struct {
@@ -523,7 +560,7 @@ func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]boo
 	defer cancelAll()
 	ch := make(chan outcome, 2)
 	go func() {
-		page, err := c.callReplica(actx, g, payload)
+		page, err := c.callReplica(actx, g, call)
 		ch <- outcome{page, err, false}
 	}()
 
@@ -551,7 +588,7 @@ func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]boo
 	}
 	tried[g2] = true
 	go func() {
-		page, err := c.callReplica(actx, g2, payload)
+		page, err := c.callReplica(actx, g2, call)
 		ch <- outcome{page, err, true}
 	}()
 
@@ -577,7 +614,7 @@ func (c *Coordinator) callAttempt(ctx context.Context, ri int, tried map[int]boo
 // budget-covered retries with exponential backoff, each attempt preferring
 // a replica not yet tried. Client errors (4xx) and cancellations are
 // returned immediately — retrying them is waste.
-func (c *Coordinator) callRange(ctx context.Context, ri int, payload []byte) (rangePage, *shardCallError) {
+func (c *Coordinator) callRange(ctx context.Context, ri int, call rangeCall) (rangePage, *shardCallError) {
 	if c.budget != nil {
 		c.budget.Deposit()
 	}
@@ -595,7 +632,7 @@ func (c *Coordinator) callRange(ctx context.Context, ri int, payload []byte) (ra
 				return rangePage{}, &shardCallError{shard: ri, err: err}
 			}
 		}
-		page, cerr := c.callAttempt(ctx, ri, tried, payload)
+		page, cerr := c.callAttempt(ctx, ri, tried, call)
 		if cerr == nil {
 			if fails > 0 {
 				c.metrics.ObserveFailover()
@@ -612,62 +649,6 @@ func (c *Coordinator) callRange(ctx context.Context, ri int, payload []byte) (ra
 		fails++
 	}
 	return rangePage{}, lastErr
-}
-
-// renderPage has one backend turn the merged page into the finished /search
-// body; any backend can, each holds the whole corpus. The replicas that just
-// answered this query's /shard/search come first — known alive, connection
-// warm — rotated so the rendering spreads over the ranges; the remaining
-// backends follow as failover targets. Attempts past the first draw on the
-// retry budget and count against MaxRetries, and a client error is final.
-func (c *Coordinator) renderPage(ctx context.Context, req ShardRenderRequest, answered []int) ([]byte, *shardCallError) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		return nil, &shardCallError{err: err}
-	}
-	start := int(c.rr.Add(1) - 1)
-	order := make([]int, 0, len(c.backends))
-	for k := range answered {
-		order = append(order, answered[(start+k)%len(answered)])
-	}
-	for k := range c.backends {
-		if g := (start + k) % len(c.backends); !slices.Contains(answered, g) {
-			order = append(order, g)
-		}
-	}
-	lastErr := &shardCallError{shard: c.rangeOf[order[0]], err: errAllReplicasDown}
-	attempts := 0
-	for _, g := range order {
-		if attempts > c.scfg.maxRetries() {
-			break
-		}
-		if !c.breakers[g].Allow() {
-			continue
-		}
-		if attempts > 0 {
-			if !c.budgetWithdraw() {
-				c.metrics.ObserveRetryDenied()
-				break
-			}
-			c.metrics.ObserveRetry()
-		}
-		attempts++
-		t0 := time.Now()
-		body, cerr := c.post(ctx, g, "/shard/render", payload)
-		c.metrics.ObserveRender(len(req.Rows), time.Since(t0))
-		c.record(ctx, g, cerr, false)
-		if cerr == nil {
-			if attempts > 1 {
-				c.metrics.ObserveFailover()
-			}
-			return body, nil
-		}
-		lastErr = cerr
-		if cerr.status >= 400 && cerr.status < 500 || ctx.Err() != nil {
-			break
-		}
-	}
-	return nil, lastErr
 }
 
 func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
@@ -692,84 +673,104 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// buildSearchResponse fans one query out to every shard range, merges the
-// unrendered rows and has the merged page rendered once. The returned error
-// is either a *shardCallError / pipeline error (request failed) or
+// queryError picks the error that fails a query from its range errors: a
+// client error first — it is deterministic across shards (same query, same
+// analyzer), so it is relayed instead of degraded around — else, unless the
+// page may degrade, the first failed range's.
+func queryError(errs []*shardCallError, degrade bool) *shardCallError {
+	var first *shardCallError
+	for _, e := range errs {
+		switch {
+		case e == nil:
+		case e.status >= 400 && e.status < 500:
+			return e
+		case first == nil && !degrade:
+			first = e
+		}
+	}
+	return first
+}
+
+// buildSearchResponse fans one query out to every shard range but one, merges
+// their unrendered rows and has the remaining range finish the page: search
+// its own papers, merge, render. The finisher rotates, so rendering spreads
+// over the ranges, and its call is a range call like any other. The returned
+// error is either a *shardCallError / pipeline error (request failed) or
 // *errPartial (degraded body that must bypass the cache).
 func (c *Coordinator) buildSearchResponse(ctx context.Context, p searchParams) ([]byte, error) {
 	// The scatter transformation: every range returns its own top
-	// offset+limit rows; the offset is applied after the merge.
+	// offset+limit rows; the offset is applied after the last merge.
 	// parseSearchParams guarantees limit >= 1.
-	payload, err := json.Marshal(ShardSearchRequest{
+	req := ShardSearchRequest{
 		Q:         p.q,
 		Boolean:   p.boolean,
 		Limit:     p.opts.Offset + p.opts.Limit,
 		Threshold: p.opts.Threshold,
-	})
+	}
+	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
 	n := len(c.ranges)
+	first := int(c.rr.Add(1)-1) % n
 	got := make([]rangePage, n)
 	errs := make([]*shardCallError, n)
-	var maxShard shard.AtomicMaxDuration
-	par.For(n, c.scfg.FanOut, func(ri int) {
+	call := func(ri int, rc rangeCall) time.Duration {
 		t0 := time.Now()
-		got[ri], errs[ri] = c.callRange(ctx, ri, payload)
-		maxShard.Observe(time.Since(t0))
+		got[ri], errs[ri] = c.callRange(ctx, ri, rc)
 		if errs[ri] != nil {
 			c.metrics.ObserveShard(ri, errs[ri])
 		} else {
 			c.metrics.ObserveShard(ri, nil)
 		}
+		return time.Since(t0)
+	}
+	var maxShard shard.AtomicMaxDuration
+	par.For(n-1, c.scfg.FanOut, func(k int) {
+		maxShard.Observe(call((first+1+k)%n, rangeCall{payload: payload}))
 	})
 
-	pages := make([][]ShardRow, 0, n)
-	answered := make([]int, 0, n)
-	for ri, e := range errs {
-		switch {
-		case e == nil:
-			pages = append(pages, got[ri].rows)
-			answered = append(answered, got[ri].from)
-		case e.status >= 400 && e.status < 500:
-			// A client error is deterministic across shards (same query,
-			// same analyzer): relay the first one instead of degrading.
+	// The finisher is the first range in rotation order that has not failed;
+	// past the first that is the degraded path, where a range that already
+	// answered rows searches again — one duplicated engine pass instead of a
+	// render-only mode on the wire.
+	var merge time.Duration
+	for k := 0; k < n; k++ {
+		if e := queryError(errs, c.scfg.AllowPartial); e != nil {
 			return nil, e
 		}
-	}
-	partial := len(answered) < n
-	if partial && (!c.scfg.AllowPartial || len(answered) == 0) {
-		for _, e := range errs {
-			if e != nil {
-				return nil, e
+		ri := (first + k) % n
+		if errs[ri] != nil {
+			continue
+		}
+		pages := make([][]ShardRow, 0, n)
+		for rj := range got {
+			if rj != ri && errs[rj] == nil {
+				pages = append(pages, got[rj].rows)
 			}
 		}
-	}
-
-	t0 := time.Now()
-	rows := shard.MergePages(pages, p.opts)
-	c.metrics.ObserveSearch(maxShard.Load(), time.Since(t0))
-
-	// An empty page has nothing to render: the coordinator writes it itself,
-	// from the struct the backends marshal. Any other page is finished by one
-	// backend and relayed as it arrives — never decoded, never re-marshalled.
-	var body []byte
-	if len(rows) == 0 {
-		if body, err = json.Marshal(SearchResponse{Query: p.q, Results: []SearchResult{}, Partial: partial}); err != nil {
+		partial := len(pages) < n-1
+		t0 := time.Now()
+		rows := shard.MergePages(pages, ctxsearch.SearchOptions{Limit: req.Limit})
+		merge += time.Since(t0)
+		req.Finish = &ShardFinish{Offset: p.opts.Offset, Limit: p.opts.Limit, Partial: partial, Rows: rows}
+		if payload, err = json.Marshal(req); err != nil {
 			return nil, err
 		}
-	} else {
-		var cerr *shardCallError
-		if body, cerr = c.renderPage(ctx, ShardRenderRequest{Q: p.q, Partial: partial, Rows: rows}, answered); cerr != nil {
-			return nil, cerr
+		if call(ri, rangeCall{payload: payload, finish: true}); errs[ri] != nil {
+			continue
 		}
+		// The body is relayed as it arrived — never decoded, never
+		// re-marshalled.
+		c.metrics.ObserveSearch(maxShard.Load(), merge)
+		c.metrics.ObserveServed(got[ri].n)
+		if partial {
+			c.metrics.ObservePartial()
+			return nil, &errPartial{body: got[ri].body}
+		}
+		return got[ri].body, nil
 	}
-	c.metrics.ObserveServed(len(rows))
-	if partial {
-		c.metrics.ObservePartial()
-		return nil, &errPartial{body: body}
-	}
-	return body, nil
+	return nil, queryError(errs, false)
 }
 
 // writeShardErr maps a failed scatter-gather to a response: relayed client
@@ -898,7 +899,7 @@ func (c *Coordinator) fetch(ctx context.Context, g int, uri string) (int, http.H
 		return 0, nil, nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	body, err := readBody(resp)
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -131,9 +131,9 @@ func TestCoordinatorGoldenEquality(t *testing.T) {
 }
 
 // TestCoordinatorEmptyPageNotRendered: a page with no rows — an offset past
-// the end of the ranking, a query nothing matches — is written by the
-// coordinator itself, identical to the single server's, without a
-// /shard/render call.
+// the end of the ranking, a query nothing matches — is not a special case the
+// coordinator writes itself: it costs one exchange per range like any other
+// page, and is the single server's, byte for byte.
 func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	ref := NewPending(Config{})
@@ -153,93 +153,406 @@ func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
 			t.Fatalf("%s: page not empty: %s", path, got.Body)
 		}
 	}
-	if snap := coord.Metrics().Snapshot(); snap.RenderCalls != 0 || snap.Searches != 3 {
-		t.Fatalf("empty pages made %d render calls over %d searches, want 0 over 3", snap.RenderCalls, snap.Searches)
+	snap := coord.Metrics().Snapshot()
+	if snap.RenderCalls != 3 || snap.Searches != 3 || snap.RowsServed != 0 || rangeRequests(snap) != 6 {
+		t.Fatalf("3 empty pages on 2 ranges: %d finishing calls, %d searches, %d rows, %d range requests; want 3, 3, 0, 6",
+			snap.RenderCalls, snap.Searches, snap.RowsServed, rangeRequests(snap))
 	}
 }
 
-// renderFaultCluster boots a 2-shard cluster whose backend i answers
-// /shard/render through fault(i) when that returns a handler, and the
-// coordinator (cache off, no prober) in front of it.
-func renderFaultCluster(t *testing.T, fault func(i int) http.HandlerFunc, scfg ShardConfig) *Coordinator {
+// rangeRequests sums the per-range request counters: the exchanges the
+// coordinator made for its pages.
+func rangeRequests(snap shard.Snapshot) uint64 {
+	var n uint64
+	for _, s := range snap.Shards {
+		n += s.Requests
+	}
+	return n
+}
+
+// wrappedCluster boots one shard server per element of ranges — the range it
+// serves, so a range listed twice gets two replicas — each behind
+// wrap(i, server), or refusing connections where that is nil, and a
+// coordinator without prober in front of them.
+func wrappedCluster(t *testing.T, nRanges int, ranges []int, wrap func(i int, srv http.Handler) http.Handler, cfg Config, scfg ShardConfig) *Coordinator {
 	t.Helper()
 	sys, cs, m, _ := frozenMatrix(t)
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
-	var urls []string
-	for i := 0; i < g.NumShards(); i++ {
+	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, nRanges, shard.Options{})
+	urls := make([]string, g.NumShards())
+	for i, ri := range ranges {
 		srv := NewPending(Config{})
-		srv.SetReadySharded(sys, cs, m, g.Engine(i))
-		broken := fault(i)
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if broken != nil && r.URL.Path == "/shard/render" {
-				broken(w, r)
-				return
-			}
-			srv.ServeHTTP(w, r)
-		}))
+		srv.SetReadySharded(sys, cs, m, g.Engine(ri))
+		h := wrap(i, srv)
+		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
-		urls = append(urls, ts.URL)
+		if h == nil {
+			ts.Close()
+		}
+		if urls[ri] != "" {
+			urls[ri] += "|"
+		}
+		urls[ri] += ts.URL
 	}
 	scfg.ProbeInterval = -1
-	coord := NewCoordinator(urls, Config{CacheEntries: -1}, scfg)
+	coord := NewCoordinator(urls, cfg, scfg)
 	t.Cleanup(coord.Close)
 	return coord
 }
 
-// TestCoordinatorRenderFailover: a backend whose /shard/render answers 500,
-// or never answers, costs a failover inside ShardTimeout and nothing else —
-// every page is still the single server's. With every backend's render down
-// the query is a 503 with Retry-After, never a 200 with unrendered rows.
-func TestCoordinatorRenderFailover(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+// finishing reports whether r is a /shard/search call whose body holds
+// "finish"; the body is read for it, and restored.
+func finishing(r *http.Request) bool {
+	body, _ := io.ReadAll(r.Body)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	return r.URL.Path == "/shard/search" && bytes.Contains(body, []byte(`"finish":`))
+}
+
+// onFinish answers the finishing calls with broken and hands every other
+// request to srv.
+func onFinish(srv http.Handler, broken http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if finishing(r) {
+			broken(w, r)
+			return
+		}
+		srv.ServeHTTP(w, r)
+	})
+}
+
+// partialPage builds, without the cluster, the degraded page of path's query:
+// the single server's whole ranking restricted to the papers keep admits,
+// cut to (offset, limit) and flagged.
+func partialPage(t *testing.T, ref *Server, query string, offset, limit int, keep func(paper int) bool) []byte {
+	t.Helper()
+	var full SearchResponse
+	if err := json.Unmarshal(get(t, ref, "/search?q="+urlQuery(query)+"&limit=1000").Body.Bytes(), &full); err != nil {
+		t.Fatal(err)
+	}
+	want := SearchResponse{Query: query, Results: []SearchResult{}, Partial: true}
+	for _, r := range full.Results {
+		if !keep(r.PaperID) {
+			continue
+		}
+		if offset > 0 {
+			offset--
+		} else if len(want.Results) < limit {
+			want.Results = append(want.Results, r)
+		}
+	}
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestCoordinatorFinishFailover: the finishing call is a range call like any
+// other. A replica whose finishing answers 500, or never answers, costs a
+// failover to its sibling inside ShardTimeout and nothing else — every page
+// is still the single server's. A range that cannot finish at all is a 503
+// with Retry-After, never a 200 with unrendered rows; with AllowPartial the
+// next range in rotation finishes instead, and the page is the ranking
+// without the failed range's papers, flagged.
+func TestCoordinatorFinishFailover(t *testing.T) {
+	sys, cs, m, query := frozenMatrix(t)
 	ref := NewPending(Config{})
 	ref.SetReadyFrozen(sys, cs, m)
 	queries := coordQueries(t)
 	fail := func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "render down", http.StatusInternalServerError)
+		http.Error(w, "finish down", http.StatusInternalServerError)
 	}
-	// With the body read, the server sees the coordinator give up on the
-	// connection and ends the request context.
-	hang := func(_ http.ResponseWriter, r *http.Request) {
-		_, _ = io.Copy(io.Discard, r.Body)
-		<-r.Context().Done()
-	}
+	// The body has been read, so the server sees the coordinator give up on
+	// the connection and ends the request context.
+	hang := func(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() }
 	scfg := fastResilience()
 	scfg.BreakerThreshold = 1000 // every query must meet the broken backend
+	nocache := Config{CacheEntries: -1}
 
+	// 2 ranges x 2 replicas, the first replica of each cannot finish.
 	for name, broken := range map[string]http.HandlerFunc{"500": fail, "hang": hang} {
-		coord := renderFaultCluster(t, func(i int) http.HandlerFunc {
-			if i == 0 {
-				return broken
+		coord := wrappedCluster(t, 2, []int{0, 0, 1, 1}, func(i int, srv http.Handler) http.Handler {
+			if i%2 == 0 {
+				return onFinish(srv, broken)
 			}
-			return nil
-		}, scfg)
+			return srv
+		}, nocache, scfg)
 		start := time.Now()
 		for _, q := range queries[:4] {
 			path := "/search?q=" + urlQuery(q) + "&limit=10"
 			want := get(t, ref, path)
 			got := coordGet(t, coord, path)
 			if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-				t.Fatalf("render %s on shard 0: %q differs (%d vs %d): %s", name, q, got.Code, want.Code, got.Body)
+				t.Fatalf("finish %s on one replica: %q differs (%d vs %d): %s", name, q, got.Code, want.Code, got.Body)
 			}
 		}
 		if elapsed := time.Since(start); elapsed > 4*(scfg.ShardTimeout+100*time.Millisecond) {
-			t.Fatalf("render %s: 4 queries took %v, each failover must fit one ShardTimeout (%v)", name, elapsed, scfg.ShardTimeout)
+			t.Fatalf("finish %s: 4 queries took %v, each failover must fit one ShardTimeout (%v)", name, elapsed, scfg.ShardTimeout)
 		}
 		snap := coord.Metrics().Snapshot()
-		if snap.Failovers == 0 || snap.RowsRendered <= snap.RowsServed {
-			t.Fatalf("render %s: the broken backend was never tried: %+v", name, snap)
+		if snap.Failovers == 0 || snap.RenderCalls <= snap.Searches || snap.RowsRendered != snap.RowsServed {
+			t.Fatalf("finish %s: the broken replicas were never tried: %+v", name, snap)
 		}
 	}
 
-	coord := renderFaultCluster(t, func(int) http.HandlerFunc { return fail }, scfg)
-	rec := coordGet(t, coord, "/search?q="+urlQuery(queries[0])+"&limit=10")
-	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
-		t.Fatalf("render down everywhere = %d (Retry-After %q), want 503 with a hint: %s",
-			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	// No range can finish: 503, whatever the partial policy.
+	for _, allow := range []bool{false, true} {
+		scfg.AllowPartial = allow
+		coord := wrappedCluster(t, 2, []int{0, 1}, func(_ int, srv http.Handler) http.Handler {
+			return onFinish(srv, fail)
+		}, nocache, scfg)
+		rec := coordGet(t, coord, "/search?q="+urlQuery(queries[0])+"&limit=10")
+		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+			t.Fatalf("finish down everywhere (partial %v) = %d (Retry-After %q), want 503 with a hint: %s",
+				allow, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+		}
+		if snap := coord.Metrics().Snapshot(); snap.RowsServed != 0 || snap.Searches != 0 {
+			t.Fatalf("a page nobody finished counted %d rows, %d searches", snap.RowsServed, snap.Searches)
+		}
 	}
-	if snap := coord.Metrics().Snapshot(); snap.RowsServed != 0 {
-		t.Fatalf("a failed render served %d rows", snap.RowsServed)
+
+	// 3 ranges, range 0 answers rows but cannot finish. Three requests make
+	// each range the finisher once: with range 0 it is a 503 by default and,
+	// with AllowPartial, the page of ranges 1 and 2 finished by range 1.
+	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 3, shard.Options{})
+	path := "/search?q=" + urlQuery(query) + "&limit=10&offset=2"
+	exact := get(t, ref, path).Body.Bytes()
+	degraded := partialPage(t, ref, query, 2, 10, func(paper int) bool { return paper >= int(g.Ranges()[0].Hi) })
+	if bytes.Equal(exact[:len(exact)-1], degraded[:len(exact)-1]) {
+		t.Fatal("fixture: range 0 holds no row of the page, the degraded page would prove nothing")
+	}
+	for _, allow := range []bool{false, true} {
+		scfg.AllowPartial = allow
+		coord := wrappedCluster(t, 3, []int{0, 1, 2}, func(i int, srv http.Handler) http.Handler {
+			if i == 0 {
+				return onFinish(srv, fail)
+			}
+			return srv
+		}, nocache, scfg)
+		var codes []int
+		for k := 0; k < 3; k++ {
+			rec := coordGet(t, coord, path)
+			codes = append(codes, rec.Code)
+			want := exact
+			if k == 0 {
+				want = degraded
+			}
+			if rec.Code == 200 && !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("partial %v, request %d differs\ncoordinator: %s\nwant:        %s", allow, k, rec.Body, want)
+			}
+		}
+		first := map[bool]int{false: 503, true: 200}[allow]
+		if codes[0] != first || codes[1] != 200 || codes[2] != 200 {
+			t.Fatalf("partial %v: statuses %v, want [%d 200 200]", allow, codes, first)
+		}
+		snap := coord.Metrics().Snapshot()
+		if want := map[bool]uint64{false: 0, true: 1}[allow]; snap.Partial != want || snap.Shards[0].Errors != 1 {
+			t.Fatalf("partial %v: %d partial pages (want %d), range 0 errors %d (want 1)", allow, snap.Partial, want, snap.Shards[0].Errors)
+		}
+		// The degraded page asked range 1 twice: for its rows, then to finish.
+		if want := map[bool]uint64{false: 3, true: 4}[allow]; snap.Shards[1].Requests != want {
+			t.Fatalf("partial %v: range 1 saw %d requests, want %d", allow, snap.Shards[1].Requests, want)
+		}
+	}
+
+	// Range 0 gone altogether (connection refused), AllowPartial: whichever
+	// range is asked to finish, the page is the same degraded one.
+	scfg.AllowPartial = true
+	coord := wrappedCluster(t, 3, []int{0, 1, 2}, func(i int, srv http.Handler) http.Handler {
+		if i == 0 {
+			return nil
+		}
+		return srv
+	}, nocache, scfg)
+	for k := 0; k < 3; k++ {
+		if rec := coordGet(t, coord, path); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), degraded) {
+			t.Fatalf("range 0 dead, request %d (%d) differs\ncoordinator: %s\nwant:        %s", k, rec.Code, rec.Body, degraded)
+		}
+	}
+	if snap := coord.Metrics().Snapshot(); snap.Partial != 3 {
+		t.Fatalf("range 0 dead: %d of 3 pages flagged partial", snap.Partial)
+	}
+}
+
+// TestCoordinatorExchangesPerPage: a page costs one /shard/search exchange per
+// range — full, empty, deep in the ranking or boolean — by the coordinator's
+// own per-range counters and by what the shards saw arrive; exactly one of
+// them carries "finish", and the finishing rotates over the ranges.
+func TestCoordinatorExchangesPerPage(t *testing.T) {
+	_, _, _, query := frozenMatrix(t)
+	paths := []string{
+		"/search?q=" + urlQuery(query) + "&limit=10",
+		"/search?q=" + urlQuery(query) + "&limit=3&offset=4",
+		"/search?q=" + urlQuery(query) + "&limit=5&boolean=1",
+		"/search?q=" + urlQuery(query) + "&limit=10&offset=5000",
+		"/search?q=qqqzzz+unknown+words&limit=10",
+		"/search?q=" + urlQuery(query) + "&limit=7&threshold=0.05",
+	}
+	for _, n := range []int{1, 2, 3} {
+		ranges := make([]int, n)
+		plain := make([]atomic.Int64, n)
+		finished := make([]atomic.Int64, n)
+		var other atomic.Int64
+		for i := range ranges {
+			ranges[i] = i
+		}
+		coord := wrappedCluster(t, n, ranges, func(i int, srv http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case finishing(r):
+					finished[i].Add(1)
+				case r.URL.Path == "/shard/search":
+					plain[i].Add(1)
+				default:
+					other.Add(1)
+				}
+				srv.ServeHTTP(w, r)
+			})
+		}, Config{CacheEntries: -1}, ShardConfig{})
+		for _, path := range paths {
+			if rec := coordGet(t, coord, path); rec.Code != 200 {
+				t.Fatalf("%d ranges: %s = %d: %s", n, path, rec.Code, rec.Body)
+			}
+		}
+		pages := uint64(len(paths))
+		snap := coord.Metrics().Snapshot()
+		if got := rangeRequests(snap); got != pages*uint64(n) || snap.Searches != pages || snap.RenderCalls != pages {
+			t.Fatalf("%d ranges, %d pages: %d range requests, %d searches, %d finishing calls", n, pages, got, snap.Searches, snap.RenderCalls)
+		}
+		var sawPlain, sawFinishing int64
+		for i := range ranges {
+			sawPlain += plain[i].Load()
+			sawFinishing += finished[i].Load()
+			if want := int64(len(paths) / n); finished[i].Load() != want {
+				t.Fatalf("%d ranges: range %d finished %d of %d pages, want %d", n, i, finished[i].Load(), pages, want)
+			}
+		}
+		if sawFinishing != int64(pages) || sawPlain != int64(pages)*int64(n-1) || other.Load() != 0 {
+			t.Fatalf("%d ranges, %d pages: shards saw %d finishing, %d plain and %d other requests", n, pages, sawFinishing, sawPlain, other.Load())
+		}
+	}
+}
+
+// TestCoordinatorRejectsUnfinishedPage: a 200 to a finishing call that is not
+// a finished page — the row-count header missing, or a shard of the previous
+// protocol that ignores "finish" and answers its rows — is that backend's
+// failure: retried on a sibling if there is one, else a 503, and never relayed
+// or cached as a page.
+func TestCoordinatorRejectsUnfinishedPage(t *testing.T) {
+	sys, cs, m, query := frozenMatrix(t)
+	ref := NewPending(Config{})
+	ref.SetReadyFrozen(sys, cs, m)
+	path := "/search?q=" + urlQuery(query) + "&limit=10"
+	// headerless relays the backend's answer without the header.
+	headerless := func(srv http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, r)
+			w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+			w.WriteHeader(rec.Code)
+			_, _ = w.Write(rec.Body.Bytes())
+		})
+	}
+	// old drops "finish" from the request, as a decoder that ignores unknown
+	// fields did, and so answers rows.
+	old := func(srv http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req ShardSearchRequest
+			if r.URL.Path == "/shard/search" && json.NewDecoder(r.Body).Decode(&req) == nil {
+				req.Finish = nil
+				body, _ := json.Marshal(req)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			srv.ServeHTTP(w, r)
+		})
+	}
+	scfg := fastResilience()
+	scfg.BreakerThreshold = 1000
+	for name, skew := range map[string]func(http.Handler) http.Handler{"no header": headerless, "old shard": old} {
+		// Every backend skewed: no page, nothing cached, and the failures
+		// are on the backends' account.
+		coord := wrappedCluster(t, 2, []int{0, 1}, func(_ int, srv http.Handler) http.Handler { return skew(srv) }, Config{}, scfg)
+		for k := 0; k < 2; k++ {
+			rec := coordGet(t, coord, path)
+			if rec.Code != http.StatusServiceUnavailable || strings.Contains(rec.Body.String(), "results") {
+				t.Fatalf("%s, request %d = %d, want 503 and no rows: %s", name, k, rec.Code, rec.Body)
+			}
+		}
+		snap := coord.Metrics().Snapshot()
+		if cst := coord.cache.Stats(); cst.Entries != 0 || cst.Hits != 0 || snap.RowsServed != 0 {
+			t.Fatalf("%s: cache %+v, %d rows served", name, cst, snap.RowsServed)
+		}
+		if snap.Replicas[0].Errors+snap.Replicas[1].Errors == 0 || snap.Retries == 0 {
+			t.Fatalf("%s: not counted as a backend failure and retried: %+v", name, snap)
+		}
+
+		// One skewed replica beside a current one: every page is exact.
+		coord = wrappedCluster(t, 1, []int{0, 0}, func(i int, srv http.Handler) http.Handler {
+			if i == 0 {
+				return skew(srv)
+			}
+			return srv
+		}, Config{CacheEntries: -1}, scfg)
+		want := get(t, ref, path)
+		for k := 0; k < 4; k++ {
+			if rec := coordGet(t, coord, path); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("%s beside a current replica, request %d (%d): %s", name, k, rec.Code, rec.Body)
+			}
+		}
+		if snap := coord.Metrics().Snapshot(); snap.Failovers == 0 {
+			t.Fatalf("%s: the skewed replica was never tried: %+v", name, snap)
+		}
+	}
+}
+
+// TestCoordinatorFinisherOutsidePage: pages that hold none of the finisher's
+// own rows — all of them rank before the offset, or all after the page —
+// are still the single server's: the finisher's rows count towards the
+// offset without crossing the wire.
+func TestCoordinatorFinisherOutsidePage(t *testing.T) {
+	sys, cs, m, _ := frozenMatrix(t)
+	ref := NewPending(Config{})
+	ref.SetReadyFrozen(sys, cs, m)
+	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	coord := wrappedCluster(t, 2, []int{0, 1}, func(_ int, srv http.Handler) http.Handler { return srv }, Config{CacheEntries: -1}, ShardConfig{})
+	before, after := 0, 0
+	for _, q := range coordQueries(t) {
+		var full SearchResponse
+		if err := json.Unmarshal(get(t, ref, "/search?q="+urlQuery(q)+"&limit=1000").Body.Bytes(), &full); err != nil {
+			t.Fatal(err)
+		}
+		for fin := 0; fin < 2; fin++ {
+			// The finisher's best and worst rank in the whole list.
+			lo, hi := -1, -1
+			for i, r := range full.Results {
+				if own := g.Ranges()[fin]; r.PaperID >= int(own.Lo) && r.PaperID < int(own.Hi) {
+					if lo < 0 {
+						lo = i
+					}
+					hi = i
+				}
+			}
+			var paths []string
+			if lo > 0 {
+				after++
+				paths = append(paths, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(q), lo))
+			}
+			if hi >= 0 && hi+1 < len(full.Results) {
+				before++
+				paths = append(paths, fmt.Sprintf("/search?q=%s&limit=10&offset=%d", urlQuery(q), hi+1))
+			}
+			for _, path := range paths {
+				want := get(t, ref, path)
+				// Twice: each range finishes the page once.
+				for k := 0; k < 2; k++ {
+					if got := coordGet(t, coord, path); got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+						t.Fatalf("%s (range %d outside the page), request %d\ncoordinator: %s\nsingle:      %s", path, fin, k, got.Body, want.Body)
+					}
+				}
+			}
+		}
+	}
+	if before == 0 || after == 0 {
+		t.Fatalf("fixture: %d pages past all of a range's rows, %d pages before any — need both", before, after)
 	}
 }
 
@@ -616,5 +929,41 @@ func TestShardSearchEndpoint(t *testing.T) {
 	}
 	if rec := post(fmt.Sprintf(`{"q":%q,"limit":5,"threshold":3}`, query)); rec.Code != 400 {
 		t.Fatalf("bad threshold = %d, want 400", rec.Code)
+	}
+
+	// Strict decoding: a field this version does not know, or anything after
+	// the object, is a 400 — never a request answered without it.
+	for _, body := range []string{
+		fmt.Sprintf(`{"q":%q,"limit":5,"render":true}`, query),
+		fmt.Sprintf(`{"q":%q,"limit":5,"finish":{"offset":0,"limit":5,"rows":[],"merge":false}}`, query),
+		fmt.Sprintf(`{"q":%q,"limit":5}}`, query),
+		fmt.Sprintf(`{"q":%q,"limit":5} {"q":%q,"limit":5}`, query, query),
+	} {
+		if rec := post(body); rec.Code != 400 {
+			t.Fatalf("%s = %d, want 400: %s", body, rec.Code, rec.Body)
+		}
+	}
+
+	// Asked to finish, with no other range's rows, this (whole-corpus) server
+	// answers its own /search page and counts its rows in the header; asked
+	// for rows it sets no such header.
+	if h := rec.Header().Get(pageRowsHeader); h != "" {
+		t.Fatalf("rows answer carries %s %q", pageRowsHeader, h)
+	}
+	want := get(t, srv, "/search?q="+urlQuery(query)+"&limit=3&offset=2")
+	rec = post(fmt.Sprintf(`{"q":%q,"limit":5,"finish":{"offset":2,"limit":3,"rows":[]}}`, query))
+	if rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) || rec.Header().Get(pageRowsHeader) != "3" {
+		t.Fatalf("finishing answer (%d, %s %q) %s\n/search: %s", rec.Code, pageRowsHeader, rec.Header().Get(pageRowsHeader), rec.Body, want.Body)
+	}
+	for _, fin := range []string{
+		`{"offset":0,"limit":0,"rows":[]}`,
+		fmt.Sprintf(`{"offset":0,"limit":%d,"rows":[]}`, MaxLimit+1),
+		`{"offset":-1,"limit":5,"rows":[]}`,
+		fmt.Sprintf(`{"offset":%d,"limit":5,"rows":[]}`, MaxOffset+1),
+		`{"offset":0,"limit":5,"rows":[{"d":99999999,"c":"x"}]}`,
+	} {
+		if rec := post(fmt.Sprintf(`{"q":%q,"limit":5,"finish":%s}`, query, fin)); rec.Code != 400 {
+			t.Fatalf("finish %s = %d, want 400: %s", fin, rec.Code, rec.Body)
+		}
 	}
 }

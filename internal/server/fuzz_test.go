@@ -37,7 +37,7 @@ func (p *panicLog) Write(b []byte) (int, error) {
 // and checks the contract every shard endpoint owes hostile input: a 400
 // with a JSON error or a 200 whose body decodes into page — never a panic,
 // never another status.
-func fuzzPost(t *testing.T, srv *Server, panics *panicLog, path string, body []byte, page any) {
+func fuzzPost(t *testing.T, srv *Server, panics *panicLog, path string, body []byte, page any) *httptest.ResponseRecorder {
 	req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, req)
@@ -57,6 +57,7 @@ func fuzzPost(t *testing.T, srv *Server, panics *panicLog, path string, body []b
 	default:
 		t.Fatalf("%s answered %q with %d: %s", path, body, rec.Code, rec.Body)
 	}
+	return rec
 }
 
 func fuzzServer(f *testing.F) (*Server, *panicLog) {
@@ -67,40 +68,49 @@ func fuzzServer(f *testing.F) (*Server, *panicLog) {
 	return srv, panics
 }
 
-// FuzzShardRender: /shard/render takes rows off the wire. Whatever they
-// name — papers outside the corpus, contexts the ontology never had, the
-// same paper twice, more rows than a page may hold — the answer is a 400 or
-// a finished page with one rendered row per submitted row. The checked-in
+// FuzzShardFinish: a finishing /shard/search takes rows off the wire.
+// Whatever they name — papers outside the corpus, contexts the ontology never
+// had, a paper of the shard's own range, more rows than any merge holds — and
+// whatever window comes with them, the answer is a 400 or a finished page of
+// at most finish.limit rows, counted in the row-count header. The checked-in
 // corpus holds the hostile shapes; rows the fixture can render are added
 // here, where its identifiers are known.
-func FuzzShardRender(f *testing.F) {
+func FuzzShardFinish(f *testing.F) {
 	srv, panics := fuzzServer(f)
 	sys, _, _, query := frozenMatrix(f)
 	ctx := sys.Ontology.TermIDs()[0]
 	n := sys.Corpus.Len()
-	f.Add([]byte(fmt.Sprintf(`{"q":%q,"rows":[{"d":3,"r":0.5,"m":0.25,"p":0.75,"c":%q}]}`, query, ctx)))
-	f.Add([]byte(fmt.Sprintf(`{"q":%q,"partial":true,"rows":[{"d":3,"c":%q},{"d":3,"c":%q}]}`, query, ctx, ctx)))
-	f.Add([]byte(fmt.Sprintf(`{"q":%q,"rows":[{"d":%d,"c":%q}]}`, query, n, ctx)))
-	f.Add([]byte(`{"q":"x","rows":[` + strings.Repeat(`{},`, 300000) + `{}]}`))  // fits the body cap, exceeds MaxLimit
-	f.Add([]byte(`{"q":"x","rows":[` + strings.Repeat(`{},`, 1000000) + `{}]}`)) // cut off by the body cap
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":10,"finish":{"offset":0,"limit":10,"rows":[{"d":3,"r":0.5,"m":0.25,"p":0.75,"c":%q}]}}`, query, ctx)))
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":4,"finish":{"offset":2,"limit":2,"partial":true,"rows":[{"d":3,"c":%q},{"d":3,"c":%q}]}}`, query, ctx, ctx)))
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":1,"finish":{"offset":0,"limit":1,"rows":[{"d":%d,"c":%q}]}}`, query, n, ctx)))
+	f.Add([]byte(`{"q":"x","limit":1,"finish":{"offset":0,"limit":1,"rows":[` + strings.Repeat(`{},`, 300000) + `{}]}}`))   // fits the body cap, exceeds MaxOffset+MaxLimit
+	f.Add([]byte(`{"q":"x","limit":1,` + strings.Repeat(" ", maxShardBody) + `"finish":{"offset":0,"limit":1,"rows":[]}}`)) // cut off by the body cap
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var page SearchResponse
-		fuzzPost(t, srv, panics, "/shard/render", body, &page)
-		var req ShardRenderRequest
-		if page.Results != nil && json.Unmarshal(body, &req) == nil && len(page.Results) != len(req.Rows) {
-			t.Fatalf("%d rows submitted, %d rendered: %q", len(req.Rows), len(page.Results), body)
+		rec := fuzzPost(t, srv, panics, "/shard/search", body, &page)
+		var req ShardSearchRequest
+		if rec.Code != http.StatusOK || json.Unmarshal(body, &req) != nil || req.Finish == nil {
+			return
+		}
+		if len(page.Results) > req.Finish.Limit || rec.Header().Get(pageRowsHeader) != fmt.Sprint(len(page.Results)) {
+			t.Fatalf("limit %d, %d rows rendered, %s %q: %q", req.Finish.Limit, len(page.Results),
+				pageRowsHeader, rec.Header().Get(pageRowsHeader), body)
 		}
 	})
 }
 
-// FuzzShardSearchRequest: the body of /shard/search is validated field by
-// field; anything else is a 400, and a 200 carries unrendered rows in the
-// engine's order.
+// FuzzShardSearchRequest: the body of /shard/search is decoded strictly and
+// validated field by field; anything else — an unknown field, bytes after the
+// object — is a 400, and a 200 without "finish" carries unrendered rows in
+// the engine's order.
 func FuzzShardSearchRequest(f *testing.F) {
 	srv, panics := fuzzServer(f)
 	_, _, _, query := frozenMatrix(f)
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5}`, query)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"boolean":true,"limit":%d,"offset":3,"threshold":0.2}`, query, MaxOffset+MaxLimit)))
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5,"finsh":{}}`, query)))
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5}}`, query)))
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5} {"q":%q,"limit":5}`, query, query)))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var page ShardSearchResponse
 		fuzzPost(t, srv, panics, "/shard/search", body, &page)

@@ -222,7 +222,6 @@ func NewPending(cfg Config) *Server {
 	s.cache = cache.New[[]byte](cfg.cacheEntries(), cfg.cacheTTL())
 	s.mux.HandleFunc("GET /search", s.handleSearch)
 	s.mux.HandleFunc("POST /shard/search", s.handleShardSearch)
-	s.mux.HandleFunc("POST /shard/render", s.handleShardRender)
 	s.mux.HandleFunc("GET /contexts", s.handleContexts)
 	s.mux.HandleFunc("GET /papers/{id}", s.handlePaper)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
@@ -544,9 +543,7 @@ func (s *Server) buildSearchResponse(ctx context.Context, q string, boolean bool
 }
 
 // renderPage renders ranked rows and marshals the finished /search body.
-// /search and /shard/render both end here, so a single server's page and
-// the page a coordinator has rendered from merged shard rows are the output
-// of one function on the same inputs.
+// /search and a finishing /shard/search both end here.
 func (b *backend) renderPage(ctx context.Context, q string, results []ctxsearch.SearchResult, partial bool) ([]byte, error) {
 	rows, err := b.renderResults(ctx, q, results)
 	if err != nil {
@@ -557,7 +554,7 @@ func (b *backend) renderPage(ctx context.Context, q string, results []ctxsearch.
 
 // renderResults resolves engine rows into API rows: paper metadata, the
 // highlighted snippet and the context name. Every row's Doc and Context must
-// exist in b.sys (engine rows always do; handleShardRender checks rows that
+// exist in b.sys (engine rows always do; handleShardSearch checks rows that
 // arrive over the wire).
 func (b *backend) renderResults(ctx context.Context, q string, results []ctxsearch.SearchResult) ([]SearchResult, error) {
 	rows := []SearchResult{}
@@ -588,13 +585,25 @@ func (b *backend) renderResults(ctx context.Context, q string, results []ctxsear
 // of a scatter-gather query. Limit may exceed MaxLimit (up to
 // MaxOffset+MaxLimit) because the coordinator folds the client's offset
 // into the shard limit; Offset is always 0 in coordinator traffic but
-// accepted for direct diagnostics.
+// accepted for direct diagnostics. With Finish the shard is the last range
+// asked: it answers the finished /search body instead of its rows.
 type ShardSearchRequest struct {
-	Q         string  `json:"q"`
-	Boolean   bool    `json:"boolean,omitempty"`
-	Limit     int     `json:"limit"`
-	Offset    int     `json:"offset,omitempty"`
-	Threshold float64 `json:"threshold,omitempty"`
+	Q         string       `json:"q"`
+	Boolean   bool         `json:"boolean,omitempty"`
+	Limit     int          `json:"limit"`
+	Offset    int          `json:"offset,omitempty"`
+	Threshold float64      `json:"threshold,omitempty"`
+	Finish    *ShardFinish `json:"finish,omitempty"`
+}
+
+// ShardFinish asks a shard to finish the page: Rows are the other ranges'
+// merged rows, (Offset, Limit) the client's window over the merge of those
+// with the shard's own, Partial the finished body's "partial" flag.
+type ShardFinish struct {
+	Offset  int        `json:"offset"`
+	Limit   int        `json:"limit"`
+	Partial bool       `json:"partial,omitempty"`
+	Rows    []ShardRow `json:"rows"`
 }
 
 // ShardRow is one unrendered row on the shard wire — the engine's result
@@ -609,20 +618,22 @@ type ShardSearchResponse struct {
 	Results []ShardRow `json:"results"`
 }
 
-// ShardRenderRequest is the POST /shard/render payload: the merged page of a
-// scatter-gather query, to be rendered into the finished /search body.
-// Partial is copied into the body's "partial" flag.
-type ShardRenderRequest struct {
-	Q       string     `json:"q"`
-	Partial bool       `json:"partial,omitempty"`
-	Rows    []ShardRow `json:"rows"`
-}
+// pageRowsHeader carries the row count of a finished page, and marks the
+// answer as one: a backend that does not know Finish never sets it.
+const pageRowsHeader = "X-Page-Rows"
+
+// maxShardBody caps a /shard/search body: MaxOffset+MaxLimit wire rows of
+// some hundred bytes each fit.
+const maxShardBody = 16 << 20
 
 // handleShardSearch serves the internal scatter-gather endpoint: the
-// backend's own ranked page for one query, unrendered — titles and snippets
-// are added by one /shard/render call on the merged page. Every server
-// exposes both — what makes a process a "shard" is being handed a
-// range-restricted searcher at boot, not a different route table.
+// backend's own ranked page for one query, unrendered — or, asked to finish,
+// that page merged with the other ranges' rows and rendered by the one
+// renderPage, so a cluster's page and a single server's are the output of
+// one function on the same inputs. Every server exposes it — what makes a
+// process a "shard" is being handed a range-restricted searcher at boot, not
+// a different route table. The body is decoded strictly: a field this
+// version does not know is a 400, never silently dropped.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	b := s.ready(w)
 	if b == nil {
@@ -630,7 +641,15 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer b.release()
 	var req ShardSearchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxShardBody))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("data after the request object")
+		}
+	}
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad shard request: %v", err)
 		return
 	}
@@ -653,13 +672,27 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad shard threshold %v", req.Threshold)
 		return
 	}
+	fin := req.Finish
+	if fin != nil {
+		if fin.Limit < 1 || fin.Limit > MaxLimit || fin.Offset < 0 || fin.Offset > MaxOffset || len(fin.Rows) > MaxOffset+MaxLimit {
+			writeErr(w, http.StatusBadRequest, "bad finish: offset %d, limit %d, %d rows", fin.Offset, fin.Limit, len(fin.Rows))
+			return
+		}
+		// The rows come off the wire: each must name a paper and a context
+		// this corpus has.
+		for _, row := range fin.Rows {
+			if b.sys.Corpus.Paper(row.Doc) == nil || b.sys.Ontology.Term(row.Context) == nil {
+				writeErr(w, http.StatusBadRequest, "bad finish row: doc %d, context %q", row.Doc, row.Context)
+				return
+			}
+		}
+	}
 	ctx := r.Context()
 	if s.testHook != nil {
 		s.testHook(ctx)
 	}
 	opts := ctxsearch.SearchOptions{Limit: req.Limit, Offset: req.Offset, Threshold: req.Threshold}
 	var results []ctxsearch.SearchResult
-	var err error
 	if req.Boolean {
 		results, err = b.searcher.SearchBooleanContext(ctx, req.Q, opts)
 	} else {
@@ -669,40 +702,18 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryErr(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, ShardSearchResponse{Results: results})
-}
-
-// handleShardRender renders a merged page: rows any shards ranked, finished
-// by this backend (every backend holds the whole corpus) into the body a
-// single server's /search would have written. The rows come off the wire, so
-// each must name a paper and a context this corpus has.
-func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
-	b := s.ready(w)
-	if b == nil {
+	if fin == nil {
+		writeJSON(w, http.StatusOK, ShardSearchResponse{Results: results})
 		return
 	}
-	defer b.release()
-	var req ShardRenderRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad render request: %v", err)
-		return
-	}
-	if len(req.Rows) > MaxLimit {
-		writeErr(w, http.StatusBadRequest, "%d render rows exceed maximum %d", len(req.Rows), MaxLimit)
-		return
-	}
-	for _, row := range req.Rows {
-		if b.sys.Corpus.Paper(row.Doc) == nil || b.sys.Ontology.Term(row.Context) == nil {
-			writeErr(w, http.StatusBadRequest, "bad render row: doc %d, context %q", row.Doc, row.Context)
-			return
-		}
-	}
-	body, err := b.renderPage(r.Context(), req.Q, req.Rows, req.Partial)
+	page := shard.MergePages([][]ShardRow{results, fin.Rows}, ctxsearch.SearchOptions{Limit: fin.Limit, Offset: fin.Offset})
+	body, err := b.renderPage(ctx, req.Q, page, fin.Partial)
 	if err != nil {
 		s.writeQueryErr(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(pageRowsHeader, strconv.Itoa(len(page)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }

@@ -19,7 +19,7 @@ type Metrics struct {
 	mergeNanos    atomic.Int64
 	shards        []shardCounters
 
-	// Late rendering (HTTP coordinator only; zero elsewhere).
+	// Page finishing (HTTP coordinator only; zero elsewhere).
 	renderCalls  atomic.Uint64
 	renderNanos  atomic.Int64
 	rowsRendered atomic.Uint64
@@ -77,16 +77,17 @@ func (m *Metrics) ObserveShard(i int, err error) {
 	}
 }
 
-// ObserveSearch records one completed scatter-gather: the slowest shard's
-// latency and the coordinator-side merge time.
+// ObserveSearch records one completed scatter-gather — once per page: the
+// slowest shard's latency and the coordinator-side merge time.
 func (m *Metrics) ObserveSearch(maxShard, merge time.Duration) {
 	m.searches.Add(1)
 	m.maxShardNanos.Add(int64(maxShard))
 	m.mergeNanos.Add(int64(merge))
 }
 
-// ObserveRender records one /shard/render attempt: the rows it submitted
-// and how long the hop took, whatever its outcome.
+// ObserveRender records one finishing /shard/search attempt: the rows of the
+// page it returned (0 when it failed) and how long the hop took, whatever
+// its outcome.
 func (m *Metrics) ObserveRender(rows int, d time.Duration) {
 	m.renderCalls.Add(1)
 	m.renderNanos.Add(int64(d))
@@ -95,7 +96,7 @@ func (m *Metrics) ObserveRender(rows int, d time.Duration) {
 
 // ObserveServed records the rows of one page built for a client. With
 // ObserveRender it shows rendering amplification: rows_rendered equals
-// rows_served when every render attempt succeeded.
+// rows_served unless two attempts finished the same page (a hedged pair).
 func (m *Metrics) ObserveServed(rows int) { m.rowsServed.Add(uint64(rows)) }
 
 // ObservePartial records a search answered with a flagged partial result
@@ -166,16 +167,18 @@ type Snapshot struct {
 	// served degraded.
 	Searches uint64 `json:"searches"`
 	Partial  uint64 `json:"partial"`
-	// MaxShardMicrosTotal sums each search's slowest shard latency;
-	// MergeMicrosTotal sums the coordinator merge time — divide either by
-	// Searches for the mean split.
+	// MaxShardMicrosTotal sums each search's slowest shard latency — for
+	// the HTTP coordinator the slowest rows call, the finishing call is
+	// under RenderMicrosTotal; MergeMicrosTotal sums the coordinator merge
+	// time — divide either by Searches for the mean split. Shards counts
+	// every range call, rows and finishing alike.
 	MaxShardMicrosTotal uint64      `json:"max_shard_micros_total"`
 	MergeMicrosTotal    uint64      `json:"merge_micros_total"`
 	Shards              []ShardStat `json:"shards"`
-	// Late rendering: /shard/render attempts, their summed duration, the
-	// rows they submitted and the rows of the pages built. Only the HTTP
-	// coordinator moves these; rows_rendered == rows_served means no row
-	// was rendered that no client asked for.
+	// Page finishing: finishing /shard/search attempts, their summed
+	// duration, the rows of the pages they returned and the rows of the
+	// pages served. Only the HTTP coordinator moves these; rows_rendered ==
+	// rows_served means no row was rendered that no client asked for.
 	RenderCalls       uint64 `json:"render_calls,omitempty"`
 	RenderMicrosTotal uint64 `json:"render_micros_total,omitempty"`
 	RowsRendered      uint64 `json:"rows_rendered,omitempty"`

@@ -160,14 +160,20 @@ grep -q '"paper_id"' <<<"$body" || fail "coordinator /search returned no result 
 grep -q '"partial"' <<<"$body" && fail "healthy cluster flagged a partial response: $body"
 
 # Stats through the coordinator must include the sharding counters, and the
-# cluster must have rendered exactly the rows it served (5, in one call).
+# cluster must have rendered exactly the rows it served (5, in one finishing
+# call) in one exchange per range: three /shard/search, nothing else.
 stats="$(curl -s "$cbase/stats")"
 grep -q '"sharding"' <<<"$stats" || fail "coordinator /stats has no sharding block"
 rendered="$(grep -o '"rows_rendered":[0-9]*' <<<"$stats" | cut -d: -f2)"
 served="$(grep -o '"rows_served":[0-9]*' <<<"$stats" | cut -d: -f2)"
 [[ -n "$served" && "$rendered" == "$served" ]] ||
     fail "cluster rendered ${rendered:-0} rows to serve ${served:-0}: $stats"
-grep -q '"render_calls":1[,}]' <<<"$stats" || fail "one page, yet not one /shard/render call: $stats"
+grep -q '"render_calls":1[,}]' <<<"$stats" || fail "one page, yet not one finishing call: $stats"
+exchanges="$(grep -o '"shards":\[[^]]*\]' <<<"$stats" | grep -o '"requests":[0-9]*' | awk -F: '{n += $2} END {print n + 0}')"
+[[ "$exchanges" == "3" ]] || fail "one page on three ranges cost $exchanges range requests, want 3: $stats"
+grep -q '/shard/render' "$workdir"/shard?.log && fail "a shard was sent /shard/render"
+[[ "$(cat "$workdir"/shard?.log | grep -c 'POST /shard/search 200')" == "3" ]] ||
+    fail "the shard logs do not hold exactly three answered POST /shard/search"
 
 # Graceful drain: coordinator first, then the shards.
 echo "serve-smoke: SIGTERM cluster"
