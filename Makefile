@@ -33,9 +33,11 @@ race:
 
 # Black-box smoke test of the serve command: boots the real binary, waits
 # for readiness, exercises the HTTP API with curl, and checks that SIGTERM
-# produces a graceful exit. Also runs a 3-shard cluster phase and a chaos
-# phase (2 ranges x 2 replicas, replica killed and restarted mid-traffic
-# with byte-identical pages required throughout).
+# produces a graceful exit. Every process boots from one state file built
+# up front, and every page must equal an in-process-built server's. Also
+# runs a 3-shard cluster phase and a chaos phase (2 ranges x 2 replicas,
+# replica killed and restarted mid-traffic with byte-identical pages
+# required throughout).
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -84,11 +86,11 @@ bench-topk:
 bench-shard:
 	$(GO) test -run xxx -bench 'BenchmarkMergePages|BenchmarkGroupSearch' -benchmem ./internal/shard/
 
-# The cold-start benchmarks behind BENCH_PR8.json: v3-gob decode vs v4
-# zero-copy mmap open (header/table-only) and full engine-ready bind, plus
-# the multi-process run that shows page sharing across replicas.
+# The cold-start benchmarks: the zero-copy mmap open of a state file
+# (header/table-only) and the full engine-ready bind, the writer, plus the
+# multi-process run that shows page sharing across replicas.
 bench-store:
-	$(GO) test -run xxx -bench 'BenchmarkOpen|BenchmarkLoad|BenchmarkSave' -benchmem ./internal/store/
+	$(GO) test -run xxx -bench 'BenchmarkOpen|BenchmarkSave' -benchmem ./internal/store/
 	$(GO) run ./cmd/storebench -procs 1,8
 
 # The byte-copy fallback path (mmap unavailable or disabled): the same
@@ -98,9 +100,8 @@ test-no-mmap:
 
 # The prestige-pipeline benchmarks behind BENCH_PR3.json: the CSR-matrix
 # query merge, map-vs-matrix lookups, the arena-reusing subgraph+PageRank
-# pipeline, bulk scoring at >= 1k contexts, and v1-vs-v2 state load.
+# pipeline, and bulk scoring at >= 1k contexts.
 bench-prestige:
 	$(GO) test -run xxx -bench 'BenchmarkMergeHitsPrestige' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkPrestigeLookup|BenchmarkScoreAllParallel1kContexts' -benchmem ./internal/prestige/
 	$(GO) test -run xxx -bench 'BenchmarkSubgraphPageRankPipeline|BenchmarkSubgraphScratch' -benchmem ./internal/citegraph/
-	$(GO) test -run xxx -bench 'BenchmarkLoad|BenchmarkSave' -benchmem ./internal/store/

@@ -9,8 +9,9 @@
 // Commands:
 //
 //	generate           generate a synthetic corpus and save it (-corpus, -obo)
-//	build              build the context set + scores and save them (-state);
-//	                   with -v, print the offline-build timing summary
+//	build              build the context set + scores and save them with the
+//	                   text index (-state); with -v, print the offline-build
+//	                   timing summary
 //	search  <query>    run a context-based search
 //	contexts <query>   show which contexts a query selects
 //	inspect <paperID>  print one paper with its contexts and scores
@@ -26,7 +27,7 @@
 //	                   coordinator over remote shard servers instead
 //	shard              run one shard server of a multi-process deployment
 //	                   (-shard-index, -shard-count): the full system is
-//	                   built, but queries run on the shard's paper range
+//	                   loaded, but queries run on the shard's paper range
 //	                   and the internal POST /shard/search endpoint
 //	                   serves the coordinator: a range's unrendered
 //	                   rows, or with "finish" the finished page
@@ -38,8 +39,9 @@
 //	-seed N       generator seed (default 1)
 //	-corpus PATH  corpus gob file to load/save (optional)
 //	-obo PATH     ontology OBO file to load/save (optional)
-//	-state PATH   context-set + scores gob file; loaded if present,
-//	              written after computing otherwise (optional)
+//	-state PATH   state file (context set, scores, text index); if present
+//	              it is memory-mapped and no paper is analysed, otherwise
+//	              it is written after the build (optional)
 //	-set  KIND    context set: text | pattern (default text)
 //	-score FN     prestige function: text | citation | pattern (default text)
 //	-limit N      max search results (default 15)
@@ -112,7 +114,7 @@
 //	                      replica-selection state (default 500ms;
 //	                      <=0 disables)
 //
-// serve binds its port immediately and builds the engine in the
+// serve binds its port immediately and opens (or builds) the state in the
 // background: /healthz answers at once, /readyz (and the API) flip from
 // 503 to 200 when the engine is ready, and SIGINT/SIGTERM drain in-flight
 // requests before exiting.
@@ -120,9 +122,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"net"
 	"os"
@@ -138,7 +142,6 @@ import (
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
-	"ctxsearch/internal/par"
 	"ctxsearch/internal/resilience"
 	"ctxsearch/internal/server"
 	"ctxsearch/internal/shard"
@@ -152,19 +155,24 @@ func main() {
 	}
 }
 
+// app is the state every command but generate and the coordinator works on:
+// what load opened from the state file or built in-process.
 type app struct {
 	sys *ctxsearch.System
 	cs  *ctxsearch.ContextSet
 	// matrix is the frozen CSR prestige matrix — computed scores are frozen
-	// once after scoring, loaded state hands the matrix over directly.
-	matrix  *ctxsearch.Matrix
+	// once after scoring, an opened state hands the matrix over directly.
+	matrix *ctxsearch.Matrix
+	// parts are the postings shard engines slice: the state file's, or the
+	// built index's own.
+	parts *index.Parts
+	// mapped is the open state file sys, cs, matrix and parts alias; nil
+	// when they were built in-process.
+	mapped *store.Mapped
+
 	engine  *ctxsearch.Engine
 	limit   int
 	boolean bool
-	// stateFormat picks the on-disk format when compute saves -state:
-	// "v3" (gob), "v4" (flat binary with the text index and DF table), or
-	// "v5" (v4 plus the index's block-max tables).
-	stateFormat string
 }
 
 func run(args []string, out io.Writer) error {
@@ -185,8 +193,8 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	scoreFn := fs.String("score", "text", "prestige function: text | citation | pattern")
 	limit := fs.Int("limit", 15, "max results")
 	boolean := fs.Bool("boolean", false, "treat the search query as a boolean expression (AND/OR/NOT, \"phrases\", field:term)")
-	statePath := fs.String("state", "", "context-set + scores gob file (load if present, else save)")
-	stateFormat := fs.String("state-format", "v3", "state file format when saving: v3 (gob) | v4 (flat binary, mmap-ready; also persists the text index + DF table so serve skips corpus analysis) | v5 (v4 plus the index's block-max tables, skipping their recompute on open)")
+	statePath := fs.String("state", "", "state file: context set, scores and text index (memory-mapped if present, else written after the build)")
+	stateFormat := fs.String("state-format", "v5", "state file format; v5 is the only one")
 	blockSize := fs.Int("block-size", 0, "inverted-index block-max granularity in postings per block (0 = default 128, negative = disable block tables; results identical at any setting)")
 	buildWorkers := fs.Int("build-workers", 0, "offline-build parallelism (0 = GOMAXPROCS; output identical at any setting)")
 	topkWorkers := fs.Int("topk-workers", 1, "intra-query parallelism budget for bounded top-k queries (1 = serial; large queries fan out over up to N range workers, results identical at any setting)")
@@ -223,8 +231,8 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("missing command")
 	}
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
-	if *stateFormat != "v3" && *stateFormat != "v4" && *stateFormat != "v5" {
-		return fmt.Errorf("unknown -state-format %q (want v3, v4, or v5)", *stateFormat)
+	if *stateFormat != "v5" {
+		return fmt.Errorf("unknown -state-format %q: v5 is the only state format", *stateFormat)
 	}
 
 	cfg := ctxsearch.DefaultConfig()
@@ -235,13 +243,15 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	cfg.IndexBlockSize = *blockSize
 	cfg.TopKWorkers = *topkWorkers
 
+	d := dataOpts{
+		cfg:        cfg,
+		corpusPath: *corpusPath, oboPath: *oboPath,
+		setKind: *setKind, scoreFn: *scoreFn, statePath: *statePath,
+	}
 	if cmd == "serve" || cmd == "shard" {
 		o := serveOpts{
-			cfg:        cfg,
-			corpusPath: *corpusPath, oboPath: *oboPath,
-			setKind: *setKind, scoreFn: *scoreFn, statePath: *statePath,
-			stateFormat: *stateFormat,
-			addr:        *addr, debugAddr: *debugAddr,
+			dataOpts: d,
+			addr:     *addr, debugAddr: *debugAddr,
 			queryTimeout: *queryTimeout, maxInflight: *maxInflight,
 			readTimeout: *httpReadTimeout, writeTimeout: *httpWriteTimeout,
 			idleTimeout: *httpIdleTimeout, shutdownTimeout: *shutdownTimeout,
@@ -261,37 +271,35 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		return serveCmd(ctx, out, o)
 	}
 
-	sys, err := buildSystem(cfg, *corpusPath, *oboPath, cmd == "generate")
-	if err != nil {
-		return err
-	}
 	if cmd == "generate" {
-		fmt.Fprintf(out, "generated %d papers over %d ontology terms (seed %d)\n",
-			sys.Corpus.Len(), sys.Ontology.Len(), *seed)
+		o, c, _, err := loadOrGenData(d, true)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "generated %d papers over %d ontology terms (seed %d)\n", c.Len(), o.Len(), *seed)
 		return nil
 	}
 
-	a := &app{sys: sys, limit: *limit, boolean: *boolean, stateFormat: *stateFormat}
+	a, err := load(d, cmd == "build")
+	if err != nil {
+		return err
+	}
+	defer a.close()
+	a.limit, a.boolean = *limit, *boolean
 	if cmd == "build" {
-		if err := a.compute(*setKind, *scoreFn, *statePath); err != nil {
-			return err
-		}
 		fmt.Fprintf(out, "built %s context set (%d contexts) with %q scores (%d scored contexts)\n",
 			*setKind, len(a.cs.Contexts()), *scoreFn, a.matrix.NumContexts())
 		if *statePath != "" {
 			fmt.Fprintf(out, "state saved to %s\n", *statePath)
 		}
 		if *verbose {
-			fmt.Fprintln(out, sys.BuildStats().Summary())
+			fmt.Fprintln(out, a.sys.BuildStats().Summary())
 		}
 		return nil
 	}
-	if err := a.prepare(*setKind, *scoreFn, *statePath); err != nil {
-		return err
-	}
-	a.engine = sys.EngineFrozen(a.cs, a.matrix)
+	a.engine = a.sys.EngineFrozen(a.cs, a.matrix)
 	if *verbose {
-		fmt.Fprintln(out, sys.BuildStats().Summary())
+		fmt.Fprintln(out, a.sys.BuildStats().Summary())
 	}
 
 	switch cmd {
@@ -316,11 +324,16 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	}
 }
 
+// dataOpts names the inputs of load: where the corpus, the ontology and the
+// state come from, and what to build when there is no state file yet.
+type dataOpts struct {
+	cfg                                              ctxsearch.Config
+	corpusPath, oboPath, setKind, scoreFn, statePath string
+}
+
 // serveOpts carries everything the serve and shard commands need.
 type serveOpts struct {
-	cfg                                    ctxsearch.Config
-	corpusPath, oboPath, setKind, scoreFn  string
-	statePath, stateFormat                 string
+	dataOpts
 	addr, debugAddr                        string
 	queryTimeout                           time.Duration
 	maxInflight                            int
@@ -346,8 +359,8 @@ type serveOpts struct {
 }
 
 // serveCmd runs the hardened HTTP server: the port binds immediately with a
-// pending server (liveness up, readiness 503), the engine is built or
-// loaded in the background and swapped in via SetReady, and SIGINT/SIGTERM
+// pending server (liveness up, readiness 503), the state is opened or
+// built in the background (load) and swapped in, and SIGINT/SIGTERM
 // (or ctx cancellation) trigger a graceful drain. A failed build shuts the
 // server down and surfaces the build error.
 func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
@@ -479,164 +492,195 @@ func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
 	return err
 }
 
-// buildAndInstall produces the serving state and installs it into srv,
-// flipping /readyz. When -state names an existing file, the file is opened
-// first (memory-mapped for v4 states) and drives a cold start that skips
-// whatever the file carries; otherwise the full offline build runs and
-// saves the state if a path was given.
+// buildAndInstall loads the serving state, installs it into srv with the
+// searcher the sharding flags ask for — flipping /readyz — and records
+// boot-to-ready in the build stats (stage "readyz-flip") and in /stats'
+// cold_start_ms. The server takes ownership of the state file's mapping: it
+// stays alive until the backend is swapped out and the last in-flight
+// request releases it.
 func buildAndInstall(out io.Writer, srv *server.Server, o serveOpts) error {
 	start := time.Now()
-	if o.statePath != "" {
-		if _, err := os.Stat(o.statePath); err == nil {
-			return serveFromState(out, srv, o, start)
-		}
-	}
-	sys, err := buildSystem(o.cfg, o.corpusPath, o.oboPath, false)
+	a, err := load(o.dataOpts, false)
 	if err != nil {
-		return fmt.Errorf("building system: %w", err)
-	}
-	a := &app{sys: sys, stateFormat: o.stateFormat}
-	if err := a.prepare(o.setKind, o.scoreFn, o.statePath); err != nil {
 		return err
 	}
-	if err := install(out, srv, o, sys, a.cs, a.matrix, nil, nil); err != nil {
+	searcher, ready, err := newSearcher(o, a)
+	if err != nil {
+		a.close()
 		return err
 	}
-	finishColdStart(out, srv, sys, start, false)
+	var ref server.StateRef // stays a nil interface when nothing is mapped
+	if a.mapped != nil {
+		ref = a.mapped
+	}
+	srv.SetReadyMapped(a.sys, a.cs, a.matrix, searcher, ref)
+	fmt.Fprintln(out, ready)
+
+	cold := time.Since(start)
+	a.sys.BuildStats().Add("readyz-flip", cold, 0, "")
+	srv.SetColdStart(cold)
+	fmt.Fprintf(out, "cold start %s (zero-copy mmap: %v)\n", cold.Round(time.Microsecond), a.mapped != nil && a.mapped.ZeroCopy())
+	fmt.Fprintln(out, a.sys.BuildStats().Summary())
 	return nil
 }
 
-// serveFromState boots from an existing -state file. A v4 file is
-// memory-mapped; when it carries the text index and DF table the entire
-// corpus-analysis pipeline is skipped and the engine binds the mapped CSR
-// arrays directly (ctxsearch.NewFrozenSystem). The server takes ownership
-// of the mapping — it stays alive until the backend is swapped out and the
-// last in-flight request releases it. A state file written by a newer
-// binary fails here with the version diagnostic, before readiness flips.
-func serveFromState(out io.Writer, srv *server.Server, o serveOpts, start time.Time) (err error) {
-	onto, c, _, err := loadOrGenData(o.cfg, o.corpusPath, o.oboPath, false)
-	if err != nil {
-		return fmt.Errorf("building system: %w", err)
-	}
-	t0 := time.Now()
-	mapped, err := store.Open(o.statePath, onto)
-	if err != nil {
-		return fmt.Errorf("opening %s: %w", o.statePath, err)
-	}
-	defer func() {
-		if err != nil {
-			_ = mapped.Close()
-		}
-	}()
-	mapDur := time.Since(t0)
-	cs, err := mapped.ContextSet()
-	if err != nil {
-		return fmt.Errorf("loading %s: %w", o.statePath, err)
-	}
-	matrix, err := mapped.Matrix(o.scoreFn)
-	if err != nil {
-		return fmt.Errorf("loading %s: %w", o.statePath, err)
-	}
-	parts, err := mapped.IndexParts()
-	if err != nil {
-		return fmt.Errorf("loading %s: %w", o.statePath, err)
-	}
-	var sys *ctxsearch.System
-	if parts != nil {
-		df, derr := mapped.DF()
-		if derr != nil {
-			return fmt.Errorf("loading %s: %w", o.statePath, derr)
-		}
-		sys, err = ctxsearch.NewFrozenSystem(onto, c, parts, df, o.cfg)
-	} else {
-		// The state has no index (gob, or a v4 written without one): the
-		// corpus must still be analysed, but scores and context set are
-		// served from the file.
-		sys, err = ctxsearch.NewSystem(onto, c, o.cfg)
-	}
-	if err != nil {
-		return err
-	}
-	sys.BuildStats().Add("state-map", mapDur, 0, "")
-	if err := install(out, srv, o, sys, cs, matrix, parts, mapped); err != nil {
-		return err
-	}
-	finishColdStart(out, srv, sys, start, mapped.ZeroCopy())
-	return nil
-}
-
-// install wires the searcher shape the sharding flags ask for and flips
-// readiness. parts (non-nil only on the mapped path) lets shard engines
-// slice the existing postings instead of re-analysing the corpus; ref is
-// the mapping the server takes ownership of (nil for built state).
-func install(out io.Writer, srv *server.Server, o serveOpts, sys *ctxsearch.System, cs *ctxsearch.ContextSet, matrix *ctxsearch.Matrix, parts *index.Parts, ref server.StateRef) error {
+// newSearcher binds the searcher shape the sharding flags ask for, and the
+// line that announces it.
+func newSearcher(o serveOpts, a *app) (server.Searcher, string, error) {
+	sys, rel := a.sys, a.sys.Config().Relevancy
 	switch {
 	case o.shardCount > 1:
 		// One shard process of a multi-process deployment: full system
 		// (the analyzer's global statistics and the render endpoints
 		// need it) but a range-restricted query engine.
-		var eng *ctxsearch.Engine
-		var r par.Shard
-		var err error
-		if parts != nil {
-			eng, r, err = shard.RangeEngineParts(sys.Analyzer(), parts, cs, matrix, sys.Config().Relevancy,
-				o.shardIndex, o.shardCount)
-		} else {
-			eng, r, err = shard.RangeEngine(sys.Analyzer(), cs, matrix, sys.Config().Relevancy,
-				o.shardIndex, o.shardCount, o.cfg.BuildWorkers)
-		}
+		eng, r, err := shard.RangeEngineParts(sys.Analyzer(), a.parts, a.cs, a.matrix, rel, o.shardIndex, o.shardCount)
 		if err != nil {
-			return err
+			return nil, "", err
 		}
-		// The range engine builds its own index, which does not inherit the
+		// The range engine binds its own index, which does not inherit the
 		// system config's worker budget.
 		eng.SetTopKWorkers(o.cfg.TopKWorkers)
-		srv.SetReadyMapped(sys, cs, matrix, eng, ref)
-		fmt.Fprintf(out, "shard %d/%d ready (papers %d-%d)\n", o.shardIndex, o.shardCount, r.Lo, r.Hi-1)
+		return eng, fmt.Sprintf("shard %d/%d ready (papers %d-%d)", o.shardIndex, o.shardCount, r.Lo, r.Hi-1), nil
 	case o.shards > 1:
-		var g *shard.Group
-		var err error
-		sopts := shard.Options{BuildWorkers: o.cfg.BuildWorkers, FanOut: o.fanout, TopKWorkers: o.cfg.TopKWorkers}
-		if parts != nil {
-			g, err = shard.NewGroupParts(sys.Analyzer(), parts, cs, matrix, sys.Config().Relevancy, o.shards, sopts)
-			if err != nil {
-				return err
-			}
-		} else {
-			g = shard.NewGroup(sys.Analyzer(), cs, matrix, sys.Config().Relevancy, o.shards, sopts)
+		g, err := shard.NewGroupParts(sys.Analyzer(), a.parts, a.cs, a.matrix, rel, o.shards,
+			shard.Options{FanOut: o.fanout, TopKWorkers: o.cfg.TopKWorkers})
+		if err != nil {
+			return nil, "", err
 		}
-		srv.SetReadyMapped(sys, cs, matrix, g, ref)
-		fmt.Fprintf(out, "engine ready (%d in-process shards)\n", g.NumShards())
+		return g, fmt.Sprintf("engine ready (%d in-process shards)", g.NumShards()), nil
 	default:
-		srv.SetReadyMapped(sys, cs, matrix, sys.EngineFrozen(cs, matrix), ref)
-		fmt.Fprintln(out, "engine ready")
+		return sys.EngineFrozen(a.cs, a.matrix), "engine ready", nil
 	}
-	return nil
 }
 
-// finishColdStart records boot-to-ready in the build stats (stage
-// "readyz-flip") and in /stats' cold_start_ms, and logs the summary.
-func finishColdStart(out io.Writer, srv *server.Server, sys *ctxsearch.System, start time.Time, zeroCopy bool) {
-	cold := time.Since(start)
-	sys.BuildStats().Add("readyz-flip", cold, 0, "")
-	srv.SetColdStart(cold)
-	fmt.Fprintf(out, "cold start %s (zero-copy mmap: %v)\n", cold.Round(time.Microsecond), zeroCopy)
-	fmt.Fprintln(out, sys.BuildStats().Summary())
+// load is the one road from the flags to (sys, cs, matrix, parts), taken by
+// serve, shard and every one-shot command. When -state names an existing
+// file it is opened and a frozen system bound to it: no paper is analysed,
+// and a file written by a newer binary fails here with the version
+// diagnostic. Otherwise — or always, for the build command (rebuild) — the
+// full offline build runs and saves the state if a path was given.
+func load(o dataOpts, rebuild bool) (*app, error) {
+	if o.statePath != "" && !rebuild {
+		// Only a missing file means "build it": any other failure (permission,
+		// I/O) must not end in a rebuild that overwrites the path.
+		if _, err := os.Stat(o.statePath); err == nil {
+			return openState(o)
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+	}
+	return buildState(o)
 }
 
-// buildSystem loads corpus/ontology from files when they exist, generates
-// otherwise, and saves when generating with paths given. Producing the
+// openState memory-maps the state file (byte-copies it where mmap is
+// unavailable) and binds the engine's arrays to it directly
+// (ctxsearch.NewFrozenSystem).
+func openState(o dataOpts) (_ *app, err error) {
+	onto, c, _, err := loadOrGenData(o, false)
+	if err != nil {
+		return nil, fmt.Errorf("building system: %w", err)
+	}
+	t0 := time.Now()
+	mapped, err := store.Open(o.statePath, onto)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("loading %s: %w", o.statePath, err)
+			_ = mapped.Close()
+		}
+	}()
+	mapDur := time.Since(t0)
+	a := &app{mapped: mapped}
+	if a.cs, err = mapped.ContextSet(); err != nil {
+		return nil, err
+	}
+	if a.matrix, err = mapped.Matrix(o.scoreFn); err != nil {
+		return nil, err
+	}
+	if a.parts, err = mapped.IndexParts(); err != nil {
+		return nil, err
+	}
+	df, err := mapped.DF()
+	if err != nil {
+		return nil, err
+	}
+	if a.sys, err = ctxsearch.NewFrozenSystem(onto, c, a.parts, df, o.cfg); err != nil {
+		return nil, err
+	}
+	a.sys.BuildStats().Add("state-map", mapDur, 0, "")
+	return a, nil
+}
+
+// buildState runs the offline build — analysis, context set, prestige
+// scores — and, when -state is given, saves the result with the text-index
+// postings, block-max tables and DF table, so the next boot maps the file
+// instead.
+func buildState(o dataOpts) (*app, error) {
+	sys, err := buildSystem(o)
+	if err != nil {
+		return nil, fmt.Errorf("building system: %w", err)
+	}
+	a := &app{sys: sys}
+	switch o.setKind {
+	case "text":
+		a.cs = sys.BuildTextContextSet()
+	case "pattern":
+		a.cs = sys.BuildPatternContextSet()
+	default:
+		return nil, fmt.Errorf("unknown context set %q", o.setKind)
+	}
+	var scores ctxsearch.Scores
+	switch o.scoreFn {
+	case "text":
+		scores = sys.ScoreText(a.cs)
+	case "citation":
+		scores = sys.ScoreCitation(a.cs)
+	case "pattern":
+		scores = sys.ScorePattern(a.cs)
+	default:
+		return nil, fmt.Errorf("unknown score function %q", o.scoreFn)
+	}
+	a.matrix = scores.Freeze()
+	a.parts = sys.Index().Parts()
+	if o.statePath != "" {
+		st := &store.State{
+			ContextSet: a.cs,
+			Matrices:   map[string]*ctxsearch.Matrix{o.scoreFn: a.matrix},
+			Index:      a.parts,
+			DF:         sys.Analyzer().DF(),
+		}
+		var serr error
+		sys.BuildStats().Time("state-save", 0, "", func() {
+			serr = store.SaveFile(o.statePath, st)
+		})
+		if serr != nil {
+			return nil, fmt.Errorf("saving %s: %w", o.statePath, serr)
+		}
+	}
+	return a, nil
+}
+
+// close releases the state file's mapping, if the app holds one.
+func (a *app) close() {
+	if a.mapped != nil {
+		_ = a.mapped.Close()
+	}
+}
+
+// buildSystem analyses the corpus loadOrGenData resolves. Producing the
 // inputs is recorded as the first build stage ("generate", or "load" when
 // both came from files), so the -v summary adds up to the process's wall
 // time.
-func buildSystem(cfg ctxsearch.Config, corpusPath, oboPath string, forceGenerate bool) (*ctxsearch.System, error) {
+func buildSystem(d dataOpts) (*ctxsearch.System, error) {
 	start := time.Now()
-	o, c, generated, err := loadOrGenData(cfg, corpusPath, oboPath, forceGenerate)
+	o, c, generated, err := loadOrGenData(d, false)
 	if err != nil {
 		return nil, err
 	}
 	took := time.Since(start)
-	sys, err := ctxsearch.NewSystem(o, c, cfg)
+	sys, err := ctxsearch.NewSystem(o, c, d.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -650,8 +694,11 @@ func buildSystem(cfg ctxsearch.Config, corpusPath, oboPath string, forceGenerate
 
 // loadOrGenData resolves the ontology and corpus without analysing them —
 // the raw inputs both the full build and the mapped-state cold start need —
-// and reports whether either had to be generated.
-func loadOrGenData(cfg ctxsearch.Config, corpusPath, oboPath string, forceGenerate bool) (o *ctxsearch.Ontology, c *ctxsearch.Corpus, generated bool, err error) {
+// loading each from its file when that exists (unless forceGenerate),
+// generating and saving it otherwise, and reports whether either had to be
+// generated.
+func loadOrGenData(d dataOpts, forceGenerate bool) (o *ctxsearch.Ontology, c *ctxsearch.Corpus, generated bool, err error) {
+	cfg, corpusPath, oboPath := d.cfg, d.corpusPath, d.oboPath
 	if !forceGenerate && oboPath != "" {
 		if f, err := os.Open(oboPath); err == nil {
 			defer f.Close()
@@ -710,83 +757,6 @@ func loadOrGenData(cfg ctxsearch.Config, corpusPath, oboPath string, forceGenera
 		}
 	}
 	return o, c, generated, nil
-}
-
-// prepare builds (or loads from statePath) the context set and prestige
-// matrix for the chosen kind and function, persisting freshly computed
-// state when statePath is given. A loaded v2 state hands its CSR matrix
-// straight to the engine; a legacy v1 state is frozen by store.Load.
-func (a *app) prepare(setKind, scoreFn, statePath string) error {
-	if statePath != "" {
-		if _, err := os.Stat(statePath); err == nil {
-			var st *store.State
-			var lerr error
-			a.sys.BuildStats().Time("state-load", 0, "", func() {
-				st, lerr = store.LoadFile(statePath, a.sys.Ontology)
-			})
-			if lerr != nil {
-				return fmt.Errorf("loading %s: %w", statePath, lerr)
-			}
-			m := st.Matrix(scoreFn)
-			if m == nil {
-				return fmt.Errorf("state %s has no %q scores (has: %d functions)", statePath, scoreFn, len(st.Matrices))
-			}
-			a.cs = st.ContextSet
-			a.matrix = m
-			return nil
-		}
-	}
-	return a.compute(setKind, scoreFn, statePath)
-}
-
-// compute builds the context set and prestige matrix unconditionally (the
-// build command's path; prepare falls through to it when no saved state
-// exists), persisting to statePath when given.
-func (a *app) compute(setKind, scoreFn, statePath string) error {
-	switch setKind {
-	case "text":
-		a.cs = a.sys.BuildTextContextSet()
-	case "pattern":
-		a.cs = a.sys.BuildPatternContextSet()
-	default:
-		return fmt.Errorf("unknown context set %q", setKind)
-	}
-	var scores ctxsearch.Scores
-	switch scoreFn {
-	case "text":
-		scores = a.sys.ScoreText(a.cs)
-	case "citation":
-		scores = a.sys.ScoreCitation(a.cs)
-	case "pattern":
-		scores = a.sys.ScorePattern(a.cs)
-	default:
-		return fmt.Errorf("unknown score function %q", scoreFn)
-	}
-	a.matrix = scores.Freeze()
-	if statePath != "" {
-		st := &store.State{ContextSet: a.cs, Matrices: map[string]*ctxsearch.Matrix{scoreFn: a.matrix}}
-		save := store.SaveFile
-		if a.stateFormat == "v4" || a.stateFormat == "v5" {
-			// The flat formats additionally persist the text-index postings
-			// and the DF table, so the serving boot maps the file and skips
-			// analysis; v5 also persists the block-max tables, so the bind
-			// skips their recompute.
-			st.Index = a.sys.Index().Parts()
-			st.DF = a.sys.Analyzer().DF()
-			save = store.SaveFileV4
-			if a.stateFormat == "v5" {
-				save = store.SaveFileV5
-			}
-		}
-		var serr error
-		a.sys.BuildStats().Time("state-save", 0, "", func() {
-			serr = save(statePath, st)
-		})
-		if serr != nil {
-			return fmt.Errorf("saving %s: %w", statePath, serr)
-		}
-	}
-	return nil
 }
 
 func (a *app) search(out io.Writer, args []string) error {

@@ -98,26 +98,72 @@ func TestGenerateAndReload(t *testing.T) {
 	}
 }
 
+// TestStateRoundTrip: every command that reads the state prints the same
+// bytes from the in-process build and from the reopened state file (mapped,
+// frozen analyzer), under both mmap and the byte-copy fallback — and the
+// reopened run analyses no paper before answering.
 func TestStateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	statePath := filepath.Join(dir, "state.gob")
-	corpusPath := filepath.Join(dir, "c.gob")
-	oboPath := filepath.Join(dir, "o.obo")
-	runCLI(t, "-corpus", corpusPath, "-obo", oboPath, "generate")
-	// First run computes and saves state.
-	first := runCLI(t, "-corpus", corpusPath, "-obo", oboPath, "-state", statePath, "stats")
-	// Second run loads it; output must match.
-	second := runCLI(t, "-corpus", corpusPath, "-obo", oboPath, "-state", statePath, "stats")
-	if first != second {
-		t.Fatalf("state reload changed stats:\n%s\nvs\n%s", first, second)
+	statePath := filepath.Join(dir, "state.bin")
+	data := []string{"-corpus", filepath.Join(dir, "c.gob"), "-obo", filepath.Join(dir, "o.obo")}
+	with := func(args ...string) []string { return append(append([]string(nil), data...), args...) }
+	runCLI(t, with("generate")...)
+	commands := [][]string{
+		{"search", "regulation", "of", "transcription"},
+		{"-boolean", "search", "transcription", "AND", "NOT", "corrosion"},
+		{"contexts", "transcription"},
+		{"inspect", "5"},
+		{"stats"},
+		{"cluster", "regulation", "transcription"},
 	}
-	// Requesting a function the state lacks must fail.
+	built := make([]string, len(commands))
+	for i, cmd := range commands {
+		built[i] = runCLI(t, with(cmd...)...)
+	}
+	if !strings.Contains(built[0], "results for") {
+		t.Fatalf("the search case matches nothing, so it compares nothing:\n%s", built[0])
+	}
+	if out := runCLI(t, with("-state", statePath, "build")...); !strings.Contains(out, "state saved to") {
+		t.Fatalf("build output:\n%s", out)
+	}
+	for _, noMmap := range []string{"", "1"} {
+		t.Setenv("CTXSEARCH_NO_MMAP", noMmap)
+		for i, cmd := range commands {
+			got := runCLI(t, with(append([]string{"-state", statePath}, cmd...)...)...)
+			if got != built[i] {
+				t.Fatalf("CTXSEARCH_NO_MMAP=%q %v: reopened state prints\n%s\nin-process build printed\n%s", noMmap, cmd, got, built[i])
+			}
+		}
+		verbose := runCLI(t, with("-state", statePath, "-v", "search", "transcription")...)
+		if !strings.Contains(verbose, "\n  state-map") || strings.Contains(verbose, "\n  analyze") {
+			t.Fatalf("CTXSEARCH_NO_MMAP=%q: a state-booted search still analyses the corpus:\n%s", noMmap, verbose)
+		}
+	}
+	// Requesting a function the state lacks must fail, naming what it has.
 	var buf bytes.Buffer
-	err := run([]string{"-corpus", corpusPath, "-obo", oboPath, "-state", statePath,
-		"-score", "citation", "-papers", "150", "-terms", "40", "stats"}, &buf)
-	if err == nil {
-		t.Fatal("missing score function in state must fail")
+	err := run(with("-state", statePath, "-score", "citation", "-papers", "150", "-terms", "40", "stats"), &buf)
+	if err == nil || !strings.Contains(err.Error(), "[text]") {
+		t.Fatalf("missing score function in state: %v", err)
 	}
+	// A -state path that cannot be examined is an error, not a rebuild that
+	// then overwrites it (statePath is a file, so nothing can be below it).
+	err = run(with("-state", filepath.Join(statePath, "s.bin"), "-papers", "150", "-terms", "40", "stats"), &buf)
+	if err == nil || strings.Contains(err.Error(), "saving") {
+		t.Fatalf("unreadable -state path: %v", err)
+	}
+}
+
+// TestStateFormatFlag: -state-format still parses (deployment scripts pass
+// it) but names the one format.
+func TestStateFormatFlag(t *testing.T) {
+	var buf bytes.Buffer
+	for _, f := range []string{"v3", "v4", "gob", ""} {
+		err := run([]string{"-papers", "150", "-terms", "40", "-state-format", f, "stats"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "v5 is the only state format") {
+			t.Fatalf("-state-format %q: %v", f, err)
+		}
+	}
+	runCLI(t, "-state-format", "v5", "stats")
 }
 
 func TestSimAndRelatedCommands(t *testing.T) {
@@ -193,49 +239,68 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestServeCommand boots the real serve command on an ephemeral port,
-// waits for readiness to flip, exercises the API over HTTP, and then
-// cancels the context the way a SIGTERM would — expecting a clean exit.
-func TestServeCommand(t *testing.T) {
-	var out syncBuffer
+// bootServe runs a serve or shard command on an ephemeral port and waits for
+// /readyz. stop cancels the context the way a SIGTERM would and expects a
+// clean exit.
+func bootServe(t *testing.T, args ...string) (base string, out *syncBuffer, stop func()) {
+	t.Helper()
+	out = &syncBuffer{}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(cancel)
 	done := make(chan error, 1)
 	go func() {
-		done <- runCtx(ctx, []string{"-papers", "120", "-terms", "40",
-			"-addr", "127.0.0.1:0", "serve"}, &out)
+		done <- runCtx(ctx, append([]string{"-papers", "120", "-terms", "40", "-addr", "127.0.0.1:0"}, args...), out)
 	}()
 	// The port binds before the engine build finishes; learn it from the log.
 	listenRE := regexp.MustCompile(`listening on (\S+)`)
-	var addr string
 	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
+	for base == "" {
 		if m := listenRE.FindStringSubmatch(out.String()); m != nil {
-			addr = m[1]
+			base = "http://" + m[1]
 			break
 		}
 		select {
 		case err := <-done:
-			t.Fatalf("serve exited before listening: %v\n%s", err, out.String())
+			t.Fatalf("%v exited before listening: %v\n%s", args, err, out.String())
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("never started listening:\n%s", out.String())
+			t.Fatalf("%v never started listening:\n%s", args, out.String())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	base := "http://" + addr
 	// Liveness answers immediately; readiness flips once the engine lands.
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == 200 {
-				break
-			}
+	for ready := false; !ready; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v never became ready:\n%s", args, out.String())
 		}
-		time.Sleep(20 * time.Millisecond)
+		if resp, err := http.Get(base + "/readyz"); err == nil {
+			resp.Body.Close()
+			ready = resp.StatusCode == 200
+		}
+		if !ready {
+			time.Sleep(20 * time.Millisecond)
+		}
 	}
+	return base, out, func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%v shutdown: %v", args, err)
+			}
+		case <-time.After(15 * time.Second):
+			t.Fatalf("%v never exited after cancellation", args)
+		}
+	}
+}
+
+// TestServeCommand boots the real serve command on an ephemeral port,
+// waits for readiness to flip, exercises the API over HTTP, and then
+// cancels the context the way a SIGTERM would — expecting a clean exit.
+func TestServeCommand(t *testing.T) {
+	base, out, stop := bootServe(t, "serve")
 	for _, path := range []string{"/healthz", "/readyz", "/search?q=transcription"} {
 		resp, err := http.Get(base + path)
 		if err != nil {
@@ -246,17 +311,35 @@ func TestServeCommand(t *testing.T) {
 			t.Fatalf("GET %s = %d", path, resp.StatusCode)
 		}
 	}
-	cancel() // SIGTERM equivalent
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("serve shutdown: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("serve never exited after cancellation")
-	}
+	stop()
 	if !strings.Contains(out.String(), "engine ready") {
 		t.Fatalf("missing engine-ready log:\n%s", out.String())
+	}
+}
+
+// TestShardedServeWithoutState: with no state file, the sharded shapes slice
+// the postings of the index the process just built.
+func TestShardedServeWithoutState(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		ready string
+	}{
+		{[]string{"-shards", "3", "serve"}, "engine ready (3 in-process shards)"},
+		{[]string{"-shard-index", "1", "-shard-count", "3", "shard"}, "shard 1/3 ready (papers 40-79)"},
+	} {
+		base, out, stop := bootServe(t, tc.args...)
+		resp, err := http.Get(base + "/search?q=transcription")
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%v: /search = %d", tc.args, resp.StatusCode)
+		}
+		stop()
+		if !strings.Contains(out.String(), tc.ready) {
+			t.Fatalf("%v: missing %q:\n%s", tc.args, tc.ready, out.String())
+		}
 	}
 }
 

@@ -1,17 +1,12 @@
-// Command storebench measures state-file cold start: the wall time and
-// memory cost of going from a file on disk to engine-ready bound state, gob
-// (v3) versus flat-binary mmap (v4, and v5 with persisted block-max
-// tables), at one and many concurrent processes.
+// Command storebench measures what nothing else in the repository does:
+// the memory N processes pay for serving one state file. The parent builds
+// one synthetic state and saves it, then re-execs itself as child processes
+// that each open the file, bind every section (context set, matrices, index
+// parts, DF — first-touch CRC included) and report wall time plus VmRSS and
+// proportional-set-size (PSS) deltas from /proc. PSS is the fleet-scale
+// number: processes mapping one file share its pages.
 //
-// The parent builds one synthetic state, saves it in both formats, then
-// re-execs itself as child processes that each open the file, bind every
-// section (context set, matrices, index parts, DF — first-touch CRC
-// included) and report wall time plus VmRSS and proportional-set-size (PSS)
-// deltas from /proc. PSS is the number that shows the v4 win at fleet
-// scale: N processes mapping one file share its pages, N gob processes
-// each hold a private decoded heap.
-//
-//	go run ./cmd/storebench -procs 1,8 -out BENCH_PR8.json
+//	go run ./cmd/storebench -procs 1,8
 package main
 
 import (
@@ -43,24 +38,22 @@ const (
 
 func main() {
 	var (
-		papers  = flag.Int("papers", 2000, "synthetic corpus size")
-		terms   = flag.Int("terms", 250, "synthetic ontology size")
-		procs   = flag.String("procs", "1,8", "comma-separated process counts")
-		out     = flag.String("out", "", "write the JSON report here (default stdout)")
-		formats = flag.String("state-formats", "v3,v4,v5", "comma-separated state formats to measure (v3|v4|v5)")
-		child   = flag.Bool("child", false, "internal: run one open+bind measurement and exit")
-		format  = flag.String("format", "", "internal: child state format (v3|v4|v5)")
-		path    = flag.String("path", "", "internal: child state file path")
+		papers = flag.Int("papers", 2000, "synthetic corpus size")
+		terms  = flag.Int("terms", 250, "synthetic ontology size")
+		procs  = flag.String("procs", "1,8", "comma-separated process counts")
+		out    = flag.String("out", "", "write the JSON report here (default stdout)")
+		child  = flag.Bool("child", false, "internal: run one open+bind measurement and exit")
+		path   = flag.String("path", "", "internal: child state file path")
 	)
 	flag.Parse()
 	if *child {
-		if err := runChild(*format, *path, *terms); err != nil {
+		if err := runChild(*path, *terms); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-	if err := runParent(*papers, *terms, *procs, *formats, *out); err != nil {
+	if err := runParent(*papers, *terms, *procs, *out); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -78,53 +71,31 @@ func buildOntology(terms int) (*ontology.Ontology, error) {
 }
 
 // runChild opens the state and binds every section, timing only that.
-func runChild(format, path string, terms int) error {
+func runChild(path string, terms int) error {
 	o, err := buildOntology(terms)
 	if err != nil {
 		return err
 	}
 	rss0, pss0 := procMem()
 	start := time.Now()
-	switch format {
-	case "v3":
-		st, err := store.LoadFile(path, o)
-		if err != nil {
+	m, err := store.Open(path, o)
+	if err != nil {
+		return err
+	}
+	defer m.Close()
+	if _, err := m.ContextSet(); err != nil {
+		return err
+	}
+	for _, name := range m.MatrixNames() {
+		if _, err := m.Matrix(name); err != nil {
 			return err
 		}
-		for name := range st.Matrices {
-			if st.Matrix(name) == nil {
-				return fmt.Errorf("matrix %q missing", name)
-			}
-		}
-	case "v4", "v5":
-		m, err := store.Open(path, o)
-		if err != nil {
-			return err
-		}
-		defer m.Close()
-		if _, err := m.ContextSet(); err != nil {
-			return err
-		}
-		for _, name := range m.MatrixNames() {
-			if _, err := m.Matrix(name); err != nil {
-				return err
-			}
-		}
-		parts, err := m.IndexParts()
-		if err != nil {
-			return err
-		}
-		if parts != nil {
-			// v4 states carry no block-max tables; engine bind recomputes
-			// them over every posting (v5 binds them zero-copy). Charge
-			// that cost here so the formats stay comparable end to end.
-			parts.EnsureBlockTables(0)
-		}
-		if _, err := m.DF(); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("unknown -format %q", format)
+	}
+	if _, err := m.IndexParts(); err != nil {
+		return err
+	}
+	if _, err := m.DF(); err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	rss1, pss1 := procMem()
@@ -165,8 +136,8 @@ func procField(path, prefix string) int64 {
 	return 0
 }
 
-// formatRun aggregates one (format, procs) cell of the report.
-type formatRun struct {
+// procRun aggregates the children of one process count.
+type procRun struct {
 	Procs        int     `json:"procs"`
 	MeanOpenMS   float64 `json:"mean_open_ms"`
 	MaxOpenMS    float64 `json:"max_open_ms"`
@@ -176,22 +147,14 @@ type formatRun struct {
 }
 
 type report struct {
-	PR       int                    `json:"pr"`
-	Title    string                 `json:"title"`
-	Machine  string                 `json:"machine"`
-	Method   string                 `json:"method"`
-	Corpus   map[string]int         `json:"corpus"`
-	FileSize map[string]int64       `json:"state_file_bytes"`
-	Runs     map[string][]formatRun `json:"runs"`
-	// Errors records formats that failed to save, open or measure. A
-	// failing format is reported here and skipped; the other formats'
-	// numbers still land in Runs, so one broken decoder (or a corrupt
-	// file) never voids the whole comparison.
-	Errors map[string]string `json:"errors,omitempty"`
-	Note   string            `json:"note"`
+	Machine  string         `json:"machine"`
+	Method   string         `json:"method"`
+	Corpus   map[string]int `json:"corpus"`
+	FileSize int64          `json:"state_file_bytes"`
+	Runs     []procRun      `json:"runs"`
 }
 
-func runParent(papers, terms int, procsSpec, formatsSpec, out string) error {
+func runParent(papers, terms int, procsSpec, out string) error {
 	var counts []int
 	for _, s := range strings.Split(procsSpec, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(s))
@@ -199,22 +162,6 @@ func runParent(papers, terms int, procsSpec, formatsSpec, out string) error {
 			return fmt.Errorf("bad -procs entry %q", s)
 		}
 		counts = append(counts, n)
-	}
-	savers := map[string]func(string, *store.State) error{
-		"v3": store.SaveFile,
-		"v4": store.SaveFileV4,
-		"v5": store.SaveFileV5,
-	}
-	var formats []string
-	for _, s := range strings.Split(formatsSpec, ",") {
-		f := strings.TrimSpace(s)
-		if savers[f] == nil {
-			return fmt.Errorf("bad -state-formats entry %q (want v3|v4|v5)", s)
-		}
-		formats = append(formats, f)
-	}
-	if len(formats) == 0 {
-		return fmt.Errorf("-state-formats selects no formats")
 	}
 
 	fmt.Fprintf(os.Stderr, "building synthetic state (%d papers, %d terms)...\n", papers, terms)
@@ -227,14 +174,15 @@ func runParent(papers, terms int, procsSpec, formatsSpec, out string) error {
 		return err
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
+	ix := index.Build(a)
+	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	st := &store.State{
 		ContextSet: cs,
 		Matrices: map[string]*prestige.Matrix{
 			"text":     prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0).Freeze(),
 			"citation": prestige.ScoreAll(prestige.NewCitationScorer(c, citegraph.PageRankOpts{}), cs, 0).Freeze(),
 		},
-		Index: index.Build(a).Parts(),
+		Index: ix.Parts(),
 		DF:    a.DF(),
 	}
 
@@ -243,71 +191,32 @@ func runParent(papers, terms int, procsSpec, formatsSpec, out string) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	// Per-format faults — a save, stat or child failure — mark the format
-	// failed and drop it from the sweep; the remaining formats still
-	// report. failed formats land in the report's errors section.
-	failed := map[string]string{}
-	fail := func(format string, err error) {
-		fmt.Fprintf(os.Stderr, "%s: %v (skipping format)\n", format, err)
-		failed[format] = err.Error()
+	path := filepath.Join(dir, "state.bin")
+	if err := store.SaveFile(path, st); err != nil {
+		return err
 	}
-	paths := make(map[string]string, len(formats))
-	for _, f := range formats {
-		p := filepath.Join(dir, "state."+f)
-		if err := savers[f](p, st); err != nil {
-			fail(f, fmt.Errorf("save: %w", err))
-			continue
-		}
-		paths[f] = p
+	fi, err := os.Stat(path)
+	if err != nil {
+		return err
 	}
-
 	self, err := os.Executable()
 	if err != nil {
 		return err
 	}
 	rep := report{
-		PR:       8,
-		Title:    "Zero-copy mmap state format (v4): O(1) cold start for shards and replicas",
 		Machine:  fmt.Sprintf("%s, %s/%s", cpuModel(), runtime.GOOS, runtime.GOARCH),
-		Method:   "each process opens the state file and binds every section (context set, matrices, index parts, DF; flat-format first-touch CRC included, plus the block-max table recompute that binding a state without persisted tables pays — v5 carries them, v3/v4 recompute); times exclude ontology generation; memory deltas from /proc/self/{status,smaps_rollup}; see `make bench-store`.",
+		Method:   "each process opens the state file and binds every section (context set, matrices, index parts with their block-max tables, DF; first-touch CRC included); times exclude ontology generation; memory deltas from /proc/self/{status,smaps_rollup}; total_pss_delta_kb is the fleet-scale number — the processes share the mapped pages; see `make bench-store`.",
 		Corpus:   map[string]int{"papers": papers, "ontology_terms": terms},
-		FileSize: map[string]int64{},
-		Runs:     map[string][]formatRun{},
-		Note:     "total_pss_delta_kb is the fleet-scale number: v4 processes share the mapped pages, gob processes each hold a private decoded heap.",
+		FileSize: fi.Size(),
 	}
-	for f, p := range paths {
-		fi, err := os.Stat(p)
+	for _, n := range counts {
+		run, err := spawn(self, path, terms, n)
 		if err != nil {
-			fail(f, fmt.Errorf("stat: %w", err))
-			delete(paths, f)
-			continue
+			return fmt.Errorf("x%d: %w", n, err)
 		}
-		rep.FileSize[f] = fi.Size()
-	}
-
-	for _, format := range formats {
-		if _, ok := paths[format]; !ok {
-			continue
-		}
-		for _, n := range counts {
-			run, err := spawn(self, format, paths[format], terms, n)
-			if err != nil {
-				// Every child of this format opens the same file the same
-				// way; further process counts would fail identically.
-				fail(format, fmt.Errorf("x%d: %w", n, err))
-				delete(rep.Runs, format)
-				break
-			}
-			rep.Runs[format] = append(rep.Runs[format], run)
-			fmt.Fprintf(os.Stderr, "%s x%d: mean open %.2fms, max %.2fms, total pss delta %d KB\n",
-				format, n, run.MeanOpenMS, run.MaxOpenMS, run.TotalPSSKB)
-		}
-	}
-	if len(failed) > 0 {
-		rep.Errors = failed
-	}
-	if len(rep.Runs) == 0 {
-		return fmt.Errorf("every state format failed: %v", failed)
+		rep.Runs = append(rep.Runs, run)
+		fmt.Fprintf(os.Stderr, "x%d: mean open %.2fms, max %.2fms, total pss delta %d KB\n",
+			n, run.MeanOpenMS, run.MaxOpenMS, run.TotalPSSKB)
 	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
@@ -323,7 +232,7 @@ func runParent(papers, terms int, procsSpec, formatsSpec, out string) error {
 }
 
 // spawn launches n concurrent children and folds their reports.
-func spawn(self, format, path string, terms, n int) (formatRun, error) {
+func spawn(self, path string, terms, n int) (procRun, error) {
 	type res struct {
 		rep childReport
 		err error
@@ -331,7 +240,7 @@ func spawn(self, format, path string, terms, n int) (formatRun, error) {
 	ch := make(chan res, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			cmd := exec.Command(self, "-child", "-format", format, "-path", path, "-terms", strconv.Itoa(terms))
+			cmd := exec.Command(self, "-child", "-path", path, "-terms", strconv.Itoa(terms))
 			cmd.Stderr = os.Stderr
 			outBytes, err := cmd.Output()
 			if err != nil {
@@ -346,7 +255,7 @@ func spawn(self, format, path string, terms, n int) (formatRun, error) {
 			ch <- res{rep: r}
 		}()
 	}
-	run := formatRun{Procs: n}
+	run := procRun{Procs: n}
 	for i := 0; i < n; i++ {
 		r := <-ch
 		if r.err != nil {

@@ -60,7 +60,7 @@ type (
 	// Scores holds per-context per-paper prestige scores (the map/builder
 	// form; freeze into a Matrix for the query path).
 	Scores = prestige.Scores
-	// Matrix is the frozen CSR form of Scores the query hot path and the v2
+	// Matrix is the frozen CSR form of Scores the query hot path and the
 	// state file use.
 	Matrix = prestige.Matrix
 	// Scorer computes prestige scores for a context.
@@ -230,7 +230,7 @@ func NewSystem(o *Ontology, c *Corpus, cfg Config) (*System, error) {
 }
 
 // NewFrozenSystem binds a system to pre-built text-index postings and a
-// document-frequency table — the artefacts a v4 state file carries — so
+// document-frequency table — the artefacts a state file carries — so
 // boot skips every per-paper analysis stage of NewSystem. The analyzer is
 // frozen (per-paper features are recomputed lazily only for endpoints that
 // render them, bit-identically to the eager build), the inverted index
@@ -393,7 +393,7 @@ func (s *System) Engine(cs *ContextSet, scores Scores) *Engine {
 }
 
 // EngineFrozen assembles the engine directly from a frozen prestige matrix —
-// the cold-start path when the matrix came out of a v2 state file, skipping
+// the cold-start path when the matrix came out of a state file, skipping
 // the freeze entirely.
 func (s *System) EngineFrozen(cs *ContextSet, m *Matrix) *Engine {
 	return search.NewEngineFrozen(s.index, cs, m, s.cfg.Relevancy)

@@ -86,10 +86,9 @@ type membership struct {
 
 // ContextSet is an immutable paper-to-context assignment.
 //
-// Two backings exist: the map form (members), produced by the builders and
-// FromSnapshot, and the frozen flat form (frozen), produced by FromFrozen
-// over borrowed CSR/bitmap arrays — typically aliasing a memory-mapped v4
-// state file. Exactly one is non-nil; every accessor branches on it and
+// Two backings exist: the map form (members), produced by the builders,
+// and the frozen flat form (frozen), produced by FromFrozen over borrowed
+// CSR/bitmap arrays — typically aliasing a memory-mapped state file. Exactly one is non-nil; every accessor branches on it and
 // returns identical results either way (golden-tested).
 type ContextSet struct {
 	kind    Kind

@@ -12,10 +12,9 @@ import (
 // Frozen is the flat, serializable form of a ContextSet: member runs in
 // CSR layout (context rows sorted by term ID, each run's papers ascending)
 // plus each context's membership bitmap as packed word runs — exactly the
-// two representations the query hot path reads. The v4 state format
-// persists these arrays verbatim so FromFrozen can rebind them (typically
-// aliasing a memory-mapped file) without the O(nnz) map inserts
-// FromSnapshot pays.
+// two representations the query hot path reads. The state file persists
+// these arrays verbatim so FromFrozen can rebind them (typically aliasing a
+// memory-mapped file) without O(nnz) map inserts.
 type Frozen struct {
 	Kind Kind
 	// Ctxs holds the non-empty contexts in ascending term-ID order.
@@ -112,12 +111,11 @@ func (cs *ContextSet) Freeze() *Frozen {
 }
 
 // FromFrozen rebuilds a ContextSet over caller-provided flat arrays — the
-// zero-copy open path of the v4 state format. The set borrows every slice
+// zero-copy open path of the state file. The set borrows every slice
 // verbatim and never mutates or appends, so mapping-backed (read-only)
 // memory is safe; the caller keeps the backing storage alive for the
-// set's lifetime. As with FromSnapshot, terms unknown to the ontology are
-// an error — the arrays are only valid against the ontology they were
-// built from.
+// set's lifetime. Terms unknown to the ontology are an error — the arrays
+// are only valid against the ontology they were built from.
 //
 // Validation is O(contexts), never O(nnz): per-element run content is the
 // writer's contract, guarded on disk by section CRCs.

@@ -111,8 +111,8 @@ func NewAnalyzerWorkers(c *Corpus, workers int) *Analyzer {
 }
 
 // NewAnalyzerFrozen binds an analyzer over a corpus and a persisted DF
-// table without analysing a single paper — the O(1) open path of the v4
-// state format, where the postings that normally consume the per-paper
+// table without analysing a single paper — the O(1) open path of the
+// state file, where the postings that normally consume the per-paper
 // TF-IDF vectors are already frozen on disk. Query weighting
 // (QueryVector) needs only the DF table and tokenizer, both available
 // immediately; per-paper features are analysed lazily on first demand

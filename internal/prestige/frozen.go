@@ -7,7 +7,7 @@ import (
 )
 
 // FromCSR constructs a Matrix directly over caller-provided CSR arrays —
-// the zero-copy open path of the v4 state format, where the slices alias a
+// the zero-copy open path of the state file, where the slices alias a
 // memory-mapped file. The matrix borrows them verbatim: it never mutates,
 // appends to, or retains a grown copy of any argument, so mapping-backed
 // (read-only) memory is safe. The caller must keep the backing storage
@@ -19,7 +19,7 @@ import (
 // never O(nnz): per-element content (e.g. ascending doc IDs within a run)
 // is the writer's contract, guarded on disk by the section CRCs — scanning
 // it here would fault in every page and defeat the O(1) open. Row maxima
-// are trusted as given (the v4 writer persists the values Freeze computes).
+// are trusted as given (the writer persists the values Freeze computes).
 func FromCSR(ctxs []ontology.TermID, offsets, docs []int32, vals, rowMax []float64) (*Matrix, error) {
 	if len(offsets) != len(ctxs)+1 {
 		return nil, fmt.Errorf("prestige: %d contexts need %d offsets, have %d", len(ctxs), len(ctxs)+1, len(offsets))

@@ -1,9 +1,6 @@
 package prestige
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
 	"sort"
 
 	"ctxsearch/internal/corpus"
@@ -30,8 +27,7 @@ type Matrix struct {
 	vals    []float64
 	// rowMax[i] is the largest score in run i (0 for an empty run) — the
 	// per-context prestige upper bound the search layer's top-k pruning
-	// reads. Persisted in the v3 state format; recomputed when loading
-	// older files.
+	// reads. Persisted in the state file.
 	rowMax []float64
 }
 
@@ -201,86 +197,4 @@ func (m *Matrix) Thaw() Scores {
 		out[ctx] = row
 	}
 	return out
-}
-
-// matrixWire is the gob shape of a Matrix: the flat CSR arrays, with each
-// run's doc IDs delta-encoded (first absolute, then gaps). Runs are sorted
-// ascending, so the gaps are small non-negative varints — this is where the
-// v2+ state file beats the nested map form on size, whose keys repeat full
-// paper IDs. The ordinal interning table is rebuilt on decode.
-//
-// RowMax (per-run score maxima, the top-k pruning bounds) joined the wire
-// in the v3 state format. Gob matches fields by name, so v2 streams simply
-// decode with RowMax empty and the maxima are recomputed — the v2 fallback
-// costs one pass over Vals.
-type matrixWire struct {
-	Ctxs    []ontology.TermID
-	Offsets []int32
-	Docs    []int32 // per-run delta-encoded
-	Vals    []float64
-	RowMax  []float64
-}
-
-// GobEncode implements gob.GobEncoder with the flat CSR arrays — smaller
-// and far faster to decode than the nested map form.
-func (m *Matrix) GobEncode() ([]byte, error) {
-	docs := make([]int32, len(m.docs))
-	for i := 0; i < len(m.ctxs); i++ {
-		lo, hi := m.offsets[i], m.offsets[i+1]
-		prev := int32(0)
-		for k := lo; k < hi; k++ {
-			docs[k] = m.docs[k] - prev
-			prev = m.docs[k]
-		}
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(matrixWire{
-		Ctxs: m.ctxs, Offsets: m.offsets, Docs: docs, Vals: m.vals, RowMax: m.rowMax,
-	})
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder.
-func (m *Matrix) GobDecode(data []byte) error {
-	var w matrixWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	if len(w.Offsets) == 0 {
-		w.Offsets = []int32{0} // gob drops empty slices; an empty matrix is valid
-	}
-	if len(w.Offsets) != len(w.Ctxs)+1 || len(w.Docs) != len(w.Vals) {
-		return fmt.Errorf("prestige: corrupt matrix: %d contexts, %d offsets, %d docs, %d vals",
-			len(w.Ctxs), len(w.Offsets), len(w.Docs), len(w.Vals))
-	}
-	if n := len(w.Offsets); n > 0 && int(w.Offsets[n-1]) != len(w.Docs) {
-		return fmt.Errorf("prestige: corrupt matrix: final offset %d != %d docs", w.Offsets[n-1], len(w.Docs))
-	}
-	// Undo the per-run delta encoding in place.
-	for i := 0; i < len(w.Ctxs); i++ {
-		lo, hi := w.Offsets[i], w.Offsets[i+1]
-		prev := int32(0)
-		for k := lo; k < hi; k++ {
-			prev += w.Docs[k]
-			w.Docs[k] = prev
-		}
-	}
-	// Row maxima: trust a well-formed v3 stream, recompute otherwise (v2
-	// streams lack the field; a corrupt length is repaired the same way).
-	if len(w.RowMax) != len(w.Ctxs) {
-		w.RowMax = make([]float64, len(w.Ctxs))
-		for i := 0; i < len(w.Ctxs); i++ {
-			for k := w.Offsets[i]; k < w.Offsets[i+1]; k++ {
-				if v := w.Vals[k]; v > w.RowMax[i] {
-					w.RowMax[i] = v
-				}
-			}
-		}
-	}
-	m.ctxs, m.offsets, m.docs, m.vals, m.rowMax = w.Ctxs, w.Offsets, w.Docs, w.Vals, w.RowMax
-	m.ord = make(map[ontology.TermID]int32, len(w.Ctxs))
-	for i, ctx := range w.Ctxs {
-		m.ord[ctx] = int32(i)
-	}
-	return nil
 }

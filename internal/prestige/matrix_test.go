@@ -1,13 +1,10 @@
 package prestige
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"sync"
 	"testing"
 
-	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
 )
 
@@ -93,31 +90,9 @@ func TestMatrixContextsSortedAndOrdinals(t *testing.T) {
 	}
 }
 
-func TestMatrixGobRoundTrip(t *testing.T) {
-	f := buildFixture(t)
-	for name, scores := range map[string]Scores{
-		"text":  ScoreAll(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0),
-		"empty": {},
-		"tiny":  {"GO:t": {corpus.PaperID(3): 0.5, corpus.PaperID(9): 1}},
-	} {
-		m := scores.Freeze()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-			t.Fatalf("%s: encode: %v", name, err)
-		}
-		var got Matrix
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&got); err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		if !reflect.DeepEqual(scores, got.Thaw()) {
-			t.Fatalf("%s: matrix differs after gob round trip", name)
-		}
-	}
-}
-
 // TestMatrixRowMax pins the per-run maxima the search layer's top-k
-// pruning bound reads: Freeze computes them, the gob wire preserves them,
-// and a legacy (v2) stream lacking the field gets them recomputed.
+// pruning bound reads: Freeze computes them, and the CSR arrays the state
+// file persists carry them back through FromCSR.
 func TestMatrixRowMax(t *testing.T) {
 	f := buildFixture(t)
 	scores := ScoreAll(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0)
@@ -139,52 +114,13 @@ func TestMatrixRowMax(t *testing.T) {
 	}
 	check("freeze", m)
 
-	// Full wire round trip keeps the maxima.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+	got, err := FromCSR(m.CSR())
+	if err != nil {
 		t.Fatal(err)
 	}
-	var got Matrix
-	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	check("round trip", &got)
-
-	// A v2-era stream has no RowMax field: decode must recompute it. Gob
-	// matches fields by name, so encoding the wire shape minus RowMax
-	// reproduces exactly what a v2 writer emitted.
-	type wireV2 struct {
-		Ctxs    []ontology.TermID
-		Offsets []int32
-		Docs    []int32
-		Vals    []float64
-	}
-	docs := make([]int32, len(m.docs))
-	for i := 0; i < len(m.ctxs); i++ {
-		prev := int32(0)
-		for k := m.offsets[i]; k < m.offsets[i+1]; k++ {
-			docs[k] = m.docs[k] - prev
-			prev = m.docs[k]
-		}
-	}
-	var v2buf bytes.Buffer
-	if err := gob.NewEncoder(&v2buf).Encode(wireV2{Ctxs: m.ctxs, Offsets: m.offsets, Docs: docs, Vals: m.vals}); err != nil {
-		t.Fatal(err)
-	}
-	var fromV2 Matrix
-	if err := fromV2.GobDecode(v2buf.Bytes()); err != nil {
-		t.Fatalf("v2-shaped stream must decode: %v", err)
-	}
-	check("v2 fallback", &fromV2)
-	if !reflect.DeepEqual(scores, fromV2.Thaw()) {
-		t.Fatal("v2-shaped stream lost scores")
-	}
-}
-
-func TestMatrixGobRejectsCorrupt(t *testing.T) {
-	var m Matrix
-	if err := m.GobDecode([]byte("garbage")); err == nil {
-		t.Fatal("garbage must fail to decode")
+	check("round trip", got)
+	if !reflect.DeepEqual(scores, got.Thaw()) {
+		t.Fatal("CSR round trip lost scores")
 	}
 }
 

@@ -32,12 +32,23 @@ func frozenMatrix(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxs
 	return sys, cs, cachedMatrix, query
 }
 
+// sliceGroup partitions an in-process-built system into n shard engines by
+// slicing its own postings.
+func sliceGroup(t *testing.T, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, n int) *shard.Group {
+	t.Helper()
+	g, err := shard.NewGroupParts(sys.Analyzer(), sys.Index().Parts(), cs, m, sys.Config().Relevancy, n, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // shardCluster boots n shard servers (each holding the full system but a
 // range-restricted searcher) plus a coordinator in front of them.
 func shardCluster(t *testing.T, n int, scfg ShardConfig) (*Coordinator, []*httptest.Server) {
 	t.Helper()
 	sys, cs, m, _ := frozenMatrix(t)
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, n, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, n)
 	var backends []*httptest.Server
 	var urls []string
 	for i := 0; i < g.NumShards(); i++ {
@@ -177,7 +188,7 @@ func rangeRequests(snap shard.Snapshot) uint64 {
 func wrappedCluster(t *testing.T, nRanges int, ranges []int, wrap func(i int, srv http.Handler) http.Handler, cfg Config, scfg ShardConfig) *Coordinator {
 	t.Helper()
 	sys, cs, m, _ := frozenMatrix(t)
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, nRanges, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, nRanges)
 	urls := make([]string, g.NumShards())
 	for i, ri := range ranges {
 		srv := NewPending(Config{})
@@ -313,7 +324,7 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 	// 3 ranges, range 0 answers rows but cannot finish. Three requests make
 	// each range the finisher once: with range 0 it is a 503 by default and,
 	// with AllowPartial, the page of ranges 1 and 2 finished by range 1.
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 3, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, 3)
 	path := "/search?q=" + urlQuery(query) + "&limit=10&offset=2"
 	exact := get(t, ref, path).Body.Bytes()
 	degraded := partialPage(t, ref, query, 2, 10, func(paper int) bool { return paper >= int(g.Ranges()[0].Hi) })
@@ -512,7 +523,7 @@ func TestCoordinatorFinisherOutsidePage(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	ref := NewPending(Config{})
 	ref.SetReadyFrozen(sys, cs, m)
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, 2)
 	coord := wrappedCluster(t, 2, []int{0, 1}, func(_ int, srv http.Handler) http.Handler { return srv }, Config{CacheEntries: -1}, ShardConfig{})
 	before, after := 0, 0
 	for _, q := range coordQueries(t) {
@@ -563,7 +574,7 @@ func TestCoordinatorFinisherOutsidePage(t *testing.T) {
 // rest of every burst).
 func TestCoordinatorReusesConnections(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, 2)
 	var dials [2]atomic.Int64
 	var urls []string
 	for i := 0; i < g.NumShards(); i++ {
@@ -720,7 +731,7 @@ func TestCoordinatorHangingShard(t *testing.T) {
 // restores the exact, unflagged page.
 func TestCoordinatorPartial(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, 2)
 
 	srv0 := NewPending(Config{})
 	srv0.SetReadySharded(sys, cs, m, g.Engine(0))
@@ -854,7 +865,7 @@ func TestCoordinatorProxyEndpoints(t *testing.T) {
 // TestCoordinatorReadyz: the coordinator is ready only when every shard is.
 func TestCoordinatorReadyz(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, 2)
 
 	ready := NewPending(Config{})
 	ready.SetReadySharded(sys, cs, m, g.Engine(0))

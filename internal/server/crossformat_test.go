@@ -13,132 +13,129 @@ import (
 	"ctxsearch/internal/store"
 )
 
-// openFormatSystem opens one saved state file and binds the full serving
-// stack to it, returning the bound parts alongside so sharded topologies
-// can slice them.
-func openFormatSystem(t *testing.T, path string, onto *ctxsearch.Ontology, c *ctxsearch.Corpus, cfg ctxsearch.Config) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, *index.Parts, *store.Mapped) {
-	t.Helper()
-	fsys, mcs, mmat, mapped := openMappedSystem(t, path, onto, c, cfg)
-	parts, err := mapped.IndexParts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fsys, mcs, mmat, parts, mapped
-}
-
-// TestCrossFormatGolden is the v4↔v5 HTTP contract: the same state saved in
-// both flat formats — v4 recomputing its block-max tables on bind, v5
-// binding the persisted ones zero-copy — answers every endpoint
-// byte-identically through a single engine, in-process shard groups, and a
-// multi-process coordinator. Block tables only ever skip work, so where
-// they came from must be unobservable in any response.
+// TestCrossFormatGolden is the HTTP contract of the roads from a state file
+// to a serving backend: the in-process build, the memory-mapped open, the
+// byte-copy open (CTXSEARCH_NO_MMAP=1) and the open of a file saved without
+// block-max tables (which every engine bound from it recomputes) answer
+// every endpoint byte-identically through a single engine, in-process shard
+// groups, and a multi-process coordinator. How the arrays reached memory,
+// and where the block tables came from, must be unobservable in any
+// response.
 func TestCrossFormatGolden(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
+	ref := NewPending(Config{})
+	ref.SetReadyFrozen(sys, cs, m)
+
 	st := &store.State{
 		ContextSet: cs,
 		Matrices:   map[string]*ctxsearch.Matrix{"text": m},
 		Index:      sys.Index().Parts(),
 		DF:         sys.Analyzer().DF(),
 	}
+	blockless := *st.Index
+	blockless.BlockSize, blockless.BlockOffsets, blockless.BlockMaxWeight, blockless.BlockMaxRatio = 0, nil, nil, nil
 	dir := t.TempDir()
-	v4Path := filepath.Join(dir, "state.v4")
-	v5Path := filepath.Join(dir, "state.v5")
-	if err := store.SaveFileV4(v4Path, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.SaveFileV5(v5Path, st); err != nil {
-		t.Fatal(err)
-	}
-
-	sys4, cs4, m4, parts4, mapped4 := openFormatSystem(t, v4Path, sys.Ontology, sys.Corpus, sys.Config())
-	sys5, cs5, m5, parts5, mapped5 := openFormatSystem(t, v5Path, sys.Ontology, sys.Corpus, sys.Config())
-	// The asymmetry under test: a v4 file carries no block tables (every
-	// engine bound from it recomputes them), a v5 file persists them.
-	if parts4.BlockOffsets != nil {
-		t.Fatal("v4 parts carry block tables")
-	}
-	if parts5.BlockOffsets == nil {
-		t.Fatal("v5 parts carry no block tables")
-	}
-
-	// Single engine.
-	srv4 := NewPending(Config{})
-	srv4.SetReadyMapped(sys4, cs4, m4, sys4.EngineFrozen(cs4, m4), mapped4)
-	srv5 := NewPending(Config{})
-	srv5.SetReadyMapped(sys5, cs5, m5, sys5.EngineFrozen(cs5, m5), mapped5)
-
-	compare := func(t *testing.T, label, path string, a, b *Server) {
-		t.Helper()
-		want := get(t, a, path)
-		got := get(t, b, path)
-		if got.Code != want.Code || got.Body.String() != want.Body.String() {
-			t.Fatalf("%s %s: v4 (%d) %s\nv5 (%d) %s", label, path, want.Code, want.Body, got.Code, got.Body)
-		}
-	}
-	rng := rand.New(rand.NewSource(37))
-	for qi, q := range coordQueries(t) {
-		for trial := 0; trial < 4; trial++ {
-			params := mappedParams(q, rng)
-			compare(t, fmt.Sprintf("single query %d trial %d", qi, trial), "/search?"+params, srv4, srv5)
-		}
-	}
-	for _, path := range []string{"/papers/0", "/papers/999999", "/contexts?q=" + urlQuery(query)} {
-		compare(t, "single", path, srv4, srv5)
-	}
-
-	// In-process shard groups over each format's own parts.
-	for _, n := range []int{2, 3} {
-		g4, err := shard.NewGroupParts(sys4.Analyzer(), parts4, cs4, m4, sys4.Config().Relevancy, n, shard.Options{})
-		if err != nil {
+	save := func(name string, parts *index.Parts) string {
+		s := *st
+		s.Index = parts
+		path := filepath.Join(dir, name)
+		if err := store.SaveFile(path, &s); err != nil {
 			t.Fatal(err)
 		}
-		g5, err := shard.NewGroupParts(sys5.Analyzer(), parts5, cs5, m5, sys5.Config().Relevancy, n, shard.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s4 := NewPending(Config{})
-		s4.SetReadySharded(sys4, cs4, m4, g4)
-		s5 := NewPending(Config{})
-		s5.SetReadySharded(sys5, cs5, m5, g5)
-		for qi, q := range coordQueries(t) {
-			for trial := 0; trial < 2; trial++ {
-				params := mappedParams(q, rng)
-				compare(t, fmt.Sprintf("shards=%d query %d trial %d", n, qi, trial), "/search?"+params, s4, s5)
+		return path
+	}
+	full, bare := save("state.bin", st.Index), save("blockless.bin", &blockless)
+
+	for _, v := range []struct {
+		name, path   string
+		noMmap, bare bool
+	}{
+		{name: "mmap", path: full},
+		{name: "byte-copy", path: full, noMmap: true},
+		{name: "blockless", path: bare, bare: true},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			if v.noMmap {
+				t.Setenv("CTXSEARCH_NO_MMAP", "1")
 			}
-		}
-	}
-
-	// Multi-process coordinators, one per format, each over 3 shard servers.
-	coordinator := func(fsys *ctxsearch.System, mcs *ctxsearch.ContextSet, mmat *ctxsearch.Matrix, parts *index.Parts) *Coordinator {
-		const n = 3
-		var urls []string
-		for i := 0; i < n; i++ {
-			eng, _, err := shard.RangeEngineParts(fsys.Analyzer(), parts, mcs, mmat, fsys.Config().Relevancy, i, n)
+			fsys, mcs, mmat, mapped := openMappedSystem(t, v.path, sys.Ontology, sys.Corpus, sys.Config())
+			t.Cleanup(func() { mapped.Close() })
+			if v.noMmap && mapped.ZeroCopy() {
+				t.Fatal("byte-copy open reports zero-copy")
+			}
+			parts, err := mapped.IndexParts()
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := NewPending(Config{})
-			srv.SetReadySharded(fsys, mcs, mmat, eng)
-			ts := httptest.NewServer(srv)
-			t.Cleanup(ts.Close)
-			urls = append(urls, ts.URL)
-		}
-		coord := NewCoordinator(urls, Config{}, ShardConfig{})
-		t.Cleanup(coord.Close)
-		return coord
-	}
-	c4 := coordinator(sys4, cs4, m4, parts4)
-	c5 := coordinator(sys5, cs5, m5, parts5)
-	for qi, q := range coordQueries(t) {
-		for trial := 0; trial < 2; trial++ {
-			params := mappedParams(q, rng)
-			path := "/search?" + params
-			want := coordGet(t, c4, path)
-			got := coordGet(t, c5, path)
-			if got.Code != want.Code || got.Body.String() != want.Body.String() {
-				t.Fatalf("coordinator query %d trial %d %s: v4 (%d) %s\nv5 (%d) %s",
-					qi, trial, path, want.Code, want.Body, got.Code, got.Body)
+			if (parts.BlockOffsets == nil) != v.bare {
+				t.Fatalf("opened parts carry block tables: %v, want %v", parts.BlockOffsets != nil, !v.bare)
 			}
-		}
+			rel := fsys.Config().Relevancy
+			rng := rand.New(rand.NewSource(37))
+
+			// Single engine.
+			single := NewPending(Config{})
+			single.SetReadySharded(fsys, mcs, mmat, fsys.EngineFrozen(mcs, mmat))
+			for qi, q := range coordQueries(t) {
+				for trial := 0; trial < 4; trial++ {
+					sameAnswer(t, fmt.Sprintf("single query %d trial %d", qi, trial), "/search?"+mappedParams(q, rng), ref, single)
+				}
+			}
+			for _, path := range []string{"/papers/0", "/papers/999999", "/contexts?q=" + urlQuery(query)} {
+				sameAnswer(t, "single", path, ref, single)
+			}
+
+			// In-process shard groups over the opened parts.
+			for _, n := range []int{2, 3} {
+				g, err := shard.NewGroupParts(fsys.Analyzer(), parts, mcs, mmat, rel, n, shard.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := NewPending(Config{})
+				srv.SetReadySharded(fsys, mcs, mmat, g)
+				for qi, q := range coordQueries(t) {
+					for trial := 0; trial < 2; trial++ {
+						sameAnswer(t, fmt.Sprintf("shards=%d query %d trial %d", n, qi, trial), "/search?"+mappedParams(q, rng), ref, srv)
+					}
+				}
+			}
+
+			// A multi-process coordinator over 3 shard servers.
+			const n = 3
+			var urls []string
+			for i := 0; i < n; i++ {
+				eng, _, err := shard.RangeEngineParts(fsys.Analyzer(), parts, mcs, mmat, rel, i, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := NewPending(Config{})
+				srv.SetReadySharded(fsys, mcs, mmat, eng)
+				ts := httptest.NewServer(srv)
+				t.Cleanup(ts.Close)
+				urls = append(urls, ts.URL)
+			}
+			coord := NewCoordinator(urls, Config{}, ShardConfig{})
+			t.Cleanup(coord.Close)
+			for qi, q := range coordQueries(t) {
+				for trial := 0; trial < 2; trial++ {
+					path := "/search?" + mappedParams(q, rng)
+					want := get(t, ref, path)
+					got := coordGet(t, coord, path)
+					if got.Code != want.Code || got.Body.String() != want.Body.String() {
+						t.Fatalf("coordinator query %d trial %d %s: built (%d) %s\n%s (%d) %s",
+							qi, trial, path, want.Code, want.Body, v.name, got.Code, got.Body)
+					}
+				}
+			}
+		})
+	}
+}
+
+// sameAnswer requires two servers to answer one path with the same bytes.
+func sameAnswer(t *testing.T, label, path string, want, got *Server) {
+	t.Helper()
+	w, g := get(t, want, path), get(t, got, path)
+	if g.Code != w.Code || g.Body.String() != w.Body.String() {
+		t.Fatalf("%s %s: built (%d) %s\nopened (%d) %s", label, path, w.Code, w.Body, g.Code, g.Body)
 	}
 }

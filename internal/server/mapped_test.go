@@ -24,7 +24,7 @@ var (
 	cachedMappedPrts *index.Parts
 )
 
-// mappedState saves the shared fixture as a v4 flat-binary state, opens it
+// mappedState saves the shared fixture as a state file, opens it
 // (zero-copy where the platform allows), and binds a frozen system directly
 // to the mapped arrays — the exact cold-start path `serve` takes. Cached
 // once; the mapping is deliberately never closed (it backs every test).
@@ -39,7 +39,7 @@ func mappedState(t *testing.T) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxse
 			DF:         sys.Analyzer().DF(),
 		}
 		path := filepath.Join(t.TempDir(), "state.bin")
-		if err := store.SaveFileV4(path, st); err != nil {
+		if err := store.SaveFile(path, st); err != nil {
 			t.Fatal(err)
 		}
 		mapped, err := store.Open(path, sys.Ontology)
@@ -89,8 +89,8 @@ func mappedParams(q string, rng *rand.Rand) string {
 }
 
 // TestMappedGoldenEquality is the tentpole's HTTP contract: a server whose
-// engine reads straight out of the mapped v4 arrays answers every endpoint
-// byte-identically to one built from the in-memory (gob-equivalent) state.
+// engine reads straight out of the mapped arrays answers every endpoint
+// byte-identically to one over the in-process build.
 func TestMappedGoldenEquality(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	fsys, mcs, mmat, _, mapped := mappedState(t)
@@ -108,10 +108,10 @@ func TestMappedGoldenEquality(t *testing.T) {
 			got := get(t, mappedSrv, "/search?"+params)
 			label := fmt.Sprintf("query %d %q trial %d params %s", qi, q, trial, params)
 			if got.Code != want.Code {
-				t.Fatalf("%s: mapped %d, gob %d\n%s", label, got.Code, want.Code, got.Body)
+				t.Fatalf("%s: mapped %d, built %d\n%s", label, got.Code, want.Code, got.Body)
 			}
 			if got.Body.String() != want.Body.String() {
-				t.Fatalf("%s: bodies differ\nmapped: %s\ngob:    %s", label, got.Body, want.Body)
+				t.Fatalf("%s: bodies differ\nmapped: %s\nbuilt:  %s", label, got.Body, want.Body)
 			}
 		}
 	}
@@ -123,14 +123,14 @@ func TestMappedGoldenEquality(t *testing.T) {
 		want := get(t, ref, path)
 		got := get(t, mappedSrv, path)
 		if got.Code != want.Code || got.Body.String() != want.Body.String() {
-			t.Fatalf("%s: mapped (%d) %s\ngob (%d) %s", path, got.Code, got.Body, want.Code, want.Body)
+			t.Fatalf("%s: mapped (%d) %s\nbuilt (%d) %s", path, got.Code, got.Body, want.Code, want.Body)
 		}
 	}
 }
 
 // TestMappedShardedGolden: in-process shard groups sliced from the mapped
-// postings (serve -shards N over a v4 state) stay byte-identical to the
-// single gob-state server.
+// postings (serve -shards N over a state file) stay byte-identical to the
+// single server over the in-process build.
 func TestMappedShardedGolden(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	fsys, mcs, mmat, parts, mapped := mappedState(t)
@@ -152,7 +152,7 @@ func TestMappedShardedGolden(t *testing.T) {
 				got := get(t, srv, "/search?"+params)
 				label := fmt.Sprintf("shards=%d query %d %q trial %d params %s", n, qi, q, trial, params)
 				if got.Code != want.Code || got.Body.String() != want.Body.String() {
-					t.Fatalf("%s: mapped-sharded (%d) %s\ngob (%d) %s", label, got.Code, got.Body, want.Code, want.Body)
+					t.Fatalf("%s: mapped-sharded (%d) %s\nbuilt (%d) %s", label, got.Code, got.Body, want.Code, want.Body)
 				}
 			}
 		}
@@ -160,8 +160,9 @@ func TestMappedShardedGolden(t *testing.T) {
 }
 
 // TestMappedCoordinatorGolden: a multi-process deployment where every shard
-// process opened the same v4 mapping (RangeEngineParts) answers through the
-// coordinator byte-identically to the single gob-state server.
+// process opened the same mapping (RangeEngineParts) answers through the
+// coordinator byte-identically to the single server over the in-process
+// build.
 func TestMappedCoordinatorGolden(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	fsys, mcs, mmat, parts, mapped := mappedState(t)
@@ -192,7 +193,7 @@ func TestMappedCoordinatorGolden(t *testing.T) {
 			got := coordGet(t, coord, "/search?"+params)
 			label := fmt.Sprintf("query %d %q trial %d params %s", qi, q, trial, params)
 			if got.Code != want.Code || got.Body.String() != want.Body.String() {
-				t.Fatalf("%s: coordinator-over-mapped (%d) %s\ngob (%d) %s", label, got.Code, got.Body, want.Code, want.Body)
+				t.Fatalf("%s: coordinator-over-mapped (%d) %s\nbuilt (%d) %s", label, got.Code, got.Body, want.Code, want.Body)
 			}
 		}
 	}
@@ -200,7 +201,7 @@ func TestMappedCoordinatorGolden(t *testing.T) {
 		want := get(t, ref, path)
 		got := coordGet(t, coord, path)
 		if got.Code != want.Code || got.Body.String() != want.Body.String() {
-			t.Fatalf("%s: coordinator-over-mapped (%d) %s\ngob (%d) %s", path, got.Code, got.Body, want.Code, want.Body)
+			t.Fatalf("%s: coordinator-over-mapped (%d) %s\nbuilt (%d) %s", path, got.Code, got.Body, want.Code, want.Body)
 		}
 	}
 }
@@ -236,7 +237,7 @@ func TestMappedStats(t *testing.T) {
 	}
 }
 
-// openMappedSystem opens its own mapping of a v4 file and binds a frozen
+// openMappedSystem opens its own mapping of a state file and binds a frozen
 // system to it — an independent replica generation for the swap test.
 func openMappedSystem(t *testing.T, path string, onto *ctxsearch.Ontology, c *ctxsearch.Corpus, cfg ctxsearch.Config) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, *store.Mapped) {
 	t.Helper()
@@ -281,7 +282,7 @@ func TestMappedSwapUnderLoad(t *testing.T) {
 		DF:         sys.Analyzer().DF(),
 	}
 	path := filepath.Join(t.TempDir(), "swap.bin")
-	if err := store.SaveFileV4(path, st); err != nil {
+	if err := store.SaveFile(path, st); err != nil {
 		t.Fatal(err)
 	}
 

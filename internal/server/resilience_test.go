@@ -12,7 +12,6 @@ import (
 
 	"ctxsearch/internal/faultproxy"
 	"ctxsearch/internal/resilience"
-	"ctxsearch/internal/shard"
 )
 
 // fastResilience is the deterministic test tuning: no health prober (no
@@ -39,7 +38,7 @@ func fastResilience() ShardConfig {
 func replicatedCluster(t *testing.T, nRanges int, scripts []faultproxy.Script, scfg ShardConfig) *Coordinator {
 	t.Helper()
 	sys, cs, m, _ := frozenMatrix(t)
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, nRanges, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, nRanges)
 	var urls []string
 	for ri := 0; ri < g.NumShards(); ri++ {
 		srv := NewPending(Config{})
@@ -282,7 +281,7 @@ func TestChaosReplicaKill(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	ref := NewPending(Config{})
 	ref.SetReadyFrozen(sys, cs, m)
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, 2)
 
 	var urls []string
 	var killable []*httptest.Server

@@ -131,7 +131,7 @@ func (c Config) cacheTTL() time.Duration {
 }
 
 // StateRef is a refcounted handle on externally-owned resources backing a
-// backend — in practice the mmapped v4 state file (*store.Mapped) whose
+// backend — in practice the mmapped state file (*store.Mapped) whose
 // pages the engine's CSR arrays alias. Retain/Release bracket each request
 // so a swap never unmaps memory a handler is still reading; Close drops
 // the owner reference when the backend is swapped out (the mapping goes
@@ -255,7 +255,7 @@ func (s *Server) SetReady(sys *ctxsearch.System, cs *ctxsearch.ContextSet, score
 }
 
 // SetReadyFrozen is SetReady for a pre-frozen prestige matrix — the
-// cold-start path when the matrix was loaded from a v2 state file, so boot
+// cold-start path when the matrix was loaded from a state file, so boot
 // never materialises the nested map form at all.
 func (s *Server) SetReadyFrozen(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix) {
 	s.SetReadySharded(sys, cs, m, sys.EngineFrozen(cs, m))
@@ -271,7 +271,7 @@ func (s *Server) SetReadySharded(sys *ctxsearch.System, cs *ctxsearch.ContextSet
 	s.SetReadyMapped(sys, cs, m, searcher, nil)
 }
 
-// SetReadyMapped is SetReadySharded for state backed by a mapped v4 file:
+// SetReadyMapped is SetReadySharded for state backed by a mapped state file:
 // the server takes ownership of ref (open-new, swap, close-old). The old
 // backend's mapping is closed after the swap — its pages stay valid until
 // the last in-flight request that retained them releases, then unmap.

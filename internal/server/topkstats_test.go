@@ -8,7 +8,6 @@ import (
 
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/search"
-	"ctxsearch/internal/shard"
 )
 
 // TestStatsTopKPerGeneration: /stats carries the bounded-query evaluator's
@@ -99,7 +98,7 @@ func TestStatsMergePerGeneration(t *testing.T) {
 	}
 
 	m := scores.Freeze()
-	g := shard.NewGroup(sys.Analyzer(), cs, m, sys.Config().Relevancy, 2, shard.Options{})
+	g := sliceGroup(t, sys, cs, m, 2)
 	srv.SetReadySharded(sys, cs, m, g)
 	if st := merge(); st != (search.MergeStats{}) {
 		t.Fatalf("post-swap generation reports %+v, want zeroes", st)

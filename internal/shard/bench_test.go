@@ -75,11 +75,12 @@ func benchFixture(b *testing.B) *fixture {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
+	ix := index.Build(a)
+	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
 	prestige.PropagateMax(o, scores)
 	m := scores.Freeze()
-	benchFix = &fixture{onto: o, c: c, a: a, cs: cs, matrix: m}
+	benchFix = &fixture{onto: o, c: c, a: a, parts: ix.Parts(), cs: cs, matrix: m}
 	return benchFix
 }
 
@@ -91,7 +92,7 @@ func BenchmarkGroupSearch(b *testing.B) {
 	query := goldenQueries(f)[0]
 	opts := search.Options{Limit: 10}
 	for _, n := range []int{1, 4} {
-		g := NewGroup(f.a, f.cs, f.matrix, search.DefaultWeights(), n, Options{})
+		g := newGroup(b, f, n, Options{})
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

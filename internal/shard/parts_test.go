@@ -9,18 +9,12 @@ import (
 )
 
 // TestGroupPartsGolden: a group whose shard indexes are sliced from the
-// global postings (the mapped-state path) returns byte-identical pages to
-// both the single reference engine and a re-analysed NewGroup, across
-// shard counts and paging shapes.
+// global postings returns byte-identical pages to the single reference
+// engine, across shard counts and paging shapes.
 func TestGroupPartsGolden(t *testing.T) {
 	f := buildFixture(t)
-	parts := index.Build(f.a).Parts()
 	for _, n := range []int{1, 2, 3, 7} {
-		g, err := NewGroupParts(f.a, parts, f.cs, f.matrix, search.DefaultWeights(), n, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rebuilt := NewGroup(f.a, f.cs, f.matrix, search.DefaultWeights(), n, Options{BuildWorkers: 1})
+		g := newGroup(t, f, n, Options{})
 		for _, q := range goldenQueries(f) {
 			for _, opts := range []search.Options{
 				{Limit: 10},
@@ -28,40 +22,31 @@ func TestGroupPartsGolden(t *testing.T) {
 				{Limit: 50, Threshold: 0.05},
 			} {
 				label := fmt.Sprintf("n=%d q=%q opts=%+v", n, q, opts)
-				want := f.ref.Search(q, opts)
-				got := g.Search(q, opts)
-				diffResults(t, label+" (vs engine)", got, want)
-				diffResults(t, label+" (vs rebuilt group)", got, rebuilt.Search(q, opts))
+				diffResults(t, label, g.Search(q, opts), f.ref.Search(q, opts))
 			}
 		}
 	}
 }
 
-// TestRangeEngineParts: each sliced range engine matches its re-analysed
-// counterpart, and out-of-range indexes fail the same way.
+// TestRangeEngineParts: each sliced range engine matches an engine over the
+// reference index re-analysed for its range, and out-of-range indexes fail.
 func TestRangeEngineParts(t *testing.T) {
 	f := buildFixture(t)
-	parts := index.Build(f.a).Parts()
 	const n = 3
 	for i := 0; i < n; i++ {
-		sliced, r1, err := RangeEngineParts(f.a, parts, f.cs, f.matrix, search.DefaultWeights(), i, n)
+		sliced, r, err := RangeEngineParts(f.a, f.parts, f.cs, f.matrix, search.DefaultWeights(), i, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rebuilt, r2, err := RangeEngine(f.a, f.cs, f.matrix, search.DefaultWeights(), i, n, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r1 != r2 {
-			t.Fatalf("shard %d: ranges differ: %+v vs %+v", i, r1, r2)
-		}
+		rebuilt := search.NewEngineFrozen(index.BuildRangeWorkers(f.a, r.Lo, r.Hi, 1),
+			f.cs, f.matrix.Slice(r.Lo, r.Hi), search.DefaultWeights())
 		for _, q := range goldenQueries(f) {
 			got := sliced.Search(q, search.Options{Limit: 20})
 			want := rebuilt.Search(q, search.Options{Limit: 20})
 			diffResults(t, fmt.Sprintf("shard %d q=%q", i, q), got, want)
 		}
 	}
-	if _, _, err := RangeEngineParts(f.a, parts, f.cs, f.matrix, search.DefaultWeights(), n, n); err == nil {
+	if _, _, err := RangeEngineParts(f.a, f.parts, f.cs, f.matrix, search.DefaultWeights(), n, n); err == nil {
 		t.Fatal("out-of-range shard index accepted")
 	}
 }

@@ -47,9 +47,6 @@ type Group struct {
 
 // Options tune group construction and fan-out.
 type Options struct {
-	// BuildWorkers bounds the per-shard index build parallelism
-	// (0 = GOMAXPROCS). Shard builds themselves run concurrently.
-	BuildWorkers int
 	// FanOut caps how many shards are queried concurrently per search
 	// (0 = all shards at once).
 	FanOut int
@@ -58,42 +55,13 @@ type Options struct {
 	TopKWorkers int
 }
 
-// NewGroup partitions the corpus into n contiguous paper-ID ranges and
-// builds one engine per range: a range-restricted CSR index over the
-// shared (corpus-global) analyzer plus the prestige matrix sliced to the
-// range. The context set and relevancy weights are shared — context
-// selection is identical on every shard because the sliced matrices keep
-// the full context list. n is clamped to [1, corpus size].
-func NewGroup(a *corpus.Analyzer, cs *contextset.ContextSet, m *prestige.Matrix, w search.Weights, n int, opts Options) *Group {
-	ranges := par.Shards(a.Corpus().Len(), n)
-	g := &Group{
-		engines: make([]*search.Engine, len(ranges)),
-		ranges:  ranges,
-		fanout:  opts.FanOut,
-		metrics: NewMetrics(len(ranges)),
-	}
-	// Shard builds are independent: fan them out, each internally bounded
-	// by BuildWorkers.
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func(i int, r par.Shard) {
-			defer wg.Done()
-			ix := index.BuildRangeWorkers(a, r.Lo, r.Hi, opts.BuildWorkers)
-			ix.SetDefaultTopKWorkers(opts.TopKWorkers)
-			g.engines[i] = search.NewEngineFrozen(ix, cs, m.Slice(r.Lo, r.Hi), w)
-		}(i, r)
-	}
-	wg.Wait()
-	return g
-}
-
-// NewGroupParts is NewGroup over pre-built index parts (a mapped v4
-// state): each shard's index comes from Parts.SliceRange — a binary-search
-// restriction of the existing postings — instead of re-analysing the
-// corpus. The sliced parts keep the global term dictionary, so per-shard
-// engines select contexts and weight queries exactly as NewGroup's do and
-// the merged pages stay byte-identical.
+// NewGroupParts partitions the corpus into n contiguous paper-ID ranges and
+// binds one engine per range (see RangeEngineParts). The context set and
+// relevancy weights are shared — context selection is identical on every
+// shard because the sliced matrices keep the full context list — and the
+// sliced parts keep the global term dictionary, so per-shard engines weight
+// queries exactly as the single engine does and the merged pages stay
+// byte-identical. n is clamped to [1, corpus size].
 func NewGroupParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.ContextSet, m *prestige.Matrix, w search.Weights, n int, opts Options) (*Group, error) {
 	ranges := par.Shards(a.Corpus().Len(), n)
 	g := &Group{
@@ -104,18 +72,18 @@ func NewGroupParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.Contex
 	}
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
-	for i, r := range ranges {
+	for i := range ranges {
 		wg.Add(1)
-		go func(i int, r par.Shard) {
+		go func(i int) {
 			defer wg.Done()
-			ix, err := index.FromParts(a, parts.SliceRange(r.Lo, r.Hi))
+			eng, _, err := RangeEngineParts(a, parts, cs, m, w, i, n)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 				return
 			}
-			ix.SetDefaultTopKWorkers(opts.TopKWorkers)
-			g.engines[i] = search.NewEngineFrozen(ix, cs, m.Slice(r.Lo, r.Hi), w)
-		}(i, r)
+			eng.SetTopKWorkers(opts.TopKWorkers)
+			g.engines[i] = eng
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -126,27 +94,15 @@ func NewGroupParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.Contex
 	return g, nil
 }
 
-// RangeEngine builds shard i of n's engine alone — the multi-process
+// RangeEngineParts binds shard i of n's engine alone — the multi-process
 // deployment shape, where each process owns one paper range and serves it
-// over POST /shard/search. The range split is exactly NewGroup's
-// (par.Shards), so a multi-process cluster and an in-process group with
-// the same n partition identically. Note n is clamped the same way as in
-// NewGroup: a corpus smaller than n yields fewer ranges, and an index
-// beyond them is an error.
-func RangeEngine(a *corpus.Analyzer, cs *contextset.ContextSet, m *prestige.Matrix, w search.Weights, i, n, buildWorkers int) (*search.Engine, par.Shard, error) {
-	ranges := par.Shards(a.Corpus().Len(), n)
-	if i < 0 || i >= len(ranges) {
-		return nil, par.Shard{}, fmt.Errorf("shard index %d out of range (corpus of %d papers splits into %d shards)", i, a.Corpus().Len(), len(ranges))
-	}
-	r := ranges[i]
-	ix := index.BuildRangeWorkers(a, r.Lo, r.Hi, buildWorkers)
-	return search.NewEngineFrozen(ix, cs, m.Slice(r.Lo, r.Hi), w), r, nil
-}
-
-// RangeEngineParts is RangeEngine over pre-built index parts: the shard's
-// range-restricted index comes from Parts.SliceRange instead of
-// re-analysing the corpus, so a mapped-state shard process is query-ready
-// in O(terms + its own postings).
+// over POST /shard/search. The range's index is a Parts.SliceRange of the
+// existing postings (a binary-search restriction, no corpus analysis) over
+// the shared corpus-global analyzer, and the prestige matrix is sliced to
+// the range, so a shard is query-ready in O(terms + its own postings). The
+// split is par.Shards', so a multi-process cluster and an in-process group
+// with the same n partition identically; n is clamped to the corpus size,
+// and an index beyond the resulting ranges is an error.
 func RangeEngineParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.ContextSet, m *prestige.Matrix, w search.Weights, i, n int) (*search.Engine, par.Shard, error) {
 	ranges := par.Shards(a.Corpus().Len(), n)
 	if i < 0 || i >= len(ranges) {
@@ -221,7 +177,7 @@ func (g *Group) TokenTablePapers() int {
 }
 
 // SelectContextsContext reports which contexts a query selects. Selection
-// metadata is identical on every shard (see NewGroup), so shard 0 answers
+// metadata is identical on every shard (see NewGroupParts), so shard 0 answers
 // for the group.
 func (g *Group) SelectContextsContext(ctx context.Context, query string, opts search.Options) ([]search.ContextScore, error) {
 	return g.engines[0].SelectContextsContext(ctx, query, opts)

@@ -20,6 +20,7 @@ type fixture struct {
 	onto   *ontology.Ontology
 	c      *corpus.Corpus
 	a      *corpus.Analyzer
+	parts  *index.Parts
 	cs     *contextset.ContextSet
 	matrix *prestige.Matrix
 	ref    *search.Engine
@@ -41,15 +42,26 @@ func buildFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
+	ix := index.Build(a)
+	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
 	prestige.PropagateMax(o, scores)
 	m := scores.Freeze()
 	cached = &fixture{
-		onto: o, c: c, a: a, cs: cs, matrix: m,
-		ref: search.NewEngineFrozen(index.Build(a), cs, m, search.DefaultWeights()),
+		onto: o, c: c, a: a, parts: ix.Parts(), cs: cs, matrix: m,
+		ref: search.NewEngineFrozen(ix, cs, m, search.DefaultWeights()),
 	}
 	return cached
+}
+
+// newGroup slices the fixture's postings into an n-shard group.
+func newGroup(t testing.TB, f *fixture, n int, opts Options) *Group {
+	t.Helper()
+	g, err := NewGroupParts(f.a, f.parts, f.cs, f.matrix, search.DefaultWeights(), n, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // goldenQueries mirrors the search package's battery: exact context names,
@@ -98,7 +110,7 @@ func buildGroups(t testing.TB, f *fixture) map[int]*Group {
 	t.Helper()
 	groups := make(map[int]*Group, len(shardCounts))
 	for _, n := range shardCounts {
-		groups[n] = NewGroup(f.a, f.cs, f.matrix, search.DefaultWeights(), n, Options{})
+		groups[n] = newGroup(t, f, n, Options{})
 	}
 	return groups
 }
@@ -156,7 +168,7 @@ func TestGroupGoldenEquality(t *testing.T) {
 // phrases) through the fan-out, where per-shard parsing must agree.
 func TestGroupBooleanOperators(t *testing.T) {
 	f := buildFixture(t)
-	g := NewGroup(f.a, f.cs, f.matrix, search.DefaultWeights(), 4, Options{})
+	g := newGroup(t, f, 4, Options{})
 	names := goldenQueries(f)
 	queries := []string{
 		names[0] + " AND " + names[1],
@@ -180,7 +192,7 @@ func TestGroupBooleanOperators(t *testing.T) {
 // the group's answer (served by shard 0) equals the single engine's.
 func TestGroupSelectContexts(t *testing.T) {
 	f := buildFixture(t)
-	g := NewGroup(f.a, f.cs, f.matrix, search.DefaultWeights(), 3, Options{})
+	g := newGroup(t, f, 3, Options{})
 	for _, q := range goldenQueries(f) {
 		got, err := g.SelectContextsContext(context.Background(), q, search.Options{})
 		if err != nil {
@@ -203,7 +215,7 @@ func TestGroupSelectContexts(t *testing.T) {
 func TestGroupRangesPartition(t *testing.T) {
 	f := buildFixture(t)
 	for _, n := range shardCounts {
-		g := NewGroup(f.a, f.cs, f.matrix, search.DefaultWeights(), n, Options{})
+		g := newGroup(t, f, n, Options{})
 		ranges := g.Ranges()
 		next := 0
 		for _, r := range ranges {
@@ -222,7 +234,7 @@ func TestGroupRangesPartition(t *testing.T) {
 // shard exactly once and lands in the search/latency totals.
 func TestGroupMetrics(t *testing.T) {
 	f := buildFixture(t)
-	g := NewGroup(f.a, f.cs, f.matrix, search.DefaultWeights(), 3, Options{FanOut: 2})
+	g := newGroup(t, f, 3, Options{FanOut: 2})
 	q := goldenQueries(f)[0]
 	const searches = 4
 	for i := 0; i < searches; i++ {
@@ -249,7 +261,7 @@ func TestGroupMetrics(t *testing.T) {
 // the context error, like a single engine.
 func TestGroupContextCancellation(t *testing.T) {
 	f := buildFixture(t)
-	g := NewGroup(f.a, f.cs, f.matrix, search.DefaultWeights(), 2, Options{})
+	g := newGroup(t, f, 2, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := g.SearchContext(ctx, goldenQueries(f)[0], search.Options{Limit: 5}); err == nil {

@@ -1,81 +1,74 @@
 package store
 
 import (
-	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ctxsearch/internal/ontology"
 )
 
-// TestTruncatedStreams injects truncation at many byte offsets: Load must
-// return an error, never panic or silently succeed with partial state.
+// openAndBind is the whole road from a file to servable state: a path-based
+// Open, then every component materialized. The mapping stays open until the
+// test ends: the returned state aliases it.
+func openAndBind(t *testing.T, o *ontology.Ontology, img []byte) (*State, error) {
+	t.Helper()
+	m, err := Open(writeFile(t, img), o)
+	if err != nil {
+		return nil, err
+	}
+	t.Cleanup(func() { m.Close() })
+	return materialize(m)
+}
+
+// TestTruncatedStreams injects truncation at many byte offsets: the file
+// must be refused, never panic or silently serve partial state.
 func TestTruncatedStreams(t *testing.T) {
 	o, st := fixture(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	offsets := []int{0, 1, 7, 64, len(full) / 4, len(full) / 2, len(full) - 1}
+	full := v5Bytes(t, st)
+	offsets := []int{0, 1, 7, 8, headerSize - 1, 64, len(full) / 4, len(full) / 2, len(full) - 1}
 	for _, off := range offsets {
-		if off >= len(full) {
-			continue
-		}
-		_, err := Load(bytes.NewReader(full[:off]), o)
-		if err == nil {
-			t.Fatalf("truncation at %d bytes loaded successfully", off)
+		if _, err := openAndBind(t, o, full[:off]); err == nil {
+			t.Fatalf("truncation at %d bytes opened successfully", off)
 		}
 	}
 }
 
-// TestWrongMagic: a structurally valid gob stream that is not a ctxsearch
-// state must be rejected with a message naming the magic actually found.
+// TestWrongMagic: a structurally valid container that is not a ctxsearch
+// state must be rejected as foreign, with its size.
 func TestWrongMagic(t *testing.T) {
-	o, _ := fixture(t)
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(header{Magic: "not-a-state", Version: version}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(&buf, o)
+	o, st := fixture(t)
+	img := v5Bytes(t, st)
+	copy(img, "NOTSTATE")
+	_, err := openAndBind(t, o, img)
 	if err == nil {
-		t.Fatal("wrong magic loaded successfully")
+		t.Fatal("wrong magic opened successfully")
 	}
-	if !strings.Contains(err.Error(), `"not-a-state"`) {
-		t.Fatalf("error does not name the found magic: %v", err)
+	if !strings.Contains(err.Error(), "not a ctxsearch state file") {
+		t.Fatalf("error does not call the file foreign: %v", err)
 	}
 }
 
-// TestTruncationDiagnostics: errors from cut-off streams must say the file
-// is truncated — and, once the header survived, what magic/version it
-// carried — so operators can tell a crashed save from the wrong file.
+// TestTruncationDiagnostics: errors from cut-off files must say the file
+// is truncated, and where, so operators can tell a partial copy from the
+// wrong file.
 func TestTruncationDiagnostics(t *testing.T) {
 	o, st := fixture(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Recover the header's encoded length by encoding it alone.
-	var hdrOnly bytes.Buffer
-	if err := gob.NewEncoder(&hdrOnly).Encode(header{Magic: "ctxsearch-state", Version: version}); err != nil {
-		t.Fatal(err)
-	}
-	// Cut mid-header: classified as truncated, no magic available yet.
-	_, err := Load(bytes.NewReader(full[:hdrOnly.Len()/2]), o)
-	if err == nil || !strings.Contains(err.Error(), "truncated file") {
-		t.Fatalf("mid-header cut not reported as truncation: %v", err)
-	}
-	// Cut mid-payload: truncated, and the intact header is echoed back.
-	_, err = Load(bytes.NewReader(full[:hdrOnly.Len()+(len(full)-hdrOnly.Len())/2]), o)
-	if err == nil {
-		t.Fatal("mid-payload cut loaded successfully")
-	}
-	for _, want := range []string{"truncated file", `"ctxsearch-state"`} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("mid-payload error missing %q: %v", want, err)
+	full := v5Bytes(t, st)
+	tableEnd := headerSize + len(sectionIDs(full))*secHdrSize
+	for _, tc := range []struct {
+		name string
+		cut  int
+		want string
+	}{
+		{"mid-header", headerSize / 2, "truncated header"},
+		{"mid-table", headerSize + (tableEnd-headerSize)/2, "truncated section table"},
+		{"mid-payload", tableEnd + (len(full)-tableEnd)/2, "truncated?"},
+	} {
+		_, err := openAndBind(t, o, full[:tc.cut])
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s cut not reported as %q: %v", tc.name, tc.want, err)
 		}
 	}
 }
@@ -86,7 +79,7 @@ func TestTruncationDiagnostics(t *testing.T) {
 func TestSaveFileAtomic(t *testing.T) {
 	o, st := fixture(t)
 	dir := t.TempDir()
-	path := filepath.Join(dir, "state.gob")
+	path := filepath.Join(dir, "state.bin")
 	// Pre-existing garbage at the target simulates an earlier bad write.
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
@@ -94,14 +87,16 @@ func TestSaveFileAtomic(t *testing.T) {
 	if err := SaveFile(path, st); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path, o); err != nil {
-		t.Fatalf("state written by SaveFile does not load: %v", err)
+	m, err := Open(path, o)
+	if err != nil {
+		t.Fatalf("state written by SaveFile does not open: %v", err)
 	}
+	m.Close()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "state.gob" {
+	if len(entries) != 1 || entries[0].Name() != "state.bin" {
 		names := make([]string, len(entries))
 		for i, e := range entries {
 			names[i] = e.Name()
@@ -109,7 +104,7 @@ func TestSaveFileAtomic(t *testing.T) {
 		t.Fatalf("stray files after SaveFile: %v", names)
 	}
 	// A failing save (unwritable directory) must not leave temp droppings.
-	if err := SaveFile(filepath.Join(dir, "missing", "state.gob"), st); err == nil {
+	if err := SaveFile(filepath.Join(dir, "missing", "state.bin"), st); err == nil {
 		t.Fatal("save into missing directory must fail")
 	}
 	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
@@ -117,34 +112,22 @@ func TestSaveFileAtomic(t *testing.T) {
 	}
 }
 
-// TestBitFlips corrupts single bytes across the stream: Load must either
-// error or produce a state that still passes basic invariants (gob can
-// absorb some payload flips into string content; structural invariants
-// must hold regardless).
+// TestBitFlips corrupts single bytes at a stride across the whole file,
+// padding and reserved fields included: the open must either refuse the
+// file or — where the flipped byte is one the reader never dereferences —
+// bind state equal to what was saved. Nothing in between is served.
 func TestBitFlips(t *testing.T) {
 	o, st := fixture(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
+	full := v5Bytes(t, st)
 	step := len(full)/23 + 1
 	for off := 0; off < len(full); off += step {
 		corrupted := append([]byte(nil), full...)
 		corrupted[off] ^= 0xFF
-		got, err := Load(bytes.NewReader(corrupted), o)
+		got, err := openAndBind(t, o, corrupted)
 		if err != nil {
 			continue // rejected: fine
 		}
-		// Accepted: scores must still be structurally sound.
-		for fn, scores := range got.Scores {
-			for ctx, m := range scores {
-				for id, v := range m {
-					if v != v { // NaN
-						t.Fatalf("offset %d: NaN score for %s/%s/%d", off, fn, ctx, id)
-					}
-				}
-			}
-		}
+		assertSameContextSet(t, st.ContextSet, got.ContextSet)
+		assertSameMatrices(t, st, got.Matrices)
 	}
 }

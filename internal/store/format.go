@@ -11,15 +11,15 @@ import (
 	"ctxsearch/internal/corpus"
 )
 
-// The flat state format (versions 4 and 5) is a sectioned binary file
-// built for memory-mapped, zero-copy opens. The magic marks the flat
-// container; the version field inside the header distinguishes revisions —
-// v5 adds the index's block-max sections (17–20) and changes nothing else,
-// so one reader serves both:
+// The state format is a sectioned binary file built for memory-mapped,
+// zero-copy opens. The magic marks the container; the version field inside
+// the header counts revisions. The writer stamps 5; a version-4 file (an
+// older writer's) is the same container without the index's block-max
+// sections (17–20), which are optional on read, so one reader serves both:
 //
 //	header (24 bytes):
 //	  [8]byte  magic "CTXSRCH4"
-//	  uint32   version (4 or 5)
+//	  uint32   version (5; 4 still opens)
 //	  uint32   section count
 //	  uint32   CRC32-C of the section table bytes
 //	  uint32   reserved (0)
@@ -44,7 +44,7 @@ import (
 // therefore touches only the header, the table, and the small dictionary
 // sections, never faulting in the CSR payload pages.
 const (
-	magicV4     = "CTXSRCH4"
+	magic       = "CTXSRCH4"
 	versionV4   = 4
 	versionV5   = 5
 	headerSize  = 24
@@ -96,9 +96,8 @@ const (
 	secIdxMaxRatio  = uint32(14) // float64: per-term max weight/norm ratio
 	secDF           = uint32(15) // bytes: document-frequency table
 	secMatrixDir    = uint32(16) // bytes: score-function name → section base
-	// Block-max index sections, written by v5 and optional on read: a
-	// reader binding a state without them recomputes the tables on open
-	// (see index.FromParts).
+	// Block-max index sections, optional on read: a reader binding a state
+	// without them recomputes the tables on open (see index.FromParts).
 	secIdxBlockMeta    = uint32(17) // bytes: u32 postings-per-block granularity
 	secIdxBlockOffsets = uint32(18) // int32: per-term block-run offsets
 	secIdxBlockMaxW    = uint32(19) // float64: per-block max posting weight

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -33,10 +34,9 @@ type section struct {
 	verified    bool
 }
 
-// Mapped is an open state file. For a v4 file the components hand out
-// slices aliasing the underlying mapping (or the heap buffer on the
-// fallback path), materialized lazily and cached; for v1–v3 gob files it
-// wraps a fully decoded State so callers get one open API across formats.
+// Mapped is an open state file. The components hand out slices aliasing
+// the underlying mapping (or the heap buffer on the byte-copy path),
+// materialized lazily and cached.
 //
 // Lifecycle: Open returns the Mapped holding one owner reference. Close
 // drops it; the mapping is unmapped when the owner reference and every
@@ -56,81 +56,81 @@ type Mapped struct {
 	termDict []ontology.TermID
 	cs       *contextset.ContextSet
 	parts    *index.Parts
-	hasParts bool
 	df       *vector.DF
 	matDir   map[string]uint32
 	matNames []string
 	mats     map[string]*prestige.Matrix
-	st       *State
 }
 
-// Open opens a state file for serving. A flat (v4/v5) file is memory-mapped
+// legacyGobMagic is the string every gob state file (v1–v3) carried in its
+// first message; Open looks for it only to name the fix.
+const legacyGobMagic = "ctxsearch-state"
+
+// Open opens a state file for serving. The file is memory-mapped
 // (syscall.Mmap on unix; a byte-copy read everywhere else or under
 // CTXSEARCH_NO_MMAP=1) and its sections are reinterpreted zero-copy on
-// demand; a v1–v3 gob file is decoded through Load. The ontology must be
-// the one the state was built from.
+// demand. The ontology must be the one the state was built from.
 func Open(path string, onto *ontology.Ontology) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var head [8]byte
-	if n, _ := io.ReadFull(f, head[:]); n == len(head) && string(head[:]) == magicV4 {
-		fi, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		size := int(fi.Size())
-		var data []byte
-		mapped := false
-		if os.Getenv(noMmapEnv) == "" {
-			if d, ok, merr := mmapFile(f, size); merr == nil && ok {
-				data, mapped = d, true
-			}
-		}
-		if data == nil {
-			// Fallback: byte-copy the file into an 8-aligned heap buffer;
-			// the section parsing and reinterpretation below are identical.
-			data = alignedBytes(size)
-			if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(size)), data); err != nil {
-				return nil, fmt.Errorf("store: reading %s: %w", path, err)
-			}
-		}
-		m, err := openBytes(data, mapped, onto)
-		if err != nil {
-			if mapped {
-				_ = munmap(data)
-			}
-			return nil, fmt.Errorf("store: opening %s: %w", path, err)
-		}
-		return m, nil
-	}
-	st, err := LoadFile(path, onto)
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	m := &Mapped{onto: onto, st: st}
-	m.refs.Store(1)
+	size := int(fi.Size())
+	head := make([]byte, 256) // a gob state's magic sits in its first ~60 bytes
+	n, _ := io.ReadFull(f, head)
+	head = head[:n]
+	if !bytes.HasPrefix(head, []byte(magic)) {
+		if bytes.Contains(head, []byte(legacyGobMagic)) {
+			return nil, fmt.Errorf("store: opening %s: gob state files (v1–v3) are no longer supported — rebuild with `ctxsearch build -state …`", path)
+		}
+		return nil, fmt.Errorf("store: opening %s: not a ctxsearch state file (%d bytes)", path, size)
+	}
+	var data []byte
+	mapped := false
+	if os.Getenv(noMmapEnv) == "" {
+		if d, ok, merr := mmapFile(f, size); merr == nil && ok {
+			data, mapped = d, true
+		}
+	}
+	if data == nil {
+		// Fallback: byte-copy the file into an 8-aligned heap buffer;
+		// the section parsing and reinterpretation below are identical.
+		data = alignedBytes(size)
+		if _, err := io.ReadFull(io.NewSectionReader(f, 0, int64(size)), data); err != nil {
+			return nil, fmt.Errorf("store: reading %s: %w", path, err)
+		}
+	}
+	m, err := openBytes(data, mapped, onto)
+	if err != nil {
+		if mapped {
+			_ = munmap(data)
+		}
+		return nil, fmt.Errorf("store: opening %s: %w", path, err)
+	}
 	return m, nil
 }
 
-// openBytes parses a flat (v4/v5) image over data (mapped or heap). Only the
+// openBytes parses a state image over data (mapped or heap). Only the
 // header, section table, and matrix directory are touched; everything
 // else waits for its first consumer.
 func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, error) {
 	if len(data) < headerSize {
-		return nil, fmt.Errorf("truncated v4 header (%d bytes)", len(data))
+		return nil, fmt.Errorf("truncated header (%d bytes)", len(data))
 	}
-	if string(data[:8]) != magicV4 {
-		return nil, fmt.Errorf("bad v4 magic %q", data[:8])
+	if string(data[:8]) != magic {
+		return nil, fmt.Errorf("bad magic %q", data[:8])
 	}
 	ver := int(binary.LittleEndian.Uint32(data[8:]))
 	if ver > versionV5 {
 		return nil, tooNewError(ver)
 	}
 	if ver != versionV4 && ver != versionV5 {
-		return nil, fmt.Errorf("flat state version %d is not supported (want %d or %d)", ver, versionV4, versionV5)
+		return nil, fmt.Errorf("state version %d is not supported (want %d or %d)", ver, versionV4, versionV5)
 	}
 	count := binary.LittleEndian.Uint32(data[12:])
 	if count > maxSections {
@@ -185,8 +185,7 @@ func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, erro
 	return m, nil
 }
 
-// tooNewError is the shared too-new-version diagnostic of the gob and flat
-// readers: it names the file's version and points at the fix, so serve
+// tooNewError names the file's version and points at the fix, so serve
 // startup prints something actionable instead of a bare decode error.
 func tooNewError(ver int) error {
 	return fmt.Errorf("store: state file version %d is newer than this binary supports (≤ %d) — the file was built by a newer ctxsearch; upgrade this binary, or rebuild the state with this one", ver, versionV5)
@@ -217,7 +216,7 @@ func (m *Mapped) needLocked(id uint32) ([]byte, error) {
 		return nil, err
 	}
 	if !ok {
-		return nil, fmt.Errorf("store: state file is missing required section %d", id)
+		return nil, fmt.Errorf("store: state file is missing required section %d — rebuild it with `ctxsearch build -state …`", id)
 	}
 	return b, nil
 }
@@ -288,13 +287,6 @@ func (m *Mapped) parseMatrixDir() error {
 func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.contextSetLocked()
-}
-
-func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
-	if m.st != nil {
-		return m.st.ContextSet, nil
-	}
 	if m.cs != nil {
 		return m.cs, nil
 	}
@@ -389,29 +381,16 @@ func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 	return cs, nil
 }
 
-// IndexParts materializes (once) the persisted text-index arrays, or
-// (nil, nil) when the state was saved without them (v4 states written
-// from a bare compute, or any gob state).
+// IndexParts materializes (once) the persisted text-index arrays.
 func (m *Mapped) IndexParts() (*index.Parts, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.indexPartsLocked()
-}
-
-func (m *Mapped) indexPartsLocked() (*index.Parts, error) {
-	if m.st != nil {
-		return m.st.Index, nil
-	}
-	if m.hasParts {
+	if m.parts != nil {
 		return m.parts, nil
 	}
-	tb, ok, err := m.sectionLocked(secIdxTerms)
+	tb, err := m.needLocked(secIdxTerms)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		m.hasParts = true
-		return nil, nil
 	}
 	c := &cursor{b: tb}
 	n := int(c.u32())
@@ -458,9 +437,9 @@ func (m *Mapped) indexPartsLocked() (*index.Parts, error) {
 		MaxWeight: asF64s(maxW),
 		MaxRatio:  asF64s(maxR),
 	}
-	// Block-max sections (v5; optional). A state without them — any v4
-	// file, or a v5 file whose index carried no tables — leaves
-	// BlockOffsets nil and index.FromParts recomputes the tables on bind.
+	// Block-max sections (optional). A state without them — a version-4
+	// file, or one whose index carried no tables — leaves BlockOffsets nil
+	// and index.FromParts recomputes the tables on bind.
 	bmeta, ok, err := m.sectionLocked(secIdxBlockMeta)
 	if err != nil {
 		return nil, err
@@ -492,31 +471,19 @@ func (m *Mapped) indexPartsLocked() (*index.Parts, error) {
 		parts.BlockMaxRatio = asF64s(bmr)
 	}
 	m.parts = parts
-	m.hasParts = true
 	return m.parts, nil
 }
 
-// DF materializes (once) the persisted document-frequency table, or
-// (nil, nil) when the state was saved without the index sections.
+// DF materializes (once) the persisted document-frequency table.
 func (m *Mapped) DF() (*vector.DF, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.dfLocked()
-}
-
-func (m *Mapped) dfLocked() (*vector.DF, error) {
-	if m.st != nil {
-		return m.st.DF, nil
-	}
 	if m.df != nil {
 		return m.df, nil
 	}
-	b, ok, err := m.sectionLocked(secDF)
+	b, err := m.needLocked(secDF)
 	if err != nil {
 		return nil, err
-	}
-	if !ok {
-		return nil, nil
 	}
 	c := &cursor{b: b}
 	docs := int(int64(c.u64()))
@@ -540,14 +507,6 @@ func (m *Mapped) dfLocked() (*vector.DF, error) {
 func (m *Mapped) MatrixNames() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.st != nil {
-		names := make([]string, 0, len(m.st.Matrices))
-		for name := range m.st.Matrices {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		return names
-	}
 	return append([]string(nil), m.matNames...)
 }
 
@@ -557,17 +516,6 @@ func (m *Mapped) MatrixNames() []string {
 func (m *Mapped) Matrix(name string) (*prestige.Matrix, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.matrixLocked(name)
-}
-
-func (m *Mapped) matrixLocked(name string) (*prestige.Matrix, error) {
-	if m.st != nil {
-		mat := m.st.Matrix(name)
-		if mat == nil {
-			return nil, fmt.Errorf("store: state has no %q score matrix", name)
-		}
-		return mat, nil
-	}
 	if mat := m.mats[name]; mat != nil {
 		return mat, nil
 	}
@@ -614,45 +562,11 @@ func (m *Mapped) matrixLocked(name string) (*prestige.Matrix, error) {
 	return mat, nil
 }
 
-// State materializes the whole file into a State — the compatibility
-// surface for callers (CLI search, experiments) that want everything.
-// Serving paths use the per-component accessors instead, which touch only
-// what they need.
-func (m *Mapped) State() (*State, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.st != nil {
-		return m.st, nil
-	}
-	cs, err := m.contextSetLocked()
-	if err != nil {
-		return nil, err
-	}
-	parts, err := m.indexPartsLocked()
-	if err != nil {
-		return nil, err
-	}
-	df, err := m.dfLocked()
-	if err != nil {
-		return nil, err
-	}
-	mats := make(map[string]*prestige.Matrix, len(m.matNames))
-	for _, name := range m.matNames {
-		mat, err := m.matrixLocked(name)
-		if err != nil {
-			return nil, err
-		}
-		mats[name] = mat
-	}
-	m.st = &State{ContextSet: cs, Matrices: mats, Index: parts, DF: df}
-	return m.st, nil
-}
-
 // ZeroCopy reports whether the components alias a memory mapping (false
-// for heap-fallback and gob opens).
+// on the byte-copy path).
 func (m *Mapped) ZeroCopy() bool { return m.mapped }
 
-// MappedBytes returns the size of the open image (0 for gob opens).
+// MappedBytes returns the size of the open image.
 func (m *Mapped) MappedBytes() int { return len(m.data) }
 
 // Retain takes a reference for the duration of a request, guaranteeing

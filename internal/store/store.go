@@ -1,265 +1,47 @@
 // Package store persists the query-independent pre-processing artefacts of
-// the context-based search system — context paper sets and prestige scores
-// — so a deployment can run tasks 1–2 offline once and serve queries from
-// the saved state. The corpus and ontology persist through their own
-// packages (corpus gob store, ontology OBO writer); this package covers the
-// derived state.
+// the context-based search system — context paper sets, prestige scores,
+// and the text index they were computed over — so a deployment can run
+// tasks 1–2 offline once and serve queries from the saved state. The corpus
+// and ontology persist through their own packages (corpus gob store,
+// ontology OBO writer); this package covers the derived state.
+//
+// There is one state format: the flat sectioned container described in
+// format.go, written by Save and opened (memory-mapped where the platform
+// allows) by Open.
 package store
 
 import (
-	"bufio"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/index"
-	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/prestige"
 	"ctxsearch/internal/vector"
 )
 
-// version is the current gob on-disk format. v1 persisted prestige scores
-// as nested maps (term → paper → score); v2 persists the frozen CSR
-// matrices (flat arrays — smaller on disk and far cheaper to decode); v3
-// keeps the v2 payload shape but the matrices additionally carry their
-// per-context row maxima (the top-k pruning bounds), so a cold start
-// serves pruned queries without a recomputation pass. v4 and v5 are not
-// gob at all: flat sectioned binaries built for memory-mapped zero-copy
-// opens (see format.go; v5 adds the index's block-max sections), written
-// by SaveV4/SaveV5 and opened by Open. Save always writes v3 gob; Load
-// accepts v1–v5, freezing v1 maps and recomputing v2 row maxima on the
-// way in.
-const (
-	version   = 3
-	versionV2 = 2
-	versionV1 = 1
-)
-
-// maxStateBytes caps how many bytes Load will consume from a reader
-// (2 GiB). Gob trusts stream-declared lengths, so a garbled length in a
-// corrupt stream could otherwise drive allocation (or an endless read)
-// far past any real state; the cap converts that into the corruption
-// diagnostic. A var so tests can tighten it.
-var maxStateBytes = int64(2) << 30
-
-// errSizeCap marks a read that ran past maxStateBytes.
-var errSizeCap = errors.New("store: stream exceeds the state size sanity cap (garbled length in a corrupt file?)")
-
-// cappedReader returns errSizeCap once n bytes have been read.
-type cappedReader struct {
-	r       io.Reader
-	n       int64
-	tripped bool
-}
-
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.n <= 0 {
-		c.tripped = true
-		return 0, errSizeCap
-	}
-	if int64(len(p)) > c.n {
-		p = p[:c.n]
-	}
-	n, err := c.r.Read(p)
-	c.n -= int64(n)
-	return n, err
-}
-
-// State bundles one context paper set with the prestige scores of any
-// number of score functions computed over it.
+// State is what a state file holds: one context paper set, the prestige
+// scores of any number of score functions computed over it, and the text
+// index a serving process binds instead of re-analysing the corpus.
 type State struct {
 	ContextSet *contextset.ContextSet
 	// Matrices maps score-function name ("text", "citation", "pattern", …)
-	// to its frozen CSR score matrix — the form the state file persists and
-	// the cold-start path hands straight to search.NewEngineFrozen.
+	// to its frozen CSR score matrix — the form the file persists and the
+	// cold-start path hands straight to search.NewEngineFrozen.
 	Matrices map[string]*prestige.Matrix
-	// Scores is the map (builder) form. Save freezes any entry without a
-	// matching matrix; Load leaves it nil for v2 files (populated only when
-	// loading a legacy v1 file, whose maps are also frozen into Matrices).
-	Scores map[string]prestige.Scores
-	// Index and DF are the text-index postings and document-frequency
-	// table. Persisted (together) only by the v4 format, so an open can
-	// skip corpus re-analysis; nil in gob states and in v4 states saved
-	// without them. The v3 writer ignores them.
+	// Index and DF are the text-index postings and the document-frequency
+	// table. Both are required: a state file without them could only be
+	// served by analysing the whole corpus again at every boot.
 	Index *index.Parts
 	DF    *vector.DF
 }
 
-// Matrix returns the frozen matrix of a score function, freezing the map
-// form on demand when only it is present.
-func (st *State) Matrix(name string) *prestige.Matrix {
-	if m := st.Matrices[name]; m != nil {
-		return m
-	}
-	if s, ok := st.Scores[name]; ok {
-		return s.Freeze()
-	}
-	return nil
-}
-
-type header struct {
-	Magic   string
-	Version int
-}
-
-// payloadV1 is the legacy v1 payload shape (nested score maps). Gob matches
-// struct fields by name, so this decodes streams written when the type was
-// simply named "payload".
-type payloadV1 struct {
-	Snapshot *contextset.Snapshot
-	Scores   map[string]prestige.Scores
-}
-
-// payloadV2 is the payload shape shared by v2 and v3: frozen CSR matrices
-// only. The version in the header records whether the matrices' wire form
-// carries row maxima (v3) or they must be recomputed on decode (v2) — the
-// prestige package handles both transparently.
-type payloadV2 struct {
-	Snapshot *contextset.Snapshot
-	Matrices map[string]*prestige.Matrix
-}
-
-// Save writes the state to w in the current (v3) format. Score functions
-// present only in map form are frozen on the way out; the nested maps
-// themselves are never persisted.
-func Save(w io.Writer, st *State) error {
-	if st == nil || st.ContextSet == nil {
-		return fmt.Errorf("store: nil state or context set")
-	}
-	mats := make(map[string]*prestige.Matrix, len(st.Matrices)+len(st.Scores))
-	for name, m := range st.Matrices {
-		mats[name] = m
-	}
-	for name, s := range st.Scores {
-		if mats[name] == nil {
-			mats[name] = s.Freeze()
-		}
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: "ctxsearch-state", Version: version}); err != nil {
-		return fmt.Errorf("store: encoding header: %w", err)
-	}
-	if err := enc.Encode(payloadV2{Snapshot: st.ContextSet.Snapshot(), Matrices: mats}); err != nil {
-		return fmt.Errorf("store: encoding payload: %w", err)
-	}
-	return nil
-}
-
-// corruptionHint classifies a gob decode failure so diagnostics say whether
-// the file ends early (crash mid-write, partial copy), blew the size
-// sanity cap (garbled length), or is garbled some other way.
-func corruptionHint(err error) string {
-	if errors.Is(err, errSizeCap) {
-		return "exceeds the size sanity cap (garbled length?)"
-	}
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return "truncated file"
-	}
-	return "corrupt gob stream"
-}
-
-// Load reads a state previously written by Save, SaveV4, or SaveV5,
-// rebinding the context set to the given ontology (which must be the one
-// the state was built from). All versions v1–v5 are accepted; a flat
-// stream is read whole and decoded through the same section machinery as
-// Open (byte-copy
-// semantics — use Open for the zero-copy mapped path). Decode failures
-// are wrapped with what was found — the magic and version when the header
-// survived, or a truncation/corruption classification — so a corrupted
-// -state file produces an actionable message. Reads are capped at
-// maxStateBytes: a garbled gob length fails with the corruption
-// diagnostic instead of an OOM-scale allocation.
-func Load(r io.Reader, onto *ontology.Ontology) (*State, error) {
-	br := bufio.NewReader(r)
-	if head, err := br.Peek(len(magicV4)); err == nil && string(head) == magicV4 {
-		capped := &cappedReader{r: br, n: maxStateBytes}
-		raw, err := io.ReadAll(capped)
-		if err != nil {
-			return nil, fmt.Errorf("store: reading v4 stream: %s: %w", corruptionHint(err), err)
-		}
-		// Copy into an 8-aligned buffer so numeric sections reinterpret
-		// exactly as on the mmap path.
-		data := alignedBytes(len(raw))
-		copy(data, raw)
-		m, err := openBytes(data, false, onto)
-		if err != nil {
-			return nil, fmt.Errorf("store: %w", err)
-		}
-		return m.State()
-	}
-	capped := &cappedReader{r: br, n: maxStateBytes}
-	dec := gob.NewDecoder(capped)
-	var h header
-	if err := dec.Decode(&h); err != nil {
-		return nil, fmt.Errorf("store: decoding header (%s, not a ctxsearch state?): %w", corruptionHint(err), err)
-	}
-	if h.Magic != "ctxsearch-state" {
-		return nil, fmt.Errorf("store: bad magic %q (want %q)", h.Magic, "ctxsearch-state")
-	}
-	var snap *contextset.Snapshot
-	st := &State{}
-	switch h.Version {
-	case versionV1:
-		// Legacy nested-map payload: freeze each score map into its CSR
-		// matrix so callers get the query-ready form regardless of the file
-		// generation; the maps stay available in Scores.
-		var p payloadV1
-		if err := dec.Decode(&p); err != nil {
-			return nil, fmt.Errorf("store: decoding payload after header (magic %q, version %d): %s: %w",
-				h.Magic, h.Version, corruptionHint(err), err)
-		}
-		snap = p.Snapshot
-		st.Scores = p.Scores
-		st.Matrices = make(map[string]*prestige.Matrix, len(p.Scores))
-		for name, s := range p.Scores {
-			st.Matrices[name] = s.Freeze()
-		}
-	case versionV2, version:
-		var p payloadV2
-		if err := dec.Decode(&p); err != nil {
-			return nil, fmt.Errorf("store: decoding payload after header (magic %q, version %d): %s: %w",
-				h.Magic, h.Version, corruptionHint(err), err)
-		}
-		snap = p.Snapshot
-		st.Matrices = p.Matrices
-	case versionV4, versionV5:
-		// Real v4/v5 files are flat binary (caught by the magic peek above),
-		// never gob-framed.
-		return nil, fmt.Errorf("store: gob stream claims version %d, but v%d states are flat binary — corrupt file?", h.Version, h.Version)
-	default:
-		return nil, tooNewError(h.Version)
-	}
-	cs, err := contextset.FromSnapshot(onto, snap)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	st.ContextSet = cs
-	return st, nil
-}
-
-// SaveFile writes the state to path crash-safely in the v3 gob format:
-// the stream goes to a temp file in the same directory, is synced, and is
-// renamed into place, so a crash mid-save leaves either the old state or
-// none — never a truncated file that Load rejects on the next boot.
-func SaveFile(path string, st *State) error {
-	return saveFileWith(path, func(w io.Writer) error { return Save(w, st) })
-}
-
-// SaveFileV4 is SaveFile in the flat v4 format (same crash-safe install).
-func SaveFileV4(path string, st *State) error {
-	return saveFileWith(path, func(w io.Writer) error { return SaveV4(w, st) })
-}
-
-// SaveFileV5 is SaveFile in the flat v5 format (same crash-safe install).
-func SaveFileV5(path string, st *State) error {
-	return saveFileWith(path, func(w io.Writer) error { return SaveV5(w, st) })
-}
-
-func saveFileWith(path string, save func(io.Writer) error) (err error) {
+// SaveFile writes the state to path crash-safely: the stream goes to a temp
+// file in the same directory, is synced, and is renamed into place, so a
+// crash mid-save leaves either the old state or none — never a truncated
+// file that Open rejects on the next boot.
+func SaveFile(path string, st *State) (err error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
@@ -270,7 +52,7 @@ func saveFileWith(path string, save func(io.Writer) error) (err error) {
 			os.Remove(tmp.Name()) // no-op if already renamed
 		}
 	}()
-	if err = save(tmp); err != nil {
+	if err = Save(tmp, st); err != nil {
 		return err
 	}
 	if err = tmp.Sync(); err != nil {
@@ -283,14 +65,4 @@ func saveFileWith(path string, save func(io.Writer) error) (err error) {
 		return fmt.Errorf("store: installing %s: %w", path, err)
 	}
 	return nil
-}
-
-// LoadFile reads a state from path.
-func LoadFile(path string, onto *ontology.Ontology) (*State, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f, onto)
 }

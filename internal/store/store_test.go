@@ -2,10 +2,8 @@ package store
 
 import (
 	"bytes"
-	"encoding/gob"
-	"io"
+	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"ctxsearch/internal/citegraph"
@@ -16,7 +14,10 @@ import (
 	"ctxsearch/internal/prestige"
 )
 
-func fixture(t *testing.T) (*ontology.Ontology, *State) {
+// fixtureWithIndex builds a complete state — context set, two score
+// functions, index parts and DF table — plus the corpus and analyzer the
+// re-binding checks need.
+func fixtureWithIndex(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.Analyzer, *State) {
 	t.Helper()
 	o, err := ontology.Generate(ontology.GenConfig{Seed: 9, NumTerms: 50, MaxDepth: 6})
 	if err != nil {
@@ -27,204 +28,110 @@ func fixture(t *testing.T) (*ontology.Ontology, *State) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzer(c)
-	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
-	scores := map[string]prestige.Scores{
-		"text":     prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0),
-		"citation": prestige.ScoreAll(prestige.NewCitationScorer(c, citegraph.PageRankOpts{}), cs, 0),
-	}
-	return o, &State{ContextSet: cs, Scores: scores}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	o, st := fixture(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Context set state preserved.
-	if got.ContextSet.Kind() != st.ContextSet.Kind() {
-		t.Fatal("kind lost")
-	}
-	wantCtxs := st.ContextSet.Contexts()
-	gotCtxs := got.ContextSet.Contexts()
-	if !reflect.DeepEqual(wantCtxs, gotCtxs) {
-		t.Fatalf("contexts differ: %d vs %d", len(wantCtxs), len(gotCtxs))
-	}
-	for _, ctx := range wantCtxs {
-		if !reflect.DeepEqual(st.ContextSet.Papers(ctx), got.ContextSet.Papers(ctx)) {
-			t.Fatalf("papers of %s differ", ctx)
-		}
-		wr, wok := st.ContextSet.Representative(ctx)
-		gr, gok := got.ContextSet.Representative(ctx)
-		if wok != gok || wr != gr {
-			t.Fatalf("representative of %s differs", ctx)
-		}
-		for _, p := range st.ContextSet.Papers(ctx) {
-			if st.ContextSet.AssignScore(ctx, p) != got.ContextSet.AssignScore(ctx, p) {
-				t.Fatalf("assign score of %d in %s differs", p, ctx)
-			}
-		}
-		if st.ContextSet.Decay(ctx) != got.ContextSet.Decay(ctx) {
-			t.Fatalf("decay of %s differs", ctx)
-		}
-	}
-	// Scores preserved exactly: the v2 file carries the frozen matrices,
-	// and thawing them must reproduce the original maps bit for bit.
-	if got.Scores != nil {
-		t.Fatal("v2 load must not populate the map form")
-	}
-	if len(got.Matrices) != len(st.Scores) {
-		t.Fatalf("matrices lost: %d vs %d score functions", len(got.Matrices), len(st.Scores))
-	}
-	for name, want := range st.Scores {
-		m := got.Matrices[name]
-		if m == nil {
-			t.Fatalf("matrix %q missing", name)
-		}
-		if !reflect.DeepEqual(want, m.Thaw()) {
-			t.Fatalf("scores of %q differ after round trip", name)
-		}
+	ix := index.Build(a)
+	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
+	return o, c, a, &State{
+		ContextSet: cs,
+		Matrices: map[string]*prestige.Matrix{
+			"text":     prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0).Freeze(),
+			"citation": prestige.ScoreAll(prestige.NewCitationScorer(c, citegraph.PageRankOpts{}), cs, 0).Freeze(),
+		},
+		Index: ix.Parts(),
+		DF:    a.DF(),
 	}
 }
 
-// saveV1 writes the legacy v1 format (nested score maps) the way the
-// pre-matrix Save did — the backward-compat fixture generator.
-func saveV1(w io.Writer, st *State) error {
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: "ctxsearch-state", Version: versionV1}); err != nil {
-		return err
-	}
-	return enc.Encode(payloadV1{Snapshot: st.ContextSet.Snapshot(), Scores: st.Scores})
+func fixture(t *testing.T) (*ontology.Ontology, *State) {
+	t.Helper()
+	o, _, _, st := fixtureWithIndex(t)
+	return o, st
 }
 
-func TestLoadV1BackwardCompat(t *testing.T) {
-	o, st := fixture(t)
-	var buf bytes.Buffer
-	if err := saveV1(&buf, st); err != nil {
-		t.Fatal(err)
+// materialize binds every component of an open state, touching (and so
+// CRC-checking) every section.
+func materialize(m *Mapped) (*State, error) {
+	st := &State{Matrices: map[string]*prestige.Matrix{}}
+	var err error
+	if st.ContextSet, err = m.ContextSet(); err != nil {
+		return nil, err
 	}
-	got, err := Load(&buf, o)
-	if err != nil {
-		t.Fatalf("v1 file must still load: %v", err)
+	if st.Index, err = m.IndexParts(); err != nil {
+		return nil, err
 	}
-	// v1 maps survive verbatim and are frozen into matrices on load.
-	if !reflect.DeepEqual(st.Scores, got.Scores) {
-		t.Fatal("v1 scores differ after load")
+	if st.DF, err = m.DF(); err != nil {
+		return nil, err
 	}
-	for name, want := range st.Scores {
-		m := got.Matrices[name]
-		if m == nil {
-			t.Fatalf("v1 load did not freeze %q", name)
-		}
-		if !reflect.DeepEqual(want, m.Thaw()) {
-			t.Fatalf("frozen %q differs from v1 map", name)
+	for _, name := range m.MatrixNames() {
+		if st.Matrices[name], err = m.Matrix(name); err != nil {
+			return nil, err
 		}
 	}
+	return st, nil
 }
 
-// saveV2 writes a v2-version header over the shared v2/v3 payload shape —
-// the backward-compat fixture for files written before row maxima joined
-// the matrix wire. (The matrices here still encode maxima, which a real v2
-// writer omitted; the matrix-level no-RowMax fallback is pinned in the
-// prestige package. This test covers the version gate.)
-func saveV2(w io.Writer, st *State) error {
-	mats := make(map[string]*prestige.Matrix, len(st.Scores))
-	for name, s := range st.Scores {
-		mats[name] = s.Freeze()
-	}
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: "ctxsearch-state", Version: versionV2}); err != nil {
-		return err
-	}
-	return enc.Encode(payloadV2{Snapshot: st.ContextSet.Snapshot(), Matrices: mats})
-}
-
-func TestLoadV2BackwardCompat(t *testing.T) {
-	o, st := fixture(t)
-	var buf bytes.Buffer
-	if err := saveV2(&buf, st); err != nil {
+// writeFile puts an image where a path-based Open can find it.
+func writeFile(t *testing.T, img []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "state.bin")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf, o)
-	if err != nil {
-		t.Fatalf("v2 file must still load: %v", err)
-	}
-	if got.Scores != nil {
-		t.Fatal("v2 load must not populate the map form")
-	}
-	for name, want := range st.Scores {
-		m := got.Matrices[name]
-		if m == nil {
-			t.Fatalf("matrix %q missing from v2 load", name)
-		}
-		if !reflect.DeepEqual(want, m.Thaw()) {
-			t.Fatalf("scores of %q differ after v2 load", name)
-		}
-	}
-}
-
-func TestV2SmallerThanV1(t *testing.T) {
-	_, st := fixture(t)
-	var v1, v2 bytes.Buffer
-	if err := saveV1(&v1, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(&v2, st); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() >= v1.Len() {
-		t.Fatalf("v2 state (%d bytes) not smaller than v1 (%d bytes)", v2.Len(), v1.Len())
-	}
-	t.Logf("state size: v1=%d bytes, v2=%d bytes (%.1f%% of v1)",
-		v1.Len(), v2.Len(), 100*float64(v2.Len())/float64(v1.Len()))
+	return path
 }
 
 func TestSaveLoadFile(t *testing.T) {
 	o, st := fixture(t)
-	path := filepath.Join(t.TempDir(), "state.gob")
+	path := filepath.Join(t.TempDir(), "state.bin")
 	if err := SaveFile(path, st); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path, o)
+	m, err := Open(path, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Matrices) != len(st.Scores) {
-		t.Fatal("matrices lost")
+	defer m.Close()
+	got, err := materialize(m)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name := range st.Scores {
-		if got.Matrix(name) == nil {
-			t.Fatalf("matrix %q lost", name)
-		}
-	}
+	assertSameContextSet(t, st.ContextSet, got.ContextSet)
+	assertSameMatrices(t, st, got.Matrices)
 }
 
 func TestLoadErrors(t *testing.T) {
 	o, st := fixture(t)
-	if _, err := Load(bytes.NewReader([]byte("junk")), o); err == nil {
+	if _, err := Open(writeFile(t, []byte("junk")), o); err == nil {
 		t.Error("junk must fail")
 	}
 	if err := Save(bytes.NewBuffer(nil), nil); err == nil {
 		t.Error("nil state must fail")
 	}
-	// Snapshot bound to the wrong ontology must fail.
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatal(err)
+	// A state without its text index could only be served by analysing the
+	// corpus again at every boot: the writer refuses it.
+	for _, bare := range []*State{
+		{ContextSet: st.ContextSet, Matrices: st.Matrices},
+		{ContextSet: st.ContextSet, Matrices: st.Matrices, Index: st.Index},
+		{ContextSet: st.ContextSet, Matrices: st.Matrices, DF: st.DF},
+	} {
+		if err := Save(bytes.NewBuffer(nil), bare); err == nil {
+			t.Error("a state without index parts and DF table must not save")
+		}
 	}
+	// A context set bound to the wrong ontology must fail.
 	other := ontology.New()
 	_ = other.Add(ontology.Term{ID: "GO:X", Name: "alien"})
 	if err := other.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf, other); err == nil {
+	m, err := Open(writeFile(t, v5Bytes(t, st)), other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.ContextSet(); err == nil {
 		t.Error("wrong ontology must fail")
 	}
-	if _, err := LoadFile("/nonexistent/state.gob", o); err == nil {
+	if _, err := Open("/nonexistent/state.bin", o); err == nil {
 		t.Error("missing file must fail")
 	}
 }

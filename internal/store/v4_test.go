@@ -5,39 +5,18 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"ctxsearch/internal/contextset"
-	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
-	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/prestige"
 )
 
-// fixtureWithIndex extends fixture with the artefacts only v4 persists:
-// the corpus (for re-binding checks), the analyzer, the inverted index's
-// parts, and the DF table.
-func fixtureWithIndex(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.Analyzer, *State) {
-	t.Helper()
-	o, st := fixture(t)
-	c, err := corpus.Generate(o, corpus.DefaultGenConfig(150))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := corpus.NewAnalyzer(c)
-	ix := index.Build(a)
-	st.Index = ix.Parts()
-	st.DF = a.DF()
-	return o, c, a, st
-}
-
 // assertSameContextSet checks every accessor-visible property of two
-// context sets matches — the contract the v4 freeze/thaw must keep.
+// context sets matches — the contract the freeze/thaw must keep.
 func assertSameContextSet(t *testing.T, want, got *contextset.ContextSet) {
 	t.Helper()
 	if want.Kind() != got.Kind() {
@@ -76,15 +55,7 @@ func assertSameContextSet(t *testing.T, want, got *contextset.ContextSet) {
 // assertSameMatrices checks element-wise equality of every score function.
 func assertSameMatrices(t *testing.T, st *State, got map[string]*prestige.Matrix) {
 	t.Helper()
-	want := make(map[string]*prestige.Matrix, len(st.Matrices)+len(st.Scores))
-	for name, m := range st.Matrices {
-		want[name] = m
-	}
-	for name, s := range st.Scores {
-		if want[name] == nil {
-			want[name] = s.Freeze()
-		}
-	}
+	want := st.Matrices
 	if len(want) != len(got) {
 		t.Fatalf("matrix count differs: want %d, got %d", len(want), len(got))
 	}
@@ -99,60 +70,23 @@ func assertSameMatrices(t *testing.T, st *State, got map[string]*prestige.Matrix
 	}
 }
 
-// TestCrossVersionRoundTrip saves the same state in every format
-// generation v1–v4 and checks each loads back to element-wise equal
-// matrices and an equivalent context set.
-func TestCrossVersionRoundTrip(t *testing.T) {
-	o, _, _, st := fixtureWithIndex(t)
-	writers := map[string]func(*bytes.Buffer) error{
-		"v1": func(b *bytes.Buffer) error { return saveV1(b, st) },
-		"v2": func(b *bytes.Buffer) error { return saveV2(b, st) },
-		"v3": func(b *bytes.Buffer) error { return Save(b, st) },
-		"v4": func(b *bytes.Buffer) error { return SaveV4(b, st) },
-		"v5": func(b *bytes.Buffer) error { return SaveV5(b, st) },
-	}
-	for name, write := range writers {
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := write(&buf); err != nil {
-				t.Fatal(err)
-			}
-			got, err := Load(&buf, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameContextSet(t, st.ContextSet, got.ContextSet)
-			assertSameMatrices(t, st, got.Matrices)
-		})
-	}
-}
-
-// TestV4Deterministic: two saves of the same state are byte-identical.
+// TestV4Deterministic: two images of the same block-less state are
+// byte-identical.
 func TestV4Deterministic(t *testing.T) {
 	_, _, _, st := fixtureWithIndex(t)
-	var a, b bytes.Buffer
-	if err := SaveV4(&a, st); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveV4(&b, st); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("v4 encoding is not deterministic")
+	if !bytes.Equal(v4Bytes(t, st), v4Bytes(t, st)) {
+		t.Fatal("encoding is not deterministic")
 	}
 }
 
-// TestOpenV4 exercises the mmap path end to end: open, lazily materialize
-// every component, verify equality against the saved state, and check the
+// TestOpenV4 exercises the mmap path end to end on a version-4 file (an
+// older writer's: no block sections): open, lazily materialize every
+// component, verify equality against the saved state, and check the
 // refcounted lifecycle (double Close is idempotent; Retain after close
 // fails).
 func TestOpenV4(t *testing.T) {
 	o, _, a, st := fixtureWithIndex(t)
-	path := filepath.Join(t.TempDir(), "state.v4")
-	if err := SaveFileV4(path, st); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Open(path, o)
+	m, err := Open(writeFile(t, v4Bytes(t, st)), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +110,8 @@ func TestOpenV4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts == nil {
-		t.Fatal("index parts not persisted")
+	if parts.BlockOffsets != nil {
+		t.Fatal("a version-4 file yielded block tables")
 	}
 	if _, err := index.FromParts(a, parts); err != nil {
 		t.Fatalf("mapped parts do not bind: %v", err)
@@ -215,8 +149,8 @@ func TestOpenV4(t *testing.T) {
 // identically (the CI no-mmap job runs the whole package this way too).
 func TestOpenNoMmapFallback(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	path := filepath.Join(t.TempDir(), "state.v4")
-	if err := SaveFileV4(path, st); err != nil {
+	path := filepath.Join(t.TempDir(), "state.bin")
+	if err := SaveFile(path, st); err != nil {
 		t.Fatal(err)
 	}
 	t.Setenv(noMmapEnv, "1")
@@ -235,49 +169,18 @@ func TestOpenNoMmapFallback(t *testing.T) {
 	assertSameContextSet(t, st.ContextSet, cs)
 }
 
-// TestOpenGobFallback: Open on a gob state serves the same accessor API.
-func TestOpenGobFallback(t *testing.T) {
-	o, st := fixture(t)
-	path := filepath.Join(t.TempDir(), "state.gob")
-	if err := SaveFile(path, st); err != nil {
-		t.Fatal(err)
-	}
-	m, err := Open(path, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if m.ZeroCopy() {
-		t.Fatal("gob open claims zero-copy")
-	}
-	cs, err := m.ContextSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameContextSet(t, st.ContextSet, cs)
-	parts, err := m.IndexParts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parts != nil {
-		t.Fatal("gob state reports index parts")
-	}
-	if _, err := m.Matrix("text"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Matrix("no-such-fn"); err == nil {
-		t.Fatal("unknown matrix name did not error")
-	}
-}
-
-// v4Bytes renders the fixture state as a v4 image.
+// v4Bytes renders the fixture state as the image the version-4 writer
+// produced: no block sections, version 4 in the header (which no checksum
+// covers). The reader still opens such files.
 func v4Bytes(t *testing.T, st *State) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := SaveV4(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	idx := *st.Index
+	idx.BlockSize, idx.BlockOffsets, idx.BlockMaxWeight, idx.BlockMaxRatio = 0, nil, nil, nil
+	stripped := *st
+	stripped.Index = &idx
+	img := v5Bytes(t, &stripped)
+	binary.LittleEndian.PutUint32(img[8:], versionV4)
+	return img
 }
 
 // patchTableCRC recomputes the section-table checksum after a test edits
@@ -290,7 +193,7 @@ func patchTableCRC(img []byte) {
 
 func TestOpenTruncatedSectionTable(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	img := v4Bytes(t, st)
+	img := v5Bytes(t, st)
 	cut := headerSize + secHdrSize/2 // mid-way through the first entry
 	data := alignedBytes(cut)
 	copy(data, img[:cut])
@@ -302,7 +205,7 @@ func TestOpenTruncatedSectionTable(t *testing.T) {
 
 func TestOpenTableCRCMismatch(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	img := v4Bytes(t, st)
+	img := v5Bytes(t, st)
 	img[headerSize+8] ^= 0xFF // corrupt a table entry without re-patching
 	data := alignedBytes(len(img))
 	copy(data, img)
@@ -314,7 +217,7 @@ func TestOpenTableCRCMismatch(t *testing.T) {
 
 func TestOpenUnalignedSection(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	img := v4Bytes(t, st)
+	img := v5Bytes(t, st)
 	// Nudge the CS scores (f64) section offset by 4: no longer 8-aligned.
 	count := int(binary.LittleEndian.Uint32(img[12:]))
 	for i := 0; i < count; i++ {
@@ -335,7 +238,7 @@ func TestOpenUnalignedSection(t *testing.T) {
 
 func TestOpenSectionBeyondFile(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	img := v4Bytes(t, st)
+	img := v5Bytes(t, st)
 	// Point the CS docs section past EOF (a truncated copy would look the
 	// same: table intact, payload missing).
 	count := int(binary.LittleEndian.Uint32(img[12:]))
@@ -361,7 +264,7 @@ func TestOpenSectionBeyondFile(t *testing.T) {
 // table, and directory) still succeeds.
 func TestOpenLazyCRCMismatch(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	img := v4Bytes(t, st)
+	img := v5Bytes(t, st)
 	// Find the CS docs payload and flip a byte in its middle.
 	count := int(binary.LittleEndian.Uint32(img[12:]))
 	for i := 0; i < count; i++ {
@@ -391,8 +294,8 @@ func TestOpenLazyCRCMismatch(t *testing.T) {
 // TestOpenTooNew: a version from the future names itself and the fix.
 func TestOpenTooNew(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	img := v4Bytes(t, st)
-	binary.LittleEndian.PutUint32(img[8:], versionV4+3)
+	img := v5Bytes(t, st)
+	binary.LittleEndian.PutUint32(img[8:], versionV5+2)
 	data := alignedBytes(len(img))
 	copy(data, img)
 	_, err := openBytes(data, false, o)
@@ -405,68 +308,45 @@ func TestOpenTooNew(t *testing.T) {
 		}
 	}
 	// The same file through a path-based Open (the serve boot path).
-	path := filepath.Join(t.TempDir(), "state.v4")
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(path, o); err == nil || !strings.Contains(err.Error(), "newer ctxsearch") {
+	if _, err := Open(writeFile(t, img), o); err == nil || !strings.Contains(err.Error(), "newer ctxsearch") {
 		t.Fatalf("Open did not surface the too-new hint: %v", err)
 	}
 }
 
-// saveWithVersion writes a gob stream with an arbitrary header version —
-// the fixture generator for future-version diagnostics.
-func saveWithVersion(w io.Writer, st *State, ver int) error {
-	enc := gob.NewEncoder(w)
-	if err := enc.Encode(header{Magic: "ctxsearch-state", Version: ver}); err != nil {
-		return err
-	}
-	return enc.Encode(payloadV2{Snapshot: st.ContextSet.Snapshot(), Matrices: nil})
-}
-
-// TestGobTooNewVersion: a gob header claiming a future version gets the
-// same upgrade hint (v4 itself is special-cased: real v4 files are never
-// gob-framed, so a gob stream claiming 4 is corruption).
-func TestGobTooNewVersion(t *testing.T) {
-	o, st := fixture(t)
-	var buf bytes.Buffer
-	if err := saveWithVersion(&buf, st, 9); err != nil {
+// TestOpenNotAState: a file that is not the flat container is refused with
+// a diagnostic of its own kind — the fix for a state an older binary wrote,
+// the size for anything else — never a panic and never a decode attempt.
+func TestOpenNotAState(t *testing.T) {
+	o, _ := fixture(t)
+	// What every v1–v3 writer put first: a gob-encoded header struct.
+	var legacy bytes.Buffer
+	if err := gob.NewEncoder(&legacy).Encode(struct {
+		Magic   string
+		Version int
+	}{"ctxsearch-state", 3}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Load(&buf, o)
-	if err == nil || !strings.Contains(err.Error(), "newer ctxsearch") {
-		t.Fatalf("future gob version not diagnosed: %v", err)
-	}
-	buf.Reset()
-	if err := saveWithVersion(&buf, st, versionV4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf, o); err == nil || !strings.Contains(err.Error(), "flat binary") {
-		t.Fatalf("gob-framed v4 not diagnosed as corruption: %v", err)
-	}
-}
-
-// TestLoadSizeCap: a stream larger than the sanity cap fails with the
-// garbled-length diagnostic instead of consuming unbounded memory.
-func TestLoadSizeCap(t *testing.T) {
-	o, st := fixture(t)
-	var buf bytes.Buffer
-	if err := Save(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	old := maxStateBytes
-	maxStateBytes = int64(buf.Len() / 2)
-	defer func() { maxStateBytes = old }()
-	_, err := Load(bytes.NewReader(buf.Bytes()), o)
-	if err == nil || !strings.Contains(err.Error(), "sanity cap") {
-		t.Fatalf("oversized stream not capped: %v", err)
+	legacy.WriteString(strings.Repeat("payload ", 64))
+	for _, tc := range []struct {
+		name string
+		img  []byte
+		want string
+	}{
+		{"legacy gob", legacy.Bytes(), "gob state files (v1–v3) are no longer supported — rebuild with `ctxsearch build -state …`"},
+		{"empty", nil, "not a ctxsearch state file (0 bytes)"},
+		{"shorter than the magic", []byte("CTXSRCH"), "not a ctxsearch state file (7 bytes)"},
+		{"foreign", []byte("%PDF-1.7 and then some more bytes"), "not a ctxsearch state file (33 bytes)"},
+	} {
+		_, err := Open(writeFile(t, tc.img), o)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want %q, got %v", tc.name, tc.want, err)
+		}
 	}
 }
 
-// TestV4BitFlips corrupts single bytes across a v4 image: opening plus
-// materializing every component must either fail cleanly or produce
-// equivalent state — never panic. Unlike gob, v4's per-section CRCs make
-// silent absorption of payload flips impossible.
+// TestV4BitFlips corrupts single bytes across a version-4 image: opening
+// plus materializing every component must fail cleanly — never panic. The
+// per-section CRCs make silent absorption of payload flips impossible.
 func TestV4BitFlips(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
 	img := v4Bytes(t, st)
@@ -479,7 +359,7 @@ func TestV4BitFlips(t *testing.T) {
 		if err != nil {
 			continue // rejected at open: fine
 		}
-		if _, err := m.State(); err == nil {
+		if _, err := materialize(m); err == nil {
 			t.Fatalf("offset %d: corrupted image materialized without error", off)
 		}
 	}

@@ -12,11 +12,11 @@ import (
 	"ctxsearch/internal/index"
 )
 
-// v5Bytes renders the fixture state as a v5 image.
+// v5Bytes renders the fixture state as the image Save writes.
 func v5Bytes(t *testing.T, st *State) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := SaveV5(&buf, st); err != nil {
+	if err := Save(&buf, st); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -40,35 +40,26 @@ func TestV5Deterministic(t *testing.T) {
 	}
 }
 
-// TestV5BlockSections pins the format split: a v5 image of a block-built
-// index carries the four block sections and stamps version 5; the v4 image
-// of the same state omits them and stamps version 4 — the v4 writer's
-// output must not change just because the in-memory index now carries
-// block tables.
+// TestV5BlockSections: the image of a block-built index carries the four
+// block sections and stamps version 5.
 func TestV5BlockSections(t *testing.T) {
 	_, _, _, st := fixtureWithIndex(t)
 	if st.Index.BlockOffsets == nil {
 		t.Fatal("fixture index carries no block tables")
 	}
-	img5, img4 := v5Bytes(t, st), v4Bytes(t, st)
-	if v := binary.LittleEndian.Uint32(img5[8:]); v != versionV5 {
-		t.Fatalf("v5 image stamps version %d", v)
+	img := v5Bytes(t, st)
+	if v := binary.LittleEndian.Uint32(img[8:]); v != versionV5 {
+		t.Fatalf("image stamps version %d", v)
 	}
-	if v := binary.LittleEndian.Uint32(img4[8:]); v != versionV4 {
-		t.Fatalf("v4 image stamps version %d", v)
-	}
-	ids5, ids4 := sectionIDs(img5), sectionIDs(img4)
+	ids := sectionIDs(img)
 	for _, id := range []uint32{secIdxBlockMeta, secIdxBlockOffsets, secIdxBlockMaxW, secIdxBlockMaxR} {
-		if !slices.Contains(ids5, id) {
-			t.Fatalf("v5 image lacks block section %d", id)
-		}
-		if slices.Contains(ids4, id) {
-			t.Fatalf("v4 image contains block section %d", id)
+		if !slices.Contains(ids, id) {
+			t.Fatalf("image lacks block section %d", id)
 		}
 	}
 
-	// A v5 save of parts without tables simply omits the sections (and
-	// still opens — the reader recomputes on bind).
+	// A save of parts without tables simply omits the sections (and still
+	// opens — the reader recomputes on bind).
 	stripped := *st
 	idx := *st.Index
 	idx.BlockSize, idx.BlockOffsets, idx.BlockMaxWeight, idx.BlockMaxRatio = 0, nil, nil, nil
@@ -84,7 +75,7 @@ func TestV5BlockSections(t *testing.T) {
 func TestOpenV5(t *testing.T) {
 	o, _, a, st := fixtureWithIndex(t)
 	path := filepath.Join(t.TempDir(), "state.v5")
-	if err := SaveFileV5(path, st); err != nil {
+	if err := SaveFile(path, st); err != nil {
 		t.Fatal(err)
 	}
 	m, err := Open(path, o)
@@ -116,26 +107,25 @@ func TestOpenV5(t *testing.T) {
 	}
 }
 
-// TestLoadV5 covers the byte-copy read path (Load on a v5 stream) and the
-// gob-framed-v5 corruption diagnostic.
+// TestLoadV5 covers the byte-copy read path: the image parsed from a heap
+// buffer binds the same state, block tables included.
 func TestLoadV5(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	got, err := Load(bytes.NewReader(v5Bytes(t, st)), o)
+	img := v5Bytes(t, st)
+	data := alignedBytes(len(img))
+	copy(data, img)
+	m, err := openBytes(data, false, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := materialize(m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameContextSet(t, st.ContextSet, got.ContextSet)
 	assertSameMatrices(t, st, got.Matrices)
-	if got.Index == nil || !slices.Equal(got.Index.BlockOffsets, st.Index.BlockOffsets) {
-		t.Fatal("Load dropped the v5 block tables")
-	}
-
-	var buf bytes.Buffer
-	if err := saveWithVersion(&buf, st, versionV5); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(&buf, o); err == nil || !strings.Contains(err.Error(), "flat binary") {
-		t.Fatalf("gob-framed v5 not diagnosed as corruption: %v", err)
+	if !slices.Equal(got.Index.BlockOffsets, st.Index.BlockOffsets) {
+		t.Fatal("the byte-copy path dropped the block tables")
 	}
 }
 
@@ -205,7 +195,7 @@ func TestV5BitFlips(t *testing.T) {
 		if err != nil {
 			continue // rejected at open: fine
 		}
-		if _, err := m.State(); err == nil {
+		if _, err := materialize(m); err == nil {
 			t.Fatalf("offset %d: corrupted v5 image materialized without error", off)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"ctxsearch/internal/ontology"
-	"ctxsearch/internal/prestige"
 )
 
 // sectionData is one section queued for writing.
@@ -18,38 +17,23 @@ type sectionData struct {
 	data []byte
 }
 
-// SaveV4 writes the state to w in the flat v4 format (see format.go for
-// the layout). The context set is flattened to its frozen CSR+bitmap
-// arrays, each prestige matrix's CSR arrays are written verbatim, and —
-// when the state carries them — the text index's postings and the DF
-// table go along, so an open skips corpus re-analysis entirely. The
-// layout is deterministic: sections in fixed ID order, dictionaries and
-// directories sorted.
-func SaveV4(w io.Writer, st *State) error { return saveFlat(w, st, versionV4) }
-
-// SaveV5 writes the flat v5 format: v4 plus the index's block-max tables
-// as their own sections, so an open binds the tables zero-copy instead of
-// recomputing them over every posting. States whose index carries no block
-// tables (or no index at all) produce a v5 file without the block
-// sections — readers recompute on bind, exactly as for a v4 file.
-func SaveV5(w io.Writer, st *State) error { return saveFlat(w, st, versionV5) }
-
-// saveFlat is the shared flat-format writer; ver selects which optional
-// sections are emitted and the header's version stamp.
-func saveFlat(w io.Writer, st *State, ver int) error {
+// Save writes the state to w in the flat format (see format.go for the
+// layout). The context set is flattened to its frozen CSR+bitmap arrays,
+// each prestige matrix's CSR arrays are written verbatim, and the text
+// index's postings, its block-max tables and the DF table go along, so an
+// open skips corpus re-analysis entirely and binds the tables zero-copy. An
+// index built without block tables produces a file without the block
+// sections — readers recompute them on bind. The layout is deterministic:
+// sections in fixed ID order, dictionaries and directories sorted.
+func Save(w io.Writer, st *State) error {
 	if st == nil || st.ContextSet == nil {
 		return fmt.Errorf("store: nil state or context set")
 	}
+	if st.Index == nil || st.DF == nil {
+		return fmt.Errorf("store: a state needs its text index and DF table to be saved")
+	}
 	f := st.ContextSet.Freeze()
-	mats := make(map[string]*prestige.Matrix, len(st.Matrices)+len(st.Scores))
-	for name, m := range st.Matrices {
-		mats[name] = m
-	}
-	for name, s := range st.Scores {
-		if mats[name] == nil {
-			mats[name] = s.Freeze()
-		}
-	}
+	mats := st.Matrices
 	names := make([]string, 0, len(mats))
 	for name := range mats {
 		names = append(names, name)
@@ -162,50 +146,45 @@ func saveFlat(w io.Writer, st *State, ver int) error {
 	}
 	add(secMatrixDir, kindBytes, dir.b)
 
-	// Text index + DF table (optional: only when the state carries them).
-	if (st.Index == nil) != (st.DF == nil) {
-		return fmt.Errorf("store: index parts and DF table must be saved together")
+	// Text index + DF table.
+	p := st.Index
+	var it builder
+	it.u32(uint32(len(p.Terms)))
+	for _, t := range p.Terms {
+		it.str(t)
 	}
-	if st.Index != nil {
-		p := st.Index
-		var it builder
-		it.u32(uint32(len(p.Terms)))
-		for _, t := range p.Terms {
-			it.str(t)
-		}
-		add(secIdxTerms, kindBytes, it.b)
-		add(secIdxOffsets, kindI32, encodeI32s(p.Offsets))
-		add(secIdxDocs, kindI64, encodePaperIDs(p.Docs))
-		add(secIdxWeights, kindF64, encodeF64s(p.Weights))
-		add(secIdxNorms, kindF64, encodeF64s(p.Norms))
-		add(secIdxMaxWeight, kindF64, encodeF64s(p.MaxWeight))
-		add(secIdxMaxRatio, kindF64, encodeF64s(p.MaxRatio))
-		if ver >= versionV5 && p.BlockOffsets != nil && p.BlockSize > 0 {
-			var bm builder
-			bm.u32(uint32(p.BlockSize))
-			add(secIdxBlockMeta, kindBytes, bm.b)
-			add(secIdxBlockOffsets, kindI32, encodeI32s(p.BlockOffsets))
-			add(secIdxBlockMaxW, kindF64, encodeF64s(p.BlockMaxWeight))
-			add(secIdxBlockMaxR, kindF64, encodeF64s(p.BlockMaxRatio))
-		}
-
-		docs, counts := st.DF.Counts()
-		dfTerms := make([]string, 0, len(counts))
-		for t := range counts {
-			dfTerms = append(dfTerms, t)
-		}
-		sort.Strings(dfTerms)
-		var db builder
-		db.u64(uint64(docs))
-		db.u32(uint32(len(dfTerms)))
-		for _, t := range dfTerms {
-			db.str(t)
-			db.u32(uint32(counts[t]))
-		}
-		add(secDF, kindBytes, db.b)
+	add(secIdxTerms, kindBytes, it.b)
+	add(secIdxOffsets, kindI32, encodeI32s(p.Offsets))
+	add(secIdxDocs, kindI64, encodePaperIDs(p.Docs))
+	add(secIdxWeights, kindF64, encodeF64s(p.Weights))
+	add(secIdxNorms, kindF64, encodeF64s(p.Norms))
+	add(secIdxMaxWeight, kindF64, encodeF64s(p.MaxWeight))
+	add(secIdxMaxRatio, kindF64, encodeF64s(p.MaxRatio))
+	if p.BlockOffsets != nil && p.BlockSize > 0 {
+		var bm builder
+		bm.u32(uint32(p.BlockSize))
+		add(secIdxBlockMeta, kindBytes, bm.b)
+		add(secIdxBlockOffsets, kindI32, encodeI32s(p.BlockOffsets))
+		add(secIdxBlockMaxW, kindF64, encodeF64s(p.BlockMaxWeight))
+		add(secIdxBlockMaxR, kindF64, encodeF64s(p.BlockMaxRatio))
 	}
 
-	return writeSections(w, secs, ver)
+	docs, counts := st.DF.Counts()
+	dfTerms := make([]string, 0, len(counts))
+	for t := range counts {
+		dfTerms = append(dfTerms, t)
+	}
+	sort.Strings(dfTerms)
+	var db builder
+	db.u64(uint64(docs))
+	db.u32(uint32(len(dfTerms)))
+	for _, t := range dfTerms {
+		db.str(t)
+		db.u32(uint32(counts[t]))
+	}
+	add(secDF, kindBytes, db.b)
+
+	return writeSections(w, secs)
 }
 
 // sortedTermKeys collects term IDs from an iterator and returns them
@@ -220,9 +199,9 @@ func sortedTermKeys(n int, iter func(yield func(ontology.TermID))) []ontology.Te
 // alignUp rounds n up to the next multiple of align (a power of two).
 func alignUp(n, align uint64) uint64 { return (n + align - 1) &^ (align - 1) }
 
-// writeSections lays out the header (stamped with ver), section table, and
-// aligned data and streams them to w.
-func writeSections(w io.Writer, secs []sectionData, ver int) error {
+// writeSections lays out the header, section table, and aligned data and
+// streams them to w.
+func writeSections(w io.Writer, secs []sectionData) error {
 	if len(secs) > maxSections {
 		return fmt.Errorf("store: %d sections exceeds the format limit %d", len(secs), maxSections)
 	}
@@ -241,16 +220,16 @@ func writeSections(w io.Writer, secs []sectionData, ver int) error {
 	}
 
 	var hdr [headerSize]byte
-	copy(hdr[:8], magicV4)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(ver))
+	copy(hdr[:8], magic)
+	binary.LittleEndian.PutUint32(hdr[8:], versionV5)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(secs)))
 	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(table, castagnoli))
 	binary.LittleEndian.PutUint32(hdr[20:], 0)
 	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("store: writing v4 header: %w", err)
+		return fmt.Errorf("store: writing header: %w", err)
 	}
 	if _, err := w.Write(table); err != nil {
-		return fmt.Errorf("store: writing v4 section table: %w", err)
+		return fmt.Errorf("store: writing section table: %w", err)
 	}
 	pos := uint64(headerSize + len(table))
 	var pad [secAlign]byte
@@ -258,12 +237,12 @@ func writeSections(w io.Writer, secs []sectionData, ver int) error {
 		s := &secs[i]
 		if p := alignUp(pos, secAlign) - pos; p > 0 {
 			if _, err := w.Write(pad[:p]); err != nil {
-				return fmt.Errorf("store: writing v4 padding: %w", err)
+				return fmt.Errorf("store: writing padding: %w", err)
 			}
 			pos += p
 		}
 		if _, err := w.Write(s.data); err != nil {
-			return fmt.Errorf("store: writing v4 section %d: %w", s.id, err)
+			return fmt.Errorf("store: writing section %d: %w", s.id, err)
 		}
 		pos += uint64(len(s.data))
 	}

@@ -1,14 +1,19 @@
 #!/usr/bin/env bash
-# Black-box smoke test of `ctxsearch serve`: builds the real binary, boots
-# it on an ephemeral port, waits for /readyz to flip, exercises the API and
-# its limit validation with curl, then sends SIGTERM and requires a clean
-# (graceful) exit. A second phase boots a 3-shard multi-process cluster
-# (three `ctxsearch shard` processes plus a stateless coordinator) and
-# drives one search through the coordinator. A third (chaos) phase boots a
+# Black-box smoke test of `ctxsearch serve`: builds the real binary and,
+# with it, one state file (`build -state`) that every later process opens —
+# as every deployment does. An in-process-built server (no -state) answers
+# the reference pages first. Then a server boots from the state file on an
+# ephemeral port, /readyz flips, the API and its limit validation are
+# exercised with curl, and SIGTERM must produce a clean (graceful) exit. A
+# second phase boots a 3-shard multi-process cluster (three `ctxsearch
+# shard` processes plus a stateless coordinator) and drives one search
+# through the coordinator. A third (chaos) phase boots a
 # 2-range x 2-replica cluster, kills one replica per range mid-traffic,
 # requires every search to stay byte-identical to the pre-kill baseline,
 # then restarts a replica on its recorded port and requires readiness to
-# recover. Run via `make serve-smoke`.
+# recover. Every state-booted process must report a zero-copy mapping and
+# every page must equal the in-process-built server's bytes. Run via
+# `make serve-smoke`.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -62,8 +67,7 @@ wait_addr() {
     echo "$addr"
 }
 
-# wait_ready BASEURL: polls /readyz until 200 (up to 30s — shard processes
-# each build the full corpus before restricting to their range).
+# wait_ready BASEURL: polls /readyz until 200 (up to 30s).
 wait_ready() {
     local code=""
     for _ in $(seq 1 300); do
@@ -74,11 +78,54 @@ wait_ready() {
     return 1
 }
 
+# stop_gracefully PID NAME: SIGTERM, then a clean exit within 10s.
+stop_gracefully() {
+    kill -TERM "$1" 2>/dev/null || true
+    for _ in $(seq 1 100); do
+        kill -0 "$1" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$1" 2>/dev/null; then
+        fail "$2 still running 10s after SIGTERM"
+    fi
+    wait "$1" || fail "$2 exited non-zero after SIGTERM"
+}
+
+# assert_mapped LOGFILE NAME: a ready process that booted from the state
+# file logs one cold-start line, and it must report the zero-copy mapping.
+assert_mapped() {
+    for _ in $(seq 1 20); do
+        grep -q 'cold start' "$1" && break
+        sleep 0.1
+    done
+    grep -q 'cold start .*(zero-copy mmap: true)' "$1" ||
+        fail "$2 did not boot from a zero-copy mapping of the state file"
+}
+
 echo "serve-smoke: building binary"
 go build -o "$bin" ./cmd/ctxsearch
 
-echo "serve-smoke: booting server on an ephemeral port"
-"$bin" -papers 300 -terms 60 -addr 127.0.0.1:0 serve >"$logfile" 2>&1 &
+corpus=(-papers 300 -terms 60)
+state="$workdir/state.bin"
+echo "serve-smoke: building the state file"
+"$bin" "${corpus[@]}" -state "$state" build >"$workdir/build.log" 2>&1 || fail "build -state failed"
+
+# The reference: a server that builds everything in-process. Every page a
+# state-booted process serves below must equal its bytes.
+echo "serve-smoke: reference pages from an in-process-built server"
+"$bin" "${corpus[@]}" -addr 127.0.0.1:0 serve >"$workdir/reference.log" 2>&1 &
+pid=$!
+addr="$(wait_addr "$workdir/reference.log" "$pid")" || fail "reference server never listened"
+wait_ready "http://$addr" || fail "reference /readyz never flipped to 200"
+ref5="$(curl -s "http://$addr/search?q=transcription&limit=5")"
+ref10="$(curl -s "http://$addr/search?q=transcription&limit=10")"
+grep -q '"paper_id"' <<<"$ref5" || fail "reference page has no result rows: $ref5"
+grep -q 'zero-copy mmap: false' "$workdir/reference.log" || fail "the in-process-built server claims a mapping"
+stop_gracefully "$pid" "reference server"
+pid=""
+
+echo "serve-smoke: booting server from the state file on an ephemeral port"
+"$bin" "${corpus[@]}" -state "$state" -addr 127.0.0.1:0 serve >"$logfile" 2>&1 &
 pid=$!
 
 # The listen line appears as soon as the port binds (before the engine is
@@ -92,38 +139,35 @@ code="$(curl -s -o /dev/null -w '%{http_code}' "$base/healthz")"
 [[ "$code" == "200" ]] || fail "/healthz = $code, want 200"
 
 wait_ready "$base" || fail "/readyz never flipped to 200"
+assert_mapped "$logfile" "server"
 echo "serve-smoke: ready"
 
-code="$(curl -s -o /dev/null -w '%{http_code}' "$base/search?q=transcription&limit=5")"
-[[ "$code" == "200" ]] || fail "/search = $code, want 200"
+body="$(curl -s -w '\n%{http_code}' "$base/search?q=transcription&limit=5")"
+[[ "${body##*$'\n'}" == "200" ]] || fail "/search = ${body##*$'\n'}, want 200"
+[[ "${body%$'\n'*}" == "$ref5" ]] || fail "state-booted page differs from the in-process-built server's: $body"
 
 # Validation: an over-cap limit is a client error, not a 500.
 code="$(curl -s -o /dev/null -w '%{http_code}' "$base/search?q=transcription&limit=1001")"
 [[ "$code" == "400" ]] || fail "over-cap limit = $code, want 400"
 
-code="$(curl -s -o /dev/null -w '%{http_code}' "$base/stats")"
-[[ "$code" == "200" ]] || fail "/stats = $code, want 200"
+# Nothing this process did — boot or search — analysed a paper.
+stats="$(curl -s -w '\n%{http_code}' "$base/stats")"
+[[ "${stats##*$'\n'}" == "200" ]] || fail "/stats = ${stats##*$'\n'}, want 200"
+grep -q '"analyzed_papers":0[,}]' <<<"$stats" || fail "the state-booted server analysed papers: $stats"
 
 echo "serve-smoke: SIGTERM"
-kill -TERM "$pid"
-for _ in $(seq 1 100); do
-    kill -0 "$pid" 2>/dev/null || break
-    sleep 0.1
-done
-if kill -0 "$pid" 2>/dev/null; then
-    fail "server still running 10s after SIGTERM"
-fi
-wait "$pid" || fail "server exited non-zero after SIGTERM"
+stop_gracefully "$pid" "server"
 pid=""
 
 echo "serve-smoke: phase 2 — 3-shard multi-process cluster"
 
-# Boot three shard processes. Each builds the same deterministic corpus
-# (same -papers/-terms seed) and serves its own third of the paper IDs.
+# Boot three shard processes. Each generates the same deterministic corpus
+# (same -papers/-terms seed), maps the one state file and serves its own
+# third of the paper IDs.
 shard_urls=()
 for i in 0 1 2; do
     shardlog="$workdir/shard$i.log"
-    "$bin" -papers 300 -terms 60 -addr 127.0.0.1:0 \
+    "$bin" "${corpus[@]}" -state "$state" -addr 127.0.0.1:0 \
         -shard-index "$i" -shard-count 3 shard >"$shardlog" 2>&1 &
     extra_pids+=($!)
 done
@@ -147,17 +191,17 @@ echo "serve-smoke: coordinator listening on $caddr"
 # answers 200 only once all shards are ready).
 for i in 0 1 2; do
     wait_ready "${shard_urls[$i]}" || fail "shard $i /readyz never flipped to 200"
+    assert_mapped "$workdir/shard$i.log" "shard $i"
 done
 wait_ready "$cbase" || fail "coordinator /readyz never flipped to 200"
 echo "serve-smoke: cluster ready"
 
-# One search through the coordinator must return results merged from the
-# shard pages.
+# One search through the coordinator must return the page merged from the
+# shard pages: the in-process-built server's bytes.
 body="$(curl -s -w '\n%{http_code}' "$cbase/search?q=transcription&limit=5")"
 code="${body##*$'\n'}"
 [[ "$code" == "200" ]] || fail "coordinator /search = $code, want 200"
-grep -q '"paper_id"' <<<"$body" || fail "coordinator /search returned no result rows: $body"
-grep -q '"partial"' <<<"$body" && fail "healthy cluster flagged a partial response: $body"
+[[ "${body%$'\n'*}" == "$ref5" ]] || fail "cluster page differs from the in-process-built server's: $body"
 
 # Stats through the coordinator must include the sharding counters, and the
 # cluster must have rendered exactly the rows it served (5, in one finishing
@@ -181,28 +225,21 @@ for p in "${extra_pids[@]}"; do
     kill -TERM "$p" 2>/dev/null || true
 done
 for p in "${extra_pids[@]}"; do
-    for _ in $(seq 1 100); do
-        kill -0 "$p" 2>/dev/null || break
-        sleep 0.1
-    done
-    if kill -0 "$p" 2>/dev/null; then
-        fail "cluster process $p still running 10s after SIGTERM"
-    fi
-    wait "$p" || fail "cluster process $p exited non-zero after SIGTERM"
+    stop_gracefully "$p" "cluster process $p"
 done
 extra_pids=()
 
 echo "serve-smoke: phase 3 — chaos: 2 ranges x 2 replicas, replica kill mid-traffic"
 
 # Boot two replicas per shard range (indices 0,0,1,1). Replicas of a range
-# build identical deterministic artifacts, so any replica serves exactly
-# the same bytes for a given shard request.
+# map the same state file, so any replica serves exactly the same bytes for
+# a given shard request.
 rep_pids=()
 rep_urls=()
 n=0
 for idx in 0 0 1 1; do
     replog="$workdir/replica$n.log"
-    "$bin" -papers 300 -terms 60 -addr 127.0.0.1:0 \
+    "$bin" "${corpus[@]}" -state "$state" -addr 127.0.0.1:0 \
         -shard-index "$idx" -shard-count 2 shard >"$replog" 2>&1 &
     rep_pids+=($!)
     extra_pids+=($!)
@@ -216,6 +253,7 @@ for n in 0 1 2 3; do
 done
 for n in 0 1 2 3; do
     wait_ready "${rep_urls[$n]}" || fail "replica $n /readyz never flipped to 200"
+    assert_mapped "$workdir/replica$n.log" "replica $n"
 done
 
 # Coordinator with the replica syntax ("|" between replicas of a range),
@@ -233,9 +271,9 @@ cbase="http://$caddr"
 wait_ready "$cbase" || fail "chaos coordinator /readyz never flipped to 200"
 echo "serve-smoke: chaos cluster ready on $caddr"
 
-# Baseline page with every replica healthy.
+# Baseline page with every replica healthy: the in-process-built server's.
 baseline="$(curl -s "$cbase/search?q=transcription&limit=10")"
-grep -q '"paper_id"' <<<"$baseline" || fail "chaos baseline has no result rows: $baseline"
+[[ "$baseline" == "$ref10" ]] || fail "chaos baseline differs from the in-process-built server's page: $baseline"
 
 # Crash (SIGKILL, not graceful) one replica of each range mid-traffic.
 echo "serve-smoke: killing replica 0 of each range"
@@ -263,11 +301,12 @@ curl -s "$cbase/stats" | grep -q '"replicas"' || fail "chaos /stats has no repli
 # readiness — and identical pages — to survive the rejoin.
 raddr="${rep_urls[0]#http://}"
 echo "serve-smoke: restarting replica 0 on $raddr"
-"$bin" -papers 300 -terms 60 -addr "$raddr" \
+"$bin" "${corpus[@]}" -state "$state" -addr "$raddr" \
     -shard-index 0 -shard-count 2 shard >"$workdir/replica0b.log" 2>&1 &
 rep_pids[0]=$!
 extra_pids+=($!)
 wait_ready "${rep_urls[0]}" || fail "restarted replica never became ready"
+assert_mapped "$workdir/replica0b.log" "restarted replica"
 wait_ready "$cbase" || fail "coordinator not ready after replica rejoin"
 body="$(curl -s "$cbase/search?q=transcription&limit=10")"
 [[ "$body" == "$baseline" ]] || fail "search after replica rejoin diverged from baseline"
@@ -280,14 +319,7 @@ for p in "${live_pids[@]}"; do
     kill -TERM "$p" 2>/dev/null || true
 done
 for p in "${live_pids[@]}"; do
-    for _ in $(seq 1 100); do
-        kill -0 "$p" 2>/dev/null || break
-        sleep 0.1
-    done
-    if kill -0 "$p" 2>/dev/null; then
-        fail "chaos process $p still running 10s after SIGTERM"
-    fi
-    wait "$p" || fail "chaos process $p exited non-zero after SIGTERM"
+    stop_gracefully "$p" "chaos process $p"
 done
 extra_pids=()
 

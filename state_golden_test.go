@@ -38,7 +38,7 @@ func TestStateFileGolden(t *testing.T) {
 			DF:         sys.Analyzer().DF(),
 		}
 		path := filepath.Join(t.TempDir(), "state.v5")
-		if err := store.SaveFileV5(path, st); err != nil {
+		if err := store.SaveFile(path, st); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
