@@ -76,7 +76,6 @@ bench-build:
 # allocation-free).
 bench-topk:
 	$(GO) test -run xxx -bench 'BenchmarkSearchVectorContextTopK' -benchmem ./internal/index/
-	$(GO) test -run xxx -bench 'BenchmarkTopKParallel' -benchmem ./internal/index/
 	$(GO) test -run xxx -bench 'BenchmarkEngineSearch8|BenchmarkEngineSearchTop' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkCacheHit' -benchmem ./internal/cache/
 

@@ -49,10 +49,6 @@
 //	-build-workers N  offline-build parallelism: analysis, index and
 //	                  position-index construction, context-set assembly
 //	                  (default 0 = GOMAXPROCS; output identical at any N)
-//	-topk-workers N   intra-query parallelism budget for bounded top-k
-//	                  queries: each large query may fan out over up to N
-//	                  range workers, small ones stay serial (default 1;
-//	                  result pages byte-identical at any N)
 //	-v            verbose: print the build timing summary after the
 //	              offline build finishes
 //
@@ -195,9 +191,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	boolean := fs.Bool("boolean", false, "treat the search query as a boolean expression (AND/OR/NOT, \"phrases\", field:term)")
 	statePath := fs.String("state", "", "state file: context set, scores and text index (memory-mapped if present, else written after the build)")
 	stateFormat := fs.String("state-format", "v5", "state file format; v5 is the only one")
-	blockSize := fs.Int("block-size", 0, "inverted-index block-max granularity in postings per block (0 = default 128, negative = disable block tables; results identical at any setting)")
 	buildWorkers := fs.Int("build-workers", 0, "offline-build parallelism (0 = GOMAXPROCS; output identical at any setting)")
-	topkWorkers := fs.Int("topk-workers", 1, "intra-query parallelism budget for bounded top-k queries (1 = serial; large queries fan out over up to N range workers, results identical at any setting)")
 	verbose := fs.Bool("v", false, "print the offline-build timing summary")
 	addr := fs.String("addr", ":8080", "listen address for serve")
 	queryTimeout := fs.Duration("query-timeout", server.DefaultQueryTimeout, "serve: per-request search deadline, expiry returns 503 (<=0 disables)")
@@ -240,8 +234,6 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	cfg.Papers = *papers
 	cfg.OntologyTerms = *terms
 	cfg.BuildWorkers = *buildWorkers
-	cfg.IndexBlockSize = *blockSize
-	cfg.TopKWorkers = *topkWorkers
 
 	d := dataOpts{
 		cfg:        cfg,
@@ -280,6 +272,11 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		return nil
 	}
 
+	// Reject a mistyped command before load builds (and saves) the world.
+	query := queryCommands[cmd]
+	if query == nil && cmd != "build" {
+		return fmt.Errorf("unknown command %q", cmd)
+	}
 	a, err := load(d, cmd == "build")
 	if err != nil {
 		return err
@@ -301,27 +298,19 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	if *verbose {
 		fmt.Fprintln(out, a.sys.BuildStats().Summary())
 	}
+	return query(a, out, rest)
+}
 
-	switch cmd {
-	case "search":
-		return a.search(out, rest)
-	case "contexts":
-		return a.contexts(out, rest)
-	case "inspect":
-		return a.inspect(out, rest)
-	case "stats":
-		return a.stats(out)
-	case "sim":
-		return a.sim(out, rest)
-	case "related":
-		return a.related(out, rest)
-	case "cluster":
-		return a.cluster(out, rest)
-	case "export":
-		return a.export(out, rest)
-	default:
-		return fmt.Errorf("unknown command %q", cmd)
-	}
+// queryCommands are the one-shot commands that answer from a loaded app.
+var queryCommands = map[string]func(*app, io.Writer, []string) error{
+	"search":   (*app).search,
+	"contexts": (*app).contexts,
+	"inspect":  (*app).inspect,
+	"stats":    (*app).stats,
+	"sim":      (*app).sim,
+	"related":  (*app).related,
+	"cluster":  (*app).cluster,
+	"export":   (*app).export,
 }
 
 // dataOpts names the inputs of load: where the corpus, the ontology and the
@@ -537,13 +526,9 @@ func newSearcher(o serveOpts, a *app) (server.Searcher, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		// The range engine binds its own index, which does not inherit the
-		// system config's worker budget.
-		eng.SetTopKWorkers(o.cfg.TopKWorkers)
 		return eng, fmt.Sprintf("shard %d/%d ready (papers %d-%d)", o.shardIndex, o.shardCount, r.Lo, r.Hi-1), nil
 	case o.shards > 1:
-		g, err := shard.NewGroupParts(sys.Analyzer(), a.parts, a.cs, a.matrix, rel, o.shards,
-			shard.Options{FanOut: o.fanout, TopKWorkers: o.cfg.TopKWorkers})
+		g, err := shard.NewGroupParts(sys.Analyzer(), a.parts, a.cs, a.matrix, rel, o.shards, shard.Options{FanOut: o.fanout})
 		if err != nil {
 			return nil, "", err
 		}
@@ -834,7 +819,7 @@ func (a *app) inspect(out io.Writer, args []string) error {
 	return nil
 }
 
-func (a *app) stats(out io.Writer) error {
+func (a *app) stats(out io.Writer, _ []string) error {
 	o, c := a.sys.Ontology, a.sys.Corpus
 	fmt.Fprintf(out, "ontology: %d terms, %d roots, max level %d\n", o.Len(), len(o.Roots()), o.MaxLevel())
 	fmt.Fprintf(out, "corpus:   %d papers, %d indexed terms\n", c.Len(), a.sys.Index().Terms())

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -66,10 +68,17 @@ func TestInspectErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownCommand: a mistyped command is rejected by name before
+// anything is built — in particular before -state is written.
 func TestUnknownCommand(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-papers", "150", "-terms", "40", "frobnicate"}, &buf); err == nil {
-		t.Fatal("unknown command must fail")
+	state := filepath.Join(t.TempDir(), "x.state")
+	err := run([]string{"-papers", "150", "-terms", "40", "-state", state, "frobnicate"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `"frobnicate"`) {
+		t.Fatalf("unknown command: err = %v, want one naming the command", err)
+	}
+	if _, serr := os.Stat(state); !errors.Is(serr, fs.ErrNotExist) {
+		t.Fatalf("unknown command left a state file behind (stat: %v)", serr)
 	}
 }
 

@@ -114,20 +114,6 @@ type Config struct {
 	// bit-identical at any setting: papers are sharded into contiguous ID
 	// ranges and per-shard results merge deterministically.
 	BuildWorkers int
-	// IndexBlockSize sets the inverted index's block-max granularity
-	// (postings per block) backing the pruned top-k evaluator: 0 selects
-	// index.DefaultBlockSize, a negative value disables block tables
-	// entirely (global per-term bounds only — the pre-block evaluator).
-	// Search results are bit-identical at every setting; only pruning
-	// power, and with it query latency, changes.
-	IndexBlockSize int
-	// TopKWorkers sets the inverted index's default intra-query
-	// parallelism for bounded top-k queries (see
-	// index.Options.TopKWorkers): 0 or 1 keeps the evaluator serial, n > 1
-	// budgets up to n range workers per query, admitted adaptively by
-	// posting mass and GOMAXPROCS. Result pages are byte-identical at
-	// every setting.
-	TopKWorkers int
 }
 
 // DefaultConfig returns the experiments' configuration at a laptop-friendly
@@ -146,18 +132,6 @@ func DefaultConfig() Config {
 		Relevancy:      search.DefaultWeights(),
 		MinContextSize: -1, // -1 = derive from corpus size
 	}
-}
-
-// indexBlockSize resolves IndexBlockSize to the value index.BuildWorkersBlock
-// expects: the package default for 0, 0 (disabled) for negatives.
-func (c *Config) indexBlockSize() int {
-	switch {
-	case c.IndexBlockSize < 0:
-		return 0
-	case c.IndexBlockSize == 0:
-		return index.DefaultBlockSize
-	}
-	return c.IndexBlockSize
 }
 
 func (c *Config) minContextSize(corpusLen int) int {
@@ -223,8 +197,7 @@ func NewSystem(o *Ontology, c *Corpus, cfg Config) (*System, error) {
 		s.analyzer.Warm(workers)
 	})
 	st.Time("index", c.Len(), "papers", func() {
-		s.index = index.BuildWorkersBlock(s.analyzer, workers, cfg.indexBlockSize())
-		s.index.SetDefaultTopKWorkers(cfg.TopKWorkers)
+		s.index = index.BuildWorkers(s.analyzer, workers)
 	})
 	return s, nil
 }
@@ -257,7 +230,6 @@ func NewFrozenSystem(o *Ontology, c *Corpus, parts *index.Parts, df *vector.DF, 
 	if err != nil {
 		return nil, fmt.Errorf("ctxsearch: binding index: %w", err)
 	}
-	s.index.SetDefaultTopKWorkers(cfg.TopKWorkers)
 	return s, nil
 }
 

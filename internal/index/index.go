@@ -91,15 +91,6 @@ type Index struct {
 	// block-max pruning. Each query accumulates locally and flushes once.
 	statVisited atomic.Uint64
 	statSkipped atomic.Uint64
-	// Intra-query parallelism counters (see topk_parallel.go): queries that
-	// ran range-partitioned, total range workers across them, and parallel
-	// requests the cost model sent down the serial path instead.
-	statParallel        atomic.Uint64
-	statParallelWorkers atomic.Uint64
-	statSerialFallback  atomic.Uint64
-	// defaultTopKWorkers is the worker budget for bounded queries whose
-	// Options leave TopKWorkers zero; set once before serving.
-	defaultTopKWorkers int
 }
 
 // accum is a reusable dense scoring scratchpad: val holds partial dot
@@ -387,13 +378,6 @@ type Options struct {
 	Limit int
 	// Within restricts the search to the given document set (nil = all).
 	Within map[corpus.PaperID]bool
-	// TopKWorkers controls intra-query parallelism of bounded (Limit > 0)
-	// searches: 0 uses the index default (SetDefaultTopKWorkers), 1 forces
-	// the serial evaluator, n > 1 budgets up to n range workers subject to
-	// an adaptive cost model that keeps small queries serial, and n < 0
-	// forces exactly -n ranges with no fallback (tests and benchmarks).
-	// The result page is byte-identical at every setting.
-	TopKWorkers int
 	// WithinSet restricts the search to the documents of a bitset (nil =
 	// all) — the fast path for context-restricted searches. When both
 	// WithinSet and Within are given, WithinSet wins.
@@ -555,26 +539,15 @@ type TopKStats struct {
 	// their document — by a block-level range skip or a per-candidate
 	// block-bound rejection.
 	Skipped uint64 `json:"skipped"`
-	// Parallel counts queries evaluated range-partitioned, and
-	// ParallelWorkers the range workers they ran in total (so
-	// ParallelWorkers/Parallel is the mean fan-out).
-	Parallel        uint64 `json:"parallel"`
-	ParallelWorkers uint64 `json:"parallel_workers"`
-	// SerialFallback counts queries that requested parallelism but ran
-	// serial because the cost model or GOMAXPROCS denied it.
-	SerialFallback uint64 `json:"serial_fallback"`
 }
 
 // TopKStats returns the evaluator's cumulative counters — the
-// observability hook behind the block-max pruning and intra-query
-// parallelism benchmarks and the server's per-generation /stats section.
+// observability hook behind the block-max pruning benchmarks and the
+// server's per-generation /stats section.
 func (ix *Index) TopKStats() TopKStats {
 	return TopKStats{
-		Visited:         ix.statVisited.Load(),
-		Skipped:         ix.statSkipped.Load(),
-		Parallel:        ix.statParallel.Load(),
-		ParallelWorkers: ix.statParallelWorkers.Load(),
-		SerialFallback:  ix.statSerialFallback.Load(),
+		Visited: ix.statVisited.Load(),
+		Skipped: ix.statSkipped.Load(),
 	}
 }
 
@@ -584,9 +557,6 @@ func (ix *Index) TopKStats() TopKStats {
 func (ix *Index) ResetTopKStats() {
 	ix.statVisited.Store(0)
 	ix.statSkipped.Store(0)
-	ix.statParallel.Store(0)
-	ix.statParallelWorkers.Store(0)
-	ix.statSerialFallback.Store(0)
 }
 
 // BlockSize returns the block-max granularity the index carries (postings

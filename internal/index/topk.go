@@ -67,10 +67,10 @@ import (
 //     ascending document order, so a later candidate tying the heap
 //     minimum loses the ascending-doc tiebreak anyway.
 //
-// Indexes built without block tables (blockSize <= 0, or bound from
-// pre-block parts) run the same loop with each cursor's "block" degraded
-// to its whole posting list and the global maxima as bounds — exactly the
-// pre-block MaxScore evaluator.
+// An index without block tables (BuildWorkersBlock with blockSize <= 0, or
+// bound from a version-4 state file) runs the same loop with each cursor's
+// "block" degraded to its whole posting list and the global maxima as
+// bounds — plain MaxScore.
 //
 // The golden equivalence tests (topk_test.go) assert byte-identical pages
 // against the exhaustive path across randomized (k, threshold, restriction,
@@ -102,11 +102,6 @@ type termCursor struct {
 	docs []corpus.PaperID
 	ws   []float64
 	pos  int
-	// lim bounds the walk to docs[:lim]: the whole run for a serial query,
-	// the run prefix inside the worker's document range for a parallel one
-	// (see topk_parallel.go). Positions stay run-absolute either way, so
-	// the block arithmetic below is oblivious to the range.
-	lim int
 	// qi is the term's position in the term-ID-sorted query (the exact
 	// re-summation order); qw its query weight.
 	qi int
@@ -140,7 +135,7 @@ func (c *termCursor) syncBlock() {
 	if c.pos < c.blkEnd {
 		return
 	}
-	n := c.lim
+	n := len(c.docs)
 	if c.bsize <= 0 {
 		c.blkEnd = n
 		c.blkLast = c.docs[n-1]
@@ -164,7 +159,7 @@ func (c *termCursor) syncBlock() {
 // target is present.
 func (c *termCursor) seek(target corpus.PaperID) (float64, bool) {
 	lo := c.pos
-	n := c.lim
+	n := len(c.docs)
 	if lo >= n {
 		return 0, false
 	}
@@ -210,7 +205,7 @@ func (c *termCursor) seek(target corpus.PaperID) (float64, bool) {
 func (c *termCursor) advanceFiltered(opts *Options, restricted bool) corpus.PaperID {
 	for {
 		c.pos++
-		if c.pos >= c.lim {
+		if c.pos >= len(c.docs) {
 			return docSentinel
 		}
 		d := c.docs[c.pos]
@@ -229,7 +224,7 @@ func (c *termCursor) advanceFiltered(opts *Options, restricted bool) corpus.Pape
 // targets arrive in ascending order: every skipped posting precedes a
 // fence below the target.
 func (c *termCursor) blockProbe(target corpus.PaperID) (float64, bool) {
-	n := c.lim
+	n := len(c.docs)
 	if c.pos >= n {
 		return 0, false
 	}
@@ -352,15 +347,8 @@ func (ix *Index) resolveQueryNormInto(qv vector.Sparse, qts []queryTerm, sq []fl
 // prunes strictly below (equality is kept); a full heap prunes at b ≤ θ
 // because any later candidate tying the heap minimum has a larger doc ID
 // and loses the tiebreak.
-//
-// w is the cross-range watermark (0 — a no-op, since qualifying scores are
-// positive — for serial queries): the k-th best score observed anywhere in
-// a parallel query. It prunes strictly below only: b < w proves k documents
-// score strictly above the candidate, putting it outside the global page
-// regardless of tiebreaks, while b == w must survive because a remote
-// equal-score document could still lose the ascending-doc tiebreak.
-func cannotQualify(b, threshold, w float64, heap *hitHeap) bool {
-	if !(b > 0) || b < threshold || b < w {
+func cannotQualify(b, threshold float64, heap *hitHeap) bool {
+	if !(b > 0) || b < threshold {
 		return true
 	}
 	return heap.Full() && b <= heap.Min().Score
@@ -368,12 +356,12 @@ func cannotQualify(b, threshold, w float64, heap *hitHeap) bool {
 
 // cannotQualifyScaled is cannotQualify with both sides multiplied by the
 // candidate's positive norm product qn·dn: xb is the slack-inflated
-// dot-space bound (score bound × qn·dn), tScaled the threshold and wScaled
-// the watermark on the same scale. Multiplying both sides of each
-// comparison by the same positive factor preserves it up to 1 ULP of
-// rounding — absorbed by boundSlack — and saves the division per candidate.
-func cannotQualifyScaled(xb, tScaled, wScaled, scale float64, heap *hitHeap) bool {
-	if !(xb > 0) || xb < tScaled || xb < wScaled {
+// dot-space bound (score bound × qn·dn) and tScaled the threshold on the
+// same scale. Multiplying both sides of each comparison by the same
+// positive factor preserves it up to 1 ULP of rounding — absorbed by
+// boundSlack — and saves the division per candidate.
+func cannotQualifyScaled(xb, tScaled, scale float64, heap *hitHeap) bool {
+	if !(xb > 0) || xb < tScaled {
 		return true
 	}
 	return heap.Full() && xb <= heap.Min().Score*scale
@@ -392,10 +380,8 @@ func (ix *Index) searchTopK(ctx context.Context, qv vector.Sparse, opts Options)
 
 // searchTopKAppend resolves the query, then runs the block-max evaluation
 // appending the result page to dst. All evaluator state lives in pooled
-// scratch, so with a reused dst the serial path performs zero steady-state
-// heap allocations. Queries admitted by the Options.TopKWorkers cost model
-// are range-partitioned across workers instead (see topk_parallel.go) with
-// a byte-identical result page.
+// scratch, so with a reused dst the query performs zero steady-state heap
+// allocations.
 func (ix *Index) searchTopKAppend(ctx context.Context, qv vector.Sparse, opts Options, dst []Hit) ([]Hit, error) {
 	sc := ix.getTopkScratch()
 	defer ix.topkPool.Put(sc)
@@ -432,10 +418,7 @@ func (ix *Index) searchTopKAppend(ctx context.Context, qv vector.Sparse, opts Op
 		}
 		return int(a.qi) - int(b.qi)
 	})
-	if workers := ix.topkWorkerPlan(&opts, qts); workers > 1 {
-		return ix.searchTopKParallel(ctx, sc, qn, opts, workers, dst)
-	}
-	visited, skipped, err := ix.evalRange(ctx, sc, qts, keys, qn, &opts, 0, docSentinel, nil)
+	visited, skipped, err := ix.evalRange(ctx, sc, qts, keys, qn, &opts)
 	ix.statVisited.Add(visited)
 	if skipped != 0 {
 		ix.statSkipped.Add(skipped)
@@ -449,17 +432,11 @@ func (ix *Index) searchTopKAppend(ctx context.Context, qv vector.Sparse, opts Op
 	return dst, ctx.Err()
 }
 
-// evalRange runs the block-max MaxScore walk over the candidate documents
-// in [lo, hi) — hi == docSentinel meaning the whole corpus without paying
-// the range binary searches — leaving the range's qualifying page in
-// sc.heap. qts and keys are the resolved query and its descending-bound
-// cursor order; they are owned by the caller and read-only here, so
-// concurrent range workers share one copy. wm, when non-nil, is the
-// parallel query's shared watermark (see topk_parallel.go): the walk
-// prunes against the last value it observed and publishes its own
-// full-heap minimum into it. The pruning counters are returned rather than
-// flushed so a parallel query still flushes its totals once.
-func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm, keys []cursorKey, qn float64, opts *Options, lo, hi corpus.PaperID, wm *scoreWatermark) (visited, skipped uint64, err error) {
+// evalRange runs the block-max MaxScore walk over the index's whole
+// document range, leaving the qualifying page in sc.heap. qts and keys are
+// the resolved query and its descending-bound cursor order, read-only
+// here. The pruning counters are returned for the caller to flush.
+func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm, keys []cursorKey, qn float64, opts *Options) (visited, skipped uint64, err error) {
 	cur := growCursors(sc.cur, len(qts))
 	sc.cur = cur
 	for j, k := range keys {
@@ -471,24 +448,12 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 			ubDot:    qt.w * ix.maxWeight[qt.id],
 			cosScale: qt.w / qn,
 			pos:      -1,
-			lim:      len(docs),
 		}
 		if ix.blockOffsets != nil {
 			blo, bhi := ix.blockOffsets[qt.id], ix.blockOffsets[qt.id+1]
 			c.bmw = ix.blockMaxWeight[blo:bhi]
 			c.bmr = ix.blockMaxRatio[blo:bhi]
 			c.bsize = ix.blockSize
-		}
-		// Cut the run to the document range: pos rests just before the
-		// first posting ≥ lo, lim at the first posting ≥ hi. Positions stay
-		// run-absolute, so block indices (pos/bsize) are unaffected; a
-		// partial edge block keeps its full-block maxima, which remain
-		// conservative bounds over the sub-block.
-		if lo > 0 {
-			c.pos = searchPaperID(docs, lo) - 1
-		}
-		if hi != docSentinel {
-			c.lim = searchPaperID(docs, hi)
 		}
 		cur[j] = c
 	}
@@ -517,17 +482,11 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 
 	heap := &sc.heap
 	heap.Reset(opts.Limit)
-	// wmCos caches the shared watermark in cosine-score space. 0 is the
-	// neutral value — qualifying scores are strictly positive, so every
-	// `bound < wmCos` watermark comparison is a no-op until a real value
-	// arrives, and the serial path (wm == nil) never pays more than the
-	// dead compare.
-	wmCos := 0.0
 	// nEss delimits the essential prefix: the suffix cur[nEss:] is
 	// non-essential once its cumulative bound cannot qualify. Re-checked
-	// whenever the heap threshold or the watermark rises.
+	// whenever the heap threshold rises.
 	nEss := len(cur)
-	for nEss > 0 && cannotQualify(tailCos[nEss-1]*boundSlack, opts.Threshold, wmCos, heap) {
+	for nEss > 0 && cannotQualify(tailCos[nEss-1]*boundSlack, opts.Threshold, heap) {
 		nEss--
 	}
 
@@ -562,20 +521,6 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 			}
 		}
 		steps++
-		if wm != nil {
-			if w := wm.load(); w > wmCos {
-				// A remote range raised the global k-th best score: adopt it
-				// and re-derive the essential prefix under the tighter
-				// threshold.
-				wmCos = w
-				for nEss > 0 && cannotQualify(tailCos[nEss-1]*boundSlack, opts.Threshold, wmCos, heap) {
-					nEss--
-				}
-				if nEss == 0 {
-					break
-				}
-			}
-		}
 		// Next candidate: the minimum document under the essential cursors.
 		minDoc := docSentinel
 		for i := 0; i < nEss; i++ {
@@ -610,7 +555,7 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 				if fence < 0 {
 					break // every essential cursor exhausted
 				}
-				if !cannotQualify((rangeCos+tailCos[nEss])*boundSlack, opts.Threshold, wmCos, heap) {
+				if !cannotQualify((rangeCos+tailCos[nEss])*boundSlack, opts.Threshold, heap) {
 					break // this block range may hold a qualifying doc
 				}
 				for i := 0; i < nEss; i++ {
@@ -675,11 +620,10 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 			// happens once, for survivors only.
 			scale := qn * dn
 			tScaled := opts.Threshold * scale
-			wScaled := wmCos * scale
 			// Candidate bound with its true norm: essential contributions
 			// plus the non-essential dot-space tail.
 			xb := (essDot + tailDot[nEss]) * boundSlack
-			if !cannotQualifyScaled(xb, tScaled, wScaled, scale, heap) {
+			if !cannotQualifyScaled(xb, tScaled, scale, heap) {
 				// Probe non-essential terms, highest bound first, dropping
 				// each term's bound from the residual as it resolves. A
 				// block probe first tightens the term's bound to its local
@@ -707,7 +651,7 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 					}
 					if maybe {
 						xb = (essDot + remaining + bd) * boundSlack
-						if cannotQualifyScaled(xb, tScaled, wScaled, scale, heap) {
+						if cannotQualifyScaled(xb, tScaled, scale, heap) {
 							survived = false
 							break
 						}
@@ -720,7 +664,7 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 						}
 					}
 					xb = (essDot + remaining) * boundSlack
-					if cannotQualifyScaled(xb, tScaled, wScaled, scale, heap) {
+					if cannotQualifyScaled(xb, tScaled, scale, heap) {
 						survived = false
 						break
 					}
@@ -749,13 +693,7 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 					score := dot / (qn * dn)
 					if score >= opts.Threshold && score > 0 {
 						if heap.Offer(Hit{minDoc, score}) {
-							if wm != nil && heap.Full() {
-								// Publish the local k-th best: k genuine
-								// qualifying hits score at least this, so
-								// remote ranges may prune strictly below it.
-								wm.raise(heap.Min().Score)
-							}
-							for nEss > 0 && cannotQualify(tailCos[nEss-1]*boundSlack, opts.Threshold, wmCos, heap) {
+							for nEss > 0 && cannotQualify(tailCos[nEss-1]*boundSlack, opts.Threshold, heap) {
 								nEss--
 							}
 						}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"ctxsearch/internal/bitset"
@@ -147,6 +149,56 @@ func TestSearchTopKCancellation(t *testing.T) {
 	if err == nil || hits != nil {
 		t.Fatalf("cancelled top-k search returned (%v, %v), want (nil, error)", hits, err)
 	}
+}
+
+// TestSearchTopKConcurrentQueries drives bounded queries from many
+// goroutines against one index, all leasing evaluator state from the
+// shared topkScratch pool. Under -race it is the data-race proof for the
+// pooled scratch handoff; the page comparison proves no query reads
+// another's scratch.
+func TestSearchTopKConcurrentQueries(t *testing.T) {
+	a, c := buildBlockFixture(t)
+	ix := Build(a)
+	queries := []string{
+		"regulation of rna synthesis",
+		"protein binding transport",
+		"activity complex formation regulation binding transport rna protein",
+	}
+	var set bitset.Set
+	for d := 0; d < c.Len(); d += 2 {
+		set.Add(d)
+	}
+	shapes := make([]Options, 0, len(queries)*2)
+	want := make([][]Hit, 0, len(queries)*2)
+	for _, q := range queries {
+		for _, opts := range []Options{
+			{Limit: 10},
+			{Limit: 25, Threshold: 0.05, WithinSet: set},
+		} {
+			shapes = append(shapes, opts)
+			want = append(want, exhaustiveTopK(t, ix, a.QueryVector(q), opts))
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				i := (g + round) % len(shapes)
+				got, err := ix.SearchVectorContext(context.Background(), a.QueryVector(queries[i/2]), shapes[i])
+				if err != nil {
+					t.Errorf("goroutine %d round %d: %v", g, round, err)
+					return
+				}
+				if !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d round %d shape %d:\ngot:  %+v\nwant: %+v", g, round, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestBuildTermMaxima pins the per-term maxima the MaxScore bounds rest

@@ -108,8 +108,9 @@ type Result struct {
 	Context ontology.TermID `json:"c"`
 }
 
-// Engine is the context-based search engine. Construct with NewEngine after
-// prestige scores have been computed for the context set.
+// Engine is the context-based search engine. Serving constructs it with
+// NewEngineFrozen from a frozen prestige matrix; NewEngine takes the map
+// form and additionally keeps it for the naive reference.
 type Engine struct {
 	ix *index.Index
 	cs *contextset.ContextSet
@@ -186,8 +187,7 @@ func NewEngine(ix *index.Index, cs *contextset.ContextSet, scores prestige.Score
 }
 
 // NewEngineFrozen assembles an engine directly from a frozen prestige
-// matrix — the cold-start path when the matrix was loaded from a v2 state
-// file, skipping the freeze entirely.
+// matrix: a state file's, or the one the build froze after scoring.
 func NewEngineFrozen(ix *index.Index, cs *contextset.ContextSet, matrix *prestige.Matrix, w Weights) *Engine {
 	e := &Engine{ix: ix, cs: cs, matrix: matrix, weights: w, tokenCtxs: make(map[string][]int32)}
 	tok := ix.Analyzer().Tokenizer()
@@ -210,11 +210,6 @@ func NewEngineFrozen(ix *index.Index, cs *contextset.ContextSet, matrix *prestig
 	}
 	return e
 }
-
-// SetTopKWorkers sets the underlying index's default intra-query
-// parallelism for bounded top-k queries (see index.Options.TopKWorkers).
-// Call before serving queries.
-func (e *Engine) SetTopKWorkers(n int) { e.ix.SetDefaultTopKWorkers(n) }
 
 // TopKStats exposes the index's top-k evaluator counters — the server
 // surfaces them per generation under /stats.

@@ -278,9 +278,9 @@ func (s *Server) SetReadySharded(sys *ctxsearch.System, cs *ctxsearch.ContextSet
 func (s *Server) SetReadyMapped(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher Searcher, ref StateRef) {
 	// /stats reports top-k evaluator and merge counters per generation,
 	// not per process: zero them as the generation is installed. (Engines
-	// are not shared across generations — a rebuild or remap constructs new
-	// ones — so in-flight queries of the old generation never pollute the
-	// new counters.)
+	// are not shared across generations — each install binds new ones — so
+	// in-flight queries of the old generation never pollute the new
+	// counters.)
 	if ts, ok := searcher.(interface{ ResetTopKStats() }); ok {
 		ts.ResetTopKStats()
 	}
@@ -840,9 +840,9 @@ type StatsResponse struct {
 	// Sharding holds scatter-gather counters when the installed searcher is
 	// a shard group (or this server is a coordinator); absent otherwise.
 	Sharding *shard.Snapshot `json:"sharding,omitempty"`
-	// TopK holds the bounded-query evaluator's pruning and intra-query
-	// parallelism counters for the installed generation (reset on every
-	// SetReady* swap); absent when the searcher does not expose them.
+	// TopK holds the bounded-query evaluator's pruning counters for the
+	// installed generation (reset on every SetReady* swap); absent when the
+	// searcher does not expose them.
 	TopK *index.TopKStats `json:"topk,omitempty"`
 	// Merge holds the prestige merge's counters for the installed
 	// generation, reset like TopK: merges by path (exhaustive, bounded),

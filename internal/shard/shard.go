@@ -50,9 +50,6 @@ type Options struct {
 	// FanOut caps how many shards are queried concurrently per search
 	// (0 = all shards at once).
 	FanOut int
-	// TopKWorkers is each shard index's default intra-query parallelism
-	// for bounded top-k queries (see index.Options.TopKWorkers; 0 = serial).
-	TopKWorkers int
 }
 
 // NewGroupParts partitions the corpus into n contiguous paper-ID ranges and
@@ -81,7 +78,6 @@ func NewGroupParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.Contex
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 				return
 			}
-			eng.SetTopKWorkers(opts.TopKWorkers)
 			g.engines[i] = eng
 		}(i)
 	}
@@ -136,9 +132,6 @@ func (g *Group) TopKStats() index.TopKStats {
 		st := e.TopKStats()
 		sum.Visited += st.Visited
 		sum.Skipped += st.Skipped
-		sum.Parallel += st.Parallel
-		sum.ParallelWorkers += st.ParallelWorkers
-		sum.SerialFallback += st.SerialFallback
 	}
 	return sum
 }
