@@ -7,7 +7,7 @@
 # pooled citegraph scratch buffers between goroutines), over the sharded
 # offline build (internal/corpus, internal/pattern, internal/contextset fan
 # per-shard construction across workers), and over the sharded serving path
-# (internal/shard's scatter-gather fan-out and the server Coordinator).
+# (internal/shard's range engines and merge, and the server Coordinator).
 
 GO ?= go
 
@@ -79,11 +79,9 @@ bench-topk:
 	$(GO) test -run xxx -bench 'BenchmarkEngineSearch8|BenchmarkEngineSearchTop' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkCacheHit' -benchmem ./internal/cache/
 
-# The sharded-serving benchmarks behind BENCH_PR6.json: the coordinator's
-# page merge throughput and the end-to-end in-process scatter-gather at
-# 1 vs 4 shards.
+# The sharded-serving benchmark: the coordinator's merge.
 bench-shard:
-	$(GO) test -run xxx -bench 'BenchmarkMergePages|BenchmarkGroupSearch' -benchmem ./internal/shard/
+	$(GO) test -run xxx -bench 'BenchmarkMergePages' -benchmem ./internal/shard/
 
 # The cold-start benchmarks: the zero-copy mmap open of a state file
 # (header/table-only) and the full engine-ready bind, the writer, plus the

@@ -20,11 +20,9 @@
 //	related <term>     ontology terms most similar to the given term
 //	cluster <query>    k-means clustering of keyword results (related work §6)
 //	export <jsonl|gaf> <path>  export the corpus in an interchange format
-//	serve              run the HTTP JSON API (-addr); with -shards=N the
-//	                   corpus is partitioned into N in-process engine
-//	                   shards behind an exact scatter-gather merge, and
-//	                   with -shard-urls=... the process is a stateless
-//	                   coordinator over remote shard servers instead
+//	serve              run the HTTP JSON API (-addr); with -shard-urls=...
+//	                   the process is a stateless coordinator over remote
+//	                   shard servers instead
 //	shard              run one shard server of a multi-process deployment
 //	                   (-shard-index, -shard-count): the full system is
 //	                   loaded, but queries run on the shard's paper range
@@ -47,8 +45,9 @@
 //	-limit N      max search results (default 15)
 //	-addr ADDR    listen address for serve (default :8080)
 //	-build-workers N  offline-build parallelism: analysis, index and
-//	                  position-index construction, context-set assembly
-//	                  (default 0 = GOMAXPROCS; output identical at any N)
+//	                  position-index construction, context-set assembly,
+//	                  prestige scoring (default 0 = GOMAXPROCS, 1 =
+//	                  serial; output identical at any N)
 //	-v            verbose: print the build timing summary after the
 //	              offline build finishes
 //
@@ -73,9 +72,6 @@
 //
 // Sharding flags (see the README's "Sharded serving" section):
 //
-//	-shards N          serve: partition the corpus into N in-process
-//	                   engine shards (default 1 = single engine; results
-//	                   are byte-identical at any N)
 //	-shard-urls LIST   serve: run as a stateless coordinator over the
 //	                   comma-separated shard base URLs instead of
 //	                   building any engine; each comma-separated range may
@@ -87,8 +83,6 @@
 //	                   (default 1s; <=0 disables)
 //	-allow-partial     coordinator: on shard failure serve a degraded
 //	                   page flagged "partial": true instead of a 503
-//	-fanout N          max concurrent shard requests per query
-//	                   (default 0 = all shards at once)
 //
 // Coordinator resilience flags (replicated deployments; see DESIGN.md's
 // failure-mode matrix):
@@ -203,13 +197,11 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	cacheEntries := fs.Int("cache-entries", server.DefaultCacheEntries, "serve: /search result-cache capacity (<=0 disables caching)")
 	cacheTTL := fs.Duration("cache-ttl", server.DefaultCacheTTL, "serve: cached /search response lifetime (<=0 = no expiry)")
 	debugAddr := fs.String("debug-addr", "", "serve: /debug/pprof listen address (empty = profiling off; never expose publicly)")
-	shards := fs.Int("shards", 1, "serve: number of in-process engine shards (1 = single engine; results identical at any N)")
 	shardURLs := fs.String("shard-urls", "", "serve: run as a coordinator over these comma-separated shard base URLs")
 	shardIndex := fs.Int("shard-index", 0, "shard: which paper range this process serves (0-based)")
 	shardCount := fs.Int("shard-count", 1, "shard: total number of shard processes")
 	shardTimeout := fs.Duration("shard-timeout", server.DefaultShardTimeout, "coordinator: per-shard sub-request deadline (<=0 disables)")
 	allowPartial := fs.Bool("allow-partial", false, "coordinator: serve degraded pages flagged partial instead of 503 on shard failure")
-	fanout := fs.Int("fanout", 0, "max concurrent shard requests per query (0 = all shards at once)")
 	maxRetries := fs.Int("max-retries", server.DefaultMaxRetries, "coordinator: retries per failed range call, preferring untried replicas (0 disables)")
 	retryBudget := fs.Float64("retry-budget", resilience.DefaultBudgetCapacity, "coordinator: retry token bucket capacity bounding total retry amplification (<=0 unbounded)")
 	retryRatio := fs.Float64("retry-ratio", resilience.DefaultBudgetRatio, "coordinator: retry tokens deposited per request (steady-state retry fraction)")
@@ -241,6 +233,16 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		setKind: *setKind, scoreFn: *scoreFn, statePath: *statePath,
 	}
 	if cmd == "serve" || cmd == "shard" {
+		// A shard flag on the wrong command would be dropped, and the process
+		// would serve the whole corpus (or coordinate) where a range was meant.
+		set := map[string]bool{}
+		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		if cmd == "serve" && (set["shard-index"] || set["shard-count"]) {
+			return fmt.Errorf("serve: -shard-index and -shard-count select a paper range of the shard command (ctxsearch -shard-index I -shard-count N shard)")
+		}
+		if cmd == "shard" && set["shard-urls"] {
+			return fmt.Errorf("shard: -shard-urls makes a coordinator, which is the serve command; a shard serves one paper range")
+		}
 		o := serveOpts{
 			dataOpts: d,
 			addr:     *addr, debugAddr: *debugAddr,
@@ -248,8 +250,8 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 			readTimeout: *httpReadTimeout, writeTimeout: *httpWriteTimeout,
 			idleTimeout: *httpIdleTimeout, shutdownTimeout: *shutdownTimeout,
 			cacheEntries: *cacheEntries, cacheTTL: *cacheTTL,
-			shards: *shards, shardURLs: *shardURLs,
-			shardTimeout: *shardTimeout, allowPartial: *allowPartial, fanout: *fanout,
+			shardURLs:    *shardURLs,
+			shardTimeout: *shardTimeout, allowPartial: *allowPartial,
 			maxRetries: *maxRetries, retryBudget: *retryBudget, retryRatio: *retryRatio,
 			hedgeAfter: *hedgeAfter, breakerThreshold: *breakerThreshold,
 			breakerCooldown: *breakerCooldown, probeInterval: *probeInterval,
@@ -330,15 +332,12 @@ type serveOpts struct {
 	shutdownTimeout                        time.Duration
 	cacheEntries                           int
 	cacheTTL                               time.Duration
-	// shards > 1 partitions the corpus into in-process engine shards;
 	// shardURLs turns the process into a stateless coordinator; shardCount
 	// > 1 makes it shard shardIndex of a multi-process deployment.
-	shards                 int
 	shardURLs              string
 	shardIndex, shardCount int
 	shardTimeout           time.Duration
 	allowPartial           bool
-	fanout                 int
 	// Coordinator resilience tuning (see internal/resilience).
 	maxRetries                     int
 	retryBudget, retryRatio        float64
@@ -433,7 +432,6 @@ func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
 		coord := server.NewCoordinator(urls, scfg, server.ShardConfig{
 			ShardTimeout:     st,
 			AllowPartial:     o.allowPartial,
-			FanOut:           o.fanout,
 			MaxRetries:       mr,
 			RetryBudget:      rb,
 			RetryRatio:       o.retryRatio,
@@ -482,7 +480,7 @@ func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
 }
 
 // buildAndInstall loads the serving state, installs it into srv with the
-// searcher the sharding flags ask for — flipping /readyz — and records
+// engine the shard flags ask for — flipping /readyz — and records
 // boot-to-ready in the build stats (stage "readyz-flip") and in /stats'
 // cold_start_ms. The server takes ownership of the state file's mapping: it
 // stays alive until the backend is swapped out and the last in-flight
@@ -513,29 +511,21 @@ func buildAndInstall(out io.Writer, srv *server.Server, o serveOpts) error {
 	return nil
 }
 
-// newSearcher binds the searcher shape the sharding flags ask for, and the
-// line that announces it.
-func newSearcher(o serveOpts, a *app) (server.Searcher, string, error) {
-	sys, rel := a.sys, a.sys.Config().Relevancy
-	switch {
-	case o.shardCount > 1:
-		// One shard process of a multi-process deployment: full system
-		// (the analyzer's global statistics and the render endpoints
-		// need it) but a range-restricted query engine.
-		eng, r, err := shard.RangeEngineParts(sys.Analyzer(), a.parts, a.cs, a.matrix, rel, o.shardIndex, o.shardCount)
-		if err != nil {
-			return nil, "", err
-		}
-		return eng, fmt.Sprintf("shard %d/%d ready (papers %d-%d)", o.shardIndex, o.shardCount, r.Lo, r.Hi-1), nil
-	case o.shards > 1:
-		g, err := shard.NewGroupParts(sys.Analyzer(), a.parts, a.cs, a.matrix, rel, o.shards, shard.Options{FanOut: o.fanout})
-		if err != nil {
-			return nil, "", err
-		}
-		return g, fmt.Sprintf("engine ready (%d in-process shards)", g.NumShards()), nil
-	default:
+// newSearcher binds the engine the shard flags ask for, and the line that
+// announces it.
+func newSearcher(o serveOpts, a *app) (*ctxsearch.Engine, string, error) {
+	sys := a.sys
+	if o.shardCount <= 1 {
 		return sys.EngineFrozen(a.cs, a.matrix), "engine ready", nil
 	}
+	// One shard process of a multi-process deployment: full system (the
+	// analyzer's global statistics and the render endpoints need it) but a
+	// range-restricted query engine.
+	eng, r, err := shard.RangeEngineParts(sys.Analyzer(), a.parts, a.cs, a.matrix, sys.Config().Relevancy, o.shardIndex, o.shardCount)
+	if err != nil {
+		return nil, "", err
+	}
+	return eng, fmt.Sprintf("shard %d/%d ready (papers %d-%d)", o.shardIndex, o.shardCount, r.Lo, r.Hi-1), nil
 }
 
 // load is the one road from the flags to (sys, cs, matrix, parts), taken by

@@ -82,6 +82,33 @@ func TestUnknownCommand(t *testing.T) {
 	}
 }
 
+// TestMisplacedShardFlags: a shard flag on the command that would drop it is
+// an error naming the right command, raised before anything is bound, built
+// or written — not a server over the wrong papers.
+func TestMisplacedShardFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-shard-index", "1", "-shard-count", "3", "serve"}, "shard command"},
+		{[]string{"-shard-count", "3", "serve"}, "shard command"},
+		{[]string{"-shard-urls", "http://127.0.0.1:1", "-shard-index", "0", "-shard-count", "2", "shard"}, "serve command"},
+	} {
+		state := filepath.Join(t.TempDir(), "x.state")
+		// The deadline only ends a process that wrongly came up serving.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		var out syncBuffer
+		err := runCtx(ctx, append([]string{"-papers", "120", "-terms", "40", "-state", state, "-addr", "127.0.0.1:0"}, tc.args...), &out)
+		cancel()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v: err = %v, want one naming the %s\n%s", tc.args, err, tc.want, out.String())
+		}
+		if _, serr := os.Stat(state); !errors.Is(serr, fs.ErrNotExist) {
+			t.Fatalf("%v left a state file behind (stat: %v)", tc.args, serr)
+		}
+	}
+}
+
 func TestBadFlags(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-set", "bogus", "-papers", "150", "-terms", "40", "stats"}, &buf); err == nil {
@@ -326,28 +353,29 @@ func TestServeCommand(t *testing.T) {
 	}
 }
 
-// TestShardedServeWithoutState: with no state file, the sharded shapes slice
-// the postings of the index the process just built.
+// TestShardedServeWithoutState: with no state file, a shard process slices
+// the postings of the index it just built; the flags of the removed
+// one-process sharded mode are unknown.
 func TestShardedServeWithoutState(t *testing.T) {
-	for _, tc := range []struct {
-		args  []string
-		ready string
-	}{
-		{[]string{"-shards", "3", "serve"}, "engine ready (3 in-process shards)"},
-		{[]string{"-shard-index", "1", "-shard-count", "3", "shard"}, "shard 1/3 ready (papers 40-79)"},
-	} {
-		base, out, stop := bootServe(t, tc.args...)
-		resp, err := http.Get(base + "/search?q=transcription")
-		if err != nil {
-			t.Fatalf("%v: %v", tc.args, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("%v: /search = %d", tc.args, resp.StatusCode)
-		}
-		stop()
-		if !strings.Contains(out.String(), tc.ready) {
-			t.Fatalf("%v: missing %q:\n%s", tc.args, tc.ready, out.String())
+	args := []string{"-shard-index", "1", "-shard-count", "3", "shard"}
+	base, out, stop := bootServe(t, args...)
+	resp, err := http.Get(base + "/search?q=transcription")
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("%v: /search = %d", args, resp.StatusCode)
+	}
+	stop()
+	if want := "shard 1/3 ready (papers 40-79)"; !strings.Contains(out.String(), want) {
+		t.Fatalf("%v: missing %q:\n%s", args, want, out.String())
+	}
+	for _, name := range []string{"-shards", "-fanout"} {
+		var buf bytes.Buffer
+		err := run([]string{name, "3", "serve"}, &buf)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+name) {
+			t.Fatalf("%s 3 serve: err = %v, want an unknown-flag error", name, err)
 		}
 	}
 }

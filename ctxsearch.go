@@ -104,15 +104,13 @@ type Config struct {
 	// configuration before generation (NewSyntheticSystem only) — e.g. to
 	// sweep citation-structure knobs in ablations.
 	TuneCorpus func(*corpus.GenConfig)
-	// Workers bounds the parallelism of prestige scoring across contexts
-	// (0 = GOMAXPROCS, 1 = serial). Results are identical at any setting;
-	// per-context scoring is deterministic and independent.
-	Workers int
 	// BuildWorkers bounds the parallelism of the offline build — corpus
 	// analysis, TF-IDF warming, inverted-index and positional-index
-	// construction (0 = GOMAXPROCS, 1 = serial). The built structures are
-	// bit-identical at any setting: papers are sharded into contiguous ID
-	// ranges and per-shard results merge deterministically.
+	// construction, context-set assembly and prestige scoring (0 =
+	// GOMAXPROCS, 1 = serial). The built structures are bit-identical at any
+	// setting: papers are sharded into contiguous ID ranges and per-shard
+	// results merge deterministically, and per-context scoring is
+	// deterministic and independent.
 	BuildWorkers int
 }
 
@@ -339,11 +337,11 @@ func (s *System) PatternScorer() *prestige.PatternScorer {
 
 // score runs a scorer over a context set with the configured exclusion and
 // applies hierarchical max propagation (§3). Scoring fans out across
-// contexts per Config.Workers.
+// contexts per Config.BuildWorkers.
 func (s *System) score(sc prestige.Scorer, cs *ContextSet) Scores {
 	var out Scores
 	s.stats.Time("score-"+sc.Name(), len(cs.Contexts()), "contexts", func() {
-		scores := prestige.ScoreAllParallel(sc, cs, s.MinContextSize(), s.cfg.Workers)
+		scores := prestige.ScoreAllParallel(sc, cs, s.MinContextSize(), s.cfg.BuildWorkers)
 		out = prestige.PropagateMax(s.Ontology, scores)
 	})
 	return out

@@ -120,8 +120,7 @@ func (s *Setup) scoreTextOnPatternSet() ctxsearch.Scores {
 	// Clone the system's cached text scorer: the citation graph and
 	// co-author index it embeds are shared, not rebuilt.
 	scorer := s.Sys.TextScorer().WithRepSource(s.TextSet)
-	workers := s.Sys.Config().Workers
-	scores := prestige.ScoreAllParallel(scorer, s.PatternSet, s.Sys.MinContextSize(), workers)
+	scores := prestige.ScoreAllParallel(scorer, s.PatternSet, s.Sys.MinContextSize(), s.Sys.Config().BuildWorkers)
 	return prestige.PropagateMax(s.Sys.Ontology, scores)
 }
 

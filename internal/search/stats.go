@@ -20,18 +20,10 @@ type MergeStats struct {
 	WindowBreaks  uint64 `json:"window_breaks"`
 }
 
-// fields lists the counters in a fixed order, so the atomic form and the
-// sums over engines cannot miss one.
+// fields lists the counters in a fixed order, so the atomic form cannot miss
+// one.
 func (st *MergeStats) fields() [5]*uint64 {
 	return [5]*uint64{&st.Exhaustive, &st.Bounded, &st.HitsMerged, &st.WindowsScored, &st.WindowBreaks}
-}
-
-// Add accumulates o into st (the shard group's sum over its engines).
-func (st *MergeStats) Add(o MergeStats) {
-	from := o.fields()
-	for i, f := range st.fields() {
-		*f += *from[i]
-	}
 }
 
 // mergeCounters is the engine's atomic form of MergeStats, in fields order.

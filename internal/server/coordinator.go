@@ -41,9 +41,6 @@ type ShardConfig struct {
 	// shard ranges fail, instead of a 503. Client errors (a shard's 400) are
 	// always relayed, never degraded around.
 	AllowPartial bool
-	// FanOut caps concurrent range sub-requests per query (0 = all ranges
-	// at once).
-	FanOut int
 
 	// MaxRetries caps retry attempts per range call, on top of the first
 	// attempt (0 = DefaultMaxRetries, negative = no retries). Each retry
@@ -725,8 +722,10 @@ func (c *Coordinator) buildSearchResponse(ctx context.Context, p searchParams) (
 		}
 		return time.Since(t0)
 	}
+	// One goroutine per rows call (inline when there is one): the calls wait
+	// on the network, so the fan-out is as wide as the cluster, not the CPU.
 	var maxShard shard.AtomicMaxDuration
-	par.For(n-1, c.scfg.FanOut, func(k int) {
+	par.For(n-1, n-1, func(k int) {
 		maxShard.Observe(call((first+1+k)%n, rangeCall{payload: payload}))
 	})
 
@@ -946,7 +945,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	n := len(c.backends)
 	up := make([]bool, n)
-	par.For(n, c.scfg.FanOut, func(g int) {
+	par.For(n, n, func(g int) {
 		status, _, _, err := c.fetch(r.Context(), g, "/readyz")
 		up[g] = err == nil && status == http.StatusOK
 	})

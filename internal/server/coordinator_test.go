@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -722,6 +723,48 @@ func TestCoordinatorHangingShard(t *testing.T) {
 	snap := coord.Metrics().Snapshot()
 	if snap.Shards[1].Timeouts == 0 {
 		t.Fatalf("hang not counted as timeout: %+v", snap)
+	}
+}
+
+// TestCoordinatorFansOutPastGOMAXPROCS: the rows calls of one page are all
+// in flight at once, however few CPUs the coordinator has — they wait on the
+// network, not on a core. Every range holds its rows call until all three
+// have arrived; a fan-out capped at GOMAXPROCS(1) never gets there and the
+// page is a 503.
+func TestCoordinatorFansOutPastGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+
+	const ranges = 4
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	barrier := func(_ int, srv http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/shard/search" && !finishing(r) {
+				switch n := arrived.Add(1); {
+				case n == ranges-1:
+					close(all)
+				case n < ranges-1:
+					select {
+					case <-all:
+					case <-r.Context().Done():
+						return
+					}
+				}
+			}
+			srv.ServeHTTP(w, r)
+		})
+	}
+	coord := wrappedCluster(t, ranges, []int{0, 1, 2, 3}, barrier, Config{},
+		ShardConfig{ShardTimeout: 500 * time.Millisecond, MaxRetries: -1})
+
+	sys, cs, m, query := frozenMatrix(t)
+	ref := NewPending(Config{})
+	ref.SetReadyFrozen(sys, cs, m)
+	path := "/search?q=" + urlQuery(query) + "&limit=5"
+	want, got := get(t, ref, path), coordGet(t, coord, path)
+	if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("page through the barrier = %d %s\nsingle server: %s", got.Code, got.Body, want.Body)
 	}
 }
 

@@ -17,10 +17,9 @@ import (
 // to a serving backend: the in-process build, the memory-mapped open, the
 // byte-copy open (CTXSEARCH_NO_MMAP=1) and the open of a file saved without
 // block-max tables (which every engine bound from it recomputes) answer
-// every endpoint byte-identically through a single engine, in-process shard
-// groups, and a multi-process coordinator. How the arrays reached memory,
-// and where the block tables came from, must be unobservable in any
-// response.
+// every endpoint byte-identically through a single engine and a
+// multi-process coordinator. How the arrays reached memory, and where the
+// block tables came from, must be unobservable in any response.
 func TestCrossFormatGolden(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	ref := NewPending(Config{})
@@ -83,21 +82,6 @@ func TestCrossFormatGolden(t *testing.T) {
 			}
 			for _, path := range []string{"/papers/0", "/papers/999999", "/contexts?q=" + urlQuery(query)} {
 				sameAnswer(t, "single", path, ref, single)
-			}
-
-			// In-process shard groups over the opened parts.
-			for _, n := range []int{2, 3} {
-				g, err := shard.NewGroupParts(fsys.Analyzer(), parts, mcs, mmat, rel, n, shard.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				srv := NewPending(Config{})
-				srv.SetReadySharded(fsys, mcs, mmat, g)
-				for qi, q := range coordQueries(t) {
-					for trial := 0; trial < 2; trial++ {
-						sameAnswer(t, fmt.Sprintf("shards=%d query %d trial %d", n, qi, trial), "/search?"+mappedParams(q, rng), ref, srv)
-					}
-				}
 			}
 
 			// A multi-process coordinator over 3 shard servers.

@@ -128,37 +128,6 @@ func TestMappedGoldenEquality(t *testing.T) {
 	}
 }
 
-// TestMappedShardedGolden: in-process shard groups sliced from the mapped
-// postings (serve -shards N over a state file) stay byte-identical to the
-// single server over the in-process build.
-func TestMappedShardedGolden(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
-	fsys, mcs, mmat, parts, mapped := mappedState(t)
-	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
-
-	rng := rand.New(rand.NewSource(29))
-	for _, n := range []int{2, 3} {
-		g, err := shard.NewGroupParts(fsys.Analyzer(), parts, mcs, mmat, fsys.Config().Relevancy, n, shard.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewPending(Config{})
-		srv.SetReadyMapped(fsys, mcs, mmat, g, mapped)
-		for qi, q := range coordQueries(t) {
-			for trial := 0; trial < 3; trial++ {
-				params := mappedParams(q, rng)
-				want := get(t, ref, "/search?"+params)
-				got := get(t, srv, "/search?"+params)
-				label := fmt.Sprintf("shards=%d query %d %q trial %d params %s", n, qi, q, trial, params)
-				if got.Code != want.Code || got.Body.String() != want.Body.String() {
-					t.Fatalf("%s: mapped-sharded (%d) %s\nbuilt (%d) %s", label, got.Code, got.Body, want.Code, want.Body)
-				}
-			}
-		}
-	}
-}
-
 // TestMappedCoordinatorGolden: a multi-process deployment where every shard
 // process opened the same mapping (RangeEngineParts) answers through the
 // coordinator byte-identically to the single server over the in-process

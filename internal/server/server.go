@@ -38,16 +38,6 @@ import (
 	"ctxsearch/internal/shard"
 )
 
-// Searcher is the query surface the server fronts. Both a single
-// *ctxsearch.Engine and an in-process *shard.Group satisfy it (the group
-// returns byte-identical results), so a deployment picks its shape purely
-// by what it installs via SetReadyFrozen / SetReadySharded.
-type Searcher interface {
-	SearchContext(ctx context.Context, query string, opts ctxsearch.SearchOptions) ([]ctxsearch.SearchResult, error)
-	SearchBooleanContext(ctx context.Context, query string, opts ctxsearch.SearchOptions) ([]ctxsearch.SearchResult, error)
-	SelectContextsContext(ctx context.Context, query string, opts ctxsearch.SearchOptions) ([]ctxsearch.ContextScore, error)
-}
-
 // Defaults for Config's zero values.
 const (
 	DefaultQueryTimeout = 2 * time.Second
@@ -149,7 +139,7 @@ type backend struct {
 	sys      *ctxsearch.System
 	cs       *ctxsearch.ContextSet
 	matrix   *ctxsearch.Matrix
-	searcher Searcher
+	searcher *ctxsearch.Engine
 	// ref, when non-nil, is the mapped state this backend reads from. The
 	// server owns it: installed via SetReadyMapped, closed on swap-out.
 	ref StateRef
@@ -261,13 +251,12 @@ func (s *Server) SetReadyFrozen(sys *ctxsearch.System, cs *ctxsearch.ContextSet,
 	s.SetReadySharded(sys, cs, m, sys.EngineFrozen(cs, m))
 }
 
-// SetReadySharded is SetReadyFrozen with an explicit query backend — the
-// sharded deployment shape, where the Searcher is an in-process shard.Group
-// (or any other exact implementation) instead of the single engine the
-// system would build. sys, cs and m still serve /papers, /contexts
-// rendering and /stats; they must be the corpus-global state the searcher
-// was built from.
-func (s *Server) SetReadySharded(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher Searcher) {
+// SetReadySharded is SetReadyFrozen with an explicit query engine — a shard
+// process's, restricted to its paper range (shard.RangeEngineParts), instead
+// of the whole-corpus engine the system would build. sys, cs and m still
+// serve /papers, /contexts rendering and /stats; they must be the
+// corpus-global state the engine was built from.
+func (s *Server) SetReadySharded(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher *ctxsearch.Engine) {
 	s.SetReadyMapped(sys, cs, m, searcher, nil)
 }
 
@@ -275,18 +264,14 @@ func (s *Server) SetReadySharded(sys *ctxsearch.System, cs *ctxsearch.ContextSet
 // the server takes ownership of ref (open-new, swap, close-old). The old
 // backend's mapping is closed after the swap — its pages stay valid until
 // the last in-flight request that retained them releases, then unmap.
-func (s *Server) SetReadyMapped(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher Searcher, ref StateRef) {
+func (s *Server) SetReadyMapped(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher *ctxsearch.Engine, ref StateRef) {
 	// /stats reports top-k evaluator and merge counters per generation,
 	// not per process: zero them as the generation is installed. (Engines
 	// are not shared across generations — each install binds new ones — so
 	// in-flight queries of the old generation never pollute the new
 	// counters.)
-	if ts, ok := searcher.(interface{ ResetTopKStats() }); ok {
-		ts.ResetTopKStats()
-	}
-	if ms, ok := searcher.(interface{ ResetMergeStats() }); ok {
-		ms.ResetMergeStats()
-	}
+	searcher.ResetTopKStats()
+	searcher.ResetMergeStats()
 	old := s.backend.Swap(&backend{
 		sys:      sys,
 		cs:       cs,
@@ -837,12 +822,11 @@ type StatsResponse struct {
 	// MappedState reports whether the backend serves from a zero-copy
 	// memory-mapped state file.
 	MappedState bool `json:"mapped_state,omitempty"`
-	// Sharding holds scatter-gather counters when the installed searcher is
-	// a shard group (or this server is a coordinator); absent otherwise.
+	// Sharding holds a coordinator's scatter-gather counters; a Server's
+	// /stats never carries it.
 	Sharding *shard.Snapshot `json:"sharding,omitempty"`
 	// TopK holds the bounded-query evaluator's pruning counters for the
-	// installed generation (reset on every SetReady* swap); absent when the
-	// searcher does not expose them.
+	// installed generation (reset on every SetReady* swap).
 	TopK *index.TopKStats `json:"topk,omitempty"`
 	// Merge holds the prestige merge's counters for the installed
 	// generation, reset like TopK: merges by path (exhaustive, bounded),
@@ -882,20 +866,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if cs := s.coldStart.Load(); cs > 0 {
 		resp.ColdStartMS = float64(cs) / float64(time.Millisecond)
 	}
-	if sm, ok := b.searcher.(interface{ Metrics() *shard.Metrics }); ok {
-		snap := sm.Metrics().Snapshot()
-		resp.Sharding = &snap
-	}
-	if ts, ok := b.searcher.(interface{ TopKStats() index.TopKStats }); ok {
-		st := ts.TopKStats()
-		resp.TopK = &st
-	}
-	if ms, ok := b.searcher.(interface{ MergeStats() search.MergeStats }); ok {
-		st := ms.MergeStats()
-		resp.Merge = &st
-	}
-	if tt, ok := b.searcher.(interface{ TokenTablePapers() int }); ok {
-		resp.TokenTablePapers = tt.TokenTablePapers()
-	}
+	topk, merge := b.searcher.TopKStats(), b.searcher.MergeStats()
+	resp.TopK, resp.Merge = &topk, &merge
+	resp.TokenTablePapers = b.searcher.TokenTablePapers()
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -56,8 +56,7 @@ func TestStatsTopKPerGeneration(t *testing.T) {
 
 // TestStatsMergePerGeneration: /stats carries the prestige merge's counters
 // beside topk — a page smaller than the hit list runs the bounded merge, a
-// page covering it the exhaustive one — for a single engine and summed over
-// a shard group, and a SetReady* swap zeroes them.
+// page covering it the exhaustive one — and a SetReady* swap zeroes them.
 func TestStatsMergePerGeneration(t *testing.T) {
 	sys, cs, scores, query := testState(t)
 	srv := New(sys, cs, scores)
@@ -97,14 +96,8 @@ func TestStatsMergePerGeneration(t *testing.T) {
 		t.Fatalf("after a limit=1000 page: %+v (before: %+v), want one more exhaustive merge", st2, st)
 	}
 
-	m := scores.Freeze()
-	g := sliceGroup(t, sys, cs, m, 2)
-	srv.SetReadySharded(sys, cs, m, g)
+	srv.SetReady(sys, cs, scores)
 	if st := merge(); st != (search.MergeStats{}) {
 		t.Fatalf("post-swap generation reports %+v, want zeroes", st)
-	}
-	page("1000")
-	if st := merge(); st.Exhaustive == 0 || st.Exhaustive != g.Engine(0).MergeStats().Exhaustive+g.Engine(1).MergeStats().Exhaustive {
-		t.Fatalf("group merge stats %+v are not the sum over its engines", st)
 	}
 }

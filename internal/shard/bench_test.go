@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
-	"ctxsearch/internal/index"
-	"ctxsearch/internal/ontology"
-	"ctxsearch/internal/prestige"
 	"ctxsearch/internal/search"
 )
 
@@ -54,50 +50,4 @@ func BenchmarkMergePages(b *testing.B) {
 			MergePages(pages, search.Options{})
 		}
 	})
-}
-
-var benchFix *fixture
-
-// benchFixture is a larger corpus than the test fixture: sharding a
-// 250-paper corpus measures only fan-out overhead, so the search benchmark
-// needs enough papers for per-shard scoring work to dominate.
-func benchFixture(b *testing.B) *fixture {
-	b.Helper()
-	if benchFix != nil {
-		return benchFix
-	}
-	o, err := ontology.Generate(ontology.GenConfig{Seed: 6, NumTerms: 120, MaxDepth: 6, SecondParentProb: 0.1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := corpus.Generate(o, corpus.DefaultGenConfig(2000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := corpus.NewAnalyzer(c)
-	ix := index.Build(a)
-	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
-	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
-	prestige.PropagateMax(o, scores)
-	m := scores.Freeze()
-	benchFix = &fixture{onto: o, c: c, a: a, parts: ix.Parts(), cs: cs, matrix: m}
-	return benchFix
-}
-
-// BenchmarkGroupSearch measures the end-to-end in-process scatter-gather at
-// 1 vs 4 shards on the same corpus — the per-query cost of sharding (fan-out
-// plus exact merge) against its parallel speedup across shard engines.
-func BenchmarkGroupSearch(b *testing.B) {
-	f := benchFixture(b)
-	query := goldenQueries(f)[0]
-	opts := search.Options{Limit: 10}
-	for _, n := range []int{1, 4} {
-		g := newGroup(b, f, n, Options{})
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.Search(query, opts)
-			}
-		})
-	}
 }

@@ -10,8 +10,7 @@ import (
 // Metrics holds a coordinator's fan-out counters: per-shard request,
 // error and timeout counts plus the scatter-gather latency split (the
 // slowest shard vs the merge itself, as running totals so averages are
-// derivable). All methods are safe for concurrent use; both the
-// in-process Group and the HTTP Coordinator update one instance.
+// derivable). All methods are safe for concurrent use.
 type Metrics struct {
 	searches      atomic.Uint64
 	partial       atomic.Uint64
@@ -19,13 +18,13 @@ type Metrics struct {
 	mergeNanos    atomic.Int64
 	shards        []shardCounters
 
-	// Page finishing (HTTP coordinator only; zero elsewhere).
+	// Page finishing.
 	renderCalls  atomic.Uint64
 	renderNanos  atomic.Int64
 	rowsRendered atomic.Uint64
 	rowsServed   atomic.Uint64
 
-	// Resilience counters (replicated coordinator only; zero elsewhere).
+	// Resilience counters.
 	retries       atomic.Uint64
 	retriesDenied atomic.Uint64
 	hedges        atomic.Uint64
@@ -33,8 +32,7 @@ type Metrics struct {
 	breakerOpens  atomic.Uint64
 	failovers     atomic.Uint64
 	// replicas tracks each physical backend; rangeOf maps a backend to
-	// the shard range it replicates. nil when the topology has no
-	// replica layer (in-process Group, unreplicated coordinator paths).
+	// the shard range it replicates.
 	replicas []shardCounters
 	rangeOf  []int
 }
@@ -43,11 +41,6 @@ type shardCounters struct {
 	requests atomic.Uint64
 	errors   atomic.Uint64
 	timeouts atomic.Uint64
-}
-
-// NewMetrics returns zeroed counters for n shards.
-func NewMetrics(n int) *Metrics {
-	return &Metrics{shards: make([]shardCounters, n)}
 }
 
 // NewMetricsReplicated returns counters for a replicated topology:
@@ -192,8 +185,7 @@ type Snapshot struct {
 	HedgesWon     uint64 `json:"hedges_won,omitempty"`
 	BreakerOpens  uint64 `json:"breaker_opens,omitempty"`
 	Failovers     uint64 `json:"failovers,omitempty"`
-	// Replicas is the per-backend view (present only for replicated
-	// topologies).
+	// Replicas is the per-backend view.
 	Replicas []ReplicaStat `json:"replicas,omitempty"`
 }
 
@@ -224,16 +216,14 @@ func (m *Metrics) Snapshot() Snapshot {
 			Timeouts: c.timeouts.Load(),
 		}
 	}
-	if m.replicas != nil {
-		s.Replicas = make([]ReplicaStat, len(m.replicas))
-		for g := range m.replicas {
-			c := &m.replicas[g]
-			s.Replicas[g] = ReplicaStat{
-				Range:    m.rangeOf[g],
-				Requests: c.requests.Load(),
-				Errors:   c.errors.Load(),
-				Timeouts: c.timeouts.Load(),
-			}
+	s.Replicas = make([]ReplicaStat, len(m.replicas))
+	for g := range m.replicas {
+		c := &m.replicas[g]
+		s.Replicas[g] = ReplicaStat{
+			Range:    m.rangeOf[g],
+			Requests: c.requests.Load(),
+			Errors:   c.errors.Load(),
+			Timeouts: c.timeouts.Load(),
 		}
 	}
 	return s

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -22,7 +23,11 @@ func TestGroupPartsGolden(t *testing.T) {
 				{Limit: 50, Threshold: 0.05},
 			} {
 				label := fmt.Sprintf("n=%d q=%q opts=%+v", n, q, opts)
-				diffResults(t, label, g.Search(q, opts), f.ref.Search(q, opts))
+				got, err := g.SearchContext(context.Background(), q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				diffResults(t, label, got, f.ref.Search(q, opts))
 			}
 		}
 	}

@@ -64,6 +64,23 @@ func newGroup(t testing.TB, f *fixture, n int, opts Options) *Group {
 	return g
 }
 
+// searchRanges answers q the way the coordinator and bench/tour.go do: every
+// range engine under ShardOptions(opts), then MergePages.
+func searchRanges(g *Group, q string, opts search.Options, boolean bool) ([]search.Result, error) {
+	pages := make([][]search.Result, g.NumShards())
+	for i := range pages {
+		run := g.Engine(i).SearchContext
+		if boolean {
+			run = g.Engine(i).SearchBooleanContext
+		}
+		var err error
+		if pages[i], err = run(context.Background(), q, ShardOptions(opts)); err != nil {
+			return nil, err
+		}
+	}
+	return MergePages(pages, opts), nil
+}
+
 // goldenQueries mirrors the search package's battery: exact context names,
 // cross-context mixes, generic phrases and a no-match query.
 func goldenQueries(f *fixture) []string {
@@ -88,7 +105,7 @@ func goldenQueries(f *fixture) []string {
 	return queries
 }
 
-// diffResults compares element-wise: a group may return an empty non-nil
+// diffResults compares element-wise: a merge may return an empty non-nil
 // page where the engine returns nil (or vice versa) — the contract is the
 // rows, not the slice header.
 func diffResults(t *testing.T, label string, got, want []search.Result) {
@@ -116,7 +133,7 @@ func buildGroups(t testing.TB, f *fixture) map[int]*Group {
 }
 
 // TestGroupGoldenEquality is the tentpole guarantee: for every shard count,
-// the scatter-gather page equals the single-engine page exactly — same
+// the merged page equals the single-engine page exactly — same
 // documents, same scores bit for bit, same maximising contexts — across
 // randomized (limit, offset, threshold, context-count) combinations on both
 // the vector and boolean paths, including unlimited requests.
@@ -149,9 +166,10 @@ func TestGroupGoldenEquality(t *testing.T) {
 					opts.Limit, opts.Offset = 0, 0
 				}
 				label := fmt.Sprintf("shards=%d query %d %q trial %d opts %+v", n, qi, q, trial, opts)
-				diffResults(t, label, g.Search(q, opts), f.ref.Search(q, opts))
+				got, _ := searchRanges(g, q, opts, false) // a vector query under a background context cannot fail
+				diffResults(t, label, got, f.ref.Search(q, opts))
 
-				bg, bgErr := g.SearchBoolean(q, opts)
+				bg, bgErr := searchRanges(g, q, opts, true)
 				bw, bwErr := f.ref.SearchBoolean(q, opts)
 				if (bgErr == nil) != (bwErr == nil) {
 					t.Fatalf("%s: boolean error mismatch: group %v, engine %v", label, bgErr, bwErr)
@@ -165,7 +183,7 @@ func TestGroupGoldenEquality(t *testing.T) {
 }
 
 // TestGroupBooleanOperators covers structured boolean queries (AND/OR/NOT,
-// phrases) through the fan-out, where per-shard parsing must agree.
+// phrases) over the ranges, where per-shard parsing must agree.
 func TestGroupBooleanOperators(t *testing.T) {
 	f := buildFixture(t)
 	g := newGroup(t, f, 4, Options{})
@@ -178,7 +196,7 @@ func TestGroupBooleanOperators(t *testing.T) {
 	}
 	for _, q := range queries {
 		for _, opts := range []search.Options{{Limit: 10}, {Limit: 3, Offset: 4}, {}} {
-			got, gotErr := g.SearchBoolean(q, opts)
+			got, gotErr := searchRanges(g, q, opts, true)
 			want, wantErr := f.ref.SearchBoolean(q, opts)
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Fatalf("%q: error mismatch: group %v, engine %v", q, gotErr, wantErr)
@@ -189,22 +207,25 @@ func TestGroupBooleanOperators(t *testing.T) {
 }
 
 // TestGroupSelectContexts pins that context selection is shard-independent:
-// the group's answer (served by shard 0) equals the single engine's.
+// every range engine's answer equals the single engine's, which is what lets
+// a coordinator proxy /contexts to any backend.
 func TestGroupSelectContexts(t *testing.T) {
 	f := buildFixture(t)
 	g := newGroup(t, f, 3, Options{})
 	for _, q := range goldenQueries(f) {
-		got, err := g.SelectContextsContext(context.Background(), q, search.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		want := f.ref.SelectContexts(q, search.Options{})
-		if len(got) != len(want) {
-			t.Fatalf("%q: group selected %d contexts, engine %d", q, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%q: selection %d differs: %+v vs %+v", q, i, got[i], want[i])
+		for ri := 0; ri < g.NumShards(); ri++ {
+			got, err := g.Engine(ri).SelectContextsContext(context.Background(), q, search.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%q: range %d selected %d contexts, engine %d", q, ri, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%q: range %d selection %d differs: %+v vs %+v", q, ri, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -227,53 +248,6 @@ func TestGroupRangesPartition(t *testing.T) {
 		if next != f.c.Len() {
 			t.Fatalf("n=%d: ranges cover [0,%d), corpus has %d papers", n, next, f.c.Len())
 		}
-	}
-}
-
-// TestGroupMetrics checks the fan-out counters: every search touches every
-// shard exactly once and lands in the search/latency totals.
-func TestGroupMetrics(t *testing.T) {
-	f := buildFixture(t)
-	g := newGroup(t, f, 3, Options{FanOut: 2})
-	q := goldenQueries(f)[0]
-	const searches = 4
-	for i := 0; i < searches; i++ {
-		g.Search(q, search.Options{Limit: 5, Offset: i}) // distinct opts: no cache in the group
-	}
-	snap := g.Metrics().Snapshot()
-	if snap.Searches != searches {
-		t.Fatalf("snapshot has %d searches, want %d", snap.Searches, searches)
-	}
-	if snap.Partial != 0 {
-		t.Fatalf("in-process group recorded %d partials", snap.Partial)
-	}
-	if len(snap.Shards) != g.NumShards() {
-		t.Fatalf("snapshot has %d shard rows, want %d", len(snap.Shards), g.NumShards())
-	}
-	for i, s := range snap.Shards {
-		if s.Requests != searches || s.Errors != 0 || s.Timeouts != 0 {
-			t.Fatalf("shard %d counters %+v, want %d clean requests", i, s, searches)
-		}
-	}
-}
-
-// TestGroupContextCancellation: a cancelled context aborts the fan-out with
-// the context error, like a single engine.
-func TestGroupContextCancellation(t *testing.T) {
-	f := buildFixture(t)
-	g := newGroup(t, f, 2, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := g.SearchContext(ctx, goldenQueries(f)[0], search.Options{Limit: 5}); err == nil {
-		t.Fatal("cancelled search returned no error")
-	}
-	snap := g.Metrics().Snapshot()
-	errs := uint64(0)
-	for _, s := range snap.Shards {
-		errs += s.Errors
-	}
-	if errs == 0 {
-		t.Fatal("cancellation not recorded in shard error counters")
 	}
 }
 
