@@ -54,16 +54,21 @@ bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkSelectContexts|BenchmarkEngineSearch' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean' -benchmem ./internal/index/
 
-# The offline-build benchmarks behind BENCH_PR4.json and BENCH_PR12.json:
-# sharded corpus analysis (and one paper's steady-state analysis, whose
-# allocs/op CI gates), TF-IDF warming, inverted/positional index
-# construction, the postings-driven text context set, and the end-to-end
-# system build at 1 vs 8 workers.
+# The offline-build benchmarks behind BENCH_PR4.json, BENCH_PR12.json and
+# BENCH_PR26.json, one per stage of `build -v`: corpus generation, sharded
+# corpus analysis at 1, 2 and 8 workers (2 is what a 2-CPU host can show
+# scaling with) and one paper's steady-state analysis, whose allocs/op CI
+# gates, TF-IDF warming, inverted/positional index construction, the
+# postings-driven text context set, text prestige for one context and bulk
+# scoring at >= 1k contexts, and the end-to-end system build at 1 vs 8
+# workers.
 bench-build:
+	$(GO) test -run xxx -bench 'BenchmarkGenerate' -benchmem ./internal/corpus/
 	$(GO) test -run xxx -bench 'BenchmarkAnalyzerBuild|BenchmarkAnalyzerWarm|BenchmarkAnalyzePaper' -benchmem ./internal/corpus/
 	$(GO) test -run xxx -bench 'BenchmarkTextContextSet' -benchmem ./internal/contextset/
 	$(GO) test -run xxx -bench 'BenchmarkIndexBuildWorkers' -benchmem ./internal/index/
 	$(GO) test -run xxx -bench 'BenchmarkPosIndexBuildWorkers' -benchmem ./internal/pattern/
+	$(GO) test -run xxx -bench 'BenchmarkTextScoreContext|BenchmarkScoreAllParallel1kContexts' -benchmem ./internal/prestige/
 	$(GO) test -run xxx -bench 'BenchmarkSystemBuild' -benchmem .
 
 # The exact-top-k benchmarks behind BENCH_PR5.json and BENCH_PR9.json: the

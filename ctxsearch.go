@@ -165,8 +165,9 @@ type System struct {
 	posIndex *pattern.PosIndex
 
 	// Scorers are cached: the citation and text scorers embed the corpus
-	// citation graph and co-author index, which are expensive to extract and
-	// immutable — callers (and the experiments harness) share one instance.
+	// citation graph and the text scorer's ID-keyed tables, which are
+	// expensive to extract and immutable — callers (and the experiments
+	// harness) share one instance.
 	citationOnce sync.Once
 	citation     *prestige.CitationScorer
 	textOnce     sync.Once
@@ -317,8 +318,9 @@ func (s *System) CitationScorer() *prestige.CitationScorer {
 }
 
 // TextScorer returns the text-based prestige scorer (§3.2), built once per
-// System — it embeds the citation graph and co-author index. Use
-// WithRepSource for the cross-set representative variant sharing both.
+// System — it embeds the citation graph and its ID-keyed section and author
+// tables. Use WithRepSource for the cross-set representative variant
+// sharing them.
 func (s *System) TextScorer() *prestige.TextScorer {
 	s.textOnce.Do(func() {
 		s.text = prestige.NewTextScorer(s.analyzer, s.cfg.TextWeights)

@@ -25,6 +25,21 @@ type Stage struct {
 	// Unit names the items ("papers", "contexts"); empty suppresses the
 	// throughput column.
 	Unit string
+	// CPU is the CPU time the whole process used while the stage ran — so
+	// two stages timed at once each count the other's — and 0 for a stage
+	// recorded by Add/AddFirst or on a platform that does not measure it.
+	CPU time.Duration
+}
+
+// parallelism returns how many CPUs the stage kept busy on average, CPU
+// time over wall time: near the worker count for a stage that scales, near
+// 1 for one that serialises on a lock or the collector. 0 when either time
+// is missing.
+func (s Stage) parallelism() float64 {
+	if s.CPU <= 0 || s.Duration <= 0 {
+		return 0
+	}
+	return s.CPU.Seconds() / s.Duration.Seconds()
 }
 
 // Rate returns the stage's throughput in items per second (0 when the
@@ -55,10 +70,11 @@ func New(workers int) *Stats {
 	return &Stats{workers: workers}
 }
 
-// Time measures fn as one stage. items/unit feed the throughput column of
-// the summary (pass 0/"" for stages without a natural item count). While fn
-// runs, the goroutine count is sampled so the summary can report the peak
-// fan-out actually reached.
+// Time measures fn as one stage: its wall time and the process CPU time
+// spent meanwhile. items/unit feed the throughput column of the summary
+// (pass 0/"" for stages without a natural item count). While fn runs, the
+// goroutine count is sampled so the summary can report the peak fan-out
+// actually reached.
 func (s *Stats) Time(name string, items int, unit string, fn func()) {
 	if s == nil {
 		fn()
@@ -79,13 +95,15 @@ func (s *Stats) Time(name string, items int, unit string, fn func()) {
 			}
 		}
 	}()
+	cpu0 := processCPU()
 	start := time.Now()
 	fn()
 	d := time.Since(start)
+	cpu := processCPU() - cpu0
 	close(stop)
 	<-done
 	s.mu.Lock()
-	s.stages = append(s.stages, Stage{Name: name, Duration: d, Items: items, Unit: unit})
+	s.stages = append(s.stages, Stage{Name: name, Duration: d, Items: items, Unit: unit, CPU: cpu})
 	s.mu.Unlock()
 }
 
@@ -151,8 +169,10 @@ func (s *Stats) Total() time.Duration {
 }
 
 // Summary renders the multi-line human-readable report: one line per stage
-// with wall time and throughput, then a total line with worker count and
-// peak goroutines.
+// with wall time, throughput and — last, so that a reader of the leading
+// columns is undisturbed — the CPUs it kept busy ("cpu 1.6×"; a stage that
+// does not scale with the workers reads near 1×), then a total line with
+// worker count and peak goroutines.
 func (s *Stats) Summary() string {
 	stages := s.Stages()
 	var b strings.Builder
@@ -167,6 +187,9 @@ func (s *Stats) Summary() string {
 		fmt.Fprintf(&b, "  %-*s  %10s", width, st.Name, st.Duration.Round(time.Microsecond))
 		if st.Items > 0 && st.Unit != "" {
 			fmt.Fprintf(&b, "  %7d %s  %9.0f %s/s", st.Items, st.Unit, st.Rate(), st.Unit)
+		}
+		if par := st.parallelism(); par > 0 {
+			fmt.Fprintf(&b, "  cpu %.1f×", par)
 		}
 		b.WriteString("\n")
 	}

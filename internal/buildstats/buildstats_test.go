@@ -105,3 +105,38 @@ func TestConcurrentTime(t *testing.T) {
 		t.Fatalf("got %d stages, want 8", len(s.Stages()))
 	}
 }
+
+// TestTimeRecordsCPU: a stage that keeps the CPU busy records CPU time, and
+// the summary shows it after the columns that were there before — the
+// serving benchmark reads a stage line's first two fields as name and
+// duration.
+func TestTimeRecordsCPU(t *testing.T) {
+	if processCPU() == 0 {
+		t.Skip("process CPU time is not measured on this platform")
+	}
+	s := New(2)
+	s.Time("spin", 7, "papers", func() {
+		for start := time.Now(); time.Since(start) < 30*time.Millisecond; {
+		}
+	})
+	s.Add("state-map", time.Millisecond, 0, "")
+	st := s.Stages()
+	if st[0].CPU <= 0 || st[0].parallelism() <= 0 {
+		t.Fatalf("busy stage recorded CPU %v", st[0].CPU)
+	}
+	if st[1].CPU != 0 || st[1].parallelism() != 0 {
+		t.Fatalf("a stage added with its own timing claims CPU %v", st[1].CPU)
+	}
+	lines := strings.Split(s.Summary(), "\n")
+	spin, added := lines[1], lines[2]
+	f := strings.Fields(spin)
+	if d, err := time.ParseDuration(f[1]); f[0] != "spin" || err != nil || d <= 0 {
+		t.Fatalf("leading fields of %q are not name and duration", spin)
+	}
+	if i, j := strings.Index(spin, "papers/s"), strings.Index(spin, "cpu "); i < 0 || j < i || !strings.HasSuffix(spin, "×") {
+		t.Fatalf("cpu column is not last in %q", spin)
+	}
+	if strings.Contains(added, "cpu") {
+		t.Fatalf("stage without CPU time shows the column: %q", added)
+	}
+}

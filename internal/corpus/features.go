@@ -35,6 +35,8 @@ type Analyzer struct {
 	// forms memoises the tokenizer per distinct raw word of the paper text;
 	// see formTable.
 	forms formTable
+	// scratch recycles SectionTokens' *tokenScratch across papers.
+	scratch sync.Pool
 	// feats publishes each paper's features through its own atomic slot, so
 	// readers of an analysed paper never take a lock.
 	feats []atomic.Pointer[Features]
@@ -161,19 +163,34 @@ func (a *Analyzer) ensureFeatures() {
 	}
 }
 
+// tokenScratch is the split and token scratch SectionTokens shares among
+// the sections of a paper and, through the analyzer's pool, among papers.
+type tokenScratch struct {
+	words, toks []string
+}
+
 // SectionTokens tokenizes a paper section by section, in Sections order,
 // and hands each section's stemmed, stopword-filtered token stream to fn —
 // the only place corpus text is tokenized, and the only writer of the
-// surface-form table. toks is scratch reused for the next section: fn must
-// copy what it keeps. Safe for concurrent use: the table locks itself and
-// nothing else on the analyzer is written.
+// surface-form table. toks is scratch reused for the next section and the
+// next paper: fn must copy what it keeps. Safe for concurrent use: the
+// table locks itself, each call leases its own scratch, and nothing else on
+// the analyzer is written.
 func (a *Analyzer) SectionTokens(p *Paper, fn func(s Section, toks []string)) {
-	var words, toks []string // split and token scratch shared by the sections
-	for _, s := range Sections {
-		words = textproc.AppendWords(words[:0], p.SectionText(s))
-		toks = a.forms.appendTerms(toks[:0], a.tok, words)
-		fn(s, toks)
+	sc, _ := a.scratch.Get().(*tokenScratch)
+	if sc == nil {
+		sc = new(tokenScratch)
 	}
+	for _, s := range Sections {
+		sc.words = textproc.AppendWords(sc.words[:0], p.SectionText(s))
+		sc.toks = a.forms.appendTerms(sc.toks[:0], a.tok, sc.words)
+		fn(s, sc.toks)
+	}
+	// Words are substrings of the paper's text (tokens are the table's own
+	// strings): cleared over the whole capacity, since a longer section's
+	// words lie beyond the last one's length, so the pool pins no paper.
+	clear(sc.words[:cap(sc.words)])
+	a.scratch.Put(sc)
 }
 
 // analyzePaper tokenizes one paper into its Features.

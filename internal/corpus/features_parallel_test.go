@@ -190,3 +190,58 @@ func TestSectionTokensLeaveAnalyzerFrozen(t *testing.T) {
 		t.Fatalf("two accessor calls analysed %d papers and cached %d weight slots, want 2 and 2", lazy.AnalyzedPapers(), lazy.CachedWeights())
 	}
 }
+
+// TestSectionTokensScratchIsNotRetained pins what pooling the tokenizer
+// scratch must not change: what fn copied out survives the papers tokenized
+// after it and the callers tokenizing beside it, and a scratch at rest in
+// the pool references no paper's text.
+func TestSectionTokensScratchIsNotRetained(t *testing.T) {
+	c, _ := testCorpus(t, 60)
+	a := NewAnalyzerFrozen(c, vector.NewDF())
+	papers := c.Papers()
+	got := make([][NumSections][]string, len(papers))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(papers); i += 4 {
+				a.SectionTokens(papers[i], func(s Section, toks []string) {
+					got[i][s] = slices.Clone(toks)
+				})
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, p := range papers {
+		for _, s := range Sections {
+			if want := a.tok.Terms(p.SectionText(s)); !slices.Equal(got[i][s], want) {
+				t.Fatalf("paper %d %v: copied tokens differ from the tokenizer's after later and concurrent calls", p.ID, s)
+			}
+		}
+	}
+	// The pool may hand back fewer scratches than were put (it sheds some
+	// under -race and at a GC), so tokenize until one is seen.
+	inspected := 0
+	for try := 0; try < 100 && inspected == 0; try++ {
+		a.SectionTokens(papers[try%len(papers)], func(Section, []string) {})
+		for {
+			sc, _ := a.scratch.Get().(*tokenScratch)
+			if sc == nil {
+				break
+			}
+			inspected++
+			if cap(sc.words) == 0 {
+				t.Fatal("pooled scratch never held a word")
+			}
+			for i, w := range sc.words[:cap(sc.words)] {
+				if w != "" {
+					t.Fatalf("pooled scratch still holds word %d (%q) of a paper's text", i, w)
+				}
+			}
+		}
+	}
+	if inspected == 0 {
+		t.Fatal("no scratch came back from the pool in 100 calls")
+	}
+}

@@ -117,8 +117,8 @@ func NewSetup(scale Scale, log io.Writer) (*Setup, error) {
 // describes ("text-based scores were assigned to only [the] contexts that
 // contain at least one representative paper").
 func (s *Setup) scoreTextOnPatternSet() ctxsearch.Scores {
-	// Clone the system's cached text scorer: the citation graph and
-	// co-author index it embeds are shared, not rebuilt.
+	// Clone the system's cached text scorer: the citation graph and the
+	// tables it embeds are shared, not rebuilt.
 	scorer := s.Sys.TextScorer().WithRepSource(s.TextSet)
 	scores := prestige.ScoreAllParallel(scorer, s.PatternSet, s.Sys.MinContextSize(), s.Sys.Config().BuildWorkers)
 	return prestige.PropagateMax(s.Sys.Ontology, scores)

@@ -1,11 +1,9 @@
 package prestige
 
 import (
-	"runtime"
-	"sync"
-
 	"ctxsearch/internal/contextset"
-	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/par"
 )
 
 // ScoreAllParallel is ScoreAll with the per-context scoring fanned out over
@@ -17,43 +15,24 @@ import (
 // Scorer implementations used here must be too.
 func ScoreAllParallel(sc Scorer, cs *contextset.ContextSet, minSize, workers int) Scores {
 	ctxs := cs.ContextsWithMinSize(minSize)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(ctxs) {
-		workers = len(ctxs)
-	}
-	if workers <= 1 {
+	if par.Workers(len(ctxs), workers) <= 1 {
 		return ScoreAll(sc, cs, minSize)
 	}
-	out := make(Scores, len(ctxs))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	work := make(chan ontology.TermID)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx := range work {
-				m := sc.ScoreContext(cs, ctx)
-				if m == nil {
-					continue
-				}
-				if d := cs.Decay(ctx); d != 1 {
-					for id := range m {
-						m[id] *= d
-					}
-				}
-				mu.Lock()
-				out[ctx] = m
-				mu.Unlock()
+	scored := make([]map[corpus.PaperID]float64, len(ctxs))
+	par.For(len(ctxs), workers, func(i int) {
+		m := sc.ScoreContext(cs, ctxs[i])
+		if d := cs.Decay(ctxs[i]); d != 1 {
+			for id := range m {
+				m[id] *= d
 			}
-		}()
+		}
+		scored[i] = m
+	})
+	out := make(Scores, len(ctxs))
+	for i, m := range scored {
+		if m != nil {
+			out[ctxs[i]] = m
+		}
 	}
-	for _, ctx := range ctxs {
-		work <- ctx
-	}
-	close(work)
-	wg.Wait()
 	return out
 }

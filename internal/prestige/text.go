@@ -1,6 +1,8 @@
 package prestige
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"ctxsearch/internal/citegraph"
@@ -38,16 +40,20 @@ func DefaultTextWeights() TextWeights {
 // representative paper across title, abstract, body, index terms, authors
 // (level-0 and level-1 overlap) and references (bibliographic coupling +
 // co-citation).
+//
+// A context compares one representative against many papers, so the scorer
+// works bind → score each paper → release on ID-keyed tables (textTables)
+// instead of pair by pair on string-keyed maps. The arithmetic — which
+// products are formed, the order they are summed in, every division and
+// every zero case — is that of vector.CosineWithNorms, the author-set
+// Jaccard and bridge count, and citegraph's coupling and co-citation, bit
+// for bit; similarityReference in the tests is that pairwise form.
 type TextScorer struct {
 	analyzer *corpus.Analyzer
-	graph    *citegraph.Graph
 	weights  TextWeights
-	coAuthor map[string][]corpus.PaperID
-
-	// bridgePool recycles the level-1 author-overlap bridge sets —
-	// Similarity runs once per (paper, context) pair, so the map is worth
-	// pooling. Each ScoreAllParallel worker leases its own map per call.
-	bridgePool sync.Pool
+	// tables is built by the first call that scores and shared, with its
+	// scratch pool, by every WithRepSource clone.
+	tables *textTables
 
 	// RepSource optionally supplies representative papers from a different
 	// context set. The paper's §4 does exactly this: text scores are
@@ -56,27 +62,22 @@ type TextScorer struct {
 	RepSource *contextset.ContextSet
 }
 
-// NewTextScorer builds the scorer; the co-author index for level-1 overlap
-// is built eagerly.
+// NewTextScorer returns the scorer. Its tables — section vectors by term
+// ID, the author index in both directions, the citation graph — are built
+// by the first call that scores.
 func NewTextScorer(a *corpus.Analyzer, weights TextWeights) *TextScorer {
-	return &TextScorer{
-		analyzer: a,
-		graph:    GraphFromCorpus(a.Corpus()),
-		weights:  weights,
-		coAuthor: a.CoAuthorIndex(),
-	}
+	return &TextScorer{analyzer: a, weights: weights, tables: new(textTables)}
 }
 
 // WithRepSource returns a scorer that draws representative papers from cs
-// instead of the scored set, sharing the (immutable) citation graph and
-// co-author index with the receiver — cloning avoids rebuilding both and
-// leaves the receiver untouched, so cached scorers stay reusable.
+// instead of the scored set, sharing the (immutable) tables with the
+// receiver — cloning avoids rebuilding them and leaves the receiver
+// untouched, so cached scorers stay reusable.
 func (s *TextScorer) WithRepSource(cs *contextset.ContextSet) *TextScorer {
 	return &TextScorer{
 		analyzer:  s.analyzer,
-		graph:     s.graph,
 		weights:   s.weights,
-		coAuthor:  s.coAuthor,
+		tables:    s.tables,
 		RepSource: cs,
 	}
 }
@@ -98,9 +99,11 @@ func (s *TextScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID
 	}
 	papers := cs.Papers(ctx)
 	out := make(map[corpus.PaperID]float64, len(papers))
+	b := s.bind(rep)
 	for _, p := range papers {
-		out[p] = s.Similarity(p, rep)
+		out[p] = b.similarity(p)
 	}
+	b.release()
 	// No per-context max-normalisation: the weighted similarity is already
 	// in [0,1] (the weights sum to 1), and the paper's separability
 	// analysis depends on the raw distribution — upper-level contexts whose
@@ -111,96 +114,300 @@ func (s *TextScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID
 
 // Similarity computes the §3.2 weighted similarity between two papers.
 func (s *TextScorer) Similarity(p, rep corpus.PaperID) float64 {
-	if p == rep {
-		// The representative characterises the context by definition.
-		return 1
-	}
-	w := s.weights
-	sim := w.Title*s.sectionSim(p, rep, corpus.SecTitle) +
-		w.Abstract*s.sectionSim(p, rep, corpus.SecAbstract) +
-		w.Body*s.sectionSim(p, rep, corpus.SecBody) +
-		w.IndexTerms*s.sectionSim(p, rep, corpus.SecIndexTerms) +
-		w.Authors*s.AuthorSim(p, rep) +
-		w.References*s.ReferenceSim(p, rep)
-	return sim
-}
-
-func (s *TextScorer) sectionSim(p, q corpus.PaperID, sec corpus.Section) float64 {
-	return vector.CosineWithNorms(
-		s.analyzer.TFIDF(p, sec), s.analyzer.TFIDF(q, sec),
-		s.analyzer.TFIDFNorm(p, sec), s.analyzer.TFIDFNorm(q, sec))
+	b := s.bind(rep)
+	defer b.release()
+	return b.similarity(p)
 }
 
 // AuthorSim combines Level-0 overlap (shared authors, Jaccard) with Level-1
 // overlap (each paper's authors co-write a third paper), per [7].
 func (s *TextScorer) AuthorSim(p, q corpus.PaperID) float64 {
-	ap := s.analyzer.Features(p).Authors
-	aq := s.analyzer.Features(q).Authors
-	l0 := authorJaccard(ap, aq)
-	l1 := s.levelOneOverlap(p, q, ap, aq)
-	return s.weights.L0Weight*l0 + s.weights.L1Weight*l1
-}
-
-func authorJaccard(a, b map[string]bool) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	small, large := a, b
-	if len(b) < len(a) {
-		small, large = b, a
-	}
-	inter := 0
-	for x := range small {
-		if large[x] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
-// levelOneOverlap counts third papers co-authored by an author of p and an
-// author of q, saturating at 3 such bridges.
-func (s *TextScorer) levelOneOverlap(p, q corpus.PaperID, ap, aq map[string]bool) float64 {
-	// Papers (other than p, q) with an author from p. The set is pooled —
-	// this runs once per (paper, context) pair across thousands of contexts.
-	bridge, _ := s.bridgePool.Get().(map[corpus.PaperID]bool)
-	if bridge == nil {
-		bridge = make(map[corpus.PaperID]bool)
-	} else {
-		clear(bridge)
-	}
-	defer s.bridgePool.Put(bridge)
-	for a := range ap {
-		for _, z := range s.coAuthor[a] {
-			if z != p && z != q {
-				bridge[z] = true
-			}
-		}
-	}
-	n := 0
-	for z := range bridge {
-		az := s.analyzer.Features(z).Authors
-		for a := range aq {
-			if az[a] {
-				n++
-				break
-			}
-		}
-		if n >= 3 {
-			break
-		}
-	}
-	return float64(n) / 3
+	b := s.bind(q)
+	defer b.release()
+	return b.authorSim(p)
 }
 
 // ReferenceSim combines bibliographic coupling with co-citation, per [7]:
 // SimReferences = BibWeight·Simbib + (1−BibWeight)·Simcoc.
 func (s *TextScorer) ReferenceSim(p, q corpus.PaperID) float64 {
-	bib := s.graph.BibliographicCoupling(int(p), int(q))
-	coc := s.graph.CoCitation(int(p), int(q))
-	return s.weights.BibWeight*bib + (1-s.weights.BibWeight)*coc
+	b := s.bind(q)
+	defer b.release()
+	return b.referenceSim(p)
+}
+
+// textTables holds what the text score compares, keyed by dense IDs: every
+// paper's per-section TF-IDF vector as parallel term-ID and weight runs, the
+// author index in both directions, and the citation graph. Immutable once
+// built.
+type textTables struct {
+	once  sync.Once
+	graph *citegraph.Graph
+
+	// Row p·NumSections+s — section s of paper p — spans
+	// [rowEnd[row-1], rowEnd[row]) of terms and weights (from 0 for row 0),
+	// and norms[row] is the analyzer's norm of that vector.
+	rowEnd   []int
+	terms    []int32
+	weights  []float64
+	norms    []float64
+	numTerms int
+
+	paperAuthors [][]int32 // paper → its authors' IDs
+	authorPapers [][]int32 // author → the papers they appear on
+
+	// scratch recycles *boundRep: a context binds once, and each
+	// ScoreAllParallel worker leases its own.
+	scratch sync.Pool
+}
+
+func (t *textTables) build(a *corpus.Analyzer) {
+	c := a.Corpus()
+	n := c.Len()
+	t.graph = GraphFromCorpus(c)
+
+	// Term IDs are local to the tables and follow first sight in map order:
+	// nothing depends on which term got which ID or on the order of a row,
+	// since a pair's products are sorted before they are summed.
+	ids := make(map[string]int32)
+	t.rowEnd = make([]int, 0, n*corpus.NumSections)
+	t.norms = make([]float64, 0, n*corpus.NumSections)
+	for p := 0; p < n; p++ {
+		for _, sec := range corpus.Sections {
+			for term, w := range a.TFIDF(corpus.PaperID(p), sec) {
+				id, ok := ids[term]
+				if !ok {
+					id = int32(len(ids))
+					ids[term] = id
+				}
+				t.terms = append(t.terms, id)
+				t.weights = append(t.weights, w)
+			}
+			t.rowEnd = append(t.rowEnd, len(t.terms))
+			t.norms = append(t.norms, a.TFIDFNorm(corpus.PaperID(p), sec))
+		}
+	}
+	t.numTerms = len(ids)
+
+	t.paperAuthors = make([][]int32, n)
+	for _, papers := range a.CoAuthorIndex() {
+		au := int32(len(t.authorPapers))
+		list := make([]int32, len(papers))
+		for i, p := range papers {
+			list[i] = int32(p)
+			t.paperAuthors[p] = append(t.paperAuthors[p], au)
+		}
+		t.authorPapers = append(t.authorPapers, list)
+	}
+}
+
+// row returns section sec of paper p as parallel term IDs and weights, and
+// the vector's norm.
+func (t *textTables) row(p corpus.PaperID, sec corpus.Section) ([]int32, []float64, float64) {
+	r := int(p)*corpus.NumSections + int(sec)
+	lo := 0
+	if r > 0 {
+		lo = t.rowEnd[r-1]
+	}
+	return t.terms[lo:t.rowEnd[r]], t.weights[lo:t.rowEnd[r]], t.norms[r]
+}
+
+// Marks bind leaves on the papers around the representative.
+const (
+	markCoAuthor uint8 = 1 << iota // shares an author with the representative
+	markCited                      // the representative cites it
+	markCiting                     // it cites the representative
+)
+
+// boundRep is a representative laid out for comparison against many papers,
+// and the pooled scratch that layout lives in. bind fills it in
+// O(representative): the section vectors scattered by term ID, the authors
+// flagged, the papers sharing an author and the citation neighbours marked.
+// release walks the same lists to blank them, so one at rest in the pool is
+// all zeros whatever it was bound to.
+type boundRep struct {
+	t   *textTables
+	w   TextWeights
+	rep corpus.PaperID
+
+	// dense[s][term] is the representative's weight of term in section s, 0
+	// where it has none (a TF-IDF weight is positive).
+	dense     [corpus.NumSections][]float64
+	norms     [corpus.NumSections]float64
+	repAuthor []bool  // by author ID
+	marks     []uint8 // by paper
+	prods     []float64
+}
+
+func (s *TextScorer) bind(rep corpus.PaperID) *boundRep {
+	t := s.tables
+	t.once.Do(func() { t.build(s.analyzer) })
+	b, _ := t.scratch.Get().(*boundRep)
+	if b == nil {
+		b = &boundRep{
+			t:         t,
+			repAuthor: make([]bool, len(t.authorPapers)),
+			marks:     make([]uint8, len(t.paperAuthors)),
+		}
+		for sec := range b.dense {
+			b.dense[sec] = make([]float64, t.numTerms)
+		}
+	}
+	b.w, b.rep = s.weights, rep
+	for _, sec := range corpus.Sections {
+		terms, weights, norm := t.row(rep, sec)
+		for i, id := range terms {
+			b.dense[sec][id] = weights[i]
+		}
+		b.norms[sec] = norm
+	}
+	for _, au := range t.paperAuthors[rep] {
+		b.repAuthor[au] = true
+		for _, z := range t.authorPapers[au] {
+			b.marks[z] |= markCoAuthor
+		}
+	}
+	for _, z := range t.graph.Out(int(rep)) {
+		b.marks[z] |= markCited
+	}
+	for _, z := range t.graph.In(int(rep)) {
+		b.marks[z] |= markCiting
+	}
+	return b
+}
+
+// release blanks what bind wrote and returns the scratch to the pool.
+func (b *boundRep) release() {
+	t := b.t
+	for _, sec := range corpus.Sections {
+		terms, _, _ := t.row(b.rep, sec)
+		for _, id := range terms {
+			b.dense[sec][id] = 0
+		}
+	}
+	for _, au := range t.paperAuthors[b.rep] {
+		b.repAuthor[au] = false
+		for _, z := range t.authorPapers[au] {
+			b.marks[z] = 0
+		}
+	}
+	for _, z := range t.graph.Out(int(b.rep)) {
+		b.marks[z] = 0
+	}
+	for _, z := range t.graph.In(int(b.rep)) {
+		b.marks[z] = 0
+	}
+	t.scratch.Put(b)
+}
+
+// similarity is Similarity(p, rep) for the bound representative.
+func (b *boundRep) similarity(p corpus.PaperID) float64 {
+	if p == b.rep {
+		// The representative characterises the context by definition.
+		return 1
+	}
+	w := b.w
+	sim := w.Title*b.sectionSim(p, corpus.SecTitle) +
+		w.Abstract*b.sectionSim(p, corpus.SecAbstract) +
+		w.Body*b.sectionSim(p, corpus.SecBody) +
+		w.IndexTerms*b.sectionSim(p, corpus.SecIndexTerms) +
+		w.Authors*b.authorSim(p) +
+		w.References*b.referenceSim(p)
+	return sim
+}
+
+// sectionSim is vector.CosineWithNorms(p's vector, the representative's,
+// ‖p‖, ‖rep‖): the products of the shared terms — p's weight times the
+// dense entry, and multiplication commutes — reduced by the SumSorted that
+// Sparse.Dot reduces them by, over the same product of norms, with the same
+// zero for an empty side.
+func (b *boundRep) sectionSim(p corpus.PaperID, sec corpus.Section) float64 {
+	terms, weights, norm := b.t.row(p, sec)
+	if norm == 0 || b.norms[sec] == 0 {
+		return 0
+	}
+	dense := b.dense[sec]
+	prods := b.prods[:0]
+	for i, id := range terms {
+		if d := dense[id]; d != 0 {
+			prods = append(prods, weights[i]*d)
+		}
+	}
+	b.prods = prods
+	return vector.SumSorted(prods) / (norm * b.norms[sec])
+}
+
+// authorSim is AuthorSim(p, rep) for the bound representative.
+func (b *boundRep) authorSim(p corpus.PaperID) float64 {
+	return b.w.L0Weight*b.authorJaccard(p) + b.w.L1Weight*b.levelOneOverlap(p)
+}
+
+// authorJaccard is |A(p) ∩ A(rep)| / |A(p) ∪ A(rep)| over the author sets,
+// 0 when either is empty.
+func (b *boundRep) authorJaccard(p corpus.PaperID) float64 {
+	ap, ar := b.t.paperAuthors[p], b.t.paperAuthors[b.rep]
+	if len(ap) == 0 || len(ar) == 0 {
+		return 0
+	}
+	inter := 0
+	for _, au := range ap {
+		if b.repAuthor[au] {
+			inter++
+		}
+	}
+	return float64(inter) / float64(len(ap)+len(ar)-inter)
+}
+
+// levelOneOverlap counts third papers co-authored by an author of p and an
+// author of the representative, saturating at 3 such bridges: the distinct
+// papers other than the two, reached through p's authors, that carry the
+// co-author mark.
+func (b *boundRep) levelOneOverlap(p corpus.PaperID) float64 {
+	var bridges [3]int32
+	n := 0
+	self, rep := int32(p), int32(b.rep)
+count:
+	for _, au := range b.t.paperAuthors[p] {
+		for _, z := range b.t.authorPapers[au] {
+			if b.marks[z]&markCoAuthor == 0 || z == self || z == rep {
+				continue
+			}
+			if slices.Contains(bridges[:n], z) {
+				continue // reached before, through another of p's authors
+			}
+			bridges[n] = z
+			if n++; n == len(bridges) {
+				break count
+			}
+		}
+	}
+	return float64(n) / 3
+}
+
+// referenceSim is ReferenceSim(p, rep) for the bound representative.
+func (b *boundRep) referenceSim(p corpus.PaperID) float64 {
+	bib, coc := 1.0, 1.0 // citegraph's value for a node against itself
+	if p != b.rep {
+		g := b.t.graph
+		bib = b.coupling(g.Out(int(p)), markCited, len(g.Out(int(b.rep))))
+		coc = b.coupling(g.In(int(p)), markCiting, len(g.In(int(b.rep))))
+	}
+	return b.w.BibWeight*bib + (1-b.w.BibWeight)*coc
+}
+
+// coupling is citegraph's cosine-normalised overlap of two adjacency lists,
+// |a ∩ b| / √(|a|·|b|) and 0 when either is empty, with the
+// representative's list of repLen entries present as mark: an adjacency
+// list holds no node twice, so counting the marked entries of the other is
+// the size of the intersection.
+func (b *boundRep) coupling(adj []int32, mark uint8, repLen int) float64 {
+	if len(adj) == 0 || repLen == 0 {
+		return 0
+	}
+	shared := 0
+	for _, z := range adj {
+		if b.marks[z]&mark != 0 {
+			shared++
+		}
+	}
+	return float64(shared) / math.Sqrt(float64(len(adj))*float64(repLen))
 }
