@@ -11,9 +11,9 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race bench bench-query bench-prestige bench-build bench-topk bench-shard bench-store test-no-mmap serve-smoke
+.PHONY: verify build test vet race unused-exports bench bench-query bench-prestige bench-build bench-topk bench-shard bench-store test-no-mmap serve-smoke
 
-verify: vet build test race
+verify: vet build unused-exports test race
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# No exported function under internal/ or in ctxsearch.go without a caller
+# outside tests (the allow-list, with reasons, is in the script).
+unused-exports:
+	./scripts/unused_exports.sh
 
 # Every package: a hand-maintained list would silently miss new concurrent
 # packages (as it briefly did when internal/shard landed).
@@ -89,11 +94,11 @@ bench-shard:
 	$(GO) test -run xxx -bench 'BenchmarkMergePages' -benchmem ./internal/shard/
 
 # The cold-start benchmarks: the zero-copy mmap open of a state file
-# (header/table-only) and the full engine-ready bind, the writer, plus the
-# multi-process run that shows page sharing across replicas.
+# (header/table-only) and the full engine-ready bind, and the writer. Page
+# sharing across the processes of a cluster is the serving benchmark's
+# cluster_page mem_mb.
 bench-store:
 	$(GO) test -run xxx -bench 'BenchmarkOpen|BenchmarkSave' -benchmem ./internal/store/
-	$(GO) run ./cmd/storebench -procs 1,8
 
 # The byte-copy fallback path (mmap unavailable or disabled): the same
 # store/search/index/server suites must pass with zero-copy turned off.

@@ -15,6 +15,9 @@ import (
 	"ctxsearch/internal/experiments"
 )
 
+// benchScale is a reduced scale for the benchmark suite.
+var benchScale = experiments.Scale{Papers: 400, Terms: 90, Queries: 25, Seed: 1}
+
 var (
 	benchOnce  sync.Once
 	benchSetup *experiments.Setup
@@ -24,7 +27,7 @@ var (
 func getSetup(b *testing.B) *experiments.Setup {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchSetup, benchErr = experiments.NewSetup(experiments.BenchScale(), nil)
+		benchSetup, benchErr = experiments.NewSetup(benchScale, nil)
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -36,7 +39,7 @@ func getSetup(b *testing.B) *experiments.Setup {
 // before any query: corpus analysis, both context paper sets, and all five
 // score-function×context-set combinations.
 func BenchmarkSetup(b *testing.B) {
-	scale := experiments.BenchScale()
+	scale := benchScale
 	scale.Papers = 150
 	scale.Terms = 50
 	scale.Queries = 10

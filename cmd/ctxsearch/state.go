@@ -1,0 +1,248 @@
+package main
+
+import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"time"
+
+	"ctxsearch"
+	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/index"
+	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/store"
+)
+
+// app is the state every command but generate and the coordinator works on:
+// what load opened from the state file or built in-process.
+type app struct {
+	sys *ctxsearch.System
+	cs  *ctxsearch.ContextSet
+	// matrix is the frozen CSR prestige matrix — computed scores are frozen
+	// once after scoring, an opened state hands the matrix over directly.
+	matrix *ctxsearch.Matrix
+	// parts are the postings shard engines slice: the state file's, or the
+	// built index's own.
+	parts *index.Parts
+	// mapped is the open state file sys, cs, matrix and parts alias; nil
+	// when they were built in-process.
+	mapped *store.Mapped
+
+	engine  *ctxsearch.Engine
+	limit   int
+	boolean bool
+}
+
+// dataOpts names the inputs of load: where the corpus, the ontology and the
+// state come from, and what to build when there is no state file yet.
+type dataOpts struct {
+	cfg                                              ctxsearch.Config
+	corpusPath, oboPath, setKind, scoreFn, statePath string
+}
+
+// load is the one road from the flags to (sys, cs, matrix, parts), taken by
+// serve, shard and every one-shot command. When -state names an existing
+// file it is opened and a frozen system bound to it: no paper is analysed,
+// and a file written by a newer binary fails here with the version
+// diagnostic. Otherwise — or always, for the build command (rebuild) — the
+// full offline build runs and saves the state if a path was given.
+func load(o dataOpts, rebuild bool) (*app, error) {
+	if o.statePath != "" && !rebuild {
+		// Only a missing file means "build it": any other failure (permission,
+		// I/O) must not end in a rebuild that overwrites the path.
+		if _, err := os.Stat(o.statePath); err == nil {
+			return openState(o)
+		} else if !errors.Is(err, fs.ErrNotExist) {
+			return nil, err
+		}
+	}
+	return buildState(o)
+}
+
+// openState memory-maps the state file (byte-copies it where mmap is
+// unavailable) and binds the engine's arrays to it directly
+// (ctxsearch.NewFrozenSystem).
+func openState(o dataOpts) (_ *app, err error) {
+	onto, c, _, err := loadOrGenData(o, false)
+	if err != nil {
+		return nil, fmt.Errorf("building system: %w", err)
+	}
+	t0 := time.Now()
+	mapped, err := store.Open(o.statePath, onto)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("loading %s: %w", o.statePath, err)
+			_ = mapped.Close()
+		}
+	}()
+	mapDur := time.Since(t0)
+	a := &app{mapped: mapped}
+	if a.cs, err = mapped.ContextSet(); err != nil {
+		return nil, err
+	}
+	if a.matrix, err = mapped.Matrix(o.scoreFn); err != nil {
+		return nil, err
+	}
+	if a.parts, err = mapped.IndexParts(); err != nil {
+		return nil, err
+	}
+	df, err := mapped.DF()
+	if err != nil {
+		return nil, err
+	}
+	if a.sys, err = ctxsearch.NewFrozenSystem(onto, c, a.parts, df, o.cfg); err != nil {
+		return nil, err
+	}
+	a.sys.BuildStats().Add("state-map", mapDur, 0, "")
+	return a, nil
+}
+
+// buildState runs the offline build — analysis, context set, prestige
+// scores — and, when -state is given, saves the result with the text-index
+// postings, block-max tables and DF table, so the next boot maps the file
+// instead.
+func buildState(o dataOpts) (*app, error) {
+	sys, err := buildSystem(o)
+	if err != nil {
+		return nil, fmt.Errorf("building system: %w", err)
+	}
+	a := &app{sys: sys}
+	switch o.setKind {
+	case "text":
+		a.cs = sys.BuildTextContextSet()
+	case "pattern":
+		a.cs = sys.BuildPatternContextSet()
+	default:
+		return nil, fmt.Errorf("unknown context set %q", o.setKind)
+	}
+	var scores ctxsearch.Scores
+	switch o.scoreFn {
+	case "text":
+		scores = sys.ScoreText(a.cs)
+	case "citation":
+		scores = sys.ScoreCitation(a.cs)
+	case "pattern":
+		scores = sys.ScorePattern(a.cs)
+	default:
+		return nil, fmt.Errorf("unknown score function %q", o.scoreFn)
+	}
+	a.matrix = scores.Freeze()
+	a.parts = sys.Index().Parts()
+	if o.statePath != "" {
+		st := &store.State{
+			ContextSet: a.cs,
+			Matrices:   map[string]*ctxsearch.Matrix{o.scoreFn: a.matrix},
+			Index:      a.parts,
+			DF:         sys.Analyzer().DF(),
+		}
+		var serr error
+		sys.BuildStats().Time("state-save", 0, "", func() {
+			serr = store.SaveFile(o.statePath, st)
+		})
+		if serr != nil {
+			return nil, fmt.Errorf("saving %s: %w", o.statePath, serr)
+		}
+	}
+	return a, nil
+}
+
+// close releases the state file's mapping, if the app holds one.
+func (a *app) close() {
+	if a.mapped != nil {
+		_ = a.mapped.Close()
+	}
+}
+
+// buildSystem analyses the corpus loadOrGenData resolves. Producing the
+// inputs is recorded as the first build stage ("generate", or "load" when
+// both came from files), so the -v summary adds up to the process's wall
+// time.
+func buildSystem(d dataOpts) (*ctxsearch.System, error) {
+	start := time.Now()
+	o, c, generated, err := loadOrGenData(d, false)
+	if err != nil {
+		return nil, err
+	}
+	took := time.Since(start)
+	sys, err := ctxsearch.NewSystem(o, c, d.cfg)
+	if err != nil {
+		return nil, err
+	}
+	stage := "load"
+	if generated {
+		stage = "generate"
+	}
+	sys.BuildStats().AddFirst(stage, took, c.Len(), "papers")
+	return sys, nil
+}
+
+// loadOrGenData resolves the ontology and corpus without analysing them —
+// the raw inputs both the full build and the mapped-state cold start need —
+// loading each from its file when that exists (unless forceGenerate),
+// generating and saving it otherwise, and reports whether either had to be
+// generated.
+func loadOrGenData(d dataOpts, forceGenerate bool) (o *ctxsearch.Ontology, c *ctxsearch.Corpus, generated bool, err error) {
+	cfg, corpusPath, oboPath := d.cfg, d.corpusPath, d.oboPath
+	if !forceGenerate && oboPath != "" {
+		if f, err := os.Open(oboPath); err == nil {
+			defer f.Close()
+			parsed, err := ontology.ParseOBO(f)
+			if err != nil {
+				return nil, nil, false, fmt.Errorf("parsing %s: %w", oboPath, err)
+			}
+			o = parsed
+		}
+	}
+	if !forceGenerate && corpusPath != "" {
+		if _, err := os.Stat(corpusPath); err == nil {
+			loaded, err := corpus.LoadFile(corpusPath)
+			if err != nil {
+				return nil, nil, false, fmt.Errorf("loading %s: %w", corpusPath, err)
+			}
+			c = loaded
+		}
+	}
+	if o == nil {
+		generated = true
+		gen, err := ontology.Generate(ontology.GenConfig{
+			Seed: cfg.Seed, NumTerms: cfg.OntologyTerms, MaxDepth: cfg.MaxDepth, SecondParentProb: 0.12,
+		})
+		if err != nil {
+			return nil, nil, false, err
+		}
+		o = gen
+		if oboPath != "" {
+			f, err := os.Create(oboPath)
+			if err != nil {
+				return nil, nil, false, err
+			}
+			if err := o.WriteOBO(f); err != nil {
+				f.Close()
+				return nil, nil, false, err
+			}
+			if err := f.Close(); err != nil {
+				return nil, nil, false, err
+			}
+		}
+	}
+	if c == nil {
+		generated = true
+		gcfg := corpus.DefaultGenConfig(cfg.Papers)
+		gcfg.Seed = cfg.Seed
+		gen, err := corpus.Generate(o, gcfg)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		c = gen
+		if corpusPath != "" {
+			if err := c.SaveFile(corpusPath); err != nil {
+				return nil, nil, false, err
+			}
+		}
+	}
+	return o, c, generated, nil
+}

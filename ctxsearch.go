@@ -359,16 +359,15 @@ func (s *System) ScoreText(cs *ContextSet) Scores { return s.score(s.TextScorer(
 func (s *System) ScorePattern(cs *ContextSet) Scores { return s.score(s.PatternScorer(), cs) }
 
 // Engine assembles the context-based search engine over a context set and
-// its prestige scores (freezing the map form into the query-time matrix).
+// its prestige scores, freezing the map form into the query-time matrix.
 func (s *System) Engine(cs *ContextSet, scores Scores) *Engine {
-	return search.NewEngine(s.index, cs, scores, s.cfg.Relevancy)
+	return s.EngineFrozen(cs, scores.Freeze())
 }
 
-// EngineFrozen assembles the engine directly from a frozen prestige matrix —
-// the cold-start path when the matrix came out of a state file, skipping
-// the freeze entirely.
+// EngineFrozen assembles the engine from a frozen prestige matrix: a state
+// file's, or one the caller froze after scoring.
 func (s *System) EngineFrozen(cs *ContextSet, m *Matrix) *Engine {
-	return search.NewEngineFrozen(s.index, cs, m, s.cfg.Relevancy)
+	return search.NewEngine(s.index, cs, m, s.cfg.Relevancy)
 }
 
 // BaselineTFIDF runs the whole-corpus TF-IDF keyword baseline.

@@ -5,8 +5,6 @@
 // scoring.
 package bitset
 
-import "math/bits"
-
 // Set is a bitmap over non-negative integers. The zero value is an empty
 // set; Add grows it as needed. All read operations treat out-of-range IDs
 // as absent.
@@ -47,15 +45,6 @@ func (s *Set) UnionWith(o Set) {
 	for i, w := range o {
 		(*s)[i] |= w
 	}
-}
-
-// Count returns the number of set bits.
-func (s Set) Count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Clone returns an independent copy of s.

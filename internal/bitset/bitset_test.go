@@ -20,9 +20,6 @@ func TestAddContains(t *testing.T) {
 			t.Errorf("Contains(%d) = true, never added", id)
 		}
 	}
-	if got := s.Count(); got != 7 {
-		t.Errorf("Count = %d, want 7", got)
-	}
 }
 
 func TestNewPreSized(t *testing.T) {
@@ -52,8 +49,10 @@ func TestUnionWith(t *testing.T) {
 			t.Errorf("union missing %d", id)
 		}
 	}
-	if a.Count() != 4 {
-		t.Errorf("union Count = %d, want 4", a.Count())
+	for _, id := range []int{0, 4, 99, 101, 199, 201, 699, 701} {
+		if a.Contains(id) {
+			t.Errorf("union holds %d, in neither operand", id)
+		}
 	}
 	// Union with a shorter set must not shrink.
 	var c Set

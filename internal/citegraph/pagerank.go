@@ -225,22 +225,3 @@ func normalizeL2(v []float64) {
 		v[i] /= s
 	}
 }
-
-// MaxNormalize scales scores so the maximum becomes 1; all-zero input is
-// returned unchanged. Prestige functions use this so per-context scores are
-// comparable across contexts and bin cleanly into [0,1] for separability.
-func MaxNormalize(scores []float64) []float64 {
-	var m float64
-	for _, s := range scores {
-		if s > m {
-			m = s
-		}
-	}
-	if m == 0 {
-		return scores
-	}
-	for i := range scores {
-		scores[i] /= m
-	}
-	return scores
-}

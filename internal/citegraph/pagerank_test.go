@@ -159,17 +159,6 @@ func TestHITS(t *testing.T) {
 	}
 }
 
-func TestMaxNormalize(t *testing.T) {
-	v := MaxNormalize([]float64{2, 4, 1})
-	if v[1] != 1 || v[0] != 0.5 || v[2] != 0.25 {
-		t.Fatalf("v = %v", v)
-	}
-	z := MaxNormalize([]float64{0, 0})
-	if z[0] != 0 || z[1] != 0 {
-		t.Fatalf("zero input changed: %v", z)
-	}
-}
-
 func TestTeleportString(t *testing.T) {
 	if TeleportE1.String() != "E1" || TeleportE2.String() != "E2" {
 		t.Fatal("teleport names wrong")

@@ -44,7 +44,7 @@ func twoTopicCorpus(t *testing.T) (*corpus.Analyzer, []corpus.PaperID, map[corpu
 	for i := range papers {
 		ids[i] = corpus.PaperID(i)
 	}
-	return corpus.NewAnalyzer(c), ids, labels
+	return corpus.NewAnalyzerWorkers(c, 0), ids, labels
 }
 
 func TestKMeansSeparatesTopics(t *testing.T) {
@@ -146,7 +146,7 @@ func TestClusterGeneratedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	ids := make([]corpus.PaperID, c.Len())
 	labels := map[corpus.PaperID]string{}
 	for i, p := range c.Papers() {

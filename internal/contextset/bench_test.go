@@ -19,8 +19,8 @@ func benchFixture(b *testing.B) (*ontology.Ontology, *corpus.Analyzer, *pattern.
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
-	return o, a, pattern.NewPosIndex(a)
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	return o, a, pattern.NewPosIndexWorkers(a, 0)
 }
 
 func BenchmarkTextContextSet(b *testing.B) {

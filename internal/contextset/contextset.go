@@ -8,8 +8,8 @@ package contextset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
@@ -79,43 +79,42 @@ func DefaultConfig() Config {
 	}
 }
 
-// membership records one paper's membership in one context.
-type membership struct {
-	score float64 // assignment strength in [0,1] (1 for evidence papers)
-}
-
-// ContextSet is an immutable paper-to-context assignment.
-//
-// Two backings exist: the map form (members), produced by the builders,
-// and the frozen flat form (frozen), produced by FromFrozen over borrowed
-// CSR/bitmap arrays — typically aliasing a memory-mapped state file. Exactly one is non-nil; every accessor branches on it and
-// returns identical results either way (golden-tested).
+// ContextSet is an immutable paper-to-context assignment, held flat: member
+// runs in CSR layout (context rows ascending by term ID, each run's papers
+// ascending, scores parallel) plus each context's membership bitmap as a
+// packed word run — the two representations the query hot path reads, and
+// the arrays the state file stores verbatim (Frozen). The builders produce
+// it through builder.finish, a state file through FromFrozen; either way the
+// slices are never mutated or appended to, so mapping-backed (read-only)
+// memory is safe.
 type ContextSet struct {
-	kind    Kind
-	onto    *ontology.Ontology
-	members map[ontology.TermID]map[corpus.PaperID]membership
-	frozen  *frozenSet
-	reps    map[ontology.TermID]corpus.PaperID
+	kind Kind
+	onto *ontology.Ontology
+
+	ctxs    []ontology.TermID
+	ord     map[ontology.TermID]int32 // context → its row in ctxs
+	offsets []int32
+	docs    []corpus.PaperID
+	scores  []float64
+	wordOff []int32
+	words   []uint64
+
+	reps map[ontology.TermID]corpus.PaperID
 	// decay[ctx] < 1 when ctx inherited its papers from an ancestor.
 	decay map[ontology.TermID]float64
 	// inheritedFrom[ctx] is set when ctx's paper set came from an ancestor.
 	inheritedFrom map[ontology.TermID]ontology.TermID
-
-	// bitsets lazily caches each context's paper set as a bitmap — the
-	// O(1)-membership representation the query hot path filters with.
-	bitsetMu sync.Mutex
-	bitsets  map[ontology.TermID]bitset.Set
 }
 
-func newContextSet(kind Kind, onto *ontology.Ontology) *ContextSet {
-	return &ContextSet{
-		kind:          kind,
-		onto:          onto,
-		members:       make(map[ontology.TermID]map[corpus.PaperID]membership),
-		reps:          make(map[ontology.TermID]corpus.PaperID),
-		decay:         make(map[ontology.TermID]float64),
-		inheritedFrom: make(map[ontology.TermID]ontology.TermID),
-	}
+// run returns the member run of the i-th context.
+func (cs *ContextSet) run(i int32) ([]corpus.PaperID, []float64) {
+	lo, hi := cs.offsets[i], cs.offsets[i+1]
+	return cs.docs[lo:hi], cs.scores[lo:hi]
+}
+
+// bits returns the membership bitset of the i-th context, aliasing words.
+func (cs *ContextSet) bits(i int32) bitset.Set {
+	return bitset.Set(cs.words[cs.wordOff[i]:cs.wordOff[i+1]])
 }
 
 // Kind returns how the set was constructed.
@@ -126,171 +125,77 @@ func (cs *ContextSet) Ontology() *ontology.Ontology { return cs.onto }
 
 // Contexts returns all non-empty contexts sorted by term ID.
 func (cs *ContextSet) Contexts() []ontology.TermID {
-	if f := cs.frozen; f != nil {
-		out := make([]ontology.TermID, 0, len(f.ctxs))
-		for i, ctx := range f.ctxs {
-			if f.offsets[i] < f.offsets[i+1] {
-				out = append(out, ctx)
-			}
-		}
-		return out
-	}
-	out := make([]ontology.TermID, 0, len(cs.members))
-	for t, m := range cs.members {
-		if len(m) > 0 {
-			out = append(out, t)
+	out := make([]ontology.TermID, 0, len(cs.ctxs))
+	for i, ctx := range cs.ctxs {
+		if cs.offsets[i] < cs.offsets[i+1] {
+			out = append(out, ctx)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // ContextsWithMinSize returns non-empty contexts with more than min papers,
 // sorted by term ID — the paper excludes contexts with ≤ 100 papers.
 func (cs *ContextSet) ContextsWithMinSize(min int) []ontology.TermID {
-	if f := cs.frozen; f != nil {
-		var out []ontology.TermID
-		for i, ctx := range f.ctxs {
-			if int(f.offsets[i+1]-f.offsets[i]) > min {
-				out = append(out, ctx)
-			}
-		}
-		return out
-	}
 	var out []ontology.TermID
-	for t, m := range cs.members {
-		if len(m) > min {
-			out = append(out, t)
+	for i, ctx := range cs.ctxs {
+		if int(cs.offsets[i+1]-cs.offsets[i]) > min {
+			out = append(out, ctx)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Papers returns the papers of a context in ID order.
 func (cs *ContextSet) Papers(ctx ontology.TermID) []corpus.PaperID {
-	if f := cs.frozen; f != nil {
-		i, ok := f.ord[ctx]
-		if !ok {
-			return []corpus.PaperID{}
-		}
-		docs, _ := f.run(i)
-		return append([]corpus.PaperID{}, docs...)
+	i, ok := cs.ord[ctx]
+	if !ok {
+		return []corpus.PaperID{}
 	}
-	m := cs.members[ctx]
-	out := make([]corpus.PaperID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	docs, _ := cs.run(i)
+	return append([]corpus.PaperID{}, docs...)
 }
 
-// PaperSet returns the membership set of a context; the map is shared and
-// must not be modified.
+// PaperSet returns the membership set of a context as a fresh map the
+// caller owns.
 func (cs *ContextSet) PaperSet(ctx ontology.TermID) map[corpus.PaperID]bool {
-	if f := cs.frozen; f != nil {
-		i, ok := f.ord[ctx]
-		if !ok {
-			return map[corpus.PaperID]bool{}
-		}
-		docs, _ := f.run(i)
-		out := make(map[corpus.PaperID]bool, len(docs))
-		for _, id := range docs {
-			out[id] = true
-		}
-		return out
+	i, ok := cs.ord[ctx]
+	if !ok {
+		return map[corpus.PaperID]bool{}
 	}
-	m := cs.members[ctx]
-	out := make(map[corpus.PaperID]bool, len(m))
-	for id := range m {
+	docs, _ := cs.run(i)
+	out := make(map[corpus.PaperID]bool, len(docs))
+	for _, id := range docs {
 		out[id] = true
 	}
 	return out
 }
 
 // PaperBitset returns the membership of a context as a bitmap over paper
-// IDs. The set is computed once per context, cached, and shared: callers
-// must not modify it (union into a fresh set with bitset.Clone/UnionWith).
-// Safe for concurrent use.
+// IDs. The set aliases the context's word run and is shared: callers must
+// not modify it (union into a fresh set with bitset.Clone/UnionWith). No
+// lock, no cache, no allocation; safe for concurrent use.
 func (cs *ContextSet) PaperBitset(ctx ontology.TermID) bitset.Set {
-	if f := cs.frozen; f != nil {
-		// The bitmap runs are precomputed in the frozen arrays: no lock, no
-		// cache, no allocation — and identical to what the lazy path builds.
-		i, ok := f.ord[ctx]
-		if !ok {
-			return nil
-		}
-		return f.bits(i)
+	i, ok := cs.ord[ctx]
+	if !ok {
+		return nil
 	}
-	cs.bitsetMu.Lock()
-	defer cs.bitsetMu.Unlock()
-	if cs.bitsets == nil {
-		cs.bitsets = make(map[ontology.TermID]bitset.Set)
-	}
-	if b, ok := cs.bitsets[ctx]; ok {
-		return b
-	}
-	var b bitset.Set
-	for id := range cs.members[ctx] {
-		b.Add(int(id))
-	}
-	cs.bitsets[ctx] = b
-	return b
+	return cs.bits(i)
 }
 
 // Size returns the number of papers in a context.
 func (cs *ContextSet) Size(ctx ontology.TermID) int {
-	if f := cs.frozen; f != nil {
-		i, ok := f.ord[ctx]
-		if !ok {
-			return 0
-		}
-		return int(f.offsets[i+1] - f.offsets[i])
+	i, ok := cs.ord[ctx]
+	if !ok {
+		return 0
 	}
-	return len(cs.members[ctx])
+	return int(cs.offsets[i+1] - cs.offsets[i])
 }
 
 // Contains reports membership of a paper in a context.
 func (cs *ContextSet) Contains(ctx ontology.TermID, p corpus.PaperID) bool {
-	if f := cs.frozen; f != nil {
-		i, ok := f.ord[ctx]
-		return ok && f.bits(i).Contains(int(p))
-	}
-	_, ok := cs.members[ctx][p]
-	return ok
-}
-
-// AssignScore returns the assignment strength of a paper in a context
-// (0 when not a member).
-func (cs *ContextSet) AssignScore(ctx ontology.TermID, p corpus.PaperID) float64 {
-	if f := cs.frozen; f != nil {
-		i, ok := f.ord[ctx]
-		if !ok {
-			return 0
-		}
-		docs, scores := f.run(i)
-		if k := searchPapers(docs, p); k < len(docs) && docs[k] == p {
-			return scores[k]
-		}
-		return 0
-	}
-	return cs.members[ctx][p].score
-}
-
-// searchPapers returns the first index of s whose value is >= v (len(s)
-// when none is).
-func searchPapers(s []corpus.PaperID, v corpus.PaperID) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	i, ok := cs.ord[ctx]
+	return ok && cs.bits(i).Contains(int(p))
 }
 
 // Representative returns the representative paper of a context in the
@@ -319,40 +224,99 @@ func (cs *ContextSet) InheritedFrom(ctx ontology.TermID) (ontology.TermID, bool)
 
 // ContextsOf returns the contexts containing a paper, sorted by term ID.
 func (cs *ContextSet) ContextsOf(p corpus.PaperID) []ontology.TermID {
-	if f := cs.frozen; f != nil {
-		var out []ontology.TermID
-		for i, ctx := range f.ctxs {
-			if f.bits(int32(i)).Contains(int(p)) {
-				out = append(out, ctx)
-			}
-		}
-		return out
-	}
 	var out []ontology.TermID
-	for t, m := range cs.members {
-		if _, ok := m[p]; ok {
-			out = append(out, t)
+	for i, ctx := range cs.ctxs {
+		if cs.bits(int32(i)).Contains(int(p)) {
+			out = append(out, ctx)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-func (cs *ContextSet) add(ctx ontology.TermID, p corpus.PaperID, score float64) {
-	if cs.frozen != nil {
-		panic("contextset: add on a frozen set")
+// builder accumulates memberships while a set is constructed; finish turns
+// it into the ContextSet. Nothing outside this package can reach one, so a
+// ContextSet cannot change once it exists.
+type builder struct {
+	kind          Kind
+	onto          *ontology.Ontology
+	members       map[ontology.TermID]map[corpus.PaperID]float64
+	reps          map[ontology.TermID]corpus.PaperID
+	decay         map[ontology.TermID]float64
+	inheritedFrom map[ontology.TermID]ontology.TermID
+}
+
+func newBuilder(kind Kind, onto *ontology.Ontology) *builder {
+	return &builder{
+		kind:          kind,
+		onto:          onto,
+		members:       make(map[ontology.TermID]map[corpus.PaperID]float64),
+		reps:          make(map[ontology.TermID]corpus.PaperID),
+		decay:         make(map[ontology.TermID]float64),
+		inheritedFrom: make(map[ontology.TermID]ontology.TermID),
 	}
+}
+
+// add records p as a member of ctx with the given assignment strength in
+// [0,1] (1 for evidence papers); a repeated add keeps the highest.
+func (b *builder) add(ctx ontology.TermID, p corpus.PaperID, score float64) {
 	if score > 1 {
 		score = 1 // guard against cosine rounding slightly above 1
 	}
-	m := cs.members[ctx]
+	m := b.members[ctx]
 	if m == nil {
-		m = make(map[corpus.PaperID]membership)
-		cs.members[ctx] = m
+		m = make(map[corpus.PaperID]float64)
+		b.members[ctx] = m
 	}
-	if prev, ok := m[p]; !ok || score > prev.score {
-		m[p] = membership{score: score}
+	if prev, ok := m[p]; !ok || score > prev {
+		m[p] = score
 	}
+}
+
+// finish flattens the accumulated memberships. The layout is fully
+// deterministic: contexts ascending by term ID, runs ascending by paper ID
+// with the scores add kept, one bitset.Set's words per context.
+func (b *builder) finish() *ContextSet {
+	ctxs := make([]ontology.TermID, 0, len(b.members))
+	nnz := 0
+	for t, m := range b.members {
+		if len(m) > 0 {
+			ctxs = append(ctxs, t)
+			nnz += len(m)
+		}
+	}
+	slices.Sort(ctxs)
+	cs := &ContextSet{
+		kind:          b.kind,
+		onto:          b.onto,
+		ctxs:          ctxs,
+		ord:           make(map[ontology.TermID]int32, len(ctxs)),
+		offsets:       make([]int32, len(ctxs)+1),
+		docs:          make([]corpus.PaperID, 0, nnz),
+		scores:        make([]float64, 0, nnz),
+		wordOff:       make([]int32, len(ctxs)+1),
+		reps:          b.reps,
+		decay:         b.decay,
+		inheritedFrom: b.inheritedFrom,
+	}
+	for i, ctx := range ctxs {
+		m := b.members[ctx]
+		lo := len(cs.docs)
+		for id := range m {
+			cs.docs = append(cs.docs, id)
+		}
+		run := cs.docs[lo:]
+		slices.Sort(run)
+		bits := bitset.New(int(run[len(run)-1]) + 1)
+		for _, id := range run {
+			cs.scores = append(cs.scores, m[id])
+			bits.Add(int(id))
+		}
+		cs.words = append(cs.words, bits...)
+		cs.ord[ctx] = int32(i)
+		cs.offsets[i+1] = int32(len(cs.docs))
+		cs.wordOff[i+1] = int32(len(cs.words))
+	}
+	return cs
 }
 
 // chooseRepresentative picks the evidence paper with the highest cosine to
@@ -384,7 +348,7 @@ func chooseRepresentative(a *corpus.Analyzer, evidence []corpus.PaperID) corpus.
 // descendant papers are folded into ancestors; contexts still empty inherit
 // the closest non-empty ancestor's papers with RateOfDecay damping.
 func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.Ontology, cfg Config) *ContextSet {
-	cs := newContextSet(PatternBased, onto)
+	b := newBuilder(PatternBased, onto)
 	c := a.Corpus()
 	pcfg := cfg.PatternConfig
 	pcfg.Extended = false // simplified variant
@@ -421,27 +385,27 @@ func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.
 		if max > 0 {
 			for id, s := range scores {
 				if norm := s / max; norm >= cfg.PatternThreshold {
-					cs.add(term, id, norm)
+					b.add(term, id, norm)
 				}
 			}
 		}
 		for _, e := range c.EvidencePapers(term) {
-			cs.add(term, e, 1)
+			b.add(term, e, 1)
 		}
 	}
 
 	// Fold descendant papers into ancestors (children before parents).
-	foldDescendants(cs, onto)
+	foldDescendants(b, onto)
 	// Ancestor fallback for empty contexts, parents before children so a
 	// chain of empty descendants inherits from the nearest originally
 	// non-empty ancestor transitively.
-	inheritFromAncestors(cs, onto)
-	return cs
+	inheritFromAncestors(b, onto)
+	return b.finish()
 }
 
 // foldDescendants adds every context's papers to all its ancestors,
 // preserving the highest assignment score.
-func foldDescendants(cs *ContextSet, onto *ontology.Ontology) {
+func foldDescendants(b *builder, onto *ontology.Ontology) {
 	// Iterate terms deepest-first so scores propagate in one pass.
 	terms := append([]ontology.TermID(nil), onto.TermIDs()...)
 	sort.Slice(terms, func(i, j int) bool {
@@ -452,7 +416,7 @@ func foldDescendants(cs *ContextSet, onto *ontology.Ontology) {
 		return terms[i] < terms[j]
 	})
 	for _, t := range terms {
-		m := cs.members[t]
+		m := b.members[t]
 		if len(m) == 0 {
 			continue
 		}
@@ -460,8 +424,8 @@ func foldDescendants(cs *ContextSet, onto *ontology.Ontology) {
 			if onto.Level(parent) < 2 {
 				continue // roots are not contexts
 			}
-			for id, mem := range m {
-				cs.add(parent, id, mem.score)
+			for id, score := range m {
+				b.add(parent, id, score)
 			}
 		}
 	}
@@ -469,7 +433,7 @@ func foldDescendants(cs *ContextSet, onto *ontology.Ontology) {
 
 // inheritFromAncestors assigns, to every still-empty non-root context, the
 // paper set of its closest non-empty ancestor, recording the RateOfDecay.
-func inheritFromAncestors(cs *ContextSet, onto *ontology.Ontology) {
+func inheritFromAncestors(b *builder, onto *ontology.Ontology) {
 	terms := append([]ontology.TermID(nil), onto.TermIDs()...)
 	sort.Slice(terms, func(i, j int) bool {
 		li, lj := onto.Level(terms[i]), onto.Level(terms[j])
@@ -479,31 +443,30 @@ func inheritFromAncestors(cs *ContextSet, onto *ontology.Ontology) {
 		return terms[i] < terms[j]
 	})
 	for _, t := range terms {
-		if onto.Level(t) < 2 || len(cs.members[t]) > 0 {
+		if onto.Level(t) < 2 || len(b.members[t]) > 0 {
 			continue
 		}
-		anc, ok := closestNonEmptyAncestor(cs, onto, t)
+		anc, ok := closestNonEmptyAncestor(b, onto, t)
 		if !ok {
 			continue
 		}
-		src := cs.members[anc]
-		for id, mem := range src {
-			cs.add(t, id, mem.score)
+		for id, score := range b.members[anc] {
+			b.add(t, id, score)
 		}
 		// If the ancestor itself inherited, decay compounds from the
 		// original source.
 		origin := anc
-		if from, inherited := cs.inheritedFrom[anc]; inherited {
+		if from, inherited := b.inheritedFrom[anc]; inherited {
 			origin = from
 		}
-		cs.inheritedFrom[t] = origin
-		cs.decay[t] = onto.RateOfDecay(origin, t)
+		b.inheritedFrom[t] = origin
+		b.decay[t] = onto.RateOfDecay(origin, t)
 	}
 }
 
 // closestNonEmptyAncestor walks up the hierarchy breadth-first and returns
 // the nearest ancestor (by level distance) with a non-empty paper set.
-func closestNonEmptyAncestor(cs *ContextSet, onto *ontology.Ontology, t ontology.TermID) (ontology.TermID, bool) {
+func closestNonEmptyAncestor(b *builder, onto *ontology.Ontology, t ontology.TermID) (ontology.TermID, bool) {
 	frontier := append([]ontology.TermID(nil), onto.Parents(t)...)
 	seen := map[ontology.TermID]bool{}
 	for len(frontier) > 0 {
@@ -515,7 +478,7 @@ func closestNonEmptyAncestor(cs *ContextSet, onto *ontology.Ontology, t ontology
 				continue
 			}
 			seen[a] = true
-			if onto.Level(a) >= 2 && len(cs.members[a]) > 0 {
+			if onto.Level(a) >= 2 && len(b.members[a]) > 0 {
 				return a, true
 			}
 			next = append(next, onto.Parents(a)...)

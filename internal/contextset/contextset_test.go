@@ -1,6 +1,7 @@
 package contextset
 
 import (
+	"slices"
 	"testing"
 
 	"ctxsearch/internal/corpus"
@@ -21,8 +22,21 @@ func fixture(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.Analyzer
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
-	return o, c, a, pattern.NewPosIndex(a)
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	return o, c, a, pattern.NewPosIndexWorkers(a, 0)
+}
+
+// scoreOf returns p's assignment strength in ctx (0 when not a member).
+func scoreOf(cs *ContextSet, ctx ontology.TermID, p corpus.PaperID) float64 {
+	i, ok := cs.ord[ctx]
+	if !ok {
+		return 0
+	}
+	docs, scores := cs.run(i)
+	if k, found := slices.BinarySearch(docs, p); found {
+		return scores[k]
+	}
+	return 0
 }
 
 func TestBuildTextBased(t *testing.T) {
@@ -45,13 +59,13 @@ func TestBuildTextBased(t *testing.T) {
 		}
 		// Evidence papers are always members with full score.
 		for _, e := range c.EvidencePapers(ctx) {
-			if got := cs.AssignScore(ctx, e); got != 1 {
+			if got := scoreOf(cs, ctx, e); got != 1 {
 				t.Fatalf("evidence paper %d score = %v", e, got)
 			}
 		}
 		// All assignment scores in [0,1].
 		for _, p := range cs.Papers(ctx) {
-			s := cs.AssignScore(ctx, p)
+			s := scoreOf(cs, ctx, p)
 			if s <= 0 || s > 1 {
 				t.Fatalf("assign score out of range: %v", s)
 			}
@@ -236,35 +250,7 @@ func TestParallelConstructionMatchesSerial(t *testing.T) {
 
 	tix := index.Build(a)
 	ts, tp := BuildTextBased(tix, o, serial), BuildTextBased(tix, o, parallel)
-	compareSets(t, "text", ts, tp)
+	requireSameFrozen(t, "text", ts.Freeze(), tp.Freeze())
 	ps, pp := BuildPatternBased(ix, a, o, serial), BuildPatternBased(ix, a, o, parallel)
-	compareSets(t, "pattern", ps, pp)
-}
-
-func compareSets(t *testing.T, name string, a, b *ContextSet) {
-	t.Helper()
-	ca, cb := a.Contexts(), b.Contexts()
-	if len(ca) != len(cb) {
-		t.Fatalf("%s: context counts differ: %d vs %d", name, len(ca), len(cb))
-	}
-	for i, ctx := range ca {
-		if cb[i] != ctx {
-			t.Fatalf("%s: context lists differ at %d", name, i)
-		}
-		pa, pb := a.Papers(ctx), b.Papers(ctx)
-		if len(pa) != len(pb) {
-			t.Fatalf("%s/%s: sizes differ: %d vs %d", name, ctx, len(pa), len(pb))
-		}
-		for j := range pa {
-			if pa[j] != pb[j] {
-				t.Fatalf("%s/%s: members differ at %d", name, ctx, j)
-			}
-			if a.AssignScore(ctx, pa[j]) != b.AssignScore(ctx, pb[j]) {
-				t.Fatalf("%s/%s: scores differ for %d", name, ctx, pa[j])
-			}
-		}
-		if a.Decay(ctx) != b.Decay(ctx) {
-			t.Fatalf("%s/%s: decay differs", name, ctx)
-		}
-	}
+	requireSameFrozen(t, "pattern", ps.Freeze(), pp.Freeze())
 }

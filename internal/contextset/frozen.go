@@ -2,19 +2,14 @@ package contextset
 
 import (
 	"fmt"
-	"sort"
 
-	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
 )
 
-// Frozen is the flat, serializable form of a ContextSet: member runs in
-// CSR layout (context rows sorted by term ID, each run's papers ascending)
-// plus each context's membership bitmap as packed word runs — exactly the
-// two representations the query hot path reads. The state file persists
-// these arrays verbatim so FromFrozen can rebind them (typically aliasing a
-// memory-mapped file) without O(nnz) map inserts.
+// Frozen is the serializable view of a ContextSet: its flat arrays, which
+// the state file persists verbatim so FromFrozen can rebind them (typically
+// aliasing a memory-mapped file) without O(nnz) work.
 type Frozen struct {
 	Kind Kind
 	// Ctxs holds the non-empty contexts in ascending term-ID order.
@@ -24,9 +19,8 @@ type Frozen struct {
 	Offsets []int32
 	Docs    []corpus.PaperID
 	Scores  []float64
-	// WordOffsets delimit bitmap runs: context i's membership bitset is
-	// Words[WordOffsets[i]:WordOffsets[i+1]], the exact bitset.Set the lazy
-	// PaperBitset cache would build.
+	// WordOffsets delimit bitmap runs: context i's membership bitset.Set is
+	// Words[WordOffsets[i]:WordOffsets[i+1]].
 	WordOffsets []int32
 	Words       []uint64
 
@@ -35,79 +29,14 @@ type Frozen struct {
 	InheritedFrom map[ontology.TermID]ontology.TermID
 }
 
-// frozenSet is the borrowed-slice backing of a frozen ContextSet. The
-// slices are never mutated or appended to, so mapping-backed (read-only)
-// memory is safe.
-type frozenSet struct {
-	ctxs    []ontology.TermID
-	ord     map[ontology.TermID]int32
-	offsets []int32
-	docs    []corpus.PaperID
-	scores  []float64
-	wordOff []int32
-	words   []uint64
-}
-
-// run returns the member run of the i-th context.
-func (f *frozenSet) run(i int32) ([]corpus.PaperID, []float64) {
-	lo, hi := f.offsets[i], f.offsets[i+1]
-	return f.docs[lo:hi], f.scores[lo:hi]
-}
-
-// bits returns the membership bitset of the i-th context (aliasing the
-// frozen words — callers must not modify, same contract as PaperBitset).
-func (f *frozenSet) bits(i int32) bitset.Set {
-	return bitset.Set(f.words[f.wordOff[i]:f.wordOff[i+1]])
-}
-
-// Freeze flattens the set into its serializable form. The layout is fully
-// deterministic: contexts ascending by term ID, runs ascending by paper
-// ID, scores byte-identical to the map's values, bitmap runs identical to
-// what the lazy PaperBitset cache builds. On an already-frozen set the
-// arrays are returned as-is (shared, read-only).
+// Freeze returns the set's arrays, shared and read-only.
 func (cs *ContextSet) Freeze() *Frozen {
-	if f := cs.frozen; f != nil {
-		return &Frozen{
-			Kind: cs.kind,
-			Ctxs: f.ctxs, Offsets: f.offsets, Docs: f.docs, Scores: f.scores,
-			WordOffsets: f.wordOff, Words: f.words,
-			Reps: cs.reps, Decay: cs.decay, InheritedFrom: cs.inheritedFrom,
-		}
+	return &Frozen{
+		Kind: cs.kind,
+		Ctxs: cs.ctxs, Offsets: cs.offsets, Docs: cs.docs, Scores: cs.scores,
+		WordOffsets: cs.wordOff, Words: cs.words,
+		Reps: cs.reps, Decay: cs.decay, InheritedFrom: cs.inheritedFrom,
 	}
-	ctxs := cs.Contexts()
-	out := &Frozen{
-		Kind:          cs.kind,
-		Ctxs:          ctxs,
-		Offsets:       make([]int32, len(ctxs)+1),
-		WordOffsets:   make([]int32, len(ctxs)+1),
-		Reps:          cs.reps,
-		Decay:         cs.decay,
-		InheritedFrom: cs.inheritedFrom,
-	}
-	nnz := 0
-	for _, ctx := range ctxs {
-		nnz += len(cs.members[ctx])
-	}
-	out.Docs = make([]corpus.PaperID, 0, nnz)
-	out.Scores = make([]float64, 0, nnz)
-	for i, ctx := range ctxs {
-		m := cs.members[ctx]
-		run := make([]corpus.PaperID, 0, len(m))
-		for id := range m {
-			run = append(run, id)
-		}
-		sort.Slice(run, func(a, b int) bool { return run[a] < run[b] })
-		var b bitset.Set
-		for _, id := range run {
-			out.Docs = append(out.Docs, id)
-			out.Scores = append(out.Scores, m[id].score)
-			b.Add(int(id))
-		}
-		out.Words = append(out.Words, b...)
-		out.Offsets[i+1] = int32(len(out.Docs))
-		out.WordOffsets[i+1] = int32(len(out.Words))
-	}
-	return out
 }
 
 // FromFrozen rebuilds a ContextSet over caller-provided flat arrays — the
@@ -137,14 +66,19 @@ func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 	if f.WordOffsets[0] != 0 || int(f.WordOffsets[n]) != len(f.Words) {
 		return nil, fmt.Errorf("contextset: word offsets span [%d, %d), want [0, %d)", f.WordOffsets[0], f.WordOffsets[n], len(f.Words))
 	}
-	fs := &frozenSet{
-		ctxs:    f.Ctxs,
-		ord:     make(map[ontology.TermID]int32, n),
-		offsets: f.Offsets,
-		docs:    f.Docs,
-		scores:  f.Scores,
-		wordOff: f.WordOffsets,
-		words:   f.Words,
+	cs := &ContextSet{
+		kind:          f.Kind,
+		onto:          onto,
+		ctxs:          f.Ctxs,
+		ord:           make(map[ontology.TermID]int32, n),
+		offsets:       f.Offsets,
+		docs:          f.Docs,
+		scores:        f.Scores,
+		wordOff:       f.WordOffsets,
+		words:         f.Words,
+		reps:          f.Reps,
+		decay:         f.Decay,
+		inheritedFrom: f.InheritedFrom,
 	}
 	for i, ctx := range f.Ctxs {
 		if onto.Term(ctx) == nil {
@@ -156,41 +90,12 @@ func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 		if f.Offsets[i] > f.Offsets[i+1] || f.WordOffsets[i] > f.WordOffsets[i+1] {
 			return nil, fmt.Errorf("contextset: offsets decrease at row %d (%s)", i, ctx)
 		}
-		fs.ord[ctx] = int32(i)
+		cs.ord[ctx] = int32(i)
 	}
 	for ctx := range f.Reps {
 		if onto.Term(ctx) == nil {
 			return nil, fmt.Errorf("contextset: frozen rep references unknown term %s", ctx)
 		}
 	}
-	cs := &ContextSet{
-		kind:          f.Kind,
-		onto:          onto,
-		frozen:        fs,
-		reps:          orEmptyPapers(f.Reps),
-		decay:         orEmptyDecay(f.Decay),
-		inheritedFrom: orEmptyTerms(f.InheritedFrom),
-	}
 	return cs, nil
-}
-
-func orEmptyPapers(m map[ontology.TermID]corpus.PaperID) map[ontology.TermID]corpus.PaperID {
-	if m == nil {
-		return make(map[ontology.TermID]corpus.PaperID)
-	}
-	return m
-}
-
-func orEmptyDecay(m map[ontology.TermID]float64) map[ontology.TermID]float64 {
-	if m == nil {
-		return make(map[ontology.TermID]float64)
-	}
-	return m
-}
-
-func orEmptyTerms(m map[ontology.TermID]ontology.TermID) map[ontology.TermID]ontology.TermID {
-	if m == nil {
-		return make(map[ontology.TermID]ontology.TermID)
-	}
-	return m
 }

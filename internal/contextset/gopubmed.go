@@ -19,7 +19,7 @@ func BuildGoPubMedStyle(a *corpus.Analyzer, onto *ontology.Ontology, minWordFrac
 	if minWordFraction <= 0 || minWordFraction > 1 {
 		minWordFraction = 1
 	}
-	cs := newContextSet(TextBased, onto)
+	b := newBuilder(TextBased, onto)
 	tok := a.Tokenizer()
 	c := a.Corpus()
 
@@ -54,11 +54,11 @@ func BuildGoPubMedStyle(a *corpus.Analyzer, onto *ontology.Ontology, minWordFrac
 				}
 			}
 			if have >= need {
-				cs.add(term, p.ID, 1)
+				b.add(term, p.ID, 1)
 			}
 		}
 	}
-	return cs
+	return b.finish()
 }
 
 // AbstractCoverage returns the fraction of papers whose abstract contains

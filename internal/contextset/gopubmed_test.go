@@ -32,7 +32,7 @@ func TestBuildGoPubMedStyle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 
 	strict := BuildGoPubMedStyle(a, o, 1.0)
 	if !strict.Contains("GO:2", 0) {
@@ -53,7 +53,7 @@ func TestBuildGoPubMedStyle(t *testing.T) {
 	// All assignment strengths are 1 (no scoring).
 	for _, ctx := range strict.Contexts() {
 		for _, p := range strict.Papers(ctx) {
-			if strict.AssignScore(ctx, p) != 1 {
+			if scoreOf(strict, ctx, p) != 1 {
 				t.Fatal("GoPubMed-style set must not score")
 			}
 		}

@@ -27,7 +27,7 @@ import (
 // representative only.
 func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *ContextSet {
 	a := ix.Analyzer()
-	cs := newContextSet(TextBased, onto)
+	b := newBuilder(TextBased, onto)
 	c := a.Corpus()
 	// After Warm the TF-IDF vector and norm reads below are lock-free.
 	a.Warm(cfg.Workers)
@@ -37,7 +37,7 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 		if onto.Term(term) == nil {
 			continue
 		}
-		cs.reps[term] = chooseRepresentative(a, c.EvidencePapers(term))
+		b.reps[term] = chooseRepresentative(a, c.EvidencePapers(term))
 		terms = append(terms, term)
 	}
 
@@ -57,7 +57,7 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 		sc := textScratch{count: make([]int32, n), start: make([]int32, n+1)}
 		top := newTopLists(n, m)
 		for i := sh.Lo; i < sh.Hi; i++ {
-			rep := cs.reps[terms[i]]
+			rep := b.reps[terms[i]]
 			sc.gather(ix, a.TFIDFAll(rep))
 			repNorm := norms[rep]
 			for d, dn := range norms {
@@ -120,14 +120,14 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 			cands = cands[:cfg.MaxPerContext]
 		}
 		for _, cd := range cands {
-			cs.add(term, cd.id, cd.sim)
+			b.add(term, cd.id, cd.sim)
 		}
 		// Evidence papers always belong to their context.
 		for _, e := range c.EvidencePapers(term) {
-			cs.add(term, e, 1)
+			b.add(term, e, 1)
 		}
 	}
-	return cs
+	return b.finish()
 }
 
 // pairHook, when non-nil, is told for each (context, paper) pair sharing a

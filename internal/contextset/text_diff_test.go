@@ -30,7 +30,7 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := corpus.NewAnalyzer(c)
+		a := corpus.NewAnalyzerWorkers(c, 0)
 		ix := index.Build(a)
 		for _, threshold := range []float64{0, DefaultConfig().TextThreshold, 0.9} {
 			for _, top := range []int{0, 1, 3} {
@@ -91,7 +91,7 @@ func tieFixture(t *testing.T) (*ontology.Ontology, *corpus.Analyzer, *index.Inde
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	return o, a, index.Build(a)
 }
 
@@ -125,7 +125,7 @@ func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
 func TestBuildTextBasedBoundKeepsTheMargin(t *testing.T) {
 	o, a, ix := tieFixture(t)
 	all := BuildTextBased(ix, o, Config{Workers: 1}) // threshold 0: every pair is a member
-	near, far := all.AssignScore("GO:2", 4), all.AssignScore("GO:2", 5)
+	near, far := scoreOf(all, "GO:2", 4), scoreOf(all, "GO:2", 5)
 	if near < far {
 		near, far = far, near
 	}
@@ -169,7 +169,7 @@ func TestBuildTextBasedSortsAMinorityOfPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := index.Build(a)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
@@ -204,7 +204,7 @@ func requireSameSet(t *testing.T, name string, want, got *ContextSet) {
 			t.Fatalf("%s: members of %s differ", name, ctx)
 		}
 		for _, p := range papers {
-			w, g := want.AssignScore(ctx, p), got.AssignScore(ctx, p)
+			w, g := scoreOf(want, ctx, p), scoreOf(got, ctx, p)
 			if math.Float64bits(w) != math.Float64bits(g) {
 				t.Fatalf("%s: score of paper %d in %s is %x, want %x", name, p, ctx, math.Float64bits(g), math.Float64bits(w))
 			}

@@ -13,7 +13,7 @@ import (
 // BuildTextBased replaced, kept verbatim as the differential reference: one
 // map-keyed vector.CosineWithNorms per (paper, context) pair.
 func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Config) *ContextSet {
-	cs := newContextSet(TextBased, onto)
+	b := newBuilder(TextBased, onto)
 	c := a.Corpus()
 	terms := make([]ontology.TermID, 0, len(c.EvidenceTerms()))
 	repVecs := make(map[ontology.TermID]vector.Sparse)
@@ -23,7 +23,7 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 			continue
 		}
 		rep := chooseRepresentative(a, c.EvidencePapers(term))
-		cs.reps[term] = rep
+		b.reps[term] = rep
 		repVecs[term] = a.TFIDFAll(rep)
 		repNorms[term] = a.TFIDFAllNorm(rep)
 		terms = append(terms, term)
@@ -102,12 +102,12 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 			cands = cands[:cfg.MaxPerContext]
 		}
 		for _, cd := range cands {
-			cs.add(term, cd.id, cd.sim)
+			b.add(term, cd.id, cd.sim)
 		}
 		// Evidence papers always belong to their context.
 		for _, e := range c.EvidencePapers(term) {
-			cs.add(term, e, 1)
+			b.add(term, e, 1)
 		}
 	}
-	return cs
+	return b.finish()
 }

@@ -4,7 +4,7 @@ import "testing"
 
 func TestComputeStats(t *testing.T) {
 	c, _ := testCorpus(t, 250)
-	a := NewAnalyzer(c)
+	a := NewAnalyzerWorkers(c, 0)
 	st := ComputeStats(c, a)
 	if st.Papers != 250 {
 		t.Fatalf("papers = %d", st.Papers)

@@ -27,7 +27,7 @@ type Features struct {
 }
 
 // Analyzer tokenizes papers and maintains corpus-wide document frequencies.
-// Build one with NewAnalyzer; it analyses every paper eagerly so DF tables
+// Build one with NewAnalyzerWorkers; it analyses every paper eagerly so DF tables
 // are complete before any similarity is computed.
 type Analyzer struct {
 	corpus *Corpus
@@ -71,13 +71,9 @@ type fullTextWeights struct {
 	norm float64
 }
 
-// NewAnalyzer analyses every paper in the corpus with a stemming,
-// stopword-filtering tokenizer and builds the corpus DF table, fanning the
-// per-paper analysis out to GOMAXPROCS workers.
-func NewAnalyzer(c *Corpus) *Analyzer { return NewAnalyzerWorkers(c, 0) }
-
-// NewAnalyzerWorkers is NewAnalyzer with explicit build parallelism: papers
-// are split into contiguous shards, each shard is analysed by one worker
+// NewAnalyzerWorkers analyses every paper in the corpus with a stemming,
+// stopword-filtering tokenizer and builds the corpus DF table: papers are
+// split into contiguous shards, each shard is analysed by one worker
 // into its own document-frequency table, and the per-shard tables are
 // merged in shard order. The result is identical at every worker count —
 // per-paper analysis is independent (the tokenizer is a pure function of the

@@ -117,7 +117,7 @@ func TestWarmMatchesLazy(t *testing.T) {
 // TestWarmIsIdempotent guards the double-checked fast path.
 func TestWarmIsIdempotent(t *testing.T) {
 	c, _ := testCorpus(t, 20)
-	a := NewAnalyzer(c)
+	a := NewAnalyzerWorkers(c, 0)
 	a.Warm(2)
 	first := a.TFIDFAll(0)
 	a.Warm(2)

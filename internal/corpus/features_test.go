@@ -8,7 +8,7 @@ import (
 
 func TestAnalyzerFeatures(t *testing.T) {
 	c, _ := testCorpus(t, 120)
-	a := NewAnalyzer(c)
+	a := NewAnalyzerWorkers(c, 0)
 	if a.DF().Docs() != c.Len() {
 		t.Fatalf("DF docs = %d", a.DF().Docs())
 	}
@@ -34,7 +34,7 @@ func TestAnalyzerFeatures(t *testing.T) {
 
 func TestAnalyzerTFIDFCaching(t *testing.T) {
 	c, _ := testCorpus(t, 50)
-	a := NewAnalyzer(c)
+	a := NewAnalyzerWorkers(c, 0)
 	v1 := a.TFIDF(0, SecAbstract)
 	v2 := a.TFIDF(0, SecAbstract)
 	if len(v1) == 0 {
@@ -56,7 +56,7 @@ func TestAnalyzerTFIDFCaching(t *testing.T) {
 
 func TestQueryVector(t *testing.T) {
 	c, _ := testCorpus(t, 50)
-	a := NewAnalyzer(c)
+	a := NewAnalyzerWorkers(c, 0)
 	qv := a.QueryVector("transcription regulation binding")
 	if len(qv) == 0 {
 		t.Fatal("query vector empty")
@@ -82,7 +82,7 @@ func TestDocFreqOfPhrase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewAnalyzer(c)
+	a := NewAnalyzerWorkers(c, 0)
 	// "rna polymerase" appears contiguously in papers 0 and 1 only.
 	stem := a.Tokenizer().Terms("rna polymerase")
 	if got := a.DocFreqOfPhrase(stem); got != 2 {
@@ -105,7 +105,7 @@ func TestCoAuthorIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := NewAnalyzer(c).CoAuthorIndex()
+	idx := NewAnalyzerWorkers(c, 0).CoAuthorIndex()
 	if got := idx["ann chen"]; len(got) != 2 {
 		t.Fatalf("ann chen papers = %v (case normalisation broken?)", got)
 	}

@@ -30,7 +30,7 @@ func tinyCorpus(tb testing.TB) *corpus.Corpus {
 // an entry.
 func TestSurfaceFormTableIsCorpusBounded(t *testing.T) {
 	c := tinyCorpus(t)
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := index.Build(a)
 	before := a.SurfaceForms()
 	if before == 0 {
@@ -65,7 +65,7 @@ func FuzzTokenizeTable(f *testing.F) {
 	} {
 		f.Add(s)
 	}
-	a := corpus.NewAnalyzer(tinyCorpus(f))
+	a := corpus.NewAnalyzerWorkers(tinyCorpus(f), 0)
 	f.Fuzz(func(t *testing.T, text string) {
 		if got, want := a.TableTerms(text), a.Tokenizer().Terms(text); !slices.Equal(got, want) {
 			t.Fatalf("table tokens %q, tokenizer %q for %q", got, want, text)

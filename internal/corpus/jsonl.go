@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"ctxsearch/internal/ontology"
 )
 
 // jsonPaper is the JSONL interchange shape of a paper — stable field names
@@ -53,37 +51,4 @@ func WriteJSONL(w io.Writer, c *Corpus) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadJSONL reads a corpus previously written by WriteJSONL (or produced by
-// external tooling in the same shape). Papers must appear with dense IDs in
-// order; validation mirrors NewCorpus.
-func ReadJSONL(r io.Reader) (*Corpus, error) {
-	dec := json.NewDecoder(bufio.NewReader(r))
-	var papers []*Paper
-	for dec.More() {
-		var jp jsonPaper
-		if err := dec.Decode(&jp); err != nil {
-			return nil, fmt.Errorf("corpus: decoding line %d: %w", len(papers)+1, err)
-		}
-		p := &Paper{
-			ID:         PaperID(jp.ID),
-			PMID:       jp.PMID,
-			Year:       jp.Year,
-			Title:      jp.Title,
-			Abstract:   jp.Abstract,
-			Body:       jp.Body,
-			IndexTerms: jp.IndexTerms,
-			Authors:    jp.Authors,
-			Evidence:   jp.Evidence,
-		}
-		for _, ref := range jp.References {
-			p.References = append(p.References, PaperID(ref))
-		}
-		for _, t := range jp.Topics {
-			p.Topics = append(p.Topics, ontology.TermID(t))
-		}
-		papers = append(papers, p)
-	}
-	return NewCorpus(papers)
 }

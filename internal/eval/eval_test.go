@@ -37,13 +37,13 @@ func buildFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := index.Build(a)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
 	cached = &fixture{
 		onto: o, c: c, a: a, ix: ix, cs: cs, scores: scores,
-		engine: search.NewEngine(ix, cs, scores, search.DefaultWeights()),
+		engine: search.NewEngine(ix, cs, scores.Freeze(), search.DefaultWeights()),
 	}
 	return cached
 }

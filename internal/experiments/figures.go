@@ -276,15 +276,6 @@ func (f PrecisionFigure) Summary() string {
 		f.Series[0].Function, f.Series[1].Function, adv)
 }
 
-// FunctionNames lists the series in order.
-func (f PrecisionFigure) FunctionNames() []string {
-	var out []string
-	for _, s := range f.Series {
-		out = append(out, s.Function)
-	}
-	return out
-}
-
 // sortedKeys returns map keys sorted (render helper).
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))

@@ -28,9 +28,6 @@ type Scale struct {
 // DefaultScale is the full experiment scale used by cmd/experiments.
 func DefaultScale() Scale { return Scale{Papers: 2000, Terms: 400, Queries: 120, Seed: 1} }
 
-// BenchScale is a reduced scale for the benchmark suite.
-func BenchScale() Scale { return Scale{Papers: 400, Terms: 90, Queries: 25, Seed: 1} }
-
 // Setup holds everything the figures need, built once: the system, both
 // context paper sets, all five score-function×context-set combinations the
 // paper evaluates, the evaluation queries and their AC-answer sets.

@@ -17,13 +17,13 @@ func benchIndex(b *testing.B) *Index {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return Build(corpus.NewAnalyzer(c))
+	return Build(corpus.NewAnalyzerWorkers(c, 0))
 }
 
 func BenchmarkBuild(b *testing.B) {
 	o, _ := ontology.Generate(ontology.GenConfig{Seed: 3, NumTerms: 60, MaxDepth: 6})
 	c, _ := corpus.Generate(o, corpus.DefaultGenConfig(200))
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -36,7 +36,7 @@ func BenchmarkBuild(b *testing.B) {
 func benchIndexBuild(b *testing.B, workers int) {
 	o, _ := ontology.Generate(ontology.GenConfig{Seed: 3, NumTerms: 100, MaxDepth: 7})
 	c, _ := corpus.Generate(o, corpus.DefaultGenConfig(400))
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	a.Warm(0)
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -50,7 +50,7 @@ func BenchmarkIndexBuildWorkers8(b *testing.B) { benchIndexBuild(b, 8) }
 
 // BenchmarkIndexSearchVector measures the raw accumulator hot path of
 // SearchVector (query vector pre-built, no tokenisation) at the
-// experiments.BenchScale() corpus size of 400 papers.
+// benchmark suite's reduced corpus size of 400 papers.
 func BenchmarkIndexSearchVector(b *testing.B) {
 	ix := benchIndex(b)
 	qv := ix.Analyzer().QueryVector("regulation of rna transcription factor binding")

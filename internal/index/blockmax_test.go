@@ -25,7 +25,7 @@ func buildBlockFixture(t testing.TB) (*corpus.Analyzer, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return corpus.NewAnalyzer(c), c
+	return corpus.NewAnalyzerWorkers(c, 0), c
 }
 
 // TestSearchTopKBlockSizeGolden asserts the block-max pruned path returns
@@ -139,14 +139,14 @@ func TestBuildBlockMaxima(t *testing.T) {
 	}
 }
 
-// TestFromPartsBlockRecompute pins the v4-upgrade path: parts without block
-// tables bind to an index whose recomputed tables are identical to a fresh
+// TestFromPartsBlockRecompute: parts without block tables (a state image
+// without the block sections) bind to an index whose recomputed tables are identical to a fresh
 // build's, and parts with tables are borrowed verbatim.
 func TestFromPartsBlockRecompute(t *testing.T) {
 	a, _ := buildBlockFixture(t)
 	built := BuildWorkersBlock(a, 0, DefaultBlockSize)
 
-	// Strip the tables, as a pre-v5 state would present them.
+	// Strip the tables, as an image without block sections presents them.
 	p := built.Parts()
 	p.BlockSize, p.BlockOffsets, p.BlockMaxWeight, p.BlockMaxRatio = 0, nil, nil, nil
 	ix, err := FromParts(a, p)
@@ -169,19 +169,6 @@ func TestFromPartsBlockRecompute(t *testing.T) {
 	}
 	if &bound.blockOffsets[0] != &built.blockOffsets[0] {
 		t.Fatal("FromParts copied persisted block offsets instead of borrowing")
-	}
-
-	// EnsureBlockTables fills stripped parts in place and is then a no-op.
-	p2 := built.Parts()
-	p2.BlockSize, p2.BlockOffsets, p2.BlockMaxWeight, p2.BlockMaxRatio = 0, nil, nil, nil
-	p2.EnsureBlockTables(0)
-	if !slices.Equal(p2.BlockOffsets, built.blockOffsets) {
-		t.Fatal("EnsureBlockTables tables differ from the fresh build's")
-	}
-	before := &p2.BlockOffsets[0]
-	p2.EnsureBlockTables(0)
-	if &p2.BlockOffsets[0] != before {
-		t.Fatal("EnsureBlockTables recomputed tables that were already present")
 	}
 }
 

@@ -131,24 +131,6 @@ func BuildWorkersBlock(a *corpus.Analyzer, workers, blockSize int) *Index {
 	return buildPapers(a, sortedPapers(c, 0, c.Len()), workers, blockSize)
 }
 
-// BuildRangeWorkers constructs an index over only the papers with
-// lo <= ID < hi — the per-shard index of the sharded serving topology.
-// The analyzer (and with it every TF-IDF weight and document norm) stays
-// corpus-global, so a document's cosine score against any query is bit
-// for bit the score the full index would compute: the range restricts
-// which documents have postings, never how they are weighted. Dense
-// per-document arrays (norms, scoring accumulators) remain sized to the
-// full corpus so global paper IDs index them directly.
-func BuildRangeWorkers(a *corpus.Analyzer, lo, hi int, workers int) *Index {
-	return BuildRangeWorkersBlock(a, lo, hi, workers, DefaultBlockSize)
-}
-
-// BuildRangeWorkersBlock is BuildRangeWorkers with an explicit block-max
-// block size; blockSize <= 0 disables block tables (see BuildWorkersBlock).
-func BuildRangeWorkersBlock(a *corpus.Analyzer, lo, hi, workers, blockSize int) *Index {
-	return buildPapers(a, sortedPapers(a.Corpus(), lo, hi), workers, blockSize)
-}
-
 // sortedPapers returns the corpus's papers with lo <= ID < hi in ascending
 // ID order.
 func sortedPapers(c *corpus.Corpus, lo, hi int) []*corpus.Paper {
@@ -292,7 +274,7 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers, blockSize 
 // plus each block's maximum posting weight and maximum weight/‖doc‖ ratio —
 // the same quantities as the global per-term maxima, restricted to one
 // block. Shared by the build pipeline, FromParts (recomputing tables for
-// pre-v5 states), and SliceRange (re-slicing tables for range engines).
+// parts without them), and SliceRange (re-slicing tables for range engines).
 func computeBlockTables(offsets []int32, docs []corpus.PaperID, weights, norms []float64, blockSize, workers int) ([]int32, []float64, []float64) {
 	nTerms := len(offsets) - 1
 	bo := make([]int32, nTerms+1)
@@ -562,18 +544,6 @@ func (ix *Index) ResetTopKStats() {
 // BlockSize returns the block-max granularity the index carries (postings
 // per block), or 0 when it was built without block tables.
 func (ix *Index) BlockSize() int { return ix.blockSize }
-
-// MatchScore returns the cosine text-matching score between a query and one
-// document — the Text_Matching_Score(p, q) term of the paper's relevancy
-// formula — read off the document's postings (0 for a document the index
-// holds no postings of).
-func (ix *Index) MatchScore(qv vector.Sparse, doc corpus.PaperID) float64 {
-	if int(doc) < 0 || int(doc) >= len(ix.norms) {
-		return 0
-	}
-	sc := ix.newTextScorer(qv)
-	return sc.score(doc)
-}
 
 // textScorer scores single documents against one query from the frozen
 // postings: the query's indexed terms with their posting runs, resolved

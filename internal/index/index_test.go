@@ -22,7 +22,7 @@ func buildTestIndex(t testing.TB) (*Index, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Build(corpus.NewAnalyzer(c)), c
+	return Build(corpus.NewAnalyzerWorkers(c, 0)), c
 }
 
 func TestSearchRanking(t *testing.T) {
@@ -92,15 +92,15 @@ func TestSearchEmptyQuery(t *testing.T) {
 func TestMatchScore(t *testing.T) {
 	ix, _ := buildTestIndex(t)
 	qv := ix.Analyzer().QueryVector("rna polymerase")
-	s0 := ix.MatchScore(qv, 0)
-	s3 := ix.MatchScore(qv, 3)
+	s0 := matchScore(ix, qv, 0)
+	s3 := matchScore(ix, qv, 3)
 	if s0 <= s3 {
 		t.Fatalf("match scores wrong: s0=%v s3=%v", s0, s3)
 	}
-	if got := ix.MatchScore(qv, corpus.PaperID(99)); got != 0 {
+	if got := matchScore(ix, qv, corpus.PaperID(99)); got != 0 {
 		t.Fatalf("out-of-range doc = %v", got)
 	}
-	if got := ix.MatchScore(vector.New(), 0); got != 0 {
+	if got := matchScore(ix, vector.New(), 0); got != 0 {
 		t.Fatalf("empty query = %v", got)
 	}
 }
@@ -114,7 +114,7 @@ func TestIndexOnGeneratedCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := Build(corpus.NewAnalyzer(c))
+	ix := Build(corpus.NewAnalyzerWorkers(c, 0))
 	if ix.Terms() == 0 {
 		t.Fatal("no terms indexed")
 	}

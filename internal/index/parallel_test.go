@@ -21,7 +21,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	seq := BuildWorkers(a, 1)
 	for _, workers := range []int{2, 3, 8} {
 		par := BuildWorkers(a, workers)
@@ -54,7 +54,7 @@ func TestParallelBuildSearchEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	seq := BuildWorkers(a, 1)
 	par := BuildWorkers(a, 4)
 	for _, q := range []string{
@@ -83,20 +83,20 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	full := BuildWorkers(a, 4)
 
 	// Full-range build is the whole index.
-	whole := BuildRangeWorkers(a, 0, c.Len(), 2)
+	whole := buildRangeWorkers(a, 0, c.Len(), 2)
 	if !reflect.DeepEqual(full.termIDs, whole.termIDs) || !reflect.DeepEqual(full.docs, whole.docs) ||
 		!reflect.DeepEqual(full.weights, whole.weights) || !reflect.DeepEqual(full.norms, whole.norms) {
-		t.Fatal("BuildRangeWorkers over the full range differs from BuildWorkers")
+		t.Fatal("buildRangeWorkers over the full range differs from BuildWorkers")
 	}
 
 	for _, cuts := range [][]int{{0, 150}, {0, 50, 150}, {0, 40, 90, 150}, {0, 1, 75, 149, 150}} {
 		var parts []*Index
 		for i := 0; i+1 < len(cuts); i++ {
-			parts = append(parts, BuildRangeWorkers(a, cuts[i], cuts[i+1], 2))
+			parts = append(parts, buildRangeWorkers(a, cuts[i], cuts[i+1], 2))
 		}
 		for term := range full.termIDs {
 			wantDocs, wantWts := full.Postings(term)

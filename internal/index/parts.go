@@ -9,11 +9,11 @@ import (
 
 // Parts is the serializable flat form of an Index: the interned term
 // dictionary plus the CSR postings and the per-term MaxScore maxima. It is
-// what the v4/v5 state formats persist so that serving can skip corpus
+// what the state file persists so that serving can skip corpus
 // re-analysis and index construction entirely — FromParts rebinds these
 // arrays (typically aliasing a memory-mapped file) to a live Index in
 // O(terms), never touching a posting (except to recompute block-max tables
-// for pre-v5 parts that lack them).
+// for parts that lack them).
 type Parts struct {
 	// Terms holds the indexed term strings in lexicographic order; term i
 	// has interned ID i, matching the Build ID assignment exactly.
@@ -31,9 +31,9 @@ type Parts struct {
 	// Block-max tables (see topk.go): term t's posting run is partitioned
 	// into blocks of BlockSize postings, its blocks occupying
 	// BlockMaxWeight[BlockOffsets[t]:BlockOffsets[t+1]] (and likewise
-	// BlockMaxRatio). Nil BlockOffsets means the tables are absent — parts
-	// from a pre-v5 state — and FromParts recomputes them at
-	// DefaultBlockSize so old states keep serving with full pruning power.
+	// BlockMaxRatio). Nil BlockOffsets means the tables are absent (a
+	// state saved without the block sections) and FromParts recomputes them
+	// at DefaultBlockSize.
 	BlockSize      int
 	BlockOffsets   []int32
 	BlockMaxWeight []float64
@@ -64,7 +64,7 @@ func (ix *Index) Parts() *Parts {
 }
 
 // FromParts constructs an Index over caller-provided flat arrays — the
-// zero-copy open path of the v4 state format. The index borrows every
+// zero-copy open path of the state file. The index borrows every
 // slice verbatim and never mutates or appends, so mapping-backed
 // (read-only) memory is safe; the caller keeps the backing storage alive
 // for the index's lifetime. The analyzer must be over the same corpus the
@@ -159,33 +159,14 @@ func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
 	return ix, nil
 }
 
-// EnsureBlockTables computes the block-max tables in place when the parts
-// carry none — the exact per-posting work FromParts performs on bind for a
-// pre-v5 state (FromParts itself never mutates caller parts; this method
-// exists so cold-start measurement tools can charge that work explicitly).
-// No-op when tables are already present. workers <= 0 selects GOMAXPROCS.
-func (p *Parts) EnsureBlockTables(workers int) {
-	if p.BlockOffsets != nil {
-		return
-	}
-	bs := p.BlockSize
-	if bs <= 0 {
-		bs = DefaultBlockSize
-	}
-	p.BlockSize = bs
-	p.BlockOffsets, p.BlockMaxWeight, p.BlockMaxRatio =
-		computeBlockTables(p.Offsets, p.Docs, p.Weights, p.Norms, bs, workers)
-}
-
 // SliceRange restricts the parts to postings of documents with
 // lo <= ID < hi — the per-range open of the sharded serving topology over
-// a mapped state, replacing BuildRangeWorkers without re-analyzing a
-// single paper. The term dictionary, offsets shape, and norms stay
+// a mapped state, without re-analyzing a single paper. The term dictionary, offsets shape, and norms stay
 // corpus-global (terms whose postings fall outside the range keep an empty
 // run, which the query path treats exactly like an unindexed term), so a
 // range engine's scores are bit-identical to the full build's for its own
 // documents. Per-term maxima are recomputed over the surviving postings,
-// matching BuildRangeWorkers' tighter in-range MaxScore bounds; block-max
+// matching a range build's tighter in-range MaxScore bounds; block-max
 // tables, when the source carries them, are likewise rebuilt at the same
 // block size over the re-sliced runs — each range block's maxima are
 // exactly the maxima of the postings it covers, never inherited from the

@@ -18,7 +18,7 @@ func partsFixture(t *testing.T) (*corpus.Analyzer, *Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	return a, Build(a)
 }
 
@@ -75,9 +75,18 @@ func TestFromPartsValidation(t *testing.T) {
 	}
 }
 
+// buildRangeWorkers constructs an index over only the papers with
+// lo <= ID < hi by analysing them — the oracle SliceRange is checked against.
+// The analyzer stays corpus-global, so a document's cosine against any query
+// is bit for bit the full index's: the range restricts which documents have
+// postings, never how they are weighted.
+func buildRangeWorkers(a *corpus.Analyzer, lo, hi, workers int) *Index {
+	return buildPapers(a, sortedPapers(a.Corpus(), lo, hi), workers, DefaultBlockSize)
+}
+
 // TestSliceRangeMatchesRangeBuild: an engine-visible equivalence between
 // the two ways of making a shard index — re-analysing the range
-// (BuildRangeWorkers) versus binary-search slicing the global postings
+// (buildRangeWorkers) versus binary-search slicing the global postings
 // (SliceRange). The term dictionaries differ by design (SliceRange keeps
 // the global dictionary with empty runs), so the check is behavioral:
 // identical results for every query, at several range splits.
@@ -89,7 +98,7 @@ func TestSliceRangeMatchesRangeBuild(t *testing.T) {
 	queries := []string{"regulation", "cell response", "dna binding", "synthesis"}
 	for _, r := range ranges {
 		lo, hi := r[0], r[1]
-		rebuilt := BuildRangeWorkers(a, lo, hi, 1)
+		rebuilt := buildRangeWorkers(a, lo, hi, 1)
 		sliced, err := FromParts(a, parts.SliceRange(lo, hi))
 		if err != nil {
 			t.Fatalf("range [%d,%d): %v", lo, hi, err)

@@ -262,7 +262,7 @@ func TestBooleanEvaluatorMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eager := corpus.NewAnalyzer(c)
+		eager := corpus.NewAnalyzerWorkers(c, 0)
 		ix := Build(eager)
 		check := func(label string, ix *Index, exprs int) {
 			compared, nonEmpty := booleanBattery(t, label, ix, eager, seed*31, exprs)
@@ -299,20 +299,31 @@ func TestBooleanEvaluatorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMatchScoreMatchesVectorForm pins the public scorer to the vector-form
-// cosine it replaced, for every paper and queries with unindexed terms.
+// matchScore is the cosine text-matching score between a query and one
+// document, read off the document's postings by the scorer the boolean
+// evaluator ranks with (0 for a document the index holds no postings of).
+func matchScore(ix *Index, qv vector.Sparse, doc corpus.PaperID) float64 {
+	if int(doc) < 0 || int(doc) >= len(ix.norms) {
+		return 0
+	}
+	sc := ix.newTextScorer(qv)
+	return sc.score(doc)
+}
+
+// TestMatchScoreMatchesVectorForm pins the postings scorer to the vector-form
+// cosine, for every paper and queries with unindexed terms.
 func TestMatchScoreMatchesVectorForm(t *testing.T) {
 	a, ix := partsFixture(t)
 	for _, query := range []string{"regulation", "cell response zzyzxq", "protein binding activity", "zzyzxq"} {
 		qv := a.QueryVector(query)
 		for _, p := range a.Corpus().Papers() {
-			got, want := ix.MatchScore(qv, p.ID), refMatchScore(ix, a, qv, p.ID)
+			got, want := matchScore(ix, qv, p.ID), refMatchScore(ix, a, qv, p.ID)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%q paper %d: MatchScore %v, vector form %v", query, p.ID, got, want)
 			}
 		}
 	}
-	if ix.MatchScore(a.QueryVector("regulation"), -1) != 0 || ix.MatchScore(a.QueryVector("regulation"), 1<<30) != 0 {
+	if matchScore(ix, a.QueryVector("regulation"), -1) != 0 || matchScore(ix, a.QueryVector("regulation"), 1<<30) != 0 {
 		t.Fatal("out-of-range documents must score 0")
 	}
 }

@@ -67,10 +67,9 @@ import (
 //     ascending document order, so a later candidate tying the heap
 //     minimum loses the ascending-doc tiebreak anyway.
 //
-// An index without block tables (BuildWorkersBlock with blockSize <= 0, or
-// bound from a version-4 state file) runs the same loop with each cursor's
-// "block" degraded to its whole posting list and the global maxima as
-// bounds — plain MaxScore.
+// An index without block tables (BuildWorkersBlock with blockSize <= 0) runs
+// the same loop with each cursor's "block" degraded to its whole posting
+// list and the global maxima as bounds — plain MaxScore.
 //
 // The golden equivalence tests (topk_test.go) assert byte-identical pages
 // against the exhaustive path across randomized (k, threshold, restriction,

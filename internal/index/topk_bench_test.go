@@ -33,7 +33,7 @@ func topkBenchIndex(b testing.TB) (*Index, bitset.Set, vector.Sparse) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		topkBenchIx = Build(corpus.NewAnalyzer(c))
+		topkBenchIx = Build(corpus.NewAnalyzerWorkers(c, 0))
 		for d := 0; d < c.Len(); d += 2 {
 			topkBenchSet.Add(d)
 		}

@@ -26,7 +26,7 @@ func buildTopKFixture(t testing.TB) (*Index, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Build(corpus.NewAnalyzer(c)), c
+	return Build(corpus.NewAnalyzerWorkers(c, 0)), c
 }
 
 // exhaustiveTopK is the reference: the unpruned full evaluation (Limit 0

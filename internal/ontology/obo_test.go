@@ -89,7 +89,7 @@ func TestOBORoundTrip(t *testing.T) {
 		if orig.Level(id) != parsed.Level(id) {
 			t.Fatalf("level of %s not preserved", id)
 		}
-		if orig.DescendantCount(id) != parsed.DescendantCount(id) {
+		if orig.descCount[id] != parsed.descCount[id] {
 			t.Fatalf("descendant count of %s not preserved", id)
 		}
 	}

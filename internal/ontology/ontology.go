@@ -238,9 +238,6 @@ func (o *Ontology) TermIDs() []TermID { return o.order }
 // Roots returns the root term IDs.
 func (o *Ontology) Roots() []TermID { return o.roots }
 
-// Children returns the direct children of id.
-func (o *Ontology) Children(id TermID) []TermID { return o.children[id] }
-
 // Parents returns the direct parents of id, or nil for unknown terms.
 func (o *Ontology) Parents(id TermID) []TermID {
 	if t := o.terms[id]; t != nil {
@@ -294,9 +291,6 @@ func (o *Ontology) Descendants(id TermID) []TermID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// DescendantCount returns the number of proper descendants of id.
-func (o *Ontology) DescendantCount(id TermID) int { return o.descCount[id] }
 
 // Ancestors returns the set of proper ancestors of id, sorted by ID.
 func (o *Ontology) Ancestors(id TermID) []TermID {

@@ -43,9 +43,6 @@ func TestBuildBasics(t *testing.T) {
 	if got := o.Roots(); !reflect.DeepEqual(got, []TermID{"GO:1"}) {
 		t.Fatalf("Roots = %v", got)
 	}
-	if got := o.Children("GO:1"); !reflect.DeepEqual(got, []TermID{"GO:2", "GO:3"}) {
-		t.Fatalf("Children(root) = %v", got)
-	}
 	if o.Term("GO:4").Name != "c" {
 		t.Fatal("Term lookup failed")
 	}
@@ -73,14 +70,14 @@ func TestLevels(t *testing.T) {
 func TestDescendantsNoDoubleCount(t *testing.T) {
 	o := diamond(t)
 	// c is reachable from root via both a and b but must count once.
-	if got := o.DescendantCount("GO:1"); got != 4 {
-		t.Errorf("DescendantCount(root) = %d, want 4", got)
+	if got := o.descCount["GO:1"]; got != 4 {
+		t.Errorf("descCount[root] = %d, want 4", got)
 	}
 	if got := o.Descendants("GO:1"); !reflect.DeepEqual(got, []TermID{"GO:2", "GO:3", "GO:4", "GO:5"}) {
 		t.Errorf("Descendants(root) = %v", got)
 	}
-	if got := o.DescendantCount("GO:5"); got != 0 {
-		t.Errorf("leaf DescendantCount = %d", got)
+	if got := o.descCount["GO:5"]; got != 0 {
+		t.Errorf("leaf descCount = %d", got)
 	}
 }
 

@@ -17,24 +17,24 @@ func benchFixture(b *testing.B) (*ontology.Ontology, *corpus.Corpus, *PosIndex) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	return o, c, NewPosIndex(corpus.NewAnalyzer(c))
+	return o, c, NewPosIndexWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
 }
 
 func BenchmarkPosIndexBuild(b *testing.B) {
 	o, _ := ontology.Generate(ontology.GenConfig{Seed: 3, NumTerms: 60, MaxDepth: 6})
 	c, _ := corpus.Generate(o, corpus.DefaultGenConfig(150))
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = NewPosIndex(a)
+		_ = NewPosIndexWorkers(a, 0)
 	}
 }
 
 func benchPosIndexBuild(b *testing.B, workers int) {
 	o, _ := ontology.Generate(ontology.GenConfig{Seed: 3, NumTerms: 100, MaxDepth: 7})
 	c, _ := corpus.Generate(o, corpus.DefaultGenConfig(400))
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

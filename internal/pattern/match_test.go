@@ -78,8 +78,8 @@ func TestSectionWeightsInfluenceStrength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
-	ix := NewPosIndex(a)
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	ix := NewPosIndexWorkers(a, 0)
 	mid := a.Tokenizer().Terms("zinc finger")
 	set := &Set{Patterns: []*Pattern{{Kind: Regular, Middle: mid, Score: 1, Left: map[string]bool{}, Right: map[string]bool{}}}}
 	scores := set.ScorePapers(ix, nil, DefaultMatchConfig())
@@ -97,8 +97,8 @@ func TestMatchSetFractionThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
-	ix := NewPosIndex(a)
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	ix := NewPosIndexWorkers(a, 0)
 	set := &Set{Patterns: []*Pattern{{
 		Kind:   MiddleJoined,
 		Middle: []string{"alpha", "beta", "gamma"},

@@ -18,8 +18,8 @@ func miningCorpus(t *testing.T) (*corpus.Analyzer, *PosIndex) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
-	return a, NewPosIndex(a)
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	return a, NewPosIndexWorkers(a, 0)
 }
 
 func TestMineFrequentPhrases(t *testing.T) {

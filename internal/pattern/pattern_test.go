@@ -39,8 +39,8 @@ func patternFixture(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.A
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
-	return o, c, a, NewPosIndex(a)
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	return o, c, a, NewPosIndexWorkers(a, 0)
 }
 
 func TestBuildPatterns(t *testing.T) {

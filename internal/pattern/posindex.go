@@ -52,12 +52,8 @@ type PosIndex struct {
 	setAccPool sync.Pool
 }
 
-// NewPosIndex builds the positional index from an analysed corpus with
-// GOMAXPROCS workers.
-func NewPosIndex(a *corpus.Analyzer) *PosIndex { return NewPosIndexWorkers(a, 0) }
-
-// NewPosIndexWorkers is NewPosIndex with explicit build parallelism: papers
-// are split into contiguous shards, each worker builds its shard's position
+// NewPosIndexWorkers builds the positional index from an analysed corpus:
+// papers are split into contiguous shards, each worker builds its shard's position
 // maps, token streams and section bounds, and the per-shard position maps
 // are merged afterwards. The merged index is identical at every worker
 // count — every (word, doc) entry is produced by exactly one shard (docs
@@ -127,17 +123,6 @@ func NewPosIndexWorkers(a *corpus.Analyzer, workers int) *PosIndex {
 
 // Analyzer returns the analyzer the index was built from.
 func (ix *PosIndex) Analyzer() *corpus.Analyzer { return ix.analyzer }
-
-// DocsWithWord returns the IDs of documents containing the word, sorted.
-func (ix *PosIndex) DocsWithWord(w string) []corpus.PaperID {
-	m := ix.positions[w]
-	out := make([]corpus.PaperID, 0, len(m))
-	for d := range m {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // WordDocFreq returns in how many documents the word occurs.
 func (ix *PosIndex) WordDocFreq(w string) int { return len(ix.positions[w]) }

@@ -20,7 +20,7 @@ func TestParallelPosIndexMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	seq := NewPosIndexWorkers(a, 1)
 	for _, workers := range []int{2, 3, 8} {
 		par := NewPosIndexWorkers(a, workers)

@@ -28,8 +28,8 @@ func benchFix(b *testing.B) *fixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
-	ix := pattern.NewPosIndex(a)
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	ix := pattern.NewPosIndexWorkers(a, 0)
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
@@ -145,7 +145,7 @@ func bigFix(b *testing.B) (*corpus.Corpus, *contextset.ContextSet) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	cs := contextset.BuildTextBased(index.Build(a), o, contextset.DefaultConfig())
 	if n := len(cs.Contexts()); n < 1000 {
 		b.Fatalf("fixture too small: %d contexts, want >= 1000", n)

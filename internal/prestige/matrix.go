@@ -73,18 +73,9 @@ func (s Scores) Freeze() *Matrix {
 // NumContexts returns the number of scored contexts (rows).
 func (m *Matrix) NumContexts() int { return len(m.ctxs) }
 
-// NNZ returns the number of stored (context, paper) scores.
-func (m *Matrix) NNZ() int { return len(m.docs) }
-
 // Contexts returns the scored contexts sorted by term ID (a copy).
 func (m *Matrix) Contexts() []ontology.TermID {
 	return append([]ontology.TermID(nil), m.ctxs...)
-}
-
-// Ordinal returns the row index of a context, or false when unscored.
-func (m *Matrix) Ordinal(ctx ontology.TermID) (int, bool) {
-	i, ok := m.ord[ctx]
-	return int(i), ok
 }
 
 // Run is one context's packed score row: Docs ascending, Vals parallel.
@@ -124,7 +115,7 @@ func (m *Matrix) Run(ctx ontology.TermID) Run {
 	return m.RunAt(int(i))
 }
 
-// RunAt returns the score row of the i-th context (Ordinal order).
+// RunAt returns the score row of the i-th context (Contexts order).
 func (m *Matrix) RunAt(i int) Run {
 	lo, hi := m.offsets[i], m.offsets[i+1]
 	return Run{Docs: m.docs[lo:hi], Vals: m.vals[lo:hi], Max: m.rowMax[i]}

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/pattern"
 )
 
 // TestFreezeMatchesMapAllScorers is the central matrix-equality guarantee:
@@ -16,9 +18,9 @@ import (
 func TestFreezeMatchesMapAllScorers(t *testing.T) {
 	f := buildFixture(t)
 	scorers := []Scorer{
-		NewCitationScorer(f.c, citegraphOpts()),
+		NewCitationScorer(f.c, citegraph.PageRankOpts{}),
 		NewTextScorer(f.a, DefaultTextWeights()),
-		NewPatternScorer(f.ix, f.onto, patternDefaultCfg(), patternDefaultMatch()),
+		NewPatternScorer(f.ix, f.onto, pattern.DefaultConfig(), pattern.DefaultMatchConfig()),
 	}
 	for _, sc := range scorers {
 		scores := ScoreAll(sc, f.pat, 0)
@@ -48,8 +50,8 @@ func TestFreezeMatchesMapAllScorers(t *testing.T) {
 				}
 			}
 		}
-		if m.NNZ() != nnz {
-			t.Fatalf("%s: NNZ %d != %d map entries", sc.Name(), m.NNZ(), nnz)
+		if len(m.docs) != nnz {
+			t.Fatalf("%s: NNZ %d != %d map entries", sc.Name(), len(m.docs), nnz)
 		}
 		if got := m.Get(ontology.TermID("GO:nosuch"), 0); got != 0 {
 			t.Fatalf("%s: unscored context returned %v", sc.Name(), got)
@@ -74,8 +76,8 @@ func TestMatrixContextsSortedAndOrdinals(t *testing.T) {
 		if i > 0 && ctxs[i-1] >= ctx {
 			t.Fatalf("contexts not strictly ascending at %d: %s >= %s", i, ctxs[i-1], ctx)
 		}
-		ord, ok := m.Ordinal(ctx)
-		if !ok || ord != i {
+		ord, ok := m.ord[ctx]
+		if !ok || int(ord) != i {
 			t.Fatalf("ordinal of %s = %d,%v, want %d", ctx, ord, ok, i)
 		}
 		run := m.RunAt(i)
@@ -85,7 +87,7 @@ func TestMatrixContextsSortedAndOrdinals(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := m.Ordinal("GO:nosuch"); ok {
+	if _, ok := m.ord["GO:nosuch"]; ok {
 		t.Fatal("unscored context has an ordinal")
 	}
 }
@@ -131,7 +133,7 @@ func TestMatrixRowMax(t *testing.T) {
 // result exactly.
 func TestScoreAllParallelArenaStress(t *testing.T) {
 	f := buildFixture(t)
-	sc := NewCitationScorer(f.c, citegraphOpts())
+	sc := NewCitationScorer(f.c, citegraph.PageRankOpts{})
 	want := ScoreAll(sc, f.pat, 0)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -165,7 +167,7 @@ func TestMatrixSlice(t *testing.T) {
 			if !reflect.DeepEqual(s.ctxs, m.ctxs) {
 				t.Fatalf("cuts %v [%d,%d): sliced context list differs", cuts, lo, hi)
 			}
-			nnz += s.NNZ()
+			nnz += len(s.docs)
 			for i, ctx := range m.ctxs {
 				fullRun := m.RunAt(i)
 				run := s.RunAt(i)
@@ -191,14 +193,14 @@ func TestMatrixSlice(t *testing.T) {
 				}
 			}
 		}
-		if nnz != m.NNZ() {
-			t.Fatalf("cuts %v: slices hold %d cells, full matrix %d", cuts, nnz, m.NNZ())
+		if nnz != len(m.docs) {
+			t.Fatalf("cuts %v: slices hold %d cells, full matrix %d", cuts, nnz, len(m.docs))
 		}
 	}
 
 	// Degenerate empty slice: all rows present, all empty.
 	empty := m.Slice(5, 5)
-	if empty.NNZ() != 0 || empty.NumContexts() != m.NumContexts() {
-		t.Fatalf("empty slice: NNZ=%d contexts=%d, want 0 and %d", empty.NNZ(), empty.NumContexts(), m.NumContexts())
+	if len(empty.docs) != 0 || empty.NumContexts() != m.NumContexts() {
+		t.Fatalf("empty slice: NNZ=%d contexts=%d, want 0 and %d", len(empty.docs), empty.NumContexts(), m.NumContexts())
 	}
 }

@@ -3,12 +3,15 @@ package prestige
 import (
 	"reflect"
 	"testing"
+
+	"ctxsearch/internal/citegraph"
+	"ctxsearch/internal/pattern"
 )
 
 func TestScoreAllParallelMatchesSerial(t *testing.T) {
 	f := buildFixture(t)
 	for _, sc := range []Scorer{
-		NewCitationScorer(f.c, citegraphOpts()),
+		NewCitationScorer(f.c, citegraph.PageRankOpts{}),
 		NewTextScorer(f.a, DefaultTextWeights()),
 	} {
 		serial := ScoreAll(sc, f.pat, 10)
@@ -32,8 +35,8 @@ func TestScoreAllParallelPatternScorer(t *testing.T) {
 	// The pattern scorer's lazy cache is exercised concurrently here; run
 	// with -race to validate the locking.
 	f := buildFixture(t)
-	sc := NewPatternScorer(f.ix, f.onto, patternDefaultCfg(), patternDefaultMatch())
-	serial := ScoreAll(NewPatternScorer(f.ix, f.onto, patternDefaultCfg(), patternDefaultMatch()), f.pat, 20)
+	sc := NewPatternScorer(f.ix, f.onto, pattern.DefaultConfig(), pattern.DefaultMatchConfig())
+	serial := ScoreAll(NewPatternScorer(f.ix, f.onto, pattern.DefaultConfig(), pattern.DefaultMatchConfig()), f.pat, 20)
 	parallel := ScoreAllParallel(sc, f.pat, 20, 4)
 	if len(serial) != len(parallel) {
 		t.Fatalf("context counts differ: %d vs %d", len(serial), len(parallel))
@@ -47,7 +50,7 @@ func TestScoreAllParallelPatternScorer(t *testing.T) {
 
 func TestScoreAllParallelSingleWorker(t *testing.T) {
 	f := buildFixture(t)
-	sc := NewCitationScorer(f.c, citegraphOpts())
+	sc := NewCitationScorer(f.c, citegraph.PageRankOpts{})
 	serial := ScoreAll(sc, f.pat, 10)
 	one := ScoreAllParallel(sc, f.pat, 10, 1)
 	if !reflect.DeepEqual(serial, one) {

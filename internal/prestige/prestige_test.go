@@ -37,8 +37,8 @@ func buildFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
-	ix := pattern.NewPosIndex(a)
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	ix := pattern.NewPosIndexWorkers(a, 0)
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
@@ -105,7 +105,7 @@ func TestCitationScorerUsesOnlyInContextEdges(t *testing.T) {
 	if err := o.Build(); err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	cs := contextset.BuildTextBased(index.Build(a), o, contextset.Config{TextThreshold: 2}) // only evidence
 	// Manually verify context membership via evidence + threshold: context
 	// has only paper 0. Extend membership by lowering threshold instead:
@@ -168,11 +168,13 @@ func TestTextScorerSimilarityComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	s := NewTextScorer(a, DefaultTextWeights())
 	// Identical twins must be more similar than unrelated papers.
-	if s.Similarity(1, 0) <= s.Similarity(2, 0) {
-		t.Fatalf("twin sim %v ≤ unrelated sim %v", s.Similarity(1, 0), s.Similarity(2, 0))
+	b := s.bind(0)
+	defer b.release()
+	if b.similarity(1) <= b.similarity(2) {
+		t.Fatalf("twin sim %v ≤ unrelated sim %v", b.similarity(1), b.similarity(2))
 	}
 	// Author overlap: papers 0 and 1 share all authors → L0 = 1.
 	if got := authorJaccard(a.Features(0).Authors, a.Features(1).Authors); got != 1 {
@@ -184,7 +186,7 @@ func TestTextScorerSimilarityComponents(t *testing.T) {
 		t.Fatalf("level-1 overlap = %v, want > 0", l1)
 	}
 	// Self similarity of the representative.
-	if s.Similarity(0, 0) != 1 {
+	if b.similarity(0) != 1 {
 		t.Fatal("self similarity must be 1")
 	}
 }
@@ -201,14 +203,18 @@ func TestReferenceSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewTextScorer(corpus.NewAnalyzer(c), DefaultTextWeights())
+	s := NewTextScorer(corpus.NewAnalyzerWorkers(c, 0), DefaultTextWeights())
 	// 2 and 3 share both references (bib coupling 1) and are co-cited by 4
 	// (co-citation 1) → SimReferences = 1.
-	if got := s.ReferenceSim(2, 3); got < 0.999 {
-		t.Fatalf("ReferenceSim(2,3) = %v", got)
+	b := s.bind(3)
+	if got := b.referenceSim(2); got < 0.999 {
+		t.Fatalf("referenceSim(2) against 3 = %v", got)
 	}
-	if got := s.ReferenceSim(0, 4); got != 0 {
-		t.Fatalf("ReferenceSim(0,4) = %v", got)
+	b.release()
+	b = s.bind(4)
+	defer b.release()
+	if got := b.referenceSim(0); got != 0 {
+		t.Fatalf("referenceSim(0) against 4 = %v", got)
 	}
 }
 
@@ -394,5 +400,19 @@ func TestScoresAccessors(t *testing.T) {
 	}
 	if got := s.Values("GO:1"); len(got) != 1 || got[0] != 0.25 {
 		t.Fatalf("Values = %v", got)
+	}
+}
+
+func TestScorerInterfaceCompliance(t *testing.T) {
+	// All three scorers satisfy the Scorer interface and name themselves.
+	f := buildFixture(t)
+	for _, sc := range []Scorer{
+		NewCitationScorer(f.c, citegraph.PageRankOpts{}),
+		NewTextScorer(f.a, DefaultTextWeights()),
+		NewPatternScorer(f.ix, f.onto, pattern.DefaultConfig(), pattern.DefaultMatchConfig()),
+	} {
+		if sc.Name() == "" {
+			t.Fatal("empty scorer name")
+		}
 	}
 }

@@ -112,29 +112,6 @@ func (s *TextScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID
 	return out
 }
 
-// Similarity computes the §3.2 weighted similarity between two papers.
-func (s *TextScorer) Similarity(p, rep corpus.PaperID) float64 {
-	b := s.bind(rep)
-	defer b.release()
-	return b.similarity(p)
-}
-
-// AuthorSim combines Level-0 overlap (shared authors, Jaccard) with Level-1
-// overlap (each paper's authors co-write a third paper), per [7].
-func (s *TextScorer) AuthorSim(p, q corpus.PaperID) float64 {
-	b := s.bind(q)
-	defer b.release()
-	return b.authorSim(p)
-}
-
-// ReferenceSim combines bibliographic coupling with co-citation, per [7]:
-// SimReferences = BibWeight·Simbib + (1−BibWeight)·Simcoc.
-func (s *TextScorer) ReferenceSim(p, q corpus.PaperID) float64 {
-	b := s.bind(q)
-	defer b.release()
-	return b.referenceSim(p)
-}
-
 // textTables holds what the text score compares, keyed by dense IDs: every
 // paper's per-section TF-IDF vector as parallel term-ID and weight runs, the
 // author index in both directions, and the citation graph. Immutable once
@@ -299,7 +276,8 @@ func (b *boundRep) release() {
 	t.scratch.Put(b)
 }
 
-// similarity is Similarity(p, rep) for the bound representative.
+// similarity computes the §3.2 weighted similarity of p to the bound
+// representative.
 func (b *boundRep) similarity(p corpus.PaperID) float64 {
 	if p == b.rep {
 		// The representative characterises the context by definition.
@@ -336,7 +314,9 @@ func (b *boundRep) sectionSim(p corpus.PaperID, sec corpus.Section) float64 {
 	return vector.SumSorted(prods) / (norm * b.norms[sec])
 }
 
-// authorSim is AuthorSim(p, rep) for the bound representative.
+// authorSim combines Level-0 overlap with the bound representative (shared
+// authors, Jaccard) with Level-1 overlap (each paper's authors co-write a
+// third paper), per [7].
 func (b *boundRep) authorSim(p corpus.PaperID) float64 {
 	return b.w.L0Weight*b.authorJaccard(p) + b.w.L1Weight*b.levelOneOverlap(p)
 }
@@ -383,7 +363,9 @@ count:
 	return float64(n) / 3
 }
 
-// referenceSim is ReferenceSim(p, rep) for the bound representative.
+// referenceSim combines bibliographic coupling with co-citation against the
+// bound representative, per [7]:
+// SimReferences = BibWeight·Simbib + (1−BibWeight)·Simcoc.
 func (b *boundRep) referenceSim(p corpus.PaperID) float64 {
 	bib, coc := 1.0, 1.0 // citegraph's value for a node against itself
 	if p != b.rep {

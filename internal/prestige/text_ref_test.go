@@ -138,10 +138,10 @@ func TestTextScorerMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := corpus.NewAnalyzer(c)
+		a := corpus.NewAnalyzerWorkers(c, 0)
 		cfg := contextset.DefaultConfig()
 		text := contextset.BuildTextBased(index.Build(a), o, cfg)
-		pat := contextset.BuildPatternBased(pattern.NewPosIndex(a), a, o, cfg)
+		pat := contextset.BuildPatternBased(pattern.NewPosIndexWorkers(a, 0), a, o, cfg)
 		ref := newTextReference(a, DefaultTextWeights())
 		base := NewTextScorer(a, DefaultTextWeights())
 		for _, tc := range []struct {
@@ -244,7 +244,7 @@ func TestTextScorerMatchesReferenceOnEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	ref := newTextReference(a, DefaultTextWeights())
 	s := NewTextScorer(a, DefaultTextWeights())
 
@@ -265,12 +265,15 @@ func TestTextScorerMatchesReferenceOnEdges(t *testing.T) {
 		}
 	}
 	for rep := range papers {
+		rep := corpus.PaperID(rep)
+		b := s.bind(rep)
 		for p := range papers {
-			p, rep := corpus.PaperID(p), corpus.PaperID(rep)
-			same("Similarity", p, rep, s.Similarity(p, rep), similarityReference(ref, p, rep))
-			same("AuthorSim", p, rep, s.AuthorSim(p, rep), ref.authorSim(p, rep))
-			same("ReferenceSim", p, rep, s.ReferenceSim(p, rep), ref.referenceSim(p, rep))
+			p := corpus.PaperID(p)
+			same("similarity", p, rep, b.similarity(p), similarityReference(ref, p, rep))
+			same("authorSim", p, rep, b.authorSim(p), ref.authorSim(p, rep))
+			same("referenceSim", p, rep, b.referenceSim(p), ref.referenceSim(p, rep))
 		}
+		b.release()
 	}
 	// A released scratch is blank whatever it was bound to.
 	b := s.bind(0)

@@ -97,7 +97,6 @@ type Breaker struct {
 	openedAt time.Time // when the breaker last tripped
 	probing  bool      // a half-open probe is in flight
 	probeAt  time.Time // when that probe was admitted
-	opens    uint64
 }
 
 // NewBreaker returns a closed breaker.
@@ -177,7 +176,6 @@ func (b *Breaker) trip() {
 	b.openedAt = b.cfg.Now()
 	b.failures = 0
 	b.probing = false
-	b.opens++
 }
 
 // State returns the current state (transitions only happen inside Allow
@@ -187,11 +185,4 @@ func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Opens returns how many times the breaker has tripped open.
-func (b *Breaker) Opens() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
 }

@@ -40,7 +40,6 @@ type Budget struct {
 	cfg    BudgetConfig
 	mu     sync.Mutex
 	tokens float64
-	denied uint64
 }
 
 // NewBudget returns a full bucket.
@@ -65,7 +64,6 @@ func (b *Budget) Withdraw() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tokens < 1 {
-		b.denied++
 		return false
 	}
 	b.tokens--
@@ -77,11 +75,4 @@ func (b *Budget) Tokens() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.tokens
-}
-
-// Denied returns how many withdrawals the budget has refused.
-func (b *Budget) Denied() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.denied
 }

@@ -116,14 +116,6 @@ func (p *Prober) probe(i int) bool {
 	return ok
 }
 
-// ProbeAll probes every backend once, synchronously — boot-time and test
-// hook for a deterministic health snapshot.
-func (p *Prober) ProbeAll() {
-	for i := range p.urls {
-		p.probe(i)
-	}
-}
-
 // Healthy reports backend i's latest probe verdict.
 func (p *Prober) Healthy(i int) bool { return p.healthy[i].Load() }
 

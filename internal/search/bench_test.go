@@ -1,6 +1,6 @@
-// Query-path benchmarks at the reduced experiments.BenchScale(): context
-// selection and full context-based search at several fan-out widths (k
-// selected contexts). BENCH_PR1.json records the before/after numbers of
+// Query-path benchmarks at the benchmark suite's reduced scale (400 papers,
+// 90 terms, seed 1): context selection and full context-based search at
+// several fan-out widths (k selected contexts). BENCH_PR1.json records the before/after numbers of
 // the PR-1 query-path overhaul measured with these benchmarks.
 package search_test
 
@@ -10,7 +10,6 @@ import (
 
 	"ctxsearch"
 	"ctxsearch/internal/contextset"
-	"ctxsearch/internal/experiments"
 )
 
 var (
@@ -27,11 +26,10 @@ const benchQuery = "regulation of rna protein binding transport activity"
 func benchEngine(b *testing.B) *ctxsearch.Engine {
 	b.Helper()
 	benchOnce.Do(func() {
-		scale := experiments.BenchScale()
 		cfg := ctxsearch.DefaultConfig()
-		cfg.Seed = scale.Seed
-		cfg.Papers = scale.Papers
-		cfg.OntologyTerms = scale.Terms
+		cfg.Seed = 1
+		cfg.Papers = 400
+		cfg.OntologyTerms = 90
 		sys, err := ctxsearch.NewSyntheticSystem(cfg)
 		if err != nil {
 			benchErr = err

@@ -41,9 +41,9 @@ func diffBits(t *testing.T, label string, got, want []Result) {
 }
 
 // engineShapes returns the fixture's state as the three shapes that serve
-// it: the eager engine, an engine over frozen state (FromParts index on a
-// frozen analyzer, frozen context set, matrix without its map form) and the
-// two SliceRange shard engines.
+// it: the eager engine (built index, built context set), an engine over
+// state-file shapes (FromParts index on a frozen analyzer, FromFrozen context
+// set) and the two SliceRange shard engines.
 func engineShapes(t *testing.T, f *fixture, w Weights) map[string]*Engine {
 	t.Helper()
 	parts := f.ix.Parts()
@@ -57,8 +57,8 @@ func engineShapes(t *testing.T, f *fixture, w Weights) map[string]*Engine {
 		t.Fatal(err)
 	}
 	shapes := map[string]*Engine{
-		"eager":  NewEngine(f.ix, f.cs, f.scores, w),
-		"frozen": NewEngineFrozen(frozenIx, frozenCS, matrix, w),
+		"eager":  NewEngine(f.ix, f.cs, matrix, w),
+		"frozen": NewEngine(frozenIx, frozenCS, matrix, w),
 	}
 	mid := f.c.Len() / 2
 	for i, r := range [][2]int{{0, mid}, {mid, f.c.Len()}} {
@@ -66,7 +66,7 @@ func engineShapes(t *testing.T, f *fixture, w Weights) map[string]*Engine {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shapes[fmt.Sprintf("shard%d", i)] = NewEngineFrozen(ix, f.cs, matrix.Slice(r[0], r[1]), w)
+		shapes[fmt.Sprintf("shard%d", i)] = NewEngine(ix, f.cs, matrix.Slice(r[0], r[1]), w)
 	}
 	return shapes
 }
@@ -153,7 +153,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 // reference.
 func TestNegativeWeightTakesSortFallback(t *testing.T) {
 	f := buildFixture(t)
-	e := NewEngine(f.ix, f.cs, f.scores, Weights{Prestige: -2, Matching: 0.1})
+	e := NewEngine(f.ix, f.cs, f.scores.Freeze(), Weights{Prestige: -2, Matching: 0.1})
 	negative := false
 	for _, q := range goldenQueries(f) {
 		// The default threshold 0 would drop every negative relevancy.
@@ -421,16 +421,19 @@ func TestSearchSharedScratchConcurrent(t *testing.T) {
 }
 
 // TestEngineSearchAllocCeiling makes the query path's allocations a
-// deterministic CI quantity: a frozen engine, full list and first page,
-// vector and boolean. Ceilings are the measured counts plus 2; what remains
-// is the tokenizer and the query vector (per query word), the selected
-// contexts, the heap of a bounded merge and the result list.
+// deterministic CI quantity: full list and first page, vector and boolean,
+// on the state-loaded shape and on the eager one (built index, built context
+// set — what a first boot serves from), pinned to the same ceilings: a built
+// set is read exactly as a state file's. Ceilings are the measured counts
+// plus 2; what remains is the tokenizer and the query vector (per query
+// word), the selected contexts, the heap of a bounded merge and the result
+// list.
 func TestEngineSearchAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
 	f := buildFixture(t)
-	e := engineShapes(t, f, DefaultWeights())["frozen"]
+	shapes := engineShapes(t, f, DefaultWeights())
 	vector, boolean := multiContextQuery(t, f), booleanQueries(t, f)[0]
 	for _, tc := range []struct {
 		name    string
@@ -443,21 +446,24 @@ func TestEngineSearchAllocCeiling(t *testing.T) {
 		{"boolean full list", true, 0, 36},
 		{"boolean first page", true, 10, 36},
 	} {
-		opts := Options{Limit: tc.limit, MaxContexts: 8, MinContextMatch: 0.01}
-		run := func() {
-			if tc.boolean {
-				if res, err := e.SearchBoolean(boolean, opts); err != nil || len(res) == 0 {
-					t.Fatalf("%s: %d results, err %v", tc.name, len(res), err)
+		for _, shape := range []string{"frozen", "eager"} {
+			e, name := shapes[shape], shape+" "+tc.name
+			opts := Options{Limit: tc.limit, MaxContexts: 8, MinContextMatch: 0.01}
+			run := func() {
+				if tc.boolean {
+					if res, err := e.SearchBoolean(boolean, opts); err != nil || len(res) == 0 {
+						t.Fatalf("%s: %d results, err %v", name, len(res), err)
+					}
+				} else if len(e.Search(vector, opts)) == 0 {
+					t.Fatalf("%s: no results", name)
 				}
-			} else if len(e.Search(vector, opts)) == 0 {
-				t.Fatalf("%s: no results", tc.name)
 			}
-		}
-		run() // lease and size the scratch
-		if got := testing.AllocsPerRun(200, run); got > tc.ceiling {
-			t.Errorf("%s: %.0f allocs/op, ceiling %.0f", tc.name, got, tc.ceiling)
-		} else {
-			t.Logf("%s: %.0f allocs/op (ceiling %.0f)", tc.name, got, tc.ceiling)
+			run() // lease and size the scratch
+			if got := testing.AllocsPerRun(200, run); got > tc.ceiling {
+				t.Errorf("%s: %.0f allocs/op, ceiling %.0f", name, got, tc.ceiling)
+			} else {
+				t.Logf("%s: %.0f allocs/op (ceiling %.0f)", name, got, tc.ceiling)
+			}
 		}
 	}
 }

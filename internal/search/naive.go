@@ -3,27 +3,16 @@ package search
 import (
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
-	"ctxsearch/internal/prestige"
 )
 
 // This file retains the straightforward per-context formulation of
 // Search/SearchBoolean that the optimized single-pass implementation in
 // search.go replaced: one full index pass per selected context with a
-// map-based Within filter, merged through a map keyed by paper. It is the
-// executable specification — the golden tests assert the optimized path
-// returns exactly the same results — and the honest baseline for the
-// query-path benchmarks. It is not wired into any production caller.
-
-// refScores returns the map-form scores the reference implementation reads:
-// the map the engine was built from, or (for engines built from a frozen
-// matrix) a thawed copy — so naive-vs-optimized comparisons are always a
-// genuine map-vs-matrix comparison.
-func (e *Engine) refScores() prestige.Scores {
-	if e.scores != nil {
-		return e.scores
-	}
-	return e.matrix.Thaw()
-}
+// map-based Within filter and map-form prestige scores (the matrix, thawed),
+// merged through a map keyed by paper. It is the executable specification —
+// the golden tests assert the optimized path returns exactly the same
+// results — and the honest baseline for the query-path benchmarks. It is not
+// wired into any production caller.
 
 // searchNaive is the reference implementation of Search.
 func (e *Engine) searchNaive(query string, opts Options) []Result {
@@ -31,7 +20,7 @@ func (e *Engine) searchNaive(query string, opts Options) []Result {
 	if len(ctxs) == 0 {
 		return nil
 	}
-	scores := e.refScores()
+	scores := e.matrix.Thaw()
 	qv := e.ix.Analyzer().QueryVector(query)
 	best := make(map[corpus.PaperID]Result)
 	for _, cscore := range ctxs {
@@ -70,7 +59,7 @@ func (e *Engine) searchBooleanNaive(query string, opts Options) ([]Result, error
 	if len(ctxs) == 0 {
 		return nil, nil
 	}
-	scores := e.refScores()
+	scores := e.matrix.Thaw()
 	best := make(map[corpus.PaperID]Result)
 	for _, cscore := range ctxs {
 		ctx := cscore.Context

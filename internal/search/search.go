@@ -108,19 +108,14 @@ type Result struct {
 	Context ontology.TermID `json:"c"`
 }
 
-// Engine is the context-based search engine. Serving constructs it with
-// NewEngineFrozen from a frozen prestige matrix; NewEngine takes the map
-// form and additionally keeps it for the naive reference.
+// Engine is the context-based search engine: an index, a context set and
+// the frozen prestige matrix scored over it, bound by NewEngine.
 type Engine struct {
 	ix *index.Index
 	cs *contextset.ContextSet
 	// matrix is the frozen CSR prestige matrix the hot path reads: one
 	// packed run per context, resolved once per fold row.
-	matrix *prestige.Matrix
-	// scores is the map form the engine was built from, retained only for
-	// the naive reference implementation (nil when built via
-	// NewEngineFrozen; production paths never read it).
-	scores  prestige.Scores
+	matrix  *prestige.Matrix
 	weights Weights
 	// names lists the selectable contexts — scored contexts with an
 	// ontology term — in ascending term-ID order; a context's position is
@@ -177,18 +172,9 @@ func (e *Engine) getScratch() *scratch {
 }
 
 // NewEngine assembles an engine from an index, a context paper set and the
-// prestige scores computed over it. The map form is frozen into the CSR
-// matrix the query path reads; the map itself is kept only as the naive
-// reference's score source.
-func NewEngine(ix *index.Index, cs *contextset.ContextSet, scores prestige.Scores, w Weights) *Engine {
-	e := NewEngineFrozen(ix, cs, scores.Freeze(), w)
-	e.scores = scores
-	return e
-}
-
-// NewEngineFrozen assembles an engine directly from a frozen prestige
-// matrix: a state file's, or the one the build froze after scoring.
-func NewEngineFrozen(ix *index.Index, cs *contextset.ContextSet, matrix *prestige.Matrix, w Weights) *Engine {
+// frozen prestige matrix scored over it: a state file's, or the one the
+// build froze after scoring (prestige.Scores.Freeze).
+func NewEngine(ix *index.Index, cs *contextset.ContextSet, matrix *prestige.Matrix, w Weights) *Engine {
 	e := &Engine{ix: ix, cs: cs, matrix: matrix, weights: w, tokenCtxs: make(map[string][]int32)}
 	tok := ix.Analyzer().Tokenizer()
 	for _, ctx := range matrix.Contexts() {

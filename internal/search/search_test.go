@@ -40,7 +40,7 @@ func newFixture(t testing.TB, ontoSeed int64, gcfg corpus.GenConfig) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := index.Build(a)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scorer := prestige.NewTextScorer(a, prestige.DefaultTextWeights())
@@ -48,7 +48,7 @@ func newFixture(t testing.TB, ontoSeed int64, gcfg corpus.GenConfig) *fixture {
 	prestige.PropagateMax(o, scores)
 	return &fixture{
 		onto: o, c: c, ix: ix, cs: cs, scores: scores,
-		engine: NewEngine(ix, cs, scores, DefaultWeights()),
+		engine: NewEngine(ix, cs, scores.Freeze(), DefaultWeights()),
 	}
 }
 

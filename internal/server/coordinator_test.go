@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"ctxsearch"
+	"ctxsearch/internal/par"
 	"ctxsearch/internal/search"
 	"ctxsearch/internal/shard"
 )
@@ -325,10 +326,10 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 	// 3 ranges, range 0 answers rows but cannot finish. Three requests make
 	// each range the finisher once: with range 0 it is a 503 by default and,
 	// with AllowPartial, the page of ranges 1 and 2 finished by range 1.
-	g := sliceGroup(t, sys, cs, m, 3)
 	path := "/search?q=" + urlQuery(query) + "&limit=10&offset=2"
 	exact := get(t, ref, path).Body.Bytes()
-	degraded := partialPage(t, ref, query, 2, 10, func(paper int) bool { return paper >= int(g.Ranges()[0].Hi) })
+	range0 := par.Shards(sys.Corpus.Len(), 3)[0]
+	degraded := partialPage(t, ref, query, 2, 10, func(paper int) bool { return paper >= range0.Hi })
 	if bytes.Equal(exact[:len(exact)-1], degraded[:len(exact)-1]) {
 		t.Fatal("fixture: range 0 holds no row of the page, the degraded page would prove nothing")
 	}
@@ -524,7 +525,7 @@ func TestCoordinatorFinisherOutsidePage(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	ref := NewPending(Config{})
 	ref.SetReadyFrozen(sys, cs, m)
-	g := sliceGroup(t, sys, cs, m, 2)
+	ranges := par.Shards(sys.Corpus.Len(), 2)
 	coord := wrappedCluster(t, 2, []int{0, 1}, func(_ int, srv http.Handler) http.Handler { return srv }, Config{CacheEntries: -1}, ShardConfig{})
 	before, after := 0, 0
 	for _, q := range coordQueries(t) {
@@ -536,7 +537,7 @@ func TestCoordinatorFinisherOutsidePage(t *testing.T) {
 			// The finisher's best and worst rank in the whole list.
 			lo, hi := -1, -1
 			for i, r := range full.Results {
-				if own := g.Ranges()[fin]; r.PaperID >= int(own.Lo) && r.PaperID < int(own.Hi) {
+				if own := ranges[fin]; r.PaperID >= own.Lo && r.PaperID < own.Hi {
 					if lo < 0 {
 						lo = i
 					}
@@ -814,7 +815,7 @@ func TestCoordinatorPartial(t *testing.T) {
 	}
 	want := SearchResponse{Query: query, Results: []SearchResult{}, Partial: true}
 	for _, r := range full.Results {
-		if r.PaperID < int(g.Ranges()[0].Hi) && len(want.Results) < 10 {
+		if r.PaperID < par.Shards(sys.Corpus.Len(), 2)[0].Hi && len(want.Results) < 10 {
 			want.Results = append(want.Results, r)
 		}
 	}

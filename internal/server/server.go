@@ -238,8 +238,9 @@ func NewPending(cfg Config) *Server {
 }
 
 // SetReady installs the engine state, flipping /readyz (and the API) live.
-// Safe to call concurrently with serving. The map-form scores are frozen
-// once into the CSR matrix both the engine and the /papers endpoint read.
+// Safe to call concurrently with serving. The scores are frozen once into
+// the CSR matrix the engine and the /papers endpoint read; the map is not
+// kept.
 func (s *Server) SetReady(sys *ctxsearch.System, cs *ctxsearch.ContextSet, scores ctxsearch.Scores) {
 	s.SetReadyFrozen(sys, cs, scores.Freeze())
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ctxsearch/internal/index"
 	"ctxsearch/internal/search"
 )
 
@@ -33,8 +32,8 @@ func TestGroupPartsGolden(t *testing.T) {
 	}
 }
 
-// TestRangeEngineParts: each sliced range engine matches an engine over the
-// reference index re-analysed for its range, and out-of-range indexes fail.
+// TestRangeEngineParts: each sliced range engine returns the reference
+// engine's ranking restricted to its range, and out-of-range indexes fail.
 func TestRangeEngineParts(t *testing.T) {
 	f := buildFixture(t)
 	const n = 3
@@ -43,12 +42,14 @@ func TestRangeEngineParts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rebuilt := search.NewEngineFrozen(index.BuildRangeWorkers(f.a, r.Lo, r.Hi, 1),
-			f.cs, f.matrix.Slice(r.Lo, r.Hi), search.DefaultWeights())
 		for _, q := range goldenQueries(f) {
-			got := sliced.Search(q, search.Options{Limit: 20})
-			want := rebuilt.Search(q, search.Options{Limit: 20})
-			diffResults(t, fmt.Sprintf("shard %d q=%q", i, q), got, want)
+			var want []search.Result
+			for _, res := range f.ref.Search(q, search.Options{}) {
+				if int(res.Doc) >= r.Lo && int(res.Doc) < r.Hi && len(want) < 20 {
+					want = append(want, res)
+				}
+			}
+			diffResults(t, fmt.Sprintf("shard %d q=%q", i, q), sliced.Search(q, search.Options{Limit: 20}), want)
 		}
 	}
 	if _, _, err := RangeEngineParts(f.a, f.parts, f.cs, f.matrix, search.DefaultWeights(), n, n); err == nil {

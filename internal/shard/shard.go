@@ -41,7 +41,6 @@ import (
 // ShardOptions and merge with MergePages, as the coordinator does.
 type Group struct {
 	engines []*search.Engine
-	ranges  []par.Shard
 }
 
 // Options is NewGroupParts' last parameter; it has no fields.
@@ -56,10 +55,7 @@ type Options struct{}
 // byte-identical. n is clamped to [1, corpus size].
 func NewGroupParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.ContextSet, m *prestige.Matrix, w search.Weights, n int, _ Options) (*Group, error) {
 	ranges := par.Shards(a.Corpus().Len(), n)
-	g := &Group{
-		engines: make([]*search.Engine, len(ranges)),
-		ranges:  ranges,
-	}
+	g := &Group{engines: make([]*search.Engine, len(ranges))}
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
 	for i := range ranges {
@@ -102,14 +98,11 @@ func RangeEngineParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.Con
 	if err != nil {
 		return nil, par.Shard{}, err
 	}
-	return search.NewEngineFrozen(ix, cs, m.Slice(r.Lo, r.Hi), w), r, nil
+	return search.NewEngine(ix, cs, m.Slice(r.Lo, r.Hi), w), r, nil
 }
 
 // NumShards returns the number of shards in the group.
 func (g *Group) NumShards() int { return len(g.engines) }
-
-// Ranges returns the per-shard paper-ID ranges.
-func (g *Group) Ranges() []par.Shard { return g.ranges }
 
 // Engine returns the i-th shard's engine.
 func (g *Group) Engine(i int) *search.Engine { return g.engines[i] }

@@ -41,7 +41,7 @@ func buildFixture(t testing.TB) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := index.Build(a)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
@@ -49,7 +49,7 @@ func buildFixture(t testing.TB) *fixture {
 	m := scores.Freeze()
 	cached = &fixture{
 		onto: o, c: c, a: a, parts: ix.Parts(), cs: cs, matrix: m,
-		ref: search.NewEngineFrozen(ix, cs, m, search.DefaultWeights()),
+		ref: search.NewEngine(ix, cs, m, search.DefaultWeights()),
 	}
 	return cached
 }
@@ -231,15 +231,17 @@ func TestGroupSelectContexts(t *testing.T) {
 	}
 }
 
-// TestGroupRangesPartition checks the shard split covers the corpus with
-// disjoint contiguous ranges.
+// TestGroupRangesPartition checks the ranges the n shard processes of a
+// cluster bind cover the corpus with disjoint contiguous ranges.
 func TestGroupRangesPartition(t *testing.T) {
 	f := buildFixture(t)
 	for _, n := range shardCounts {
-		g := newGroup(t, f, n, Options{})
-		ranges := g.Ranges()
 		next := 0
-		for _, r := range ranges {
+		for i := 0; i < n; i++ {
+			_, r, err := RangeEngineParts(f.a, f.parts, f.cs, f.matrix, search.DefaultWeights(), i, n)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if r.Lo != next || r.Hi <= r.Lo {
 				t.Fatalf("n=%d: bad range %+v (want Lo=%d)", n, r, next)
 			}

@@ -36,20 +36,6 @@ func Median(xs []float64) float64 {
 	return (c[n/2-1] + c[n/2]) / 2
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Histogram counts xs into n equal-width bins over [lo, hi]. Values at hi
 // fall into the last bin; values outside [lo, hi] are clamped.
 func Histogram(xs []float64, n int, lo, hi float64) []int {

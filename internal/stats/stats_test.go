@@ -28,15 +28,6 @@ func TestMeanMedian(t *testing.T) {
 	}
 }
 
-func TestStdDev(t *testing.T) {
-	if StdDev([]float64{5, 5, 5}) != 0 {
-		t.Error("constant slice must have SD 0")
-	}
-	if !almostEq(StdDev([]float64{2, 4}), 1) {
-		t.Errorf("SD = %v", StdDev([]float64{2, 4}))
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := Histogram([]float64{0, 0.05, 0.15, 0.95, 1.0, -1, 2}, 10, 0, 1)
 	want := []int{3, 1, 0, 0, 0, 0, 0, 0, 0, 3} // -1 clamps to bin 0; 1.0 and 2 to bin 9

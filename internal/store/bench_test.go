@@ -25,7 +25,7 @@ func benchState(b *testing.B) (*ontology.Ontology, *State) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := index.Build(a)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	return o, &State{

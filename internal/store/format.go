@@ -13,13 +13,13 @@ import (
 
 // The state format is a sectioned binary file built for memory-mapped,
 // zero-copy opens. The magic marks the container; the version field inside
-// the header counts revisions. The writer stamps 5; a version-4 file (an
-// older writer's) is the same container without the index's block-max
-// sections (17–20), which are optional on read, so one reader serves both:
+// the header counts revisions: Save stamps 5 and Open reads exactly that.
+// The index's block-max sections (17–20) are optional — Save omits them for
+// parts without tables, and FromParts recomputes the tables on bind:
 //
 //	header (24 bytes):
 //	  [8]byte  magic "CTXSRCH4"
-//	  uint32   version (5; 4 still opens)
+//	  uint32   version (5)
 //	  uint32   section count
 //	  uint32   CRC32-C of the section table bytes
 //	  uint32   reserved (0)
@@ -45,8 +45,7 @@ import (
 // sections, never faulting in the CSR payload pages.
 const (
 	magic       = "CTXSRCH4"
-	versionV4   = 4
-	versionV5   = 5
+	version     = 5
 	headerSize  = 24
 	secHdrSize  = 32
 	secAlign    = 64

@@ -126,11 +126,11 @@ func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, erro
 		return nil, fmt.Errorf("bad magic %q", data[:8])
 	}
 	ver := int(binary.LittleEndian.Uint32(data[8:]))
-	if ver > versionV5 {
+	if ver > version {
 		return nil, tooNewError(ver)
 	}
-	if ver != versionV4 && ver != versionV5 {
-		return nil, fmt.Errorf("state version %d is not supported (want %d or %d)", ver, versionV4, versionV5)
+	if ver < version {
+		return nil, tooOldError(ver)
 	}
 	count := binary.LittleEndian.Uint32(data[12:])
 	if count > maxSections {
@@ -188,7 +188,13 @@ func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, erro
 // tooNewError names the file's version and points at the fix, so serve
 // startup prints something actionable instead of a bare decode error.
 func tooNewError(ver int) error {
-	return fmt.Errorf("store: state file version %d is newer than this binary supports (≤ %d) — the file was built by a newer ctxsearch; upgrade this binary, or rebuild the state with this one", ver, versionV5)
+	return fmt.Errorf("store: state file version %d is newer than this binary supports (%d) — the file was built by a newer ctxsearch; upgrade this binary, or rebuild the state with this one", ver, version)
+}
+
+// tooOldError is tooNewError's counterpart for a version this binary no
+// longer reads.
+func tooOldError(ver int) error {
+	return fmt.Errorf("store: state file version %d is older than this binary reads (%d) — the file was built by an older ctxsearch; rebuild the state with `ctxsearch build -state …`", ver, version)
 }
 
 // sectionLocked returns a section's data, verifying its CRC on first
@@ -255,8 +261,8 @@ func dictRef(dict []ontology.TermID, r uint32) (ontology.TermID, error) {
 	return dict[r], nil
 }
 
-// parseMatrixDir reads the score-function directory (eager: it is tiny
-// and MatrixNames must work without faulting matrix payloads in).
+// parseMatrixDir reads the score-function directory (eager: it is tiny,
+// and Matrix must name what the file has without faulting payloads in).
 func (m *Mapped) parseMatrixDir() error {
 	b, err := m.needLocked(secMatrixDir)
 	if err != nil {
@@ -437,9 +443,9 @@ func (m *Mapped) IndexParts() (*index.Parts, error) {
 		MaxWeight: asF64s(maxW),
 		MaxRatio:  asF64s(maxR),
 	}
-	// Block-max sections (optional). A state without them — a version-4
-	// file, or one whose index carried no tables — leaves BlockOffsets nil
-	// and index.FromParts recomputes the tables on bind.
+	// Block-max sections (optional). A state without them — one whose index
+	// carried no tables — leaves BlockOffsets nil and index.FromParts
+	// recomputes the tables on bind.
 	bmeta, ok, err := m.sectionLocked(secIdxBlockMeta)
 	if err != nil {
 		return nil, err
@@ -503,13 +509,6 @@ func (m *Mapped) DF() (*vector.DF, error) {
 	return m.df, nil
 }
 
-// MatrixNames returns the persisted score-function names, sorted.
-func (m *Mapped) MatrixNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]string(nil), m.matNames...)
-}
-
 // Matrix materializes (once) one score function's prestige matrix over
 // its mapped CSR sections. Only the requested function's sections are
 // touched — a file carrying three score functions faults in one.
@@ -565,9 +564,6 @@ func (m *Mapped) Matrix(name string) (*prestige.Matrix, error) {
 // ZeroCopy reports whether the components alias a memory mapping (false
 // on the byte-copy path).
 func (m *Mapped) ZeroCopy() bool { return m.mapped }
-
-// MappedBytes returns the size of the open image.
-func (m *Mapped) MappedBytes() int { return len(m.data) }
 
 // Retain takes a reference for the duration of a request, guaranteeing
 // the mapping stays valid until the matching Release. It fails once Close

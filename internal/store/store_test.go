@@ -27,7 +27,7 @@ func fixtureWithIndex(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzer(c)
+	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := index.Build(a)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	return o, c, a, &State{
@@ -61,7 +61,7 @@ func materialize(m *Mapped) (*State, error) {
 	if st.DF, err = m.DF(); err != nil {
 		return nil, err
 	}
-	for _, name := range m.MatrixNames() {
+	for _, name := range m.matNames {
 		if st.Matrices[name], err = m.Matrix(name); err != nil {
 			return nil, err
 		}

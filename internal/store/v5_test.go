@@ -48,7 +48,7 @@ func TestV5BlockSections(t *testing.T) {
 		t.Fatal("fixture index carries no block tables")
 	}
 	img := v5Bytes(t, st)
-	if v := binary.LittleEndian.Uint32(img[8:]); v != versionV5 {
+	if v := binary.LittleEndian.Uint32(img[8:]); v != version {
 		t.Fatalf("image stamps version %d", v)
 	}
 	ids := sectionIDs(img)

@@ -35,14 +35,3 @@ func BenchmarkPorterStem(b *testing.B) {
 		_ = ps.Stem(words[i%len(words)])
 	}
 }
-
-func BenchmarkFindPhrases(b *testing.B) {
-	tok := NewTokenizer()
-	toks := tok.Terms(benchText)
-	phrases := []string{"rna polymerase ii", "transcription factor", "gene expression"}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = FindPhrases(toks, phrases)
-	}
-}

@@ -23,8 +23,3 @@ func ExamplePorterStemmer_Stem() {
 	// regulated → regul
 	// ontology → ontolog
 }
-
-func ExampleNGrams() {
-	fmt.Println(textproc.NGrams([]string{"rna", "polymerase", "ii"}, 2))
-	// Output: [rna polymerase polymerase ii]
-}

@@ -27,13 +27,3 @@ var stopwordSet = func() map[string]struct{} {
 	}
 	return m
 }()
-
-// Stopwords returns a copy of the built-in stopword set. Callers may mutate
-// the returned map freely.
-func Stopwords() map[string]struct{} {
-	m := make(map[string]struct{}, len(stopwordSet))
-	for w := range stopwordSet {
-		m[w] = struct{}{}
-	}
-	return m
-}

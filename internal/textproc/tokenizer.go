@@ -163,10 +163,3 @@ func appendWordsRunes(dst []string, text string) []string {
 	flush(n)
 	return dst
 }
-
-// IsStopword reports whether w (already lowercased) is in the built-in
-// English stopword list.
-func IsStopword(w string) bool {
-	_, ok := stopwordSet[w]
-	return ok
-}

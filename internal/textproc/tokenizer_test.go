@@ -78,23 +78,6 @@ func TestTokenizeEmptyAndPunctOnly(t *testing.T) {
 	}
 }
 
-func TestIsStopword(t *testing.T) {
-	if !IsStopword("the") {
-		t.Error("'the' should be a stopword")
-	}
-	if IsStopword("genome") {
-		t.Error("'genome' should not be a stopword")
-	}
-}
-
-func TestStopwordsReturnsCopy(t *testing.T) {
-	s := Stopwords()
-	delete(s, "the")
-	if !IsStopword("the") {
-		t.Fatal("mutating the returned copy affected the built-in set")
-	}
-}
-
 // Property: tokenization output never contains uppercase letters or empty
 // tokens, for arbitrary input.
 func TestTokenizeNormalisedProperty(t *testing.T) {

@@ -38,9 +38,6 @@ func New[T any](k int, worse func(a, b T) bool) *Heap[T] {
 // Len returns the number of retained items.
 func (h *Heap[T]) Len() int { return len(h.items) }
 
-// Cap returns the retention capacity k.
-func (h *Heap[T]) Cap() int { return h.k }
-
 // Full reports whether the heap holds k items — only then is Min a
 // meaningful pruning threshold.
 func (h *Heap[T]) Full() bool { return len(h.items) == h.k }

@@ -133,28 +133,6 @@ func CosineWithNorms(v, u Sparse, nv, nu float64) float64 {
 	return v.Dot(u) / (nv * nu)
 }
 
-// Jaccard returns |supp(v) ∩ supp(u)| / |supp(v) ∪ supp(u)| over the term
-// supports, ignoring weights; 0 when both are empty.
-func Jaccard(v, u Sparse) float64 {
-	if len(v) == 0 && len(u) == 0 {
-		return 0
-	}
-	if len(u) < len(v) {
-		v, u = u, v
-	}
-	inter := 0
-	for k := range v {
-		if _, ok := u[k]; ok {
-			inter++
-		}
-	}
-	union := len(v) + len(u) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
 // Centroid returns the arithmetic mean of the given vectors; nil if the
 // input is empty.
 func Centroid(vs []Sparse) Sparse {

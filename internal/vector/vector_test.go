@@ -46,20 +46,6 @@ func TestCosine(t *testing.T) {
 	}
 }
 
-func TestJaccard(t *testing.T) {
-	v := Sparse{"a": 1, "b": 9}
-	u := Sparse{"b": 1, "c": 1, "d": 1}
-	if got := Jaccard(v, u); !almostEq(got, 0.25) {
-		t.Errorf("Jaccard = %v", got)
-	}
-	if got := Jaccard(nil, nil); got != 0 {
-		t.Errorf("empty Jaccard = %v", got)
-	}
-	if got := Jaccard(v, v); !almostEq(got, 1) {
-		t.Errorf("self Jaccard = %v", got)
-	}
-}
-
 func TestCentroid(t *testing.T) {
 	c := Centroid([]Sparse{{"a": 2}, {"a": 4, "b": 2}})
 	if !almostEq(c["a"], 3) || !almostEq(c["b"], 1) {
@@ -121,8 +107,8 @@ func TestDFWeighting(t *testing.T) {
 	if df.Docs() != 3 {
 		t.Fatalf("Docs = %d", df.Docs())
 	}
-	if df.Freq("common") != 3 || df.Freq("rare") != 1 {
-		t.Fatalf("df: common=%d rare=%d", df.Freq("common"), df.Freq("rare"))
+	if df.df["common"] != 3 || df.df["rare"] != 1 {
+		t.Fatalf("df: common=%d rare=%d", df.df["common"], df.df["rare"])
 	}
 	if !(df.IDF("rare") > df.IDF("common")) {
 		t.Error("rare terms must have higher IDF")
