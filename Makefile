@@ -20,8 +20,12 @@ build:
 
 # -shuffle=on randomizes test order so inter-test state dependencies
 # (leaked goroutines, shared ports, package-level caches) can't hide.
+# internal/server runs -short, here and under race: its failure-policy
+# simulator (policy_sim_test.go) then keeps the one-backend schedules and a
+# sample of the rest, under 2 s; CI's cluster-finish job runs all of them.
 test:
-	$(GO) test -shuffle=on ./...
+	$(GO) test -shuffle=on $$($(GO) list ./... | grep -v /internal/server$$)
+	$(GO) test -shuffle=on -short ./internal/server/
 
 vet:
 	$(GO) vet ./...
@@ -34,7 +38,8 @@ unused-exports:
 # Every package: a hand-maintained list would silently miss new concurrent
 # packages (as it briefly did when internal/shard landed).
 race:
-	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -shuffle=on $$($(GO) list ./... | grep -v /internal/server$$)
+	$(GO) test -race -shuffle=on -short ./internal/server/
 
 # Black-box smoke test of the serve command: boots the real binary, waits
 # for readiness, exercises the HTTP API with curl, and checks that SIGTERM

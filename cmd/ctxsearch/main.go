@@ -92,10 +92,12 @@
 //	-max-retries N        retries per failed range call, each preferring a
 //	                      replica not yet tried (default 2; 0 disables)
 //	-retry-budget N       retry token bucket capacity; retries across ALL
-//	                      requests are bounded by capacity + requests*ratio,
-//	                      so retry storms cannot multiply overload
+//	                      requests are bounded by capacity + range calls*ratio
+//	                      (a page makes one range call per range), so retry
+//	                      storms cannot multiply overload
 //	                      (default 10; <=0 unbounded)
-//	-retry-ratio R        tokens deposited per request (default 0.1)
+//	-retry-ratio R        tokens deposited per range call's first attempt
+//	                      (default 0.1)
 //	-hedge-after D        race a second replica when the first is slower
 //	                      than D, first success wins (default 0 = off)
 //	-breaker-threshold N  consecutive failures that trip a replica's
@@ -171,7 +173,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	allowPartial := fs.Bool("allow-partial", false, "coordinator: serve degraded pages flagged partial instead of 503 on shard failure")
 	maxRetries := fs.Int("max-retries", server.DefaultMaxRetries, "coordinator: retries per failed range call, preferring untried replicas (0 disables)")
 	retryBudget := fs.Float64("retry-budget", resilience.DefaultBudgetCapacity, "coordinator: retry token bucket capacity bounding total retry amplification (<=0 unbounded)")
-	retryRatio := fs.Float64("retry-ratio", resilience.DefaultBudgetRatio, "coordinator: retry tokens deposited per request (steady-state retry fraction)")
+	retryRatio := fs.Float64("retry-ratio", resilience.DefaultBudgetRatio, "coordinator: retry tokens deposited per range call's first attempt (steady-state retry fraction)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "coordinator: hedge a slow range call to a second replica after this delay (0 disables)")
 	breakerThreshold := fs.Int("breaker-threshold", resilience.DefaultFailureThreshold, "coordinator: consecutive failures tripping a replica's circuit breaker")
 	breakerCooldown := fs.Duration("breaker-cooldown", resilience.DefaultCooldown, "coordinator: how long an open breaker rejects before a half-open probe")

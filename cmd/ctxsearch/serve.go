@@ -41,38 +41,34 @@ type serveOpts struct {
 	breakerCooldown, probeInterval time.Duration
 }
 
+// orOff maps a flag's "<= 0 disables" onto Config's and ShardConfig's
+// "negative disables" (their zero means the default).
+func orOff[T int | float64 | time.Duration](v T) T {
+	if v <= 0 {
+		return -1
+	}
+	return v
+}
+
 // serveCmd runs the hardened HTTP server: the port binds immediately with a
 // pending server (liveness up, readiness 503), the state is opened or
 // built in the background (load) and swapped in, and SIGINT/SIGTERM
 // (or ctx cancellation) trigger a graceful drain. A failed build shuts the
 // server down and surfaces the build error.
 func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
-	qt := o.queryTimeout
-	if qt <= 0 {
-		qt = -1 // flag "disabled" → Config "no deadline"
-	}
-	mi := o.maxInflight
-	if mi <= 0 {
-		mi = -1
-	}
-	ce := o.cacheEntries
-	if ce <= 0 {
-		ce = -1 // flag "disabled" → Config "caching off"
-	}
-	ct := o.cacheTTL
-	if ct <= 0 {
-		ct = -1 // flag "no expiry" → Config "no TTL"
-	}
 	scfg := server.Config{
-		QueryTimeout: qt,
-		MaxInflight:  mi,
-		CacheEntries: ce,
-		CacheTTL:     ct,
+		QueryTimeout: orOff(o.queryTimeout),
+		MaxInflight:  orOff(o.maxInflight),
+		CacheEntries: orOff(o.cacheEntries),
+		CacheTTL:     orOff(o.cacheTTL),
 		Logger:       log.New(os.Stderr, "ctxsearch: ", log.LstdFlags),
 	}
-	st := o.shardTimeout
-	if st <= 0 {
-		st = -1 // flag "disabled" → ShardConfig "no per-shard deadline"
+	run := server.RunConfig{
+		ReadTimeout:     o.readTimeout,
+		WriteTimeout:    o.writeTimeout,
+		IdleTimeout:     o.idleTimeout,
+		ShutdownTimeout: o.shutdownTimeout,
+		OnListen:        func(a net.Addr) { fmt.Fprintf(out, "listening on %s\n", a) },
 	}
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -112,38 +108,20 @@ func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
 		if len(urls) == 0 {
 			return fmt.Errorf("serve: -shard-urls has no URLs")
 		}
-		mr := o.maxRetries
-		if mr <= 0 {
-			mr = -1 // flag "disabled" → ShardConfig "no retries"
-		}
-		rb := o.retryBudget
-		if rb <= 0 {
-			rb = -1 // flag "unbounded" → ShardConfig "no budget"
-		}
-		pi := o.probeInterval
-		if pi <= 0 {
-			pi = -1 // flag "disabled" → ShardConfig "no prober"
-		}
 		coord := server.NewCoordinator(urls, scfg, server.ShardConfig{
-			ShardTimeout:     st,
+			ShardTimeout:     orOff(o.shardTimeout),
 			AllowPartial:     o.allowPartial,
-			MaxRetries:       mr,
-			RetryBudget:      rb,
+			MaxRetries:       orOff(o.maxRetries),
+			RetryBudget:      orOff(o.retryBudget),
 			RetryRatio:       o.retryRatio,
 			HedgeAfter:       o.hedgeAfter,
 			BreakerThreshold: o.breakerThreshold,
 			BreakerCooldown:  o.breakerCooldown,
-			ProbeInterval:    pi,
+			ProbeInterval:    orOff(o.probeInterval),
 		})
 		defer coord.Close()
 		fmt.Fprintf(out, "coordinating %d shards (%d replicas)\n", coord.NumShards(), coord.NumBackends())
-		return server.Run(ctx, o.addr, coord, server.RunConfig{
-			ReadTimeout:     o.readTimeout,
-			WriteTimeout:    o.writeTimeout,
-			IdleTimeout:     o.idleTimeout,
-			ShutdownTimeout: o.shutdownTimeout,
-			OnListen:        func(a net.Addr) { fmt.Fprintf(out, "listening on %s\n", a) },
-		})
+		return server.Run(ctx, o.addr, coord, run)
 	}
 
 	srv := server.NewPending(scfg)
@@ -157,13 +135,7 @@ func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
 		}
 		buildErr <- nil
 	}()
-	err := server.Run(ctx, o.addr, srv, server.RunConfig{
-		ReadTimeout:     o.readTimeout,
-		WriteTimeout:    o.writeTimeout,
-		IdleTimeout:     o.idleTimeout,
-		ShutdownTimeout: o.shutdownTimeout,
-		OnListen:        func(a net.Addr) { fmt.Fprintf(out, "listening on %s\n", a) },
-	})
+	err := server.Run(ctx, o.addr, srv, run)
 	select {
 	case berr := <-buildErr:
 		if berr != nil {

@@ -78,9 +78,9 @@ func TestFrozenBooleanServesWithoutAnalysis(t *testing.T) {
 	fsys, mcs, mmat := freshFrozenSystem(t)
 	eagerEng, frozenEng := sys.EngineFrozen(cs, m), fsys.EngineFrozen(mcs, mmat)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 	srv := NewPending(Config{})
-	srv.SetReadySharded(fsys, mcs, mmat, frozenEng)
+	srv.SetReadyMapped(fsys, mcs, mmat, frozenEng, nil)
 
 	exprs := booleanExprs(t)
 	if len(exprs) < 20 {
@@ -125,7 +125,7 @@ func TestFrozenBooleanServesWithoutAnalysis(t *testing.T) {
 	}
 	// A newly installed generation starts with an empty token table.
 	fsys2, mcs2, mmat2 := freshFrozenSystem(t)
-	srv.SetReadySharded(fsys2, mcs2, mmat2, fsys2.EngineFrozen(mcs2, mmat2))
+	srv.SetReadyMapped(fsys2, mcs2, mmat2, fsys2.EngineFrozen(mcs2, mmat2), nil)
 	if st := statsOf(t, srv); st.AnalyzedPapers != 0 || st.TokenTablePapers != 0 {
 		t.Fatalf("post-swap /stats: analyzed_papers %d, token_table_papers %d, want 0 and 0", st.AnalyzedPapers, st.TokenTablePapers)
 	}

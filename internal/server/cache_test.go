@@ -17,7 +17,7 @@ import (
 func freshServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	sys, cs, scores, query := testState(t)
-	return NewWithConfig(sys, cs, scores, cfg), query
+	return NewPending(cfg).install(sys, cs, scores.Freeze()), query
 }
 
 func cacheStats(t *testing.T, s *Server) StatsResponse {
@@ -108,18 +108,18 @@ func TestSearchDefaultLimit(t *testing.T) {
 	}
 }
 
-// TestSearchCacheInvalidatedOnSwap asserts an engine swap (SetReadyFrozen)
+// TestSearchCacheInvalidatedOnSwap asserts an engine swap (SetReadyMapped)
 // drops every cached response: the next identical request recomputes.
 func TestSearchCacheInvalidatedOnSwap(t *testing.T) {
 	sys, cs, scores, query := testState(t)
-	s := NewWithConfig(sys, cs, scores, Config{})
+	s := NewPending(Config{}).install(sys, cs, scores.Freeze())
 	path := "/search?q=" + urlQuery(query) + "&limit=5"
 	first := get(t, s, path)
 	if first.Code != 200 {
 		t.Fatalf("search = %d", first.Code)
 	}
 	get(t, s, path) // warm hit
-	s.SetReadyFrozen(sys, cs, scores.Freeze())
+	s.install(sys, cs, scores.Freeze())
 	after := get(t, s, path)
 	if after.Code != 200 || after.Body.String() != first.Body.String() {
 		t.Fatal("post-swap response differs for identical state")

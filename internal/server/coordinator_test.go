@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,7 +36,7 @@ func frozenMatrix(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxs
 
 // sliceGroup partitions an in-process-built system into n shard engines by
 // slicing its own postings.
-func sliceGroup(t *testing.T, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, n int) *shard.Group {
+func sliceGroup(t testing.TB, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, n int) *shard.Group {
 	t.Helper()
 	g, err := shard.NewGroupParts(sys.Analyzer(), sys.Index().Parts(), cs, m, sys.Config().Relevancy, n, shard.Options{})
 	if err != nil {
@@ -55,7 +55,7 @@ func shardCluster(t *testing.T, n int, scfg ShardConfig) (*Coordinator, []*httpt
 	var urls []string
 	for i := 0; i < g.NumShards(); i++ {
 		srv := NewPending(Config{})
-		srv.SetReadySharded(sys, cs, m, g.Engine(i))
+		srv.SetReadyMapped(sys, cs, m, g.Engine(i), nil)
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
 		backends = append(backends, ts)
@@ -105,7 +105,7 @@ func coordQueries(t *testing.T) []string {
 func TestCoordinatorGoldenEquality(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 	queries := coordQueries(t)
 	clusters := map[string]*Coordinator{"2x2 replicas": replicatedCluster(t, 2, nil, fastResilience())}
 	for _, n := range []int{1, 2, 3, 5} {
@@ -150,7 +150,7 @@ func TestCoordinatorGoldenEquality(t *testing.T) {
 func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 	coord, _ := shardCluster(t, 2, ShardConfig{})
 	for _, path := range []string{
 		"/search?q=" + urlQuery(query) + "&limit=10&offset=5000",
@@ -194,7 +194,7 @@ func wrappedCluster(t *testing.T, nRanges int, ranges []int, wrap func(i int, sr
 	urls := make([]string, g.NumShards())
 	for i, ri := range ranges {
 		srv := NewPending(Config{})
-		srv.SetReadySharded(sys, cs, m, g.Engine(ri))
+		srv.SetReadyMapped(sys, cs, m, g.Engine(ri), nil)
 		h := wrap(i, srv)
 		ts := httptest.NewServer(h)
 		t.Cleanup(ts.Close)
@@ -269,7 +269,7 @@ func partialPage(t *testing.T, ref *Server, query string, offset, limit int, kee
 func TestCoordinatorFinishFailover(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 	queries := coordQueries(t)
 	fail := func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "finish down", http.StatusInternalServerError)
@@ -445,78 +445,6 @@ func TestCoordinatorExchangesPerPage(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsUnfinishedPage: a 200 to a finishing call that is not
-// a finished page — the row-count header missing, or a shard of the previous
-// protocol that ignores "finish" and answers its rows — is that backend's
-// failure: retried on a sibling if there is one, else a 503, and never relayed
-// or cached as a page.
-func TestCoordinatorRejectsUnfinishedPage(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
-	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
-	path := "/search?q=" + urlQuery(query) + "&limit=10"
-	// headerless relays the backend's answer without the header.
-	headerless := func(srv http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, r)
-			w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
-			w.WriteHeader(rec.Code)
-			_, _ = w.Write(rec.Body.Bytes())
-		})
-	}
-	// old drops "finish" from the request, as a decoder that ignores unknown
-	// fields did, and so answers rows.
-	old := func(srv http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			var req ShardSearchRequest
-			if r.URL.Path == "/shard/search" && json.NewDecoder(r.Body).Decode(&req) == nil {
-				req.Finish = nil
-				body, _ := json.Marshal(req)
-				r.Body = io.NopCloser(bytes.NewReader(body))
-			}
-			srv.ServeHTTP(w, r)
-		})
-	}
-	scfg := fastResilience()
-	scfg.BreakerThreshold = 1000
-	for name, skew := range map[string]func(http.Handler) http.Handler{"no header": headerless, "old shard": old} {
-		// Every backend skewed: no page, nothing cached, and the failures
-		// are on the backends' account.
-		coord := wrappedCluster(t, 2, []int{0, 1}, func(_ int, srv http.Handler) http.Handler { return skew(srv) }, Config{}, scfg)
-		for k := 0; k < 2; k++ {
-			rec := coordGet(t, coord, path)
-			if rec.Code != http.StatusServiceUnavailable || strings.Contains(rec.Body.String(), "results") {
-				t.Fatalf("%s, request %d = %d, want 503 and no rows: %s", name, k, rec.Code, rec.Body)
-			}
-		}
-		snap := coord.Metrics().Snapshot()
-		if cst := coord.cache.Stats(); cst.Entries != 0 || cst.Hits != 0 || snap.RowsServed != 0 {
-			t.Fatalf("%s: cache %+v, %d rows served", name, cst, snap.RowsServed)
-		}
-		if snap.Replicas[0].Errors+snap.Replicas[1].Errors == 0 || snap.Retries == 0 {
-			t.Fatalf("%s: not counted as a backend failure and retried: %+v", name, snap)
-		}
-
-		// One skewed replica beside a current one: every page is exact.
-		coord = wrappedCluster(t, 1, []int{0, 0}, func(i int, srv http.Handler) http.Handler {
-			if i == 0 {
-				return skew(srv)
-			}
-			return srv
-		}, Config{CacheEntries: -1}, scfg)
-		want := get(t, ref, path)
-		for k := 0; k < 4; k++ {
-			if rec := coordGet(t, coord, path); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
-				t.Fatalf("%s beside a current replica, request %d (%d): %s", name, k, rec.Code, rec.Body)
-			}
-		}
-		if snap := coord.Metrics().Snapshot(); snap.Failovers == 0 {
-			t.Fatalf("%s: the skewed replica was never tried: %+v", name, snap)
-		}
-	}
-}
-
 // TestCoordinatorFinisherOutsidePage: pages that hold none of the finisher's
 // own rows — all of them rank before the offset, or all after the page —
 // are still the single server's: the finisher's rows count towards the
@@ -524,7 +452,7 @@ func TestCoordinatorRejectsUnfinishedPage(t *testing.T) {
 func TestCoordinatorFinisherOutsidePage(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 	ranges := par.Shards(sys.Corpus.Len(), 2)
 	coord := wrappedCluster(t, 2, []int{0, 1}, func(_ int, srv http.Handler) http.Handler { return srv }, Config{CacheEntries: -1}, ShardConfig{})
 	before, after := 0, 0
@@ -581,7 +509,7 @@ func TestCoordinatorReusesConnections(t *testing.T) {
 	var urls []string
 	for i := 0; i < g.NumShards(); i++ {
 		srv := NewPending(Config{})
-		srv.SetReadySharded(sys, cs, m, g.Engine(i))
+		srv.SetReadyMapped(sys, cs, m, g.Engine(i), nil)
 		ts := httptest.NewUnstartedServer(srv)
 		ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
 			if st == http.StateNew {
@@ -727,48 +655,6 @@ func TestCoordinatorHangingShard(t *testing.T) {
 	}
 }
 
-// TestCoordinatorFansOutPastGOMAXPROCS: the rows calls of one page are all
-// in flight at once, however few CPUs the coordinator has — they wait on the
-// network, not on a core. Every range holds its rows call until all three
-// have arrived; a fan-out capped at GOMAXPROCS(1) never gets there and the
-// page is a 503.
-func TestCoordinatorFansOutPastGOMAXPROCS(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-
-	const ranges = 4
-	var arrived atomic.Int32
-	all := make(chan struct{})
-	barrier := func(_ int, srv http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/shard/search" && !finishing(r) {
-				switch n := arrived.Add(1); {
-				case n == ranges-1:
-					close(all)
-				case n < ranges-1:
-					select {
-					case <-all:
-					case <-r.Context().Done():
-						return
-					}
-				}
-			}
-			srv.ServeHTTP(w, r)
-		})
-	}
-	coord := wrappedCluster(t, ranges, []int{0, 1, 2, 3}, barrier, Config{},
-		ShardConfig{ShardTimeout: 500 * time.Millisecond, MaxRetries: -1})
-
-	sys, cs, m, query := frozenMatrix(t)
-	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
-	path := "/search?q=" + urlQuery(query) + "&limit=5"
-	want, got := get(t, ref, path), coordGet(t, coord, path)
-	if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-		t.Fatalf("page through the barrier = %d %s\nsingle server: %s", got.Code, got.Body, want.Body)
-	}
-}
-
 // TestCoordinatorPartial: with AllowPartial, a failing shard degrades the
 // page (200, "partial": true, healthy shards' rows only) instead of failing
 // it; the degraded body is never cached, so a recovered shard immediately
@@ -778,13 +664,13 @@ func TestCoordinatorPartial(t *testing.T) {
 	g := sliceGroup(t, sys, cs, m, 2)
 
 	srv0 := NewPending(Config{})
-	srv0.SetReadySharded(sys, cs, m, g.Engine(0))
+	srv0.SetReadyMapped(sys, cs, m, g.Engine(0), nil)
 	ts0 := httptest.NewServer(srv0)
 	t.Cleanup(ts0.Close)
 
 	// Shard 1 fails its first /shard/search with a 500, then recovers.
 	srv1 := NewPending(Config{})
-	srv1.SetReadySharded(sys, cs, m, g.Engine(1))
+	srv1.SetReadyMapped(sys, cs, m, g.Engine(1), nil)
 	var failures atomic.Int64
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/shard/") && failures.Add(1) == 1 {
@@ -800,7 +686,7 @@ func TestCoordinatorPartial(t *testing.T) {
 	coord := NewCoordinator([]string{ts0.URL, flaky.URL}, Config{}, ShardConfig{AllowPartial: true, MaxRetries: -1})
 	t.Cleanup(coord.Close)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 	path := "/search?q=" + urlQuery(query) + "&limit=10"
 
 	rec := coordGet(t, coord, path)
@@ -868,7 +754,7 @@ func TestCoordinatorProxyEndpoints(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	coord, _ := shardCluster(t, 3, ShardConfig{})
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 
 	for _, path := range []string{"/papers/0", "/papers/5", "/contexts?q=" + urlQuery(query), "/papers/999999"} {
 		want := get(t, ref, path)
@@ -912,7 +798,7 @@ func TestCoordinatorReadyz(t *testing.T) {
 	g := sliceGroup(t, sys, cs, m, 2)
 
 	ready := NewPending(Config{})
-	ready.SetReadySharded(sys, cs, m, g.Engine(0))
+	ready.SetReadyMapped(sys, cs, m, g.Engine(0), nil)
 	tsReady := httptest.NewServer(ready)
 	t.Cleanup(tsReady.Close)
 
@@ -928,7 +814,7 @@ func TestCoordinatorReadyz(t *testing.T) {
 	if rec := coordGet(t, coord, "/healthz"); rec.Code != 200 {
 		t.Fatalf("healthz = %d", rec.Code)
 	}
-	pending.SetReadySharded(sys, cs, m, g.Engine(1))
+	pending.SetReadyMapped(sys, cs, m, g.Engine(1), nil)
 	if rec := coordGet(t, coord, "/readyz"); rec.Code != 200 {
 		t.Fatalf("readyz with all shards ready = %d: %s", rec.Code, rec.Body)
 	}
@@ -939,7 +825,7 @@ func TestCoordinatorReadyz(t *testing.T) {
 func TestShardSearchEndpoint(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	srv := NewPending(Config{})
-	srv.SetReadyFrozen(sys, cs, m)
+	srv.install(sys, cs, m)
 
 	post := func(body string) *httptest.ResponseRecorder {
 		req := httptest.NewRequest("POST", "/shard/search", strings.NewReader(body))
@@ -1020,5 +906,68 @@ func TestShardSearchEndpoint(t *testing.T) {
 		if rec := post(fmt.Sprintf(`{"q":%q,"limit":5,"finish":%s}`, query, fin)); rec.Code != 400 {
 			t.Fatalf("finish %s = %d, want 400: %s", fin, rec.Code, rec.Body)
 		}
+	}
+}
+
+// TestCoordinatorProxyStallIsATimeout: the proxied endpoints go through the
+// one exchange and the one verdict /search uses, over the real transport. A
+// backend that sends its header and then stalls /papers/1 past ShardTimeout
+// is a timeout of that replica, not an error, and a proxied request the
+// client abandons is a request that says nothing about the replica.
+func TestCoordinatorProxyStallIsATimeout(t *testing.T) {
+	sys, cs, m, _ := frozenMatrix(t)
+	srv := NewPending(Config{}).install(sys, cs, m)
+	stop := make(chan struct{})
+	stalled := make(chan struct{}, 2)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/papers/1" {
+			srv.ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		stalled <- struct{}{}
+		select {
+		case <-r.Context().Done():
+		case <-stop:
+		}
+	}))
+	t.Cleanup(func() {
+		close(stop)
+		ts.Close()
+	})
+	coord := NewCoordinator([]string{ts.URL}, Config{}, ShardConfig{ShardTimeout: 100 * time.Millisecond, ProbeInterval: -1})
+	t.Cleanup(coord.Close)
+
+	if rec := coordGet(t, coord, "/papers/1"); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("stalled /papers/1 = %d, want 503: %s", rec.Code, rec.Body)
+	}
+	<-stalled
+	replica := func() shard.ReplicaStat {
+		t.Helper()
+		var st StatsResponse
+		if rec := coordGet(t, coord, "/stats"); rec.Code != 200 || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
+			t.Fatalf("/stats = %d: %s", rec.Code, rec.Body)
+		}
+		return st.Sharding.Replicas[0]
+	}
+	if rs := replica(); rs.Timeouts != 1 || rs.Errors != 0 {
+		t.Fatalf("after one stalled body: %+v, want timeouts 1, errors 0", rs)
+	}
+
+	// The client leaves while the body stalls.
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		coord.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/papers/1", nil).WithContext(ctx))
+	}()
+	<-stalled
+	before := coord.Metrics().Snapshot().Replicas[0].Requests
+	cancel()
+	<-done
+	if rs := replica(); rs.Requests != before+2 || rs.Timeouts != 1 || rs.Errors != 0 || rs.State != "closed" {
+		t.Fatalf("after an abandoned proxied request: %+v, want %d requests (it, and this /stats), timeouts 1, errors 0, breaker closed", rs, before+2)
 	}
 }

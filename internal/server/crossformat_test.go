@@ -23,7 +23,7 @@ import (
 func TestCrossFormatGolden(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 
 	st := &store.State{
 		ContextSet: cs,
@@ -74,7 +74,7 @@ func TestCrossFormatGolden(t *testing.T) {
 
 			// Single engine.
 			single := NewPending(Config{})
-			single.SetReadySharded(fsys, mcs, mmat, fsys.EngineFrozen(mcs, mmat))
+			single.SetReadyMapped(fsys, mcs, mmat, fsys.EngineFrozen(mcs, mmat), nil)
 			for qi, q := range coordQueries(t) {
 				for trial := 0; trial < 4; trial++ {
 					sameAnswer(t, fmt.Sprintf("single query %d trial %d", qi, trial), "/search?"+mappedParams(q, rng), ref, single)
@@ -93,7 +93,7 @@ func TestCrossFormatGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				srv := NewPending(Config{})
-				srv.SetReadySharded(fsys, mcs, mmat, eng)
+				srv.SetReadyMapped(fsys, mcs, mmat, eng, nil)
 				ts := httptest.NewServer(srv)
 				t.Cleanup(ts.Close)
 				urls = append(urls, ts.URL)

@@ -21,7 +21,7 @@ import (
 func faultServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	sys, cs, scores, query := testState(t)
-	return NewWithConfig(sys, cs, scores, cfg), query
+	return NewPending(cfg).install(sys, cs, scores.Freeze()), query
 }
 
 // TestTimeoutReturns503: a query slower than QueryTimeout gets a 503 with a
@@ -133,7 +133,7 @@ func TestPanicDoesNotKillServer(t *testing.T) {
 }
 
 // TestReadyzLifecycle: a pending server is alive but not ready — API calls
-// and /readyz answer 503 — and flips atomically to ready on SetReady.
+// and /readyz answer 503 — and flips atomically to ready on SetReadyMapped.
 func TestReadyzLifecycle(t *testing.T) {
 	sys, cs, scores, query := testState(t)
 	s := NewPending(Config{})
@@ -148,7 +148,7 @@ func TestReadyzLifecycle(t *testing.T) {
 			t.Fatalf("pending %s = %d, want 503", path, rec.Code)
 		}
 	}
-	s.SetReady(sys, cs, scores)
+	s.install(sys, cs, scores.Freeze())
 	if rec := get(t, s, "/readyz"); rec.Code != 200 {
 		t.Fatalf("ready readyz = %d", rec.Code)
 	}

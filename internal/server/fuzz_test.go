@@ -64,7 +64,7 @@ func fuzzServer(f *testing.F) (*Server, *panicLog) {
 	sys, cs, m, _ := frozenMatrix(f)
 	panics := &panicLog{}
 	srv := NewPending(Config{QueryTimeout: -1, Logger: log.New(panics, "", 0)})
-	srv.SetReadyFrozen(sys, cs, m)
+	srv.install(sys, cs, m)
 	return srv, panics
 }
 

@@ -96,7 +96,7 @@ func TestMappedGoldenEquality(t *testing.T) {
 	fsys, mcs, mmat, _, mapped := mappedState(t)
 
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 	mappedSrv := NewPending(Config{})
 	mappedSrv.SetReadyMapped(fsys, mcs, mmat, fsys.EngineFrozen(mcs, mmat), mapped)
 
@@ -136,7 +136,7 @@ func TestMappedCoordinatorGolden(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	fsys, mcs, mmat, parts, mapped := mappedState(t)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 
 	const n = 3
 	var urls []string
@@ -196,7 +196,7 @@ func TestMappedStats(t *testing.T) {
 	}
 
 	plain := NewPending(Config{})
-	plain.SetReadyFrozen(sys, cs, m)
+	plain.install(sys, cs, m)
 	var pst StatsResponse
 	if err := json.Unmarshal(get(t, plain, "/stats").Body.Bytes(), &pst); err != nil {
 		t.Fatal(err)

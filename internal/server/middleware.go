@@ -2,6 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"runtime/debug"
@@ -11,8 +14,55 @@ import (
 
 // The middleware stack is shared by the single-engine Server and the
 // scatter-gather Coordinator: package-level wrappers parameterised on the
-// logger / semaphore / deadline they need, composed by each handler's
-// constructor.
+// logger / semaphore / deadline they need, composed by newFront.
+
+// newFront registers /healthz on mux and wraps it in the production stack:
+// API requests are shed past Config.MaxInflight and run under
+// Config.QueryTimeout; /healthz and /readyz bypass both (probes must answer
+// while the API is saturated); recovery and logging wrap everything. It
+// returns the handler and the logger it resolved (nil = discard).
+func newFront(cfg Config, mux *http.ServeMux) (http.Handler, *log.Logger) {
+	logger := cfg.Logger
+	if logger == nil {
+		logger = log.New(io.Discard, "", 0)
+	}
+	var inflight chan struct{}
+	if n := cfg.maxInflight(); n > 0 {
+		inflight = make(chan struct{}, n)
+	}
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprintln(w, "ok")
+	})
+	api := withShedding(inflight, retryAfterSecs(cfg.queryTimeout()), withTimeout(cfg.queryTimeout(), mux))
+	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz", "/readyz":
+			mux.ServeHTTP(w, r)
+		default:
+			api.ServeHTTP(w, r)
+		}
+	})
+	return withLogging(logger, withRecovery(logger, root)), logger
+}
+
+// writeCtxErr answers a request whose context ended, reporting whether err
+// was that: an expired deadline is a 503 with a Retry-After derived from the
+// deadline (the request was accepted but could not be answered in time), a
+// client cancellation gets no response at all (the peer is gone), only a log
+// line.
+func writeCtxErr(w http.ResponseWriter, r *http.Request, logger *log.Logger, deadline time.Duration, err error) bool {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		w.Header().Set("Retry-After", retryAfterSecs(deadline))
+		writeErr(w, http.StatusServiceUnavailable, "query deadline exceeded")
+	case errors.Is(err, context.Canceled):
+		logger.Printf("client abandoned %s %s", r.Method, r.URL.Path)
+	default:
+		return false
+	}
+	return true
+}
 
 // statusRecorder captures the status code and whether anything was written,
 // for request logging and for recovery's "can I still write a 500?" check.

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -42,7 +41,7 @@ func replicatedCluster(t *testing.T, nRanges int, scripts []faultproxy.Script, s
 	var urls []string
 	for ri := 0; ri < g.NumShards(); ri++ {
 		srv := NewPending(Config{})
-		srv.SetReadySharded(sys, cs, m, g.Engine(ri))
+		srv.SetReadyMapped(sys, cs, m, g.Engine(ri), nil)
 		a := httptest.NewServer(srv)
 		t.Cleanup(a.Close)
 		b := httptest.NewServer(srv)
@@ -72,7 +71,7 @@ func replicatedCluster(t *testing.T, nRanges int, scripts []faultproxy.Script, s
 func TestReplicatedGoldenUnderFaults(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 
 	always := func(f faultproxy.Fault) faultproxy.Script {
 		return func(i int, r *http.Request) faultproxy.Fault {
@@ -127,56 +126,6 @@ func TestReplicatedGoldenUnderFaults(t *testing.T) {
 		if snap.Shards[ri].Errors+snap.Shards[ri].Timeouts != 0 {
 			t.Fatalf("range %d recorded a range-level failure — every call must be rescued: %+v", ri, snap)
 		}
-	}
-}
-
-// TestRetryStormBounded: during a total outage, upstream attempts are
-// bounded by the retry budget — R requests generate at most
-// R + capacity + R·ratio shard requests, no matter how high MaxRetries is
-// cranked.
-func TestRetryStormBounded(t *testing.T) {
-	_, _, _, query := frozenMatrix(t)
-	var upstream atomic.Int64
-	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/shard/search" {
-			upstream.Add(1)
-		}
-		http.Error(w, "down", http.StatusInternalServerError)
-	}))
-	t.Cleanup(down.Close)
-
-	const capacity, ratio, requests = 3.0, 0.5, 20
-	coord := NewCoordinator([]string{down.URL}, Config{CacheEntries: -1}, ShardConfig{
-		MaxRetries:       10, // far above what the budget will cover
-		RetryBudget:      capacity,
-		RetryRatio:       ratio,
-		BreakerThreshold: 1000, // the breaker must not mask the budget
-		ProbeInterval:    -1,
-		Backoff:          resilience.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond, Jitter: -1},
-	})
-	t.Cleanup(coord.Close)
-
-	for i := 0; i < requests; i++ {
-		// Distinct queries so nothing coalesces.
-		rec := coordGet(t, coord, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(query), 1+i))
-		if rec.Code != http.StatusServiceUnavailable {
-			t.Fatalf("request %d against a dead backend = %d, want 503", i, rec.Code)
-		}
-	}
-
-	bound := int64(requests + capacity + requests*ratio)
-	if got := upstream.Load(); got > bound {
-		t.Fatalf("%d client requests caused %d upstream attempts, budget bound is %d", requests, got, bound)
-	}
-	if got := upstream.Load(); got <= requests {
-		t.Fatalf("only %d upstream attempts for %d requests — retries never fired, the bound is vacuous", got, requests)
-	}
-	snap := coord.Metrics().Snapshot()
-	if snap.RetriesDenied == 0 {
-		t.Fatalf("budget never denied a retry under a %d-request storm: %+v", requests, snap)
-	}
-	if snap.Retries == 0 || snap.Retries > uint64(bound-requests) {
-		t.Fatalf("retries = %d, want in (0, %d]", snap.Retries, bound-requests)
 	}
 }
 
@@ -237,7 +186,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 func TestHedgeWins(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 	queries := coordQueries(t)
 
 	scfg := fastResilience()
@@ -280,14 +229,14 @@ func TestHedgeWins(t *testing.T) {
 func TestChaosReplicaKill(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	ref := NewPending(Config{})
-	ref.SetReadyFrozen(sys, cs, m)
+	ref.install(sys, cs, m)
 	g := sliceGroup(t, sys, cs, m, 2)
 
 	var urls []string
 	var killable []*httptest.Server
 	for ri := 0; ri < g.NumShards(); ri++ {
 		srv := NewPending(Config{})
-		srv.SetReadySharded(sys, cs, m, g.Engine(ri))
+		srv.SetReadyMapped(sys, cs, m, g.Engine(ri), nil)
 		a := httptest.NewServer(srv)
 		killable = append(killable, a) // closed mid-test
 		b := httptest.NewServer(srv)

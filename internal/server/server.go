@@ -160,12 +160,11 @@ func (b *backend) release() {
 // Server wires the search engine into an http.Handler behind the
 // middleware stack.
 type Server struct {
-	cfg      Config
-	logger   *log.Logger
-	mux      *http.ServeMux
-	handler  http.Handler
-	inflight chan struct{}
-	backend  atomic.Pointer[backend]
+	cfg     Config
+	logger  *log.Logger
+	mux     *http.ServeMux
+	handler http.Handler
+	backend atomic.Pointer[backend]
 	// coldStart is the boot duration (nanoseconds) reported by /stats —
 	// recorded by the deployment via SetColdStart when readiness flips.
 	coldStart atomic.Int64
@@ -181,88 +180,40 @@ type Server struct {
 	testHook func(ctx context.Context)
 }
 
-// New assembles a ready server with default Config.
+// New assembles a ready server with default Config over the whole-corpus
+// engine. The scores are frozen once into the CSR matrix the engine and the
+// /papers endpoint read; the map is not kept.
 func New(sys *ctxsearch.System, cs *ctxsearch.ContextSet, scores ctxsearch.Scores) *Server {
-	return NewWithConfig(sys, cs, scores, Config{})
-}
-
-// NewWithConfig assembles a ready server with the given Config.
-func NewWithConfig(sys *ctxsearch.System, cs *ctxsearch.ContextSet, scores ctxsearch.Scores, cfg Config) *Server {
-	s := NewPending(cfg)
-	s.SetReady(sys, cs, scores)
+	s := NewPending(Config{})
+	m := scores.Freeze()
+	s.SetReadyMapped(sys, cs, m, sys.EngineFrozen(cs, m), nil)
 	return s
 }
 
 // NewPending assembles a server with no engine yet: /healthz answers 200,
-// /readyz and every API endpoint answer 503 until SetReady is called. This
-// lets a deployment bind its port (liveness) while the index and prestige
-// scores are still being built or loaded.
+// /readyz and every API endpoint answer 503 until SetReadyMapped is called.
+// This lets a deployment bind its port (liveness) while the index and
+// prestige scores are still being built or loaded.
 func NewPending(cfg Config) *Server {
-	s := &Server{
-		cfg:    cfg,
-		logger: cfg.Logger,
-		mux:    http.NewServeMux(),
-	}
-	if s.logger == nil {
-		s.logger = log.New(io.Discard, "", 0)
-	}
-	if n := cfg.maxInflight(); n > 0 {
-		s.inflight = make(chan struct{}, n)
-	}
+	s := &Server{cfg: cfg, mux: http.NewServeMux()}
 	s.cache = cache.New[[]byte](cfg.cacheEntries(), cfg.cacheTTL())
 	s.mux.HandleFunc("GET /search", s.handleSearch)
 	s.mux.HandleFunc("POST /shard/search", s.handleShardSearch)
 	s.mux.HandleFunc("GET /contexts", s.handleContexts)
 	s.mux.HandleFunc("GET /papers/{id}", s.handlePaper)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-
-	// Middleware stack: probes bypass shedding and deadlines (they must
-	// answer while the API is saturated); recovery and logging wrap
-	// everything.
-	api := withShedding(s.inflight, retryAfterSecs(s.cfg.queryTimeout()), withTimeout(s.cfg.queryTimeout(), s.mux))
-	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz", "/readyz":
-			s.mux.ServeHTTP(w, r)
-		default:
-			api.ServeHTTP(w, r)
-		}
-	})
-	s.handler = withLogging(s.logger, withRecovery(s.logger, root))
+	s.handler, s.logger = newFront(cfg, s.mux)
 	return s
 }
 
-// SetReady installs the engine state, flipping /readyz (and the API) live.
-// Safe to call concurrently with serving. The scores are frozen once into
-// the CSR matrix the engine and the /papers endpoint read; the map is not
-// kept.
-func (s *Server) SetReady(sys *ctxsearch.System, cs *ctxsearch.ContextSet, scores ctxsearch.Scores) {
-	s.SetReadyFrozen(sys, cs, scores.Freeze())
-}
-
-// SetReadyFrozen is SetReady for a pre-frozen prestige matrix — the
-// cold-start path when the matrix was loaded from a state file, so boot
-// never materialises the nested map form at all.
-func (s *Server) SetReadyFrozen(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix) {
-	s.SetReadySharded(sys, cs, m, sys.EngineFrozen(cs, m))
-}
-
-// SetReadySharded is SetReadyFrozen with an explicit query engine — a shard
-// process's, restricted to its paper range (shard.RangeEngineParts), instead
-// of the whole-corpus engine the system would build. sys, cs and m still
-// serve /papers, /contexts rendering and /stats; they must be the
-// corpus-global state the engine was built from.
-func (s *Server) SetReadySharded(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher *ctxsearch.Engine) {
-	s.SetReadyMapped(sys, cs, m, searcher, nil)
-}
-
-// SetReadyMapped is SetReadySharded for state backed by a mapped state file:
-// the server takes ownership of ref (open-new, swap, close-old). The old
+// SetReadyMapped installs the engine state, flipping /readyz (and the API)
+// live; safe to call concurrently with serving. searcher answers the queries
+// — the whole-corpus engine, or a shard process's, restricted to its paper
+// range (shard.RangeEngineParts). sys, cs and m serve /papers, /contexts,
+// rendering and /stats; they must be the corpus-global state the engine was
+// built from. ref, when non-nil, is the mapped state file all of it reads
+// from: the server takes ownership (open-new, swap, close-old). The old
 // backend's mapping is closed after the swap — its pages stay valid until
 // the last in-flight request that retained them releases, then unmap.
 func (s *Server) SetReadyMapped(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher *ctxsearch.Engine, ref StateRef) {
@@ -317,22 +268,27 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "starting"})
 }
 
-// ready returns the backend with a reference taken on its mapped state
-// (the caller must b.release() when done), or writes a 503 and returns nil
-// while the engine is still being built. A failed acquire means the loaded
-// pointer raced a swap-out; the fresh pointer acquires.
-func (s *Server) ready(w http.ResponseWriter) *backend {
+// acquire returns the installed backend with a reference taken on its mapped
+// state (the caller must b.release() when done), or nil while the engine is
+// still being built. A failed acquire means the loaded pointer raced a
+// swap-out; the fresh pointer acquires.
+func (s *Server) acquire() *backend {
 	for {
 		b := s.backend.Load()
-		if b == nil {
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, "engine not ready")
-			return nil
-		}
-		if b.acquire() {
+		if b == nil || b.acquire() {
 			return b
 		}
 	}
+}
+
+// ready is acquire for a handler: no backend is a 503.
+func (s *Server) ready(w http.ResponseWriter) *backend {
+	b := s.acquire()
+	if b == nil {
+		w.Header().Set("Retry-After", "1")
+		writeErr(w, http.StatusServiceUnavailable, "engine not ready")
+	}
+	return b
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -345,18 +301,10 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeQueryErr maps a search-pipeline error to a response: an expired
-// deadline is a 503 (the request was accepted but could not be answered in
-// time), a client cancellation gets no response at all (the peer is gone),
-// anything else is a 400 (bad query).
+// writeQueryErr maps a search-pipeline error to a response: the request's
+// context ending is writeCtxErr's, anything else is a 400 (bad query).
 func (s *Server) writeQueryErr(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		w.Header().Set("Retry-After", retryAfterSecs(s.cfg.queryTimeout()))
-		writeErr(w, http.StatusServiceUnavailable, "query deadline exceeded")
-	case errors.Is(err, context.Canceled):
-		s.logger.Printf("client abandoned %s %s", r.Method, r.URL.Path)
-	default:
+	if !writeCtxErr(w, r, s.logger, s.cfg.queryTimeout(), err) {
 		writeErr(w, http.StatusBadRequest, "bad query: %v", err)
 	}
 }
@@ -501,15 +449,9 @@ func (s *Server) buildSearchResponse(ctx context.Context, q string, boolean bool
 	// The backend must be re-read inside the cache load (see handleSearch),
 	// and the re-read pointer needs its own reference — the handler's
 	// reference covers the pointer it loaded, not this one.
-	var b *backend
-	for {
-		b = s.backend.Load()
-		if b == nil {
-			return nil, errors.New("engine not ready")
-		}
-		if b.acquire() {
-			break
-		}
+	b := s.acquire()
+	if b == nil {
+		return nil, errors.New("engine not ready")
 	}
 	defer b.release()
 	if s.testHook != nil {
@@ -827,7 +769,7 @@ type StatsResponse struct {
 	// /stats never carries it.
 	Sharding *shard.Snapshot `json:"sharding,omitempty"`
 	// TopK holds the bounded-query evaluator's pruning counters for the
-	// installed generation (reset on every SetReady* swap).
+	// installed generation (reset on every SetReadyMapped swap).
 	TopK *index.TopKStats `json:"topk,omitempty"`
 	// Merge holds the prestige merge's counters for the installed
 	// generation, reset like TopK: merges by path (exhaustive, bounded),

@@ -17,6 +17,13 @@ var (
 	cachedQuery  string
 )
 
+// install puts the whole-corpus engine over (sys, cs, m) into s — the tests'
+// one helper over SetReadyMapped.
+func (s *Server) install(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix) *Server {
+	s.SetReadyMapped(sys, cs, m, sys.EngineFrozen(cs, m), nil)
+	return s
+}
+
 // testState builds (once) the engine state shared by every server fixture,
 // so fault tests can wrap it in servers with different Configs.
 func testState(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, ctxsearch.Scores, string) {
@@ -48,7 +55,7 @@ func testServer(t *testing.T) (*Server, string) {
 	return cachedServer, query
 }
 
-func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+func get(t testing.TB, s *Server, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest("GET", path, nil)
 	rec := httptest.NewRecorder()

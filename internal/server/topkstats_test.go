@@ -12,7 +12,7 @@ import (
 
 // TestStatsTopKPerGeneration: /stats carries the bounded-query evaluator's
 // counters, and they read per installed generation — traffic accumulates
-// them, a SetReady* swap zeroes them — rather than per process lifetime.
+// them, a SetReadyMapped swap zeroes them — rather than per process lifetime.
 func TestStatsTopKPerGeneration(t *testing.T) {
 	sys, cs, scores, query := testState(t)
 	srv := New(sys, cs, scores)
@@ -48,7 +48,7 @@ func TestStatsTopKPerGeneration(t *testing.T) {
 	}
 	// Installing a generation resets the counters: /stats must not leak
 	// the previous generation's traffic.
-	srv.SetReady(sys, cs, scores)
+	srv.install(sys, cs, scores.Freeze())
 	if st := topk(); st.Visited != 0 {
 		t.Fatalf("post-swap generation reports visited %d, want 0", st.Visited)
 	}
@@ -56,7 +56,7 @@ func TestStatsTopKPerGeneration(t *testing.T) {
 
 // TestStatsMergePerGeneration: /stats carries the prestige merge's counters
 // beside topk — a page smaller than the hit list runs the bounded merge, a
-// page covering it the exhaustive one — and a SetReady* swap zeroes them.
+// page covering it the exhaustive one — and a SetReadyMapped swap zeroes them.
 func TestStatsMergePerGeneration(t *testing.T) {
 	sys, cs, scores, query := testState(t)
 	srv := New(sys, cs, scores)
@@ -96,7 +96,7 @@ func TestStatsMergePerGeneration(t *testing.T) {
 		t.Fatalf("after a limit=1000 page: %+v (before: %+v), want one more exhaustive merge", st2, st)
 	}
 
-	srv.SetReady(sys, cs, scores)
+	srv.install(sys, cs, scores.Freeze())
 	if st := merge(); st != (search.MergeStats{}) {
 		t.Fatalf("post-swap generation reports %+v, want zeroes", st)
 	}
