@@ -31,9 +31,10 @@ vet:
 	$(GO) vet ./...
 
 # No exported function under internal/ or in ctxsearch.go without a caller
-# outside tests (the allow-list, with reasons, is in the script).
+# outside tests, resolved by type (the allow-list, with reasons, is in
+# exports_test.go).
 unused-exports:
-	./scripts/unused_exports.sh
+	$(GO) test -run 'TestExportedFunctionsHaveCallers' .
 
 # Every package: a hand-maintained list would silently miss new concurrent
 # packages (as it briefly did when internal/shard landed).
@@ -83,10 +84,9 @@ bench-build:
 
 # The exact-top-k benchmarks behind BENCH_PR5.json and BENCH_PR9.json: the
 # block-max MaxScore vector search vs the exhaustive Limit-0 pass over a
-# large context — including the block-size sweep (Block0/64/128/256, where
-# 0 disables the block tables and reproduces the pre-block PR 5 evaluator)
-# and the pooled-scratch append path (Append10 must report 0 B/op and
-# 0 allocs/op) — the bounded-selection engine merge at page sizes 10/100 vs
+# large context — including the block-size sweep (Block64/128/256) and the
+# pooled-scratch append path (Append10 must report 0 B/op and 0 allocs/op)
+# — the bounded-selection engine merge at page sizes 10/100 vs
 # the full ranked list, and the result-cache hit path (must stay
 # allocation-free).
 bench-topk:

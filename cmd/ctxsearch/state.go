@@ -208,9 +208,9 @@ func loadOrGenData(d dataOpts, forceGenerate bool) (o *ctxsearch.Ontology, c *ct
 	}
 	if o == nil {
 		generated = true
-		gen, err := ontology.Generate(ontology.GenConfig{
-			Seed: cfg.Seed, NumTerms: cfg.OntologyTerms, MaxDepth: cfg.MaxDepth, SecondParentProb: 0.12,
-		})
+		ocfg := ontology.DefaultGenConfig()
+		ocfg.Seed, ocfg.NumTerms, ocfg.MaxDepth = cfg.Seed, cfg.OntologyTerms, cfg.MaxDepth
+		gen, err := ontology.Generate(ocfg)
 		if err != nil {
 			return nil, nil, false, err
 		}

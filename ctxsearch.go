@@ -238,12 +238,9 @@ func NewFrozenSystem(o *Ontology, c *Corpus, parts *index.Parts, df *vector.DF, 
 // as the first build stage, "generate".
 func NewSyntheticSystem(cfg Config) (*System, error) {
 	start := time.Now()
-	o, err := ontology.Generate(ontology.GenConfig{
-		Seed:             cfg.Seed,
-		NumTerms:         cfg.OntologyTerms,
-		MaxDepth:         cfg.MaxDepth,
-		SecondParentProb: 0.12,
-	})
+	ocfg := ontology.DefaultGenConfig()
+	ocfg.Seed, ocfg.NumTerms, ocfg.MaxDepth = cfg.Seed, cfg.OntologyTerms, cfg.MaxDepth
+	o, err := ontology.Generate(ocfg)
 	if err != nil {
 		return nil, fmt.Errorf("ctxsearch: generating ontology: %w", err)
 	}

@@ -46,13 +46,3 @@ func (s *Set) UnionWith(o Set) {
 		(*s)[i] |= w
 	}
 }
-
-// Clone returns an independent copy of s.
-func (s Set) Clone() Set {
-	if s == nil {
-		return nil
-	}
-	out := make(Set, len(s))
-	copy(out, s)
-	return out
-}

@@ -62,19 +62,3 @@ func TestUnionWith(t *testing.T) {
 		t.Fatal("union with shorter set lost bits")
 	}
 }
-
-func TestClone(t *testing.T) {
-	var s Set
-	s.Add(42)
-	c := s.Clone()
-	c.Add(43)
-	if s.Contains(43) {
-		t.Fatal("Clone shares storage with original")
-	}
-	if !c.Contains(42) {
-		t.Fatal("Clone lost a bit")
-	}
-	if Set(nil).Clone() != nil {
-		t.Fatal("Clone(nil) should be nil")
-	}
-}

@@ -30,7 +30,7 @@ const numShards = 8
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
 type Stats struct {
-	// Hits and Misses count Get/Do lookups by outcome; expired or
+	// Hits and Misses count Do lookups by outcome; expired or
 	// stale-generation entries count as misses.
 	Hits   uint64
 	Misses uint64
@@ -119,25 +119,6 @@ func (c *Cache[V]) liveLocked(s *shard[V], el *list.Element) (V, bool) {
 	return zero, false
 }
 
-// Get returns the cached value for key, if current.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
-	if c == nil {
-		return zero, false
-	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		if v, ok := c.liveLocked(s, el); ok {
-			c.hits.Add(1)
-			return v, true
-		}
-	}
-	c.misses.Add(1)
-	return zero, false
-}
-
 // putLocked inserts or refreshes a value stamped with gen. Callers hold
 // s.mu.
 func (c *Cache[V]) putLocked(s *shard[V], key string, v V, gen uint64) {
@@ -157,17 +138,6 @@ func (c *Cache[V]) putLocked(s *shard[V], key string, v V, gen uint64) {
 		delete(s.items, oldest.Value.(*entry[V]).key)
 	}
 	s.items[key] = s.lru.PushFront(&entry[V]{key: key, val: v, gen: gen, exp: exp})
-}
-
-// Put caches a value under key at the current generation.
-func (c *Cache[V]) Put(key string, v V) {
-	if c == nil {
-		return
-	}
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c.putLocked(s, key, v, c.gen.Load())
 }
 
 // Do returns the cached value for key or loads it with fn, caching a

@@ -9,28 +9,47 @@ import (
 	"time"
 )
 
+// errMiss is the loader error get uses to read without filling.
+var errMiss = errors.New("miss")
+
+// get reads key through Do with a failing loader, so a miss caches
+// nothing: the cached value and true on a hit, false on a miss.
+func get[V any](c *Cache[V], key string) (V, bool) {
+	v, err := c.Do(key, func() (V, error) {
+		var zero V
+		return zero, errMiss
+	})
+	return v, err == nil
+}
+
+// put loads v under key through Do: it fills the cache on a miss and
+// leaves a current entry as it is.
+func put[V any](c *Cache[V], key string, v V) {
+	_, _ = c.Do(key, func() (V, error) { return v, nil })
+}
+
 func TestGetPutHitMiss(t *testing.T) {
 	c := New[int](64, 0)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("empty cache must miss")
 	}
-	c.Put("a", 1)
-	if v, ok := c.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d,%v, want 1,true", v, ok)
+	put(c, "a", 1)
+	if v, ok := get(c, "a"); !ok || v != 1 {
+		t.Fatalf("get(a) = %d,%v, want 1,true", v, ok)
 	}
-	c.Put("a", 2)
-	if v, _ := c.Get("a"); v != 2 {
-		t.Fatalf("Put must refresh: got %d, want 2", v)
+	put(c, "a", 2)
+	if v, _ := get(c, "a"); v != 1 {
+		t.Fatalf("a current entry must be served, not reloaded: got %d, want 1", v)
 	}
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 2 hits, 1 miss, 1 entry", st)
+	if st.Hits != 3 || st.Misses != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 3 hits, 2 misses, 1 entry", st)
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	// One entry per shard: inserting two keys in one shard must evict
-	// the older, and a Get must refresh recency.
+	// the older.
 	c := New[int](numShards, 0)
 	// Find three keys landing in the same shard.
 	var keys []string
@@ -41,16 +60,16 @@ func TestLRUEviction(t *testing.T) {
 			keys = append(keys, k)
 		}
 	}
-	c.Put(keys[0], 0)
-	c.Put(keys[1], 1) // evicts keys[0]
-	if _, ok := c.Get(keys[0]); ok {
+	put(c, keys[0], 0)
+	put(c, keys[1], 1) // evicts keys[0]
+	if _, ok := get(c, keys[0]); ok {
 		t.Fatal("oldest entry survived a full shard")
 	}
-	if v, ok := c.Get(keys[1]); !ok || v != 1 {
+	if v, ok := get(c, keys[1]); !ok || v != 1 {
 		t.Fatal("newest entry evicted")
 	}
-	c.Put(keys[2], 2) // evicts keys[1]
-	if _, ok := c.Get(keys[1]); ok {
+	put(c, keys[2], 2) // evicts keys[1]
+	if _, ok := get(c, keys[1]); ok {
 		t.Fatal("LRU order not maintained")
 	}
 }
@@ -59,16 +78,16 @@ func TestTTLExpiry(t *testing.T) {
 	c := New[string](8, time.Minute)
 	now := time.Unix(1000, 0)
 	c.now = func() time.Time { return now }
-	c.Put("k", "v")
-	if _, ok := c.Get("k"); !ok {
+	put(c, "k", "v")
+	if _, ok := get(c, "k"); !ok {
 		t.Fatal("fresh entry must hit")
 	}
 	now = now.Add(59 * time.Second)
-	if _, ok := c.Get("k"); !ok {
+	if _, ok := get(c, "k"); !ok {
 		t.Fatal("entry expired early")
 	}
 	now = now.Add(2 * time.Second)
-	if _, ok := c.Get("k"); ok {
+	if _, ok := get(c, "k"); ok {
 		t.Fatal("entry survived its TTL")
 	}
 	if st := c.Stats(); st.Entries != 0 {
@@ -78,7 +97,7 @@ func TestTTLExpiry(t *testing.T) {
 	if v, err := c.Do("k", func() (string, error) { return "v2", nil }); err != nil || v != "v2" {
 		t.Fatalf("Do after expiry = %q,%v", v, err)
 	}
-	if v, ok := c.Get("k"); !ok || v != "v2" {
+	if v, ok := get(c, "k"); !ok || v != "v2" {
 		t.Fatal("reload not cached")
 	}
 }
@@ -90,7 +109,7 @@ func TestDoCachesSuccessNotError(t *testing.T) {
 	if _, err := c.Do("k", func() (int, error) { calls++; return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("Do must surface the loader error, got %v", err)
 	}
-	if _, ok := c.Get("k"); ok {
+	if _, ok := get(c, "k"); ok {
 		t.Fatal("failed load must not be cached")
 	}
 	if v, err := c.Do("k", func() (int, error) { calls++; return 7, nil }); err != nil || v != 7 {
@@ -185,9 +204,9 @@ func TestDoLeaderErrorFallback(t *testing.T) {
 
 func TestBumpInvalidates(t *testing.T) {
 	c := New[int](8, 0)
-	c.Put("k", 1)
+	put(c, "k", 1)
 	c.Bump()
-	if _, ok := c.Get("k"); ok {
+	if _, ok := get(c, "k"); ok {
 		t.Fatal("entry survived Bump")
 	}
 	// A load that straddles a Bump is returned but not cached.
@@ -198,12 +217,12 @@ func TestBumpInvalidates(t *testing.T) {
 	if err != nil || v != 5 {
 		t.Fatalf("straddling Do = %d,%v", v, err)
 	}
-	if _, ok := c.Get("x"); ok {
+	if _, ok := get(c, "x"); ok {
 		t.Fatal("stale-generation load was cached")
 	}
 	// The cache keeps working at the new generation.
-	c.Put("y", 9)
-	if v, ok := c.Get("y"); !ok || v != 9 {
+	put(c, "y", 9)
+	if v, ok := get(c, "y"); !ok || v != 9 {
 		t.Fatal("cache dead after Bump")
 	}
 }
@@ -213,10 +232,9 @@ func TestNilCache(t *testing.T) {
 	if c := New[int](0, 0); c != nil {
 		t.Fatal("entries <= 0 must build the disabled cache")
 	}
-	if _, ok := c.Get("k"); ok {
+	if _, ok := get(c, "k"); ok {
 		t.Fatal("nil cache must miss")
 	}
-	c.Put("k", 1)
 	c.Bump()
 	calls := 0
 	for i := 0; i < 2; i++ {
@@ -237,11 +255,11 @@ func TestNilCache(t *testing.T) {
 // the server layer.
 func BenchmarkCacheHit(b *testing.B) {
 	c := New[[]byte](1024, time.Minute)
-	c.Put("q", []byte("result"))
+	put(c, "q", []byte("result"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Get("q"); !ok {
+		if _, ok := get(c, "q"); !ok {
 			b.Fatal("miss")
 		}
 	}

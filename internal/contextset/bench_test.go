@@ -25,7 +25,7 @@ func benchFixture(b *testing.B) (*ontology.Ontology, *corpus.Analyzer, *pattern.
 
 func BenchmarkTextContextSet(b *testing.B) {
 	o, a, _ := benchFixture(b)
-	ix := index.Build(a)
+	ix := index.BuildWorkers(a, 0)
 	cfg := DefaultConfig()
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -173,7 +173,7 @@ func (cs *ContextSet) PaperSet(ctx ontology.TermID) map[corpus.PaperID]bool {
 
 // PaperBitset returns the membership of a context as a bitmap over paper
 // IDs. The set aliases the context's word run and is shared: callers must
-// not modify it (union into a fresh set with bitset.Clone/UnionWith). No
+// not modify it (union it into a set of their own with UnionWith). No
 // lock, no cache, no allocation; safe for concurrent use.
 func (cs *ContextSet) PaperBitset(ctx ontology.TermID) bitset.Set {
 	i, ok := cs.ord[ctx]

@@ -41,7 +41,7 @@ func scoreOf(cs *ContextSet, ctx ontology.TermID, p corpus.PaperID) float64 {
 
 func TestBuildTextBased(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(index.Build(a), o, DefaultConfig())
+	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
 	if cs.Kind() != TextBased {
 		t.Fatal("kind wrong")
 	}
@@ -83,8 +83,8 @@ func TestTextBasedThresholdMonotone(t *testing.T) {
 	loose.TextThreshold = 0.05
 	strict := DefaultConfig()
 	strict.TextThreshold = 0.5
-	csLoose := BuildTextBased(index.Build(a), o, loose)
-	csStrict := BuildTextBased(index.Build(a), o, strict)
+	csLoose := BuildTextBased(index.BuildWorkers(a, 0), o, loose)
+	csStrict := BuildTextBased(index.BuildWorkers(a, 0), o, strict)
 	totalLoose, totalStrict := 0, 0
 	for _, ctx := range csLoose.Contexts() {
 		totalLoose += csLoose.Size(ctx)
@@ -102,7 +102,7 @@ func TestTextBasedMaxPerContext(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TextThreshold = 0.01
 	cfg.MaxPerContext = 7
-	cs := BuildTextBased(index.Build(a), o, cfg)
+	cs := BuildTextBased(index.BuildWorkers(a, 0), o, cfg)
 	for _, ctx := range cs.Contexts() {
 		// Evidence papers are added on top of the cap, so allow the slack.
 		if cs.Size(ctx) > cfg.MaxPerContext+6 {
@@ -188,7 +188,7 @@ func TestPatternBasedInheritance(t *testing.T) {
 
 func TestContextsWithMinSize(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(index.Build(a), o, DefaultConfig())
+	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
 	all := cs.Contexts()
 	big := cs.ContextsWithMinSize(10)
 	if len(big) > len(all) {
@@ -203,7 +203,7 @@ func TestContextsWithMinSize(t *testing.T) {
 
 func TestContextsOf(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(index.Build(a), o, DefaultConfig())
+	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
 	// Any evidence paper must list its term among its contexts.
 	term := c.EvidenceTerms()[0]
 	e := c.EvidencePapers(term)[0]
@@ -229,7 +229,7 @@ func TestKindString(t *testing.T) {
 
 func TestPaperSetIsCopy(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(index.Build(a), o, DefaultConfig())
+	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
 	ctx := cs.Contexts()[0]
 	set := cs.PaperSet(ctx)
 	before := cs.Size(ctx)
@@ -248,7 +248,7 @@ func TestParallelConstructionMatchesSerial(t *testing.T) {
 	parallel := DefaultConfig()
 	parallel.Workers = 4
 
-	tix := index.Build(a)
+	tix := index.BuildWorkers(a, 0)
 	ts, tp := BuildTextBased(tix, o, serial), BuildTextBased(tix, o, parallel)
 	requireSameFrozen(t, "text", ts.Freeze(), tp.Freeze())
 	ps, pp := BuildPatternBased(ix, a, o, serial), BuildPatternBased(ix, a, o, parallel)

@@ -98,7 +98,7 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 		}
 		a := corpus.NewAnalyzerWorkers(c, 0)
 		for name, built := range map[string]*ContextSet{
-			"text":     BuildTextBased(index.Build(a), o, DefaultConfig()),
+			"text":     BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig()),
 			"pattern":  BuildPatternBased(pattern.NewPosIndexWorkers(a, 0), a, o, DefaultConfig()),
 			"gopubmed": BuildGoPubMedStyle(a, o, 0.5),
 		} {
@@ -140,7 +140,7 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 // request goroutines do with no lock; run under -race.
 func TestBuiltSetConcurrentReads(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(index.Build(a), o, DefaultConfig())
+	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
 	ctxs := cs.Contexts()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

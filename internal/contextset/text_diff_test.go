@@ -31,7 +31,7 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := corpus.NewAnalyzerWorkers(c, 0)
-		ix := index.Build(a)
+		ix := index.BuildWorkers(a, 0)
 		for _, threshold := range []float64{0, DefaultConfig().TextThreshold, 0.9} {
 			for _, top := range []int{0, 1, 3} {
 				for _, maxPer := range []int{0, 5} {
@@ -92,7 +92,7 @@ func tieFixture(t *testing.T) (*ontology.Ontology, *corpus.Analyzer, *index.Inde
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	return o, a, index.Build(a)
+	return o, a, index.BuildWorkers(a, 0)
 }
 
 // TestBuildTextBasedBreaksTiesLikeReference: the top-M merge must fall back
@@ -170,7 +170,7 @@ func TestBuildTextBasedSortsAMinorityOfPairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.Build(a)
+	ix := index.BuildWorkers(a, 0)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	want := buildTextBasedReference(a, o, cfg)

@@ -394,49 +394,6 @@ func (a *Analyzer) TermsVector(terms []string) vector.Sparse {
 // mining, context-term processing) tokenize identically.
 func (a *Analyzer) Tokenizer() *textproc.Tokenizer { return a.tok }
 
-// DocFreqOfPhrase returns in how many papers the given stemmed word
-// sequence occurs contiguously in any section. Used by the pattern scorer's
-// PaperCoverage criterion.
-func (a *Analyzer) DocFreqOfPhrase(words []string) int {
-	if len(words) == 0 {
-		return 0
-	}
-	a.ensureFeatures()
-	n := 0
-	for i := range a.feats {
-		if paperHasPhrase(a.feats[i].Load(), words) {
-			n++
-		}
-	}
-	return n
-}
-
-func paperHasPhrase(f *Features, words []string) bool {
-	for _, s := range Sections {
-		toks := f.Tokens[s]
-		if containsPhrase(toks, words) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsPhrase(toks, words []string) bool {
-	if len(words) == 0 || len(toks) < len(words) {
-		return false
-	}
-outer:
-	for i := 0; i+len(words) <= len(toks); i++ {
-		for j, w := range words {
-			if toks[i+j] != w {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // CoAuthorIndex maps each normalised author to the sorted set of papers
 // they appear on; used by Level-1 author overlap.
 func (a *Analyzer) CoAuthorIndex() map[string][]PaperID {

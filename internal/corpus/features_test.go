@@ -9,8 +9,8 @@ import (
 func TestAnalyzerFeatures(t *testing.T) {
 	c, _ := testCorpus(t, 120)
 	a := NewAnalyzerWorkers(c, 0)
-	if a.DF().Docs() != c.Len() {
-		t.Fatalf("DF docs = %d", a.DF().Docs())
+	if docs, _ := a.DF().Counts(); docs != c.Len() {
+		t.Fatalf("DF docs = %d", docs)
 	}
 	for _, p := range c.Papers() {
 		f := a.Features(p.ID)
@@ -72,30 +72,6 @@ func TestQueryVector(t *testing.T) {
 	}
 }
 
-func TestDocFreqOfPhrase(t *testing.T) {
-	papers := []*Paper{
-		{ID: 0, Title: "rna polymerase binding", Abstract: "a", Body: "b", Authors: []string{"x y"}},
-		{ID: 1, Title: "polymerase rna", Abstract: "rna polymerase", Body: "c", Authors: []string{"x y"}},
-		{ID: 2, Title: "unrelated", Abstract: "d", Body: "e", Authors: []string{"x y"}},
-	}
-	c, err := NewCorpus(papers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewAnalyzerWorkers(c, 0)
-	// "rna polymerase" appears contiguously in papers 0 and 1 only.
-	stem := a.Tokenizer().Terms("rna polymerase")
-	if got := a.DocFreqOfPhrase(stem); got != 2 {
-		t.Fatalf("DocFreqOfPhrase = %d, want 2", got)
-	}
-	if got := a.DocFreqOfPhrase(nil); got != 0 {
-		t.Fatalf("empty phrase df = %d", got)
-	}
-	if got := a.DocFreqOfPhrase([]string{"absent", "phrase"}); got != 0 {
-		t.Fatalf("absent phrase df = %d", got)
-	}
-}
-
 func TestCoAuthorIndex(t *testing.T) {
 	papers := []*Paper{
 		{ID: 0, Title: "t", Abstract: "a", Body: "b", Authors: []string{"Ann Chen", "Bob Lee"}},
@@ -111,25 +87,5 @@ func TestCoAuthorIndex(t *testing.T) {
 	}
 	if got := idx["bob lee"]; len(got) != 1 || got[0] != 0 {
 		t.Fatalf("bob lee papers = %v", got)
-	}
-}
-
-func TestContainsPhrase(t *testing.T) {
-	toks := []string{"a", "b", "c", "b", "c", "d"}
-	cases := []struct {
-		words []string
-		want  bool
-	}{
-		{[]string{"b", "c", "d"}, true},
-		{[]string{"a"}, true},
-		{[]string{"c", "b"}, true},
-		{[]string{"d", "a"}, false},
-		{[]string{}, false},
-		{[]string{"a", "b", "c", "b", "c", "d", "e"}, false},
-	}
-	for _, tc := range cases {
-		if got := containsPhrase(toks, tc.words); got != tc.want {
-			t.Errorf("containsPhrase(%v) = %v", tc.words, got)
-		}
 	}
 }

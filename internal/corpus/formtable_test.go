@@ -31,7 +31,7 @@ func tinyCorpus(tb testing.TB) *corpus.Corpus {
 func TestSurfaceFormTableIsCorpusBounded(t *testing.T) {
 	c := tinyCorpus(t)
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.Build(a)
+	ix := index.BuildWorkers(a, 0)
 	before := a.SurfaceForms()
 	if before == 0 {
 		t.Fatal("analysis recorded no surface forms")

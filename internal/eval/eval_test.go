@@ -38,7 +38,7 @@ func buildFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.Build(a)
+	ix := index.BuildWorkers(a, 0)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
 	cached = &fixture{

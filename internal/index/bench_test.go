@@ -17,7 +17,7 @@ func benchIndex(b *testing.B) *Index {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return Build(corpus.NewAnalyzerWorkers(c, 0))
+	return BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
 }
 
 func BenchmarkBuild(b *testing.B) {
@@ -27,7 +27,7 @@ func BenchmarkBuild(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Build(a)
+		_ = BuildWorkers(a, 0)
 	}
 }
 

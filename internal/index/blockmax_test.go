@@ -10,7 +10,6 @@ import (
 	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
-	"ctxsearch/internal/vector"
 )
 
 // buildBlockFixture builds the shared mid-sized analyzer once so the
@@ -29,11 +28,12 @@ func buildBlockFixture(t testing.TB) (*corpus.Analyzer, *corpus.Corpus) {
 }
 
 // TestSearchTopKBlockSizeGolden asserts the block-max pruned path returns
-// byte-identical pages at every block granularity — disabled (pure global
-// MaxScore), degenerate one-posting blocks, tiny, and realistic sizes —
-// across randomized (k, threshold, restriction) combinations. Identical
-// results at all settings is the whole exactness contract: block bounds
-// only ever skip work, never change scores.
+// byte-identical pages at every block granularity — one block per term (a
+// block at least as long as the longest posting run, bounded by the global
+// maxima: plain MaxScore), degenerate one-posting blocks, tiny, and
+// realistic sizes — across randomized (k, threshold, restriction)
+// combinations. Identical results at all settings is the whole exactness
+// contract: block bounds only ever skip work, never change scores.
 func TestSearchTopKBlockSizeGolden(t *testing.T) {
 	a, c := buildBlockFixture(t)
 	queries := []string{
@@ -42,15 +42,14 @@ func TestSearchTopKBlockSizeGolden(t *testing.T) {
 		"activity complex formation regulation binding transport rna protein",
 		"synthesis",
 	}
-	for _, bs := range []int{-1, 1, 3, 64, 128} {
+	// No posting run is longer than the corpus, so c.Len() is the
+	// one-block-per-term arm.
+	for _, bs := range []int{c.Len(), 1, 3, 64, 128} {
 		bs := bs
 		t.Run(fmt.Sprintf("block=%d", bs), func(t *testing.T) {
-			ix := BuildWorkersBlock(a, 0, bs)
-			if bs <= 0 && ix.BlockSize() != 0 {
-				t.Fatalf("BlockSize() = %d after disabled build", ix.BlockSize())
-			}
-			if bs > 0 && ix.BlockSize() != bs {
-				t.Fatalf("BlockSize() = %d, want %d", ix.BlockSize(), bs)
+			ix := buildWorkersBlock(a, 0, bs)
+			if ix.blockSize != bs {
+				t.Fatalf("block size %d, want %d", ix.blockSize, bs)
 			}
 			rng := rand.New(rand.NewSource(99))
 			for qi, q := range queries {
@@ -127,10 +126,10 @@ func checkBlockTables(t *testing.T, label string, ix *Index) {
 func TestBuildBlockMaxima(t *testing.T) {
 	a, _ := buildBlockFixture(t)
 	for _, bs := range []int{1, 7, 128} {
-		ix := BuildWorkersBlock(a, 0, bs)
+		ix := buildWorkersBlock(a, 0, bs)
 		checkBlockTables(t, fmt.Sprintf("block=%d", bs), ix)
 
-		seq := BuildWorkersBlock(a, 1, bs)
+		seq := buildWorkersBlock(a, 1, bs)
 		if !slices.Equal(seq.blockOffsets, ix.blockOffsets) ||
 			!slices.Equal(seq.blockMaxWeight, ix.blockMaxWeight) ||
 			!slices.Equal(seq.blockMaxRatio, ix.blockMaxRatio) {
@@ -139,30 +138,11 @@ func TestBuildBlockMaxima(t *testing.T) {
 	}
 }
 
-// TestFromPartsBlockRecompute: parts without block tables (a state image
-// without the block sections) bind to an index whose recomputed tables are identical to a fresh
-// build's, and parts with tables are borrowed verbatim.
-func TestFromPartsBlockRecompute(t *testing.T) {
+// TestFromPartsBlockValidation: persisted tables bind zero-copy, and parts
+// without tables or with malformed ones are rejected.
+func TestFromPartsBlockValidation(t *testing.T) {
 	a, _ := buildBlockFixture(t)
-	built := BuildWorkersBlock(a, 0, DefaultBlockSize)
-
-	// Strip the tables, as an image without block sections presents them.
-	p := built.Parts()
-	p.BlockSize, p.BlockOffsets, p.BlockMaxWeight, p.BlockMaxRatio = 0, nil, nil, nil
-	ix, err := FromParts(a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.BlockSize() != DefaultBlockSize {
-		t.Fatalf("recomputed BlockSize() = %d, want %d", ix.BlockSize(), DefaultBlockSize)
-	}
-	if !slices.Equal(ix.blockOffsets, built.blockOffsets) ||
-		!slices.Equal(ix.blockMaxWeight, built.blockMaxWeight) ||
-		!slices.Equal(ix.blockMaxRatio, built.blockMaxRatio) {
-		t.Fatal("FromParts-recomputed block tables differ from the fresh build's")
-	}
-
-	// Persisted tables bind zero-copy: the bound index aliases them.
+	built := BuildWorkers(a, 0)
 	bound, err := FromParts(a, built.Parts())
 	if err != nil {
 		t.Fatal(err)
@@ -170,16 +150,11 @@ func TestFromPartsBlockRecompute(t *testing.T) {
 	if &bound.blockOffsets[0] != &built.blockOffsets[0] {
 		t.Fatal("FromParts copied persisted block offsets instead of borrowing")
 	}
-}
-
-// TestFromPartsBlockValidation covers the malformed-table rejections.
-func TestFromPartsBlockValidation(t *testing.T) {
-	a, _ := buildBlockFixture(t)
-	built := BuildWorkersBlock(a, 0, DefaultBlockSize)
 	mutations := []struct {
 		name string
 		mut  func(p *Parts)
 	}{
+		{"nil block tables", func(p *Parts) { p.BlockOffsets, p.BlockMaxWeight, p.BlockMaxRatio = nil, nil, nil }},
 		{"zero block size", func(p *Parts) { p.BlockSize = 0 }},
 		{"short offsets", func(p *Parts) { p.BlockOffsets = p.BlockOffsets[:len(p.BlockOffsets)-1] }},
 		{"nonzero first offset", func(p *Parts) {
@@ -201,12 +176,11 @@ func TestFromPartsBlockValidation(t *testing.T) {
 
 // TestSliceRangeBlockMaxima pins that every range engine's block maxima are
 // exactly the maxima of its sliced postings — not inherited from the
-// source's (differently partitioned) blocks — at several shard counts, and
-// that slices of a disabled-blocks source stay disabled.
+// source's (differently partitioned) blocks — at several shard counts.
 func TestSliceRangeBlockMaxima(t *testing.T) {
 	a, c := buildBlockFixture(t)
 	// A small block size so most ranges split runs mid-block.
-	p := BuildWorkersBlock(a, 0, 5).Parts()
+	p := buildWorkersBlock(a, 0, 5).Parts()
 	for _, shards := range []int{1, 2, 3, 5, 8} {
 		for s := 0; s < shards; s++ {
 			lo := c.Len() * s / shards
@@ -222,11 +196,6 @@ func TestSliceRangeBlockMaxima(t *testing.T) {
 			checkBlockTables(t, fmt.Sprintf("shards=%d range [%d,%d)", shards, lo, hi), ix)
 		}
 	}
-
-	disabled := BuildWorkersBlock(a, 0, -1).Parts()
-	if s := disabled.SliceRange(0, c.Len()/2); s.BlockOffsets != nil || s.BlockSize != 0 {
-		t.Fatalf("slice of disabled-blocks parts grew tables (size %d)", s.BlockSize)
-	}
 }
 
 // TestSearchTopKAppendZeroAlloc pins the steady-state allocation contract:
@@ -241,14 +210,14 @@ func TestSearchTopKAppendZeroAlloc(t *testing.T) {
 		t.Skip("alloc counts are not meaningful under -race (sync.Pool drops items)")
 	}
 	a, _ := buildBlockFixture(t)
-	ix := BuildWorkersBlock(a, 0, DefaultBlockSize)
+	ix := BuildWorkers(a, 0)
 	qv := a.QueryVector("activity complex formation regulation binding transport rna protein")
 	opts := Options{Limit: 10}
 	ctx := context.Background()
 	dst := make([]Hit, 0, opts.Limit)
 
 	// Warm the pool and pin the result while we're here.
-	warm, err := ix.SearchVectorContextAppend(ctx, qv, opts, dst)
+	warm, err := ix.searchTopKAppend(ctx, qv, opts, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,49 +228,24 @@ func TestSearchTopKAppendZeroAlloc(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(50, func() {
 		var err error
-		dst, err = ix.SearchVectorContextAppend(ctx, qv, opts, dst[:0])
+		dst, err = ix.searchTopKAppend(ctx, qv, opts, dst[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state SearchVectorContextAppend allocates %.1f/op, want 0", allocs)
+		t.Fatalf("steady-state searchTopKAppend allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestSearchVectorContextAppendContract covers the append API's edges:
-// Limit is required, an empty query appends nothing, and existing dst
-// entries survive.
-func TestSearchVectorContextAppendContract(t *testing.T) {
-	a, _ := buildBlockFixture(t)
-	ix := BuildWorkersBlock(a, 0, DefaultBlockSize)
-	ctx := context.Background()
-	qv := a.QueryVector("rna")
-
-	if _, err := ix.SearchVectorContextAppend(ctx, qv, Options{}, nil); err == nil {
-		t.Fatal("Limit 0 accepted")
-	}
-	out, err := ix.SearchVectorContextAppend(ctx, vector.Sparse{}, Options{Limit: 5}, []Hit{{Doc: 7}})
-	if err != nil || len(out) != 1 || out[0].Doc != 7 {
-		t.Fatalf("empty query append = (%v, %v)", out, err)
-	}
-	out, err = ix.SearchVectorContextAppend(ctx, qv, Options{Limit: 3}, []Hit{{Doc: 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) < 2 || out[0].Doc != 7 {
-		t.Fatalf("append clobbered existing dst entries: %v", out)
-	}
-	diffHits(t, "appended page", out[1:], exhaustiveTopK(t, ix, qv, Options{Limit: 3}))
-}
-
-// TestTopKStats asserts the visited/skipped counters move and that block
-// skipping strictly reduces visited candidates versus the blockless
-// evaluator on the same query load.
+// TestTopKStats asserts the visited/skipped counters move and that blocks
+// of 8 visit no more candidates than one block per term (a block at least
+// as long as the longest posting run, bounded by the global maxima) on the
+// same query load.
 func TestTopKStats(t *testing.T) {
-	a, _ := buildBlockFixture(t)
-	blocked := BuildWorkersBlock(a, 0, 8)
-	blockless := BuildWorkersBlock(a, 0, -1)
+	a, c := buildBlockFixture(t)
+	blocked := buildWorkersBlock(a, 0, 8)
+	blockless := buildWorkersBlock(a, 0, c.Len())
 	qv := a.QueryVector("activity complex formation regulation binding transport rna protein")
 	opts := Options{Limit: 3}
 	ctx := context.Background()

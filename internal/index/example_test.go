@@ -17,7 +17,7 @@ func buildExampleIndex() *index.Index {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return index.Build(corpus.NewAnalyzerWorkers(c, 0))
+	return index.BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
 }
 
 func ExampleIndex_Search() {

@@ -4,7 +4,7 @@
 // high-threshold mode to seed answer sets.
 //
 // The index is laid out for query throughput: terms are interned to dense
-// integer IDs at Build time and postings live in flat CSR-style arrays (one
+// integer IDs at build time and postings live in flat CSR-style arrays (one
 // offsets array plus packed doc/weight columns), so a query walks
 // contiguous memory instead of chasing map buckets. Scoring accumulates
 // into a pooled dense array indexed by document ID rather than a
@@ -51,7 +51,8 @@ type Hit struct {
 }
 
 // Index is an immutable inverted index over a corpus's full-text TF-IDF
-// vectors. Construct with Build.
+// vectors. Construct with BuildWorkers, or bind persisted arrays with
+// FromParts.
 type Index struct {
 	analyzer *corpus.Analyzer
 	// termIDs interns term strings to dense IDs; IDs follow lexicographic
@@ -69,12 +70,10 @@ type Index struct {
 	maxWeight []float64
 	maxRatio  []float64
 	// Block-max tables (see topk.go): term t's posting run is split into
-	// fixed-size blocks of blockSize postings; its blocks occupy
+	// fixed-size blocks of blockSize (> 0) postings; its blocks occupy
 	// blockMaxWeight[blockOffsets[t]:blockOffsets[t+1]] (and likewise
 	// blockMaxRatio), block b covering postings
 	// [offsets[t]+b·blockSize, min(offsets[t]+(b+1)·blockSize, offsets[t+1])).
-	// blockOffsets is nil when the index was built without block tables
-	// (blockSize <= 0); the evaluator then falls back to the global maxima.
 	blockSize      int
 	blockOffsets   []int32
 	blockMaxWeight []float64
@@ -102,11 +101,7 @@ type accum struct {
 	touched []corpus.PaperID
 }
 
-// Build constructs the index from an analysed corpus with GOMAXPROCS
-// workers.
-func Build(a *corpus.Analyzer) *Index { return BuildWorkers(a, 0) }
-
-// BuildWorkers constructs the index with explicit build parallelism. Papers
+// BuildWorkers constructs the index from an analysed corpus. Papers
 // (in ascending ID order) are split into contiguous shards; each worker
 // counts its shard's postings, and after the term universe is merged each
 // worker fills its shard's postings into the shared CSR arrays at
@@ -116,17 +111,15 @@ func Build(a *corpus.Analyzer) *Index { return BuildWorkers(a, 0) }
 // contiguous ID ranges, writing shard s's postings after all of shard
 // s-1's reproduces exactly the ascending-doc posting layout of the
 // sequential build. workers <= 0 selects GOMAXPROCS. Block-max tables are
-// built at DefaultBlockSize; use BuildWorkersBlock to override.
+// built at DefaultBlockSize.
 func BuildWorkers(a *corpus.Analyzer, workers int) *Index {
-	return BuildWorkersBlock(a, workers, DefaultBlockSize)
+	return buildWorkersBlock(a, workers, DefaultBlockSize)
 }
 
-// BuildWorkersBlock is BuildWorkers with an explicit block-max block size
-// (postings per block). blockSize <= 0 disables block tables entirely: the
-// top-k evaluator then prunes with the global per-term maxima only —
-// useful as the baseline arm of pruning benchmarks. Search results are
-// bit-identical at every setting.
-func BuildWorkersBlock(a *corpus.Analyzer, workers, blockSize int) *Index {
+// buildWorkersBlock is BuildWorkers at an explicit block-max block size
+// (postings per block, > 0). Search results are bit-identical at every
+// size; only pruning power changes.
+func buildWorkersBlock(a *corpus.Analyzer, workers, blockSize int) *Index {
 	c := a.Corpus()
 	return buildPapers(a, sortedPapers(c, 0, c.Len()), workers, blockSize)
 }
@@ -257,11 +250,9 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers, blockSize 
 	// granularity. Like the global maxima, per-block maxima are pure
 	// comparisons over fixed block extents, so the tables are identical at
 	// any worker count.
-	if blockSize > 0 {
-		ix.blockSize = blockSize
-		ix.blockOffsets, ix.blockMaxWeight, ix.blockMaxRatio =
-			computeBlockTables(ix.offsets, ix.docs, ix.weights, ix.norms, blockSize, workers)
-	}
+	ix.blockSize = blockSize
+	ix.blockOffsets, ix.blockMaxWeight, ix.blockMaxRatio =
+		computeBlockTables(ix.offsets, ix.docs, ix.weights, ix.norms, blockSize, workers)
 
 	ix.accPool.New = func() any {
 		return &accum{val: make([]float64, n), seen: make([]bool, n)}
@@ -273,8 +264,8 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers, blockSize 
 // blockSize postings and returns the CSR-style block offsets (len terms+1)
 // plus each block's maximum posting weight and maximum weight/‖doc‖ ratio —
 // the same quantities as the global per-term maxima, restricted to one
-// block. Shared by the build pipeline, FromParts (recomputing tables for
-// parts without them), and SliceRange (re-slicing tables for range engines).
+// block. Shared by the build pipeline and SliceRange (re-slicing tables for
+// range engines).
 func computeBlockTables(offsets []int32, docs []corpus.PaperID, weights, norms []float64, blockSize, workers int) ([]int32, []float64, []float64) {
 	nTerms := len(offsets) - 1
 	bo := make([]int32, nTerms+1)
@@ -358,27 +349,18 @@ type Options struct {
 	Threshold float64
 	// Limit caps the number of hits (0 = unlimited).
 	Limit int
-	// Within restricts the search to the given document set (nil = all).
-	Within map[corpus.PaperID]bool
 	// WithinSet restricts the search to the documents of a bitset (nil =
-	// all) — the fast path for context-restricted searches. When both
-	// WithinSet and Within are given, WithinSet wins.
+	// all) — context-restricted searches pass their contexts' union.
 	WithinSet bitset.Set
 }
 
-// allows reports whether a doc passes the Within/WithinSet restriction.
+// allows reports whether a doc passes the WithinSet restriction.
 func (o *Options) allows(doc corpus.PaperID) bool {
-	if o.WithinSet != nil {
-		return o.WithinSet.Contains(int(doc))
-	}
-	if o.Within != nil {
-		return o.Within[doc]
-	}
-	return true
+	return o.WithinSet == nil || o.WithinSet.Contains(int(doc))
 }
 
-// restricted reports whether any document restriction is set.
-func (o *Options) restricted() bool { return o.WithinSet != nil || o.Within != nil }
+// restricted reports whether a document restriction is set.
+func (o *Options) restricted() bool { return o.WithinSet != nil }
 
 // Search runs a free-text query and returns hits sorted by descending
 // score, ties broken by ascending document ID.
@@ -436,7 +418,11 @@ func (ix *Index) SearchVectorContext(ctx context.Context, qv vector.Sparse, opts
 		if qv.Norm() == 0 {
 			return nil, ctx.Err()
 		}
-		return ix.searchTopK(ctx, qv, opts)
+		hits, err := ix.searchTopKAppend(ctx, qv, opts, []Hit{})
+		if err != nil {
+			return nil, err
+		}
+		return hits, nil
 	}
 	return ix.AppendVectorHits(ctx, qv, opts, true, nil)
 }
@@ -496,20 +482,6 @@ func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Op
 	return hits, nil
 }
 
-// SearchVectorContextAppend is the allocation-free form of the bounded
-// search: the page SearchVectorContext would return for opts.Limit > 0 is
-// appended to dst (whose capacity is reused), so a caller that recycles its
-// result buffer runs the top-k hot path with zero steady-state heap
-// allocations — all evaluator scratch is pooled internally. Requires
-// opts.Limit > 0. On cancellation dst is returned unextended with ctx's
-// error.
-func (ix *Index) SearchVectorContextAppend(ctx context.Context, qv vector.Sparse, opts Options, dst []Hit) ([]Hit, error) {
-	if opts.Limit <= 0 {
-		return dst, errNeedLimit
-	}
-	return ix.searchTopKAppend(ctx, qv, opts, dst)
-}
-
 // TopKStats are the cumulative pruning counters of the top-k evaluator
 // since construction or the last ResetTopKStats, summed over all queries
 // (concurrent queries flush atomically once each).
@@ -540,10 +512,6 @@ func (ix *Index) ResetTopKStats() {
 	ix.statVisited.Store(0)
 	ix.statSkipped.Store(0)
 }
-
-// BlockSize returns the block-max granularity the index carries (postings
-// per block), or 0 when it was built without block tables.
-func (ix *Index) BlockSize() int { return ix.blockSize }
 
 // textScorer scores single documents against one query from the frozen
 // postings: the query's indexed terms with their posting runs, resolved

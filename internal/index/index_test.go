@@ -22,7 +22,7 @@ func buildTestIndex(t testing.TB) (*Index, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Build(corpus.NewAnalyzerWorkers(c, 0)), c
+	return BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0), c
 }
 
 func TestSearchRanking(t *testing.T) {
@@ -67,12 +67,17 @@ func TestSearchThresholdAndLimit(t *testing.T) {
 	}
 }
 
+// TestSearchWithin: a bitset restriction keeps only its documents, on the
+// exhaustive path and on the pruned top-k path alike.
 func TestSearchWithin(t *testing.T) {
 	ix, _ := buildTestIndex(t)
-	within := map[corpus.PaperID]bool{2: true}
-	hits := ix.Search("rna", Options{Within: within})
-	if len(hits) != 1 || hits[0].Doc != 2 {
-		t.Fatalf("within-restricted search = %v", hits)
+	var within bitset.Set
+	within.Add(2)
+	for _, limit := range []int{0, 5} {
+		hits := ix.Search("rna", Options{WithinSet: within, Limit: limit})
+		if len(hits) != 1 || hits[0].Doc != 2 {
+			t.Fatalf("limit %d: within-restricted search = %v", limit, hits)
+		}
 	}
 }
 
@@ -114,7 +119,7 @@ func TestIndexOnGeneratedCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := Build(corpus.NewAnalyzerWorkers(c, 0))
+	ix := BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
 	if ix.Terms() == 0 {
 		t.Fatal("no terms indexed")
 	}
@@ -148,35 +153,6 @@ func TestIndexOnGeneratedCorpus(t *testing.T) {
 	}
 	if good*2 < checked {
 		t.Fatalf("top hit matched the queried topic for only %d/%d terms", good, checked)
-	}
-}
-
-// TestWithinBitsetMatchesMap asserts the bitset restriction (WithinSet)
-// returns exactly the hits of the historical map restriction (Within) —
-// the equivalence the context engine's single-pass search relies on.
-func TestWithinBitsetMatchesMap(t *testing.T) {
-	ix, _ := buildTestIndex(t)
-	within := map[corpus.PaperID]bool{0: true, 2: true}
-	var bs bitset.Set
-	for id := range within {
-		bs.Add(int(id))
-	}
-	for _, q := range []string{"rna polymerase transcription", "dna repair", "rna splicing", "corrosion"} {
-		mapHits := ix.Search(q, Options{Within: within})
-		bsHits := ix.Search(q, Options{WithinSet: bs})
-		if len(mapHits) != len(bsHits) {
-			t.Fatalf("query %q: map %v vs bitset %v", q, mapHits, bsHits)
-		}
-		for i := range mapHits {
-			if mapHits[i] != bsHits[i] {
-				t.Fatalf("query %q hit %d: map %v vs bitset %v", q, i, mapHits[i], bsHits[i])
-			}
-		}
-		for _, h := range bsHits {
-			if !within[h.Doc] {
-				t.Fatalf("query %q: hit %v outside restriction", q, h)
-			}
-		}
 	}
 }
 

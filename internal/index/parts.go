@@ -12,11 +12,10 @@ import (
 // what the state file persists so that serving can skip corpus
 // re-analysis and index construction entirely — FromParts rebinds these
 // arrays (typically aliasing a memory-mapped file) to a live Index in
-// O(terms), never touching a posting (except to recompute block-max tables
-// for parts that lack them).
+// O(terms), never touching a posting.
 type Parts struct {
 	// Terms holds the indexed term strings in lexicographic order; term i
-	// has interned ID i, matching the Build ID assignment exactly.
+	// has interned ID i, matching the build's ID assignment exactly.
 	Terms []string
 	// CSR postings: term t's run is Docs[Offsets[t]:Offsets[t+1]] and
 	// Weights[...], ascending by doc ID.
@@ -28,12 +27,10 @@ type Parts struct {
 	// Per-term MaxScore bounds (see topk.go).
 	MaxWeight []float64
 	MaxRatio  []float64
-	// Block-max tables (see topk.go): term t's posting run is partitioned
-	// into blocks of BlockSize postings, its blocks occupying
+	// Block-max tables (see topk.go), required: term t's posting run is
+	// partitioned into blocks of BlockSize postings, its blocks occupying
 	// BlockMaxWeight[BlockOffsets[t]:BlockOffsets[t+1]] (and likewise
-	// BlockMaxRatio). Nil BlockOffsets means the tables are absent (a
-	// state saved without the block sections) and FromParts recomputes them
-	// at DefaultBlockSize.
+	// BlockMaxRatio).
 	BlockSize      int
 	BlockOffsets   []int32
 	BlockMaxWeight []float64
@@ -71,8 +68,9 @@ func (ix *Index) Parts() *Parts {
 // parts were built from (its DF table drives query weighting; document
 // weights are already frozen in the postings).
 //
-// Validation is O(terms): lengths, offset monotonicity, and lexicographic
-// term order. Per-element posting content is the writer's contract,
+// Validation is O(terms): lengths, offset monotonicity, lexicographic term
+// order, and the block tables' shape (parts without block tables are
+// rejected). Per-element posting content is the writer's contract,
 // guarded on disk by section CRCs — scanning it here would fault in every
 // page and defeat the O(1) open.
 func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
@@ -112,46 +110,31 @@ func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
 		}
 		ix.termIDs[term] = int32(i)
 	}
-	if p.BlockOffsets == nil {
-		// Pre-v5 parts carry no block tables: recompute them so old states
-		// serve with full block-max pruning. This touches every posting —
-		// the one deliberate exception to the O(1) bind, paid once per
-		// open, and only for states whose pages first-touch CRC
-		// verification would fault in anyway.
-		bs := p.BlockSize
-		if bs <= 0 {
-			bs = DefaultBlockSize
-		}
-		ix.blockSize = bs
-		ix.blockOffsets, ix.blockMaxWeight, ix.blockMaxRatio =
-			computeBlockTables(p.Offsets, p.Docs, p.Weights, p.Norms, bs, 0)
-	} else {
-		// Persisted tables: validate shape in O(terms) and borrow the
-		// (typically mapped) arrays verbatim, like every other column.
-		if p.BlockSize <= 0 {
-			return nil, fmt.Errorf("index: block tables with non-positive block size %d", p.BlockSize)
-		}
-		if len(p.BlockOffsets) != nTerms+1 || p.BlockOffsets[0] != 0 {
-			return nil, fmt.Errorf("index: %d terms need %d block offsets starting at 0, have %d", nTerms, nTerms+1, len(p.BlockOffsets))
-		}
-		bs := int32(p.BlockSize)
-		for t := 0; t < nTerms; t++ {
-			run := p.Offsets[t+1] - p.Offsets[t]
-			want := (run + bs - 1) / bs
-			if p.BlockOffsets[t+1]-p.BlockOffsets[t] != want {
-				return nil, fmt.Errorf("index: term %d has %d postings, wants %d blocks of %d, has %d",
-					t, run, want, bs, p.BlockOffsets[t+1]-p.BlockOffsets[t])
-			}
-		}
-		nb := int(p.BlockOffsets[nTerms])
-		if len(p.BlockMaxWeight) != nb || len(p.BlockMaxRatio) != nb {
-			return nil, fmt.Errorf("index: %d blocks vs %d/%d block maxima", nb, len(p.BlockMaxWeight), len(p.BlockMaxRatio))
-		}
-		ix.blockSize = p.BlockSize
-		ix.blockOffsets = p.BlockOffsets
-		ix.blockMaxWeight = p.BlockMaxWeight
-		ix.blockMaxRatio = p.BlockMaxRatio
+	// Block tables: validate shape in O(terms) and borrow the (typically
+	// mapped) arrays verbatim, like every other column.
+	if p.BlockSize <= 0 {
+		return nil, fmt.Errorf("index: block tables with non-positive block size %d", p.BlockSize)
 	}
+	if len(p.BlockOffsets) != nTerms+1 || p.BlockOffsets[0] != 0 {
+		return nil, fmt.Errorf("index: %d terms need %d block offsets starting at 0, have %d", nTerms, nTerms+1, len(p.BlockOffsets))
+	}
+	bs := int32(p.BlockSize)
+	for t := 0; t < nTerms; t++ {
+		run := p.Offsets[t+1] - p.Offsets[t]
+		want := (run + bs - 1) / bs
+		if p.BlockOffsets[t+1]-p.BlockOffsets[t] != want {
+			return nil, fmt.Errorf("index: term %d has %d postings, wants %d blocks of %d, has %d",
+				t, run, want, bs, p.BlockOffsets[t+1]-p.BlockOffsets[t])
+		}
+	}
+	nb := int(p.BlockOffsets[nTerms])
+	if len(p.BlockMaxWeight) != nb || len(p.BlockMaxRatio) != nb {
+		return nil, fmt.Errorf("index: %d blocks vs %d/%d block maxima", nb, len(p.BlockMaxWeight), len(p.BlockMaxRatio))
+	}
+	ix.blockSize = p.BlockSize
+	ix.blockOffsets = p.BlockOffsets
+	ix.blockMaxWeight = p.BlockMaxWeight
+	ix.blockMaxRatio = p.BlockMaxRatio
 	n := len(p.Norms)
 	ix.accPool.New = func() any {
 		return &accum{val: make([]float64, n), seen: make([]bool, n)}
@@ -167,12 +150,11 @@ func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
 // range engine's scores are bit-identical to the full build's for its own
 // documents. Per-term maxima are recomputed over the surviving postings,
 // matching a range build's tighter in-range MaxScore bounds; block-max
-// tables, when the source carries them, are likewise rebuilt at the same
-// block size over the re-sliced runs — each range block's maxima are
-// exactly the maxima of the postings it covers, never inherited from the
-// (differently partitioned) source blocks. The returned parts own their
-// postings (copied out of the mapped arrays); Terms and Norms stay
-// borrowed.
+// tables are likewise rebuilt at the source's block size over the re-sliced
+// runs — each range block's maxima are exactly the maxima of the postings
+// it covers, never inherited from the (differently partitioned) source
+// blocks. The returned parts own their postings (copied out of the mapped
+// arrays); Terms and Norms stay borrowed.
 func (p *Parts) SliceRange(lo, hi int) *Parts {
 	nTerms := len(p.Terms)
 	out := &Parts{
@@ -204,11 +186,9 @@ func (p *Parts) SliceRange(lo, hi int) *Parts {
 		out.Offsets[t+1] = int32(len(out.Docs))
 		out.MaxWeight[t], out.MaxRatio[t] = mw, mr
 	}
-	if p.BlockOffsets != nil && p.BlockSize > 0 {
-		out.BlockSize = p.BlockSize
-		out.BlockOffsets, out.BlockMaxWeight, out.BlockMaxRatio =
-			computeBlockTables(out.Offsets, out.Docs, out.Weights, p.Norms, p.BlockSize, 1)
-	}
+	out.BlockSize = p.BlockSize
+	out.BlockOffsets, out.BlockMaxWeight, out.BlockMaxRatio =
+		computeBlockTables(out.Offsets, out.Docs, out.Weights, p.Norms, p.BlockSize, 1)
 	return out
 }
 

@@ -19,7 +19,7 @@ func partsFixture(t *testing.T) (*corpus.Analyzer, *Index) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	return a, Build(a)
+	return a, BuildWorkers(a, 0)
 }
 
 // TestPartsRoundTrip: extracting the CSR arrays and rebinding them must

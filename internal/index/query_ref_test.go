@@ -202,12 +202,13 @@ func randomOptions(rng *rand.Rand, n int) Options {
 		}
 		opts.WithinSet = set
 	case 1:
-		opts.Within = map[corpus.PaperID]bool{}
+		set := bitset.New(n)
 		for d := 0; d < n; d++ {
 			if rng.Intn(2) == 0 {
-				opts.Within[corpus.PaperID(d)] = true
+				set.Add(d)
 			}
 		}
+		opts.WithinSet = set
 	}
 	return opts
 }
@@ -263,7 +264,7 @@ func TestBooleanEvaluatorMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		eager := corpus.NewAnalyzerWorkers(c, 0)
-		ix := Build(eager)
+		ix := BuildWorkers(eager, 0)
 		check := func(label string, ix *Index, exprs int) {
 			compared, nonEmpty := booleanBattery(t, label, ix, eager, seed*31, exprs)
 			t.Logf("%s: %d of %d expressions compared, %d with hits", label, compared, exprs, nonEmpty)

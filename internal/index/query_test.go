@@ -3,10 +3,8 @@ package index
 import (
 	"testing"
 
-	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/bitset"
 )
-
-type intDoc = corpus.PaperID
 
 func TestParseQueryForms(t *testing.T) {
 	ix, _ := buildTestIndex(t)
@@ -167,7 +165,9 @@ func TestSearchQueryWithinAndLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := ix.SearchQuery(q, Options{Within: map[intDoc]bool{0: true}, Limit: 5})
+	var within bitset.Set
+	within.Add(0)
+	hits, err := ix.SearchQuery(q, Options{WithinSet: within, Limit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

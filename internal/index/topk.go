@@ -2,7 +2,6 @@ package index
 
 import (
 	"context"
-	"errors"
 	"math"
 	"slices"
 
@@ -67,9 +66,8 @@ import (
 //     ascending document order, so a later candidate tying the heap
 //     minimum loses the ascending-doc tiebreak anyway.
 //
-// An index without block tables (BuildWorkersBlock with blockSize <= 0) runs
-// the same loop with each cursor's "block" degraded to its whole posting
-// list and the global maxima as bounds — plain MaxScore.
+// A block size at least as long as the longest posting run leaves one block
+// per term, bounded by the global maxima — plain MaxScore.
 //
 // The golden equivalence tests (topk_test.go) assert byte-identical pages
 // against the exhaustive path across randomized (k, threshold, restriction,
@@ -81,10 +79,6 @@ import (
 // far beyond any real query or centroid, at a negligible loss of pruning
 // power.
 const boundSlack = 1 + 1e-9
-
-// errNeedLimit rejects SearchVectorContextAppend calls without a bounded
-// page: the append form exists purely for the Limit > 0 hot path.
-var errNeedLimit = errors.New("index: SearchVectorContextAppend requires Options.Limit > 0")
 
 // worseHit orders hits ascending by score, ties by descending doc — the
 // inverse of the returned (score desc, doc asc) page order, as the top-k
@@ -113,15 +107,14 @@ type termCursor struct {
 	// cosScale converts a weight/‖doc‖ ratio into the term's cosine
 	// contribution bound (qw/‖q‖).
 	cosScale float64
-	// bmw/bmr are the term's per-block maxima (nil when the index carries
-	// no block tables) and bsize the postings-per-block granularity.
+	// bmw/bmr are the term's per-block maxima and bsize the
+	// postings-per-block granularity.
 	bmw, bmr []float64
 	bsize    int
 	// Cached bounds of the block containing pos, refreshed by syncBlock
 	// once pos crosses blkEnd: blkEnd is the first position past the
 	// block, blkLast the block's last document, blkCos/blkDot its cosine/
-	// dot contribution bounds. With no block tables the "block" is the
-	// whole list under the global bounds.
+	// dot contribution bounds.
 	blkEnd  int
 	blkLast corpus.PaperID
 	blkCos  float64
@@ -135,12 +128,6 @@ func (c *termCursor) syncBlock() {
 		return
 	}
 	n := len(c.docs)
-	if c.bsize <= 0 {
-		c.blkEnd = n
-		c.blkLast = c.docs[n-1]
-		c.blkCos, c.blkDot = c.ubCos, c.ubDot
-		return
-	}
 	b := c.pos / c.bsize
 	end := (b + 1) * c.bsize
 	if end > n {
@@ -366,21 +353,13 @@ func cannotQualifyScaled(xb, tScaled, scale float64, heap *hitHeap) bool {
 	return heap.Full() && xb <= heap.Min().Score*scale
 }
 
-// searchTopK is the Limit > 0 evaluation mode of SearchVectorContext. It
-// returns exactly the page the exhaustive path would: the Limit best hits
-// by (score desc, doc asc), filtered by Threshold, scores bit-identical.
-func (ix *Index) searchTopK(ctx context.Context, qv vector.Sparse, opts Options) ([]Hit, error) {
-	hits, err := ix.searchTopKAppend(ctx, qv, opts, []Hit{})
-	if err != nil {
-		return nil, err
-	}
-	return hits, nil
-}
-
-// searchTopKAppend resolves the query, then runs the block-max evaluation
-// appending the result page to dst. All evaluator state lives in pooled
-// scratch, so with a reused dst the query performs zero steady-state heap
-// allocations.
+// searchTopKAppend is the Limit > 0 evaluation mode of SearchVectorContext.
+// It resolves the query, then runs the block-max evaluation appending to dst
+// exactly the page the exhaustive path would return: the Limit best hits by
+// (score desc, doc asc), filtered by Threshold, scores bit-identical. All
+// evaluator state lives in pooled scratch, so with a reused dst the query
+// performs zero steady-state heap allocations. On cancellation dst is
+// returned unextended with ctx's error.
 func (ix *Index) searchTopKAppend(ctx context.Context, qv vector.Sparse, opts Options, dst []Hit) ([]Hit, error) {
 	sc := ix.getTopkScratch()
 	defer ix.topkPool.Put(sc)
@@ -441,20 +420,17 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 	for j, k := range keys {
 		qt := qts[k.qi]
 		docs, ws := ix.postingsOf(qt.id)
-		c := termCursor{
+		blo, bhi := ix.blockOffsets[qt.id], ix.blockOffsets[qt.id+1]
+		cur[j] = termCursor{
 			docs: docs, ws: ws, qi: int(k.qi), qw: qt.w,
 			ubCos:    k.ubCos,
 			ubDot:    qt.w * ix.maxWeight[qt.id],
 			cosScale: qt.w / qn,
+			bmw:      ix.blockMaxWeight[blo:bhi],
+			bmr:      ix.blockMaxRatio[blo:bhi],
+			bsize:    ix.blockSize,
 			pos:      -1,
 		}
-		if ix.blockOffsets != nil {
-			blo, bhi := ix.blockOffsets[qt.id], ix.blockOffsets[qt.id+1]
-			c.bmw = ix.blockMaxWeight[blo:bhi]
-			c.bmr = ix.blockMaxRatio[blo:bhi]
-			c.bsize = ix.blockSize
-		}
-		cur[j] = c
 	}
 	// curDoc mirrors each essential cursor's current document in a flat
 	// array the candidate min-scan can sweep without touching the fat

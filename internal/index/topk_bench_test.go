@@ -33,7 +33,7 @@ func topkBenchIndex(b testing.TB) (*Index, bitset.Set, vector.Sparse) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		topkBenchIx = Build(corpus.NewAnalyzerWorkers(c, 0))
+		topkBenchIx = BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
 		for d := 0; d < c.Len(); d += 2 {
 			topkBenchSet.Add(d)
 		}
@@ -68,10 +68,8 @@ func BenchmarkSearchVectorContextTopK100(b *testing.B)        { benchmarkSearchV
 
 // The block-size sweep behind BENCH_PR9.json: the same top-10 query over
 // the same 1000-doc context at several block-max granularities, sharing
-// the sweep corpus and rebuilding only the index per size. Block size 0
-// disables the block tables — the pure global-maxima MaxScore evaluator,
-// the PR 5 baseline — so the sweep isolates what block-level skipping
-// buys at identical results.
+// the sweep corpus and rebuilding only the index per size, so the sweep
+// isolates what the block granularity buys at identical results.
 var (
 	topkBlockMu  sync.Mutex
 	topkBlockIxs = map[int]*Index{}
@@ -84,11 +82,7 @@ func topkBenchBlockIndex(b *testing.B, blockSize int) *Index {
 	defer topkBlockMu.Unlock()
 	ix := topkBlockIxs[blockSize]
 	if ix == nil {
-		bs := blockSize
-		if bs == 0 {
-			bs = -1 // 0 means "off" in the sweep; BuildWorkersBlock disables on <= 0
-		}
-		ix = BuildWorkersBlock(topkBenchIx.Analyzer(), 0, bs)
+		ix = buildWorkersBlock(topkBenchIx.Analyzer(), 0, blockSize)
 		topkBlockIxs[blockSize] = ix
 	}
 	return ix
@@ -104,7 +98,7 @@ func benchmarkTopKBlock(b *testing.B, blockSize int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dst, err = ix.SearchVectorContextAppend(ctx, qv, opts, dst[:0])
+		dst, err = ix.searchTopKAppend(ctx, qv, opts, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,13 +108,12 @@ func benchmarkTopKBlock(b *testing.B, blockSize int) {
 	}
 }
 
-func BenchmarkSearchVectorContextTopKBlock0(b *testing.B)   { benchmarkTopKBlock(b, 0) }
 func BenchmarkSearchVectorContextTopKBlock64(b *testing.B)  { benchmarkTopKBlock(b, 64) }
 func BenchmarkSearchVectorContextTopKBlock128(b *testing.B) { benchmarkTopKBlock(b, 128) }
 func BenchmarkSearchVectorContextTopKBlock256(b *testing.B) { benchmarkTopKBlock(b, 256) }
 
 // BenchmarkSearchVectorContextTopKAppend10 is the zero-allocation
-// steady-state number: the block-max top-10 query through the append API
+// steady-state number: the block-max top-10 query through the append path
 // with a reused destination page (B/op and allocs/op must read 0).
 func BenchmarkSearchVectorContextTopKAppend10(b *testing.B) {
 	benchmarkTopKBlock(b, DefaultBlockSize)

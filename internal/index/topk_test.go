@@ -26,7 +26,7 @@ func buildTopKFixture(t testing.TB) (*Index, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Build(corpus.NewAnalyzerWorkers(c, 0)), c
+	return BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0), c
 }
 
 // exhaustiveTopK is the reference: the unpruned full evaluation (Limit 0
@@ -127,17 +127,6 @@ func TestSearchTopKCentroidQueries(t *testing.T) {
 	}
 }
 
-// TestSearchTopKWithinMap covers the legacy map-based restriction on the
-// pruned path.
-func TestSearchTopKWithinMap(t *testing.T) {
-	ix, _ := buildTestIndex(t)
-	within := map[corpus.PaperID]bool{2: true}
-	hits := ix.Search("rna", Options{Within: within, Limit: 5})
-	if len(hits) != 1 || hits[0].Doc != 2 {
-		t.Fatalf("within-restricted top-k search = %v", hits)
-	}
-}
-
 // TestSearchTopKCancellation asserts the pruned path honours context
 // cancellation.
 func TestSearchTopKCancellation(t *testing.T) {
@@ -158,7 +147,7 @@ func TestSearchTopKCancellation(t *testing.T) {
 // another's scratch.
 func TestSearchTopKConcurrentQueries(t *testing.T) {
 	a, c := buildBlockFixture(t)
-	ix := Build(a)
+	ix := BuildWorkers(a, 0)
 	queries := []string{
 		"regulation of rna synthesis",
 		"protein binding transport",

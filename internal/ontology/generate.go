@@ -21,8 +21,9 @@ type GenConfig struct {
 	SecondParentProb float64
 }
 
-// DefaultGenConfig returns the configuration used by the experiments: a
-// 600-term, depth-9 DAG.
+// DefaultGenConfig returns the default generator configuration: a
+// 600-term, depth-9 DAG. The synthetic system and the CLI start from it and
+// set Seed, NumTerms and MaxDepth, so SecondParentProb is fixed here.
 func DefaultGenConfig() GenConfig {
 	return GenConfig{Seed: 1, NumTerms: 600, MaxDepth: 9, SecondParentProb: 0.12}
 }

@@ -70,9 +70,6 @@ type Shard struct {
 	Lo, Hi int
 }
 
-// Len returns the number of items in the shard.
-func (s Shard) Len() int { return s.Hi - s.Lo }
-
 // Shards splits [0,n) into Workers(n, workers) contiguous near-equal
 // ranges. The split depends only on (n, workers), never on scheduling, so
 // per-shard accumulators merged in shard order yield deterministic results.

@@ -16,10 +16,10 @@ func TestShardsCoverExactly(t *testing.T) {
 			if s.Lo != prev {
 				t.Fatalf("n=%d w=%d: shard gap at %d (got Lo=%d)", tc.n, tc.w, prev, s.Lo)
 			}
-			if s.Len() <= 0 {
+			if s.Hi <= s.Lo {
 				t.Fatalf("n=%d w=%d: empty shard %+v", tc.n, tc.w, s)
 			}
-			covered += s.Len()
+			covered += s.Hi - s.Lo
 			prev = s.Hi
 		}
 		if covered != tc.n {
@@ -60,7 +60,7 @@ func TestForShardsVisitsEveryShard(t *testing.T) {
 	shards := Shards(100, 6)
 	var total int64
 	ForShards(shards, func(si int, s Shard) {
-		atomic.AddInt64(&total, int64(s.Len()))
+		atomic.AddInt64(&total, int64(s.Hi-s.Lo))
 	})
 	if total != 100 {
 		t.Fatalf("shards processed %d of 100 items", total)

@@ -65,14 +65,21 @@ func TestPhraseDoesNotCrossSections(t *testing.T) {
 
 func TestDocFreqOfPhrase(t *testing.T) {
 	a, ix := tinyCorpus(t)
-	if got := ix.DocFreqOfPhrase(a.Tokenizer().Terms("rna polymerase")); got != 2 {
-		t.Fatalf("df = %d", got)
-	}
-	if got := ix.DocFreqOfPhrase([]string{"absent"}); got != 0 {
-		t.Fatalf("absent df = %d", got)
-	}
-	if got := ix.DocFreqOfPhrase(nil); got != 0 {
-		t.Fatalf("nil phrase df = %d", got)
+	for _, tc := range []struct {
+		phrase []string
+		want   int
+	}{
+		{a.Tokenizer().Terms("rna polymerase"), 2},
+		{a.Tokenizer().Terms("kinase rna polymerase"), 1}, // doc 0's abstract only
+		{a.Tokenizer().Terms("polymerase rna"), 1},        // doc 1's body repeats the pair
+		{a.Tokenizer().Terms("polymerase kinase assay"), 0},
+		{a.Tokenizer().Terms("kinase rna polymerase assay unrelated words here entirely"), 0}, // longer than any section
+		{[]string{"absent"}, 0},
+		{nil, 0},
+	} {
+		if got := ix.DocFreqOfPhrase(tc.phrase); got != tc.want {
+			t.Errorf("DocFreqOfPhrase(%v) = %d, want %d", tc.phrase, got, tc.want)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func buildFixture(t *testing.T) *fixture {
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
-		text: contextset.BuildTextBased(index.Build(a), o, cfg),
+		text: contextset.BuildTextBased(index.BuildWorkers(a, 0), o, cfg),
 		pat:  contextset.BuildPatternBased(ix, a, o, cfg),
 	}
 	return cachedFixture
@@ -106,10 +106,10 @@ func TestCitationScorerUsesOnlyInContextEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	cs := contextset.BuildTextBased(index.Build(a), o, contextset.Config{TextThreshold: 2}) // only evidence
+	cs := contextset.BuildTextBased(index.BuildWorkers(a, 0), o, contextset.Config{TextThreshold: 2}) // only evidence
 	// Manually verify context membership via evidence + threshold: context
 	// has only paper 0. Extend membership by lowering threshold instead:
-	cs = contextset.BuildTextBased(index.Build(a), o, contextset.Config{TextThreshold: 0.01})
+	cs = contextset.BuildTextBased(index.BuildWorkers(a, 0), o, contextset.Config{TextThreshold: 0.01})
 	if !cs.Contains("GO:2", 1) || !cs.Contains("GO:2", 2) {
 		t.Skip("fixture too dissimilar for text assignment; skipping")
 	}

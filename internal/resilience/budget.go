@@ -69,10 +69,3 @@ func (b *Budget) Withdraw() bool {
 	b.tokens--
 	return true
 }
-
-// Tokens returns the current balance.
-func (b *Budget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}

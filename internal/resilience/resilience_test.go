@@ -162,8 +162,12 @@ func TestBudgetBound(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Deposit()
 	}
-	if got := b.Tokens(); got != 3 {
-		t.Fatalf("tokens after 100 deposits = %v, want capacity 3", got)
+	granted = 0
+	for b.Withdraw() {
+		granted++
+	}
+	if granted != 3 {
+		t.Fatalf("100 deposits banked %d retries, want capacity 3", granted)
 	}
 
 	// The storm bound: R requests grant at most Capacity + R·Ratio retries.

@@ -7,8 +7,8 @@ import (
 
 // This file retains the straightforward per-context formulation of
 // Search/SearchBoolean that the optimized single-pass implementation in
-// search.go replaced: one full index pass per selected context with a
-// map-based Within filter and map-form prestige scores (the matrix, thawed),
+// search.go replaced: one full index pass per selected context restricted to
+// that context's own members, and map-form prestige scores (the matrix, thawed),
 // merged through a map keyed by paper. It is the executable specification —
 // the golden tests assert the optimized path returns exactly the same
 // results — and the honest baseline for the query-path benchmarks. It is not
@@ -25,8 +25,11 @@ func (e *Engine) searchNaive(query string, opts Options) []Result {
 	best := make(map[corpus.PaperID]Result)
 	for _, cscore := range ctxs {
 		ctx := cscore.Context
-		within := e.cs.PaperSet(ctx)
-		hits := e.ix.SearchVector(qv, index.Options{Within: within})
+		within := e.cs.PaperBitset(ctx)
+		if len(within) == 0 {
+			continue // no members: nil would mean no restriction
+		}
+		hits := e.ix.SearchVector(qv, index.Options{WithinSet: within})
 		for _, h := range hits {
 			p := scores.Get(ctx, h.Doc)
 			if e.weights.ContextWeighted {
@@ -63,8 +66,11 @@ func (e *Engine) searchBooleanNaive(query string, opts Options) ([]Result, error
 	best := make(map[corpus.PaperID]Result)
 	for _, cscore := range ctxs {
 		ctx := cscore.Context
-		within := e.cs.PaperSet(ctx)
-		hits, err := e.ix.SearchQuery(q, index.Options{Within: within})
+		within := e.cs.PaperBitset(ctx)
+		if len(within) == 0 {
+			continue // no members: nil would mean no restriction
+		}
+		hits, err := e.ix.SearchQuery(q, index.Options{WithinSet: within})
 		if err != nil {
 			return nil, err
 		}

@@ -41,7 +41,7 @@ func newFixture(t testing.TB, ontoSeed int64, gcfg corpus.GenConfig) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.Build(a)
+	ix := index.BuildWorkers(a, 0)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scorer := prestige.NewTextScorer(a, prestige.DefaultTextWeights())
 	scores := prestige.ScoreAll(scorer, cs, 0)

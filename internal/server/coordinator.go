@@ -70,26 +70,6 @@ type ShardConfig struct {
 	Backoff resilience.Backoff
 }
 
-func (c ShardConfig) shardTimeout() time.Duration {
-	if c.ShardTimeout == 0 {
-		return DefaultShardTimeout
-	}
-	if c.ShardTimeout < 0 {
-		return 0
-	}
-	return c.ShardTimeout
-}
-
-func (c ShardConfig) maxRetries() int {
-	if c.MaxRetries == 0 {
-		return DefaultMaxRetries
-	}
-	if c.MaxRetries < 0 {
-		return 0
-	}
-	return c.MaxRetries
-}
-
 // Coordinator is the multi-process scatter-gather front: a stateless
 // http.Handler that fans /search out to shard servers' POST /shard/search —
 // every range but one answers unrendered rows, the last is handed their exact
@@ -176,14 +156,14 @@ func NewCoordinator(urls []string, cfg Config, scfg ShardConfig) *Coordinator {
 	// time, so the admission cap is also the idle pool a backend needs for
 	// connections to survive a burst. http.DefaultTransport keeps two.
 	conns := DefaultMaxInflight
-	if n := cfg.maxInflight(); n > 0 {
+	if n := orDefault(cfg.MaxInflight, DefaultMaxInflight); n > 0 {
 		conns = n
 	}
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConnsPerHost = conns
 	tr.MaxIdleConns = conns * len(c.backends)
 	c.client = &http.Client{Transport: tr}
-	c.assemble(ranges, scfg, &httpTransport{client: c.client, backends: c.backends, timeout: scfg.shardTimeout()})
+	c.assemble(ranges, scfg, &httpTransport{client: c.client, backends: c.backends, timeout: orDefault(scfg.ShardTimeout, DefaultShardTimeout)})
 	if scfg.ProbeInterval >= 0 {
 		c.prober = resilience.NewProber(c.backends, resilience.ProberConfig{
 			Interval: scfg.ProbeInterval,
@@ -198,12 +178,12 @@ func NewCoordinator(urls []string, cfg Config, scfg ShardConfig) *Coordinator {
 // a coordinator that needs no socket.
 func (c *Coordinator) assemble(ranges [][]int, scfg ShardConfig, tr transport) {
 	c.policy = newPolicy(ranges, scfg, tr)
-	c.cache = cache.New[[]byte](c.cfg.cacheEntries(), c.cfg.cacheTTL())
+	c.cache = cache.New[[]byte](orDefault(c.cfg.CacheEntries, DefaultCacheEntries), orDefault(c.cfg.CacheTTL, DefaultCacheTTL))
 	cooldown := resilience.DefaultCooldown
 	if scfg.BreakerCooldown > 0 {
 		cooldown = scfg.BreakerCooldown
 	}
-	c.retryAfter = retryAfterSecs(max(scfg.shardTimeout(), cooldown))
+	c.retryAfter = retryAfterSecs(max(orDefault(scfg.ShardTimeout, DefaultShardTimeout), cooldown))
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /search", c.handleSearch)
@@ -252,9 +232,6 @@ func (c *Coordinator) NumShards() int { return len(c.ranges) }
 
 // NumBackends returns the number of physical replicas across all ranges.
 func (c *Coordinator) NumBackends() int { return len(c.backends) }
-
-// Metrics returns the coordinator's fan-out counters.
-func (c *Coordinator) Metrics() *shard.Metrics { return c.metrics }
 
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -357,7 +334,7 @@ func (c *Coordinator) writeShardErr(w http.ResponseWriter, r *http.Request, err 
 	var sce *shardCallError
 	switch {
 	case !errors.As(err, &sce):
-		if !writeCtxErr(w, r, c.logger, c.cfg.queryTimeout(), err) {
+		if !writeCtxErr(w, r, c.logger, orDefault(c.cfg.QueryTimeout, DefaultQueryTimeout), err) {
 			writeErr(w, http.StatusBadGateway, "shard backend error: %v", err)
 		}
 	case sce.clientError() && json.Valid(sce.body):
@@ -365,7 +342,7 @@ func (c *Coordinator) writeShardErr(w http.ResponseWriter, r *http.Request, err 
 		w.WriteHeader(sce.status)
 		_, _ = w.Write(sce.body)
 	case errors.Is(sce.err, context.Canceled):
-		writeCtxErr(w, r, c.logger, c.cfg.queryTimeout(), sce.err)
+		writeCtxErr(w, r, c.logger, orDefault(c.cfg.QueryTimeout, DefaultQueryTimeout), sce.err)
 	default:
 		c.logger.Printf("shard failure on %s %s: %v", r.Method, r.URL.Path, sce)
 		w.Header().Set("Retry-After", c.retryAfter)

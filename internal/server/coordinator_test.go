@@ -135,7 +135,7 @@ func TestCoordinatorGoldenEquality(t *testing.T) {
 				}
 			}
 		}
-		snap := coord.Metrics().Snapshot()
+		snap := coord.metrics.Snapshot()
 		if snap.RowsServed == 0 || snap.RowsRendered != snap.RowsServed || snap.RenderCalls > snap.Searches {
 			t.Fatalf("%s: rendered %d rows in %d calls for %d served over %d searches",
 				name, snap.RowsRendered, snap.RenderCalls, snap.RowsServed, snap.Searches)
@@ -166,7 +166,7 @@ func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
 			t.Fatalf("%s: page not empty: %s", path, got.Body)
 		}
 	}
-	snap := coord.Metrics().Snapshot()
+	snap := coord.metrics.Snapshot()
 	if snap.RenderCalls != 3 || snap.Searches != 3 || snap.RowsServed != 0 || rangeRequests(snap) != 6 {
 		t.Fatalf("3 empty pages on 2 ranges: %d finishing calls, %d searches, %d rows, %d range requests; want 3, 3, 0, 6",
 			snap.RenderCalls, snap.Searches, snap.RowsServed, rangeRequests(snap))
@@ -301,7 +301,7 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 4*(scfg.ShardTimeout+100*time.Millisecond) {
 			t.Fatalf("finish %s: 4 queries took %v, each failover must fit one ShardTimeout (%v)", name, elapsed, scfg.ShardTimeout)
 		}
-		snap := coord.Metrics().Snapshot()
+		snap := coord.metrics.Snapshot()
 		if snap.Failovers == 0 || snap.RenderCalls <= snap.Searches || snap.RowsRendered != snap.RowsServed {
 			t.Fatalf("finish %s: the broken replicas were never tried: %+v", name, snap)
 		}
@@ -318,7 +318,7 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 			t.Fatalf("finish down everywhere (partial %v) = %d (Retry-After %q), want 503 with a hint: %s",
 				allow, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
 		}
-		if snap := coord.Metrics().Snapshot(); snap.RowsServed != 0 || snap.Searches != 0 {
+		if snap := coord.metrics.Snapshot(); snap.RowsServed != 0 || snap.Searches != 0 {
 			t.Fatalf("a page nobody finished counted %d rows, %d searches", snap.RowsServed, snap.Searches)
 		}
 	}
@@ -357,7 +357,7 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 		if codes[0] != first || codes[1] != 200 || codes[2] != 200 {
 			t.Fatalf("partial %v: statuses %v, want [%d 200 200]", allow, codes, first)
 		}
-		snap := coord.Metrics().Snapshot()
+		snap := coord.metrics.Snapshot()
 		if want := map[bool]uint64{false: 0, true: 1}[allow]; snap.Partial != want || snap.Shards[0].Errors != 1 {
 			t.Fatalf("partial %v: %d partial pages (want %d), range 0 errors %d (want 1)", allow, snap.Partial, want, snap.Shards[0].Errors)
 		}
@@ -381,7 +381,7 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 			t.Fatalf("range 0 dead, request %d (%d) differs\ncoordinator: %s\nwant:        %s", k, rec.Code, rec.Body, degraded)
 		}
 	}
-	if snap := coord.Metrics().Snapshot(); snap.Partial != 3 {
+	if snap := coord.metrics.Snapshot(); snap.Partial != 3 {
 		t.Fatalf("range 0 dead: %d of 3 pages flagged partial", snap.Partial)
 	}
 }
@@ -427,7 +427,7 @@ func TestCoordinatorExchangesPerPage(t *testing.T) {
 			}
 		}
 		pages := uint64(len(paths))
-		snap := coord.Metrics().Snapshot()
+		snap := coord.metrics.Snapshot()
 		if got := rangeRequests(snap); got != pages*uint64(n) || snap.Searches != pages || snap.RenderCalls != pages {
 			t.Fatalf("%d ranges, %d pages: %d range requests, %d searches, %d finishing calls", n, pages, got, snap.Searches, snap.RenderCalls)
 		}
@@ -596,7 +596,7 @@ func TestCoordinatorDeadShard(t *testing.T) {
 	if rec.Code != 503 {
 		t.Fatalf("dead shard = %d, want 503: %s", rec.Code, rec.Body)
 	}
-	snap := coord.Metrics().Snapshot()
+	snap := coord.metrics.Snapshot()
 	if snap.Shards[1].Errors == 0 {
 		t.Fatalf("dead shard not counted as error: %+v", snap)
 	}
@@ -649,7 +649,7 @@ func TestCoordinatorHangingShard(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("coordinator took %v to give up on a hanging shard", elapsed)
 	}
-	snap := coord.Metrics().Snapshot()
+	snap := coord.metrics.Snapshot()
 	if snap.Shards[1].Timeouts == 0 {
 		t.Fatalf("hang not counted as timeout: %+v", snap)
 	}
@@ -720,7 +720,7 @@ func TestCoordinatorPartial(t *testing.T) {
 	if rec.Code != 200 || rec.Body.String() != exact.Body.String() {
 		t.Fatalf("recovered search not exact:\ncoordinator: %s\nsingle:      %s", rec.Body, exact.Body)
 	}
-	snap := coord.Metrics().Snapshot()
+	snap := coord.metrics.Snapshot()
 	if snap.Partial != 1 {
 		t.Fatalf("partial counter = %d, want 1", snap.Partial)
 	}
@@ -737,7 +737,7 @@ func TestCoordinatorCache(t *testing.T) {
 	if first.Code != 200 || second.Code != 200 || first.Body.String() != second.Body.String() {
 		t.Fatalf("cached replay differs: %d %d", first.Code, second.Code)
 	}
-	snap := coord.Metrics().Snapshot()
+	snap := coord.metrics.Snapshot()
 	if got := snap.Shards[0].Requests; got != 1 {
 		t.Fatalf("shard 0 saw %d search requests, want 1 (second must be served from cache)", got)
 	}
@@ -964,7 +964,7 @@ func TestCoordinatorProxyStallIsATimeout(t *testing.T) {
 		coord.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/papers/1", nil).WithContext(ctx))
 	}()
 	<-stalled
-	before := coord.Metrics().Snapshot().Replicas[0].Requests
+	before := coord.metrics.Snapshot().Replicas[0].Requests
 	cancel()
 	<-done
 	if rs := replica(); rs.Requests != before+2 || rs.Timeouts != 1 || rs.Errors != 0 || rs.State != "closed" {

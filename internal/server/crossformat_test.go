@@ -8,56 +8,43 @@ import (
 	"testing"
 
 	"ctxsearch"
-	"ctxsearch/internal/index"
 	"ctxsearch/internal/shard"
 	"ctxsearch/internal/store"
 )
 
 // TestCrossFormatGolden is the HTTP contract of the roads from a state file
-// to a serving backend: the in-process build, the memory-mapped open, the
-// byte-copy open (CTXSEARCH_NO_MMAP=1) and the open of a file saved without
-// block-max tables (which every engine bound from it recomputes) answer
-// every endpoint byte-identically through a single engine and a
-// multi-process coordinator. How the arrays reached memory, and where the
-// block tables came from, must be unobservable in any response.
+// to a serving backend: the in-process build, the memory-mapped open and
+// the byte-copy open (CTXSEARCH_NO_MMAP=1) answer every endpoint
+// byte-identically through a single engine and a multi-process
+// coordinator. How the arrays reached memory must be unobservable in any
+// response.
 func TestCrossFormatGolden(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 
-	st := &store.State{
+	path := filepath.Join(t.TempDir(), "state.bin")
+	if err := store.SaveFile(path, &store.State{
 		ContextSet: cs,
 		Matrices:   map[string]*ctxsearch.Matrix{"text": m},
 		Index:      sys.Index().Parts(),
 		DF:         sys.Analyzer().DF(),
+	}); err != nil {
+		t.Fatal(err)
 	}
-	blockless := *st.Index
-	blockless.BlockSize, blockless.BlockOffsets, blockless.BlockMaxWeight, blockless.BlockMaxRatio = 0, nil, nil, nil
-	dir := t.TempDir()
-	save := func(name string, parts *index.Parts) string {
-		s := *st
-		s.Index = parts
-		path := filepath.Join(dir, name)
-		if err := store.SaveFile(path, &s); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	full, bare := save("state.bin", st.Index), save("blockless.bin", &blockless)
 
 	for _, v := range []struct {
-		name, path   string
-		noMmap, bare bool
+		name   string
+		noMmap bool
 	}{
-		{name: "mmap", path: full},
-		{name: "byte-copy", path: full, noMmap: true},
-		{name: "blockless", path: bare, bare: true},
+		{name: "mmap"},
+		{name: "byte-copy", noMmap: true},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			if v.noMmap {
 				t.Setenv("CTXSEARCH_NO_MMAP", "1")
 			}
-			fsys, mcs, mmat, mapped := openMappedSystem(t, v.path, sys.Ontology, sys.Corpus, sys.Config())
+			fsys, mcs, mmat, mapped := openMappedSystem(t, path, sys.Ontology, sys.Corpus, sys.Config())
 			t.Cleanup(func() { mapped.Close() })
 			if v.noMmap && mapped.ZeroCopy() {
 				t.Fatal("byte-copy open reports zero-copy")
@@ -65,9 +52,6 @@ func TestCrossFormatGolden(t *testing.T) {
 			parts, err := mapped.IndexParts()
 			if err != nil {
 				t.Fatal(err)
-			}
-			if (parts.BlockOffsets == nil) != v.bare {
-				t.Fatalf("opened parts carry block tables: %v, want %v", parts.BlockOffsets != nil, !v.bare)
 			}
 			rel := fsys.Config().Relevancy
 			rng := rand.New(rand.NewSource(37))

@@ -27,14 +27,15 @@ func newFront(cfg Config, mux *http.ServeMux) (http.Handler, *log.Logger) {
 		logger = log.New(io.Discard, "", 0)
 	}
 	var inflight chan struct{}
-	if n := cfg.maxInflight(); n > 0 {
+	if n := orDefault(cfg.MaxInflight, DefaultMaxInflight); n > 0 {
 		inflight = make(chan struct{}, n)
 	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	api := withShedding(inflight, retryAfterSecs(cfg.queryTimeout()), withTimeout(cfg.queryTimeout(), mux))
+	timeout := orDefault(cfg.QueryTimeout, DefaultQueryTimeout)
+	api := withShedding(inflight, retryAfterSecs(timeout), withTimeout(timeout, mux))
 	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/healthz", "/readyz":

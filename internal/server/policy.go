@@ -260,7 +260,7 @@ func (p *policy) callRange(ctx context.Context, ri int, call rangeCall) (rangePa
 			p.metrics.ObserveShard(ri, nil)
 			return page, nil
 		}
-		if !cerr.clientError() && ctx.Err() == nil && attempt < p.scfg.maxRetries() {
+		if !cerr.clientError() && ctx.Err() == nil && attempt < orDefault(p.scfg.MaxRetries, DefaultMaxRetries) {
 			if p.budgetWithdraw() {
 				p.metrics.ObserveRetry()
 				backoff, stop := p.tr.after(p.scfg.Backoff.Delay(attempt+1, nil))

@@ -547,7 +547,7 @@ func (s *simRun) serve() *httptest.ResponseRecorder {
 // check (s.mu held, transport idle) holds one answered request against the
 // log of the calls it made.
 func (s *simRun) check(rec *httptest.ResponseRecorder) {
-	attempts, threshold := 1+s.coord.scfg.maxRetries(), s.coord.scfg.BreakerThreshold
+	attempts, threshold := 1+orDefault(s.coord.scfg.MaxRetries, DefaultMaxRetries), s.coord.scfg.BreakerThreshold
 	type callKey struct {
 		ri     int
 		finish bool

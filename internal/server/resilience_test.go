@@ -112,7 +112,7 @@ func TestReplicatedGoldenUnderFaults(t *testing.T) {
 		}
 	}
 
-	snap := coord.Metrics().Snapshot()
+	snap := coord.metrics.Snapshot()
 	if snap.Failovers == 0 {
 		t.Fatalf("no failovers recorded across %d searches against half-broken replicas: %+v", searches, snap)
 	}
@@ -155,7 +155,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatalf("search %d during replica flap = %d: %s", i, rec.Code, rec.Body)
 		}
 	}
-	snap := coord.Metrics().Snapshot()
+	snap := coord.metrics.Snapshot()
 	if snap.BreakerOpens == 0 {
 		t.Fatalf("breaker never tripped after repeated 500s: %+v", snap)
 	}
@@ -163,14 +163,14 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	// Past the cool-down, traffic readmits the recovered replica and the
 	// breaker closes again.
 	time.Sleep(scfg.BreakerCooldown + 50*time.Millisecond)
-	before := coord.Metrics().Snapshot().Replicas[0].Requests
+	before := coord.metrics.Snapshot().Replicas[0].Requests
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; ; i++ {
 		rec := coordGet(t, coord, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(query), 30+i))
 		if rec.Code != 200 {
 			t.Fatalf("post-recovery search = %d: %s", rec.Code, rec.Body)
 		}
-		s := coord.Metrics().Snapshot()
+		s := coord.metrics.Snapshot()
 		if s.Replicas[0].Requests > before && s.Replicas[0].Errors == before {
 			break // the healed replica served again, cleanly
 		}
@@ -217,7 +217,7 @@ func TestHedgeWins(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("4 hedged queries took %v — hedging is not cutting tail latency", elapsed)
 	}
-	snap := coord.Metrics().Snapshot()
+	snap := coord.metrics.Snapshot()
 	if snap.HedgesWon == 0 {
 		t.Fatalf("no hedge ever won against a 600ms replica: %+v", snap)
 	}
@@ -272,7 +272,7 @@ func TestChaosReplicaKill(t *testing.T) {
 	if rec := coordGet(t, coord, "/readyz"); rec.Code != 200 {
 		t.Fatalf("readyz with one replica per range = %d: %s", rec.Code, rec.Body)
 	}
-	snap := coord.Metrics().Snapshot()
+	snap := coord.metrics.Snapshot()
 	if snap.Failovers == 0 {
 		t.Fatalf("kills never exercised failover: %+v", snap)
 	}

@@ -80,44 +80,17 @@ type Config struct {
 	CacheTTL time.Duration
 }
 
-func (c Config) queryTimeout() time.Duration {
-	if c.QueryTimeout == 0 {
-		return DefaultQueryTimeout
-	}
-	if c.QueryTimeout < 0 {
+// orDefault applies the "0 = default, negative = off" rule Config and
+// ShardConfig document for their timeouts, limits and cache sizes: 0 selects
+// def, a negative value yields 0 (off).
+func orDefault[T int | time.Duration](v, def T) T {
+	switch {
+	case v == 0:
+		return def
+	case v < 0:
 		return 0
 	}
-	return c.QueryTimeout
-}
-
-func (c Config) maxInflight() int {
-	if c.MaxInflight == 0 {
-		return DefaultMaxInflight
-	}
-	if c.MaxInflight < 0 {
-		return 0
-	}
-	return c.MaxInflight
-}
-
-func (c Config) cacheEntries() int {
-	if c.CacheEntries == 0 {
-		return DefaultCacheEntries
-	}
-	if c.CacheEntries < 0 {
-		return 0
-	}
-	return c.CacheEntries
-}
-
-func (c Config) cacheTTL() time.Duration {
-	if c.CacheTTL == 0 {
-		return DefaultCacheTTL
-	}
-	if c.CacheTTL < 0 {
-		return 0
-	}
-	return c.CacheTTL
+	return v
 }
 
 // StateRef is a refcounted handle on externally-owned resources backing a
@@ -196,7 +169,7 @@ func New(sys *ctxsearch.System, cs *ctxsearch.ContextSet, scores ctxsearch.Score
 // prestige scores are still being built or loaded.
 func NewPending(cfg Config) *Server {
 	s := &Server{cfg: cfg, mux: http.NewServeMux()}
-	s.cache = cache.New[[]byte](cfg.cacheEntries(), cfg.cacheTTL())
+	s.cache = cache.New[[]byte](orDefault(cfg.CacheEntries, DefaultCacheEntries), orDefault(cfg.CacheTTL, DefaultCacheTTL))
 	s.mux.HandleFunc("GET /search", s.handleSearch)
 	s.mux.HandleFunc("POST /shard/search", s.handleShardSearch)
 	s.mux.HandleFunc("GET /contexts", s.handleContexts)
@@ -304,7 +277,7 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 // writeQueryErr maps a search-pipeline error to a response: the request's
 // context ending is writeCtxErr's, anything else is a 400 (bad query).
 func (s *Server) writeQueryErr(w http.ResponseWriter, r *http.Request, err error) {
-	if !writeCtxErr(w, r, s.logger, s.cfg.queryTimeout(), err) {
+	if !writeCtxErr(w, r, s.logger, orDefault(s.cfg.QueryTimeout, DefaultQueryTimeout), err) {
 		writeErr(w, http.StatusBadRequest, "bad query: %v", err)
 	}
 }

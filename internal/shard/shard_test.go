@@ -42,7 +42,7 @@ func buildFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.Build(a)
+	ix := index.BuildWorkers(a, 0)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
 	prestige.PropagateMax(o, scores)

@@ -124,34 +124,6 @@ func Ranks(xs []float64) []float64 {
 	return ranks
 }
 
-// Min and Max return the extrema of xs; both return 0 for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or 0 for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // SeparabilitySD implements the paper's separability metric (§5.2): scores
 // (assumed in [0,1]) are split into nbins equal ranges; Xi is the percentage
 // of papers whose score falls in range i; the statistic is the standard

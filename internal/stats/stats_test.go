@@ -81,16 +81,6 @@ func TestRanksTies(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("min=%v max=%v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty extrema must be 0")
-	}
-}
-
 func TestSeparabilitySD(t *testing.T) {
 	// Perfectly uniform over 10 bins: SD = 0.
 	var uniform []float64

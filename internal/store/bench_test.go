@@ -26,7 +26,7 @@ func benchState(b *testing.B) (*ontology.Ontology, *State) {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.Build(a)
+	ix := index.BuildWorkers(a, 0)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	return o, &State{
 		ContextSet: cs,

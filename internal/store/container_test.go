@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"ctxsearch/internal/contextset"
-	"ctxsearch/internal/index"
 	"ctxsearch/internal/prestige"
 )
 
@@ -70,74 +69,6 @@ func assertSameMatrices(t *testing.T, st *State, got map[string]*prestige.Matrix
 	}
 }
 
-// TestOpenWithoutBlockSections exercises the mmap path end to end on an
-// image saved from parts without block tables: open, lazily materialize
-// every component, verify equality against the saved state (FromParts
-// recomputes the tables on bind), and check the refcounted lifecycle (double
-// Close is idempotent; Retain after close fails).
-func TestOpenWithoutBlockSections(t *testing.T) {
-	o, _, a, st := fixtureWithIndex(t)
-	m, err := Open(writeFile(t, blocklessBytes(t, st)), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := m.ContextSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameContextSet(t, st.ContextSet, cs)
-	names := m.matNames
-	if want := []string{"citation", "text"}; !reflect.DeepEqual(names, want) {
-		t.Fatalf("matrix names %v, want %v", names, want)
-	}
-	mats := make(map[string]*prestige.Matrix, len(names))
-	for _, name := range names {
-		if mats[name], err = m.Matrix(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertSameMatrices(t, st, mats)
-	parts, err := m.IndexParts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parts.BlockOffsets != nil {
-		t.Fatal("an image without block sections yielded block tables")
-	}
-	if ix, err := index.FromParts(a, parts); err != nil {
-		t.Fatalf("mapped parts do not bind: %v", err)
-	} else if ix.BlockSize() != index.DefaultBlockSize {
-		t.Fatalf("bind recomputed tables at block size %d, want %d", ix.BlockSize(), index.DefaultBlockSize)
-	}
-	df, err := m.DF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDocs, wantCounts := st.DF.Counts()
-	gotDocs, gotCounts := df.Counts()
-	if wantDocs != gotDocs || !reflect.DeepEqual(wantCounts, gotCounts) {
-		t.Fatal("DF table differs after mmap open")
-	}
-	// Lifecycle: a retained reference outlives Close; double Close is safe.
-	if !m.Retain() {
-		t.Fatal("Retain on open mapping failed")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatalf("double Close: %v", err)
-	}
-	// Still readable under the outstanding reference.
-	if _, err := m.Matrix("text"); err != nil {
-		t.Fatalf("read under retained reference after Close: %v", err)
-	}
-	m.Release()
-	if m.Retain() {
-		t.Fatal("Retain succeeded after the last reference released")
-	}
-}
-
 // TestOpenNoMmapFallback forces the byte-copy path and checks it decodes
 // identically (the CI no-mmap job runs the whole package this way too).
 func TestOpenNoMmapFallback(t *testing.T) {
@@ -160,17 +91,6 @@ func TestOpenNoMmapFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameContextSet(t, st.ContextSet, cs)
-}
-
-// blocklessBytes renders the fixture state as Save writes it for parts
-// without block tables: the four block sections are absent.
-func blocklessBytes(t *testing.T, st *State) []byte {
-	t.Helper()
-	idx := *st.Index
-	idx.BlockSize, idx.BlockOffsets, idx.BlockMaxWeight, idx.BlockMaxRatio = 0, nil, nil, nil
-	stripped := *st
-	stripped.Index = &idx
-	return v5Bytes(t, &stripped)
 }
 
 // patchTableCRC recomputes the section-table checksum after a test edits
@@ -249,6 +169,34 @@ func TestOpenSectionBeyondFile(t *testing.T) {
 	}
 }
 
+// TestOpenSectionLengthWraps: a CRC-valid table entry whose offset is in
+// bounds but whose length makes offset+length wrap uint64 is refused at
+// open, not accepted and then sliced out of bounds on first touch.
+func TestOpenSectionLengthWraps(t *testing.T) {
+	o, _, _, st := fixtureWithIndex(t)
+	img := v5Bytes(t, st)
+	count := int(binary.LittleEndian.Uint32(img[12:]))
+	for i := 0; i < count; i++ {
+		e := img[headerSize+i*secHdrSize:]
+		if binary.LittleEndian.Uint32(e[0:]) == secCSDocs {
+			// 2⁶⁴−8: a multiple of the 8-byte element, so only the bounds
+			// check can trip.
+			binary.LittleEndian.PutUint64(e[16:], ^uint64(7))
+			break
+		}
+	}
+	patchTableCRC(img)
+	data := alignedBytes(len(img))
+	copy(data, img)
+	m, err := openBytes(data, false, o)
+	if err == nil {
+		_, err = m.ContextSet()
+	}
+	if err == nil || !strings.Contains(err.Error(), "truncated?") {
+		t.Fatalf("wrapping section length not diagnosed: %v", err)
+	}
+}
+
 // TestOpenLazyCRCMismatch: payload corruption is caught on first touch of
 // the corrupted section — the open itself (which only reads the header,
 // table, and directory) still succeeds.
@@ -308,7 +256,7 @@ func TestOpenTooNew(t *testing.T) {
 // longer read.
 func TestOpenTooOld(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	img := blocklessBytes(t, st)
+	img := v5Bytes(t, st)
 	binary.LittleEndian.PutUint32(img[8:], version-1) // no checksum covers the header's version
 	_, err := Open(writeFile(t, img), o)
 	if err == nil {

@@ -14,8 +14,8 @@ import (
 // The state format is a sectioned binary file built for memory-mapped,
 // zero-copy opens. The magic marks the container; the version field inside
 // the header counts revisions: Save stamps 5 and Open reads exactly that.
-// The index's block-max sections (17–20) are optional — Save omits them for
-// parts without tables, and FromParts recomputes the tables on bind:
+// Save writes every section ID listed further down, and a reader requires
+// each one it materializes:
 //
 //	header (24 bytes):
 //	  [8]byte  magic "CTXSRCH4"
@@ -79,24 +79,22 @@ func elemSize(kind uint32) int {
 // prestige matrix gets a block of IDs starting at a base recorded in the
 // matrix directory.
 const (
-	secCSMeta       = uint32(1)  // bytes: kind, member ctx refs, reps, decay, inheritedFrom
-	secTermDict     = uint32(2)  // bytes: shared term-ID string table
-	secCSOffsets    = uint32(3)  // int32: member run offsets
-	secCSDocs       = uint32(4)  // int64: member paper IDs
-	secCSScores     = uint32(5)  // float64: assignment scores
-	secCSWordOffs   = uint32(6)  // int32: bitmap word-run offsets
-	secCSWords      = uint32(7)  // uint64: bitmap words
-	secIdxTerms     = uint32(8)  // bytes: index term dictionary
-	secIdxOffsets   = uint32(9)  // int32: posting run offsets
-	secIdxDocs      = uint32(10) // int64: posting doc IDs
-	secIdxWeights   = uint32(11) // float64: posting weights
-	secIdxNorms     = uint32(12) // float64: per-document vector norms
-	secIdxMaxWeight = uint32(13) // float64: per-term max posting weight
-	secIdxMaxRatio  = uint32(14) // float64: per-term max weight/norm ratio
-	secDF           = uint32(15) // bytes: document-frequency table
-	secMatrixDir    = uint32(16) // bytes: score-function name → section base
-	// Block-max index sections, optional on read: a reader binding a state
-	// without them recomputes the tables on open (see index.FromParts).
+	secCSMeta          = uint32(1)  // bytes: kind, member ctx refs, reps, decay, inheritedFrom
+	secTermDict        = uint32(2)  // bytes: shared term-ID string table
+	secCSOffsets       = uint32(3)  // int32: member run offsets
+	secCSDocs          = uint32(4)  // int64: member paper IDs
+	secCSScores        = uint32(5)  // float64: assignment scores
+	secCSWordOffs      = uint32(6)  // int32: bitmap word-run offsets
+	secCSWords         = uint32(7)  // uint64: bitmap words
+	secIdxTerms        = uint32(8)  // bytes: index term dictionary
+	secIdxOffsets      = uint32(9)  // int32: posting run offsets
+	secIdxDocs         = uint32(10) // int64: posting doc IDs
+	secIdxWeights      = uint32(11) // float64: posting weights
+	secIdxNorms        = uint32(12) // float64: per-document vector norms
+	secIdxMaxWeight    = uint32(13) // float64: per-term max posting weight
+	secIdxMaxRatio     = uint32(14) // float64: per-term max weight/norm ratio
+	secDF              = uint32(15) // bytes: document-frequency table
+	secMatrixDir       = uint32(16) // bytes: score-function name → section base
 	secIdxBlockMeta    = uint32(17) // bytes: u32 postings-per-block granularity
 	secIdxBlockOffsets = uint32(18) // int32: per-term block-run offsets
 	secIdxBlockMaxW    = uint32(19) // float64: per-block max posting weight

@@ -171,7 +171,8 @@ func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, erro
 		if s.length%es != 0 {
 			return nil, fmt.Errorf("section %d length %d is not a multiple of its %d-byte elements", s.id, s.length, es)
 		}
-		if s.off > uint64(len(data)) || s.off+s.length > uint64(len(data)) {
+		// Compared as a remainder, not as off+length, which can wrap uint64.
+		if s.off > uint64(len(data)) || s.length > uint64(len(data))-s.off {
 			return nil, fmt.Errorf("section %d spans [%d, %d) beyond the %d-byte file (truncated?)", s.id, s.off, s.off+s.length, len(data))
 		}
 		if m.secs[s.id] != nil {
@@ -197,32 +198,20 @@ func tooOldError(ver int) error {
 	return fmt.Errorf("store: state file version %d is older than this binary reads (%d) — the file was built by an older ctxsearch; rebuild the state with `ctxsearch build -state …`", ver, version)
 }
 
-// sectionLocked returns a section's data, verifying its CRC on first
-// touch. Missing sections return (nil, false, nil). Caller holds m.mu (or
-// is single-threaded during open).
-func (m *Mapped) sectionLocked(id uint32) ([]byte, bool, error) {
+// needLocked returns a section's data, verifying its CRC on first touch.
+// Every section the reader asks for is required: a missing one is an
+// error. Caller holds m.mu (or is single-threaded during open).
+func (m *Mapped) needLocked(id uint32) ([]byte, error) {
 	s := m.secs[id]
 	if s == nil {
-		return nil, false, nil
+		return nil, fmt.Errorf("store: state file is missing required section %d — rebuild it with `ctxsearch build -state …`", id)
 	}
 	b := m.data[s.off : s.off+s.length]
 	if !s.verified {
 		if got := crc32.Checksum(b, castagnoli); got != s.crc {
-			return nil, true, fmt.Errorf("store: section %d CRC mismatch (want %08x, data hashes to %08x): corrupt state file", id, s.crc, got)
+			return nil, fmt.Errorf("store: section %d CRC mismatch (want %08x, data hashes to %08x): corrupt state file", id, s.crc, got)
 		}
 		s.verified = true
-	}
-	return b, true, nil
-}
-
-// needLocked is sectionLocked for sections the format requires.
-func (m *Mapped) needLocked(id uint32) ([]byte, error) {
-	b, ok, err := m.sectionLocked(id)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("store: state file is missing required section %d — rebuild it with `ctxsearch build -state …`", id)
 	}
 	return b, nil
 }
@@ -434,49 +423,43 @@ func (m *Mapped) IndexParts() (*index.Parts, error) {
 	if err != nil {
 		return nil, err
 	}
-	parts := &index.Parts{
-		Terms:     terms,
-		Offsets:   asI32s(offs),
-		Docs:      asPaperIDs(docs),
-		Weights:   asF64s(weights),
-		Norms:     asF64s(norms),
-		MaxWeight: asF64s(maxW),
-		MaxRatio:  asF64s(maxR),
-	}
-	// Block-max sections (optional). A state without them — one whose index
-	// carried no tables — leaves BlockOffsets nil and index.FromParts
-	// recomputes the tables on bind.
-	bmeta, ok, err := m.sectionLocked(secIdxBlockMeta)
+	bmeta, err := m.needLocked(secIdxBlockMeta)
 	if err != nil {
 		return nil, err
 	}
-	if ok {
-		bc := &cursor{b: bmeta}
-		bs := int(bc.u32())
-		if err := bc.done(); err != nil {
-			return nil, fmt.Errorf("store: index block meta: %w", err)
-		}
-		if bs <= 0 {
-			return nil, fmt.Errorf("store: index block size %d is not positive", bs)
-		}
-		boffs, err := m.needLocked(secIdxBlockOffsets)
-		if err != nil {
-			return nil, err
-		}
-		bmw, err := m.needLocked(secIdxBlockMaxW)
-		if err != nil {
-			return nil, err
-		}
-		bmr, err := m.needLocked(secIdxBlockMaxR)
-		if err != nil {
-			return nil, err
-		}
-		parts.BlockSize = bs
-		parts.BlockOffsets = asI32s(boffs)
-		parts.BlockMaxWeight = asF64s(bmw)
-		parts.BlockMaxRatio = asF64s(bmr)
+	bc := &cursor{b: bmeta}
+	bs := int(bc.u32())
+	if err := bc.done(); err != nil {
+		return nil, fmt.Errorf("store: index block meta: %w", err)
 	}
-	m.parts = parts
+	if bs <= 0 {
+		return nil, fmt.Errorf("store: index block size %d is not positive", bs)
+	}
+	boffs, err := m.needLocked(secIdxBlockOffsets)
+	if err != nil {
+		return nil, err
+	}
+	bmw, err := m.needLocked(secIdxBlockMaxW)
+	if err != nil {
+		return nil, err
+	}
+	bmr, err := m.needLocked(secIdxBlockMaxR)
+	if err != nil {
+		return nil, err
+	}
+	m.parts = &index.Parts{
+		Terms:          terms,
+		Offsets:        asI32s(offs),
+		Docs:           asPaperIDs(docs),
+		Weights:        asF64s(weights),
+		Norms:          asF64s(norms),
+		MaxWeight:      asF64s(maxW),
+		MaxRatio:       asF64s(maxR),
+		BlockSize:      bs,
+		BlockOffsets:   asI32s(boffs),
+		BlockMaxWeight: asF64s(bmw),
+		BlockMaxRatio:  asF64s(bmr),
+	}
 	return m.parts, nil
 }
 

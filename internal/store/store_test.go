@@ -28,7 +28,7 @@ func fixtureWithIndex(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.Build(a)
+	ix := index.BuildWorkers(a, 0)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	return o, c, a, &State{
 		ContextSet: cs,

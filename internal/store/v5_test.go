@@ -5,11 +5,13 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"ctxsearch/internal/index"
+	"ctxsearch/internal/prestige"
 )
 
 // v5Bytes renders the fixture state as the image Save writes.
@@ -57,21 +59,13 @@ func TestV5BlockSections(t *testing.T) {
 			t.Fatalf("image lacks block section %d", id)
 		}
 	}
-
-	// A save of parts without tables simply omits the sections (and still
-	// opens — the reader recomputes on bind).
-	stripped := *st
-	idx := *st.Index
-	idx.BlockSize, idx.BlockOffsets, idx.BlockMaxWeight, idx.BlockMaxRatio = 0, nil, nil, nil
-	stripped.Index = &idx
-	if ids := sectionIDs(v5Bytes(t, &stripped)); slices.Contains(ids, secIdxBlockMeta) {
-		t.Fatal("v5 image of blockless parts contains block sections")
-	}
 }
 
-// TestOpenV5 exercises the v5 mmap path: the bound parts carry the block
-// tables zero-copy (identical to the saved ones), and they bind to a live
-// index without the recompute pass.
+// TestOpenV5 exercises the mmap path end to end: open, lazily materialize
+// every component and check it against the saved state — the parts carry
+// the block tables zero-copy and bind to a live index — then the refcounted
+// lifecycle (double Close is idempotent; Retain after the last release
+// fails).
 func TestOpenV5(t *testing.T) {
 	o, _, a, st := fixtureWithIndex(t)
 	path := filepath.Join(t.TempDir(), "state.v5")
@@ -82,13 +76,25 @@ func TestOpenV5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	parts, err := m.IndexParts()
+	cs, err := m.ContextSet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts == nil || parts.BlockOffsets == nil {
-		t.Fatal("v5 open returned parts without block tables")
+	assertSameContextSet(t, st.ContextSet, cs)
+	names := m.matNames
+	if want := []string{"citation", "text"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("matrix names %v, want %v", names, want)
+	}
+	mats := make(map[string]*prestige.Matrix, len(names))
+	for _, name := range names {
+		if mats[name], err = m.Matrix(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertSameMatrices(t, st, mats)
+	parts, err := m.IndexParts()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if parts.BlockSize != st.Index.BlockSize {
 		t.Fatalf("block size %d, want %d", parts.BlockSize, st.Index.BlockSize)
@@ -98,12 +104,62 @@ func TestOpenV5(t *testing.T) {
 		!slices.Equal(parts.BlockMaxRatio, st.Index.BlockMaxRatio) {
 		t.Fatal("mapped block tables differ from the saved ones")
 	}
-	ix, err := index.FromParts(a, parts)
-	if err != nil {
+	if _, err := index.FromParts(a, parts); err != nil {
 		t.Fatalf("mapped v5 parts do not bind: %v", err)
 	}
-	if ix.BlockSize() != st.Index.BlockSize {
-		t.Fatalf("bound index block size %d, want %d", ix.BlockSize(), st.Index.BlockSize)
+	df, err := m.DF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantDocs, wantCounts := st.DF.Counts()
+	gotDocs, gotCounts := df.Counts()
+	if wantDocs != gotDocs || !reflect.DeepEqual(wantCounts, gotCounts) {
+		t.Fatal("DF table differs after mmap open")
+	}
+	// Lifecycle: a retained reference outlives Close; double Close is safe.
+	if !m.Retain() {
+		t.Fatal("Retain on open mapping failed")
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("double Close: %v", err)
+	}
+	// Still readable under the outstanding reference.
+	if _, err := m.Matrix("text"); err != nil {
+		t.Fatalf("read under retained reference after Close: %v", err)
+	}
+	m.Release()
+	if m.Retain() {
+		t.Fatal("Retain succeeded after the last reference released")
+	}
+}
+
+// TestV5RequiresBlockSections: the block-max sections are required — an
+// image whose table lacks section 17 opens (payloads are lazy) but its
+// index fails to materialize with the missing-section diagnostic.
+func TestV5RequiresBlockSections(t *testing.T) {
+	o, _, _, st := fixtureWithIndex(t)
+	img := v5Bytes(t, st)
+	count := int(binary.LittleEndian.Uint32(img[12:]))
+	table := img[headerSize : headerSize+count*secHdrSize]
+	for i := 0; i < count; i++ {
+		if binary.LittleEndian.Uint32(table[i*secHdrSize:]) == secIdxBlockMeta {
+			// Drop the entry; data offsets are absolute, so the rest stand.
+			copy(table[i*secHdrSize:], table[(i+1)*secHdrSize:])
+			binary.LittleEndian.PutUint32(img[12:], uint32(count-1))
+			break
+		}
+	}
+	patchTableCRC(img)
+	m, err := Open(writeFile(t, img), o)
+	if err != nil {
+		t.Fatalf("open reads no payload, must succeed: %v", err)
+	}
+	defer m.Close()
+	if _, err := m.IndexParts(); err == nil || !strings.Contains(err.Error(), "missing required section 17") {
+		t.Fatalf("image without section 17 not rejected: %v", err)
 	}
 }
 

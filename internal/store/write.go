@@ -21,10 +21,9 @@ type sectionData struct {
 // layout). The context set is flattened to its frozen CSR+bitmap arrays,
 // each prestige matrix's CSR arrays are written verbatim, and the text
 // index's postings, its block-max tables and the DF table go along, so an
-// open skips corpus re-analysis entirely and binds the tables zero-copy. An
-// index built without block tables produces a file without the block
-// sections — readers recompute them on bind. The layout is deterministic:
-// sections in fixed ID order, dictionaries and directories sorted.
+// open skips corpus re-analysis entirely and binds the tables zero-copy.
+// The layout is deterministic: sections in fixed ID order, dictionaries and
+// directories sorted.
 func Save(w io.Writer, st *State) error {
 	if st == nil || st.ContextSet == nil {
 		return fmt.Errorf("store: nil state or context set")
@@ -160,14 +159,12 @@ func Save(w io.Writer, st *State) error {
 	add(secIdxNorms, kindF64, encodeF64s(p.Norms))
 	add(secIdxMaxWeight, kindF64, encodeF64s(p.MaxWeight))
 	add(secIdxMaxRatio, kindF64, encodeF64s(p.MaxRatio))
-	if p.BlockOffsets != nil && p.BlockSize > 0 {
-		var bm builder
-		bm.u32(uint32(p.BlockSize))
-		add(secIdxBlockMeta, kindBytes, bm.b)
-		add(secIdxBlockOffsets, kindI32, encodeI32s(p.BlockOffsets))
-		add(secIdxBlockMaxW, kindF64, encodeF64s(p.BlockMaxWeight))
-		add(secIdxBlockMaxR, kindF64, encodeF64s(p.BlockMaxRatio))
-	}
+	var bm builder
+	bm.u32(uint32(p.BlockSize))
+	add(secIdxBlockMeta, kindBytes, bm.b)
+	add(secIdxBlockOffsets, kindI32, encodeI32s(p.BlockOffsets))
+	add(secIdxBlockMaxW, kindF64, encodeF64s(p.BlockMaxWeight))
+	add(secIdxBlockMaxR, kindF64, encodeF64s(p.BlockMaxRatio))
 
 	docs, counts := st.DF.Counts()
 	dfTerms := make([]string, 0, len(counts))

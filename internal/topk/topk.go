@@ -1,9 +1,9 @@
 // Package topk provides a bounded selection heap: a fixed-capacity
 // container that retains the K best items of a stream under a total order,
-// in O(log K) per offered item and O(K) space. Both rank-pruned query
-// layers use it — the index's MaxScore evaluator keeps the K best hits,
-// the search merge keeps the offset+limit best results — and its Min is
-// the running threshold those layers prune against.
+// in O(log K) per offered item and O(K) space. The search merge keeps the
+// offset+limit best results in it and the shard page merge the best rows
+// (the index's MaxScore evaluator runs a copy specialised to its hit type),
+// and its Min is the running threshold those layers prune against.
 //
 // The zero structural invariant callers rely on: after any sequence of
 // Offer calls, the retained set is exactly the K best of everything
@@ -35,14 +35,12 @@ func New[T any](k int, worse func(a, b T) bool) *Heap[T] {
 	return &Heap[T]{worse: worse, items: make([]T, 0, k), k: k}
 }
 
-// Len returns the number of retained items.
-func (h *Heap[T]) Len() int { return len(h.items) }
-
 // Full reports whether the heap holds k items — only then is Min a
 // meaningful pruning threshold.
 func (h *Heap[T]) Full() bool { return len(h.items) == h.k }
 
-// Min returns the worst retained item. It is only valid when Len() > 0.
+// Min returns the worst retained item. It is only valid when the heap
+// holds at least one item.
 func (h *Heap[T]) Min() T { return h.items[0] }
 
 // Offer inserts x if it belongs in the K best seen so far, evicting the
@@ -65,22 +63,6 @@ func (h *Heap[T]) Offer(x T) bool {
 // Items returns the retained items in unspecified (heap) order. The slice
 // aliases the heap's storage; callers typically sort it once at the end.
 func (h *Heap[T]) Items() []T { return h.items }
-
-// Reset empties the heap and sets a new retention capacity, reusing the
-// backing storage when it is large enough. It lets pooled query scratch
-// (the index's top-k evaluator) recycle one heap across queries with
-// differing page sizes without reallocating. k must be positive.
-func (h *Heap[T]) Reset(k int) {
-	if k <= 0 {
-		panic("topk: non-positive capacity")
-	}
-	if cap(h.items) < k {
-		h.items = make([]T, 0, k)
-	} else {
-		h.items = h.items[:0]
-	}
-	h.k = k
-}
 
 func (h *Heap[T]) up(i int) {
 	for i > 0 {

@@ -118,8 +118,8 @@ func TestHeapPartialFill(t *testing.T) {
 	if h.Full() {
 		t.Fatal("heap with 2/10 items reports Full")
 	}
-	if h.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", h.Len())
+	if n := len(h.Items()); n != 2 {
+		t.Fatalf("%d items retained, want 2", n)
 	}
 }
 

@@ -35,9 +35,6 @@ func (d *DF) Merge(o *DF) {
 	}
 }
 
-// Docs returns the number of documents recorded.
-func (d *DF) Docs() int { return d.docs }
-
 // IDF returns the smoothed inverse document frequency
 // log(1 + N/df(t)); terms never seen get the maximal IDF log(1+N).
 func (d *DF) IDF(t string) float64 {

@@ -104,8 +104,8 @@ func TestDFWeighting(t *testing.T) {
 	df.AddDoc(Sparse{"common": 1, "rare": 1})
 	df.AddDoc(Sparse{"common": 1})
 	df.AddDoc(Sparse{"common": 1})
-	if df.Docs() != 3 {
-		t.Fatalf("Docs = %d", df.Docs())
+	if docs, _ := df.Counts(); docs != 3 {
+		t.Fatalf("docs = %d", docs)
 	}
 	if df.df["common"] != 3 || df.df["rare"] != 1 {
 		t.Fatalf("df: common=%d rare=%d", df.df["common"], df.df["rare"])
