@@ -66,14 +66,17 @@ bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean' -benchmem ./internal/index/
 
 # The offline-build benchmarks behind BENCH_PR4.json, BENCH_PR12.json and
-# BENCH_PR26.json, one per stage of `build -v`: corpus generation, sharded
-# corpus analysis at 1, 2 and 8 workers (2 is what a 2-CPU host can show
-# scaling with) and one paper's steady-state analysis, whose allocs/op CI
-# gates, TF-IDF warming, inverted/positional index construction, the
-# postings-driven text context set, text prestige for one context and bulk
-# scoring at >= 1k contexts, and the end-to-end system build at 1 vs 8
-# workers.
+# BENCH_PR26.json: first the ascending-sum kernel under every cosine of the
+# build (SumSorted vs slices.Sort at build-like run lengths, and on the
+# bucket pass's worst case, which must stay within 2x), then one per stage
+# of `build -v`: corpus generation, sharded corpus analysis at 1, 2 and 8
+# workers (2 is what a 2-CPU host can show scaling with) and one paper's
+# steady-state analysis, whose allocs/op CI gates, TF-IDF warming,
+# inverted/positional index construction, the postings-driven text context
+# set, text prestige for one context and bulk scoring at >= 1k contexts, and
+# the end-to-end system build at 1 vs 8 workers.
 bench-build:
+	$(GO) test -run xxx -bench 'BenchmarkSumSorted' -benchmem ./internal/vector/
 	$(GO) test -run xxx -bench 'BenchmarkGenerate' -benchmem ./internal/corpus/
 	$(GO) test -run xxx -bench 'BenchmarkAnalyzerBuild|BenchmarkAnalyzerWarm|BenchmarkAnalyzePaper' -benchmem ./internal/corpus/
 	$(GO) test -run xxx -bench 'BenchmarkTextContextSet' -benchmem ./internal/contextset/

@@ -134,3 +134,32 @@ func itoa(n int) string {
 	}
 	return string(b[i:])
 }
+
+// FuzzParseGAF: ParseGAF returns annotations or an error and never panics;
+// every annotation it returns cites a PMID and comes from its own line.
+func FuzzParseGAF(f *testing.F) {
+	for _, s := range []string{
+		sampleGAF,
+		"too\tfew\tcolumns\n",
+		"a\tb\tc\td\tGO:1\tPMID:\tEXP\n",
+		"a\tb\tc\td\tGO:1\tPMID:x|PMID:7\tEXP\n",
+		"a\tb\tc\td\tGO:1\tDOI:1|PMID:7|PMID:8\tEXP\n",
+		"a\tb\tc\td\tGO:1\tPMID:0\tEXP\n\n!\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		annots, err := ParseGAF(strings.NewReader(s))
+		if err != nil {
+			return
+		}
+		if lines := strings.Count(s, "\n") + 1; len(annots) > lines {
+			t.Fatalf("%d annotations from %d lines", len(annots), lines)
+		}
+		for _, a := range annots {
+			if a.PMID == 0 {
+				t.Fatalf("annotation without a PMID: %+v", a)
+			}
+		}
+	})
+}

@@ -7,7 +7,7 @@ import (
 	"ctxsearch/internal/ontology"
 )
 
-func testOntology(t *testing.T) *ontology.Ontology {
+func testOntology(t testing.TB) *ontology.Ontology {
 	t.Helper()
 	o, err := ontology.Generate(ontology.GenConfig{Seed: 2, NumTerms: 120, MaxDepth: 8, SecondParentProb: 0.1})
 	if err != nil {
@@ -16,7 +16,7 @@ func testOntology(t *testing.T) *ontology.Ontology {
 	return o
 }
 
-func testCorpus(t *testing.T, n int) (*Corpus, *ontology.Ontology) {
+func testCorpus(t testing.TB, n int) (*Corpus, *ontology.Ontology) {
 	t.Helper()
 	o := testOntology(t)
 	cfg := DefaultGenConfig(n)

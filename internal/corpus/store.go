@@ -43,13 +43,18 @@ func Load(r io.Reader) (*Corpus, error) {
 	if h.Version != storeVersion {
 		return nil, fmt.Errorf("corpus: unsupported store version %d (want %d)", h.Version, storeVersion)
 	}
-	papers := make([]*Paper, h.Papers)
-	for i := range papers {
+	if h.Papers < 0 {
+		return nil, fmt.Errorf("corpus: header declares %d papers", h.Papers)
+	}
+	// Grown as papers decode, not sized by the header: a corrupt count
+	// larger than the file ends in a decode error, not a huge allocation.
+	var papers []*Paper
+	for i := 0; i < h.Papers; i++ {
 		var p Paper
 		if err := dec.Decode(&p); err != nil {
 			return nil, fmt.Errorf("corpus: decoding paper %d: %w", i, err)
 		}
-		papers[i] = &p
+		papers = append(papers, &p)
 	}
 	return NewCorpus(papers)
 }

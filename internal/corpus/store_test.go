@@ -2,8 +2,10 @@ package corpus
 
 import (
 	"bytes"
+	"encoding/gob"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -73,4 +75,78 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load(bytes.NewReader(b)); err == nil {
 		t.Error("bad magic must fail")
 	}
+}
+
+// hostileCorpus is a gob corpus stream whose header declares count papers,
+// followed by the given papers.
+func hostileCorpus(t testing.TB, count int, papers []*Paper) []byte {
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(storeHeader{Magic: "ctxsearch-corpus", Version: storeVersion, Papers: count}); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range papers {
+		if err := enc.Encode(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestLoadHostileHeader: the header's paper count comes from the file, so a
+// corrupt one is an error — never a makeslice panic or an allocation the
+// size of the count.
+func TestLoadHostileHeader(t *testing.T) {
+	c, _ := testCorpus(t, 5)
+	for _, tc := range []struct {
+		name   string
+		count  int
+		papers []*Paper
+		want   string
+	}{
+		{"negative", -1, c.Papers(), "header declares -1 papers"},
+		{"huge", 1 << 50, nil, "decoding paper 0"},
+		{"more than present", 6, c.Papers(), "decoding paper 5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Load(bytes.NewReader(hostileCorpus(t, tc.count, tc.papers)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want an error containing %q, got %v", tc.want, err)
+			}
+		})
+	}
+}
+
+// FuzzLoadCorpus throws arbitrary bytes at the corpus decoder: Load returns
+// a corpus or an error, never panics, and a corpus it returns saves and
+// loads back to the same papers.
+func FuzzLoadCorpus(f *testing.F) {
+	c, _ := testCorpus(f, 4)
+	var valid bytes.Buffer
+	if err := c.Save(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()/2])
+	f.Add(hostileCorpus(f, -1, nil))
+	f.Add(hostileCorpus(f, 1<<50, nil))
+	f.Add(hostileCorpus(f, 5, c.Papers()))
+	f.Add(hostileCorpus(f, 0, nil))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := Load(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := got.Save(&again); err != nil {
+			t.Fatalf("saving a loaded corpus: %v", err)
+		}
+		back, err := Load(&again)
+		if err != nil {
+			t.Fatalf("loading a re-saved corpus: %v", err)
+		}
+		if !reflect.DeepEqual(got.Papers(), back.Papers()) {
+			t.Fatal("a loaded corpus does not survive Save and Load")
+		}
+	})
 }

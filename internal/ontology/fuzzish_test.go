@@ -73,3 +73,42 @@ func TestGenerateStressDepths(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParseOBO: ParseOBO returns an ontology or an error and never panics,
+// and an ontology it returns is a DAG every term of which sits one level
+// below its shallowest parent at most (cycles, self is_a, dangling parents
+// and empty IDs are errors).
+func FuzzParseOBO(f *testing.F) {
+	for _, s := range []string{
+		"[Term]\nid: A\nname: a\n\n[Term]\nid: B\nname: b\nis_a: A ! a\n",
+		"[Term]\nid: A\nname: a\nis_a: B\n\n[Term]\nid: B\nname: b\nis_a: A\n",
+		"[Term]\nid: A\nname: a\nis_a: A\n",
+		"[Term]\nid:\nname: nameless\n",
+		"[Term]\nid: A\nname: a\n\n[Term]\nid: B\nname: b\nis_a: A\nis_obsolete: true\n\n[Term]\nid: C\nname: c\nis_a: B\n",
+		"[Typedef]\nid: part_of\nname: part of\n\n[Term]\nid: A\nname: a\ndef: \"x\" []\n",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		o, err := ParseOBO(strings.NewReader(s))
+		if err != nil {
+			return
+		}
+		for _, id := range o.TermIDs() {
+			if o.Term(id) == nil || o.Level(id) < 1 {
+				t.Fatalf("term %q: missing or at level %d", id, o.Level(id))
+			}
+			for _, p := range o.Parents(id) {
+				if o.Term(p) == nil {
+					t.Fatalf("term %q: parent %q is not a term", id, p)
+				}
+				if p == id || o.IsAncestor(id, p) {
+					t.Fatalf("term %q: parent %q closes a cycle", id, p)
+				}
+				if o.Level(id) > o.Level(p)+1 {
+					t.Fatalf("term %q at level %d under %q at level %d", id, o.Level(id), p, o.Level(p))
+				}
+			}
+		}
+	})
+}

@@ -197,6 +197,65 @@ func TestOpenSectionLengthWraps(t *testing.T) {
 	}
 }
 
+// withSection returns a copy of img whose section id holds payload instead,
+// appended past the end of the file with a valid CRC and the table CRC
+// patched — a hostile image no checksum catches.
+func withSection(img []byte, id uint32, payload []byte) []byte {
+	off := alignUp(uint64(len(img)), secAlign)
+	data := alignedBytes(int(off) + len(payload))
+	copy(data, img)
+	copy(data[off:], payload)
+	count := int(binary.LittleEndian.Uint32(data[12:]))
+	for i := 0; i < count; i++ {
+		e := data[headerSize+i*secHdrSize:]
+		if binary.LittleEndian.Uint32(e[0:]) == id {
+			binary.LittleEndian.PutUint64(e[8:], off)
+			binary.LittleEndian.PutUint64(e[16:], uint64(len(payload)))
+			binary.LittleEndian.PutUint32(e[24:], crc32.Checksum(payload, castagnoli))
+		}
+	}
+	patchTableCRC(data)
+	return data
+}
+
+// TestContextMetaHostileCounts: a CRC-valid context meta section whose
+// counts claim more entries than its bytes hold is refused before any count
+// sizes an allocation. Each count is 2³²−1 in a section of a few bytes; left
+// unchecked, the representatives' make(map, n) ends the process in a fatal
+// out-of-memory error no recover can catch.
+func TestContextMetaHostileCounts(t *testing.T) {
+	o, _, _, st := fixtureWithIndex(t)
+	img := v5Bytes(t, st)
+	meta := func(counts ...uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, 0) // kind
+		for _, n := range counts {
+			b = binary.LittleEndian.AppendUint32(b, n)
+		}
+		return append(b, 0, 0, 0, 0)
+	}
+	const huge = ^uint32(0)
+	for _, tc := range []struct {
+		name string
+		meta []byte
+		want string
+	}{
+		{"contexts", meta(huge), "4294967295 contexts"},
+		{"representatives", meta(0, huge), "4294967295 representatives"},
+		{"decay", meta(0, 0, huge), "4294967295 decay entries"},
+		{"inherited", meta(0, 0, 0, huge), "4294967295 inherited entries"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := openBytes(withSection(img, secCSMeta, tc.meta), false, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.ContextSet(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want an error naming %q, got %v", tc.want, err)
+			}
+		})
+	}
+}
+
 // TestOpenLazyCRCMismatch: payload corruption is caught on first touch of
 // the corrupted section — the open itself (which only reads the header,
 // table, and directory) still succeeds.

@@ -294,10 +294,20 @@ func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 		return nil, err
 	}
 	c := &cursor{b: meta}
+	// count reads an entry count and refuses one the bytes left in the
+	// section cannot hold at size bytes an entry: every count below sizes
+	// an allocation, and a CRC only proves the file is the one written.
+	count := func(what string, size int) (int, error) {
+		n := int(c.u32())
+		if n > (len(meta)-c.off)/size {
+			return 0, fmt.Errorf("store: context meta declares %d %s in a %d-byte section", n, what, len(meta))
+		}
+		return n, nil
+	}
 	kind := contextset.Kind(c.u32())
-	nc := int(c.u32())
-	if nc < 0 || nc > len(meta) {
-		return nil, fmt.Errorf("store: context meta declares %d contexts in a %d-byte section", nc, len(meta))
+	nc, err := count("contexts", 4)
+	if err != nil {
+		return nil, err
 	}
 	ctxs := make([]ontology.TermID, nc)
 	for i := range ctxs {
@@ -305,7 +315,10 @@ func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 			return nil, err
 		}
 	}
-	nr := int(c.u32())
+	nr, err := count("representatives", 12)
+	if err != nil {
+		return nil, err
+	}
 	reps := make(map[ontology.TermID]corpus.PaperID, nr)
 	for i := 0; i < nr && !c.fail; i++ {
 		t, err := dictRef(dict, c.u32())
@@ -314,7 +327,10 @@ func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 		}
 		reps[t] = corpus.PaperID(int64(c.u64()))
 	}
-	nd := int(c.u32())
+	nd, err := count("decay entries", 12)
+	if err != nil {
+		return nil, err
+	}
 	decay := make(map[ontology.TermID]float64, nd)
 	for i := 0; i < nd && !c.fail; i++ {
 		t, err := dictRef(dict, c.u32())
@@ -323,7 +339,10 @@ func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 		}
 		decay[t] = c.f64()
 	}
-	ni := int(c.u32())
+	ni, err := count("inherited entries", 8)
+	if err != nil {
+		return nil, err
+	}
 	inherited := make(map[ontology.TermID]ontology.TermID, ni)
 	for i := 0; i < ni && !c.fail; i++ {
 		t, err := dictRef(dict, c.u32())

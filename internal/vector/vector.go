@@ -6,6 +6,7 @@ package vector
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -109,12 +110,98 @@ func NormOfSquares(sq []float64) float64 {
 // Dot and Norm: a caller that gathers the same products itself and reduces
 // them here gets Dot's result bit for bit. Sorts xs in place.
 func SumSorted(xs []float64) float64 {
-	slices.Sort(xs)
+	if !sortNonNegative(xs) {
+		slices.Sort(xs)
+	}
 	var s float64
 	for _, x := range xs {
 		s += x
 	}
 	return s
+}
+
+// distCap is the longest run sortNonNegative takes: its bucket counts and
+// scatter buffer are fixed-size arrays on the stack. Every run an offline
+// build sums is shorter: the longest holds 187 values at 800 papers / 160
+// terms, 195 at 4 000 / 400.
+const distCap = 256
+
+// insertionMax is the run length up to which a plain insertion sort beats
+// the bucket pass.
+const insertionMax = 16
+
+// infBits is +Inf's bit pattern. A negative double, −0 included, has the
+// sign bit set and +Inf or a NaN has an all-ones exponent, so every value
+// sortNonNegative refuses has a pattern at or above this one.
+const infBits = 0x7FF0000000000000
+
+// sortNonNegative sorts xs ascending and reports true when xs holds at most
+// distCap values, each finite and non-negative other than −0. Otherwise it
+// reports false and leaves xs a permutation of its input for slices.Sort.
+//
+// For those values the IEEE-754 bit patterns, read as uint64, order exactly
+// like the values (the exponent field sits above the mantissa, and both grow
+// with the value), and two patterns that differ are two values that differ.
+// So there is one ascending order, the one slices.Sort produces, and it can
+// be found on the bits: one counting pass scatters the values, in order,
+// into 2^⌈log₂(n+1)⌉ buckets — between n and 2n — over the high bits of
+// bits−min, and an insertion sort then moves each value only within its
+// bucket. A crowded bucket (values within a few ulps of each other) would
+// make that insertion sort quadratic, so once it has moved values more than
+// 2n places in total the rest is left to slices.Sort.
+func sortNonNegative(xs []float64) bool {
+	n := len(xs)
+	if n > distCap {
+		return false
+	}
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for _, x := range xs {
+		b := math.Float64bits(x)
+		lo, hi = min(lo, b), max(hi, b)
+	}
+	if hi >= infBits {
+		return false
+	}
+	if n <= insertionMax {
+		for i := 1; i < n; i++ {
+			v, j := xs[i], i
+			for ; j > 0 && xs[j-1] > v; j-- {
+				xs[j] = xs[j-1]
+			}
+			xs[j] = v
+		}
+		return true
+	}
+	logB := bits.Len(uint(n))
+	shift := max(bits.Len64(hi-lo)-logB, 0)
+	var count [2 * distCap]uint16
+	for _, x := range xs {
+		count[(math.Float64bits(x)-lo)>>shift]++
+	}
+	start := uint16(0)
+	for k, c := range count[:1<<logB] {
+		count[k] = start
+		start += c
+	}
+	var buf [distCap]float64
+	for _, x := range xs {
+		k := (math.Float64bits(x) - lo) >> shift
+		buf[count[k]] = x
+		count[k]++
+	}
+	moves := 0
+	for i, v := range buf[:n] {
+		j := i
+		for ; j > 0 && xs[j-1] > v; j-- {
+			xs[j] = xs[j-1]
+		}
+		xs[j] = v
+		if moves += i - j; moves > 2*n {
+			copy(xs[i+1:], buf[i+1:n])
+			return false
+		}
+	}
+	return true
 }
 
 // Cosine returns the cosine similarity between v and u in [0,1] for
