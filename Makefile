@@ -71,14 +71,14 @@ bench-query:
 # bucket pass's worst case, which must stay within 2x), then one per stage
 # of `build -v`: corpus generation, sharded corpus analysis at 1, 2 and 8
 # workers (2 is what a 2-CPU host can show scaling with) and one paper's
-# steady-state analysis, whose allocs/op CI gates, TF-IDF warming,
+# steady-state analysis, whose allocs/op CI gates,
 # inverted/positional index construction, the postings-driven text context
 # set, text prestige for one context and bulk scoring at >= 1k contexts, and
 # the end-to-end system build at 1 vs 8 workers.
 bench-build:
 	$(GO) test -run xxx -bench 'BenchmarkSumSorted' -benchmem ./internal/vector/
 	$(GO) test -run xxx -bench 'BenchmarkGenerate' -benchmem ./internal/corpus/
-	$(GO) test -run xxx -bench 'BenchmarkAnalyzerBuild|BenchmarkAnalyzerWarm|BenchmarkAnalyzePaper' -benchmem ./internal/corpus/
+	$(GO) test -run xxx -bench 'BenchmarkAnalyzerBuild|BenchmarkAnalyzePaper' -benchmem ./internal/corpus/
 	$(GO) test -run xxx -bench 'BenchmarkTextContextSet' -benchmem ./internal/contextset/
 	$(GO) test -run xxx -bench 'BenchmarkIndexBuildWorkers' -benchmem ./internal/index/
 	$(GO) test -run xxx -bench 'BenchmarkPosIndexBuildWorkers' -benchmem ./internal/pattern/

@@ -51,8 +51,8 @@ func BenchmarkSetup(b *testing.B) {
 	}
 }
 
-// benchSystemBuild measures the end-to-end offline build (analysis, TF-IDF
-// warm, inverted index) at a fixed worker count; the
+// benchSystemBuild measures the end-to-end offline build (analysis,
+// inverted index) at a fixed worker count; the
 // synthetic ontology/corpus generation is excluded by reusing them across
 // iterations.
 func benchSystemBuild(b *testing.B, workers int) {

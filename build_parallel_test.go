@@ -71,7 +71,7 @@ func TestBuildStatsRecorded(t *testing.T) {
 	}
 	sys.BuildTextContextSet()
 	sum := st.Summary()
-	for _, stage := range []string{"generate", "analyze", "tfidf-warm", "index", "contextset-text"} {
+	for _, stage := range []string{"generate", "analyze", "index", "contextset-text"} {
 		if !strings.Contains(sum, stage) {
 			t.Fatalf("summary missing stage %q:\n%s", stage, sum)
 		}

@@ -105,12 +105,12 @@ type Config struct {
 	// sweep citation-structure knobs in ablations.
 	TuneCorpus func(*corpus.GenConfig)
 	// BuildWorkers bounds the parallelism of the offline build — corpus
-	// analysis, TF-IDF warming, inverted-index and positional-index
-	// construction, context-set assembly and prestige scoring (0 =
-	// GOMAXPROCS, 1 = serial). The built structures are bit-identical at any
-	// setting: papers are sharded into contiguous ID ranges and per-shard
-	// results merge deterministically, and per-context scoring is
-	// deterministic and independent.
+	// analysis (tokens, dictionary and TF-IDF rows), inverted-index and
+	// positional-index construction, context-set assembly and prestige
+	// scoring (0 = GOMAXPROCS, 1 = serial). The built structures are
+	// bit-identical at any setting: papers are sharded into contiguous ID
+	// ranges and per-shard results merge deterministically, and per-context
+	// scoring is deterministic and independent.
 	BuildWorkers int
 }
 
@@ -192,9 +192,6 @@ func NewSystem(o *Ontology, c *Corpus, cfg Config) (*System, error) {
 	st.Time("analyze", c.Len(), "papers", func() {
 		s.analyzer = corpus.NewAnalyzerWorkers(c, workers)
 	})
-	st.Time("tfidf-warm", c.Len(), "papers", func() {
-		s.analyzer.Warm(workers)
-	})
 	st.Time("index", c.Len(), "papers", func() {
 		s.index = index.BuildWorkers(s.analyzer, workers)
 	})
@@ -204,8 +201,11 @@ func NewSystem(o *Ontology, c *Corpus, cfg Config) (*System, error) {
 // NewFrozenSystem binds a system to pre-built text-index postings and a
 // document-frequency table — the artefacts a state file carries — so
 // boot skips every per-paper analysis stage of NewSystem. The analyzer is
-// frozen (per-paper features are recomputed lazily only for endpoints that
-// render them, bit-identically to the eager build), the inverted index
+// frozen: the DF table is its dictionary, which must be the parts' term
+// list; a paper's token stream is tokenized on its first boolean phrase or
+// field check; and TF-IDF rows are recomputed per call, bit-identically to
+// the eager build, for the one-shot `stats` and `cluster` commands and
+// pattern-based stages, never for a served request. The inverted index
 // binds the borrowed CSR arrays in O(terms), and the positional index is
 // built only if a pattern-based stage asks for it. Query results are
 // byte-identical to a NewSystem over the same corpus.

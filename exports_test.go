@@ -28,10 +28,13 @@ var callerlessAllowed = map[string]string{
 	"(*ctxsearch/internal/server.shardCallError).Unwrap":          "interface method: errors.Is/As reach the shard error's cause through it",
 	"(*ctxsearch/internal/citegraph.Graph).BibliographicCoupling": "test oracle: prestige/text_ref_test.go scores text prestige against the pairwise form",
 	"(*ctxsearch/internal/citegraph.Graph).CoCitation":            "test oracle: prestige/text_ref_test.go, as above",
-	"ctxsearch/internal/eval.NDCGAtK":                             "ROADMAP item 9(a): the served-page metrics cmd/experiments search-level is to call",
-	"ctxsearch/internal/eval.MeanAveragePrecision":                "ROADMAP item 9(a), as above",
-	"ctxsearch/internal/eval.PrecisionRecallAtK":                  "ROADMAP item 9(a), as above",
-	"ctxsearch/internal/corpus.InDegreeHistogram":                 "ROADMAP item 8(a): the exponent fit of the skewed corpus is to call it",
+	"ctxsearch/internal/vector.Centroid":                          "test oracle: cluster/cluster_test.go and contextset/text_ref_test.go hold the term-ID centroid to the map form",
+	"ctxsearch/internal/vector.Cosine":                            "test oracle: contextset/text_ref_test.go and prestige/text_ref_test.go, the map-form cosine",
+	"(ctxsearch/internal/vector.Sparse).Clone":                    "test oracle: cluster/cluster_test.go's map-form k-means seeds",
+	"ctxsearch/internal/eval.NDCGAtK":                             "ROADMAP item 7(a): the served-page metrics cmd/experiments search-level is to call",
+	"ctxsearch/internal/eval.MeanAveragePrecision":                "ROADMAP item 7(a), as above",
+	"ctxsearch/internal/eval.PrecisionRecallAtK":                  "ROADMAP item 7(a), as above",
+	"ctxsearch/internal/corpus.InDegreeHistogram":                 "ROADMAP item 9(a): the exponent fit of the skewed corpus is to call it",
 	"ctxsearch/internal/faultproxy":                               "test infrastructure: imported only by internal/server tests",
 }
 

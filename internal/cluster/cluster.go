@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"ctxsearch/internal/corpus"
-	"ctxsearch/internal/vector"
 )
 
 // Cluster is one group of documents with a derived label.
@@ -22,8 +21,6 @@ type Cluster struct {
 	Label []string
 	// Docs are the member documents, sorted.
 	Docs []corpus.PaperID
-	// Centroid is the mean TF-IDF vector of the members.
-	Centroid vector.Sparse
 }
 
 // Config configures k-means clustering.
@@ -67,30 +64,23 @@ func KMeans(a *corpus.Analyzer, docs []corpus.PaperID, cfg Config) ([]Cluster, e
 		labelTerms = 3
 	}
 
-	vecs := make([]vector.Sparse, len(ids))
-	norms := make([]float64, len(ids))
+	rows := make([]corpus.Row, len(ids))
 	for i, id := range ids {
-		vecs[i] = a.TFIDFAll(id)
-		norms[i] = a.TFIDFAllNorm(id)
+		rows[i] = a.Row(id, corpus.WholeText)
 	}
 
 	// Deterministic init: evenly spaced documents.
-	centroids := make([]vector.Sparse, k)
+	centroids := make([]corpus.Centroid, k)
 	for c := 0; c < k; c++ {
-		centroids[c] = vecs[c*len(ids)/k].Clone()
+		centroids[c] = a.Centroid(rows[c*len(ids)/k : c*len(ids)/k+1])
 	}
 	assign := make([]int, len(ids))
 	for iter := 0; iter < maxIter; iter++ {
 		changed := false
-		cNorms := make([]float64, k)
-		for c := range centroids {
-			cNorms[c] = centroids[c].Norm()
-		}
 		for i := range ids {
 			best, bestSim := 0, -1.0
 			for c := range centroids {
-				sim := vector.CosineWithNorms(vecs[i], centroids[c], norms[i], cNorms[c])
-				if sim > bestSim {
+				if sim := centroids[c].Cosine(rows[i]); sim > bestSim {
 					bestSim = sim
 					best = c
 				}
@@ -104,13 +94,13 @@ func KMeans(a *corpus.Analyzer, docs []corpus.PaperID, cfg Config) ([]Cluster, e
 			break
 		}
 		// Recompute centroids.
-		groups := make([][]vector.Sparse, k)
+		groups := make([][]corpus.Row, k)
 		for i, c := range assign {
-			groups[c] = append(groups[c], vecs[i])
+			groups[c] = append(groups[c], rows[i])
 		}
 		for c := range centroids {
 			if len(groups[c]) > 0 {
-				centroids[c] = vector.Centroid(groups[c])
+				centroids[c] = a.Centroid(groups[c])
 			}
 			// Empty cluster: keep the old centroid; it may attract members
 			// next round or stay empty and be dropped at the end.
@@ -129,9 +119,8 @@ func KMeans(a *corpus.Analyzer, docs []corpus.PaperID, cfg Config) ([]Cluster, e
 		}
 		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
 		out = append(out, Cluster{
-			Label:    centroids[c].TopTerms(labelTerms),
-			Docs:     members,
-			Centroid: centroids[c],
+			Label: centroids[c].Vector().TopTerms(labelTerms),
+			Docs:  members,
 		})
 	}
 	sort.SliceStable(out, func(i, j int) bool {

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/vector"
 )
 
 // twoTopicCorpus builds papers from two clearly separated vocabularies.
@@ -164,5 +166,96 @@ func TestClusterGeneratedResults(t *testing.T) {
 	p := Purity(groups, labels)
 	if p <= 0 || p > 1 {
 		t.Fatalf("purity = %v", p)
+	}
+}
+
+// kmeansReference is KMeans on string-keyed vectors, the form it had before
+// it clustered the analyzer's term-ID rows: whole-text vectors rebuilt from
+// the tokenizer alone (vector.FromTerms weighted by the DF table), centroids
+// by vector.Centroid, cosines by vector.CosineWithNorms and labels by
+// Sparse.TopTerms. ids ascend, k is in [1, len(ids)].
+func kmeansReference(a *corpus.Analyzer, ids []corpus.PaperID, k int) []Cluster {
+	vecs := make([]vector.Sparse, len(ids))
+	for i, id := range ids {
+		tf := vector.New()
+		for _, s := range corpus.Sections {
+			tf.Add(vector.FromTerms(a.Tokenizer().Terms(a.Corpus().Paper(id).SectionText(s))))
+		}
+		vecs[i] = a.DF().Weight(tf)
+	}
+	centroids := make([]vector.Sparse, k)
+	for c := range centroids {
+		centroids[c] = vecs[c*len(ids)/k].Clone()
+	}
+	assign := make([]int, len(ids))
+	for iter := 0; iter < 25; iter++ {
+		changed := false
+		for i := range ids {
+			best, bestSim := 0, -1.0
+			for c := range centroids {
+				if sim := vector.CosineWithNorms(vecs[i], centroids[c], vecs[i].Norm(), centroids[c].Norm()); sim > bestSim {
+					best, bestSim = c, sim
+				}
+			}
+			if assign[i] != best {
+				assign[i], changed = best, true
+			}
+		}
+		if !changed && iter > 0 {
+			break
+		}
+		groups := make([][]vector.Sparse, k)
+		for i, c := range assign {
+			groups[c] = append(groups[c], vecs[i])
+		}
+		for c := range centroids {
+			if len(groups[c]) > 0 {
+				centroids[c] = vector.Centroid(groups[c])
+			}
+		}
+	}
+	members := make([][]corpus.PaperID, k)
+	for i, c := range assign {
+		members[c] = append(members[c], ids[i])
+	}
+	var out []Cluster
+	for c := range centroids {
+		if len(members[c]) > 0 {
+			out = append(out, Cluster{Label: centroids[c].TopTerms(3), Docs: members[c]})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if len(out[i].Docs) != len(out[j].Docs) {
+			return len(out[i].Docs) > len(out[j].Docs)
+		}
+		return out[i].Docs[0] < out[j].Docs[0]
+	})
+	return out
+}
+
+// TestKMeansMatchesMapReference: clustering the term-ID rows assigns every
+// document and labels every cluster exactly as the string-keyed form does.
+func TestKMeansMatchesMapReference(t *testing.T) {
+	o, err := ontology.Generate(ontology.GenConfig{Seed: 6, NumTerms: 60, MaxDepth: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := corpus.Generate(o, corpus.DefaultGenConfig(200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	ids := make([]corpus.PaperID, c.Len())
+	for i := range ids {
+		ids[i] = corpus.PaperID(i)
+	}
+	for _, k := range []int{1, 3, 8, 20} {
+		got, err := KMeans(a, ids, Config{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := kmeansReference(a, ids, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: clusters\n%v\nreference\n%v", k, got, want)
+		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/par"
 	"ctxsearch/internal/pattern"
-	"ctxsearch/internal/vector"
 )
 
 // Kind identifies how a context paper set was constructed.
@@ -326,15 +325,15 @@ func chooseRepresentative(a *corpus.Analyzer, evidence []corpus.PaperID) corpus.
 	if len(evidence) == 1 {
 		return evidence[0]
 	}
-	vecs := make([]vector.Sparse, len(evidence))
+	rows := make([]corpus.Row, len(evidence))
 	for i, id := range evidence {
-		vecs[i] = a.TFIDFAll(id)
+		rows[i] = a.Row(id, corpus.WholeText)
 	}
-	centroid := vector.Centroid(vecs)
+	centroid := a.Centroid(rows)
 	best := evidence[0]
 	bestSim := -1.0
 	for i, id := range evidence {
-		if sim := vector.Cosine(centroid, vecs[i]); sim > bestSim {
+		if sim := centroid.Cosine(rows[i]); sim > bestSim {
 			bestSim = sim
 			best = id
 		}

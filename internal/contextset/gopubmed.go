@@ -27,8 +27,8 @@ func BuildGoPubMedStyle(a *corpus.Analyzer, onto *ontology.Ontology, minWordFrac
 	abstractWords := make([]map[string]bool, c.Len())
 	for _, p := range c.Papers() {
 		set := map[string]bool{}
-		for _, w := range a.Features(p.ID).Tokens[corpus.SecAbstract] {
-			set[w] = true
+		for _, id := range a.Tokens(p.ID).Section(corpus.SecAbstract) {
+			set[a.Term(id)] = true
 		}
 		abstractWords[p.ID] = set
 	}

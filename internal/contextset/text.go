@@ -29,8 +29,6 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	a := ix.Analyzer()
 	b := newBuilder(TextBased, onto)
 	c := a.Corpus()
-	// After Warm the TF-IDF vector and norm reads below are lock-free.
-	a.Warm(cfg.Workers)
 	// terms ascends by term ID, so a context's ordinal orders like its ID.
 	var terms []ontology.TermID
 	for _, term := range c.EvidenceTerms() {
@@ -44,7 +42,7 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	n, m := c.Len(), cfg.TopContextsPerPaper
 	norms := make([]float64, n)
 	for d := range norms {
-		norms[d] = a.TFIDFAllNorm(corpus.PaperID(d))
+		norms[d] = a.Row(corpus.PaperID(d), corpus.WholeText).Norm
 	}
 	// members[i] collects context i's thresholded papers in paper order;
 	// each worker also keeps, per paper, the best m below-threshold contexts
@@ -58,7 +56,7 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 		top := newTopLists(n, m)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			rep := b.reps[terms[i]]
-			sc.gather(ix, a.TFIDFAll(rep))
+			sc.gather(ix, a.Row(rep, corpus.WholeText))
 			repNorm := norms[rep]
 			for d, dn := range norms {
 				var sim float64
@@ -174,11 +172,11 @@ type postingRun struct {
 
 // gather fills the scratch with w_rep·w_doc for every term the
 // representative shares with each paper.
-func (sc *textScratch) gather(ix *index.Index, rep vector.Sparse) {
+func (sc *textScratch) gather(ix *index.Index, rep corpus.Row) {
 	sc.runs = sc.runs[:0]
-	for term, w := range rep {
-		docs, weights := ix.Postings(term)
-		sc.runs = append(sc.runs, postingRun{w, docs, weights})
+	for i, t := range rep.Terms {
+		docs, weights := ix.Postings(t)
+		sc.runs = append(sc.runs, postingRun{rep.Weights[i], docs, weights})
 		for _, d := range docs {
 			sc.count[d]++
 		}

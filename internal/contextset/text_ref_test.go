@@ -10,11 +10,22 @@ import (
 )
 
 // buildTextBasedReference is the papers × contexts construction
-// BuildTextBased replaced, kept verbatim as the differential reference: one
-// map-keyed vector.CosineWithNorms per (paper, context) pair.
+// BuildTextBased replaced, kept as the differential reference: one map-keyed
+// vector.CosineWithNorms per (paper, context) pair, over whole-text vectors
+// rebuilt from the tokenizer alone (vector.FromTerms weighted by the
+// analyzer's DF table), with each representative chosen by the map-form
+// centroid.
 func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Config) *ContextSet {
 	b := newBuilder(TextBased, onto)
 	c := a.Corpus()
+	vecs := make([]vector.Sparse, c.Len())
+	for i, p := range c.Papers() {
+		tf := vector.New()
+		for _, s := range corpus.Sections {
+			tf.Add(vector.FromTerms(a.Tokenizer().Terms(p.SectionText(s))))
+		}
+		vecs[i] = a.DF().Weight(tf)
+	}
 	terms := make([]ontology.TermID, 0, len(c.EvidenceTerms()))
 	repVecs := make(map[ontology.TermID]vector.Sparse)
 	repNorms := make(map[ontology.TermID]float64)
@@ -22,10 +33,10 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 		if onto.Term(term) == nil {
 			continue
 		}
-		rep := chooseRepresentative(a, c.EvidencePapers(term))
+		rep := chooseRepresentativeReference(vecs, c.EvidencePapers(term))
 		b.reps[term] = rep
-		repVecs[term] = a.TFIDFAll(rep)
-		repNorms[term] = a.TFIDFAllNorm(rep)
+		repVecs[term] = vecs[rep]
+		repNorms[term] = vecs[rep].Norm()
 		terms = append(terms, term)
 	}
 
@@ -48,14 +59,10 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 		top         []ts
 	}
 	papers := c.Papers()
-	// Warm the TF-IDF caches in parallel; after Warm the per-paper reads
-	// below are lock-free instead of serialising on the analyzer mutex.
-	a.Warm(cfg.Workers)
 	rows := make([]paperRow, len(papers))
 	par.For(len(papers), cfg.Workers, func(i int) {
-		p := papers[i]
-		pv := a.TFIDFAll(p.ID)
-		pn := a.TFIDFAllNorm(p.ID)
+		pv := vecs[i]
+		pn := pv.Norm()
 		var row paperRow
 		var best []ts
 		for _, term := range terms {
@@ -110,4 +117,25 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 		}
 	}
 	return b.finish()
+}
+
+// chooseRepresentativeReference is chooseRepresentative on string-keyed
+// vectors: the evidence paper with the highest cosine to vector.Centroid of
+// the evidence (ties: lowest ID).
+func chooseRepresentativeReference(vecs []vector.Sparse, evidence []corpus.PaperID) corpus.PaperID {
+	if len(evidence) == 1 {
+		return evidence[0]
+	}
+	evs := make([]vector.Sparse, len(evidence))
+	for i, id := range evidence {
+		evs[i] = vecs[id]
+	}
+	centroid := vector.Centroid(evs)
+	best, bestSim := evidence[0], -1.0
+	for i, id := range evidence {
+		if sim := vector.Cosine(centroid, evs[i]); sim > bestSim {
+			best, bestSim = id, sim
+		}
+	}
+	return best
 }

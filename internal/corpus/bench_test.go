@@ -35,44 +35,51 @@ func BenchmarkAnalyzerBuildWorkers1(b *testing.B) { benchAnalyzerBuild(b, 1) }
 func BenchmarkAnalyzerBuildWorkers2(b *testing.B) { benchAnalyzerBuild(b, 2) }
 func BenchmarkAnalyzerBuildWorkers8(b *testing.B) { benchAnalyzerBuild(b, 8) }
 
-func benchAnalyzerWarm(b *testing.B, workers int) {
-	c := benchCorpus(b, 400)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		a := NewAnalyzerWorkers(c, workers)
-		b.StartTimer()
-		a.Warm(workers)
-	}
-}
-
-func BenchmarkAnalyzerWarmWorkers1(b *testing.B) { benchAnalyzerWarm(b, 1) }
-func BenchmarkAnalyzerWarmWorkers8(b *testing.B) { benchAnalyzerWarm(b, 8) }
-
 // analyzePaperAllocCeiling bounds the heap allocations of analysing one
-// paper once its words are in the surface-form table: the Features maps and
-// vectors plus one token slice per section, but no per-word strings and —
-// the split and token scratch being pooled — no scratch growth. The count is
-// deterministic (52 measured; the margin is a pool emptied by a GC between
-// runs), so CI holds it as a gate where ns/op would be noise.
-const analyzePaperAllocCeiling = 56
+// paper once its words are in the surface-form table: tokenizing it into
+// term IDs and counting and weighing its five rows, into buffers the caller
+// reuses, with the split, count and norm scratch pooled — so only the joined
+// text of the index-terms section. The count is deterministic (1 measured;
+// the margin is a pool emptied by a GC between runs), so CI holds it as a
+// gate where ns/op would be noise.
+const analyzePaperAllocCeiling = 3
 
-var sinkFeatures *Features
-
-// BenchmarkAnalyzePaper measures the steady-state analysis of one paper and
-// fails when its allocations exceed analyzePaperAllocCeiling.
+// BenchmarkAnalyzePaper measures the steady-state analysis of one paper —
+// the per-paper work of NewAnalyzerWorkers' three passes, on a frozen
+// analyzer so the tokens come out as dictionary IDs — and fails when its
+// allocations exceed analyzePaperAllocCeiling.
 func BenchmarkAnalyzePaper(b *testing.B) {
 	c := benchCorpus(b, 50)
-	a := NewAnalyzerWorkers(c, 1)
+	a := NewAnalyzerFrozen(c, NewAnalyzerWorkers(c, 1).DF())
 	p := c.Papers()[7]
-	if n := testing.AllocsPerRun(5, func() { sinkFeatures = a.analyzePaper(p) }); n > analyzePaperAllocCeiling {
-		b.Fatalf("analyzePaper allocates %.0f times per paper, ceiling %d", n, analyzePaperAllocCeiling)
+	idf := a.DF().IDFs()
+	var (
+		t     Tokens
+		terms []int32
+		w     []float64
+	)
+	analyze := func() {
+		sc := a.lease(len(idf))
+		t.IDs = a.appendTokens(sc, t.IDs[:0], p, &t.Ends)
+		terms, w = terms[:0], w[:0]
+		for s := range rowsPerPaper {
+			toks := t.IDs
+			if s < NumSections {
+				toks = t.Section(Section(s))
+			}
+			lo := len(terms)
+			terms, w = sc.appendTF(terms, w, toks)
+			sc.weigh(terms[lo:], w[lo:], idf)
+		}
+		a.scratch.Put(sc)
+	}
+	if n := testing.AllocsPerRun(5, analyze); n > analyzePaperAllocCeiling {
+		b.Fatalf("analysing a paper allocates %.0f times, ceiling %d", n, analyzePaperAllocCeiling)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sinkFeatures = a.analyzePaper(p)
+		analyze()
 	}
 }
 

@@ -34,7 +34,10 @@ func ComputeStats(c *Corpus, a *Analyzer) Stats {
 		return st
 	}
 	st.MinYear = c.Papers()[0].Year
-	vocab := map[string]bool{}
+	var vocab []bool
+	if a != nil {
+		vocab = make([]bool, len(a.DF().Terms()))
+	}
 	evidencePapers := 0
 	topicSum := 0
 	uncited := 0
@@ -58,12 +61,13 @@ func ComputeStats(c *Corpus, a *Analyzer) Stats {
 		}
 		topicSum += len(p.Topics)
 		if a != nil {
-			f := a.Features(p.ID)
-			for _, s := range Sections {
-				st.TotalTokens += len(f.Tokens[s])
-			}
-			for term := range f.AllTF {
-				vocab[term] = true
+			toks := a.Tokens(p.ID).IDs
+			st.TotalTokens += len(toks)
+			for _, id := range toks {
+				if id != NoTerm && !vocab[id] {
+					vocab[id] = true
+					st.Vocabulary++
+				}
 			}
 		}
 	}
@@ -74,7 +78,6 @@ func ComputeStats(c *Corpus, a *Analyzer) Stats {
 	st.MeanTopics = float64(topicSum) / float64(c.Len())
 	if a != nil {
 		st.MeanTokens = float64(st.TotalTokens) / float64(c.Len())
-		st.Vocabulary = len(vocab)
 	}
 	return st
 }

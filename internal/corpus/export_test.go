@@ -7,26 +7,19 @@ import "ctxsearch/internal/textproc"
 func (a *Analyzer) SurfaceForms() int {
 	a.forms.mu.RLock()
 	defer a.forms.mu.RUnlock()
-	return len(a.forms.tokens)
+	return len(a.forms.forms)
 }
 
-// TableTerms tokenizes text the way analyzePaper tokenizes a section:
-// words resolved through the surface-form table.
+// TableTerms tokenizes text the way appendTokens tokenizes a section —
+// words resolved through the surface-form table — and reads the IDs back
+// through the table's own vocabulary (an eager analyzer's).
 func (a *Analyzer) TableTerms(text string) []string {
-	return a.forms.appendTerms(nil, a.tok, textproc.AppendWords(nil, text))
-}
-
-// CachedWeights returns how many per-paper weight slots (per-section and
-// whole-text together) the analyzer has filled.
-func (a *Analyzer) CachedWeights() int {
-	n := 0
-	for i := range a.sectionW {
-		if a.sectionW[i].Load() != nil {
-			n++
-		}
-		if a.fullTextW[i].Load() != nil {
-			n++
-		}
+	ids := a.forms.appendIDs(nil, a.tok, textproc.AppendWords(nil, text))
+	a.forms.mu.RLock()
+	defer a.forms.mu.RUnlock()
+	terms := make([]string, len(ids))
+	for i, id := range ids {
+		terms[i] = a.forms.vocab[id]
 	}
-	return n
+	return terms
 }

@@ -1,8 +1,9 @@
 package corpus
 
 import (
+	"math"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -11,370 +12,457 @@ import (
 	"ctxsearch/internal/vector"
 )
 
-// Features holds the analysed representation of one paper: per-section
-// stemmed token streams and TF vectors, the whole-paper TF vector, and the
-// author set. All ranking functions consume Features rather than raw text.
-type Features struct {
-	ID PaperID
-	// Tokens holds the stemmed, stopword-filtered token stream per section.
-	Tokens map[Section][]string
-	// TF holds the raw term-frequency vector per section.
-	TF map[Section]vector.Sparse
-	// AllTF is the merged term-frequency vector over all sections.
-	AllTF vector.Sparse
-	// Authors is the normalised (lowercased) author set.
-	Authors map[string]bool
-}
+// NoTerm stands in a token stream for a token the dictionary lacks. Only a
+// frozen analyzer over a corpus other than the one its DF table was built
+// from meets one; it equals no dictionary ID.
+const NoTerm int32 = -1
 
-// Analyzer tokenizes papers and maintains corpus-wide document frequencies.
-// Build one with NewAnalyzerWorkers; it analyses every paper eagerly so DF tables
-// are complete before any similarity is computed.
+// WholeText stands, after the sections, for a paper's whole text: Row(id,
+// WholeText) is the whole-paper TF-IDF row.
+const WholeText = numSections
+
+// rowsPerPaper is the number of TF-IDF rows of a paper: one per section, then
+// the whole text.
+const rowsPerPaper = NumSections + 1
+
+// Analyzer tokenizes every paper once, into term IDs over one dictionary —
+// the corpus's distinct tokens in lexicographic order, held with their
+// document frequencies by the vector.DF — and keeps, per paper, the token
+// stream and the TF-IDF rows of each section and of the whole text. The
+// inverted index, the text context set and text prestige all read these
+// arrays; none keeps a copy.
+//
+// Because IDs follow lexicographic term order, a loop over a row visits terms
+// in sorted-string order, and a cosine gathered from rows reduces the same
+// products through vector.SumSorted as vector.Sparse.Dot does over the
+// string-keyed vectors: every weight, norm and score is the one the map form
+// gives, bit for bit.
 type Analyzer struct {
 	corpus *Corpus
 	tok    *textproc.Tokenizer
 	// forms memoises the tokenizer per distinct raw word of the paper text;
 	// see formTable.
 	forms formTable
-	// scratch recycles SectionTokens' *tokenScratch across papers.
+	// scratch recycles *scratch across papers and goroutines.
 	scratch sync.Pool
-	// feats publishes each paper's features through its own atomic slot, so
-	// readers of an analysed paper never take a lock.
-	feats []atomic.Pointer[Features]
-	// lazy marks an analyzer built by NewAnalyzerFrozen: features are
-	// analysed on first demand (under mu) instead of eagerly at
-	// construction. The serving hot path (query weighting, snippets) never
-	// needs them, so a frozen analyzer binds in O(1).
-	lazy bool
-	// DF over whole-paper term supports, used for TF-IDF weighting.
-	df *vector.DF
-	// Lazily computed TF-IDF vectors and norms, published like feats through
-	// one atomic slot per paper: a filled slot is immutable and read without
-	// a lock; mu is taken only to fill a missing slot (features included), so
-	// no two fillers compute the same one. Warm fills every slot and sets
-	// warmed.
-	mu        sync.Mutex
-	warmed    atomic.Bool
-	sectionW  []atomic.Pointer[sectionWeights]
-	fullTextW []atomic.Pointer[fullTextWeights]
+	df      *vector.DF
+	// tokens publishes each paper's token stream through its own slot. An
+	// eager analyzer fills every slot at construction; a frozen one fills a
+	// slot on first demand, and goroutines racing to fill the same slot build
+	// equal streams, the first to publish winning. A filled slot is
+	// immutable and read with one atomic load.
+	tokens []atomic.Pointer[Tokens]
+	// The TF-IDF rows, eager analyzer only (nil on a frozen one, which
+	// computes a row per call). Row r = p·rowsPerPaper + s — section s of
+	// paper p, s == NumSections for the whole paper — is
+	// terms/weights[rowEnd[r-1]:rowEnd[r]] (from 0 for row 0), ascending by
+	// term ID, with norm norms[r].
+	rowEnd  []int32
+	terms   []int32
+	weights []float64
+	norms   []float64
+	// analyzed counts the rows a frozen analyzer has computed.
+	analyzed atomic.Int64
 }
 
-// sectionWeights holds one paper's per-section TF-IDF vectors and their
-// norms, indexed by Section.
-type sectionWeights struct {
-	vec  [NumSections]vector.Sparse
-	norm [NumSections]float64
+// Tokens is one paper's stemmed, stopword-filtered token stream as term IDs,
+// the sections concatenated in Sections order.
+type Tokens struct {
+	IDs []int32
+	// Ends[s] is where section s stops in IDs (and section s+1 starts).
+	Ends [NumSections]int32
 }
 
-// fullTextWeights holds one paper's whole-text TF-IDF vector and its norm.
-type fullTextWeights struct {
-	vec  vector.Sparse
-	norm float64
+// Section returns the token IDs of one section.
+func (t *Tokens) Section(s Section) []int32 {
+	lo := int32(0)
+	if s > 0 {
+		lo = t.Ends[s-1]
+	}
+	return t.IDs[lo:t.Ends[s]]
+}
+
+// Row is a TF-IDF vector in term-ID form: Weights[i] is the weight of term
+// Terms[i], ascending by ID, and Norm the Euclidean norm — the values
+// vector.DF.Weight and Sparse.Norm give the string-keyed vector.
+type Row struct {
+	Terms   []int32
+	Weights []float64
+	Norm    float64
+}
+
+// scratch is the working memory of tokenizing and weighting one paper: the
+// raw words of a section, a dense per-term count with the terms it touched,
+// the squared weights of a norm, and a token buffer.
+type scratch struct {
+	words   []string
+	cnt     []int32
+	touched []int32
+	sq      []float64
+	ids     []int32
+}
+
+// newAnalyzer returns an analyzer over c with empty token slots.
+func newAnalyzer(c *Corpus) *Analyzer {
+	return &Analyzer{
+		corpus: c,
+		tok:    textproc.NewTokenizer(textproc.WithStemming(), textproc.WithStopwords(), textproc.WithMinLength(2)),
+		tokens: make([]atomic.Pointer[Tokens], c.Len()),
+	}
 }
 
 // NewAnalyzerWorkers analyses every paper in the corpus with a stemming,
-// stopword-filtering tokenizer and builds the corpus DF table: papers are
-// split into contiguous shards, each shard is analysed by one worker
-// into its own document-frequency table, and the per-shard tables are
-// merged in shard order. The result is identical at every worker count —
-// per-paper analysis is independent (the tokenizer is a pure function of the
-// word, so the shared surface-form table holds the same entries whoever
-// fills them), each Features slot is written by exactly one worker, and DF
-// counts are order-independent integers. workers <= 0
-// selects GOMAXPROCS; 1 reproduces the sequential build directly.
+// stopword-filtering tokenizer: token streams, the dictionary with its
+// document frequencies, and every TF-IDF row. Papers are split into
+// contiguous shards, one worker each, in three passes:
+//
+//  1. tokenize into the form table's IDs (first-seen order);
+//  2. after the vocabulary is sorted into the dictionary, map the streams to
+//     dictionary IDs and count each row's term frequencies and the shard's
+//     document frequencies;
+//  3. after the counts are summed, weigh every row into the corpus-wide
+//     arrays at the shard's offset.
+//
+// The result is identical at every worker count: the tokenizer is a pure
+// function of the word, so the streams do not depend on which worker filled
+// the form table; the dictionary is sorted; counts are integers; and each
+// row is computed from its paper alone. workers <= 0 selects GOMAXPROCS.
 func NewAnalyzerWorkers(c *Corpus, workers int) *Analyzer {
-	a := &Analyzer{
-		corpus:    c,
-		tok:       textproc.NewTokenizer(textproc.WithStemming(), textproc.WithStopwords(), textproc.WithMinLength(2)),
-		feats:     make([]atomic.Pointer[Features], c.Len()),
-		df:        vector.NewDF(),
-		sectionW:  make([]atomic.Pointer[sectionWeights], c.Len()),
-		fullTextW: make([]atomic.Pointer[fullTextWeights], c.Len()),
-	}
+	a := newAnalyzer(c)
 	papers := c.Papers()
+	toks := make([]Tokens, len(papers))
 	shards := par.Shards(len(papers), workers)
-	dfs := make([]*vector.DF, len(shards))
+	streams := make([][]int32, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
-		df := vector.NewDF()
+		sc := a.lease(0)
+		var ids []int32
 		for i := sh.Lo; i < sh.Hi; i++ {
-			f := a.analyzePaper(papers[i])
-			a.feats[f.ID].Store(f)
-			df.AddDoc(f.AllTF)
+			ids = a.appendTokens(sc, ids, papers[i], &toks[i].Ends)
 		}
-		dfs[si] = df
+		a.scratch.Put(sc)
+		streams[si] = ids
 	})
-	for _, df := range dfs {
-		a.df.Merge(df)
+
+	vocab := a.forms.vocab
+	order := make([]int32, len(vocab)) // dictionary ID → form-table ID
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return strings.Compare(vocab[x], vocab[y]) })
+	terms := make([]string, len(order))
+	toDict := make([]int32, len(order))
+	for id, t := range order {
+		terms[id] = vocab[t]
+		toDict[t] = int32(id)
+	}
+
+	// tf holds a shard's rows in counts, with ends relative to the shard.
+	type tf struct {
+		rowEnd []int32
+		terms  []int32
+		counts []float64
+		df     []int32
+	}
+	tfs := make([]tf, len(shards))
+	par.ForShards(shards, func(si int, sh par.Shard) {
+		ids := streams[si]
+		for k, t := range ids {
+			ids[k] = toDict[t]
+		}
+		sc := a.lease(len(terms))
+		r := tf{df: make([]int32, len(terms))}
+		off := int32(0)
+		for i := sh.Lo; i < sh.Hi; i++ {
+			t := &toks[i]
+			end := off + t.Ends[NumSections-1]
+			t.IDs = ids[off:end:end]
+			off = end
+			for _, s := range Sections {
+				r.terms, r.counts = sc.appendTF(r.terms, r.counts, t.Section(s))
+				r.rowEnd = append(r.rowEnd, int32(len(r.terms)))
+			}
+			lo := len(r.terms)
+			r.terms, r.counts = sc.appendTF(r.terms, r.counts, t.IDs)
+			r.rowEnd = append(r.rowEnd, int32(len(r.terms)))
+			for _, id := range r.terms[lo:] {
+				r.df[id]++
+			}
+		}
+		a.scratch.Put(sc)
+		tfs[si] = r
+	})
+
+	df := make([]int32, len(terms))
+	bases := make([]int32, len(shards)+1)
+	for si, r := range tfs {
+		for id, k := range r.df {
+			df[id] += k
+		}
+		bases[si+1] = bases[si] + int32(len(r.terms))
+	}
+	var err error
+	if a.df, err = vector.NewDF(len(papers), terms, df); err != nil {
+		panic(err) // the dictionary is sorted and duplicate-free by construction
+	}
+	idf := a.df.IDFs()
+	total := bases[len(shards)]
+	a.rowEnd = make([]int32, len(papers)*rowsPerPaper)
+	a.terms = make([]int32, total)
+	a.weights = make([]float64, total)
+	a.norms = make([]float64, len(papers)*rowsPerPaper)
+	par.ForShards(shards, func(si int, sh par.Shard) {
+		r, base := tfs[si], bases[si]
+		copy(a.terms[base:], r.terms)
+		copy(a.weights[base:], r.counts)
+		sc := a.lease(0)
+		lo := base
+		for k, end := range r.rowEnd {
+			row, hi := sh.Lo*rowsPerPaper+k, base+end
+			a.rowEnd[row] = hi
+			a.norms[row] = sc.weigh(a.terms[lo:hi], a.weights[lo:hi], idf)
+			lo = hi
+		}
+		a.scratch.Put(sc)
+	})
+	for i := range toks {
+		a.tokens[i].Store(&toks[i])
 	}
 	return a
 }
 
 // NewAnalyzerFrozen binds an analyzer over a corpus and a persisted DF
 // table without analysing a single paper — the O(1) open path of the
-// state file, where the postings that normally consume the per-paper
-// TF-IDF vectors are already frozen on disk. Query weighting
-// (QueryVector) needs only the DF table and tokenizer, both available
-// immediately; per-paper features are analysed lazily on first demand
-// (pattern mining, the TFIDF* accessors, co-author paths), bit-identical
-// to the eager build since the tokenizer and stemmer are stateless.
+// state file, where the postings that normally consume the TF-IDF rows are
+// already frozen on disk. The DF table is the dictionary. Query weighting
+// (QueryVector) needs only it and the tokenizer; a paper's token stream is
+// tokenized on first demand (a boolean phrase or field check) and kept, and
+// its TF-IDF rows are computed on every call, bit-identical to the eager
+// build's since the tokenizer and stemmer are stateless. No serving path
+// asks for rows.
 //
 // The DF table must be the one built from this corpus: every weight and
 // norm — and therefore every score — derives from it.
 func NewAnalyzerFrozen(c *Corpus, df *vector.DF) *Analyzer {
-	return &Analyzer{
-		corpus:    c,
-		tok:       textproc.NewTokenizer(textproc.WithStemming(), textproc.WithStopwords(), textproc.WithMinLength(2)),
-		feats:     make([]atomic.Pointer[Features], c.Len()),
-		lazy:      true,
-		df:        df,
-		sectionW:  make([]atomic.Pointer[sectionWeights], c.Len()),
-		fullTextW: make([]atomic.Pointer[fullTextWeights], c.Len()),
-	}
+	a := newAnalyzer(c)
+	a.df = df
+	a.forms.dict = df
+	return a
 }
 
-// featLocked returns a paper's features, analysing and publishing them
-// first on a lazy analyzer. Caller holds a.mu, so no two fillers ever
-// analyse the same slot.
-func (a *Analyzer) featLocked(id PaperID) *Features {
-	f := a.feats[id].Load()
-	if f == nil {
-		if p := a.corpus.Paper(id); p != nil {
-			f = a.analyzePaper(p)
-			a.feats[id].Store(f)
-		}
-	}
-	return f
-}
-
-// ensureFeatures materializes every paper's features — the corpus-sweep
-// accessors (phrase DF, co-author index) need them all. A no-op on eager
-// or warmed analyzers.
-func (a *Analyzer) ensureFeatures() {
-	if !a.lazy || a.warmed.Load() {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for _, p := range a.corpus.Papers() {
-		a.featLocked(p.ID)
-	}
-}
-
-// tokenScratch is the split and token scratch SectionTokens shares among
-// the sections of a paper and, through the analyzer's pool, among papers.
-type tokenScratch struct {
-	words, toks []string
-}
-
-// SectionTokens tokenizes a paper section by section, in Sections order,
-// and hands each section's stemmed, stopword-filtered token stream to fn —
-// the only place corpus text is tokenized, and the only writer of the
-// surface-form table. toks is scratch reused for the next section and the
-// next paper: fn must copy what it keeps. Safe for concurrent use: the
-// table locks itself, each call leases its own scratch, and nothing else on
-// the analyzer is written.
-func (a *Analyzer) SectionTokens(p *Paper, fn func(s Section, toks []string)) {
-	sc, _ := a.scratch.Get().(*tokenScratch)
+// lease returns a pooled scratch whose dense count covers n terms.
+func (a *Analyzer) lease(n int) *scratch {
+	sc, _ := a.scratch.Get().(*scratch)
 	if sc == nil {
-		sc = new(tokenScratch)
+		sc = new(scratch)
 	}
+	if len(sc.cnt) < n {
+		sc.cnt = make([]int32, n)
+	}
+	return sc
+}
+
+// appendTokens tokenizes paper p section by section, in Sections order,
+// appending the tokens' form-table IDs to dst and recording where each
+// section ends relative to where p's stream starts. It is the only place
+// corpus text is tokenized, and the only writer of the form table.
+func (a *Analyzer) appendTokens(sc *scratch, dst []int32, p *Paper, ends *[NumSections]int32) []int32 {
+	start := len(dst)
 	for _, s := range Sections {
 		sc.words = textproc.AppendWords(sc.words[:0], p.SectionText(s))
-		sc.toks = a.forms.appendTerms(sc.toks[:0], a.tok, sc.words)
-		fn(s, sc.toks)
+		dst = a.forms.appendIDs(dst, a.tok, sc.words)
+		ends[s] = int32(len(dst) - start)
 	}
-	// Words are substrings of the paper's text (tokens are the table's own
-	// strings): cleared over the whole capacity, since a longer section's
-	// words lie beyond the last one's length, so the pool pins no paper.
+	// Words are substrings of the paper's text: cleared over the whole
+	// capacity, since a longer section's words lie beyond the last one's
+	// length, so the pool pins no paper.
 	clear(sc.words[:cap(sc.words)])
-	a.scratch.Put(sc)
+	return dst
 }
 
-// analyzePaper tokenizes one paper into its Features.
-func (a *Analyzer) analyzePaper(p *Paper) *Features {
-	f := &Features{
-		ID:      p.ID,
-		Tokens:  make(map[Section][]string, len(Sections)),
-		TF:      make(map[Section]vector.Sparse, len(Sections)),
-		AllTF:   vector.New(),
-		Authors: make(map[string]bool, len(p.Authors)),
-	}
-	a.SectionTokens(p, func(s Section, toks []string) {
-		toks = slices.Clone(toks)
-		f.Tokens[s] = toks
-		tf := vector.FromTerms(toks)
-		f.TF[s] = tf
-		f.AllTF.Add(tf)
-	})
-	for _, au := range p.Authors {
-		f.Authors[normAuthor(au)] = true
-	}
-	return f
-}
-
-// Warm precomputes every per-section and whole-paper TF-IDF vector and norm
-// in parallel, so no later TFIDF* call fills a slot. Values are
-// bit-identical to lazy computation (the same fill functions run, just
-// eagerly), so a warmed and an unwarmed analyzer are observationally
-// indistinguishable apart from speed. workers <= 0 selects GOMAXPROCS.
-// Idempotent; concurrent readers of slots already filled are not held up,
-// readers of a missing slot wait on the fill lock until the warm completes.
-func (a *Analyzer) Warm(workers int) {
-	if a.warmed.Load() {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.warmed.Load() {
-		return
-	}
-	// The held fill lock keeps every other slot filler out, and each slot is
-	// written by exactly one worker (disjoint indices).
-	par.For(len(a.feats), workers, func(i int) {
-		a.sectionWLocked(PaperID(i))
-		a.fullTextWLocked(PaperID(i))
-	})
-	a.warmed.Store(true)
-}
-
-// sectionWLocked returns a paper's per-section weights, computing and
-// publishing them first when the slot is empty (nil for an ID without a
-// paper). Caller holds a.mu.
-func (a *Analyzer) sectionWLocked(id PaperID) *sectionWeights {
-	w := a.sectionW[id].Load()
-	if w == nil {
-		f := a.featLocked(id)
-		if f == nil {
-			return nil
+// appendTF appends the distinct dictionary terms of toks to terms in
+// ascending order, and their counts to counts — vector.FromTerms in term-ID
+// form. NoTerm tokens are skipped. sc.cnt is all zero on entry and on return.
+func (sc *scratch) appendTF(terms []int32, counts []float64, toks []int32) ([]int32, []float64) {
+	touched := sc.touched[:0]
+	for _, t := range toks {
+		if t == NoTerm {
+			continue
 		}
-		w = new(sectionWeights)
-		for _, s := range Sections {
-			w.vec[s] = a.df.Weight(f.TF[s])
-			w.norm[s] = w.vec[s].Norm()
+		if sc.cnt[t] == 0 {
+			touched = append(touched, t)
 		}
-		a.sectionW[id].Store(w)
+		sc.cnt[t]++
 	}
-	return w
+	slices.Sort(touched)
+	for _, t := range touched {
+		terms = append(terms, t)
+		counts = append(counts, float64(sc.cnt[t]))
+		sc.cnt[t] = 0
+	}
+	sc.touched = touched
+	return terms, counts
 }
 
-// fullTextWLocked is sectionWLocked for the whole-text vector.
-func (a *Analyzer) fullTextWLocked(id PaperID) *fullTextWeights {
-	w := a.fullTextW[id].Load()
-	if w == nil {
-		f := a.featLocked(id)
-		if f == nil {
-			return nil
-		}
-		w = &fullTextWeights{vec: a.df.Weight(f.AllTF)}
-		w.norm = w.vec.Norm()
-		a.fullTextW[id].Store(w)
+// weigh turns a row's term counts into TF-IDF weights in place, by
+// vector.DF.Weight's arithmetic (1 + ln tf)·idf, and returns the row's norm
+// by Sparse.Norm's: the square root of the ascending sum of the squares.
+func (sc *scratch) weigh(terms []int32, w, idf []float64) float64 {
+	sq := sc.sq[:0]
+	for i, t := range terms {
+		w[i] = (1 + math.Log(w[i])) * idf[t]
+		sq = append(sq, w[i]*w[i])
 	}
-	return w
-}
-
-// sectionWeightsOf returns a paper's per-section weights without a lock
-// when the slot is filled; nil when id or s is out of range.
-func (a *Analyzer) sectionWeightsOf(id PaperID, s Section) *sectionWeights {
-	if int(id) < 0 || int(id) >= len(a.feats) || s < 0 || s >= numSections {
-		return nil
-	}
-	if w := a.sectionW[id].Load(); w != nil {
-		return w
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sectionWLocked(id)
-}
-
-// fullTextWeightsOf is sectionWeightsOf for the whole-text vector.
-func (a *Analyzer) fullTextWeightsOf(id PaperID) *fullTextWeights {
-	if int(id) < 0 || int(id) >= len(a.feats) {
-		return nil
-	}
-	if w := a.fullTextW[id].Load(); w != nil {
-		return w
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.fullTextWLocked(id)
-}
-
-func normAuthor(a string) string {
-	out := make([]byte, 0, len(a))
-	for i := 0; i < len(a); i++ {
-		c := a[i]
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out = append(out, c)
-	}
-	return string(out)
+	sc.sq = sq
+	return vector.NormOfSquares(sq)
 }
 
 // Corpus returns the analysed corpus.
 func (a *Analyzer) Corpus() *Corpus { return a.corpus }
 
-// Features returns the analysed features of a paper, or nil when out of
-// range.
-func (a *Analyzer) Features(id PaperID) *Features {
-	if int(id) < 0 || int(id) >= len(a.feats) {
-		return nil
-	}
-	if f := a.feats[id].Load(); f != nil || !a.lazy {
-		return f
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.featLocked(id)
-}
-
-// DF returns the corpus document-frequency table.
+// DF returns the dictionary and its document frequencies.
 func (a *Analyzer) DF() *vector.DF { return a.df }
 
-// AnalyzedPapers returns how many papers' Features this analyzer has
-// materialised: every paper on an eager analyzer, and on a frozen one only
-// those some caller demanded — 0 for a state-booted process that only
-// serves queries.
-func (a *Analyzer) AnalyzedPapers() int {
+// Term returns the string of a term ID, "" for NoTerm.
+func (a *Analyzer) Term(id int32) string {
+	if terms := a.df.Terms(); id >= 0 && int(id) < len(terms) {
+		return terms[id]
+	}
+	return ""
+}
+
+// Tokens returns a paper's token stream, nil when id is out of range. On a
+// frozen analyzer the first call for a paper tokenizes it.
+func (a *Analyzer) Tokens(id PaperID) *Tokens {
+	if int(id) < 0 || int(id) >= len(a.tokens) {
+		return nil
+	}
+	if t := a.tokens[id].Load(); t != nil {
+		return t
+	}
+	sc := a.lease(0)
+	t := new(Tokens)
+	sc.ids = a.appendTokens(sc, sc.ids[:0], a.corpus.Paper(id), &t.Ends)
+	t.IDs = make([]int32, len(sc.ids)) // exact size: append's slack would stay live
+	copy(t.IDs, sc.ids)
+	a.scratch.Put(sc)
+	if !a.tokens[id].CompareAndSwap(nil, t) {
+		t = a.tokens[id].Load()
+	}
+	return t
+}
+
+// TokenTablePapers returns how many papers' token streams the analyzer
+// holds: every paper on an eager analyzer, and on a frozen one those some
+// caller asked for — a boolean phrase or field check, mostly.
+func (a *Analyzer) TokenTablePapers() int {
 	n := 0
-	for i := range a.feats {
-		if a.feats[i].Load() != nil {
+	for i := range a.tokens {
+		if a.tokens[i].Load() != nil {
 			n++
 		}
 	}
 	return n
 }
 
-// TFIDF returns the cached TF-IDF vector of a paper section.
-func (a *Analyzer) TFIDF(id PaperID, s Section) vector.Sparse {
-	if w := a.sectionWeightsOf(id, s); w != nil {
-		return w.vec[s]
+// Row returns the TF-IDF row of section s of a paper, or of its whole text
+// for s == WholeText; empty when id is out of range. It is a view of the
+// arrays on an eager analyzer, and computed from the token stream on a
+// frozen one.
+func (a *Analyzer) Row(id PaperID, s Section) Row {
+	if int(id) < 0 || int(id) >= len(a.tokens) {
+		return Row{}
 	}
-	return nil
+	if a.rowEnd == nil {
+		a.analyzed.Add(1)
+		t := a.Tokens(id)
+		toks := t.IDs
+		if s != WholeText {
+			toks = t.Section(s)
+		}
+		sc := a.lease(len(a.df.Terms()))
+		var r Row
+		r.Terms, r.Weights = sc.appendTF(nil, nil, toks)
+		r.Norm = sc.weigh(r.Terms, r.Weights, a.df.IDFs())
+		a.scratch.Put(sc)
+		return r
+	}
+	k := int(id)*rowsPerPaper + int(s)
+	lo, hi := int32(0), a.rowEnd[k]
+	if k > 0 {
+		lo = a.rowEnd[k-1]
+	}
+	return Row{a.terms[lo:hi:hi], a.weights[lo:hi:hi], a.norms[k]}
 }
 
-// TFIDFAll returns the cached TF-IDF vector over the paper's full text.
-func (a *Analyzer) TFIDFAll(id PaperID) vector.Sparse {
-	if w := a.fullTextWeightsOf(id); w != nil {
-		return w.vec
+// AnalyzedPapers returns how many paper analyses this analyzer has done:
+// every paper on an eager analyzer, and on a frozen one the TF-IDF rows
+// callers asked it to compute — 0 for a state-booted process that only
+// serves queries.
+func (a *Analyzer) AnalyzedPapers() int {
+	if a.rowEnd != nil {
+		return len(a.tokens)
 	}
-	return nil
+	return int(a.analyzed.Load())
 }
 
-// TFIDFNorm returns the cached Euclidean norm of a section's TF-IDF vector.
-func (a *Analyzer) TFIDFNorm(id PaperID, s Section) float64 {
-	if w := a.sectionWeightsOf(id, s); w != nil {
-		return w.norm[s]
-	}
-	return 0
+// Centroid is the arithmetic mean of TF-IDF rows, dense by term ID, with its
+// norm: vector.Centroid over the rows' string-keyed vectors, bit for bit.
+type Centroid struct {
+	w    []float64
+	norm float64
+	dict []string
 }
 
-// TFIDFAllNorm returns the cached norm of the paper's full-text TF-IDF
-// vector.
-func (a *Analyzer) TFIDFAllNorm(id PaperID) float64 {
-	if w := a.fullTextWeightsOf(id); w != nil {
-		return w.norm
+// Centroid returns the mean of the rows. Each term's weights are summed in
+// row order and the sum scaled by 1/len(rows), as vector.Centroid does.
+func (a *Analyzer) Centroid(rows []Row) Centroid {
+	c := Centroid{w: make([]float64, len(a.df.Terms())), dict: a.df.Terms()}
+	if len(rows) == 0 {
+		return c
 	}
-	return 0
+	for _, r := range rows {
+		for i, t := range r.Terms {
+			c.w[t] += r.Weights[i]
+		}
+	}
+	scale := 1 / float64(len(rows))
+	var sq []float64
+	for t, w := range c.w {
+		if w != 0 {
+			c.w[t] = w * scale
+			sq = append(sq, c.w[t]*c.w[t])
+		}
+	}
+	c.norm = vector.NormOfSquares(sq)
+	return c
+}
+
+// Cosine returns the cosine between a row and the centroid, 0 when either
+// norm is: the products of their shared terms reduced by vector.SumSorted
+// over the product of the norms, vector.CosineWithNorms bit for bit.
+func (c Centroid) Cosine(r Row) float64 {
+	if r.Norm == 0 || c.norm == 0 {
+		return 0
+	}
+	prods := make([]float64, 0, len(r.Terms))
+	for i, t := range r.Terms {
+		if w := c.w[t]; w != 0 {
+			prods = append(prods, r.Weights[i]*w)
+		}
+	}
+	return vector.SumSorted(prods) / (r.Norm * c.norm)
+}
+
+// Vector returns the centroid as a string-keyed vector: vector.Centroid's
+// result, for use as a query or a cluster label.
+func (c Centroid) Vector() vector.Sparse {
+	v := vector.New()
+	for t, w := range c.w {
+		if w != 0 {
+			v[c.dict[t]] = w
+		}
+	}
+	return v
 }
 
 // QueryVector tokenizes a free-text query with the analyzer's tokenizer and
@@ -393,20 +481,3 @@ func (a *Analyzer) TermsVector(terms []string) vector.Sparse {
 // Tokenizer returns the analyzer's tokenizer, so other components (pattern
 // mining, context-term processing) tokenize identically.
 func (a *Analyzer) Tokenizer() *textproc.Tokenizer { return a.tok }
-
-// CoAuthorIndex maps each normalised author to the sorted set of papers
-// they appear on; used by Level-1 author overlap.
-func (a *Analyzer) CoAuthorIndex() map[string][]PaperID {
-	a.ensureFeatures()
-	idx := make(map[string][]PaperID)
-	for i := range a.feats {
-		f := a.feats[i].Load()
-		for au := range f.Authors {
-			idx[au] = append(idx[au], f.ID)
-		}
-	}
-	for au := range idx {
-		sort.Slice(idx[au], func(i, j int) bool { return idx[au][i] < idx[au][j] })
-	}
-	return idx
-}

@@ -1,222 +1,237 @@
 package corpus
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 
+	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/vector"
 )
 
-// referenceFeatures analyses one paper with the tokenizer alone — no
-// surface-form table — the way analyzePaper did before the table existed.
-func referenceFeatures(a *Analyzer, p *Paper) *Features {
-	f := &Features{
-		ID:      p.ID,
-		Tokens:  make(map[Section][]string, len(Sections)),
-		TF:      make(map[Section]vector.Sparse, len(Sections)),
-		AllTF:   vector.New(),
-		Authors: make(map[string]bool, len(p.Authors)),
+// referenceAnalysis is the analysis the flat analyzer is held to, in the
+// string-keyed form it replaced: every section tokenized by the tokenizer
+// alone (no surface-form table), term frequencies by vector.FromTerms, the
+// whole paper their sum, and document frequencies counted per distinct term
+// of the whole paper.
+type referenceAnalysis struct {
+	tokens [][NumSections][]string
+	tf     [][rowsPerPaper]vector.Sparse
+	df     map[string]int32
+}
+
+func newReferenceAnalysis(a *Analyzer) *referenceAnalysis {
+	papers := a.corpus.Papers()
+	ref := &referenceAnalysis{
+		tokens: make([][NumSections][]string, len(papers)),
+		tf:     make([][rowsPerPaper]vector.Sparse, len(papers)),
+		df:     make(map[string]int32),
 	}
-	for _, s := range Sections {
-		toks := a.tok.Terms(p.SectionText(s))
-		f.Tokens[s] = toks
-		tf := vector.FromTerms(toks)
-		f.TF[s] = tf
-		f.AllTF.Add(tf)
+	for i, p := range papers {
+		all := vector.New()
+		for _, s := range Sections {
+			ref.tokens[i][s] = a.tok.Terms(p.SectionText(s))
+			ref.tf[i][s] = vector.FromTerms(ref.tokens[i][s])
+			all.Add(ref.tf[i][s])
+		}
+		ref.tf[i][NumSections] = all
+		for term := range all {
+			ref.df[term]++
+		}
 	}
-	for _, au := range p.Authors {
-		f.Authors[normAuthor(au)] = true
+	return ref
+}
+
+// check compares the analyzer with the reference: the dictionary and its
+// document frequencies, every section's ID stream read through the
+// dictionary, and every row and norm against vector.DF.Weight and
+// Sparse.Norm by their bits.
+func (ref *referenceAnalysis) check(a *Analyzer) error {
+	terms := make([]string, 0, len(ref.df))
+	for term := range ref.df {
+		terms = append(terms, term)
 	}
-	return f
+	sort.Strings(terms)
+	docs, df := a.DF().Counts()
+	if docs != len(ref.tokens) || !slices.Equal(a.DF().Terms(), terms) {
+		return fmt.Errorf("dictionary of %d terms over %d papers is not the reference's sorted vocabulary of %d over %d", len(a.DF().Terms()), docs, len(terms), len(ref.tokens))
+	}
+	for id, term := range terms {
+		if df[id] != ref.df[term] {
+			return fmt.Errorf("term %q: document frequency %d, reference %d", term, df[id], ref.df[term])
+		}
+	}
+	for i := range ref.tokens {
+		id := PaperID(i)
+		toks := a.Tokens(id)
+		for _, s := range Sections {
+			got := make([]string, 0, len(toks.Section(s)))
+			for _, t := range toks.Section(s) {
+				got = append(got, a.Term(t))
+			}
+			if !slices.Equal(got, ref.tokens[i][s]) {
+				return fmt.Errorf("paper %d %v: tokens %q, reference %q", i, s, got, ref.tokens[i][s])
+			}
+		}
+		for s := range rowsPerPaper {
+			want := a.DF().Weight(ref.tf[i][s])
+			got := a.Row(id, Section(s))
+			if len(got.Terms) != len(want) || len(got.Weights) != len(want) {
+				return fmt.Errorf("paper %d row %d: %d terms, reference %d", i, s, len(got.Terms), len(want))
+			}
+			for k, t := range got.Terms {
+				if k > 0 && got.Terms[k-1] >= t {
+					return fmt.Errorf("paper %d row %d: term IDs not ascending at %d", i, s, k)
+				}
+				if w, ok := want[a.Term(t)]; !ok || math.Float64bits(got.Weights[k]) != math.Float64bits(w) {
+					return fmt.Errorf("paper %d row %d term %q: weight %v, reference %v", i, s, a.Term(t), got.Weights[k], w)
+				}
+			}
+			if math.Float64bits(got.Norm) != math.Float64bits(want.Norm()) {
+				return fmt.Errorf("paper %d row %d: norm %v, reference %v", i, s, got.Norm, want.Norm())
+			}
+		}
+	}
+	return nil
+}
+
+// sameAnalysis reports where two analyzers of one corpus differ: the
+// dictionary, the token streams, or the row arrays.
+func sameAnalysis(x, y *Analyzer) error {
+	if !reflect.DeepEqual(x.df, y.df) {
+		return fmt.Errorf("dictionaries differ")
+	}
+	for i := range x.tokens {
+		if !reflect.DeepEqual(x.Tokens(PaperID(i)), y.Tokens(PaperID(i))) {
+			return fmt.Errorf("token streams of paper %d differ", i)
+		}
+	}
+	if !slices.Equal(x.rowEnd, y.rowEnd) || !slices.Equal(x.terms, y.terms) ||
+		!slices.Equal(x.weights, y.weights) || !slices.Equal(x.norms, y.norms) {
+		return fmt.Errorf("row arrays differ")
+	}
+	return nil
+}
+
+// TestAnalyzerMatchesReference holds the flat analyzer, at the serving
+// benchmark's scale (800 papers, 160 terms) and at 1, 2 and 8 workers, to
+// the string-keyed reference, and the arrays to each other across worker
+// counts.
+func TestAnalyzerMatchesReference(t *testing.T) {
+	ocfg := ontology.DefaultGenConfig()
+	ocfg.NumTerms = 160
+	o, err := ontology.Generate(ocfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Generate(o, DefaultGenConfig(800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref *referenceAnalysis
+	var first *Analyzer
+	for _, workers := range []int{1, 2, 8} {
+		a := NewAnalyzerWorkers(c, workers)
+		if ref == nil {
+			ref, first = newReferenceAnalysis(a), a
+		}
+		if err := ref.check(a); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if err := sameAnalysis(first, a); err != nil {
+			t.Fatalf("workers=%d against workers=1: %v", workers, err)
+		}
+	}
 }
 
 // TestParallelAnalyzerMatchesSequential is the golden equivalence test for
-// the sharded analyzer build: every worker count must produce exactly the
-// DF table of the sequential build, and exactly the features the tokenizer
-// yields without the surface-form table the workers share.
+// the sharded analyzer build: every worker count, odd shard splits included,
+// must produce exactly the sequential build's dictionary, token streams and
+// rows.
 func TestParallelAnalyzerMatchesSequential(t *testing.T) {
 	c, _ := testCorpus(t, 120)
 	seq := NewAnalyzerWorkers(c, 1)
-	for _, workers := range []int{1, 2, 3, 8} {
-		par := NewAnalyzerWorkers(c, workers)
-		for _, p := range c.Papers() {
-			if !reflect.DeepEqual(referenceFeatures(par, p), par.Features(p.ID)) {
-				t.Fatalf("workers=%d: features of paper %d differ from the table-free analysis", workers, p.ID)
-			}
-		}
-		if !reflect.DeepEqual(seq.df, par.df) {
-			t.Fatalf("workers=%d: DF table differs from sequential build", workers)
+	for _, workers := range []int{2, 3, 8} {
+		if err := sameAnalysis(seq, NewAnalyzerWorkers(c, workers)); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 	}
 }
 
-// TestFrozenFeaturesConcurrentWithWarm hammers the lock-free readers of a
-// lazy analyzer while Warm fills every slot: each reader must see either
-// nothing yet (and then analyse under the lock) or the finished features,
-// never a torn one. Run under -race.
-func TestFrozenFeaturesConcurrentWithWarm(t *testing.T) {
-	c, _ := testCorpus(t, 80)
-	eager := NewAnalyzerWorkers(c, 1)
-	eager.Warm(1)
-	lazy := NewAnalyzerFrozen(c, eager.DF())
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := 0; k < 3*c.Len(); k++ {
-				id := PaperID((k*7 + g*11) % c.Len())
-				if !reflect.DeepEqual(lazy.Features(id), eager.Features(id)) {
-					t.Errorf("paper %d: lazy features differ from eager", id)
-					return
-				}
-				if !reflect.DeepEqual(lazy.TFIDFAll(id), eager.TFIDFAll(id)) {
-					t.Errorf("paper %d: lazy TFIDFAll differs from eager", id)
-					return
-				}
-			}
-		}(g)
-	}
-	lazy.Warm(4)
-	wg.Wait()
-	if lazy.SurfaceForms() != eager.SurfaceForms() {
-		t.Fatalf("lazy analyzer recorded %d surface forms, eager %d", lazy.SurfaceForms(), eager.SurfaceForms())
-	}
-}
-
-// TestWarmMatchesLazy verifies that the eager parallel cache warm produces
-// bit-identical TF-IDF vectors and norms to lazy on-demand computation.
-func TestWarmMatchesLazy(t *testing.T) {
-	c, _ := testCorpus(t, 60)
-	lazy := NewAnalyzerWorkers(c, 1)
-	warm := NewAnalyzerWorkers(c, 1)
-	warm.Warm(4)
-	if !warm.warmed.Load() {
-		t.Fatal("Warm did not set the warmed flag")
-	}
-	for _, p := range c.Papers() {
-		for _, s := range Sections {
-			if !reflect.DeepEqual(lazy.TFIDF(p.ID, s), warm.TFIDF(p.ID, s)) {
-				t.Fatalf("paper %d section %v: warmed TFIDF differs from lazy", p.ID, s)
-			}
-			if lazy.TFIDFNorm(p.ID, s) != warm.TFIDFNorm(p.ID, s) {
-				t.Fatalf("paper %d section %v: warmed norm differs from lazy", p.ID, s)
-			}
-		}
-		if !reflect.DeepEqual(lazy.TFIDFAll(p.ID), warm.TFIDFAll(p.ID)) {
-			t.Fatalf("paper %d: warmed TFIDFAll differs from lazy", p.ID)
-		}
-		if lazy.TFIDFAllNorm(p.ID) != warm.TFIDFAllNorm(p.ID) {
-			t.Fatalf("paper %d: warmed TFIDFAllNorm differs from lazy", p.ID)
-		}
-	}
-}
-
-// TestWarmIsIdempotent guards the double-checked fast path.
-func TestWarmIsIdempotent(t *testing.T) {
-	c, _ := testCorpus(t, 20)
-	a := NewAnalyzerWorkers(c, 0)
-	a.Warm(2)
-	first := a.TFIDFAll(0)
-	a.Warm(2)
-	if !reflect.DeepEqual(first, a.TFIDFAll(0)) {
-		t.Fatal("second Warm changed cached vectors")
-	}
-}
-
-// TestFrozenWeightsConcurrentWithWarm reads all four weight accessors of a
-// lazy analyzer from 8 goroutines while Warm fills every slot: a reader
-// sees a finished slot without a lock or fills a missing one under it,
-// never a torn value. Run under -race.
-func TestFrozenWeightsConcurrentWithWarm(t *testing.T) {
-	c, _ := testCorpus(t, 80)
-	eager := NewAnalyzerWorkers(c, 1)
-	eager.Warm(1)
-	lazy := NewAnalyzerFrozen(c, eager.DF())
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for k := 0; k < 3*c.Len(); k++ {
-				id := PaperID((k*7 + g*11) % c.Len())
-				s := Sections[(k+g)%len(Sections)]
-				if !reflect.DeepEqual(lazy.TFIDF(id, s), eager.TFIDF(id, s)) || lazy.TFIDFNorm(id, s) != eager.TFIDFNorm(id, s) {
-					t.Errorf("paper %d %v: lazy section weights differ from eager", id, s)
-					return
-				}
-				if !reflect.DeepEqual(lazy.TFIDFAll(id), eager.TFIDFAll(id)) || lazy.TFIDFAllNorm(id) != eager.TFIDFAllNorm(id) {
-					t.Errorf("paper %d: lazy whole-text weights differ from eager", id)
-					return
-				}
-			}
-		}(g)
-	}
-	lazy.Warm(4)
-	wg.Wait()
-	if got, want := lazy.CachedWeights(), 2*c.Len(); got != want {
-		t.Fatalf("%d weight slots filled after Warm, want %d", got, want)
-	}
-}
-
-// TestSectionTokensLeaveAnalyzerFrozen: the shared section tokenizer yields
-// exactly the build-time token streams and materialises nothing on the
-// analyzer — no Features, no weight vector — while any TF-IDF accessor
-// does analyse its paper, so "zero analysed papers" implies "zero cached
-// vectors".
+// TestSectionTokensLeaveAnalyzerFrozen: a frozen analyzer tokenizes a paper
+// into exactly the eager build's stream and counts that as no analysis,
+// while every TF-IDF row it is asked for is computed — bit-identical to the
+// eager row — and counted, so "zero analysed papers" means no row was
+// computed.
 func TestSectionTokensLeaveAnalyzerFrozen(t *testing.T) {
 	c, _ := testCorpus(t, 40)
 	eager := NewAnalyzerWorkers(c, 1)
 	lazy := NewAnalyzerFrozen(c, eager.DF())
+	if lazy.TokenTablePapers() != 0 {
+		t.Fatalf("a new frozen analyzer holds %d token streams", lazy.TokenTablePapers())
+	}
 	for _, p := range c.Papers() {
-		want := eager.Features(p.ID).Tokens
-		lazy.SectionTokens(p, func(s Section, toks []string) {
-			if !slices.Equal(toks, want[s]) {
-				t.Fatalf("paper %d %v: section tokens differ from Features.Tokens", p.ID, s)
-			}
-		})
+		if !reflect.DeepEqual(lazy.Tokens(p.ID), eager.Tokens(p.ID)) {
+			t.Fatalf("paper %d: frozen token stream differs from the eager build's", p.ID)
+		}
 	}
-	if lazy.AnalyzedPapers() != 0 || lazy.CachedWeights() != 0 {
-		t.Fatalf("tokenizing analysed %d papers and cached %d weight slots", lazy.AnalyzedPapers(), lazy.CachedWeights())
+	if lazy.AnalyzedPapers() != 0 || lazy.TokenTablePapers() != c.Len() {
+		t.Fatalf("tokenizing analysed %d papers and kept %d streams, want 0 and %d", lazy.AnalyzedPapers(), lazy.TokenTablePapers(), c.Len())
 	}
-	if eager.AnalyzedPapers() != c.Len() {
-		t.Fatalf("eager analyzer reports %d analysed papers of %d", eager.AnalyzedPapers(), c.Len())
+	if eager.AnalyzedPapers() != c.Len() || eager.TokenTablePapers() != c.Len() {
+		t.Fatalf("eager analyzer reports %d analysed papers and %d streams of %d", eager.AnalyzedPapers(), eager.TokenTablePapers(), c.Len())
 	}
-	lazy.TFIDFAll(3)
-	lazy.TFIDFNorm(5, SecTitle)
-	if lazy.AnalyzedPapers() != 2 || lazy.CachedWeights() != 2 {
-		t.Fatalf("two accessor calls analysed %d papers and cached %d weight slots, want 2 and 2", lazy.AnalyzedPapers(), lazy.CachedWeights())
+	if got, want := lazy.Row(3, WholeText), eager.Row(3, WholeText); !reflect.DeepEqual(got, want) {
+		t.Fatalf("frozen whole-paper row %v, eager %v", got, want)
+	}
+	if got, want := lazy.Row(5, SecTitle), eager.Row(5, SecTitle); !reflect.DeepEqual(got, want) {
+		t.Fatalf("frozen title row %v, eager %v", got, want)
+	}
+	if lazy.AnalyzedPapers() != 2 {
+		t.Fatalf("two row calls analysed %d papers, want 2", lazy.AnalyzedPapers())
+	}
+	if r := lazy.Row(-1, WholeText); r.Terms != nil || r.Norm != 0 || lazy.Tokens(PaperID(c.Len())) != nil {
+		t.Fatal("out-of-range papers must have empty rows and no tokens")
 	}
 }
 
-// TestSectionTokensScratchIsNotRetained pins what pooling the tokenizer
-// scratch must not change: what fn copied out survives the papers tokenized
-// after it and the callers tokenizing beside it, and a scratch at rest in
-// the pool references no paper's text.
+// TestSectionTokensScratchIsNotRetained pins what pooling the tokenizer and
+// row scratch must not change: the streams concurrent callers tokenize are
+// the tokenizer's, the rows they compute are the eager build's, and a
+// scratch at rest in the pool references no paper's text.
 func TestSectionTokensScratchIsNotRetained(t *testing.T) {
 	c, _ := testCorpus(t, 60)
-	a := NewAnalyzerFrozen(c, vector.NewDF())
+	eager := NewAnalyzerWorkers(c, 1)
+	a := NewAnalyzerFrozen(c, eager.DF())
 	papers := c.Papers()
-	got := make([][NumSections][]string, len(papers))
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(papers); i += 4 {
-				a.SectionTokens(papers[i], func(s Section, toks []string) {
-					got[i][s] = slices.Clone(toks)
-				})
+			for i := w; i < len(papers); i += 2 {
+				id := papers[i].ID
+				a.Tokens(id)
+				if got, want := a.Row(id, WholeText), eager.Row(id, WholeText); !reflect.DeepEqual(got, want) {
+					t.Errorf("paper %d: concurrently computed row differs from the eager build's", id)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	for i, p := range papers {
+	for _, p := range papers {
+		toks := a.Tokens(p.ID)
 		for _, s := range Sections {
-			if want := a.tok.Terms(p.SectionText(s)); !slices.Equal(got[i][s], want) {
-				t.Fatalf("paper %d %v: copied tokens differ from the tokenizer's after later and concurrent calls", p.ID, s)
+			var got []string
+			for _, id := range toks.Section(s) {
+				got = append(got, a.Term(id))
+			}
+			if want := a.tok.Terms(p.SectionText(s)); !slices.Equal(got, want) {
+				t.Fatalf("paper %d %v: tokens %q after concurrent calls, tokenizer %q", p.ID, s, got, want)
 			}
 		}
 	}
@@ -224,9 +239,11 @@ func TestSectionTokensScratchIsNotRetained(t *testing.T) {
 	// under -race and at a GC), so tokenize until one is seen.
 	inspected := 0
 	for try := 0; try < 100 && inspected == 0; try++ {
-		a.SectionTokens(papers[try%len(papers)], func(Section, []string) {})
+		sc := a.lease(0)
+		a.appendTokens(sc, nil, papers[try%len(papers)], new([NumSections]int32))
+		a.scratch.Put(sc)
 		for {
-			sc, _ := a.scratch.Get().(*tokenScratch)
+			sc, _ := a.scratch.Get().(*scratch)
 			if sc == nil {
 				break
 			}

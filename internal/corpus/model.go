@@ -14,6 +14,7 @@ package corpus
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"ctxsearch/internal/ontology"
 )
@@ -92,21 +93,10 @@ func (p *Paper) SectionText(s Section) string {
 	case SecBody:
 		return p.Body
 	case SecIndexTerms:
-		return joinIndexTerms(p.IndexTerms)
+		return strings.Join(p.IndexTerms, "; ")
 	default:
 		return ""
 	}
-}
-
-func joinIndexTerms(terms []string) string {
-	out := ""
-	for i, t := range terms {
-		if i > 0 {
-			out += "; "
-		}
-		out += t
-	}
-	return out
 }
 
 // Corpus is an immutable collection of papers with citation and evidence
@@ -184,4 +174,32 @@ func (c *Corpus) EvidenceTerms() []ontology.TermID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// CoAuthorIndex maps each normalised (ASCII-lowercased) author to the
+// ascending IDs of the papers they appear on; used by Level-1 author
+// overlap.
+func (c *Corpus) CoAuthorIndex() map[string][]PaperID {
+	idx := make(map[string][]PaperID)
+	for _, p := range c.papers {
+		for _, au := range p.Authors {
+			au = normAuthor(au)
+			if ids := idx[au]; len(ids) == 0 || ids[len(ids)-1] != p.ID {
+				idx[au] = append(ids, p.ID)
+			}
+		}
+	}
+	return idx
+}
+
+func normAuthor(a string) string {
+	out := make([]byte, 0, len(a))
+	for i := 0; i < len(a); i++ {
+		c := a[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		out = append(out, c)
+	}
+	return string(out)
 }

@@ -6,7 +6,6 @@ import (
 	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
-	"ctxsearch/internal/vector"
 )
 
 // ACConfig configures AC(artificially constructed)-answer-set construction
@@ -83,13 +82,13 @@ func (b *ACBuilder) Build(query string) map[corpus.PaperID]bool {
 		answer[h.Doc] = true
 	}
 
-	// Text-based expansion: centroid of the seed's TF-IDF vectors.
+	// Text-based expansion: centroid of the seed's TF-IDF rows, as a query.
 	a := b.ix.Analyzer()
-	vecs := make([]vector.Sparse, len(seed))
+	rows := make([]corpus.Row, len(seed))
 	for i, id := range seed {
-		vecs[i] = a.TFIDFAll(id)
+		rows[i] = a.Row(id, corpus.WholeText)
 	}
-	centroid := vector.Centroid(vecs)
+	centroid := a.Centroid(rows).Vector()
 	for _, h := range b.ix.SearchVector(centroid, index.Options{Threshold: b.cfg.TextThreshold}) {
 		answer[h.Doc] = true
 	}

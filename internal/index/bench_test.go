@@ -31,13 +31,12 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-// benchIndexBuild measures the sharded CSR build on a warmed analyzer (so
-// TF-IDF reads are lock-free and the index construction itself dominates).
+// benchIndexBuild measures the sharded CSR transpose of an analyzer's
+// whole-paper rows.
 func benchIndexBuild(b *testing.B, workers int) {
 	o, _ := ontology.Generate(ontology.GenConfig{Seed: 3, NumTerms: 100, MaxDepth: 7})
 	c, _ := corpus.Generate(o, corpus.DefaultGenConfig(400))
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	a.Warm(0)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -94,7 +94,7 @@ func checkBlockTables(t *testing.T, label string, ix *Index) {
 		t.Fatalf("%s: block offsets shape %d for %d terms", label, len(ix.blockOffsets), ix.Terms())
 	}
 	for tid := 0; tid < ix.Terms(); tid++ {
-		docs, ws := ix.postingsOf(int32(tid))
+		docs, ws := ix.Postings(int32(tid))
 		wantBlocks := (len(docs) + bs - 1) / bs
 		first := int(ix.blockOffsets[tid])
 		if int(ix.blockOffsets[tid+1])-first != wantBlocks {

@@ -3,14 +3,14 @@
 // context-based engine run on it; the AC-answer-set construction uses its
 // high-threshold mode to seed answer sets.
 //
-// The index is laid out for query throughput: terms are interned to dense
-// integer IDs at build time and postings live in flat CSR-style arrays (one
+// The index is laid out for query throughput: terms are the analyzer's
+// dense dictionary IDs and postings live in flat CSR-style arrays (one
 // offsets array plus packed doc/weight columns), so a query walks
 // contiguous memory instead of chasing map buckets. Scoring accumulates
 // into a pooled dense array indexed by document ID rather than a
-// map[PaperID]float64. Term IDs are assigned in lexicographic term order,
-// which keeps the floating-point accumulation order — and therefore every
-// score, bit for bit — identical to sorting the query's term strings.
+// map[PaperID]float64. Term IDs follow lexicographic term order, which keeps
+// the floating-point accumulation order — and therefore every score, bit
+// for bit — identical to sorting the query's term strings.
 package index
 
 import (
@@ -54,10 +54,8 @@ type Hit struct {
 // vectors. Construct with BuildWorkers, or bind persisted arrays with
 // FromParts.
 type Index struct {
+	// analyzer's dictionary is the index's: term t is its term ID t.
 	analyzer *corpus.Analyzer
-	// termIDs interns term strings to dense IDs; IDs follow lexicographic
-	// term order so numeric ID order equals sorted-string order.
-	termIDs map[string]int32
 	// CSR postings: the postings of term t are docs[offsets[t]:offsets[t+1]]
 	// and weights[offsets[t]:offsets[t+1]], sorted by ascending doc ID.
 	offsets []int32
@@ -78,9 +76,6 @@ type Index struct {
 	blockOffsets   []int32
 	blockMaxWeight []float64
 	blockMaxRatio  []float64
-	// tokens is the lazily filled phrase/field token table, one slot per
-	// paper (see tokens.go).
-	tokens []atomic.Pointer[docTokens]
 	// accPool recycles dense score accumulators across searches; topkPool
 	// recycles per-query top-k evaluation scratch (see topk.go).
 	accPool  sync.Pool
@@ -101,17 +96,18 @@ type accum struct {
 	touched []corpus.PaperID
 }
 
-// BuildWorkers constructs the index from an analysed corpus. Papers
-// (in ascending ID order) are split into contiguous shards; each worker
-// counts its shard's postings, and after the term universe is merged each
-// worker fills its shard's postings into the shared CSR arrays at
-// precomputed disjoint cursors. The output is byte-identical at every
-// worker count: term IDs still follow lexicographic term order, per-term
-// counts are order-independent integer sums, and because shards are
-// contiguous ID ranges, writing shard s's postings after all of shard
-// s-1's reproduces exactly the ascending-doc posting layout of the
-// sequential build. workers <= 0 selects GOMAXPROCS. Block-max tables are
-// built at DefaultBlockSize.
+// BuildWorkers constructs the index from an analysed corpus: the CSR
+// transpose of the analyzer's whole-paper TF-IDF rows. Every dictionary
+// term has a posting — a corpus token has TF >= 1 and IDF log(1+N/df) > 0 —
+// so the index terms are the dictionary. Papers (in ascending ID order) are
+// split into contiguous shards; each worker counts its shard's postings per
+// term, and each then fills its shard's postings into the shared CSR arrays
+// at precomputed disjoint cursors. The output is byte-identical at every
+// worker count: per-term counts are order-independent integer sums, and
+// because shards are contiguous ID ranges, writing shard s's postings after
+// all of shard s-1's reproduces exactly the ascending-doc posting layout of
+// the sequential build. workers <= 0 selects GOMAXPROCS. Block-max tables
+// are built at DefaultBlockSize.
 func BuildWorkers(a *corpus.Analyzer, workers int) *Index {
 	return buildWorkersBlock(a, workers, DefaultBlockSize)
 }
@@ -140,84 +136,60 @@ func sortedPapers(c *corpus.Corpus, lo, hi int) []*corpus.Paper {
 // buildPapers runs the sharded build pipeline over an explicit paper list
 // (ascending ID order).
 func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers, blockSize int) *Index {
-	c := a.Corpus()
-	n := c.Len()
-	ix := &Index{
-		analyzer: a,
-		norms:    make([]float64, n),
-		tokens:   make([]atomic.Pointer[docTokens], n),
-	}
-
+	n := a.Corpus().Len()
+	nTerms := len(a.DF().Terms())
+	ix := &Index{analyzer: a, norms: make([]float64, n)}
 	shards := par.Shards(len(papers), workers)
 
 	// Pass 1 (sharded): per-shard term posting counts; norms land in
-	// disjoint slots. TFIDFAll reads a filled analyzer slot without a lock
-	// (NewSystem warms before building).
-	shardCounts := make([]map[string]int32, len(shards))
+	// disjoint slots.
+	shardCounts := make([][]int32, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
-		m := make(map[string]int32)
+		counts := make([]int32, nTerms)
 		for i := sh.Lo; i < sh.Hi; i++ {
-			p := papers[i]
-			w := a.TFIDFAll(p.ID)
-			ix.norms[p.ID] = w.Norm()
-			for term := range w {
-				m[term]++
+			r := a.Row(papers[i].ID, corpus.WholeText)
+			ix.norms[papers[i].ID] = r.Norm
+			for _, t := range r.Terms {
+				counts[t]++
 			}
 		}
-		shardCounts[si] = m
+		shardCounts[si] = counts
 	})
 
-	// Merge the term universe. Integer sums make the merge independent of
-	// shard order; sorting the union fixes the ID assignment.
-	counts := make(map[string]int32)
-	for _, m := range shardCounts {
-		for term, cnt := range m {
-			counts[term] += cnt
+	// Offsets, and per-shard write cursors: shard s writes term t's postings
+	// starting at offsets[t] plus the posting counts of earlier shards, so
+	// shard regions are disjoint and concatenate in ascending doc order.
+	ix.offsets = make([]int32, nTerms+1)
+	for t := 0; t < nTerms; t++ {
+		ix.offsets[t+1] = ix.offsets[t]
+		for _, counts := range shardCounts {
+			ix.offsets[t+1] += counts[t]
 		}
 	}
-	terms := make([]string, 0, len(counts))
-	for term := range counts {
-		terms = append(terms, term)
-	}
-	sort.Strings(terms)
-	ix.termIDs = make(map[string]int32, len(terms))
-	ix.offsets = make([]int32, len(terms)+1)
-	total := int32(0)
-	for i, term := range terms {
-		ix.termIDs[term] = int32(i)
-		ix.offsets[i+1] = ix.offsets[i] + counts[term]
-		total += counts[term]
-	}
-
-	// Per-shard write cursors: shard s writes term t's postings starting at
-	// offsets[t] plus the posting counts of earlier shards, so shard
-	// regions are disjoint and concatenate in ascending doc order.
 	bases := make([][]int32, len(shards))
-	running := make([]int32, len(terms))
-	copy(running, ix.offsets[:len(terms)])
-	for si := range shards {
-		base := make([]int32, len(terms))
-		copy(base, running)
-		for term, cnt := range shardCounts[si] {
-			running[ix.termIDs[term]] += cnt
+	running := slices.Clone(ix.offsets[:nTerms])
+	for si, counts := range shardCounts {
+		bases[si] = slices.Clone(running)
+		for t, cnt := range counts {
+			running[t] += cnt
 		}
-		bases[si] = base
 	}
 
 	// Pass 2 (sharded): fill the packed columns. Within a shard, visiting
 	// papers in ascending ID order leaves every term's posting run sorted
 	// by doc with no per-term sort — exactly as in the sequential build.
+	total := ix.offsets[nTerms]
 	ix.docs = make([]corpus.PaperID, total)
 	ix.weights = make([]float64, total)
 	par.ForShards(shards, func(si int, sh par.Shard) {
 		next := bases[si]
 		for i := sh.Lo; i < sh.Hi; i++ {
 			p := papers[i]
-			for term, weight := range a.TFIDFAll(p.ID) {
-				t := ix.termIDs[term]
+			r := a.Row(p.ID, corpus.WholeText)
+			for k, t := range r.Terms {
 				slot := next[t]
 				ix.docs[slot] = p.ID
-				ix.weights[slot] = weight
+				ix.weights[slot] = r.Weights[k]
 				next[t] = slot + 1
 			}
 		}
@@ -226,9 +198,9 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers, blockSize 
 	// Pass 3 (sharded by term): per-term posting maxima for the MaxScore
 	// top-k bounds. Maxima are order-independent, so the result is
 	// identical at any worker count.
-	ix.maxWeight = make([]float64, len(terms))
-	ix.maxRatio = make([]float64, len(terms))
-	par.ForShards(par.Shards(len(terms), workers), func(_ int, sh par.Shard) {
+	ix.maxWeight = make([]float64, nTerms)
+	ix.maxRatio = make([]float64, nTerms)
+	par.ForShards(par.Shards(nTerms, workers), func(_ int, sh par.Shard) {
 		for t := sh.Lo; t < sh.Hi; t++ {
 			var mw, mr float64
 			for k := ix.offsets[t]; k < ix.offsets[t+1]; k++ {
@@ -303,22 +275,24 @@ func computeBlockTables(offsets []int32, docs []corpus.PaperID, weights, norms [
 	return bo, bmw, bmr
 }
 
-// postingsOf returns the CSR run of one interned term.
-func (ix *Index) postingsOf(t int32) ([]corpus.PaperID, []float64) {
+// Postings returns the posting run of a term ID — ascending document IDs
+// and, aligned with them, each document's full-text TF-IDF weight for the
+// term (nil slices for corpus.NoTerm). The slices alias the index and must
+// not be modified.
+func (ix *Index) Postings(t int32) ([]corpus.PaperID, []float64) {
+	if t < 0 {
+		return nil, nil
+	}
 	lo, hi := ix.offsets[t], ix.offsets[t+1]
 	return ix.docs[lo:hi], ix.weights[lo:hi]
 }
 
-// Postings returns the posting run of a term string — ascending document
-// IDs and, aligned with them, each document's full-text TF-IDF weight for
-// the term (nil slices when the term is not indexed). The slices alias the
-// index and must not be modified.
-func (ix *Index) Postings(term string) ([]corpus.PaperID, []float64) {
-	t, ok := ix.termIDs[term]
-	if !ok {
-		return nil, nil
+// termID returns a term's dictionary ID, corpus.NoTerm when it has none.
+func (ix *Index) termID(term string) int32 {
+	if id, ok := ix.analyzer.DF().ID(term); ok {
+		return id
 	}
-	return ix.postingsOf(t)
+	return corpus.NoTerm
 }
 
 // getAccum leases a clean dense accumulator sized to the corpus.
@@ -369,13 +343,13 @@ func (ix *Index) Search(query string, opts Options) []Hit {
 	return ix.SearchVector(qv, opts)
 }
 
-// queryTerm is one resolved query term: interned ID plus query weight.
+// queryTerm is one resolved query term: term ID plus query weight.
 type queryTerm struct {
 	id int32
 	w  float64
 }
 
-// resolveQuery interns the query vector's terms, dropping unindexed ones
+// resolveQuery maps the query vector's terms to IDs, dropping unindexed ones
 // (they have no postings, hence no contribution), sorted by term ID —
 // lexicographic term order, so accumulation order matches the historical
 // sort.Strings order bit for bit. The vector pass and the boolean text
@@ -383,7 +357,7 @@ type queryTerm struct {
 func (ix *Index) resolveQuery(qv vector.Sparse) []queryTerm {
 	qts := make([]queryTerm, 0, len(qv))
 	for term, w := range qv {
-		if id, ok := ix.termIDs[term]; ok {
+		if id := ix.termID(term); id != corpus.NoTerm {
 			qts = append(qts, queryTerm{id, w})
 		}
 	}
@@ -448,7 +422,7 @@ func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Op
 			return dst, err
 		}
 		qw := qt.w
-		docs, ws := ix.postingsOf(qt.id)
+		docs, ws := ix.Postings(qt.id)
 		for i, doc := range docs {
 			if restricted && !opts.allows(doc) {
 				continue
@@ -537,7 +511,7 @@ func (ix *Index) newTextScorer(qv vector.Sparse) textScorer {
 	qts := ix.resolveQuery(qv)
 	sc := textScorer{qn: qv.Norm(), norms: ix.norms, terms: make([]scorerTerm, 0, len(qts))}
 	for _, qt := range qts {
-		if docs, weights := ix.postingsOf(qt.id); len(docs) > 0 {
+		if docs, weights := ix.Postings(qt.id); len(docs) > 0 {
 			sc.terms = append(sc.terms, scorerTerm{qt.w, docs, weights})
 		}
 	}

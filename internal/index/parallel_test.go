@@ -9,9 +9,8 @@ import (
 )
 
 // TestParallelBuildMatchesSequential is the golden equivalence test for the
-// sharded index build: the CSR layout — term interning, offsets, packed
-// doc/weight columns and norms — must be byte-identical at every worker
-// count.
+// sharded index build: the CSR layout — offsets, packed doc/weight columns
+// and norms — must be byte-identical at every worker count.
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	o, err := ontology.Generate(ontology.GenConfig{Seed: 3, NumTerms: 60, MaxDepth: 6})
 	if err != nil {
@@ -25,9 +24,6 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	seq := BuildWorkers(a, 1)
 	for _, workers := range []int{2, 3, 8} {
 		par := BuildWorkers(a, workers)
-		if !reflect.DeepEqual(seq.termIDs, par.termIDs) {
-			t.Fatalf("workers=%d: term interning differs", workers)
-		}
 		if !reflect.DeepEqual(seq.offsets, par.offsets) {
 			t.Fatalf("workers=%d: CSR offsets differ", workers)
 		}
@@ -88,7 +84,7 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 
 	// Full-range build is the whole index.
 	whole := buildRangeWorkers(a, 0, c.Len(), 2)
-	if !reflect.DeepEqual(full.termIDs, whole.termIDs) || !reflect.DeepEqual(full.docs, whole.docs) ||
+	if !reflect.DeepEqual(full.offsets, whole.offsets) || !reflect.DeepEqual(full.docs, whole.docs) ||
 		!reflect.DeepEqual(full.weights, whole.weights) || !reflect.DeepEqual(full.norms, whole.norms) {
 		t.Fatal("buildRangeWorkers over the full range differs from BuildWorkers")
 	}
@@ -98,7 +94,7 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 		for i := 0; i+1 < len(cuts); i++ {
 			parts = append(parts, buildRangeWorkers(a, cuts[i], cuts[i+1], 2))
 		}
-		for term := range full.termIDs {
+		for term := range int32(full.Terms()) {
 			wantDocs, wantWts := full.Postings(term)
 			var gotDocs []corpus.PaperID
 			var gotWts []float64
@@ -108,11 +104,11 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 				gotWts = append(gotWts, w...)
 			}
 			if len(gotDocs) != len(wantDocs) {
-				t.Fatalf("cuts %v term %q: union has %d postings, full %d", cuts, term, len(gotDocs), len(wantDocs))
+				t.Fatalf("cuts %v term %d: union has %d postings, full %d", cuts, term, len(gotDocs), len(wantDocs))
 			}
 			for k := range wantDocs {
 				if gotDocs[k] != wantDocs[k] || gotWts[k] != wantWts[k] {
-					t.Fatalf("cuts %v term %q posting %d: got (%d,%v), want (%d,%v)",
+					t.Fatalf("cuts %v term %d posting %d: got (%d,%v), want (%d,%v)",
 						cuts, term, k, gotDocs[k], gotWts[k], wantDocs[k], wantWts[k])
 				}
 			}

@@ -2,20 +2,19 @@ package index
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"ctxsearch/internal/corpus"
 )
 
-// Parts is the serializable flat form of an Index: the interned term
-// dictionary plus the CSR postings and the per-term MaxScore maxima. It is
+// Parts is the serializable flat form of an Index: the term dictionary plus
+// the CSR postings and the per-term MaxScore maxima. It is
 // what the state file persists so that serving can skip corpus
 // re-analysis and index construction entirely — FromParts rebinds these
 // arrays (typically aliasing a memory-mapped file) to a live Index in
 // O(terms), never touching a posting.
 type Parts struct {
-	// Terms holds the indexed term strings in lexicographic order; term i
-	// has interned ID i, matching the build's ID assignment exactly.
+	// Terms holds the indexed term strings in lexicographic order, term i
+	// having ID i: the analyzer's dictionary (vector.DF.Terms).
 	Terms []string
 	// CSR postings: term t's run is Docs[Offsets[t]:Offsets[t+1]] and
 	// Weights[...], ascending by doc ID.
@@ -38,15 +37,10 @@ type Parts struct {
 }
 
 // Parts exposes the index's flat arrays for serialization. All slices alias
-// the index except Terms, which is materialized from the interning map —
-// read-only either way.
+// the index or its analyzer and are read-only.
 func (ix *Index) Parts() *Parts {
-	terms := make([]string, len(ix.termIDs))
-	for term, id := range ix.termIDs {
-		terms[id] = term
-	}
 	return &Parts{
-		Terms:          terms,
+		Terms:          ix.analyzer.DF().Terms(),
 		Offsets:        ix.offsets,
 		Docs:           ix.docs,
 		Weights:        ix.weights,
@@ -66,11 +60,13 @@ func (ix *Index) Parts() *Parts {
 // (read-only) memory is safe; the caller keeps the backing storage alive
 // for the index's lifetime. The analyzer must be over the same corpus the
 // parts were built from (its DF table drives query weighting; document
-// weights are already frozen in the postings).
+// weights are already frozen in the postings), and its dictionary must be
+// the parts' term list: parts whose terms differ would bind every query term
+// to another term's postings, so they are rejected.
 //
-// Validation is O(terms): lengths, offset monotonicity, lexicographic term
-// order, and the block tables' shape (parts without block tables are
-// rejected). Per-element posting content is the writer's contract,
+// Validation is O(terms): lengths, offset monotonicity, the dictionary, and
+// the block tables' shape (parts without block tables are rejected).
+// Per-element posting content is the writer's contract,
 // guarded on disk by section CRCs — scanning it here would fault in every
 // page and defeat the O(1) open.
 func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
@@ -90,25 +86,26 @@ func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
 	if n := a.Corpus().Len(); len(p.Norms) != n {
 		return nil, fmt.Errorf("index: %d norms for a %d-paper corpus", len(p.Norms), n)
 	}
+	dict := a.DF().Terms()
+	if len(dict) != nTerms {
+		return nil, fmt.Errorf("index: %d terms against a %d-term dictionary", nTerms, len(dict))
+	}
+	for i, term := range p.Terms {
+		if term != dict[i] {
+			return nil, fmt.Errorf("index: term %d is %q, the dictionary's is %q", i, term, dict[i])
+		}
+		if p.Offsets[i] > p.Offsets[i+1] {
+			return nil, fmt.Errorf("index: offsets decrease at term %d (%q)", i, term)
+		}
+	}
 	ix := &Index{
 		analyzer:  a,
-		termIDs:   make(map[string]int32, nTerms),
 		offsets:   p.Offsets,
 		docs:      p.Docs,
 		weights:   p.Weights,
 		norms:     p.Norms,
 		maxWeight: p.MaxWeight,
 		maxRatio:  p.MaxRatio,
-		tokens:    make([]atomic.Pointer[docTokens], len(p.Norms)),
-	}
-	for i, term := range p.Terms {
-		if i > 0 && p.Terms[i-1] >= term {
-			return nil, fmt.Errorf("index: terms not in lexicographic order at %d (%q)", i, term)
-		}
-		if p.Offsets[i] > p.Offsets[i+1] {
-			return nil, fmt.Errorf("index: offsets decrease at term %d (%q)", i, term)
-		}
-		ix.termIDs[term] = int32(i)
 	}
 	// Block tables: validate shape in O(terms) and borrow the (typically
 	// mapped) arrays verbatim, like every other column.

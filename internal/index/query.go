@@ -51,8 +51,9 @@ func (q termQuery) positiveTerms(into vector.Sparse) { into[q.term]++ }
 func (q termQuery) String() string                   { return q.term }
 
 // phraseQuery matches documents containing the stemmed words contiguously
-// in one section. ids holds the words as index term IDs; it is nil when
-// some word is not in the dictionary, and the phrase then matches nothing.
+// in one section of the analyzer's token stream. ids holds the words as
+// term IDs; it is nil when some word is not in the dictionary, and the
+// phrase then matches nothing.
 type phraseQuery struct {
 	words []string
 	ids   []int32
@@ -62,8 +63,32 @@ func (q phraseQuery) matches(ix *Index, doc corpus.PaperID) bool {
 	if q.ids == nil {
 		return false
 	}
-	d := ix.tokensOf(doc)
-	return d != nil && d.hasPhrase(q.ids)
+	d := ix.analyzer.Tokens(doc)
+	if d == nil {
+		return false
+	}
+	for _, s := range corpus.Sections {
+		if containsSeq(d.Section(s), q.ids) {
+			return true
+		}
+	}
+	return false
+}
+
+func containsSeq(toks, words []int32) bool {
+	if len(words) == 0 || len(toks) < len(words) {
+		return false
+	}
+outer:
+	for i := 0; i+len(words) <= len(toks); i++ {
+		for j, w := range words {
+			if toks[i+j] != w {
+				continue outer
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func (q phraseQuery) positiveTerms(into vector.Sparse) {
@@ -75,7 +100,7 @@ func (q phraseQuery) positiveTerms(into vector.Sparse) {
 func (q phraseQuery) String() string { return `"` + strings.Join(q.words, " ") + `"` }
 
 // fieldQuery matches documents containing the term within one section,
-// e.g. title:polymerase. id is the term's index ID, unknownTerm (matching
+// e.g. title:polymerase. id is the term's ID, corpus.NoTerm (matching
 // nothing) when the dictionary does not hold it.
 type fieldQuery struct {
 	section corpus.Section
@@ -84,11 +109,11 @@ type fieldQuery struct {
 }
 
 func (q fieldQuery) matches(ix *Index, doc corpus.PaperID) bool {
-	if q.id == unknownTerm {
+	if q.id == corpus.NoTerm {
 		return false
 	}
-	d := ix.tokensOf(doc)
-	return d != nil && slices.Contains(d.section(q.section), q.id)
+	d := ix.analyzer.Tokens(doc)
+	return d != nil && slices.Contains(d.Section(q.section), q.id)
 }
 
 func (q fieldQuery) positiveTerms(into vector.Sparse) { into[q.term]++ }
@@ -214,8 +239,8 @@ func (ix *Index) SearchQuery(q Query, opts Options) ([]Hit, error) {
 //
 // The whole evaluation runs on the frozen index data: candidates and scores
 // come from the posting runs (see textScorer), phrase and field predicates
-// from the token table (see tokensOf). No paper's build-time Features or
-// TF-IDF vector is touched.
+// from the analyzer's token streams (a frozen analyzer tokenizes a paper on
+// its first such check). No TF-IDF row is touched.
 func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) ([]Hit, error) {
 	hits, err := ix.AppendQueryHits(ctx, q, opts, true, nil)
 	if err != nil {
@@ -466,7 +491,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 		// AND over them.
 		kids := make([]Query, len(terms))
 		for i, tm := range terms {
-			docs, _ := p.ix.Postings(tm)
+			docs, _ := p.ix.Postings(p.ix.termID(tm))
 			kids[i] = termQuery{tm, docs}
 		}
 		if len(kids) == 1 {
@@ -481,7 +506,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 		}
 		ids := make([]int32, len(words))
 		for i, w := range words {
-			if ids[i] = p.ix.termID(w); ids[i] == unknownTerm {
+			if ids[i] = p.ix.termID(w); ids[i] == corpus.NoTerm {
 				return phraseQuery{words: words}, nil
 			}
 		}

@@ -72,6 +72,7 @@ func FuzzParseQuery(f *testing.F) {
 	}
 	ix, _ := buildTestIndex(f)
 	a := ix.Analyzer()
+	ref := newRefAnalysis(a)
 	f.Fuzz(func(t *testing.T, s string) {
 		q, err := ix.ParseQuery(s)
 		if err != nil {
@@ -88,7 +89,7 @@ func FuzzParseQuery(f *testing.F) {
 			}
 		}
 		got, gotErr := ix.SearchQuery(q, Options{})
-		want, wantErr := refSearchQuery(ix, a, q, Options{})
+		want, wantErr := refSearchQuery(ix, ref, q, Options{})
 		if (gotErr != nil) != (wantErr != nil) {
 			t.Fatalf("%q: error %v, reference error %v", s, gotErr, wantErr)
 		}

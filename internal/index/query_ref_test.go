@@ -17,44 +17,68 @@ import (
 )
 
 // The reference boolean evaluator: the form SearchQueryContext had while it
-// still ran on build-time features — predicates over Features.Tokens, the
-// score as a map dot product against TFIDFAll. It survives only here, as
-// the oracle the posting/token-table evaluator must match bit for bit.
-// Postings and norms come from ix; features and vectors from a, which the
-// caller keeps eager so that a frozen analyzer under test stays untouched.
+// still ran on build-time features — predicates over string token streams,
+// the score as a map dot product against the whole-text TF-IDF vector. It
+// survives only here, as the oracle the posting/token-table evaluator must
+// match bit for bit. Postings and norms come from ix; token streams and
+// vectors from a refAnalysis, which reads the analyzer's DF table and
+// nothing else of it, so a frozen analyzer under test stays untouched.
 
-func refMatches(ix *Index, a *corpus.Analyzer, q Query, doc corpus.PaperID) bool {
+// refAnalysis is the string-keyed analysis of a corpus: every section's
+// tokens from the tokenizer alone (no surface-form table), and every
+// paper's whole-text TF-IDF vector built from them by vector.FromTerms and
+// the DF table's Weight.
+type refAnalysis struct {
+	df     *vector.DF
+	tokens [][corpus.NumSections][]string
+	vecs   []vector.Sparse
+}
+
+func newRefAnalysis(a *corpus.Analyzer) *refAnalysis {
+	papers := a.Corpus().Papers()
+	ref := &refAnalysis{df: a.DF(), tokens: make([][corpus.NumSections][]string, len(papers)), vecs: make([]vector.Sparse, len(papers))}
+	for i, p := range papers {
+		tf := vector.New()
+		for _, s := range corpus.Sections {
+			ref.tokens[i][s] = a.Tokenizer().Terms(p.SectionText(s))
+			tf.Add(vector.FromTerms(ref.tokens[i][s]))
+		}
+		ref.vecs[i] = a.DF().Weight(tf)
+	}
+	return ref
+}
+
+func refMatches(ix *Index, ref *refAnalysis, q Query, doc corpus.PaperID) bool {
 	switch q := q.(type) {
 	case termQuery:
-		docs, _ := ix.Postings(q.term)
+		docs, _ := ix.Postings(ix.termID(q.term))
 		_, ok := slices.BinarySearch(docs, doc)
 		return ok
 	case phraseQuery:
-		f := a.Features(doc)
 		for _, s := range corpus.Sections {
-			if refContainsSeq(f.Tokens[s], q.words) {
+			if refContainsSeq(ref.tokens[doc][s], q.words) {
 				return true
 			}
 		}
 		return false
 	case fieldQuery:
-		return slices.Contains(a.Features(doc).Tokens[q.section], q.term)
+		return slices.Contains(ref.tokens[doc][q.section], q.term)
 	case andQuery:
 		for _, k := range q.kids {
-			if !refMatches(ix, a, k, doc) {
+			if !refMatches(ix, ref, k, doc) {
 				return false
 			}
 		}
 		return true
 	case orQuery:
 		for _, k := range q.kids {
-			if refMatches(ix, a, k, doc) {
+			if refMatches(ix, ref, k, doc) {
 				return true
 			}
 		}
 		return false
 	case notQuery:
-		return !refMatches(ix, a, q.kid, doc)
+		return !refMatches(ix, ref, q.kid, doc)
 	}
 	panic(fmt.Sprintf("refMatches: unknown query node %T", q))
 }
@@ -68,7 +92,7 @@ func refContainsSeq(toks, words []string) bool {
 	return false
 }
 
-func refMatchScore(ix *Index, a *corpus.Analyzer, qv vector.Sparse, doc corpus.PaperID) float64 {
+func refMatchScore(ix *Index, ref *refAnalysis, qv vector.Sparse, doc corpus.PaperID) float64 {
 	if ix.norms[doc] == 0 {
 		return 0
 	}
@@ -76,29 +100,29 @@ func refMatchScore(ix *Index, a *corpus.Analyzer, qv vector.Sparse, doc corpus.P
 	if qn == 0 {
 		return 0
 	}
-	return qv.Dot(a.TFIDFAll(doc)) / (qn * ix.norms[doc])
+	return qv.Dot(ref.vecs[doc]) / (qn * ix.norms[doc])
 }
 
-func refSearchQuery(ix *Index, a *corpus.Analyzer, q Query, opts Options) ([]Hit, error) {
+func refSearchQuery(ix *Index, ref *refAnalysis, q Query, opts Options) ([]Hit, error) {
 	raw := vector.New()
 	q.positiveTerms(raw)
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("no positive terms")
 	}
-	qv := a.DF().Weight(raw)
+	qv := ref.df.Weight(raw)
 	seen := map[corpus.PaperID]bool{}
 	var hits []Hit
 	for term := range raw {
-		docs, _ := ix.Postings(term)
+		docs, _ := ix.Postings(ix.termID(term))
 		for _, doc := range docs {
 			if seen[doc] || !opts.allows(doc) {
 				continue
 			}
 			seen[doc] = true
-			if !refMatches(ix, a, q, doc) {
+			if !refMatches(ix, ref, q, doc) {
 				continue
 			}
-			if score := refMatchScore(ix, a, qv, doc); score >= opts.Threshold && score > 0 {
+			if score := refMatchScore(ix, ref, qv, doc); score >= opts.Threshold && score > 0 {
 				hits = append(hits, Hit{doc, score})
 			}
 		}
@@ -214,21 +238,21 @@ func randomOptions(rng *rand.Rand, n int) Options {
 }
 
 // booleanBattery runs generated expressions through ix and through the
-// reference (postings and norms of the same ix, features of eager) and
-// fails on the first difference. It returns how many expressions it
-// compared and how many of those had hits.
-func booleanBattery(t *testing.T, label string, ix *Index, eager *corpus.Analyzer, seed int64, exprs int) (compared, nonEmpty int) {
+// reference (postings and norms of the same ix, the string-keyed analysis
+// ref) and fails on the first difference. It returns how many expressions
+// it compared and how many of those had hits.
+func booleanBattery(t *testing.T, label string, ix *Index, ref *refAnalysis, seed int64, exprs int) (compared, nonEmpty int) {
 	t.Helper()
-	g := &exprGen{rng: rand.New(rand.NewSource(seed)), papers: eager.Corpus().Papers()}
+	g := &exprGen{rng: rand.New(rand.NewSource(seed)), papers: ix.Analyzer().Corpus().Papers()}
 	for i := 0; i < exprs; i++ {
 		expr := g.expr(2)
 		q, err := ix.ParseQuery(expr)
 		if err != nil {
 			continue // all-stopword expressions: nothing to evaluate
 		}
-		opts := randomOptions(g.rng, eager.Corpus().Len())
+		opts := randomOptions(g.rng, len(g.papers))
 		got, gotErr := ix.SearchQueryContext(context.Background(), q, opts)
-		want, wantErr := refSearchQuery(ix, eager, q, opts)
+		want, wantErr := refSearchQuery(ix, ref, q, opts)
 		if (gotErr != nil) != (wantErr != nil) {
 			t.Fatalf("%s: %q: error %v, reference error %v", label, expr, gotErr, wantErr)
 		}
@@ -265,8 +289,9 @@ func TestBooleanEvaluatorMatchesReference(t *testing.T) {
 		}
 		eager := corpus.NewAnalyzerWorkers(c, 0)
 		ix := BuildWorkers(eager, 0)
+		ref := newRefAnalysis(eager)
 		check := func(label string, ix *Index, exprs int) {
-			compared, nonEmpty := booleanBattery(t, label, ix, eager, seed*31, exprs)
+			compared, nonEmpty := booleanBattery(t, label, ix, ref, seed*31, exprs)
 			t.Logf("%s: %d of %d expressions compared, %d with hits", label, compared, exprs, nonEmpty)
 			if compared < exprs/2 || nonEmpty < compared/4 {
 				t.Fatalf("%s: battery too thin: %d of %d expressions compared, %d with hits", label, compared, exprs, nonEmpty)
@@ -280,7 +305,7 @@ func TestBooleanEvaluatorMatchesReference(t *testing.T) {
 		if n := frozen.AnalyzedPapers(); n != 0 {
 			t.Fatalf("seed %d: boolean queries made the frozen analyzer analyse %d papers", seed, n)
 		}
-		if fix.TokenTablePapers() == 0 {
+		if frozen.TokenTablePapers() == 0 {
 			t.Fatalf("seed %d: battery never filled the token table", seed)
 		}
 
@@ -292,7 +317,7 @@ func TestBooleanEvaluatorMatchesReference(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("seed %d shard %d/%d", seed, s, shards)
-				if compared, _ := booleanBattery(t, label, six, eager, seed*31+int64(s), 150); compared < 75 {
+				if compared, _ := booleanBattery(t, label, six, ref, seed*31+int64(s), 150); compared < 75 {
 					t.Fatalf("%s: only %d expressions compared", label, compared)
 				}
 			}
@@ -315,10 +340,11 @@ func matchScore(ix *Index, qv vector.Sparse, doc corpus.PaperID) float64 {
 // cosine, for every paper and queries with unindexed terms.
 func TestMatchScoreMatchesVectorForm(t *testing.T) {
 	a, ix := partsFixture(t)
+	ref := newRefAnalysis(a)
 	for _, query := range []string{"regulation", "cell response zzyzxq", "protein binding activity", "zzyzxq"} {
 		qv := a.QueryVector(query)
 		for _, p := range a.Corpus().Papers() {
-			got, want := matchScore(ix, qv, p.ID), refMatchScore(ix, a, qv, p.ID)
+			got, want := matchScore(ix, qv, p.ID), refMatchScore(ix, ref, qv, p.ID)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%q paper %d: MatchScore %v, vector form %v", query, p.ID, got, want)
 			}

@@ -1,8 +1,8 @@
 package index
 
 import (
+	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 
@@ -20,23 +20,16 @@ func frozenTwin(t testing.TB, eager *corpus.Analyzer, ix *Index) *Index {
 	return fix
 }
 
-// TestTokenTableConcurrentFill fills the lazy token table from 8 goroutines
-// at once (run under -race): every goroutine must read, for every paper and
-// section, exactly the build-time token stream mapped through the term
-// dictionary, whichever goroutine published the slot.
+// TestTokenTableConcurrentFill fills a frozen analyzer's token table from 8
+// goroutines at once (run under -race): every goroutine must read, for every
+// paper, exactly the eager build's token stream, whichever goroutine
+// published the slot — and the boolean evaluator of an index bound to it
+// reads the same table.
 func TestTokenTableConcurrentFill(t *testing.T) {
 	eager, ix := partsFixture(t)
 	fix := frozenTwin(t, eager, ix)
+	frozen := fix.Analyzer()
 	n := eager.Corpus().Len()
-	want := make([][corpus.NumSections][]int32, n)
-	for doc := range want {
-		f := eager.Features(corpus.PaperID(doc))
-		for _, s := range corpus.Sections {
-			for _, tok := range f.Tokens[s] {
-				want[doc][s] = append(want[doc][s], ix.termIDs[tok])
-			}
-		}
-	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -44,24 +37,21 @@ func TestTokenTableConcurrentFill(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 2*n; k++ {
 				doc := corpus.PaperID((k*7 + g*13) % n)
-				d := fix.tokensOf(doc)
-				for _, s := range corpus.Sections {
-					if !slices.Equal(d.section(s), want[doc][s]) {
-						t.Errorf("paper %d %v: token table differs from the build-time stream", doc, s)
-						return
-					}
+				if !reflect.DeepEqual(frozen.Tokens(doc), eager.Tokens(doc)) {
+					t.Errorf("paper %d: frozen token stream differs from the eager build's", doc)
+					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := fix.TokenTablePapers(); got != n {
+	if got := frozen.TokenTablePapers(); got != n {
 		t.Fatalf("token table holds %d papers, want %d", got, n)
 	}
-	if got := fix.Analyzer().AnalyzedPapers(); got != 0 {
-		t.Fatalf("filling the token table analysed %d papers' features", got)
+	if got := frozen.AnalyzedPapers(); got != 0 {
+		t.Fatalf("filling the token table analysed %d papers", got)
 	}
-	if fix.tokensOf(-1) != nil || fix.tokensOf(corpus.PaperID(n)) != nil {
+	if frozen.Tokens(-1) != nil || frozen.Tokens(corpus.PaperID(n)) != nil {
 		t.Fatal("out-of-range papers must have no token entry")
 	}
 }
@@ -84,7 +74,7 @@ func TestTokenTableSizeCeiling(t *testing.T) {
 	before := liveHeap()
 	tokens := 0
 	for doc := 0; doc < n; doc++ {
-		tokens += len(fix.tokensOf(corpus.PaperID(doc)).ids)
+		tokens += len(fix.Analyzer().Tokens(corpus.PaperID(doc)).IDs)
 	}
 	grown := int64(liveHeap()) - int64(before)
 	runtime.KeepAlive(fix)

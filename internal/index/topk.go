@@ -320,7 +320,7 @@ func growInts(s []int, n int) []int {
 func (ix *Index) resolveQueryNormInto(qv vector.Sparse, qts []queryTerm, sq []float64) ([]queryTerm, []float64) {
 	for term, w := range qv {
 		sq = append(sq, w*w)
-		if id, ok := ix.termIDs[term]; ok {
+		if id := ix.termID(term); id != corpus.NoTerm {
 			qts = append(qts, queryTerm{id, w})
 		}
 	}
@@ -419,7 +419,7 @@ func (ix *Index) evalRange(ctx context.Context, sc *topkScratch, qts []queryTerm
 	sc.cur = cur
 	for j, k := range keys {
 		qt := qts[k.qi]
-		docs, ws := ix.postingsOf(qt.id)
+		docs, ws := ix.Postings(qt.id)
 		blo, bhi := ix.blockOffsets[qt.id], ix.blockOffsets[qt.id+1]
 		cur[j] = termCursor{
 			docs: docs, ws: ws, qi: int(k.qi), qw: qt.w,

@@ -112,9 +112,9 @@ func TestSearchTopKCentroidQueries(t *testing.T) {
 		// Centroid of a few random documents.
 		qv := vector.Sparse{}
 		for i := 0; i < 3; i++ {
-			d := corpus.PaperID(rng.Intn(c.Len()))
-			for term, w := range a.TFIDFAll(d) {
-				qv[term] += w
+			r := a.Row(corpus.PaperID(rng.Intn(c.Len())), corpus.WholeText)
+			for k, t := range r.Terms {
+				qv[a.Term(t)] += r.Weights[k]
 			}
 		}
 		opts := Options{Limit: 1 + rng.Intn(15), Threshold: rng.Float64() * 0.3}
@@ -195,7 +195,7 @@ func TestSearchTopKConcurrentQueries(t *testing.T) {
 func TestBuildTermMaxima(t *testing.T) {
 	ix, _ := buildTopKFixture(t)
 	for tid := 0; tid < ix.Terms(); tid++ {
-		docs, ws := ix.postingsOf(int32(tid))
+		docs, ws := ix.Postings(int32(tid))
 		var mw, mr float64
 		for i, w := range ws {
 			if w > mw {

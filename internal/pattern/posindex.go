@@ -75,7 +75,7 @@ func NewPosIndexWorkers(a *corpus.Analyzer, workers int) *PosIndex {
 		local := make(map[string]map[corpus.PaperID][]int32)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			p := papers[i]
-			f := a.Features(p.ID)
+			toks := a.Tokens(p.ID)
 			var stream []string
 			var bounds []int32
 			for _, s := range corpus.Sections {
@@ -85,7 +85,9 @@ func NewPosIndexWorkers(a *corpus.Analyzer, workers int) *PosIndex {
 					}
 				}
 				bounds = append(bounds, int32(len(stream)))
-				stream = append(stream, f.Tokens[s]...)
+				for _, id := range toks.Section(s) {
+					stream = append(stream, a.Term(id))
+				}
 			}
 			ix.bounds[p.ID] = bounds
 			ix.tokens[p.ID] = stream

@@ -177,11 +177,12 @@ func TestTextScorerSimilarityComponents(t *testing.T) {
 		t.Fatalf("twin sim %v ≤ unrelated sim %v", b.similarity(1), b.similarity(2))
 	}
 	// Author overlap: papers 0 and 1 share all authors → L0 = 1.
-	if got := authorJaccard(a.Features(0).Authors, a.Features(1).Authors); got != 1 {
+	authors := authorSets(c)
+	if got := authorJaccard(authors[0], authors[1]); got != 1 {
 		t.Fatalf("authorJaccard twins = %v", got)
 	}
 	// Level-1: paper 0 (ann chen) and paper 4 (carol wu) bridge via paper 3.
-	l1 := s.levelOneOverlap(0, 4, a.Features(0).Authors, a.Features(4).Authors)
+	l1 := s.levelOneOverlap(0, 4, authors[0], authors[4])
 	if l1 <= 0 {
 		t.Fatalf("level-1 overlap = %v, want > 0", l1)
 	}

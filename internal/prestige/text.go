@@ -42,8 +42,9 @@ func DefaultTextWeights() TextWeights {
 // co-citation).
 //
 // A context compares one representative against many papers, so the scorer
-// works bind → score each paper → release on ID-keyed tables (textTables)
-// instead of pair by pair on string-keyed maps. The arithmetic — which
+// works bind → score each paper → release on the analyzer's term-ID rows
+// and ID-keyed author and citation tables (textTables) instead of pair by
+// pair on string-keyed maps. The arithmetic — which
 // products are formed, the order they are summed in, every division and
 // every zero case — is that of vector.CosineWithNorms, the author-set
 // Jaccard and bridge count, and citegraph's coupling and co-citation, bit
@@ -62,9 +63,9 @@ type TextScorer struct {
 	RepSource *contextset.ContextSet
 }
 
-// NewTextScorer returns the scorer. Its tables — section vectors by term
-// ID, the author index in both directions, the citation graph — are built
-// by the first call that scores.
+// NewTextScorer returns the scorer. Its tables — the author index in both
+// directions and the citation graph — are built by the first call that
+// scores.
 func NewTextScorer(a *corpus.Analyzer, weights TextWeights) *TextScorer {
 	return &TextScorer{analyzer: a, weights: weights, tables: new(textTables)}
 }
@@ -112,22 +113,13 @@ func (s *TextScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID
 	return out
 }
 
-// textTables holds what the text score compares, keyed by dense IDs: every
-// paper's per-section TF-IDF vector as parallel term-ID and weight runs, the
-// author index in both directions, and the citation graph. Immutable once
-// built.
+// textTables holds what the text score compares beside the analyzer's
+// section rows, keyed by dense IDs: the author index in both directions and
+// the citation graph. Immutable once built.
 type textTables struct {
-	once  sync.Once
-	graph *citegraph.Graph
-
-	// Row p·NumSections+s — section s of paper p — spans
-	// [rowEnd[row-1], rowEnd[row]) of terms and weights (from 0 for row 0),
-	// and norms[row] is the analyzer's norm of that vector.
-	rowEnd   []int
-	terms    []int32
-	weights  []float64
-	norms    []float64
-	numTerms int
+	once     sync.Once
+	analyzer *corpus.Analyzer
+	graph    *citegraph.Graph
 
 	paperAuthors [][]int32 // paper → its authors' IDs
 	authorPapers [][]int32 // author → the papers they appear on
@@ -139,34 +131,12 @@ type textTables struct {
 
 func (t *textTables) build(a *corpus.Analyzer) {
 	c := a.Corpus()
-	n := c.Len()
+	t.analyzer = a
 	t.graph = GraphFromCorpus(c)
-
-	// Term IDs are local to the tables and follow first sight in map order:
-	// nothing depends on which term got which ID or on the order of a row,
-	// since a pair's products are sorted before they are summed.
-	ids := make(map[string]int32)
-	t.rowEnd = make([]int, 0, n*corpus.NumSections)
-	t.norms = make([]float64, 0, n*corpus.NumSections)
-	for p := 0; p < n; p++ {
-		for _, sec := range corpus.Sections {
-			for term, w := range a.TFIDF(corpus.PaperID(p), sec) {
-				id, ok := ids[term]
-				if !ok {
-					id = int32(len(ids))
-					ids[term] = id
-				}
-				t.terms = append(t.terms, id)
-				t.weights = append(t.weights, w)
-			}
-			t.rowEnd = append(t.rowEnd, len(t.terms))
-			t.norms = append(t.norms, a.TFIDFNorm(corpus.PaperID(p), sec))
-		}
-	}
-	t.numTerms = len(ids)
-
-	t.paperAuthors = make([][]int32, n)
-	for _, papers := range a.CoAuthorIndex() {
+	// Author IDs follow map order: nothing depends on which author got which
+	// ID, only on who shares one.
+	t.paperAuthors = make([][]int32, c.Len())
+	for _, papers := range c.CoAuthorIndex() {
 		au := int32(len(t.authorPapers))
 		list := make([]int32, len(papers))
 		for i, p := range papers {
@@ -175,17 +145,6 @@ func (t *textTables) build(a *corpus.Analyzer) {
 		}
 		t.authorPapers = append(t.authorPapers, list)
 	}
-}
-
-// row returns section sec of paper p as parallel term IDs and weights, and
-// the vector's norm.
-func (t *textTables) row(p corpus.PaperID, sec corpus.Section) ([]int32, []float64, float64) {
-	r := int(p)*corpus.NumSections + int(sec)
-	lo := 0
-	if r > 0 {
-		lo = t.rowEnd[r-1]
-	}
-	return t.terms[lo:t.rowEnd[r]], t.weights[lo:t.rowEnd[r]], t.norms[r]
 }
 
 // Marks bind leaves on the papers around the representative.
@@ -226,16 +185,16 @@ func (s *TextScorer) bind(rep corpus.PaperID) *boundRep {
 			marks:     make([]uint8, len(t.paperAuthors)),
 		}
 		for sec := range b.dense {
-			b.dense[sec] = make([]float64, t.numTerms)
+			b.dense[sec] = make([]float64, len(s.analyzer.DF().Terms()))
 		}
 	}
 	b.w, b.rep = s.weights, rep
 	for _, sec := range corpus.Sections {
-		terms, weights, norm := t.row(rep, sec)
-		for i, id := range terms {
-			b.dense[sec][id] = weights[i]
+		r := t.analyzer.Row(rep, sec)
+		for i, id := range r.Terms {
+			b.dense[sec][id] = r.Weights[i]
 		}
-		b.norms[sec] = norm
+		b.norms[sec] = r.Norm
 	}
 	for _, au := range t.paperAuthors[rep] {
 		b.repAuthor[au] = true
@@ -256,8 +215,7 @@ func (s *TextScorer) bind(rep corpus.PaperID) *boundRep {
 func (b *boundRep) release() {
 	t := b.t
 	for _, sec := range corpus.Sections {
-		terms, _, _ := t.row(b.rep, sec)
-		for _, id := range terms {
+		for _, id := range t.analyzer.Row(b.rep, sec).Terms {
 			b.dense[sec][id] = 0
 		}
 	}
@@ -299,19 +257,19 @@ func (b *boundRep) similarity(p corpus.PaperID) float64 {
 // Sparse.Dot reduces them by, over the same product of norms, with the same
 // zero for an empty side.
 func (b *boundRep) sectionSim(p corpus.PaperID, sec corpus.Section) float64 {
-	terms, weights, norm := b.t.row(p, sec)
-	if norm == 0 || b.norms[sec] == 0 {
+	r := b.t.analyzer.Row(p, sec)
+	if r.Norm == 0 || b.norms[sec] == 0 {
 		return 0
 	}
 	dense := b.dense[sec]
 	prods := b.prods[:0]
-	for i, id := range terms {
+	for i, id := range r.Terms {
 		if d := dense[id]; d != 0 {
-			prods = append(prods, weights[i]*d)
+			prods = append(prods, r.Weights[i]*d)
 		}
 	}
 	b.prods = prods
-	return vector.SumSorted(prods) / (norm * b.norms[sec])
+	return vector.SumSorted(prods) / (r.Norm * b.norms[sec])
 }
 
 // authorSim combines Level-0 overlap with the bound representative (shared

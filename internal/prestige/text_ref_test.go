@@ -15,18 +15,45 @@ import (
 )
 
 // textReference is the definition the TextScorer is held to: §3.2 evaluated
-// pair by pair on the analyzer's string-keyed vectors and author sets and on
+// pair by pair on string-keyed section vectors and author sets and on
 // citegraph's pairwise similarities, the way the scorer computed it before
-// it bound a representative once per context.
+// it bound a representative once per context. The vectors are rebuilt from
+// the tokenizer alone — vector.FromTerms weighted by the analyzer's DF
+// table — so the analyzer's rows are checked, not trusted.
 type textReference struct {
-	a        *corpus.Analyzer
 	g        *citegraph.Graph
 	w        TextWeights
 	coAuthor map[string][]corpus.PaperID
+	authors  []map[string]bool
+	vecs     [][corpus.NumSections]vector.Sparse
 }
 
 func newTextReference(a *corpus.Analyzer, w TextWeights) *textReference {
-	return &textReference{a: a, g: GraphFromCorpus(a.Corpus()), w: w, coAuthor: a.CoAuthorIndex()}
+	c := a.Corpus()
+	r := &textReference{g: GraphFromCorpus(c), w: w, coAuthor: c.CoAuthorIndex()}
+	r.authors = authorSets(c)
+	r.vecs = make([][corpus.NumSections]vector.Sparse, c.Len())
+	for i, p := range c.Papers() {
+		for _, sec := range corpus.Sections {
+			r.vecs[i][sec] = a.DF().Weight(vector.FromTerms(a.Tokenizer().Terms(p.SectionText(sec))))
+		}
+	}
+	return r
+}
+
+// authorSets returns each paper's normalised author set, read off the
+// co-author index.
+func authorSets(c *corpus.Corpus) []map[string]bool {
+	sets := make([]map[string]bool, c.Len())
+	for i := range sets {
+		sets[i] = map[string]bool{}
+	}
+	for au, papers := range c.CoAuthorIndex() {
+		for _, p := range papers {
+			sets[p][au] = true
+		}
+	}
+	return sets
 }
 
 func similarityReference(r *textReference, p, rep corpus.PaperID) float64 {
@@ -44,16 +71,13 @@ func similarityReference(r *textReference, p, rep corpus.PaperID) float64 {
 }
 
 func (r *textReference) sectionSim(p, q corpus.PaperID, sec corpus.Section) float64 {
-	return vector.CosineWithNorms(
-		r.a.TFIDF(p, sec), r.a.TFIDF(q, sec),
-		r.a.TFIDFNorm(p, sec), r.a.TFIDFNorm(q, sec))
+	return vector.Cosine(r.vecs[p][sec], r.vecs[q][sec])
 }
 
 func (r *textReference) authorSim(p, q corpus.PaperID) float64 {
-	ap := r.a.Features(p).Authors
-	aq := r.a.Features(q).Authors
+	ap, aq := r.authors[p], r.authors[q]
 	l0 := authorJaccard(ap, aq)
-	l1 := levelOneOverlap(r.a, r.coAuthor, p, q, ap, aq)
+	l1 := levelOneOverlap(r.authors, r.coAuthor, p, q, ap, aq)
 	return r.w.L0Weight*l0 + r.w.L1Weight*l1
 }
 
@@ -80,7 +104,7 @@ func authorJaccard(a, b map[string]bool) float64 {
 
 // levelOneOverlap counts third papers co-authored by an author of p and an
 // author of q, saturating at 3 such bridges.
-func levelOneOverlap(a *corpus.Analyzer, coAuthor map[string][]corpus.PaperID, p, q corpus.PaperID, ap, aq map[string]bool) float64 {
+func levelOneOverlap(authors []map[string]bool, coAuthor map[string][]corpus.PaperID, p, q corpus.PaperID, ap, aq map[string]bool) float64 {
 	bridge := make(map[corpus.PaperID]bool) // papers (other than p, q) with an author from p
 	for au := range ap {
 		for _, z := range coAuthor[au] {
@@ -91,7 +115,7 @@ func levelOneOverlap(a *corpus.Analyzer, coAuthor map[string][]corpus.PaperID, p
 	}
 	n := 0
 	for z := range bridge {
-		az := a.Features(z).Authors
+		az := authors[z]
 		for au := range aq {
 			if az[au] {
 				n++
@@ -108,7 +132,8 @@ func levelOneOverlap(a *corpus.Analyzer, coAuthor map[string][]corpus.PaperID, p
 // levelOneOverlap on the scorer is the reference's, for the component test
 // in prestige_test.go.
 func (s *TextScorer) levelOneOverlap(p, q corpus.PaperID, ap, aq map[string]bool) float64 {
-	return levelOneOverlap(s.analyzer, s.analyzer.CoAuthorIndex(), p, q, ap, aq)
+	c := s.analyzer.Corpus()
+	return levelOneOverlap(authorSets(c), c.CoAuthorIndex(), p, q, ap, aq)
 }
 
 func (r *textReference) referenceSim(p, q corpus.PaperID) float64 {
@@ -250,11 +275,11 @@ func TestTextScorerMatchesReferenceOnEdges(t *testing.T) {
 
 	// The fixture holds what its comment says it holds.
 	for p, want := range map[corpus.PaperID]float64{1: 2.0 / 3, 2: 1, 3: 1, 14: 0, 15: 0} {
-		if got := levelOneOverlap(a, ref.coAuthor, p, 0, a.Features(p).Authors, a.Features(0).Authors); got != want {
+		if got := levelOneOverlap(ref.authors, ref.coAuthor, p, 0, ref.authors[p], ref.authors[0]); got != want {
 			t.Fatalf("reference level-1 overlap of paper %d with the hub = %v, want %v", p, got, want)
 		}
 	}
-	if n := a.TFIDFNorm(2, corpus.SecBody); n != 0 {
+	if n := a.Row(2, corpus.SecBody).Norm; n != 0 {
 		t.Fatalf("paper 2's empty body has norm %v", n)
 	}
 

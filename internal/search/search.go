@@ -205,11 +205,6 @@ func (e *Engine) TopKStats() index.TopKStats { return e.ix.TopKStats() }
 // generation is installed so /stats reads per-generation.
 func (e *Engine) ResetTopKStats() { e.ix.ResetTopKStats() }
 
-// TokenTablePapers exposes how many papers the index's phrase/field token
-// table holds — surfaced under /stats beside the analyzer's analysed-paper
-// count.
-func (e *Engine) TokenTablePapers() int { return e.ix.TokenTablePapers() }
-
 // ContextScore is a candidate context for a query.
 type ContextScore struct {
 	Context ontology.TermID

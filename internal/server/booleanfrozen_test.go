@@ -69,9 +69,9 @@ func statsOf(t *testing.T, srv *Server) StatsResponse {
 // TestFrozenBooleanServesWithoutAnalysis is the point of running boolean
 // queries on frozen data: a state-booted system answers them — through the
 // engine and through the HTTP handler, byte-identically to the eagerly
-// built system — and comes out having analysed no paper's Features (and so
-// cached no TF-IDF vector: only the analyzer's accessors fill those, and
-// each analyses its paper first). /stats shows the same from outside and
+// built system — and comes out having analysed no paper: the phrase and
+// field checks tokenize into the analyzer's token table, and only a TF-IDF
+// row request counts as an analysis. /stats shows the same from outside and
 // reads per installed generation.
 func TestFrozenBooleanServesWithoutAnalysis(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)

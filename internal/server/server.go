@@ -750,12 +750,13 @@ type StatsResponse struct {
 	// fired (window_breaks) — zero there means every page so far needed
 	// its whole hit list.
 	Merge *search.MergeStats `json:"merge,omitempty"`
-	// AnalyzedPapers counts the papers whose build-time features this
-	// generation's analyzer has materialised: all of them after an
-	// in-process build, 0 on a state-booted server that only serves.
+	// AnalyzedPapers counts this generation's paper analyses: every paper
+	// after an in-process build, 0 on a state-booted server that only
+	// serves.
 	AnalyzedPapers int `json:"analyzed_papers"`
-	// TokenTablePapers counts the papers in the boolean evaluator's
-	// phrase/field token table (filled on first phrase or field check).
+	// TokenTablePapers counts the papers whose token streams the analyzer
+	// holds: all of them after an in-process build; on a state-booted
+	// server those a boolean phrase or field check has tokenized.
 	TokenTablePapers int `json:"token_table_papers"`
 }
 
@@ -767,23 +768,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	defer b.release()
 	cst := s.cache.Stats()
 	resp := StatsResponse{
-		Papers:         b.sys.Corpus.Len(),
-		OntologyTerms:  b.sys.Ontology.Len(),
-		Contexts:       len(b.cs.Contexts()),
-		ScoredContexts: b.matrix.NumContexts(),
-		ContextSetKind: b.cs.Kind().String(),
-		CacheHits:      cst.Hits,
-		CacheMisses:    cst.Misses,
-		CacheCoalesced: cst.Coalesced,
-		CacheEntries:   cst.Entries,
-		MappedState:    b.ref != nil,
-		AnalyzedPapers: b.sys.Analyzer().AnalyzedPapers(),
+		Papers:           b.sys.Corpus.Len(),
+		OntologyTerms:    b.sys.Ontology.Len(),
+		Contexts:         len(b.cs.Contexts()),
+		ScoredContexts:   b.matrix.NumContexts(),
+		ContextSetKind:   b.cs.Kind().String(),
+		CacheHits:        cst.Hits,
+		CacheMisses:      cst.Misses,
+		CacheCoalesced:   cst.Coalesced,
+		CacheEntries:     cst.Entries,
+		MappedState:      b.ref != nil,
+		AnalyzedPapers:   b.sys.Analyzer().AnalyzedPapers(),
+		TokenTablePapers: b.sys.Analyzer().TokenTablePapers(),
 	}
 	if cs := s.coldStart.Load(); cs > 0 {
 		resp.ColdStartMS = float64(cs) / float64(time.Millisecond)
 	}
 	topk, merge := b.searcher.TopKStats(), b.searcher.MergeStats()
 	resp.TopK, resp.Merge = &topk, &merge
-	resp.TokenTablePapers = b.searcher.TokenTablePapers()
 	writeJSON(w, http.StatusOK, resp)
 }

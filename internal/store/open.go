@@ -499,15 +499,18 @@ func (m *Mapped) DF() (*vector.DF, error) {
 	if n < 0 || n > len(b) {
 		return nil, fmt.Errorf("store: DF table declares %d entries in a %d-byte section", n, len(b))
 	}
-	counts := make(map[string]int, n)
+	terms := make([]string, 0, n)
+	counts := make([]int32, 0, n)
 	for i := 0; i < n && !c.fail; i++ {
-		t := c.str()
-		counts[t] = int(c.u32())
+		terms = append(terms, c.str())
+		counts = append(counts, int32(c.u32()))
 	}
 	if err := c.done(); err != nil {
 		return nil, fmt.Errorf("store: DF table: %w", err)
 	}
-	m.df = vector.FromCounts(docs, counts)
+	if m.df, err = vector.NewDF(docs, terms, counts); err != nil {
+		return nil, fmt.Errorf("store: DF table: %w", err)
+	}
 	return m.df, nil
 }
 

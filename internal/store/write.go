@@ -167,17 +167,12 @@ func Save(w io.Writer, st *State) error {
 	add(secIdxBlockMaxR, kindF64, encodeF64s(p.BlockMaxRatio))
 
 	docs, counts := st.DF.Counts()
-	dfTerms := make([]string, 0, len(counts))
-	for t := range counts {
-		dfTerms = append(dfTerms, t)
-	}
-	sort.Strings(dfTerms)
 	var db builder
 	db.u64(uint64(docs))
-	db.u32(uint32(len(dfTerms)))
-	for _, t := range dfTerms {
+	db.u32(uint32(len(counts)))
+	for id, t := range st.DF.Terms() {
 		db.str(t)
-		db.u32(uint32(counts[t]))
+		db.u32(uint32(counts[id]))
 	}
 	add(secDF, kindBytes, db.b)
 

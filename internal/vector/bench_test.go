@@ -94,10 +94,11 @@ func BenchmarkSumSorted(b *testing.B) {
 
 func BenchmarkTFIDFWeight(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
-	df := NewDF()
-	for i := 0; i < 500; i++ {
-		df.AddDoc(randomVec(rng, 200))
+	docs := make([]Sparse, 500)
+	for i := range docs {
+		docs[i] = randomVec(rng, 200)
 	}
+	df := dfOf(b, docs...)
 	doc := randomVec(rng, 400)
 	b.ResetTimer()
 	b.ReportAllocs()

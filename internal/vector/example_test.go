@@ -18,10 +18,8 @@ func ExampleCosine() {
 }
 
 func ExampleDF_Weight() {
-	df := vector.NewDF()
-	df.AddDoc(vector.FromTerms([]string{"rna", "common"}))
-	df.AddDoc(vector.FromTerms([]string{"dna", "common"}))
-	df.AddDoc(vector.FromTerms([]string{"common"}))
+	// Three documents: {rna, common}, {dna, common} and {common}.
+	df, _ := vector.NewDF(3, []string{"common", "dna", "rna"}, []int32{3, 1, 1})
 	w := df.Weight(vector.FromTerms([]string{"rna", "common"}))
 	// Rare terms outweigh ubiquitous ones.
 	fmt.Println(w["rna"] > w["common"])

@@ -1,48 +1,74 @@
 package vector
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
-// DF holds corpus document frequencies for TF-IDF weighting. Build one with
-// NewDF and feed it every document's term support once.
+// DF is a corpus dictionary with document frequencies, for TF-IDF
+// weighting: the corpus's distinct terms in lexicographic order, term i
+// having ID i, and per ID the number of documents holding the term. Every
+// term-ID table of the system — token streams, TF-IDF rows, the inverted
+// index — is indexed by these IDs, so numeric ID order is sorted-string
+// order.
 type DF struct {
-	docs int
-	df   map[string]int
+	docs  int
+	terms []string
+	ids   map[string]int32
+	df    []int32
+	idf   []float64
 }
 
-// NewDF returns an empty document-frequency table.
-func NewDF() *DF { return &DF{df: make(map[string]int)} }
-
-// AddDoc records one document's term support (each distinct term counted
-// once, regardless of its in-document frequency).
-func (d *DF) AddDoc(terms Sparse) {
-	d.docs++
-	for t := range terms {
-		d.df[t]++
+// NewDF returns the table over docs documents in which terms[i] occurs in
+// df[i] of them. terms must be strictly ascending. The table keeps both
+// slices; callers must not modify them afterwards.
+func NewDF(docs int, terms []string, df []int32) (*DF, error) {
+	if len(terms) != len(df) {
+		return nil, fmt.Errorf("vector: %d terms with %d document frequencies", len(terms), len(df))
 	}
+	d := &DF{docs: docs, terms: terms, ids: make(map[string]int32, len(terms)), df: df, idf: make([]float64, len(terms))}
+	for i, t := range terms {
+		if i > 0 && terms[i-1] >= t {
+			return nil, fmt.Errorf("vector: DF terms not strictly ascending at %d (%q)", i, t)
+		}
+		d.ids[t] = int32(i)
+		d.idf[i] = idf(docs, int(df[i]))
+	}
+	return d, nil
 }
 
-// Merge folds another DF table into d. Because document frequencies are
-// integer counts, merging per-shard tables yields exactly the table a
-// sequential AddDoc pass over the same documents would, in any merge order —
-// the property the sharded corpus analyzer relies on.
-func (d *DF) Merge(o *DF) {
-	if o == nil {
-		return
-	}
-	d.docs += o.docs
-	for t, n := range o.df {
-		d.df[t] += n
-	}
-}
-
-// IDF returns the smoothed inverse document frequency
-// log(1 + N/df(t)); terms never seen get the maximal IDF log(1+N).
-func (d *DF) IDF(t string) float64 {
-	df := d.df[t]
+// idf is the smoothed inverse document frequency log(1 + N/df), with a df
+// of 0 (a term never seen) counted as 1.
+func idf(docs, df int) float64 {
 	if df == 0 {
 		df = 1
 	}
-	return math.Log(1 + float64(d.docs)/float64(df))
+	return math.Log(1 + float64(docs)/float64(df))
+}
+
+// Terms returns the dictionary in ID order; the slice must not be modified.
+func (d *DF) Terms() []string { return d.terms }
+
+// ID returns a term's dictionary ID, and false when the corpus lacks it.
+func (d *DF) ID(t string) (int32, bool) {
+	id, ok := d.ids[t]
+	return id, ok
+}
+
+// Counts returns the document count and the per-ID document frequencies;
+// the slice must not be modified.
+func (d *DF) Counts() (int, []int32) { return d.docs, d.df }
+
+// IDFs returns every term's IDF by ID; the slice must not be modified.
+func (d *DF) IDFs() []float64 { return d.idf }
+
+// IDF returns the smoothed inverse document frequency log(1 + N/df(t));
+// terms never seen get the maximal IDF log(1+N).
+func (d *DF) IDF(t string) float64 {
+	if id, ok := d.ids[t]; ok {
+		return d.idf[id]
+	}
+	return idf(d.docs, 0)
 }
 
 // Weight converts a raw term-frequency vector into a TF-IDF vector using
@@ -57,26 +83,4 @@ func (d *DF) Weight(tf Sparse) Sparse {
 		out[t] = (1 + math.Log(f)) * d.IDF(t)
 	}
 	return out
-}
-
-// FromCounts constructs a DF table directly from a document count and
-// per-term document frequencies, taking ownership of the map — the state
-// deserialization path. Weighting under the reconstructed table is
-// bit-identical to the original's (IDF depends only on docs and the
-// per-term counts).
-func FromCounts(docs int, df map[string]int) *DF {
-	if df == nil {
-		df = make(map[string]int)
-	}
-	return &DF{docs: docs, df: df}
-}
-
-// Counts returns the document count and a copy of the per-term document
-// frequencies — the serialization inverse of FromCounts.
-func (d *DF) Counts() (int, map[string]int) {
-	out := make(map[string]int, len(d.df))
-	for t, n := range d.df {
-		out[t] = n
-	}
-	return d.docs, out
 }

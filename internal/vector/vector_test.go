@@ -3,6 +3,7 @@ package vector
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -99,22 +100,54 @@ func TestCosineProperties(t *testing.T) {
 	}
 }
 
+// dfOf is the document-frequency table of docs: each document's distinct
+// terms counted once.
+func dfOf(tb testing.TB, docs ...Sparse) *DF {
+	tb.Helper()
+	counts := map[string]int32{}
+	for _, d := range docs {
+		for t := range d {
+			counts[t]++
+		}
+	}
+	terms := make([]string, 0, len(counts))
+	for t := range counts {
+		terms = append(terms, t)
+	}
+	sort.Strings(terms)
+	df := make([]int32, len(terms))
+	for i, t := range terms {
+		df[i] = counts[t]
+	}
+	d, err := NewDF(len(docs), terms, df)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
 func TestDFWeighting(t *testing.T) {
-	df := NewDF()
-	df.AddDoc(Sparse{"common": 1, "rare": 1})
-	df.AddDoc(Sparse{"common": 1})
-	df.AddDoc(Sparse{"common": 1})
-	if docs, _ := df.Counts(); docs != 3 {
+	df := dfOf(t, Sparse{"common": 1, "rare": 1}, Sparse{"common": 1}, Sparse{"common": 1})
+	docs, counts := df.Counts()
+	if docs != 3 {
 		t.Fatalf("docs = %d", docs)
 	}
-	if df.df["common"] != 3 || df.df["rare"] != 1 {
-		t.Fatalf("df: common=%d rare=%d", df.df["common"], df.df["rare"])
+	common, _ := df.ID("common")
+	rare, _ := df.ID("rare")
+	if common != 0 || rare != 1 || counts[common] != 3 || counts[rare] != 1 {
+		t.Fatalf("df: common=%d (ID %d) rare=%d (ID %d)", counts[common], common, counts[rare], rare)
+	}
+	if _, ok := df.ID("unseen"); ok {
+		t.Error("an unseen term has no ID")
 	}
 	if !(df.IDF("rare") > df.IDF("common")) {
 		t.Error("rare terms must have higher IDF")
 	}
 	if !(df.IDF("unseen") >= df.IDF("rare")) {
 		t.Error("unseen terms must have maximal IDF")
+	}
+	if df.IDFs()[rare] != df.IDF("rare") {
+		t.Error("IDFs disagrees with IDF")
 	}
 	w := df.Weight(Sparse{"common": 4, "rare": 1, "zero": 0})
 	if _, ok := w["zero"]; ok {
@@ -124,12 +157,16 @@ func TestDFWeighting(t *testing.T) {
 	if !almostEq(w["common"], (1+math.Log(4))*df.IDF("common")) {
 		t.Errorf("weight(common) = %v", w["common"])
 	}
+	for _, bad := range [][]string{{"b", "a"}, {"a", "a"}, {"a"}} {
+		if _, err := NewDF(3, bad, []int32{1, 1}); err == nil {
+			t.Errorf("NewDF accepted terms %q with two counts", bad)
+		}
+	}
 }
 
 func TestWeightDoesNotMutateInput(t *testing.T) {
-	df := NewDF()
 	tf := Sparse{"a": 2}
-	df.AddDoc(tf)
+	df := dfOf(t, tf)
 	_ = df.Weight(tf)
 	if tf["a"] != 2 {
 		t.Fatal("Weight mutated its input")
