@@ -23,8 +23,28 @@ func benchFixture(b *testing.B) (*ontology.Ontology, *corpus.Analyzer, *pattern.
 	return o, a, pattern.NewPosIndexWorkers(a, 0)
 }
 
+// BenchmarkTextContextSet builds the text context set on the fixture above
+// (250 papers / 60 terms) and on the serving benchmark's corpus shape (800
+// papers / 160 terms, the ontology and corpus TestGenerateGolden pins).
 func BenchmarkTextContextSet(b *testing.B) {
-	o, a, _ := benchFixture(b)
+	b.Run("250x60", func(b *testing.B) {
+		o, a, _ := benchFixture(b)
+		benchTextContextSet(b, o, a)
+	})
+	b.Run("800x160", func(b *testing.B) {
+		o, err := ontology.Generate(ontology.GenConfig{Seed: 1, NumTerms: 160, MaxDepth: 9, SecondParentProb: 0.12})
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := corpus.Generate(o, corpus.DefaultGenConfig(800))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchTextContextSet(b, o, corpus.NewAnalyzerWorkers(c, 0))
+	})
+}
+
+func benchTextContextSet(b *testing.B, o *ontology.Ontology, a *corpus.Analyzer) {
 	ix := index.BuildWorkers(a, 0)
 	cfg := DefaultConfig()
 	b.ResetTimer()

@@ -1,6 +1,8 @@
 package contextset
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"ctxsearch/internal/corpus"
@@ -17,14 +19,16 @@ import (
 // cfg.TextThreshold joins the context. ix must index the whole corpus.
 //
 // The cosines are computed term-at-a-time over the index rather than as
-// papers × contexts map-keyed dot products: per context, the postings of the
-// representative's terms yield every product w_rep·w_doc, grouped by paper
-// (count, then fill), and each group that can be kept (see the bound in the
-// loop) is reduced by vector.SumSorted and divided by ‖rep‖·‖doc‖. That is
-// the multiset of products, the summation order and the division
-// vector.CosineWithNorms performs, so every kept similarity has the same bits.
-// Contexts fan out over cfg.Workers; each worker needs scratch for one
-// representative only.
+// papers × contexts map-keyed dot products. Every posting of one weight in
+// one term's run adds the same product w_rep·w_doc, so the postings are
+// regrouped once into segments of equal weight (see segments); per context,
+// the representative's segments are ordered by product and walked in that
+// order, adding each segment's product into a dense per-paper accumulator.
+// Every paper so receives its products in ascending order — equal products
+// commute — which is the multiset, the summation order and, divided by
+// ‖rep‖·‖doc‖, the division vector.CosineWithNorms performs, so every
+// similarity has the same bits with no per-pair sort. Contexts fan out over
+// cfg.Workers; each worker needs scratch for one representative only.
 func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *ContextSet {
 	a := ix.Analyzer()
 	b := newBuilder(TextBased, onto)
@@ -44,6 +48,7 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	for d := range norms {
 		norms[d] = a.Row(corpus.PaperID(d), corpus.WholeText).Norm
 	}
+	segs := newSegments(ix, cfg.Workers)
 	// members[i] collects context i's thresholded papers in paper order;
 	// each worker also keeps, per paper, the best m below-threshold contexts
 	// of its shard (generic papers join the broad contexts they match best,
@@ -52,33 +57,25 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	shards := par.Shards(len(terms), cfg.Workers)
 	tops := make([]topLists, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
-		sc := textScratch{count: make([]int32, n), start: make([]int32, n+1)}
+		acc := make([]float64, n)
+		var order segOrder
 		top := newTopLists(n, m)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			rep := b.reps[terms[i]]
-			sc.gather(ix, a.Row(rep, corpus.WholeText))
-			repNorm := norms[rep]
-			for d, dn := range norms {
-				var sim float64
-				if run := sc.prods[sc.start[d]:sc.start[d+1]]; len(run) > 0 && repNorm != 0 && dn != 0 {
-					// Bound, then verify: non-negative products summed in any order
-					// land within 1e-12 relative of the sorted sum and the division
-					// is the same monotone one, so a pair whose inflated bound reaches
-					// neither the threshold nor the paper's full top-m list would be
-					// dropped whatever its exact value. Only the others are sorted.
-					var s float64
-					for _, x := range run {
-						s += x
-					}
-					hi := s / (repNorm * dn) * (1 + 1e-9)
-					skip := hi < cfg.TextThreshold && (m == 0 || len(top.of(d)) == m && hi < top.of(d)[m-1].sim)
-					if pairHook != nil {
-						pairHook(!skip)
-					}
-					if !skip {
-						sim = vector.SumSorted(run) / (repNorm * dn)
-					}
+			for _, e := range order.of(segs, a.Row(rep, corpus.WholeText)) {
+				for _, d := range segs.docs[segs.start[e.seg]:segs.start[e.seg+1]] {
+					acc[d] += e.prod
 				}
+			}
+			repNorm := norms[rep]
+			for d, s := range acc {
+				// A paper sharing no term with the representative, or either norm
+				// being zero, has similarity exactly 0, as in CosineWithNorms.
+				var sim float64
+				if s != 0 && repNorm != 0 && norms[d] != 0 {
+					sim = s / (repNorm * norms[d])
+				}
+				acc[d] = 0
 				if sim >= cfg.TextThreshold {
 					members[i] = append(members[i], cand{corpus.PaperID(d), sim})
 				} else if m > 0 && sim > 0 {
@@ -128,9 +125,138 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	return b.finish()
 }
 
-// pairHook, when non-nil, is told for each (context, paper) pair sharing a
-// term whether it was sorted. Tests count with it; production never sets it.
-var pairHook func(sorted bool)
+// segments is the index's postings regrouped by weight. A TF-IDF weight is
+// (1 + ln tf)·idf, and term frequencies are small integers, so a term's run
+// holds few distinct weights. Term t's segments are first[t] ≤ s <
+// first[t+1], ascending by weight w[s] within the term; segment s's papers,
+// ascending, are docs[start[s]:start[s+1]].
+type segments struct {
+	first []int32
+	w     []float64
+	start []int32
+	docs  []int32
+}
+
+// newSegments regroups the index's postings, sharded by term over workers.
+// Term t's papers keep the index's span of its run, so every shard writes
+// docs at offsets known in advance; a shard's segments are appended to its
+// own lists, concatenated in shard (so term) order afterwards.
+func newSegments(ix *index.Index, workers int) *segments {
+	nt := ix.Terms()
+	off := make([]int32, nt+1)
+	for t := range nt {
+		docs, _ := ix.Postings(int32(t))
+		off[t+1] = off[t] + int32(len(docs))
+	}
+	sg := &segments{first: make([]int32, nt+1), docs: make([]int32, off[nt])}
+	type part struct {
+		w     []float64
+		start []int32
+	}
+	shards := par.Shards(nt, workers)
+	parts := make([]part, len(shards))
+	par.ForShards(shards, func(si int, sh par.Shard) {
+		var p part
+		var next, seg []int32
+		for t := sh.Lo; t < sh.Hi; t++ {
+			docs, weights := ix.Postings(int32(t))
+			lo := len(p.w)
+			for _, x := range weights {
+				if k := lo + searchWeight(p.w[lo:], x); k == len(p.w) || p.w[k] != x {
+					p.w = slices.Insert(p.w, k, x)
+				}
+			}
+			vals := p.w[lo:]
+			// seg[j] is posting j's segment; next[k] counts segment k's papers,
+			// then is its write cursor.
+			seg = seg[:0]
+			next = slices.Grow(next[:0], len(vals))[:len(vals)]
+			clear(next)
+			for _, x := range weights {
+				k := searchWeight(vals, x)
+				seg = append(seg, int32(k))
+				next[k]++
+			}
+			at := off[t]
+			for k, cnt := range next {
+				p.start = append(p.start, at)
+				next[k] = at
+				at += cnt
+			}
+			for j, k := range seg {
+				sg.docs[next[k]] = int32(docs[j])
+				next[k]++
+			}
+			sg.first[t+1] = int32(len(p.w))
+		}
+		parts[si] = p
+	})
+	for si, sh := range shards {
+		base := int32(len(sg.w))
+		for t := sh.Lo; t < sh.Hi; t++ {
+			sg.first[t+1] += base
+		}
+		sg.w = append(sg.w, parts[si].w...)
+		sg.start = append(sg.start, parts[si].start...)
+	}
+	sg.start = append(sg.start, off[nt])
+	return sg
+}
+
+// searchWeight returns the index of the first of the ascending weights
+// vals that is not below x.
+func searchWeight(vals []float64, x float64) int {
+	lo, hi := 0, len(vals)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if vals[m] < x {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// segProd is one segment of a representative's terms with its product.
+type segProd struct {
+	prod float64
+	seg  int32
+}
+
+// segOrder is a worker's scratch for ordering one representative's
+// segments: the products again as keys, and vector.SortByBits's scratch.
+type segOrder struct {
+	ents, pbuf  []segProd
+	prods, kbuf []float64
+	count       []int32
+}
+
+// of returns the segments of rep's terms ascending by product r_t·w, valid
+// until the next call. The products are finite and positive, so
+// vector.SortByBits orders them on their bit patterns, carrying each
+// segment along; past its move budget the rest is left to slices.SortFunc.
+func (o *segOrder) of(sg *segments, rep corpus.Row) []segProd {
+	ents, prods := o.ents[:0], o.prods[:0]
+	for i, t := range rep.Terms {
+		r := rep.Weights[i]
+		for s := sg.first[t]; s < sg.first[t+1]; s++ {
+			p := r * sg.w[s]
+			ents = append(ents, segProd{p, s})
+			prods = append(prods, p)
+		}
+	}
+	n := len(ents)
+	count := slices.Grow(o.count[:0], 2*n)[:2*n]
+	clear(count)
+	kbuf := slices.Grow(o.kbuf[:0], n)
+	pbuf := slices.Grow(o.pbuf[:0], n)
+	if !vector.SortByBits(prods, ents, count, kbuf[:n], pbuf[:n]) {
+		slices.SortFunc(ents, func(x, y segProd) int { return cmp.Compare(x.prod, y.prod) })
+	}
+	o.ents, o.pbuf, o.prods, o.kbuf, o.count = ents, pbuf, prods, kbuf, count
+	return ents
+}
 
 // cand is one candidate member of a context.
 type cand struct {
@@ -151,55 +277,6 @@ func (e ctxSim) before(o ctxSim) bool {
 		return e.sim > o.sim
 	}
 	return e.ctx < o.ctx
-}
-
-// textScratch holds one representative's products grouped by paper: paper
-// d's are prods[start[d]:start[d+1]]. count is all zero between gathers.
-type textScratch struct {
-	count []int32
-	start []int32
-	prods []float64
-	runs  []postingRun
-}
-
-// postingRun is the posting run of one term of the representative, with the
-// representative's weight for the term.
-type postingRun struct {
-	w       float64
-	docs    []corpus.PaperID
-	weights []float64
-}
-
-// gather fills the scratch with w_rep·w_doc for every term the
-// representative shares with each paper.
-func (sc *textScratch) gather(ix *index.Index, rep corpus.Row) {
-	sc.runs = sc.runs[:0]
-	for i, t := range rep.Terms {
-		docs, weights := ix.Postings(t)
-		sc.runs = append(sc.runs, postingRun{rep.Weights[i], docs, weights})
-		for _, d := range docs {
-			sc.count[d]++
-		}
-	}
-	// count becomes each paper's fill cursor, and ends as the next start.
-	var total int32
-	for d, cnt := range sc.count {
-		sc.start[d] = total
-		sc.count[d] = total
-		total += cnt
-	}
-	sc.start[len(sc.count)] = total
-	if cap(sc.prods) < int(total) {
-		sc.prods = make([]float64, total)
-	}
-	sc.prods = sc.prods[:total]
-	for _, r := range sc.runs {
-		for k, d := range r.docs {
-			sc.prods[sc.count[d]] = r.w * r.weights[k]
-			sc.count[d]++
-		}
-	}
-	clear(sc.count)
 }
 
 // topLists keeps, per paper, up to m candidate contexts, best first.

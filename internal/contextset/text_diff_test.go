@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"ctxsearch/internal/corpus"
@@ -48,20 +47,126 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 	}
 }
 
-// countPairs installs pairHook for the rest of the test: the counters hold
-// how many (context, paper) pairs BuildTextBased sorted and how many it
-// dropped on the unsorted bound.
-func countPairs(t *testing.T) (sorted, skipped *atomic.Int64) {
-	sorted, skipped = new(atomic.Int64), new(atomic.Int64)
-	pairHook = func(s bool) {
-		if s {
-			sorted.Add(1)
-		} else {
-			skipped.Add(1)
+// TestSegmentsRegroupPostings: every term's segments partition its posting
+// run into runs of one weight each, weights strictly ascending, papers
+// ascending within a segment, and the tables do not depend on the worker
+// count.
+func TestSegmentsRegroupPostings(t *testing.T) {
+	_, _, ix := randomFixture(t, 7)
+	want := newSegments(ix, 1)
+	for _, workers := range []int{2, 3, 8} {
+		if got := newSegments(ix, workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: segment tables differ from workers=1", workers)
 		}
 	}
-	t.Cleanup(func() { pairHook = nil })
-	return sorted, skipped
+	for term := range ix.Terms() {
+		docs, weights := ix.Postings(int32(term))
+		weightOf := make(map[int32]float64, len(docs))
+		for j, d := range docs {
+			weightOf[int32(d)] = weights[j]
+		}
+		seen := 0
+		for s := want.first[term]; s < want.first[term+1]; s++ {
+			if s > want.first[term] && !(want.w[s-1] < want.w[s]) {
+				t.Fatalf("term %d: segment weights %v, %v not strictly ascending", term, want.w[s-1], want.w[s])
+			}
+			run := want.docs[want.start[s]:want.start[s+1]]
+			if len(run) == 0 {
+				t.Fatalf("term %d: empty segment %d", term, s)
+			}
+			for k, d := range run {
+				if k > 0 && run[k-1] >= d {
+					t.Fatalf("term %d segment %d: papers not ascending", term, s)
+				}
+				if w, ok := weightOf[d]; !ok || math.Float64bits(w) != math.Float64bits(want.w[s]) {
+					t.Fatalf("term %d: paper %d in the segment of weight %v, posting weight %v (%v)", term, d, want.w[s], w, ok)
+				}
+			}
+			seen += len(run)
+		}
+		if seen != len(docs) {
+			t.Fatalf("term %d: segments hold %d papers, the run %d", term, seen, len(docs))
+		}
+	}
+}
+
+// TestSegOrderAscending: a representative's segments come out ascending by
+// product and are exactly its terms' segments with r_t·w — on every
+// representative of a generated corpus, and on two hand-built tables: one
+// whose products all crowd one bucket in descending order (past the move
+// budget, so the comparison sort finishes), and one of equal products.
+func TestSegOrderAscending(t *testing.T) {
+	o, a, ix := randomFixture(t, 7)
+	sg := newSegments(ix, 0)
+	var order segOrder
+	cs := BuildTextBased(ix, o, Config{Workers: 1})
+	for _, ctx := range cs.Contexts() {
+		rep, _ := cs.Representative(ctx)
+		checkSegOrder(t, &order, sg, a.Row(rep, corpus.WholeText))
+	}
+
+	const n = 300
+	crowded := &segments{first: make([]int32, n+2), w: make([]float64, n+1)}
+	tied := &segments{first: make([]int32, n+1), w: make([]float64, n)}
+	rep := corpus.Row{Terms: make([]int32, n+1), Weights: make([]float64, n+1)}
+	w := 1.0
+	for i := range n + 1 {
+		crowded.first[i+1] = int32(i + 1)
+		rep.Terms[i], rep.Weights[i] = int32(i), 1
+		crowded.w[n-i] = w // descending by term: every product moves
+		w = math.Nextafter(w, 2)
+		if i < n {
+			tied.first[i+1] = int32(i + 1)
+			tied.w[i] = 0.75
+		}
+	}
+	crowded.w[0] = 1e300 // the outlier that puts the rest in one bucket
+	checkSegOrder(t, &order, crowded, rep)
+	rep.Terms, rep.Weights = rep.Terms[:n], rep.Weights[:n]
+	checkSegOrder(t, &order, tied, rep)
+}
+
+// checkSegOrder fails unless order.of(sg, rep) is rep's segments ascending
+// by product.
+func checkSegOrder(t *testing.T, order *segOrder, sg *segments, rep corpus.Row) {
+	t.Helper()
+	want := map[int32]float64{}
+	for i, term := range rep.Terms {
+		for s := sg.first[term]; s < sg.first[term+1]; s++ {
+			want[s] = rep.Weights[i] * sg.w[s]
+		}
+	}
+	got := order.of(sg, rep)
+	if len(got) != len(want) {
+		t.Fatalf("%d segments ordered, want %d", len(got), len(want))
+	}
+	for k, e := range got {
+		if p, ok := want[e.seg]; !ok || math.Float64bits(p) != math.Float64bits(e.prod) {
+			t.Fatalf("segment %d with product %v, want %v (%v)", e.seg, e.prod, p, ok)
+		}
+		delete(want, e.seg)
+		if k > 0 && got[k-1].prod > e.prod {
+			t.Fatalf("products %v, %v out of order at %d", got[k-1].prod, e.prod, k)
+		}
+	}
+}
+
+// randomFixture is a corpus of TestBuildTextBasedMatchesReference's shape:
+// 90 generated papers over a 30-term ontology.
+func randomFixture(t *testing.T, seed int64) (*ontology.Ontology, *corpus.Analyzer, *index.Index) {
+	t.Helper()
+	o, err := ontology.Generate(ontology.GenConfig{Seed: seed, NumTerms: 30, MaxDepth: 5, SecondParentProb: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := corpus.DefaultGenConfig(90)
+	gen.Seed = seed
+	c, err := corpus.Generate(o, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := corpus.NewAnalyzerWorkers(c, 0)
+	return o, a, index.BuildWorkers(a, 0)
 }
 
 // tieFixture is what random corpora never produce: four contexts whose
@@ -96,12 +201,9 @@ func tieFixture(t *testing.T) (*ontology.Ontology, *corpus.Analyzer, *index.Inde
 }
 
 // TestBuildTextBasedBreaksTiesLikeReference: the top-M merge must fall back
-// on term order — within one worker's list and across workers' lists. A
-// similarity tied with a full list's worst entry is not below it, so no pair
-// of this fixture may be dropped on the bound.
+// on term order — within one worker's list and across workers' lists.
 func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
 	o, a, ix := tieFixture(t)
-	_, skipped := countPairs(t)
 	for _, top := range []int{1, 2, 3} {
 		cfg := Config{TextThreshold: 0.99, TopContextsPerPaper: top, Workers: 1}
 		want := buildTextBasedReference(a, o, cfg)
@@ -111,79 +213,6 @@ func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			cfg.Workers = workers
 			requireSameSet(t, fmt.Sprintf("top=%d workers=%d", top, workers), want, BuildTextBased(ix, o, cfg))
-		}
-	}
-	if n := skipped.Load(); n != 0 {
-		t.Fatalf("%d pairs dropped on the bound; ties with a list's worst entry must take the exact path", n)
-	}
-}
-
-// TestBuildTextBasedBoundKeepsTheMargin puts the threshold on a similarity
-// itself and one ulp above it: the unsorted bound of those pairs lies within
-// its margin of the threshold, so they must be sorted and decided on the
-// exact value, while the pairs well below are dropped unsorted.
-func TestBuildTextBasedBoundKeepsTheMargin(t *testing.T) {
-	o, a, ix := tieFixture(t)
-	all := BuildTextBased(ix, o, Config{Workers: 1}) // threshold 0: every pair is a member
-	near, far := scoreOf(all, "GO:2", 4), scoreOf(all, "GO:2", 5)
-	if near < far {
-		near, far = far, near
-	}
-	if far <= 0 || far*(1+1e-6) >= near {
-		t.Fatalf("fixture broken: similarities %v and %v must be positive and well apart", near, far)
-	}
-	sorted, skipped := countPairs(t)
-	for _, threshold := range []float64{near, math.Nextafter(near, 2)} {
-		for _, workers := range []int{1, 2, 8} {
-			cfg := Config{TextThreshold: threshold, Workers: workers}
-			sorted.Store(0)
-			skipped.Store(0)
-			got := BuildTextBased(ix, o, cfg)
-			requireSameSet(t, fmt.Sprintf("threshold=%x workers=%d", math.Float64bits(threshold), workers), buildTextBasedReference(a, o, cfg), got)
-			// Four representatives and the near paper against four contexts are
-			// sorted; the far paper's four pairs are not.
-			if s, k := sorted.Load(), skipped.Load(); s != 20 || k != 4 {
-				t.Fatalf("threshold=%x workers=%d: %d pairs sorted and %d dropped, want 20 and 4", math.Float64bits(threshold), workers, s, k)
-			}
-		}
-	}
-}
-
-// TestBuildTextBasedSortsAMinorityOfPairs: on the corpus shape of the root
-// package's smallConfig with the default knobs, the bound must spare most
-// pairs the sort (it is what the build time rests on) and the set must still
-// be the reference's. 29 % of this corpus's 12 540 pairs reach the threshold
-// and 11 % more fill or enter a top-2 list, so 40 % is what any exact bound
-// sorts here; at the benchmark's 800 papers / 160 terms it is 24.5 %. Every
-// worker fills top lists of its own, so with more workers over these 57
-// contexts more pairs meet a list that is not full yet (50 % at 2 workers,
-// 77 % at 8): there only the set is checked.
-func TestBuildTextBasedSortsAMinorityOfPairs(t *testing.T) {
-	o, err := ontology.Generate(ontology.GenConfig{Seed: 1, NumTerms: 60, MaxDepth: 7, SecondParentProb: 0.12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := corpus.DefaultGenConfig(220)
-	gen.Seed = 1
-	c, err := corpus.Generate(o, gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.BuildWorkers(a, 0)
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	want := buildTextBasedReference(a, o, cfg)
-	sorted, skipped := countPairs(t)
-	for _, workers := range []int{1, 2, 8} {
-		cfg.Workers = workers
-		sorted.Store(0)
-		skipped.Store(0)
-		requireSameSet(t, fmt.Sprintf("workers=%d", workers), want, BuildTextBased(ix, o, cfg))
-		s, k := sorted.Load(), skipped.Load()
-		t.Logf("workers=%d: %d of %d pairs sorted", workers, s, s+k)
-		if workers == 1 && 2*s >= s+k {
-			t.Fatalf("workers=%d: %d of %d pairs sorted, want fewer than half", workers, s, s+k)
 		}
 	}
 }

@@ -236,9 +236,11 @@ func TestSectionTokensScratchIsNotRetained(t *testing.T) {
 		}
 	}
 	// The pool may hand back fewer scratches than were put (it sheds some
-	// under -race and at a GC), so tokenize until one is seen.
-	inspected := 0
-	for try := 0; try < 100 && inspected == 0; try++ {
+	// under -race and at a GC), so tokenize until one that held words is
+	// seen. A scratch only Row ever leased (the pool was empty when it asked)
+	// never held a word, and passes trivially.
+	held := 0
+	for try := 0; try < 100 && held == 0; try++ {
 		sc := a.lease(0)
 		a.appendTokens(sc, nil, papers[try%len(papers)], new([NumSections]int32))
 		a.scratch.Put(sc)
@@ -247,9 +249,8 @@ func TestSectionTokensScratchIsNotRetained(t *testing.T) {
 			if sc == nil {
 				break
 			}
-			inspected++
-			if cap(sc.words) == 0 {
-				t.Fatal("pooled scratch never held a word")
+			if cap(sc.words) > 0 {
+				held++
 			}
 			for i, w := range sc.words[:cap(sc.words)] {
 				if w != "" {
@@ -258,7 +259,7 @@ func TestSectionTokensScratchIsNotRetained(t *testing.T) {
 			}
 		}
 	}
-	if inspected == 0 {
-		t.Fatal("no scratch came back from the pool in 100 calls")
+	if held == 0 {
+		t.Fatal("no scratch that held words came back from the pool in 100 calls")
 	}
 }

@@ -80,6 +80,11 @@ type topicModel struct {
 // from non-root terms; text sections are sampled from a mixture of the
 // topic signatures and the background vocabulary; citations prefer papers
 // sharing a topic; per-term evidence papers are marked.
+//
+// A paper's text is drawn as word codes (drawText) on the calling goroutine
+// and spelled into strings (renderText) on a second one, pipelined through
+// a few recycled code buffers. Spelling reads no RNG and the papers keep
+// their order, so the corpus is the same bytes at any GOMAXPROCS.
 func Generate(onto *ontology.Ontology, cfg GenConfig) (*Corpus, error) {
 	if cfg.NumPapers <= 0 {
 		return nil, fmt.Errorf("corpus: NumPapers must be positive, got %d", cfg.NumPapers)
@@ -107,6 +112,10 @@ func Generate(onto *ontology.Ontology, cfg GenConfig) (*Corpus, error) {
 		}
 	}
 
+	// Text is drawn here and spelled by the pipe, behind this loop: a paper
+	// handed to pipe.add is not touched here again, and nothing reads its
+	// text before pipe.wait.
+	pipe := newTextPipe()
 	for i := 0; i < cfg.NumPapers; i++ {
 		id := PaperID(i)
 		topics := drawTopics(onto, termList, rng)
@@ -131,9 +140,12 @@ func Generate(onto *ontology.Ontology, cfg GenConfig) (*Corpus, error) {
 			sharp = 1
 		}
 		topical := cfg.TopicMixProb * sharp
-		p.Title = genText(rng, mix, 9+rng.Intn(6), 3.2*topical)
-		p.Abstract = genText(rng, mix, 90+rng.Intn(70), 2.0*topical)
-		p.Body = genText(rng, mix, 380+rng.Intn(420), topical)
+		b := pipe.batch()
+		b.codes = drawText(rng, mix, 9+rng.Intn(6), 3.2*topical, b.codes)
+		title := len(b.codes)
+		b.codes = drawText(rng, mix, 90+rng.Intn(70), 2.0*topical, b.codes)
+		abstract := len(b.codes)
+		b.codes = drawText(rng, mix, 380+rng.Intn(420), topical, b.codes)
 		p.IndexTerms = genIndexTerms(rng, mix)
 		p.Authors = genAuthors(rng, mix)
 		p.References = genReferences(rng, cfg, p, byTopic, ancestorsOf, i)
@@ -142,11 +154,13 @@ func Generate(onto *ontology.Ontology, cfg GenConfig) (*Corpus, error) {
 			p.Evidence = true
 			evidenceCount[topics[0]]++
 		}
+		pipe.add(drawnPaper{p, mix, [3]int{title, abstract, len(b.codes)}})
 		papers[i] = p
 		for _, t := range topics {
 			byTopic[t] = append(byTopic[t], id)
 		}
 	}
+	pipe.wait()
 	return NewCorpus(papers)
 }
 
@@ -233,68 +247,208 @@ func drawTopics(onto *ontology.Ontology, termList []ontology.TermID, rng *rand.R
 	return topics
 }
 
-// genText samples n words. With probability topicProb a word comes from a
-// topic model (primary weighted double); topical emissions sometimes output
-// the full term-name phrase so patterns appear contiguously. Background
-// words are sampled with a Zipf-like rank distribution. Sentences of 8–18
-// words are capitalised and period-terminated so the text looks like prose.
-func genText(rng *rand.Rand, mix []*topicModel, n int, topicProb float64) string {
+// A word code is one drawn word of a text: the word's index in the low
+// codeMixShift bits, a topical word's position in the topic mix above them,
+// its kind in the two bits above that, and whether it starts a sentence in
+// the top bit. Signatures and the background vocabulary hold far fewer than
+// 2^24 words, and a paper has at most three topics.
+const (
+	codeMixShift  = 24
+	codeIndexMask = 1<<codeMixShift - 1
+	codeMixMask   = 0xF
+	codeSignature = 1 << 28 // a word of the topic's signature
+	codePhrase    = 1 << 29 // the topic's whole name phrase
+	codeSentence  = 1 << 31
+)
+
+// drawText samples n words and appends their codes to codes. With
+// probability topicProb a word comes from a topic model (primary weighted
+// double); topical emissions sometimes output the full term-name phrase so
+// patterns appear contiguously. Background words are sampled with a
+// Zipf-like rank distribution. Sentences run 8–18 words.
+func drawText(rng *rand.Rand, mix []*topicModel, n int, topicProb float64, codes []uint32) []uint32 {
 	if topicProb > 0.9 {
 		topicProb = 0.9
 	}
-	var b strings.Builder
-	// A word and its separator average 9.3 bytes in a body and 9.8 in a
-	// title, so nine texts in ten are written without a regrowth, and the
-	// capacity the returned string keeps is below what regrowing from a
-	// smaller guess left.
-	b.Grow(n * 10)
 	sentenceLeft := 0
 	emitted := 0
 	for emitted < n {
+		var c uint32
 		if sentenceLeft <= 0 {
 			sentenceLeft = 8 + rng.Intn(11)
-			if b.Len() > 0 {
-				b.WriteString(". ")
-			}
-		} else {
-			b.WriteByte(' ')
+			c = codeSentence
 		}
 		if rng.Float64() < topicProb {
-			m := pickTopic(rng, mix)
+			k := pickTopic(rng, mix)
+			m := mix[k]
+			c |= uint32(k) << codeMixShift
 			if rng.Float64() < 0.25 {
 				// Emit the whole term-name phrase.
-				b.WriteString(m.namePhrase)
+				codes = append(codes, c|codePhrase)
 				emitted += len(m.nameWords)
 				sentenceLeft -= len(m.nameWords)
 				continue
 			}
-			b.WriteString(m.signature[rng.Intn(len(m.signature))])
+			c |= codeSignature | uint32(rng.Intn(len(m.signature)))
 		} else {
-			b.WriteString(zipfWord(rng))
+			c |= uint32(backgroundRanks.rank(rng.Float64()) - 1)
 		}
+		codes = append(codes, c)
 		emitted++
 		sentenceLeft--
+	}
+	return codes
+}
+
+// word returns the word a code stands for.
+func word(mix []*topicModel, c uint32) string {
+	i := c & codeIndexMask
+	switch {
+	case c&codePhrase != 0:
+		return mix[c>>codeMixShift&codeMixMask].namePhrase
+	case c&codeSignature != 0:
+		return mix[c>>codeMixShift&codeMixMask].signature[i]
+	}
+	return backgroundVocab[i]
+}
+
+// renderText spells drawn codes as prose: words separated by spaces, ". "
+// before every sentence but the first, and a closing period. The string is
+// allocated at its exact length.
+func renderText(mix []*topicModel, codes []uint32) string {
+	size := 0
+	for _, c := range codes {
+		if c&codeSentence == 0 {
+			size++
+		} else if size > 0 {
+			size += 2
+		}
+		size += len(word(mix, c))
+	}
+	var b strings.Builder
+	b.Grow(size + 1)
+	for _, c := range codes {
+		if c&codeSentence == 0 {
+			b.WriteByte(' ')
+		} else if b.Len() > 0 {
+			b.WriteString(". ")
+		}
+		b.WriteString(word(mix, c))
 	}
 	b.WriteByte('.')
 	return b.String()
 }
 
-// pickTopic selects a topic from the mixture with the primary topic (index
-// 0) given double weight.
-func pickTopic(rng *rand.Rand, mix []*topicModel) *topicModel {
+// drawnPaper is a paper whose text is drawn but not yet spelled: its title,
+// abstract and body codes end at ends[0..2] of its batch's codes, each
+// starting where the previous ends (the title where the previous paper's
+// body does).
+type drawnPaper struct {
+	p    *Paper
+	mix  []*topicModel
+	ends [3]int
+}
+
+// textBatch is one recycled code buffer: a few consecutive papers' codes.
+type textBatch struct {
+	codes  []uint32
+	papers []drawnPaper
+}
+
+// render spells the batch's papers' text into them and empties the batch.
+func (b *textBatch) render() {
+	lo := 0
+	for _, d := range b.papers {
+		d.p.Title = renderText(d.mix, b.codes[lo:d.ends[0]])
+		d.p.Abstract = renderText(d.mix, b.codes[d.ends[0]:d.ends[1]])
+		d.p.Body = renderText(d.mix, b.codes[d.ends[1]:d.ends[2]])
+		lo = d.ends[2]
+	}
+	clear(b.papers)
+	b.papers, b.codes = b.papers[:0], b.codes[:0]
+}
+
+// Pipe sizing: a batch is textBatchPapers papers (≈ 3 KB of codes each),
+// and textBuffers batches circulate, so the drawing loop runs ahead of the
+// renderer by at most that many papers whatever the corpus size.
+const (
+	textBatchPapers = 8
+	textBuffers     = 4
+)
+
+// textPipe hands full batches from the drawing loop to one rendering
+// goroutine and empty ones back.
+type textPipe struct {
+	cur  *textBatch
+	full chan *textBatch
+	free chan *textBatch
+	done chan struct{}
+}
+
+func newTextPipe() *textPipe {
+	// Each channel can hold every batch there is, so neither side's send
+	// ever blocks; only receives wait.
+	tp := &textPipe{
+		cur:  new(textBatch),
+		full: make(chan *textBatch, textBuffers),
+		free: make(chan *textBatch, textBuffers),
+		done: make(chan struct{}),
+	}
+	for range textBuffers - 1 {
+		tp.free <- new(textBatch)
+	}
+	go func() {
+		defer close(tp.done)
+		for b := range tp.full {
+			b.render()
+			tp.free <- b
+		}
+	}()
+	return tp
+}
+
+// batch returns the batch the next paper's codes are appended to.
+func (tp *textPipe) batch() *textBatch {
+	if tp.cur == nil {
+		tp.cur = <-tp.free
+	}
+	return tp.cur
+}
+
+// add records a drawn paper in the current batch and hands the batch on
+// once it is full.
+func (tp *textPipe) add(d drawnPaper) {
+	tp.cur.papers = append(tp.cur.papers, d)
+	if len(tp.cur.papers) == textBatchPapers {
+		tp.flush()
+	}
+}
+
+func (tp *textPipe) flush() {
+	tp.full <- tp.cur
+	tp.cur = nil
+}
+
+// wait renders what is left and returns once every paper has its text.
+func (tp *textPipe) wait() {
+	if tp.cur != nil && len(tp.cur.papers) > 0 {
+		tp.flush()
+	}
+	close(tp.full)
+	<-tp.done
+}
+
+// pickTopic selects a topic from the mixture, by index, with the primary
+// topic (index 0) given double weight.
+func pickTopic(rng *rand.Rand, mix []*topicModel) int {
 	if len(mix) == 1 {
-		return mix[0]
+		return 0
 	}
 	k := rng.Intn(len(mix) + 1)
 	if k >= len(mix) {
 		k = 0
 	}
-	return mix[k]
-}
-
-// zipfWord samples a background word with probability ∝ 1/rank.
-func zipfWord(rng *rand.Rand) string {
-	return backgroundVocab[backgroundRanks.rank(rng.Float64())-1]
+	return k
 }
 
 // powRank is the sampler's definition: inverse-CDF sampling for 1/rank over
@@ -375,7 +529,7 @@ func genIndexTerms(rng *rand.Rand, mix []*topicModel) []string {
 	}
 	extra := 2 + rng.Intn(3)
 	for i := 0; i < extra; i++ {
-		m := pickTopic(rng, mix)
+		m := mix[pickTopic(rng, mix)]
 		out = append(out, m.signature[rng.Intn(len(m.signature))])
 	}
 	return out
@@ -390,7 +544,7 @@ func genAuthors(rng *rand.Rand, mix []*topicModel) []string {
 	for len(out) < n {
 		m := mix[0]
 		if rng.Float64() < 0.25 {
-			m = pickTopic(rng, mix)
+			m = mix[pickTopic(rng, mix)]
 		}
 		a := m.authors[rng.Intn(len(m.authors))]
 		if !seen[a] {

@@ -1,13 +1,14 @@
 // Package par provides the bounded fan-out primitives the offline build
 // pipeline shares: a parallel for-loop and contiguous shard splitting.
 //
-// Every helper here is deterministic in the sense the build requires: work
-// is partitioned statically (not work-stolen), so which goroutine computes
-// which item — and therefore which per-shard accumulator it lands in — is a
-// pure function of (n, workers). Callers that merge per-shard results in
-// shard order produce output independent of scheduling; callers whose merge
-// is order-insensitive (integer counts, disjoint map keys, disjoint slice
-// slots) produce output independent of the worker count too.
+// The two loops differ in what a caller may attribute to a goroutine.
+// ForShards partitions statically: call si covers shards[si], a range that
+// Shards derives from (n, workers) alone, so per-shard accumulators merged
+// in shard order produce output independent of scheduling. For hands items out
+// through a channel, so which goroutine computes which item is not fixed;
+// fn(i) must write only what belongs to item i. Callers whose merge is
+// order-insensitive (integer counts, disjoint map keys, disjoint slice
+// slots) produce output independent of the worker count with either.
 package par
 
 import (

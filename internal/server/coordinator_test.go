@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -905,6 +907,69 @@ func TestShardSearchEndpoint(t *testing.T) {
 	} {
 		if rec := post(fmt.Sprintf(`{"q":%q,"limit":5,"finish":%s}`, query, fin)); rec.Code != 400 {
 			t.Fatalf("finish %s = %d, want 400: %s", fin, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestShardSearchBodyCap drives maxShardBody with the largest finishing
+// request the coordinator can send: the deepest page (MaxOffset, MaxLimit)
+// carrying MaxOffset+MaxLimit other-range rows, each naming the corpus's
+// longest paper ID and longest context ID, with scores of 17 significant
+// digits behind five zeros — the longest a score in [0,1] encodes to. It
+// must encode under the cap and be answered; padded to exactly the cap it is
+// still answered, and one byte past the cap is a 400.
+func TestShardSearchBodyCap(t *testing.T) {
+	sys, cs, m, query := frozenMatrix(t)
+	// No query deadline: this is about bytes, and under the race detector
+	// decoding 101 000 rows alone outlasts the default one.
+	srv := NewPending(Config{QueryTimeout: -1})
+	srv.install(sys, cs, m)
+	post := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/shard/search", bytes.NewReader(body)))
+		return rec
+	}
+
+	row := ShardRow{}
+	for _, p := range sys.Corpus.Papers() {
+		if len(strconv.Itoa(int(p.ID))) > len(strconv.Itoa(int(row.Doc))) {
+			row.Doc = p.ID
+		}
+	}
+	for _, id := range sys.Ontology.TermIDs() {
+		if len(id) > len(row.Context) {
+			row.Context = id
+		}
+	}
+	score := math.Nextafter(1e-6, 1)
+	if enc, _ := json.Marshal(score); string(enc) != "0.0000010000000000000002" {
+		t.Fatalf("score encodes as %s, want 17 significant digits behind five zeros", enc)
+	}
+	row.Relevancy, row.Match, row.Prestige = score, score, score
+	rows := make([]ShardRow, MaxOffset+MaxLimit)
+	for i := range rows {
+		rows[i] = row
+	}
+	body, err := json.Marshal(ShardSearchRequest{
+		Q: query, Limit: MaxOffset + MaxLimit, Threshold: score,
+		Finish: &ShardFinish{Offset: MaxOffset, Limit: MaxLimit, Partial: true, Rows: rows},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("worst-case finishing request: %d bytes (%.1f per row), cap %d", len(body), float64(len(body))/float64(len(rows)), maxShardBody)
+	if len(body) >= maxShardBody {
+		t.Fatalf("worst-case finishing request is %d bytes, cap %d", len(body), maxShardBody)
+	}
+	if rec := post(body); rec.Code != 200 || rec.Header().Get(pageRowsHeader) != strconv.Itoa(MaxLimit) {
+		t.Fatalf("worst-case finishing request = %d, %s %q: %.200s", rec.Code, pageRowsHeader, rec.Header().Get(pageRowsHeader), rec.Body)
+	}
+	// Leading whitespace moves the closing brace to the cap's last byte, then
+	// one past it.
+	for pad, want := range map[int]int{maxShardBody - len(body): 200, maxShardBody - len(body) + 1: 400} {
+		padded := append(bytes.Repeat([]byte{' '}, pad), body...)
+		if rec := post(padded); rec.Code != want {
+			t.Fatalf("%d-byte body (cap %d) = %d, want %d: %.200s", len(padded), maxShardBody, rec.Code, want, rec.Body)
 		}
 	}
 }

@@ -523,8 +523,9 @@ type ShardSearchResponse struct {
 // answer as one: a backend that does not know Finish never sets it.
 const pageRowsHeader = "X-Page-Rows"
 
-// maxShardBody caps a /shard/search body: MaxOffset+MaxLimit wire rows of
-// some hundred bytes each fit.
+// maxShardBody caps a /shard/search body: MaxOffset+MaxLimit wire rows fit.
+// The worst-case finishing request encodes to 114 bytes a row, 11.5 MB on
+// the test corpus (TestShardSearchBodyCap).
 const maxShardBody = 16 << 20
 
 // handleShardSearch serves the internal scatter-gather endpoint: the

@@ -154,6 +154,39 @@ func TestSumSortedMatchesSort(t *testing.T) {
 	}
 }
 
+// TestSortByBitsCarriesPayload: every key keeps its payload, whether the
+// pass sorts the run (then ascending) or gives up (then a permutation), on
+// runs short of, past and far past distCap, crowded ones and a refused one.
+func TestSortByBitsCarriesPayload(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	runs := [][]float64{
+		buildLikeRun(rng, 9), buildLikeRun(rng, 100), buildLikeRun(rng, 1000),
+		crowdedRun(rng), twoCrowdsRun(rng), {0.5, math.NaN(), 0.25},
+	}
+	for _, in := range runs {
+		n := len(in)
+		keys, payload := slices.Clone(in), make([]int, n)
+		for i := range payload {
+			payload[i] = i
+		}
+		sorted := SortByBits(keys, payload, make([]int32, 2*n), make([]float64, n), make([]int, n))
+		for k, i := range payload {
+			if math.Float64bits(keys[k]) != math.Float64bits(in[i]) {
+				t.Fatalf("n=%d: key %v at %d carries payload %d, whose key was %v", n, keys[k], k, i, in[i])
+			}
+			if sorted && k > 0 && keys[k-1] > keys[k] {
+				t.Fatalf("n=%d: reported sorted, but %v precedes %v", n, keys[k-1], keys[k])
+			}
+		}
+		slices.Sort(payload)
+		for i, p := range payload {
+			if p != i {
+				t.Fatalf("n=%d: payload is not a permutation of 0..n-1", n)
+			}
+		}
+	}
+}
+
 // FuzzSumSorted reads the input as little-endian doubles. With abs set it
 // clears each value's sign bit and the top exponent bit, so every value is
 // finite and non-negative and the run reaches the bucket pass.

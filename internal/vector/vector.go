@@ -136,26 +136,49 @@ const insertionMax = 16
 const infBits = 0x7FF0000000000000
 
 // sortNonNegative sorts xs ascending and reports true when xs holds at most
-// distCap values, each finite and non-negative other than −0. Otherwise it
-// reports false and leaves xs a permutation of its input for slices.Sort.
+// distCap values, each finite and non-negative other than −0, and no bucket
+// of SortByBits is crowded. Otherwise it reports false and leaves xs a
+// permutation of its input for slices.Sort. Its scratch lives on the stack,
+// declared only for runs that use it; the payload is zero-size, so moving it
+// costs nothing.
+func sortNonNegative(xs []float64) bool {
+	var none, noneBuf [distCap]struct{}
+	n := len(xs)
+	switch {
+	case n > distCap:
+		return false
+	case n <= insertionMax:
+		return SortByBits(xs, none[:n], nil, nil, nil)
+	}
+	var count [2 * distCap]int32
+	var buf [distCap]float64
+	return SortByBits(xs, none[:n], count[:], buf[:], noneBuf[:])
+}
+
+// SortByBits sorts keys ascending, moving payload[i] wherever it moves
+// keys[i], and reports true when every key is finite and non-negative other
+// than −0. Otherwise, or when a bucket is crowded (see below), it reports
+// false and leaves keys and payload a permutation of their input, still
+// paired, for a comparison sort to finish. payload must be as long as keys.
+// Unless len(keys) ≤ 16, the scratch count must hold 2·len(keys) entries,
+// all zero on entry (they are left dirty), and kbuf and pbuf len(keys).
 //
-// For those values the IEEE-754 bit patterns, read as uint64, order exactly
+// For those keys the IEEE-754 bit patterns, read as uint64, order exactly
 // like the values (the exponent field sits above the mantissa, and both grow
 // with the value), and two patterns that differ are two values that differ.
-// So there is one ascending order, the one slices.Sort produces, and it can
-// be found on the bits: one counting pass scatters the values, in order,
+// So the keys have one ascending order, the one slices.Sort produces, and it
+// can be found on the bits: one counting pass scatters the keys, in order,
 // into 2^⌈log₂(n+1)⌉ buckets — between n and 2n — over the high bits of
-// bits−min, and an insertion sort then moves each value only within its
-// bucket. A crowded bucket (values within a few ulps of each other) would
-// make that insertion sort quadratic, so once it has moved values more than
-// 2n places in total the rest is left to slices.Sort.
-func sortNonNegative(xs []float64) bool {
-	n := len(xs)
-	if n > distCap {
-		return false
-	}
+// bits−min, and an insertion sort then moves each key only within its
+// bucket. A crowded bucket (keys within a few ulps of each other) would make
+// that insertion sort quadratic, so once it has moved keys more than 2n
+// places in total it gives up. Up to 16 keys a plain insertion sort is
+// faster than the bucket pass.
+func SortByBits[P any](keys []float64, payload []P, count []int32, kbuf []float64, pbuf []P) bool {
+	n := len(keys)
+	payload = payload[:n]
 	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for _, x := range xs {
+	for _, x := range keys {
 		b := math.Float64bits(x)
 		lo, hi = min(lo, b), max(hi, b)
 	}
@@ -164,40 +187,41 @@ func sortNonNegative(xs []float64) bool {
 	}
 	if n <= insertionMax {
 		for i := 1; i < n; i++ {
-			v, j := xs[i], i
-			for ; j > 0 && xs[j-1] > v; j-- {
-				xs[j] = xs[j-1]
+			v, p, j := keys[i], payload[i], i
+			for ; j > 0 && keys[j-1] > v; j-- {
+				keys[j], payload[j] = keys[j-1], payload[j-1]
 			}
-			xs[j] = v
+			keys[j], payload[j] = v, p
 		}
 		return true
 	}
 	logB := bits.Len(uint(n))
 	shift := max(bits.Len64(hi-lo)-logB, 0)
-	var count [2 * distCap]uint16
-	for _, x := range xs {
+	count = count[:1<<logB]
+	for _, x := range keys {
 		count[(math.Float64bits(x)-lo)>>shift]++
 	}
-	start := uint16(0)
-	for k, c := range count[:1<<logB] {
+	var start int32
+	for k, c := range count {
 		count[k] = start
 		start += c
 	}
-	var buf [distCap]float64
-	for _, x := range xs {
+	kbuf, pbuf = kbuf[:n], pbuf[:n]
+	for i, x := range keys {
 		k := (math.Float64bits(x) - lo) >> shift
-		buf[count[k]] = x
+		kbuf[count[k]], pbuf[count[k]] = x, payload[i]
 		count[k]++
 	}
 	moves := 0
-	for i, v := range buf[:n] {
-		j := i
-		for ; j > 0 && xs[j-1] > v; j-- {
-			xs[j] = xs[j-1]
+	for i, v := range kbuf {
+		p, j := pbuf[i], i
+		for ; j > 0 && keys[j-1] > v; j-- {
+			keys[j], payload[j] = keys[j-1], payload[j-1]
 		}
-		xs[j] = v
+		keys[j], payload[j] = v, p
 		if moves += i - j; moves > 2*n {
-			copy(xs[i+1:], buf[i+1:n])
+			copy(keys[i+1:], kbuf[i+1:])
+			copy(payload[i+1:], pbuf[i+1:])
 			return false
 		}
 	}
