@@ -11,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race unused-exports bench bench-query bench-prestige bench-build bench-topk bench-shard bench-store test-no-mmap serve-smoke
+.PHONY: verify build test vet race unused-exports bench bench-query bench-prestige bench-build bench-shard bench-store test-no-mmap serve-smoke
 
 verify: vet build unused-exports test race
 
@@ -60,10 +60,12 @@ bench:
 # BenchmarkEngineSearchFull, the serving benchmark's library_batch workload
 # as a micro-benchmark (frozen engine, Limit 0, 800 papers / 160 terms),
 # which fails itself above 21 allocs/op — plus the boolean evaluator's term /
-# phrase / NOT arms on a state-booted index shape.
+# phrase / NOT arms on a state-booted index shape, and the result-cache hit
+# path (must stay allocation-free).
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkSelectContexts|BenchmarkEngineSearch' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean' -benchmem ./internal/index/
+	$(GO) test -run xxx -bench 'BenchmarkCacheHit' -benchmem ./internal/cache/
 
 # The offline-build benchmarks behind BENCH_PR4.json, BENCH_PR12.json and
 # BENCH_PR26.json: first the ascending-sum kernel under every cosine of the
@@ -84,18 +86,6 @@ bench-build:
 	$(GO) test -run xxx -bench 'BenchmarkPosIndexBuildWorkers' -benchmem ./internal/pattern/
 	$(GO) test -run xxx -bench 'BenchmarkTextScoreContext|BenchmarkScoreAllParallel1kContexts' -benchmem ./internal/prestige/
 	$(GO) test -run xxx -bench 'BenchmarkSystemBuild' -benchmem .
-
-# The exact-top-k benchmarks behind BENCH_PR5.json and BENCH_PR9.json: the
-# block-max MaxScore vector search vs the exhaustive Limit-0 pass over a
-# large context — including the block-size sweep (Block64/128/256) and the
-# pooled-scratch append path (Append10 must report 0 B/op and 0 allocs/op)
-# — the bounded-selection engine merge at page sizes 10/100 vs
-# the full ranked list, and the result-cache hit path (must stay
-# allocation-free).
-bench-topk:
-	$(GO) test -run xxx -bench 'BenchmarkSearchVectorContextTopK' -benchmem ./internal/index/
-	$(GO) test -run xxx -bench 'BenchmarkEngineSearch8|BenchmarkEngineSearchTop' -benchmem ./internal/search/
-	$(GO) test -run xxx -bench 'BenchmarkCacheHit' -benchmem ./internal/cache/
 
 # The sharded-serving benchmark: the coordinator's merge.
 bench-shard:

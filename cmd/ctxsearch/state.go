@@ -103,8 +103,7 @@ func openState(o dataOpts) (_ *app, err error) {
 
 // buildState runs the offline build — analysis, context set, prestige
 // scores — and, when -state is given, saves the result with the text-index
-// postings, block-max tables and DF table, so the next boot maps the file
-// instead.
+// postings and DF table, so the next boot maps the file instead.
 func buildState(o dataOpts) (*app, error) {
 	sys, err := buildSystem(o)
 	if err != nil {

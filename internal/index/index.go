@@ -19,7 +19,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
@@ -32,15 +31,6 @@ import (
 // the hot path branch-cheap while still stopping an abandoned query within
 // a few thousand documents.
 const cancelCheckMask = 8192 - 1
-
-// DefaultBlockSize is the block-max granularity of the inverted index:
-// every term's posting run is partitioned into blocks of this many postings
-// and per-block maxima are recorded alongside the global per-term maxima.
-// 128 keeps the tables at ~1.6% of the posting columns (two float64 per 128
-// posting entries) while making block bounds tight enough for the top-k
-// evaluator to skip most candidates (see topk.go). Any positive block size
-// produces bit-identical search results; only pruning power changes.
-const DefaultBlockSize = 128
 
 // Hit is one search result.
 type Hit struct {
@@ -62,29 +52,8 @@ type Index struct {
 	docs    []corpus.PaperID
 	weights []float64
 	norms   []float64
-	// Per-term posting maxima backing the MaxScore top-k evaluation mode
-	// (see topk.go): maxWeight[t] is the largest posting weight of term t,
-	// maxRatio[t] the largest weight/‖doc‖ over its postings.
-	maxWeight []float64
-	maxRatio  []float64
-	// Block-max tables (see topk.go): term t's posting run is split into
-	// fixed-size blocks of blockSize (> 0) postings; its blocks occupy
-	// blockMaxWeight[blockOffsets[t]:blockOffsets[t+1]] (and likewise
-	// blockMaxRatio), block b covering postings
-	// [offsets[t]+b·blockSize, min(offsets[t]+(b+1)·blockSize, offsets[t+1])).
-	blockSize      int
-	blockOffsets   []int32
-	blockMaxWeight []float64
-	blockMaxRatio  []float64
-	// accPool recycles dense score accumulators across searches; topkPool
-	// recycles per-query top-k evaluation scratch (see topk.go).
-	accPool  sync.Pool
-	topkPool sync.Pool
-	// statVisited/statSkipped count, across all top-k queries since the last
-	// reset, candidate documents fully evaluated vs. postings jumped over by
-	// block-max pruning. Each query accumulates locally and flushes once.
-	statVisited atomic.Uint64
-	statSkipped atomic.Uint64
+	// accPool recycles dense score accumulators across searches.
+	accPool sync.Pool
 }
 
 // accum is a reusable dense scoring scratchpad: val holds partial dot
@@ -106,18 +75,10 @@ type accum struct {
 // worker count: per-term counts are order-independent integer sums, and
 // because shards are contiguous ID ranges, writing shard s's postings after
 // all of shard s-1's reproduces exactly the ascending-doc posting layout of
-// the sequential build. workers <= 0 selects GOMAXPROCS. Block-max tables
-// are built at DefaultBlockSize.
+// the sequential build. workers <= 0 selects GOMAXPROCS.
 func BuildWorkers(a *corpus.Analyzer, workers int) *Index {
-	return buildWorkersBlock(a, workers, DefaultBlockSize)
-}
-
-// buildWorkersBlock is BuildWorkers at an explicit block-max block size
-// (postings per block, > 0). Search results are bit-identical at every
-// size; only pruning power changes.
-func buildWorkersBlock(a *corpus.Analyzer, workers, blockSize int) *Index {
 	c := a.Corpus()
-	return buildPapers(a, sortedPapers(c, 0, c.Len()), workers, blockSize)
+	return buildPapers(a, sortedPapers(c, 0, c.Len()), workers)
 }
 
 // sortedPapers returns the corpus's papers with lo <= ID < hi in ascending
@@ -135,7 +96,7 @@ func sortedPapers(c *corpus.Corpus, lo, hi int) []*corpus.Paper {
 
 // buildPapers runs the sharded build pipeline over an explicit paper list
 // (ascending ID order).
-func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers, blockSize int) *Index {
+func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) *Index {
 	n := a.Corpus().Len()
 	nTerms := len(a.DF().Terms())
 	ix := &Index{analyzer: a, norms: make([]float64, n)}
@@ -195,84 +156,10 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers, blockSize 
 		}
 	})
 
-	// Pass 3 (sharded by term): per-term posting maxima for the MaxScore
-	// top-k bounds. Maxima are order-independent, so the result is
-	// identical at any worker count.
-	ix.maxWeight = make([]float64, nTerms)
-	ix.maxRatio = make([]float64, nTerms)
-	par.ForShards(par.Shards(nTerms, workers), func(_ int, sh par.Shard) {
-		for t := sh.Lo; t < sh.Hi; t++ {
-			var mw, mr float64
-			for k := ix.offsets[t]; k < ix.offsets[t+1]; k++ {
-				w := ix.weights[k]
-				if w > mw {
-					mw = w
-				}
-				if dn := ix.norms[ix.docs[k]]; dn > 0 {
-					if r := w / dn; r > mr {
-						mr = r
-					}
-				}
-			}
-			ix.maxWeight[t], ix.maxRatio[t] = mw, mr
-		}
-	})
-
-	// Pass 3b (sharded by term): block-max tables at the requested
-	// granularity. Like the global maxima, per-block maxima are pure
-	// comparisons over fixed block extents, so the tables are identical at
-	// any worker count.
-	ix.blockSize = blockSize
-	ix.blockOffsets, ix.blockMaxWeight, ix.blockMaxRatio =
-		computeBlockTables(ix.offsets, ix.docs, ix.weights, ix.norms, blockSize, workers)
-
 	ix.accPool.New = func() any {
 		return &accum{val: make([]float64, n), seen: make([]bool, n)}
 	}
 	return ix
-}
-
-// computeBlockTables partitions every term's CSR posting run into blocks of
-// blockSize postings and returns the CSR-style block offsets (len terms+1)
-// plus each block's maximum posting weight and maximum weight/‖doc‖ ratio —
-// the same quantities as the global per-term maxima, restricted to one
-// block. Shared by the build pipeline and SliceRange (re-slicing tables for
-// range engines).
-func computeBlockTables(offsets []int32, docs []corpus.PaperID, weights, norms []float64, blockSize, workers int) ([]int32, []float64, []float64) {
-	nTerms := len(offsets) - 1
-	bo := make([]int32, nTerms+1)
-	for t := 0; t < nTerms; t++ {
-		run := int(offsets[t+1] - offsets[t])
-		bo[t+1] = bo[t] + int32((run+blockSize-1)/blockSize)
-	}
-	bmw := make([]float64, bo[nTerms])
-	bmr := make([]float64, bo[nTerms])
-	par.ForShards(par.Shards(nTerms, workers), func(_ int, sh par.Shard) {
-		for t := sh.Lo; t < sh.Hi; t++ {
-			bi := int(bo[t])
-			hi := int(offsets[t+1])
-			for k := int(offsets[t]); k < hi; bi++ {
-				end := k + blockSize
-				if end > hi {
-					end = hi
-				}
-				var mw, mr float64
-				for ; k < end; k++ {
-					w := weights[k]
-					if w > mw {
-						mw = w
-					}
-					if dn := norms[docs[k]]; dn > 0 {
-						if r := w / dn; r > mr {
-							mr = r
-						}
-					}
-				}
-				bmw[bi], bmr[bi] = mw, mr
-			}
-		}
-	})
-	return bo, bmw, bmr
 }
 
 // Postings returns the posting run of a term ID — ascending document IDs
@@ -382,23 +269,17 @@ func (ix *Index) SearchVector(qv vector.Sparse, opts Options) []Hit {
 // periodically, so an abandoned or deadline-expired query stops promptly
 // instead of running to completion. A completed call returns exactly the
 // hits SearchVector would; a cancelled call returns (nil, ctx.Err()).
-//
-// Bounded queries (Limit > 0) are evaluated with exact MaxScore-style
-// dynamic pruning (see topk.go): work scales with the result page rather
-// than the corpus, and the returned page — documents, order, and score
-// bits — is identical to the exhaustive evaluation's.
+// A bounded query (Limit > 0) returns the first Limit hits of the
+// exhaustive pass, as SearchQueryContext does.
 func (ix *Index) SearchVectorContext(ctx context.Context, qv vector.Sparse, opts Options) ([]Hit, error) {
-	if opts.Limit > 0 {
-		if qv.Norm() == 0 {
-			return nil, ctx.Err()
-		}
-		hits, err := ix.searchTopKAppend(ctx, qv, opts, []Hit{})
-		if err != nil {
-			return nil, err
-		}
-		return hits, nil
+	hits, err := ix.AppendVectorHits(ctx, qv, opts, true, nil)
+	if err != nil {
+		return nil, err
 	}
-	return ix.AppendVectorHits(ctx, qv, opts, true, nil)
+	if opts.Limit > 0 && len(hits) > opts.Limit {
+		hits = hits[:opts.Limit]
+	}
+	return hits, nil
 }
 
 // AppendVectorHits appends to dst every hit an unlimited SearchVectorContext
@@ -456,36 +337,22 @@ func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Op
 	return hits, nil
 }
 
-// TopKStats are the cumulative pruning counters of the top-k evaluator
-// since construction or the last ResetTopKStats, summed over all queries
-// (concurrent queries flush atomically once each).
+// TopKStats are the counters of the block-max top-k evaluator, which no
+// longer exists: Index.TopKStats reports zeros.
+//
+// Deprecated: kept only because bench/run.go and bench/tour.go compile
+// against it; it goes when bench/ stops naming it.
 type TopKStats struct {
-	// Visited counts candidate documents fully evaluated: essential
-	// contributions gathered and the true-norm bound computed.
 	Visited uint64 `json:"visited"`
-	// Skipped counts essential postings jumped over without evaluating
-	// their document — by a block-level range skip or a per-candidate
-	// block-bound rejection.
 	Skipped uint64 `json:"skipped"`
 }
 
-// TopKStats returns the evaluator's cumulative counters — the
-// observability hook behind the block-max pruning benchmarks and the
-// server's per-generation /stats section.
-func (ix *Index) TopKStats() TopKStats {
-	return TopKStats{
-		Visited: ix.statVisited.Load(),
-		Skipped: ix.statSkipped.Load(),
-	}
-}
-
-// ResetTopKStats zeroes the evaluator's cumulative counters. The server
-// calls it when a generation is installed, so /stats reports per-generation
-// numbers rather than process lifetime ones.
-func (ix *Index) ResetTopKStats() {
-	ix.statVisited.Store(0)
-	ix.statSkipped.Store(0)
-}
+// TopKStats returns the zero value: a bounded query is a prefix of the
+// exhaustive pass and prunes nothing.
+//
+// Deprecated: kept only because bench/tour.go compiles against it; it goes
+// when bench/ stops naming it.
+func (ix *Index) TopKStats() TopKStats { return TopKStats{} }
 
 // textScorer scores single documents against one query from the frozen
 // postings: the query's indexed terms with their posting runs, resolved

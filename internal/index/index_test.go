@@ -2,6 +2,9 @@ package index
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ctxsearch/internal/bitset"
@@ -65,10 +68,11 @@ func TestSearchThresholdAndLimit(t *testing.T) {
 	if len(strict) != 0 {
 		t.Fatalf("threshold above max must return nothing: %v", strict)
 	}
+
 }
 
-// TestSearchWithin: a bitset restriction keeps only its documents, on the
-// exhaustive path and on the pruned top-k path alike.
+// TestSearchWithin: a bitset restriction keeps only its documents, with and
+// without a Limit.
 func TestSearchWithin(t *testing.T) {
 	ix, _ := buildTestIndex(t)
 	var within bitset.Set
@@ -210,5 +214,106 @@ func TestSearchContextCancellation(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("hit %d differs: %v vs %v", i, got[i], want[i])
 		}
+	}
+}
+
+// exhaustivePrefix is the reference for a Limit page: the Limit 0 pass,
+// which scores and sorts every matching document, cut to the page.
+func exhaustivePrefix(t *testing.T, ix *Index, qv vector.Sparse, opts Options) []Hit {
+	t.Helper()
+	full := opts
+	full.Limit = 0
+	hits, err := ix.SearchVectorContext(context.Background(), qv, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hits[:min(len(hits), opts.Limit)]
+}
+
+// TestSearchTopKGoldenEquality: on a generated corpus, a Limit page equals
+// the exhaustive pass's prefix bit for bit, across random (limit, threshold,
+// restriction) combinations and a battery of query shapes.
+func TestSearchTopKGoldenEquality(t *testing.T) {
+	a, ix := partsFixture(t)
+	queries := []string{
+		"regulation of rna synthesis",
+		"protein binding transport",
+		"activity complex formation regulation binding transport rna protein",
+		"synthesis",
+		"qqqzzz unknown",
+	}
+	rng := rand.New(rand.NewSource(99))
+	filled := 0
+	for qi, q := range queries {
+		qv := a.QueryVector(q)
+		for trial := 0; trial < 30; trial++ {
+			opts := Options{Limit: 1 + rng.Intn(40)}
+			switch rng.Intn(3) {
+			case 1:
+				opts.Threshold = rng.Float64() * 0.4
+			case 2:
+				// Random context-style restriction over about half the corpus.
+				var set bitset.Set
+				for d := 0; d < a.Corpus().Len(); d++ {
+					if rng.Intn(2) == 0 {
+						set.Add(d)
+					}
+				}
+				opts.WithinSet = set
+				opts.Threshold = rng.Float64() * 0.2
+			}
+			label := fmt.Sprintf("query %d %q trial %d opts %+v", qi, q, trial, opts)
+			got, err := ix.SearchVectorContext(context.Background(), qv, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			want := exhaustivePrefix(t, ix, qv, opts)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: page\n%v\nis not the exhaustive prefix\n%v", label, got, want)
+			}
+			if len(got) == opts.Limit {
+				filled++
+			}
+		}
+	}
+	if filled == 0 {
+		t.Fatal("no trial filled its page; the fixture exercises no cut")
+	}
+}
+
+// TestSearchTopKCentroidQueries covers the dense query shape (document
+// centroids, as used by expansion and clustering): hundreds of terms with
+// skewed weights, each Limit page the exhaustive prefix.
+func TestSearchTopKCentroidQueries(t *testing.T) {
+	a, ix := partsFixture(t)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 10; trial++ {
+		qv := vector.Sparse{}
+		for i := 0; i < 3; i++ {
+			r := a.Row(corpus.PaperID(rng.Intn(a.Corpus().Len())), corpus.WholeText)
+			for k, term := range r.Terms {
+				qv[a.Term(term)] += r.Weights[k]
+			}
+		}
+		opts := Options{Limit: 1 + rng.Intn(15), Threshold: rng.Float64() * 0.3}
+		label := fmt.Sprintf("centroid trial %d opts %+v (%d terms)", trial, opts, len(qv))
+		got, err := ix.SearchVectorContext(context.Background(), qv, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if want := exhaustivePrefix(t, ix, qv, opts); !slices.Equal(got, want) {
+			t.Fatalf("%s: page\n%v\nis not the exhaustive prefix\n%v", label, got, want)
+		}
+	}
+}
+
+// TestSearchTopKCancellation: a cancelled context stops a Limit query too.
+func TestSearchTopKCancellation(t *testing.T) {
+	a, ix := partsFixture(t)
+	qv := a.QueryVector("regulation of rna synthesis")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if hits, err := ix.SearchVectorContext(ctx, qv, Options{Limit: 10}); err != context.Canceled || hits != nil {
+		t.Fatalf("cancelled Limit search = (%v, %v), want (nil, context.Canceled)", hits, err)
 	}
 }

@@ -81,7 +81,7 @@ func TestFromPartsValidation(t *testing.T) {
 // is bit for bit the full index's: the range restricts which documents have
 // postings, never how they are weighted.
 func buildRangeWorkers(a *corpus.Analyzer, lo, hi, workers int) *Index {
-	return buildPapers(a, sortedPapers(a.Corpus(), lo, hi), workers, DefaultBlockSize)
+	return buildPapers(a, sortedPapers(a.Corpus(), lo, hi), workers)
 }
 
 // TestSliceRangeMatchesRangeBuild: an engine-visible equivalence between

@@ -518,8 +518,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 
 // sortHits orders hits by descending score, ties by ascending doc.
 // slices.SortFunc rather than sort.Slice: the comparator is a plain
-// function, so the call stays allocation-free — the top-k hot path sorts
-// its final page through here and pins 0 allocs/op.
+// function, so the call stays allocation-free.
 func sortHits(hits []Hit) {
 	slices.SortFunc(hits, func(a, b Hit) int {
 		switch {

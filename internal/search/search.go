@@ -197,14 +197,6 @@ func NewEngine(ix *index.Index, cs *contextset.ContextSet, matrix *prestige.Matr
 	return e
 }
 
-// TopKStats exposes the index's top-k evaluator counters — the server
-// surfaces them per generation under /stats.
-func (e *Engine) TopKStats() index.TopKStats { return e.ix.TopKStats() }
-
-// ResetTopKStats zeroes the evaluator counters; the server calls it when a
-// generation is installed so /stats reads per-generation.
-func (e *Engine) ResetTopKStats() { e.ix.ResetTopKStats() }
-
 // ContextScore is a candidate context for a query.
 type ContextScore struct {
 	Context ontology.TermID

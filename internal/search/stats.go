@@ -49,7 +49,7 @@ func (e *Engine) MergeStats() MergeStats {
 }
 
 // ResetMergeStats zeroes the merge counters; the server calls it when a
-// generation is installed, like ResetTopKStats.
+// generation is installed.
 func (e *Engine) ResetMergeStats() {
 	for i := range e.merge {
 		e.merge[i].Store(0)

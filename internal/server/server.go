@@ -190,12 +190,10 @@ func NewPending(cfg Config) *Server {
 // backend's mapping is closed after the swap — its pages stay valid until
 // the last in-flight request that retained them releases, then unmap.
 func (s *Server) SetReadyMapped(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher *ctxsearch.Engine, ref StateRef) {
-	// /stats reports top-k evaluator and merge counters per generation,
-	// not per process: zero them as the generation is installed. (Engines
-	// are not shared across generations — each install binds new ones — so
-	// in-flight queries of the old generation never pollute the new
-	// counters.)
-	searcher.ResetTopKStats()
+	// /stats reports merge counters per generation, not per process: zero
+	// them as the generation is installed. (Engines are not shared across
+	// generations — each install binds new ones — so in-flight queries of
+	// the old generation never pollute the new counters.)
 	searcher.ResetMergeStats()
 	old := s.backend.Swap(&backend{
 		sys:      sys,
@@ -742,11 +740,13 @@ type StatsResponse struct {
 	// Sharding holds a coordinator's scatter-gather counters; a Server's
 	// /stats never carries it.
 	Sharding *shard.Snapshot `json:"sharding,omitempty"`
-	// TopK holds the bounded-query evaluator's pruning counters for the
-	// installed generation (reset on every SetReadyMapped swap).
+	// TopK is never set: the index's top-k evaluator is gone.
+	//
+	// Deprecated: kept only because bench/run.go compiles against it; it
+	// goes when bench/ stops naming it.
 	TopK *index.TopKStats `json:"topk,omitempty"`
 	// Merge holds the prestige merge's counters for the installed
-	// generation, reset like TopK: merges by path (exhaustive, bounded),
+	// generation, reset on every SetReadyMapped swap: merges by path (exhaustive, bounded),
 	// hits folded, and how often the bounded merge's early termination
 	// fired (window_breaks) — zero there means every page so far needed
 	// its whole hit list.
@@ -785,7 +785,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if cs := s.coldStart.Load(); cs > 0 {
 		resp.ColdStartMS = float64(cs) / float64(time.Millisecond)
 	}
-	topk, merge := b.searcher.TopKStats(), b.searcher.MergeStats()
-	resp.TopK, resp.Merge = &topk, &merge
+	merge := b.searcher.MergeStats()
+	resp.Merge = &merge
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -434,50 +434,12 @@ func (m *Mapped) IndexParts() (*index.Parts, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxW, err := m.needLocked(secIdxMaxWeight)
-	if err != nil {
-		return nil, err
-	}
-	maxR, err := m.needLocked(secIdxMaxRatio)
-	if err != nil {
-		return nil, err
-	}
-	bmeta, err := m.needLocked(secIdxBlockMeta)
-	if err != nil {
-		return nil, err
-	}
-	bc := &cursor{b: bmeta}
-	bs := int(bc.u32())
-	if err := bc.done(); err != nil {
-		return nil, fmt.Errorf("store: index block meta: %w", err)
-	}
-	if bs <= 0 {
-		return nil, fmt.Errorf("store: index block size %d is not positive", bs)
-	}
-	boffs, err := m.needLocked(secIdxBlockOffsets)
-	if err != nil {
-		return nil, err
-	}
-	bmw, err := m.needLocked(secIdxBlockMaxW)
-	if err != nil {
-		return nil, err
-	}
-	bmr, err := m.needLocked(secIdxBlockMaxR)
-	if err != nil {
-		return nil, err
-	}
 	m.parts = &index.Parts{
-		Terms:          terms,
-		Offsets:        asI32s(offs),
-		Docs:           asPaperIDs(docs),
-		Weights:        asF64s(weights),
-		Norms:          asF64s(norms),
-		MaxWeight:      asF64s(maxW),
-		MaxRatio:       asF64s(maxR),
-		BlockSize:      bs,
-		BlockOffsets:   asI32s(boffs),
-		BlockMaxWeight: asF64s(bmw),
-		BlockMaxRatio:  asF64s(bmr),
+		Terms:   terms,
+		Offsets: asI32s(offs),
+		Docs:    asPaperIDs(docs),
+		Weights: asF64s(weights),
+		Norms:   asF64s(norms),
 	}
 	return m.parts, nil
 }

@@ -17,7 +17,7 @@ import (
 // fixtureWithIndex builds a complete state — context set, two score
 // functions, index parts and DF table — plus the corpus and analyzer the
 // re-binding checks need.
-func fixtureWithIndex(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.Analyzer, *State) {
+func fixtureWithIndex(t testing.TB) (*ontology.Ontology, *corpus.Corpus, *corpus.Analyzer, *State) {
 	t.Helper()
 	o, err := ontology.Generate(ontology.GenConfig{Seed: 9, NumTerms: 50, MaxDepth: 6})
 	if err != nil {

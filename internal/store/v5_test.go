@@ -3,11 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"path/filepath"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 
 	"ctxsearch/internal/index"
@@ -15,7 +13,7 @@ import (
 )
 
 // v5Bytes renders the fixture state as the image Save writes.
-func v5Bytes(t *testing.T, st *State) []byte {
+func v5Bytes(t testing.TB, st *State) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := Save(&buf, st); err != nil {
@@ -34,6 +32,126 @@ func sectionIDs(img []byte) []uint32 {
 	return ids
 }
 
+// retiredSectionIDs are the sections version-5 writers emitted for the
+// deleted block-max evaluator (see format.go).
+var retiredSectionIDs = []uint32{13, 14, 17, 18, 19, 20}
+
+// decodeSections lists an image's sections in table order, payloads
+// aliasing img — the input writeSections lays out again byte for byte.
+func decodeSections(img []byte) []sectionData {
+	count := len(sectionIDs(img))
+	secs := make([]sectionData, 0, count)
+	for i := 0; i < count; i++ {
+		e := img[headerSize+i*secHdrSize:]
+		off := binary.LittleEndian.Uint64(e[8:])
+		secs = append(secs, sectionData{
+			id:   binary.LittleEndian.Uint32(e[0:]),
+			kind: binary.LittleEndian.Uint32(e[4:]),
+			data: img[off : off+binary.LittleEndian.Uint64(e[16:])],
+		})
+	}
+	return secs
+}
+
+// withRetiredSections lays img out again with the retired sections the
+// writer emitted while the block-max evaluator existed, computed and placed
+// as it did: per-term maximum posting weight (13) and weight/norm ratio
+// (14), then a block size of 128 (17), per-term block offsets (18) and
+// per-block maxima (19, 20), all right after the norms.
+func withRetiredSections(t testing.TB, img []byte, p *index.Parts) []byte {
+	t.Helper()
+	const blockSize = 128
+	nTerms := len(p.Terms)
+	maxW, maxR := make([]float64, nTerms), make([]float64, nTerms)
+	blockOffs := make([]int32, nTerms+1)
+	var blockW, blockR []float64
+	for term := 0; term < nTerms; term++ {
+		for k := p.Offsets[term]; k < p.Offsets[term+1]; k++ {
+			w, r := p.Weights[k], 0.0
+			if dn := p.Norms[p.Docs[k]]; dn > 0 {
+				r = w / dn
+			}
+			if (k-p.Offsets[term])%blockSize == 0 {
+				blockW, blockR = append(blockW, 0), append(blockR, 0)
+			}
+			b := len(blockW) - 1
+			maxW[term], maxR[term] = max(maxW[term], w), max(maxR[term], r)
+			blockW[b], blockR[b] = max(blockW[b], w), max(blockR[b], r)
+		}
+		blockOffs[term+1] = int32(len(blockW))
+	}
+	var secs []sectionData
+	for _, s := range decodeSections(img) {
+		secs = append(secs, s)
+		if s.id == secIdxNorms {
+			secs = append(secs,
+				sectionData{13, kindF64, encodeF64s(maxW)},
+				sectionData{14, kindF64, encodeF64s(maxR)},
+				sectionData{17, kindBytes, binary.LittleEndian.AppendUint32(nil, blockSize)},
+				sectionData{18, kindI32, encodeI32s(blockOffs)},
+				sectionData{19, kindF64, encodeF64s(blockW)},
+				sectionData{20, kindF64, encodeF64s(blockR)})
+		}
+	}
+	var buf bytes.Buffer
+	if err := writeSections(&buf, secs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenIgnoresRetiredSections: the writer stamps version 5 and emits no
+// retired section, and an image that carries all six — as every file
+// written while the block-max evaluator existed does — opens, binds and
+// serves the page the fresh image serves.
+func TestOpenIgnoresRetiredSections(t *testing.T) {
+	o, c, a, st := fixtureWithIndex(t)
+	img := v5Bytes(t, st)
+	if v := binary.LittleEndian.Uint32(img[8:]); v != version {
+		t.Fatalf("image stamps version %d", v)
+	}
+	for _, id := range retiredSectionIDs {
+		if slices.Contains(sectionIDs(img), id) {
+			t.Fatalf("the writer emitted retired section %d", id)
+		}
+	}
+	var plain bytes.Buffer
+	if err := writeSections(&plain, decodeSections(img)); err != nil || !bytes.Equal(plain.Bytes(), img) {
+		t.Fatalf("decoding and laying out the sections again does not reproduce the image (%v)", err)
+	}
+	old := withRetiredSections(t, img, st.Index)
+	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+len(retiredSectionIDs) {
+		t.Fatalf("image with retired sections has %d sections", got)
+	}
+	query := c.Papers()[0].Title
+	page := func(img []byte) []index.Hit {
+		t.Helper()
+		m, err := Open(writeFile(t, img), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		got, err := materialize(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameContextSet(t, st.ContextSet, got.ContextSet)
+		assertSameMatrices(t, st, got.Matrices)
+		ix, err := index.FromParts(a, got.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix.Search(query, index.Options{Limit: 10})
+	}
+	want := page(img)
+	if len(want) == 0 {
+		t.Fatalf("query %q finds nothing", query)
+	}
+	if got := page(old); !slices.Equal(got, want) {
+		t.Fatalf("image with retired sections serves\n%v\nwant\n%v", got, want)
+	}
+}
+
 // TestV5Deterministic: two v5 saves of the same state are byte-identical.
 func TestV5Deterministic(t *testing.T) {
 	_, _, _, st := fixtureWithIndex(t)
@@ -42,29 +160,9 @@ func TestV5Deterministic(t *testing.T) {
 	}
 }
 
-// TestV5BlockSections: the image of a block-built index carries the four
-// block sections and stamps version 5.
-func TestV5BlockSections(t *testing.T) {
-	_, _, _, st := fixtureWithIndex(t)
-	if st.Index.BlockOffsets == nil {
-		t.Fatal("fixture index carries no block tables")
-	}
-	img := v5Bytes(t, st)
-	if v := binary.LittleEndian.Uint32(img[8:]); v != version {
-		t.Fatalf("image stamps version %d", v)
-	}
-	ids := sectionIDs(img)
-	for _, id := range []uint32{secIdxBlockMeta, secIdxBlockOffsets, secIdxBlockMaxW, secIdxBlockMaxR} {
-		if !slices.Contains(ids, id) {
-			t.Fatalf("image lacks block section %d", id)
-		}
-	}
-}
-
 // TestOpenV5 exercises the mmap path end to end: open, lazily materialize
-// every component and check it against the saved state — the parts carry
-// the block tables zero-copy and bind to a live index — then the refcounted
-// lifecycle (double Close is idempotent; Retain after the last release
+// every component and check it against the saved state — the parts bind to
+// a live index — then the refcounted lifecycle (double Close is idempotent; Retain after the last release
 // fails).
 func TestOpenV5(t *testing.T) {
 	o, _, a, st := fixtureWithIndex(t)
@@ -96,13 +194,8 @@ func TestOpenV5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts.BlockSize != st.Index.BlockSize {
-		t.Fatalf("block size %d, want %d", parts.BlockSize, st.Index.BlockSize)
-	}
-	if !slices.Equal(parts.BlockOffsets, st.Index.BlockOffsets) ||
-		!slices.Equal(parts.BlockMaxWeight, st.Index.BlockMaxWeight) ||
-		!slices.Equal(parts.BlockMaxRatio, st.Index.BlockMaxRatio) {
-		t.Fatal("mapped block tables differ from the saved ones")
+	if !reflect.DeepEqual(parts, st.Index) {
+		t.Fatal("mapped index parts differ from the saved ones")
 	}
 	if _, err := index.FromParts(a, parts); err != nil {
 		t.Fatalf("mapped v5 parts do not bind: %v", err)
@@ -136,35 +229,8 @@ func TestOpenV5(t *testing.T) {
 	}
 }
 
-// TestV5RequiresBlockSections: the block-max sections are required — an
-// image whose table lacks section 17 opens (payloads are lazy) but its
-// index fails to materialize with the missing-section diagnostic.
-func TestV5RequiresBlockSections(t *testing.T) {
-	o, _, _, st := fixtureWithIndex(t)
-	img := v5Bytes(t, st)
-	count := int(binary.LittleEndian.Uint32(img[12:]))
-	table := img[headerSize : headerSize+count*secHdrSize]
-	for i := 0; i < count; i++ {
-		if binary.LittleEndian.Uint32(table[i*secHdrSize:]) == secIdxBlockMeta {
-			// Drop the entry; data offsets are absolute, so the rest stand.
-			copy(table[i*secHdrSize:], table[(i+1)*secHdrSize:])
-			binary.LittleEndian.PutUint32(img[12:], uint32(count-1))
-			break
-		}
-	}
-	patchTableCRC(img)
-	m, err := Open(writeFile(t, img), o)
-	if err != nil {
-		t.Fatalf("open reads no payload, must succeed: %v", err)
-	}
-	defer m.Close()
-	if _, err := m.IndexParts(); err == nil || !strings.Contains(err.Error(), "missing required section 17") {
-		t.Fatalf("image without section 17 not rejected: %v", err)
-	}
-}
-
 // TestLoadV5 covers the byte-copy read path: the image parsed from a heap
-// buffer binds the same state, block tables included.
+// buffer binds the same state, index parts included.
 func TestLoadV5(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
@@ -180,37 +246,8 @@ func TestLoadV5(t *testing.T) {
 	}
 	assertSameContextSet(t, st.ContextSet, got.ContextSet)
 	assertSameMatrices(t, st, got.Matrices)
-	if !slices.Equal(got.Index.BlockOffsets, st.Index.BlockOffsets) {
-		t.Fatal("the byte-copy path dropped the block tables")
-	}
-}
-
-// TestOpenV5BadBlockMeta: a block-size of zero in the meta section is
-// rejected rather than tripping a divide-by-zero downstream.
-func TestOpenV5BadBlockMeta(t *testing.T) {
-	o, _, _, st := fixtureWithIndex(t)
-	img := v5Bytes(t, st)
-	count := int(binary.LittleEndian.Uint32(img[12:]))
-	for i := 0; i < count; i++ {
-		e := img[headerSize+i*secHdrSize:]
-		if binary.LittleEndian.Uint32(e[0:]) == secIdxBlockMeta {
-			off := binary.LittleEndian.Uint64(e[8:])
-			binary.LittleEndian.PutUint32(img[off:], 0)
-			// Re-seal the payload so the size check, not the CRC, trips.
-			length := binary.LittleEndian.Uint64(e[16:])
-			binary.LittleEndian.PutUint32(e[24:], crc32.Checksum(img[off:off+length], castagnoli))
-			break
-		}
-	}
-	patchTableCRC(img)
-	data := alignedBytes(len(img))
-	copy(data, img)
-	m, err := openBytes(data, false, o)
-	if err != nil {
-		t.Fatalf("open reads no payload, must succeed: %v", err)
-	}
-	if _, err := m.IndexParts(); err == nil || !strings.Contains(err.Error(), "block size") {
-		t.Fatalf("zero block size not rejected: %v", err)
+	if !reflect.DeepEqual(got.Index, st.Index) {
+		t.Fatal("the byte-copy path changed the index parts")
 	}
 }
 

@@ -20,8 +20,8 @@ type sectionData struct {
 // Save writes the state to w in the flat format (see format.go for the
 // layout). The context set is flattened to its frozen CSR+bitmap arrays,
 // each prestige matrix's CSR arrays are written verbatim, and the text
-// index's postings, its block-max tables and the DF table go along, so an
-// open skips corpus re-analysis entirely and binds the tables zero-copy.
+// index's postings and the DF table go along, so an open skips corpus
+// re-analysis entirely and binds the postings zero-copy.
 // The layout is deterministic: sections in fixed ID order, dictionaries and
 // directories sorted.
 func Save(w io.Writer, st *State) error {
@@ -157,14 +157,6 @@ func Save(w io.Writer, st *State) error {
 	add(secIdxDocs, kindI64, encodePaperIDs(p.Docs))
 	add(secIdxWeights, kindF64, encodeF64s(p.Weights))
 	add(secIdxNorms, kindF64, encodeF64s(p.Norms))
-	add(secIdxMaxWeight, kindF64, encodeF64s(p.MaxWeight))
-	add(secIdxMaxRatio, kindF64, encodeF64s(p.MaxRatio))
-	var bm builder
-	bm.u32(uint32(p.BlockSize))
-	add(secIdxBlockMeta, kindBytes, bm.b)
-	add(secIdxBlockOffsets, kindI32, encodeI32s(p.BlockOffsets))
-	add(secIdxBlockMaxW, kindF64, encodeF64s(p.BlockMaxWeight))
-	add(secIdxBlockMaxR, kindF64, encodeF64s(p.BlockMaxRatio))
 
 	docs, counts := st.DF.Counts()
 	var db builder

@@ -1,8 +1,7 @@
 // Package topk provides a bounded selection heap: a fixed-capacity
 // container that retains the K best items of a stream under a total order,
 // in O(log K) per offered item and O(K) space. The search merge keeps the
-// offset+limit best results in it and the shard page merge the best rows
-// (the index's MaxScore evaluator runs a copy specialised to its hit type),
+// offset+limit best results in it and the shard page merge the best rows,
 // and its Min is the running threshold those layers prune against.
 //
 // The zero structural invariant callers rely on: after any sequence of

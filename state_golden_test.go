@@ -19,7 +19,7 @@ import (
 // pins both "the offline build is deterministic at any worker count" and
 // "a faster build still writes the same bytes". A change that is meant to
 // alter the file (format, weighting, generator) re-records it.
-const goldenStateSHA256 = "b6208fc7cc7beab87a7f5fa2ad61d2ad1452b58d71115f67cbf86640bab8c07a"
+const goldenStateSHA256 = "5e0f1a40b16dfad605d9b0f7adbf1155efab5336ab5f976c3006bb3f9a050c4a"
 
 func TestStateFileGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
