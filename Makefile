@@ -76,7 +76,8 @@ bench-query:
 # steady-state analysis, whose allocs/op CI gates,
 # inverted/positional index construction, the postings-driven text context
 # set, text prestige for one context and bulk scoring at >= 1k contexts, and
-# the end-to-end system build at 1 vs 8 workers.
+# the end-to-end system build at 1, 2 and 8 workers
+# (BenchmarkSystemBuildWorkers2 is the one a 2-CPU host can show scaling with).
 bench-build:
 	$(GO) test -run xxx -bench 'BenchmarkSumSorted' -benchmem ./internal/vector/
 	$(GO) test -run xxx -bench 'BenchmarkGenerate' -benchmem ./internal/corpus/

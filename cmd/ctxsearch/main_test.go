@@ -174,6 +174,15 @@ func TestStateRoundTrip(t *testing.T) {
 		if !strings.Contains(verbose, "\n  state-map") || strings.Contains(verbose, "\n  analyze") {
 			t.Fatalf("CTXSEARCH_NO_MMAP=%q: a state-booted search still analyses the corpus:\n%s", noMmap, verbose)
 		}
+		// The boot's summary lists producing its inputs first: loaded from
+		// the files here, regenerated without them.
+		if !strings.Contains(verbose, "stages:\n  load") {
+			t.Fatalf("CTXSEARCH_NO_MMAP=%q: a state-booted search does not time loading its inputs:\n%s", noMmap, verbose)
+		}
+		verbose = runCLI(t, "-state", statePath, "-v", "search", "transcription")
+		if !strings.Contains(verbose, "\n  generate") {
+			t.Fatalf("CTXSEARCH_NO_MMAP=%q: a state-booted search does not time regenerating its inputs:\n%s", noMmap, verbose)
+		}
 	}
 	// Requesting a function the state lacks must fail, naming what it has.
 	var buf bytes.Buffer

@@ -62,13 +62,16 @@ func load(o dataOpts, rebuild bool) (*app, error) {
 
 // openState memory-maps the state file (byte-copies it where mmap is
 // unavailable) and binds the engine's arrays to it directly
-// (ctxsearch.NewFrozenSystem).
+// (ctxsearch.NewFrozenSystem). Producing the inputs, nearly all of a boot,
+// is its first stage, as in buildSystem.
 func openState(o dataOpts) (_ *app, err error) {
-	onto, c, _, err := loadOrGenData(o, false)
+	t0 := time.Now()
+	onto, c, generated, err := loadOrGenData(o, false)
 	if err != nil {
 		return nil, fmt.Errorf("building system: %w", err)
 	}
-	t0 := time.Now()
+	inputsDur := time.Since(t0)
+	t0 = time.Now()
 	mapped, err := store.Open(o.statePath, onto)
 	if err != nil {
 		return nil, err
@@ -98,6 +101,7 @@ func openState(o dataOpts) (_ *app, err error) {
 		return nil, err
 	}
 	a.sys.BuildStats().Add("state-map", mapDur, 0, "")
+	a.sys.BuildStats().AddFirst(inputsStage(generated), inputsDur, c.Len(), "papers")
 	return a, nil
 }
 
@@ -171,12 +175,17 @@ func buildSystem(d dataOpts) (*ctxsearch.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	stage := "load"
-	if generated {
-		stage = "generate"
-	}
-	sys.BuildStats().AddFirst(stage, took, c.Len(), "papers")
+	sys.BuildStats().AddFirst(inputsStage(generated), took, c.Len(), "papers")
 	return sys, nil
+}
+
+// inputsStage names the build stage that produced a system's inputs:
+// "generate", or "load" when both came from files.
+func inputsStage(generated bool) string {
+	if generated {
+		return "generate"
+	}
+	return "load"
 }
 
 // loadOrGenData resolves the ontology and corpus without analysing them —

@@ -60,7 +60,7 @@ func BenchmarkAnalyzePaper(b *testing.B) {
 	)
 	analyze := func() {
 		sc := a.lease(len(idf))
-		t.IDs = a.appendTokens(sc, t.IDs[:0], p, &t.Ends)
+		t.IDs = a.appendTokens(sc, &a.forms, t.IDs[:0], p, &t.Ends)
 		terms, w = terms[:0], w[:0]
 		for s := range rowsPerPaper {
 			toks := t.IDs

@@ -2,8 +2,8 @@ package corpus
 
 import (
 	"math"
+	"math/bits"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -40,8 +40,9 @@ const rowsPerPaper = NumSections + 1
 type Analyzer struct {
 	corpus *Corpus
 	tok    *textproc.Tokenizer
-	// forms memoises the tokenizer per distinct raw word of the paper text;
-	// see formTable.
+	// forms memoises the tokenizer per distinct raw word of the paper text
+	// for a frozen analyzer's token fills; see formTable. The eager build
+	// tokenizes through a table per worker instead, and drops them.
 	forms formTable
 	// scratch recycles *scratch across papers and goroutines.
 	scratch sync.Pool
@@ -92,12 +93,14 @@ type Row struct {
 }
 
 // scratch is the working memory of tokenizing and weighting one paper: the
-// raw words of a section, a dense per-term count with the terms it touched,
-// the squared weights of a norm, and a token buffer.
+// raw words of a section, a dense per-term count with the terms it touched
+// and a bitmap that orders them, the squared weights of a norm, and a token
+// buffer.
 type scratch struct {
 	words   []string
 	cnt     []int32
 	touched []int32
+	bitmap  []uint64
 	sq      []float64
 	ids     []int32
 }
@@ -116,45 +119,42 @@ func newAnalyzer(c *Corpus) *Analyzer {
 // document frequencies, and every TF-IDF row. Papers are split into
 // contiguous shards, one worker each, in three passes:
 //
-//  1. tokenize into the form table's IDs (first-seen order);
-//  2. after the vocabulary is sorted into the dictionary, map the streams to
-//     dictionary IDs and count each row's term frequencies and the shard's
-//     document frequencies;
+//  1. tokenize through the worker's own form table, into its first-seen IDs;
+//  2. after the union of the tables' vocabularies is sorted into the
+//     dictionary, map each stream through its table to dictionary IDs and
+//     count each row's term frequencies and the shard's document
+//     frequencies;
 //  3. after the counts are summed, weigh every row into the corpus-wide
 //     arrays at the shard's offset.
 //
 // The result is identical at every worker count: the tokenizer is a pure
-// function of the word, so the streams do not depend on which worker filled
-// the form table; the dictionary is sorted; counts are integers; and each
-// row is computed from its paper alone. workers <= 0 selects GOMAXPROCS.
+// function of the word, so a stream's tokens do not depend on which table
+// resolved them; the dictionary is the sorted union; counts are integers;
+// and each row is computed from its paper alone. No two workers share a
+// table, so pass 1 waits on no lock. workers <= 0 selects GOMAXPROCS.
 func NewAnalyzerWorkers(c *Corpus, workers int) *Analyzer {
 	a := newAnalyzer(c)
 	papers := c.Papers()
 	toks := make([]Tokens, len(papers))
 	shards := par.Shards(len(papers), workers)
 	streams := make([][]int32, len(shards))
+	tables := make([]*formTable, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
-		sc := a.lease(0)
+		ft, sc := new(formTable), a.lease(0)
 		var ids []int32
 		for i := sh.Lo; i < sh.Hi; i++ {
-			ids = a.appendTokens(sc, ids, papers[i], &toks[i].Ends)
+			ids = a.appendTokens(sc, ft, ids, papers[i], &toks[i].Ends)
 		}
 		a.scratch.Put(sc)
-		streams[si] = ids
+		streams[si], tables[si] = ids, ft
 	})
 
-	vocab := a.forms.vocab
-	order := make([]int32, len(vocab)) // dictionary ID → form-table ID
-	for i := range order {
-		order[i] = int32(i)
+	var terms []string
+	for _, ft := range tables {
+		terms = append(terms, ft.vocab...)
 	}
-	slices.SortFunc(order, func(x, y int32) int { return strings.Compare(vocab[x], vocab[y]) })
-	terms := make([]string, len(order))
-	toDict := make([]int32, len(order))
-	for id, t := range order {
-		terms[id] = vocab[t]
-		toDict[t] = int32(id)
-	}
+	slices.Sort(terms)
+	terms = slices.Compact(terms)
 
 	// tf holds a shard's rows in counts, with ends relative to the shard.
 	type tf struct {
@@ -165,6 +165,12 @@ func NewAnalyzerWorkers(c *Corpus, workers int) *Analyzer {
 	}
 	tfs := make([]tf, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
+		vocab := tables[si].vocab
+		toDict := make([]int32, len(vocab)) // table ID → dictionary ID
+		for t, term := range vocab {
+			id, _ := slices.BinarySearch(terms, term)
+			toDict[t] = int32(id)
+		}
 		ids := streams[si]
 		for k, t := range ids {
 			ids[k] = toDict[t]
@@ -249,7 +255,7 @@ func NewAnalyzerFrozen(c *Corpus, df *vector.DF) *Analyzer {
 	return a
 }
 
-// lease returns a pooled scratch whose dense count covers n terms.
+// lease returns a pooled scratch whose dense count and bitmap cover n terms.
 func (a *Analyzer) lease(n int) *scratch {
 	sc, _ := a.scratch.Get().(*scratch)
 	if sc == nil {
@@ -257,19 +263,20 @@ func (a *Analyzer) lease(n int) *scratch {
 	}
 	if len(sc.cnt) < n {
 		sc.cnt = make([]int32, n)
+		sc.bitmap = make([]uint64, (n+63)/64)
 	}
 	return sc
 }
 
 // appendTokens tokenizes paper p section by section, in Sections order,
-// appending the tokens' form-table IDs to dst and recording where each
+// appending the tokens' IDs in form table ft to dst and recording where each
 // section ends relative to where p's stream starts. It is the only place
-// corpus text is tokenized, and the only writer of the form table.
-func (a *Analyzer) appendTokens(sc *scratch, dst []int32, p *Paper, ends *[NumSections]int32) []int32 {
+// corpus text is tokenized, and the only writer of a form table.
+func (a *Analyzer) appendTokens(sc *scratch, ft *formTable, dst []int32, p *Paper, ends *[NumSections]int32) []int32 {
 	start := len(dst)
 	for _, s := range Sections {
 		sc.words = textproc.AppendWords(sc.words[:0], p.SectionText(s))
-		dst = a.forms.appendIDs(dst, a.tok, sc.words)
+		dst = ft.appendIDs(dst, a.tok, sc.words)
 		ends[s] = int32(len(dst) - start)
 	}
 	// Words are substrings of the paper's text: cleared over the whole
@@ -281,19 +288,29 @@ func (a *Analyzer) appendTokens(sc *scratch, dst []int32, p *Paper, ends *[NumSe
 
 // appendTF appends the distinct dictionary terms of toks to terms in
 // ascending order, and their counts to counts — vector.FromTerms in term-ID
-// form. NoTerm tokens are skipped. sc.cnt is all zero on entry and on return.
+// form. NoTerm tokens are skipped. The row is ordered without a comparison
+// sort: each term sets its bit in a bitmap over the dictionary, and the words
+// between the row's lowest and highest term are read back lowest bit first.
+// sc.cnt and sc.bitmap are all zero on entry and on return.
 func (sc *scratch) appendTF(terms []int32, counts []float64, toks []int32) ([]int32, []float64) {
-	touched := sc.touched[:0]
+	lo, hi := int32(math.MaxInt32), int32(-1) // words of the bitmap the row set
 	for _, t := range toks {
 		if t == NoTerm {
 			continue
 		}
 		if sc.cnt[t] == 0 {
-			touched = append(touched, t)
+			sc.bitmap[t>>6] |= 1 << (t & 63)
+			lo, hi = min(lo, t>>6), max(hi, t>>6)
 		}
 		sc.cnt[t]++
 	}
-	slices.Sort(touched)
+	touched := sc.touched[:0]
+	for w := lo; w <= hi; w++ {
+		for b := sc.bitmap[w]; b != 0; b &= b - 1 {
+			touched = append(touched, w<<6|int32(bits.TrailingZeros64(b)))
+		}
+		sc.bitmap[w] = 0
+	}
 	for _, t := range touched {
 		terms = append(terms, t)
 		counts = append(counts, float64(sc.cnt[t]))
@@ -341,7 +358,7 @@ func (a *Analyzer) Tokens(id PaperID) *Tokens {
 	}
 	sc := a.lease(0)
 	t := new(Tokens)
-	sc.ids = a.appendTokens(sc, sc.ids[:0], a.corpus.Paper(id), &t.Ends)
+	sc.ids = a.appendTokens(sc, &a.forms, sc.ids[:0], a.corpus.Paper(id), &t.Ends)
 	t.IDs = make([]int32, len(sc.ids)) // exact size: append's slack would stay live
 	copy(t.IDs, sc.ids)
 	a.scratch.Put(sc)

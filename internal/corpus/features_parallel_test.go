@@ -151,13 +151,33 @@ func TestAnalyzerMatchesReference(t *testing.T) {
 // TestParallelAnalyzerMatchesSequential is the golden equivalence test for
 // the sharded analyzer build: every worker count, odd shard splits included,
 // must produce exactly the sequential build's dictionary, token streams and
-// rows.
+// rows. Each worker tokenizes through its own form table, so the hand-built
+// corpus splits 3/2/2 at three workers, and its last shard holds forms no
+// earlier shard saw ("zymogens") and new spellings ("Regulated", "BINDING")
+// of terms the first shard met first, in another first-seen order.
 func TestParallelAnalyzerMatchesSequential(t *testing.T) {
-	c, _ := testCorpus(t, 120)
-	seq := NewAnalyzerWorkers(c, 1)
-	for _, workers := range []int{2, 3, 8} {
-		if err := sameAnalysis(seq, NewAnalyzerWorkers(c, workers)); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	generated, _ := testCorpus(t, 120)
+	small, err := NewCorpus([]*Paper{
+		{ID: 0, Title: "Regulation of binding", Abstract: "Kinases regulate binding.", Body: "Binding assays."},
+		{ID: 1, Title: "Binding kinetics", Abstract: "The kinetics of regulation.", Body: "Assays of kinases."},
+		{ID: 2, Title: "Kinase assays", Abstract: "Regulation and kinetics.", Body: "Binding, binding and binding."},
+		{ID: 3, Title: "Assays", Abstract: "Kinetics first.", Body: "Then regulation."},
+		{ID: 4, Title: "Kinetics", Abstract: "Assays.", Body: "Kinases."},
+		{ID: 5, Title: "Zymogens", Abstract: "BINDING of zymogens is Regulated.", Body: "Zymogen activation."},
+		{ID: 6, Title: "Activation of zymogens", Abstract: "Regulated BINDING.", Body: "Kinases activate zymogens."},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Corpus{generated, small} {
+		seq := NewAnalyzerWorkers(c, 1)
+		if err := newReferenceAnalysis(seq).check(seq); err != nil {
+			t.Fatalf("%d papers, workers=1: %v", c.Len(), err)
+		}
+		for _, workers := range []int{2, 3, 8} {
+			if err := sameAnalysis(seq, NewAnalyzerWorkers(c, workers)); err != nil {
+				t.Fatalf("%d papers, workers=%d: %v", c.Len(), workers, err)
+			}
 		}
 	}
 }
@@ -242,7 +262,7 @@ func TestSectionTokensScratchIsNotRetained(t *testing.T) {
 	held := 0
 	for try := 0; try < 100 && held == 0; try++ {
 		sc := a.lease(0)
-		a.appendTokens(sc, nil, papers[try%len(papers)], new([NumSections]int32))
+		a.appendTokens(sc, &a.forms, nil, papers[try%len(papers)], new([NumSections]int32))
 		a.scratch.Put(sc)
 		for {
 			sc, _ := a.scratch.Get().(*scratch)

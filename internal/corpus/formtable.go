@@ -18,13 +18,15 @@ const dropped int32 = -2
 // distinct forms than words.
 //
 // A table with a dictionary (a frozen analyzer's) resolves tokens to its IDs,
-// a token outside it to NoTerm. One without (the eager build's) gives each
-// new token the next ID and keeps its string in vocab; the build sorts vocab
-// into the dictionary afterwards.
+// a token outside it to NoTerm. One without (each eager build worker's) gives
+// each new token the next ID and keeps its string in vocab; the build merges
+// the workers' vocabularies into the dictionary afterwards.
 //
 // Only appendTokens writes it, so its size is bounded by the vocabulary of
 // the paper text: query strings, ontology names and snippets go through the
-// tokenizer directly and can never grow it.
+// tokenizer directly and can never grow it. The lock lets a frozen
+// analyzer's concurrent token fills share its table; a build worker's table
+// is its own, so there the lock is never contended.
 type formTable struct {
 	mu    sync.RWMutex
 	forms map[string]int32

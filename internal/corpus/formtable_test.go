@@ -24,17 +24,32 @@ func tinyCorpus(tb testing.TB) *corpus.Corpus {
 	return c
 }
 
+// frozenTiny returns an eager analysis of tinyCorpus and a frozen analyzer
+// over its dictionary, whose surface-form table is the one that outlives
+// construction: the eager build's are per worker and dropped.
+func frozenTiny(tb testing.TB) (eager, frozen *corpus.Analyzer) {
+	tb.Helper()
+	eager = corpus.NewAnalyzerWorkers(tinyCorpus(tb), 0)
+	return eager, corpus.NewAnalyzerFrozen(eager.Corpus(), eager.DF())
+}
+
 // TestSurfaceFormTableIsCorpusBounded pins the table's growth rule: only
-// paper text fills it, so once every paper is analysed no query string —
-// through query weighting, the boolean parser or snippet rendering — can add
-// an entry.
+// paper text fills it, so once every paper's tokens are filled no query
+// string — through query weighting, the boolean parser or snippet rendering
+// — can add an entry.
 func TestSurfaceFormTableIsCorpusBounded(t *testing.T) {
-	c := tinyCorpus(t)
-	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.BuildWorkers(a, 0)
+	eager, a := frozenTiny(t)
+	c := a.Corpus()
+	ix, err := index.FromParts(a, index.BuildWorkers(eager, 0).Parts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range c.Papers() {
+		a.Tokens(p.ID)
+	}
 	before := a.SurfaceForms()
 	if before == 0 {
-		t.Fatal("analysis recorded no surface forms")
+		t.Fatal("filling every paper's tokens recorded no surface forms")
 	}
 	rng := rand.New(rand.NewSource(12))
 	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFXYZ0123456789-:\"() é"
@@ -53,9 +68,11 @@ func TestSurfaceFormTableIsCorpusBounded(t *testing.T) {
 	}
 }
 
-// FuzzTokenizeTable checks that resolving a text's words through the
+// FuzzTokenizeTable checks that resolving a text's words through a
 // surface-form table yields exactly Tokenizer.Terms, whatever the table
-// already holds from earlier inputs.
+// already holds from earlier inputs: through a build worker's table, which
+// numbers tokens as it first meets them, and through a frozen analyzer's,
+// which resolves them to dictionary IDs ("" for a token outside it).
 func FuzzTokenizeTable(f *testing.F) {
 	for _, s := range []string{
 		"The regulation of RNA-binding activities",
@@ -65,10 +82,21 @@ func FuzzTokenizeTable(f *testing.F) {
 	} {
 		f.Add(s)
 	}
-	a := corpus.NewAnalyzerWorkers(tinyCorpus(f), 0)
+	_, a := frozenTiny(f)
+	firstSeen := corpus.FirstSeenTerms(a.Tokenizer())
 	f.Fuzz(func(t *testing.T, text string) {
-		if got, want := a.TableTerms(text), a.Tokenizer().Terms(text); !slices.Equal(got, want) {
-			t.Fatalf("table tokens %q, tokenizer %q for %q", got, want, text)
+		want := a.Tokenizer().Terms(text)
+		if got := firstSeen(text); !slices.Equal(got, want) {
+			t.Fatalf("worker table tokens %q, tokenizer %q for %q", got, want, text)
+		}
+		inDict := make([]string, len(want))
+		for i, term := range want {
+			if _, ok := a.DF().ID(term); ok {
+				inDict[i] = term
+			}
+		}
+		if got := a.TableTerms(text); !slices.Equal(got, inDict) {
+			t.Fatalf("frozen table tokens %q, tokenizer %q within the dictionary, for %q", got, inDict, text)
 		}
 	})
 }

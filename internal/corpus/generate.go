@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 
 	"ctxsearch/internal/ontology"
@@ -125,9 +125,9 @@ func Generate(onto *ontology.Ontology, cfg GenConfig) (*Corpus, error) {
 			Year:   cfg.MinYear + i*(cfg.MaxYear-cfg.MinYear+1)/cfg.NumPapers,
 			Topics: topics,
 		}
-		var mix []*topicModel
-		for _, t := range topics {
-			mix = append(mix, models[t])
+		mix := make([]*topicModel, len(topics))
+		for k, t := range topics {
+			mix[k] = models[t]
 		}
 		// Papers on broad (shallow) topics read generically — a paper about
 		// "biological process"-level concepts has no sharp vocabulary —
@@ -217,7 +217,7 @@ func buildTopicModels(onto *ontology.Ontology, cfg GenConfig, rng *rand.Rand) (m
 		models[id] = m
 		termList = append(termList, id)
 	}
-	sort.Slice(termList, func(i, j int) bool { return termList[i] < termList[j] })
+	slices.Sort(termList)
 	return models, termList
 }
 
@@ -539,19 +539,17 @@ func genIndexTerms(rng *rand.Rand, mix []*topicModel) []string {
 // so that author-overlap similarity is informative.
 func genAuthors(rng *rand.Rand, mix []*topicModel) []string {
 	n := 2 + rng.Intn(4)
-	seen := map[string]bool{}
-	var out []string
+	out := make([]string, 0, n)
 	for len(out) < n {
 		m := mix[0]
 		if rng.Float64() < 0.25 {
 			m = mix[pickTopic(rng, mix)]
 		}
 		a := m.authors[rng.Intn(len(m.authors))]
-		if !seen[a] {
-			seen[a] = true
+		if !slices.Contains(out, a) {
 			out = append(out, a)
 		}
-		if len(seen) >= len(m.authors)*len(mix) {
+		if len(out) >= len(m.authors)*len(mix) {
 			break // communities exhausted; accept fewer authors
 		}
 	}
@@ -566,8 +564,11 @@ func genReferences(rng *rand.Rand, cfg GenConfig, p *Paper, byTopic map[ontology
 		return nil
 	}
 	nRefs := cfg.RefMean/2 + rng.Intn(cfg.RefMean+1)
-	seen := map[PaperID]bool{}
-	var out []PaperID
+	if nRefs == 0 {
+		return nil
+	}
+	// At most 1.5·RefMean references: a scan of out beats a map per paper.
+	out := make([]PaperID, 0, nRefs)
 	// Bounded retries: small in-topic pools reject duplicates often, so a
 	// single pass would dilute the in-topic bias toward random citations.
 	for attempts := 0; len(out) < nRefs && attempts < 8*nRefs; attempts++ {
@@ -594,12 +595,11 @@ func genReferences(rng *rand.Rand, cfg GenConfig, p *Paper, byTopic map[ontology
 		if cand < 0 {
 			cand = PaperID(rng.Intn(i))
 		}
-		if cand >= p.ID || seen[cand] {
+		if cand >= p.ID || slices.Contains(out, cand) {
 			continue
 		}
-		seen[cand] = true
 		out = append(out, cand)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
