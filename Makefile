@@ -88,7 +88,8 @@ bench-build:
 	$(GO) test -run xxx -bench 'BenchmarkTextScoreContext|BenchmarkScoreAllParallel1kContexts' -benchmem ./internal/prestige/
 	$(GO) test -run xxx -bench 'BenchmarkSystemBuild' -benchmem .
 
-# The sharded-serving benchmark: the coordinator's merge.
+# The sharded-serving benchmark: the coordinator's k-way merge of the
+# ranges' sorted pages (shard.MergePages).
 bench-shard:
 	$(GO) test -run xxx -bench 'BenchmarkMergePages' -benchmem ./internal/shard/
 

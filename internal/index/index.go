@@ -272,10 +272,11 @@ func (ix *Index) SearchVector(qv vector.Sparse, opts Options) []Hit {
 // A bounded query (Limit > 0) returns the first Limit hits of the
 // exhaustive pass, as SearchQueryContext does.
 func (ix *Index) SearchVectorContext(ctx context.Context, qv vector.Sparse, opts Options) ([]Hit, error) {
-	hits, err := ix.AppendVectorHits(ctx, qv, opts, true, nil)
+	hits, err := ix.AppendVectorHits(ctx, qv, opts, nil)
 	if err != nil {
 		return nil, err
 	}
+	sortHits(hits)
 	if opts.Limit > 0 && len(hits) > opts.Limit {
 		hits = hits[:opts.Limit]
 	}
@@ -284,12 +285,11 @@ func (ix *Index) SearchVectorContext(ctx context.Context, qv vector.Sparse, opts
 
 // AppendVectorHits appends to dst every hit an unlimited SearchVectorContext
 // would return — same documents, same score bits, opts.Limit ignored — in
-// that function's order when sorted is set and in unspecified order
-// otherwise. It is the entry point of callers that recycle the hit buffer
-// and may rank the hits under an order of their own (the engine's relevancy
-// merge), which then skip the match-score sort. On cancellation dst is
-// returned unextended with ctx's error.
-func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Options, sorted bool, dst []Hit) ([]Hit, error) {
+// unspecified order. It is the entry point of callers that recycle the hit
+// buffer and rank the hits under an order of their own (the engine's
+// relevancy merge). On cancellation dst is returned unextended with ctx's
+// error.
+func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Options, dst []Hit) ([]Hit, error) {
 	qn := qv.Norm()
 	if qn == 0 {
 		return dst, ctx.Err()
@@ -330,9 +330,6 @@ func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Op
 		if score >= opts.Threshold && score > 0 {
 			hits = append(hits, Hit{doc, score})
 		}
-	}
-	if sorted {
-		sortHits(hits[len(dst):])
 	}
 	return hits, nil
 }

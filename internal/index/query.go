@@ -242,10 +242,11 @@ func (ix *Index) SearchQuery(q Query, opts Options) ([]Hit, error) {
 // from the analyzer's token streams (a frozen analyzer tokenizes a paper on
 // its first such check). No TF-IDF row is touched.
 func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) ([]Hit, error) {
-	hits, err := ix.AppendQueryHits(ctx, q, opts, true, nil)
+	hits, err := ix.AppendQueryHits(ctx, q, opts, nil)
 	if err != nil {
 		return nil, err
 	}
+	sortHits(hits)
 	if opts.Limit > 0 && len(hits) > opts.Limit {
 		hits = hits[:opts.Limit]
 	}
@@ -253,10 +254,9 @@ func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) 
 }
 
 // AppendQueryHits is the boolean counterpart of AppendVectorHits: every hit
-// an unlimited SearchQueryContext would return is appended to dst, in that
-// function's order when sorted is set. On an error dst is returned
-// unextended.
-func (ix *Index) AppendQueryHits(ctx context.Context, q Query, opts Options, sorted bool, dst []Hit) ([]Hit, error) {
+// an unlimited SearchQueryContext would return is appended to dst, in
+// unspecified order. On an error dst is returned unextended.
+func (ix *Index) AppendQueryHits(ctx context.Context, q Query, opts Options, dst []Hit) ([]Hit, error) {
 	raw := vector.New()
 	q.positiveTerms(raw)
 	if len(raw) == 0 {
@@ -300,9 +300,6 @@ func (ix *Index) AppendQueryHits(ctx context.Context, q Query, opts Options, sor
 		if score >= opts.Threshold && score > 0 {
 			hits = append(hits, Hit{doc, score})
 		}
-	}
-	if sorted {
-		sortHits(hits[len(dst):])
 	}
 	return hits, nil
 }

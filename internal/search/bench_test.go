@@ -82,10 +82,9 @@ func BenchmarkEngineSearch1(b *testing.B) { benchmarkEngineSearch(b, 1) }
 func BenchmarkEngineSearch4(b *testing.B) { benchmarkEngineSearch(b, 4) }
 func BenchmarkEngineSearch8(b *testing.B) { benchmarkEngineSearch(b, 8) }
 
-// benchmarkEngineSearchTopK measures the bounded-selection merge: the
-// same 8-context query as BenchmarkEngineSearch8, but asking for one
-// page instead of the full ranked list. The exhaustive baseline for
-// BENCH_PR5.json is BenchmarkEngineSearch8 (Limit 0).
+// benchmarkEngineSearchTopK measures a page: the same 8-context query as
+// BenchmarkEngineSearch8, but asking for the first limit results, so the
+// merge builds results for the ranked prefix only instead of the full list.
 func benchmarkEngineSearchTopK(b *testing.B, limit int) {
 	e := benchEngine(b)
 	opts := benchOpts(b, e, 8)

@@ -132,9 +132,6 @@ func runBattery(t *testing.T, f *fixture, w Weights, rng *rand.Rand) {
 }
 
 func TestDifferentialAgainstNaive(t *testing.T) {
-	oldChunk := topkChunk
-	topkChunk = 16 // several windows per bounded merge on these small corpora
-	t.Cleanup(func() { topkChunk = oldChunk })
 	for _, seed := range []int64{6, 11, 23} {
 		gcfg := corpus.DefaultGenConfig(250)
 		gcfg.Seed = seed
@@ -206,34 +203,26 @@ func (h *handFixture) restrict(i int, docs ...int) {
 	h.sc.member[i] = mb
 }
 
-// reference merges hits the naive way: per context in selection order over
-// the hits it contains, a later context wins only on a strictly greater
-// relevancy; then SortResults.
-func (h *handFixture) reference(hits []index.Hit, opts Options) []Result {
-	best := map[corpus.PaperID]Result{}
-	for i, c := range h.ctxs {
+// reference is naive.go's merge over hits: each selected context searches
+// the fixed hit list restricted to its members.
+func (h *handFixture) reference(t *testing.T, hits []index.Hit, opts Options) []Result {
+	t.Helper()
+	out, err := h.e.mergeNaive(h.ctxs, h.sc.member, opts, func(within bitset.Set) ([]index.Hit, error) {
+		var in []index.Hit
 		for _, hit := range hits {
-			if !h.sc.member[i].Contains(int(hit.Doc)) {
-				continue
-			}
-			p := h.e.matrix.Get(c.Context, hit.Doc)
-			r := h.e.weights.Prestige*p + h.e.weights.Matching*hit.Score
-			if r < opts.Threshold {
-				continue
-			}
-			if cur, ok := best[hit.Doc]; !ok || r > cur.Relevancy {
-				best[hit.Doc] = Result{Doc: hit.Doc, Relevancy: r, Match: hit.Score, Prestige: p, Context: c.Context}
+			if within.Contains(int(hit.Doc)) {
+				in = append(in, hit)
 			}
 		}
+		return in, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := make([]Result, 0, len(best))
-	for _, r := range best {
-		out = append(out, r)
-	}
-	SortResults(out)
 	return out
 }
 
+// merge returns mergeHits' ranked results, unpaginated.
 func (h *handFixture) merge(t *testing.T, hits []index.Hit, opts Options) []Result {
 	t.Helper()
 	out, err := h.e.mergeHits(context.Background(), h.sc, h.ctxs, slices.Clone(hits), opts)
@@ -251,15 +240,31 @@ func docsOf(rs []Result) []corpus.PaperID {
 	return out
 }
 
+// truncatedKeyFixture returns hits whose ranking has a run of keys equal
+// above the index bits. Matching weight 1 and prestige weight 0 make the
+// relevancy the match score itself, so its low mantissa bits can be set at
+// will: with 8 hits the keys drop 3 bits, and docs 0..3 differ only there.
+func truncatedKeyFixture() (*handFixture, []index.Hit) {
+	h := newHandFixture(Weights{Prestige: 0, Matching: 1}, prestige.Scores{"A": {0: 0.5}}, 8, "A")
+	base := math.Float64bits(0.5)
+	return h, []index.Hit{
+		{Doc: 0, Score: math.Float64frombits(base | 1)},
+		{Doc: 1, Score: math.Float64frombits(base | 3)},
+		{Doc: 2, Score: math.Float64frombits(base | 2)},
+		{Doc: 3, Score: math.Float64frombits(base | 3)}, // exact tie with doc 1
+		{Doc: 4, Score: 0.75},
+		{Doc: 5, Score: 0.25},
+		{Doc: 6, Score: 0.125},
+		{Doc: 7, Score: 0.0625},
+	}
+}
+
 // TestMergeTieFixtures pins the places where exactness rests on a tie rule
 // or on the fold's bit arithmetic rather than on floating point.
 func TestMergeTieFixtures(t *testing.T) {
 	plain := Weights{Prestige: 0.5, Matching: 0.5}
 
 	t.Run("members are found across word boundaries, short bitsets and windows", func(t *testing.T) {
-		oldChunk := topkChunk
-		topkChunk = 2
-		t.Cleanup(func() { topkChunk = oldChunk })
 		h := newHandFixture(plain, prestige.Scores{
 			"A": {63: 0.25, 64: 0.125},
 			"B": {64: 0.5, 127: 0.125, 128: 0.875},
@@ -270,10 +275,9 @@ func TestMergeTieFixtures(t *testing.T) {
 		h.restrict(0, 5, 63, 64)         // two words, the hits need three
 		h.restrict(1, 64, 127, 128, 190) // 190 is a member the run does not list
 		h.restrict(2, 7, 70)             // no member among the hits
-		h.restrict(3, 5)                 // first member in the third window; 63 is scored but not a member
+		h.restrict(3, 5)                 // D's only member; 63 is scored but not a member
 		h.restrict(4, 63)                // a member E does not score, right after D scored it: prestige 0, not 1
-		// Descending match score, as the bounded merge requires: windows of two
-		// are {63, 64}, {128, 127}, {5, 190}, {100}. Doc 100 is in no context.
+		// Doc 100 is in no context.
 		hits := []index.Hit{
 			{Doc: 63, Score: 0.875}, {Doc: 64, Score: 0.75}, {Doc: 128, Score: 0.625}, {Doc: 127, Score: 0.5},
 			{Doc: 5, Score: 0.375}, {Doc: 190, Score: 0.25}, {Doc: 100, Score: 0.125},
@@ -281,7 +285,7 @@ func TestMergeTieFixtures(t *testing.T) {
 		if words := len(h.sc.member[0]); words >= 190/64+1 {
 			t.Fatalf("fixture broken: context A's bitset has %d words, want fewer than the hit bitset's", words)
 		}
-		full := h.reference(hits, Options{})
+		full := h.reference(t, hits, Options{})
 		if want := []corpus.PaperID{128, 64, 5, 63, 127, 190}; !slices.Equal(docsOf(full), want) {
 			t.Fatalf("fixture broken: reference order %v, want %v", docsOf(full), want)
 		}
@@ -289,12 +293,8 @@ func TestMergeTieFixtures(t *testing.T) {
 			t.Fatalf("fixture broken: doc 5 should be won by D, its only scoring context: %+v", r)
 		}
 		for _, opts := range []Options{{}, {Threshold: 0.3}, {Limit: 1}, {Limit: 2}, {Limit: 2, Offset: 1}, {Limit: 3, Threshold: 0.3}} {
-			h.e.ResetMergeStats()
 			got := Paginate(h.merge(t, hits, opts), opts)
-			diffBits(t, fmt.Sprintf("bit fixture %+v", opts), got, Paginate(h.reference(hits, opts), opts))
-			if st := h.e.MergeStats(); opts.Limit == 2 && st.WindowsScored < 3 {
-				t.Fatalf("%+v: %d windows scored, want the third (doc 5, D's only member) folded", opts, st.WindowsScored)
-			}
+			diffBits(t, fmt.Sprintf("bit fixture %+v", opts), got, h.reference(t, hits, opts))
 			for d, j := range h.sc.hitOf {
 				if j != 0 {
 					t.Fatalf("%+v: doc→hit table not reset at doc %d", opts, d)
@@ -307,7 +307,7 @@ func TestMergeTieFixtures(t *testing.T) {
 		h := newHandFixture(plain, prestige.Scores{"A": {1: 0.25, 4: 0.25, 6: 0.5}}, 8, "A")
 		hits := []index.Hit{{Doc: 6, Score: 0.5}, {Doc: 4, Score: 0.75}, {Doc: 1, Score: 0.75}}
 		got := h.merge(t, hits, Options{})
-		diffBits(t, "two-paper tie", got, h.reference(hits, Options{}))
+		diffBits(t, "two-paper tie", got, h.reference(t, hits, Options{}))
 		if want := []corpus.PaperID{1, 4, 6}; !slices.Equal(docsOf(got), want) {
 			t.Fatalf("order %v, want %v (bit-equal relevancies: 1 before 4)", docsOf(got), want)
 		}
@@ -322,7 +322,7 @@ func TestMergeTieFixtures(t *testing.T) {
 			hits := []index.Hit{{Doc: 2, Score: 0.25}}
 			for _, opts := range []Options{{}, {Limit: 1}} {
 				got := h.merge(t, hits, opts)
-				diffBits(t, "two-context tie", got, Paginate(h.reference(hits, opts), opts))
+				diffBits(t, "two-context tie", got, h.reference(t, hits, opts))
 				if got[0].Context != ctxs[0] {
 					t.Fatalf("selection %v: context %q won the tie, want the first selected", ctxs, got[0].Context)
 				}
@@ -331,29 +331,39 @@ func TestMergeTieFixtures(t *testing.T) {
 	})
 
 	t.Run("results sharing a truncated sort key take the fix-up", func(t *testing.T) {
-		// Matching weight 1 and prestige weight 0 make the relevancy the
-		// match score itself, so its low mantissa bits can be set at will:
-		// with 8 hits the keys drop 3 bits, and docs 0..3 differ only there.
-		h := newHandFixture(Weights{Prestige: 0, Matching: 1}, prestige.Scores{"A": {0: 0.5}}, 8, "A")
-		base := math.Float64bits(0.5)
-		hits := []index.Hit{
-			{Doc: 0, Score: math.Float64frombits(base | 1)},
-			{Doc: 1, Score: math.Float64frombits(base | 3)},
-			{Doc: 2, Score: math.Float64frombits(base | 2)},
-			{Doc: 3, Score: math.Float64frombits(base | 3)}, // exact tie with doc 1
-			{Doc: 4, Score: 0.75},
-			{Doc: 5, Score: 0.25},
-			{Doc: 6, Score: 0.125},
-			{Doc: 7, Score: 0.0625},
-		}
+		h, hits := truncatedKeyFixture()
 		got := h.merge(t, hits, Options{})
-		diffBits(t, "truncated-key run", got, h.reference(hits, Options{}))
+		diffBits(t, "truncated-key run", got, h.reference(t, hits, Options{}))
 		if want := []corpus.PaperID{4, 1, 3, 2, 0, 5, 6, 7}; !slices.Equal(docsOf(got), want) {
 			t.Fatalf("order %v, want %v", docsOf(got), want)
 		}
 		if !slices.IsSorted(h.sc.keys) {
 			t.Fatal("the key sort did not run: this fixture must take the key path, not the fallback")
 		}
+	})
+
+	t.Run("a page cut inside a truncated-key run ranks the whole run", func(t *testing.T) {
+		// Ranked 4 | 1 3 2 0 | 5 6 7: ranks 1..4 share a key above the index
+		// bits. A prefix whose last rank is 1..3 ends inside that run and
+		// must extend to rank 4, so the fix-up still sees the run whole.
+		h, hits := truncatedKeyFixture()
+		for limit := 1; limit <= len(hits)+1; limit++ {
+			for _, offset := range []int{-3, 0, 1, 3} {
+				opts := Options{Limit: limit, Offset: offset}
+				label := fmt.Sprintf("truncated-key page %+v", opts)
+				ranked := h.merge(t, hits, opts)
+				diffBits(t, label, Paginate(ranked, opts), h.reference(t, hits, opts))
+				want := min(max(offset, 0)+limit, len(hits))
+				if want >= 2 && want <= 4 {
+					want = 5
+				}
+				if len(ranked) != want {
+					t.Fatalf("%s: %d results built, want %d", label, len(ranked), want)
+				}
+			}
+		}
+		neg := Options{Offset: -3, Limit: 2}
+		diffBits(t, "negative offset", Paginate(h.merge(t, hits, neg), neg), Paginate(h.merge(t, hits, Options{Limit: 2}), Options{Limit: 2}))
 	})
 
 	t.Run("index bits exhausted takes the SortResults fallback", func(t *testing.T) {
@@ -366,7 +376,7 @@ func TestMergeTieFixtures(t *testing.T) {
 			hits = append(hits, index.Hit{Doc: corpus.PaperID(d), Score: float64(d+1) / 16})
 		}
 		got := h.merge(t, hits, Options{})
-		diffBits(t, "index bits exhausted", got, h.reference(hits, Options{}))
+		diffBits(t, "index bits exhausted", got, h.reference(t, hits, Options{}))
 		if slices.IsSorted(h.sc.keys) {
 			t.Fatal("keys are sorted: the merge took the key path although the index bits were exhausted")
 		}
@@ -426,8 +436,8 @@ func TestSearchSharedScratchConcurrent(t *testing.T) {
 // set — what a first boot serves from), pinned to the same ceilings: a built
 // set is read exactly as a state file's. Ceilings are the measured counts
 // plus 2; what remains is the tokenizer and the query vector (per query
-// word), the selected contexts, the heap of a bounded merge and the result
-// list.
+// word), the selected contexts and the result list — a page's rows are the
+// ranked prefix, allocated once like a full list's.
 func TestEngineSearchAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")

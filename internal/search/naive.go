@@ -1,6 +1,7 @@
 package search
 
 import (
+	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 )
@@ -20,36 +21,11 @@ func (e *Engine) searchNaive(query string, opts Options) []Result {
 	if len(ctxs) == 0 {
 		return nil
 	}
-	scores := e.matrix.Thaw()
 	qv := e.ix.Analyzer().QueryVector(query)
-	best := make(map[corpus.PaperID]Result)
-	for _, cscore := range ctxs {
-		ctx := cscore.Context
-		within := e.cs.PaperBitset(ctx)
-		if len(within) == 0 {
-			continue // no members: nil would mean no restriction
-		}
-		hits := e.ix.SearchVector(qv, index.Options{WithinSet: within})
-		for _, h := range hits {
-			p := scores.Get(ctx, h.Doc)
-			if e.weights.ContextWeighted {
-				p *= cscore.Score
-			}
-			r := e.weights.Prestige*p + e.weights.Matching*h.Score
-			if r < opts.Threshold {
-				continue
-			}
-			if cur, ok := best[h.Doc]; !ok || r > cur.Relevancy {
-				best[h.Doc] = Result{Doc: h.Doc, Relevancy: r, Match: h.Score, Prestige: p, Context: ctx}
-			}
-		}
-	}
-	out := make([]Result, 0, len(best))
-	for _, r := range best {
-		out = append(out, r)
-	}
-	SortResults(out)
-	return Paginate(out, opts)
+	out, _ := e.mergeNaive(ctxs, e.members(ctxs), opts, func(within bitset.Set) ([]index.Hit, error) {
+		return e.ix.SearchVector(qv, index.Options{WithinSet: within}), nil
+	})
+	return out
 }
 
 // searchBooleanNaive is the reference implementation of SearchBoolean.
@@ -62,15 +38,34 @@ func (e *Engine) searchBooleanNaive(query string, opts Options) ([]Result, error
 	if len(ctxs) == 0 {
 		return nil, nil
 	}
+	return e.mergeNaive(ctxs, e.members(ctxs), opts, func(within bitset.Set) ([]index.Hit, error) {
+		return e.ix.SearchQuery(q, index.Options{WithinSet: within})
+	})
+}
+
+// members returns the selected contexts' membership bitsets.
+func (e *Engine) members(ctxs []ContextScore) []bitset.Set {
+	out := make([]bitset.Set, len(ctxs))
+	for i, c := range ctxs {
+		out[i] = e.cs.PaperBitset(c.Context)
+	}
+	return out
+}
+
+// mergeNaive is the reference merge: per selected context, in selection
+// order, the hits hitsWithin returns for the context's members (members[i])
+// are scored, and a later context replaces an earlier one only on a
+// strictly greater relevancy; the survivors are sorted by SortResults and
+// paginated.
+func (e *Engine) mergeNaive(ctxs []ContextScore, members []bitset.Set, opts Options, hitsWithin func(members bitset.Set) ([]index.Hit, error)) ([]Result, error) {
 	scores := e.matrix.Thaw()
 	best := make(map[corpus.PaperID]Result)
-	for _, cscore := range ctxs {
+	for i, cscore := range ctxs {
 		ctx := cscore.Context
-		within := e.cs.PaperBitset(ctx)
-		if len(within) == 0 {
+		if len(members[i]) == 0 {
 			continue // no members: nil would mean no restriction
 		}
-		hits, err := e.ix.SearchQuery(q, index.Options{WithinSet: within})
+		hits, err := hitsWithin(members[i])
 		if err != nil {
 			return nil, err
 		}

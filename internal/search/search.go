@@ -31,7 +31,6 @@ import (
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/prestige"
-	"ctxsearch/internal/topk"
 )
 
 // scoreRowHook, when non-nil, runs before each per-context scoring row.
@@ -43,11 +42,6 @@ var scoreRowHook func()
 // index (see rank); a hit list needing more takes the SortResults
 // fallback. A variable so tests can force that fallback.
 var keyIndexBits = 24
-
-// topkChunk is the minimum hit-window size of the bounded top-k merge.
-// A variable so tests can shrink it and exercise multi-window runs (and
-// the early-termination break) on small fixtures.
-var topkChunk = 256
 
 // Weights combine prestige and text-matching into the relevancy score.
 type Weights struct {
@@ -128,8 +122,7 @@ type Engine struct {
 	nameTokens []int32
 	tokenCtxs  map[string][]int32
 	// pool recycles the per-query scratch across queries.
-	pool  sync.Pool
-	merge mergeCounters
+	pool sync.Pool
 }
 
 // scratch is the reusable per-query arena. Selection counts query∩name
@@ -397,9 +390,8 @@ func (e *Engine) SearchBooleanContext(ctx context.Context, query string, opts Op
 
 // search is the one query pipeline: q is the parsed boolean query, nil for
 // a vector search. The query string is tokenized and stemmed once, for
-// context selection and the query vector alike, and the index is asked for
-// hits in match-score order only when a page was requested: the bounded
-// merge walks them in that order, the exhaustive merge ranks them itself.
+// context selection and the query vector alike, and the index hands over
+// its hits unsorted: the merge ranks them by relevancy itself.
 func (e *Engine) search(ctx context.Context, query string, q index.Query, opts Options) ([]Result, error) {
 	sc := e.getScratch()
 	defer e.pool.Put(sc)
@@ -410,9 +402,9 @@ func (e *Engine) search(ctx context.Context, query string, q index.Query, opts O
 	}
 	iopts := index.Options{WithinSet: sc.bind(e.cs, ctxs), Threshold: e.indexThreshold(ctxs, opts)}
 	if q != nil {
-		sc.hits, err = e.ix.AppendQueryHits(ctx, q, iopts, opts.Limit > 0, sc.hits[:0])
+		sc.hits, err = e.ix.AppendQueryHits(ctx, q, iopts, sc.hits[:0])
 	} else {
-		sc.hits, err = e.ix.AppendVectorHits(ctx, e.ix.Analyzer().TermsVector(words), iopts, opts.Limit > 0, sc.hits[:0])
+		sc.hits, err = e.ix.AppendVectorHits(ctx, e.ix.Analyzer().TermsVector(words), iopts, sc.hits[:0])
 	}
 	if err != nil {
 		return nil, err
@@ -439,7 +431,7 @@ func (e *Engine) search(ctx context.Context, query string, q index.Query, opts O
 // attain in the selected contexts: the maximum over contexts of the
 // prestige row maximum times the context weight. Multiplication by a
 // non-negative weight is monotone in IEEE arithmetic, so every stored
-// score obeys the bound exactly — the pruning built on it needs no
+// score obeys the bound exactly — the index floor built on it needs no
 // epsilon.
 func (e *Engine) prestigeBound(ctxs []ContextScore) float64 {
 	var bound float64
@@ -483,31 +475,31 @@ func (e *Engine) indexThreshold(ctxs []ContextScore, opts Options) float64 {
 	return t
 }
 
-// WorseResult is the bounded-merge heap order: a is worse than b when it
-// ranks later under SortResults (lower relevancy, ties by higher doc ID).
-// Documents are unique within a result list, so this is a strict total
-// order and the selected top k equal the full sort's prefix exactly.
+// WorseResult reports whether a ranks after b under SortResults (lower
+// relevancy, ties by higher doc ID). Documents are unique within a result
+// list, so this is a strict total order: the shard page merge picks rows
+// by it, and a list is in SortResults order exactly when every row is
+// worse than the row before it.
 func WorseResult(a, b Result) bool {
 	return a.Relevancy < b.Relevancy || (a.Relevancy == b.Relevancy && a.Doc > b.Doc)
 }
 
-// fold scores one window of hits against the selected contexts, in selection
-// order, touching only the hits each context contains: the set bits of the
-// context's membership bitset ANDed with the window's hit bitset are mapped
+// fold scores the hits against the selected contexts, in selection order,
+// touching only the hits each context contains: the set bits of the
+// context's membership bitset ANDed with the hit bitset are mapped
 // through the doc→hit table into a member list (no per-hit membership
 // branch), the members' prestige is written into the row — 0 for a member the
 // CSR run does not list, the run's value times the context weight for one it
 // does — and folded into the per-hit best arrays. Only members' row slots are
 // read, and each is zeroed when its member is listed, so the row is never
-// reset: a context costs its members, not the window. The relevancy
+// reset: a context costs its members, not the hit list. The relevancy
 // expression and the threshold test are the naive loop's, and a later context
 // replaces an earlier one only on a strictly greater relevancy, so the first
 // selected context keeps ties — as there. Cancellation is checked between
 // context rows; a cancelled fold returns ctx.Err() with the doc→hit table
 // reset.
-func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hits []index.Hit, threshold float64, st *MergeStats) error {
+func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hits []index.Hit, threshold float64) error {
 	n := len(hits)
-	st.HitsMerged += uint64(n)
 	maxDoc := 0
 	for j, h := range hits {
 		maxDoc = max(maxDoc, int(h.Doc))
@@ -586,7 +578,7 @@ func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hit
 	return nil
 }
 
-// result assembles hit j of the folded window.
+// result assembles folded hit j.
 func (sc *scratch) result(ctxs []ContextScore, hits []index.Hit, j int) Result {
 	return Result{
 		Doc:       hits[j].Doc,
@@ -597,46 +589,25 @@ func (sc *scratch) result(ctxs []ContextScore, hits []index.Hit, j int) Result {
 	}
 }
 
-// boundedK returns the selection size offset+limit when the bounded
-// top-k merge applies, and 0 when the exhaustive merge must run: no
-// limit was requested, the page covers the whole hit list anyway, or a
-// negative weight breaks the upper-bound algebra the pruning rests on.
-func (e *Engine) boundedK(opts Options, nhits int) int {
-	if opts.Limit <= 0 || opts.Offset < 0 || e.weights.Prestige < 0 || e.weights.Matching < 0 {
-		return 0
-	}
-	k := opts.Offset + opts.Limit
-	if k >= nhits {
-		return 0
-	}
-	return k
-}
-
-// mergeHits turns one union-pass hit list (sc bound to ctxs) into ranked
-// results: for every hit, the relevancy R(p, q, ci) is computed in every
-// selected context containing the paper, and the maximising context wins.
-//
-// When the caller asked for a page (Limit > 0; the hits then come by
-// descending match score), the bounded path keeps only the offset+limit
-// best results in a selection heap and prunes with the per-query prestige
-// bound; otherwise every surviving hit is ranked. Both paths return results
-// in SortResults order, byte-identical to the naive reference for the
-// requested page (the golden tests pin this).
+// mergeHits turns one union-pass hit list (sc bound to ctxs), in any
+// order, into ranked results: for every hit, the relevancy R(p, q, ci) is
+// computed in every selected context containing the paper, and the
+// maximising context wins. A page request (Limit > 0) gets the ranked
+// prefix that holds its page, a full list every result; either way the
+// results are in SortResults order and byte-identical to the naive
+// reference's (the golden tests pin this).
 func (e *Engine) mergeHits(ctx context.Context, sc *scratch, ctxs []ContextScore, hits []index.Hit, opts Options) ([]Result, error) {
 	if len(hits) == 0 {
 		return nil, ctx.Err()
 	}
-	var st MergeStats
-	defer e.merge.add(&st)
-	if k := e.boundedK(opts, len(hits)); k > 0 {
-		st.Bounded++
-		return e.mergeTopK(ctx, sc, ctxs, hits, opts, k, &st)
-	}
-	st.Exhaustive++
-	if err := e.fold(ctx, sc, ctxs, hits, opts.Threshold, &st); err != nil {
+	if err := e.fold(ctx, sc, ctxs, hits, opts.Threshold); err != nil {
 		return nil, err
 	}
-	return sc.rank(ctxs, hits), nil
+	prefix := 0
+	if opts.Limit > 0 {
+		prefix = max(opts.Offset, 0) + opts.Limit
+	}
+	return sc.rank(ctxs, hits, prefix), nil
 }
 
 // rank returns the folded hits that a context admitted, in SortResults
@@ -645,9 +616,12 @@ func (e *Engine) mergeHits(ctx context.Context, sc *scratch, ctxs []ContextScore
 // order is numeric order — with the low bits replaced by the hit index.
 // Keys that agree above the index bits stand for relevancies equal up to
 // the truncation, exact ties included; each such run is put in exact order
-// by SortResults. A negative or NaN relevancy, or a hit list whose indexes
-// need more than keyIndexBits bits, sorts the results themselves.
-func (sc *scratch) rank(ctxs []ContextScore, hits []index.Hit) []Result {
+// by SortResults. A positive prefix builds results for only the first
+// prefix keys, extended to the end of the run the cut lands in, so every
+// run is still ordered whole. A negative or NaN relevancy, or a hit list
+// whose indexes need more than keyIndexBits bits, sorts all the results
+// themselves.
+func (sc *scratch) rank(ctxs []ContextScore, hits []index.Hit, prefix int) []Result {
 	const infBits = 0x7FF << 52
 	shift := bits.Len(uint(len(hits) - 1))
 	mask := uint64(1)<<shift - 1
@@ -664,6 +638,12 @@ func (sc *scratch) rank(ctxs []ContextScore, hits []index.Hit) []Result {
 	sc.keys = keys
 	if sortable {
 		slices.Sort(keys)
+		if prefix > 0 && prefix < len(keys) {
+			for prefix < len(keys) && keys[prefix]>>shift == keys[prefix-1]>>shift {
+				prefix++
+			}
+			keys = keys[:prefix]
+		}
 	}
 	out := make([]Result, len(keys))
 	for k, key := range keys {
@@ -684,47 +664,6 @@ func (sc *scratch) rank(ctxs []ContextScore, hits []index.Hit) []Result {
 		lo = hi
 	}
 	return out
-}
-
-// mergeTopK is the bounded merge: hits are processed in windows of
-// descending match score, every surviving result is offered to a
-// k-bounded selection heap, and the loop stops as soon as the window's
-// best attainable relevancy — w_p·prestigeBound + w_m·(window's top match
-// score), an exact upper bound because every operation is monotone in
-// IEEE arithmetic — can no longer beat the heap's k-th result or reach
-// the threshold. Work done is proportional to the page actually served,
-// not the hit count, while the returned page is byte-identical to the
-// exhaustive merge's prefix: each window runs the same fold, and the
-// heap's (relevancy, doc) order is the total order SortResults uses.
-func (e *Engine) mergeTopK(ctx context.Context, sc *scratch, ctxs []ContextScore, hits []index.Hit, opts Options, k int, st *MergeStats) ([]Result, error) {
-	bound := e.weights.Prestige * e.prestigeBound(ctxs)
-	heap := topk.New(k, WorseResult)
-	chunk := max(k, topkChunk)
-	for lo := 0; lo < len(hits); lo += chunk {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// hits[lo] has the window's (and every later window's) best match
-		// score, so this bound only decreases: break, don't skip.
-		ub := bound + e.weights.Matching*hits[lo].Score
-		if ub < opts.Threshold || (heap.Full() && ub < heap.Min().Relevancy) {
-			st.WindowBreaks++
-			break
-		}
-		win := hits[lo:min(lo+chunk, len(hits))]
-		if err := e.fold(ctx, sc, ctxs, win, opts.Threshold, st); err != nil {
-			return nil, err
-		}
-		st.WindowsScored++
-		for j := range win {
-			if sc.bestI[j] >= 0 {
-				heap.Offer(sc.result(ctxs, win, j))
-			}
-		}
-	}
-	out := heap.Items()
-	SortResults(out)
-	return out, nil
 }
 
 // SortResults orders results by descending relevancy, ties by ascending

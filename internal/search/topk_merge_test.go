@@ -57,17 +57,12 @@ func TestPaginate(t *testing.T) {
 	}
 }
 
-// TestSearchTopKGoldenEquality asserts the bounded top-k merge returns
-// byte-identical pages to the naive per-context reference across
-// randomized (limit, offset, threshold, context-count) combinations. The
-// window size is shrunk so small fixtures run many windows and exercise
-// the early-termination break, and the trials hit both the serial and
-// pooled scoring paths.
+// TestSearchTopKGoldenEquality asserts a page — the ranked prefix the
+// merge builds for offset+limit — is byte-identical to the naive
+// per-context reference's across randomized (limit, offset, threshold,
+// context-count) combinations.
 func TestSearchTopKGoldenEquality(t *testing.T) {
 	f := buildFixture(t)
-	oldChunk := topkChunk
-	topkChunk = 4
-	t.Cleanup(func() { topkChunk = oldChunk })
 
 	queries := goldenQueries(f)
 	rng := rand.New(rand.NewSource(42))
@@ -90,13 +85,10 @@ func TestSearchTopKGoldenEquality(t *testing.T) {
 	}
 }
 
-// TestSearchBooleanTopKGoldenEquality covers the bounded merge on the
-// boolean query path (same hit ordering contract, different index pass).
+// TestSearchBooleanTopKGoldenEquality covers pages on the boolean query
+// path (the same merge, a different index pass).
 func TestSearchBooleanTopKGoldenEquality(t *testing.T) {
 	f := buildFixture(t)
-	oldChunk := topkChunk
-	topkChunk = 4
-	t.Cleanup(func() { topkChunk = oldChunk })
 
 	name, _ := queryForSomeContext(t, f)
 	queries := []string{name, name + " OR transport", "NOT qqqzzz " + name}
@@ -154,25 +146,5 @@ func TestIndexThresholdSafety(t *testing.T) {
 	bad := &Engine{matrix: e.matrix, weights: Weights{Prestige: -0.5, Matching: 0.5}}
 	if got := bad.indexThreshold(ctxs, Options{Threshold: 0.5}); got != 0 {
 		t.Fatalf("negative prestige weight must disable the floor, got %v", got)
-	}
-}
-
-// TestBoundedKGate pins when the bounded merge may run: only for a
-// requested page smaller than the hit list, under non-negative weights.
-func TestBoundedKGate(t *testing.T) {
-	f := buildFixture(t)
-	e := f.engine
-	if k := e.boundedK(Options{Limit: 10, Offset: 5}, 100); k != 15 {
-		t.Fatalf("boundedK = %d, want 15", k)
-	}
-	if k := e.boundedK(Options{}, 100); k != 0 {
-		t.Fatalf("no limit must use the exhaustive merge, got k=%d", k)
-	}
-	if k := e.boundedK(Options{Limit: 50, Offset: 60}, 100); k != 0 {
-		t.Fatalf("page covering the hit list must use the exhaustive merge, got k=%d", k)
-	}
-	bad := &Engine{weights: Weights{Prestige: 0.5, Matching: -0.5}}
-	if k := bad.boundedK(Options{Limit: 10}, 100); k != 0 {
-		t.Fatalf("negative weight must use the exhaustive merge, got k=%d", k)
 	}
 }

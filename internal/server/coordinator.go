@@ -283,8 +283,8 @@ type rangePage struct {
 	n    int
 }
 
-// decodeRangePage takes a 200 from /shard/search for what was asked: rows
-// without unknown fields or, of a finishing call, a page under
+// decodeRangePage takes a 200 from /shard/search for what was asked: ranked
+// rows without unknown fields or, of a finishing call, a page under
 // pageRowsHeader. Anything else is an error and no page.
 func decodeRangePage(rep reply, finish bool) (rangePage, error) {
 	if finish {
@@ -299,6 +299,9 @@ func decodeRangePage(rep reply, finish bool) (rangePage, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&resp); err != nil {
 		return rangePage{}, err
+	}
+	if i := misranked(resp.Results); i >= 0 {
+		return rangePage{}, fmt.Errorf("row %d (doc %d) does not rank after row %d (doc %d)", i, resp.Results[i].Doc, i-1, resp.Results[i-1].Doc)
 	}
 	return rangePage{rows: resp.Results}, nil
 }

@@ -909,15 +909,51 @@ func TestShardSearchEndpoint(t *testing.T) {
 			t.Fatalf("finish %s = %d, want 400: %s", fin, rec.Code, rec.Body)
 		}
 	}
+
+	// The page merge relies on the rows being ranked and naming papers
+	// neither the rows nor this server's own results name again: rows that
+	// break either rule are a 400, never a page that repeats or drops a
+	// paper. Docs a < b < z are outside this server's top 5.
+	own := map[ctxsearch.PaperID]bool{}
+	for _, r := range resp.Results {
+		own[r.Doc] = true
+	}
+	var free []ctxsearch.PaperID
+	for d := ctxsearch.PaperID(0); len(free) < 3; d++ {
+		if !own[d] {
+			free = append(free, d)
+		}
+	}
+	a, b, z, mine, c := free[0], free[1], free[2], resp.Results[0].Doc, sys.Ontology.TermIDs()[0]
+	row := func(d ctxsearch.PaperID, r float64) string { return fmt.Sprintf(`{"d":%d,"r":%v,"c":%q}`, d, r, c) }
+	for _, tc := range []struct {
+		name string
+		rows []string
+		code int
+	}{
+		{"ranked distinct rows", []string{row(z, .99), row(a, .5), row(b, .5)}, 200},
+		{"a paper twice", []string{row(a, .99), row(a, .98)}, 400},
+		{"a paper twice in a row, exact tie", []string{row(a, .5), row(a, .5)}, 400},
+		{"rising relevancy", []string{row(a, .10), row(b, .98)}, 400},
+		{"tie with a falling doc ID", []string{row(b, .5), row(a, .5)}, 400},
+		{"a paper of the server's own results", []string{row(mine, .5)}, 400},
+	} {
+		body := fmt.Sprintf(`{"q":%q,"limit":5,"finish":{"offset":0,"limit":10,"rows":[%s]}}`, query, strings.Join(tc.rows, ","))
+		if rec := post(body); rec.Code != tc.code {
+			t.Fatalf("%s: finish = %d, want %d: %s", tc.name, rec.Code, tc.code, rec.Body)
+		}
+	}
 }
 
 // TestShardSearchBodyCap drives maxShardBody with the largest finishing
-// request the coordinator can send: the deepest page (MaxOffset, MaxLimit)
-// carrying MaxOffset+MaxLimit other-range rows, each naming the corpus's
-// longest paper ID and longest context ID, with scores of 17 significant
-// digits behind five zeros — the longest a score in [0,1] encodes to. It
-// must encode under the cap and be answered; padded to exactly the cap it is
-// still answered, and one byte past the cap is a 400.
+// request the wire allows: the deepest page (MaxOffset, MaxLimit) carrying
+// MaxOffset+MaxLimit other-range rows, each naming the corpus's longest
+// paper ID and longest context ID, with scores of 17 significant digits
+// behind five zeros — the longest a score in [0,1] encodes to. It must
+// encode under the cap and be decoded in full, also padded to exactly the
+// cap, and one byte past the cap is cut off. Its rows repeat one paper, so
+// the answer is the finish-rows 400; a finish the server can answer, padded
+// to exactly the cap, gets its page.
 func TestShardSearchBodyCap(t *testing.T) {
 	sys, cs, m, query := frozenMatrix(t)
 	// No query deadline: this is about bytes, and under the race detector
@@ -961,16 +997,23 @@ func TestShardSearchBodyCap(t *testing.T) {
 	if len(body) >= maxShardBody {
 		t.Fatalf("worst-case finishing request is %d bytes, cap %d", len(body), maxShardBody)
 	}
-	if rec := post(body); rec.Code != 200 || rec.Header().Get(pageRowsHeader) != strconv.Itoa(MaxLimit) {
-		t.Fatalf("worst-case finishing request = %d, %s %q: %.200s", rec.Code, pageRowsHeader, rec.Header().Get(pageRowsHeader), rec.Body)
-	}
-	// Leading whitespace moves the closing brace to the cap's last byte, then
-	// one past it.
-	for pad, want := range map[int]int{maxShardBody - len(body): 200, maxShardBody - len(body) + 1: 400} {
+	// Every row names the same paper, which a finish rejects only once the
+	// whole body is decoded: the 400 then names the rows, while a body cut
+	// off by the cap gets the decode error. Leading whitespace moves the
+	// closing brace to the cap's last byte, then one past it.
+	for pad, want := range map[int]string{0: "bad finish rows", maxShardBody - len(body): "bad finish rows", maxShardBody - len(body) + 1: "bad shard request"} {
 		padded := append(bytes.Repeat([]byte{' '}, pad), body...)
-		if rec := post(padded); rec.Code != want {
-			t.Fatalf("%d-byte body (cap %d) = %d, want %d: %.200s", len(padded), maxShardBody, rec.Code, want, rec.Body)
+		if rec := post(padded); rec.Code != 400 || !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("%d-byte body (cap %d) = %d, want 400 %q: %.200s", len(padded), maxShardBody, rec.Code, want, rec.Body)
 		}
+	}
+	// A finish the server answers, padded to exactly the cap, is answered.
+	small, err := json.Marshal(ShardSearchRequest{Q: query, Limit: MaxLimit, Finish: &ShardFinish{Limit: MaxLimit, Rows: []ShardRow{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := post(append(bytes.Repeat([]byte{' '}, maxShardBody-len(small)), small...)); rec.Code != 200 || rec.Header().Get(pageRowsHeader) == "" {
+		t.Fatalf("%d-byte finishing request (cap %d) = %d: %.200s", maxShardBody, maxShardBody, rec.Code, rec.Body)
 	}
 }
 
@@ -1034,5 +1077,27 @@ func TestCoordinatorProxyStallIsATimeout(t *testing.T) {
 	<-done
 	if rs := replica(); rs.Requests != before+2 || rs.Timeouts != 1 || rs.Errors != 0 || rs.State != "closed" {
 		t.Fatalf("after an abandoned proxied request: %+v, want %d requests (it, and this /stats), timeouts 1, errors 0, breaker closed", rs, before+2)
+	}
+}
+
+// TestDecodeRangePageRanksRows: a range's rows feed a merge that relies on
+// their order, so rows out of SortResults order, or one paper twice in a
+// row, make the answer a bad shard response — a failed call the policy
+// retries or fails over, like any other 200 of the wrong shape.
+func TestDecodeRangePageRanksRows(t *testing.T) {
+	for _, tc := range []struct {
+		rows string
+		ok   bool
+	}{
+		{`[]`, true},
+		{`[{"d":5,"r":0.9},{"d":2,"r":0.5},{"d":4,"r":0.5}]`, true},
+		{`[{"d":4,"r":0.1},{"d":5,"r":0.98}]`, false},
+		{`[{"d":4,"r":0.5},{"d":2,"r":0.5}]`, false},
+		{`[{"d":3,"r":0.5},{"d":3,"r":0.5}]`, false},
+	} {
+		_, err := decodeRangePage(reply{status: 200, body: []byte(`{"results":` + tc.rows + `}`)}, false)
+		if (err == nil) != tc.ok {
+			t.Fatalf("rows %s: err %v, want ok %v", tc.rows, err, tc.ok)
+		}
 	}
 }

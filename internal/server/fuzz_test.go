@@ -72,7 +72,8 @@ func fuzzServer(f *testing.F) (*Server, *panicLog) {
 // Whatever they name — papers outside the corpus, contexts the ontology never
 // had, a paper of the shard's own range, more rows than any merge holds — and
 // whatever window comes with them, the answer is a 400 or a finished page of
-// at most finish.limit rows, counted in the row-count header. The checked-in
+// at most finish.limit distinct papers in descending relevancy (ties by
+// ascending paper ID), counted in the row-count header. The checked-in
 // corpus holds the hostile shapes; rows the fixture can render are added
 // here, where its identifiers are known.
 func FuzzShardFinish(f *testing.F) {
@@ -83,6 +84,8 @@ func FuzzShardFinish(f *testing.F) {
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":10,"finish":{"offset":0,"limit":10,"rows":[{"d":3,"r":0.5,"m":0.25,"p":0.75,"c":%q}]}}`, query, ctx)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":4,"finish":{"offset":2,"limit":2,"partial":true,"rows":[{"d":3,"c":%q},{"d":3,"c":%q}]}}`, query, ctx, ctx)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":1,"finish":{"offset":0,"limit":1,"rows":[{"d":%d,"c":%q}]}}`, query, n, ctx)))
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":10,"finish":{"offset":0,"limit":10,"rows":[{"d":3,"r":0.99,"c":%q},{"d":3,"r":0.98,"c":%q}]}}`, query, ctx, ctx)))
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":10,"finish":{"offset":0,"limit":10,"rows":[{"d":4,"r":0.1,"c":%q},{"d":5,"r":0.98,"c":%q}]}}`, query, ctx, ctx)))
 	f.Add([]byte(`{"q":"x","limit":1,"finish":{"offset":0,"limit":1,"rows":[` + strings.Repeat(`{},`, 300000) + `{}]}}`))   // fits the body cap, exceeds MaxOffset+MaxLimit
 	f.Add([]byte(`{"q":"x","limit":1,` + strings.Repeat(" ", maxShardBody) + `"finish":{"offset":0,"limit":1,"rows":[]}}`)) // cut off by the body cap
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -95,6 +98,19 @@ func FuzzShardFinish(f *testing.F) {
 		if len(page.Results) > req.Finish.Limit || rec.Header().Get(pageRowsHeader) != fmt.Sprint(len(page.Results)) {
 			t.Fatalf("limit %d, %d rows rendered, %s %q: %q", req.Finish.Limit, len(page.Results),
 				pageRowsHeader, rec.Header().Get(pageRowsHeader), body)
+		}
+		seen := map[int]bool{}
+		for i, r := range page.Results {
+			if seen[r.PaperID] {
+				t.Fatalf("paper %d served twice: %q", r.PaperID, body)
+			}
+			seen[r.PaperID] = true
+			if i == 0 {
+				continue
+			}
+			if prev := page.Results[i-1]; r.Relevancy > prev.Relevancy || r.Relevancy == prev.Relevancy && r.PaperID < prev.PaperID {
+				t.Fatalf("rows %d and %d out of order: %q", i-1, i, body)
+			}
 		}
 	})
 }

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"ctxsearch"
+	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/cache"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/search"
@@ -190,11 +191,6 @@ func NewPending(cfg Config) *Server {
 // backend's mapping is closed after the swap — its pages stay valid until
 // the last in-flight request that retained them releases, then unmap.
 func (s *Server) SetReadyMapped(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, searcher *ctxsearch.Engine, ref StateRef) {
-	// /stats reports merge counters per generation, not per process: zero
-	// them as the generation is installed. (Engines are not shared across
-	// generations — each install binds new ones — so in-flight queries of
-	// the old generation never pollute the new counters.)
-	searcher.ResetMergeStats()
 	old := s.backend.Swap(&backend{
 		sys:      sys,
 		cs:       cs,
@@ -510,6 +506,19 @@ type ShardFinish struct {
 // which is all a merge needs.
 type ShardRow = ctxsearch.SearchResult
 
+// misranked returns the index of the first row that does not rank strictly
+// after its predecessor under search.SortResults — out of order, or the
+// same paper twice in a row — and -1 when there is none. Rows off the wire
+// are checked with it before a merge that relies on their order reads them.
+func misranked(rows []ShardRow) int {
+	for i := 1; i < len(rows); i++ {
+		if !search.WorseResult(rows[i], rows[i-1]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // ShardSearchResponse carries one shard's ranked, unrendered page back to
 // the coordinator. Rows are in the engine's result order (descending
 // relevancy, ties by ascending paper id).
@@ -579,12 +588,16 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// The rows come off the wire: each must name a paper and a context
-		// this corpus has.
+		// this corpus has, and MergePages needs them ranked.
 		for _, row := range fin.Rows {
 			if b.sys.Corpus.Paper(row.Doc) == nil || b.sys.Ontology.Term(row.Context) == nil {
 				writeErr(w, http.StatusBadRequest, "bad finish row: doc %d, context %q", row.Doc, row.Context)
 				return
 			}
+		}
+		if i := misranked(fin.Rows); i >= 0 {
+			writeErr(w, http.StatusBadRequest, "bad finish rows: row %d (doc %d) does not rank after row %d (doc %d)", i, fin.Rows[i].Doc, i-1, fin.Rows[i-1].Doc)
+			return
 		}
 	}
 	ctx := r.Context()
@@ -605,6 +618,17 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	if fin == nil {
 		writeJSON(w, http.StatusOK, ShardSearchResponse{Results: results})
 		return
+	}
+	// MergePages also needs the pages to hold disjoint papers.
+	seen := bitset.New(b.sys.Corpus.Len())
+	for _, rows := range [][]ShardRow{results, fin.Rows} {
+		for _, row := range rows {
+			if seen.Contains(int(row.Doc)) {
+				writeErr(w, http.StatusBadRequest, "bad finish rows: doc %d is listed twice", row.Doc)
+				return
+			}
+			seen.Add(int(row.Doc))
+		}
 	}
 	page := shard.MergePages([][]ShardRow{results, fin.Rows}, ctxsearch.SearchOptions{Limit: fin.Limit, Offset: fin.Offset})
 	body, err := b.renderPage(ctx, req.Q, page, fin.Partial)
@@ -745,12 +769,6 @@ type StatsResponse struct {
 	// Deprecated: kept only because bench/run.go compiles against it; it
 	// goes when bench/ stops naming it.
 	TopK *index.TopKStats `json:"topk,omitempty"`
-	// Merge holds the prestige merge's counters for the installed
-	// generation, reset on every SetReadyMapped swap: merges by path (exhaustive, bounded),
-	// hits folded, and how often the bounded merge's early termination
-	// fired (window_breaks) — zero there means every page so far needed
-	// its whole hit list.
-	Merge *search.MergeStats `json:"merge,omitempty"`
 	// AnalyzedPapers counts this generation's paper analyses: every paper
 	// after an in-process build, 0 on a state-booted server that only
 	// serves.
@@ -785,7 +803,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if cs := s.coldStart.Load(); cs > 0 {
 		resp.ColdStartMS = float64(cs) / float64(time.Millisecond)
 	}
-	merge := b.searcher.MergeStats()
-	resp.Merge = &merge
 	writeJSON(w, http.StatusOK, resp)
 }

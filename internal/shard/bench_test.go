@@ -27,9 +27,9 @@ func benchPages(n, rows int) [][]search.Result {
 }
 
 // BenchmarkMergePages measures coordinator-side merge throughput: K sorted
-// shard pages into one exact top-k page. The limit-10 cases exercise the
-// early-termination break (most rows are never offered), the unbounded case
-// the concatenate-and-sort path.
+// shard pages k-way merged into one exact page. The limit-10 cases take
+// the best page head ten times and never read the other rows; the
+// unbounded case takes every row.
 func BenchmarkMergePages(b *testing.B) {
 	for _, shards := range []int{2, 4, 8} {
 		for _, rows := range []int{100, 1000} {

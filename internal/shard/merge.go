@@ -1,9 +1,6 @@
 package shard
 
-import (
-	"ctxsearch/internal/search"
-	"ctxsearch/internal/topk"
-)
+import "ctxsearch/internal/search"
 
 // MergePages merges per-shard ranked pages into the page a single engine
 // would serve for opts, exactly.
@@ -14,39 +11,31 @@ import (
 // contains its shard's top ShardOptions(opts) results. Under those
 // invariants the global top offset+limit results are all present in the
 // input (restricting a ranking to a subset of papers can only improve a
-// paper's rank), so the bounded heap selects exactly them, and the final
-// SortResults + Paginate reproduce the single-engine page byte for byte.
-//
-// Early termination is monotone: pages are sorted, so a page's next row is
-// an exact upper bound on everything after it. Once the heap is full and a
-// row cannot displace the heap minimum, the rest of that page is skipped
-// — the same rows Offer would have rejected one by one. In particular a
-// whole shard whose best row is already beaten costs one comparison.
+// paper's rank), and a k-way merge — take the best page head, offset+limit
+// times, or until every row is taken when the request is unbounded —
+// yields them in order; Paginate then cuts the single-engine page byte for
+// byte.
 func MergePages(pages [][]search.Result, opts search.Options) []search.Result {
-	k := 0
-	if opts.Limit > 0 && opts.Offset >= 0 {
-		k = opts.Offset + opts.Limit
-	}
-	if k <= 0 {
-		// Unbounded request: concatenate (papers are disjoint across
-		// shards) and sort the union.
-		var out []search.Result
-		for _, p := range pages {
-			out = append(out, p...)
-		}
-		search.SortResults(out)
-		return search.Paginate(out, opts)
-	}
-	heap := topk.New(k, search.WorseResult)
+	n := 0
 	for _, p := range pages {
-		for _, r := range p {
-			if heap.Full() && !search.WorseResult(heap.Min(), r) {
-				break // sorted page: every later row is worse still
-			}
-			heap.Offer(r)
+		n += len(p)
+	}
+	if opts.Limit > 0 {
+		if k := max(opts.Offset, 0) + opts.Limit; k > 0 {
+			n = min(n, k)
 		}
 	}
-	out := heap.Items()
-	search.SortResults(out)
+	out := make([]search.Result, 0, n)
+	heads := make([]int, len(pages))
+	for len(out) < n {
+		best := -1
+		for i, p := range pages {
+			if heads[i] < len(p) && (best < 0 || search.WorseResult(pages[best][heads[best]], p[heads[i]])) {
+				best = i
+			}
+		}
+		out = append(out, pages[best][heads[best]])
+		heads[best]++
+	}
 	return search.Paginate(out, opts)
 }

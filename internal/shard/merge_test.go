@@ -85,7 +85,8 @@ func TestMergePagesEdgeCases(t *testing.T) {
 
 // TestMergePagesRandomized: randomized shard counts, page sizes, and
 // paging against the reference — tie-heavy scores make any ordering bug
-// in the bounded-heap path surface.
+// in the k-way merge surface. A negative offset must serve the same page
+// as offset 0.
 func TestMergePagesRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 300; trial++ {
@@ -98,5 +99,7 @@ func TestMergePagesRandomized(t *testing.T) {
 		got := MergePages(pages, opts)
 		label := fmt.Sprintf("trial %d sizes %v opts %+v", trial, sizes, opts)
 		diffMerged(t, label, got, refMerge(pages, opts))
+		neg := search.Options{Limit: opts.Limit, Offset: -1 - rng.Intn(5)}
+		diffMerged(t, fmt.Sprintf("%s, offset %d", label, neg.Offset), MergePages(pages, neg), MergePages(pages, search.Options{Limit: opts.Limit}))
 	}
 }

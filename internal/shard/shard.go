@@ -11,9 +11,10 @@
 // are weighted) and its prestige depends only on its own (context, paper)
 // cell. A shard's ranked page is therefore exactly the single-engine result
 // list filtered to its papers, the global top offset+limit results are
-// contained in the union of the per-shard top offset+limit pages, and the
-// bounded heap merge under the engine's own total order reconstructs the
-// single-engine page byte for byte (the golden batteries pin this).
+// contained in the union of the per-shard top offset+limit pages, and a
+// k-way merge of the sorted pages under the engine's own total order
+// reconstructs the single-engine page byte for byte (the golden batteries
+// pin this).
 //
 // This package holds what both sides of that deployment share: the range
 // engines a shard process serves (RangeEngineParts), the paging
