@@ -85,7 +85,7 @@ bench-build:
 	$(GO) test -run xxx -bench 'BenchmarkTextContextSet' -benchmem ./internal/contextset/
 	$(GO) test -run xxx -bench 'BenchmarkIndexBuildWorkers' -benchmem ./internal/index/
 	$(GO) test -run xxx -bench 'BenchmarkPosIndexBuildWorkers' -benchmem ./internal/pattern/
-	$(GO) test -run xxx -bench 'BenchmarkTextScoreContext|BenchmarkScoreAllParallel1kContexts' -benchmem ./internal/prestige/
+	$(GO) test -run xxx -bench 'BenchmarkTextScoreContext|BenchmarkScore1kContexts' -benchmem ./internal/prestige/
 	$(GO) test -run xxx -bench 'BenchmarkSystemBuild' -benchmem .
 
 # The sharded-serving benchmark: the coordinator's k-way merge of the
@@ -106,9 +106,9 @@ test-no-mmap:
 	CTXSEARCH_NO_MMAP=1 $(GO) test ./internal/store/ ./internal/index/ ./internal/search/ ./internal/shard/ ./internal/server/ .
 
 # The prestige-pipeline benchmarks behind BENCH_PR3.json: the CSR-matrix
-# query merge, map-vs-matrix lookups, the arena-reusing subgraph+PageRank
+# query merge, matrix lookups, the arena-reusing subgraph+PageRank
 # pipeline, and bulk scoring at >= 1k contexts.
 bench-prestige:
 	$(GO) test -run xxx -bench 'BenchmarkMergeHitsPrestige' -benchmem ./internal/search/
-	$(GO) test -run xxx -bench 'BenchmarkPrestigeLookup|BenchmarkScoreAllParallel1kContexts' -benchmem ./internal/prestige/
+	$(GO) test -run xxx -bench 'BenchmarkPrestigeLookup|BenchmarkScore1kContexts' -benchmem ./internal/prestige/
 	$(GO) test -run xxx -bench 'BenchmarkSubgraphPageRankPipeline|BenchmarkSubgraphScratch' -benchmem ./internal/citegraph/

@@ -42,7 +42,7 @@ func TestParallelBuildPipelineGolden(t *testing.T) {
 
 	for _, fn := range []struct {
 		name  string
-		score func(*System, *ContextSet) Scores
+		score func(*System, *ContextSet) *Matrix
 	}{
 		{"text", (*System).ScoreText},
 		{"citation", (*System).ScoreCitation},

@@ -183,7 +183,7 @@ func buildAndInstall(out io.Writer, srv *server.Server, o serveOpts) error {
 func newSearcher(o serveOpts, a *app) (*ctxsearch.Engine, string, error) {
 	sys := a.sys
 	if o.shardCount <= 1 {
-		return sys.EngineFrozen(a.cs, a.matrix), "engine ready", nil
+		return sys.Engine(a.cs, a.matrix), "engine ready", nil
 	}
 	// One shard process of a multi-process deployment: full system (the
 	// analyzer's global statistics and the render endpoints need it) but a

@@ -19,8 +19,8 @@ import (
 type app struct {
 	sys *ctxsearch.System
 	cs  *ctxsearch.ContextSet
-	// matrix is the frozen CSR prestige matrix — computed scores are frozen
-	// once after scoring, an opened state hands the matrix over directly.
+	// matrix is the CSR prestige matrix: scoring's, or the opened state
+	// file's.
 	matrix *ctxsearch.Matrix
 	// parts are the postings shard engines slice: the state file's, or the
 	// built index's own.
@@ -122,18 +122,16 @@ func buildState(o dataOpts) (*app, error) {
 	default:
 		return nil, fmt.Errorf("unknown context set %q", o.setKind)
 	}
-	var scores ctxsearch.Scores
 	switch o.scoreFn {
 	case "text":
-		scores = sys.ScoreText(a.cs)
+		a.matrix = sys.ScoreText(a.cs)
 	case "citation":
-		scores = sys.ScoreCitation(a.cs)
+		a.matrix = sys.ScoreCitation(a.cs)
 	case "pattern":
-		scores = sys.ScorePattern(a.cs)
+		a.matrix = sys.ScorePattern(a.cs)
 	default:
 		return nil, fmt.Errorf("unknown score function %q", o.scoreFn)
 	}
-	a.matrix = scores.Freeze()
 	a.parts = sys.Index().Parts()
 	if o.statePath != "" {
 		st := &store.State{

@@ -27,6 +27,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -60,6 +61,18 @@ func run(args []string, out, errw io.Writer) error {
 	figures := fs.Args()
 	if len(figures) == 0 {
 		figures = []string{"all"}
+	}
+	order := []string{
+		"fig5.1", "fig5.2", "fig5.3", "fig5.4", "fig5.5", "fig5.6", "fig5.7",
+		"claim-baseline", "ablate-teleport", "ablate-hits", "ablate-cutoff",
+		"ext-crossctx", "sparseness", "gopubmed", "clustering",
+	}
+	// Every name is checked before anything is built: the setup alone takes
+	// most of a minute at the default scale.
+	for _, f := range figures {
+		if f != "all" && !slices.Contains(order, f) && (f != "scaling" || len(figures) > 1) {
+			return fmt.Errorf("unknown figure %q (valid: %v, all, or scaling alone)", f, order)
+		}
 	}
 	var progress io.Writer = errw
 	if *quiet {
@@ -160,11 +173,6 @@ func run(args []string, out, errw io.Writer) error {
 		"gopubmed":        func() { experiments.RenderGoPubMed(out, setup.GoPubMedVsContextSets()) },
 		"clustering":      func() { experiments.RenderClustering(out, setup.ClusteringVsContexts()) },
 	}
-	order := []string{
-		"fig5.1", "fig5.2", "fig5.3", "fig5.4", "fig5.5", "fig5.6", "fig5.7",
-		"claim-baseline", "ablate-teleport", "ablate-hits", "ablate-cutoff",
-		"ext-crossctx", "sparseness", "gopubmed", "clustering",
-	}
 	want := map[string]bool{}
 	for _, f := range figures {
 		if f == "all" {
@@ -172,9 +180,6 @@ func run(args []string, out, errw io.Writer) error {
 				want[k] = true
 			}
 			continue
-		}
-		if _, ok := all[f]; !ok {
-			return fmt.Errorf("unknown figure %q (valid: %v, all)", f, order)
 		}
 		want[f] = true
 	}

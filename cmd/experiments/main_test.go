@@ -33,10 +33,17 @@ func TestRunMultipleFigures(t *testing.T) {
 	}
 }
 
+// TestRunUnknownFigure: a bad name fails before the setup is built, so no
+// progress line reaches errw. "scaling" is a figure name only on its own.
 func TestRunUnknownFigure(t *testing.T) {
-	var out, errw bytes.Buffer
-	if err := run([]string{"-quiet", "fig9.9"}, &out, &errw); err == nil {
-		t.Fatal("unknown figure must fail")
+	for _, args := range [][]string{{"fig9.9"}, {"fig5.1", "fig9.9"}, {"scaling", "fig5.1"}} {
+		var out, errw bytes.Buffer
+		if err := run(args, &out, &errw); err == nil {
+			t.Fatalf("%v must fail", args)
+		}
+		if strings.Contains(errw.String(), "generating system") {
+			t.Fatalf("%v built the setup before failing: %q", args, errw.String())
+		}
 	}
 }
 

@@ -57,11 +57,9 @@ type (
 	PaperID = corpus.PaperID
 	// ContextSet is a paper-to-context assignment.
 	ContextSet = contextset.ContextSet
-	// Scores holds per-context per-paper prestige scores (the map/builder
-	// form; freeze into a Matrix for the query path).
-	Scores = prestige.Scores
-	// Matrix is the frozen CSR form of Scores the query hot path and the
-	// state file use.
+	// Matrix holds per-context per-paper prestige scores, one CSR run per
+	// scored context: what scoring returns, the query path reads and the
+	// state file stores.
 	Matrix = prestige.Matrix
 	// Scorer computes prestige scores for a context.
 	Scorer = prestige.Scorer
@@ -337,35 +335,34 @@ func (s *System) PatternScorer() *prestige.PatternScorer {
 // score runs a scorer over a context set with the configured exclusion and
 // applies hierarchical max propagation (§3). Scoring fans out across
 // contexts per Config.BuildWorkers.
-func (s *System) score(sc prestige.Scorer, cs *ContextSet) Scores {
-	var out Scores
+func (s *System) score(sc prestige.Scorer, cs *ContextSet) *Matrix {
+	var out *Matrix
 	s.stats.Time("score-"+sc.Name(), len(cs.Contexts()), "contexts", func() {
-		scores := prestige.ScoreAllParallel(sc, cs, s.MinContextSize(), s.cfg.BuildWorkers)
-		out = prestige.PropagateMax(s.Ontology, scores)
+		out = prestige.PropagateMax(s.Ontology, prestige.Score(sc, cs, s.MinContextSize(), s.cfg.BuildWorkers))
 	})
 	return out
 }
 
 // ScoreCitation computes citation-based prestige scores over a context set.
-func (s *System) ScoreCitation(cs *ContextSet) Scores { return s.score(s.CitationScorer(), cs) }
+func (s *System) ScoreCitation(cs *ContextSet) *Matrix { return s.score(s.CitationScorer(), cs) }
 
 // ScoreText computes text-based prestige scores over a context set.
-func (s *System) ScoreText(cs *ContextSet) Scores { return s.score(s.TextScorer(), cs) }
+func (s *System) ScoreText(cs *ContextSet) *Matrix { return s.score(s.TextScorer(), cs) }
 
 // ScorePattern computes pattern-based prestige scores over a context set.
-func (s *System) ScorePattern(cs *ContextSet) Scores { return s.score(s.PatternScorer(), cs) }
+func (s *System) ScorePattern(cs *ContextSet) *Matrix { return s.score(s.PatternScorer(), cs) }
 
 // Engine assembles the context-based search engine over a context set and
-// its prestige scores, freezing the map form into the query-time matrix.
-func (s *System) Engine(cs *ContextSet, scores Scores) *Engine {
-	return s.EngineFrozen(cs, scores.Freeze())
-}
-
-// EngineFrozen assembles the engine from a frozen prestige matrix: a state
-// file's, or one the caller froze after scoring.
-func (s *System) EngineFrozen(cs *ContextSet, m *Matrix) *Engine {
+// its prestige scores: the ones a Score method returned, or a state
+// file's.
+func (s *System) Engine(cs *ContextSet, m *Matrix) *Engine {
 	return search.NewEngine(s.index, cs, m, s.cfg.Relevancy)
 }
+
+// EngineFrozen is Engine.
+//
+// Deprecated: use Engine, which takes the same matrix.
+func (s *System) EngineFrozen(cs *ContextSet, m *Matrix) *Engine { return s.Engine(cs, m) }
 
 // BaselineTFIDF runs the whole-corpus TF-IDF keyword baseline.
 func (s *System) BaselineTFIDF(query string, threshold float64, limit int) []Hit {

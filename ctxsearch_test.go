@@ -1,6 +1,7 @@
 package ctxsearch
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -52,7 +53,7 @@ func TestEndToEndTextPipeline(t *testing.T) {
 		t.Fatal("no contexts")
 	}
 	scores := sys.ScoreText(cs)
-	if len(scores) == 0 {
+	if scores.NumContexts() == 0 {
 		t.Fatal("no scores")
 	}
 	engine := sys.Engine(cs, scores)
@@ -82,18 +83,16 @@ func TestEndToEndPatternPipeline(t *testing.T) {
 		t.Fatal("no contexts")
 	}
 	scores := sys.ScorePattern(cs)
-	if len(scores) == 0 {
+	if scores.NumContexts() == 0 {
 		t.Fatal("no pattern scores")
 	}
 	cit := sys.ScoreCitation(cs)
-	if len(cit) == 0 {
+	if cit.NumContexts() == 0 {
 		t.Fatal("no citation scores")
 	}
 	// Both functions scored the same contexts (those above the cutoff).
-	for ctx := range scores {
-		if _, ok := cit[ctx]; !ok {
-			t.Fatalf("context %s scored by pattern but not citation", ctx)
-		}
+	if !slices.Equal(scores.Contexts(), cit.Contexts()) {
+		t.Fatalf("pattern scored %v, citation %v", scores.Contexts(), cit.Contexts())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"log"
 
 	"ctxsearch"
+	"ctxsearch/internal/prestige"
 )
 
 func main() {
@@ -24,7 +25,7 @@ func main() {
 	cs := sys.BuildPatternContextSet()
 
 	fmt.Println("computing prestige scores with all three functions…")
-	scoresByFn := map[string]ctxsearch.Scores{
+	scoresByFn := map[string]*ctxsearch.Matrix{
 		"citation": sys.ScoreCitation(cs),
 		"text":     textScores(sys, cs),
 		"pattern":  sys.ScorePattern(cs),
@@ -37,7 +38,7 @@ func main() {
 	ranks := map[string][]ctxsearch.PaperID{}
 	for _, fn := range []string{"citation", "text", "pattern"} {
 		scores := scoresByFn[fn]
-		if len(scores) == 0 {
+		if scores.NumContexts() == 0 {
 			fmt.Printf("\n[%s] no scored contexts (function not applicable to this set)\n", fn)
 			continue
 		}
@@ -78,40 +79,20 @@ func main() {
 }
 
 // textScores assigns text scores to pattern-set contexts by borrowing
-// representatives from the text-based set, as the paper's §4 does.
-func textScores(sys *ctxsearch.System, cs *ctxsearch.ContextSet) ctxsearch.Scores {
-	// The façade's ScoreText uses the set's own representatives; the
-	// pattern set has none, so build the text set first and check: the
-	// library exposes this via the experiments harness; here we simply use
-	// the text set itself for scoring contexts both sets share.
-	textSet := sys.BuildTextContextSet()
-	scores := sys.ScoreText(textSet)
-	// Keep only contexts present in the pattern set so engines are
-	// comparable.
-	out := ctxsearch.Scores{}
-	for _, ctx := range cs.Contexts() {
-		if m, ok := scores[ctx]; ok {
-			filtered := map[ctxsearch.PaperID]float64{}
-			for _, p := range cs.Papers(ctx) {
-				if v, in := m[p]; in {
-					filtered[p] = v
-				}
-			}
-			if len(filtered) > 0 {
-				out[ctx] = filtered
-			}
-		}
-	}
-	return out
+// representatives from the text-based set, as the paper's §4 does: the
+// pattern set has none of its own.
+func textScores(sys *ctxsearch.System, cs *ctxsearch.ContextSet) *ctxsearch.Matrix {
+	scorer := sys.TextScorer().WithRepSource(sys.BuildTextContextSet())
+	return prestige.PropagateMax(sys.Ontology, prestige.Score(scorer, cs, sys.MinContextSize(), 0))
 }
 
 // pickQuery returns the name of a scored context with a healthy paper
 // count, so every function has something to rank.
-func pickQuery(sys *ctxsearch.System, scores ctxsearch.Scores) string {
+func pickQuery(sys *ctxsearch.System, scores *ctxsearch.Matrix) string {
 	best := ""
 	bestN := 0
-	for _, ctx := range scores.Contexts() {
-		if n := len(scores[ctx]); n > bestN {
+	for i, ctx := range scores.Contexts() {
+		if n := len(scores.RunAt(i).Docs); n > bestN {
 			bestN = n
 			best = sys.Ontology.Term(ctx).Name
 		}

@@ -49,9 +49,9 @@ func main() {
 	patScores := sys.ScorePattern(cs)
 	for _, fn := range []struct {
 		name   string
-		scores ctxsearch.Scores
+		scores *ctxsearch.Matrix
 	}{{"citation", citScores}, {"pattern", patScores}} {
-		top := fn.scores.TopK(target, 3)
+		top := fn.scores.Run(target).TopK(3)
 		fmt.Printf("\n  by %s-based prestige:\n", fn.name)
 		if len(top) == 0 {
 			fmt.Println("    (context below scoring cutoff)")

@@ -27,7 +27,7 @@ func main() {
 
 	// Task 2: compute prestige scores (text-based score function).
 	scores := sys.ScoreText(cs)
-	fmt.Printf("scored contexts (above size cutoff %d): %d\n", sys.MinContextSize(), len(scores))
+	fmt.Printf("scored contexts (above size cutoff %d): %d\n", sys.MinContextSize(), scores.NumContexts())
 
 	// Tasks 3–5: select contexts, search within them, rank by relevancy.
 	engine := sys.Engine(cs, scores)

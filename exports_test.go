@@ -35,6 +35,7 @@ var callerlessAllowed = map[string]string{
 	"ctxsearch/internal/eval.MeanAveragePrecision":                "ROADMAP item 7(a), as above",
 	"ctxsearch/internal/eval.PrecisionRecallAtK":                  "ROADMAP item 7(a), as above",
 	"ctxsearch/internal/corpus.InDegreeHistogram":                 "ROADMAP item 9(a): the exponent fit of the skewed corpus is to call it",
+	"(*ctxsearch/internal/prestige.Matrix).Freeze":                "test infrastructure: bench/bench_test.go calls it; deprecated, goes with the ROADMAP 1(e) unpin",
 	"ctxsearch/internal/faultproxy":                               "test infrastructure: imported only by internal/server tests",
 }
 

@@ -19,9 +19,9 @@ type golden struct {
 	sys     *ctxsearch.System
 	textSet *ctxsearch.ContextSet
 	patSet  *ctxsearch.ContextSet
-	text    ctxsearch.Scores
-	cit     ctxsearch.Scores
-	pat     ctxsearch.Scores
+	text    *ctxsearch.Matrix
+	cit     *ctxsearch.Matrix
+	pat     *ctxsearch.Matrix
 }
 
 var (
@@ -83,10 +83,10 @@ func TestGoldenStructuralCounts(t *testing.T) {
 
 func TestGoldenSeparabilityOrdering(t *testing.T) {
 	g := getGolden(t)
-	meanSD := func(s ctxsearch.Scores) float64 {
+	meanSD := func(s *ctxsearch.Matrix) float64 {
 		var sds []float64
-		for _, ctx := range s.Contexts() {
-			vals := s.Values(ctx)
+		for i := range s.NumContexts() {
+			vals := s.RunAt(i).Vals
 			if len(vals) > 0 {
 				sds = append(sds, stats.SeparabilitySD(vals, 10))
 			}

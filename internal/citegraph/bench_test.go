@@ -73,7 +73,7 @@ func BenchmarkSubgraphScratch(b *testing.B) {
 
 // BenchmarkSubgraphPageRankPipeline measures the full per-context offline
 // pipeline (extract induced subgraph, run PageRank) with and without the
-// reusable arena — the unit of work prestige.ScoreAllParallel repeats per
+// reusable arena — the unit of work prestige.Score repeats per
 // context. BENCH_PR3.json records the before/after numbers.
 func BenchmarkSubgraphPageRankPipeline(b *testing.B) {
 	g := randomGraph(5000, 60000, 2)

@@ -215,7 +215,7 @@ func HITS(g *Graph, maxIter int, tol float64) (auth, hub []float64) {
 func normalizeL2(v []float64) {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	if s == 0 {
 		return

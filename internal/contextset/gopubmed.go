@@ -45,7 +45,7 @@ func BuildGoPubMedStyle(a *corpus.Analyzer, onto *ontology.Ontology, minWordFrac
 		for _, w := range words {
 			distinct[w] = true
 		}
-		need := int(minWordFraction*float64(len(distinct)) + 0.9999)
+		need := int(float64(minWordFraction*float64(len(distinct))) + 0.9999)
 		for _, p := range c.Papers() {
 			have := 0
 			for w := range distinct {

@@ -135,11 +135,11 @@ func Generate(onto *ontology.Ontology, cfg GenConfig) (*Corpus, error) {
 		// representative papers of upper-level contexts characterise them
 		// poorly (the paper's Figure 5.5 observation).
 		depth := onto.Level(topics[0])
-		sharp := 0.45 + 0.11*float64(depth-2)
+		sharp := 0.45 + float64(0.11*float64(depth-2))
 		if sharp > 1 {
 			sharp = 1
 		}
-		topical := cfg.TopicMixProb * sharp
+		topical := float64(cfg.TopicMixProb * sharp)
 		b := pipe.batch()
 		b.codes = drawText(rng, mix, 9+rng.Intn(6), 3.2*topical, b.codes)
 		title := len(b.codes)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,7 +19,7 @@ type fixture struct {
 	a      *corpus.Analyzer
 	ix     *index.Index
 	cs     *contextset.ContextSet
-	scores prestige.Scores
+	scores *prestige.Matrix
 	engine *search.Engine
 }
 
@@ -40,12 +41,43 @@ func buildFixture(t *testing.T) *fixture {
 	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := index.BuildWorkers(a, 0)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
-	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
+	scores := prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1)
 	cached = &fixture{
 		onto: o, c: c, a: a, ix: ix, cs: cs, scores: scores,
-		engine: search.NewEngine(ix, cs, scores.Freeze(), search.DefaultWeights()),
+		engine: search.NewEngine(ix, cs, scores, search.DefaultWeights()),
 	}
 	return cached
+}
+
+// scoreMap is a hand-written prestige matrix: context → paper → score.
+type scoreMap map[ontology.TermID]map[corpus.PaperID]float64
+
+// matrixOf lays a scoreMap out as the CSR matrix FromCSR binds.
+func matrixOf(t *testing.T, s scoreMap) *prestige.Matrix {
+	t.Helper()
+	ctxs := make([]ontology.TermID, 0, len(s))
+	for ctx := range s {
+		ctxs = append(ctxs, ctx)
+	}
+	slices.Sort(ctxs)
+	offsets, docs, vals, rowMax := []int32{0}, []int32{}, []float64{}, make([]float64, len(ctxs))
+	for i, ctx := range ctxs {
+		row := make([]int32, 0, len(s[ctx]))
+		for p := range s[ctx] {
+			row = append(row, int32(p))
+		}
+		slices.Sort(row)
+		for _, d := range row {
+			v := s[ctx][corpus.PaperID(d)]
+			docs, vals, rowMax[i] = append(docs, d), append(vals, v), max(rowMax[i], v)
+		}
+		offsets = append(offsets, int32(len(docs)))
+	}
+	m, err := prestige.FromCSR(ctxs, offsets, docs, vals, rowMax)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestGenerateQueries(t *testing.T) {
@@ -220,8 +252,8 @@ func TestPrecisionCurve(t *testing.T) {
 }
 
 func TestTopKOverlapRatio(t *testing.T) {
-	s1 := prestige.Scores{"GO:1": {0: 1.0, 1: 0.8, 2: 0.6, 3: 0.2}}
-	s2 := prestige.Scores{"GO:1": {0: 0.9, 1: 0.1, 2: 0.95, 3: 0.5}}
+	s1 := matrixOf(t, scoreMap{"GO:1": {0: 1.0, 1: 0.8, 2: 0.6, 3: 0.2}})
+	s2 := matrixOf(t, scoreMap{"GO:1": {0: 0.9, 1: 0.1, 2: 0.95, 3: 0.5}})
 	// top-2 of s1 = {0,1}; top-2 of s2 = {2,0} → overlap 1/2.
 	if got := TopKOverlapRatio(s1, s2, "GO:1", 2); got != 0.5 {
 		t.Fatalf("overlap = %v", got)
@@ -241,8 +273,8 @@ func TestTopKOverlapRatio(t *testing.T) {
 func TestTopKOverlapTies(t *testing.T) {
 	// s1 has a tie at the k-th score: top-1 includes both papers; the
 	// denominator becomes min(|PS1|, |PS2|) = 1 per §2.
-	s1 := prestige.Scores{"GO:1": {0: 1.0, 1: 1.0, 2: 0.1}}
-	s2 := prestige.Scores{"GO:1": {0: 1.0, 1: 0.5, 2: 0.1}}
+	s1 := matrixOf(t, scoreMap{"GO:1": {0: 1.0, 1: 1.0, 2: 0.1}})
+	s2 := matrixOf(t, scoreMap{"GO:1": {0: 1.0, 1: 0.5, 2: 0.1}})
 	got := TopKOverlapRatio(s1, s2, "GO:1", 1)
 	if got != 1 {
 		t.Fatalf("tie overlap = %v, want 1 (ties included, denominator min)", got)
@@ -300,7 +332,7 @@ func TestSeparabilityDegenerate(t *testing.T) {
 	if got := SeparabilityHistogram(nil, SeparabilityConfig{ScoreBins: 10, SDBinWidth: 0, SDMax: 0}); got != nil {
 		t.Fatal("degenerate config must return nil")
 	}
-	s := prestige.Scores{"GO:1": {}}
+	s := matrixOf(t, scoreMap{"GO:1": {}})
 	if sds := SeparabilitySDs(s, []ontology.TermID{"GO:1"}, DefaultSeparabilityConfig()); len(sds) != 0 {
 		t.Fatal("empty context must be skipped")
 	}

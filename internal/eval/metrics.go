@@ -1,7 +1,7 @@
 package eval
 
 import (
-	"sort"
+	"slices"
 
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
@@ -79,12 +79,12 @@ func PrecisionCurve(e *search.Engine, queries []Query, answers []map[corpus.Pape
 // TopKOverlapRatio implements §2: the overlap of the two functions' top-k
 // paper sets in one context, with ties at the k-th score included and the
 // denominator switching to min(|PS1|, |PS2|) when tie inclusion grew a set.
-func TopKOverlapRatio(s1, s2 prestige.Scores, ctx ontology.TermID, k int) float64 {
+func TopKOverlapRatio(s1, s2 *prestige.Matrix, ctx ontology.TermID, k int) float64 {
 	if k <= 0 {
 		return 0
 	}
-	t1 := s1.TopK(ctx, k)
-	t2 := s2.TopK(ctx, k)
+	t1 := s1.Run(ctx).TopK(k)
+	t2 := s2.Run(ctx).TopK(k)
 	if len(t1) == 0 || len(t2) == 0 {
 		return 0
 	}
@@ -116,10 +116,11 @@ func TopKOverlapRatio(s1, s2 prestige.Scores, ctx ontology.TermID, k int) float6
 // fractions (0.05 = top 5%); the absolute k per context is
 // max(1, ⌈k%·context size⌉) — the paper uses percentages because low-level
 // contexts are much smaller than high-level ones.
-func OverlapByLevel(onto *ontology.Ontology, s1, s2 prestige.Scores, sizes map[ontology.TermID]int, levels []int, kPercents []float64) map[int][]float64 {
+func OverlapByLevel(onto *ontology.Ontology, s1, s2 *prestige.Matrix, sizes map[ontology.TermID]int, levels []int, kPercents []float64) map[int][]float64 {
 	byLevel := make(map[int][]ontology.TermID)
-	for ctx := range s1 {
-		if _, ok := s2[ctx]; !ok {
+	in2 := s2.Contexts()
+	for _, ctx := range s1.Contexts() {
+		if _, ok := slices.BinarySearch(in2, ctx); !ok {
 			continue
 		}
 		l := onto.Level(ctx)
@@ -128,7 +129,6 @@ func OverlapByLevel(onto *ontology.Ontology, s1, s2 prestige.Scores, sizes map[o
 	out := make(map[int][]float64, len(levels))
 	for _, level := range levels {
 		ctxs := byLevel[level]
-		sort.Slice(ctxs, func(i, j int) bool { return ctxs[i] < ctxs[j] })
 		row := make([]float64, len(kPercents))
 		if len(ctxs) == 0 {
 			out[level] = row
@@ -138,7 +138,7 @@ func OverlapByLevel(onto *ontology.Ontology, s1, s2 prestige.Scores, sizes map[o
 			var sum float64
 			for _, ctx := range ctxs {
 				n := sizes[ctx]
-				k := int(kp*float64(n) + 0.9999)
+				k := int(float64(kp*float64(n)) + 0.9999)
 				if k < 1 {
 					k = 1
 				}
@@ -167,10 +167,10 @@ func DefaultSeparabilityConfig() SeparabilityConfig {
 
 // SeparabilitySDs computes the per-context separability standard deviation
 // of a score function over the given contexts.
-func SeparabilitySDs(s prestige.Scores, ctxs []ontology.TermID, cfg SeparabilityConfig) []float64 {
+func SeparabilitySDs(s *prestige.Matrix, ctxs []ontology.TermID, cfg SeparabilityConfig) []float64 {
 	out := make([]float64, 0, len(ctxs))
 	for _, ctx := range ctxs {
-		vals := s.Values(ctx)
+		vals := s.Run(ctx).Vals
 		if len(vals) == 0 {
 			continue
 		}
@@ -192,7 +192,7 @@ func SeparabilityHistogram(sds []float64, cfg SeparabilityConfig) []float64 {
 }
 
 // ContextsAtLevel filters scored contexts to one hierarchy level.
-func ContextsAtLevel(onto *ontology.Ontology, s prestige.Scores, level int) []ontology.TermID {
+func ContextsAtLevel(onto *ontology.Ontology, s *prestige.Matrix, level int) []ontology.TermID {
 	var out []ontology.TermID
 	for _, ctx := range s.Contexts() {
 		if onto.Level(ctx) == level {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"sort"
-
 	"ctxsearch"
 	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/eval"
@@ -24,35 +22,23 @@ type TeleportAblation struct {
 
 // AblateTeleport runs the E1-vs-E2 ablation.
 func (s *Setup) AblateTeleport() TeleportAblation {
-	mk := func(tp citegraph.Teleport) ctxsearch.Scores {
+	mk := func(tp citegraph.Teleport) *ctxsearch.Matrix {
 		opts := s.Sys.Config().PageRank
 		opts.Teleport = tp
 		// Clone the cached scorer: both teleport variants share the one
 		// corpus-wide citation graph.
 		scorer := s.Sys.CitationScorer().WithOpts(opts)
-		return prestige.ScoreAll(scorer, s.PatternSet, s.Sys.MinContextSize())
+		return prestige.Score(scorer, s.PatternSet, s.Sys.MinContextSize(), s.Sys.Config().BuildWorkers)
 	}
 	e1 := mk(citegraph.TeleportE1)
 	e2 := mk(citegraph.TeleportE2)
 	cfg := eval.DefaultSeparabilityConfig()
 	var out TeleportAblation
 	var sumRho, sumSD float64
-	for _, ctx := range e1.Contexts() {
-		m2, ok := e2[ctx]
-		if !ok {
-			continue
-		}
-		m1 := e1[ctx]
-		var xs, ys []float64
-		ids := make([]ctxsearch.PaperID, 0, len(m1))
-		for id := range m1 {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			xs = append(xs, m1[id])
-			ys = append(ys, m2[id])
-		}
+	// The citation function scores every context, so both matrices hold
+	// the same runs, papers ascending.
+	for i := range e1.NumContexts() {
+		xs, ys := e1.RunAt(i).Vals, e2.RunAt(i).Vals
 		if len(xs) < 3 {
 			continue
 		}
@@ -130,11 +116,7 @@ func (s *Setup) AblateCutoff(cutoffs []int) CutoffAblation {
 		var sds []float64
 		n := 0
 		for _, ctx := range ctxs {
-			if m, ok := s.CitOnPatSet[ctx]; ok && len(m) > 0 {
-				vals := make([]float64, 0, len(m))
-				for _, v := range m {
-					vals = append(vals, v)
-				}
+			if vals := s.CitOnPatSet.Run(ctx).Vals; len(vals) > 0 {
 				sds = append(sds, stats.SeparabilitySD(vals, cfg.ScoreBins))
 				n++
 			}
@@ -165,19 +147,18 @@ func (s *Setup) AblateCrossContext() CrossContextAblation {
 	var shift, sdB, sdE float64
 	n := 0
 	for _, ctx := range s.PatternSet.ContextsWithMinSize(s.Sys.MinContextSize()) {
-		mb := base.ScoreContext(s.PatternSet, ctx)
-		me := ext.ScoreContext(s.PatternSet, ctx)
-		var vb, ve []float64
+		vb := make([]float64, s.PatternSet.Size(ctx))
+		ve := make([]float64, len(vb))
+		base.ScoreContext(s.PatternSet, ctx, vb)
+		ext.ScoreContext(s.PatternSet, ctx, ve)
+		// Summed in paper order, so the shift has the same bits every run.
 		var d float64
-		for id, b := range mb {
-			e := me[id]
-			if diff := e - b; diff >= 0 {
+		for i, b := range vb {
+			if diff := ve[i] - b; diff >= 0 {
 				d += diff
 			} else {
 				d -= diff
 			}
-			vb = append(vb, b)
-			ve = append(ve, e)
 		}
 		if len(vb) == 0 {
 			continue

@@ -26,10 +26,10 @@ func TestSetupCompleteness(t *testing.T) {
 	if len(s.TextSet.Contexts()) == 0 || len(s.PatternSet.Contexts()) == 0 {
 		t.Fatal("context sets empty")
 	}
-	if len(s.TextOnTextSet) == 0 || len(s.CitOnTextSet) == 0 {
+	if s.TextOnTextSet.NumContexts() == 0 || s.CitOnTextSet.NumContexts() == 0 {
 		t.Fatal("text-set scores missing")
 	}
-	if len(s.PatOnPatSet) == 0 || len(s.CitOnPatSet) == 0 {
+	if s.PatOnPatSet.NumContexts() == 0 || s.CitOnPatSet.NumContexts() == 0 {
 		t.Fatal("pattern-set scores missing")
 	}
 	if len(s.Queries) == 0 || len(s.ACAnswers) != len(s.Queries) {

@@ -37,17 +37,17 @@ type PrecisionSeries struct {
 // against AC-answer sets, across relevancy thresholds.
 func (s *Setup) Fig51() PrecisionFigure {
 	return s.precisionFigure("Fig 5.1 precision, text-based context paper set", s.TextSet,
-		map[string]ctxsearch.Scores{"text": s.TextOnTextSet, "citation": s.CitOnTextSet})
+		map[string]*ctxsearch.Matrix{"text": s.TextOnTextSet, "citation": s.CitOnTextSet})
 }
 
 // Fig52 reproduces Figure 5.2: pattern-based vs citation-based precision on
 // the pattern-based context paper set.
 func (s *Setup) Fig52() PrecisionFigure {
 	return s.precisionFigure("Fig 5.2 precision, pattern-based context paper set", s.PatternSet,
-		map[string]ctxsearch.Scores{"pattern": s.PatOnPatSet, "citation": s.CitOnPatSet})
+		map[string]*ctxsearch.Matrix{"pattern": s.PatOnPatSet, "citation": s.CitOnPatSet})
 }
 
-func (s *Setup) precisionFigure(name string, cs *ctxsearch.ContextSet, funcs map[string]ctxsearch.Scores) PrecisionFigure {
+func (s *Setup) precisionFigure(name string, cs *ctxsearch.ContextSet, funcs map[string]*ctxsearch.Matrix) PrecisionFigure {
 	fig := PrecisionFigure{Name: name}
 	answers := make([]map[ctxsearch.PaperID]bool, len(s.Queries))
 	for i := range s.Queries {
@@ -113,7 +113,7 @@ func sdBinEdges(cfg eval.SeparabilityConfig) []float64 {
 // context paper sets.
 func (s *Setup) Fig54() (textSet, patternSet SeparabilityFigure) {
 	cfg := eval.DefaultSeparabilityConfig()
-	mk := func(name string, series map[string]ctxsearch.Scores) SeparabilityFigure {
+	mk := func(name string, series map[string]*ctxsearch.Matrix) SeparabilityFigure {
 		fig := SeparabilityFigure{Name: name, BinEdges: sdBinEdges(cfg), Series: map[string][]float64{}, MeanSD: map[string]float64{}}
 		for fn, scores := range series {
 			sds := eval.SeparabilitySDs(scores, scores.Contexts(), cfg)
@@ -123,15 +123,15 @@ func (s *Setup) Fig54() (textSet, patternSet SeparabilityFigure) {
 		return fig
 	}
 	textSet = mk("Fig 5.4a separability, text-based context paper set",
-		map[string]ctxsearch.Scores{"text": s.TextOnTextSet, "citation": s.CitOnTextSet})
+		map[string]*ctxsearch.Matrix{"text": s.TextOnTextSet, "citation": s.CitOnTextSet})
 	patternSet = mk("Fig 5.4b separability, pattern-based context paper set",
-		map[string]ctxsearch.Scores{"text": s.TextOnPatSet, "citation": s.CitOnPatSet, "pattern": s.PatOnPatSet})
+		map[string]*ctxsearch.Matrix{"text": s.TextOnPatSet, "citation": s.CitOnPatSet, "pattern": s.PatOnPatSet})
 	return textSet, patternSet
 }
 
 // perLevelSeparability renders Figures 5.5–5.7: one function's SD histogram
 // per context level.
-func (s *Setup) perLevelSeparability(name string, scores ctxsearch.Scores) SeparabilityFigure {
+func (s *Setup) perLevelSeparability(name string, scores *ctxsearch.Matrix) SeparabilityFigure {
 	cfg := eval.DefaultSeparabilityConfig()
 	fig := SeparabilityFigure{Name: name, BinEdges: sdBinEdges(cfg), Series: map[string][]float64{}, MeanSD: map[string]float64{}}
 	for _, level := range Levels {

@@ -4,10 +4,8 @@ import (
 	"io"
 
 	"ctxsearch"
-	"ctxsearch/internal/stats"
+	"ctxsearch/internal/eval"
 )
-
-type ctxsearchScores = ctxsearch.Scores
 
 // ScalingRow summarises one corpus size of the scaling sweep.
 type ScalingRow struct {
@@ -68,14 +66,6 @@ func ScalingSweep(sizes []int, seed int64, log io.Writer) ([]ScalingRow, error) 
 }
 
 // meanSepSD is the mean per-context separability SD of a score function.
-func meanSepSD(scores ctxsearchScores) float64 {
-	var sds []float64
-	for _, ctx := range scores.Contexts() {
-		vals := scores.Values(ctx)
-		if len(vals) == 0 {
-			continue
-		}
-		sds = append(sds, stats.SeparabilitySD(vals, 10))
-	}
-	return mean(sds)
+func meanSepSD(scores *ctxsearch.Matrix) float64 {
+	return mean(eval.SeparabilitySDs(scores, scores.Contexts(), eval.DefaultSeparabilityConfig()))
 }

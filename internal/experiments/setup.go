@@ -40,10 +40,10 @@ type Setup struct {
 
 	// Scores on the text-based context paper set (Figure 5.1): text and
 	// citation functions.
-	TextOnTextSet, CitOnTextSet ctxsearch.Scores
+	TextOnTextSet, CitOnTextSet *ctxsearch.Matrix
 	// Scores on the pattern-based context paper set (Figures 5.2–5.7):
 	// pattern, citation, and text (where representatives exist).
-	PatOnPatSet, CitOnPatSet, TextOnPatSet ctxsearch.Scores
+	PatOnPatSet, CitOnPatSet, TextOnPatSet *ctxsearch.Matrix
 
 	Queries []eval.Query
 	// ACAnswers[i] is the AC-answer set of Queries[i]; TrueAnswers[i] the
@@ -113,11 +113,11 @@ func NewSetup(scale Scale, log io.Writer) (*Setup, error) {
 // the representatives defined by the text-based set, exactly as §4
 // describes ("text-based scores were assigned to only [the] contexts that
 // contain at least one representative paper").
-func (s *Setup) scoreTextOnPatternSet() ctxsearch.Scores {
+func (s *Setup) scoreTextOnPatternSet() *ctxsearch.Matrix {
 	// Clone the system's cached text scorer: the citation graph and the
 	// tables it embeds are shared, not rebuilt.
 	scorer := s.Sys.TextScorer().WithRepSource(s.TextSet)
-	scores := prestige.ScoreAllParallel(scorer, s.PatternSet, s.Sys.MinContextSize(), s.Sys.Config().BuildWorkers)
+	scores := prestige.Score(scorer, s.PatternSet, s.Sys.MinContextSize(), s.Sys.Config().BuildWorkers)
 	return prestige.PropagateMax(s.Sys.Ontology, scores)
 }
 
@@ -133,7 +133,7 @@ func ContextSizes(cs *ctxsearch.ContextSet) map[ctxsearch.TermID]int {
 
 // engineFor assembles a search engine over one score-function×context-set
 // combination.
-func (s *Setup) engineFor(cs *ctxsearch.ContextSet, scores ctxsearch.Scores) *search.Engine {
+func (s *Setup) engineFor(cs *ctxsearch.ContextSet, scores *ctxsearch.Matrix) *search.Engine {
 	return s.Sys.Engine(cs, scores)
 }
 

@@ -18,7 +18,7 @@ func (s *Setup) TRECExport(open func(name string) (io.WriteCloser, error)) error
 	runs := []struct {
 		name   string
 		cs     *ctxsearch.ContextSet
-		scores ctxsearch.Scores
+		scores *ctxsearch.Matrix
 	}{
 		{"text_on_textset", s.TextSet, s.TextOnTextSet},
 		{"citation_on_textset", s.TextSet, s.CitOnTextSet},

@@ -312,7 +312,7 @@ func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Op
 				acc.seen[doc] = true
 				acc.touched = append(acc.touched, doc)
 			}
-			acc.val[doc] += qw * ws[i]
+			acc.val[doc] += float64(qw * ws[i])
 		}
 	}
 	hits := slices.Grow(dst, len(acc.touched))

@@ -92,14 +92,14 @@ func (s *Set) matchSequential(ix *PosIndex, p *Pattern, within map[corpus.PaperI
 				// observed neighbourhood appears in the pattern's
 				// left/right tuples, the stronger the match.
 				l, r := ix.Window(doc, oc.Pos, len(p.Middle), cfg.Window)
-				strength = w * (0.7 + 0.3*contextOverlap(l, r, p.Left, p.Right))
+				strength = w * (0.7 + float64(0.3*contextOverlap(l, r, p.Left, p.Right)))
 			}
 			if strength > best {
 				best = strength
 			}
 		}
 		if best > 0 {
-			scores[doc] += p.Score * best
+			scores[doc] += float64(p.Score * best)
 		}
 	}
 }
@@ -137,7 +137,7 @@ func (s *Set) matchSet(ix *PosIndex, p *Pattern, within map[corpus.PaperID]bool,
 	for doc, a := range byDoc {
 		f := float64(a.present) / float64(len(p.Middle))
 		if float64(a.present) >= need && a.bestSec > 0 {
-			scores[doc] += p.Score * a.bestSec * f
+			scores[doc] += float64(p.Score * a.bestSec * f)
 		}
 	}
 }

@@ -267,7 +267,7 @@ func regularScore(p *Pattern, ix *PosIndex, ctxSet map[string]bool, termWordDF m
 	coverage := float64(df) / float64(n)
 	// (4) Training-paper frequency, as fractions of the training set so the
 	// scale is stable across contexts of different training sizes.
-	freqTerm := cfg.C * (float64(occFreq)/float64(nTraining) + float64(paperFreq)/float64(nTraining))
+	freqTerm := float64(cfg.C * (float64(occFreq)/float64(nTraining) + float64(paperFreq)/float64(nTraining)))
 
 	base := middleType + termScore + freqTerm
 	return base * math.Pow(1/coverage, cfg.T)
@@ -317,7 +317,7 @@ func buildExtended(regs []*Pattern) []*Pattern {
 						Right:        unionSets(p1.Right, p2.Right),
 						HasTermWords: p1.HasTermWords || p2.HasTermWords,
 						HasFreqWords: p1.HasFreqWords || p2.HasFreqWords,
-						Score:        doo1*p1.Score + doo2*p2.Score,
+						Score:        float64(doo1*p1.Score) + float64(doo2*p2.Score),
 						DOO1:         doo1,
 						DOO2:         doo2,
 					})

@@ -11,8 +11,6 @@ import (
 	"ctxsearch/internal/pattern"
 )
 
-type corpusPaperID = corpus.PaperID
-
 func benchFix(b *testing.B) *fixture {
 	b.Helper()
 	if cachedFixture != nil {
@@ -57,8 +55,9 @@ func BenchmarkCitationScoreContext(b *testing.B) {
 	ctx := largestContext(f)
 	b.ResetTimer()
 	b.ReportAllocs()
+	vals := make([]float64, f.pat.Size(ctx))
 	for i := 0; i < b.N; i++ {
-		_ = s.ScoreContext(f.pat, ctx)
+		_ = s.ScoreContext(f.pat, ctx, vals)
 	}
 }
 
@@ -75,10 +74,11 @@ func BenchmarkTextScoreContext(b *testing.B) {
 	if ctx == "" {
 		b.Skip("no suitable context")
 	}
+	vals := make([]float64, f.text.Size(ctx))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = s.ScoreContext(f.text, ctx)
+		_ = s.ScoreContext(f.text, ctx, vals)
 	}
 }
 
@@ -86,53 +86,44 @@ func BenchmarkPatternScoreContext(b *testing.B) {
 	f := benchFix(b)
 	s := NewPatternScorer(f.ix, f.onto, pattern.DefaultConfig(), pattern.DefaultMatchConfig())
 	ctx := largestContext(f)
+	vals := make([]float64, f.pat.Size(ctx))
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = s.ScoreContext(f.pat, ctx)
+		_ = s.ScoreContext(f.pat, ctx, vals)
 	}
 }
 
-func BenchmarkScoreAllSerialVsParallel(b *testing.B) {
+// BenchmarkScoreWorkers scores every context of the fixture's pattern set
+// serially and across GOMAXPROCS workers.
+func BenchmarkScoreWorkers(b *testing.B) {
 	f := benchFix(b)
-	b.Run("serial", func(b *testing.B) {
-		s := NewCitationScorer(f.c, citegraph.PageRankOpts{})
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = ScoreAll(s, f.pat, 10)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		s := NewCitationScorer(f.c, citegraph.PageRankOpts{})
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = ScoreAllParallel(s, f.pat, 10, 0)
-		}
-	})
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"serial", 1}, {"parallel", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := NewCitationScorer(f.c, citegraph.PageRankOpts{})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = Score(s, f.pat, 10, bc.workers)
+			}
+		})
+	}
 }
 
 func BenchmarkPropagateMax(b *testing.B) {
 	f := benchFix(b)
-	s := NewCitationScorer(f.c, citegraph.PageRankOpts{})
-	base := ScoreAll(s, f.pat, 10)
+	base := Score(NewCitationScorer(f.c, citegraph.PageRankOpts{}), f.pat, 10, 0)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		// Copy then propagate (propagation mutates in place).
-		cp := make(Scores, len(base))
-		for ctx, m := range base {
-			mm := make(map[corpusPaperID]float64, len(m))
-			for id, v := range m {
-				mm[id] = v
-			}
-			cp[ctx] = mm
-		}
-		_ = PropagateMax(f.onto, cp)
+		_ = PropagateMax(f.onto, base)
 	}
 }
 
 // bigFix builds a context set with over a thousand scored contexts — the
-// scale at which ScoreAllParallel's per-context allocations (subgraph maps,
+// scale at which Score's per-context allocations (subgraph maps,
 // rank vectors) used to dominate; the pooled citegraph arenas are measured
 // here for BENCH_PR3.json.
 func bigFix(b *testing.B) (*corpus.Corpus, *contextset.ContextSet) {
@@ -153,49 +144,34 @@ func bigFix(b *testing.B) (*corpus.Corpus, *contextset.ContextSet) {
 	return c, cs
 }
 
-func BenchmarkScoreAllParallel1kContexts(b *testing.B) {
+func BenchmarkScore1kContexts(b *testing.B) {
 	c, cs := bigFix(b)
 	s := NewCitationScorer(c, citegraph.PageRankOpts{})
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = ScoreAllParallel(s, cs, 0, 0)
+		_ = Score(s, cs, 0, 0)
 	}
 }
 
-// BenchmarkPrestigeLookup pits the nested-map score lookup against the
-// frozen CSR matrix's run-resolve + binary-search lookup, in the access
-// pattern of the query merge: one context resolved per row, many papers
-// probed within it.
+// BenchmarkPrestigeLookup measures the matrix's run-resolve +
+// binary-search lookup in the access pattern of the query merge: one
+// context resolved per row, many papers probed within it.
 func BenchmarkPrestigeLookup(b *testing.B) {
 	f := benchFix(b)
-	scores := ScoreAll(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0)
-	m := scores.Freeze()
-	ctxs := scores.Contexts()
-	papers := make([]corpusPaperID, f.c.Len())
+	m := Score(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0, 0)
+	ctxs := m.Contexts()
+	papers := make([]corpus.PaperID, f.c.Len())
 	for i := range papers {
-		papers[i] = corpusPaperID(i)
+		papers[i] = corpus.PaperID(i)
 	}
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			ctx := ctxs[i%len(ctxs)]
-			for _, p := range papers {
-				sink += scores.Get(ctx, p)
-			}
+	b.ReportAllocs()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		run := m.Run(ctxs[i%len(ctxs)])
+		for _, p := range papers {
+			sink += run.Get(p)
 		}
-		_ = sink
-	})
-	b.Run("matrix", func(b *testing.B) {
-		b.ReportAllocs()
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			run := m.Run(ctxs[i%len(ctxs)])
-			for _, p := range papers {
-				sink += run.Get(p)
-			}
-		}
-		_ = sink
-	})
+	}
+	_ = sink
 }

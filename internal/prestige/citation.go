@@ -19,7 +19,7 @@ type CitationScorer struct {
 
 	// scratch pools citegraph arenas so the subgraph + PageRank pipeline
 	// reuses its position table, adjacency and rank buffers across the
-	// thousands of contexts scored. ScoreAllParallel workers each hold one
+	// thousands of contexts scored. Score's workers each hold one
 	// arena for the duration of a context; results are unaffected (the
 	// scratch pipeline is bit-identical to the allocating one).
 	scratch sync.Pool
@@ -81,10 +81,10 @@ func (s *CitationScorer) Name() string { return "citation" }
 // ScoreContext implements Scorer: PageRank over the induced subgraph,
 // max-normalised. With the §7 extension enabled, boundary citations add a
 // weighted bonus on top of the in-context PageRank.
-func (s *CitationScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID) map[corpus.PaperID]float64 {
+func (s *CitationScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID, vals []float64) bool {
 	papers := cs.Papers(ctx)
 	if len(papers) == 0 {
-		return map[corpus.PaperID]float64{}
+		return true
 	}
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
@@ -92,28 +92,27 @@ func (s *CitationScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.Te
 	for i, p := range papers {
 		nodes[i] = int(p)
 	}
-	sub, mapping := s.graph.SubgraphInto(nodes, sc)
-	pr := citegraph.PageRankScratch(sub, s.opts, sc)
-	// mapping and pr alias the arena; copying into the result map releases
-	// them for the worker's next context.
-	out := make(map[corpus.PaperID]float64, len(mapping))
-	for i, orig := range mapping {
-		out[corpus.PaperID(orig)] = pr[i]
-	}
+	// The members are distinct and SubgraphInto keeps input order, so
+	// subgraph node i is papers[i]; pr aliases the arena, and copying it
+	// out releases it for the worker's next context.
+	sub, _ := s.graph.SubgraphInto(nodes, sc)
+	copy(vals, citegraph.PageRankScratch(sub, s.opts, sc))
 	if s.CrossContextWeight.Enabled {
-		s.addCrossContextBonus(cs, ctx, out)
+		s.addCrossContextBonus(cs, ctx, papers, vals)
 	}
-	maxNormalizeMap(out)
-	return out
+	maxNormalize(vals)
+	return true
 }
 
 // addCrossContextBonus implements the §7 variation: each citation crossing
 // the context boundary contributes a small weighted vote — the weight
 // depends on whether the citing/cited paper's contexts are hierarchically
 // related to ctx. The bonus is scaled to the average in-context score so it
-// perturbs rather than dominates.
-func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ontology.TermID, scores map[corpus.PaperID]float64) {
-	inCtx := cs.PaperSet(ctx)
+// perturbs rather than dominates. scores[i] is the score of papers[i]; the
+// average sums them in that (ascending paper-ID) order, so the bonus has
+// the same bits on every run.
+func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ontology.TermID, papers []corpus.PaperID, scores []float64) {
+	inCtx := cs.PaperBitset(ctx)
 	var avg float64
 	for _, v := range scores {
 		avg += v
@@ -125,16 +124,16 @@ func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ont
 	// One neighbor buffer for the whole call, truncated per paper — the
 	// in+out concatenation is only read within the iteration.
 	neighbors := make([]int32, 0, 64)
-	for p := range scores {
+	for i, p := range papers {
 		var bonus float64
 		neighbors = neighbors[:0]
 		neighbors = append(neighbors, s.graph.In(int(p))...)
 		neighbors = append(neighbors, s.graph.Out(int(p))...)
 		for _, q := range neighbors {
-			qid := corpus.PaperID(q)
-			if inCtx[qid] {
+			if inCtx.Contains(int(q)) {
 				continue // in-context edges already counted by PageRank
 			}
+			qid := corpus.PaperID(q)
 			w := s.CrossContextWeight.Unrelated
 			if s.CrossContextWeight.Semantic {
 				best := 0.0
@@ -143,7 +142,7 @@ func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ont
 						best = lin
 					}
 				}
-				w += (s.CrossContextWeight.Related - s.CrossContextWeight.Unrelated) * best
+				w += float64((s.CrossContextWeight.Related - s.CrossContextWeight.Unrelated) * best)
 			} else {
 				for _, qctx := range cs.ContextsOf(qid) {
 					if onto.HierarchicallyRelated(ctx, qctx) {
@@ -155,7 +154,7 @@ func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ont
 			bonus += w
 		}
 		if bonus > 0 {
-			scores[p] += avg * bonus / (bonus + 10) // saturating bonus
+			scores[i] += avg * bonus / (bonus + 10) // saturating bonus
 		}
 	}
 }

@@ -13,13 +13,13 @@ import (
 // (read-only) memory is safe. The caller must keep the backing storage
 // alive for the lifetime of the matrix.
 //
-// Invariants checked: ctxs strictly ascending (the Freeze order), offsets
-// monotone non-decreasing with len(ctxs)+1 entries starting at 0 and ending
-// at len(docs), docs/vals/rowMax lengths consistent. Checks are O(rows),
+// Invariants checked: ctxs strictly ascending (the order Score lays out),
+// offsets monotone non-decreasing with len(ctxs)+1 entries starting at 0
+// and ending at len(docs), docs/vals/rowMax lengths consistent. Checks are O(rows),
 // never O(nnz): per-element content (e.g. ascending doc IDs within a run)
 // is the writer's contract, guarded on disk by the section CRCs — scanning
 // it here would fault in every page and defeat the O(1) open. Row maxima
-// are trusted as given (the writer persists the values Freeze computes).
+// are trusted as given (the writer persists the values the build computed).
 func FromCSR(ctxs []ontology.TermID, offsets, docs []int32, vals, rowMax []float64) (*Matrix, error) {
 	if len(offsets) != len(ctxs)+1 {
 		return nil, fmt.Errorf("prestige: %d contexts need %d offsets, have %d", len(ctxs), len(ctxs)+1, len(offsets))

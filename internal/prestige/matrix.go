@@ -7,68 +7,47 @@ import (
 	"ctxsearch/internal/ontology"
 )
 
-// Matrix is the frozen, query-time form of Scores: a CSR (compressed sparse
-// row) score matrix with one row per scored context. Contexts are interned
-// into ordinals (sorted by term ID), each row is a packed run of
+// Matrix holds the prestige scores of a context set: a CSR (compressed
+// sparse row) score matrix with one row per scored context. Contexts are
+// interned into ordinals (sorted by term ID), each row is a packed run of
 // paper-ID-sorted (doc, score) columns, and a per-context offset array
 // delimits the runs — mirroring the index's postings layout. The query
 // merge reads one run per selected context and resolves each hit by binary
-// search over the run's int32 doc IDs, instead of chaining a string-keyed
-// and an int-keyed map lookup per (context, hit) pair.
+// search over the run's int32 doc IDs.
 //
-// A Matrix is immutable and safe for concurrent readers. Construct with
-// Scores.Freeze; the map form remains the construction-time builder and the
-// Scorer.ScoreContext boundary.
+// A Matrix is immutable and safe for concurrent readers. Score builds one,
+// PropagateMax derives the propagated one, and FromCSR binds a state
+// file's.
 type Matrix struct {
 	ctxs    []ontology.TermID
 	ord     map[ontology.TermID]int32
 	offsets []int32 // len(ctxs)+1; run i is [offsets[i], offsets[i+1])
 	docs    []int32
 	vals    []float64
-	// rowMax[i] is the largest score in run i (0 for an empty run) — the
-	// per-context prestige upper bound the search layer's top-k pruning
-	// reads. Persisted in the state file.
+	// rowMax[i] is the largest score in run i (0 for an empty run), the
+	// row's prestige upper bound. Persisted in the state file.
 	rowMax []float64
 }
 
-// Freeze flattens the map form into its CSR matrix. The layout is fully
-// deterministic: contexts in ascending term-ID order, each run in ascending
-// paper-ID order, scores byte-identical to the map's values.
-func (s Scores) Freeze() *Matrix {
-	ctxs := s.Contexts()
-	m := &Matrix{
-		ctxs:    ctxs,
-		ord:     make(map[ontology.TermID]int32, len(ctxs)),
-		offsets: make([]int32, len(ctxs)+1),
-	}
-	nnz := 0
-	for _, ctx := range ctxs {
-		nnz += len(s[ctx])
-	}
-	m.docs = make([]int32, 0, nnz)
-	m.vals = make([]float64, 0, nnz)
-	m.rowMax = make([]float64, len(ctxs))
-	var row []int32
-	for i, ctx := range ctxs {
-		m.ord[ctx] = int32(i)
-		src := s[ctx]
-		row = row[:0]
-		for id := range src {
-			row = append(row, int32(id))
-		}
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-		for _, id := range row {
-			v := src[corpus.PaperID(id)]
-			m.docs = append(m.docs, id)
-			m.vals = append(m.vals, v)
-			if v > m.rowMax[i] {
-				m.rowMax[i] = v
+// rowMaxima returns the largest value of each run delimited by offsets (0
+// for an empty or all-negative run).
+func rowMaxima(offsets []int32, vals []float64) []float64 {
+	out := make([]float64, len(offsets)-1)
+	for i := range out {
+		for _, v := range vals[offsets[i]:offsets[i+1]] {
+			if v > out[i] {
+				out[i] = v
 			}
 		}
-		m.offsets[i+1] = int32(len(m.docs))
 	}
-	return m
+	return out
 }
+
+// Freeze returns m.
+//
+// Deprecated: a Matrix is the only form scores take; call sites have
+// nothing to freeze.
+func (m *Matrix) Freeze() *Matrix { return m }
 
 // NumContexts returns the number of scored contexts (rows).
 func (m *Matrix) NumContexts() int { return len(m.ctxs) }
@@ -106,6 +85,32 @@ func (r Run) Get(p corpus.PaperID) float64 {
 	return 0
 }
 
+// TopK returns the IDs of the run's k highest-scored papers, by value
+// descending, then ID ascending. Papers tied with the k-th score are all
+// included, per the paper's §2 definition of the top-k overlapping ratio
+// denominator.
+func (r Run) TopK(k int) []corpus.PaperID {
+	if k <= 0 || len(r.Docs) == 0 {
+		return nil
+	}
+	idx := make([]int, len(r.Docs))
+	for i := range idx {
+		idx[i] = i
+	}
+	// Docs ascend, so a stable sort by value leaves ties in ID order.
+	sort.SliceStable(idx, func(a, b int) bool { return r.Vals[idx[a]] > r.Vals[idx[b]] })
+	k = min(k, len(idx))
+	cutoff := r.Vals[idx[k-1]]
+	out := make([]corpus.PaperID, 0, k)
+	for _, i := range idx {
+		if r.Vals[i] < cutoff {
+			break
+		}
+		out = append(out, corpus.PaperID(r.Docs[i]))
+	}
+	return out
+}
+
 // Run returns a context's score row (an empty run when unscored).
 func (m *Matrix) Run(ctx ontology.TermID) Run {
 	i, ok := m.ord[ctx]
@@ -121,8 +126,7 @@ func (m *Matrix) RunAt(i int) Run {
 	return Run{Docs: m.docs[lo:hi], Vals: m.vals[lo:hi], Max: m.rowMax[i]}
 }
 
-// Get returns the score of a paper in a context (0 when absent), matching
-// Scores.Get on the frozen input exactly.
+// Get returns the score of a paper in a context (0 when absent).
 func (m *Matrix) Get(ctx ontology.TermID, p corpus.PaperID) float64 {
 	return m.Run(ctx).Get(p)
 }
@@ -173,19 +177,4 @@ func searchInt32(s []int32, v int32) int {
 		}
 	}
 	return lo
-}
-
-// Thaw reconstructs the map form (for code paths that still build on it,
-// e.g. the naive reference search). Freeze(Thaw(m)) is the identity.
-func (m *Matrix) Thaw() Scores {
-	out := make(Scores, len(m.ctxs))
-	for i, ctx := range m.ctxs {
-		r := m.RunAt(i)
-		row := make(map[corpus.PaperID]float64, len(r.Docs))
-		for j, d := range r.Docs {
-			row[corpus.PaperID(d)] = r.Vals[j]
-		}
-		out[ctx] = row
-	}
-	return out
 }

@@ -69,23 +69,18 @@ func (s *PatternScorer) patternsFor(c *corpus.Corpus, term ontology.TermID) *pat
 
 // ScoreContext implements Scorer. Contexts that inherited their papers from
 // an ancestor are scored with the ancestor's patterns (the decay multiplier
-// is applied by ScoreAll).
-func (s *PatternScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID) map[corpus.PaperID]float64 {
+// is applied by Score). Papers no pattern matches score 0.
+func (s *PatternScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID, vals []float64) bool {
 	c := s.ix.Analyzer().Corpus()
 	term := ctx
 	if origin, inherited := cs.InheritedFrom(ctx); inherited {
 		term = origin
 	}
 	set := s.patternsFor(c, term)
-	within := cs.PaperSet(ctx)
-	scores := set.ScorePapers(s.ix, within, s.mcfg)
-	// Papers with no pattern match still belong to the context; give them
-	// an explicit zero so separability sees the full population.
-	for p := range within {
-		if _, ok := scores[p]; !ok {
-			scores[p] = 0
-		}
+	scores := set.ScorePapers(s.ix, cs.PaperSet(ctx), s.mcfg)
+	for i, p := range cs.Papers(ctx) {
+		vals[i] = scores[p]
 	}
-	maxNormalizeMap(scores)
-	return scores
+	maxNormalize(vals)
+	return true
 }

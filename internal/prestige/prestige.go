@@ -12,112 +12,93 @@
 package prestige
 
 import (
-	"sort"
-
 	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/par"
 )
-
-// Scores holds prestige scores per context per paper.
-type Scores map[ontology.TermID]map[corpus.PaperID]float64
-
-// Get returns the score of a paper in a context (0 when absent).
-func (s Scores) Get(ctx ontology.TermID, p corpus.PaperID) float64 {
-	return s[ctx][p]
-}
-
-// Contexts returns the scored contexts sorted by term ID.
-func (s Scores) Contexts() []ontology.TermID {
-	out := make([]ontology.TermID, 0, len(s))
-	for t := range s {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Values returns the score list of one context (unordered).
-func (s Scores) Values(ctx ontology.TermID) []float64 {
-	m := s[ctx]
-	out := make([]float64, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	return out
-}
-
-// TopK returns the IDs of the k highest-scored papers of a context. Papers
-// tied with the k-th score are all included, per the paper's §2 definition
-// of the top-k overlapping ratio denominator.
-func (s Scores) TopK(ctx ontology.TermID, k int) []corpus.PaperID {
-	m := s[ctx]
-	if k <= 0 || len(m) == 0 {
-		return nil
-	}
-	type ps struct {
-		id corpus.PaperID
-		v  float64
-	}
-	all := make([]ps, 0, len(m))
-	for id, v := range m {
-		all = append(all, ps{id, v})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v > all[j].v
-		}
-		return all[i].id < all[j].id
-	})
-	if k > len(all) {
-		k = len(all)
-	}
-	cutoff := all[k-1].v
-	out := make([]corpus.PaperID, 0, k)
-	for _, e := range all {
-		if e.v < cutoff {
-			break
-		}
-		out = append(out, e.id)
-	}
-	return out
-}
 
 // Scorer computes prestige scores for the papers of one context.
 type Scorer interface {
 	// Name identifies the score function ("citation", "text", "pattern").
 	Name() string
-	// ScoreContext returns prestige scores in [0,1] for the papers of ctx.
-	// A nil map means the function is not applicable to this context (e.g.
-	// the text-based function without a representative paper).
-	ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID) map[corpus.PaperID]float64
+	// ScoreContext writes the prestige scores in [0,1] of ctx's members
+	// into vals, which holds cs.Size(ctx) entries, in the set's run order
+	// (ascending paper ID). It returns false when the function is not
+	// applicable to this context (e.g. the text-based function without a
+	// representative paper); vals is then meaningless.
+	ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID, vals []float64) bool
 }
 
-// ScoreAll runs a scorer over every context of the set with more than
-// minSize papers, applying the context's RateOfDecay damping.
-func ScoreAll(sc Scorer, cs *contextset.ContextSet, minSize int) Scores {
-	out := make(Scores)
-	for _, ctx := range cs.ContextsWithMinSize(minSize) {
-		m := sc.ScoreContext(cs, ctx)
-		if m == nil {
-			continue
+// Score runs a scorer over every context of the set with more than minSize
+// papers, damps each run by the context's RateOfDecay, and lays the runs
+// out as a Matrix: contexts ascending by term ID, each run in the set's
+// member order, contexts the scorer declined left out. Contexts are fanned
+// out over workers (≤ 0 selects GOMAXPROCS); each writes only its own run,
+// so the matrix is the same at every worker count. The built-in scorers are
+// safe for concurrent ScoreContext calls; a custom Scorer used here must be
+// too.
+func Score(sc Scorer, cs *contextset.ContextSet, minSize, workers int) *Matrix {
+	ctxs := cs.ContextsWithMinSize(minSize)
+	offsets := make([]int32, len(ctxs)+1)
+	for i, ctx := range ctxs {
+		offsets[i+1] = offsets[i] + int32(cs.Size(ctx))
+	}
+	docs := make([]int32, 0, offsets[len(ctxs)])
+	for _, ctx := range ctxs {
+		for _, p := range cs.Papers(ctx) {
+			docs = append(docs, int32(p))
 		}
-		if d := cs.Decay(ctx); d != 1 {
-			for id := range m {
-				m[id] *= d
+	}
+	vals := make([]float64, len(docs))
+	applies := make([]bool, len(ctxs))
+	par.For(len(ctxs), workers, func(i int) {
+		run := vals[offsets[i]:offsets[i+1]]
+		if applies[i] = sc.ScoreContext(cs, ctxs[i], run); !applies[i] {
+			return
+		}
+		if d := cs.Decay(ctxs[i]); d != 1 {
+			for j := range run {
+				run[j] *= d
 			}
 		}
-		out[ctx] = m
+	})
+	// Compact out the declined rows in place: row i moves to row k ≤ i, and
+	// its bounds are read before offsets[k+1] is written.
+	k := 0
+	for i, ctx := range ctxs {
+		lo, hi := offsets[i], offsets[i+1]
+		if !applies[i] {
+			continue
+		}
+		at := offsets[k]
+		copy(docs[at:], docs[lo:hi])
+		copy(vals[at:], vals[lo:hi])
+		ctxs[k] = ctx
+		offsets[k+1] = at + hi - lo
+		k++
 	}
-	return out
+	n := offsets[k]
+	m := &Matrix{
+		ctxs:    ctxs[:k],
+		ord:     make(map[ontology.TermID]int32, k),
+		offsets: offsets[:k+1],
+		docs:    docs[:n],
+		vals:    vals[:n],
+	}
+	for i, ctx := range m.ctxs {
+		m.ord[ctx] = int32(i)
+	}
+	m.rowMax = rowMaxima(m.offsets, m.vals)
+	return m
 }
 
-// maxNormalizeMap scales a score map so its maximum is 1 (no-op when empty
-// or all-zero).
-func maxNormalizeMap(m map[corpus.PaperID]float64) {
+// maxNormalize scales a run so its maximum is 1 (no-op when empty or
+// all-zero).
+func maxNormalize(vals []float64) {
 	var max float64
-	for _, v := range m {
+	for _, v := range vals {
 		if v > max {
 			max = v
 		}
@@ -125,8 +106,8 @@ func maxNormalizeMap(m map[corpus.PaperID]float64) {
 	if max == 0 {
 		return
 	}
-	for id := range m {
-		m[id] /= max
+	for i := range vals {
+		vals[i] /= max
 	}
 }
 

@@ -1,6 +1,8 @@
 package prestige
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"ctxsearch/internal/citegraph"
@@ -48,20 +50,63 @@ func buildFixture(t *testing.T) *fixture {
 	return cachedFixture
 }
 
-func inRange01(t *testing.T, name string, m map[corpus.PaperID]float64) {
+// scoreRun scores one context into a fresh run over its members; ok is
+// the scorer's verdict.
+func scoreRun(sc Scorer, cs *contextset.ContextSet, ctx ontology.TermID) (r Run, ok bool) {
+	for _, p := range cs.Papers(ctx) {
+		r.Docs = append(r.Docs, int32(p))
+	}
+	r.Vals = make([]float64, len(r.Docs))
+	return r, sc.ScoreContext(cs, ctx, r.Vals)
+}
+
+func inRange01(t *testing.T, name string, r Run) {
 	t.Helper()
 	var max float64
-	for id, v := range m {
+	for i, v := range r.Vals {
 		if v < 0 || v > 1.0000001 {
-			t.Fatalf("%s: score of %d out of range: %v", name, id, v)
+			t.Fatalf("%s: score of %d out of range: %v", name, r.Docs[i], v)
 		}
 		if v > max {
 			max = v
 		}
 	}
-	if len(m) > 0 && max < 0.999999 {
+	if len(r.Vals) > 0 && max < 0.999999 {
 		t.Fatalf("%s: max score %v, want 1 after normalisation", name, max)
 	}
+}
+
+// mapScores is the map form of a score matrix: context → paper → score.
+type mapScores map[ontology.TermID]map[corpus.PaperID]float64
+
+// matrixOf lays a map form out as a Matrix through FromCSR.
+func matrixOf(t testing.TB, s mapScores) *Matrix {
+	t.Helper()
+	ctxs := make([]ontology.TermID, 0, len(s))
+	for ctx := range s {
+		ctxs = append(ctxs, ctx)
+	}
+	slices.Sort(ctxs)
+	offsets := []int32{0}
+	var docs []int32
+	var vals []float64
+	for _, ctx := range ctxs {
+		row := make([]int32, 0, len(s[ctx]))
+		for p := range s[ctx] {
+			row = append(row, int32(p))
+		}
+		slices.Sort(row)
+		for _, d := range row {
+			docs = append(docs, d)
+			vals = append(vals, s[ctx][corpus.PaperID(d)])
+		}
+		offsets = append(offsets, int32(len(docs)))
+	}
+	m, err := FromCSR(ctxs, offsets, docs, vals, rowMaxima(offsets, vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestCitationScorer(t *testing.T) {
@@ -72,11 +117,11 @@ func TestCitationScorer(t *testing.T) {
 	}
 	scored := 0
 	for _, ctx := range f.pat.ContextsWithMinSize(10) {
-		m := s.ScoreContext(f.pat, ctx)
-		inRange01(t, string(ctx), m)
-		if len(m) != f.pat.Size(ctx) {
-			t.Fatalf("context %s: scored %d of %d papers", ctx, len(m), f.pat.Size(ctx))
+		r, ok := scoreRun(s, f.pat, ctx)
+		if !ok {
+			t.Fatalf("citation scorer declined context %s", ctx)
 		}
+		inRange01(t, string(ctx), r)
 		scored++
 	}
 	if scored == 0 {
@@ -114,9 +159,9 @@ func TestCitationScorerUsesOnlyInContextEdges(t *testing.T) {
 		t.Skip("fixture too dissimilar for text assignment; skipping")
 	}
 	s := NewCitationScorer(c, citegraph.PageRankOpts{})
-	m := s.ScoreContext(cs, "GO:2")
-	if m[0] < m[2] == false {
-		t.Fatalf("paper 0 (2 in-context citations) must outrank paper 2 (0 in-context): %v", m)
+	r, _ := scoreRun(s, cs, "GO:2")
+	if r.Get(0) < r.Get(2) == false {
+		t.Fatalf("paper 0 (2 in-context citations) must outrank paper 2 (0 in-context): %v", r)
 	}
 	if cs.Contains("GO:2", 3) {
 		t.Fatal("paper 3 unexpectedly in context")
@@ -131,25 +176,25 @@ func TestTextScorer(t *testing.T) {
 	}
 	scored := 0
 	for _, ctx := range f.text.ContextsWithMinSize(10) {
-		m := s.ScoreContext(f.text, ctx)
-		if m == nil {
+		r, ok := scoreRun(s, f.text, ctx)
+		if !ok {
 			t.Fatalf("text context %s must have a representative", ctx)
 		}
-		inRange01(t, string(ctx), m)
+		inRange01(t, string(ctx), r)
 		rep, _ := f.text.Representative(ctx)
-		if m[rep] != 1 {
-			t.Fatalf("representative must score 1, got %v", m[rep])
+		if r.Get(rep) != 1 {
+			t.Fatalf("representative must score 1, got %v", r.Get(rep))
 		}
 		scored++
 	}
 	if scored == 0 {
 		t.Fatal("no contexts scored")
 	}
-	// Pattern-based contexts have no representative → nil.
+	// Pattern-based contexts have no representative → declined.
 	for _, ctx := range f.pat.Contexts() {
 		if _, ok := f.pat.Representative(ctx); !ok {
-			if m := s.ScoreContext(f.pat, ctx); m != nil {
-				t.Fatal("context without representative must return nil")
+			if _, ok := scoreRun(s, f.pat, ctx); ok {
+				t.Fatal("context without representative must be declined")
 			}
 			break
 		}
@@ -227,11 +272,11 @@ func TestPatternScorer(t *testing.T) {
 	}
 	scored := 0
 	for _, ctx := range f.pat.ContextsWithMinSize(10) {
-		m := s.ScoreContext(f.pat, ctx)
-		if len(m) != f.pat.Size(ctx) {
-			t.Fatalf("context %s: scored %d of %d papers", ctx, len(m), f.pat.Size(ctx))
+		r, ok := scoreRun(s, f.pat, ctx)
+		if !ok {
+			t.Fatalf("pattern scorer declined context %s", ctx)
 		}
-		inRange01(t, string(ctx), m)
+		inRange01(t, string(ctx), r)
 		scored++
 		if scored >= 10 {
 			break // plenty; pattern scoring is the slow path
@@ -249,7 +294,7 @@ func TestPatternScorer(t *testing.T) {
 func TestScoreAllAppliesDecay(t *testing.T) {
 	f := buildFixture(t)
 	s := NewCitationScorer(f.c, citegraph.PageRankOpts{})
-	scores := ScoreAll(s, f.pat, 0)
+	scores := Score(s, f.pat, 0, 1)
 	for _, ctx := range f.pat.Contexts() {
 		if _, inherited := f.pat.InheritedFrom(ctx); !inherited {
 			continue
@@ -259,21 +304,15 @@ func TestScoreAllAppliesDecay(t *testing.T) {
 			continue
 		}
 		// Max score must be ≤ decay (scores were ≤ 1 before damping).
-		var max float64
-		for _, v := range scores[ctx] {
-			if v > max {
-				max = v
-			}
-		}
-		if max > d+1e-9 {
+		if max := scores.Run(ctx).Max; max > d+1e-9 {
 			t.Fatalf("context %s: max score %v exceeds decay %v", ctx, max, d)
 		}
 	}
 }
 
 func TestScoresTopK(t *testing.T) {
-	s := Scores{"GO:1": {0: 0.9, 1: 0.5, 2: 0.5, 3: 0.1}}
-	top := s.TopK("GO:1", 2)
+	s := matrixOf(t, mapScores{"GO:1": {0: 0.9, 1: 0.5, 2: 0.5, 3: 0.1}})
+	top := s.Run("GO:1").TopK(2)
 	// k=2 with a tie at the 2nd score: papers 1 and 2 both included.
 	if len(top) != 3 {
 		t.Fatalf("TopK with tie = %v", top)
@@ -281,14 +320,19 @@ func TestScoresTopK(t *testing.T) {
 	if top[0] != 0 {
 		t.Fatalf("top paper = %v", top[0])
 	}
-	if got := s.TopK("GO:1", 0); got != nil {
+	if got := s.Run("GO:1").TopK(0); got != nil {
 		t.Fatal("k=0 must return nil")
 	}
-	if got := s.TopK("GO:404", 3); got != nil {
+	if got := s.Run("GO:404").TopK(3); got != nil {
 		t.Fatal("unknown context must return nil")
 	}
-	if got := s.TopK("GO:1", 99); len(got) != 4 {
+	if got := s.Run("GO:1").TopK(99); len(got) != 4 {
 		t.Fatalf("oversized k = %v", got)
+	}
+	// Value descending, then ID ascending.
+	s = matrixOf(t, mapScores{"GO:1": {4: 0.2, 1: 0.7, 3: 0.7, 2: 0.9}})
+	if got := s.Run("GO:1").TopK(4); !slices.Equal(got, []corpus.PaperID{2, 1, 3, 4}) {
+		t.Fatalf("TopK order = %v", got)
 	}
 }
 
@@ -301,26 +345,34 @@ func TestPropagateMax(t *testing.T) {
 	if err := o.Build(); err != nil {
 		t.Fatal(err)
 	}
-	s := Scores{
+	in := matrixOf(t, mapScores{
 		"GO:1": {7: 0.2, 8: 0.4},
 		"GO:2": {7: 0.3},
 		"GO:3": {7: 0.9, 9: 1.0},
-	}
-	PropagateMax(o, s)
-	if s["GO:1"][7] != 0.9 || s["GO:2"][7] != 0.9 {
-		t.Fatalf("max not propagated: %v", s)
+	})
+	before := append([]float64(nil), in.vals...)
+	s := PropagateMax(o, in)
+	if s.Get("GO:1", 7) != 0.9 || s.Get("GO:2", 7) != 0.9 {
+		t.Fatalf("max not propagated: %v", s.vals)
 	}
 	// Paper 9 is not in GO:1's set — must not appear.
-	if _, ok := s["GO:1"][9]; ok {
-		t.Fatal("propagation added papers to ancestor")
+	if got := s.Run("GO:1").Docs; !slices.Equal(got, []int32{7, 8}) {
+		t.Fatalf("propagation changed the ancestor's papers: %v", got)
 	}
 	// Paper 8 untouched.
-	if s["GO:1"][8] != 0.4 {
+	if s.Get("GO:1", 8) != 0.4 {
 		t.Fatal("unrelated score changed")
 	}
 	// Descendant scores unchanged.
-	if s["GO:3"][7] != 0.9 {
+	if s.Get("GO:3", 7) != 0.9 {
 		t.Fatal("descendant score changed")
+	}
+	if s.Run("GO:1").Max != 0.9 || s.Run("GO:2").Max != 0.9 {
+		t.Fatalf("row maxima not recomputed: %v", s.rowMax)
+	}
+	// The input, which may alias a read-only mapping, is not written.
+	if !slices.Equal(in.vals, before) || in.Run("GO:1").Max != 0.4 {
+		t.Fatalf("PropagateMax wrote its input: %v", in.vals)
 	}
 }
 
@@ -334,13 +386,12 @@ func TestPropagateMaxSkipsUnscoredMiddle(t *testing.T) {
 	}
 	// GO:2 not scored (excluded as too small): GO:3's score must still
 	// reach GO:1.
-	s := Scores{
+	s := PropagateMax(o, matrixOf(t, mapScores{
 		"GO:1": {7: 0.1},
 		"GO:3": {7: 0.8},
-	}
-	PropagateMax(o, s)
-	if s["GO:1"][7] != 0.8 {
-		t.Fatalf("score must skip unscored middle context: %v", s)
+	}))
+	if s.Get("GO:1", 7) != 0.8 {
+		t.Fatalf("score must skip unscored middle context: %v", s.vals)
 	}
 }
 
@@ -358,21 +409,29 @@ func TestCrossContextExtension(t *testing.T) {
 	// context can be boundary-free).
 	changed := false
 	for _, ctx := range ctxs {
-		mb := base.ScoreContext(f.pat, ctx)
-		me := ext.ScoreContext(f.pat, ctx)
-		inRange01(t, "ext", me)
-		for id, v := range me {
-			if v != mb[id] {
-				changed = true
-				break
-			}
-		}
-		if changed {
+		rb, _ := scoreRun(base, f.pat, ctx)
+		re, _ := scoreRun(ext, f.pat, ctx)
+		inRange01(t, "ext", re)
+		if !slices.Equal(rb.Vals, re.Vals) {
+			changed = true
 			break
 		}
 	}
 	if !changed {
 		t.Fatal("cross-context extension had no effect on any context")
+	}
+	// The extension's scores have the same bits on every run: its sums run
+	// in paper order, not in an order that varies between calls.
+	for _, ctx := range f.pat.Contexts() {
+		first, _ := scoreRun(ext, f.pat, ctx)
+		for run := 1; run < 5; run++ {
+			again, _ := scoreRun(ext, f.pat, ctx)
+			for i, v := range again.Vals {
+				if math.Float64bits(v) != math.Float64bits(first.Vals[i]) {
+					t.Fatalf("context %s paper %d: run %d scored %v, run 0 %v", ctx, again.Docs[i], run, v, first.Vals[i])
+				}
+			}
+		}
 	}
 }
 
@@ -388,7 +447,7 @@ func TestContextSparseness(t *testing.T) {
 }
 
 func TestScoresAccessors(t *testing.T) {
-	s := Scores{"GO:2": {1: 0.5}, "GO:1": {2: 0.25}}
+	s := matrixOf(t, mapScores{"GO:2": {1: 0.5}, "GO:1": {2: 0.25}})
 	if got := s.Get("GO:2", 1); got != 0.5 {
 		t.Fatalf("Get = %v", got)
 	}
@@ -399,8 +458,11 @@ func TestScoresAccessors(t *testing.T) {
 	if len(ctxs) != 2 || ctxs[0] != "GO:1" {
 		t.Fatalf("Contexts = %v", ctxs)
 	}
-	if got := s.Values("GO:1"); len(got) != 1 || got[0] != 0.25 {
-		t.Fatalf("Values = %v", got)
+	if got := s.Run("GO:1").Vals; len(got) != 1 || got[0] != 0.25 {
+		t.Fatalf("Run(GO:1).Vals = %v", got)
+	}
+	if got := s.Get("GO:1", 1); got != 0 {
+		t.Fatalf("absent paper Get = %v", got)
 	}
 }
 

@@ -87,22 +87,20 @@ func (s *TextScorer) WithRepSource(cs *contextset.ContextSet) *TextScorer {
 func (s *TextScorer) Name() string { return "text" }
 
 // ScoreContext implements Scorer. Contexts without a representative paper
-// return nil (the paper assigns text scores only where representatives
+// are declined (the paper assigns text scores only where representatives
 // exist).
-func (s *TextScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID) map[corpus.PaperID]float64 {
+func (s *TextScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID, vals []float64) bool {
 	repSrc := cs
 	if s.RepSource != nil {
 		repSrc = s.RepSource
 	}
 	rep, ok := repSrc.Representative(ctx)
 	if !ok {
-		return nil
+		return false
 	}
-	papers := cs.Papers(ctx)
-	out := make(map[corpus.PaperID]float64, len(papers))
 	b := s.bind(rep)
-	for _, p := range papers {
-		out[p] = b.similarity(p)
+	for i, p := range cs.Papers(ctx) {
+		vals[i] = b.similarity(p)
 	}
 	b.release()
 	// No per-context max-normalisation: the weighted similarity is already
@@ -110,7 +108,7 @@ func (s *TextScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID
 	// analysis depends on the raw distribution — upper-level contexts whose
 	// representatives characterise them poorly produce small clustered
 	// scores, which is exactly the Figure 5.5 effect.
-	return out
+	return true
 }
 
 // textTables holds what the text score compares beside the analyzer's
@@ -124,8 +122,8 @@ type textTables struct {
 	paperAuthors [][]int32 // paper → its authors' IDs
 	authorPapers [][]int32 // author → the papers they appear on
 
-	// scratch recycles *boundRep: a context binds once, and each
-	// ScoreAllParallel worker leases its own.
+	// scratch recycles *boundRep: a context binds once, and each of
+	// Score's workers leases its own.
 	scratch sync.Pool
 }
 
@@ -242,12 +240,12 @@ func (b *boundRep) similarity(p corpus.PaperID) float64 {
 		return 1
 	}
 	w := b.w
-	sim := w.Title*b.sectionSim(p, corpus.SecTitle) +
-		w.Abstract*b.sectionSim(p, corpus.SecAbstract) +
-		w.Body*b.sectionSim(p, corpus.SecBody) +
-		w.IndexTerms*b.sectionSim(p, corpus.SecIndexTerms) +
-		w.Authors*b.authorSim(p) +
-		w.References*b.referenceSim(p)
+	sim := float64(w.Title*b.sectionSim(p, corpus.SecTitle)) +
+		float64(w.Abstract*b.sectionSim(p, corpus.SecAbstract)) +
+		float64(w.Body*b.sectionSim(p, corpus.SecBody)) +
+		float64(w.IndexTerms*b.sectionSim(p, corpus.SecIndexTerms)) +
+		float64(w.Authors*b.authorSim(p)) +
+		float64(w.References*b.referenceSim(p))
 	return sim
 }
 
@@ -276,7 +274,7 @@ func (b *boundRep) sectionSim(p corpus.PaperID, sec corpus.Section) float64 {
 // authors, Jaccard) with Level-1 overlap (each paper's authors co-write a
 // third paper), per [7].
 func (b *boundRep) authorSim(p corpus.PaperID) float64 {
-	return b.w.L0Weight*b.authorJaccard(p) + b.w.L1Weight*b.levelOneOverlap(p)
+	return float64(b.w.L0Weight*b.authorJaccard(p)) + float64(b.w.L1Weight*b.levelOneOverlap(p))
 }
 
 // authorJaccard is |A(p) ∩ A(rep)| / |A(p) ∪ A(rep)| over the author sets,
@@ -331,7 +329,7 @@ func (b *boundRep) referenceSim(p corpus.PaperID) float64 {
 		bib = b.coupling(g.Out(int(p)), markCited, len(g.Out(int(b.rep))))
 		coc = b.coupling(g.In(int(p)), markCiting, len(g.In(int(b.rep))))
 	}
-	return b.w.BibWeight*bib + (1-b.w.BibWeight)*coc
+	return float64(b.w.BibWeight*bib) + float64((1-b.w.BibWeight)*coc)
 }
 
 // coupling is citegraph's cosine-normalised overlap of two adjacency lists,

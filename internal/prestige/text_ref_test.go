@@ -61,12 +61,12 @@ func similarityReference(r *textReference, p, rep corpus.PaperID) float64 {
 		return 1
 	}
 	w := r.w
-	sim := w.Title*r.sectionSim(p, rep, corpus.SecTitle) +
-		w.Abstract*r.sectionSim(p, rep, corpus.SecAbstract) +
-		w.Body*r.sectionSim(p, rep, corpus.SecBody) +
-		w.IndexTerms*r.sectionSim(p, rep, corpus.SecIndexTerms) +
-		w.Authors*r.authorSim(p, rep) +
-		w.References*r.referenceSim(p, rep)
+	sim := float64(w.Title*r.sectionSim(p, rep, corpus.SecTitle)) +
+		float64(w.Abstract*r.sectionSim(p, rep, corpus.SecAbstract)) +
+		float64(w.Body*r.sectionSim(p, rep, corpus.SecBody)) +
+		float64(w.IndexTerms*r.sectionSim(p, rep, corpus.SecIndexTerms)) +
+		float64(w.Authors*r.authorSim(p, rep)) +
+		float64(w.References*r.referenceSim(p, rep))
 	return sim
 }
 
@@ -78,7 +78,7 @@ func (r *textReference) authorSim(p, q corpus.PaperID) float64 {
 	ap, aq := r.authors[p], r.authors[q]
 	l0 := authorJaccard(ap, aq)
 	l1 := levelOneOverlap(r.authors, r.coAuthor, p, q, ap, aq)
-	return r.w.L0Weight*l0 + r.w.L1Weight*l1
+	return float64(r.w.L0Weight*l0) + float64(r.w.L1Weight*l1)
 }
 
 func authorJaccard(a, b map[string]bool) float64 {
@@ -139,14 +139,14 @@ func (s *TextScorer) levelOneOverlap(p, q corpus.PaperID, ap, aq map[string]bool
 func (r *textReference) referenceSim(p, q corpus.PaperID) float64 {
 	bib := r.g.BibliographicCoupling(int(p), int(q))
 	coc := r.g.CoCitation(int(p), int(q))
-	return r.w.BibWeight*bib + (1-r.w.BibWeight)*coc
+	return float64(r.w.BibWeight*bib) + float64((1-r.w.BibWeight)*coc)
 }
 
 // TestTextScorerMatchesReference compares every (context, paper) score of
 // the bound-representative scorer with the pairwise definition, bit for
 // bit, on generated corpora: both context sets, representatives from the
-// scored set and from the text set, and every ScoreAllParallel arm (the
-// serial one, workers sharing the tables, more workers than CPUs).
+// scored set and from the text set, and Score serially, with workers
+// sharing the tables, and with more workers than CPUs.
 func TestTextScorerMatchesReference(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -206,19 +206,19 @@ func TestTextScorerMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d %s: the reference scored no pair", seed, tc.name)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				got := ScoreAllParallel(sc, tc.cs, 0, workers)
-				if len(got) != len(want) {
-					t.Fatalf("seed %d %s workers %d: %d contexts scored, reference %d", seed, tc.name, workers, len(got), len(want))
+				got := Score(sc, tc.cs, 0, workers)
+				if got.NumContexts() != len(want) {
+					t.Fatalf("seed %d %s workers %d: %d contexts scored, reference %d", seed, tc.name, workers, got.NumContexts(), len(want))
 				}
 				for ctx, wm := range want {
-					gm := got[ctx]
-					if len(gm) != len(wm) {
-						t.Fatalf("seed %d %s workers %d: context %s has %d scores, reference %d", seed, tc.name, workers, ctx, len(gm), len(wm))
+					gr := got.Run(ctx)
+					if len(gr.Docs) != len(wm) {
+						t.Fatalf("seed %d %s workers %d: context %s has %d scores, reference %d", seed, tc.name, workers, ctx, len(gr.Docs), len(wm))
 					}
 					for p, bits := range wm {
-						if g := math.Float64bits(gm[p]); g != bits {
+						if g := math.Float64bits(gr.Get(p)); g != bits {
 							t.Fatalf("seed %d %s workers %d: context %s paper %d = %v, reference %v",
-								seed, tc.name, workers, ctx, p, gm[p], math.Float64frombits(bits))
+								seed, tc.name, workers, ctx, p, gr.Get(p), math.Float64frombits(bits))
 						}
 					}
 				}

@@ -135,12 +135,12 @@ func BenchmarkEngineSearchFull(b *testing.B) {
 		b.Fatal(err)
 	}
 	cs := sys.BuildTextContextSet()
-	matrix := sys.ScoreText(cs).Freeze()
+	matrix := sys.ScoreText(cs)
 	frozen, err := contextset.FromFrozen(sys.Ontology, cs.Freeze())
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := sys.EngineFrozen(frozen, matrix)
+	e := sys.Engine(frozen, matrix)
 	var queries []string
 	for _, ctx := range matrix.Contexts() {
 		if t := sys.Ontology.Term(ctx); t != nil && len(e.Search(t.Name, ctxsearch.SearchOptions{})) > 0 {

@@ -47,7 +47,7 @@ func diffBits(t *testing.T, label string, got, want []Result) {
 func engineShapes(t *testing.T, f *fixture, w Weights) map[string]*Engine {
 	t.Helper()
 	parts := f.ix.Parts()
-	matrix := f.scores.Freeze()
+	matrix := f.scores
 	frozenIx, err := index.FromParts(corpus.NewAnalyzerFrozen(f.c, f.ix.Analyzer().DF()), parts)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 // reference.
 func TestNegativeWeightTakesSortFallback(t *testing.T) {
 	f := buildFixture(t)
-	e := NewEngine(f.ix, f.cs, f.scores.Freeze(), Weights{Prestige: -2, Matching: 0.1})
+	e := NewEngine(f.ix, f.cs, f.scores, Weights{Prestige: -2, Matching: 0.1})
 	negative := false
 	for _, q := range goldenQueries(f) {
 		// The default threshold 0 would drop every negative relevancy.
@@ -176,10 +176,40 @@ type handFixture struct {
 	ctxs []ContextScore
 }
 
+// scoreMap is a hand-written prestige matrix: context → paper → score.
+type scoreMap map[ontology.TermID]map[corpus.PaperID]float64
+
+// matrixOf lays a scoreMap out as the CSR matrix FromCSR binds.
+func matrixOf(s scoreMap) *prestige.Matrix {
+	ctxs := make([]ontology.TermID, 0, len(s))
+	for ctx := range s {
+		ctxs = append(ctxs, ctx)
+	}
+	slices.Sort(ctxs)
+	offsets, docs, vals, rowMax := []int32{0}, []int32{}, []float64{}, make([]float64, len(ctxs))
+	for i, ctx := range ctxs {
+		row := make([]int32, 0, len(s[ctx]))
+		for p := range s[ctx] {
+			row = append(row, int32(p))
+		}
+		slices.Sort(row)
+		for _, d := range row {
+			v := s[ctx][corpus.PaperID(d)]
+			docs, vals, rowMax[i] = append(docs, d), append(vals, v), max(rowMax[i], v)
+		}
+		offsets = append(offsets, int32(len(docs)))
+	}
+	m, err := prestige.FromCSR(ctxs, offsets, docs, vals, rowMax)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // newHandFixture makes every listed context contain papers [0, papers).
-func newHandFixture(w Weights, scores prestige.Scores, papers int, ctxs ...ontology.TermID) *handFixture {
+func newHandFixture(w Weights, scores scoreMap, papers int, ctxs ...ontology.TermID) *handFixture {
 	h := &handFixture{
-		e:  &Engine{matrix: scores.Freeze(), weights: w},
+		e:  &Engine{matrix: matrixOf(scores), weights: w},
 		sc: &scratch{hitOf: make([]int32, papers)},
 	}
 	all := bitset.New(papers)
@@ -245,7 +275,7 @@ func docsOf(rs []Result) []corpus.PaperID {
 // relevancy the match score itself, so its low mantissa bits can be set at
 // will: with 8 hits the keys drop 3 bits, and docs 0..3 differ only there.
 func truncatedKeyFixture() (*handFixture, []index.Hit) {
-	h := newHandFixture(Weights{Prestige: 0, Matching: 1}, prestige.Scores{"A": {0: 0.5}}, 8, "A")
+	h := newHandFixture(Weights{Prestige: 0, Matching: 1}, scoreMap{"A": {0: 0.5}}, 8, "A")
 	base := math.Float64bits(0.5)
 	return h, []index.Hit{
 		{Doc: 0, Score: math.Float64frombits(base | 1)},
@@ -265,7 +295,7 @@ func TestMergeTieFixtures(t *testing.T) {
 	plain := Weights{Prestige: 0.5, Matching: 0.5}
 
 	t.Run("members are found across word boundaries, short bitsets and windows", func(t *testing.T) {
-		h := newHandFixture(plain, prestige.Scores{
+		h := newHandFixture(plain, scoreMap{
 			"A": {63: 0.25, 64: 0.125},
 			"B": {64: 0.5, 127: 0.125, 128: 0.875},
 			"C": {7: 1},
@@ -304,7 +334,7 @@ func TestMergeTieFixtures(t *testing.T) {
 	})
 
 	t.Run("equal relevancy in two papers orders by ascending doc", func(t *testing.T) {
-		h := newHandFixture(plain, prestige.Scores{"A": {1: 0.25, 4: 0.25, 6: 0.5}}, 8, "A")
+		h := newHandFixture(plain, scoreMap{"A": {1: 0.25, 4: 0.25, 6: 0.5}}, 8, "A")
 		hits := []index.Hit{{Doc: 6, Score: 0.5}, {Doc: 4, Score: 0.75}, {Doc: 1, Score: 0.75}}
 		got := h.merge(t, hits, Options{})
 		diffBits(t, "two-paper tie", got, h.reference(t, hits, Options{}))
@@ -318,7 +348,7 @@ func TestMergeTieFixtures(t *testing.T) {
 
 	t.Run("equal relevancy in two contexts keeps the first selected", func(t *testing.T) {
 		for _, ctxs := range [][]ontology.TermID{{"A", "B"}, {"B", "A"}} {
-			h := newHandFixture(plain, prestige.Scores{"A": {2: 0.5}, "B": {2: 0.5}}, 4, ctxs...)
+			h := newHandFixture(plain, scoreMap{"A": {2: 0.5}, "B": {2: 0.5}}, 4, ctxs...)
 			hits := []index.Hit{{Doc: 2, Score: 0.25}}
 			for _, opts := range []Options{{}, {Limit: 1}} {
 				got := h.merge(t, hits, opts)
@@ -370,7 +400,7 @@ func TestMergeTieFixtures(t *testing.T) {
 		old := keyIndexBits
 		keyIndexBits = 2 // 8 hits need 3
 		t.Cleanup(func() { keyIndexBits = old })
-		h := newHandFixture(plain, prestige.Scores{"A": {0: 0.1, 3: 0.9, 5: 0.4}}, 8, "A")
+		h := newHandFixture(plain, scoreMap{"A": {0: 0.1, 3: 0.9, 5: 0.4}}, 8, "A")
 		var hits []index.Hit
 		for d := 0; d < 8; d++ {
 			hits = append(hits, index.Hit{Doc: corpus.PaperID(d), Score: float64(d+1) / 16})

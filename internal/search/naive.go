@@ -4,13 +4,15 @@ import (
 	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
+	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/prestige"
 )
 
 // This file retains the straightforward per-context formulation of
 // Search/SearchBoolean that the optimized single-pass implementation in
 // search.go replaced: one full index pass per selected context restricted to
-// that context's own members, and map-form prestige scores (the matrix, thawed),
-// merged through a map keyed by paper. It is the executable specification —
+// that context's own members, and map-form prestige scores (its own copy of
+// the matrix, see scoreMaps), merged through a map keyed by paper. It is the executable specification —
 // the golden tests assert the optimized path returns exactly the same
 // results — and the honest baseline for the query-path benchmarks. It is not
 // wired into any production caller.
@@ -58,7 +60,7 @@ func (e *Engine) members(ctxs []ContextScore) []bitset.Set {
 // strictly greater relevancy; the survivors are sorted by SortResults and
 // paginated.
 func (e *Engine) mergeNaive(ctxs []ContextScore, members []bitset.Set, opts Options, hitsWithin func(members bitset.Set) ([]index.Hit, error)) ([]Result, error) {
-	scores := e.matrix.Thaw()
+	scores := scoreMaps(e.matrix)
 	best := make(map[corpus.PaperID]Result)
 	for i, cscore := range ctxs {
 		ctx := cscore.Context
@@ -70,11 +72,11 @@ func (e *Engine) mergeNaive(ctxs []ContextScore, members []bitset.Set, opts Opti
 			return nil, err
 		}
 		for _, h := range hits {
-			p := scores.Get(ctx, h.Doc)
+			p := scores[ctx][h.Doc]
 			if e.weights.ContextWeighted {
 				p *= cscore.Score
 			}
-			r := e.weights.Prestige*p + e.weights.Matching*h.Score
+			r := float64(e.weights.Prestige*p) + float64(e.weights.Matching*h.Score)
 			if r < opts.Threshold {
 				continue
 			}
@@ -89,4 +91,20 @@ func (e *Engine) mergeNaive(ctxs []ContextScore, members []bitset.Set, opts Opti
 	}
 	SortResults(out)
 	return Paginate(out, opts), nil
+}
+
+// scoreMaps copies a matrix into per-context paper → score maps, so the
+// reference looks a score up without Run.Get, the binary search the
+// engine's fold uses.
+func scoreMaps(m *prestige.Matrix) map[ontology.TermID]map[corpus.PaperID]float64 {
+	out := make(map[ontology.TermID]map[corpus.PaperID]float64, m.NumContexts())
+	for i, ctx := range m.Contexts() {
+		r := m.RunAt(i)
+		row := make(map[corpus.PaperID]float64, len(r.Docs))
+		for j, d := range r.Docs {
+			row[corpus.PaperID(d)] = r.Vals[j]
+		}
+		out[ctx] = row
+	}
+	return out
 }

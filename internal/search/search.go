@@ -165,8 +165,8 @@ func (e *Engine) getScratch() *scratch {
 }
 
 // NewEngine assembles an engine from an index, a context paper set and the
-// frozen prestige matrix scored over it: a state file's, or the one the
-// build froze after scoring (prestige.Scores.Freeze).
+// prestige matrix scored over it: a state file's, or the one the build's
+// prestige.Score and PropagateMax produced.
 func NewEngine(ix *index.Index, cs *contextset.ContextSet, matrix *prestige.Matrix, w Weights) *Engine {
 	e := &Engine{ix: ix, cs: cs, matrix: matrix, weights: w, tokenCtxs: make(map[string][]int32)}
 	tok := ix.Analyzer().Tokenizer()
@@ -461,15 +461,15 @@ func (e *Engine) indexThreshold(ctxs []ContextScore, opts Options) float64 {
 	if opts.Threshold <= 0 || w.Matching <= 0 || w.Prestige < 0 {
 		return 0
 	}
-	bound := w.Prestige * e.prestigeBound(ctxs)
-	t := (opts.Threshold-bound)/w.Matching*(1-1e-9) - 1e-12
+	bound := float64(w.Prestige * e.prestigeBound(ctxs))
+	t := float64((opts.Threshold-bound)/w.Matching*(1-1e-9)) - 1e-12
 	if t <= 0 {
 		return 0
 	}
 	// Every dropped hit has match < t, and relevancy ≤ bound + w_m·match ≤
 	// bound + w_m·t by float monotonicity; require that to sit strictly
 	// under the threshold the merge loop compares against.
-	if bound+w.Matching*t >= opts.Threshold {
+	if bound+float64(w.Matching*t) >= opts.Threshold {
 		return 0
 	}
 	return t
@@ -566,7 +566,7 @@ func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hit
 		}
 		for _, j := range members {
 			p := row[j]
-			rel := wp*p + wm*hits[j].Score
+			rel := float64(wp*p) + float64(wm*hits[j].Score)
 			if rel < threshold {
 				continue
 			}

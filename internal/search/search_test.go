@@ -15,7 +15,7 @@ type fixture struct {
 	c      *corpus.Corpus
 	ix     *index.Index
 	cs     *contextset.ContextSet
-	scores prestige.Scores
+	scores *prestige.Matrix
 	engine *Engine
 }
 
@@ -44,11 +44,10 @@ func newFixture(t testing.TB, ontoSeed int64, gcfg corpus.GenConfig) *fixture {
 	ix := index.BuildWorkers(a, 0)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scorer := prestige.NewTextScorer(a, prestige.DefaultTextWeights())
-	scores := prestige.ScoreAll(scorer, cs, 0)
-	prestige.PropagateMax(o, scores)
+	scores := prestige.PropagateMax(o, prestige.Score(scorer, cs, 0, 1))
 	return &fixture{
 		onto: o, c: c, ix: ix, cs: cs, scores: scores,
-		engine: NewEngine(ix, cs, scores.Freeze(), DefaultWeights()),
+		engine: NewEngine(ix, cs, scores, DefaultWeights()),
 	}
 }
 

@@ -130,7 +130,7 @@ func TestIndexThresholdSafety(t *testing.T) {
 	if got := e.indexThreshold(ctxs, Options{}); got != 0 {
 		t.Fatalf("no relevancy threshold must mean no index floor, got %v", got)
 	}
-	bound := e.weights.Prestige * e.prestigeBound(ctxs)
+	bound := float64(e.weights.Prestige * e.prestigeBound(ctxs))
 	for _, th := range []float64{0.01, 0.1, 0.3, 0.5, 0.9} {
 		floor := e.indexThreshold(ctxs, Options{Threshold: th})
 		if floor == 0 {
@@ -138,7 +138,7 @@ func TestIndexThresholdSafety(t *testing.T) {
 		}
 		// Any hit dropped by the floor (match < floor) has relevancy at
 		// most bound + w_m·floor; that must sit strictly under th.
-		if bound+e.weights.Matching*floor >= th {
+		if bound+float64(e.weights.Matching*floor) >= th {
 			t.Fatalf("threshold %v: floor %v can drop hits at the threshold surface", th, floor)
 		}
 	}

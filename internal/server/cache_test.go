@@ -17,7 +17,7 @@ import (
 func freshServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	sys, cs, scores, query := testState(t)
-	return NewPending(cfg).install(sys, cs, scores.Freeze()), query
+	return NewPending(cfg).install(sys, cs, scores), query
 }
 
 func cacheStats(t *testing.T, s *Server) StatsResponse {
@@ -112,14 +112,14 @@ func TestSearchDefaultLimit(t *testing.T) {
 // drops every cached response: the next identical request recomputes.
 func TestSearchCacheInvalidatedOnSwap(t *testing.T) {
 	sys, cs, scores, query := testState(t)
-	s := NewPending(Config{}).install(sys, cs, scores.Freeze())
+	s := NewPending(Config{}).install(sys, cs, scores)
 	path := "/search?q=" + urlQuery(query) + "&limit=5"
 	first := get(t, s, path)
 	if first.Code != 200 {
 		t.Fatalf("search = %d", first.Code)
 	}
 	get(t, s, path) // warm hit
-	s.install(sys, cs, scores.Freeze())
+	s.install(sys, cs, scores)
 	after := get(t, s, path)
 	if after.Code != 200 || after.Body.String() != first.Body.String() {
 		t.Fatal("post-swap response differs for identical state")

@@ -31,7 +31,7 @@ func frozenMatrix(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxs
 	t.Helper()
 	sys, cs, scores, query := testState(t)
 	if cachedMatrix == nil {
-		cachedMatrix = scores.Freeze()
+		cachedMatrix = scores
 	}
 	return sys, cs, cachedMatrix, query
 }

@@ -58,7 +58,7 @@ func TestCrossFormatGolden(t *testing.T) {
 
 			// Single engine.
 			single := NewPending(Config{})
-			single.SetReadyMapped(fsys, mcs, mmat, fsys.EngineFrozen(mcs, mmat), nil)
+			single.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mcs, mmat), nil)
 			for qi, q := range coordQueries(t) {
 				for trial := 0; trial < 4; trial++ {
 					sameAnswer(t, fmt.Sprintf("single query %d trial %d", qi, trial), "/search?"+mappedParams(q, rng), ref, single)

@@ -21,7 +21,7 @@ import (
 func faultServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	sys, cs, scores, query := testState(t)
-	return NewPending(cfg).install(sys, cs, scores.Freeze()), query
+	return NewPending(cfg).install(sys, cs, scores), query
 }
 
 // TestTimeoutReturns503: a query slower than QueryTimeout gets a 503 with a
@@ -148,7 +148,7 @@ func TestReadyzLifecycle(t *testing.T) {
 			t.Fatalf("pending %s = %d, want 503", path, rec.Code)
 		}
 	}
-	s.install(sys, cs, scores.Freeze())
+	s.install(sys, cs, scores)
 	if rec := get(t, s, "/readyz"); rec.Code != 200 {
 		t.Fatalf("ready readyz = %d", rec.Code)
 	}

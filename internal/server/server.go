@@ -107,8 +107,8 @@ type StateRef interface {
 }
 
 // backend bundles the query-serving state; it is swapped in atomically once
-// the engine is built, flipping /readyz to 200. Prestige is held in its
-// frozen CSR matrix form — the same structure the engine's hot path reads.
+// the engine is built, flipping /readyz to 200. Prestige is held in the CSR
+// matrix the engine's hot path reads.
 type backend struct {
 	sys      *ctxsearch.System
 	cs       *ctxsearch.ContextSet
@@ -155,12 +155,10 @@ type Server struct {
 }
 
 // New assembles a ready server with default Config over the whole-corpus
-// engine. The scores are frozen once into the CSR matrix the engine and the
-// /papers endpoint read; the map is not kept.
-func New(sys *ctxsearch.System, cs *ctxsearch.ContextSet, scores ctxsearch.Scores) *Server {
+// engine and the prestige matrix the engine and the /papers endpoint read.
+func New(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix) *Server {
 	s := NewPending(Config{})
-	m := scores.Freeze()
-	s.SetReadyMapped(sys, cs, m, sys.EngineFrozen(cs, m), nil)
+	s.SetReadyMapped(sys, cs, m, sys.Engine(cs, m), nil)
 	return s
 }
 

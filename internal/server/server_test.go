@@ -12,7 +12,7 @@ import (
 var (
 	cachedSys    *ctxsearch.System
 	cachedCS     *ctxsearch.ContextSet
-	cachedScores ctxsearch.Scores
+	cachedScores *ctxsearch.Matrix
 	cachedServer *Server
 	cachedQuery  string
 )
@@ -20,13 +20,13 @@ var (
 // install puts the whole-corpus engine over (sys, cs, m) into s — the tests'
 // one helper over SetReadyMapped.
 func (s *Server) install(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix) *Server {
-	s.SetReadyMapped(sys, cs, m, sys.EngineFrozen(cs, m), nil)
+	s.SetReadyMapped(sys, cs, m, sys.Engine(cs, m), nil)
 	return s
 }
 
 // testState builds (once) the engine state shared by every server fixture,
 // so fault tests can wrap it in servers with different Configs.
-func testState(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, ctxsearch.Scores, string) {
+func testState(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, string) {
 	t.Helper()
 	if cachedSys == nil {
 		cfg := ctxsearch.DefaultConfig()

@@ -44,9 +44,7 @@ func buildFixture(t testing.TB) *fixture {
 	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := index.BuildWorkers(a, 0)
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
-	scores := prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0)
-	prestige.PropagateMax(o, scores)
-	m := scores.Freeze()
+	m := prestige.PropagateMax(o, prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1))
 	cached = &fixture{
 		onto: o, c: c, a: a, parts: ix.Parts(), cs: cs, matrix: m,
 		ref: search.NewEngine(ix, cs, m, search.DefaultWeights()),

@@ -84,9 +84,9 @@ func Pearson(xs, ys []float64) float64 {
 	var sxy, sxx, syy float64
 	for i := range xs {
 		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
+		sxy += float64(dx * dy)
+		sxx += float64(dx * dx)
+		syy += float64(dy * dy)
 	}
 	if sxx == 0 || syy == 0 {
 		return 0
@@ -115,7 +115,7 @@ func Ranks(xs []float64) []float64 {
 		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
 			j++
 		}
-		avg := float64(i+j)/2 + 1
+		avg := float64(float64(i+j)/2) + 1
 		for k := i; k <= j; k++ {
 			ranks[idx[k]] = avg
 		}
@@ -143,7 +143,7 @@ func SeparabilitySD(scores []float64, nbins int) float64 {
 	var s float64
 	for _, p := range perc {
 		d := p - want
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(nbins))
 }

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -63,7 +64,9 @@ func assertSameMatrices(t *testing.T, st *State, got map[string]*prestige.Matrix
 		if g == nil {
 			t.Fatalf("matrix %q missing", name)
 		}
-		if !reflect.DeepEqual(w.Thaw(), g.Thaw()) {
+		wc, wo, wd, wv, wm := w.CSR()
+		gc, gof, gd, gv, gm := g.CSR()
+		if !slices.Equal(wc, gc) || !slices.Equal(wo, gof) || !slices.Equal(wd, gd) || !slices.Equal(wv, gv) || !slices.Equal(wm, gm) {
 			t.Fatalf("matrix %q differs element-wise", name)
 		}
 	}

@@ -27,8 +27,8 @@ import (
 type State struct {
 	ContextSet *contextset.ContextSet
 	// Matrices maps score-function name ("text", "citation", "pattern", …)
-	// to its frozen CSR score matrix — the form the file persists and the
-	// cold-start path hands straight to search.NewEngineFrozen.
+	// to its CSR score matrix — the form scoring returns, the file persists
+	// and the cold-start path hands straight to search.NewEngine.
 	Matrices map[string]*prestige.Matrix
 	// Index and DF are the text-index postings and the document-frequency
 	// table. Both are required: a state file without them could only be

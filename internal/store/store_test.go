@@ -33,8 +33,8 @@ func fixtureWithIndex(t testing.TB) (*ontology.Ontology, *corpus.Corpus, *corpus
 	return o, c, a, &State{
 		ContextSet: cs,
 		Matrices: map[string]*prestige.Matrix{
-			"text":     prestige.ScoreAll(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0).Freeze(),
-			"citation": prestige.ScoreAll(prestige.NewCitationScorer(c, citegraph.PageRankOpts{}), cs, 0).Freeze(),
+			"text":     prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1),
+			"citation": prestige.Score(prestige.NewCitationScorer(c, citegraph.PageRankOpts{}), cs, 0, 1),
 		},
 		Index: ix.Parts(),
 		DF:    a.DF(),

@@ -35,7 +35,7 @@ func TestStateFileGolden(t *testing.T) {
 		cs := sys.BuildTextContextSet()
 		st := &store.State{
 			ContextSet: cs,
-			Matrices:   map[string]*Matrix{"text": sys.ScoreText(cs).Freeze()},
+			Matrices:   map[string]*Matrix{"text": sys.ScoreText(cs)},
 			Index:      sys.Index().Parts(),
 			DF:         sys.Analyzer().DF(),
 		}
@@ -65,7 +65,7 @@ func TestFromPartsDictionaryMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := sys.BuildTextContextSet()
-	m := sys.ScoreText(cs).Freeze()
+	m := sys.ScoreText(cs)
 	docs, counts := sys.Analyzer().DF().Counts()
 	terms := sys.Analyzer().DF().Terms()
 	last := len(terms) - 1
