@@ -5,8 +5,9 @@
 # path (middleware stack, graceful shutdown, fault injection), over the
 # arena-reusing offline scoring pipeline (internal/prestige workers hand
 # pooled citegraph scratch buffers between goroutines), over the sharded
-# offline build (internal/corpus, internal/pattern, internal/contextset fan
-# per-shard construction across workers), and over the sharded serving path
+# offline build (internal/corpus and internal/contextset fan per-shard
+# construction across workers; internal/pattern's oracle test scores pattern
+# contexts on two workers sharing one positional index), and over the sharded serving path
 # (internal/shard's range engines and merge, and the server Coordinator).
 
 GO ?= go
@@ -84,7 +85,7 @@ bench-build:
 	$(GO) test -run xxx -bench 'BenchmarkAnalyzerBuild|BenchmarkAnalyzePaper' -benchmem ./internal/corpus/
 	$(GO) test -run xxx -bench 'BenchmarkTextContextSet' -benchmem ./internal/contextset/
 	$(GO) test -run xxx -bench 'BenchmarkIndexBuildWorkers' -benchmem ./internal/index/
-	$(GO) test -run xxx -bench 'BenchmarkPosIndexBuildWorkers' -benchmem ./internal/pattern/
+	$(GO) test -run xxx -bench 'BenchmarkPosIndexBuild' -benchmem ./internal/pattern/
 	$(GO) test -run xxx -bench 'BenchmarkTextScoreContext|BenchmarkScore1kContexts' -benchmem ./internal/prestige/
 	$(GO) test -run xxx -bench 'BenchmarkSystemBuild' -benchmem .
 

@@ -103,9 +103,8 @@ type Config struct {
 	// sweep citation-structure knobs in ablations.
 	TuneCorpus func(*corpus.GenConfig)
 	// BuildWorkers bounds the parallelism of the offline build — corpus
-	// analysis (tokens, dictionary and TF-IDF rows), inverted-index and
-	// positional-index construction, context-set assembly and prestige
-	// scoring (0 = GOMAXPROCS, 1 = serial). The built structures are
+	// analysis (tokens, dictionary and TF-IDF rows), inverted-index
+	// construction, context-set assembly and prestige scoring (0 = GOMAXPROCS, 1 = serial). The built structures are
 	// bit-identical at any setting: papers are sharded into contiguous ID
 	// ranges and per-shard results merge deterministically, and per-context
 	// scoring is deterministic and independent.
@@ -297,7 +296,7 @@ func (s *System) BuildPatternContextSet() *ContextSet {
 	var cs *ContextSet
 	pos := s.PosIndex() // outside the timed stage: its first use records its own
 	s.stats.Time("contextset-pattern", s.Corpus.Len(), "papers", func() {
-		cs = contextset.BuildPatternBased(pos, s.analyzer, s.Ontology, s.contextWorkers())
+		cs = contextset.BuildPatternBased(pos, s.analyzer, s.Ontology, s.contextWorkers(), s.cfg.Pattern)
 	})
 	return cs
 }
@@ -387,7 +386,7 @@ func (s *System) Index() *index.Index { return s.index }
 func (s *System) PosIndex() *pattern.PosIndex {
 	s.posOnce.Do(func() {
 		s.stats.Time("posindex", s.Corpus.Len(), "papers", func() {
-			s.posIndex = pattern.NewPosIndexWorkers(s.analyzer, s.cfg.BuildWorkers)
+			s.posIndex = pattern.NewPosIndex(s.analyzer)
 		})
 	})
 	return s.posIndex

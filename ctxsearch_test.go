@@ -96,6 +96,26 @@ func TestEndToEndPatternPipeline(t *testing.T) {
 	}
 }
 
+// TestPatternConfigReachesContextSet: Config.Pattern configures the §4
+// pattern-based context set's patterns, as it does the pattern scorer's.
+func TestPatternConfigReachesContextSet(t *testing.T) {
+	members := func(cs *ContextSet) (n int) {
+		for _, ctx := range cs.Contexts() {
+			n += cs.Size(ctx)
+		}
+		return n
+	}
+	cfg := smallConfig()
+	cfg.Pattern.MaxSignificant = 1
+	sys, err := NewSyntheticSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, base := members(sys.BuildPatternContextSet()), members(testSystem(t).BuildPatternContextSet()); got == base {
+		t.Fatalf("MaxSignificant 1 left the pattern context set at %d memberships", got)
+	}
+}
+
 func TestMinContextSizeDefault(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MinContextSize = -1

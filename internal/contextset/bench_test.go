@@ -20,7 +20,7 @@ func benchFixture(b *testing.B) (*ontology.Ontology, *corpus.Analyzer, *pattern.
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	return o, a, pattern.NewPosIndexWorkers(a, 0)
+	return o, a, pattern.NewPosIndex(a)
 }
 
 // BenchmarkTextContextSet builds the text context set on the fixture above
@@ -60,6 +60,6 @@ func BenchmarkBuildPatternBased(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildPatternBased(ix, a, o, cfg)
+		_ = BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig())
 	}
 }

@@ -56,10 +56,6 @@ type Config struct {
 	// PatternThreshold is the minimum max-normalised pattern match score
 	// for membership in the pattern-based set.
 	PatternThreshold float64
-	// PatternConfig configures pattern construction for the pattern-based
-	// set; the simplified §4 variant forces Extended off and middle-only
-	// matching regardless of this value.
-	PatternConfig pattern.Config
 	// Workers bounds construction parallelism (0 = GOMAXPROCS, 1 = serial).
 	// Results are identical at any setting.
 	Workers int
@@ -74,7 +70,6 @@ func DefaultConfig() Config {
 		TopContextsPerPaper: 2,
 		MaxPerContext:       0,
 		PatternThreshold:    0.20,
-		PatternConfig:       pattern.DefaultConfig(),
 	}
 }
 
@@ -153,21 +148,6 @@ func (cs *ContextSet) Papers(ctx ontology.TermID) []corpus.PaperID {
 	}
 	docs, _ := cs.run(i)
 	return append([]corpus.PaperID{}, docs...)
-}
-
-// PaperSet returns the membership set of a context as a fresh map the
-// caller owns.
-func (cs *ContextSet) PaperSet(ctx ontology.TermID) map[corpus.PaperID]bool {
-	i, ok := cs.ord[ctx]
-	if !ok {
-		return map[corpus.PaperID]bool{}
-	}
-	docs, _ := cs.run(i)
-	out := make(map[corpus.PaperID]bool, len(docs))
-	for _, id := range docs {
-		out[id] = true
-	}
-	return out
 }
 
 // PaperBitset returns the membership of a context as a bitmap over paper
@@ -342,14 +322,14 @@ func chooseRepresentative(a *corpus.Analyzer, evidence []corpus.PaperID) corpus.
 }
 
 // BuildPatternBased constructs the simplified pattern-based context paper
-// set of §4: per-term regular patterns matched by middle tuple only;
-// max-normalised match scores above cfg.PatternThreshold grant membership;
-// descendant papers are folded into ancestors; contexts still empty inherit
-// the closest non-empty ancestor's papers with RateOfDecay damping.
-func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.Ontology, cfg Config) *ContextSet {
+// set of §4: per-term regular patterns (pcfg, with Extended forced off)
+// matched by middle tuple only; max-normalised match scores above
+// cfg.PatternThreshold grant membership; descendant papers are folded into
+// ancestors; contexts still empty inherit the closest non-empty ancestor's
+// papers with RateOfDecay damping.
+func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.Ontology, cfg Config, pcfg pattern.Config) *ContextSet {
 	b := newBuilder(PatternBased, onto)
 	c := a.Corpus()
-	pcfg := cfg.PatternConfig
 	pcfg.Extended = false // simplified variant
 	termDF := pattern.TermWordDF(onto, ix)
 	mcfg := pattern.DefaultMatchConfig()
@@ -361,20 +341,16 @@ func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.
 			terms = append(terms, term)
 		}
 	}
-	type termResult struct {
-		term   ontology.TermID
-		scores map[corpus.PaperID]float64
-	}
-	results := make([]termResult, len(terms))
+	// results[i][p] is term i's raw match score of paper p.
+	results := make([][]float64, len(terms))
 	par.For(len(terms), cfg.Workers, func(i int) {
 		term := terms[i]
-		training := c.EvidencePapers(term)
-		set := pattern.Build(ix, onto, term, training, termDF, pcfg)
-		scores := set.ScorePapers(ix, nil, mcfg)
-		results[i] = termResult{term, scores}
+		set := pattern.Build(ix, onto, term, c.EvidencePapers(term), termDF, pcfg)
+		results[i] = make([]float64, c.Len())
+		set.ScorePapers(ix, nil, mcfg, results[i])
 	})
 	for i, term := range terms {
-		scores := results[i].scores
+		scores := results[i]
 		var max float64
 		for _, s := range scores {
 			if s > max {
@@ -383,8 +359,8 @@ func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.
 		}
 		if max > 0 {
 			for id, s := range scores {
-				if norm := s / max; norm >= cfg.PatternThreshold {
-					b.add(term, id, norm)
+				if norm := s / max; s > 0 && norm >= cfg.PatternThreshold {
+					b.add(term, corpus.PaperID(id), norm)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
@@ -23,7 +24,7 @@ func fixture(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.Analyzer
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	return o, c, a, pattern.NewPosIndexWorkers(a, 0)
+	return o, c, a, pattern.NewPosIndex(a)
 }
 
 // scoreOf returns p's assignment strength in ctx (0 when not a member).
@@ -113,7 +114,7 @@ func TestTextBasedMaxPerContext(t *testing.T) {
 
 func TestBuildPatternBased(t *testing.T) {
 	o, c, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, DefaultConfig())
+	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig())
 	if cs.Kind() != PatternBased {
 		t.Fatal("kind wrong")
 	}
@@ -132,7 +133,7 @@ func TestBuildPatternBased(t *testing.T) {
 
 func TestPatternBasedDescendantFolding(t *testing.T) {
 	o, _, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, DefaultConfig())
+	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig())
 	// Every non-root context's papers must be contained in each of its
 	// non-root parents (descendant folding is transitive bottom-up).
 	for _, ctx := range cs.Contexts() {
@@ -157,7 +158,7 @@ func TestPatternBasedDescendantFolding(t *testing.T) {
 
 func TestPatternBasedInheritance(t *testing.T) {
 	o, _, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, DefaultConfig())
+	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig())
 	sawInherited := false
 	for _, ctx := range cs.Contexts() {
 		anc, inherited := cs.InheritedFrom(ctx)
@@ -231,13 +232,14 @@ func TestPaperSetIsCopy(t *testing.T) {
 	o, _, a, _ := fixture(t)
 	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
 	ctx := cs.Contexts()[0]
-	set := cs.PaperSet(ctx)
+	var set bitset.Set
+	set.UnionWith(cs.PaperBitset(ctx))
 	before := cs.Size(ctx)
-	for k := range set {
-		delete(set, k)
+	for _, k := range cs.Papers(ctx) {
+		set[k>>6] &^= 1 << (k & 63)
 	}
-	if cs.Size(ctx) != before {
-		t.Fatal("PaperSet leaked internal state")
+	if cs.Size(ctx) != before || !cs.Contains(ctx, cs.Papers(ctx)[0]) {
+		t.Fatal("PaperBitset leaked internal state")
 	}
 }
 
@@ -251,6 +253,6 @@ func TestParallelConstructionMatchesSerial(t *testing.T) {
 	tix := index.BuildWorkers(a, 0)
 	ts, tp := BuildTextBased(tix, o, serial), BuildTextBased(tix, o, parallel)
 	requireSameFrozen(t, "text", ts.Freeze(), tp.Freeze())
-	ps, pp := BuildPatternBased(ix, a, o, serial), BuildPatternBased(ix, a, o, parallel)
+	ps, pp := BuildPatternBased(ix, a, o, serial, pattern.DefaultConfig()), BuildPatternBased(ix, a, o, parallel, pattern.DefaultConfig())
 	requireSameFrozen(t, "pattern", ps.Freeze(), pp.Freeze())
 }

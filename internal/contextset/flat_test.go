@@ -99,7 +99,7 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 		a := corpus.NewAnalyzerWorkers(c, 0)
 		for name, built := range map[string]*ContextSet{
 			"text":     BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig()),
-			"pattern":  BuildPatternBased(pattern.NewPosIndexWorkers(a, 0), a, o, DefaultConfig()),
+			"pattern":  BuildPatternBased(pattern.NewPosIndex(a), a, o, DefaultConfig(), pattern.DefaultConfig()),
 			"gopubmed": BuildGoPubMedStyle(a, o, 0.5),
 		} {
 			name = fmt.Sprintf("seed %d %s", seed, name)

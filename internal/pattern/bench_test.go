@@ -17,42 +17,29 @@ func benchFixture(b *testing.B) (*ontology.Ontology, *corpus.Corpus, *PosIndex) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	return o, c, NewPosIndexWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
+	return o, c, NewPosIndex(corpus.NewAnalyzerWorkers(c, 0))
 }
 
 func BenchmarkPosIndexBuild(b *testing.B) {
-	o, _ := ontology.Generate(ontology.GenConfig{Seed: 3, NumTerms: 60, MaxDepth: 6})
-	c, _ := corpus.Generate(o, corpus.DefaultGenConfig(150))
-	a := corpus.NewAnalyzerWorkers(c, 0)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = NewPosIndexWorkers(a, 0)
-	}
-}
-
-func benchPosIndexBuild(b *testing.B, workers int) {
 	o, _ := ontology.Generate(ontology.GenConfig{Seed: 3, NumTerms: 100, MaxDepth: 7})
 	c, _ := corpus.Generate(o, corpus.DefaultGenConfig(400))
 	a := corpus.NewAnalyzerWorkers(c, 0)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = NewPosIndexWorkers(a, workers)
+		_ = NewPosIndex(a)
 	}
 }
-
-func BenchmarkPosIndexBuildWorkers1(b *testing.B) { benchPosIndexBuild(b, 1) }
-func BenchmarkPosIndexBuildWorkers8(b *testing.B) { benchPosIndexBuild(b, 8) }
 
 func BenchmarkPhraseOccurrences(b *testing.B) {
 	o, c, ix := benchFixture(b)
 	term := c.EvidenceTerms()[0]
-	phrase := ix.Analyzer().Tokenizer().Terms(o.Term(term).Name)
+	phrase := ix.nameIDs(o.Term(term).Name)
 	b.ResetTimer()
 	b.ReportAllocs()
+	var occs []Occurrence
 	for i := 0; i < b.N; i++ {
-		_ = ix.PhraseOccurrences(phrase, nil)
+		occs = ix.PhraseOccurrences(phrase, nil, occs[:0])
 	}
 }
 
@@ -85,9 +72,10 @@ func BenchmarkScorePapers(b *testing.B) {
 	df := TermWordDF(o, ix)
 	set := Build(ix, o, term, c.EvidencePapers(term), df, DefaultConfig())
 	mcfg := DefaultMatchConfig()
+	dst := make([]float64, c.Len())
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = set.ScorePapers(ix, nil, mcfg)
+		set.ScorePapers(ix, nil, mcfg, dst)
 	}
 }

@@ -1,16 +1,25 @@
 package pattern
 
 import (
+	"slices"
 	"testing"
 
+	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 )
+
+// scorePapers returns ScorePapers' scores of every paper of the corpus.
+func scorePapers(s *Set, ix *PosIndex, within bitset.Set, cfg MatchConfig) []float64 {
+	dst := make([]float64, ix.Analyzer().Corpus().Len())
+	s.ScorePapers(ix, within, cfg, dst)
+	return dst
+}
 
 func TestScorePapersRankTrainingAndMentions(t *testing.T) {
 	o, c, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
 	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, DefaultConfig())
-	scores := set.ScorePapers(ix, nil, DefaultMatchConfig())
+	scores := scorePapers(set, ix, nil, DefaultMatchConfig())
 	// Papers 0–2 mention "zinc finger binding"; 3–4 do not.
 	for _, id := range []corpus.PaperID{0, 1, 2} {
 		if scores[id] <= 0 {
@@ -31,10 +40,9 @@ func TestScorePapersWithin(t *testing.T) {
 	o, c, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
 	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, DefaultConfig())
-	within := map[corpus.PaperID]bool{1: true}
-	scores := set.ScorePapers(ix, within, DefaultMatchConfig())
-	for id := range scores {
-		if id != 1 {
+	scores := scorePapers(set, ix, papers(1), DefaultMatchConfig())
+	for id, s := range scores {
+		if s != 0 && id != 1 {
 			t.Fatalf("score outside within set: %v", scores)
 		}
 	}
@@ -44,10 +52,15 @@ func TestScorePapersMiddleOnly(t *testing.T) {
 	o, c, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
 	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, DefaultConfig())
-	full := set.ScorePapers(ix, nil, DefaultMatchConfig())
+	full := scorePapers(set, ix, nil, DefaultMatchConfig())
 	simplified := DefaultMatchConfig()
 	simplified.MiddleOnly = true
-	simple := set.ScorePapers(ix, nil, simplified)
+	simple := scorePapers(set, ix, nil, simplified)
+	// A config that sets only MiddleOnly takes the default weights, window
+	// and set fraction, and keeps MiddleOnly.
+	if bare := scorePapers(set, ix, nil, MatchConfig{MiddleOnly: true}); !slices.Equal(bare, simple) {
+		t.Fatalf("MatchConfig{MiddleOnly: true} scored %v, want %v", bare, simple)
+	}
 	// Simplified matching must still find the training papers.
 	if simple[0] <= 0 || simple[1] <= 0 {
 		t.Fatalf("simplified matching lost training papers: %v", simple)
@@ -78,11 +91,10 @@ func TestSectionWeightsInfluenceStrength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := NewPosIndexWorkers(a, 0)
-	mid := a.Tokenizer().Terms("zinc finger")
-	set := &Set{Patterns: []*Pattern{{Kind: Regular, Middle: mid, Score: 1, Left: map[string]bool{}, Right: map[string]bool{}}}}
-	scores := set.ScorePapers(ix, nil, DefaultMatchConfig())
+	ix := NewPosIndex(corpus.NewAnalyzerWorkers(c, 0))
+	mid := phrase(ix, "zinc finger")
+	set := &Set{Patterns: []*Pattern{{Kind: Regular, Middle: mid, Score: 1}}}
+	scores := scorePapers(set, ix, nil, DefaultMatchConfig())
 	if scores[0] <= scores[1] {
 		t.Fatalf("title match must outweigh body match: %v", scores)
 	}
@@ -97,16 +109,13 @@ func TestMatchSetFractionThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := NewPosIndexWorkers(a, 0)
+	ix := NewPosIndex(corpus.NewAnalyzerWorkers(c, 0))
 	set := &Set{Patterns: []*Pattern{{
 		Kind:   MiddleJoined,
-		Middle: []string{"alpha", "beta", "gamma"},
+		Middle: sortedSet(phrase(ix, "alpha beta gamma")),
 		Score:  1,
-		Left:   map[string]bool{},
-		Right:  map[string]bool{},
 	}}}
-	scores := set.ScorePapers(ix, nil, DefaultMatchConfig())
+	scores := scorePapers(set, ix, nil, DefaultMatchConfig())
 	if scores[0] <= 0 {
 		t.Fatalf("full set presence must match: %v", scores)
 	}
@@ -120,7 +129,7 @@ func TestContextOverlap(t *testing.T) {
 	if got := contextOverlap(nil, nil, nil, nil); got != 0 {
 		t.Fatalf("empty window overlap = %v", got)
 	}
-	got := contextOverlap([]string{"a", "x"}, []string{"b"}, map[string]bool{"a": true}, map[string]bool{"b": true})
+	got := contextOverlap([]int32{1, 9}, []int32{2}, papers(1), papers(2))
 	if got != 2.0/3 {
 		t.Fatalf("overlap = %v, want 2/3", got)
 	}

@@ -1,23 +1,20 @@
 package pattern
 
 import (
+	"slices"
 	"sort"
-	"strings"
 
 	"ctxsearch/internal/corpus"
 )
 
 // FreqPhrase is a frequent contiguous phrase mined from a document set.
 type FreqPhrase struct {
-	Words []string
+	Words []int32
 	// Support is the number of distinct documents containing the phrase.
 	Support int
 	// Occurrences is the total number of occurrences across documents.
 	Occurrences int
 }
-
-// Key returns the canonical space-joined phrase.
-func (f FreqPhrase) Key() string { return strings.Join(f.Words, " ") }
 
 // MineConfig configures frequent-phrase mining.
 type MineConfig struct {
@@ -34,10 +31,12 @@ type MineConfig struct {
 // counted only when both its k-prefix and k-suffix were frequent at the
 // previous level — the apriori downward-closure property for contiguous
 // sequences, which prunes the candidate space without any corpus-wide
-// queries.
+// queries. A phrase lies inside one section and holds no NoTerm slot.
 //
-// Results are sorted by descending support, then occurrences, then phrase
-// text for determinism.
+// A k-gram is keyed by its frequent (k−1)-prefix's index at the previous
+// level and its last word, so no tuple is ever spelled out to be counted.
+// Results are sorted by descending support, then occurrences, then words
+// for determinism.
 func MineFrequentPhrases(ix *PosIndex, docs []corpus.PaperID, cfg MineConfig) []FreqPhrase {
 	if cfg.MinSupport < 1 {
 		cfg.MinSupport = 1
@@ -45,68 +44,99 @@ func MineFrequentPhrases(ix *PosIndex, docs []corpus.PaperID, cfg MineConfig) []
 	if cfg.MaxLen < 1 {
 		cfg.MaxLen = 3
 	}
-	uniq := make([]corpus.PaperID, 0, len(docs))
-	seenDoc := make(map[corpus.PaperID]bool, len(docs))
-	for _, d := range docs {
-		if !seenDoc[d] {
-			seenDoc[d] = true
-			uniq = append(uniq, d)
-		}
+	uniq := slices.Clone(docs)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
+	streams := make([]*corpus.Tokens, len(uniq))
+	total := 0
+	for i, d := range uniq {
+		streams[i] = ix.analyzer.Tokens(d)
+		total += len(streams[i].IDs)
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
 
-	type stat struct{ support, occ int }
+	// gram is a candidate k-gram: the index of its (k−1)-prefix among the
+	// previous level's frequent grams (−1 at level 1) and its last word.
+	type gram struct{ prefix, last int32 }
+	type stat struct {
+		gram
+		support, occ int
+		lastDoc      int // the last document counted in support
+	}
 	var out []FreqPhrase
-	prevFrequent := map[string]bool{} // keys of frequent (k)-grams
+	// prev[i] / cur[i] hold, for the gram starting at position i of the
+	// concatenated streams, its frequent index at the previous level and its
+	// candidate index at this one; −1 for none.
+	prev := make([]int32, total)
+	cur := make([]int32, total)
+	var prevWords [][]int32 // words of the previous level's frequent grams
 
 	for k := 1; k <= cfg.MaxLen; k++ {
-		counts := make(map[string]*stat)
-		for _, d := range uniq {
-			toks := ix.tokens[d]
-			seen := map[string]bool{}
-			for i := 0; i+k <= len(toks); i++ {
-				ok := true
-				for j := i; j < i+k; j++ {
-					if toks[j] == "" { // section gap
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					continue
-				}
-				key := strings.Join(toks[i:i+k], " ")
-				if k > 1 {
-					// Apriori pruning on prefix and suffix.
-					prefix := strings.Join(toks[i:i+k-1], " ")
-					suffix := strings.Join(toks[i+1:i+k], " ")
-					if !prevFrequent[prefix] || !prevFrequent[suffix] {
-						continue
-					}
-				}
-				s := counts[key]
-				if s == nil {
-					s = &stat{}
-					counts[key] = s
-				}
-				s.occ++
-				if !seen[key] {
-					seen[key] = true
-					s.support++
-				}
-			}
+		cands := make(map[gram]int32)
+		var stats []stat
+		for i := range cur {
+			cur[i] = -1
 		}
-		frequent := map[string]bool{}
-		for key, s := range counts {
-			if s.support >= cfg.MinSupport {
-				frequent[key] = true
-				out = append(out, FreqPhrase{Words: strings.Fields(key), Support: s.support, Occurrences: s.occ})
+		base := 0
+		for di, toks := range streams {
+			lo := int32(0)
+			for _, end := range toks.Ends {
+				for i := lo; i+int32(k) <= end; i++ {
+					at := base + int(i)
+					g := gram{-1, toks.IDs[i+int32(k)-1]}
+					if k == 1 {
+						if g.last == corpus.NoTerm {
+							continue
+						}
+					} else {
+						// Apriori pruning on prefix and suffix.
+						if prev[at] < 0 || prev[at+1] < 0 {
+							continue
+						}
+						g.prefix = prev[at]
+					}
+					c, ok := cands[g]
+					if !ok {
+						c = int32(len(stats))
+						cands[g] = c
+						stats = append(stats, stat{gram: g, lastDoc: -1})
+					}
+					st := &stats[c]
+					st.occ++
+					if st.lastDoc != di {
+						st.lastDoc = di
+						st.support++
+					}
+					cur[at] = c
+				}
+				lo = end
 			}
+			base += len(toks.IDs)
 		}
-		if len(frequent) == 0 {
+		frequent := make([]int32, len(stats)) // candidate → frequent index, or −1
+		var words [][]int32
+		for c, st := range stats {
+			frequent[c] = -1
+			if st.support < cfg.MinSupport {
+				continue
+			}
+			frequent[c] = int32(len(words))
+			var w []int32
+			if st.prefix >= 0 {
+				w = slices.Clone(prevWords[st.prefix])
+			}
+			w = append(w, st.last)
+			words = append(words, w)
+			out = append(out, FreqPhrase{Words: w, Support: st.support, Occurrences: st.occ})
+		}
+		if len(words) == 0 {
 			break
 		}
-		prevFrequent = frequent
+		for i, c := range cur {
+			if c >= 0 {
+				cur[i] = frequent[c]
+			}
+		}
+		prev, cur, prevWords = cur, prev, words
 	}
 
 	sort.Slice(out, func(i, j int) bool {
@@ -116,7 +146,7 @@ func MineFrequentPhrases(ix *PosIndex, docs []corpus.PaperID, cfg MineConfig) []
 		if out[i].Occurrences != out[j].Occurrences {
 			return out[i].Occurrences > out[j].Occurrences
 		}
-		return out[i].Key() < out[j].Key()
+		return slices.Compare(out[i].Words, out[j].Words) < 0
 	})
 	return out
 }

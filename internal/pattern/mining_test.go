@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ctxsearch/internal/corpus"
@@ -19,21 +21,21 @@ func miningCorpus(t *testing.T) (*corpus.Analyzer, *PosIndex) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	return a, NewPosIndexWorkers(a, 0)
+	return a, NewPosIndex(a)
 }
 
 func TestMineFrequentPhrases(t *testing.T) {
-	a, ix := miningCorpus(t)
+	_, ix := miningCorpus(t)
 	phrases := MineFrequentPhrases(ix, []corpus.PaperID{0, 1}, MineConfig{MinSupport: 2, MaxLen: 3})
 	if len(phrases) == 0 {
 		t.Fatal("no frequent phrases mined")
 	}
 	byKey := map[string]FreqPhrase{}
 	for _, p := range phrases {
-		byKey[p.Key()] = p
+		byKey[fmt.Sprint(p.Words)] = p
 	}
-	want := a.Tokenizer().Terms("zinc finger protein")
-	key := want[0] + " " + want[1] + " " + want[2]
+	want := phrase(ix, "zinc finger protein")
+	key := fmt.Sprint(want)
 	fp, ok := byKey[key]
 	if !ok {
 		t.Fatalf("trigram %q not mined; got %v", key, phrases)
@@ -45,21 +47,14 @@ func TestMineFrequentPhrases(t *testing.T) {
 		t.Fatalf("trigram occurrences = %d, want ≥ 4", fp.Occurrences)
 	}
 	// Apriori property: every sub-phrase of a frequent phrase is frequent.
-	for _, sub := range [][]string{{want[0]}, {want[1]}, {want[2]}, {want[0], want[1]}, {want[1], want[2]}} {
-		k := ""
-		for i, w := range sub {
-			if i > 0 {
-				k += " "
-			}
-			k += w
-		}
+	for _, sub := range [][]int32{{want[0]}, {want[1]}, {want[2]}, {want[0], want[1]}, {want[1], want[2]}} {
+		k := fmt.Sprint(sub)
 		if _, ok := byKey[k]; !ok {
 			t.Errorf("sub-phrase %q missing (apriori closure violated)", k)
 		}
 	}
 	// "binds zinc" occurs in only one doc → must be absent at MinSupport 2.
-	bz := a.Tokenizer().Terms("binds zinc")
-	if _, ok := byKey[bz[0]+" "+bz[1]]; ok {
+	if _, ok := byKey[fmt.Sprint(phrase(ix, "binds zinc"))]; ok {
 		t.Error("sub-support phrase mined")
 	}
 }
@@ -82,7 +77,7 @@ func TestMineDeterministicOrder(t *testing.T) {
 		t.Fatal("different lengths")
 	}
 	for i := range a {
-		if a[i].Key() != b[i].Key() || a[i].Support != b[i].Support {
+		if !slices.Equal(a[i].Words, b[i].Words) || a[i].Support != b[i].Support {
 			t.Fatalf("order not deterministic at %d: %v vs %v", i, a[i], b[i])
 		}
 	}

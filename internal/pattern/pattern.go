@@ -3,9 +3,10 @@ package pattern
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 
+	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
 )
@@ -34,15 +35,16 @@ func (k Kind) String() string {
 	}
 }
 
-// Pattern is a ⟨left, middle, right⟩ textual pattern. Left and Right are
-// word *sets* observed around the middle tuple in training papers; Middle is
-// a word *sequence* for regular and side-joined patterns and an unordered
-// word set (stored as a sorted sequence) for middle-joined patterns.
+// Pattern is a ⟨left, middle, right⟩ textual pattern over term IDs. Left
+// and Right are word *sets* (sorted, distinct) observed around the middle
+// tuple in training papers; Middle is a word *sequence* for regular and
+// side-joined patterns and an unordered word set (stored sorted) for
+// middle-joined patterns.
 type Pattern struct {
 	Kind   Kind
-	Left   map[string]bool
-	Middle []string
-	Right  map[string]bool
+	Left   []int32
+	Middle []int32
+	Right  []int32
 
 	// Middle-tuple composition, which drives MiddleTypeScore: whether the
 	// middle contains context-term words and/or mined frequent-phrase words.
@@ -58,9 +60,6 @@ type Pattern struct {
 	// patterns (zero otherwise).
 	DOO1, DOO2 float64
 }
-
-// MiddleKey returns the canonical space-joined middle tuple.
-func (p *Pattern) MiddleKey() string { return strings.Join(p.Middle, " ") }
 
 // Set is the pattern set constructed for one context.
 type Set struct {
@@ -101,17 +100,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// TermWordDF counts, for every stemmed word appearing in any ontology term
-// name, the number of terms whose name contains it. The inverse is the
+// TermWordDF counts, for every dictionary term, the number of ontology
+// terms whose name contains it, indexed by term ID. The inverse is the
 // word's selectivity (§3.3 criterion 2).
-func TermWordDF(onto *ontology.Ontology, ix *PosIndex) map[string]int {
-	df := make(map[string]int)
-	tok := ix.analyzer.Tokenizer()
-	for _, id := range onto.TermIDs() {
-		seen := map[string]bool{}
-		for _, w := range tok.Terms(onto.Term(id).Name) {
-			if !seen[w] {
-				seen[w] = true
+func TermWordDF(onto *ontology.Ontology, ix *PosIndex) []int32 {
+	df := make([]int32, len(ix.off)-1)
+	// counted[w] is 1 + the index of the last name that counted w.
+	counted := make([]int, len(df))
+	for i, id := range onto.TermIDs() {
+		for _, w := range ix.nameIDs(onto.Term(id).Name) {
+			if w >= 0 && counted[w] != i+1 {
+				counted[w] = i + 1
 				df[w]++
 			}
 		}
@@ -122,7 +121,7 @@ func TermWordDF(onto *ontology.Ontology, ix *PosIndex) map[string]int {
 // Build constructs the scored pattern set for one context term from its
 // training (annotation evidence) papers. Returns an empty set when the term
 // has no training papers or none of the significant terms occur in them.
-func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF map[string]int, cfg Config) *Set {
+func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF []int32, cfg Config) *Set {
 	set := &Set{Term: term}
 	if len(training) == 0 || onto.Term(term) == nil {
 		return set
@@ -133,28 +132,20 @@ func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 	if cfg.MaxSignificant <= 0 {
 		cfg.MaxSignificant = 12
 	}
-	tok := ix.analyzer.Tokenizer()
-	ctxWords := tok.Terms(onto.Term(term).Name)
-	ctxSet := make(map[string]bool, len(ctxWords))
-	for _, w := range ctxWords {
-		ctxSet[w] = true
-	}
-	trainSet := make(map[corpus.PaperID]bool, len(training))
+	ctxWords := ix.nameIDs(onto.Term(term).Name)
+	trainSet := bitset.New(ix.analyzer.Corpus().Len())
 	for _, d := range training {
-		trainSet[d] = true
+		trainSet.Add(int(d))
 	}
 
 	// Significant terms, source (i): contiguous subsequences of the context
 	// term words (the full name first, then shorter suffix/prefix runs).
-	var significant [][]string
-	seenSig := map[string]bool{}
-	addSig := func(words []string) {
+	var significant [][]int32
+	addSig := func(words []int32) {
 		if len(words) == 0 || len(significant) >= cfg.MaxSignificant {
 			return
 		}
-		key := strings.Join(words, " ")
-		if !seenSig[key] {
-			seenSig[key] = true
+		if !slices.ContainsFunc(significant, func(sig []int32) bool { return slices.Equal(sig, words) }) {
 			significant = append(significant, words)
 		}
 	}
@@ -180,52 +171,48 @@ func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 
 	// Build one regular pattern per significant term that actually occurs
 	// in the training papers.
+	var occs []Occurrence
 	for _, sig := range significant {
-		occs := ix.PhraseOccurrences(sig, trainSet)
+		occs = ix.PhraseOccurrences(sig, trainSet, occs[:0])
 		if len(occs) == 0 {
 			continue
 		}
-		left := map[string]bool{}
-		right := map[string]bool{}
-		totalOcc := 0
-		for _, ds := range occs {
-			totalOcc += len(ds)
-			for _, oc := range ds {
-				l, r := ix.Window(oc.Doc, oc.Pos, len(sig), cfg.Window)
-				for _, w := range l {
-					left[w] = true
-				}
-				for _, w := range r {
-					right[w] = true
-				}
+		var left, right []int32
+		docs := 0
+		for i, oc := range occs {
+			if i == 0 || oc.Doc != occs[i-1].Doc {
+				docs++
 			}
+			l, r := ix.Window(oc.Doc, oc.Pos, len(sig), cfg.Window)
+			left = append(left, l...)
+			right = append(right, r...)
 		}
 		p := &Pattern{
 			Kind:   Regular,
-			Left:   left,
-			Middle: append([]string(nil), sig...),
-			Right:  right,
+			Left:   sortedSet(left),
+			Middle: slices.Clone(sig),
+			Right:  sortedSet(right),
 		}
 		for _, w := range sig {
-			if ctxSet[w] {
+			if slices.Contains(ctxWords, w) {
 				p.HasTermWords = true
 			} else {
 				p.HasFreqWords = true
 			}
 		}
-		p.Score = regularScore(p, ix, ctxSet, termWordDF, len(training), len(occs), totalOcc, cfg)
+		p.Score = regularScore(p, ix, ctxWords, termWordDF, len(training), docs, len(occs), cfg)
 		set.Patterns = append(set.Patterns, p)
 	}
 
 	if cfg.Extended {
 		set.Patterns = append(set.Patterns, buildExtended(set.Patterns)...)
 	}
-	// Deterministic order: by descending score, then middle key.
+	// Deterministic order: by descending score, then middle tuple.
 	sort.Slice(set.Patterns, func(i, j int) bool {
 		if set.Patterns[i].Score != set.Patterns[j].Score {
 			return set.Patterns[i].Score > set.Patterns[j].Score
 		}
-		return set.Patterns[i].MiddleKey() < set.Patterns[j].MiddleKey()
+		return slices.Compare(set.Patterns[i].Middle, set.Patterns[j].Middle) < 0
 	})
 	return set
 }
@@ -234,7 +221,7 @@ func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 //
 //	BaseScore = MiddleTypeScore + TotalTermScore + c·(PatternOccFreq + PatternPaperFreq)
 //	RegularPatternScore = BaseScore · (1/PaperCoverage)^t
-func regularScore(p *Pattern, ix *PosIndex, ctxSet map[string]bool, termWordDF map[string]int, nTraining, paperFreq, occFreq int, cfg Config) float64 {
+func regularScore(p *Pattern, ix *PosIndex, ctxWords, termWordDF []int32, nTraining, paperFreq, occFreq int, cfg Config) float64 {
 	// (1) Middle tuples of only frequent terms, only context-term words, or
 	// both receive high, higher, highest.
 	var middleType float64
@@ -249,8 +236,8 @@ func regularScore(p *Pattern, ix *PosIndex, ctxSet map[string]bool, termWordDF m
 	// (2) Selectivity: rare context-term words score higher.
 	var termScore float64
 	for _, w := range p.Middle {
-		if ctxSet[w] {
-			if df := termWordDF[w]; df > 0 {
+		if slices.Contains(ctxWords, w) {
+			if df := wordDF(termWordDF, w); df > 0 {
 				termScore += 1 / float64(df)
 			} else {
 				termScore += 1
@@ -273,11 +260,22 @@ func regularScore(p *Pattern, ix *PosIndex, ctxSet map[string]bool, termWordDF m
 	return base * math.Pow(1/coverage, cfg.T)
 }
 
+// wordDF returns df[w], 0 for an ID outside the dictionary.
+func wordDF(df []int32, w int32) int32 {
+	if w < 0 || int(w) >= len(df) {
+		return 0
+	}
+	return df[w]
+}
+
 // buildExtended derives side-joined and middle-joined patterns from every
-// ordered pair of regular patterns (§3.3, [4]).
+// ordered pair of regular patterns (§3.3, [4]). A derived middle is kept
+// once per kind.
 func buildExtended(regs []*Pattern) []*Pattern {
 	var out []*Pattern
-	seen := map[string]bool{}
+	seen := func(kind Kind, mid []int32) bool {
+		return slices.ContainsFunc(out, func(q *Pattern) bool { return q.Kind == kind && slices.Equal(q.Middle, mid) })
+	}
 	for i, p1 := range regs {
 		for j, p2 := range regs {
 			if i == j {
@@ -286,10 +284,8 @@ func buildExtended(regs []*Pattern) []*Pattern {
 			// Side-joined: P1's right tuple overlaps P2's left tuple; the
 			// middles concatenate through the overlap.
 			if setsOverlap(p1.Right, p2.Left) {
-				mid := append(append([]string(nil), p1.Middle...), p2.Middle...)
-				key := "s|" + strings.Join(mid, " ")
-				if !seen[key] {
-					seen[key] = true
+				mid := append(slices.Clone(p1.Middle), p2.Middle...)
+				if !seen(SideJoined, mid) {
 					sc := p1.Score + p2.Score
 					out = append(out, &Pattern{
 						Kind:         SideJoined,
@@ -306,10 +302,8 @@ func buildExtended(regs []*Pattern) []*Pattern {
 			doo1 := degreeOfOverlap(p1.Middle, p2.Left, p2.Right)
 			if doo1 > 0 {
 				doo2 := degreeOfOverlap(p2.Middle, p1.Left, p1.Right)
-				mid := unionWords(p1.Middle, p2.Middle)
-				key := "m|" + strings.Join(mid, " ")
-				if !seen[key] {
-					seen[key] = true
+				mid := sortedSet(append(slices.Clone(p1.Middle), p2.Middle...))
+				if !seen(MiddleJoined, mid) {
 					out = append(out, &Pattern{
 						Kind:         MiddleJoined,
 						Left:         unionSets(p1.Left, p2.Left),
@@ -330,56 +324,63 @@ func buildExtended(regs []*Pattern) []*Pattern {
 
 // degreeOfOverlap returns the proportion of middle words contained in the
 // other pattern's left/right tuples.
-func degreeOfOverlap(middle []string, left, right map[string]bool) float64 {
+func degreeOfOverlap(middle, left, right []int32) float64 {
 	if len(middle) == 0 {
 		return 0
 	}
 	n := 0
 	for _, w := range middle {
-		if left[w] || right[w] {
+		if has(left, w) || has(right, w) {
 			n++
 		}
 	}
 	return float64(n) / float64(len(middle))
 }
 
-func setsOverlap(a, b map[string]bool) bool {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	for w := range a {
-		if b[w] {
+// has reports whether the sorted set s holds w.
+func has(s []int32, w int32) bool {
+	_, ok := slices.BinarySearch(s, w)
+	return ok
+}
+
+// sortedSet sorts ids and drops repeats, in place.
+func sortedSet(ids []int32) []int32 {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// setsOverlap reports whether two sorted sets share a word.
+func setsOverlap(a, b []int32) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			return true
 		}
 	}
 	return false
 }
 
-func unionSets(a, b map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(a)+len(b))
-	for w := range a {
-		out[w] = true
+// unionSets merges two sorted sets into a new one.
+func unionSets(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i, j = i+1, j+1
+		}
 	}
-	for w := range b {
-		out[w] = true
-	}
-	return out
-}
-
-// unionWords returns the sorted union of two word sequences (set semantics
-// for middle-joined middles).
-func unionWords(a, b []string) []string {
-	set := map[string]bool{}
-	for _, w := range a {
-		set[w] = true
-	}
-	for _, w := range b {
-		set[w] = true
-	}
-	out := make([]string, 0, len(set))
-	for w := range set {
-		out = append(out, w)
-	}
-	sort.Strings(out)
-	return out
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,11 +41,11 @@ func patternFixture(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.A
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	return o, c, a, NewPosIndexWorkers(a, 0)
+	return o, c, a, NewPosIndex(a)
 }
 
 func TestBuildPatterns(t *testing.T) {
-	o, c, _, ix := patternFixture(t)
+	o, c, a, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
 	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, DefaultConfig())
 	if len(set.Patterns) == 0 {
@@ -54,7 +55,7 @@ func TestBuildPatterns(t *testing.T) {
 	// as containing term words.
 	foundName := false
 	for _, p := range set.Patterns {
-		if p.Kind == Regular && strings.Contains(p.MiddleKey(), "zinc") && strings.Contains(p.MiddleKey(), "bind") {
+		if mk := middleKey(a, p); p.Kind == Regular && strings.Contains(mk, "zinc") && strings.Contains(mk, "bind") {
 			foundName = true
 			if !p.HasTermWords {
 				t.Error("term-name pattern not flagged HasTermWords")
@@ -68,7 +69,7 @@ func TestBuildPatterns(t *testing.T) {
 		}
 	}
 	if !foundName {
-		t.Fatalf("term-name pattern missing: %v", middleKeys(set))
+		t.Fatalf("term-name pattern missing: %v", middleKeys(a, set))
 	}
 	// Scores sorted descending.
 	for i := 1; i < len(set.Patterns); i++ {
@@ -78,20 +79,25 @@ func TestBuildPatterns(t *testing.T) {
 	}
 }
 
-func middleKeys(s *Set) []string {
+// middleKey renders a pattern's middle tuple as its space-joined words.
+func middleKey(a *corpus.Analyzer, p *Pattern) string {
+	return strings.Join(words(a, p.Middle), " ")
+}
+
+func middleKeys(a *corpus.Analyzer, s *Set) []string {
 	var out []string
 	for _, p := range s.Patterns {
-		out = append(out, p.Kind.String()+":"+p.MiddleKey())
+		out = append(out, p.Kind.String()+":"+middleKey(a, p))
 	}
 	return out
 }
 
 func TestBuildEmptyTraining(t *testing.T) {
-	o, _, _, ix := patternFixture(t)
+	o, _, a, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
 	set := Build(ix, o, "GO:2", nil, df, DefaultConfig())
 	if len(set.Patterns) != 0 {
-		t.Fatalf("patterns from empty training: %v", middleKeys(set))
+		t.Fatalf("patterns from empty training: %v", middleKeys(a, set))
 	}
 	set = Build(ix, o, "GO:404", []corpus.PaperID{0}, df, DefaultConfig())
 	if len(set.Patterns) != 0 {
@@ -103,10 +109,10 @@ func TestMiddleTypeScoreOrdering(t *testing.T) {
 	// Verify the middle-type criterion directly: both > term-only > freq-only.
 	o, _, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	ctxSet := map[string]bool{"zinc": true}
+	ctxSet := phrase(ix, "zinc")
 	cfg := DefaultConfig()
 	mk := func(hasTerm, hasFreq bool) float64 {
-		p := &Pattern{Middle: []string{"zinc"}, HasTermWords: hasTerm, HasFreqWords: hasFreq}
+		p := &Pattern{Middle: phrase(ix, "zinc"), HasTermWords: hasTerm, HasFreqWords: hasFreq}
 		// Fix the other criteria: same middle, same frequencies.
 		return regularScore(p, ix, ctxSet, df, 2, 1, 1, cfg)
 	}
@@ -119,35 +125,37 @@ func TestMiddleTypeScoreOrdering(t *testing.T) {
 }
 
 func TestPaperCoveragePenalisesCommonMiddles(t *testing.T) {
-	o, _, a, ix := patternFixture(t)
+	o, _, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
 	cfg := DefaultConfig()
 	// "zinc" (2 docs) vs a word in all docs would score lower coverage-wise.
-	rare := a.Tokenizer().Terms("corrosion") // 1 doc
-	common := a.Tokenizer().Terms("cells")   // 2 docs
+	rare := phrase(ix, "corrosion") // 1 doc
+	common := phrase(ix, "cells")   // 2 docs
 	pRare := &Pattern{Middle: rare, HasFreqWords: true}
 	pCommon := &Pattern{Middle: common, HasFreqWords: true}
-	sRare := regularScore(pRare, ix, map[string]bool{}, df, 2, 1, 1, cfg)
-	sCommon := regularScore(pCommon, ix, map[string]bool{}, df, 2, 1, 1, cfg)
+	sRare := regularScore(pRare, ix, nil, df, 2, 1, 1, cfg)
+	sCommon := regularScore(pCommon, ix, nil, df, 2, 1, 1, cfg)
 	if sRare <= sCommon {
 		t.Fatalf("coverage penalty inverted: rare=%v common=%v", sRare, sCommon)
 	}
 }
 
 func TestExtendedPatterns(t *testing.T) {
-	// Two regular patterns arranged to trigger both join types.
+	// Two regular patterns arranged to trigger both join types, over IDs
+	// numbered in word order.
+	const alpha, beta, gamma, l1, r2, shared = 1, 2, 3, 4, 5, 6
 	p1 := &Pattern{
 		Kind:   Regular,
-		Left:   map[string]bool{"l1": true},
-		Middle: []string{"alpha", "beta"},
-		Right:  map[string]bool{"shared": true},
+		Left:   []int32{l1},
+		Middle: []int32{alpha, beta},
+		Right:  []int32{shared},
 		Score:  2,
 	}
 	p2 := &Pattern{
 		Kind:   Regular,
-		Left:   map[string]bool{"shared": true, "alpha": true},
-		Middle: []string{"gamma"},
-		Right:  map[string]bool{"r2": true},
+		Left:   []int32{alpha, shared},
+		Middle: []int32{gamma},
+		Right:  []int32{r2},
 		Score:  3,
 	}
 	ext := buildExtended([]*Pattern{p1, p2})
@@ -163,8 +171,8 @@ func TestExtendedPatterns(t *testing.T) {
 	if side == nil {
 		t.Fatal("side-joined pattern not built")
 	}
-	if side.MiddleKey() != "alpha beta gamma" {
-		t.Fatalf("side-joined middle = %q", side.MiddleKey())
+	if !slices.Equal(side.Middle, []int32{alpha, beta, gamma}) {
+		t.Fatalf("side-joined middle = %v", side.Middle)
 	}
 	if side.Score != 25 { // (2+3)²
 		t.Fatalf("side-joined score = %v, want 25", side.Score)
@@ -190,7 +198,7 @@ func TestDegreeOfOverlap(t *testing.T) {
 	if got := degreeOfOverlap(nil, nil, nil); got != 0 {
 		t.Fatalf("empty middle DOO = %v", got)
 	}
-	got := degreeOfOverlap([]string{"a", "b"}, map[string]bool{"a": true}, map[string]bool{"b": true})
+	got := degreeOfOverlap([]int32{1, 2}, []int32{1}, []int32{2})
 	if got != 1 {
 		t.Fatalf("full overlap DOO = %v", got)
 	}
@@ -199,15 +207,19 @@ func TestDegreeOfOverlap(t *testing.T) {
 func TestTermWordDF(t *testing.T) {
 	o, _, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	tok := ix.analyzer.Tokenizer()
 	// "binding" stems appear in one term name ("zinc finger binding").
-	bind := tok.Terms("binding")[0]
+	bind := phrase(ix, "binding")[0]
 	if df[bind] != 1 {
 		t.Fatalf("df[bind] = %d", df[bind])
 	}
-	// "function" appears in "molecular function" only.
-	fn := tok.Terms("function")[0]
-	if df[fn] != 1 {
-		t.Fatalf("df[function] = %d", df[fn])
+	// "transport" appears in "calcium transport" only.
+	tr := phrase(ix, "transport")[0]
+	if df[tr] != 1 {
+		t.Fatalf("df[transport] = %d", df[tr])
+	}
+	// "function" ("molecular function") occurs in no paper, so it has no
+	// term ID and no count: a pattern middle is always a phrase of the text.
+	if fn := phrase(ix, "function")[0]; fn >= 0 {
+		t.Fatalf("function has term ID %d", fn)
 	}
 }

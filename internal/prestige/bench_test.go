@@ -27,12 +27,12 @@ func benchFix(b *testing.B) *fixture {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := pattern.NewPosIndexWorkers(a, 0)
+	ix := pattern.NewPosIndex(a)
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
 		text: contextset.BuildTextBased(index.BuildWorkers(a, 0), o, cfg),
-		pat:  contextset.BuildPatternBased(ix, a, o, cfg),
+		pat:  contextset.BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig()),
 	}
 	return cachedFixture
 }

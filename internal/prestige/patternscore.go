@@ -16,7 +16,7 @@ import (
 type PatternScorer struct {
 	ix     *pattern.PosIndex
 	onto   *ontology.Ontology
-	termDF map[string]int
+	termDF []int32
 	pcfg   pattern.Config
 	mcfg   pattern.MatchConfig
 
@@ -76,9 +76,13 @@ func (s *PatternScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.Ter
 	if origin, inherited := cs.InheritedFrom(ctx); inherited {
 		term = origin
 	}
-	set := s.patternsFor(c, term)
-	scores := set.ScorePapers(s.ix, cs.PaperSet(ctx), s.mcfg)
-	for i, p := range cs.Papers(ctx) {
+	members := cs.Papers(ctx)
+	if len(members) == 0 {
+		return true
+	}
+	scores := make([]float64, c.Len())
+	s.patternsFor(c, term).ScorePapers(s.ix, cs.PaperBitset(ctx), s.mcfg, scores)
+	for i, p := range members {
 		vals[i] = scores[p]
 	}
 	maxNormalize(vals)

@@ -40,12 +40,12 @@ func buildFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := pattern.NewPosIndexWorkers(a, 0)
+	ix := pattern.NewPosIndex(a)
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
 		text: contextset.BuildTextBased(index.BuildWorkers(a, 0), o, cfg),
-		pat:  contextset.BuildPatternBased(ix, a, o, cfg),
+		pat:  contextset.BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig()),
 	}
 	return cachedFixture
 }

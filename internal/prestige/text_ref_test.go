@@ -166,7 +166,7 @@ func TestTextScorerMatchesReference(t *testing.T) {
 		a := corpus.NewAnalyzerWorkers(c, 0)
 		cfg := contextset.DefaultConfig()
 		text := contextset.BuildTextBased(index.BuildWorkers(a, 0), o, cfg)
-		pat := contextset.BuildPatternBased(pattern.NewPosIndexWorkers(a, 0), a, o, cfg)
+		pat := contextset.BuildPatternBased(pattern.NewPosIndex(a), a, o, cfg, pattern.DefaultConfig())
 		ref := newTextReference(a, DefaultTextWeights())
 		base := NewTextScorer(a, DefaultTextWeights())
 		for _, tc := range []struct {

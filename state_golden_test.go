@@ -21,7 +21,33 @@ import (
 // alter the file (format, weighting, generator) re-records it.
 const goldenStateSHA256 = "5e0f1a40b16dfad605d9b0f7adbf1155efab5336ab5f976c3006bb3f9a050c4a"
 
+// goldenPatternStateSHA256 is the SHA-256 of the state file the pattern
+// pipeline writes for smallConfig: the §4 pattern-based context set scored
+// by pattern prestige. It was recorded from the build whose positional index
+// spelled every token as a string and matched phrases through per-document
+// position maps, so it pins "the term-ID pattern matcher writes the same
+// bytes" as goldenStateSHA256 pins the text build.
+const goldenPatternStateSHA256 = "3230988fa942d2b8aa670dff52946526273ce817a57d0390d880b83c072a8d31"
+
 func TestStateFileGolden(t *testing.T) {
+	checkStateFileGolden(t, goldenStateSHA256, func(sys *System) (*ContextSet, *Matrix, string) {
+		cs := sys.BuildTextContextSet()
+		return cs, sys.ScoreText(cs), "text"
+	})
+}
+
+func TestPatternStateFileGolden(t *testing.T) {
+	checkStateFileGolden(t, goldenPatternStateSHA256, func(sys *System) (*ContextSet, *Matrix, string) {
+		cs := sys.BuildPatternContextSet()
+		return cs, sys.ScorePattern(cs), "pattern"
+	})
+}
+
+// checkStateFileGolden builds smallConfig's system at BuildWorkers 1 and 3,
+// saves the context set and matrix build returns with the text index and
+// dictionary, and compares the file's SHA-256 with want.
+func checkStateFileGolden(t *testing.T, want string, build func(*System) (*ContextSet, *Matrix, string)) {
+	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("float bits are pinned on amd64 only: other targets may fuse multiply-adds")
 	}
@@ -32,10 +58,10 @@ func TestStateFileGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := sys.BuildTextContextSet()
+		cs, m, name := build(sys)
 		st := &store.State{
 			ContextSet: cs,
-			Matrices:   map[string]*Matrix{"text": sys.ScoreText(cs)},
+			Matrices:   map[string]*Matrix{name: m},
 			Index:      sys.Index().Parts(),
 			DF:         sys.Analyzer().DF(),
 		}
@@ -48,8 +74,8 @@ func TestStateFileGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != goldenStateSHA256 {
-			t.Fatalf("workers=%d: state file (%d bytes) has SHA-256 %s, want %s", workers, len(data), got, goldenStateSHA256)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Fatalf("workers=%d: state file (%d bytes) has SHA-256 %s, want %s", workers, len(data), got, want)
 		}
 	}
 }
