@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"net/http"
 	"os"
@@ -402,6 +404,82 @@ func TestServeCommandBuildFailure(t *testing.T) {
 	}
 	if !strings.Contains(fmt.Sprint(err), "bogus") {
 		t.Fatalf("error does not mention the bad flag: %v", err)
+	}
+}
+
+// widenPaperIDs rewrites a state file with its paper-ID sections, 4 and 10,
+// as int64 (element kind 2): the layout of files written while paper IDs
+// were 8 bytes wide. Every section keeps its table position; offsets,
+// CRC32-C sums and the table CRC are laid out again as the writer does.
+func widenPaperIDs(t *testing.T, path string) {
+	t.Helper()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+	align := func(n int) int { return (n + 63) &^ 63 }
+	count := int(binary.LittleEndian.Uint32(img[12:]))
+	tend := 24 + 32*count
+	out := append([]byte(nil), img[:tend]...)
+	for i := 0; i < count; i++ {
+		e := out[24+32*i:]
+		off, n := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
+		data := img[off : off+n]
+		if id := binary.LittleEndian.Uint32(e); id == 4 || id == 10 {
+			var wide []byte
+			for k := 0; k < len(data); k += 4 {
+				wide = binary.LittleEndian.AppendUint64(wide, uint64(int64(int32(binary.LittleEndian.Uint32(data[k:])))))
+			}
+			data = wide
+			binary.LittleEndian.PutUint32(e[4:], 2)
+		}
+		out = append(out, make([]byte, align(len(out))-len(out))...)
+		binary.LittleEndian.PutUint64(e[8:], uint64(len(out)))
+		binary.LittleEndian.PutUint64(e[16:], uint64(len(data)))
+		binary.LittleEndian.PutUint32(e[24:], crc(data))
+		out = append(out, data...)
+	}
+	binary.LittleEndian.PutUint32(out[16:], crc(out[24:tend]))
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestServeRefusesInt64PaperIDs: serve booted on a state file whose paper
+// IDs are 8 bytes wide exits with the section-kind error that names the
+// rebuild, and /readyz never answers 200 meanwhile.
+func TestServeRefusesInt64PaperIDs(t *testing.T) {
+	base := []string{"-papers", "120", "-terms", "40", "-state", filepath.Join(t.TempDir(), "state.bin")}
+	var buf bytes.Buffer
+	if err := run(append(base, "build"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	widenPaperIDs(t, base[len(base)-1])
+	out := &syncBuffer{}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- runCtx(ctx, append(base, "-addr", "127.0.0.1:0", "serve"), out) }()
+	listenRE := regexp.MustCompile(`listening on (\S+)`)
+	for {
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "holds int64 elements, this binary reads int32") || !strings.Contains(err.Error(), "ctxsearch build -state") {
+				t.Fatalf("serve on an int64 paper-ID state: err = %v, want the section-kind error\n%s", err, out.String())
+			}
+			return
+		default:
+		}
+		if m := listenRE.FindStringSubmatch(out.String()); m != nil {
+			if resp, err := http.Get("http://" + m[1] + "/readyz"); err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == 200 {
+					t.Fatalf("serve on an int64 paper-ID state answered /readyz 200:\n%s", out.String())
+				}
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

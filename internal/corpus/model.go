@@ -20,7 +20,7 @@ import (
 )
 
 // PaperID identifies a paper within a corpus. IDs are dense, starting at 0.
-type PaperID int
+type PaperID int32
 
 // Section identifies a paper section. The text-based prestige function
 // weights similarities per section; the pattern matcher weights match

@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -105,7 +106,7 @@ func TestLoadHostileHeader(t *testing.T) {
 		want   string
 	}{
 		{"negative", -1, c.Papers(), "header declares -1 papers"},
-		{"huge", 1 << 50, nil, "decoding paper 0"},
+		{"huge", math.MaxInt32, nil, "decoding paper 0"},
 		{"more than present", 6, c.Papers(), "decoding paper 5"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -129,7 +130,7 @@ func FuzzLoadCorpus(f *testing.F) {
 	f.Add(valid.Bytes())
 	f.Add(valid.Bytes()[:valid.Len()/2])
 	f.Add(hostileCorpus(f, -1, nil))
-	f.Add(hostileCorpus(f, 1<<50, nil))
+	f.Add(hostileCorpus(f, math.MaxInt32, nil))
 	f.Add(hostileCorpus(f, 5, c.Papers()))
 	f.Add(hostileCorpus(f, 0, nil))
 	f.Fuzz(func(t *testing.T, b []byte) {

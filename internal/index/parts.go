@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 
 	"ctxsearch/internal/corpus"
 )
@@ -107,30 +108,14 @@ func (p *Parts) SliceRange(lo, hi int) *Parts {
 		Offsets: make([]int32, nTerms+1),
 		Norms:   p.Norms,
 	}
-	dlo, dhi := corpus.PaperID(lo), corpus.PaperID(hi)
 	for t := 0; t < nTerms; t++ {
 		base := int(p.Offsets[t])
 		run := p.Docs[base:p.Offsets[t+1]]
-		a := base + searchPaperID(run, dlo)
-		b := base + searchPaperID(run, dhi)
-		out.Docs = append(out.Docs, p.Docs[a:b]...)
-		out.Weights = append(out.Weights, p.Weights[a:b]...)
+		a, _ := slices.BinarySearch(run, corpus.PaperID(lo))
+		b, _ := slices.BinarySearch(run, corpus.PaperID(hi))
+		out.Docs = append(out.Docs, run[a:b]...)
+		out.Weights = append(out.Weights, p.Weights[base+a:base+b]...)
 		out.Offsets[t+1] = int32(len(out.Docs))
 	}
 	return out
-}
-
-// searchPaperID returns the first index of s whose value is >= v (len(s)
-// when none is).
-func searchPaperID(s []corpus.PaperID, v corpus.PaperID) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

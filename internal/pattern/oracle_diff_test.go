@@ -338,7 +338,7 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 					want := make([]float64, len(run.Docs))
 					var max float64
 					for i, d := range run.Docs {
-						want[i] = scores[corpus.PaperID(d)]
+						want[i] = scores[d]
 						max = math.Max(max, want[i])
 					}
 					for i := range want {

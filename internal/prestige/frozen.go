@@ -3,6 +3,7 @@ package prestige
 import (
 	"fmt"
 
+	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
 )
 
@@ -20,7 +21,7 @@ import (
 // is the writer's contract, guarded on disk by the section CRCs — scanning
 // it here would fault in every page and defeat the O(1) open. Row maxima
 // are trusted as given (the writer persists the values the build computed).
-func FromCSR(ctxs []ontology.TermID, offsets, docs []int32, vals, rowMax []float64) (*Matrix, error) {
+func FromCSR(ctxs []ontology.TermID, offsets []int32, docs []corpus.PaperID, vals, rowMax []float64) (*Matrix, error) {
 	if len(offsets) != len(ctxs)+1 {
 		return nil, fmt.Errorf("prestige: %d contexts need %d offsets, have %d", len(ctxs), len(ctxs)+1, len(offsets))
 	}
@@ -58,6 +59,6 @@ func FromCSR(ctxs []ontology.TermID, offsets, docs []int32, vals, rowMax []float
 
 // CSR exposes the matrix's raw arrays for serialization. The slices alias
 // the matrix — read-only.
-func (m *Matrix) CSR() (ctxs []ontology.TermID, offsets, docs []int32, vals, rowMax []float64) {
+func (m *Matrix) CSR() (ctxs []ontology.TermID, offsets []int32, docs []corpus.PaperID, vals, rowMax []float64) {
 	return m.ctxs, m.offsets, m.docs, m.vals, m.rowMax
 }

@@ -1,6 +1,7 @@
 package prestige
 
 import (
+	"slices"
 	"sort"
 
 	"ctxsearch/internal/corpus"
@@ -13,7 +14,7 @@ import (
 // paper-ID-sorted (doc, score) columns, and a per-context offset array
 // delimits the runs — mirroring the index's postings layout. The query
 // merge reads one run per selected context and resolves each hit by binary
-// search over the run's int32 doc IDs.
+// search over the run's paper IDs.
 //
 // A Matrix is immutable and safe for concurrent readers. Score builds one,
 // PropagateMax derives the propagated one, and FromCSR binds a state
@@ -22,7 +23,7 @@ type Matrix struct {
 	ctxs    []ontology.TermID
 	ord     map[ontology.TermID]int32
 	offsets []int32 // len(ctxs)+1; run i is [offsets[i], offsets[i+1])
-	docs    []int32
+	docs    []corpus.PaperID
 	vals    []float64
 	// rowMax[i] is the largest score in run i (0 for an empty run), the
 	// row's prestige upper bound. Persisted in the state file.
@@ -61,7 +62,7 @@ func (m *Matrix) Contexts() []ontology.TermID {
 // The slices alias the matrix — read-only. Max is the largest value in
 // Vals (0 for an empty run), the row's prestige upper bound.
 type Run struct {
-	Docs []int32
+	Docs []corpus.PaperID
 	Vals []float64
 	Max  float64
 }
@@ -69,18 +70,8 @@ type Run struct {
 // Get returns the score of a paper in the run (0 when absent) by binary
 // search over the sorted doc IDs.
 func (r Run) Get(p corpus.PaperID) float64 {
-	d := int32(p)
-	lo, hi := 0, len(r.Docs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.Docs[mid] < d {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(r.Docs) && r.Docs[lo] == d {
-		return r.Vals[lo]
+	if i, ok := slices.BinarySearch(r.Docs, p); ok {
+		return r.Vals[i]
 	}
 	return 0
 }
@@ -106,7 +97,7 @@ func (r Run) TopK(k int) []corpus.PaperID {
 		if r.Vals[i] < cutoff {
 			break
 		}
-		out = append(out, corpus.PaperID(r.Docs[i]))
+		out = append(out, r.Docs[i])
 	}
 	return out
 }
@@ -146,12 +137,11 @@ func (m *Matrix) Slice(lo, hi int) *Matrix {
 		offsets: make([]int32, len(m.ctxs)+1),
 		rowMax:  make([]float64, len(m.ctxs)),
 	}
-	dlo, dhi := int32(lo), int32(hi)
 	for i := range m.ctxs {
 		r := m.RunAt(i)
 		// Docs are sorted ascending: binary-search the range bounds.
-		a := searchInt32(r.Docs, dlo)
-		b := searchInt32(r.Docs, dhi)
+		a, _ := slices.BinarySearch(r.Docs, corpus.PaperID(lo))
+		b, _ := slices.BinarySearch(r.Docs, corpus.PaperID(hi))
 		for k := a; k < b; k++ {
 			out.docs = append(out.docs, r.Docs[k])
 			out.vals = append(out.vals, r.Vals[k])
@@ -162,19 +152,4 @@ func (m *Matrix) Slice(lo, hi int) *Matrix {
 		out.offsets[i+1] = int32(len(out.docs))
 	}
 	return out
-}
-
-// searchInt32 returns the first index of s whose value is >= v (len(s)
-// when none is).
-func searchInt32(s []int32, v int32) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -93,7 +93,7 @@ func requireMatrixEqualsMap(t *testing.T, name string, m *Matrix, want mapScores
 			if j > 0 && run.Docs[j-1] >= d {
 				t.Fatalf("%s: context %s run not ascending at %d", name, ctx, j)
 			}
-			w, in := row[corpus.PaperID(d)]
+			w, in := row[d]
 			if !in || math.Float64bits(run.Vals[j]) != math.Float64bits(w) {
 				t.Fatalf("%s: %s/%d = %v, reference %v (present %v)", name, ctx, d, run.Vals[j], w, in)
 			}

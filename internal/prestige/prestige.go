@@ -45,11 +45,9 @@ func Score(sc Scorer, cs *contextset.ContextSet, minSize, workers int) *Matrix {
 	for i, ctx := range ctxs {
 		offsets[i+1] = offsets[i] + int32(cs.Size(ctx))
 	}
-	docs := make([]int32, 0, offsets[len(ctxs)])
+	docs := make([]corpus.PaperID, 0, offsets[len(ctxs)])
 	for _, ctx := range ctxs {
-		for _, p := range cs.Papers(ctx) {
-			docs = append(docs, int32(p))
-		}
+		docs = append(docs, cs.Papers(ctx)...)
 	}
 	vals := make([]float64, len(docs))
 	applies := make([]bool, len(ctxs))

@@ -53,9 +53,7 @@ func buildFixture(t *testing.T) *fixture {
 // scoreRun scores one context into a fresh run over its members; ok is
 // the scorer's verdict.
 func scoreRun(sc Scorer, cs *contextset.ContextSet, ctx ontology.TermID) (r Run, ok bool) {
-	for _, p := range cs.Papers(ctx) {
-		r.Docs = append(r.Docs, int32(p))
-	}
+	r.Docs = cs.Papers(ctx)
 	r.Vals = make([]float64, len(r.Docs))
 	return r, sc.ScoreContext(cs, ctx, r.Vals)
 }
@@ -88,17 +86,17 @@ func matrixOf(t testing.TB, s mapScores) *Matrix {
 	}
 	slices.Sort(ctxs)
 	offsets := []int32{0}
-	var docs []int32
+	var docs []corpus.PaperID
 	var vals []float64
 	for _, ctx := range ctxs {
-		row := make([]int32, 0, len(s[ctx]))
+		row := make([]corpus.PaperID, 0, len(s[ctx]))
 		for p := range s[ctx] {
-			row = append(row, int32(p))
+			row = append(row, p)
 		}
 		slices.Sort(row)
 		for _, d := range row {
 			docs = append(docs, d)
-			vals = append(vals, s[ctx][corpus.PaperID(d)])
+			vals = append(vals, s[ctx][d])
 		}
 		offsets = append(offsets, int32(len(docs)))
 	}
@@ -356,7 +354,7 @@ func TestPropagateMax(t *testing.T) {
 		t.Fatalf("max not propagated: %v", s.vals)
 	}
 	// Paper 9 is not in GO:1's set — must not appear.
-	if got := s.Run("GO:1").Docs; !slices.Equal(got, []int32{7, 8}) {
+	if got := s.Run("GO:1").Docs; !slices.Equal(got, []corpus.PaperID{7, 8}) {
 		t.Fatalf("propagation changed the ancestor's papers: %v", got)
 	}
 	// Paper 8 untouched.

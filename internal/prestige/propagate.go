@@ -3,6 +3,7 @@ package prestige
 import (
 	"sort"
 
+	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
 )
 
@@ -35,7 +36,7 @@ func PropagateMax(onto *ontology.Ontology, m *Matrix) *Matrix {
 		}
 		return ti < tj
 	})
-	run := func(i int32) ([]int32, []float64) {
+	run := func(i int32) ([]corpus.PaperID, []float64) {
 		lo, hi := out.offsets[i], out.offsets[i+1]
 		return out.docs[lo:hi], out.vals[lo:hi]
 	}

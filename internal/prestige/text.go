@@ -119,8 +119,8 @@ type textTables struct {
 	analyzer *corpus.Analyzer
 	graph    *citegraph.Graph
 
-	paperAuthors [][]int32 // paper → its authors' IDs
-	authorPapers [][]int32 // author → the papers they appear on
+	paperAuthors [][]int32          // paper → its authors' IDs
+	authorPapers [][]corpus.PaperID // author → the papers they appear on
 
 	// scratch recycles *boundRep: a context binds once, and each of
 	// Score's workers leases its own.
@@ -136,12 +136,10 @@ func (t *textTables) build(a *corpus.Analyzer) {
 	t.paperAuthors = make([][]int32, c.Len())
 	for _, papers := range c.CoAuthorIndex() {
 		au := int32(len(t.authorPapers))
-		list := make([]int32, len(papers))
-		for i, p := range papers {
-			list[i] = int32(p)
+		for _, p := range papers {
 			t.paperAuthors[p] = append(t.paperAuthors[p], au)
 		}
-		t.authorPapers = append(t.authorPapers, list)
+		t.authorPapers = append(t.authorPapers, papers)
 	}
 }
 
@@ -298,13 +296,12 @@ func (b *boundRep) authorJaccard(p corpus.PaperID) float64 {
 // papers other than the two, reached through p's authors, that carry the
 // co-author mark.
 func (b *boundRep) levelOneOverlap(p corpus.PaperID) float64 {
-	var bridges [3]int32
+	var bridges [3]corpus.PaperID
 	n := 0
-	self, rep := int32(p), int32(b.rep)
 count:
 	for _, au := range b.t.paperAuthors[p] {
 		for _, z := range b.t.authorPapers[au] {
-			if b.marks[z]&markCoAuthor == 0 || z == self || z == rep {
+			if b.marks[z]&markCoAuthor == 0 || z == p || z == b.rep {
 				continue
 			}
 			if slices.Contains(bridges[:n], z) {

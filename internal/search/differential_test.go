@@ -186,15 +186,15 @@ func matrixOf(s scoreMap) *prestige.Matrix {
 		ctxs = append(ctxs, ctx)
 	}
 	slices.Sort(ctxs)
-	offsets, docs, vals, rowMax := []int32{0}, []int32{}, []float64{}, make([]float64, len(ctxs))
+	offsets, docs, vals, rowMax := []int32{0}, []corpus.PaperID{}, []float64{}, make([]float64, len(ctxs))
 	for i, ctx := range ctxs {
-		row := make([]int32, 0, len(s[ctx]))
+		row := make([]corpus.PaperID, 0, len(s[ctx]))
 		for p := range s[ctx] {
-			row = append(row, int32(p))
+			row = append(row, p)
 		}
 		slices.Sort(row)
 		for _, d := range row {
-			v := s[ctx][corpus.PaperID(d)]
+			v := s[ctx][d]
 			docs, vals, rowMax[i] = append(docs, d), append(vals, v), max(rowMax[i], v)
 		}
 		offsets = append(offsets, int32(len(docs)))

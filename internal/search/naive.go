@@ -102,7 +102,7 @@ func scoreMaps(m *prestige.Matrix) map[ontology.TermID]map[corpus.PaperID]float6
 		r := m.RunAt(i)
 		row := make(map[corpus.PaperID]float64, len(r.Docs))
 		for j, d := range r.Docs {
-			row[corpus.PaperID(d)] = r.Vals[j]
+			row[d] = r.Vals[j]
 		}
 		out[ctx] = row
 	}

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"strconv"
 	"unsafe"
-
-	"ctxsearch/internal/corpus"
 )
 
 // The state format is a sectioned binary file built for memory-mapped,
@@ -54,7 +51,10 @@ const (
 )
 
 // Section element kinds. The kind fixes the element size, and with it the
-// alignment the section offset must satisfy.
+// alignment the section offset must satisfy; a reader also refuses a
+// section whose kind is not the one it reinterprets the bytes as. No live
+// section is written as int64 any more: the kind stays so that a file whose
+// paper-ID columns are 8 bytes wide is named as such.
 const (
 	kindBytes = uint32(iota)
 	kindI32
@@ -63,6 +63,9 @@ const (
 	kindU64
 	kindU32
 )
+
+// kindNames spells each element kind in errors.
+var kindNames = [...]string{kindBytes: "bytes", kindI32: "int32", kindI64: "int64", kindF64: "float64", kindU64: "uint64", kindU32: "uint32"}
 
 // elemSize returns the element width of a section kind (1 for raw bytes).
 func elemSize(kind uint32) int {
@@ -83,19 +86,23 @@ func elemSize(kind uint32) int {
 // Retired IDs, never to be reused: 13 and 14 (per-term max posting weight
 // and max weight/norm ratio) and 17–20 (block size, per-term block offsets,
 // per-block max weight and max ratio). Version-5 files written before the
-// block-max evaluator was deleted carry them; Open ignores them, so those
-// files still open and serve.
+// block-max evaluator was deleted carry them; Open ignores them.
+//
+// Paper IDs (sections 4 and 10, and each matrix's docs) are int32, the
+// width of corpus.PaperID. Version-5 files written while paper IDs were
+// int64 carry sections 4 and 10 as int64; the reader refuses them by their
+// element kind and names the rebuild.
 const (
 	secCSMeta       = uint32(1)  // bytes: kind, member ctx refs, reps, decay, inheritedFrom
 	secTermDict     = uint32(2)  // bytes: shared term-ID string table
 	secCSOffsets    = uint32(3)  // int32: member run offsets
-	secCSDocs       = uint32(4)  // int64: member paper IDs
+	secCSDocs       = uint32(4)  // int32: member paper IDs
 	secCSScores     = uint32(5)  // float64: assignment scores
 	secCSWordOffs   = uint32(6)  // int32: bitmap word-run offsets
 	secCSWords      = uint32(7)  // uint64: bitmap words
 	secIdxTerms     = uint32(8)  // bytes: index term dictionary
 	secIdxOffsets   = uint32(9)  // int32: posting run offsets
-	secIdxDocs      = uint32(10) // int64: posting doc IDs
+	secIdxDocs      = uint32(10) // int32: posting doc IDs
 	secIdxWeights   = uint32(11) // float64: posting weights
 	secIdxNorms     = uint32(12) // float64: per-document vector norms
 	secDF           = uint32(15) // bytes: document-frequency table
@@ -139,30 +146,18 @@ func alignedBytes(n int) []byte {
 // --- decode fallbacks (big-endian hosts). Lengths must be validated by
 // --- the caller (section parsing checks length % elemSize == 0).
 
-func asI32s(b []byte) []int32 {
+// as32s reinterprets a section of 4-byte integers: int32 offsets, uint32
+// dictionary references, or paper IDs (corpus.PaperID is an int32).
+func as32s[T ~int32 | ~uint32](b []byte) []T {
 	if len(b) == 0 {
 		return nil
 	}
 	if hostLittleEndian {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/4)
 	}
-	out := make([]int32, len(b)/4)
+	out := make([]T, len(b)/4)
 	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func asU32s(b []byte) []uint32 {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), len(b)/4)
-	}
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
+		out[i] = T(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
@@ -195,23 +190,6 @@ func asF64s(b []byte) []float64 {
 	return out
 }
 
-// asPaperIDs reinterprets an int64 section as paper IDs. corpus.PaperID is
-// int, so the zero-copy cast is only layout-valid on 64-bit hosts; 32-bit
-// (or big-endian) hosts pay a per-element copy.
-func asPaperIDs(b []byte) []corpus.PaperID {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittleEndian && strconv.IntSize == 64 {
-		return unsafe.Slice((*corpus.PaperID)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	out := make([]corpus.PaperID, len(b)/8)
-	for i := range out {
-		out[i] = corpus.PaperID(int64(binary.LittleEndian.Uint64(b[8*i:])))
-	}
-	return out
-}
-
 // asString reinterprets a byte run as a string without copying. The bytes
 // alias the mapped (or heap) file buffer, which outlives every component
 // handed out by the Mapped — the same lifetime argument as the numeric
@@ -226,18 +204,10 @@ func asString(b []byte) string {
 // --- little-endian encoders for the writer (portable, per-element; the
 // --- write path is offline and never hot).
 
-func encodeI32s(v []int32) []byte {
+func encode32s[T ~int32 | ~uint32](v []T) []byte {
 	b := make([]byte, 4*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
-	}
-	return b
-}
-
-func encodeU32s(v []uint32) []byte {
-	b := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], x)
 	}
 	return b
 }
@@ -254,14 +224,6 @@ func encodeF64s(v []float64) []byte {
 	b := make([]byte, 8*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-	return b
-}
-
-func encodePaperIDs(v []corpus.PaperID) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(x)))
 	}
 	return b
 }

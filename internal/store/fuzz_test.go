@@ -56,11 +56,14 @@ func patchImage(img []byte, id uint32, entry bool, at int32, patch []byte) {
 // table, each matrix — and index.FromParts must each return an error or a
 // component; none may panic. The checked-in seeds hold decreasing posting
 // offsets, a last offset past the docs, a term dictionary whose count
-// overflows its section, and a section that overlaps the header.
+// overflows its section, and a section that overlaps the header. The seeds
+// added below patch a posting doc, and relabel the posting docs' section
+// with another 4-byte element kind, which the kind check must refuse.
 func FuzzOpenBytes(f *testing.F) {
 	o, _, a, st := fixtureWithIndex(f)
 	img := v5Bytes(f, st)
 	f.Add(uint32(secIdxDocs), false, int32(0), []byte{0xff})
+	f.Add(uint32(secIdxDocs), true, int32(4), []byte{byte(kindU32)})
 	f.Fuzz(func(t *testing.T, id uint32, entry bool, at int32, patch []byte) {
 		data := alignedBytes(len(img))
 		copy(data, img)

@@ -199,12 +199,16 @@ func tooOldError(ver int) error {
 }
 
 // needLocked returns a section's data, verifying its CRC on first touch.
-// Every section the reader asks for is required: a missing one is an
-// error. Caller holds m.mu (or is single-threaded during open).
-func (m *Mapped) needLocked(id uint32) ([]byte, error) {
+// Every section the reader asks for is required, and must hold the element
+// kind the caller reinterprets its bytes as: a missing section or another
+// kind is an error. Caller holds m.mu (or is single-threaded during open).
+func (m *Mapped) needLocked(id, kind uint32) ([]byte, error) {
 	s := m.secs[id]
 	if s == nil {
 		return nil, fmt.Errorf("store: state file is missing required section %d — rebuild it with `ctxsearch build -state …`", id)
+	}
+	if s.kind != kind {
+		return nil, fmt.Errorf("store: section %d holds %s elements, this binary reads %s — the file was written by another ctxsearch version; rebuild it with `ctxsearch build -state …`", id, kindNames[s.kind], kindNames[kind])
 	}
 	b := m.data[s.off : s.off+s.length]
 	if !s.verified {
@@ -222,7 +226,7 @@ func (m *Mapped) termDictLocked() ([]ontology.TermID, error) {
 	if m.termDict != nil {
 		return m.termDict, nil
 	}
-	b, err := m.needLocked(secTermDict)
+	b, err := m.needLocked(secTermDict, kindBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +257,7 @@ func dictRef(dict []ontology.TermID, r uint32) (ontology.TermID, error) {
 // parseMatrixDir reads the score-function directory (eager: it is tiny,
 // and Matrix must name what the file has without faulting payloads in).
 func (m *Mapped) parseMatrixDir() error {
-	b, err := m.needLocked(secMatrixDir)
+	b, err := m.needLocked(secMatrixDir, kindBytes)
 	if err != nil {
 		return err
 	}
@@ -289,7 +293,7 @@ func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta, err := m.needLocked(secCSMeta)
+	meta, err := m.needLocked(secCSMeta, kindBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -298,9 +302,10 @@ func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 	// section cannot hold at size bytes an entry: every count below sizes
 	// an allocation, and a CRC only proves the file is the one written.
 	count := func(what string, size int) (int, error) {
-		n := int(c.u32())
-		if n > (len(meta)-c.off)/size {
-			return 0, fmt.Errorf("store: context meta declares %d %s in a %d-byte section", n, what, len(meta))
+		u := c.u32()
+		n := int(u) // negative on a 32-bit host when u > MaxInt32
+		if n < 0 || n > (len(meta)-c.off)/size {
+			return 0, fmt.Errorf("store: context meta declares %d %s in a %d-byte section", u, what, len(meta))
 		}
 		return n, nil
 	}
@@ -356,33 +361,33 @@ func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 	if err := c.done(); err != nil {
 		return nil, fmt.Errorf("store: context meta: %w", err)
 	}
-	offs, err := m.needLocked(secCSOffsets)
+	offs, err := m.needLocked(secCSOffsets, kindI32)
 	if err != nil {
 		return nil, err
 	}
-	docs, err := m.needLocked(secCSDocs)
+	docs, err := m.needLocked(secCSDocs, kindI32)
 	if err != nil {
 		return nil, err
 	}
-	scores, err := m.needLocked(secCSScores)
+	scores, err := m.needLocked(secCSScores, kindF64)
 	if err != nil {
 		return nil, err
 	}
-	woffs, err := m.needLocked(secCSWordOffs)
+	woffs, err := m.needLocked(secCSWordOffs, kindI32)
 	if err != nil {
 		return nil, err
 	}
-	words, err := m.needLocked(secCSWords)
+	words, err := m.needLocked(secCSWords, kindU64)
 	if err != nil {
 		return nil, err
 	}
 	cs, err := contextset.FromFrozen(m.onto, &contextset.Frozen{
 		Kind:          kind,
 		Ctxs:          ctxs,
-		Offsets:       asI32s(offs),
-		Docs:          asPaperIDs(docs),
+		Offsets:       as32s[int32](offs),
+		Docs:          as32s[corpus.PaperID](docs),
 		Scores:        asF64s(scores),
-		WordOffsets:   asI32s(woffs),
+		WordOffsets:   as32s[int32](woffs),
 		Words:         asU64s(words),
 		Reps:          reps,
 		Decay:         decay,
@@ -402,7 +407,7 @@ func (m *Mapped) IndexParts() (*index.Parts, error) {
 	if m.parts != nil {
 		return m.parts, nil
 	}
-	tb, err := m.needLocked(secIdxTerms)
+	tb, err := m.needLocked(secIdxTerms, kindBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -418,26 +423,26 @@ func (m *Mapped) IndexParts() (*index.Parts, error) {
 	if err := c.done(); err != nil {
 		return nil, fmt.Errorf("store: index term dictionary: %w", err)
 	}
-	offs, err := m.needLocked(secIdxOffsets)
+	offs, err := m.needLocked(secIdxOffsets, kindI32)
 	if err != nil {
 		return nil, err
 	}
-	docs, err := m.needLocked(secIdxDocs)
+	docs, err := m.needLocked(secIdxDocs, kindI32)
 	if err != nil {
 		return nil, err
 	}
-	weights, err := m.needLocked(secIdxWeights)
+	weights, err := m.needLocked(secIdxWeights, kindF64)
 	if err != nil {
 		return nil, err
 	}
-	norms, err := m.needLocked(secIdxNorms)
+	norms, err := m.needLocked(secIdxNorms, kindF64)
 	if err != nil {
 		return nil, err
 	}
 	m.parts = &index.Parts{
 		Terms:   terms,
-		Offsets: asI32s(offs),
-		Docs:    asPaperIDs(docs),
+		Offsets: as32s[int32](offs),
+		Docs:    as32s[corpus.PaperID](docs),
 		Weights: asF64s(weights),
 		Norms:   asF64s(norms),
 	}
@@ -451,7 +456,7 @@ func (m *Mapped) DF() (*vector.DF, error) {
 	if m.df != nil {
 		return m.df, nil
 	}
-	b, err := m.needLocked(secDF)
+	b, err := m.needLocked(secDF, kindBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -493,34 +498,34 @@ func (m *Mapped) Matrix(name string) (*prestige.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	refsB, err := m.needLocked(base + matCtxs)
+	refsB, err := m.needLocked(base+matCtxs, kindU32)
 	if err != nil {
 		return nil, err
 	}
-	offs, err := m.needLocked(base + matOffsets)
+	offs, err := m.needLocked(base+matOffsets, kindI32)
 	if err != nil {
 		return nil, err
 	}
-	docs, err := m.needLocked(base + matDocs)
+	docs, err := m.needLocked(base+matDocs, kindI32)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := m.needLocked(base + matVals)
+	vals, err := m.needLocked(base+matVals, kindF64)
 	if err != nil {
 		return nil, err
 	}
-	rowMax, err := m.needLocked(base + matRowMax)
+	rowMax, err := m.needLocked(base+matRowMax, kindF64)
 	if err != nil {
 		return nil, err
 	}
-	refs := asU32s(refsB)
+	refs := as32s[uint32](refsB)
 	ctxs := make([]ontology.TermID, len(refs))
 	for i, r := range refs {
 		if ctxs[i], err = dictRef(dict, r); err != nil {
 			return nil, err
 		}
 	}
-	mat, err := prestige.FromCSR(ctxs, asI32s(offs), asI32s(docs), asF64s(vals), asF64s(rowMax))
+	mat, err := prestige.FromCSR(ctxs, as32s[int32](offs), as32s[corpus.PaperID](docs), asF64s(vals), asF64s(rowMax))
 	if err != nil {
 		return nil, fmt.Errorf("store: matrix %q: %w", name, err)
 	}

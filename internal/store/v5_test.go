@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"ctxsearch/internal/index"
@@ -88,7 +90,7 @@ func withRetiredSections(t testing.TB, img []byte, p *index.Parts) []byte {
 				sectionData{13, kindF64, encodeF64s(maxW)},
 				sectionData{14, kindF64, encodeF64s(maxR)},
 				sectionData{17, kindBytes, binary.LittleEndian.AppendUint32(nil, blockSize)},
-				sectionData{18, kindI32, encodeI32s(blockOffs)},
+				sectionData{18, kindI32, encode32s(blockOffs)},
 				sectionData{19, kindF64, encodeF64s(blockW)},
 				sectionData{20, kindF64, encodeF64s(blockR)})
 		}
@@ -149,6 +151,60 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 	}
 	if got := page(old); !slices.Equal(got, want) {
 		t.Fatalf("image with retired sections serves\n%v\nwant\n%v", got, want)
+	}
+}
+
+// withInt64PaperIDs lays img out again with its paper-ID sections, 4 and
+// 10, widened to int64: the layout of version-5 files written while
+// corpus.PaperID was an int.
+func withInt64PaperIDs(t testing.TB, img []byte) []byte {
+	t.Helper()
+	var secs []sectionData
+	for _, s := range decodeSections(img) {
+		if s.id == secCSDocs || s.id == secIdxDocs {
+			wide := make([]byte, 0, 2*len(s.data))
+			for _, d := range as32s[int32](s.data) {
+				wide = binary.LittleEndian.AppendUint64(wide, uint64(int64(d)))
+			}
+			s = sectionData{s.id, kindI64, wide}
+		}
+		secs = append(secs, s)
+	}
+	var buf bytes.Buffer
+	if err := writeSections(&buf, secs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenRefusesInt64PaperIDs: a file whose paper IDs are 8 bytes wide
+// opens — its header and table are valid — but the context set and the
+// index parts refuse it by section kind, naming the section, both kinds
+// and the rebuild, on the mapped and the byte-copy path alike. Sliced as
+// int32, its member run would read as twice as many docs as scores.
+func TestOpenRefusesInt64PaperIDs(t *testing.T) {
+	o, _, _, st := fixtureWithIndex(t)
+	img := withInt64PaperIDs(t, v5Bytes(t, st))
+	for _, noMmap := range []string{"", "1"} {
+		t.Setenv(noMmapEnv, noMmap)
+		m, err := Open(writeFile(t, img), o)
+		if err != nil {
+			t.Fatalf("CTXSEARCH_NO_MMAP=%q: open: %v", noMmap, err)
+		}
+		defer m.Close()
+		for _, tc := range []struct {
+			what string
+			err  error
+			id   uint32
+		}{
+			{"ContextSet", func() error { _, err := m.ContextSet(); return err }(), secCSDocs},
+			{"IndexParts", func() error { _, err := m.IndexParts(); return err }(), secIdxDocs},
+		} {
+			want := fmt.Sprintf("section %d holds int64 elements, this binary reads int32", tc.id)
+			if tc.err == nil || !strings.Contains(tc.err.Error(), want) || !strings.Contains(tc.err.Error(), "ctxsearch build -state") {
+				t.Fatalf("CTXSEARCH_NO_MMAP=%q: %s: want an error naming %q and the rebuild, got %v", noMmap, tc.what, want, tc.err)
+			}
+		}
 	}
 }
 

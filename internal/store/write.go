@@ -119,10 +119,10 @@ func Save(w io.Writer, st *State) error {
 	}
 	add(secCSMeta, kindBytes, mb.b)
 
-	add(secCSOffsets, kindI32, encodeI32s(f.Offsets))
-	add(secCSDocs, kindI64, encodePaperIDs(f.Docs))
+	add(secCSOffsets, kindI32, encode32s(f.Offsets))
+	add(secCSDocs, kindI32, encode32s(f.Docs))
 	add(secCSScores, kindF64, encodeF64s(f.Scores))
-	add(secCSWordOffs, kindI32, encodeI32s(f.WordOffsets))
+	add(secCSWordOffs, kindI32, encode32s(f.WordOffsets))
 	add(secCSWords, kindU64, encodeU64s(f.Words))
 
 	// Matrix directory and per-matrix sections.
@@ -137,9 +137,9 @@ func Save(w io.Writer, st *State) error {
 		for k, t := range ctxs {
 			refs[k] = ref[t]
 		}
-		add(base+matCtxs, kindU32, encodeU32s(refs))
-		add(base+matOffsets, kindI32, encodeI32s(offsets))
-		add(base+matDocs, kindI32, encodeI32s(docs))
+		add(base+matCtxs, kindU32, encode32s(refs))
+		add(base+matOffsets, kindI32, encode32s(offsets))
+		add(base+matDocs, kindI32, encode32s(docs))
 		add(base+matVals, kindF64, encodeF64s(vals))
 		add(base+matRowMax, kindF64, encodeF64s(rowMax))
 	}
@@ -153,8 +153,8 @@ func Save(w io.Writer, st *State) error {
 		it.str(t)
 	}
 	add(secIdxTerms, kindBytes, it.b)
-	add(secIdxOffsets, kindI32, encodeI32s(p.Offsets))
-	add(secIdxDocs, kindI64, encodePaperIDs(p.Docs))
+	add(secIdxOffsets, kindI32, encode32s(p.Offsets))
+	add(secIdxDocs, kindI32, encode32s(p.Docs))
 	add(secIdxWeights, kindF64, encodeF64s(p.Weights))
 	add(secIdxNorms, kindF64, encodeF64s(p.Norms))
 

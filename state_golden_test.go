@@ -18,16 +18,19 @@ import (
 // computed every paper × context cosine with vector.CosineWithNorms, so it
 // pins both "the offline build is deterministic at any worker count" and
 // "a faster build still writes the same bytes". A change that is meant to
-// alter the file (format, weighting, generator) re-records it.
-const goldenStateSHA256 = "5e0f1a40b16dfad605d9b0f7adbf1155efab5336ab5f976c3006bb3f9a050c4a"
+// alter the file (format, weighting, generator) re-records it. It was last
+// re-recorded when paper IDs went to four bytes: the file it pins, with
+// sections 4 and 10 widened back to int64, hashes to the value before.
+const goldenStateSHA256 = "d10e755059aa57eafe145690fcf7ec899cb3a4eab8d618563eb803fe8acad54e"
 
 // goldenPatternStateSHA256 is the SHA-256 of the state file the pattern
 // pipeline writes for smallConfig: the §4 pattern-based context set scored
 // by pattern prestige. It was recorded from the build whose positional index
 // spelled every token as a string and matched phrases through per-document
 // position maps, so it pins "the term-ID pattern matcher writes the same
-// bytes" as goldenStateSHA256 pins the text build.
-const goldenPatternStateSHA256 = "3230988fa942d2b8aa670dff52946526273ce817a57d0390d880b83c072a8d31"
+// bytes" as goldenStateSHA256 pins the text build, and was re-recorded with
+// it for four-byte paper IDs.
+const goldenPatternStateSHA256 = "f79000cddc3b5b26a99d65677258866249c48c4ce03d2385561d2e3a3545e893"
 
 func TestStateFileGolden(t *testing.T) {
 	checkStateFileGolden(t, goldenStateSHA256, func(sys *System) (*ContextSet, *Matrix, string) {
