@@ -239,7 +239,7 @@ func BenchmarkExtCrossContext(b *testing.B) {
 // BenchmarkSearch measures one end-to-end context-based query (tasks 3–5).
 func BenchmarkSearch(b *testing.B) {
 	s := getSetup(b)
-	engine := s.Sys.Engine(s.TextSet, s.TextOnTextSet)
+	engine := s.Sys.Engine(s.TextOnTextSet)
 	query := s.Queries[0].Text
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -265,7 +265,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		}
 		return nil
 	}
-	a.engine = a.sys.Engine(a.cs, a.matrix)
+	a.engine = a.sys.Engine(a.matrix)
 	if *verbose {
 		fmt.Fprintln(out, a.sys.BuildStats().Summary())
 	}

@@ -407,38 +407,43 @@ func TestServeCommandBuildFailure(t *testing.T) {
 	}
 }
 
-// widenPaperIDs rewrites a state file with its paper-ID sections, 4 and 10,
-// as int64 (element kind 2): the layout of files written while paper IDs
-// were 8 bytes wide. Every section keeps its table position; offsets,
-// CRC32-C sums and the table CRC are laid out again as the writer does.
-func widenPaperIDs(t *testing.T, path string) {
+// stateSection is one section of a state file: its ID, element kind and
+// payload.
+type stateSection struct {
+	id, kind uint32
+	data     []byte
+}
+
+// rewriteState reads a state file's sections in table order, passes them to
+// edit, and writes the file again from the list edit returns, laid out as
+// the writer does: each section 64-byte aligned in list order, with fresh
+// CRC32-C sums and table CRC.
+func rewriteState(t *testing.T, path string, edit func([]stateSection) []stateSection) {
 	t.Helper()
 	img, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
-	align := func(n int) int { return (n + 63) &^ 63 }
-	count := int(binary.LittleEndian.Uint32(img[12:]))
-	tend := 24 + 32*count
-	out := append([]byte(nil), img[:tend]...)
-	for i := 0; i < count; i++ {
-		e := out[24+32*i:]
+	secs := make([]stateSection, binary.LittleEndian.Uint32(img[12:]))
+	for i := range secs {
+		e := img[24+32*i:]
 		off, n := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
-		data := img[off : off+n]
-		if id := binary.LittleEndian.Uint32(e); id == 4 || id == 10 {
-			var wide []byte
-			for k := 0; k < len(data); k += 4 {
-				wide = binary.LittleEndian.AppendUint64(wide, uint64(int64(int32(binary.LittleEndian.Uint32(data[k:])))))
-			}
-			data = wide
-			binary.LittleEndian.PutUint32(e[4:], 2)
-		}
-		out = append(out, make([]byte, align(len(out))-len(out))...)
+		secs[i] = stateSection{binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:]), img[off : off+n]}
+	}
+	secs = edit(secs)
+	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+	tend := 24 + 32*len(secs)
+	out := append(append([]byte(nil), img[:24]...), make([]byte, tend-24)...)
+	binary.LittleEndian.PutUint32(out[12:], uint32(len(secs)))
+	for i, s := range secs {
+		out = append(out, make([]byte, (len(out)+63)&^63-len(out))...)
+		e := out[24+32*i:]
+		binary.LittleEndian.PutUint32(e, s.id)
+		binary.LittleEndian.PutUint32(e[4:], s.kind)
 		binary.LittleEndian.PutUint64(e[8:], uint64(len(out)))
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(data)))
-		binary.LittleEndian.PutUint32(e[24:], crc(data))
-		out = append(out, data...)
+		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.data)))
+		binary.LittleEndian.PutUint32(e[24:], crc(s.data))
+		out = append(out, s.data...)
 	}
 	binary.LittleEndian.PutUint32(out[16:], crc(out[24:tend]))
 	if err := os.WriteFile(path, out, 0o644); err != nil {
@@ -446,27 +451,86 @@ func widenPaperIDs(t *testing.T, path string) {
 	}
 }
 
-// TestServeRefusesInt64PaperIDs: serve booted on a state file whose paper
-// IDs are 8 bytes wide exits with the section-kind error that names the
-// rebuild, and /readyz never answers 200 meanwhile.
-func TestServeRefusesInt64PaperIDs(t *testing.T) {
-	base := []string{"-papers", "120", "-terms", "40", "-state", filepath.Join(t.TempDir(), "state.bin")}
-	var buf bytes.Buffer
-	if err := run(append(base, "build"), &buf); err != nil {
-		t.Fatal(err)
-	}
-	widenPaperIDs(t, base[len(base)-1])
+// widenPaperIDs rewrites a state file with its paper-ID sections, 4 and 10,
+// as int64 (element kind 2): the layout of files written while paper IDs
+// were 8 bytes wide.
+func widenPaperIDs(t *testing.T, path string) {
+	rewriteState(t, path, func(secs []stateSection) []stateSection {
+		for i, s := range secs {
+			if s.id == 4 || s.id == 10 {
+				var wide []byte
+				for k := 0; k < len(s.data); k += 4 {
+					wide = binary.LittleEndian.AppendUint64(wide, uint64(int64(int32(binary.LittleEndian.Uint32(s.data[k:])))))
+				}
+				secs[i] = stateSection{s.id, 2, wide}
+			}
+		}
+		return secs
+	})
+}
+
+// matrixRows rewrites a built state file's one matrix (section base 100) as
+// files were written while a matrix kept its own rows: its score column
+// (103) compacted to the scored rows, with the rows' offsets (101) and a
+// copy of their paper IDs (102) before it. The scored contexts (100) are
+// references into the term dictionary, as the context set's are (in
+// section 1, after its kind and count), and section 3 delimits each set
+// context's members in section 4.
+func matrixRows(t *testing.T, path string) {
+	rewriteState(t, path, func(secs []stateSection) []stateSection {
+		by := map[uint32][]byte{}
+		for _, s := range secs {
+			by[s.id] = s.data
+		}
+		u32s := func(b []byte) []uint32 {
+			out := make([]uint32, len(b)/4)
+			for i := range out {
+				out[i] = binary.LittleEndian.Uint32(b[4*i:])
+			}
+			return out
+		}
+		meta := by[1]
+		row := map[uint32]int{}
+		for i, r := range u32s(meta[8 : 8+4*binary.LittleEndian.Uint32(meta[4:])]) {
+			row[r] = i
+		}
+		offs := u32s(by[3])
+		rowOffs := binary.LittleEndian.AppendUint32(nil, 0)
+		var docs, vals []byte
+		for _, r := range u32s(by[100]) {
+			lo, hi := offs[row[r]], offs[row[r]+1]
+			docs, vals = append(docs, by[4][4*lo:4*hi]...), append(vals, by[103][8*lo:8*hi]...)
+			rowOffs = binary.LittleEndian.AppendUint32(rowOffs, uint32(len(docs)/4))
+		}
+		var out []stateSection
+		for _, s := range secs {
+			if s.id == 103 {
+				out = append(out, stateSection{101, 1, rowOffs}, stateSection{102, 1, docs})
+				s.data = vals
+			}
+			out = append(out, s)
+		}
+		return out
+	})
+}
+
+// requireServeRefuses boots serve with args and requires it to exit with
+// an error containing every want, and /readyz never to answer 200 meanwhile.
+func requireServeRefuses(t *testing.T, args []string, want ...string) {
+	t.Helper()
 	out := &syncBuffer{}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- runCtx(ctx, append(base, "-addr", "127.0.0.1:0", "serve"), out) }()
+	go func() { done <- runCtx(ctx, append(args, "-addr", "127.0.0.1:0", "serve"), out) }()
 	listenRE := regexp.MustCompile(`listening on (\S+)`)
 	for {
 		select {
 		case err := <-done:
-			if err == nil || !strings.Contains(err.Error(), "holds int64 elements, this binary reads int32") || !strings.Contains(err.Error(), "ctxsearch build -state") {
-				t.Fatalf("serve on an int64 paper-ID state: err = %v, want the section-kind error\n%s", err, out.String())
+			for _, w := range want {
+				if err == nil || !strings.Contains(err.Error(), w) {
+					t.Fatalf("serve: err = %v, want one naming %q\n%s", err, w, out.String())
+				}
 			}
 			return
 		default:
@@ -475,12 +539,41 @@ func TestServeRefusesInt64PaperIDs(t *testing.T) {
 			if resp, err := http.Get("http://" + m[1] + "/readyz"); err == nil {
 				resp.Body.Close()
 				if resp.StatusCode == 200 {
-					t.Fatalf("serve on an int64 paper-ID state answered /readyz 200:\n%s", out.String())
+					t.Fatalf("serve answered /readyz 200:\n%s", out.String())
 				}
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// builtState builds a small state file and returns the flags that load it.
+func builtState(t *testing.T) []string {
+	t.Helper()
+	args := []string{"-papers", "120", "-terms", "40", "-state", filepath.Join(t.TempDir(), "state.bin")}
+	var buf bytes.Buffer
+	if err := run(append(args, "build"), &buf); err != nil {
+		t.Fatal(err)
+	}
+	return args
+}
+
+// TestServeRefusesInt64PaperIDs: serve booted on a state file whose paper
+// IDs are 8 bytes wide exits with the section-kind error that names the
+// rebuild, and /readyz never answers 200 meanwhile.
+func TestServeRefusesInt64PaperIDs(t *testing.T) {
+	args := builtState(t)
+	widenPaperIDs(t, args[len(args)-1])
+	requireServeRefuses(t, args, "holds int64 elements, this binary reads int32", "ctxsearch build -state")
+}
+
+// TestServeRefusesMatrixRows: serve booted on a state file whose matrix
+// keeps its own rows exits with the error that names the retired sections
+// and the rebuild, and /readyz never answers 200 meanwhile.
+func TestServeRefusesMatrixRows(t *testing.T) {
+	args := builtState(t)
+	matrixRows(t, args[len(args)-1])
+	requireServeRefuses(t, args, "sections 101 and 102", "ctxsearch build -state")
 }
 
 func TestBooleanSearchCommand(t *testing.T) {

@@ -183,12 +183,12 @@ func buildAndInstall(out io.Writer, srv *server.Server, o serveOpts) error {
 func newSearcher(o serveOpts, a *app) (*ctxsearch.Engine, string, error) {
 	sys := a.sys
 	if o.shardCount <= 1 {
-		return sys.Engine(a.cs, a.matrix), "engine ready", nil
+		return sys.Engine(a.matrix), "engine ready", nil
 	}
 	// One shard process of a multi-process deployment: full system (the
 	// analyzer's global statistics and the render endpoints need it) but a
 	// range-restricted query engine.
-	eng, r, err := shard.RangeEngineParts(sys.Analyzer(), a.parts, a.cs, a.matrix, sys.Config().Relevancy, o.shardIndex, o.shardCount)
+	eng, r, err := shard.RangeEngineParts(sys.Analyzer(), a.parts, a.matrix, sys.Config().Relevancy, o.shardIndex, o.shardCount)
 	if err != nil {
 		return nil, "", err
 	}

@@ -84,12 +84,10 @@ func openState(o dataOpts) (_ *app, err error) {
 	}()
 	mapDur := time.Since(t0)
 	a := &app{mapped: mapped}
-	if a.cs, err = mapped.ContextSet(); err != nil {
-		return nil, err
-	}
 	if a.matrix, err = mapped.Matrix(o.scoreFn); err != nil {
 		return nil, err
 	}
+	a.cs = a.matrix.ContextSet()
 	if a.parts, err = mapped.IndexParts(); err != nil {
 		return nil, err
 	}

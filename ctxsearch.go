@@ -18,7 +18,7 @@
 //	// or ctxsearch.NewSystem(yourOntology, yourCorpus, cfg)
 //	cs := sys.BuildTextContextSet()
 //	scores := sys.ScoreText(cs)
-//	engine := sys.Engine(cs, scores)
+//	engine := sys.Engine(scores)
 //	results := engine.Search("regulation of rna synthesis", ctxsearch.SearchOptions{})
 package ctxsearch
 
@@ -351,17 +351,22 @@ func (s *System) ScoreText(cs *ContextSet) *Matrix { return s.score(s.TextScorer
 // ScorePattern computes pattern-based prestige scores over a context set.
 func (s *System) ScorePattern(cs *ContextSet) *Matrix { return s.score(s.PatternScorer(), cs) }
 
-// Engine assembles the context-based search engine over a context set and
-// its prestige scores: the ones a Score method returned, or a state
-// file's.
-func (s *System) Engine(cs *ContextSet, m *Matrix) *Engine {
-	return search.NewEngine(s.index, cs, m, s.cfg.Relevancy)
+// Engine assembles the context-based search engine over prestige scores —
+// the ones a Score method returned, or a state file's — and the context set
+// they score.
+func (s *System) Engine(m *Matrix) *Engine {
+	return search.NewEngine(s.index, m, s.cfg.Relevancy)
 }
 
-// EngineFrozen is Engine.
+// EngineFrozen is Engine. It panics when cs is not the set m scores.
 //
-// Deprecated: use Engine, which takes the same matrix.
-func (s *System) EngineFrozen(cs *ContextSet, m *Matrix) *Engine { return s.Engine(cs, m) }
+// Deprecated: use Engine, which takes the set from the matrix.
+func (s *System) EngineFrozen(cs *ContextSet, m *Matrix) *Engine {
+	if cs != m.ContextSet() {
+		panic("ctxsearch: EngineFrozen: the context set is not the one the matrix scores")
+	}
+	return s.Engine(m)
+}
 
 // BaselineTFIDF runs the whole-corpus TF-IDF keyword baseline.
 func (s *System) BaselineTFIDF(query string, threshold float64, limit int) []Hit {

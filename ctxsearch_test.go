@@ -56,7 +56,7 @@ func TestEndToEndTextPipeline(t *testing.T) {
 	if scores.NumContexts() == 0 {
 		t.Fatal("no scores")
 	}
-	engine := sys.Engine(cs, scores)
+	engine := sys.Engine(scores)
 	// Query with a scored context's name: must return results.
 	var query string
 	for _, ctx := range scores.Contexts() {

@@ -42,7 +42,7 @@ func main() {
 			fmt.Printf("\n[%s] no scored contexts (function not applicable to this set)\n", fn)
 			continue
 		}
-		engine := sys.Engine(cs, scores)
+		engine := sys.Engine(scores)
 		results := engine.Search(query, ctxsearch.SearchOptions{Limit: topN})
 		fmt.Printf("\n[%s-based ranking]\n", fn)
 		for i, r := range results {

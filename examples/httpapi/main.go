@@ -30,7 +30,7 @@ func main() {
 	}
 	cs := sys.BuildTextContextSet()
 	scores := sys.ScoreText(cs)
-	srv := server.New(sys, cs, scores)
+	srv := server.New(sys, scores)
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -71,7 +71,7 @@ func main() {
 	}
 	cs := sys.BuildTextContextSet()
 	scores := sys.ScoreText(cs)
-	engine := sys.Engine(cs, scores)
+	engine := sys.Engine(scores)
 	fmt.Println("\noutput-size control (context-based vs whole-corpus keyword):")
 	shown := 0
 	for _, ctx := range scores.Contexts() {

@@ -30,7 +30,7 @@ func main() {
 	fmt.Printf("scored contexts (above size cutoff %d): %d\n", sys.MinContextSize(), scores.NumContexts())
 
 	// Tasks 3–5: select contexts, search within them, rank by relevancy.
-	engine := sys.Engine(cs, scores)
+	engine := sys.Engine(scores)
 	query := sys.Ontology.Term(scores.Contexts()[0]).Name
 	fmt.Printf("\nquery: %q\n", query)
 

@@ -97,7 +97,7 @@ func main() {
 	}
 	cs := sys.BuildTextContextSet()
 	scores := sys.ScoreText(cs)
-	engine := sys.Engine(cs, scores)
+	engine := sys.Engine(scores)
 	query := loadedOnto.Term(scores.Contexts()[0]).Name
 	fmt.Printf("  query: %q\n", query)
 	for i, r := range engine.Search(query, ctxsearch.SearchOptions{Limit: 3}) {

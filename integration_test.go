@@ -105,7 +105,7 @@ func TestGoldenSeparabilityOrdering(t *testing.T) {
 
 func TestGoldenSearchDeterminism(t *testing.T) {
 	g := getGolden(t)
-	engine := g.sys.Engine(g.textSet, g.text)
+	engine := g.sys.Engine(g.text)
 	query := g.sys.Ontology.Term(g.text.Contexts()[0]).Name
 	a := engine.Search(query, ctxsearch.SearchOptions{Limit: 10})
 	b := engine.Search(query, ctxsearch.SearchOptions{Limit: 10})
@@ -132,9 +132,9 @@ func TestGoldenPrecisionOrdering(t *testing.T) {
 		answers[i] = eval.TrueAnswerSet(g.sys.Ontology, g.sys.Corpus, q.Target)
 	}
 	thresholds := []float64{0.15, 0.2, 0.25}
-	textEngine := g.sys.Engine(g.textSet, g.text)
+	textEngine := g.sys.Engine(g.text)
 	citOnText := g.sys.ScoreCitation(g.textSet)
-	citEngine := g.sys.Engine(g.textSet, citOnText)
+	citEngine := g.sys.Engine(citOnText)
 	textCurve := eval.PrecisionCurve(textEngine, qs, answers, thresholds)
 	citCurve := eval.PrecisionCurve(citEngine, qs, answers, thresholds)
 	var textAvg, citAvg float64
@@ -151,7 +151,7 @@ func TestGoldenPrecisionOrdering(t *testing.T) {
 
 func TestGoldenOutputReduction(t *testing.T) {
 	g := getGolden(t)
-	engine := g.sys.Engine(g.textSet, g.text)
+	engine := g.sys.Engine(g.text)
 	reduced := 0
 	checked := 0
 	for _, ctx := range g.text.Contexts() {

@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 	"testing"
 
+	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
@@ -44,7 +46,7 @@ func buildFixture(t *testing.T) *fixture {
 	scores := prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1)
 	cached = &fixture{
 		onto: o, c: c, a: a, ix: ix, cs: cs, scores: scores,
-		engine: search.NewEngine(ix, cs, scores, search.DefaultWeights()),
+		engine: search.NewEngine(ix, scores, search.DefaultWeights()),
 	}
 	return cached
 }
@@ -52,32 +54,52 @@ func buildFixture(t *testing.T) *fixture {
 // scoreMap is a hand-written prestige matrix: context → paper → score.
 type scoreMap map[ontology.TermID]map[corpus.PaperID]float64
 
-// matrixOf lays a scoreMap out as the CSR matrix FromCSR binds.
+// matrixOf lays a scoreMap out as a Matrix: a context set whose runs are
+// exactly the map's papers, bound through contextset.FromFrozen, and the
+// map's scores as its column.
 func matrixOf(t *testing.T, s scoreMap) *prestige.Matrix {
 	t.Helper()
-	ctxs := make([]ontology.TermID, 0, len(s))
-	for ctx := range s {
-		ctxs = append(ctxs, ctx)
-	}
-	slices.Sort(ctxs)
-	offsets, docs, vals, rowMax := []int32{0}, []corpus.PaperID{}, []float64{}, make([]float64, len(ctxs))
-	for i, ctx := range ctxs {
-		row := make([]corpus.PaperID, 0, len(s[ctx]))
-		for p := range s[ctx] {
-			row = append(row, p)
+	onto := ontology.New()
+	f := &contextset.Frozen{Offsets: []int32{0}, WordOffsets: []int32{0}}
+	var vals, rowMax []float64
+	for _, ctx := range sortedKeys(s) {
+		if err := onto.Add(ontology.Term{ID: ctx, Name: string(ctx)}); err != nil {
+			t.Fatal(err)
 		}
-		slices.Sort(row)
-		for _, d := range row {
+		var bits bitset.Set
+		rowMax = append(rowMax, 0)
+		for _, d := range sortedKeys(s[ctx]) {
 			v := s[ctx][d]
-			docs, vals, rowMax[i] = append(docs, d), append(vals, v), max(rowMax[i], v)
+			f.Docs, f.Scores, vals = append(f.Docs, d), append(f.Scores, 1), append(vals, v)
+			rowMax[len(rowMax)-1] = max(rowMax[len(rowMax)-1], v)
+			bits.Add(int(d))
 		}
-		offsets = append(offsets, int32(len(docs)))
+		f.Ctxs, f.Offsets = append(f.Ctxs, ctx), append(f.Offsets, int32(len(f.Docs)))
+		f.Words = append(f.Words, bits...)
+		f.WordOffsets = append(f.WordOffsets, int32(len(f.Words)))
 	}
-	m, err := prestige.FromCSR(ctxs, offsets, docs, vals, rowMax)
+	if err := onto.Build(); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := contextset.FromFrozen(onto, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := prestige.FromColumn(cs, f.Ctxs, vals, rowMax)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 func TestGenerateQueries(t *testing.T) {

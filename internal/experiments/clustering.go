@@ -27,7 +27,7 @@ type ClusteringComparison struct {
 // clustering each query's top keyword results.
 func (s *Setup) ClusteringVsContexts() ClusteringComparison {
 	const topN = 60
-	engine := s.engineFor(s.TextSet, s.TextOnTextSet)
+	engine := s.Sys.Engine(s.TextOnTextSet)
 	a := s.Sys.Analyzer()
 	labels := map[ctxsearch.PaperID]string{}
 	for _, p := range s.Sys.Corpus.Papers() {

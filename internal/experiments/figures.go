@@ -36,18 +36,18 @@ type PrecisionSeries struct {
 // citation-based score function on the text-based context paper set,
 // against AC-answer sets, across relevancy thresholds.
 func (s *Setup) Fig51() PrecisionFigure {
-	return s.precisionFigure("Fig 5.1 precision, text-based context paper set", s.TextSet,
+	return s.precisionFigure("Fig 5.1 precision, text-based context paper set",
 		map[string]*ctxsearch.Matrix{"text": s.TextOnTextSet, "citation": s.CitOnTextSet})
 }
 
 // Fig52 reproduces Figure 5.2: pattern-based vs citation-based precision on
 // the pattern-based context paper set.
 func (s *Setup) Fig52() PrecisionFigure {
-	return s.precisionFigure("Fig 5.2 precision, pattern-based context paper set", s.PatternSet,
+	return s.precisionFigure("Fig 5.2 precision, pattern-based context paper set",
 		map[string]*ctxsearch.Matrix{"pattern": s.PatOnPatSet, "citation": s.CitOnPatSet})
 }
 
-func (s *Setup) precisionFigure(name string, cs *ctxsearch.ContextSet, funcs map[string]*ctxsearch.Matrix) PrecisionFigure {
+func (s *Setup) precisionFigure(name string, funcs map[string]*ctxsearch.Matrix) PrecisionFigure {
 	fig := PrecisionFigure{Name: name}
 	answers := make([]map[ctxsearch.PaperID]bool, len(s.Queries))
 	for i := range s.Queries {
@@ -59,7 +59,7 @@ func (s *Setup) precisionFigure(name string, cs *ctxsearch.ContextSet, funcs map
 	}
 	sort.Strings(fnNames)
 	for _, fn := range fnNames {
-		engine := s.engineFor(cs, funcs[fn])
+		engine := s.Sys.Engine(funcs[fn])
 		pts := eval.PrecisionCurve(engine, s.Queries, answers, PrecisionThresholds)
 		fig.Series = append(fig.Series, PrecisionSeries{Function: fn, Points: pts})
 	}
@@ -187,7 +187,7 @@ type ClaimResult struct {
 // on the AC-answer sets (the paper's methodology; generator ground truth
 // backstops queries whose AC set is empty).
 func (s *Setup) ClaimBaseline() ClaimResult {
-	engine := s.engineFor(s.TextSet, s.TextOnTextSet)
+	engine := s.Sys.Engine(s.TextOnTextSet)
 	var res ClaimResult
 	var sumRed float64
 	const topN = 20

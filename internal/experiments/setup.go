@@ -12,7 +12,6 @@ import (
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/eval"
 	"ctxsearch/internal/prestige"
-	"ctxsearch/internal/search"
 )
 
 // Scale selects the experiment size.
@@ -129,12 +128,6 @@ func ContextSizes(cs *ctxsearch.ContextSet) map[ctxsearch.TermID]int {
 		sizes[ctx] = cs.Size(ctx)
 	}
 	return sizes
-}
-
-// engineFor assembles a search engine over one score-function×context-set
-// combination.
-func (s *Setup) engineFor(cs *ctxsearch.ContextSet, scores *ctxsearch.Matrix) *search.Engine {
-	return s.Sys.Engine(cs, scores)
 }
 
 // answerFor returns the evaluation answer set of query i: the AC set when

@@ -17,20 +17,19 @@ import (
 func (s *Setup) TRECExport(open func(name string) (io.WriteCloser, error)) error {
 	runs := []struct {
 		name   string
-		cs     *ctxsearch.ContextSet
 		scores *ctxsearch.Matrix
 	}{
-		{"text_on_textset", s.TextSet, s.TextOnTextSet},
-		{"citation_on_textset", s.TextSet, s.CitOnTextSet},
-		{"pattern_on_patternset", s.PatternSet, s.PatOnPatSet},
-		{"citation_on_patternset", s.PatternSet, s.CitOnPatSet},
+		{"text_on_textset", s.TextOnTextSet},
+		{"citation_on_textset", s.CitOnTextSet},
+		{"pattern_on_patternset", s.PatOnPatSet},
+		{"citation_on_patternset", s.CitOnPatSet},
 	}
 	for _, run := range runs {
 		w, err := open("run_" + run.name + ".txt")
 		if err != nil {
 			return err
 		}
-		engine := s.engineFor(run.cs, run.scores)
+		engine := s.Sys.Engine(run.scores)
 		for qi, q := range s.Queries {
 			qid := fmt.Sprintf("q%03d", qi+1)
 			results := engine.Search(q.Text, search.Options{Limit: 100})

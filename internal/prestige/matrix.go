@@ -4,38 +4,62 @@ import (
 	"slices"
 	"sort"
 
+	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
 )
 
-// Matrix holds the prestige scores of a context set: a CSR (compressed
-// sparse row) score matrix with one row per scored context. Contexts are
-// interned into ordinals (sorted by term ID), each row is a packed run of
-// paper-ID-sorted (doc, score) columns, and a per-context offset array
-// delimits the runs — mirroring the index's postings layout. The query
-// merge reads one run per selected context and resolves each hit by binary
-// search over the run's paper IDs.
+// Matrix holds the prestige scores of a context set: a score column that
+// runs parallel to the set's member array, one slot per member. A matrix
+// has no membership of its own. Each scored context (a row, ascending by
+// term ID) spans [lo, hi) of the set's members, so a row's docs are the
+// set's run and its scores the column's slots over the same span. The
+// slots of a context the scorer declined or left out as too small are 0
+// and belong to no row. The query merge reads one run per selected context
+// and resolves each hit by binary search over the run's paper IDs.
 //
 // A Matrix is immutable and safe for concurrent readers. Score builds one,
-// PropagateMax derives the propagated one, and FromCSR binds a state
-// file's.
+// PropagateMax derives the propagated one, Slice a shard's, and FromColumn
+// binds a state file's.
 type Matrix struct {
-	ctxs    []ontology.TermID
-	ord     map[ontology.TermID]int32
-	offsets []int32 // len(ctxs)+1; run i is [offsets[i], offsets[i+1])
-	docs    []corpus.PaperID
-	vals    []float64
-	// rowMax[i] is the largest score in run i (0 for an empty run), the
+	cs   *contextset.ContextSet
+	docs []corpus.PaperID // the set's member array
+	ctxs []ontology.TermID
+	ord  map[ontology.TermID]int32
+	// spans[i] delimits row i's members in docs and its slots in vals.
+	spans []span
+	vals  []float64 // len(docs)
+	// rowMax[i] is the largest score in row i (0 for an empty run), the
 	// row's prestige upper bound. Persisted in the state file.
 	rowMax []float64
 }
 
-// rowMaxima returns the largest value of each run delimited by offsets (0
-// for an empty or all-negative run).
-func rowMaxima(offsets []int32, vals []float64) []float64 {
-	out := make([]float64, len(offsets)-1)
-	for i := range out {
-		for _, v := range vals[offsets[i]:offsets[i+1]] {
+// span is a row's [lo, hi) range of the set's members.
+type span struct{ lo, hi int32 }
+
+// newMatrix binds rows over cs's members. The slices are kept, not copied.
+func newMatrix(cs *contextset.ContextSet, ctxs []ontology.TermID, spans []span, vals, rowMax []float64) *Matrix {
+	m := &Matrix{
+		cs:     cs,
+		docs:   cs.Freeze().Docs,
+		ctxs:   ctxs,
+		ord:    make(map[ontology.TermID]int32, len(ctxs)),
+		spans:  spans,
+		vals:   vals,
+		rowMax: rowMax,
+	}
+	for i, ctx := range ctxs {
+		m.ord[ctx] = int32(i)
+	}
+	return m
+}
+
+// rowMaxima returns the largest value of each span of vals (0 for an empty
+// or all-negative span).
+func rowMaxima(spans []span, vals []float64) []float64 {
+	out := make([]float64, len(spans))
+	for i, s := range spans {
+		for _, v := range vals[s.lo:s.hi] {
 			if v > out[i] {
 				out[i] = v
 			}
@@ -50,6 +74,10 @@ func rowMaxima(offsets []int32, vals []float64) []float64 {
 // nothing to freeze.
 func (m *Matrix) Freeze() *Matrix { return m }
 
+// ContextSet returns the context set the matrix scores: the membership
+// every run reads.
+func (m *Matrix) ContextSet() *contextset.ContextSet { return m.cs }
+
 // NumContexts returns the number of scored contexts (rows).
 func (m *Matrix) NumContexts() int { return len(m.ctxs) }
 
@@ -59,8 +87,9 @@ func (m *Matrix) Contexts() []ontology.TermID {
 }
 
 // Run is one context's packed score row: Docs ascending, Vals parallel.
-// The slices alias the matrix — read-only. Max is the largest value in
-// Vals (0 for an empty run), the row's prestige upper bound.
+// The slices alias the matrix and its context set — read-only. Max is the
+// largest value in Vals (0 for an empty run), the row's prestige upper
+// bound.
 type Run struct {
 	Docs []corpus.PaperID
 	Vals []float64
@@ -113,8 +142,8 @@ func (m *Matrix) Run(ctx ontology.TermID) Run {
 
 // RunAt returns the score row of the i-th context (Contexts order).
 func (m *Matrix) RunAt(i int) Run {
-	lo, hi := m.offsets[i], m.offsets[i+1]
-	return Run{Docs: m.docs[lo:hi], Vals: m.vals[lo:hi], Max: m.rowMax[i]}
+	s := m.spans[i]
+	return Run{Docs: m.docs[s.lo:s.hi], Vals: m.vals[s.lo:s.hi], Max: m.rowMax[i]}
 }
 
 // Get returns the score of a paper in a context (0 when absent).
@@ -126,30 +155,20 @@ func (m *Matrix) Get(ctx ontology.TermID, p corpus.PaperID) float64 {
 // prestige state of the sharded serving topology. Every context row is
 // kept (possibly empty), so Contexts() — and therefore the engine's
 // context-selection metadata, which is built from it — is unchanged: all
-// shards select exactly the contexts a single engine would. Within each
-// run only the docs in range survive, and the row maximum is recomputed
-// over the slice, giving the shard a tighter (still exact, for its own
-// papers) prestige upper bound for threshold and top-k pruning.
+// shards select exactly the contexts a single engine would. The slice
+// shares the set, its members and the score column; only each row's span
+// narrows to its papers in range, and the row maximum is recomputed over
+// it, the shard's own prestige upper bound for the index threshold.
 func (m *Matrix) Slice(lo, hi int) *Matrix {
-	out := &Matrix{
-		ctxs:    m.ctxs,
-		ord:     m.ord,
-		offsets: make([]int32, len(m.ctxs)+1),
-		rowMax:  make([]float64, len(m.ctxs)),
-	}
-	for i := range m.ctxs {
-		r := m.RunAt(i)
+	spans := make([]span, len(m.spans))
+	for i, s := range m.spans {
 		// Docs are sorted ascending: binary-search the range bounds.
-		a, _ := slices.BinarySearch(r.Docs, corpus.PaperID(lo))
-		b, _ := slices.BinarySearch(r.Docs, corpus.PaperID(hi))
-		for k := a; k < b; k++ {
-			out.docs = append(out.docs, r.Docs[k])
-			out.vals = append(out.vals, r.Vals[k])
-			if v := r.Vals[k]; v > out.rowMax[i] {
-				out.rowMax[i] = v
-			}
-		}
-		out.offsets[i+1] = int32(len(out.docs))
+		run := m.docs[s.lo:s.hi]
+		a, _ := slices.BinarySearch(run, corpus.PaperID(lo))
+		b, _ := slices.BinarySearch(run, corpus.PaperID(hi))
+		spans[i] = span{s.lo + int32(a), s.lo + int32(max(a, b))}
 	}
-	return out
+	out := *m
+	out.spans, out.rowMax = spans, rowMaxima(spans, m.vals)
+	return &out
 }

@@ -203,8 +203,8 @@ func TestMatrixContextsSortedAndOrdinals(t *testing.T) {
 }
 
 // TestMatrixRowMax pins the per-run maxima: Score and PropagateMax compute
-// them, and the CSR arrays the state file persists carry them back through
-// FromCSR.
+// them, and the column the state file persists carries them back through
+// FromColumn.
 func TestMatrixRowMax(t *testing.T) {
 	f := buildFixture(t)
 	m := Score(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0, 0)
@@ -226,13 +226,14 @@ func TestMatrixRowMax(t *testing.T) {
 	check("score", m)
 	check("propagate", PropagateMax(f.onto, m))
 
-	got, err := FromCSR(m.CSR())
+	ctxs, vals, rowMax := m.Column()
+	got, err := FromColumn(m.ContextSet(), ctxs, vals, rowMax)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("round trip", got)
 	if !reflect.DeepEqual(m, got) {
-		t.Fatal("CSR round trip lost scores")
+		t.Fatal("column round trip lost scores")
 	}
 }
 
@@ -276,10 +277,10 @@ func TestMatrixSlice(t *testing.T) {
 			if !reflect.DeepEqual(s.ctxs, m.ctxs) {
 				t.Fatalf("cuts %v [%d,%d): sliced context list differs", cuts, lo, hi)
 			}
-			nnz += len(s.docs)
 			for i, ctx := range m.ctxs {
 				fullRun := m.RunAt(i)
 				run := s.RunAt(i)
+				nnz += len(run.Docs)
 				var wantMax float64
 				k := 0
 				for j, doc := range fullRun.Docs {
@@ -302,14 +303,68 @@ func TestMatrixSlice(t *testing.T) {
 				}
 			}
 		}
-		if nnz != len(m.docs) {
-			t.Fatalf("cuts %v: slices hold %d cells, full matrix %d", cuts, nnz, len(m.docs))
+		if full := cells(m); nnz != full {
+			t.Fatalf("cuts %v: slices hold %d cells, full matrix %d", cuts, nnz, full)
 		}
 	}
 
 	// Degenerate empty slice: all rows present, all empty.
 	empty := m.Slice(5, 5)
-	if len(empty.docs) != 0 || empty.NumContexts() != m.NumContexts() {
-		t.Fatalf("empty slice: NNZ=%d contexts=%d, want 0 and %d", len(empty.docs), empty.NumContexts(), m.NumContexts())
+	if cells(empty) != 0 || empty.NumContexts() != m.NumContexts() {
+		t.Fatalf("empty slice: NNZ=%d contexts=%d, want 0 and %d", cells(empty), empty.NumContexts(), m.NumContexts())
+	}
+}
+
+// cells counts the cells of m's rows.
+func cells(m *Matrix) int {
+	n := 0
+	for i := range m.ctxs {
+		n += len(m.RunAt(i).Docs)
+	}
+	return n
+}
+
+// nanDecliner writes NaN over every run and then declines every other
+// context, as the Scorer contract allows.
+type nanDecliner struct{ Scorer }
+
+func (d nanDecliner) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID, vals []float64) bool {
+	ok := d.Scorer.ScoreContext(cs, ctx, vals)
+	if ctx[len(ctx)-1]%2 == 0 {
+		for i := range vals {
+			vals[i] = math.NaN()
+		}
+		return false
+	}
+	return ok
+}
+
+// TestScoreClearsDeclinedSlots holds Score to its column: the slots of a
+// context the scorer declined are 0 whatever the scorer wrote into them,
+// so the column (which the state file stores whole) is the same at every
+// worker count.
+func TestScoreClearsDeclinedSlots(t *testing.T) {
+	f := buildFixture(t)
+	sc := nanDecliner{NewTextScorer(f.a, DefaultTextWeights())}
+	want := Score(sc, f.text, 0, 1)
+	if want.NumContexts() == 0 || want.NumContexts() == len(f.text.Contexts()) {
+		t.Fatalf("%d of %d contexts scored: the fixture declines none or all", want.NumContexts(), len(f.text.Contexts()))
+	}
+	scored := make([]bool, len(want.vals))
+	for i := range want.ctxs {
+		s := want.spans[i]
+		for j := s.lo; j < s.hi; j++ {
+			scored[j] = true
+		}
+	}
+	for j, v := range want.vals {
+		if !scored[j] && math.Float64bits(v) != 0 {
+			t.Fatalf("slot %d of an unscored context holds %v, want 0", j, v)
+		}
+	}
+	for _, workers := range []int{2, 8} {
+		if got := Score(sc, f.text, 0, workers); !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers %d: matrix differs from workers 1", workers)
+		}
 	}
 }

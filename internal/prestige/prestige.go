@@ -27,33 +27,34 @@ type Scorer interface {
 	// into vals, which holds cs.Size(ctx) entries, in the set's run order
 	// (ascending paper ID). It returns false when the function is not
 	// applicable to this context (e.g. the text-based function without a
-	// representative paper); vals is then meaningless.
+	// representative paper); whatever it wrote to vals is then discarded.
 	ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID, vals []float64) bool
 }
 
 // Score runs a scorer over every context of the set with more than minSize
-// papers, damps each run by the context's RateOfDecay, and lays the runs
-// out as a Matrix: contexts ascending by term ID, each run in the set's
-// member order, contexts the scorer declined left out. Contexts are fanned
-// out over workers (≤ 0 selects GOMAXPROCS); each writes only its own run,
-// so the matrix is the same at every worker count. The built-in scorers are
-// safe for concurrent ScoreContext calls; a custom Scorer used here must be
-// too.
+// papers, damps each run by the context's RateOfDecay, and returns the
+// scores as a Matrix: a column parallel to the set's members, each run
+// written in place at the set's offsets, and one row per context the
+// scorer accepted, ascending by term ID. The slots of a declined or too
+// small context stay 0. Contexts are fanned out over workers (≤ 0 selects
+// GOMAXPROCS); each writes only its own run, so the matrix is the same at
+// every worker count. The built-in scorers are safe for concurrent
+// ScoreContext calls; a custom Scorer used here must be too.
 func Score(sc Scorer, cs *contextset.ContextSet, minSize, workers int) *Matrix {
-	ctxs := cs.ContextsWithMinSize(minSize)
-	offsets := make([]int32, len(ctxs)+1)
-	for i, ctx := range ctxs {
-		offsets[i+1] = offsets[i] + int32(cs.Size(ctx))
+	f := cs.Freeze()
+	var ctxs []ontology.TermID
+	var spans []span
+	for i, ctx := range f.Ctxs {
+		if lo, hi := f.Offsets[i], f.Offsets[i+1]; int(hi-lo) > minSize {
+			ctxs, spans = append(ctxs, ctx), append(spans, span{lo, hi})
+		}
 	}
-	docs := make([]corpus.PaperID, 0, offsets[len(ctxs)])
-	for _, ctx := range ctxs {
-		docs = append(docs, cs.Papers(ctx)...)
-	}
-	vals := make([]float64, len(docs))
+	vals := make([]float64, len(f.Docs))
 	applies := make([]bool, len(ctxs))
 	par.For(len(ctxs), workers, func(i int) {
-		run := vals[offsets[i]:offsets[i+1]]
+		run := vals[spans[i].lo:spans[i].hi]
 		if applies[i] = sc.ScoreContext(cs, ctxs[i], run); !applies[i] {
+			clear(run) // the scorer may have written before declining
 			return
 		}
 		if d := cs.Decay(ctxs[i]); d != 1 {
@@ -62,34 +63,15 @@ func Score(sc Scorer, cs *contextset.ContextSet, minSize, workers int) *Matrix {
 			}
 		}
 	})
-	// Compact out the declined rows in place: row i moves to row k ≤ i, and
-	// its bounds are read before offsets[k+1] is written.
+	// Compact out the declined rows; their slots are already 0.
 	k := 0
-	for i, ctx := range ctxs {
-		lo, hi := offsets[i], offsets[i+1]
-		if !applies[i] {
-			continue
+	for i := range ctxs {
+		if applies[i] {
+			ctxs[k], spans[k] = ctxs[i], spans[i]
+			k++
 		}
-		at := offsets[k]
-		copy(docs[at:], docs[lo:hi])
-		copy(vals[at:], vals[lo:hi])
-		ctxs[k] = ctx
-		offsets[k+1] = at + hi - lo
-		k++
 	}
-	n := offsets[k]
-	m := &Matrix{
-		ctxs:    ctxs[:k],
-		ord:     make(map[ontology.TermID]int32, k),
-		offsets: offsets[:k+1],
-		docs:    docs[:n],
-		vals:    vals[:n],
-	}
-	for i, ctx := range m.ctxs {
-		m.ord[ctx] = int32(i)
-	}
-	m.rowMax = rowMaxima(m.offsets, m.vals)
-	return m
+	return newMatrix(cs, ctxs[:k], spans[:k], vals, rowMaxima(spans[:k], vals))
 }
 
 // maxNormalize scales a run so its maximum is 1 (no-op when empty or

@@ -1,10 +1,12 @@
 package prestige
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
 
+	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
@@ -77,30 +79,47 @@ func inRange01(t *testing.T, name string, r Run) {
 // mapScores is the map form of a score matrix: context → paper → score.
 type mapScores map[ontology.TermID]map[corpus.PaperID]float64
 
-// matrixOf lays a map form out as a Matrix through FromCSR.
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// matrixOf lays a map form out as a Matrix: a context set whose runs are
+// exactly the map's papers, bound through contextset.FromFrozen, and the
+// map's scores as its column.
 func matrixOf(t testing.TB, s mapScores) *Matrix {
 	t.Helper()
-	ctxs := make([]ontology.TermID, 0, len(s))
-	for ctx := range s {
-		ctxs = append(ctxs, ctx)
-	}
-	slices.Sort(ctxs)
-	offsets := []int32{0}
-	var docs []corpus.PaperID
+	onto := ontology.New()
+	f := &contextset.Frozen{Offsets: []int32{0}, WordOffsets: []int32{0}}
 	var vals []float64
-	for _, ctx := range ctxs {
-		row := make([]corpus.PaperID, 0, len(s[ctx]))
-		for p := range s[ctx] {
-			row = append(row, p)
+	var spans []span
+	for _, ctx := range sortedKeys(s) {
+		if err := onto.Add(ontology.Term{ID: ctx, Name: string(ctx)}); err != nil {
+			t.Fatal(err)
 		}
-		slices.Sort(row)
-		for _, d := range row {
-			docs = append(docs, d)
-			vals = append(vals, s[ctx][d])
+		var bits bitset.Set
+		for _, d := range sortedKeys(s[ctx]) {
+			f.Docs, f.Scores, vals = append(f.Docs, d), append(f.Scores, 1), append(vals, s[ctx][d])
+			bits.Add(int(d))
 		}
-		offsets = append(offsets, int32(len(docs)))
+		spans = append(spans, span{f.Offsets[len(f.Offsets)-1], int32(len(f.Docs))})
+		f.Ctxs, f.Offsets = append(f.Ctxs, ctx), append(f.Offsets, int32(len(f.Docs)))
+		f.Words = append(f.Words, bits...)
+		f.WordOffsets = append(f.WordOffsets, int32(len(f.Words)))
 	}
-	m, err := FromCSR(ctxs, offsets, docs, vals, rowMaxima(offsets, vals))
+	if err := onto.Build(); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := contextset.FromFrozen(onto, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := FromColumn(cs, f.Ctxs, vals, rowMaxima(spans, vals))
 	if err != nil {
 		t.Fatal(err)
 	}

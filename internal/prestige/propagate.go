@@ -3,27 +3,22 @@ package prestige
 import (
 	"sort"
 
-	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
 )
 
 // PropagateMax applies the hierarchy rule of §3: a paper residing in
 // context ci and in descendants ck…cn of ci takes score max(si, sk, …, sn)
 // in ci — a high score in a more specific descendant means high relevance
-// to the ancestor. It returns a new matrix over m's contexts and runs; m is
-// never written, so it may alias read-only memory.
+// to the ancestor. It returns a new matrix over m's contexts and runs with
+// its own copy of the score column; m is never written, so it may alias
+// read-only memory.
 //
 // Terms are processed deepest-first, so scores flow transitively through
 // intermediate contexts that contain the paper. A descendant's score only
 // reaches an ancestor for papers the ancestor actually contains.
 func PropagateMax(onto *ontology.Ontology, m *Matrix) *Matrix {
-	out := &Matrix{
-		ctxs:    m.ctxs,
-		ord:     m.ord,
-		offsets: m.offsets,
-		docs:    m.docs,
-		vals:    append([]float64(nil), m.vals...),
-	}
+	out := *m
+	out.vals = append([]float64(nil), m.vals...)
 	rows := make([]int32, len(m.ctxs))
 	for i := range rows {
 		rows[i] = int32(i)
@@ -36,12 +31,8 @@ func PropagateMax(onto *ontology.Ontology, m *Matrix) *Matrix {
 		}
 		return ti < tj
 	})
-	run := func(i int32) ([]corpus.PaperID, []float64) {
-		lo, hi := out.offsets[i], out.offsets[i+1]
-		return out.docs[lo:hi], out.vals[lo:hi]
-	}
 	for _, r := range rows {
-		childDocs, childVals := run(r)
+		child := out.RunAt(int(r))
 		// Walk all proper ancestors; scored ancestors containing the paper
 		// take the max. (Direct parents would miss scored grandparents when
 		// the parent itself is unscored, e.g. excluded as too small.)
@@ -52,21 +43,21 @@ func PropagateMax(onto *ontology.Ontology, m *Matrix) *Matrix {
 			}
 			// Both runs ascend by paper ID: one merge walk finds the
 			// papers they share.
-			ancDocs, ancVals := run(a)
+			ancRun := out.RunAt(int(a))
 			j := 0
-			for c, d := range childDocs {
-				for j < len(ancDocs) && ancDocs[j] < d {
+			for c, d := range child.Docs {
+				for j < len(ancRun.Docs) && ancRun.Docs[j] < d {
 					j++
 				}
-				if j == len(ancDocs) {
+				if j == len(ancRun.Docs) {
 					break
 				}
-				if ancDocs[j] == d && childVals[c] > ancVals[j] {
-					ancVals[j] = childVals[c]
+				if ancRun.Docs[j] == d && child.Vals[c] > ancRun.Vals[j] {
+					ancRun.Vals[j] = child.Vals[c]
 				}
 			}
 		}
 	}
-	out.rowMax = rowMaxima(out.offsets, out.vals)
-	return out
+	out.rowMax = rowMaxima(out.spans, out.vals)
+	return &out
 }

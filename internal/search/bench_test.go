@@ -10,6 +10,7 @@ import (
 
 	"ctxsearch"
 	"ctxsearch/internal/contextset"
+	"ctxsearch/internal/prestige"
 )
 
 var (
@@ -36,7 +37,7 @@ func benchEngine(b *testing.B) *ctxsearch.Engine {
 			return
 		}
 		cs := sys.BuildTextContextSet()
-		benchEng = sys.Engine(cs, sys.ScoreText(cs))
+		benchEng = sys.Engine(sys.ScoreText(cs))
 	})
 	if benchErr != nil {
 		b.Fatal(benchErr)
@@ -135,12 +136,16 @@ func BenchmarkEngineSearchFull(b *testing.B) {
 		b.Fatal(err)
 	}
 	cs := sys.BuildTextContextSet()
-	matrix := sys.ScoreText(cs)
 	frozen, err := contextset.FromFrozen(sys.Ontology, cs.Freeze())
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := sys.Engine(frozen, matrix)
+	ctxs, vals, rowMax := sys.ScoreText(cs).Column()
+	matrix, err := prestige.FromColumn(frozen, ctxs, vals, rowMax)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := sys.Engine(matrix)
 	var queries []string
 	for _, ctx := range matrix.Contexts() {
 		if t := sys.Ontology.Term(ctx); t != nil && len(e.Search(t.Name, ctxsearch.SearchOptions{})) > 0 {

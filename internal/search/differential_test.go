@@ -1,6 +1,7 @@
 package search
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -43,7 +44,8 @@ func diffBits(t *testing.T, label string, got, want []Result) {
 // engineShapes returns the fixture's state as the three shapes that serve
 // it: the eager engine (built index, built context set), an engine over
 // state-file shapes (FromParts index on a frozen analyzer, FromFrozen context
-// set) and the two SliceRange shard engines.
+// set with the score column bound over it) and the two SliceRange shard
+// engines.
 func engineShapes(t *testing.T, f *fixture, w Weights) map[string]*Engine {
 	t.Helper()
 	parts := f.ix.Parts()
@@ -56,9 +58,14 @@ func engineShapes(t *testing.T, f *fixture, w Weights) map[string]*Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctxs, vals, rowMax := matrix.Column()
+	frozenMatrix, err := prestige.FromColumn(frozenCS, ctxs, vals, rowMax)
+	if err != nil {
+		t.Fatal(err)
+	}
 	shapes := map[string]*Engine{
-		"eager":  NewEngine(f.ix, f.cs, matrix, w),
-		"frozen": NewEngine(frozenIx, frozenCS, matrix, w),
+		"eager":  NewEngine(f.ix, matrix, w),
+		"frozen": NewEngine(frozenIx, frozenMatrix, w),
 	}
 	mid := f.c.Len() / 2
 	for i, r := range [][2]int{{0, mid}, {mid, f.c.Len()}} {
@@ -66,7 +73,7 @@ func engineShapes(t *testing.T, f *fixture, w Weights) map[string]*Engine {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shapes[fmt.Sprintf("shard%d", i)] = NewEngine(ix, f.cs, matrix.Slice(r[0], r[1]), w)
+		shapes[fmt.Sprintf("shard%d", i)] = NewEngine(ix, matrix.Slice(r[0], r[1]), w)
 	}
 	return shapes
 }
@@ -150,7 +157,7 @@ func TestDifferentialAgainstNaive(t *testing.T) {
 // reference.
 func TestNegativeWeightTakesSortFallback(t *testing.T) {
 	f := buildFixture(t)
-	e := NewEngine(f.ix, f.cs, f.scores, Weights{Prestige: -2, Matching: 0.1})
+	e := NewEngine(f.ix, f.scores, Weights{Prestige: -2, Matching: 0.1})
 	negative := false
 	for _, q := range goldenQueries(f) {
 		// The default threshold 0 would drop every negative relevancy.
@@ -179,31 +186,51 @@ type handFixture struct {
 // scoreMap is a hand-written prestige matrix: context → paper → score.
 type scoreMap map[ontology.TermID]map[corpus.PaperID]float64
 
-// matrixOf lays a scoreMap out as the CSR matrix FromCSR binds.
+// matrixOf lays a scoreMap out as a Matrix: a context set whose runs are
+// exactly the map's papers, bound through contextset.FromFrozen, and the
+// map's scores as its column.
 func matrixOf(s scoreMap) *prestige.Matrix {
-	ctxs := make([]ontology.TermID, 0, len(s))
-	for ctx := range s {
-		ctxs = append(ctxs, ctx)
-	}
-	slices.Sort(ctxs)
-	offsets, docs, vals, rowMax := []int32{0}, []corpus.PaperID{}, []float64{}, make([]float64, len(ctxs))
-	for i, ctx := range ctxs {
-		row := make([]corpus.PaperID, 0, len(s[ctx]))
-		for p := range s[ctx] {
-			row = append(row, p)
+	onto := ontology.New()
+	f := &contextset.Frozen{Offsets: []int32{0}, WordOffsets: []int32{0}}
+	var vals, rowMax []float64
+	for _, ctx := range sortedKeys(s) {
+		if err := onto.Add(ontology.Term{ID: ctx, Name: string(ctx)}); err != nil {
+			panic(err)
 		}
-		slices.Sort(row)
-		for _, d := range row {
+		var bits bitset.Set
+		rowMax = append(rowMax, 0)
+		for _, d := range sortedKeys(s[ctx]) {
 			v := s[ctx][d]
-			docs, vals, rowMax[i] = append(docs, d), append(vals, v), max(rowMax[i], v)
+			f.Docs, f.Scores, vals = append(f.Docs, d), append(f.Scores, 1), append(vals, v)
+			rowMax[len(rowMax)-1] = max(rowMax[len(rowMax)-1], v)
+			bits.Add(int(d))
 		}
-		offsets = append(offsets, int32(len(docs)))
+		f.Ctxs, f.Offsets = append(f.Ctxs, ctx), append(f.Offsets, int32(len(f.Docs)))
+		f.Words = append(f.Words, bits...)
+		f.WordOffsets = append(f.WordOffsets, int32(len(f.Words)))
 	}
-	m, err := prestige.FromCSR(ctxs, offsets, docs, vals, rowMax)
+	if err := onto.Build(); err != nil {
+		panic(err)
+	}
+	cs, err := contextset.FromFrozen(onto, f)
+	if err != nil {
+		panic(err)
+	}
+	m, err := prestige.FromColumn(cs, f.Ctxs, vals, rowMax)
 	if err != nil {
 		panic(err)
 	}
 	return m
+}
+
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // newHandFixture makes every listed context contain papers [0, papers).

@@ -43,8 +43,8 @@ func TestExpandContextsSearchStillWorks(t *testing.T) {
 func TestContextWeightedToggle(t *testing.T) {
 	f := buildFixture(t)
 	name, _ := queryForSomeContext(t, f)
-	literal := NewEngine(f.ix, f.cs, f.scores, Weights{Prestige: 0.5, Matching: 0.5, ContextWeighted: false})
-	weighted := NewEngine(f.ix, f.cs, f.scores, Weights{Prestige: 0.5, Matching: 0.5, ContextWeighted: true})
+	literal := NewEngine(f.ix, f.scores, Weights{Prestige: 0.5, Matching: 0.5, ContextWeighted: false})
+	weighted := NewEngine(f.ix, f.scores, Weights{Prestige: 0.5, Matching: 0.5, ContextWeighted: true})
 	rl := literal.Search(name, Options{})
 	rw := weighted.Search(name, Options{})
 	if len(rl) == 0 || len(rw) == 0 {

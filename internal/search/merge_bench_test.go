@@ -29,7 +29,7 @@ func mergeFixture(b *testing.B) (*Engine, *scratch, []ContextScore, []index.Hit)
 	}
 	qv := f.engine.ix.Analyzer().QueryVector(query)
 	sc := f.engine.getScratch()
-	hits := f.engine.ix.SearchVector(qv, index.Options{WithinSet: sc.bind(f.engine.cs, ctxs)})
+	hits := f.engine.ix.SearchVector(qv, index.Options{WithinSet: sc.bind(f.engine.matrix.ContextSet(), ctxs)})
 	if len(hits) == 0 {
 		b.Fatal("bench query has no hits")
 	}

@@ -49,7 +49,7 @@ func (e *Engine) searchBooleanNaive(query string, opts Options) ([]Result, error
 func (e *Engine) members(ctxs []ContextScore) []bitset.Set {
 	out := make([]bitset.Set, len(ctxs))
 	for i, c := range ctxs {
-		out[i] = e.cs.PaperBitset(c.Context)
+		out[i] = e.matrix.ContextSet().PaperBitset(c.Context)
 	}
 	return out
 }

@@ -102,13 +102,12 @@ type Result struct {
 	Context ontology.TermID `json:"c"`
 }
 
-// Engine is the context-based search engine: an index, a context set and
-// the frozen prestige matrix scored over it, bound by NewEngine.
+// Engine is the context-based search engine: an index and a prestige
+// matrix with the context set it scores, bound by NewEngine.
 type Engine struct {
 	ix *index.Index
-	cs *contextset.ContextSet
-	// matrix is the frozen CSR prestige matrix the hot path reads: one
-	// packed run per context, resolved once per fold row.
+	// matrix is the prestige matrix the hot path reads: one run per
+	// context, resolved once per fold row, over the context set it scores.
 	matrix  *prestige.Matrix
 	weights Weights
 	// names lists the selectable contexts — scored contexts with an
@@ -164,14 +163,14 @@ func (e *Engine) getScratch() *scratch {
 	return &scratch{inter: make([]int32, len(e.names)), hitOf: make([]int32, e.ix.Analyzer().Corpus().Len())}
 }
 
-// NewEngine assembles an engine from an index, a context paper set and the
-// prestige matrix scored over it: a state file's, or the one the build's
-// prestige.Score and PropagateMax produced.
-func NewEngine(ix *index.Index, cs *contextset.ContextSet, matrix *prestige.Matrix, w Weights) *Engine {
-	e := &Engine{ix: ix, cs: cs, matrix: matrix, weights: w, tokenCtxs: make(map[string][]int32)}
+// NewEngine assembles an engine from an index and a prestige matrix — a
+// state file's, or the one the build's prestige.Score and PropagateMax
+// produced — searching within the context set the matrix scores.
+func NewEngine(ix *index.Index, matrix *prestige.Matrix, w Weights) *Engine {
+	e := &Engine{ix: ix, matrix: matrix, weights: w, tokenCtxs: make(map[string][]int32)}
 	tok := ix.Analyzer().Tokenizer()
 	for _, ctx := range matrix.Contexts() {
-		t := cs.Ontology().Term(ctx)
+		t := matrix.ContextSet().Ontology().Term(ctx)
 		if t == nil {
 			continue
 		}
@@ -304,7 +303,7 @@ func (e *Engine) expandSemantically(ctx context.Context, cands []candidate, opts
 	for _, c := range cands {
 		have[c.ord] = true
 	}
-	onto := e.cs.Ontology()
+	onto := e.matrix.ContextSet().Ontology()
 	var extra []candidate
 	for o, tid := range e.names {
 		if o&1023 == 0 {
@@ -400,7 +399,7 @@ func (e *Engine) search(ctx context.Context, query string, q index.Query, opts O
 	if err != nil || len(ctxs) == 0 {
 		return nil, err
 	}
-	iopts := index.Options{WithinSet: sc.bind(e.cs, ctxs), Threshold: e.indexThreshold(ctxs, opts)}
+	iopts := index.Options{WithinSet: sc.bind(e.matrix.ContextSet(), ctxs), Threshold: e.indexThreshold(ctxs, opts)}
 	if q != nil {
 		sc.hits, err = e.ix.AppendQueryHits(ctx, q, iopts, sc.hits[:0])
 	} else {

@@ -47,7 +47,7 @@ func newFixture(t testing.TB, ontoSeed int64, gcfg corpus.GenConfig) *fixture {
 	scores := prestige.PropagateMax(o, prestige.Score(scorer, cs, 0, 1))
 	return &fixture{
 		onto: o, c: c, ix: ix, cs: cs, scores: scores,
-		engine: NewEngine(ix, cs, scores, DefaultWeights()),
+		engine: NewEngine(ix, scores, DefaultWeights()),
 	}
 }
 

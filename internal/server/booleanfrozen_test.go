@@ -76,7 +76,7 @@ func statsOf(t *testing.T, srv *Server) StatsResponse {
 func TestFrozenBooleanServesWithoutAnalysis(t *testing.T) {
 	sys, cs, m, _ := frozenMatrix(t)
 	fsys, mcs, mmat := freshFrozenSystem(t)
-	eagerEng, frozenEng := sys.Engine(cs, m), fsys.Engine(mcs, mmat)
+	eagerEng, frozenEng := sys.Engine(m), fsys.Engine(mmat)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 	srv := NewPending(Config{})
@@ -125,7 +125,7 @@ func TestFrozenBooleanServesWithoutAnalysis(t *testing.T) {
 	}
 	// A newly installed generation starts with an empty token table.
 	fsys2, mcs2, mmat2 := freshFrozenSystem(t)
-	srv.SetReadyMapped(fsys2, mcs2, mmat2, fsys2.Engine(mcs2, mmat2), nil)
+	srv.SetReadyMapped(fsys2, mcs2, mmat2, fsys2.Engine(mmat2), nil)
 	if st := statsOf(t, srv); st.AnalyzedPapers != 0 || st.TokenTablePapers != 0 {
 		t.Fatalf("post-swap /stats: analyzed_papers %d, token_table_papers %d, want 0 and 0", st.AnalyzedPapers, st.TokenTablePapers)
 	}

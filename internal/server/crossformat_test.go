@@ -58,7 +58,7 @@ func TestCrossFormatGolden(t *testing.T) {
 
 			// Single engine.
 			single := NewPending(Config{})
-			single.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mcs, mmat), nil)
+			single.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mmat), nil)
 			for qi, q := range coordQueries(t) {
 				for trial := 0; trial < 4; trial++ {
 					sameAnswer(t, fmt.Sprintf("single query %d trial %d", qi, trial), "/search?"+mappedParams(q, rng), ref, single)
@@ -72,7 +72,7 @@ func TestCrossFormatGolden(t *testing.T) {
 			const n = 3
 			var urls []string
 			for i := 0; i < n; i++ {
-				eng, _, err := shard.RangeEngineParts(fsys.Analyzer(), parts, mcs, mmat, rel, i, n)
+				eng, _, err := shard.RangeEngineParts(fsys.Analyzer(), parts, mmat, rel, i, n)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -98,7 +98,7 @@ func TestMappedGoldenEquality(t *testing.T) {
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 	mappedSrv := NewPending(Config{})
-	mappedSrv.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mcs, mmat), mapped)
+	mappedSrv.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mmat), mapped)
 
 	rng := rand.New(rand.NewSource(23))
 	for qi, q := range coordQueries(t) {
@@ -141,7 +141,7 @@ func TestMappedCoordinatorGolden(t *testing.T) {
 	const n = 3
 	var urls []string
 	for i := 0; i < n; i++ {
-		eng, _, err := shard.RangeEngineParts(fsys.Analyzer(), parts, mcs, mmat, fsys.Config().Relevancy, i, n)
+		eng, _, err := shard.RangeEngineParts(fsys.Analyzer(), parts, mmat, fsys.Config().Relevancy, i, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestMappedStats(t *testing.T) {
 	fsys, mcs, mmat, _, mapped := mappedState(t)
 
 	srv := NewPending(Config{})
-	srv.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mcs, mmat), mapped)
+	srv.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mmat), mapped)
 	srv.SetColdStart(250 * time.Millisecond)
 	var st StatsResponse
 	if err := json.Unmarshal(get(t, srv, "/stats").Body.Bytes(), &st); err != nil {
@@ -257,7 +257,7 @@ func TestMappedSwapUnderLoad(t *testing.T) {
 
 	sysA, csA, mA, mappedA := openMappedSystem(t, path, sys.Ontology, sys.Corpus, sys.Config())
 	srv := NewPending(Config{})
-	srv.SetReadyMapped(sysA, csA, mA, sysA.Engine(csA, mA), mappedA)
+	srv.SetReadyMapped(sysA, csA, mA, sysA.Engine(mA), mappedA)
 
 	paths := []string{
 		"/search?q=" + urlQuery(query) + "&limit=10",
@@ -299,7 +299,7 @@ func TestMappedSwapUnderLoad(t *testing.T) {
 	for gen := 0; gen < 3; gen++ {
 		time.Sleep(20 * time.Millisecond)
 		sysB, csB, mB, mappedB := openMappedSystem(t, path, sys.Ontology, sys.Corpus, sys.Config())
-		srv.SetReadyMapped(sysB, csB, mB, sysB.Engine(csB, mB), mappedB)
+		srv.SetReadyMapped(sysB, csB, mB, sysB.Engine(mB), mappedB)
 		last = mappedB
 	}
 	time.Sleep(20 * time.Millisecond)

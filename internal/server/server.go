@@ -156,9 +156,9 @@ type Server struct {
 
 // New assembles a ready server with default Config over the whole-corpus
 // engine and the prestige matrix the engine and the /papers endpoint read.
-func New(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix) *Server {
+func New(sys *ctxsearch.System, m *ctxsearch.Matrix) *Server {
 	s := NewPending(Config{})
-	s.SetReadyMapped(sys, cs, m, sys.Engine(cs, m), nil)
+	s.SetReadyMapped(sys, m.ContextSet(), m, sys.Engine(m), nil)
 	return s
 }
 

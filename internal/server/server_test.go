@@ -20,7 +20,7 @@ var (
 // install puts the whole-corpus engine over (sys, cs, m) into s — the tests'
 // one helper over SetReadyMapped.
 func (s *Server) install(sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix) *Server {
-	s.SetReadyMapped(sys, cs, m, sys.Engine(cs, m), nil)
+	s.SetReadyMapped(sys, cs, m, sys.Engine(m), nil)
 	return s
 }
 
@@ -48,9 +48,9 @@ func testState(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsear
 
 func testServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	sys, cs, scores, query := testState(t)
+	sys, _, scores, query := testState(t)
 	if cachedServer == nil {
-		cachedServer = New(sys, cs, scores)
+		cachedServer = New(sys, scores)
 	}
 	return cachedServer, query
 }

@@ -38,7 +38,7 @@ func TestRangeEngineParts(t *testing.T) {
 	f := buildFixture(t)
 	const n = 3
 	for i := 0; i < n; i++ {
-		sliced, r, err := RangeEngineParts(f.a, f.parts, f.cs, f.matrix, search.DefaultWeights(), i, n)
+		sliced, r, err := RangeEngineParts(f.a, f.parts, f.matrix, search.DefaultWeights(), i, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestRangeEngineParts(t *testing.T) {
 			diffResults(t, fmt.Sprintf("shard %d q=%q", i, q), sliced.Search(q, search.Options{Limit: 20}), want)
 		}
 	}
-	if _, _, err := RangeEngineParts(f.a, f.parts, f.cs, f.matrix, search.DefaultWeights(), n, n); err == nil {
+	if _, _, err := RangeEngineParts(f.a, f.parts, f.matrix, search.DefaultWeights(), n, n); err == nil {
 		t.Fatal("out-of-range shard index accepted")
 	}
 }

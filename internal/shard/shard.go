@@ -48,13 +48,17 @@ type Group struct {
 type Options struct{}
 
 // NewGroupParts partitions the corpus into n contiguous paper-ID ranges and
-// binds one engine per range (see RangeEngineParts). The context set and
-// relevancy weights are shared — context selection is identical on every
-// shard because the sliced matrices keep the full context list — and the
+// binds one engine per range (see RangeEngineParts); cs must be the set m
+// scores. The context set and relevancy weights are shared — context
+// selection is identical on every shard because the sliced matrices keep
+// the full context list — and the
 // sliced parts keep the global term dictionary, so per-shard engines weight
 // queries exactly as the single engine does and the merged pages stay
 // byte-identical. n is clamped to [1, corpus size].
 func NewGroupParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.ContextSet, m *prestige.Matrix, w search.Weights, n int, _ Options) (*Group, error) {
+	if cs != m.ContextSet() {
+		return nil, fmt.Errorf("shard: the context set is not the one the prestige matrix scores")
+	}
 	ranges := par.Shards(a.Corpus().Len(), n)
 	g := &Group{engines: make([]*search.Engine, len(ranges))}
 	errs := make([]error, len(ranges))
@@ -63,7 +67,7 @@ func NewGroupParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.Contex
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			eng, _, err := RangeEngineParts(a, parts, cs, m, w, i, n)
+			eng, _, err := RangeEngineParts(a, parts, m, w, i, n)
 			if err != nil {
 				errs[i] = fmt.Errorf("shard %d: %w", i, err)
 				return
@@ -85,11 +89,12 @@ func NewGroupParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.Contex
 // over POST /shard/search. The range's index is a Parts.SliceRange of the
 // existing postings (a binary-search restriction, no corpus analysis) over
 // the shared corpus-global analyzer, and the prestige matrix is sliced to
-// the range, so a shard is query-ready in O(terms + its own postings). The
-// split is par.Shards', so every process of a cluster (and a Group) with the
+// the range (its rows narrowed, its column and context set shared), so a
+// shard is query-ready in O(terms + its own postings). The split is
+// par.Shards', so every process of a cluster (and a Group) with the
 // same n partitions identically; n is clamped to the corpus size,
 // and an index beyond the resulting ranges is an error.
-func RangeEngineParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.ContextSet, m *prestige.Matrix, w search.Weights, i, n int) (*search.Engine, par.Shard, error) {
+func RangeEngineParts(a *corpus.Analyzer, parts *index.Parts, m *prestige.Matrix, w search.Weights, i, n int) (*search.Engine, par.Shard, error) {
 	ranges := par.Shards(a.Corpus().Len(), n)
 	if i < 0 || i >= len(ranges) {
 		return nil, par.Shard{}, fmt.Errorf("shard index %d out of range (corpus of %d papers splits into %d shards)", i, a.Corpus().Len(), len(ranges))
@@ -99,7 +104,7 @@ func RangeEngineParts(a *corpus.Analyzer, parts *index.Parts, cs *contextset.Con
 	if err != nil {
 		return nil, par.Shard{}, err
 	}
-	return search.NewEngine(ix, cs, m.Slice(r.Lo, r.Hi), w), r, nil
+	return search.NewEngine(ix, m.Slice(r.Lo, r.Hi), w), r, nil
 }
 
 // NumShards returns the number of shards in the group.

@@ -47,7 +47,7 @@ func buildFixture(t testing.TB) *fixture {
 	m := prestige.PropagateMax(o, prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1))
 	cached = &fixture{
 		onto: o, c: c, a: a, parts: ix.Parts(), cs: cs, matrix: m,
-		ref: search.NewEngine(ix, cs, m, search.DefaultWeights()),
+		ref: search.NewEngine(ix, m, search.DefaultWeights()),
 	}
 	return cached
 }
@@ -236,7 +236,7 @@ func TestGroupRangesPartition(t *testing.T) {
 	for _, n := range shardCounts {
 		next := 0
 		for i := 0; i < n; i++ {
-			_, r, err := RangeEngineParts(f.a, f.parts, f.cs, f.matrix, search.DefaultWeights(), i, n)
+			_, r, err := RangeEngineParts(f.a, f.parts, f.matrix, search.DefaultWeights(), i, n)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,9 +64,9 @@ func assertSameMatrices(t *testing.T, st *State, got map[string]*prestige.Matrix
 		if g == nil {
 			t.Fatalf("matrix %q missing", name)
 		}
-		wc, wo, wd, wv, wm := w.CSR()
-		gc, gof, gd, gv, gm := g.CSR()
-		if !slices.Equal(wc, gc) || !slices.Equal(wo, gof) || !slices.Equal(wd, gd) || !slices.Equal(wv, gv) || !slices.Equal(wm, gm) {
+		wc, wv, wm := w.Column()
+		gc, gv, gm := g.Column()
+		if !slices.Equal(wc, gc) || !slices.Equal(wv, gv) || !slices.Equal(wm, gm) {
 			t.Fatalf("matrix %q differs element-wise", name)
 		}
 	}
@@ -282,12 +282,16 @@ func TestOpenLazyCRCMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open must not fault payload pages in: %v", err)
 	}
-	// Matrices don't touch the corrupted section — still fine.
-	if _, err := m.Matrix("text"); err != nil {
+	// The index doesn't touch the corrupted section — still fine.
+	if _, err := m.IndexParts(); err != nil {
 		t.Fatalf("uncorrupted section failed: %v", err)
 	}
 	if _, err := m.ContextSet(); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
 		t.Fatalf("payload corruption not caught on first touch: %v", err)
+	}
+	// A matrix is a column over the set's members, so it reads them too.
+	if _, err := m.Matrix("text"); err == nil || !strings.Contains(err.Error(), "CRC mismatch") {
+		t.Fatalf("matrix bound over a corrupt member array: %v", err)
 	}
 }
 

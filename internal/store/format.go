@@ -86,12 +86,15 @@ func elemSize(kind uint32) int {
 // Retired IDs, never to be reused: 13 and 14 (per-term max posting weight
 // and max weight/norm ratio) and 17–20 (block size, per-term block offsets,
 // per-block max weight and max ratio). Version-5 files written before the
-// block-max evaluator was deleted carry them; Open ignores them.
+// block-max evaluator was deleted carry them; Open ignores them. A matrix's
+// base+1 and base+2 (its rows' offsets and a copy of their paper IDs, beside
+// a column compacted to the scored rows) are retired too: Matrix refuses a
+// file that carries them by name.
 //
-// Paper IDs (sections 4 and 10, and each matrix's docs) are int32, the
-// width of corpus.PaperID. Version-5 files written while paper IDs were
-// int64 carry sections 4 and 10 as int64; the reader refuses them by their
-// element kind and names the rebuild.
+// Paper IDs (sections 4 and 10) are int32, the width of corpus.PaperID.
+// Version-5 files written while paper IDs were int64 carry sections 4 and
+// 10 as int64; the reader refuses them by their element kind and names the
+// rebuild.
 const (
 	secCSMeta       = uint32(1)  // bytes: kind, member ctx refs, reps, decay, inheritedFrom
 	secTermDict     = uint32(2)  // bytes: shared term-ID string table
@@ -111,13 +114,14 @@ const (
 	secMatrixStride = uint32(16)
 )
 
-// Per-matrix section offsets from its base.
+// Per-matrix section offsets from its base: a matrix is a score column over
+// the context set's members (sections 3 and 4).
 const (
-	matCtxs    = uint32(0) // uint32: refs into the shared term dictionary
-	matOffsets = uint32(1) // int32: row offsets
-	matDocs    = uint32(2) // int32: paper IDs
-	matVals    = uint32(3) // float64: scores
-	matRowMax  = uint32(4) // float64: per-row maxima
+	matCtxs           = uint32(0) // uint32: refs into the shared term dictionary
+	matRetiredOffsets = uint32(1) // retired: row offsets of the compacted column
+	matRetiredDocs    = uint32(2) // retired: the rows' private copy of the paper IDs
+	matVals           = uint32(3) // float64: one score per context-set member
+	matRowMax         = uint32(4) // float64: per-row maxima
 )
 
 // castagnoli is the CRC32-C polynomial table (hardware-accelerated on

@@ -5,7 +5,9 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
+	"ctxsearch/internal/ontology"
 )
 
 // patchImage writes patch into one region of img: the table entry (entry
@@ -54,39 +56,53 @@ func patchImage(img []byte, id uint32, entry bool, at int32, patch []byte) {
 // FuzzOpenBytes patches a valid 150-paper image and seals its CRCs (see
 // patchImage). Open, every materializer — context set, index parts, DF
 // table, each matrix — and index.FromParts must each return an error or a
-// component; none may panic. The checked-in seeds hold decreasing posting
-// offsets, a last offset past the docs, a term dictionary whose count
-// overflows its section, and a section that overlaps the header. The seeds
-// added below patch a posting doc, and relabel the posting docs' section
-// with another 4-byte element kind, which the kind check must refuse.
+// component; none may panic. Each input patches two images: the one Save
+// writes, and one in the layout whose matrices kept their own rows
+// (rowLayoutImage), which Matrix refuses by name. The checked-in seeds
+// hold decreasing posting offsets, a last offset past the docs, a term
+// dictionary whose count overflows its section, and a section that overlaps
+// the header. The seeds added below patch a posting doc, relabel the
+// posting docs' section with another 4-byte element kind, which the kind
+// check must refuse, and relabel the row-layout image's retired row offsets
+// as another section, leaving its retired paper IDs to name the layout.
 func FuzzOpenBytes(f *testing.F) {
 	o, _, a, st := fixtureWithIndex(f)
 	img := v5Bytes(f, st)
+	imgs := [][]byte{img, rowLayoutImage(f, a, st)}
 	f.Add(uint32(secIdxDocs), false, int32(0), []byte{0xff})
 	f.Add(uint32(secIdxDocs), true, int32(4), []byte{byte(kindU32)})
+	f.Add(secMatrixBase+matRetiredOffsets, true, int32(0), []byte{0xe8, 0x03})
 	f.Fuzz(func(t *testing.T, id uint32, entry bool, at int32, patch []byte) {
-		data := alignedBytes(len(img))
-		copy(data, img)
-		patchImage(data, id, entry, at, patch)
-		m, err := openBytes(data, false, o)
-		if err != nil {
-			return
-		}
-		if cs, err := m.ContextSet(); err == nil && cs == nil {
-			t.Fatal("ContextSet returned neither a set nor an error")
-		}
-		if p, err := m.IndexParts(); err == nil {
-			if ix, err := index.FromParts(a, p); err == nil && ix == nil {
-				t.Fatal("FromParts returned neither an index nor an error")
-			}
-		}
-		if df, err := m.DF(); err == nil && df == nil {
-			t.Fatal("DF returned neither a table nor an error")
-		}
-		for _, name := range m.matNames {
-			if mat, err := m.Matrix(name); err == nil && mat == nil {
-				t.Fatalf("Matrix(%q) returned neither a matrix nor an error", name)
-			}
+		for _, img := range imgs {
+			data := alignedBytes(len(img))
+			copy(data, img)
+			patchImage(data, id, entry, at, patch)
+			openPatched(t, data, o, a)
 		}
 	})
+}
+
+// openPatched opens a patched image and materializes every component; each
+// must be an error or a value, never a panic or a nil without an error.
+func openPatched(t *testing.T, data []byte, o *ontology.Ontology, a *corpus.Analyzer) {
+	m, err := openBytes(data, false, o)
+	if err != nil {
+		return
+	}
+	if cs, err := m.ContextSet(); err == nil && cs == nil {
+		t.Fatal("ContextSet returned neither a set nor an error")
+	}
+	if p, err := m.IndexParts(); err == nil {
+		if ix, err := index.FromParts(a, p); err == nil && ix == nil {
+			t.Fatal("FromParts returned neither an index nor an error")
+		}
+	}
+	if df, err := m.DF(); err == nil && df == nil {
+		t.Fatal("DF returned neither a table nor an error")
+	}
+	for _, name := range m.matNames {
+		if mat, err := m.Matrix(name); err == nil && mat == nil {
+			t.Fatalf("Matrix(%q) returned neither a matrix nor an error", name)
+		}
+	}
 }

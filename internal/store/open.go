@@ -286,6 +286,12 @@ func (m *Mapped) parseMatrixDir() error {
 func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.contextSetLocked()
+}
+
+// contextSetLocked is ContextSet with m.mu held: the one set every matrix of
+// the file binds to.
+func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 	if m.cs != nil {
 		return m.cs, nil
 	}
@@ -481,9 +487,10 @@ func (m *Mapped) DF() (*vector.DF, error) {
 	return m.df, nil
 }
 
-// Matrix materializes (once) one score function's prestige matrix over
-// its mapped CSR sections. Only the requested function's sections are
-// touched — a file carrying three score functions faults in one.
+// Matrix materializes (once) one score function's prestige matrix: its
+// mapped score column, bound to the file's own ContextSet. Only the
+// requested function's sections are touched — a file carrying three score
+// functions faults in one.
 func (m *Mapped) Matrix(name string) (*prestige.Matrix, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -494,19 +501,18 @@ func (m *Mapped) Matrix(name string) (*prestige.Matrix, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: state has no %q score matrix (have %v)", name, m.matNames)
 	}
+	if m.secs[base+matRetiredOffsets] != nil || m.secs[base+matRetiredDocs] != nil {
+		return nil, fmt.Errorf("store: matrix %q carries its own rows (sections %d and %d), a layout this binary no longer reads: its scores are now one column over the context set's members — rebuild the state with `ctxsearch build -state …`", name, base+matRetiredOffsets, base+matRetiredDocs)
+	}
+	cs, err := m.contextSetLocked()
+	if err != nil {
+		return nil, err
+	}
 	dict, err := m.termDictLocked()
 	if err != nil {
 		return nil, err
 	}
 	refsB, err := m.needLocked(base+matCtxs, kindU32)
-	if err != nil {
-		return nil, err
-	}
-	offs, err := m.needLocked(base+matOffsets, kindI32)
-	if err != nil {
-		return nil, err
-	}
-	docs, err := m.needLocked(base+matDocs, kindI32)
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +531,7 @@ func (m *Mapped) Matrix(name string) (*prestige.Matrix, error) {
 			return nil, err
 		}
 	}
-	mat, err := prestige.FromCSR(ctxs, as32s[int32](offs), as32s[corpus.PaperID](docs), asF64s(vals), asF64s(rowMax))
+	mat, err := prestige.FromColumn(cs, ctxs, asF64s(vals), asF64s(rowMax))
 	if err != nil {
 		return nil, fmt.Errorf("store: matrix %q: %w", name, err)
 	}

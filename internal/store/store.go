@@ -27,8 +27,9 @@ import (
 type State struct {
 	ContextSet *contextset.ContextSet
 	// Matrices maps score-function name ("text", "citation", "pattern", …)
-	// to its CSR score matrix — the form scoring returns, the file persists
-	// and the cold-start path hands straight to search.NewEngine.
+	// to its score matrix over ContextSet — the form scoring returns, the
+	// file persists and the cold-start path hands straight to
+	// search.NewEngine. Save refuses a matrix scored over another set.
 	Matrices map[string]*prestige.Matrix
 	// Index and DF are the text-index postings and the document-frequency
 	// table. Both are required: a state file without them could only be

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -133,5 +134,56 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if _, err := Open("/nonexistent/state.bin", o); err == nil {
 		t.Error("missing file must fail")
+	}
+}
+
+// nanDecliner writes NaN over the runs of every other context and declines
+// them, as the prestige.Scorer contract allows.
+type nanDecliner struct{ prestige.Scorer }
+
+func (d nanDecliner) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID, vals []float64) bool {
+	if ctx[len(ctx)-1]%2 == 0 {
+		for i := range vals {
+			vals[i] = math.NaN()
+		}
+		return false
+	}
+	return d.Scorer.ScoreContext(cs, ctx, vals)
+}
+
+// TestSaveClearsDeclinedSlots: a state file stores a matrix's whole score
+// column, the slots of declined contexts included. Those hold 0 whatever
+// the scorer wrote before declining, and the saved bytes are the same at
+// workers 1, 2 and 8.
+func TestSaveClearsDeclinedSlots(t *testing.T) {
+	o, _, a, st := fixtureWithIndex(t)
+	sc := nanDecliner{prestige.NewTextScorer(a, prestige.DefaultTextWeights())}
+	var want []byte
+	for _, workers := range []int{1, 2, 8} {
+		m := prestige.Score(sc, st.ContextSet, 0, workers)
+		img := v5Bytes(t, &State{ContextSet: st.ContextSet, Matrices: map[string]*prestige.Matrix{"text": m}, Index: st.Index, DF: st.DF})
+		if want == nil {
+			want = img
+		} else if !bytes.Equal(img, want) {
+			t.Fatalf("workers %d: state bytes differ from workers 1", workers)
+		}
+	}
+	mapped, err := Open(writeFile(t, want), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	m, err := mapped.Matrix("text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.NumContexts(); n == 0 || n == len(st.ContextSet.Contexts()) {
+		t.Fatalf("%d of %d contexts scored: the scorer declines none or all", n, len(st.ContextSet.Contexts()))
+	}
+	_, vals, _ := m.Column()
+	for i, v := range vals {
+		if math.IsNaN(v) {
+			t.Fatalf("score slot %d of the saved column is NaN", i)
+		}
 	}
 }

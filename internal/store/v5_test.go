@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/prestige"
 )
@@ -204,6 +205,83 @@ func TestOpenRefusesInt64PaperIDs(t *testing.T) {
 			if tc.err == nil || !strings.Contains(tc.err.Error(), want) || !strings.Contains(tc.err.Error(), "ctxsearch build -state") {
 				t.Fatalf("CTXSEARCH_NO_MMAP=%q: %s: want an error naming %q and the rebuild, got %v", noMmap, tc.what, want, tc.err)
 			}
+		}
+	}
+}
+
+// withRowLayout lays img out again as files were written while a prestige
+// matrix kept its own rows: each matrix's score column compacted to its
+// scored rows, with the rows' offsets (base+1) and a copy of their paper IDs
+// (base+2) before it. Of a state whose matrices score its set, this is the
+// image the former writer produced, byte for byte.
+func withRowLayout(t testing.TB, img []byte, st *State) []byte {
+	t.Helper()
+	names := make([]string, 0, len(st.Matrices))
+	for name := range st.Matrices {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	var secs []sectionData
+	for _, s := range decodeSections(img) {
+		if k := s.id - secMatrixBase; s.id >= secMatrixBase && k%secMatrixStride == matVals {
+			m := st.Matrices[names[k/secMatrixStride]]
+			offsets, docs, vals := []int32{0}, []corpus.PaperID{}, []float64{}
+			for i := range m.NumContexts() {
+				run := m.RunAt(i)
+				docs, vals = append(docs, run.Docs...), append(vals, run.Vals...)
+				offsets = append(offsets, int32(len(docs)))
+			}
+			base := s.id - matVals
+			secs = append(secs,
+				sectionData{base + matRetiredOffsets, kindI32, encode32s(offsets)},
+				sectionData{base + matRetiredDocs, kindI32, encode32s(docs)})
+			s.data = encodeF64s(vals)
+		}
+		secs = append(secs, s)
+	}
+	var buf bytes.Buffer
+	if err := writeSections(&buf, secs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rowLayoutImage renders st with its text matrix scored over contexts of
+// more than 5 papers alone, in the layout withRowLayout writes: its
+// compacted column is then shorter than the set's member array.
+func rowLayoutImage(t testing.TB, a *corpus.Analyzer, st *State) []byte {
+	t.Helper()
+	text := prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), st.ContextSet, 5, 1)
+	if text.NumContexts() == len(st.ContextSet.Contexts()) {
+		t.Fatal("every context is scored: the compacted column would be the whole column")
+	}
+	st = &State{ContextSet: st.ContextSet, Matrices: map[string]*prestige.Matrix{"text": text}, Index: st.Index, DF: st.DF}
+	return withRowLayout(t, v5Bytes(t, st), st)
+}
+
+// TestOpenRefusesRowLayout: a file whose matrices keep their own rows — as
+// every file did before a matrix became one score column over the context
+// set's members — opens, and its context set binds, but Matrix refuses it
+// by name, naming the retired sections and the rebuild, on the mapped and
+// the byte-copy path alike. Bound as a column, its compacted scores would
+// not line up with the set's members.
+func TestOpenRefusesRowLayout(t *testing.T) {
+	o, _, a, st := fixtureWithIndex(t)
+	img := rowLayoutImage(t, a, st)
+	for _, noMmap := range []string{"", "1"} {
+		t.Setenv(noMmapEnv, noMmap)
+		m, err := Open(writeFile(t, img), o)
+		if err != nil {
+			t.Fatalf("CTXSEARCH_NO_MMAP=%q: open: %v", noMmap, err)
+		}
+		defer m.Close()
+		if _, err := m.ContextSet(); err != nil {
+			t.Fatalf("CTXSEARCH_NO_MMAP=%q: context set: %v", noMmap, err)
+		}
+		base := m.matDir["text"]
+		want := fmt.Sprintf("sections %d and %d", base+matRetiredOffsets, base+matRetiredDocs)
+		if _, err := m.Matrix("text"); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "ctxsearch build -state") {
+			t.Fatalf("CTXSEARCH_NO_MMAP=%q: want an error naming %q and the rebuild, got %v", noMmap, want, err)
 		}
 	}
 }

@@ -19,7 +19,8 @@ type sectionData struct {
 
 // Save writes the state to w in the flat format (see format.go for the
 // layout). The context set is flattened to its frozen CSR+bitmap arrays,
-// each prestige matrix's CSR arrays are written verbatim, and the text
+// each prestige matrix's score column over those arrays is written
+// verbatim (every matrix must score st.ContextSet), and the text
 // index's postings and the DF table go along, so an open skips corpus
 // re-analysis entirely and binds the postings zero-copy.
 // The layout is deterministic: sections in fixed ID order, dictionaries and
@@ -34,7 +35,10 @@ func Save(w io.Writer, st *State) error {
 	f := st.ContextSet.Freeze()
 	mats := st.Matrices
 	names := make([]string, 0, len(mats))
-	for name := range mats {
+	for name, mat := range mats {
+		if mat.ContextSet() != st.ContextSet {
+			return fmt.Errorf("store: matrix %q was scored over another context set than the state's", name)
+		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -56,7 +60,7 @@ func Save(w io.Writer, st *State) error {
 		termSet[a] = struct{}{}
 	}
 	for _, name := range names {
-		ctxs, _, _, _, _ := mats[name].CSR()
+		ctxs, _, _ := mats[name].Column()
 		for _, t := range ctxs {
 			termSet[t] = struct{}{}
 		}
@@ -132,14 +136,12 @@ func Save(w io.Writer, st *State) error {
 		base := secMatrixBase + secMatrixStride*uint32(i)
 		dir.str(name)
 		dir.u32(base)
-		ctxs, offsets, docs, vals, rowMax := mats[name].CSR()
+		ctxs, vals, rowMax := mats[name].Column()
 		refs := make([]uint32, len(ctxs))
 		for k, t := range ctxs {
 			refs[k] = ref[t]
 		}
 		add(base+matCtxs, kindU32, encode32s(refs))
-		add(base+matOffsets, kindI32, encode32s(offsets))
-		add(base+matDocs, kindI32, encode32s(docs))
 		add(base+matVals, kindF64, encodeF64s(vals))
 		add(base+matRowMax, kindF64, encodeF64s(rowMax))
 	}

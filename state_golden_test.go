@@ -19,18 +19,20 @@ import (
 // pins both "the offline build is deterministic at any worker count" and
 // "a faster build still writes the same bytes". A change that is meant to
 // alter the file (format, weighting, generator) re-records it. It was last
-// re-recorded when paper IDs went to four bytes: the file it pins, with
-// sections 4 and 10 widened back to int64, hashes to the value before.
-const goldenStateSHA256 = "d10e755059aa57eafe145690fcf7ec899cb3a4eab8d618563eb803fe8acad54e"
+// re-recorded when the prestige matrix became one score column over the
+// context set's members: the file it pins differs from the one before only
+// in the matrix sections — base+1 and base+2 are gone, and base+3 holds the
+// unscored contexts' slots as zeros, which dropped give the former column.
+const goldenStateSHA256 = "be81145daa56a29d10b069bb8e05a803a6fe6e165a94a143dc70228ee5bea283"
 
 // goldenPatternStateSHA256 is the SHA-256 of the state file the pattern
 // pipeline writes for smallConfig: the §4 pattern-based context set scored
 // by pattern prestige. It was recorded from the build whose positional index
 // spelled every token as a string and matched phrases through per-document
 // position maps, so it pins "the term-ID pattern matcher writes the same
-// bytes" as goldenStateSHA256 pins the text build, and was re-recorded with
-// it for four-byte paper IDs.
-const goldenPatternStateSHA256 = "f79000cddc3b5b26a99d65677258866249c48c4ce03d2385561d2e3a3545e893"
+// bytes" as goldenStateSHA256 pins the text build, and is re-recorded with
+// it, last for the score-column matrix layout.
+const goldenPatternStateSHA256 = "60e18f090cec6bd096c089082ea87fcb8d27fd2eecf04417b012d4d78dcc64f6"
 
 func TestStateFileGolden(t *testing.T) {
 	checkStateFileGolden(t, goldenStateSHA256, func(sys *System) (*ContextSet, *Matrix, string) {
