@@ -3,15 +3,19 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -514,6 +518,73 @@ func matrixRows(t *testing.T, path string) {
 	})
 }
 
+// weightColumn rewrites a state file's posting term frequencies (section
+// 21, uint16) as the float64 TF-IDF weights (section 11, element kind 3) in
+// their place: the layout of files written while a posting carried its
+// weight. Each weight is (1 + ln tf)·log(1 + N/df), from the DF table
+// (section 15: the document count N, the term count, then each term's
+// length-prefixed string and df) and the run offsets (section 9).
+func weightColumn(t *testing.T, path string) {
+	rewriteState(t, path, func(secs []stateSection) []stateSection {
+		by := map[uint32][]byte{}
+		for _, s := range secs {
+			by[s.id] = s.data
+		}
+		df := by[15]
+		docs := float64(binary.LittleEndian.Uint64(df))
+		idf := make([]float64, binary.LittleEndian.Uint32(df[8:]))
+		at := 12
+		for i := range idf {
+			at += 4 + int(binary.LittleEndian.Uint32(df[at:]))
+			idf[i] = math.Log(1 + docs/float64(binary.LittleEndian.Uint32(df[at:])))
+			at += 4
+		}
+		offs := by[9]
+		for i, s := range secs {
+			if s.id != 21 {
+				continue
+			}
+			var w []byte
+			for term := range idf {
+				lo, hi := binary.LittleEndian.Uint32(offs[4*term:]), binary.LittleEndian.Uint32(offs[4*term+4:])
+				for k := lo; k < hi; k++ {
+					tf := float64(binary.LittleEndian.Uint16(s.data[2*k:]))
+					w = binary.LittleEndian.AppendUint64(w, math.Float64bits((1+math.Log(tf))*idf[term]))
+				}
+			}
+			secs[i] = stateSection{11, 3, w}
+		}
+		return secs
+	})
+}
+
+// formerStateSHA256 is the SHA-256 of the state file `-papers 800 -terms
+// 160 build` wrote while its postings carried float64 weights.
+const formerStateSHA256 = "45ce6446638a2f7a5e5fce75260645b9ed709f6c577a3bbb90c2c837b5210577"
+
+// TestWeightColumnIsFormerFile: the TF column holds exactly what the weight
+// column held — the 800-paper state file, its term frequencies rewritten as
+// weights (weightColumn), is the file the weight-column writer wrote, byte
+// for byte.
+func TestWeightColumnIsFormerFile(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("float bits are pinned on amd64 only: other targets may fuse multiply-adds")
+	}
+	path := filepath.Join(t.TempDir(), "state.bin")
+	var buf bytes.Buffer
+	if err := run([]string{"-papers", "800", "-terms", "160", "-state", path, "build"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	weightColumn(t, path)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(img); hex.EncodeToString(sum[:]) != formerStateSHA256 {
+		t.Fatalf("rewritten state file (%d bytes) has SHA-256 %x, want %s", len(img), sum, formerStateSHA256)
+	}
+}
+
 // requireServeRefuses boots serve with args and requires it to exit with
 // an error containing every want, and /readyz never to answer 200 meanwhile.
 func requireServeRefuses(t *testing.T, args []string, want ...string) {
@@ -574,6 +645,15 @@ func TestServeRefusesMatrixRows(t *testing.T) {
 	args := builtState(t)
 	matrixRows(t, args[len(args)-1])
 	requireServeRefuses(t, args, "sections 101 and 102", "ctxsearch build -state")
+}
+
+// TestServeRefusesWeightColumn: serve booted on a state file whose postings
+// carry float64 weights exits with the error that names section 11, the
+// layout change and the rebuild, and /readyz never answers 200 meanwhile.
+func TestServeRefusesWeightColumn(t *testing.T) {
+	args := builtState(t)
+	weightColumn(t, args[len(args)-1])
+	requireServeRefuses(t, args, "section 11", "term frequency (section 21)", "ctxsearch build -state")
 }
 
 func TestBooleanSearchCommand(t *testing.T) {

@@ -202,10 +202,12 @@ func NewSystem(o *Ontology, c *Corpus, cfg Config) (*System, error) {
 // list; a paper's token stream is tokenized on its first boolean phrase or
 // field check; and TF-IDF rows are recomputed per call, bit-identically to
 // the eager build, for the one-shot `stats` and `cluster` commands and
-// pattern-based stages, never for a served request. The inverted index
-// binds the borrowed CSR arrays in O(terms), and the positional index is
-// built only if a pattern-based stage asks for it. Query results are
-// byte-identical to a NewSystem over the same corpus.
+// pattern-based stages, never for a served request. The DF table weights
+// every posting as well as every query, so it must count the corpus's
+// papers. The inverted index binds the borrowed CSR arrays in O(terms) and
+// one read of their postings, and the positional index is built only if a
+// pattern-based stage asks for it. Query results are byte-identical to a
+// NewSystem over the same corpus.
 func NewFrozenSystem(o *Ontology, c *Corpus, parts *index.Parts, df *vector.DF, cfg Config) (*System, error) {
 	if o == nil || o.Len() == 0 {
 		return nil, fmt.Errorf("ctxsearch: ontology is empty")
@@ -215,6 +217,9 @@ func NewFrozenSystem(o *Ontology, c *Corpus, parts *index.Parts, df *vector.DF, 
 	}
 	if parts == nil || df == nil {
 		return nil, fmt.Errorf("ctxsearch: frozen system needs index parts and a DF table")
+	}
+	if docs, _ := df.Counts(); docs != c.Len() {
+		return nil, fmt.Errorf("ctxsearch: the DF table counts %d documents, the corpus has %d papers", docs, c.Len())
 	}
 	st := buildstats.New(par.Workers(c.Len(), cfg.BuildWorkers))
 	s := &System{cfg: cfg, Ontology: o, Corpus: c, stats: st}

@@ -126,10 +126,11 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 }
 
 // segments is the index's postings regrouped by weight. A TF-IDF weight is
-// (1 + ln tf)·idf, and term frequencies are small integers, so a term's run
-// holds few distinct weights. Term t's segments are first[t] ≤ s <
-// first[t+1], ascending by weight w[s] within the term; segment s's papers,
-// ascending, are docs[start[s]:start[s+1]].
+// (1 + ln tf)·idf, strictly increasing in the term frequency tf, a small
+// integer, so a term's run holds few distinct weights, one per distinct TF.
+// Term t's segments are first[t] ≤ s < first[t+1], ascending by weight w[s]
+// within the term; segment s's papers, ascending, are
+// docs[start[s]:start[s+1]].
 type segments struct {
 	first []int32
 	w     []float64
@@ -137,10 +138,10 @@ type segments struct {
 	docs  []int32
 }
 
-// newSegments regroups the index's postings, sharded by term over workers.
-// Term t's papers keep the index's span of its run, so every shard writes
-// docs at offsets known in advance; a shard's segments are appended to its
-// own lists, concatenated in shard (so term) order afterwards.
+// newSegments regroups the index's postings by TF, sharded by term over
+// workers. Term t's papers keep the index's span of its run, so every shard
+// writes docs at offsets known in advance; a shard's segments are appended
+// to its own lists, concatenated in shard (so term) order afterwards.
 func newSegments(ix *index.Index, workers int) *segments {
 	nt := ix.Terms()
 	off := make([]int32, nt+1)
@@ -157,36 +158,34 @@ func newSegments(ix *index.Index, workers int) *segments {
 	parts := make([]part, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
 		var p part
-		var next, seg []int32
+		// next[k] counts the term's postings of TF k, then is the write
+		// cursor of its segment. It spans the term's largest TF, and its
+		// whole capacity is zero between terms.
+		var next []int32
 		for t := sh.Lo; t < sh.Hi; t++ {
-			docs, weights := ix.Postings(int32(t))
-			lo := len(p.w)
-			for _, x := range weights {
-				if k := lo + searchWeight(p.w[lo:], x); k == len(p.w) || p.w[k] != x {
-					p.w = slices.Insert(p.w, k, x)
+			docs, tfs := ix.Postings(int32(t))
+			next = next[:0]
+			for _, k := range tfs {
+				if int(k) >= len(next) {
+					next = slices.Grow(next, int(k)+1-len(next))[:k+1]
 				}
-			}
-			vals := p.w[lo:]
-			// seg[j] is posting j's segment; next[k] counts segment k's papers,
-			// then is its write cursor.
-			seg = seg[:0]
-			next = slices.Grow(next[:0], len(vals))[:len(vals)]
-			clear(next)
-			for _, x := range weights {
-				k := searchWeight(vals, x)
-				seg = append(seg, int32(k))
 				next[k]++
 			}
 			at := off[t]
 			for k, cnt := range next {
+				if cnt == 0 {
+					continue
+				}
+				p.w = append(p.w, ix.Weight(int32(t), uint16(k)))
 				p.start = append(p.start, at)
 				next[k] = at
 				at += cnt
 			}
-			for j, k := range seg {
+			for j, k := range tfs {
 				sg.docs[next[k]] = int32(docs[j])
 				next[k]++
 			}
+			clear(next)
 			sg.first[t+1] = int32(len(p.w))
 		}
 		parts[si] = p
@@ -201,21 +200,6 @@ func newSegments(ix *index.Index, workers int) *segments {
 	}
 	sg.start = append(sg.start, off[nt])
 	return sg
-}
-
-// searchWeight returns the index of the first of the ascending weights
-// vals that is not below x.
-func searchWeight(vals []float64, x float64) int {
-	lo, hi := 0, len(vals)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if vals[m] < x {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo
 }
 
 // segProd is one segment of a representative's terms with its product.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ctxsearch/internal/corpus"
@@ -48,11 +49,11 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 }
 
 // TestSegmentsRegroupPostings: every term's segments partition its posting
-// run into runs of one weight each, weights strictly ascending, papers
-// ascending within a segment, and the tables do not depend on the worker
-// count.
+// run into runs of one weight each — the weight the analyzer's whole-text
+// row gives the paper — weights strictly ascending, papers ascending within
+// a segment, and the tables do not depend on the worker count.
 func TestSegmentsRegroupPostings(t *testing.T) {
-	_, _, ix := randomFixture(t, 7)
+	_, a, ix := randomFixture(t, 7)
 	want := newSegments(ix, 1)
 	for _, workers := range []int{2, 3, 8} {
 		if got := newSegments(ix, workers); !reflect.DeepEqual(got, want) {
@@ -60,10 +61,12 @@ func TestSegmentsRegroupPostings(t *testing.T) {
 		}
 	}
 	for term := range ix.Terms() {
-		docs, weights := ix.Postings(int32(term))
+		docs, _ := ix.Postings(int32(term))
 		weightOf := make(map[int32]float64, len(docs))
-		for j, d := range docs {
-			weightOf[int32(d)] = weights[j]
+		for _, d := range docs {
+			r := a.Row(d, corpus.WholeText)
+			i, _ := slices.BinarySearch(r.Terms, int32(term))
+			weightOf[int32(d)] = r.Weights[i]
 		}
 		seen := 0
 		for s := want.first[term]; s < want.first[term+1]; s++ {

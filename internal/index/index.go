@@ -5,8 +5,12 @@
 //
 // The index is laid out for query throughput: terms are the analyzer's
 // dense dictionary IDs and postings live in flat CSR-style arrays (one
-// offsets array plus packed doc/weight columns), so a query walks
-// contiguous memory instead of chasing map buckets. Scoring accumulates
+// offsets array plus packed doc and term-frequency columns), so a query
+// walks contiguous memory instead of chasing map buckets. A posting stores
+// its term frequency, not its TF-IDF weight: the weight (1 + ln tf)·idf is a
+// function of that small integer and of the DF table the analyzer holds, and
+// the index derives it by the analyzer's own arithmetic, so every weight has
+// the bits the analyzer's row gives (see Weight). Scoring accumulates
 // into a pooled dense array indexed by document ID rather than a
 // map[PaperID]float64. Term IDs follow lexicographic term order, which keeps
 // the floating-point accumulation order — and therefore every score, bit
@@ -16,6 +20,8 @@ package index
 import (
 	"cmp"
 	"context"
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -47,11 +53,17 @@ type Index struct {
 	// analyzer's dictionary is the index's: term t is its term ID t.
 	analyzer *corpus.Analyzer
 	// CSR postings: the postings of term t are docs[offsets[t]:offsets[t+1]]
-	// and weights[offsets[t]:offsets[t+1]], sorted by ascending doc ID.
+	// and, aligned with them, their term frequencies tf[...], sorted by
+	// ascending doc ID. Every tf is at least 1.
 	offsets []int32
 	docs    []corpus.PaperID
-	weights []float64
+	tf      []uint16
 	norms   []float64
+	// idf is the analyzer's per-term IDF, and logTF[k] = 1 + ln k the TF
+	// damping for every 1 <= k <= the largest posting TF (logTF[0] is
+	// unused): a posting's weight is float64(logTF[tf]·idf[t]).
+	idf   []float64
+	logTF []float64
 	// accPool recycles dense score accumulators across searches.
 	accPool sync.Pool
 }
@@ -65,6 +77,39 @@ type accum struct {
 	touched []corpus.PaperID
 }
 
+// newIndex returns an index over the analyzer and the CSR arrays, with its
+// accumulator pool; maxTF is the largest posting TF.
+func newIndex(a *corpus.Analyzer, offsets []int32, docs []corpus.PaperID, tf []uint16, norms []float64, maxTF int) *Index {
+	ix := &Index{
+		analyzer: a,
+		offsets:  offsets,
+		docs:     docs,
+		tf:       tf,
+		norms:    norms,
+		idf:      a.DF().IDFs(),
+		logTF:    make([]float64, maxTF+1),
+	}
+	for k := 1; k <= maxTF; k++ {
+		ix.logTF[k] = logTF(k)
+	}
+	n := len(norms)
+	ix.accPool.New = func() any {
+		return &accum{val: make([]float64, n), seen: make([]bool, n)}
+	}
+	return ix
+}
+
+// logTF is the analyzer's term-frequency damping 1 + ln tf (see
+// corpus.Analyzer's weigh and vector.DF.Weight).
+func logTF(tf int) float64 { return 1 + math.Log(float64(tf)) }
+
+// Weight returns the TF-IDF weight of a posting of term t with term
+// frequency tf (1 <= tf <= the largest posting TF): (1 + ln tf)·idf(t), the
+// weight the analyzer's row gives the term, bit for bit.
+func (ix *Index) Weight(t int32, tf uint16) float64 {
+	return float64(ix.logTF[tf] * ix.idf[t])
+}
+
 // BuildWorkers constructs the index from an analysed corpus: the CSR
 // transpose of the analyzer's whole-paper TF-IDF rows. Every dictionary
 // term has a posting — a corpus token has TF >= 1 and IDF log(1+N/df) > 0 —
@@ -76,6 +121,10 @@ type accum struct {
 // because shards are contiguous ID ranges, writing shard s's postings after
 // all of shard s-1's reproduces exactly the ascending-doc posting layout of
 // the sequential build. workers <= 0 selects GOMAXPROCS.
+//
+// A posting keeps the term frequency its weight was computed from (see
+// tfOf). BuildWorkers panics if a weight is not (1 + ln tf)·idf for an
+// integer 1 <= tf <= 65535 — the width of a posting's TF — bit for bit.
 func BuildWorkers(a *corpus.Analyzer, workers int) *Index {
 	c := a.Corpus()
 	return buildPapers(a, sortedPapers(c, 0, c.Len()), workers)
@@ -99,7 +148,8 @@ func sortedPapers(c *corpus.Corpus, lo, hi int) []*corpus.Paper {
 func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) *Index {
 	n := a.Corpus().Len()
 	nTerms := len(a.DF().Terms())
-	ix := &Index{analyzer: a, norms: make([]float64, n)}
+	idf := a.DF().IDFs()
+	norms := make([]float64, n)
 	shards := par.Shards(len(papers), workers)
 
 	// Pass 1 (sharded): per-shard term posting counts; norms land in
@@ -109,7 +159,7 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) *Index
 		counts := make([]int32, nTerms)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			r := a.Row(papers[i].ID, corpus.WholeText)
-			ix.norms[papers[i].ID] = r.Norm
+			norms[papers[i].ID] = r.Norm
 			for _, t := range r.Terms {
 				counts[t]++
 			}
@@ -120,15 +170,15 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) *Index
 	// Offsets, and per-shard write cursors: shard s writes term t's postings
 	// starting at offsets[t] plus the posting counts of earlier shards, so
 	// shard regions are disjoint and concatenate in ascending doc order.
-	ix.offsets = make([]int32, nTerms+1)
+	offsets := make([]int32, nTerms+1)
 	for t := 0; t < nTerms; t++ {
-		ix.offsets[t+1] = ix.offsets[t]
+		offsets[t+1] = offsets[t]
 		for _, counts := range shardCounts {
-			ix.offsets[t+1] += counts[t]
+			offsets[t+1] += counts[t]
 		}
 	}
 	bases := make([][]int32, len(shards))
-	running := slices.Clone(ix.offsets[:nTerms])
+	running := slices.Clone(offsets[:nTerms])
 	for si, counts := range shardCounts {
 		bases[si] = slices.Clone(running)
 		for t, cnt := range counts {
@@ -139,39 +189,55 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) *Index
 	// Pass 2 (sharded): fill the packed columns. Within a shard, visiting
 	// papers in ascending ID order leaves every term's posting run sorted
 	// by doc with no per-term sort — exactly as in the sequential build.
-	total := ix.offsets[nTerms]
-	ix.docs = make([]corpus.PaperID, total)
-	ix.weights = make([]float64, total)
+	total := offsets[nTerms]
+	docs := make([]corpus.PaperID, total)
+	tf := make([]uint16, total)
+	maxTF := make([]int, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
 		next := bases[si]
 		for i := sh.Lo; i < sh.Hi; i++ {
 			p := papers[i]
 			r := a.Row(p.ID, corpus.WholeText)
 			for k, t := range r.Terms {
+				f, err := tfOf(r.Weights[k], idf[t])
+				if err != nil {
+					panic(fmt.Sprintf("index: paper %d, term %q: %v", p.ID, a.Term(t), err))
+				}
 				slot := next[t]
-				ix.docs[slot] = p.ID
-				ix.weights[slot] = r.Weights[k]
+				docs[slot] = p.ID
+				tf[slot] = f
 				next[t] = slot + 1
+				maxTF[si] = max(maxTF[si], int(f))
 			}
 		}
 	})
+	return newIndex(a, offsets, docs, tf, norms, slices.Max(append(maxTF, 0)))
+}
 
-	ix.accPool.New = func() any {
-		return &accum{val: make([]float64, n), seen: make([]bool, n)}
+// tfOf returns the term frequency tf whose weight (1 + ln tf)·idf is w, bit
+// for bit, and an error when there is none in [1, 65535]: the inverse of the
+// analyzer's weighting, which computes w from the whole-text count.
+func tfOf(w, idf float64) (uint16, error) {
+	f := math.Round(math.Exp(w/idf - 1))
+	if !(f >= 1 && f <= math.MaxUint16) {
+		return 0, fmt.Errorf("weight %v at IDF %v is no term frequency in [1, %d]", w, idf, math.MaxUint16)
 	}
-	return ix
+	if got := float64(logTF(int(f)) * idf); math.Float64bits(got) != math.Float64bits(w) {
+		return 0, fmt.Errorf("weight %v at IDF %v: term frequency %v gives %v", w, idf, f, got)
+	}
+	return uint16(f), nil
 }
 
 // Postings returns the posting run of a term ID — ascending document IDs
-// and, aligned with them, each document's full-text TF-IDF weight for the
-// term (nil slices for corpus.NoTerm). The slices alias the index and must
-// not be modified.
-func (ix *Index) Postings(t int32) ([]corpus.PaperID, []float64) {
+// and, aligned with them, each document's full-text term frequency for the
+// term (nil slices for corpus.NoTerm); Weight turns a TF into the posting's
+// TF-IDF weight. The slices alias the index and must not be modified.
+func (ix *Index) Postings(t int32) ([]corpus.PaperID, []uint16) {
 	if t < 0 {
 		return nil, nil
 	}
 	lo, hi := ix.offsets[t], ix.offsets[t+1]
-	return ix.docs[lo:hi], ix.weights[lo:hi]
+	return ix.docs[lo:hi], ix.tf[lo:hi]
 }
 
 // termID returns a term's dictionary ID, corpus.NoTerm when it has none.
@@ -302,8 +368,12 @@ func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Op
 		if err := ctx.Err(); err != nil {
 			return dst, err
 		}
-		qw := qt.w
-		docs, ws := ix.Postings(qt.id)
+		// A posting adds the query weight times its weight Weight(t, tf),
+		// each product rounded — the bits float64(qw * w) gave over a stored
+		// weight w. Computed per posting: a per-term table of the products
+		// for every TF measured slower, its fill not repaid by short runs.
+		qw, idf, logTF := qt.w, ix.idf[qt.id], ix.logTF
+		docs, tfs := ix.Postings(qt.id)
 		for i, doc := range docs {
 			if restricted && !opts.allows(doc) {
 				continue
@@ -312,7 +382,7 @@ func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Op
 				acc.seen[doc] = true
 				acc.touched = append(acc.touched, doc)
 			}
-			acc.val[doc] += float64(qw * ws[i])
+			acc.val[doc] += float64(qw * float64(logTF[tfs[i]]*idf))
 		}
 	}
 	hits := slices.Grow(dst, len(acc.touched))
@@ -355,17 +425,18 @@ func (ix *Index) TopKStats() TopKStats { return TopKStats{} }
 // postings: the query's indexed terms with their posting runs, resolved
 // once. Not safe for concurrent use (prods is scratch).
 type textScorer struct {
+	ix    *Index
 	qn    float64 // ‖q‖
-	norms []float64
 	terms []scorerTerm
 	prods []float64
 }
 
-// scorerTerm is one query term with postings: its query weight and run.
+// scorerTerm is one query term with postings: its ID, query weight and run.
 type scorerTerm struct {
-	w       float64
-	docs    []corpus.PaperID
-	weights []float64
+	id   int32
+	w    float64
+	docs []corpus.PaperID
+	tf   []uint16
 }
 
 // newTextScorer resolves the query's terms to their posting runs (through
@@ -373,10 +444,10 @@ type scorerTerm struct {
 // no score and are dropped.
 func (ix *Index) newTextScorer(qv vector.Sparse) textScorer {
 	qts := ix.resolveQuery(qv)
-	sc := textScorer{qn: qv.Norm(), norms: ix.norms, terms: make([]scorerTerm, 0, len(qts))}
+	sc := textScorer{ix: ix, qn: qv.Norm(), terms: make([]scorerTerm, 0, len(qts))}
 	for _, qt := range qts {
-		if docs, weights := ix.Postings(qt.id); len(docs) > 0 {
-			sc.terms = append(sc.terms, scorerTerm{qt.w, docs, weights})
+		if docs, tf := ix.Postings(qt.id); len(docs) > 0 {
+			sc.terms = append(sc.terms, scorerTerm{qt.id, qt.w, docs, tf})
 		}
 	}
 	sc.prods = make([]float64, 0, len(sc.terms))
@@ -384,20 +455,20 @@ func (ix *Index) newTextScorer(qv vector.Sparse) textScorer {
 }
 
 // score returns the cosine between the query and doc (0 <= doc <
-// len(norms)). A posting weight is the document's TF-IDF component for the
-// term, so the products gathered here are the multiset Sparse.Dot forms
+// len(norms)). A posting's weight is the document's TF-IDF component for
+// the term, so the products gathered here are the multiset Sparse.Dot forms
 // over the query and document vectors; summed ascending like Dot and
 // divided by the same ‖q‖·‖d‖, the score equals the vector-form cosine bit
 // for bit.
 func (sc *textScorer) score(doc corpus.PaperID) float64 {
-	dn := sc.norms[doc]
+	dn := sc.ix.norms[doc]
 	if dn == 0 || sc.qn == 0 {
 		return 0
 	}
 	prods := sc.prods[:0]
 	for _, t := range sc.terms {
 		if i, ok := slices.BinarySearch(t.docs, doc); ok {
-			prods = append(prods, t.w*t.weights[i])
+			prods = append(prods, t.w*sc.ix.Weight(t.id, t.tf[i]))
 		}
 	}
 	return vector.SumSorted(prods) / (sc.qn * dn)

@@ -30,8 +30,8 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		if !reflect.DeepEqual(seq.docs, par.docs) {
 			t.Fatalf("workers=%d: packed doc column differs", workers)
 		}
-		if !reflect.DeepEqual(seq.weights, par.weights) {
-			t.Fatalf("workers=%d: packed weight column differs", workers)
+		if !reflect.DeepEqual(seq.tf, par.tf) {
+			t.Fatalf("workers=%d: packed term-frequency column differs", workers)
 		}
 		if !reflect.DeepEqual(seq.norms, par.norms) {
 			t.Fatalf("workers=%d: norms differ", workers)
@@ -85,7 +85,7 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 	// Full-range build is the whole index.
 	whole := buildRangeWorkers(a, 0, c.Len(), 2)
 	if !reflect.DeepEqual(full.offsets, whole.offsets) || !reflect.DeepEqual(full.docs, whole.docs) ||
-		!reflect.DeepEqual(full.weights, whole.weights) || !reflect.DeepEqual(full.norms, whole.norms) {
+		!reflect.DeepEqual(full.tf, whole.tf) || !reflect.DeepEqual(full.norms, whole.norms) {
 		t.Fatal("buildRangeWorkers over the full range differs from BuildWorkers")
 	}
 
@@ -97,7 +97,7 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 		for term := range int32(full.Terms()) {
 			wantDocs, wantWts := full.Postings(term)
 			var gotDocs []corpus.PaperID
-			var gotWts []float64
+			var gotWts []uint16
 			for _, p := range parts {
 				d, w := p.Postings(term)
 				gotDocs = append(gotDocs, d...)

@@ -11,17 +11,19 @@ import (
 // the CSR postings and document norms. It is what the state file persists
 // so that serving can skip corpus re-analysis and index construction
 // entirely — FromParts rebinds these arrays (typically aliasing a
-// memory-mapped file) to a live Index in O(terms), never touching a
-// posting.
+// memory-mapped file) to a live Index in O(terms) plus one read of the
+// posting columns, copying no posting.
 type Parts struct {
 	// Terms holds the indexed term strings in lexicographic order, term i
 	// having ID i: the analyzer's dictionary (vector.DF.Terms).
 	Terms []string
 	// CSR postings: term t's run is Docs[Offsets[t]:Offsets[t+1]] and
-	// Weights[...], ascending by doc ID.
+	// TF[...], ascending by doc ID. TF holds each posting's whole-text term
+	// frequency (>= 1), from which the index derives its TF-IDF weight
+	// under the analyzer's DF table.
 	Offsets []int32
 	Docs    []corpus.PaperID
-	Weights []float64
+	TF      []uint16
 	// Norms[d] is document d's TF-IDF vector norm (full corpus size).
 	Norms []float64
 }
@@ -33,7 +35,7 @@ func (ix *Index) Parts() *Parts {
 		Terms:   ix.analyzer.DF().Terms(),
 		Offsets: ix.offsets,
 		Docs:    ix.docs,
-		Weights: ix.weights,
+		TF:      ix.tf,
 		Norms:   ix.norms,
 	}
 }
@@ -43,22 +45,25 @@ func (ix *Index) Parts() *Parts {
 // slice verbatim and never mutates or appends, so mapping-backed
 // (read-only) memory is safe; the caller keeps the backing storage alive
 // for the index's lifetime. The analyzer must be over the same corpus the
-// parts were built from (its DF table drives query weighting; document
-// weights are already frozen in the postings), and its dictionary must be
-// the parts' term list: parts whose terms differ would bind every query term
-// to another term's postings, so they are rejected.
+// parts were built from: its DF table weights the query and, with each
+// posting's TF, every posting — (1 + ln tf)·idf, the analyzer's own
+// arithmetic — and its dictionary must be the parts' term list: parts whose
+// terms differ would bind every query term to another term's postings, so
+// they are rejected.
 //
-// Validation is O(terms): lengths, offset monotonicity and the dictionary.
-// Per-element posting content is the writer's contract,
-// guarded on disk by section CRCs — scanning it here would fault in every
-// page and defeat the O(1) open.
+// Validation is O(terms) for the structure — lengths, offset monotonicity
+// and the dictionary — and then one pass over the postings, after those
+// checks: every document ID must index the norms, and every TF be at least
+// 1, the largest sizing the TF damping table, so that no posting indexes
+// past the query loop's arrays. The order of a run's documents is the
+// writer's contract, guarded on disk by section CRCs.
 func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
 	nTerms := len(p.Terms)
 	if len(p.Offsets) != nTerms+1 {
 		return nil, fmt.Errorf("index: %d terms need %d offsets, have %d", nTerms, nTerms+1, len(p.Offsets))
 	}
-	if len(p.Docs) != len(p.Weights) {
-		return nil, fmt.Errorf("index: %d docs vs %d weights", len(p.Docs), len(p.Weights))
+	if len(p.Docs) != len(p.TF) {
+		return nil, fmt.Errorf("index: %d docs vs %d term frequencies", len(p.Docs), len(p.TF))
 	}
 	if p.Offsets[0] != 0 || int(p.Offsets[nTerms]) != len(p.Docs) {
 		return nil, fmt.Errorf("index: offsets span [%d, %d), want [0, %d)", p.Offsets[0], p.Offsets[nTerms], len(p.Docs))
@@ -78,18 +83,19 @@ func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
 			return nil, fmt.Errorf("index: offsets decrease at term %d (%q)", i, term)
 		}
 	}
-	ix := &Index{
-		analyzer: a,
-		offsets:  p.Offsets,
-		docs:     p.Docs,
-		weights:  p.Weights,
-		norms:    p.Norms,
+	maxTF := uint16(0)
+	for i, f := range p.TF {
+		if f == 0 {
+			return nil, fmt.Errorf("index: posting %d has term frequency 0", i)
+		}
+		if d := p.Docs[i]; uint(d) >= uint(len(p.Norms)) {
+			return nil, fmt.Errorf("index: posting %d names paper %d of a %d-paper corpus", i, d, len(p.Norms))
+		}
+		if f > maxTF {
+			maxTF = f
+		}
 	}
-	n := len(p.Norms)
-	ix.accPool.New = func() any {
-		return &accum{val: make([]float64, n), seen: make([]bool, n)}
-	}
-	return ix, nil
+	return newIndex(a, p.Offsets, p.Docs, p.TF, p.Norms, int(maxTF)), nil
 }
 
 // SliceRange restricts the parts to postings of documents with
@@ -114,7 +120,7 @@ func (p *Parts) SliceRange(lo, hi int) *Parts {
 		a, _ := slices.BinarySearch(run, corpus.PaperID(lo))
 		b, _ := slices.BinarySearch(run, corpus.PaperID(hi))
 		out.Docs = append(out.Docs, run[a:b]...)
-		out.Weights = append(out.Weights, p.Weights[base+a:base+b]...)
+		out.TF = append(out.TF, p.TF[base+a:base+b]...)
 		out.Offsets[t+1] = int32(len(out.Docs))
 	}
 	return out

@@ -45,8 +45,8 @@ func TestPartsRoundTrip(t *testing.T) {
 }
 
 // TestFromPartsValidation: structurally broken parts are rejected, not
-// bound (the O(terms) checks — per-element content is the writer's
-// contract guarded by the store's CRCs).
+// bound (the O(terms) checks and the TF pass — the rest of the per-element
+// content is the writer's contract guarded by the store's CRCs).
 func TestFromPartsValidation(t *testing.T) {
 	a, ix := partsFixture(t)
 	cases := map[string]func(*Parts){
@@ -56,7 +56,10 @@ func TestFromPartsValidation(t *testing.T) {
 			p.Offsets[1], p.Offsets[2] = p.Offsets[2]+1, p.Offsets[1]
 		},
 		"terms-order":  func(p *Parts) { p.Terms[0], p.Terms[1] = p.Terms[1], p.Terms[0] },
-		"weights-size": func(p *Parts) { p.Weights = p.Weights[:len(p.Weights)-1] },
+		"tf-size":      func(p *Parts) { p.TF = p.TF[:len(p.TF)-1] },
+		"tf-zero":      func(p *Parts) { p.TF[len(p.TF)/2] = 0 },
+		"doc-range":    func(p *Parts) { p.Docs[len(p.Docs)/2] = corpus.PaperID(len(p.Norms)) },
+		"doc-negative": func(p *Parts) { p.Docs[0] = -1 },
 		"norms-size":   func(p *Parts) { p.Norms = p.Norms[:len(p.Norms)-1] },
 	}
 	for name, breakIt := range cases {
@@ -65,7 +68,8 @@ func TestFromPartsValidation(t *testing.T) {
 			// Deep-copy the slices the case mutates so cases stay independent.
 			p.Terms = append([]string(nil), p.Terms...)
 			p.Offsets = append([]int32(nil), p.Offsets...)
-			p.Weights = append([]float64(nil), p.Weights...)
+			p.Docs = append([]corpus.PaperID(nil), p.Docs...)
+			p.TF = append([]uint16(nil), p.TF...)
 			p.Norms = append([]float64(nil), p.Norms...)
 			breakIt(p)
 			if _, err := FromParts(a, p); err == nil {

@@ -23,7 +23,7 @@ import (
 //	  uint32   reserved (0)
 //	section table (count × 32 bytes, immediately after the header):
 //	  uint32   section id
-//	  uint32   element kind (bytes / int32 / int64 / float64 / uint64 / uint32)
+//	  uint32   element kind (bytes / int32 / int64 / float64 / uint64 / uint32 / uint16)
 //	  uint64   data offset from file start
 //	  uint64   data length in bytes
 //	  uint32   CRC32-C of the data
@@ -54,7 +54,8 @@ const (
 // alignment the section offset must satisfy; a reader also refuses a
 // section whose kind is not the one it reinterprets the bytes as. No live
 // section is written as int64 any more: the kind stays so that a file whose
-// paper-ID columns are 8 bytes wide is named as such.
+// paper-ID columns are 8 bytes wide is named as such. The one uint16
+// section is the postings' term frequencies (21).
 const (
 	kindBytes = uint32(iota)
 	kindI32
@@ -62,14 +63,17 @@ const (
 	kindF64
 	kindU64
 	kindU32
+	kindU16
 )
 
 // kindNames spells each element kind in errors.
-var kindNames = [...]string{kindBytes: "bytes", kindI32: "int32", kindI64: "int64", kindF64: "float64", kindU64: "uint64", kindU32: "uint32"}
+var kindNames = [...]string{kindBytes: "bytes", kindI32: "int32", kindI64: "int64", kindF64: "float64", kindU64: "uint64", kindU32: "uint32", kindU16: "uint16"}
 
 // elemSize returns the element width of a section kind (1 for raw bytes).
 func elemSize(kind uint32) int {
 	switch kind {
+	case kindU16:
+		return 2
 	case kindI32, kindU32:
 		return 4
 	case kindI64, kindF64, kindU64:
@@ -89,7 +93,10 @@ func elemSize(kind uint32) int {
 // block-max evaluator was deleted carry them; Open ignores them. A matrix's
 // base+1 and base+2 (its rows' offsets and a copy of their paper IDs, beside
 // a column compacted to the scored rows) are retired too: Matrix refuses a
-// file that carries them by name.
+// file that carries them by name. So is 11, the postings' float64 TF-IDF
+// weights: a posting now stores its term frequency (21), from which the
+// reader derives the weight under the DF table (15), and IndexParts refuses
+// a file that carries 11 by name.
 //
 // Paper IDs (sections 4 and 10) are int32, the width of corpus.PaperID.
 // Version-5 files written while paper IDs were int64 carry sections 4 and
@@ -106,10 +113,11 @@ const (
 	secIdxTerms     = uint32(8)  // bytes: index term dictionary
 	secIdxOffsets   = uint32(9)  // int32: posting run offsets
 	secIdxDocs      = uint32(10) // int32: posting doc IDs
-	secIdxWeights   = uint32(11) // float64: posting weights
+	secIdxRetiredW  = uint32(11) // retired: float64 posting weights
 	secIdxNorms     = uint32(12) // float64: per-document vector norms
 	secDF           = uint32(15) // bytes: document-frequency table
 	secMatrixDir    = uint32(16) // bytes: score-function name → section base
+	secIdxTF        = uint32(21) // uint16: posting term frequencies
 	secMatrixBase   = uint32(100)
 	secMatrixStride = uint32(16)
 )
@@ -166,6 +174,22 @@ func as32s[T ~int32 | ~uint32](b []byte) []T {
 	return out
 }
 
+// asU16s reinterprets a section of 2-byte unsigned integers: the postings'
+// term frequencies.
+func asU16s(b []byte) []uint16 {
+	if len(b) == 0 {
+		return nil
+	}
+	if hostLittleEndian {
+		return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), len(b)/2)
+	}
+	out := make([]uint16, len(b)/2)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint16(b[2*i:])
+	}
+	return out
+}
+
 func asU64s(b []byte) []uint64 {
 	if len(b) == 0 {
 		return nil
@@ -212,6 +236,14 @@ func encode32s[T ~int32 | ~uint32](v []T) []byte {
 	b := make([]byte, 4*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+	}
+	return b
+}
+
+func encodeU16s(v []uint16) []byte {
+	b := make([]byte, 2*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint16(b[2*i:], x)
 	}
 	return b
 }

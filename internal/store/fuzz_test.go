@@ -8,6 +8,7 @@ import (
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/vector"
 )
 
 // patchImage writes patch into one region of img: the table entry (entry
@@ -56,15 +57,18 @@ func patchImage(img []byte, id uint32, entry bool, at int32, patch []byte) {
 // FuzzOpenBytes patches a valid 150-paper image and seals its CRCs (see
 // patchImage). Open, every materializer — context set, index parts, DF
 // table, each matrix — and index.FromParts must each return an error or a
-// component; none may panic. Each input patches two images: the one Save
-// writes, and one in the layout whose matrices kept their own rows
-// (rowLayoutImage), which Matrix refuses by name. The checked-in seeds
-// hold decreasing posting offsets, a last offset past the docs, a term
-// dictionary whose count overflows its section, and a section that overlaps
-// the header. The seeds added below patch a posting doc, relabel the
-// posting docs' section with another 4-byte element kind, which the kind
-// check must refuse, and relabel the row-layout image's retired row offsets
-// as another section, leaving its retired paper IDs to name the layout.
+// component; none may panic, and an index that binds must answer a query
+// over its whole dictionary, which walks every posting. Each input patches
+// two images: the one Save writes, and one in the layout whose matrices
+// kept their own rows (rowLayoutImage), which Matrix refuses by name. The
+// checked-in seeds hold decreasing posting offsets, a last offset past the
+// docs, a term dictionary whose count overflows its section, a section that
+// overlaps the header, and four hostile TF columns (section 21): a TF of 0,
+// an odd length, the column relabelled uint32, and a column shorter than
+// the docs. The seeds added below patch a posting doc, relabel the posting
+// docs' section with another 4-byte element kind, which the kind check must
+// refuse, and relabel the row-layout image's retired row offsets as another
+// section, leaving its retired paper IDs to name the layout.
 func FuzzOpenBytes(f *testing.F) {
 	o, _, a, st := fixtureWithIndex(f)
 	img := v5Bytes(f, st)
@@ -93,8 +97,16 @@ func openPatched(t *testing.T, data []byte, o *ontology.Ontology, a *corpus.Anal
 		t.Fatal("ContextSet returned neither a set nor an error")
 	}
 	if p, err := m.IndexParts(); err == nil {
-		if ix, err := index.FromParts(a, p); err == nil && ix == nil {
+		ix, err := index.FromParts(a, p)
+		if err == nil && ix == nil {
 			t.Fatal("FromParts returned neither an index nor an error")
+		}
+		if err == nil {
+			q := vector.New()
+			for _, term := range p.Terms {
+				q[term] = 1
+			}
+			ix.SearchVector(q, index.Options{})
 		}
 	}
 	if df, err := m.DF(); err == nil && df == nil {

@@ -161,7 +161,7 @@ func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, erro
 			length: binary.LittleEndian.Uint64(e[16:]),
 			crc:    binary.LittleEndian.Uint32(e[24:]),
 		}
-		if s.kind > kindU32 {
+		if s.kind > kindU16 {
 			return nil, fmt.Errorf("section %d has unknown element kind %d", s.id, s.kind)
 		}
 		es := uint64(elemSize(s.kind))
@@ -406,12 +406,17 @@ func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 	return cs, nil
 }
 
-// IndexParts materializes (once) the persisted text-index arrays.
+// IndexParts materializes (once) the persisted text-index arrays. A file
+// whose postings carry float64 weights (section 11) instead of term
+// frequencies (section 21) is refused by name.
 func (m *Mapped) IndexParts() (*index.Parts, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.parts != nil {
 		return m.parts, nil
+	}
+	if m.secs[secIdxRetiredW] != nil {
+		return nil, fmt.Errorf("store: the postings carry float64 weights (section %d), a layout this binary no longer reads: a posting now stores its term frequency (section %d) and the weight is derived from it — rebuild the state with `ctxsearch build -state …`", secIdxRetiredW, secIdxTF)
 	}
 	tb, err := m.needLocked(secIdxTerms, kindBytes)
 	if err != nil {
@@ -437,7 +442,7 @@ func (m *Mapped) IndexParts() (*index.Parts, error) {
 	if err != nil {
 		return nil, err
 	}
-	weights, err := m.needLocked(secIdxWeights, kindF64)
+	tf, err := m.needLocked(secIdxTF, kindU16)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +454,7 @@ func (m *Mapped) IndexParts() (*index.Parts, error) {
 		Terms:   terms,
 		Offsets: as32s[int32](offs),
 		Docs:    as32s[corpus.PaperID](docs),
-		Weights: asF64s(weights),
+		TF:      asU16s(tf),
 		Norms:   asF64s(norms),
 	}
 	return m.parts, nil

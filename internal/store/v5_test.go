@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/prestige"
+	"ctxsearch/internal/vector"
 )
 
 // v5Bytes renders the fixture state as the image Save writes.
@@ -56,21 +58,36 @@ func decodeSections(img []byte) []sectionData {
 	return secs
 }
 
+// postingWeights returns every posting's TF-IDF weight (1 + ln tf)·idf,
+// computed from the parts' TF column and the DF table's IDFs as the analyzer
+// weighs a row: the column section 11 held.
+func postingWeights(p *index.Parts, df *vector.DF) []float64 {
+	idf := df.IDFs()
+	w := make([]float64, len(p.TF))
+	for t := range p.Terms {
+		for k := p.Offsets[t]; k < p.Offsets[t+1]; k++ {
+			w[k] = (1 + math.Log(float64(p.TF[k]))) * idf[t]
+		}
+	}
+	return w
+}
+
 // withRetiredSections lays img out again with the retired sections the
 // writer emitted while the block-max evaluator existed, computed and placed
 // as it did: per-term maximum posting weight (13) and weight/norm ratio
 // (14), then a block size of 128 (17), per-term block offsets (18) and
 // per-block maxima (19, 20), all right after the norms.
-func withRetiredSections(t testing.TB, img []byte, p *index.Parts) []byte {
+func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 	t.Helper()
 	const blockSize = 128
+	p, weights := st.Index, postingWeights(st.Index, st.DF)
 	nTerms := len(p.Terms)
 	maxW, maxR := make([]float64, nTerms), make([]float64, nTerms)
 	blockOffs := make([]int32, nTerms+1)
 	var blockW, blockR []float64
 	for term := 0; term < nTerms; term++ {
 		for k := p.Offsets[term]; k < p.Offsets[term+1]; k++ {
-			w, r := p.Weights[k], 0.0
+			w, r := weights[k], 0.0
 			if dn := p.Norms[p.Docs[k]]; dn > 0 {
 				r = w / dn
 			}
@@ -122,7 +139,7 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 	if err := writeSections(&plain, decodeSections(img)); err != nil || !bytes.Equal(plain.Bytes(), img) {
 		t.Fatalf("decoding and laying out the sections again does not reproduce the image (%v)", err)
 	}
-	old := withRetiredSections(t, img, st.Index)
+	old := withRetiredSections(t, img, st)
 	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+len(retiredSectionIDs) {
 		t.Fatalf("image with retired sections has %d sections", got)
 	}
@@ -152,6 +169,56 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 	}
 	if got := page(old); !slices.Equal(got, want) {
 		t.Fatalf("image with retired sections serves\n%v\nwant\n%v", got, want)
+	}
+}
+
+// withWeightColumn lays img out again as files were written while the
+// postings carried their TF-IDF weights: section 21's term frequencies
+// replaced, in place, by section 11's float64 weights.
+func withWeightColumn(t testing.TB, img []byte, st *State) []byte {
+	t.Helper()
+	var secs []sectionData
+	for _, s := range decodeSections(img) {
+		if s.id == secIdxTF {
+			s = sectionData{secIdxRetiredW, kindF64, encodeF64s(postingWeights(st.Index, st.DF))}
+		}
+		secs = append(secs, s)
+	}
+	var buf bytes.Buffer
+	if err := writeSections(&buf, secs); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOpenRefusesWeightColumn: a file whose postings carry float64 weights
+// (section 11) and no term frequencies — as every file did before a posting
+// stored its TF — opens, and its context set binds, but IndexParts refuses
+// it by name, naming section 11, the layout change and the rebuild, on the
+// mapped and the byte-copy path alike; the writer emits no section 11.
+func TestOpenRefusesWeightColumn(t *testing.T) {
+	o, _, _, st := fixtureWithIndex(t)
+	fresh := v5Bytes(t, st)
+	if slices.Contains(sectionIDs(fresh), secIdxRetiredW) || !slices.Contains(sectionIDs(fresh), secIdxTF) {
+		t.Fatalf("the writer emitted sections %v", sectionIDs(fresh))
+	}
+	img := withWeightColumn(t, fresh, st)
+	for _, noMmap := range []string{"", "1"} {
+		t.Setenv(noMmapEnv, noMmap)
+		m, err := Open(writeFile(t, img), o)
+		if err != nil {
+			t.Fatalf("CTXSEARCH_NO_MMAP=%q: open: %v", noMmap, err)
+		}
+		defer m.Close()
+		if _, err := m.ContextSet(); err != nil {
+			t.Fatalf("CTXSEARCH_NO_MMAP=%q: context set: %v", noMmap, err)
+		}
+		_, err = m.IndexParts()
+		for _, want := range []string{"section 11", "float64 weights", "term frequency (section 21)", "ctxsearch build -state"} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("CTXSEARCH_NO_MMAP=%q: want an error naming %q, got %v", noMmap, want, err)
+			}
+		}
 	}
 }
 

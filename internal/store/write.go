@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 
+	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/vector"
 )
 
 // sectionData is one section queued for writing.
@@ -31,6 +34,9 @@ func Save(w io.Writer, st *State) error {
 	}
 	if st.Index == nil || st.DF == nil {
 		return fmt.Errorf("store: a state needs its text index and DF table to be saved")
+	}
+	if err := checkPostings(st.Index, st.DF); err != nil {
+		return err
 	}
 	f := st.ContextSet.Freeze()
 	mats := st.Matrices
@@ -157,7 +163,7 @@ func Save(w io.Writer, st *State) error {
 	add(secIdxTerms, kindBytes, it.b)
 	add(secIdxOffsets, kindI32, encode32s(p.Offsets))
 	add(secIdxDocs, kindI32, encode32s(p.Docs))
-	add(secIdxWeights, kindF64, encodeF64s(p.Weights))
+	add(secIdxTF, kindU16, encodeU16s(p.TF))
 	add(secIdxNorms, kindF64, encodeF64s(p.Norms))
 
 	docs, counts := st.DF.Counts()
@@ -171,6 +177,30 @@ func Save(w io.Writer, st *State) error {
 	add(secDF, kindBytes, db.b)
 
 	return writeSections(w, secs)
+}
+
+// checkPostings refuses index parts the DF table cannot weight: a reader
+// derives every posting's weight (1 + ln tf)·idf from its TF and the IDF of
+// its term, so the table must be over the parts' corpus and dictionary, and
+// every TF at least 1. Each refusal names what differs.
+func checkPostings(p *index.Parts, df *vector.DF) error {
+	docs, _ := df.Counts()
+	if docs != len(p.Norms) {
+		return fmt.Errorf("store: the DF table counts %d documents, the index %d", docs, len(p.Norms))
+	}
+	terms := df.Terms()
+	if len(terms) != len(p.Terms) {
+		return fmt.Errorf("store: the DF table holds %d terms, the index %d", len(terms), len(p.Terms))
+	}
+	for t, term := range p.Terms {
+		if terms[t] != term {
+			return fmt.Errorf("store: index term %d is %q, the DF table's is %q", t, term, terms[t])
+		}
+	}
+	if k := slices.Index(p.TF, 0); k >= 0 {
+		return fmt.Errorf("store: posting %d has term frequency 0", k)
+	}
+	return nil
 }
 
 // sortedTermKeys collects term IDs from an iterator and returns them

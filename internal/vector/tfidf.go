@@ -20,8 +20,10 @@ type DF struct {
 }
 
 // NewDF returns the table over docs documents in which terms[i] occurs in
-// df[i] of them. terms must be strictly ascending. The table keeps both
-// slices; callers must not modify them afterwards.
+// df[i] of them. terms must be strictly ascending, and every df[i] in
+// [1, docs]: a dictionary term occurs in some document and in no more than
+// all of them. The table keeps both slices; callers must not modify them
+// afterwards.
 func NewDF(docs int, terms []string, df []int32) (*DF, error) {
 	if len(terms) != len(df) {
 		return nil, fmt.Errorf("vector: %d terms with %d document frequencies", len(terms), len(df))
@@ -31,6 +33,9 @@ func NewDF(docs int, terms []string, df []int32) (*DF, error) {
 		if i > 0 && terms[i-1] >= t {
 			return nil, fmt.Errorf("vector: DF terms not strictly ascending at %d (%q)", i, t)
 		}
+		if df[i] < 1 || int(df[i]) > docs {
+			return nil, fmt.Errorf("vector: term %q occurs in %d of %d documents", t, df[i], docs)
+		}
 		d.ids[t] = int32(i)
 		d.idf[i] = idf(docs, int(df[i]))
 	}
@@ -38,7 +43,7 @@ func NewDF(docs int, terms []string, df []int32) (*DF, error) {
 }
 
 // idf is the smoothed inverse document frequency log(1 + N/df), with a df
-// of 0 (a term never seen) counted as 1.
+// of 0 (a term never seen, see IDF) counted as 1.
 func idf(docs, df int) float64 {
 	if df == 0 {
 		df = 1

@@ -162,6 +162,11 @@ func TestDFWeighting(t *testing.T) {
 			t.Errorf("NewDF accepted terms %q with two counts", bad)
 		}
 	}
+	for _, bad := range [][]int32{{0, 1}, {1, 4}, {-1, 1}} {
+		if _, err := NewDF(3, []string{"a", "b"}, bad); err == nil {
+			t.Errorf("NewDF accepted document frequencies %v over 3 documents", bad)
+		}
+	}
 }
 
 func TestWeightDoesNotMutateInput(t *testing.T) {

@@ -1,12 +1,17 @@
 package ctxsearch
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"ctxsearch/internal/store"
@@ -19,11 +24,12 @@ import (
 // pins both "the offline build is deterministic at any worker count" and
 // "a faster build still writes the same bytes". A change that is meant to
 // alter the file (format, weighting, generator) re-records it. It was last
-// re-recorded when the prestige matrix became one score column over the
-// context set's members: the file it pins differs from the one before only
-// in the matrix sections — base+1 and base+2 are gone, and base+3 holds the
-// unscored contexts' slots as zeros, which dropped give the former column.
-const goldenStateSHA256 = "be81145daa56a29d10b069bb8e05a803a6fe6e165a94a143dc70228ee5bea283"
+// re-recorded when a posting came to store its term frequency: the file it
+// pins differs from the one before only in section 21 (uint16 TFs) taking
+// the place of section 11 (float64 weights), and cmd/ctxsearch's
+// TestWeightColumnIsFormerFile rewrites the one into the other byte for
+// byte.
+const goldenStateSHA256 = "6159c2a84aedce833466c314fe4fe64b02b57faff9c94959651c7e4853d44dd2"
 
 // goldenPatternStateSHA256 is the SHA-256 of the state file the pattern
 // pipeline writes for smallConfig: the §4 pattern-based context set scored
@@ -31,8 +37,8 @@ const goldenStateSHA256 = "be81145daa56a29d10b069bb8e05a803a6fe6e165a94a143dc702
 // spelled every token as a string and matched phrases through per-document
 // position maps, so it pins "the term-ID pattern matcher writes the same
 // bytes" as goldenStateSHA256 pins the text build, and is re-recorded with
-// it, last for the score-column matrix layout.
-const goldenPatternStateSHA256 = "60e18f090cec6bd096c089082ea87fcb8d27fd2eecf04417b012d4d78dcc64f6"
+// it, last for the term-frequency postings.
+const goldenPatternStateSHA256 = "dc310cb2b1b767893327b74a57021bf69cb2bfb4f417b828abf0b0c42c511322"
 
 func TestStateFileGolden(t *testing.T) {
 	checkStateFileGolden(t, goldenStateSHA256, func(sys *System) (*ContextSet, *Matrix, string) {
@@ -85,11 +91,49 @@ func checkStateFileGolden(t *testing.T, want string, build func(*System) (*Conte
 	}
 }
 
+// dfSection encodes a DF table as a state file's section 15 holds it: the
+// document count, the term count, then each term's length-prefixed string
+// and document frequency.
+func dfSection(docs int, terms []string, counts []int32) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(docs))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(terms)))
+	for i, t := range terms {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(t)))
+		b = append(b, t...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(counts[i]))
+	}
+	return b
+}
+
+// withSection returns a copy of a state image whose section id holds
+// payload instead: the payload goes past the end of the file, 64-byte
+// aligned, and the section's table entry, its CRC32-C and the table's CRC
+// are rewritten, so that only the reader's own checks can refuse it.
+func withSection(img []byte, id uint32, payload []byte) []byte {
+	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
+	off := (len(img) + 63) &^ 63
+	out := append(append(slices.Clone(img), make([]byte, off-len(img))...), payload...)
+	count := int(binary.LittleEndian.Uint32(out[12:]))
+	for i := range count {
+		e := out[24+32*i:]
+		if binary.LittleEndian.Uint32(e) == id {
+			binary.LittleEndian.PutUint64(e[8:], uint64(off))
+			binary.LittleEndian.PutUint64(e[16:], uint64(len(payload)))
+			binary.LittleEndian.PutUint32(e[24:], crc(payload))
+		}
+	}
+	binary.LittleEndian.PutUint32(out[16:], crc(out[24:24+32*count]))
+	return out
+}
+
 // TestFromPartsDictionaryMismatch: the state file's DF section is the frozen
 // analyzer's dictionary and its index-terms section names the posting runs,
 // so an image whose two term lists differ — a term missing, or one renamed
 // in place — must fail to bind instead of serving every query term with
-// another term's postings.
+// another term's postings. Save refuses such a DF table by the term that
+// differs, so those images are made by patching section 15 of a good one.
+// The DF table also weights every posting, so an image whose table counts
+// another number of papers, or a term in none of them, is refused too.
 func TestFromPartsDictionaryMismatch(t *testing.T) {
 	sys, err := NewSyntheticSystem(smallConfig())
 	if err != nil {
@@ -102,23 +146,35 @@ func TestFromPartsDictionaryMismatch(t *testing.T) {
 	last := len(terms) - 1
 	renamed := slices.Clone(terms)
 	renamed[last] += "zz"
+	zero := slices.Clone(counts)
+	zero[last] = 0
+	st := &store.State{ContextSet: cs, Matrices: map[string]*Matrix{"text": m}, Index: sys.Index().Parts(), DF: sys.Analyzer().DF()}
+	var good bytes.Buffer
+	if err := store.Save(&good, st); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name   string
+		docs   int
 		terms  []string
 		counts []int32
-		bind   bool
+		save   string // Save's refusal of the table, "" for none
+		bind   string // the refusal binding the patched image, "" for none
 	}{
-		{"same", terms, counts, true},
-		{"missing", terms[:last], counts[:last], false},
-		{"renamed", renamed, counts, false},
+		{"same", docs, terms, counts, "", ""},
+		{"missing", docs, terms[:last], counts[:last], "the DF table holds", "terms against a"},
+		{"renamed", docs, renamed, counts, "the DF table's is", "the dictionary's is"},
+		{"docs", docs + 1, terms, counts, "the DF table counts", "the DF table counts"},
+		{"zero", docs, terms, zero, "", "occurs in 0 of"},
 	} {
-		df, err := vector.NewDF(docs, tc.terms, tc.counts)
-		if err != nil {
-			t.Fatal(err)
+		if df, err := vector.NewDF(tc.docs, tc.terms, tc.counts); err == nil {
+			st := &store.State{ContextSet: cs, Matrices: st.Matrices, Index: st.Index, DF: df}
+			if err := store.Save(io.Discard, st); (err == nil) != (tc.save == "") || err != nil && !strings.Contains(err.Error(), tc.save) {
+				t.Errorf("%s: Save returned %v, want a refusal naming %q", tc.name, err, tc.save)
+			}
 		}
 		path := filepath.Join(t.TempDir(), "state.v5")
-		st := &store.State{ContextSet: cs, Matrices: map[string]*Matrix{"text": m}, Index: sys.Index().Parts(), DF: df}
-		if err := store.SaveFile(path, st); err != nil {
+		if err := os.WriteFile(path, withSection(good.Bytes(), 15, dfSection(tc.docs, tc.terms, tc.counts)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		mapped, err := store.Open(path, sys.Ontology)
@@ -130,12 +186,11 @@ func TestFromPartsDictionaryMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		mdf, err := mapped.DF()
-		if err != nil {
-			t.Fatal(err)
+		if err == nil {
+			_, err = NewFrozenSystem(sys.Ontology, sys.Corpus, parts, mdf, sys.Config())
 		}
-		_, err = NewFrozenSystem(sys.Ontology, sys.Corpus, parts, mdf, sys.Config())
-		if (err == nil) != tc.bind {
-			t.Errorf("%s: binding returned %v, want bound %v", tc.name, err, tc.bind)
+		if (err == nil) != (tc.bind == "") || err != nil && !strings.Contains(err.Error(), tc.bind) {
+			t.Errorf("%s: binding returned %v, want a refusal naming %q", tc.name, err, tc.bind)
 		}
 		if err := mapped.Close(); err != nil {
 			t.Fatal(err)
