@@ -3,19 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -411,196 +406,23 @@ func TestServeCommandBuildFailure(t *testing.T) {
 	}
 }
 
-// stateSection is one section of a state file: its ID, element kind and
-// payload.
-type stateSection struct {
-	id, kind uint32
-	data     []byte
-}
-
-// rewriteState reads a state file's sections in table order, passes them to
-// edit, and writes the file again from the list edit returns, laid out as
-// the writer does: each section 64-byte aligned in list order, with fresh
-// CRC32-C sums and table CRC.
-func rewriteState(t *testing.T, path string, edit func([]stateSection) []stateSection) {
-	t.Helper()
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs := make([]stateSection, binary.LittleEndian.Uint32(img[12:]))
-	for i := range secs {
-		e := img[24+32*i:]
-		off, n := binary.LittleEndian.Uint64(e[8:]), binary.LittleEndian.Uint64(e[16:])
-		secs[i] = stateSection{binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:]), img[off : off+n]}
-	}
-	secs = edit(secs)
-	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
-	tend := 24 + 32*len(secs)
-	out := append(append([]byte(nil), img[:24]...), make([]byte, tend-24)...)
-	binary.LittleEndian.PutUint32(out[12:], uint32(len(secs)))
-	for i, s := range secs {
-		out = append(out, make([]byte, (len(out)+63)&^63-len(out))...)
-		e := out[24+32*i:]
-		binary.LittleEndian.PutUint32(e, s.id)
-		binary.LittleEndian.PutUint32(e[4:], s.kind)
-		binary.LittleEndian.PutUint64(e[8:], uint64(len(out)))
-		binary.LittleEndian.PutUint64(e[16:], uint64(len(s.data)))
-		binary.LittleEndian.PutUint32(e[24:], crc(s.data))
-		out = append(out, s.data...)
-	}
-	binary.LittleEndian.PutUint32(out[16:], crc(out[24:tend]))
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// widenPaperIDs rewrites a state file with its paper-ID sections, 4 and 10,
-// as int64 (element kind 2): the layout of files written while paper IDs
-// were 8 bytes wide.
-func widenPaperIDs(t *testing.T, path string) {
-	rewriteState(t, path, func(secs []stateSection) []stateSection {
-		for i, s := range secs {
-			if s.id == 4 || s.id == 10 {
-				var wide []byte
-				for k := 0; k < len(s.data); k += 4 {
-					wide = binary.LittleEndian.AppendUint64(wide, uint64(int64(int32(binary.LittleEndian.Uint32(s.data[k:])))))
-				}
-				secs[i] = stateSection{s.id, 2, wide}
-			}
-		}
-		return secs
-	})
-}
-
-// matrixRows rewrites a built state file's one matrix (section base 100) as
-// files were written while a matrix kept its own rows: its score column
-// (103) compacted to the scored rows, with the rows' offsets (101) and a
-// copy of their paper IDs (102) before it. The scored contexts (100) are
-// references into the term dictionary, as the context set's are (in
-// section 1, after its kind and count), and section 3 delimits each set
-// context's members in section 4.
-func matrixRows(t *testing.T, path string) {
-	rewriteState(t, path, func(secs []stateSection) []stateSection {
-		by := map[uint32][]byte{}
-		for _, s := range secs {
-			by[s.id] = s.data
-		}
-		u32s := func(b []byte) []uint32 {
-			out := make([]uint32, len(b)/4)
-			for i := range out {
-				out[i] = binary.LittleEndian.Uint32(b[4*i:])
-			}
-			return out
-		}
-		meta := by[1]
-		row := map[uint32]int{}
-		for i, r := range u32s(meta[8 : 8+4*binary.LittleEndian.Uint32(meta[4:])]) {
-			row[r] = i
-		}
-		offs := u32s(by[3])
-		rowOffs := binary.LittleEndian.AppendUint32(nil, 0)
-		var docs, vals []byte
-		for _, r := range u32s(by[100]) {
-			lo, hi := offs[row[r]], offs[row[r]+1]
-			docs, vals = append(docs, by[4][4*lo:4*hi]...), append(vals, by[103][8*lo:8*hi]...)
-			rowOffs = binary.LittleEndian.AppendUint32(rowOffs, uint32(len(docs)/4))
-		}
-		var out []stateSection
-		for _, s := range secs {
-			if s.id == 103 {
-				out = append(out, stateSection{101, 1, rowOffs}, stateSection{102, 1, docs})
-				s.data = vals
-			}
-			out = append(out, s)
-		}
-		return out
-	})
-}
-
-// weightColumn rewrites a state file's posting term frequencies (section
-// 21, uint16) as the float64 TF-IDF weights (section 11, element kind 3) in
-// their place: the layout of files written while a posting carried its
-// weight. Each weight is (1 + ln tf)·log(1 + N/df), from the DF table
-// (section 15: the document count N, the term count, then each term's
-// length-prefixed string and df) and the run offsets (section 9).
-func weightColumn(t *testing.T, path string) {
-	rewriteState(t, path, func(secs []stateSection) []stateSection {
-		by := map[uint32][]byte{}
-		for _, s := range secs {
-			by[s.id] = s.data
-		}
-		df := by[15]
-		docs := float64(binary.LittleEndian.Uint64(df))
-		idf := make([]float64, binary.LittleEndian.Uint32(df[8:]))
-		at := 12
-		for i := range idf {
-			at += 4 + int(binary.LittleEndian.Uint32(df[at:]))
-			idf[i] = math.Log(1 + docs/float64(binary.LittleEndian.Uint32(df[at:])))
-			at += 4
-		}
-		offs := by[9]
-		for i, s := range secs {
-			if s.id != 21 {
-				continue
-			}
-			var w []byte
-			for term := range idf {
-				lo, hi := binary.LittleEndian.Uint32(offs[4*term:]), binary.LittleEndian.Uint32(offs[4*term+4:])
-				for k := lo; k < hi; k++ {
-					tf := float64(binary.LittleEndian.Uint16(s.data[2*k:]))
-					w = binary.LittleEndian.AppendUint64(w, math.Float64bits((1+math.Log(tf))*idf[term]))
-				}
-			}
-			secs[i] = stateSection{11, 3, w}
-		}
-		return secs
-	})
-}
-
-// formerStateSHA256 is the SHA-256 of the state file `-papers 800 -terms
-// 160 build` wrote while its postings carried float64 weights.
-const formerStateSHA256 = "45ce6446638a2f7a5e5fce75260645b9ed709f6c577a3bbb90c2c837b5210577"
-
-// TestWeightColumnIsFormerFile: the TF column holds exactly what the weight
-// column held — the 800-paper state file, its term frequencies rewritten as
-// weights (weightColumn), is the file the weight-column writer wrote, byte
-// for byte.
-func TestWeightColumnIsFormerFile(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("float bits are pinned on amd64 only: other targets may fuse multiply-adds")
-	}
-	path := filepath.Join(t.TempDir(), "state.bin")
-	var buf bytes.Buffer
-	if err := run([]string{"-papers", "800", "-terms", "160", "-state", path, "build"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	weightColumn(t, path)
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := sha256.Sum256(img); hex.EncodeToString(sum[:]) != formerStateSHA256 {
-		t.Fatalf("rewritten state file (%d bytes) has SHA-256 %x, want %s", len(img), sum, formerStateSHA256)
-	}
-}
-
-// requireServeRefuses boots serve with args and requires it to exit with
-// an error containing every want, and /readyz never to answer 200 meanwhile.
+// requireServeRefuses runs args, a serve or shard command, and requires it
+// to exit with an error containing every want, and /readyz never to answer
+// 200 meanwhile.
 func requireServeRefuses(t *testing.T, args []string, want ...string) {
 	t.Helper()
 	out := &syncBuffer{}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	done := make(chan error, 1)
-	go func() { done <- runCtx(ctx, append(args, "-addr", "127.0.0.1:0", "serve"), out) }()
+	go func() { done <- runCtx(ctx, append([]string{"-addr", "127.0.0.1:0"}, args...), out) }()
 	listenRE := regexp.MustCompile(`listening on (\S+)`)
 	for {
 		select {
 		case err := <-done:
 			for _, w := range want {
 				if err == nil || !strings.Contains(err.Error(), w) {
-					t.Fatalf("serve: err = %v, want one naming %q\n%s", err, w, out.String())
+					t.Fatalf("%v: err = %v, want one naming %q\n%s", args, err, w, out.String())
 				}
 			}
 			return
@@ -610,7 +432,7 @@ func requireServeRefuses(t *testing.T, args []string, want ...string) {
 			if resp, err := http.Get("http://" + m[1] + "/readyz"); err == nil {
 				resp.Body.Close()
 				if resp.StatusCode == 200 {
-					t.Fatalf("serve answered /readyz 200:\n%s", out.String())
+					t.Fatalf("%v answered /readyz 200:\n%s", args, out.String())
 				}
 			}
 		}
@@ -629,31 +451,40 @@ func builtState(t *testing.T) []string {
 	return args
 }
 
-// TestServeRefusesInt64PaperIDs: serve booted on a state file whose paper
-// IDs are 8 bytes wide exits with the section-kind error that names the
-// rebuild, and /readyz never answers 200 meanwhile.
-func TestServeRefusesInt64PaperIDs(t *testing.T) {
+// TestServeRefusesV5: serve booted on a version-5 state file exits with the
+// version error that names the rebuild, and /readyz never answers 200
+// meanwhile.
+func TestServeRefusesV5(t *testing.T) {
 	args := builtState(t)
-	widenPaperIDs(t, args[len(args)-1])
-	requireServeRefuses(t, args, "holds int64 elements, this binary reads int32", "ctxsearch build -state")
+	path := args[len(args)-1]
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(img[8:], 5)
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	requireServeRefuses(t, append(args, "serve"), "version 5", "ctxsearch build -state")
 }
 
-// TestServeRefusesMatrixRows: serve booted on a state file whose matrix
-// keeps its own rows exits with the error that names the retired sections
-// and the rebuild, and /readyz never answers 200 meanwhile.
-func TestServeRefusesMatrixRows(t *testing.T) {
+// TestStateCorpusMismatch: a state built from the seed-1 corpus and booted
+// with -seed 2 would answer with plausible rows of another corpus. Every
+// command refuses it instead, naming both fingerprints — a one-shot search,
+// serve, and a shard, whose /readyz never answers 200.
+func TestStateCorpusMismatch(t *testing.T) {
 	args := builtState(t)
-	matrixRows(t, args[len(args)-1])
-	requireServeRefuses(t, args, "sections 101 and 102", "ctxsearch build -state")
-}
-
-// TestServeRefusesWeightColumn: serve booted on a state file whose postings
-// carry float64 weights exits with the error that names section 11, the
-// layout change and the rebuild, and /readyz never answers 200 meanwhile.
-func TestServeRefusesWeightColumn(t *testing.T) {
-	args := builtState(t)
-	weightColumn(t, args[len(args)-1])
-	requireServeRefuses(t, args, "section 11", "term frequency (section 21)", "ctxsearch build -state")
+	var buf bytes.Buffer
+	err := run(append(args, "-seed", "2", "search", "transcription"), &buf)
+	if err == nil || !strings.Contains(err.Error(), "fingerprint") || strings.Count(err.Error(), "the ontology and corpus loaded here have") != 1 {
+		t.Fatalf("seed-2 search over a seed-1 state: err = %v\n%s", err, buf.String())
+	}
+	if err := run(append(args, "search", "transcription"), &buf); err != nil {
+		t.Fatalf("the state's own seed: %v", err)
+	}
+	for _, cmd := range [][]string{{"serve"}, {"-shard-index", "0", "-shard-count", "2", "shard"}} {
+		requireServeRefuses(t, append(append(args, "-seed", "2"), cmd...), "fingerprint", "-seed")
+	}
 }
 
 func TestBooleanSearchCommand(t *testing.T) {

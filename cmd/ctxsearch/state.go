@@ -63,7 +63,9 @@ func load(o dataOpts, rebuild bool) (*app, error) {
 // openState memory-maps the state file (byte-copies it where mmap is
 // unavailable) and binds the engine's arrays to it directly
 // (ctxsearch.NewFrozenSystem). Producing the inputs, nearly all of a boot,
-// is its first stage, as in buildSystem.
+// is its first stage, as in buildSystem. The state must have been built from
+// the very ontology and corpus the flags produced: its fingerprint is
+// compared with theirs, and a mismatch is an error naming both.
 func openState(o dataOpts) (_ *app, err error) {
 	t0 := time.Now()
 	onto, c, generated, err := loadOrGenData(o, false)
@@ -97,6 +99,11 @@ func openState(o dataOpts) (_ *app, err error) {
 	}
 	if a.sys, err = ctxsearch.NewFrozenSystem(onto, c, a.parts, df, o.cfg); err != nil {
 		return nil, err
+	}
+	var fp [32]byte
+	a.sys.BuildStats().Time("fingerprint", c.Len(), "papers", func() { fp = store.Fingerprint(onto, c) })
+	if fp != mapped.Fingerprint() {
+		return nil, fmt.Errorf("the state was built from inputs with fingerprint %x, the ontology and corpus loaded here have %x — pass the -seed, -papers, -terms, -corpus and -obo it was built with, or rebuild it with `ctxsearch build -state …`", mapped.Fingerprint(), fp)
 	}
 	a.sys.BuildStats().Add("state-map", mapDur, 0, "")
 	a.sys.BuildStats().AddFirst(inputsStage(generated), inputsDur, c.Len(), "papers")
@@ -138,6 +145,9 @@ func buildState(o dataOpts) (*app, error) {
 			Index:      a.parts,
 			DF:         sys.Analyzer().DF(),
 		}
+		sys.BuildStats().Time("fingerprint", sys.Corpus.Len(), "papers", func() {
+			st.Fingerprint = store.Fingerprint(sys.Ontology, sys.Corpus)
+		})
 		var serr error
 		sys.BuildStats().Time("state-save", 0, "", func() {
 			serr = store.SaveFile(o.statePath, st)

@@ -189,9 +189,13 @@ func NewSystem(o *Ontology, c *Corpus, cfg Config) (*System, error) {
 	st.Time("analyze", c.Len(), "papers", func() {
 		s.analyzer = corpus.NewAnalyzerWorkers(c, workers)
 	})
+	var err error
 	st.Time("index", c.Len(), "papers", func() {
-		s.index = index.BuildWorkers(s.analyzer, workers)
+		s.index, err = index.BuildWorkers(s.analyzer, workers)
 	})
+	if err != nil {
+		return nil, fmt.Errorf("ctxsearch: building the index: %w", err)
+	}
 	return s, nil
 }
 

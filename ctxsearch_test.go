@@ -1,8 +1,13 @@
 package ctxsearch
 
 import (
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+
+	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/ontology"
 )
 
 // smallConfig keeps façade tests fast.
@@ -43,6 +48,37 @@ func TestNewSyntheticSystem(t *testing.T) {
 func TestNewSystemValidation(t *testing.T) {
 	if _, err := NewSystem(nil, nil, DefaultConfig()); err == nil {
 		t.Fatal("nil inputs must fail")
+	}
+}
+
+// TestNewSystemRefusesTFPastPosting: a posting stores its term frequency in
+// 16 bits, so a loaded corpus whose body repeats one word 65 536 times is an
+// error naming the paper and the term, not a panic.
+func TestNewSystemRefusesTFPastPosting(t *testing.T) {
+	o := ontology.New()
+	if err := o.Add(ontology.Term{ID: "GO:1", Name: "repair"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Build(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := corpus.NewCorpus([]*corpus.Paper{
+		{ID: 0, Title: "dna repair"},
+		{ID: 1, Title: "one word", Body: strings.Repeat("helicase ", 65536)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "corpus.gob")
+	if err := c.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = corpus.LoadFile(path); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewSystem(o, c, DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), `paper 1, term "helicas"`) || !strings.Contains(err.Error(), "65535") {
+		t.Fatalf("err = %v, want one naming paper 1, its term and the TF ceiling", err)
 	}
 }
 

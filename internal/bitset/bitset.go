@@ -1,8 +1,7 @@
 // Package bitset implements a dense bitmap over small-integer IDs (paper
-// IDs in this codebase). The query hot path uses it for context-membership
-// tests: a word-indexed bit probe replaces a map[PaperID]bool lookup, and
-// whole context paper sets union in O(words) for single-pass multi-context
-// scoring.
+// IDs in this codebase). The query hot path sets the selected contexts'
+// member runs in one and restricts its single index pass to it: a
+// word-indexed bit probe replaces a map[PaperID]bool lookup.
 package bitset
 
 // Set is a bitmap over non-negative integers. The zero value is an empty

@@ -45,7 +45,7 @@ func BenchmarkTextContextSet(b *testing.B) {
 }
 
 func benchTextContextSet(b *testing.B, o *ontology.Ontology, a *corpus.Analyzer) {
-	ix := index.BuildWorkers(a, 0)
+	ix := must(index.BuildWorkers(a, 0))
 	cfg := DefaultConfig()
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -75,12 +75,12 @@ func DefaultConfig() Config {
 
 // ContextSet is an immutable paper-to-context assignment, held flat: member
 // runs in CSR layout (context rows ascending by term ID, each run's papers
-// ascending, scores parallel) plus each context's membership bitmap as a
-// packed word run — the two representations the query hot path reads, and
-// the arrays the state file stores verbatim (Frozen). The builders produce
-// it through builder.finish, a state file through FromFrozen; either way the
-// slices are never mutated or appended to, so mapping-backed (read-only)
-// memory is safe.
+// ascending, scores parallel) — the one membership form, read by the query
+// hot path and stored verbatim by the state file (Frozen). A paper →
+// context transpose of the runs serves ContextsOf; it is derived in memory,
+// never stored. The builders produce a set through builder.finish, a state
+// file through FromFrozen; either way the slices are never mutated or
+// appended to, so mapping-backed (read-only) memory is safe.
 type ContextSet struct {
 	kind Kind
 	onto *ontology.Ontology
@@ -90,8 +90,10 @@ type ContextSet struct {
 	offsets []int32
 	docs    []corpus.PaperID
 	scores  []float64
-	wordOff []int32
-	words   []uint64
+	// byPaper transposes the runs: paper p's contexts are the rows
+	// ctxOf[byPaper[p]:byPaper[p+1]], ascending.
+	byPaper []int32
+	ctxOf   []int32
 
 	reps map[ontology.TermID]corpus.PaperID
 	// decay[ctx] < 1 when ctx inherited its papers from an ancestor.
@@ -106,10 +108,30 @@ func (cs *ContextSet) run(i int32) ([]corpus.PaperID, []float64) {
 	return cs.docs[lo:hi], cs.scores[lo:hi]
 }
 
-// bits returns the membership bitset of the i-th context, aliasing words.
-func (cs *ContextSet) bits(i int32) bitset.Set {
-	return bitset.Set(cs.words[cs.wordOff[i]:cs.wordOff[i+1]])
+// transpose fills byPaper and ctxOf from the runs, whose members are all
+// below papers, in one pass over the members. Rows are visited in
+// ascending order, so each paper's contexts come out ascending by term ID.
+func (cs *ContextSet) transpose(papers int) {
+	cs.byPaper = make([]int32, papers+1)
+	for _, d := range cs.docs {
+		cs.byPaper[d+1]++
+	}
+	for p := range papers {
+		cs.byPaper[p+1] += cs.byPaper[p]
+	}
+	next := slices.Clone(cs.byPaper[:papers])
+	cs.ctxOf = make([]int32, len(cs.docs))
+	for i := range cs.ctxs {
+		docs, _ := cs.run(int32(i))
+		for _, d := range docs {
+			cs.ctxOf[next[d]] = int32(i)
+			next[d]++
+		}
+	}
 }
+
+// papers returns the paper count of the corpus the set was built over.
+func (cs *ContextSet) papers() int { return len(cs.byPaper) - 1 }
 
 // Kind returns how the set was constructed.
 func (cs *ContextSet) Kind() Kind { return cs.kind }
@@ -150,16 +172,17 @@ func (cs *ContextSet) Papers(ctx ontology.TermID) []corpus.PaperID {
 	return append([]corpus.PaperID{}, docs...)
 }
 
-// PaperBitset returns the membership of a context as a bitmap over paper
-// IDs. The set aliases the context's word run and is shared: callers must
-// not modify it (union it into a set of their own with UnionWith). No
-// lock, no cache, no allocation; safe for concurrent use.
+// PaperBitset returns the membership of a context as a new bitmap over
+// paper IDs, ending at its last member (nil for an empty context).
+//
+// Deprecated: membership is the context's run; read it with Papers or
+// Contains. Kept for bench/ref.go, and goes with the ROADMAP 1(e) unpin.
 func (cs *ContextSet) PaperBitset(ctx ontology.TermID) bitset.Set {
-	i, ok := cs.ord[ctx]
-	if !ok {
-		return nil
+	var out bitset.Set
+	for _, p := range cs.Papers(ctx) {
+		out.Add(int(p))
 	}
-	return cs.bits(i)
+	return out
 }
 
 // Size returns the number of papers in a context.
@@ -171,10 +194,16 @@ func (cs *ContextSet) Size(ctx ontology.TermID) int {
 	return int(cs.offsets[i+1] - cs.offsets[i])
 }
 
-// Contains reports membership of a paper in a context.
+// Contains reports membership of a paper in a context, by binary search
+// over the context's run.
 func (cs *ContextSet) Contains(ctx ontology.TermID, p corpus.PaperID) bool {
 	i, ok := cs.ord[ctx]
-	return ok && cs.bits(i).Contains(int(p))
+	if !ok {
+		return false
+	}
+	docs, _ := cs.run(i)
+	_, found := slices.BinarySearch(docs, p)
+	return found
 }
 
 // Representative returns the representative paper of a context in the
@@ -203,11 +232,12 @@ func (cs *ContextSet) InheritedFrom(ctx ontology.TermID) (ontology.TermID, bool)
 
 // ContextsOf returns the contexts containing a paper, sorted by term ID.
 func (cs *ContextSet) ContextsOf(p corpus.PaperID) []ontology.TermID {
+	if p < 0 || int(p) >= cs.papers() {
+		return nil
+	}
 	var out []ontology.TermID
-	for i, ctx := range cs.ctxs {
-		if cs.bits(int32(i)).Contains(int(p)) {
-			out = append(out, ctx)
-		}
+	for _, i := range cs.ctxOf[cs.byPaper[p]:cs.byPaper[p+1]] {
+		out = append(out, cs.ctxs[i])
 	}
 	return out
 }
@@ -218,16 +248,18 @@ func (cs *ContextSet) ContextsOf(p corpus.PaperID) []ontology.TermID {
 type builder struct {
 	kind          Kind
 	onto          *ontology.Ontology
+	papers        int // the corpus's paper count, which bounds every member
 	members       map[ontology.TermID]map[corpus.PaperID]float64
 	reps          map[ontology.TermID]corpus.PaperID
 	decay         map[ontology.TermID]float64
 	inheritedFrom map[ontology.TermID]ontology.TermID
 }
 
-func newBuilder(kind Kind, onto *ontology.Ontology) *builder {
+func newBuilder(kind Kind, onto *ontology.Ontology, papers int) *builder {
 	return &builder{
 		kind:          kind,
 		onto:          onto,
+		papers:        papers,
 		members:       make(map[ontology.TermID]map[corpus.PaperID]float64),
 		reps:          make(map[ontology.TermID]corpus.PaperID),
 		decay:         make(map[ontology.TermID]float64),
@@ -253,7 +285,7 @@ func (b *builder) add(ctx ontology.TermID, p corpus.PaperID, score float64) {
 
 // finish flattens the accumulated memberships. The layout is fully
 // deterministic: contexts ascending by term ID, runs ascending by paper ID
-// with the scores add kept, one bitset.Set's words per context.
+// with the scores add kept.
 func (b *builder) finish() *ContextSet {
 	ctxs := make([]ontology.TermID, 0, len(b.members))
 	nnz := 0
@@ -272,7 +304,6 @@ func (b *builder) finish() *ContextSet {
 		offsets:       make([]int32, len(ctxs)+1),
 		docs:          make([]corpus.PaperID, 0, nnz),
 		scores:        make([]float64, 0, nnz),
-		wordOff:       make([]int32, len(ctxs)+1),
 		reps:          b.reps,
 		decay:         b.decay,
 		inheritedFrom: b.inheritedFrom,
@@ -285,16 +316,13 @@ func (b *builder) finish() *ContextSet {
 		}
 		run := cs.docs[lo:]
 		slices.Sort(run)
-		bits := bitset.New(int(run[len(run)-1]) + 1)
 		for _, id := range run {
 			cs.scores = append(cs.scores, m[id])
-			bits.Add(int(id))
 		}
-		cs.words = append(cs.words, bits...)
 		cs.ord[ctx] = int32(i)
 		cs.offsets[i+1] = int32(len(cs.docs))
-		cs.wordOff[i+1] = int32(len(cs.words))
 	}
+	cs.transpose(b.papers)
 	return cs
 }
 
@@ -328,8 +356,8 @@ func chooseRepresentative(a *corpus.Analyzer, evidence []corpus.PaperID) corpus.
 // ancestors; contexts still empty inherit the closest non-empty ancestor's
 // papers with RateOfDecay damping.
 func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.Ontology, cfg Config, pcfg pattern.Config) *ContextSet {
-	b := newBuilder(PatternBased, onto)
 	c := a.Corpus()
+	b := newBuilder(PatternBased, onto, c.Len())
 	pcfg.Extended = false // simplified variant
 	termDF := pattern.TermWordDF(onto, ix)
 	mcfg := pattern.DefaultMatchConfig()

@@ -42,7 +42,7 @@ func scoreOf(cs *ContextSet, ctx ontology.TermID, p corpus.PaperID) float64 {
 
 func TestBuildTextBased(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig())
 	if cs.Kind() != TextBased {
 		t.Fatal("kind wrong")
 	}
@@ -84,8 +84,8 @@ func TestTextBasedThresholdMonotone(t *testing.T) {
 	loose.TextThreshold = 0.05
 	strict := DefaultConfig()
 	strict.TextThreshold = 0.5
-	csLoose := BuildTextBased(index.BuildWorkers(a, 0), o, loose)
-	csStrict := BuildTextBased(index.BuildWorkers(a, 0), o, strict)
+	csLoose := BuildTextBased(must(index.BuildWorkers(a, 0)), o, loose)
+	csStrict := BuildTextBased(must(index.BuildWorkers(a, 0)), o, strict)
 	totalLoose, totalStrict := 0, 0
 	for _, ctx := range csLoose.Contexts() {
 		totalLoose += csLoose.Size(ctx)
@@ -103,7 +103,7 @@ func TestTextBasedMaxPerContext(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TextThreshold = 0.01
 	cfg.MaxPerContext = 7
-	cs := BuildTextBased(index.BuildWorkers(a, 0), o, cfg)
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg)
 	for _, ctx := range cs.Contexts() {
 		// Evidence papers are added on top of the cap, so allow the slack.
 		if cs.Size(ctx) > cfg.MaxPerContext+6 {
@@ -189,7 +189,7 @@ func TestPatternBasedInheritance(t *testing.T) {
 
 func TestContextsWithMinSize(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig())
 	all := cs.Contexts()
 	big := cs.ContextsWithMinSize(10)
 	if len(big) > len(all) {
@@ -204,7 +204,7 @@ func TestContextsWithMinSize(t *testing.T) {
 
 func TestContextsOf(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig())
 	// Any evidence paper must list its term among its contexts.
 	term := c.EvidenceTerms()[0]
 	e := c.EvidencePapers(term)[0]
@@ -230,7 +230,7 @@ func TestKindString(t *testing.T) {
 
 func TestPaperSetIsCopy(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig())
 	ctx := cs.Contexts()[0]
 	var set bitset.Set
 	set.UnionWith(cs.PaperBitset(ctx))
@@ -250,9 +250,17 @@ func TestParallelConstructionMatchesSerial(t *testing.T) {
 	parallel := DefaultConfig()
 	parallel.Workers = 4
 
-	tix := index.BuildWorkers(a, 0)
+	tix := must(index.BuildWorkers(a, 0))
 	ts, tp := BuildTextBased(tix, o, serial), BuildTextBased(tix, o, parallel)
 	requireSameFrozen(t, "text", ts.Freeze(), tp.Freeze())
 	ps, pp := BuildPatternBased(ix, a, o, serial, pattern.DefaultConfig()), BuildPatternBased(ix, a, o, parallel, pattern.DefaultConfig())
 	requireSameFrozen(t, "pattern", ps.Freeze(), pp.Freeze())
+}
+
+// must returns v, panicking on err: the fixtures' corpora always index.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
-	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
@@ -31,7 +31,9 @@ func requireSameFrozen(t *testing.T, name string, want, got *Frozen) {
 // TestFinishLayoutHandSorted pins finish on a fixture small enough to sort by
 // hand: contexts ascending, runs ascending by paper, a repeated add keeping
 // the highest score whichever order the adds came in, a score past 1 clamped,
-// and one packed bitmap run per context.
+// and each paper's contexts transposed from the runs. FromFrozen refuses the
+// same arrays with one member made negative, out of order, repeated or at
+// the paper count: the runs index per-paper scratch.
 func TestFinishLayoutHandSorted(t *testing.T) {
 	o := ontology.New()
 	for _, id := range []ontology.TermID{"GO:1", "GO:2", "GO:3"} {
@@ -42,7 +44,7 @@ func TestFinishLayoutHandSorted(t *testing.T) {
 	if err := o.Build(); err != nil {
 		t.Fatal(err)
 	}
-	b := newBuilder(PatternBased, o)
+	b := newBuilder(PatternBased, o, 7)
 	b.add("GO:3", 5, 0.25)
 	b.add("GO:2", 4, 0.5)
 	b.add("GO:2", 1, 0.2) // lower first,
@@ -62,8 +64,7 @@ func TestFinishLayoutHandSorted(t *testing.T) {
 		Offsets:       []int32{0, 4, 6},
 		Docs:          []corpus.PaperID{0, 1, 3, 4, 2, 5},
 		Scores:        []float64{1, 0.7, 1, 0.5, 0.125, 0.25},
-		WordOffsets:   []int32{0, 1, 2},
-		Words:         []uint64{1<<0 | 1<<1 | 1<<3 | 1<<4, 1<<2 | 1<<5},
+		Papers:        7,
 		Reps:          map[ontology.TermID]corpus.PaperID{"GO:2": 3},
 		Decay:         map[ontology.TermID]float64{"GO:3": 0.5},
 		InheritedFrom: map[ontology.TermID]ontology.TermID{"GO:3": "GO:2"},
@@ -75,15 +76,29 @@ func TestFinishLayoutHandSorted(t *testing.T) {
 	if cs.Contains("GO:1", 0) || cs.Size("GO:1") != 0 || cs.PaperBitset("GO:1") != nil {
 		t.Fatal("a context nothing was added to must be absent")
 	}
-	if got := cs.ContextsOf(1); !reflect.DeepEqual(got, []ontology.TermID{"GO:2"}) {
-		t.Fatalf("ContextsOf(1) = %v", got)
+	if !cs.Contains("GO:2", 4) || cs.Contains("GO:2", 2) || cs.Contains("GO:3", 6) {
+		t.Fatal("Contains disagrees with the runs")
+	}
+	for p, want := range [][]ontology.TermID{{"GO:2"}, {"GO:2"}, {"GO:3"}, {"GO:2"}, {"GO:2"}, {"GO:3"}, nil, nil} {
+		if got := cs.ContextsOf(corpus.PaperID(p)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ContextsOf(%d) = %v, want %v", p, got, want)
+		}
+	}
+	for k, d := range map[int]corpus.PaperID{0: -1, 1: 5, 2: 1, 5: 7} {
+		f := *want
+		f.Docs = slices.Clone(want.Docs)
+		f.Docs[k] = d
+		if _, err := FromFrozen(o, &f); err == nil {
+			t.Fatalf("FromFrozen accepts member %d at %d of %v", d, k, f.Docs)
+		}
 	}
 }
 
 // TestFinishLayoutRoundTrips: whatever a builder produced must be a layout
 // FromFrozen accepts (it validates what finish promises: ascending contexts,
-// spanning offsets) and binds to the same arrays, with every run ascending
-// and every bitmap run the run's papers — per builder, over three corpora.
+// spanning offsets, runs ascending below the paper count) and binds to the
+// same arrays, and ContextsOf lists exactly the contexts whose runs hold a
+// paper — per builder, over three corpora.
 func TestFinishLayoutRoundTrips(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		o, err := ontology.Generate(ontology.GenConfig{Seed: seed, NumTerms: 40, MaxDepth: 6, SecondParentProb: 0.1})
@@ -98,7 +113,7 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 		}
 		a := corpus.NewAnalyzerWorkers(c, 0)
 		for name, built := range map[string]*ContextSet{
-			"text":     BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig()),
+			"text":     BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig()),
 			"pattern":  BuildPatternBased(pattern.NewPosIndex(a), a, o, DefaultConfig(), pattern.DefaultConfig()),
 			"gopubmed": BuildGoPubMedStyle(a, o, 0.5),
 		} {
@@ -112,9 +127,12 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 				t.Fatalf("%s: FromFrozen rejects what finish built: %v", name, err)
 			}
 			requireSameFrozen(t, name, f, bound.Freeze())
+			if f.Papers != c.Len() {
+				t.Fatalf("%s: set over %d papers, corpus has %d", name, f.Papers, c.Len())
+			}
+			of := make([][]ontology.TermID, c.Len())
 			for i, ctx := range f.Ctxs {
 				docs := f.Docs[f.Offsets[i]:f.Offsets[i+1]]
-				var bits bitset.Set
 				for k, d := range docs {
 					if k > 0 && docs[k-1] >= d {
 						t.Fatalf("%s: run of %s not strictly ascending at %d", name, ctx, k)
@@ -122,25 +140,32 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 					if s := f.Scores[int(f.Offsets[i])+k]; !(s > 0 && s <= 1) {
 						t.Fatalf("%s: score %v of paper %d in %s outside (0,1]", name, s, d, ctx)
 					}
-					bits.Add(int(d))
+					of[d] = append(of[d], ctx)
 				}
-				if len(docs) == 0 || !reflect.DeepEqual([]uint64(bits), f.Words[f.WordOffsets[i]:f.WordOffsets[i+1]]) {
-					t.Fatalf("%s: %s has %d papers and a bitmap run that is not theirs", name, ctx, len(docs))
+				if len(docs) == 0 {
+					t.Fatalf("%s: %s has no papers", name, ctx)
 				}
 				if !reflect.DeepEqual(bound.Papers(ctx), built.Papers(ctx)) || bound.Size(ctx) != len(docs) {
 					t.Fatalf("%s: accessors disagree on %s", name, ctx)
+				}
+			}
+			for p, want := range of {
+				for _, cs := range []*ContextSet{built, bound} {
+					if got := cs.ContextsOf(corpus.PaperID(p)); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: ContextsOf(%d) = %v, want %v", name, p, got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestBuiltSetConcurrentReads reads bitmaps and membership of a freshly
-// built (not state-loaded) set from 8 goroutines, as a first-boot server's
-// request goroutines do with no lock; run under -race.
+// TestBuiltSetConcurrentReads reads membership and the paper → context
+// transpose of a freshly built (not state-loaded) set from 8 goroutines, as
+// a first-boot server's request goroutines do with no lock; run under -race.
 func TestBuiltSetConcurrentReads(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(index.BuildWorkers(a, 0), o, DefaultConfig())
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig())
 	ctxs := cs.Contexts()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -149,18 +174,19 @@ func TestBuiltSetConcurrentReads(t *testing.T) {
 			defer wg.Done()
 			for k := range ctxs {
 				ctx := ctxs[(k+g)%len(ctxs)]
-				bits, n := cs.PaperBitset(ctx), 0
+				n := 0
 				for p := 0; p < c.Len(); p++ {
-					if cs.Contains(ctx, corpus.PaperID(p)) != bits.Contains(p) {
-						t.Errorf("%s: Contains and PaperBitset disagree on paper %d", ctx, p)
+					in := cs.Contains(ctx, corpus.PaperID(p))
+					if in != slices.Contains(cs.ContextsOf(corpus.PaperID(p)), ctx) {
+						t.Errorf("%s: Contains and ContextsOf disagree on paper %d", ctx, p)
 						return
 					}
-					if bits.Contains(p) {
+					if in {
 						n++
 					}
 				}
 				if n != cs.Size(ctx) {
-					t.Errorf("%s: bitmap holds %d papers, set %d", ctx, n, cs.Size(ctx))
+					t.Errorf("%s: %d papers are members, set size %d", ctx, n, cs.Size(ctx))
 					return
 				}
 			}

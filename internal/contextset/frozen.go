@@ -19,10 +19,10 @@ type Frozen struct {
 	Offsets []int32
 	Docs    []corpus.PaperID
 	Scores  []float64
-	// WordOffsets delimit bitmap runs: context i's membership bitset.Set is
-	// Words[WordOffsets[i]:WordOffsets[i+1]].
-	WordOffsets []int32
-	Words       []uint64
+	// Papers is the paper count of the corpus the set was built over:
+	// every member is below it. The state file does not store it; its
+	// reader takes the index's document count.
+	Papers int
 
 	Reps          map[ontology.TermID]corpus.PaperID
 	Decay         map[ontology.TermID]float64
@@ -33,8 +33,7 @@ type Frozen struct {
 func (cs *ContextSet) Freeze() *Frozen {
 	return &Frozen{
 		Kind: cs.kind,
-		Ctxs: cs.ctxs, Offsets: cs.offsets, Docs: cs.docs, Scores: cs.scores,
-		WordOffsets: cs.wordOff, Words: cs.words,
+		Ctxs: cs.ctxs, Offsets: cs.offsets, Docs: cs.docs, Scores: cs.scores, Papers: cs.papers(),
 		Reps: cs.reps, Decay: cs.decay, InheritedFrom: cs.inheritedFrom,
 	}
 }
@@ -46,25 +45,23 @@ func (cs *ContextSet) Freeze() *Frozen {
 // set's lifetime. Terms unknown to the ontology are an error — the arrays
 // are only valid against the ontology they were built from.
 //
-// Validation is O(contexts), never O(nnz): per-element run content is the
-// writer's contract, guarded on disk by section CRCs.
+// The runs are the set's only membership and index per-request scratch, so
+// one O(members) pass requires each to be strictly ascending paper IDs in
+// [0, Papers), and builds the paper → context transpose. Scores are
+// the writer's contract, guarded on disk by section CRCs.
 func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 	if f == nil {
 		return nil, fmt.Errorf("contextset: nil frozen set")
 	}
 	n := len(f.Ctxs)
-	if len(f.Offsets) != n+1 || len(f.WordOffsets) != n+1 {
-		return nil, fmt.Errorf("contextset: %d contexts need %d offsets, have %d/%d",
-			n, n+1, len(f.Offsets), len(f.WordOffsets))
+	if len(f.Offsets) != n+1 {
+		return nil, fmt.Errorf("contextset: %d contexts need %d offsets, have %d", n, n+1, len(f.Offsets))
 	}
 	if len(f.Docs) != len(f.Scores) {
 		return nil, fmt.Errorf("contextset: %d docs vs %d scores", len(f.Docs), len(f.Scores))
 	}
 	if f.Offsets[0] != 0 || int(f.Offsets[n]) != len(f.Docs) {
 		return nil, fmt.Errorf("contextset: offsets span [%d, %d), want [0, %d)", f.Offsets[0], f.Offsets[n], len(f.Docs))
-	}
-	if f.WordOffsets[0] != 0 || int(f.WordOffsets[n]) != len(f.Words) {
-		return nil, fmt.Errorf("contextset: word offsets span [%d, %d), want [0, %d)", f.WordOffsets[0], f.WordOffsets[n], len(f.Words))
 	}
 	cs := &ContextSet{
 		kind:          f.Kind,
@@ -74,8 +71,6 @@ func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 		offsets:       f.Offsets,
 		docs:          f.Docs,
 		scores:        f.Scores,
-		wordOff:       f.WordOffsets,
-		words:         f.Words,
 		reps:          f.Reps,
 		decay:         f.Decay,
 		inheritedFrom: f.InheritedFrom,
@@ -87,8 +82,15 @@ func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 		if i > 0 && f.Ctxs[i-1] >= ctx {
 			return nil, fmt.Errorf("contextset: contexts not strictly ascending at row %d (%s)", i, ctx)
 		}
-		if f.Offsets[i] > f.Offsets[i+1] || f.WordOffsets[i] > f.WordOffsets[i+1] {
-			return nil, fmt.Errorf("contextset: offsets decrease at row %d (%s)", i, ctx)
+		if f.Offsets[i] > f.Offsets[i+1] || int(f.Offsets[i+1]) > len(f.Docs) {
+			return nil, fmt.Errorf("contextset: offsets decrease or overrun at row %d (%s)", i, ctx)
+		}
+		prev := corpus.PaperID(-1)
+		for k, d := range f.Docs[f.Offsets[i]:f.Offsets[i+1]] {
+			if d <= prev || int(d) >= f.Papers {
+				return nil, fmt.Errorf("contextset: run of %s is not strictly ascending paper IDs in [0, %d) at member %d (paper %d)", ctx, f.Papers, k, d)
+			}
+			prev = d
 		}
 		cs.ord[ctx] = int32(i)
 	}
@@ -97,5 +99,6 @@ func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 			return nil, fmt.Errorf("contextset: frozen rep references unknown term %s", ctx)
 		}
 	}
+	cs.transpose(f.Papers)
 	return cs, nil
 }

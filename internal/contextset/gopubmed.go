@@ -19,9 +19,9 @@ func BuildGoPubMedStyle(a *corpus.Analyzer, onto *ontology.Ontology, minWordFrac
 	if minWordFraction <= 0 || minWordFraction > 1 {
 		minWordFraction = 1
 	}
-	b := newBuilder(TextBased, onto)
 	tok := a.Tokenizer()
 	c := a.Corpus()
+	b := newBuilder(TextBased, onto, c.Len())
 
 	// Precompute each paper's abstract word support.
 	abstractWords := make([]map[string]bool, c.Len())

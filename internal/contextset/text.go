@@ -31,8 +31,8 @@ import (
 // cfg.Workers; each worker needs scratch for one representative only.
 func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *ContextSet {
 	a := ix.Analyzer()
-	b := newBuilder(TextBased, onto)
 	c := a.Corpus()
+	b := newBuilder(TextBased, onto, c.Len())
 	// terms ascends by term ID, so a context's ordinal orders like its ID.
 	var terms []ontology.TermID
 	for _, term := range c.EvidenceTerms() {

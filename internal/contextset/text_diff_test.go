@@ -31,7 +31,7 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := corpus.NewAnalyzerWorkers(c, 0)
-		ix := index.BuildWorkers(a, 0)
+		ix := must(index.BuildWorkers(a, 0))
 		for _, threshold := range []float64{0, DefaultConfig().TextThreshold, 0.9} {
 			for _, top := range []int{0, 1, 3} {
 				for _, maxPer := range []int{0, 5} {
@@ -169,7 +169,7 @@ func randomFixture(t *testing.T, seed int64) (*ontology.Ontology, *corpus.Analyz
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	return o, a, index.BuildWorkers(a, 0)
+	return o, a, must(index.BuildWorkers(a, 0))
 }
 
 // tieFixture is what random corpora never produce: four contexts whose
@@ -200,7 +200,7 @@ func tieFixture(t *testing.T) (*ontology.Ontology, *corpus.Analyzer, *index.Inde
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	return o, a, index.BuildWorkers(a, 0)
+	return o, a, must(index.BuildWorkers(a, 0))
 }
 
 // TestBuildTextBasedBreaksTiesLikeReference: the top-M merge must fall back

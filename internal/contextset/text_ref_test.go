@@ -16,8 +16,8 @@ import (
 // analyzer's DF table), with each representative chosen by the map-form
 // centroid.
 func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Config) *ContextSet {
-	b := newBuilder(TextBased, onto)
 	c := a.Corpus()
+	b := newBuilder(TextBased, onto, c.Len())
 	vecs := make([]vector.Sparse, c.Len())
 	for i, p := range c.Papers() {
 		tf := vector.New()

@@ -40,7 +40,11 @@ func frozenTiny(tb testing.TB) (eager, frozen *corpus.Analyzer) {
 func TestSurfaceFormTableIsCorpusBounded(t *testing.T) {
 	eager, a := frozenTiny(t)
 	c := a.Corpus()
-	ix, err := index.FromParts(a, index.BuildWorkers(eager, 0).Parts())
+	built, err := index.BuildWorkers(eager, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := index.FromParts(a, built.Parts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
@@ -41,7 +40,10 @@ func buildFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.BuildWorkers(a, 0)
+	ix, err := index.BuildWorkers(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scores := prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1)
 	cached = &fixture{
@@ -60,23 +62,20 @@ type scoreMap map[ontology.TermID]map[corpus.PaperID]float64
 func matrixOf(t *testing.T, s scoreMap) *prestige.Matrix {
 	t.Helper()
 	onto := ontology.New()
-	f := &contextset.Frozen{Offsets: []int32{0}, WordOffsets: []int32{0}}
+	f := &contextset.Frozen{Offsets: []int32{0}}
 	var vals, rowMax []float64
 	for _, ctx := range sortedKeys(s) {
 		if err := onto.Add(ontology.Term{ID: ctx, Name: string(ctx)}); err != nil {
 			t.Fatal(err)
 		}
-		var bits bitset.Set
 		rowMax = append(rowMax, 0)
 		for _, d := range sortedKeys(s[ctx]) {
 			v := s[ctx][d]
 			f.Docs, f.Scores, vals = append(f.Docs, d), append(f.Scores, 1), append(vals, v)
 			rowMax[len(rowMax)-1] = max(rowMax[len(rowMax)-1], v)
-			bits.Add(int(d))
+			f.Papers = max(f.Papers, int(d)+1)
 		}
 		f.Ctxs, f.Offsets = append(f.Ctxs, ctx), append(f.Offsets, int32(len(f.Docs)))
-		f.Words = append(f.Words, bits...)
-		f.WordOffsets = append(f.WordOffsets, int32(len(f.Words)))
 	}
 	if err := onto.Build(); err != nil {
 		t.Fatal(err)

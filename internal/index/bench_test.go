@@ -17,7 +17,7 @@ func benchIndex(b *testing.B) *Index {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
+	return must(BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0))
 }
 
 func BenchmarkBuild(b *testing.B) {
@@ -27,7 +27,7 @@ func BenchmarkBuild(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildWorkers(a, 0)
+		_ = must(BuildWorkers(a, 0))
 	}
 }
 
@@ -40,7 +40,7 @@ func benchIndexBuild(b *testing.B, workers int) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildWorkers(a, workers)
+		_ = must(BuildWorkers(a, workers))
 	}
 }
 

@@ -17,7 +17,11 @@ func buildExampleIndex() *index.Index {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return index.BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
+	ix, err := index.BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return ix
 }
 
 func ExampleIndex_Search() {

@@ -123,9 +123,11 @@ func (ix *Index) Weight(t int32, tf uint16) float64 {
 // the sequential build. workers <= 0 selects GOMAXPROCS.
 //
 // A posting keeps the term frequency its weight was computed from (see
-// tfOf). BuildWorkers panics if a weight is not (1 + ln tf)·idf for an
-// integer 1 <= tf <= 65535 — the width of a posting's TF — bit for bit.
-func BuildWorkers(a *corpus.Analyzer, workers int) *Index {
+// tfOf). BuildWorkers returns an error, naming the paper and the term, if a
+// weight is not (1 + ln tf)·idf for an integer 1 <= tf <= 65535 — the width
+// of a posting's TF — bit for bit: a loaded corpus can repeat a word more
+// often than that.
+func BuildWorkers(a *corpus.Analyzer, workers int) (*Index, error) {
 	c := a.Corpus()
 	return buildPapers(a, sortedPapers(c, 0, c.Len()), workers)
 }
@@ -145,7 +147,7 @@ func sortedPapers(c *corpus.Corpus, lo, hi int) []*corpus.Paper {
 
 // buildPapers runs the sharded build pipeline over an explicit paper list
 // (ascending ID order).
-func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) *Index {
+func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) (*Index, error) {
 	n := a.Corpus().Len()
 	nTerms := len(a.DF().Terms())
 	idf := a.DF().IDFs()
@@ -193,6 +195,7 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) *Index
 	docs := make([]corpus.PaperID, total)
 	tf := make([]uint16, total)
 	maxTF := make([]int, len(shards))
+	errs := make([]error, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
 		next := bases[si]
 		for i := sh.Lo; i < sh.Hi; i++ {
@@ -201,7 +204,8 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) *Index
 			for k, t := range r.Terms {
 				f, err := tfOf(r.Weights[k], idf[t])
 				if err != nil {
-					panic(fmt.Sprintf("index: paper %d, term %q: %v", p.ID, a.Term(t), err))
+					errs[si] = fmt.Errorf("index: paper %d, term %q: %w", p.ID, a.Term(t), err)
+					return
 				}
 				slot := next[t]
 				docs[slot] = p.ID
@@ -211,7 +215,11 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) *Index
 			}
 		}
 	})
-	return newIndex(a, offsets, docs, tf, norms, slices.Max(append(maxTF, 0)))
+	// The first failing shard holds the lowest paper ID that fails.
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
+	}
+	return newIndex(a, offsets, docs, tf, norms, slices.Max(append(maxTF, 0))), nil
 }
 
 // tfOf returns the term frequency tf whose weight (1 + ln tf)·idf is w, bit

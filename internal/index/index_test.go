@@ -25,7 +25,7 @@ func buildTestIndex(t testing.TB) (*Index, *corpus.Corpus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0), c
+	return must(BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)), c
 }
 
 func TestSearchRanking(t *testing.T) {
@@ -123,7 +123,7 @@ func TestIndexOnGeneratedCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0)
+	ix := must(BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0))
 	if ix.Terms() == 0 {
 		t.Fatal("no terms indexed")
 	}
@@ -316,4 +316,12 @@ func TestSearchTopKCancellation(t *testing.T) {
 	if hits, err := ix.SearchVectorContext(ctx, qv, Options{Limit: 10}); err != context.Canceled || hits != nil {
 		t.Fatalf("cancelled Limit search = (%v, %v), want (nil, context.Canceled)", hits, err)
 	}
+}
+
+// must returns v, panicking on err: the fixtures' corpora always index.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

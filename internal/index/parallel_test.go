@@ -21,9 +21,9 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	seq := BuildWorkers(a, 1)
+	seq := must(BuildWorkers(a, 1))
 	for _, workers := range []int{2, 3, 8} {
-		par := BuildWorkers(a, workers)
+		par := must(BuildWorkers(a, workers))
 		if !reflect.DeepEqual(seq.offsets, par.offsets) {
 			t.Fatalf("workers=%d: CSR offsets differ", workers)
 		}
@@ -51,8 +51,8 @@ func TestParallelBuildSearchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	seq := BuildWorkers(a, 1)
-	par := BuildWorkers(a, 4)
+	seq := must(BuildWorkers(a, 1))
+	par := must(BuildWorkers(a, 4))
 	for _, q := range []string{
 		"regulation of rna transcription factor binding",
 		"dna repair damage response",
@@ -80,7 +80,7 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	full := BuildWorkers(a, 4)
+	full := must(BuildWorkers(a, 4))
 
 	// Full-range build is the whole index.
 	whole := buildRangeWorkers(a, 0, c.Len(), 2)

@@ -19,7 +19,7 @@ func partsFixture(t *testing.T) (*corpus.Analyzer, *Index) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	return a, BuildWorkers(a, 0)
+	return a, must(BuildWorkers(a, 0))
 }
 
 // TestPartsRoundTrip: extracting the CSR arrays and rebinding them must
@@ -85,7 +85,7 @@ func TestFromPartsValidation(t *testing.T) {
 // is bit for bit the full index's: the range restricts which documents have
 // postings, never how they are weighted.
 func buildRangeWorkers(a *corpus.Analyzer, lo, hi, workers int) *Index {
-	return buildPapers(a, sortedPapers(a.Corpus(), lo, hi), workers)
+	return must(buildPapers(a, sortedPapers(a.Corpus(), lo, hi), workers))
 }
 
 // TestSliceRangeMatchesRangeBuild: an engine-visible equivalence between

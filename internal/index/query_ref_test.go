@@ -288,7 +288,7 @@ func TestBooleanEvaluatorMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		eager := corpus.NewAnalyzerWorkers(c, 0)
-		ix := BuildWorkers(eager, 0)
+		ix := must(BuildWorkers(eager, 0))
 		ref := newRefAnalysis(eager)
 		check := func(label string, ix *Index, exprs int) {
 			compared, nonEmpty := booleanBattery(t, label, ix, ref, seed*31, exprs)

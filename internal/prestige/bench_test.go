@@ -31,7 +31,7 @@ func benchFix(b *testing.B) *fixture {
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
-		text: contextset.BuildTextBased(index.BuildWorkers(a, 0), o, cfg),
+		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg),
 		pat:  contextset.BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig()),
 	}
 	return cachedFixture
@@ -137,7 +137,7 @@ func bigFix(b *testing.B) (*corpus.Corpus, *contextset.ContextSet) {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	cs := contextset.BuildTextBased(index.BuildWorkers(a, 0), o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.DefaultConfig())
 	if n := len(cs.Contexts()); n < 1000 {
 		b.Fatalf("fixture too small: %d contexts, want >= 1000", n)
 	}

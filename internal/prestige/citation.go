@@ -1,6 +1,7 @@
 package prestige
 
 import (
+	"slices"
 	"sync"
 
 	"ctxsearch/internal/citegraph"
@@ -49,11 +50,6 @@ type CrossContextWeights struct {
 	Related float64
 	// Unrelated is the weight of edges to papers of unrelated contexts.
 	Unrelated float64
-	// Semantic grades the weight continuously instead of the binary
-	// related/unrelated split: weight = Unrelated + (Related−Unrelated) ·
-	// LinSimilarity(ctx, other). The §7 text sketches exactly this "assign
-	// a higher weight the closer the relative" policy.
-	Semantic bool
 }
 
 // NewCitationScorer builds the scorer over the corpus-wide citation graph.
@@ -112,7 +108,6 @@ func (s *CitationScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.Te
 // average sums them in that (ascending paper-ID) order, so the bonus has
 // the same bits on every run.
 func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ontology.TermID, papers []corpus.PaperID, scores []float64) {
-	inCtx := cs.PaperBitset(ctx)
 	var avg float64
 	for _, v := range scores {
 		avg += v
@@ -130,25 +125,15 @@ func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ont
 		neighbors = append(neighbors, s.graph.In(int(p))...)
 		neighbors = append(neighbors, s.graph.Out(int(p))...)
 		for _, q := range neighbors {
-			if inCtx.Contains(int(q)) {
+			qid := corpus.PaperID(q)
+			if _, in := slices.BinarySearch(papers, qid); in {
 				continue // in-context edges already counted by PageRank
 			}
-			qid := corpus.PaperID(q)
 			w := s.CrossContextWeight.Unrelated
-			if s.CrossContextWeight.Semantic {
-				best := 0.0
-				for _, qctx := range cs.ContextsOf(qid) {
-					if lin := onto.LinSimilarity(ctx, qctx); lin > best {
-						best = lin
-					}
-				}
-				w += float64((s.CrossContextWeight.Related - s.CrossContextWeight.Unrelated) * best)
-			} else {
-				for _, qctx := range cs.ContextsOf(qid) {
-					if onto.HierarchicallyRelated(ctx, qctx) {
-						w = s.CrossContextWeight.Related
-						break
-					}
+			for _, qctx := range cs.ContextsOf(qid) {
+				if onto.HierarchicallyRelated(ctx, qctx) {
+					w = s.CrossContextWeight.Related
+					break
 				}
 			}
 			bonus += w

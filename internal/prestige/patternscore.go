@@ -3,6 +3,7 @@ package prestige
 import (
 	"sync"
 
+	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
@@ -80,8 +81,12 @@ func (s *PatternScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.Ter
 	if len(members) == 0 {
 		return true
 	}
+	within := bitset.New(int(members[len(members)-1]) + 1)
+	for _, p := range members {
+		within.Add(int(p))
+	}
 	scores := make([]float64, c.Len())
-	s.patternsFor(c, term).ScorePapers(s.ix, cs.PaperBitset(ctx), s.mcfg, scores)
+	s.patternsFor(c, term).ScorePapers(s.ix, within, s.mcfg, scores)
 	for i, p := range members {
 		vals[i] = scores[p]
 	}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
@@ -46,7 +45,7 @@ func buildFixture(t *testing.T) *fixture {
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
-		text: contextset.BuildTextBased(index.BuildWorkers(a, 0), o, cfg),
+		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg),
 		pat:  contextset.BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig()),
 	}
 	return cachedFixture
@@ -95,22 +94,19 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 func matrixOf(t testing.TB, s mapScores) *Matrix {
 	t.Helper()
 	onto := ontology.New()
-	f := &contextset.Frozen{Offsets: []int32{0}, WordOffsets: []int32{0}}
+	f := &contextset.Frozen{Offsets: []int32{0}}
 	var vals []float64
 	var spans []span
 	for _, ctx := range sortedKeys(s) {
 		if err := onto.Add(ontology.Term{ID: ctx, Name: string(ctx)}); err != nil {
 			t.Fatal(err)
 		}
-		var bits bitset.Set
 		for _, d := range sortedKeys(s[ctx]) {
 			f.Docs, f.Scores, vals = append(f.Docs, d), append(f.Scores, 1), append(vals, s[ctx][d])
-			bits.Add(int(d))
+			f.Papers = max(f.Papers, int(d)+1)
 		}
 		spans = append(spans, span{f.Offsets[len(f.Offsets)-1], int32(len(f.Docs))})
 		f.Ctxs, f.Offsets = append(f.Ctxs, ctx), append(f.Offsets, int32(len(f.Docs)))
-		f.Words = append(f.Words, bits...)
-		f.WordOffsets = append(f.WordOffsets, int32(len(f.Words)))
 	}
 	if err := onto.Build(); err != nil {
 		t.Fatal(err)
@@ -168,10 +164,10 @@ func TestCitationScorerUsesOnlyInContextEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	cs := contextset.BuildTextBased(index.BuildWorkers(a, 0), o, contextset.Config{TextThreshold: 2}) // only evidence
+	cs := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.Config{TextThreshold: 2}) // only evidence
 	// Manually verify context membership via evidence + threshold: context
 	// has only paper 0. Extend membership by lowering threshold instead:
-	cs = contextset.BuildTextBased(index.BuildWorkers(a, 0), o, contextset.Config{TextThreshold: 0.01})
+	cs = contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.Config{TextThreshold: 0.01})
 	if !cs.Contains("GO:2", 1) || !cs.Contains("GO:2", 2) {
 		t.Skip("fixture too dissimilar for text assignment; skipping")
 	}
@@ -495,4 +491,12 @@ func TestScorerInterfaceCompliance(t *testing.T) {
 			t.Fatal("empty scorer name")
 		}
 	}
+}
+
+// must returns v, panicking on err: the fixtures' corpora always index.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -175,8 +175,8 @@ func TestNegativeWeightTakesSortFallback(t *testing.T) {
 }
 
 // handFixture is a hand-built merge input: an engine holding only a prestige
-// matrix and weights, a scratch whose membership bitsets are set directly,
-// and the selected contexts — everything mergeHits reads.
+// matrix and weights, a fresh scratch, and the selected contexts —
+// everything mergeHits reads.
 type handFixture struct {
 	e    *Engine
 	sc   *scratch
@@ -191,23 +191,20 @@ type scoreMap map[ontology.TermID]map[corpus.PaperID]float64
 // map's scores as its column.
 func matrixOf(s scoreMap) *prestige.Matrix {
 	onto := ontology.New()
-	f := &contextset.Frozen{Offsets: []int32{0}, WordOffsets: []int32{0}}
+	f := &contextset.Frozen{Offsets: []int32{0}}
 	var vals, rowMax []float64
 	for _, ctx := range sortedKeys(s) {
 		if err := onto.Add(ontology.Term{ID: ctx, Name: string(ctx)}); err != nil {
 			panic(err)
 		}
-		var bits bitset.Set
 		rowMax = append(rowMax, 0)
 		for _, d := range sortedKeys(s[ctx]) {
 			v := s[ctx][d]
 			f.Docs, f.Scores, vals = append(f.Docs, d), append(f.Scores, 1), append(vals, v)
 			rowMax[len(rowMax)-1] = max(rowMax[len(rowMax)-1], v)
-			bits.Add(int(d))
+			f.Papers = max(f.Papers, int(d)+1)
 		}
 		f.Ctxs, f.Offsets = append(f.Ctxs, ctx), append(f.Offsets, int32(len(f.Docs)))
-		f.Words = append(f.Words, bits...)
-		f.WordOffsets = append(f.WordOffsets, int32(len(f.Words)))
 	}
 	if err := onto.Build(); err != nil {
 		panic(err)
@@ -233,38 +230,24 @@ func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	return out
 }
 
-// newHandFixture makes every listed context contain papers [0, papers).
+// newHandFixture selects ctxs, each with weight 1, over a context set whose
+// runs are exactly the scoreMap's papers, all below papers.
 func newHandFixture(w Weights, scores scoreMap, papers int, ctxs ...ontology.TermID) *handFixture {
 	h := &handFixture{
 		e:  &Engine{matrix: matrixOf(scores), weights: w},
 		sc: &scratch{hitOf: make([]int32, papers)},
 	}
-	all := bitset.New(papers)
-	for p := 0; p < papers; p++ {
-		all.Add(p)
-	}
 	for _, c := range ctxs {
 		h.ctxs = append(h.ctxs, ContextScore{Context: c, Score: 1})
-		h.sc.member = append(h.sc.member, all)
 	}
 	return h
-}
-
-// restrict makes the i-th selected context contain exactly docs. The bitset
-// is grown by Add, so like a context set's own it ends at the last member.
-func (h *handFixture) restrict(i int, docs ...int) {
-	var mb bitset.Set
-	for _, d := range docs {
-		mb.Add(d)
-	}
-	h.sc.member[i] = mb
 }
 
 // reference is naive.go's merge over hits: each selected context searches
 // the fixed hit list restricted to its members.
 func (h *handFixture) reference(t *testing.T, hits []index.Hit, opts Options) []Result {
 	t.Helper()
-	out, err := h.e.mergeNaive(h.ctxs, h.sc.member, opts, func(within bitset.Set) ([]index.Hit, error) {
+	out, err := h.e.mergeNaive(h.ctxs, h.e.members(h.ctxs), opts, func(within bitset.Set) ([]index.Hit, error) {
 		var in []index.Hit
 		for _, hit := range hits {
 			if within.Contains(int(hit.Doc)) {
@@ -302,7 +285,7 @@ func docsOf(rs []Result) []corpus.PaperID {
 // relevancy the match score itself, so its low mantissa bits can be set at
 // will: with 8 hits the keys drop 3 bits, and docs 0..3 differ only there.
 func truncatedKeyFixture() (*handFixture, []index.Hit) {
-	h := newHandFixture(Weights{Prestige: 0, Matching: 1}, scoreMap{"A": {0: 0.5}}, 8, "A")
+	h := newHandFixture(Weights{Prestige: 0, Matching: 1}, scoreMap{"A": {0: 0.5, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 0}}, 8, "A")
 	base := math.Float64bits(0.5)
 	return h, []index.Hit{
 		{Doc: 0, Score: math.Float64frombits(base | 1)},
@@ -321,32 +304,37 @@ func truncatedKeyFixture() (*handFixture, []index.Hit) {
 func TestMergeTieFixtures(t *testing.T) {
 	plain := Weights{Prestige: 0.5, Matching: 0.5}
 
-	t.Run("members are found across word boundaries, short bitsets and windows", func(t *testing.T) {
+	t.Run("members come from each run, scattered or searched", func(t *testing.T) {
+		long := map[corpus.PaperID]float64{}
+		for d := corpus.PaperID(0); d < 200; d += 2 {
+			if d != 100 {
+				long[d] = float64(d) / 400
+			}
+		}
 		h := newHandFixture(plain, scoreMap{
-			"A": {63: 0.25, 64: 0.125},
-			"B": {64: 0.5, 127: 0.125, 128: 0.875},
-			"C": {7: 1},
+			"A": {5: 0, 63: 0.25, 64: 0.125}, // ends before the last hit
+			"B": {64: 0.5, 127: 0.125, 128: 0.875, 190: 0},
+			"C": {7: 1, 70: 0}, // no member among the hits
 			"D": {5: 0.75, 63: 1},
-			"E": {1: 0.5},
-		}, 200, "A", "B", "C", "D", "E")
-		h.restrict(0, 5, 63, 64)         // two words, the hits need three
-		h.restrict(1, 64, 127, 128, 190) // 190 is a member the run does not list
-		h.restrict(2, 7, 70)             // no member among the hits
-		h.restrict(3, 5)                 // D's only member; 63 is scored but not a member
-		h.restrict(4, 63)                // a member E does not score, right after D scored it: prestige 0, not 1
+			"E": {1: 0.5, 63: 0}, // a member scored 0
+			"F": long,            // over 8 members per hit: each hit is searched in the run
+		}, 200, "A", "B", "C", "D", "E", "F")
 		// Doc 100 is in no context.
 		hits := []index.Hit{
 			{Doc: 63, Score: 0.875}, {Doc: 64, Score: 0.75}, {Doc: 128, Score: 0.625}, {Doc: 127, Score: 0.5},
 			{Doc: 5, Score: 0.375}, {Doc: 190, Score: 0.25}, {Doc: 100, Score: 0.125},
 		}
-		if words := len(h.sc.member[0]); words >= 190/64+1 {
-			t.Fatalf("fixture broken: context A's bitset has %d words, want fewer than the hit bitset's", words)
+		if len(long) <= 8*len(hits) {
+			t.Fatalf("fixture broken: F's run of %d takes the scatter", len(long))
 		}
 		full := h.reference(t, hits, Options{})
-		if want := []corpus.PaperID{128, 64, 5, 63, 127, 190}; !slices.Equal(docsOf(full), want) {
+		if want := []corpus.PaperID{63, 128, 64, 5, 190, 127}; !slices.Equal(docsOf(full), want) {
 			t.Fatalf("fixture broken: reference order %v, want %v", docsOf(full), want)
 		}
-		if r := full[2]; r.Context != "D" || r.Prestige != 0.75 {
+		if r := full[4]; r.Context != "F" {
+			t.Fatalf("fixture broken: doc 190 should be won by F, through the binary search: %+v", r)
+		}
+		if r := full[3]; r.Context != "D" || r.Prestige != 0.75 {
 			t.Fatalf("fixture broken: doc 5 should be won by D, its only scoring context: %+v", r)
 		}
 		for _, opts := range []Options{{}, {Threshold: 0.3}, {Limit: 1}, {Limit: 2}, {Limit: 2, Offset: 1}, {Limit: 3, Threshold: 0.3}} {
@@ -427,7 +415,7 @@ func TestMergeTieFixtures(t *testing.T) {
 		old := keyIndexBits
 		keyIndexBits = 2 // 8 hits need 3
 		t.Cleanup(func() { keyIndexBits = old })
-		h := newHandFixture(plain, scoreMap{"A": {0: 0.1, 3: 0.9, 5: 0.4}}, 8, "A")
+		h := newHandFixture(plain, scoreMap{"A": {0: 0.1, 1: 0, 2: 0, 3: 0.9, 4: 0, 5: 0.4, 6: 0, 7: 0}}, 8, "A")
 		var hits []index.Hit
 		for d := 0; d < 8; d++ {
 			hits = append(hits, index.Hit{Doc: corpus.PaperID(d), Score: float64(d+1) / 16})

@@ -45,11 +45,14 @@ func (e *Engine) searchBooleanNaive(query string, opts Options) ([]Result, error
 	})
 }
 
-// members returns the selected contexts' membership bitsets.
+// members returns the selected contexts' memberships as bitsets, each set
+// from the context set's run.
 func (e *Engine) members(ctxs []ContextScore) []bitset.Set {
 	out := make([]bitset.Set, len(ctxs))
 	for i, c := range ctxs {
-		out[i] = e.matrix.ContextSet().PaperBitset(c.Context)
+		for _, p := range e.matrix.ContextSet().Papers(c.Context) {
+			out[i].Add(int(p))
+		}
 	}
 	return out
 }

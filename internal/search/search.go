@@ -10,7 +10,7 @@
 // The query hot path is engineered for throughput: context selection counts
 // token overlaps in a dense per-context array (only contexts sharing a query
 // token are visited), and Search/SearchBoolean score the union of the
-// selected contexts' paper bitsets in a single index pass, then fold each
+// selected contexts' member runs in a single index pass, then fold each
 // selected context's prestige run into per-hit best-relevancy arrays and
 // sort once. Results are identical to the retained naive per-context
 // implementation (see naive.go and the golden tests).
@@ -26,7 +26,6 @@ import (
 	"sync"
 
 	"ctxsearch/internal/bitset"
-	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
@@ -126,24 +125,18 @@ type Engine struct {
 
 // scratch is the reusable per-query arena. Selection counts query∩name
 // tokens in inter (all zero between queries, reset through touched); the
-// merge keeps the selected contexts' membership bitsets and their union,
-// the hit list, a dense doc→(hit index+1) table over every document of the
-// index (sparsely reset: only the hit docs are zeroed) with the same hits as
-// a bitset, the current context's members among the hits, one prestige row,
-// the per-hit fold state and the sort keys.
+// merge keeps the union of the selected contexts' runs, the hit list, a
+// dense doc→(hit index+1) table over every document of the index (sparsely
+// reset: only the hit docs are zeroed), the per-hit fold state and the sort
+// keys.
 type scratch struct {
 	inter   []int32
 	touched []int32
 	cands   []candidate
 
-	member []bitset.Set
-	union  bitset.Set
-	hits   []index.Hit
-	hitOf  []int32
-	hitSet bitset.Set
-	// members lists the hit indexes of the context being folded.
-	members []int32
-	row     []float64
+	union bitset.Set
+	hits  []index.Hit
+	hitOf []int32
 	// bestR/bestP/bestI[j] are hit j's best relevancy so far, the effective
 	// prestige behind it and the selection index of its context (-1: no
 	// context has admitted the hit).
@@ -324,21 +317,17 @@ func (e *Engine) expandSemantically(ctx context.Context, cands []candidate, opts
 	return out, nil
 }
 
-// bind points the scratch at the selected contexts: their membership
-// bitsets, fetched once for the index pass and the fold alike, and the
-// union of them the index pass is restricted to.
-func (sc *scratch) bind(cs *contextset.ContextSet, ctxs []ContextScore) bitset.Set {
-	sc.member = sc.member[:0]
-	words := 0
-	for _, c := range ctxs {
-		mb := cs.PaperBitset(c.Context)
-		sc.member = append(sc.member, mb)
-		words = max(words, len(mb))
-	}
-	sc.union = resized(sc.union, words)
+// bind sets the selected contexts' members in the union the index pass is
+// restricted to, a bitset over every document of the index. A context's
+// members are its matrix run: the set's run for every selectable context,
+// its in-range part on a shard's Slice.
+func (e *Engine) bind(sc *scratch, ctxs []ContextScore) bitset.Set {
+	sc.union = resized(sc.union, len(sc.hitOf)>>6+1)
 	clear(sc.union)
-	for _, mb := range sc.member {
-		sc.union.UnionWith(mb)
+	for _, c := range ctxs {
+		for _, d := range e.matrix.Run(c.Context).Docs {
+			sc.union[d>>6] |= 1 << (d & 63)
+		}
 	}
 	return sc.union
 }
@@ -399,7 +388,7 @@ func (e *Engine) search(ctx context.Context, query string, q index.Query, opts O
 	if err != nil || len(ctxs) == 0 {
 		return nil, err
 	}
-	iopts := index.Options{WithinSet: sc.bind(e.matrix.ContextSet(), ctxs), Threshold: e.indexThreshold(ctxs, opts)}
+	iopts := index.Options{WithinSet: e.bind(sc, ctxs), Threshold: e.indexThreshold(ctxs, opts)}
 	if q != nil {
 		sc.hits, err = e.ix.AppendQueryHits(ctx, q, iopts, sc.hits[:0])
 	} else {
@@ -484,24 +473,22 @@ func WorseResult(a, b Result) bool {
 }
 
 // fold scores the hits against the selected contexts, in selection order,
-// touching only the hits each context contains: the set bits of the
-// context's membership bitset ANDed with the hit bitset are mapped
-// through the doc→hit table into a member list (no per-hit membership
-// branch), the members' prestige is written into the row — 0 for a member the
-// CSR run does not list, the run's value times the context weight for one it
-// does — and folded into the per-hit best arrays. Only members' row slots are
-// read, and each is zeroed when its member is listed, so the row is never
-// reset: a context costs its members, not the hit list. The relevancy
-// expression and the threshold test are the naive loop's, and a later context
-// replaces an earlier one only on a strictly greater relevancy, so the first
-// selected context keeps ties — as there. Cancellation is checked between
-// context rows; a cancelled fold returns ctx.Err() with the doc→hit table
-// reset.
+// touching only the hits each context contains. A context's members among
+// the hits, and their prestige — the run's value times the context weight
+// — come from one scatter of its matrix run through the doc→hit table (the
+// run is the context's membership, see bind), or, for a run much longer
+// than the hit list, from a binary search of each hit in the run; each is
+// admitted as it is found, so a context costs its members, not the hit
+// list. The relevancy expression and the threshold test are the naive
+// loop's, and a later context replaces an earlier one only on a strictly
+// greater relevancy, so the first selected context keeps ties — as there.
+// Cancellation is checked between context rows; a cancelled fold returns
+// ctx.Err() with the doc→hit table reset.
 func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hits []index.Hit, threshold float64) error {
 	n := len(hits)
-	maxDoc := 0
+	maxDoc := corpus.PaperID(0)
 	for j, h := range hits {
-		maxDoc = max(maxDoc, int(h.Doc))
+		maxDoc = max(maxDoc, h.Doc)
 		sc.hitOf[h.Doc] = int32(j + 1)
 	}
 	defer func() {
@@ -509,17 +496,23 @@ func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hit
 			sc.hitOf[h.Doc] = 0
 		}
 	}()
-	hitSet := resized(sc.hitSet, maxDoc>>6+1)
-	clear(hitSet)
-	for _, h := range hits {
-		hitSet[h.Doc>>6] |= 1 << (h.Doc & 63)
-	}
-	row := resized(sc.row, n)
-	sc.hitSet, sc.row, sc.bestR, sc.bestP, sc.bestI = hitSet, row, resized(sc.bestR, n), resized(sc.bestP, n), resized(sc.bestI, n)
+	sc.bestR, sc.bestP, sc.bestI = resized(sc.bestR, n), resized(sc.bestP, n), resized(sc.bestI, n)
 	for j := range sc.bestI {
 		sc.bestI[j] = -1
 	}
 	wp, wm := e.weights.Prestige, e.weights.Matching
+	// admit folds prestige p of hit j in the i-th selected context into the
+	// hit's best: r = w_p·p + w_m·match, skipped below the threshold, taken
+	// when the hit has no context yet or r is strictly greater than its best.
+	admit := func(i, j int32, p float64) {
+		rel := float64(wp*p) + float64(wm*hits[j].Score)
+		if rel < threshold {
+			return
+		}
+		if sc.bestI[j] < 0 || rel > sc.bestR[j] {
+			sc.bestI[j], sc.bestR[j], sc.bestP[j] = i, rel, p
+		}
+	}
 	for i, c := range ctxs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -532,45 +525,25 @@ func (e *Engine) fold(ctx context.Context, sc *scratch, ctxs []ContextScore, hit
 		if e.weights.ContextWeighted {
 			w = c.Score
 		}
-		// A membership bitset ends at its context's last paper, so it can be
-		// shorter than the hit bitset.
-		mb := sc.member[i]
-		members := sc.members[:0]
-		for wi, x := range hitSet[:min(len(mb), len(hitSet))] {
-			for x &= mb[wi]; x != 0; x &= x - 1 {
-				j := sc.hitOf[wi<<6+bits.TrailingZeros64(x)] - 1
-				members = append(members, j)
-				row[j] = 0
-			}
-		}
-		sc.members = members
 		if len(run.Docs) <= n*8 {
-			// Scatter the context's CSR run through the dense doc→hit table:
-			// O(|run|) with O(1) array reads. Docs are sorted, so the scan
-			// stops at the last hit doc.
+			// Scatter the run through the dense doc→hit table: O(|run|) with
+			// O(1) array reads. Docs are sorted, so the scan stops at the
+			// last hit doc.
 			for k, d := range run.Docs {
-				if int(d) > maxDoc {
+				if d > maxDoc {
 					break
 				}
 				if j := sc.hitOf[d] - 1; j >= 0 {
-					row[j] = run.Vals[k] * w
+					admit(int32(i), j, run.Vals[k]*w)
 				}
 			}
 		} else {
-			// Run much longer than the hit list: per-member binary search over
+			// Run much longer than the hit list: a binary search per hit over
 			// the run's packed doc IDs wins.
-			for _, j := range members {
-				row[j] = run.Get(hits[j].Doc) * w
-			}
-		}
-		for _, j := range members {
-			p := row[j]
-			rel := float64(wp*p) + float64(wm*hits[j].Score)
-			if rel < threshold {
-				continue
-			}
-			if sc.bestI[j] < 0 || rel > sc.bestR[j] {
-				sc.bestI[j], sc.bestR[j], sc.bestP[j] = int32(i), rel, p
+			for j, h := range hits {
+				if k, ok := slices.BinarySearch(run.Docs, h.Doc); ok {
+					admit(int32(i), int32(j), run.Vals[k]*w)
+				}
 			}
 		}
 	}

@@ -41,7 +41,10 @@ func newFixture(t testing.TB, ontoSeed int64, gcfg corpus.GenConfig) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.BuildWorkers(a, 0)
+	ix, err := index.BuildWorkers(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	scorer := prestige.NewTextScorer(a, prestige.DefaultTextWeights())
 	scores := prestige.PropagateMax(o, prestige.Score(scorer, cs, 0, 1))

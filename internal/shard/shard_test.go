@@ -42,7 +42,10 @@ func buildFixture(t testing.TB) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.BuildWorkers(a, 0)
+	ix, err := index.BuildWorkers(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	m := prestige.PropagateMax(o, prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1))
 	cached = &fixture{

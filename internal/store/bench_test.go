@@ -26,7 +26,10 @@ func benchState(b *testing.B) (*ontology.Ontology, *State) {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.BuildWorkers(a, 0)
+	ix, err := index.BuildWorkers(a, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	return o, &State{
 		ContextSet: cs,

@@ -299,7 +299,7 @@ func TestOpenLazyCRCMismatch(t *testing.T) {
 func TestOpenTooNew(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
-	binary.LittleEndian.PutUint32(img[8:], version+2)
+	binary.LittleEndian.PutUint32(img[8:], version+1)
 	data := alignedBytes(len(img))
 	copy(data, img)
 	_, err := openBytes(data, false, o)
@@ -323,7 +323,7 @@ func TestOpenTooNew(t *testing.T) {
 func TestOpenTooOld(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
-	binary.LittleEndian.PutUint32(img[8:], version-1) // no checksum covers the header's version
+	binary.LittleEndian.PutUint32(img[8:], 4) // no checksum covers the header's version
 	_, err := Open(writeFile(t, img), o)
 	if err == nil {
 		t.Fatal("older version opened successfully")

@@ -10,25 +10,31 @@ import (
 
 // The state format is a sectioned binary file built for memory-mapped,
 // zero-copy opens. The magic marks the container; the version field inside
-// the header counts revisions: Save stamps 5 and Open reads exactly that.
-// Save writes every live section ID listed further down, and a reader
-// requires each one it materializes; a section whose ID it never asks for —
-// a retired one included — is ignored:
+// the header counts revisions: Save stamps 6 and Open reads exactly that —
+// a file of any other version is refused as a whole, naming the rebuild.
+// Save writes every section ID listed further down, and a reader requires
+// each one it materializes; a section whose ID it never asks for is
+// ignored:
 //
-//	header (24 bytes):
+//	header (56 bytes):
 //	  [8]byte  magic "CTXSRCH4"
-//	  uint32   version (5)
+//	  uint32   version (6)
 //	  uint32   section count
 //	  uint32   CRC32-C of the section table bytes
 //	  uint32   reserved (0)
+//	  [32]byte fingerprint: SHA-256 of the ontology and corpus the state
+//	           was built from (see Fingerprint)
 //	section table (count × 32 bytes, immediately after the header):
 //	  uint32   section id
-//	  uint32   element kind (bytes / int32 / int64 / float64 / uint64 / uint32 / uint16)
+//	  uint32   element kind (bytes / int32 / float64 / uint32 / uint16)
 //	  uint64   data offset from file start
 //	  uint64   data length in bytes
 //	  uint32   CRC32-C of the data
 //	  uint32   reserved (0)
 //	data sections, each aligned to 64 bytes (zero padding between)
+//
+// The fingerprint sits in the header rather than in a section: it is read
+// at every open, and a fixed field needs no section lookup or length check.
 //
 // All integers and floats are little-endian, fixed width. Numeric sections
 // are reinterpreted in place via unsafe.Slice — no per-element decode —
@@ -43,8 +49,8 @@ import (
 // sections, never faulting in the CSR payload pages.
 const (
 	magic       = "CTXSRCH4"
-	version     = 5
-	headerSize  = 24
+	version     = 6
+	headerSize  = 56
 	secHdrSize  = 32
 	secAlign    = 64
 	maxSections = 1 << 16
@@ -52,22 +58,20 @@ const (
 
 // Section element kinds. The kind fixes the element size, and with it the
 // alignment the section offset must satisfy; a reader also refuses a
-// section whose kind is not the one it reinterprets the bytes as. No live
-// section is written as int64 any more: the kind stays so that a file whose
-// paper-ID columns are 8 bytes wide is named as such. The one uint16
-// section is the postings' term frequencies (21).
+// section whose kind is not the one it reinterprets the bytes as. Kinds 2
+// (int64) and 4 (uint64) are retired and stay gaps, so that no other kind's
+// value moves. The one uint16 section is the postings' term frequencies
+// (21).
 const (
-	kindBytes = uint32(iota)
-	kindI32
-	kindI64
-	kindF64
-	kindU64
-	kindU32
-	kindU16
+	kindBytes = uint32(0)
+	kindI32   = uint32(1)
+	kindF64   = uint32(3)
+	kindU32   = uint32(5)
+	kindU16   = uint32(6)
 )
 
-// kindNames spells each element kind in errors.
-var kindNames = [...]string{kindBytes: "bytes", kindI32: "int32", kindI64: "int64", kindF64: "float64", kindU64: "uint64", kindU32: "uint32", kindU16: "uint16"}
+// kindNames spells each element kind in errors; a retired kind has none.
+var kindNames = [...]string{kindBytes: "bytes", kindI32: "int32", kindF64: "float64", kindU32: "uint32", kindU16: "uint16"}
 
 // elemSize returns the element width of a section kind (1 for raw bytes).
 func elemSize(kind uint32) int {
@@ -76,7 +80,7 @@ func elemSize(kind uint32) int {
 		return 2
 	case kindI32, kindU32:
 		return 4
-	case kindI64, kindF64, kindU64:
+	case kindF64:
 		return 8
 	default:
 		return 1
@@ -85,35 +89,17 @@ func elemSize(kind uint32) int {
 
 // Section IDs. The context-set and index sections have fixed IDs; each
 // prestige matrix gets a block of IDs starting at a base recorded in the
-// matrix directory.
-//
-// Retired IDs, never to be reused: 13 and 14 (per-term max posting weight
-// and max weight/norm ratio) and 17–20 (block size, per-term block offsets,
-// per-block max weight and max ratio). Version-5 files written before the
-// block-max evaluator was deleted carry them; Open ignores them. A matrix's
-// base+1 and base+2 (its rows' offsets and a copy of their paper IDs, beside
-// a column compacted to the scored rows) are retired too: Matrix refuses a
-// file that carries them by name. So is 11, the postings' float64 TF-IDF
-// weights: a posting now stores its term frequency (21), from which the
-// reader derives the weight under the DF table (15), and IndexParts refuses
-// a file that carries 11 by name.
-//
-// Paper IDs (sections 4 and 10) are int32, the width of corpus.PaperID.
-// Version-5 files written while paper IDs were int64 carry sections 4 and
-// 10 as int64; the reader refuses them by their element kind and names the
-// rebuild.
+// matrix directory. IDs that earlier versions wrote are never reused: 6, 7,
+// 11, 13, 14, 17–20, and a matrix's base+1 and base+2.
 const (
 	secCSMeta       = uint32(1)  // bytes: kind, member ctx refs, reps, decay, inheritedFrom
 	secTermDict     = uint32(2)  // bytes: shared term-ID string table
 	secCSOffsets    = uint32(3)  // int32: member run offsets
 	secCSDocs       = uint32(4)  // int32: member paper IDs
 	secCSScores     = uint32(5)  // float64: assignment scores
-	secCSWordOffs   = uint32(6)  // int32: bitmap word-run offsets
-	secCSWords      = uint32(7)  // uint64: bitmap words
 	secIdxTerms     = uint32(8)  // bytes: index term dictionary
 	secIdxOffsets   = uint32(9)  // int32: posting run offsets
 	secIdxDocs      = uint32(10) // int32: posting doc IDs
-	secIdxRetiredW  = uint32(11) // retired: float64 posting weights
 	secIdxNorms     = uint32(12) // float64: per-document vector norms
 	secDF           = uint32(15) // bytes: document-frequency table
 	secMatrixDir    = uint32(16) // bytes: score-function name → section base
@@ -125,11 +111,9 @@ const (
 // Per-matrix section offsets from its base: a matrix is a score column over
 // the context set's members (sections 3 and 4).
 const (
-	matCtxs           = uint32(0) // uint32: refs into the shared term dictionary
-	matRetiredOffsets = uint32(1) // retired: row offsets of the compacted column
-	matRetiredDocs    = uint32(2) // retired: the rows' private copy of the paper IDs
-	matVals           = uint32(3) // float64: one score per context-set member
-	matRowMax         = uint32(4) // float64: per-row maxima
+	matCtxs   = uint32(0) // uint32: refs into the shared term dictionary
+	matVals   = uint32(3) // float64: one score per context-set member
+	matRowMax = uint32(4) // float64: per-row maxima
 )
 
 // castagnoli is the CRC32-C polynomial table (hardware-accelerated on
@@ -190,20 +174,6 @@ func asU16s(b []byte) []uint16 {
 	return out
 }
 
-func asU64s(b []byte) []uint64 {
-	if len(b) == 0 {
-		return nil
-	}
-	if hostLittleEndian {
-		return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), len(b)/8)
-	}
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return out
-}
-
 func asF64s(b []byte) []float64 {
 	if len(b) == 0 {
 		return nil
@@ -244,14 +214,6 @@ func encodeU16s(v []uint16) []byte {
 	b := make([]byte, 2*len(v))
 	for i, x := range v {
 		binary.LittleEndian.PutUint16(b[2*i:], x)
-	}
-	return b
-}
-
-func encodeU64s(v []uint64) []byte {
-	b := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], x)
 	}
 	return b
 }

@@ -3,11 +3,13 @@ package store
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
+	"ctxsearch/internal/search"
 	"ctxsearch/internal/vector"
 )
 
@@ -57,32 +59,30 @@ func patchImage(img []byte, id uint32, entry bool, at int32, patch []byte) {
 // FuzzOpenBytes patches a valid 150-paper image and seals its CRCs (see
 // patchImage). Open, every materializer — context set, index parts, DF
 // table, each matrix — and index.FromParts must each return an error or a
-// component; none may panic, and an index that binds must answer a query
-// over its whole dictionary, which walks every posting. Each input patches
-// two images: the one Save writes, and one in the layout whose matrices
-// kept their own rows (rowLayoutImage), which Matrix refuses by name. The
+// component; none may panic. A set that binds must answer ContextsOf for
+// every paper, an index that binds must answer a query over its whole
+// dictionary, which walks every posting, and an engine over a matrix and
+// index that bind must search every context the matrix scores. The
 // checked-in seeds hold decreasing posting offsets, a last offset past the
 // docs, a term dictionary whose count overflows its section, a section that
-// overlaps the header, and four hostile TF columns (section 21): a TF of 0,
-// an odd length, the column relabelled uint32, and a column shorter than
-// the docs. The seeds added below patch a posting doc, relabel the posting
-// docs' section with another 4-byte element kind, which the kind check must
-// refuse, and relabel the row-layout image's retired row offsets as another
-// section, leaving its retired paper IDs to name the layout.
+// overlaps the header, four hostile TF columns (section 21: a TF of 0, an
+// odd length, the column relabelled uint32, a column shorter than the
+// docs), and three hostile member runs (section 4: a negative member, a run
+// out of order, a member at the paper count). The seeds added below patch
+// a posting doc, relabel the posting docs' section with another 4-byte
+// element kind, which the kind check must refuse, and relabel a section
+// with the retired element kind 2.
 func FuzzOpenBytes(f *testing.F) {
 	o, _, a, st := fixtureWithIndex(f)
 	img := v5Bytes(f, st)
-	imgs := [][]byte{img, rowLayoutImage(f, a, st)}
 	f.Add(uint32(secIdxDocs), false, int32(0), []byte{0xff})
 	f.Add(uint32(secIdxDocs), true, int32(4), []byte{byte(kindU32)})
-	f.Add(secMatrixBase+matRetiredOffsets, true, int32(0), []byte{0xe8, 0x03})
+	f.Add(uint32(secCSDocs), true, int32(4), []byte{2})
 	f.Fuzz(func(t *testing.T, id uint32, entry bool, at int32, patch []byte) {
-		for _, img := range imgs {
-			data := alignedBytes(len(img))
-			copy(data, img)
-			patchImage(data, id, entry, at, patch)
-			openPatched(t, data, o, a)
-		}
+		data := alignedBytes(len(img))
+		copy(data, img)
+		patchImage(data, id, entry, at, patch)
+		openPatched(t, data, o, a)
 	})
 }
 
@@ -93,11 +93,18 @@ func openPatched(t *testing.T, data []byte, o *ontology.Ontology, a *corpus.Anal
 	if err != nil {
 		return
 	}
-	if cs, err := m.ContextSet(); err == nil && cs == nil {
+	cs, err := m.ContextSet()
+	if err == nil && cs == nil {
 		t.Fatal("ContextSet returned neither a set nor an error")
 	}
+	if err == nil {
+		for p := range a.Corpus().Len() {
+			cs.ContextsOf(corpus.PaperID(p))
+		}
+	}
+	var ix *index.Index
 	if p, err := m.IndexParts(); err == nil {
-		ix, err := index.FromParts(a, p)
+		ix, err = index.FromParts(a, p)
 		if err == nil && ix == nil {
 			t.Fatal("FromParts returned neither an index nor an error")
 		}
@@ -113,8 +120,16 @@ func openPatched(t *testing.T, data []byte, o *ontology.Ontology, a *corpus.Anal
 		t.Fatal("DF returned neither a table nor an error")
 	}
 	for _, name := range m.matNames {
-		if mat, err := m.Matrix(name); err == nil && mat == nil {
+		mat, err := m.Matrix(name)
+		if err == nil && mat == nil {
 			t.Fatalf("Matrix(%q) returned neither a matrix nor an error", name)
+		}
+		if err == nil && ix != nil {
+			var names []string
+			for _, ctx := range mat.Contexts() {
+				names = append(names, o.Term(ctx).Name)
+			}
+			search.NewEngine(ix, mat, search.DefaultWeights()).Search(strings.Join(names, " "), search.Options{MaxContexts: len(names), MinContextMatch: 1e-9})
 		}
 	}
 }

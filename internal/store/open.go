@@ -48,6 +48,7 @@ type Mapped struct {
 	data   []byte
 	mapped bool
 	secs   map[uint32]*section
+	fp     [32]byte
 
 	refs   atomic.Int64
 	closed atomic.Bool
@@ -152,6 +153,7 @@ func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, erro
 		mats:   make(map[string]*prestige.Matrix),
 	}
 	m.refs.Store(1)
+	copy(m.fp[:], data[24:headerSize])
 	for i := 0; i < int(count); i++ {
 		e := table[i*secHdrSize:]
 		s := &section{
@@ -161,7 +163,7 @@ func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, erro
 			length: binary.LittleEndian.Uint64(e[16:]),
 			crc:    binary.LittleEndian.Uint32(e[24:]),
 		}
-		if s.kind > kindU16 {
+		if s.kind >= uint32(len(kindNames)) || kindNames[s.kind] == "" {
 			return nil, fmt.Errorf("section %d has unknown element kind %d", s.id, s.kind)
 		}
 		es := uint64(elemSize(s.kind))
@@ -185,6 +187,11 @@ func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, erro
 	}
 	return m, nil
 }
+
+// Fingerprint returns the fingerprint the writer stored in the header: the
+// digest of the ontology and corpus the state was built from (see the
+// package-level Fingerprint).
+func (m *Mapped) Fingerprint() [32]byte { return m.fp }
 
 // tooNewError names the file's version and points at the fix, so serve
 // startup prints something actionable instead of a bare decode error.
@@ -282,7 +289,8 @@ func (m *Mapped) parseMatrixDir() error {
 }
 
 // ContextSet materializes (once) the context paper set over the mapped
-// member and bitmap arrays.
+// member arrays. Its members must be below the index's document count (the
+// number of norms in section 12): they index per-paper scratch.
 func (m *Mapped) ContextSet() (*contextset.ContextSet, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -379,11 +387,7 @@ func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	woffs, err := m.needLocked(secCSWordOffs, kindI32)
-	if err != nil {
-		return nil, err
-	}
-	words, err := m.needLocked(secCSWords, kindU64)
+	norms, err := m.needLocked(secIdxNorms, kindF64)
 	if err != nil {
 		return nil, err
 	}
@@ -393,8 +397,7 @@ func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 		Offsets:       as32s[int32](offs),
 		Docs:          as32s[corpus.PaperID](docs),
 		Scores:        asF64s(scores),
-		WordOffsets:   as32s[int32](woffs),
-		Words:         asU64s(words),
+		Papers:        len(norms) / 8,
 		Reps:          reps,
 		Decay:         decay,
 		InheritedFrom: inherited,
@@ -406,17 +409,12 @@ func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 	return cs, nil
 }
 
-// IndexParts materializes (once) the persisted text-index arrays. A file
-// whose postings carry float64 weights (section 11) instead of term
-// frequencies (section 21) is refused by name.
+// IndexParts materializes (once) the persisted text-index arrays.
 func (m *Mapped) IndexParts() (*index.Parts, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.parts != nil {
 		return m.parts, nil
-	}
-	if m.secs[secIdxRetiredW] != nil {
-		return nil, fmt.Errorf("store: the postings carry float64 weights (section %d), a layout this binary no longer reads: a posting now stores its term frequency (section %d) and the weight is derived from it — rebuild the state with `ctxsearch build -state …`", secIdxRetiredW, secIdxTF)
 	}
 	tb, err := m.needLocked(secIdxTerms, kindBytes)
 	if err != nil {
@@ -505,9 +503,6 @@ func (m *Mapped) Matrix(name string) (*prestige.Matrix, error) {
 	base, ok := m.matDir[name]
 	if !ok {
 		return nil, fmt.Errorf("store: state has no %q score matrix (have %v)", name, m.matNames)
-	}
-	if m.secs[base+matRetiredOffsets] != nil || m.secs[base+matRetiredDocs] != nil {
-		return nil, fmt.Errorf("store: matrix %q carries its own rows (sections %d and %d), a layout this binary no longer reads: its scores are now one column over the context set's members — rebuild the state with `ctxsearch build -state …`", name, base+matRetiredOffsets, base+matRetiredDocs)
 	}
 	cs, err := m.contextSetLocked()
 	if err != nil {

@@ -11,12 +11,15 @@
 package store
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"ctxsearch/internal/contextset"
+	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
+	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/prestige"
 	"ctxsearch/internal/vector"
 )
@@ -36,6 +39,25 @@ type State struct {
 	// served by analysing the whole corpus again at every boot.
 	Index *index.Parts
 	DF    *vector.DF
+	// Fingerprint identifies the ontology and corpus the state was built
+	// from (see Fingerprint). A serving process compares it with the
+	// fingerprint of what it loaded, so a state is never paired with
+	// another corpus.
+	Fingerprint [32]byte
+}
+
+// Fingerprint returns the SHA-256 digest of an ontology's OBO text and a
+// corpus's gob stream, the forms their own packages write them in: every
+// term's ID, name, namespace, definition and parents, and every paper field
+// in paper order. Both encodings are deterministic, so equal inputs give
+// equal fingerprints, and inputs that a state's arrays were not built from
+// give another.
+func Fingerprint(o *ontology.Ontology, c *corpus.Corpus) [32]byte {
+	h := sha256.New()
+	// Neither writer can fail on a hash, which never returns an error.
+	_ = o.WriteOBO(h)
+	_ = c.Save(h)
+	return [32]byte(h.Sum(nil))
 }
 
 // SaveFile writes the state to path crash-safely: the stream goes to a temp

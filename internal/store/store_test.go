@@ -29,7 +29,10 @@ func fixtureWithIndex(t testing.TB) (*ontology.Ontology, *corpus.Corpus, *corpus
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := index.BuildWorkers(a, 0)
+	ix, err := index.BuildWorkers(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
 	return o, c, a, &State{
 		ContextSet: cs,

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/prestige"
 	"ctxsearch/internal/vector"
@@ -37,9 +35,9 @@ func sectionIDs(img []byte) []uint32 {
 	return ids
 }
 
-// retiredSectionIDs are the sections version-5 writers emitted for the
-// deleted block-max evaluator (see format.go).
-var retiredSectionIDs = []uint32{13, 14, 17, 18, 19, 20}
+// retiredSectionIDs are the sections earlier writers emitted (see
+// format.go); the block-max ones, 13, 14 and 17–20, are last.
+var retiredSectionIDs = []uint32{6, 7, 11, 101, 102, 13, 14, 17, 18, 19, 20}
 
 // decodeSections lists an image's sections in table order, payloads
 // aliasing img — the input writeSections lays out again byte for byte.
@@ -114,16 +112,16 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 		}
 	}
 	var buf bytes.Buffer
-	if err := writeSections(&buf, secs); err != nil {
+	if err := writeSections(&buf, st.Fingerprint, secs); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// TestOpenIgnoresRetiredSections: the writer stamps version 5 and emits no
-// retired section, and an image that carries all six — as every file
-// written while the block-max evaluator existed does — opens, binds and
-// serves the page the fresh image serves.
+// TestOpenIgnoresRetiredSections: the writer stamps version 6 and emits no
+// retired section, and an image that carries the six the block-max
+// evaluator used opens, binds and serves the page the fresh image serves: a
+// reader ignores a section it never asks for.
 func TestOpenIgnoresRetiredSections(t *testing.T) {
 	o, c, a, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
@@ -136,11 +134,11 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 		}
 	}
 	var plain bytes.Buffer
-	if err := writeSections(&plain, decodeSections(img)); err != nil || !bytes.Equal(plain.Bytes(), img) {
+	if err := writeSections(&plain, st.Fingerprint, decodeSections(img)); err != nil || !bytes.Equal(plain.Bytes(), img) {
 		t.Fatalf("decoding and laying out the sections again does not reproduce the image (%v)", err)
 	}
 	old := withRetiredSections(t, img, st)
-	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+len(retiredSectionIDs) {
+	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+6 {
 		t.Fatalf("image with retired sections has %d sections", got)
 	}
 	query := c.Papers()[0].Title
@@ -172,183 +170,22 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 	}
 }
 
-// withWeightColumn lays img out again as files were written while the
-// postings carried their TF-IDF weights: section 21's term frequencies
-// replaced, in place, by section 11's float64 weights.
-func withWeightColumn(t testing.TB, img []byte, st *State) []byte {
-	t.Helper()
-	var secs []sectionData
-	for _, s := range decodeSections(img) {
-		if s.id == secIdxTF {
-			s = sectionData{secIdxRetiredW, kindF64, encodeF64s(postingWeights(st.Index, st.DF))}
-		}
-		secs = append(secs, s)
-	}
-	var buf bytes.Buffer
-	if err := writeSections(&buf, secs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestOpenRefusesWeightColumn: a file whose postings carry float64 weights
-// (section 11) and no term frequencies — as every file did before a posting
-// stored its TF — opens, and its context set binds, but IndexParts refuses
-// it by name, naming section 11, the layout change and the rebuild, on the
-// mapped and the byte-copy path alike; the writer emits no section 11.
-func TestOpenRefusesWeightColumn(t *testing.T) {
+// TestOpenRefusesV5: a version-5 file — the format before the per-context
+// bitmaps (sections 6 and 7) went and the header gained the fingerprint — is
+// refused as a whole, naming its version, this binary's and the rebuild, on
+// the mapped and the byte-copy path alike. The version is the first field
+// the reader checks, so nothing of the older layout is ever parsed.
+func TestOpenRefusesV5(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	fresh := v5Bytes(t, st)
-	if slices.Contains(sectionIDs(fresh), secIdxRetiredW) || !slices.Contains(sectionIDs(fresh), secIdxTF) {
-		t.Fatalf("the writer emitted sections %v", sectionIDs(fresh))
-	}
-	img := withWeightColumn(t, fresh, st)
+	img := v5Bytes(t, st)
+	binary.LittleEndian.PutUint32(img[8:], 5)
 	for _, noMmap := range []string{"", "1"} {
 		t.Setenv(noMmapEnv, noMmap)
-		m, err := Open(writeFile(t, img), o)
-		if err != nil {
-			t.Fatalf("CTXSEARCH_NO_MMAP=%q: open: %v", noMmap, err)
-		}
-		defer m.Close()
-		if _, err := m.ContextSet(); err != nil {
-			t.Fatalf("CTXSEARCH_NO_MMAP=%q: context set: %v", noMmap, err)
-		}
-		_, err = m.IndexParts()
-		for _, want := range []string{"section 11", "float64 weights", "term frequency (section 21)", "ctxsearch build -state"} {
+		_, err := Open(writeFile(t, img), o)
+		for _, want := range []string{"version 5 is older than this binary reads (6)", "ctxsearch build -state"} {
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("CTXSEARCH_NO_MMAP=%q: want an error naming %q, got %v", noMmap, want, err)
 			}
-		}
-	}
-}
-
-// withInt64PaperIDs lays img out again with its paper-ID sections, 4 and
-// 10, widened to int64: the layout of version-5 files written while
-// corpus.PaperID was an int.
-func withInt64PaperIDs(t testing.TB, img []byte) []byte {
-	t.Helper()
-	var secs []sectionData
-	for _, s := range decodeSections(img) {
-		if s.id == secCSDocs || s.id == secIdxDocs {
-			wide := make([]byte, 0, 2*len(s.data))
-			for _, d := range as32s[int32](s.data) {
-				wide = binary.LittleEndian.AppendUint64(wide, uint64(int64(d)))
-			}
-			s = sectionData{s.id, kindI64, wide}
-		}
-		secs = append(secs, s)
-	}
-	var buf bytes.Buffer
-	if err := writeSections(&buf, secs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestOpenRefusesInt64PaperIDs: a file whose paper IDs are 8 bytes wide
-// opens — its header and table are valid — but the context set and the
-// index parts refuse it by section kind, naming the section, both kinds
-// and the rebuild, on the mapped and the byte-copy path alike. Sliced as
-// int32, its member run would read as twice as many docs as scores.
-func TestOpenRefusesInt64PaperIDs(t *testing.T) {
-	o, _, _, st := fixtureWithIndex(t)
-	img := withInt64PaperIDs(t, v5Bytes(t, st))
-	for _, noMmap := range []string{"", "1"} {
-		t.Setenv(noMmapEnv, noMmap)
-		m, err := Open(writeFile(t, img), o)
-		if err != nil {
-			t.Fatalf("CTXSEARCH_NO_MMAP=%q: open: %v", noMmap, err)
-		}
-		defer m.Close()
-		for _, tc := range []struct {
-			what string
-			err  error
-			id   uint32
-		}{
-			{"ContextSet", func() error { _, err := m.ContextSet(); return err }(), secCSDocs},
-			{"IndexParts", func() error { _, err := m.IndexParts(); return err }(), secIdxDocs},
-		} {
-			want := fmt.Sprintf("section %d holds int64 elements, this binary reads int32", tc.id)
-			if tc.err == nil || !strings.Contains(tc.err.Error(), want) || !strings.Contains(tc.err.Error(), "ctxsearch build -state") {
-				t.Fatalf("CTXSEARCH_NO_MMAP=%q: %s: want an error naming %q and the rebuild, got %v", noMmap, tc.what, want, tc.err)
-			}
-		}
-	}
-}
-
-// withRowLayout lays img out again as files were written while a prestige
-// matrix kept its own rows: each matrix's score column compacted to its
-// scored rows, with the rows' offsets (base+1) and a copy of their paper IDs
-// (base+2) before it. Of a state whose matrices score its set, this is the
-// image the former writer produced, byte for byte.
-func withRowLayout(t testing.TB, img []byte, st *State) []byte {
-	t.Helper()
-	names := make([]string, 0, len(st.Matrices))
-	for name := range st.Matrices {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-	var secs []sectionData
-	for _, s := range decodeSections(img) {
-		if k := s.id - secMatrixBase; s.id >= secMatrixBase && k%secMatrixStride == matVals {
-			m := st.Matrices[names[k/secMatrixStride]]
-			offsets, docs, vals := []int32{0}, []corpus.PaperID{}, []float64{}
-			for i := range m.NumContexts() {
-				run := m.RunAt(i)
-				docs, vals = append(docs, run.Docs...), append(vals, run.Vals...)
-				offsets = append(offsets, int32(len(docs)))
-			}
-			base := s.id - matVals
-			secs = append(secs,
-				sectionData{base + matRetiredOffsets, kindI32, encode32s(offsets)},
-				sectionData{base + matRetiredDocs, kindI32, encode32s(docs)})
-			s.data = encodeF64s(vals)
-		}
-		secs = append(secs, s)
-	}
-	var buf bytes.Buffer
-	if err := writeSections(&buf, secs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// rowLayoutImage renders st with its text matrix scored over contexts of
-// more than 5 papers alone, in the layout withRowLayout writes: its
-// compacted column is then shorter than the set's member array.
-func rowLayoutImage(t testing.TB, a *corpus.Analyzer, st *State) []byte {
-	t.Helper()
-	text := prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), st.ContextSet, 5, 1)
-	if text.NumContexts() == len(st.ContextSet.Contexts()) {
-		t.Fatal("every context is scored: the compacted column would be the whole column")
-	}
-	st = &State{ContextSet: st.ContextSet, Matrices: map[string]*prestige.Matrix{"text": text}, Index: st.Index, DF: st.DF}
-	return withRowLayout(t, v5Bytes(t, st), st)
-}
-
-// TestOpenRefusesRowLayout: a file whose matrices keep their own rows — as
-// every file did before a matrix became one score column over the context
-// set's members — opens, and its context set binds, but Matrix refuses it
-// by name, naming the retired sections and the rebuild, on the mapped and
-// the byte-copy path alike. Bound as a column, its compacted scores would
-// not line up with the set's members.
-func TestOpenRefusesRowLayout(t *testing.T) {
-	o, _, a, st := fixtureWithIndex(t)
-	img := rowLayoutImage(t, a, st)
-	for _, noMmap := range []string{"", "1"} {
-		t.Setenv(noMmapEnv, noMmap)
-		m, err := Open(writeFile(t, img), o)
-		if err != nil {
-			t.Fatalf("CTXSEARCH_NO_MMAP=%q: open: %v", noMmap, err)
-		}
-		defer m.Close()
-		if _, err := m.ContextSet(); err != nil {
-			t.Fatalf("CTXSEARCH_NO_MMAP=%q: context set: %v", noMmap, err)
-		}
-		base := m.matDir["text"]
-		want := fmt.Sprintf("sections %d and %d", base+matRetiredOffsets, base+matRetiredDocs)
-		if _, err := m.Matrix("text"); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "ctxsearch build -state") {
-			t.Fatalf("CTXSEARCH_NO_MMAP=%q: want an error naming %q and the rebuild, got %v", noMmap, want, err)
 		}
 	}
 }
@@ -456,14 +293,15 @@ func TestLoadV5(t *testing.T) {
 // regions — the header, every section-table entry, and the first, middle
 // and last byte of every payload — and checks each flip is either rejected
 // at open or caught when the state materializes. Bytes the reader never
-// dereferences are deliberately excluded: inter-section padding and the
-// reserved fields of the header and table entries, which no CRC covers.
+// dereferences are deliberately excluded: inter-section padding, the
+// reserved fields of the header and table entries, which no CRC covers, and
+// the fingerprint, which Open hands to its caller to compare.
 func TestV5BitFlips(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
 	count := int(binary.LittleEndian.Uint32(img[12:]))
 	var targets []int
-	for off := 0; off < headerSize-4; off++ { // header minus its reserved tail
+	for off := 0; off < 20; off++ { // header before its reserved field
 		targets = append(targets, off)
 	}
 	for i := 0; i < count; i++ {

@@ -21,11 +21,11 @@ type sectionData struct {
 }
 
 // Save writes the state to w in the flat format (see format.go for the
-// layout). The context set is flattened to its frozen CSR+bitmap arrays,
-// each prestige matrix's score column over those arrays is written
-// verbatim (every matrix must score st.ContextSet), and the text
-// index's postings and the DF table go along, so an open skips corpus
-// re-analysis entirely and binds the postings zero-copy.
+// layout). The context set is flattened to its frozen CSR arrays, each
+// prestige matrix's score column over those arrays is written verbatim
+// (every matrix must score st.ContextSet), and the text index's postings
+// and the DF table go along, so an open skips corpus re-analysis entirely
+// and binds the postings zero-copy. The header carries st.Fingerprint.
 // The layout is deterministic: sections in fixed ID order, dictionaries and
 // directories sorted.
 func Save(w io.Writer, st *State) error {
@@ -132,8 +132,6 @@ func Save(w io.Writer, st *State) error {
 	add(secCSOffsets, kindI32, encode32s(f.Offsets))
 	add(secCSDocs, kindI32, encode32s(f.Docs))
 	add(secCSScores, kindF64, encodeF64s(f.Scores))
-	add(secCSWordOffs, kindI32, encode32s(f.WordOffsets))
-	add(secCSWords, kindU64, encodeU64s(f.Words))
 
 	// Matrix directory and per-matrix sections.
 	var dir builder
@@ -176,7 +174,7 @@ func Save(w io.Writer, st *State) error {
 	}
 	add(secDF, kindBytes, db.b)
 
-	return writeSections(w, secs)
+	return writeSections(w, st.Fingerprint, secs)
 }
 
 // checkPostings refuses index parts the DF table cannot weight: a reader
@@ -215,9 +213,9 @@ func sortedTermKeys(n int, iter func(yield func(ontology.TermID))) []ontology.Te
 // alignUp rounds n up to the next multiple of align (a power of two).
 func alignUp(n, align uint64) uint64 { return (n + align - 1) &^ (align - 1) }
 
-// writeSections lays out the header, section table, and aligned data and
-// streams them to w.
-func writeSections(w io.Writer, secs []sectionData) error {
+// writeSections lays out the header, with the fingerprint fp, the section
+// table, and aligned data and streams them to w.
+func writeSections(w io.Writer, fp [32]byte, secs []sectionData) error {
 	if len(secs) > maxSections {
 		return fmt.Errorf("store: %d sections exceeds the format limit %d", len(secs), maxSections)
 	}
@@ -241,6 +239,7 @@ func writeSections(w io.Writer, secs []sectionData) error {
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(secs)))
 	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(table, castagnoli))
 	binary.LittleEndian.PutUint32(hdr[20:], 0)
+	copy(hdr[24:], fp[:])
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("store: writing header: %w", err)
 	}

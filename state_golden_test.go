@@ -18,18 +18,18 @@ import (
 	"ctxsearch/internal/vector"
 )
 
-// goldenStateSHA256 is the SHA-256 of the flat-v5 state file the text
-// pipeline writes for smallConfig. It was recorded from the build that
-// computed every paper × context cosine with vector.CosineWithNorms, so it
-// pins both "the offline build is deterministic at any worker count" and
-// "a faster build still writes the same bytes". A change that is meant to
-// alter the file (format, weighting, generator) re-records it. It was last
-// re-recorded when a posting came to store its term frequency: the file it
-// pins differs from the one before only in section 21 (uint16 TFs) taking
-// the place of section 11 (float64 weights), and cmd/ctxsearch's
-// TestWeightColumnIsFormerFile rewrites the one into the other byte for
-// byte.
-const goldenStateSHA256 = "6159c2a84aedce833466c314fe4fe64b02b57faff9c94959651c7e4853d44dd2"
+// goldenStateSHA256 is the SHA-256 of the flat-v6 state file the text
+// pipeline writes for smallConfig, fingerprint included. It was recorded
+// from the build that computed every paper × context cosine with
+// vector.CosineWithNorms, so it pins both "the offline build is
+// deterministic at any worker count" and "a faster build still writes the
+// same bytes". A change that is meant to alter the file (format, weighting,
+// generator) re-records it. It was last re-recorded for format version 6:
+// the file it pins differs from the version-5 one only in its header (the
+// version, and the fingerprint after it) and in lacking sections 6 and 7,
+// the per-context bitmaps; every other section kept its kind, length and
+// CRC.
+const goldenStateSHA256 = "b9aae50c5c6a970abf44dbb0348089da54ed7e125b04dd1bb9a1c6a9f07dfd08"
 
 // goldenPatternStateSHA256 is the SHA-256 of the state file the pattern
 // pipeline writes for smallConfig: the §4 pattern-based context set scored
@@ -37,8 +37,8 @@ const goldenStateSHA256 = "6159c2a84aedce833466c314fe4fe64b02b57faff9c94959651c7
 // spelled every token as a string and matched phrases through per-document
 // position maps, so it pins "the term-ID pattern matcher writes the same
 // bytes" as goldenStateSHA256 pins the text build, and is re-recorded with
-// it, last for the term-frequency postings.
-const goldenPatternStateSHA256 = "dc310cb2b1b767893327b74a57021bf69cb2bfb4f417b828abf0b0c42c511322"
+// it, last for format version 6.
+const goldenPatternStateSHA256 = "18dd0731334feacef42105218449415f4cfe965e12303f4c8667ca50a74ae88f"
 
 func TestStateFileGolden(t *testing.T) {
 	checkStateFileGolden(t, goldenStateSHA256, func(sys *System) (*ContextSet, *Matrix, string) {
@@ -71,12 +71,13 @@ func checkStateFileGolden(t *testing.T, want string, build func(*System) (*Conte
 		}
 		cs, m, name := build(sys)
 		st := &store.State{
-			ContextSet: cs,
-			Matrices:   map[string]*Matrix{name: m},
-			Index:      sys.Index().Parts(),
-			DF:         sys.Analyzer().DF(),
+			ContextSet:  cs,
+			Matrices:    map[string]*Matrix{name: m},
+			Index:       sys.Index().Parts(),
+			DF:          sys.Analyzer().DF(),
+			Fingerprint: store.Fingerprint(sys.Ontology, sys.Corpus),
 		}
-		path := filepath.Join(t.TempDir(), "state.v5")
+		path := filepath.Join(t.TempDir(), "state.v6")
 		if err := store.SaveFile(path, st); err != nil {
 			t.Fatal(err)
 		}
@@ -108,21 +109,22 @@ func dfSection(docs int, terms []string, counts []int32) []byte {
 // withSection returns a copy of a state image whose section id holds
 // payload instead: the payload goes past the end of the file, 64-byte
 // aligned, and the section's table entry, its CRC32-C and the table's CRC
-// are rewritten, so that only the reader's own checks can refuse it.
+// are rewritten, so that only the reader's own checks can refuse it. The
+// table follows the 56-byte header.
 func withSection(img []byte, id uint32, payload []byte) []byte {
 	crc := func(b []byte) uint32 { return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)) }
 	off := (len(img) + 63) &^ 63
 	out := append(append(slices.Clone(img), make([]byte, off-len(img))...), payload...)
 	count := int(binary.LittleEndian.Uint32(out[12:]))
 	for i := range count {
-		e := out[24+32*i:]
+		e := out[56+32*i:]
 		if binary.LittleEndian.Uint32(e) == id {
 			binary.LittleEndian.PutUint64(e[8:], uint64(off))
 			binary.LittleEndian.PutUint64(e[16:], uint64(len(payload)))
 			binary.LittleEndian.PutUint32(e[24:], crc(payload))
 		}
 	}
-	binary.LittleEndian.PutUint32(out[16:], crc(out[24:24+32*count]))
+	binary.LittleEndian.PutUint32(out[16:], crc(out[56:56+32*count]))
 	return out
 }
 
