@@ -199,13 +199,13 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateFormatFlag: -state-format still parses (deployment scripts pass
-// it) but names the one format.
+// TestStateFormatFlag: -state-format still parses (bench/deploy.go passes
+// it) and accepts only v5, naming version 6 as the format.
 func TestStateFormatFlag(t *testing.T) {
 	var buf bytes.Buffer
 	for _, f := range []string{"v3", "v4", "gob", ""} {
 		err := run([]string{"-papers", "150", "-terms", "40", "-state-format", f, "stats"}, &buf)
-		if err == nil || !strings.Contains(err.Error(), "v5 is the only state format") {
+		if err == nil || !strings.Contains(err.Error(), "the state format is version 6, and v5 is the one spelling accepted") {
 			t.Fatalf("-state-format %q: %v", f, err)
 		}
 	}

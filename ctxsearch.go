@@ -98,10 +98,6 @@ type Config struct {
 	// paper's ≤100-papers exclusion (scaled: the default is 0.15% of the
 	// corpus with a floor of 5).
 	MinContextSize int
-	// TuneCorpus, when non-nil, adjusts the synthetic corpus generator's
-	// configuration before generation (NewSyntheticSystem only) — e.g. to
-	// sweep citation-structure knobs in ablations.
-	TuneCorpus func(*corpus.GenConfig)
 	// BuildWorkers bounds the parallelism of the offline build — corpus
 	// analysis (tokens, dictionary and TF-IDF rows), inverted-index
 	// construction, context-set assembly and prestige scoring (0 = GOMAXPROCS, 1 = serial). The built structures are
@@ -252,9 +248,6 @@ func NewSyntheticSystem(cfg Config) (*System, error) {
 	}
 	gen := corpus.DefaultGenConfig(cfg.Papers)
 	gen.Seed = cfg.Seed
-	if cfg.TuneCorpus != nil {
-		cfg.TuneCorpus(&gen)
-	}
 	c, err := corpus.Generate(o, gen)
 	if err != nil {
 		return nil, fmt.Errorf("ctxsearch: generating corpus: %w", err)

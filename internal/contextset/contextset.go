@@ -75,12 +75,12 @@ func DefaultConfig() Config {
 
 // ContextSet is an immutable paper-to-context assignment, held flat: member
 // runs in CSR layout (context rows ascending by term ID, each run's papers
-// ascending, scores parallel) — the one membership form, read by the query
-// hot path and stored verbatim by the state file (Frozen). A paper →
-// context transpose of the runs serves ContextsOf; it is derived in memory,
-// never stored. The builders produce a set through builder.finish, a state
-// file through FromFrozen; either way the slices are never mutated or
-// appended to, so mapping-backed (read-only) memory is safe.
+// ascending) — the one membership form, read by the query hot path and
+// stored verbatim by the state file (Frozen). A paper → context transpose
+// of the runs serves ContextsOf; it is derived in memory, never stored. The
+// builders produce a set through builder.finish, a state file through
+// FromFrozen; either way the slices are never mutated or appended to, so
+// mapping-backed (read-only) memory is safe.
 type ContextSet struct {
 	kind Kind
 	onto *ontology.Ontology
@@ -89,7 +89,6 @@ type ContextSet struct {
 	ord     map[ontology.TermID]int32 // context → its row in ctxs
 	offsets []int32
 	docs    []corpus.PaperID
-	scores  []float64
 	// byPaper transposes the runs: paper p's contexts are the rows
 	// ctxOf[byPaper[p]:byPaper[p+1]], ascending.
 	byPaper []int32
@@ -103,9 +102,8 @@ type ContextSet struct {
 }
 
 // run returns the member run of the i-th context.
-func (cs *ContextSet) run(i int32) ([]corpus.PaperID, []float64) {
-	lo, hi := cs.offsets[i], cs.offsets[i+1]
-	return cs.docs[lo:hi], cs.scores[lo:hi]
+func (cs *ContextSet) run(i int32) []corpus.PaperID {
+	return cs.docs[cs.offsets[i]:cs.offsets[i+1]]
 }
 
 // transpose fills byPaper and ctxOf from the runs, whose members are all
@@ -122,8 +120,7 @@ func (cs *ContextSet) transpose(papers int) {
 	next := slices.Clone(cs.byPaper[:papers])
 	cs.ctxOf = make([]int32, len(cs.docs))
 	for i := range cs.ctxs {
-		docs, _ := cs.run(int32(i))
-		for _, d := range docs {
+		for _, d := range cs.run(int32(i)) {
 			cs.ctxOf[next[d]] = int32(i)
 			next[d]++
 		}
@@ -168,8 +165,7 @@ func (cs *ContextSet) Papers(ctx ontology.TermID) []corpus.PaperID {
 	if !ok {
 		return []corpus.PaperID{}
 	}
-	docs, _ := cs.run(i)
-	return append([]corpus.PaperID{}, docs...)
+	return append([]corpus.PaperID{}, cs.run(i)...)
 }
 
 // PaperBitset returns the membership of a context as a new bitmap over
@@ -201,8 +197,7 @@ func (cs *ContextSet) Contains(ctx ontology.TermID, p corpus.PaperID) bool {
 	if !ok {
 		return false
 	}
-	docs, _ := cs.run(i)
-	_, found := slices.BinarySearch(docs, p)
+	_, found := slices.BinarySearch(cs.run(i), p)
 	return found
 }
 
@@ -249,7 +244,7 @@ type builder struct {
 	kind          Kind
 	onto          *ontology.Ontology
 	papers        int // the corpus's paper count, which bounds every member
-	members       map[ontology.TermID]map[corpus.PaperID]float64
+	members       map[ontology.TermID]map[corpus.PaperID]struct{}
 	reps          map[ontology.TermID]corpus.PaperID
 	decay         map[ontology.TermID]float64
 	inheritedFrom map[ontology.TermID]ontology.TermID
@@ -260,32 +255,25 @@ func newBuilder(kind Kind, onto *ontology.Ontology, papers int) *builder {
 		kind:          kind,
 		onto:          onto,
 		papers:        papers,
-		members:       make(map[ontology.TermID]map[corpus.PaperID]float64),
+		members:       make(map[ontology.TermID]map[corpus.PaperID]struct{}),
 		reps:          make(map[ontology.TermID]corpus.PaperID),
 		decay:         make(map[ontology.TermID]float64),
 		inheritedFrom: make(map[ontology.TermID]ontology.TermID),
 	}
 }
 
-// add records p as a member of ctx with the given assignment strength in
-// [0,1] (1 for evidence papers); a repeated add keeps the highest.
-func (b *builder) add(ctx ontology.TermID, p corpus.PaperID, score float64) {
-	if score > 1 {
-		score = 1 // guard against cosine rounding slightly above 1
-	}
+// add records p as a member of ctx; a repeated add is a no-op.
+func (b *builder) add(ctx ontology.TermID, p corpus.PaperID) {
 	m := b.members[ctx]
 	if m == nil {
-		m = make(map[corpus.PaperID]float64)
+		m = make(map[corpus.PaperID]struct{})
 		b.members[ctx] = m
 	}
-	if prev, ok := m[p]; !ok || score > prev {
-		m[p] = score
-	}
+	m[p] = struct{}{}
 }
 
 // finish flattens the accumulated memberships. The layout is fully
-// deterministic: contexts ascending by term ID, runs ascending by paper ID
-// with the scores add kept.
+// deterministic: contexts ascending by term ID, runs ascending by paper ID.
 func (b *builder) finish() *ContextSet {
 	ctxs := make([]ontology.TermID, 0, len(b.members))
 	nnz := 0
@@ -303,7 +291,6 @@ func (b *builder) finish() *ContextSet {
 		ord:           make(map[ontology.TermID]int32, len(ctxs)),
 		offsets:       make([]int32, len(ctxs)+1),
 		docs:          make([]corpus.PaperID, 0, nnz),
-		scores:        make([]float64, 0, nnz),
 		reps:          b.reps,
 		decay:         b.decay,
 		inheritedFrom: b.inheritedFrom,
@@ -314,11 +301,7 @@ func (b *builder) finish() *ContextSet {
 		for id := range m {
 			cs.docs = append(cs.docs, id)
 		}
-		run := cs.docs[lo:]
-		slices.Sort(run)
-		for _, id := range run {
-			cs.scores = append(cs.scores, m[id])
-		}
+		slices.Sort(cs.docs[lo:])
 		cs.ord[ctx] = int32(i)
 		cs.offsets[i+1] = int32(len(cs.docs))
 	}
@@ -387,13 +370,13 @@ func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.
 		}
 		if max > 0 {
 			for id, s := range scores {
-				if norm := s / max; s > 0 && norm >= cfg.PatternThreshold {
-					b.add(term, corpus.PaperID(id), norm)
+				if s > 0 && s/max >= cfg.PatternThreshold {
+					b.add(term, corpus.PaperID(id))
 				}
 			}
 		}
 		for _, e := range c.EvidencePapers(term) {
-			b.add(term, e, 1)
+			b.add(term, e)
 		}
 	}
 
@@ -406,10 +389,9 @@ func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.
 	return b.finish()
 }
 
-// foldDescendants adds every context's papers to all its ancestors,
-// preserving the highest assignment score.
+// foldDescendants adds every context's papers to all its ancestors.
 func foldDescendants(b *builder, onto *ontology.Ontology) {
-	// Iterate terms deepest-first so scores propagate in one pass.
+	// Iterate terms deepest-first so papers propagate in one pass.
 	terms := append([]ontology.TermID(nil), onto.TermIDs()...)
 	sort.Slice(terms, func(i, j int) bool {
 		li, lj := onto.Level(terms[i]), onto.Level(terms[j])
@@ -427,8 +409,8 @@ func foldDescendants(b *builder, onto *ontology.Ontology) {
 			if onto.Level(parent) < 2 {
 				continue // roots are not contexts
 			}
-			for id, score := range m {
-				b.add(parent, id, score)
+			for id := range m {
+				b.add(parent, id)
 			}
 		}
 	}
@@ -453,8 +435,8 @@ func inheritFromAncestors(b *builder, onto *ontology.Ontology) {
 		if !ok {
 			continue
 		}
-		for id, score := range b.members[anc] {
-			b.add(t, id, score)
+		for id := range b.members[anc] {
+			b.add(t, id)
 		}
 		// If the ancestor itself inherited, decay compounds from the
 		// original source.

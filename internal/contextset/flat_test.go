@@ -2,7 +2,6 @@ package contextset
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -14,24 +13,17 @@ import (
 	"ctxsearch/internal/pattern"
 )
 
-// requireSameFrozen fails unless the two views hold equal arrays and maps,
-// scores compared by bits.
+// requireSameFrozen fails unless the two views hold equal arrays and maps.
 func requireSameFrozen(t *testing.T, name string, want, got *Frozen) {
 	t.Helper()
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("%s: frozen views differ: %d vs %d contexts, %d vs %d members", name, len(want.Ctxs), len(got.Ctxs), len(want.Docs), len(got.Docs))
 	}
-	for i := range want.Scores {
-		if math.Float64bits(want.Scores[i]) != math.Float64bits(got.Scores[i]) {
-			t.Fatalf("%s: score %d is %x, want %x", name, i, math.Float64bits(got.Scores[i]), math.Float64bits(want.Scores[i]))
-		}
-	}
 }
 
 // TestFinishLayoutHandSorted pins finish on a fixture small enough to sort by
-// hand: contexts ascending, runs ascending by paper, a repeated add keeping
-// the highest score whichever order the adds came in, a score past 1 clamped,
-// and each paper's contexts transposed from the runs. FromFrozen refuses the
+// hand: contexts ascending, runs ascending by paper, a repeated add kept
+// once, and each paper's contexts transposed from the runs. FromFrozen refuses the
 // same arrays with one member made negative, out of order, repeated or at
 // the paper count: the runs index per-paper scratch.
 func TestFinishLayoutHandSorted(t *testing.T) {
@@ -45,14 +37,14 @@ func TestFinishLayoutHandSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := newBuilder(PatternBased, o, 7)
-	b.add("GO:3", 5, 0.25)
-	b.add("GO:2", 4, 0.5)
-	b.add("GO:2", 1, 0.2) // lower first,
-	b.add("GO:2", 1, 0.7) // then higher: 0.7 stays,
-	b.add("GO:2", 1, 0.3) // and a later lower one does not replace it
-	b.add("GO:2", 0, 1+1e-15)
-	b.add("GO:3", 2, 0.125)
-	b.add("GO:2", 3, 1)
+	b.add("GO:3", 5)
+	b.add("GO:2", 4)
+	b.add("GO:2", 1)
+	b.add("GO:2", 1) // repeated adds,
+	b.add("GO:2", 1) // one member
+	b.add("GO:2", 0)
+	b.add("GO:3", 2)
+	b.add("GO:2", 3)
 	b.reps["GO:2"] = 3
 	b.decay["GO:3"] = 0.5
 	b.inheritedFrom["GO:3"] = "GO:2"
@@ -63,7 +55,6 @@ func TestFinishLayoutHandSorted(t *testing.T) {
 		Ctxs:          []ontology.TermID{"GO:2", "GO:3"},
 		Offsets:       []int32{0, 4, 6},
 		Docs:          []corpus.PaperID{0, 1, 3, 4, 2, 5},
-		Scores:        []float64{1, 0.7, 1, 0.5, 0.125, 0.25},
 		Papers:        7,
 		Reps:          map[ontology.TermID]corpus.PaperID{"GO:2": 3},
 		Decay:         map[ontology.TermID]float64{"GO:3": 0.5},
@@ -136,9 +127,6 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 				for k, d := range docs {
 					if k > 0 && docs[k-1] >= d {
 						t.Fatalf("%s: run of %s not strictly ascending at %d", name, ctx, k)
-					}
-					if s := f.Scores[int(f.Offsets[i])+k]; !(s > 0 && s <= 1) {
-						t.Fatalf("%s: score %v of paper %d in %s outside (0,1]", name, s, d, ctx)
 					}
 					of[d] = append(of[d], ctx)
 				}

@@ -15,10 +15,9 @@ type Frozen struct {
 	// Ctxs holds the non-empty contexts in ascending term-ID order.
 	Ctxs []ontology.TermID
 	// Offsets delimit member runs: context i's papers are
-	// Docs[Offsets[i]:Offsets[i+1]] ascending, Scores parallel.
+	// Docs[Offsets[i]:Offsets[i+1]] ascending.
 	Offsets []int32
 	Docs    []corpus.PaperID
-	Scores  []float64
 	// Papers is the paper count of the corpus the set was built over:
 	// every member is below it. The state file does not store it; its
 	// reader takes the index's document count.
@@ -33,7 +32,7 @@ type Frozen struct {
 func (cs *ContextSet) Freeze() *Frozen {
 	return &Frozen{
 		Kind: cs.kind,
-		Ctxs: cs.ctxs, Offsets: cs.offsets, Docs: cs.docs, Scores: cs.scores, Papers: cs.papers(),
+		Ctxs: cs.ctxs, Offsets: cs.offsets, Docs: cs.docs, Papers: cs.papers(),
 		Reps: cs.reps, Decay: cs.decay, InheritedFrom: cs.inheritedFrom,
 	}
 }
@@ -47,8 +46,7 @@ func (cs *ContextSet) Freeze() *Frozen {
 //
 // The runs are the set's only membership and index per-request scratch, so
 // one O(members) pass requires each to be strictly ascending paper IDs in
-// [0, Papers), and builds the paper → context transpose. Scores are
-// the writer's contract, guarded on disk by section CRCs.
+// [0, Papers), and builds the paper → context transpose.
 func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 	if f == nil {
 		return nil, fmt.Errorf("contextset: nil frozen set")
@@ -56,9 +54,6 @@ func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 	n := len(f.Ctxs)
 	if len(f.Offsets) != n+1 {
 		return nil, fmt.Errorf("contextset: %d contexts need %d offsets, have %d", n, n+1, len(f.Offsets))
-	}
-	if len(f.Docs) != len(f.Scores) {
-		return nil, fmt.Errorf("contextset: %d docs vs %d scores", len(f.Docs), len(f.Scores))
 	}
 	if f.Offsets[0] != 0 || int(f.Offsets[n]) != len(f.Docs) {
 		return nil, fmt.Errorf("contextset: offsets span [%d, %d), want [0, %d)", f.Offsets[0], f.Offsets[n], len(f.Docs))
@@ -70,7 +65,6 @@ func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 		ord:           make(map[ontology.TermID]int32, n),
 		offsets:       f.Offsets,
 		docs:          f.Docs,
-		scores:        f.Scores,
 		reps:          f.Reps,
 		decay:         f.Decay,
 		inheritedFrom: f.InheritedFrom,

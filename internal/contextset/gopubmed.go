@@ -10,8 +10,8 @@ import (
 // to a GO-term context iff the term's words occur in the paper's ABSTRACT
 // (GoPubMed retrieved and categorised abstracts only; "categorization fully
 // relies on the existence of GO term words in the abstracts"). It assigns
-// no scores and no ranking — every member gets assignment strength 1 — so
-// it doubles as a baseline showing why prestige scoring matters.
+// no scores and no ranking, so it doubles as a baseline showing why
+// prestige scoring matters.
 //
 // MinWordFraction is the fraction of the term's distinct (stemmed) name
 // words that must appear; GoPubMed's literal behaviour is 1.0.
@@ -54,7 +54,7 @@ func BuildGoPubMedStyle(a *corpus.Analyzer, onto *ontology.Ontology, minWordFrac
 				}
 			}
 			if have >= need {
-				b.add(term, p.ID, 1)
+				b.add(term, p.ID)
 			}
 		}
 	}

@@ -49,15 +49,6 @@ func TestBuildGoPubMedStyle(t *testing.T) {
 	if !loose.Contains("GO:2", 2) {
 		t.Fatal("half the words should suffice at fraction 0.5")
 	}
-
-	// All assignment strengths are 1 (no scoring).
-	for _, ctx := range strict.Contexts() {
-		for _, p := range strict.Papers(ctx) {
-			if scoreOf(strict, ctx, p) != 1 {
-				t.Fatal("GoPubMed-style set must not score")
-			}
-		}
-	}
 }
 
 func TestAbstractCoverage(t *testing.T) {

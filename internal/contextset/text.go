@@ -115,11 +115,11 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 			cands = cands[:cfg.MaxPerContext]
 		}
 		for _, cd := range cands {
-			b.add(term, cd.id, cd.sim)
+			b.add(term, cd.id)
 		}
 		// Evidence papers always belong to their context.
 		for _, e := range c.EvidencePapers(term) {
-			b.add(term, e, 1)
+			b.add(term, e)
 		}
 	}
 	return b.finish()

@@ -109,11 +109,11 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 			cands = cands[:cfg.MaxPerContext]
 		}
 		for _, cd := range cands {
-			b.add(term, cd.id, cd.sim)
+			b.add(term, cd.id)
 		}
 		// Evidence papers always belong to their context.
 		for _, e := range c.EvidencePapers(term) {
-			b.add(term, e, 1)
+			b.add(term, e)
 		}
 	}
 	return b.finish()

@@ -71,7 +71,7 @@ func matrixOf(t *testing.T, s scoreMap) *prestige.Matrix {
 		rowMax = append(rowMax, 0)
 		for _, d := range sortedKeys(s[ctx]) {
 			v := s[ctx][d]
-			f.Docs, f.Scores, vals = append(f.Docs, d), append(f.Scores, 1), append(vals, v)
+			f.Docs, vals = append(f.Docs, d), append(vals, v)
 			rowMax[len(rowMax)-1] = max(rowMax[len(rowMax)-1], v)
 			f.Papers = max(f.Papers, int(d)+1)
 		}

@@ -102,7 +102,7 @@ func matrixOf(t testing.TB, s mapScores) *Matrix {
 			t.Fatal(err)
 		}
 		for _, d := range sortedKeys(s[ctx]) {
-			f.Docs, f.Scores, vals = append(f.Docs, d), append(f.Scores, 1), append(vals, s[ctx][d])
+			f.Docs, vals = append(f.Docs, d), append(vals, s[ctx][d])
 			f.Papers = max(f.Papers, int(d)+1)
 		}
 		spans = append(spans, span{f.Offsets[len(f.Offsets)-1], int32(len(f.Docs))})

@@ -47,7 +47,6 @@ func goldenOptions() []Options {
 		{Limit: 5},
 		{Offset: 3, Limit: 4, MaxContexts: 8, MinContextMatch: 0.01},
 		{Offset: 1000}, // past the end: both paths must return an empty page
-		{ExpandContexts: true, MinExpandSim: 0.3, MaxContexts: 8, MinContextMatch: 0.01},
 	}
 }
 

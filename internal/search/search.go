@@ -73,12 +73,6 @@ type Options struct {
 	// MinContextMatch is the minimum query↔term-name overlap for a context
 	// to be selected (0 = default 0.2).
 	MinContextMatch float64
-	// ExpandContexts additionally selects contexts semantically close (Lin
-	// similarity) to the best word-overlap match — users phrasing a concept
-	// without its exact term words still reach the right subtree.
-	ExpandContexts bool
-	// MinExpandSim is the Lin similarity floor for expansion (0 = 0.5).
-	MinExpandSim float64
 }
 
 // Result is one ranked search result. The JSON form is the unrendered row
@@ -199,9 +193,9 @@ func (e *Engine) SelectContexts(query string, opts Options) []ContextScore {
 }
 
 // SelectContextsContext is SelectContexts with cooperative cancellation:
-// candidate accumulation and semantic expansion check ctx between stages. A
-// completed call returns exactly what SelectContexts would; a cancelled
-// call returns (nil, ctx.Err()).
+// ctx is checked before candidate accumulation and after it. A completed
+// call returns exactly what SelectContexts would; a cancelled call returns
+// (nil, ctx.Err()).
 func (e *Engine) SelectContextsContext(ctx context.Context, query string, opts Options) ([]ContextScore, error) {
 	sc := e.getScratch()
 	defer e.pool.Put(sc)
@@ -253,12 +247,6 @@ func (e *Engine) selectContexts(ctx context.Context, sc *scratch, qWords []strin
 	}
 	sc.cands = cands
 	slices.SortFunc(cands, candidate.compare)
-	if opts.ExpandContexts && len(cands) > 0 {
-		var err error
-		if cands, err = e.expandSemantically(ctx, cands, opts); err != nil {
-			return nil, err
-		}
-	}
 	cands = cands[:min(len(cands), maxCtx)]
 	out := make([]ContextScore, len(cands))
 	for i, c := range cands {
@@ -280,41 +268,6 @@ func (a candidate) compare(b candidate) int {
 		return cmp.Compare(b.score, a.score)
 	}
 	return cmp.Compare(a.ord, b.ord)
-}
-
-// expandSemantically adds scored contexts semantically close to the best
-// word-overlap match, scored by Lin similarity damped below the anchor's
-// score so expansions never outrank direct matches. The scan over all
-// scored contexts checks cancellation periodically.
-func (e *Engine) expandSemantically(ctx context.Context, cands []candidate, opts Options) ([]candidate, error) {
-	minSim := opts.MinExpandSim
-	if minSim <= 0 {
-		minSim = 0.5
-	}
-	anchor := cands[0]
-	have := make(map[int32]bool, len(cands))
-	for _, c := range cands {
-		have[c.ord] = true
-	}
-	onto := e.matrix.ContextSet().Ontology()
-	var extra []candidate
-	for o, tid := range e.names {
-		if o&1023 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if have[int32(o)] {
-			continue
-		}
-		if lin := onto.LinSimilarity(e.names[anchor.ord], tid); lin >= minSim {
-			extra = append(extra, candidate{anchor.score * lin * 0.9, int32(o)})
-		}
-	}
-	slices.SortFunc(extra, candidate.compare)
-	out := append(cands, extra...)
-	slices.SortStableFunc(out, func(a, b candidate) int { return cmp.Compare(b.score, a.score) })
-	return out, nil
 }
 
 // bind sets the selected contexts' members in the union the index pass is

@@ -89,14 +89,13 @@ func elemSize(kind uint32) int {
 
 // Section IDs. The context-set and index sections have fixed IDs; each
 // prestige matrix gets a block of IDs starting at a base recorded in the
-// matrix directory. IDs that earlier versions wrote are never reused: 6, 7,
-// 11, 13, 14, 17–20, and a matrix's base+1 and base+2.
+// matrix directory. IDs that earlier versions wrote are never reused: 5, 6,
+// 7, 11, 13, 14, 17–20, and a matrix's base+1 and base+2.
 const (
 	secCSMeta       = uint32(1)  // bytes: kind, member ctx refs, reps, decay, inheritedFrom
 	secTermDict     = uint32(2)  // bytes: shared term-ID string table
 	secCSOffsets    = uint32(3)  // int32: member run offsets
 	secCSDocs       = uint32(4)  // int32: member paper IDs
-	secCSScores     = uint32(5)  // float64: assignment scores
 	secIdxTerms     = uint32(8)  // bytes: index term dictionary
 	secIdxOffsets   = uint32(9)  // int32: posting run offsets
 	secIdxDocs      = uint32(10) // int32: posting doc IDs

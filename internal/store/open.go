@@ -383,10 +383,6 @@ func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	scores, err := m.needLocked(secCSScores, kindF64)
-	if err != nil {
-		return nil, err
-	}
 	norms, err := m.needLocked(secIdxNorms, kindF64)
 	if err != nil {
 		return nil, err
@@ -396,7 +392,6 @@ func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 		Ctxs:          ctxs,
 		Offsets:       as32s[int32](offs),
 		Docs:          as32s[corpus.PaperID](docs),
-		Scores:        asF64s(scores),
 		Papers:        len(norms) / 8,
 		Reps:          reps,
 		Decay:         decay,

@@ -37,7 +37,7 @@ func sectionIDs(img []byte) []uint32 {
 
 // retiredSectionIDs are the sections earlier writers emitted (see
 // format.go); the block-max ones, 13, 14 and 17–20, are last.
-var retiredSectionIDs = []uint32{6, 7, 11, 101, 102, 13, 14, 17, 18, 19, 20}
+var retiredSectionIDs = []uint32{5, 6, 7, 11, 101, 102, 13, 14, 17, 18, 19, 20}
 
 // decodeSections lists an image's sections in table order, payloads
 // aliasing img — the input writeSections lays out again byte for byte.
@@ -70,11 +70,13 @@ func postingWeights(p *index.Parts, df *vector.DF) []float64 {
 	return w
 }
 
-// withRetiredSections lays img out again with the retired sections the
-// writer emitted while the block-max evaluator existed, computed and placed
-// as it did: per-term maximum posting weight (13) and weight/norm ratio
-// (14), then a block size of 128 (17), per-term block offsets (18) and
-// per-block maxima (19, 20), all right after the norms.
+// withRetiredSections lays img out again with retired sections placed as
+// earlier writers placed them. Right after the member IDs (4) go the
+// assignment scores (5), one float64 per member; nothing ever read their
+// values, so each is 1. Right after the norms go the sections the
+// block-max evaluator used, computed as it did: per-term maximum posting
+// weight (13) and weight/norm ratio (14), then a block size of 128 (17),
+// per-term block offsets (18) and per-block maxima (19, 20).
 func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 	t.Helper()
 	const blockSize = 128
@@ -101,6 +103,13 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 	var secs []sectionData
 	for _, s := range decodeSections(img) {
 		secs = append(secs, s)
+		if s.id == secCSDocs {
+			scores := make([]float64, len(s.data)/4)
+			for i := range scores {
+				scores[i] = 1
+			}
+			secs = append(secs, sectionData{5, kindF64, encodeF64s(scores)})
+		}
 		if s.id == secIdxNorms {
 			secs = append(secs,
 				sectionData{13, kindF64, encodeF64s(maxW)},
@@ -119,9 +128,10 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 }
 
 // TestOpenIgnoresRetiredSections: the writer stamps version 6 and emits no
-// retired section, and an image that carries the six the block-max
-// evaluator used opens, binds and serves the page the fresh image serves: a
-// reader ignores a section it never asks for.
+// retired section, and an image that carries the assignment scores of the
+// first version-6 writer and the six sections the block-max evaluator used
+// opens, binds and serves the page the fresh image serves: a reader ignores
+// a section it never asks for.
 func TestOpenIgnoresRetiredSections(t *testing.T) {
 	o, c, a, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
@@ -138,7 +148,7 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 		t.Fatalf("decoding and laying out the sections again does not reproduce the image (%v)", err)
 	}
 	old := withRetiredSections(t, img, st)
-	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+6 {
+	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+7 {
 		t.Fatalf("image with retired sections has %d sections", got)
 	}
 	query := c.Papers()[0].Title

@@ -131,7 +131,6 @@ func Save(w io.Writer, st *State) error {
 
 	add(secCSOffsets, kindI32, encode32s(f.Offsets))
 	add(secCSDocs, kindI32, encode32s(f.Docs))
-	add(secCSScores, kindF64, encodeF64s(f.Scores))
 
 	// Matrix directory and per-matrix sections.
 	var dir builder

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
@@ -24,12 +25,11 @@ import (
 // vector.CosineWithNorms, so it pins both "the offline build is
 // deterministic at any worker count" and "a faster build still writes the
 // same bytes". A change that is meant to alter the file (format, weighting,
-// generator) re-records it. It was last re-recorded for format version 6:
-// the file it pins differs from the version-5 one only in its header (the
-// version, and the fingerprint after it) and in lacking sections 6 and 7,
-// the per-context bitmaps; every other section kept its kind, length and
-// CRC.
-const goldenStateSHA256 = "b9aae50c5c6a970abf44dbb0348089da54ed7e125b04dd1bb9a1c6a9f07dfd08"
+// generator) re-records it. It was last re-recorded when the writer
+// stopped emitting section 5, the context set's assignment scores: the
+// section table below lost that one row, and every other section kept its
+// kind, length and CRC.
+const goldenStateSHA256 = "0c817cb7a139560dc6d331a31869f480be2417d527db0d8eb428ffece11babaf"
 
 // goldenPatternStateSHA256 is the SHA-256 of the state file the pattern
 // pipeline writes for smallConfig: the §4 pattern-based context set scored
@@ -37,18 +37,57 @@ const goldenStateSHA256 = "b9aae50c5c6a970abf44dbb0348089da54ed7e125b04dd1bb9a1c
 // spelled every token as a string and matched phrases through per-document
 // position maps, so it pins "the term-ID pattern matcher writes the same
 // bytes" as goldenStateSHA256 pins the text build, and is re-recorded with
-// it, last for format version 6.
-const goldenPatternStateSHA256 = "18dd0731334feacef42105218449415f4cfe965e12303f4c8667ca50a74ae88f"
+// it.
+const goldenPatternStateSHA256 = "36b516797312a752a0e3fb73ba3fe4aab36892e3a221a9e08d7d73810b6c21bc"
+
+// goldenStateSections and goldenPatternStateSections are the section
+// tables of the two pinned files, one row per section in table order: id,
+// element kind, data length and CRC32-C. A re-record that moves a SHA-256
+// shows here which sections moved with it.
+const (
+	goldenStateSections = `
+2 0 802 2ffc9d45
+1 0 932 17c98b9c
+3 1 232 94d05463
+4 1 16328 309768f6
+100 5 228 c8822427
+103 3 32656 0c70b3de
+104 3 456 9515957f
+16 0 16 221a903a
+8 0 5168 7f0d3dab
+9 1 2152 bcff8dbb
+10 1 99756 7e8c1713
+21 6 49878 dbaef274
+12 3 1760 70e1facf
+15 0 7324 747f7d2d
+`
+	goldenPatternStateSections = `
+2 0 802 2ffc9d45
+1 0 248 577eb336
+3 1 232 9f5f27ca
+4 1 19032 6cdfe237
+100 5 228 c8822427
+103 3 38064 b544c400
+104 3 456 9515957f
+16 0 19 0470e3ab
+8 0 5168 7f0d3dab
+9 1 2152 bcff8dbb
+10 1 99756 7e8c1713
+21 6 49878 dbaef274
+12 3 1760 70e1facf
+15 0 7324 747f7d2d
+`
+)
 
 func TestStateFileGolden(t *testing.T) {
-	checkStateFileGolden(t, goldenStateSHA256, func(sys *System) (*ContextSet, *Matrix, string) {
+	checkStateFileGolden(t, goldenStateSHA256, goldenStateSections, func(sys *System) (*ContextSet, *Matrix, string) {
 		cs := sys.BuildTextContextSet()
 		return cs, sys.ScoreText(cs), "text"
 	})
 }
 
 func TestPatternStateFileGolden(t *testing.T) {
-	checkStateFileGolden(t, goldenPatternStateSHA256, func(sys *System) (*ContextSet, *Matrix, string) {
+	checkStateFileGolden(t, goldenPatternStateSHA256, goldenPatternStateSections, func(sys *System) (*ContextSet, *Matrix, string) {
 		cs := sys.BuildPatternContextSet()
 		return cs, sys.ScorePattern(cs), "pattern"
 	})
@@ -56,8 +95,9 @@ func TestPatternStateFileGolden(t *testing.T) {
 
 // checkStateFileGolden builds smallConfig's system at BuildWorkers 1 and 3,
 // saves the context set and matrix build returns with the text index and
-// dictionary, and compares the file's SHA-256 with want.
-func checkStateFileGolden(t *testing.T, want string, build func(*System) (*ContextSet, *Matrix, string)) {
+// dictionary, and compares the file's section table with wantSections and
+// its SHA-256 with want.
+func checkStateFileGolden(t *testing.T, want, wantSections string, build func(*System) (*ContextSet, *Matrix, string)) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("float bits are pinned on amd64 only: other targets may fuse multiply-adds")
@@ -85,11 +125,28 @@ func checkStateFileGolden(t *testing.T, want string, build func(*System) (*Conte
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := sectionTable(data); got != strings.TrimSpace(wantSections) {
+			t.Fatalf("workers=%d: state file has section table\n%s\nwant\n%s", workers, got, strings.TrimSpace(wantSections))
+		}
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != want {
 			t.Fatalf("workers=%d: state file (%d bytes) has SHA-256 %s, want %s", workers, len(data), got, want)
 		}
 	}
+}
+
+// sectionTable renders a state image's section table one row per section,
+// in table order: id, element kind, data length and CRC32-C (hex). The
+// table follows the 56-byte header.
+func sectionTable(img []byte) string {
+	var rows []string
+	for i := range int(binary.LittleEndian.Uint32(img[12:])) {
+		e := img[56+32*i:]
+		rows = append(rows, fmt.Sprintf("%d %d %d %08x",
+			binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:]),
+			binary.LittleEndian.Uint64(e[16:]), binary.LittleEndian.Uint32(e[24:])))
+	}
+	return strings.Join(rows, "\n")
 }
 
 // dfSection encodes a DF table as a state file's section 15 holds it: the
