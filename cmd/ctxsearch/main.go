@@ -153,7 +153,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	limit := fs.Int("limit", 15, "max results")
 	boolean := fs.Bool("boolean", false, "treat the search query as a boolean expression (AND/OR/NOT, \"phrases\", field:term)")
 	statePath := fs.String("state", "", "state file: context set, scores and text index (memory-mapped if present, else written after the build)")
-	stateFormat := fs.String("state-format", "v5", "state file format: version 6, for which v5 is the one accepted spelling (bench/deploy.go passes it)")
+	stateFormat := fs.String("state-format", "v5", "state file format: version 7, for which v5 is the one accepted spelling (bench/deploy.go passes it)")
 	buildWorkers := fs.Int("build-workers", 0, "offline-build parallelism (0 = GOMAXPROCS; output identical at any setting)")
 	verbose := fs.Bool("v", false, "print the offline-build timing summary")
 	addr := fs.String("addr", ":8080", "listen address for serve")
@@ -187,7 +187,7 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 	}
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
 	if *stateFormat != "v5" {
-		return fmt.Errorf("unknown -state-format %q: the state format is version 6, and v5 is the one spelling accepted (bench/deploy.go passes it)", *stateFormat)
+		return fmt.Errorf("unknown -state-format %q: the state format is version 7, and v5 is the one spelling accepted (bench/deploy.go passes it)", *stateFormat)
 	}
 
 	cfg := ctxsearch.DefaultConfig()

@@ -200,12 +200,12 @@ func TestStateRoundTrip(t *testing.T) {
 }
 
 // TestStateFormatFlag: -state-format still parses (bench/deploy.go passes
-// it) and accepts only v5, naming version 6 as the format.
+// it) and accepts only v5, naming version 7 as the format.
 func TestStateFormatFlag(t *testing.T) {
 	var buf bytes.Buffer
 	for _, f := range []string{"v3", "v4", "gob", ""} {
 		err := run([]string{"-papers", "150", "-terms", "40", "-state-format", f, "stats"}, &buf)
-		if err == nil || !strings.Contains(err.Error(), "the state format is version 6, and v5 is the one spelling accepted") {
+		if err == nil || !strings.Contains(err.Error(), "the state format is version 7, and v5 is the one spelling accepted") {
 			t.Fatalf("-state-format %q: %v", f, err)
 		}
 	}
@@ -451,7 +451,8 @@ func builtState(t *testing.T) []string {
 	return args
 }
 
-// TestServeRefusesV5: serve booted on a version-5 state file exits with the
+// TestServeRefusesV5: serve booted on an older state file — version 6, the
+// last before the postings were grouped by term frequency — exits with the
 // version error that names the rebuild, and /readyz never answers 200
 // meanwhile.
 func TestServeRefusesV5(t *testing.T) {
@@ -461,11 +462,11 @@ func TestServeRefusesV5(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(img[8:], 5)
+	binary.LittleEndian.PutUint32(img[8:], 6)
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	requireServeRefuses(t, append(args, "serve"), "version 5", "ctxsearch build -state")
+	requireServeRefuses(t, append(args, "serve"), "version 6", "ctxsearch build -state")
 }
 
 // TestStateCorpusMismatch: a state built from the seed-1 corpus and booted

@@ -19,10 +19,10 @@ import (
 // cfg.TextThreshold joins the context. ix must index the whole corpus.
 //
 // The cosines are computed term-at-a-time over the index rather than as
-// papers × contexts map-keyed dot products. Every posting of one weight in
-// one term's run adds the same product w_rep·w_doc, so the postings are
-// regrouped once into segments of equal weight (see segments); per context,
-// the representative's segments are ordered by product and walked in that
+// papers × contexts map-keyed dot products. The index groups each term's
+// postings into segments of one TF, so of one weight, and every posting of
+// a segment adds the same product w_rep·w_doc; per context, the
+// representative's segments are ordered by product and walked in that
 // order, adding each segment's product into a dense per-paper accumulator.
 // Every paper so receives its products in ascending order — equal products
 // commute — which is the multiset, the summation order and, divided by
@@ -44,11 +44,7 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	}
 
 	n, m := c.Len(), cfg.TopContextsPerPaper
-	norms := make([]float64, n)
-	for d := range norms {
-		norms[d] = a.Row(corpus.PaperID(d), corpus.WholeText).Norm
-	}
-	segs := newSegments(ix, cfg.Workers)
+	norms := ix.Parts().Norms // the whole-text rows' norms
 	// members[i] collects context i's thresholded papers in paper order;
 	// each worker also keeps, per paper, the best m below-threshold contexts
 	// of its shard (generic papers join the broad contexts they match best,
@@ -62,8 +58,9 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 		top := newTopLists(n, m)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			rep := b.reps[terms[i]]
-			for _, e := range order.of(segs, a.Row(rep, corpus.WholeText)) {
-				for _, d := range segs.docs[segs.start[e.seg]:segs.start[e.seg+1]] {
+			for _, e := range order.of(ix, a.Row(rep, corpus.WholeText)) {
+				docs, _ := ix.Segment(e.seg)
+				for _, d := range docs {
 					acc[d] += e.prod
 				}
 			}
@@ -125,83 +122,6 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	return b.finish()
 }
 
-// segments is the index's postings regrouped by weight. A TF-IDF weight is
-// (1 + ln tf)·idf, strictly increasing in the term frequency tf, a small
-// integer, so a term's run holds few distinct weights, one per distinct TF.
-// Term t's segments are first[t] ≤ s < first[t+1], ascending by weight w[s]
-// within the term; segment s's papers, ascending, are
-// docs[start[s]:start[s+1]].
-type segments struct {
-	first []int32
-	w     []float64
-	start []int32
-	docs  []int32
-}
-
-// newSegments regroups the index's postings by TF, sharded by term over
-// workers. Term t's papers keep the index's span of its run, so every shard
-// writes docs at offsets known in advance; a shard's segments are appended
-// to its own lists, concatenated in shard (so term) order afterwards.
-func newSegments(ix *index.Index, workers int) *segments {
-	nt := ix.Terms()
-	off := make([]int32, nt+1)
-	for t := range nt {
-		docs, _ := ix.Postings(int32(t))
-		off[t+1] = off[t] + int32(len(docs))
-	}
-	sg := &segments{first: make([]int32, nt+1), docs: make([]int32, off[nt])}
-	type part struct {
-		w     []float64
-		start []int32
-	}
-	shards := par.Shards(nt, workers)
-	parts := make([]part, len(shards))
-	par.ForShards(shards, func(si int, sh par.Shard) {
-		var p part
-		// next[k] counts the term's postings of TF k, then is the write
-		// cursor of its segment. It spans the term's largest TF, and its
-		// whole capacity is zero between terms.
-		var next []int32
-		for t := sh.Lo; t < sh.Hi; t++ {
-			docs, tfs := ix.Postings(int32(t))
-			next = next[:0]
-			for _, k := range tfs {
-				if int(k) >= len(next) {
-					next = slices.Grow(next, int(k)+1-len(next))[:k+1]
-				}
-				next[k]++
-			}
-			at := off[t]
-			for k, cnt := range next {
-				if cnt == 0 {
-					continue
-				}
-				p.w = append(p.w, ix.Weight(int32(t), uint16(k)))
-				p.start = append(p.start, at)
-				next[k] = at
-				at += cnt
-			}
-			for j, k := range tfs {
-				sg.docs[next[k]] = int32(docs[j])
-				next[k]++
-			}
-			clear(next)
-			sg.first[t+1] = int32(len(p.w))
-		}
-		parts[si] = p
-	})
-	for si, sh := range shards {
-		base := int32(len(sg.w))
-		for t := sh.Lo; t < sh.Hi; t++ {
-			sg.first[t+1] += base
-		}
-		sg.w = append(sg.w, parts[si].w...)
-		sg.start = append(sg.start, parts[si].start...)
-	}
-	sg.start = append(sg.start, off[nt])
-	return sg
-}
-
 // segProd is one segment of a representative's terms with its product.
 type segProd struct {
 	prod float64
@@ -216,20 +136,28 @@ type segOrder struct {
 	count       []int32
 }
 
-// of returns the segments of rep's terms ascending by product r_t·w, valid
-// until the next call. The products are finite and positive, so
-// vector.SortByBits orders them on their bit patterns, carrying each
-// segment along; past its move budget the rest is left to slices.SortFunc.
-func (o *segOrder) of(sg *segments, rep corpus.Row) []segProd {
-	ents, prods := o.ents[:0], o.prods[:0]
+// of returns the index segments of rep's terms ascending by product
+// r_t·w, valid until the next call; w is the segment's posting weight.
+func (o *segOrder) of(ix *index.Index, rep corpus.Row) []segProd {
+	o.ents, o.prods = o.ents[:0], o.prods[:0]
 	for i, t := range rep.Terms {
-		r := rep.Weights[i]
-		for s := sg.first[t]; s < sg.first[t+1]; s++ {
-			p := r * sg.w[s]
-			ents = append(ents, segProd{p, s})
-			prods = append(prods, p)
+		lo, hi := ix.Segments(t)
+		for s := lo; s < hi; s++ {
+			_, tf := ix.Segment(s)
+			p := rep.Weights[i] * ix.Weight(t, tf)
+			o.ents = append(o.ents, segProd{p, s})
+			o.prods = append(o.prods, p)
 		}
 	}
+	return o.sort()
+}
+
+// sort orders o.ents ascending by product, o.prods holding the same
+// products, and returns them. The products are finite and positive, so
+// vector.SortByBits orders them on their bit patterns, carrying each
+// segment along; past its move budget the rest is left to slices.SortFunc.
+func (o *segOrder) sort() []segProd {
+	ents, prods := o.ents, o.prods
 	n := len(ents)
 	count := slices.Grow(o.count[:0], 2*n)[:2*n]
 	clear(count)
@@ -238,7 +166,7 @@ func (o *segOrder) of(sg *segments, rep corpus.Row) []segProd {
 	if !vector.SortByBits(prods, ents, count, kbuf[:n], pbuf[:n]) {
 		slices.SortFunc(ents, func(x, y segProd) int { return cmp.Compare(x.prod, y.prod) })
 	}
-	o.ents, o.pbuf, o.prods, o.kbuf, o.count = ents, pbuf, prods, kbuf, count
+	o.pbuf, o.kbuf, o.count = pbuf, kbuf, count
 	return ents
 }
 

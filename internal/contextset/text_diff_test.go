@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 
 	"ctxsearch/internal/corpus"
@@ -47,98 +46,57 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSegmentsRegroupPostings: every term's segments partition its posting
-// run into runs of one weight each — the weight the analyzer's whole-text
-// row gives the paper — weights strictly ascending, papers ascending within
-// a segment, and the tables do not depend on the worker count.
-func TestSegmentsRegroupPostings(t *testing.T) {
-	_, a, ix := randomFixture(t, 7)
-	want := newSegments(ix, 1)
-	for _, workers := range []int{2, 3, 8} {
-		if got := newSegments(ix, workers); !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: segment tables differ from workers=1", workers)
-		}
-	}
-	for term := range ix.Terms() {
-		docs, _ := ix.Postings(int32(term))
-		weightOf := make(map[int32]float64, len(docs))
-		for _, d := range docs {
-			r := a.Row(d, corpus.WholeText)
-			i, _ := slices.BinarySearch(r.Terms, int32(term))
-			weightOf[int32(d)] = r.Weights[i]
-		}
-		seen := 0
-		for s := want.first[term]; s < want.first[term+1]; s++ {
-			if s > want.first[term] && !(want.w[s-1] < want.w[s]) {
-				t.Fatalf("term %d: segment weights %v, %v not strictly ascending", term, want.w[s-1], want.w[s])
-			}
-			run := want.docs[want.start[s]:want.start[s+1]]
-			if len(run) == 0 {
-				t.Fatalf("term %d: empty segment %d", term, s)
-			}
-			for k, d := range run {
-				if k > 0 && run[k-1] >= d {
-					t.Fatalf("term %d segment %d: papers not ascending", term, s)
-				}
-				if w, ok := weightOf[d]; !ok || math.Float64bits(w) != math.Float64bits(want.w[s]) {
-					t.Fatalf("term %d: paper %d in the segment of weight %v, posting weight %v (%v)", term, d, want.w[s], w, ok)
-				}
-			}
-			seen += len(run)
-		}
-		if seen != len(docs) {
-			t.Fatalf("term %d: segments hold %d papers, the run %d", term, seen, len(docs))
-		}
-	}
-}
-
 // TestSegOrderAscending: a representative's segments come out ascending by
-// product and are exactly its terms' segments with r_t·w — on every
-// representative of a generated corpus, and on two hand-built tables: one
-// whose products all crowd one bucket in descending order (past the move
-// budget, so the comparison sort finishes), and one of equal products.
+// product and are exactly its terms' index segments with r_t·w — on every
+// representative of a generated corpus — and sort orders two hand-built
+// lists: one whose products all crowd one bucket in descending order (past
+// the move budget, so the comparison sort finishes), and one of equal
+// products.
 func TestSegOrderAscending(t *testing.T) {
 	o, a, ix := randomFixture(t, 7)
-	sg := newSegments(ix, 0)
 	var order segOrder
 	cs := BuildTextBased(ix, o, Config{Workers: 1})
 	for _, ctx := range cs.Contexts() {
 		rep, _ := cs.Representative(ctx)
-		checkSegOrder(t, &order, sg, a.Row(rep, corpus.WholeText))
+		r := a.Row(rep, corpus.WholeText)
+		want := map[int32]float64{}
+		for i, term := range r.Terms {
+			lo, hi := ix.Segments(term)
+			for s := lo; s < hi; s++ {
+				_, tf := ix.Segment(s)
+				want[s] = r.Weights[i] * ix.Weight(term, tf)
+			}
+		}
+		checkSegOrder(t, order.of(ix, r), want)
 	}
 
 	const n = 300
-	crowded := &segments{first: make([]int32, n+2), w: make([]float64, n+1)}
-	tied := &segments{first: make([]int32, n+1), w: make([]float64, n)}
-	rep := corpus.Row{Terms: make([]int32, n+1), Weights: make([]float64, n+1)}
-	w := 1.0
+	crowded, tied := make([]segProd, n+1), make([]segProd, n)
+	p := 1.0
 	for i := range n + 1 {
-		crowded.first[i+1] = int32(i + 1)
-		rep.Terms[i], rep.Weights[i] = int32(i), 1
-		crowded.w[n-i] = w // descending by term: every product moves
-		w = math.Nextafter(w, 2)
+		crowded[n-i] = segProd{p, int32(n - i)} // descending: every product moves
+		p = math.Nextafter(p, 2)
 		if i < n {
-			tied.first[i+1] = int32(i + 1)
-			tied.w[i] = 0.75
+			tied[i] = segProd{0.75, int32(i)}
 		}
 	}
-	crowded.w[0] = 1e300 // the outlier that puts the rest in one bucket
-	checkSegOrder(t, &order, crowded, rep)
-	rep.Terms, rep.Weights = rep.Terms[:n], rep.Weights[:n]
-	checkSegOrder(t, &order, tied, rep)
+	crowded[0].prod = 1e300 // the outlier that puts the rest in one bucket
+	for _, ents := range [][]segProd{crowded, tied} {
+		want := map[int32]float64{}
+		order.ents, order.prods = order.ents[:0], order.prods[:0]
+		for _, e := range ents {
+			want[e.seg] = e.prod
+			order.ents = append(order.ents, e)
+			order.prods = append(order.prods, e.prod)
+		}
+		checkSegOrder(t, order.sort(), want)
+	}
 }
 
-// checkSegOrder fails unless order.of(sg, rep) is rep's segments ascending
-// by product.
-func checkSegOrder(t *testing.T, order *segOrder, sg *segments, rep corpus.Row) {
+// checkSegOrder fails unless got is the segments of want, each with its
+// product, ascending by product.
+func checkSegOrder(t *testing.T, got []segProd, want map[int32]float64) {
 	t.Helper()
-	want := map[int32]float64{}
-	for i, term := range rep.Terms {
-		for s := sg.first[term]; s < sg.first[term+1]; s++ {
-			want[s] = rep.Weights[i] * sg.w[s]
-		}
-	}
-	got := order.of(sg, rep)
 	if len(got) != len(want) {
 		t.Fatalf("%d segments ordered, want %d", len(got), len(want))
 	}

@@ -4,13 +4,13 @@
 // high-threshold mode to seed answer sets.
 //
 // The index is laid out for query throughput: terms are the analyzer's
-// dense dictionary IDs and postings live in flat CSR-style arrays (one
-// offsets array plus packed doc and term-frequency columns), so a query
-// walks contiguous memory instead of chasing map buckets. A posting stores
-// its term frequency, not its TF-IDF weight: the weight (1 + ln tf)·idf is a
-// function of that small integer and of the DF table the analyzer holds, and
-// the index derives it by the analyzer's own arithmetic, so every weight has
-// the bits the analyzer's row gives (see Weight). Scoring accumulates
+// dense dictionary IDs and postings live in flat CSR-style arrays, so a
+// query walks contiguous memory instead of chasing map buckets. A term's
+// postings are grouped into segments of ascending paper IDs that share one
+// term frequency, stored once: the TF-IDF weight (1 + ln tf)·idf is a
+// function of that small integer and of the analyzer's DF table, derived by
+// the analyzer's own arithmetic, so every weight has the bits the
+// analyzer's row gives (see Weight). Scoring accumulates
 // into a pooled dense array indexed by document ID rather than a
 // map[PaperID]float64. Term IDs follow lexicographic term order, which keeps
 // the floating-point accumulation order — and therefore every score, bit
@@ -52,15 +52,17 @@ type Hit struct {
 type Index struct {
 	// analyzer's dictionary is the index's: term t is its term ID t.
 	analyzer *corpus.Analyzer
-	// CSR postings: the postings of term t are docs[offsets[t]:offsets[t+1]]
-	// and, aligned with them, their term frequencies tf[...], sorted by
-	// ascending doc ID. Every tf is at least 1.
-	offsets []int32
-	docs    []corpus.PaperID
-	tf      []uint16
-	norms   []float64
+	// Postings grouped by TF: term t's segments are first[t] <= s <
+	// first[t+1], in ascending TF; segment s holds the papers
+	// docs[start[s]:start[s+1]], ascending, whose term frequency for t is
+	// tf[s] >= 1. A paper has at most one posting per term.
+	first []int32
+	start []int32
+	tf    []uint16
+	docs  []corpus.PaperID
+	norms []float64
 	// idf is the analyzer's per-term IDF, and logTF[k] = 1 + ln k the TF
-	// damping for every 1 <= k <= the largest posting TF (logTF[0] is
+	// damping for every 1 <= k <= the largest segment TF (logTF[0] is
 	// unused): a posting's weight is float64(logTF[tf]·idf[t]).
 	idf   []float64
 	logTF []float64
@@ -77,20 +79,23 @@ type accum struct {
 	touched []corpus.PaperID
 }
 
-// newIndex returns an index over the analyzer and the CSR arrays, with its
-// accumulator pool; maxTF is the largest posting TF.
-func newIndex(a *corpus.Analyzer, offsets []int32, docs []corpus.PaperID, tf []uint16, norms []float64, maxTF int) *Index {
+// newIndex returns an index over the analyzer and the segmented postings,
+// with its accumulator pool and the damping table the largest TF sizes.
+func newIndex(a *corpus.Analyzer, first, start []int32, tf []uint16, docs []corpus.PaperID, norms []float64) *Index {
 	ix := &Index{
 		analyzer: a,
-		offsets:  offsets,
-		docs:     docs,
+		first:    first,
+		start:    start,
 		tf:       tf,
+		docs:     docs,
 		norms:    norms,
 		idf:      a.DF().IDFs(),
-		logTF:    make([]float64, maxTF+1),
+		logTF:    []float64{0},
 	}
-	for k := 1; k <= maxTF; k++ {
-		ix.logTF[k] = logTF(k)
+	for _, f := range tf {
+		for k := len(ix.logTF); k <= int(f); k++ {
+			ix.logTF = append(ix.logTF, logTF(k))
+		}
 	}
 	n := len(norms)
 	ix.accPool.New = func() any {
@@ -104,7 +109,7 @@ func newIndex(a *corpus.Analyzer, offsets []int32, docs []corpus.PaperID, tf []u
 func logTF(tf int) float64 { return 1 + math.Log(float64(tf)) }
 
 // Weight returns the TF-IDF weight of a posting of term t with term
-// frequency tf (1 <= tf <= the largest posting TF): (1 + ln tf)·idf(t), the
+// frequency tf (1 <= tf <= the largest segment TF): (1 + ln tf)·idf(t), the
 // weight the analyzer's row gives the term, bit for bit.
 func (ix *Index) Weight(t int32, tf uint16) float64 {
 	return float64(ix.logTF[tf] * ix.idf[t])
@@ -116,16 +121,17 @@ func (ix *Index) Weight(t int32, tf uint16) float64 {
 // so the index terms are the dictionary. Papers (in ascending ID order) are
 // split into contiguous shards; each worker counts its shard's postings per
 // term, and each then fills its shard's postings into the shared CSR arrays
-// at precomputed disjoint cursors. The output is byte-identical at every
-// worker count: per-term counts are order-independent integer sums, and
-// because shards are contiguous ID ranges, writing shard s's postings after
-// all of shard s-1's reproduces exactly the ascending-doc posting layout of
-// the sequential build. workers <= 0 selects GOMAXPROCS.
+// at precomputed disjoint cursors; segment then groups each term's run by
+// TF. The output is byte-identical at every worker count: per-term counts
+// are order-independent integer sums, because shards are contiguous ID
+// ranges, writing shard s's postings after all of shard s-1's reproduces
+// exactly the ascending-doc runs of the sequential build, and a term's
+// segments depend on its run alone. workers <= 0 selects GOMAXPROCS.
 //
 // A posting keeps the term frequency its weight was computed from (see
 // tfOf). BuildWorkers returns an error, naming the paper and the term, if a
 // weight is not (1 + ln tf)·idf for an integer 1 <= tf <= 65535 — the width
-// of a posting's TF — bit for bit: a loaded corpus can repeat a word more
+// of a segment's TF — bit for bit: a loaded corpus can repeat a word more
 // often than that.
 func BuildWorkers(a *corpus.Analyzer, workers int) (*Index, error) {
 	c := a.Corpus()
@@ -188,13 +194,13 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) (*Inde
 		}
 	}
 
-	// Pass 2 (sharded): fill the packed columns. Within a shard, visiting
-	// papers in ascending ID order leaves every term's posting run sorted
-	// by doc with no per-term sort — exactly as in the sequential build.
+	// Pass 2 (sharded): fill the runs and each posting's TF. Within a shard,
+	// visiting papers in ascending ID order leaves every term's posting run
+	// sorted by doc with no per-term sort — exactly as in the sequential
+	// build.
 	total := offsets[nTerms]
 	docs := make([]corpus.PaperID, total)
 	tf := make([]uint16, total)
-	maxTF := make([]int, len(shards))
 	errs := make([]error, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
 		next := bases[si]
@@ -211,7 +217,6 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) (*Inde
 				docs[slot] = p.ID
 				tf[slot] = f
 				next[t] = slot + 1
-				maxTF[si] = max(maxTF[si], int(f))
 			}
 		}
 	})
@@ -219,7 +224,58 @@ func buildPapers(a *corpus.Analyzer, papers []*corpus.Paper, workers int) (*Inde
 	if err := cmp.Or(errs...); err != nil {
 		return nil, err
 	}
-	return newIndex(a, offsets, docs, tf, norms, slices.Max(append(maxTF, 0))), nil
+	first, start, segTF := segment(offsets, docs, tf, workers)
+	return newIndex(a, first, start, segTF, docs, norms), nil
+}
+
+// segment groups each term's run docs[offsets[t]:offsets[t+1]] (ascending,
+// tf aligned) in place into segments of one TF, ascending, with papers
+// ascending within each, sharded by term: a term keeps its span of docs, and
+// shards' segment lists are concatenated in term order. It returns each
+// term's first segment, each segment's start (one more closing the last)
+// and TF.
+func segment(offsets []int32, docs []corpus.PaperID, tf []uint16, workers int) (first, start []int32, segTF []uint16) {
+	nt := len(offsets) - 1
+	first = make([]int32, nt+1)
+	shards := par.Shards(nt, workers)
+	starts, tfs := make([][]int32, len(shards)), make([][]uint16, len(shards))
+	par.ForShards(shards, func(si int, sh par.Shard) {
+		// next[k] counts the run's postings of TF k, then is the write
+		// cursor of its segment; its whole capacity is zero between terms.
+		var next []int32
+		var run []corpus.PaperID
+		for t := sh.Lo; t < sh.Hi; t++ {
+			lo, hi := offsets[t], offsets[t+1]
+			for _, k := range tf[lo:hi] {
+				if int(k) >= len(next) {
+					next = slices.Grow(next, int(k)+1-len(next))[:k+1]
+				}
+				next[k]++
+			}
+			at := lo
+			for k, cnt := range next {
+				if cnt > 0 {
+					starts[si], tfs[si] = append(starts[si], at), append(tfs[si], uint16(k))
+					next[k], at = at, at+cnt
+				}
+			}
+			run = append(run[:0], docs[lo:hi]...)
+			for j, k := range tf[lo:hi] {
+				docs[next[k]] = run[j]
+				next[k]++
+			}
+			clear(next)
+			next = next[:0]
+			first[t+1] = int32(len(tfs[si]))
+		}
+	})
+	for si, sh := range shards {
+		for t := sh.Lo; t < sh.Hi; t++ {
+			first[t+1] += int32(len(segTF))
+		}
+		start, segTF = append(start, starts[si]...), append(segTF, tfs[si]...)
+	}
+	return first, append(start, offsets[nt]), segTF
 }
 
 // tfOf returns the term frequency tf whose weight (1 + ln tf)·idf is w, bit
@@ -236,16 +292,35 @@ func tfOf(w, idf float64) (uint16, error) {
 	return uint16(f), nil
 }
 
-// Postings returns the posting run of a term ID — ascending document IDs
-// and, aligned with them, each document's full-text term frequency for the
-// term (nil slices for corpus.NoTerm); Weight turns a TF into the posting's
-// TF-IDF weight. The slices alias the index and must not be modified.
-func (ix *Index) Postings(t int32) ([]corpus.PaperID, []uint16) {
+// Segments returns the segments of a term ID, lo <= s < hi in ascending
+// TF; Segment reads each.
+func (ix *Index) Segments(t int32) (lo, hi int32) {
+	return ix.first[t], ix.first[t+1]
+}
+
+// Segment returns segment s's papers, ascending, and the full-text term
+// frequency each has for the segment's term; Weight turns the TF into their
+// postings' TF-IDF weight. The slice aliases the index and must not be
+// modified.
+func (ix *Index) Segment(s int32) ([]corpus.PaperID, uint16) {
+	return ix.docs[ix.start[s]:ix.start[s+1]], ix.tf[s]
+}
+
+// tfTable returns a term ID's TF for every paper, 0 where it has none (nil
+// for corpus.NoTerm): one load per lookup instead of a search of each of a
+// frequent term's dozens of segments.
+func (ix *Index) tfTable(t int32) []uint16 {
 	if t < 0 {
-		return nil, nil
+		return nil
 	}
-	lo, hi := ix.offsets[t], ix.offsets[t+1]
-	return ix.docs[lo:hi], ix.tf[lo:hi]
+	tfs := make([]uint16, len(ix.norms))
+	for s := ix.first[t]; s < ix.first[t+1]; s++ {
+		docs, f := ix.Segment(s)
+		for _, d := range docs {
+			tfs[d] = f
+		}
+	}
+	return tfs
 }
 
 // termID returns a term's dictionary ID, corpus.NoTerm when it has none.
@@ -273,7 +348,7 @@ func (ix *Index) putAccum(a *accum) {
 }
 
 // Terms returns the number of distinct indexed terms.
-func (ix *Index) Terms() int { return len(ix.offsets) - 1 }
+func (ix *Index) Terms() int { return len(ix.first) - 1 }
 
 // Analyzer returns the analyzer the index was built from.
 func (ix *Index) Analyzer() *corpus.Analyzer { return ix.analyzer }
@@ -378,19 +453,22 @@ func (ix *Index) AppendVectorHits(ctx context.Context, qv vector.Sparse, opts Op
 		}
 		// A posting adds the query weight times its weight Weight(t, tf),
 		// each product rounded — the bits float64(qw * w) gave over a stored
-		// weight w. Computed per posting: a per-term table of the products
-		// for every TF measured slower, its fill not repaid by short runs.
-		qw, idf, logTF := qt.w, ix.idf[qt.id], ix.logTF
-		docs, tfs := ix.Postings(qt.id)
-		for i, doc := range docs {
-			if restricted && !opts.allows(doc) {
-				continue
+		// weight w. Its papers sharing a TF, a segment computes it once.
+		qw, idf := qt.w, ix.idf[qt.id]
+		lo, hi := ix.Segments(qt.id)
+		for s := lo; s < hi; s++ {
+			docs, f := ix.Segment(s)
+			prod := float64(qw * float64(ix.logTF[f]*idf))
+			for _, doc := range docs {
+				if restricted && !opts.allows(doc) {
+					continue
+				}
+				if !acc.seen[doc] {
+					acc.seen[doc] = true
+					acc.touched = append(acc.touched, doc)
+				}
+				acc.val[doc] += prod
 			}
-			if !acc.seen[doc] {
-				acc.seen[doc] = true
-				acc.touched = append(acc.touched, doc)
-			}
-			acc.val[doc] += float64(qw * float64(logTF[tfs[i]]*idf))
 		}
 	}
 	hits := slices.Grow(dst, len(acc.touched))
@@ -430,8 +508,8 @@ type TopKStats struct {
 func (ix *Index) TopKStats() TopKStats { return TopKStats{} }
 
 // textScorer scores single documents against one query from the frozen
-// postings: the query's indexed terms with their posting runs, resolved
-// once. Not safe for concurrent use (prods is scratch).
+// postings: the query's indexed terms with their TF tables, resolved once.
+// Not safe for concurrent use (prods is scratch).
 type textScorer struct {
 	ix    *Index
 	qn    float64 // ‖q‖
@@ -439,26 +517,21 @@ type textScorer struct {
 	prods []float64
 }
 
-// scorerTerm is one query term with postings: its ID, query weight and run.
+// scorerTerm is one query term: its ID, query weight and TF table.
 type scorerTerm struct {
-	id   int32
-	w    float64
-	docs []corpus.PaperID
-	tf   []uint16
+	id int32
+	w  float64
+	tf []uint16
 }
 
-// newTextScorer resolves the query's terms to their posting runs (through
-// resolveQuery, like the vector pass); terms without postings contribute to
-// no score and are dropped.
+// newTextScorer resolves the query's terms (through resolveQuery, like the
+// vector pass) and fills their TF tables.
 func (ix *Index) newTextScorer(qv vector.Sparse) textScorer {
 	qts := ix.resolveQuery(qv)
-	sc := textScorer{ix: ix, qn: qv.Norm(), terms: make([]scorerTerm, 0, len(qts))}
-	for _, qt := range qts {
-		if docs, tf := ix.Postings(qt.id); len(docs) > 0 {
-			sc.terms = append(sc.terms, scorerTerm{qt.id, qt.w, docs, tf})
-		}
+	sc := textScorer{ix: ix, qn: qv.Norm(), terms: make([]scorerTerm, len(qts)), prods: make([]float64, 0, len(qts))}
+	for i, qt := range qts {
+		sc.terms[i] = scorerTerm{qt.id, qt.w, ix.tfTable(qt.id)}
 	}
-	sc.prods = make([]float64, 0, len(sc.terms))
 	return sc
 }
 
@@ -475,8 +548,8 @@ func (sc *textScorer) score(doc corpus.PaperID) float64 {
 	}
 	prods := sc.prods[:0]
 	for _, t := range sc.terms {
-		if i, ok := slices.BinarySearch(t.docs, doc); ok {
-			prods = append(prods, t.w*sc.ix.Weight(t.id, t.tf[i]))
+		if f := t.tf[doc]; f != 0 {
+			prods = append(prods, t.w*sc.ix.Weight(t.id, f))
 		}
 	}
 	return vector.SumSorted(prods) / (sc.qn * dn)

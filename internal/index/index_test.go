@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -324,4 +325,31 @@ func must[T any](v T, err error) T {
 		panic(err)
 	}
 	return v
+}
+
+// runOf returns a term ID's postings in doc order, each paper with its TF:
+// the run a term had before its postings were grouped by TF (none for
+// corpus.NoTerm).
+func runOf(ix *Index, t int32) ([]corpus.PaperID, []uint16) {
+	type posting struct {
+		doc corpus.PaperID
+		tf  uint16
+	}
+	var run []posting
+	lo, hi := int32(0), int32(0)
+	if t >= 0 {
+		lo, hi = ix.Segments(t)
+	}
+	for s := lo; s < hi; s++ {
+		docs, f := ix.Segment(s)
+		for _, d := range docs {
+			run = append(run, posting{d, f})
+		}
+	}
+	slices.SortFunc(run, func(a, b posting) int { return cmp.Compare(a.doc, b.doc) })
+	docs, tfs := make([]corpus.PaperID, len(run)), make([]uint16, len(run))
+	for i, p := range run {
+		docs[i], tfs[i] = p.doc, p.tf
+	}
+	return docs, tfs
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // TestParallelBuildMatchesSequential is the golden equivalence test for the
-// sharded index build: the CSR layout — offsets, packed doc/weight columns
-// and norms — must be byte-identical at every worker count.
+// sharded index build: the segmented layout — first segments, segment
+// starts and TFs, the doc column — and the norms must be byte-identical at
+// every worker count.
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	o, err := ontology.Generate(ontology.GenConfig{Seed: 3, NumTerms: 60, MaxDepth: 6})
 	if err != nil {
@@ -24,14 +25,14 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 	seq := must(BuildWorkers(a, 1))
 	for _, workers := range []int{2, 3, 8} {
 		par := must(BuildWorkers(a, workers))
-		if !reflect.DeepEqual(seq.offsets, par.offsets) {
-			t.Fatalf("workers=%d: CSR offsets differ", workers)
+		if !reflect.DeepEqual(seq.first, par.first) || !reflect.DeepEqual(seq.start, par.start) {
+			t.Fatalf("workers=%d: segment offsets differ", workers)
 		}
 		if !reflect.DeepEqual(seq.docs, par.docs) {
 			t.Fatalf("workers=%d: packed doc column differs", workers)
 		}
 		if !reflect.DeepEqual(seq.tf, par.tf) {
-			t.Fatalf("workers=%d: packed term-frequency column differs", workers)
+			t.Fatalf("workers=%d: segment term-frequency column differs", workers)
 		}
 		if !reflect.DeepEqual(seq.norms, par.norms) {
 			t.Fatalf("workers=%d: norms differ", workers)
@@ -84,8 +85,7 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 
 	// Full-range build is the whole index.
 	whole := buildRangeWorkers(a, 0, c.Len(), 2)
-	if !reflect.DeepEqual(full.offsets, whole.offsets) || !reflect.DeepEqual(full.docs, whole.docs) ||
-		!reflect.DeepEqual(full.tf, whole.tf) || !reflect.DeepEqual(full.norms, whole.norms) {
+	if !reflect.DeepEqual(full.Parts(), whole.Parts()) {
 		t.Fatal("buildRangeWorkers over the full range differs from BuildWorkers")
 	}
 
@@ -95,11 +95,11 @@ func TestBuildRangeWorkersPartition(t *testing.T) {
 			parts = append(parts, buildRangeWorkers(a, cuts[i], cuts[i+1], 2))
 		}
 		for term := range int32(full.Terms()) {
-			wantDocs, wantWts := full.Postings(term)
+			wantDocs, wantWts := runOf(full, term)
 			var gotDocs []corpus.PaperID
 			var gotWts []uint16
 			for _, p := range parts {
-				d, w := p.Postings(term)
+				d, w := runOf(p, term)
 				gotDocs = append(gotDocs, d...)
 				gotWts = append(gotWts, w...)
 			}

@@ -34,17 +34,16 @@ type Query interface {
 	String() string
 }
 
-// termQuery matches documents containing the (stemmed) term: those of its
-// posting run, bound at parse time (nil when the term is not indexed).
+// termQuery matches documents containing the (stemmed) term: those with a
+// TF in its table, filled at parse time (nil, matching nothing, when the
+// term is not indexed).
 type termQuery struct {
 	term string
-	docs []corpus.PaperID
+	tf   []uint16
 }
 
 func (q termQuery) matches(_ *Index, doc corpus.PaperID) bool {
-	// Postings are sorted by doc: binary search.
-	_, ok := slices.BinarySearch(q.docs, doc)
-	return ok
+	return q.tf != nil && q.tf[doc] != 0
 }
 
 func (q termQuery) positiveTerms(into vector.Sparse) { into[q.term]++ }
@@ -238,7 +237,7 @@ func (ix *Index) SearchQuery(q Query, opts Options) ([]Hit, error) {
 // SearchQuery would; a cancelled call returns (nil, ctx.Err()).
 //
 // The whole evaluation runs on the frozen index data: candidates and scores
-// come from the posting runs (see textScorer), phrase and field predicates
+// come from the posting segments (see textScorer), phrase and field predicates
 // from the analyzer's token streams (a frozen analyzer tokenizes a paper on
 // its first such check). No TF-IDF row is touched.
 func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) ([]Hit, error) {
@@ -273,7 +272,7 @@ func (ix *Index) AppendQueryHits(ctx context.Context, q Query, opts Options, dst
 		if err := ctx.Err(); err != nil {
 			return dst, err
 		}
-		for _, doc := range t.docs {
+		for _, doc := range ix.docs[ix.start[ix.first[t.id]]:ix.start[ix.first[t.id+1]]] {
 			if restricted && !opts.allows(doc) {
 				continue
 			}
@@ -488,8 +487,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 		// AND over them.
 		kids := make([]Query, len(terms))
 		for i, tm := range terms {
-			docs, _ := p.ix.Postings(p.ix.termID(tm))
-			kids[i] = termQuery{tm, docs}
+			kids[i] = termQuery{tm, p.ix.tfTable(p.ix.termID(tm))}
 		}
 		if len(kids) == 1 {
 			return kids[0], nil

@@ -51,7 +51,7 @@ func newRefAnalysis(a *corpus.Analyzer) *refAnalysis {
 func refMatches(ix *Index, ref *refAnalysis, q Query, doc corpus.PaperID) bool {
 	switch q := q.(type) {
 	case termQuery:
-		docs, _ := ix.Postings(ix.termID(q.term))
+		docs, _ := runOf(ix, ix.termID(q.term))
 		_, ok := slices.BinarySearch(docs, doc)
 		return ok
 	case phraseQuery:
@@ -113,7 +113,7 @@ func refSearchQuery(ix *Index, ref *refAnalysis, q Query, opts Options) ([]Hit, 
 	seen := map[corpus.PaperID]bool{}
 	var hits []Hit
 	for term := range raw {
-		docs, _ := ix.Postings(ix.termID(term))
+		docs, _ := runOf(ix, ix.termID(term))
 		for _, doc := range docs {
 			if seen[doc] || !opts.allows(doc) {
 				continue

@@ -303,7 +303,7 @@ func TestOpenTooNew(t *testing.T) {
 	if err == nil {
 		t.Fatal("future version opened successfully")
 	}
-	for _, want := range []string{"version 7", "newer ctxsearch"} {
+	for _, want := range []string{"version 8", "newer ctxsearch"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("too-new error missing %q: %v", want, err)
 		}

@@ -10,7 +10,7 @@ import (
 
 // The state format is a sectioned binary file built for memory-mapped,
 // zero-copy opens. The magic marks the container; the version field inside
-// the header counts revisions: Save stamps 6 and Open reads exactly that —
+// the header counts revisions: Save stamps 7 and Open reads exactly that —
 // a file of any other version is refused as a whole, naming the rebuild.
 // Save writes every section ID listed further down, and a reader requires
 // each one it materializes; a section whose ID it never asks for is
@@ -18,7 +18,7 @@ import (
 //
 //	header (56 bytes):
 //	  [8]byte  magic "CTXSRCH4"
-//	  uint32   version (6)
+//	  uint32   version (7)
 //	  uint32   section count
 //	  uint32   CRC32-C of the section table bytes
 //	  uint32   reserved (0)
@@ -49,7 +49,7 @@ import (
 // sections, never faulting in the CSR payload pages.
 const (
 	magic       = "CTXSRCH4"
-	version     = 6
+	version     = 7
 	headerSize  = 56
 	secHdrSize  = 32
 	secAlign    = 64
@@ -60,8 +60,8 @@ const (
 // alignment the section offset must satisfy; a reader also refuses a
 // section whose kind is not the one it reinterprets the bytes as. Kinds 2
 // (int64) and 4 (uint64) are retired and stay gaps, so that no other kind's
-// value moves. The one uint16 section is the postings' term frequencies
-// (21).
+// value moves. The one uint16 section is the posting segments' term
+// frequencies (24).
 const (
 	kindBytes = uint32(0)
 	kindI32   = uint32(1)
@@ -90,19 +90,20 @@ func elemSize(kind uint32) int {
 // Section IDs. The context-set and index sections have fixed IDs; each
 // prestige matrix gets a block of IDs starting at a base recorded in the
 // matrix directory. IDs that earlier versions wrote are never reused: 5, 6,
-// 7, 11, 13, 14, 17–20, and a matrix's base+1 and base+2.
+// 7, 9, 10, 11, 13, 14, 17–21, and a matrix's base+1 and base+2.
 const (
 	secCSMeta       = uint32(1)  // bytes: kind, member ctx refs, reps, decay, inheritedFrom
 	secTermDict     = uint32(2)  // bytes: shared term-ID string table
 	secCSOffsets    = uint32(3)  // int32: member run offsets
 	secCSDocs       = uint32(4)  // int32: member paper IDs
 	secIdxTerms     = uint32(8)  // bytes: index term dictionary
-	secIdxOffsets   = uint32(9)  // int32: posting run offsets
-	secIdxDocs      = uint32(10) // int32: posting doc IDs
 	secIdxNorms     = uint32(12) // float64: per-document vector norms
 	secDF           = uint32(15) // bytes: document-frequency table
 	secMatrixDir    = uint32(16) // bytes: score-function name → section base
-	secIdxTF        = uint32(21) // uint16: posting term frequencies
+	secIdxFirst     = uint32(22) // int32: each term's first posting segment
+	secIdxStart     = uint32(23) // int32: each segment's start in section 25
+	secIdxTF        = uint32(24) // uint16: each segment's term frequency
+	secIdxDocs      = uint32(25) // int32: posting doc IDs, segment after segment
 	secMatrixBase   = uint32(100)
 	secMatrixStride = uint32(16)
 )
@@ -157,8 +158,8 @@ func as32s[T ~int32 | ~uint32](b []byte) []T {
 	return out
 }
 
-// asU16s reinterprets a section of 2-byte unsigned integers: the postings'
-// term frequencies.
+// asU16s reinterprets a section of 2-byte unsigned integers: the posting
+// segments' term frequencies.
 func asU16s(b []byte) []uint16 {
 	if len(b) == 0 {
 		return nil

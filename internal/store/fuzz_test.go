@@ -2,7 +2,11 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -63,13 +67,11 @@ func patchImage(img []byte, id uint32, entry bool, at int32, patch []byte) {
 // every paper, an index that binds must answer a query over its whole
 // dictionary, which walks every posting, and an engine over a matrix and
 // index that bind must search every context the matrix scores. The
-// checked-in seeds hold decreasing posting offsets, a last offset past the
-// docs, a term dictionary whose count overflows its section, a section that
-// overlaps the header, four hostile TF columns (section 21: a TF of 0, an
-// odd length, the column relabelled uint32, a column shorter than the
-// docs), and three hostile member runs (section 4: a negative member, a run
-// out of order, a member at the paper count). The seeds added below patch
-// a posting doc, relabel the posting docs' section with another 4-byte
+// checked-in seeds hold a term dictionary whose count overflows its
+// section, three hostile member runs (section 4: a negative member, a run
+// out of order, a member at the paper count) and the hostile posting
+// segments TestHostileSegmentSeeds lists. The seeds added below patch a
+// posting doc, relabel the posting docs' section with another 4-byte
 // element kind, which the kind check must refuse, and relabel a section
 // with the retired element kind 2.
 func FuzzOpenBytes(f *testing.F) {
@@ -132,4 +134,64 @@ func openPatched(t *testing.T, data []byte, o *ontology.Ontology, a *corpus.Anal
 			search.NewEngine(ix, mat, search.DefaultWeights()).Search(strings.Join(names, " "), search.Options{MaxContexts: len(names), MinContextMatch: 1e-9})
 		}
 	}
+}
+
+// TestHostileSegmentSeeds: each checked-in FuzzOpenBytes seed that breaks
+// the posting segments — a first segment past the segment count or out of
+// order (section 22), a segment start past the doc column or out of order
+// (23), a TF of 0, an odd-length, relabelled or short TF column (24), a
+// section laid over the header — fails at open or at bind with an error
+// naming the section, without a panic.
+func TestHostileSegmentSeeds(t *testing.T) {
+	o, _, a, st := fixtureWithIndex(t)
+	img := v5Bytes(t, st)
+	for name, want := range map[string]string{
+		"seed-decreasing-offsets":        "first segments decrease at 1",
+		"seed-first-segment-past-count":  "first segments span",
+		"seed-section-overlaps-header":   "section 22 CRC mismatch",
+		"seed-last-offset-past-docs":     "segment starts span",
+		"seed-segment-start-past-docs":   "segment starts decrease at 1",
+		"seed-segment-starts-decreasing": "segment starts decrease at 1",
+		"seed-tf-zero":                   "segment 0 has term frequency 0",
+		"seed-tf-odd-length":             "section 24 length",
+		"seed-tf-as-uint32":              "section 24 holds uint32 elements",
+		"seed-tf-shorter-than-docs":      "first segments span",
+	} {
+		id, entry, at, patch := readSeed(t, name)
+		data := alignedBytes(len(img))
+		copy(data, img)
+		patchImage(data, id, entry, at, patch)
+		m, err := openBytes(data, false, o)
+		if err == nil {
+			var p *index.Parts
+			if p, err = m.IndexParts(); err == nil {
+				_, err = index.FromParts(a, p)
+			}
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: got %v, want an error naming %q", name, err, want)
+		}
+	}
+}
+
+// readSeed parses a checked-in FuzzOpenBytes seed: the section ID, the
+// entry flag, the position and the patch.
+func readSeed(t *testing.T, name string) (id uint32, entry bool, at int32, patch []byte) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzOpenBytes", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	if len(lines) != 5 {
+		t.Fatalf("%s: %d lines", name, len(lines))
+	}
+	if _, err := fmt.Sscanf(strings.Join(lines[1:4], " "), "uint32(%d) bool(%t) int32(%d)", &id, &entry, &at); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	q, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[4], "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return id, entry, at, []byte(q)
 }

@@ -427,28 +427,19 @@ func (m *Mapped) IndexParts() (*index.Parts, error) {
 	if err := c.done(); err != nil {
 		return nil, fmt.Errorf("store: index term dictionary: %w", err)
 	}
-	offs, err := m.needLocked(secIdxOffsets, kindI32)
-	if err != nil {
-		return nil, err
-	}
-	docs, err := m.needLocked(secIdxDocs, kindI32)
-	if err != nil {
-		return nil, err
-	}
-	tf, err := m.needLocked(secIdxTF, kindU16)
-	if err != nil {
-		return nil, err
-	}
-	norms, err := m.needLocked(secIdxNorms, kindF64)
-	if err != nil {
-		return nil, err
+	var b [5][]byte // first segments, segment starts, TFs, docs, norms
+	for i, sec := range [5][2]uint32{{secIdxFirst, kindI32}, {secIdxStart, kindI32}, {secIdxTF, kindU16}, {secIdxDocs, kindI32}, {secIdxNorms, kindF64}} {
+		if b[i], err = m.needLocked(sec[0], sec[1]); err != nil {
+			return nil, err
+		}
 	}
 	m.parts = &index.Parts{
-		Terms:   terms,
-		Offsets: as32s[int32](offs),
-		Docs:    as32s[corpus.PaperID](docs),
-		TF:      asU16s(tf),
-		Norms:   asF64s(norms),
+		Terms: terms,
+		First: as32s[int32](b[0]),
+		Start: as32s[int32](b[1]),
+		TF:    asU16s(b[2]),
+		Docs:  as32s[corpus.PaperID](b[3]),
+		Norms: asF64s(b[4]),
 	}
 	return m.parts, nil
 }

@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -10,9 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/prestige"
-	"ctxsearch/internal/vector"
 )
 
 // v5Bytes renders the fixture state as the image Save writes.
@@ -37,7 +39,7 @@ func sectionIDs(img []byte) []uint32 {
 
 // retiredSectionIDs are the sections earlier writers emitted (see
 // format.go); the block-max ones, 13, 14 and 17–20, are last.
-var retiredSectionIDs = []uint32{5, 6, 7, 11, 101, 102, 13, 14, 17, 18, 19, 20}
+var retiredSectionIDs = []uint32{5, 6, 7, 9, 10, 11, 21, 101, 102, 13, 14, 17, 18, 19, 20}
 
 // decodeSections lists an image's sections in table order, payloads
 // aliasing img — the input writeSections lays out again byte for byte.
@@ -56,42 +58,58 @@ func decodeSections(img []byte) []sectionData {
 	return secs
 }
 
-// postingWeights returns every posting's TF-IDF weight (1 + ln tf)·idf,
-// computed from the parts' TF column and the DF table's IDFs as the analyzer
-// weighs a row: the column section 11 held.
-func postingWeights(p *index.Parts, df *vector.DF) []float64 {
-	idf := df.IDFs()
-	w := make([]float64, len(p.TF))
-	for t := range p.Terms {
-		for k := p.Offsets[t]; k < p.Offsets[t+1]; k++ {
-			w[k] = (1 + math.Log(float64(p.TF[k]))) * idf[t]
-		}
+// perPosting returns the parts' postings in the layout version 6 stored:
+// each term's run of ascending doc IDs at offsets[t]:offsets[t+1]
+// (section 9), the doc IDs (section 10) and, aligned with them, each
+// posting's TF (section 21).
+func perPosting(p *index.Parts) (offsets []int32, docs []corpus.PaperID, tf []uint16) {
+	type posting struct {
+		doc corpus.PaperID
+		tf  uint16
 	}
-	return w
+	offsets = make([]int32, len(p.Terms)+1)
+	var run []posting
+	for t := range p.Terms {
+		run = run[:0]
+		for s := p.First[t]; s < p.First[t+1]; s++ {
+			for _, d := range p.Docs[p.Start[s]:p.Start[s+1]] {
+				run = append(run, posting{d, p.TF[s]})
+			}
+		}
+		slices.SortFunc(run, func(a, b posting) int { return cmp.Compare(a.doc, b.doc) })
+		for _, e := range run {
+			docs, tf = append(docs, e.doc), append(tf, e.tf)
+		}
+		offsets[t+1] = int32(len(docs))
+	}
+	return offsets, docs, tf
 }
 
 // withRetiredSections lays img out again with retired sections placed as
 // earlier writers placed them. Right after the member IDs (4) go the
 // assignment scores (5), one float64 per member; nothing ever read their
-// values, so each is 1. Right after the norms go the sections the
-// block-max evaluator used, computed as it did: per-term maximum posting
-// weight (13) and weight/norm ratio (14), then a block size of 128 (17),
-// per-term block offsets (18) and per-block maxima (19, 20).
+// values, so each is 1. Right after the index term dictionary (8) go the
+// per-posting runs of version 6 (sections 9, 10 and 21; see perPosting).
+// Right after the norms go the sections the block-max evaluator used,
+// computed as it did over those runs: per-term maximum posting weight (13)
+// and weight/norm ratio (14), then a block size of 128 (17), per-term block
+// offsets (18) and per-block maxima (19, 20).
 func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 	t.Helper()
 	const blockSize = 128
-	p, weights := st.Index, postingWeights(st.Index, st.DF)
+	p, idf := st.Index, st.DF.IDFs()
+	offsets, docs, tf := perPosting(p)
 	nTerms := len(p.Terms)
 	maxW, maxR := make([]float64, nTerms), make([]float64, nTerms)
 	blockOffs := make([]int32, nTerms+1)
 	var blockW, blockR []float64
 	for term := 0; term < nTerms; term++ {
-		for k := p.Offsets[term]; k < p.Offsets[term+1]; k++ {
-			w, r := weights[k], 0.0
-			if dn := p.Norms[p.Docs[k]]; dn > 0 {
+		for k := offsets[term]; k < offsets[term+1]; k++ {
+			w, r := (1+math.Log(float64(tf[k])))*idf[term], 0.0
+			if dn := p.Norms[docs[k]]; dn > 0 {
 				r = w / dn
 			}
-			if (k-p.Offsets[term])%blockSize == 0 {
+			if (k-offsets[term])%blockSize == 0 {
 				blockW, blockR = append(blockW, 0), append(blockR, 0)
 			}
 			b := len(blockW) - 1
@@ -110,6 +128,12 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 			}
 			secs = append(secs, sectionData{5, kindF64, encodeF64s(scores)})
 		}
+		if s.id == secIdxTerms {
+			secs = append(secs,
+				sectionData{9, kindI32, encode32s(offsets)},
+				sectionData{10, kindI32, encode32s(docs)},
+				sectionData{21, kindU16, encodeU16s(tf)})
+		}
 		if s.id == secIdxNorms {
 			secs = append(secs,
 				sectionData{13, kindF64, encodeF64s(maxW)},
@@ -127,11 +151,11 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 	return buf.Bytes()
 }
 
-// TestOpenIgnoresRetiredSections: the writer stamps version 6 and emits no
+// TestOpenIgnoresRetiredSections: the writer stamps version 7 and emits no
 // retired section, and an image that carries the assignment scores of the
-// first version-6 writer and the six sections the block-max evaluator used
-// opens, binds and serves the page the fresh image serves: a reader ignores
-// a section it never asks for.
+// first version-6 writer, the per-posting runs of version 6 and the six
+// sections the block-max evaluator used opens, binds and serves the page
+// the fresh image serves: a reader ignores a section it never asks for.
 func TestOpenIgnoresRetiredSections(t *testing.T) {
 	o, c, a, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
@@ -148,7 +172,7 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 		t.Fatalf("decoding and laying out the sections again does not reproduce the image (%v)", err)
 	}
 	old := withRetiredSections(t, img, st)
-	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+7 {
+	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+10 {
 		t.Fatalf("image with retired sections has %d sections", got)
 	}
 	query := c.Papers()[0].Title
@@ -180,21 +204,25 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesV5: a version-5 file — the format before the per-context
-// bitmaps (sections 6 and 7) went and the header gained the fingerprint — is
-// refused as a whole, naming its version, this binary's and the rebuild, on
-// the mapped and the byte-copy path alike. The version is the first field
-// the reader checks, so nothing of the older layout is ever parsed.
+// TestOpenRefusesV5: a file of an older version — version 6, whose
+// postings held one TF each (sections 9, 10 and 21), or version 5, from
+// before the per-context bitmaps (sections 6 and 7) went and the header
+// gained the fingerprint — is refused as a whole, naming its version, this
+// binary's and the rebuild, on the mapped and the byte-copy path alike. The
+// version is the first field the reader checks, so nothing of the older
+// layout is ever parsed.
 func TestOpenRefusesV5(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	img := v5Bytes(t, st)
-	binary.LittleEndian.PutUint32(img[8:], 5)
-	for _, noMmap := range []string{"", "1"} {
-		t.Setenv(noMmapEnv, noMmap)
-		_, err := Open(writeFile(t, img), o)
-		for _, want := range []string{"version 5 is older than this binary reads (6)", "ctxsearch build -state"} {
-			if err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("CTXSEARCH_NO_MMAP=%q: want an error naming %q, got %v", noMmap, want, err)
+	for _, ver := range []uint32{5, 6} {
+		img := v5Bytes(t, st)
+		binary.LittleEndian.PutUint32(img[8:], ver)
+		for _, noMmap := range []string{"", "1"} {
+			t.Setenv(noMmapEnv, noMmap)
+			_, err := Open(writeFile(t, img), o)
+			for _, want := range []string{fmt.Sprintf("version %d is older than this binary reads (7)", ver), "ctxsearch build -state"} {
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("CTXSEARCH_NO_MMAP=%q: want an error naming %q, got %v", noMmap, want, err)
+				}
 			}
 		}
 	}

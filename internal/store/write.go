@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"sort"
 
 	"ctxsearch/internal/index"
@@ -158,9 +157,10 @@ func Save(w io.Writer, st *State) error {
 		it.str(t)
 	}
 	add(secIdxTerms, kindBytes, it.b)
-	add(secIdxOffsets, kindI32, encode32s(p.Offsets))
-	add(secIdxDocs, kindI32, encode32s(p.Docs))
+	add(secIdxFirst, kindI32, encode32s(p.First))
+	add(secIdxStart, kindI32, encode32s(p.Start))
 	add(secIdxTF, kindU16, encodeU16s(p.TF))
+	add(secIdxDocs, kindI32, encode32s(p.Docs))
 	add(secIdxNorms, kindF64, encodeF64s(p.Norms))
 
 	docs, counts := st.DF.Counts()
@@ -177,9 +177,9 @@ func Save(w io.Writer, st *State) error {
 }
 
 // checkPostings refuses index parts the DF table cannot weight: a reader
-// derives every posting's weight (1 + ln tf)·idf from its TF and the IDF of
-// its term, so the table must be over the parts' corpus and dictionary, and
-// every TF at least 1. Each refusal names what differs.
+// derives every posting's weight (1 + ln tf)·idf from its segment's TF and
+// the IDF of its term, so the table must be over the parts' corpus and
+// dictionary. Each refusal names what differs.
 func checkPostings(p *index.Parts, df *vector.DF) error {
 	docs, _ := df.Counts()
 	if docs != len(p.Norms) {
@@ -193,9 +193,6 @@ func checkPostings(p *index.Parts, df *vector.DF) error {
 		if terms[t] != term {
 			return fmt.Errorf("store: index term %d is %q, the DF table's is %q", t, term, terms[t])
 		}
-	}
-	if k := slices.Index(p.TF, 0); k >= 0 {
-		return fmt.Errorf("store: posting %d has term frequency 0", k)
 	}
 	return nil
 }

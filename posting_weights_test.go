@@ -11,13 +11,13 @@ import (
 	"ctxsearch/internal/store"
 )
 
-// TestPostingWeightsFromTF: a posting stores its term frequency and the
-// index derives its weight, so every derived weight must be, bit for bit,
-// the weight the eager analyzer's whole-text row gives the term — for the
-// built index, for one bound to a memory-mapped state file and for one
-// bound to the byte-copy read of it — and every row term must have its
-// posting. Two scales (smallConfig and 800 papers / 160 terms) at seeds 1
-// and 7.
+// TestPostingWeightsFromTF: a posting segment stores the term frequency its
+// papers share and the index derives their weight, so every segment's
+// derived weight must be, bit for bit, the weight the eager analyzer's
+// whole-text row gives the term in each of its papers — for the built
+// index, for one bound to a memory-mapped state file and for one bound to
+// the byte-copy read of it — and every row term must have its posting. Two
+// scales (smallConfig and 800 papers / 160 terms) at seeds 1 and 7.
 func TestPostingWeightsFromTF(t *testing.T) {
 	small := smallConfig()
 	large := DefaultConfig()
@@ -64,8 +64,8 @@ func TestPostingWeightsFromTF(t *testing.T) {
 	}
 }
 
-// checkPostingWeights compares every posting weight of got's index with the
-// eager analyzer's whole-text rows of want.
+// checkPostingWeights compares every posting weight of got's index, one
+// per segment, with the eager analyzer's whole-text rows of want.
 func checkPostingWeights(t *testing.T, name string, want, got *System) {
 	t.Helper()
 	a, ix := want.Analyzer(), got.Index()
@@ -75,17 +75,21 @@ func checkPostingWeights(t *testing.T, name string, want, got *System) {
 	}
 	postings := 0
 	for term := range int32(ix.Terms()) {
-		docs, tfs := ix.Postings(term)
-		postings += len(docs)
-		for j, d := range docs {
-			r := a.Row(d, corpus.WholeText)
-			i, ok := slices.BinarySearch(r.Terms, term)
-			if !ok {
-				t.Fatalf("%s: paper %d has a posting of term %d its row lacks", name, d, term)
-			}
-			if w := ix.Weight(term, tfs[j]); math.Float64bits(w) != math.Float64bits(r.Weights[i]) {
-				t.Fatalf("%s: paper %d term %q: TF %d gives weight %v (%#x), the row %v (%#x)",
-					name, d, a.Term(term), tfs[j], w, math.Float64bits(w), r.Weights[i], math.Float64bits(r.Weights[i]))
+		lo, hi := ix.Segments(term)
+		for s := lo; s < hi; s++ {
+			docs, tf := ix.Segment(s)
+			w := ix.Weight(term, tf)
+			postings += len(docs)
+			for _, d := range docs {
+				r := a.Row(d, corpus.WholeText)
+				i, ok := slices.BinarySearch(r.Terms, term)
+				if !ok {
+					t.Fatalf("%s: paper %d has a posting of term %d its row lacks", name, d, term)
+				}
+				if math.Float64bits(w) != math.Float64bits(r.Weights[i]) {
+					t.Fatalf("%s: paper %d term %q: segment TF %d gives weight %v (%#x), the row %v (%#x)",
+						name, d, a.Term(term), tf, w, math.Float64bits(w), r.Weights[i], math.Float64bits(r.Weights[i]))
+				}
 			}
 		}
 	}

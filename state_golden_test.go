@@ -19,17 +19,17 @@ import (
 	"ctxsearch/internal/vector"
 )
 
-// goldenStateSHA256 is the SHA-256 of the flat-v6 state file the text
+// goldenStateSHA256 is the SHA-256 of the flat-v7 state file the text
 // pipeline writes for smallConfig, fingerprint included. It was recorded
 // from the build that computed every paper × context cosine with
 // vector.CosineWithNorms, so it pins both "the offline build is
 // deterministic at any worker count" and "a faster build still writes the
 // same bytes". A change that is meant to alter the file (format, weighting,
-// generator) re-records it. It was last re-recorded when the writer
-// stopped emitting section 5, the context set's assignment scores: the
-// section table below lost that one row, and every other section kept its
-// kind, length and CRC.
-const goldenStateSHA256 = "0c817cb7a139560dc6d331a31869f480be2417d527db0d8eb428ffece11babaf"
+// generator) re-records it. It was last re-recorded when the postings were
+// grouped by term frequency: the section table below traded the rows of
+// sections 9, 10 and 21 (per-posting runs) for those of 22–25 (segments),
+// and every other section kept its kind, length and CRC.
+const goldenStateSHA256 = "f4bceafc938686742f169a3a57cbb6a4482ab41e0d9603008caddbef9ef211cb"
 
 // goldenPatternStateSHA256 is the SHA-256 of the state file the pattern
 // pipeline writes for smallConfig: the §4 pattern-based context set scored
@@ -38,7 +38,7 @@ const goldenStateSHA256 = "0c817cb7a139560dc6d331a31869f480be2417d527db0d8eb428f
 // position maps, so it pins "the term-ID pattern matcher writes the same
 // bytes" as goldenStateSHA256 pins the text build, and is re-recorded with
 // it.
-const goldenPatternStateSHA256 = "36b516797312a752a0e3fb73ba3fe4aab36892e3a221a9e08d7d73810b6c21bc"
+const goldenPatternStateSHA256 = "f2fd2f640bcf0c471b6e9a459edf25d33b93c2254ce1ecf3e9d15f34625fde8d"
 
 // goldenStateSections and goldenPatternStateSections are the section
 // tables of the two pinned files, one row per section in table order: id,
@@ -55,9 +55,10 @@ const (
 104 3 456 9515957f
 16 0 16 221a903a
 8 0 5168 7f0d3dab
-9 1 2152 bcff8dbb
-10 1 99756 7e8c1713
-21 6 49878 dbaef274
+22 1 2152 97a510d4
+23 1 11404 5300474c
+24 6 5700 cfc1f686
+25 1 99756 2b5eb20b
 12 3 1760 70e1facf
 15 0 7324 747f7d2d
 `
@@ -71,9 +72,10 @@ const (
 104 3 456 9515957f
 16 0 19 0470e3ab
 8 0 5168 7f0d3dab
-9 1 2152 bcff8dbb
-10 1 99756 7e8c1713
-21 6 49878 dbaef274
+22 1 2152 97a510d4
+23 1 11404 5300474c
+24 6 5700 cfc1f686
+25 1 99756 2b5eb20b
 12 3 1760 70e1facf
 15 0 7324 747f7d2d
 `
@@ -117,7 +119,7 @@ func checkStateFileGolden(t *testing.T, want, wantSections string, build func(*S
 			DF:          sys.Analyzer().DF(),
 			Fingerprint: store.Fingerprint(sys.Ontology, sys.Corpus),
 		}
-		path := filepath.Join(t.TempDir(), "state.v6")
+		path := filepath.Join(t.TempDir(), "state.v7")
 		if err := store.SaveFile(path, st); err != nil {
 			t.Fatal(err)
 		}
