@@ -198,8 +198,8 @@ func NewSystem(o *Ontology, c *Corpus, cfg Config) (*System, error) {
 // NewFrozenSystem binds a system to pre-built text-index postings and a
 // document-frequency table — the artefacts a state file carries — so
 // boot skips every per-paper analysis stage of NewSystem. The analyzer is
-// frozen: the DF table is its dictionary, which must be the parts' term
-// list; a paper's token stream is tokenized on its first boolean phrase or
+// frozen: the DF table is its dictionary, which numbers the parts' terms;
+// a paper's token stream is tokenized on its first boolean phrase or
 // field check; and TF-IDF rows are recomputed per call, bit-identically to
 // the eager build, for the one-shot `stats` and `cluster` commands and
 // pattern-based stages, never for a served request. The DF table weights
@@ -224,7 +224,7 @@ func NewFrozenSystem(o *Ontology, c *Corpus, parts *index.Parts, df *vector.DF, 
 	st := buildstats.New(par.Workers(c.Len(), cfg.BuildWorkers))
 	s := &System{cfg: cfg, Ontology: o, Corpus: c, stats: st}
 	var err error
-	st.Time("bind-index", len(parts.Terms), "terms", func() {
+	st.Time("bind-index", len(df.Terms()), "terms", func() {
 		s.analyzer = corpus.NewAnalyzerFrozen(c, df)
 		s.index, err = index.FromParts(s.analyzer, parts)
 	})

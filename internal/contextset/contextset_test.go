@@ -1,6 +1,7 @@
 package contextset
 
 import (
+	"slices"
 	"testing"
 
 	"ctxsearch/internal/bitset"
@@ -149,7 +150,7 @@ func TestPatternBasedInheritance(t *testing.T) {
 		if d <= 0 || d > 1 {
 			t.Fatalf("decay of %s = %v, want (0,1]", ctx, d)
 		}
-		if !o.IsAncestor(anc, ctx) {
+		if !slices.Contains(o.Ancestors(ctx), anc) {
 			t.Fatalf("%s inherited from non-ancestor %s", ctx, anc)
 		}
 		// Inherited paper set equals the origin's current set size-wise at

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestGenerateCitationTopicBias(t *testing.T) {
 		refLoop:
 			for _, rt := range c.Paper(r).Topics {
 				for _, pt := range p.Topics {
-					if pt == rt || o.HierarchicallyRelated(pt, rt) {
+					if pt == rt || slices.Contains(o.Ancestors(pt), rt) || slices.Contains(o.Ancestors(rt), pt) {
 						related++
 						break refLoop
 					}

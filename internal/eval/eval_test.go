@@ -63,16 +63,13 @@ func matrixOf(t *testing.T, s scoreMap) *prestige.Matrix {
 	t.Helper()
 	onto := ontology.New()
 	f := &contextset.Frozen{Offsets: []int32{0}}
-	var vals, rowMax []float64
+	var vals []float64
 	for _, ctx := range sortedKeys(s) {
 		if err := onto.Add(ontology.Term{ID: ctx, Name: string(ctx)}); err != nil {
 			t.Fatal(err)
 		}
-		rowMax = append(rowMax, 0)
 		for _, d := range sortedKeys(s[ctx]) {
-			v := s[ctx][d]
-			f.Docs, vals = append(f.Docs, d), append(vals, v)
-			rowMax[len(rowMax)-1] = max(rowMax[len(rowMax)-1], v)
+			f.Docs, vals = append(f.Docs, d), append(vals, s[ctx][d])
 			f.Papers = max(f.Papers, int(d)+1)
 		}
 		f.Ctxs, f.Offsets = append(f.Ctxs, ctx), append(f.Offsets, int32(len(f.Docs)))
@@ -84,7 +81,7 @@ func matrixOf(t *testing.T, s scoreMap) *prestige.Matrix {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := prestige.FromColumn(cs, f.Ctxs, vals, rowMax)
+	m, err := prestige.FromColumn(cs, f.Ctxs, vals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,16 +7,14 @@ import (
 	"ctxsearch/internal/corpus"
 )
 
-// Parts is the serializable flat form of an Index: the term dictionary plus
-// the segmented postings and document norms. It is what the state file
-// persists so that serving can skip corpus re-analysis and index
+// Parts is the serializable flat form of an Index: the segmented postings
+// and document norms, term t being the analyzer's dictionary's term t
+// (vector.DF.Terms), which the parts do not repeat. It is what the state
+// file persists so that serving can skip corpus re-analysis and index
 // construction entirely — FromParts rebinds these arrays (typically aliasing
 // a memory-mapped file) to a live Index in O(terms + segments) plus one read
 // of the doc column, copying no posting.
 type Parts struct {
-	// Terms holds the indexed term strings in lexicographic order, term i
-	// having ID i: the analyzer's dictionary (vector.DF.Terms).
-	Terms []string
 	// Postings grouped by term frequency: term t's segments are First[t] <=
 	// s < First[t+1], in ascending TF; segment s's papers, ascending, are
 	// Docs[Start[s]:Start[s+1]], and TF[s] is their whole-text term frequency
@@ -31,10 +29,9 @@ type Parts struct {
 }
 
 // Parts exposes the index's flat arrays for serialization. All slices alias
-// the index or its analyzer and are read-only.
+// the index and are read-only.
 func (ix *Index) Parts() *Parts {
 	return &Parts{
-		Terms: ix.analyzer.DF().Terms(),
 		First: ix.first,
 		Start: ix.start,
 		TF:    ix.tf,
@@ -50,30 +47,20 @@ func (ix *Index) Parts() *Parts {
 // for the index's lifetime. The analyzer must be over the same corpus the
 // parts were built from: its DF table weights the query and, with each
 // segment's TF, every posting — (1 + ln tf)·idf, the analyzer's own
-// arithmetic — and its dictionary must be the parts' term list: parts whose
-// terms differ would bind every query term to another term's postings, so
-// they are rejected.
+// arithmetic — and its dictionary numbers the parts' terms, so the parts
+// must hold one first segment per dictionary term.
 //
-// Validation is O(terms + segments) for the structure — lengths, the
-// dictionary, first segments and segment starts monotone and in range, and
-// every TF at least 1, the largest sizing the TF damping table — and then
-// one pass over the doc column, after those checks: every document ID must
-// index the norms, so that no posting indexes past the query loop's arrays.
+// Validation is O(terms + segments) for the structure — lengths, first
+// segments and segment starts monotone and in range, and every TF at least
+// 1, the largest sizing the TF damping table — and then one pass over the
+// doc column, after those checks: every document ID must index the norms,
+// so that no posting indexes past the query loop's arrays.
 // The order of a segment's documents is the writer's contract, guarded on
 // disk by section CRCs.
 func FromParts(a *corpus.Analyzer, p *Parts) (*Index, error) {
-	nTerms, nSegs := len(p.Terms), len(p.TF)
+	nTerms, nSegs := len(a.DF().Terms()), len(p.TF)
 	if n := a.Corpus().Len(); len(p.Norms) != n {
 		return nil, fmt.Errorf("index: %d norms for a %d-paper corpus", len(p.Norms), n)
-	}
-	dict := a.DF().Terms()
-	if len(dict) != nTerms {
-		return nil, fmt.Errorf("index: %d terms against a %d-term dictionary", nTerms, len(dict))
-	}
-	for i, term := range p.Terms {
-		if term != dict[i] {
-			return nil, fmt.Errorf("index: term %d is %q, the dictionary's is %q", i, term, dict[i])
-		}
 	}
 	if err := checkCSR("first segments", p.First, nTerms, nSegs); err != nil {
 		return nil, err
@@ -111,16 +98,15 @@ func checkCSR(name string, offs []int32, n, total int) error {
 
 // SliceRange restricts the parts to postings of documents with
 // lo <= ID < hi — the per-range open of the sharded serving topology over
-// a mapped state, without re-analyzing a single paper. The term dictionary,
-// every term's segments with their TFs, and the norms stay corpus-global (a
+// a mapped state, without re-analyzing a single paper. Every term's
+// segments with their TFs, and the norms, stay corpus-global (a
 // segment whose papers fall outside the range stays, empty, which the query
 // path treats exactly like a segment it never had), so a range engine's
 // scores are bit-identical to the full build's for its own documents. The
 // returned parts own their doc column and segment starts (copied out of the
-// mapped arrays); Terms, First, TF and Norms stay borrowed.
+// mapped arrays); First, TF and Norms stay borrowed.
 func (p *Parts) SliceRange(lo, hi int) *Parts {
 	out := &Parts{
-		Terms: p.Terms,
 		First: p.First,
 		Start: make([]int32, len(p.TF)+1),
 		TF:    p.TF,

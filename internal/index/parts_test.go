@@ -61,7 +61,6 @@ func TestFromPartsValidation(t *testing.T) {
 		"first-span":     func(p *Parts) { p.First[len(p.First)-1]++ },
 		"first-order":    func(p *Parts) { p.First[1], p.First[2] = p.First[2]+1, p.First[1] },
 		"start-past-doc": func(p *Parts) { p.Start[1] = int32(len(p.Docs) + 1) },
-		"terms-order":    func(p *Parts) { p.Terms[0], p.Terms[1] = p.Terms[1], p.Terms[0] },
 		"tf-size":        func(p *Parts) { p.TF = p.TF[:len(p.TF)-1] },
 		"tf-zero":        func(p *Parts) { p.TF[len(p.TF)/2] = 0 },
 		"doc-range":      func(p *Parts) { p.Docs[len(p.Docs)/2] = corpus.PaperID(len(p.Norms)) },
@@ -72,7 +71,6 @@ func TestFromPartsValidation(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := ix.Parts()
 			// Deep-copy the slices the case mutates so cases stay independent.
-			p.Terms = append([]string(nil), p.Terms...)
 			p.First = append([]int32(nil), p.First...)
 			p.Start = append([]int32(nil), p.Start...)
 			p.TF = append([]uint16(nil), p.TF...)

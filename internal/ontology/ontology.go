@@ -311,32 +311,6 @@ func (o *Ontology) Ancestors(id TermID) []TermID {
 	return out
 }
 
-// IsAncestor reports whether anc is a proper ancestor of id.
-func (o *Ontology) IsAncestor(anc, id TermID) bool {
-	stack := append([]TermID(nil), o.Parents(id)...)
-	seen := map[TermID]bool{}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == anc {
-			return true
-		}
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, o.Parents(n)...)
-	}
-	return false
-}
-
-// HierarchicallyRelated reports whether a and b lie on a common root-to-leaf
-// path (one is an ancestor of the other, or they are equal). Used by the §7
-// extension that weights cross-context relationships.
-func (o *Ontology) HierarchicallyRelated(a, b TermID) bool {
-	return a == b || o.IsAncestor(a, b) || o.IsAncestor(b, a)
-}
-
 // InformationContent returns I(C) = log(1/p(C)) with
 // p(C) = (#descendants(C)+1) / #terms. The +1 (counting the term itself)
 // departs from the paper's formula only to keep I finite for leaves; the

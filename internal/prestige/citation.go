@@ -102,11 +102,11 @@ func (s *CitationScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.Te
 
 // addCrossContextBonus implements the §7 variation: each citation crossing
 // the context boundary contributes a small weighted vote — the weight
-// depends on whether the citing/cited paper's contexts are hierarchically
-// related to ctx. The bonus is scaled to the average in-context score so it
-// perturbs rather than dominates. scores[i] is the score of papers[i]; the
-// average sums them in that (ascending paper-ID) order, so the bonus has
-// the same bits on every run.
+// depends on whether one of the citing/cited paper's contexts is
+// hierarchically related to ctx (see relatedContexts). The bonus is scaled
+// to the average in-context score so it perturbs rather than dominates.
+// scores[i] is the score of papers[i]; the average sums them in that
+// (ascending paper-ID) order, so the bonus has the same bits on every run.
 func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ontology.TermID, papers []corpus.PaperID, scores []float64) {
 	var avg float64
 	for _, v := range scores {
@@ -115,7 +115,7 @@ func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ont
 	if len(scores) > 0 {
 		avg /= float64(len(scores))
 	}
-	onto := cs.Ontology()
+	related := relatedContexts(cs.Ontology(), ctx)
 	// One neighbor buffer for the whole call, truncated per paper — the
 	// in+out concatenation is only read within the iteration.
 	neighbors := make([]int32, 0, 64)
@@ -131,7 +131,7 @@ func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ont
 			}
 			w := s.CrossContextWeight.Unrelated
 			for _, qctx := range cs.ContextsOf(qid) {
-				if onto.HierarchicallyRelated(ctx, qctx) {
+				if related[qctx] {
 					w = s.CrossContextWeight.Related
 					break
 				}
@@ -142,6 +142,20 @@ func (s *CitationScorer) addCrossContextBonus(cs *contextset.ContextSet, ctx ont
 			scores[i] += avg * bonus / (bonus + 10) // saturating bonus
 		}
 	}
+}
+
+// relatedContexts returns the set of terms hierarchically related to ctx:
+// those on a common root-to-leaf path with it — ctx itself, its ancestors
+// and its descendants.
+func relatedContexts(onto *ontology.Ontology, ctx ontology.TermID) map[ontology.TermID]bool {
+	related := map[ontology.TermID]bool{ctx: true}
+	for _, t := range onto.Ancestors(ctx) {
+		related[t] = true
+	}
+	for _, t := range onto.Descendants(ctx) {
+		related[t] = true
+	}
+	return related
 }
 
 // ContextSparseness reports the sparseness of a context's induced citation

@@ -11,26 +11,20 @@ import (
 // FromColumn binds a score column over a context set — the zero-copy open
 // path of the state file, where the slices alias a memory-mapped file. ctxs
 // lists the scored contexts, vals holds one score per member of cs (in the
-// set's member order), and rowMax one maximum per scored context. The
-// matrix borrows the slices verbatim: it never mutates, appends to, or
-// retains a grown copy of any argument, so mapping-backed (read-only)
-// memory is safe. The caller must keep the backing storage alive for the
-// lifetime of the matrix.
+// set's member order). The matrix borrows the slices verbatim: it never
+// mutates, appends to, or retains a grown copy of any argument, so
+// mapping-backed (read-only) memory is safe. The caller must keep the
+// backing storage alive for the lifetime of the matrix.
 //
-// Invariants checked: len(vals) is the set's member count, ctxs strictly
-// ascending (the order Score lays out) and each a context of the set, and
-// one row maximum per context. Checks are O(rows · log contexts), never
-// O(nnz): per-element content is the writer's contract, guarded on disk by
-// the section CRCs — scanning it here would fault in every page and defeat
-// the O(1) open. Row maxima are trusted as given (the writer persists the
-// values the build computed).
-func FromColumn(cs *contextset.ContextSet, ctxs []ontology.TermID, vals, rowMax []float64) (*Matrix, error) {
+// Invariants checked: len(vals) is the set's member count, and ctxs strictly
+// ascending (the order Score lays out) and each a context of the set.
+// Checks are O(rows · log contexts), never O(nnz): per-element content is
+// the writer's contract, guarded on disk by the section CRCs — scanning it
+// here would fault in every page and defeat the O(1) open.
+func FromColumn(cs *contextset.ContextSet, ctxs []ontology.TermID, vals []float64) (*Matrix, error) {
 	f := cs.Freeze()
 	if len(vals) != len(f.Docs) {
 		return nil, fmt.Errorf("prestige: %d scores vs %d context-set members", len(vals), len(f.Docs))
-	}
-	if len(rowMax) != len(ctxs) {
-		return nil, fmt.Errorf("prestige: %d contexts vs %d row maxima", len(ctxs), len(rowMax))
 	}
 	spans := make([]span, len(ctxs))
 	for i, ctx := range ctxs {
@@ -43,12 +37,12 @@ func FromColumn(cs *contextset.ContextSet, ctxs []ontology.TermID, vals, rowMax 
 		}
 		spans[i] = span{f.Offsets[j], f.Offsets[j+1]}
 	}
-	return newMatrix(cs, ctxs, spans, vals, rowMax), nil
+	return newMatrix(cs, ctxs, spans, vals), nil
 }
 
-// Column exposes the matrix's scored contexts, score column and row maxima
-// for serialization; the column's membership is ContextSet's. The slices
-// alias the matrix — read-only.
-func (m *Matrix) Column() (ctxs []ontology.TermID, vals, rowMax []float64) {
-	return m.ctxs, m.vals, m.rowMax
+// Column exposes the matrix's scored contexts and score column for
+// serialization; the column's membership is ContextSet's. The slices alias
+// the matrix — read-only.
+func (m *Matrix) Column() (ctxs []ontology.TermID, vals []float64) {
+	return m.ctxs, m.vals
 }

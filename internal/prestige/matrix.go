@@ -29,43 +29,25 @@ type Matrix struct {
 	// spans[i] delimits row i's members in docs and its slots in vals.
 	spans []span
 	vals  []float64 // len(docs)
-	// rowMax[i] is the largest score in row i (0 for an empty run), the
-	// row's prestige upper bound. Persisted in the state file.
-	rowMax []float64
 }
 
 // span is a row's [lo, hi) range of the set's members.
 type span struct{ lo, hi int32 }
 
 // newMatrix binds rows over cs's members. The slices are kept, not copied.
-func newMatrix(cs *contextset.ContextSet, ctxs []ontology.TermID, spans []span, vals, rowMax []float64) *Matrix {
+func newMatrix(cs *contextset.ContextSet, ctxs []ontology.TermID, spans []span, vals []float64) *Matrix {
 	m := &Matrix{
-		cs:     cs,
-		docs:   cs.Freeze().Docs,
-		ctxs:   ctxs,
-		ord:    make(map[ontology.TermID]int32, len(ctxs)),
-		spans:  spans,
-		vals:   vals,
-		rowMax: rowMax,
+		cs:    cs,
+		docs:  cs.Freeze().Docs,
+		ctxs:  ctxs,
+		ord:   make(map[ontology.TermID]int32, len(ctxs)),
+		spans: spans,
+		vals:  vals,
 	}
 	for i, ctx := range ctxs {
 		m.ord[ctx] = int32(i)
 	}
 	return m
-}
-
-// rowMaxima returns the largest value of each span of vals (0 for an empty
-// or all-negative span).
-func rowMaxima(spans []span, vals []float64) []float64 {
-	out := make([]float64, len(spans))
-	for i, s := range spans {
-		for _, v := range vals[s.lo:s.hi] {
-			if v > out[i] {
-				out[i] = v
-			}
-		}
-	}
-	return out
 }
 
 // Freeze returns m.
@@ -87,13 +69,10 @@ func (m *Matrix) Contexts() []ontology.TermID {
 }
 
 // Run is one context's packed score row: Docs ascending, Vals parallel.
-// The slices alias the matrix and its context set — read-only. Max is the
-// largest value in Vals (0 for an empty run), the row's prestige upper
-// bound.
+// The slices alias the matrix and its context set — read-only.
 type Run struct {
 	Docs []corpus.PaperID
 	Vals []float64
-	Max  float64
 }
 
 // Get returns the score of a paper in the run (0 when absent) by binary
@@ -143,7 +122,7 @@ func (m *Matrix) Run(ctx ontology.TermID) Run {
 // RunAt returns the score row of the i-th context (Contexts order).
 func (m *Matrix) RunAt(i int) Run {
 	s := m.spans[i]
-	return Run{Docs: m.docs[s.lo:s.hi], Vals: m.vals[s.lo:s.hi], Max: m.rowMax[i]}
+	return Run{Docs: m.docs[s.lo:s.hi], Vals: m.vals[s.lo:s.hi]}
 }
 
 // Get returns the score of a paper in a context (0 when absent).
@@ -157,8 +136,7 @@ func (m *Matrix) Get(ctx ontology.TermID, p corpus.PaperID) float64 {
 // context-selection metadata, which is built from it — is unchanged: all
 // shards select exactly the contexts a single engine would. The slice
 // shares the set, its members and the score column; only each row's span
-// narrows to its papers in range, and the row maximum is recomputed over
-// it, the shard's own prestige upper bound for the index threshold.
+// narrows to its papers in range.
 func (m *Matrix) Slice(lo, hi int) *Matrix {
 	spans := make([]span, len(m.spans))
 	for i, s := range m.spans {
@@ -169,6 +147,6 @@ func (m *Matrix) Slice(lo, hi int) *Matrix {
 		spans[i] = span{s.lo + int32(a), s.lo + int32(max(a, b))}
 	}
 	out := *m
-	out.spans, out.rowMax = spans, rowMaxima(spans, m.vals)
+	out.spans = spans
 	return &out
 }

@@ -72,8 +72,7 @@ func propagateMaxMap(onto *ontology.Ontology, s mapScores) mapScores {
 }
 
 // requireMatrixEqualsMap fails unless m holds exactly the contexts and
-// cells of want, with the same bits, each run ascending by paper, and each
-// row maximum the largest value of its run.
+// cells of want, with the same bits, each run ascending by paper.
 func requireMatrixEqualsMap(t *testing.T, name string, m *Matrix, want mapScores) {
 	t.Helper()
 	if m.NumContexts() != len(want) {
@@ -88,7 +87,6 @@ func requireMatrixEqualsMap(t *testing.T, name string, m *Matrix, want mapScores
 		if len(run.Docs) != len(row) {
 			t.Fatalf("%s: context %s has %d cells, reference %d", name, ctx, len(run.Docs), len(row))
 		}
-		var max float64
 		for j, d := range run.Docs {
 			if j > 0 && run.Docs[j-1] >= d {
 				t.Fatalf("%s: context %s run not ascending at %d", name, ctx, j)
@@ -97,10 +95,6 @@ func requireMatrixEqualsMap(t *testing.T, name string, m *Matrix, want mapScores
 			if !in || math.Float64bits(run.Vals[j]) != math.Float64bits(w) {
 				t.Fatalf("%s: %s/%d = %v, reference %v (present %v)", name, ctx, d, run.Vals[j], w, in)
 			}
-			max = math.Max(max, w)
-		}
-		if run.Max != max {
-			t.Fatalf("%s: context %s row max %v, want %v", name, ctx, run.Max, max)
 		}
 	}
 }
@@ -202,41 +196,6 @@ func TestMatrixContextsSortedAndOrdinals(t *testing.T) {
 	}
 }
 
-// TestMatrixRowMax pins the per-run maxima: Score and PropagateMax compute
-// them, and the column the state file persists carries them back through
-// FromColumn.
-func TestMatrixRowMax(t *testing.T) {
-	f := buildFixture(t)
-	m := Score(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0, 0)
-	check := func(stage string, m *Matrix) {
-		t.Helper()
-		for i, ctx := range m.ctxs {
-			run := m.RunAt(i)
-			var want float64
-			for _, v := range run.Vals {
-				if v > want {
-					want = v
-				}
-			}
-			if run.Max != want {
-				t.Fatalf("%s: row max of %s = %v, want %v", stage, ctx, run.Max, want)
-			}
-		}
-	}
-	check("score", m)
-	check("propagate", PropagateMax(f.onto, m))
-
-	ctxs, vals, rowMax := m.Column()
-	got, err := FromColumn(m.ContextSet(), ctxs, vals, rowMax)
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("round trip", got)
-	if !reflect.DeepEqual(m, got) {
-		t.Fatal("column round trip lost scores")
-	}
-}
-
 // TestScoreAllParallelArenaStress runs several full parallel scoring passes
 // concurrently over one scorer, so its pooled citegraph arenas are handed
 // between many workers at once — the race detector's target (make race
@@ -262,8 +221,7 @@ func TestScoreAllParallelArenaStress(t *testing.T) {
 // TestMatrixSlice pins the sharding contract of the row-sliced matrix: a
 // slice keeps every context row (so shard-side context selection sees the
 // identical context list), holds exactly the cells of papers in [lo, hi)
-// with unchanged values, recomputes row maxima over the restricted rows,
-// and a disjoint cover of slices partitions the full matrix's cells.
+// with unchanged values, and a disjoint cover of slices partitions the full matrix's cells.
 func TestMatrixSlice(t *testing.T) {
 	f := buildFixture(t)
 	m := Score(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0, 0)
@@ -281,7 +239,6 @@ func TestMatrixSlice(t *testing.T) {
 				fullRun := m.RunAt(i)
 				run := s.RunAt(i)
 				nnz += len(run.Docs)
-				var wantMax float64
 				k := 0
 				for j, doc := range fullRun.Docs {
 					if int(doc) < lo || int(doc) >= hi {
@@ -290,16 +247,10 @@ func TestMatrixSlice(t *testing.T) {
 					if k >= len(run.Docs) || run.Docs[k] != doc || run.Vals[k] != fullRun.Vals[j] {
 						t.Fatalf("cuts %v [%d,%d) ctx %s: cell for paper %d missing or wrong", cuts, lo, hi, ctx, doc)
 					}
-					if fullRun.Vals[j] > wantMax {
-						wantMax = fullRun.Vals[j]
-					}
 					k++
 				}
 				if k != len(run.Docs) {
 					t.Fatalf("cuts %v [%d,%d) ctx %s: %d extra cells", cuts, lo, hi, ctx, len(run.Docs)-k)
-				}
-				if run.Max != wantMax {
-					t.Fatalf("cuts %v [%d,%d) ctx %s: row max %v, want %v", cuts, lo, hi, ctx, run.Max, wantMax)
 				}
 			}
 		}

@@ -71,7 +71,7 @@ func Score(sc Scorer, cs *contextset.ContextSet, minSize, workers int) *Matrix {
 			k++
 		}
 	}
-	return newMatrix(cs, ctxs[:k], spans[:k], vals, rowMaxima(spans[:k], vals))
+	return newMatrix(cs, ctxs[:k], spans[:k], vals)
 }
 
 // maxNormalize scales a run so its maximum is 1 (no-op when empty or

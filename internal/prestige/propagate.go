@@ -58,6 +58,5 @@ func PropagateMax(onto *ontology.Ontology, m *Matrix) *Matrix {
 			}
 		}
 	}
-	out.rowMax = rowMaxima(out.spans, out.vals)
 	return &out
 }

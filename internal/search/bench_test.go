@@ -140,8 +140,8 @@ func BenchmarkEngineSearchFull(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctxs, vals, rowMax := sys.ScoreText(cs).Column()
-	matrix, err := prestige.FromColumn(frozen, ctxs, vals, rowMax)
+	ctxs, vals := sys.ScoreText(cs).Column()
+	matrix, err := prestige.FromColumn(frozen, ctxs, vals)
 	if err != nil {
 		b.Fatal(err)
 	}

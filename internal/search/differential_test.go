@@ -58,8 +58,8 @@ func engineShapes(t *testing.T, f *fixture, w Weights) map[string]*Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxs, vals, rowMax := matrix.Column()
-	frozenMatrix, err := prestige.FromColumn(frozenCS, ctxs, vals, rowMax)
+	ctxs, vals := matrix.Column()
+	frozenMatrix, err := prestige.FromColumn(frozenCS, ctxs, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,16 +192,13 @@ type scoreMap map[ontology.TermID]map[corpus.PaperID]float64
 func matrixOf(s scoreMap) *prestige.Matrix {
 	onto := ontology.New()
 	f := &contextset.Frozen{Offsets: []int32{0}}
-	var vals, rowMax []float64
+	var vals []float64
 	for _, ctx := range sortedKeys(s) {
 		if err := onto.Add(ontology.Term{ID: ctx, Name: string(ctx)}); err != nil {
 			panic(err)
 		}
-		rowMax = append(rowMax, 0)
 		for _, d := range sortedKeys(s[ctx]) {
-			v := s[ctx][d]
-			f.Docs, vals = append(f.Docs, d), append(vals, v)
-			rowMax[len(rowMax)-1] = max(rowMax[len(rowMax)-1], v)
+			f.Docs, vals = append(f.Docs, d), append(vals, s[ctx][d])
 			f.Papers = max(f.Papers, int(d)+1)
 		}
 		f.Ctxs, f.Offsets = append(f.Ctxs, ctx), append(f.Offsets, int32(len(f.Docs)))
@@ -213,7 +210,7 @@ func matrixOf(s scoreMap) *prestige.Matrix {
 	if err != nil {
 		panic(err)
 	}
-	m, err := prestige.FromColumn(cs, f.Ctxs, vals, rowMax)
+	m, err := prestige.FromColumn(cs, f.Ctxs, vals)
 	if err != nil {
 		panic(err)
 	}

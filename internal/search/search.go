@@ -61,7 +61,9 @@ func DefaultWeights() Weights {
 
 // Options configure one search invocation.
 type Options struct {
-	// Threshold drops results with relevancy below it.
+	// Threshold drops, context by context, a relevancy below it: the fold
+	// compares each context's R = w_p·P + w_m·M with it, as the naive
+	// reference does, and the index pass is never filtered by it.
 	Threshold float64
 	// Limit caps the number of results (0 = unlimited); Offset skips the
 	// first N results (pagination).
@@ -341,7 +343,7 @@ func (e *Engine) search(ctx context.Context, query string, q index.Query, opts O
 	if err != nil || len(ctxs) == 0 {
 		return nil, err
 	}
-	iopts := index.Options{WithinSet: e.bind(sc, ctxs), Threshold: e.indexThreshold(ctxs, opts)}
+	iopts := index.Options{WithinSet: e.bind(sc, ctxs)}
 	if q != nil {
 		sc.hits, err = e.ix.AppendQueryHits(ctx, q, iopts, sc.hits[:0])
 	} else {
@@ -366,54 +368,6 @@ func (e *Engine) search(ctx context.Context, query string, q index.Query, opts O
 		runtime.Gosched()
 	}
 	return Paginate(merged, opts), nil
-}
-
-// prestigeBound returns the largest effective prestige any paper can
-// attain in the selected contexts: the maximum over contexts of the
-// prestige row maximum times the context weight. Multiplication by a
-// non-negative weight is monotone in IEEE arithmetic, so every stored
-// score obeys the bound exactly — the index floor built on it needs no
-// epsilon.
-func (e *Engine) prestigeBound(ctxs []ContextScore) float64 {
-	var bound float64
-	for _, c := range ctxs {
-		w := 1.0
-		if e.weights.ContextWeighted {
-			w = c.Score
-		}
-		if b := e.matrix.Run(c.Context).Max * w; b > bound {
-			bound = b
-		}
-	}
-	return bound
-}
-
-// indexThreshold derives a cosine-score floor for the index pass from the
-// relevancy threshold: a merged result needs w_p·prestige + w_m·match ≥
-// Threshold, and prestige never exceeds prestigeBound, so hits matching
-// below (Threshold − w_p·bound)/w_m can never survive the merge. The
-// division makes the algebra inexact, so the floor is deflated (1e-9
-// relative and 1e-12 absolute) and then verified against the monotone
-// bound expression the merge actually obeys; when even the deflated floor
-// can't be proven safe, the filter is skipped — correctness never depends
-// on it.
-func (e *Engine) indexThreshold(ctxs []ContextScore, opts Options) float64 {
-	w := e.weights
-	if opts.Threshold <= 0 || w.Matching <= 0 || w.Prestige < 0 {
-		return 0
-	}
-	bound := float64(w.Prestige * e.prestigeBound(ctxs))
-	t := float64((opts.Threshold-bound)/w.Matching*(1-1e-9)) - 1e-12
-	if t <= 0 {
-		return 0
-	}
-	// Every dropped hit has match < t, and relevancy ≤ bound + w_m·match ≤
-	// bound + w_m·t by float monotonicity; require that to sit strictly
-	// under the threshold the merge loop compares against.
-	if bound+float64(w.Matching*t) >= opts.Threshold {
-		return 0
-	}
-	return t
 }
 
 // WorseResult reports whether a ranks after b under SortResults (lower

@@ -114,37 +114,3 @@ func TestSearchBooleanTopKGoldenEquality(t *testing.T) {
 		}
 	}
 }
-
-// TestIndexThresholdSafety pins the derived cosine floor: it must never
-// exceed the relevancy-threshold surface the merge loop enforces (the
-// monotone-bound check), and a zero or unusable configuration must
-// disable the filter entirely.
-func TestIndexThresholdSafety(t *testing.T) {
-	f := buildFixture(t)
-	e := f.engine
-	name, _ := queryForSomeContext(t, f)
-	ctxs := e.SelectContexts(name, Options{MaxContexts: 8, MinContextMatch: 0.01})
-	if len(ctxs) == 0 {
-		t.Fatal("fixture query selected no contexts")
-	}
-	if got := e.indexThreshold(ctxs, Options{}); got != 0 {
-		t.Fatalf("no relevancy threshold must mean no index floor, got %v", got)
-	}
-	bound := float64(e.weights.Prestige * e.prestigeBound(ctxs))
-	for _, th := range []float64{0.01, 0.1, 0.3, 0.5, 0.9} {
-		floor := e.indexThreshold(ctxs, Options{Threshold: th})
-		if floor == 0 {
-			continue // filter declined — always safe
-		}
-		// Any hit dropped by the floor (match < floor) has relevancy at
-		// most bound + w_m·floor; that must sit strictly under th.
-		if bound+float64(e.weights.Matching*floor) >= th {
-			t.Fatalf("threshold %v: floor %v can drop hits at the threshold surface", th, floor)
-		}
-	}
-	// Negative weights break the bound algebra: the filter must decline.
-	bad := &Engine{matrix: e.matrix, weights: Weights{Prestige: -0.5, Matching: 0.5}}
-	if got := bad.indexThreshold(ctxs, Options{Threshold: 0.5}); got != 0 {
-		t.Fatalf("negative prestige weight must disable the floor, got %v", got)
-	}
-}

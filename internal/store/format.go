@@ -89,14 +89,13 @@ func elemSize(kind uint32) int {
 
 // Section IDs. The context-set and index sections have fixed IDs; each
 // prestige matrix gets a block of IDs starting at a base recorded in the
-// matrix directory. IDs that earlier versions wrote are never reused: 5, 6,
-// 7, 9, 10, 11, 13, 14, 17–21, and a matrix's base+1 and base+2.
+// matrix directory. IDs that earlier versions wrote are never reused: 5–11,
+// 13, 14, 17–21, and a matrix's base+1, base+2 and base+4.
 const (
 	secCSMeta       = uint32(1)  // bytes: kind, member ctx refs, reps, decay, inheritedFrom
 	secTermDict     = uint32(2)  // bytes: shared term-ID string table
 	secCSOffsets    = uint32(3)  // int32: member run offsets
 	secCSDocs       = uint32(4)  // int32: member paper IDs
-	secIdxTerms     = uint32(8)  // bytes: index term dictionary
 	secIdxNorms     = uint32(12) // float64: per-document vector norms
 	secDF           = uint32(15) // bytes: document-frequency table
 	secMatrixDir    = uint32(16) // bytes: score-function name → section base
@@ -111,9 +110,8 @@ const (
 // Per-matrix section offsets from its base: a matrix is a score column over
 // the context set's members (sections 3 and 4).
 const (
-	matCtxs   = uint32(0) // uint32: refs into the shared term dictionary
-	matVals   = uint32(3) // float64: one score per context-set member
-	matRowMax = uint32(4) // float64: per-row maxima
+	matCtxs = uint32(0) // uint32: refs into the shared term dictionary
+	matVals = uint32(3) // float64: one score per context-set member
 )
 
 // castagnoli is the CRC32-C polynomial table (hardware-accelerated on

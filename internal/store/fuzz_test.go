@@ -112,7 +112,7 @@ func openPatched(t *testing.T, data []byte, o *ontology.Ontology, a *corpus.Anal
 		}
 		if err == nil {
 			q := vector.New()
-			for _, term := range p.Terms {
+			for _, term := range a.DF().Terms() {
 				q[term] = 1
 			}
 			ix.SearchVector(q, index.Options{})

@@ -411,30 +411,14 @@ func (m *Mapped) IndexParts() (*index.Parts, error) {
 	if m.parts != nil {
 		return m.parts, nil
 	}
-	tb, err := m.needLocked(secIdxTerms, kindBytes)
-	if err != nil {
-		return nil, err
-	}
-	c := &cursor{b: tb}
-	n := int(c.u32())
-	if n < 0 || n > len(tb) {
-		return nil, fmt.Errorf("store: index term dictionary declares %d entries in a %d-byte section", n, len(tb))
-	}
-	terms := make([]string, n)
-	for i := range terms {
-		terms[i] = c.str()
-	}
-	if err := c.done(); err != nil {
-		return nil, fmt.Errorf("store: index term dictionary: %w", err)
-	}
 	var b [5][]byte // first segments, segment starts, TFs, docs, norms
 	for i, sec := range [5][2]uint32{{secIdxFirst, kindI32}, {secIdxStart, kindI32}, {secIdxTF, kindU16}, {secIdxDocs, kindI32}, {secIdxNorms, kindF64}} {
+		var err error
 		if b[i], err = m.needLocked(sec[0], sec[1]); err != nil {
 			return nil, err
 		}
 	}
 	m.parts = &index.Parts{
-		Terms: terms,
 		First: as32s[int32](b[0]),
 		Start: as32s[int32](b[1]),
 		TF:    asU16s(b[2]),
@@ -506,10 +490,6 @@ func (m *Mapped) Matrix(name string) (*prestige.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	rowMax, err := m.needLocked(base+matRowMax, kindF64)
-	if err != nil {
-		return nil, err
-	}
 	refs := as32s[uint32](refsB)
 	ctxs := make([]ontology.TermID, len(refs))
 	for i, r := range refs {
@@ -517,7 +497,7 @@ func (m *Mapped) Matrix(name string) (*prestige.Matrix, error) {
 			return nil, err
 		}
 	}
-	mat, err := prestige.FromColumn(cs, ctxs, asF64s(vals), asF64s(rowMax))
+	mat, err := prestige.FromColumn(cs, ctxs, asF64s(vals))
 	if err != nil {
 		return nil, fmt.Errorf("store: matrix %q: %w", name, err)
 	}

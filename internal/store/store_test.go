@@ -183,7 +183,7 @@ func TestSaveClearsDeclinedSlots(t *testing.T) {
 	if n := m.NumContexts(); n == 0 || n == len(st.ContextSet.Contexts()) {
 		t.Fatalf("%d of %d contexts scored: the scorer declines none or all", n, len(st.ContextSet.Contexts()))
 	}
-	_, vals, _ := m.Column()
+	_, vals := m.Column()
 	for i, v := range vals {
 		if math.IsNaN(v) {
 			t.Fatalf("score slot %d of the saved column is NaN", i)

@@ -39,7 +39,7 @@ func sectionIDs(img []byte) []uint32 {
 
 // retiredSectionIDs are the sections earlier writers emitted (see
 // format.go); the block-max ones, 13, 14 and 17–20, are last.
-var retiredSectionIDs = []uint32{5, 6, 7, 9, 10, 11, 21, 101, 102, 13, 14, 17, 18, 19, 20}
+var retiredSectionIDs = []uint32{5, 6, 7, 8, 9, 10, 11, 21, 101, 102, 104, 13, 14, 17, 18, 19, 20}
 
 // decodeSections lists an image's sections in table order, payloads
 // aliasing img — the input writeSections lays out again byte for byte.
@@ -67,9 +67,9 @@ func perPosting(p *index.Parts) (offsets []int32, docs []corpus.PaperID, tf []ui
 		doc corpus.PaperID
 		tf  uint16
 	}
-	offsets = make([]int32, len(p.Terms)+1)
+	offsets = make([]int32, len(p.First))
 	var run []posting
-	for t := range p.Terms {
+	for t := range len(p.First) - 1 {
 		run = run[:0]
 		for s := p.First[t]; s < p.First[t+1]; s++ {
 			for _, d := range p.Docs[p.Start[s]:p.Start[s+1]] {
@@ -88,18 +88,21 @@ func perPosting(p *index.Parts) (offsets []int32, docs []corpus.PaperID, tf []ui
 // withRetiredSections lays img out again with retired sections placed as
 // earlier writers placed them. Right after the member IDs (4) go the
 // assignment scores (5), one float64 per member; nothing ever read their
-// values, so each is 1. Right after the index term dictionary (8) go the
-// per-posting runs of version 6 (sections 9, 10 and 21; see perPosting).
-// Right after the norms go the sections the block-max evaluator used,
-// computed as it did over those runs: per-term maximum posting weight (13)
-// and weight/norm ratio (14), then a block size of 128 (17), per-term block
-// offsets (18) and per-block maxima (19, 20).
+// values, so each is 1. Right after each matrix's score column (base+3)
+// go its row maxima (base+4): each scored context's largest score over its
+// members, 0 for none above it. Right after the matrix directory (16) goes
+// the index term dictionary (8), the DF table's terms again, and after it
+// the per-posting runs of version 6 (sections 9, 10 and 21; see
+// perPosting). Right after the norms go the sections the block-max
+// evaluator used, computed as it did over those runs: per-term maximum
+// posting weight (13) and weight/norm ratio (14), then a block size of 128
+// (17), per-term block offsets (18) and per-block maxima (19, 20).
 func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 	t.Helper()
 	const blockSize = 128
 	p, idf := st.Index, st.DF.IDFs()
 	offsets, docs, tf := perPosting(p)
-	nTerms := len(p.Terms)
+	nTerms := len(p.First) - 1
 	maxW, maxR := make([]float64, nTerms), make([]float64, nTerms)
 	blockOffs := make([]int32, nTerms+1)
 	var blockW, blockR []float64
@@ -118,6 +121,29 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 		}
 		blockOffs[term+1] = int32(len(blockW))
 	}
+	var dict builder
+	dict.u32(uint32(nTerms))
+	for _, term := range st.DF.Terms() {
+		dict.str(term)
+	}
+	f := st.ContextSet.Freeze()
+	names := make([]string, 0, len(st.Matrices))
+	for name := range st.Matrices {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	rowMax := make(map[uint32][]float64, len(names)) // by score column (base+3)
+	for i, name := range names {
+		ctxs, vals := st.Matrices[name].Column()
+		maxima := make([]float64, len(ctxs))
+		for r, ctx := range ctxs {
+			j, _ := slices.BinarySearch(f.Ctxs, ctx)
+			for _, v := range vals[f.Offsets[j]:f.Offsets[j+1]] {
+				maxima[r] = max(maxima[r], v)
+			}
+		}
+		rowMax[secMatrixBase+secMatrixStride*uint32(i)+matVals] = maxima
+	}
 	var secs []sectionData
 	for _, s := range decodeSections(img) {
 		secs = append(secs, s)
@@ -128,8 +154,12 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 			}
 			secs = append(secs, sectionData{5, kindF64, encodeF64s(scores)})
 		}
-		if s.id == secIdxTerms {
+		if maxima, ok := rowMax[s.id]; ok {
+			secs = append(secs, sectionData{s.id + 1, kindF64, encodeF64s(maxima)}) // base+4
+		}
+		if s.id == secMatrixDir {
 			secs = append(secs,
+				sectionData{8, kindBytes, dict.b},
 				sectionData{9, kindI32, encode32s(offsets)},
 				sectionData{10, kindI32, encode32s(docs)},
 				sectionData{21, kindU16, encodeU16s(tf)})
@@ -153,9 +183,11 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 
 // TestOpenIgnoresRetiredSections: the writer stamps version 7 and emits no
 // retired section, and an image that carries the assignment scores of the
-// first version-6 writer, the per-posting runs of version 6 and the six
-// sections the block-max evaluator used opens, binds and serves the page
-// the fresh image serves: a reader ignores a section it never asks for.
+// first version-6 writer, the per-posting runs of version 6, the six
+// sections the block-max evaluator used, and the index term dictionary and
+// matrix row maxima of the first version-7 writer opens, binds and serves
+// the page the fresh image serves: a reader ignores a section it never
+// asks for.
 func TestOpenIgnoresRetiredSections(t *testing.T) {
 	o, c, a, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
@@ -172,7 +204,7 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 		t.Fatalf("decoding and laying out the sections again does not reproduce the image (%v)", err)
 	}
 	old := withRetiredSections(t, img, st)
-	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+10 {
+	if got := len(sectionIDs(old)); got != len(sectionIDs(img))+11+len(st.Matrices) {
 		t.Fatalf("image with retired sections has %d sections", got)
 	}
 	query := c.Papers()[0].Title

@@ -65,7 +65,7 @@ func Save(w io.Writer, st *State) error {
 		termSet[a] = struct{}{}
 	}
 	for _, name := range names {
-		ctxs, _, _ := mats[name].Column()
+		ctxs, _ := mats[name].Column()
 		for _, t := range ctxs {
 			termSet[t] = struct{}{}
 		}
@@ -138,25 +138,18 @@ func Save(w io.Writer, st *State) error {
 		base := secMatrixBase + secMatrixStride*uint32(i)
 		dir.str(name)
 		dir.u32(base)
-		ctxs, vals, rowMax := mats[name].Column()
+		ctxs, vals := mats[name].Column()
 		refs := make([]uint32, len(ctxs))
 		for k, t := range ctxs {
 			refs[k] = ref[t]
 		}
 		add(base+matCtxs, kindU32, encode32s(refs))
 		add(base+matVals, kindF64, encodeF64s(vals))
-		add(base+matRowMax, kindF64, encodeF64s(rowMax))
 	}
 	add(secMatrixDir, kindBytes, dir.b)
 
 	// Text index + DF table.
 	p := st.Index
-	var it builder
-	it.u32(uint32(len(p.Terms)))
-	for _, t := range p.Terms {
-		it.str(t)
-	}
-	add(secIdxTerms, kindBytes, it.b)
 	add(secIdxFirst, kindI32, encode32s(p.First))
 	add(secIdxStart, kindI32, encode32s(p.Start))
 	add(secIdxTF, kindU16, encodeU16s(p.TF))
@@ -178,21 +171,16 @@ func Save(w io.Writer, st *State) error {
 
 // checkPostings refuses index parts the DF table cannot weight: a reader
 // derives every posting's weight (1 + ln tf)·idf from its segment's TF and
-// the IDF of its term, so the table must be over the parts' corpus and
-// dictionary. Each refusal names what differs.
+// the IDF of its term, and numbers the terms by the table, so the table
+// must count the parts' documents and hold their terms, one fewer than
+// First's entries. Each refusal names what differs.
 func checkPostings(p *index.Parts, df *vector.DF) error {
 	docs, _ := df.Counts()
 	if docs != len(p.Norms) {
 		return fmt.Errorf("store: the DF table counts %d documents, the index %d", docs, len(p.Norms))
 	}
-	terms := df.Terms()
-	if len(terms) != len(p.Terms) {
-		return fmt.Errorf("store: the DF table holds %d terms, the index %d", len(terms), len(p.Terms))
-	}
-	for t, term := range p.Terms {
-		if terms[t] != term {
-			return fmt.Errorf("store: index term %d is %q, the DF table's is %q", t, term, terms[t])
-		}
+	if terms := len(df.Terms()); len(p.First) != terms+1 {
+		return fmt.Errorf("store: the DF table holds %d terms, the index %d", terms, len(p.First)-1)
 	}
 	return nil
 }
