@@ -4,7 +4,11 @@
 //
 // Usage:
 //
-//	ctxsearch [flags] <command> [args]
+//	ctxsearch [flags] <command> [flags] [args]
+//
+// Flags may come before or after the command, ahead of its arguments; a
+// command that takes no arguments refuses any. `ctxsearch -h` lists every
+// flag with its default.
 //
 // Commands:
 //
@@ -30,83 +34,8 @@
 //	                   serves the coordinator: a range's unrendered
 //	                   rows, or with "finish" the finished page
 //
-// Flags:
-//
-//	-papers N     synthetic corpus size (default 2000)
-//	-terms N      synthetic ontology size (default 400)
-//	-seed N       generator seed (default 1)
-//	-corpus PATH  corpus gob file to load/save (optional)
-//	-obo PATH     ontology OBO file to load/save (optional)
-//	-state PATH   state file (context set, scores, text index); if present
-//	              it is memory-mapped and no paper is analysed, otherwise
-//	              it is written after the build. Either way queries read
-//	              the same flat arrays: the build produces them, the file
-//	              stores them verbatim (optional)
-//	-set  KIND    context set: text | pattern (default text)
-//	-score FN     prestige function: text | citation | pattern (default text)
-//	-limit N      max search results (default 15)
-//	-addr ADDR    listen address for serve (default :8080)
-//	-build-workers N  offline-build parallelism: analysis, index and
-//	                  position-index construction, context-set assembly,
-//	                  prestige scoring (default 0 = GOMAXPROCS, 1 =
-//	                  serial; output identical at any N)
-//	-v            verbose: print the build timing summary after the
-//	              offline build finishes
-//
-// Serving flags (see the README's "Serving" section):
-//
-//	-query-timeout D       per-request search deadline; expiry returns 503
-//	                       (default 2s, <=0 disables)
-//	-max-inflight N        concurrent API request cap; excess sheds with
-//	                       429 + Retry-After (default 64, <=0 unlimited)
-//	-http-read-timeout D   http.Server ReadTimeout (default 5s)
-//	-http-write-timeout D  http.Server WriteTimeout (default 30s)
-//	-http-idle-timeout D   http.Server IdleTimeout (default 2m)
-//	-shutdown-timeout D    drain window on SIGINT/SIGTERM (default 10s)
-//	-cache-entries N       /search result-cache capacity (default 1024,
-//	                       <=0 disables caching)
-//	-cache-ttl D           cached /search response lifetime (default 1m,
-//	                       <=0 = no expiry; every engine swap still
-//	                       invalidates the cache)
-//	-debug-addr ADDR       serve /debug/pprof on a SEPARATE listener
-//	                       (default off; bind to localhost or a private
-//	                       interface — never the public port)
-//
-// Sharding flags (see the README's "Sharded serving" section):
-//
-//	-shard-urls LIST   serve: run as a stateless coordinator over the
-//	                   comma-separated shard base URLs instead of
-//	                   building any engine; each comma-separated range may
-//	                   list several replicas separated by "|"
-//	                   (url1|url2,url3|url4 = 2 ranges x 2 replicas)
-//	-shard-index N     shard: which range this process serves (0-based)
-//	-shard-count N     shard: total number of shard processes
-//	-shard-timeout D   coordinator: per-shard sub-request deadline
-//	                   (default 1s; <=0 disables)
-//	-allow-partial     coordinator: on shard failure serve a degraded
-//	                   page flagged "partial": true instead of a 503
-//
-// Coordinator resilience flags (replicated deployments; see DESIGN.md's
-// failure-mode matrix):
-//
-//	-max-retries N        retries per failed range call, each preferring a
-//	                      replica not yet tried (default 2; 0 disables)
-//	-retry-budget N       retry token bucket capacity; retries across ALL
-//	                      requests are bounded by capacity + range calls*ratio
-//	                      (a page makes one range call per range), so retry
-//	                      storms cannot multiply overload
-//	                      (default 10; <=0 unbounded)
-//	-retry-ratio R        tokens deposited per range call's first attempt
-//	                      (default 0.1)
-//	-hedge-after D        race a second replica when the first is slower
-//	                      than D, first success wins (default 0 = off)
-//	-breaker-threshold N  consecutive failures that trip a replica's
-//	                      circuit breaker open (default 5)
-//	-breaker-cooldown D   open-breaker rejection window before a half-open
-//	                      probe (default 2s)
-//	-probe-interval D     active /healthz probe period feeding breaker and
-//	                      replica-selection state (default 500ms;
-//	                      <=0 disables)
+// The README's "Serving" and "Sharded serving" sections and DESIGN.md's
+// failure-mode matrix describe the serving and coordinator flags.
 //
 // serve binds its port immediately and opens (or builds) the state in the
 // background: /healthz answers at once, /readyz (and the API) flip from
@@ -138,46 +67,101 @@ func run(args []string, out io.Writer) error {
 	return runCtx(context.Background(), args, out)
 }
 
+// options is what the flags set: the library's, the server's and the
+// coordinator's configurations, bound field by field, and the paths and
+// names the commands read.
+type options struct {
+	cfg    ctxsearch.Config
+	server server.Config
+	shard  server.ShardConfig
+	run    server.RunConfig
+
+	corpusPath, oboPath, statePath, stateFormat string
+	set, score                                  string
+	limit                                       int
+	boolean, verbose                            bool
+	addr, debugAddr                             string
+	// shardURLs makes serve a stateless coordinator; shardCount > 1 makes
+	// shard serve range shardIndex of a multi-process deployment.
+	shardURLs              string
+	shardIndex, shardCount int
+}
+
+// flags binds every flag to its field of o.
+func (o *options) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("ctxsearch", flag.ContinueOnError)
+	fs.SetOutput(os.Stderr)
+	o.cfg = ctxsearch.DefaultConfig()
+	c, s, sh, r := &o.cfg, &o.server, &o.shard, &o.run
+	fs.IntVar(&c.Papers, "papers", c.Papers, "synthetic corpus size")
+	fs.IntVar(&c.OntologyTerms, "terms", c.OntologyTerms, "synthetic ontology size")
+	fs.Int64Var(&c.Seed, "seed", c.Seed, "generator seed")
+	fs.StringVar(&o.corpusPath, "corpus", "", "corpus gob file (load if present, else save)")
+	fs.StringVar(&o.oboPath, "obo", "", "ontology OBO file (load if present, else save)")
+	fs.StringVar(&o.set, "set", "text", "context set: text | pattern")
+	fs.StringVar(&o.score, "score", "text", "prestige function: text | citation | pattern")
+	fs.IntVar(&o.limit, "limit", 15, "max results")
+	fs.BoolVar(&o.boolean, "boolean", false, "treat the search query as a boolean expression (AND/OR/NOT, \"phrases\", field:term)")
+	fs.StringVar(&o.statePath, "state", "", "state file: context set, scores and text index (memory-mapped if present, else written after the build)")
+	fs.StringVar(&o.stateFormat, "state-format", "v5", "state file format: version 7, for which v5 is the one accepted spelling (bench/deploy.go passes it)")
+	fs.IntVar(&c.BuildWorkers, "build-workers", 0, "offline-build parallelism (0 = GOMAXPROCS; output identical at any setting)")
+	fs.BoolVar(&o.verbose, "v", false, "print the offline-build timing summary")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address for serve")
+	fs.DurationVar(&s.QueryTimeout, "query-timeout", server.DefaultQueryTimeout, "serve: per-request search deadline, expiry returns 503 (<=0 disables)")
+	fs.IntVar(&s.MaxInflight, "max-inflight", server.DefaultMaxInflight, "serve: max concurrently served API requests, excess sheds with 429 (<=0 unlimited)")
+	fs.DurationVar(&r.ReadTimeout, "http-read-timeout", 5*time.Second, "serve: http.Server ReadTimeout")
+	fs.DurationVar(&r.WriteTimeout, "http-write-timeout", 30*time.Second, "serve: http.Server WriteTimeout")
+	fs.DurationVar(&r.IdleTimeout, "http-idle-timeout", 2*time.Minute, "serve: http.Server IdleTimeout")
+	fs.DurationVar(&r.ShutdownTimeout, "shutdown-timeout", 10*time.Second, "serve: drain window for in-flight requests on SIGINT/SIGTERM")
+	fs.IntVar(&s.CacheEntries, "cache-entries", server.DefaultCacheEntries, "serve: /search result-cache capacity (<=0 disables caching)")
+	fs.DurationVar(&s.CacheTTL, "cache-ttl", server.DefaultCacheTTL, "serve: cached /search response lifetime (<=0 = no expiry)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve: /debug/pprof listen address (empty = profiling off; never expose publicly)")
+	fs.StringVar(&o.shardURLs, "shard-urls", "", "serve: run as a coordinator over these comma-separated shard base URLs")
+	fs.IntVar(&o.shardIndex, "shard-index", 0, "shard: which paper range this process serves (0-based)")
+	fs.IntVar(&o.shardCount, "shard-count", 1, "shard: total number of shard processes")
+	fs.DurationVar(&sh.ShardTimeout, "shard-timeout", server.DefaultShardTimeout, "coordinator: per-shard sub-request deadline (<=0 disables)")
+	fs.BoolVar(&sh.AllowPartial, "allow-partial", false, "coordinator: serve degraded pages flagged partial instead of 503 on shard failure")
+	fs.IntVar(&sh.MaxRetries, "max-retries", server.DefaultMaxRetries, "coordinator: retries per failed range call, preferring untried replicas (0 disables)")
+	fs.Float64Var(&sh.RetryBudget, "retry-budget", resilience.DefaultBudgetCapacity, "coordinator: retry token bucket capacity bounding total retry amplification (<=0 unbounded)")
+	fs.Float64Var(&sh.RetryRatio, "retry-ratio", resilience.DefaultBudgetRatio, "coordinator: retry tokens deposited per range call's first attempt (steady-state retry fraction)")
+	fs.DurationVar(&sh.HedgeAfter, "hedge-after", 0, "coordinator: hedge a slow range call to a second replica after this delay (0 disables)")
+	fs.IntVar(&sh.BreakerThreshold, "breaker-threshold", resilience.DefaultFailureThreshold, "coordinator: consecutive failures tripping a replica's circuit breaker")
+	fs.DurationVar(&sh.BreakerCooldown, "breaker-cooldown", resilience.DefaultCooldown, "coordinator: how long an open breaker rejects before a half-open probe")
+	fs.DurationVar(&sh.ProbeInterval, "probe-interval", resilience.DefaultProbeInterval, "coordinator: active /healthz probe period per replica (<=0 disables probing)")
+	return fs
+}
+
+// handler runs one command on the parsed options and its arguments.
+type handler func(ctx context.Context, o *options, out io.Writer, args []string) error
+
+// command is one entry of the command table: its handler, and how many
+// arguments it takes — exactly args, or one or more when args < 0.
+type command struct {
+	args  int
+	usage string
+	run   handler
+}
+
+var commands = map[string]command{
+	"generate": {0, "", generateCmd},
+	"build":    {0, "", buildCmd},
+	"serve":    {0, "", serveCmd},
+	"shard":    {0, "", serveCmd},
+	"stats":    {0, "", query((*app).stats)},
+	"search":   {-1, "<query>", query((*app).search)},
+	"contexts": {-1, "<query>", query((*app).contexts)},
+	"related":  {-1, "<term>", query((*app).related)},
+	"cluster":  {-1, "<query>", query((*app).cluster)},
+	"inspect":  {1, "exactly one paper ID", query((*app).inspect)},
+	"sim":      {2, "exactly two term IDs", query((*app).sim)},
+	"export":   {2, "<jsonl|gaf> <path>", query((*app).export)},
+}
+
 // runCtx is run with a caller-supplied base context, so tests can stop a
 // serve command the way a SIGTERM would.
 func runCtx(ctx context.Context, args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("ctxsearch", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	papers := fs.Int("papers", 2000, "synthetic corpus size")
-	terms := fs.Int("terms", 400, "synthetic ontology size")
-	seed := fs.Int64("seed", 1, "generator seed")
-	corpusPath := fs.String("corpus", "", "corpus gob file (load if present, else save)")
-	oboPath := fs.String("obo", "", "ontology OBO file (load if present, else save)")
-	setKind := fs.String("set", "text", "context set: text | pattern")
-	scoreFn := fs.String("score", "text", "prestige function: text | citation | pattern")
-	limit := fs.Int("limit", 15, "max results")
-	boolean := fs.Bool("boolean", false, "treat the search query as a boolean expression (AND/OR/NOT, \"phrases\", field:term)")
-	statePath := fs.String("state", "", "state file: context set, scores and text index (memory-mapped if present, else written after the build)")
-	stateFormat := fs.String("state-format", "v5", "state file format: version 7, for which v5 is the one accepted spelling (bench/deploy.go passes it)")
-	buildWorkers := fs.Int("build-workers", 0, "offline-build parallelism (0 = GOMAXPROCS; output identical at any setting)")
-	verbose := fs.Bool("v", false, "print the offline-build timing summary")
-	addr := fs.String("addr", ":8080", "listen address for serve")
-	queryTimeout := fs.Duration("query-timeout", server.DefaultQueryTimeout, "serve: per-request search deadline, expiry returns 503 (<=0 disables)")
-	maxInflight := fs.Int("max-inflight", server.DefaultMaxInflight, "serve: max concurrently served API requests, excess sheds with 429 (<=0 unlimited)")
-	httpReadTimeout := fs.Duration("http-read-timeout", 5*time.Second, "serve: http.Server ReadTimeout")
-	httpWriteTimeout := fs.Duration("http-write-timeout", 30*time.Second, "serve: http.Server WriteTimeout")
-	httpIdleTimeout := fs.Duration("http-idle-timeout", 2*time.Minute, "serve: http.Server IdleTimeout")
-	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "serve: drain window for in-flight requests on SIGINT/SIGTERM")
-	cacheEntries := fs.Int("cache-entries", server.DefaultCacheEntries, "serve: /search result-cache capacity (<=0 disables caching)")
-	cacheTTL := fs.Duration("cache-ttl", server.DefaultCacheTTL, "serve: cached /search response lifetime (<=0 = no expiry)")
-	debugAddr := fs.String("debug-addr", "", "serve: /debug/pprof listen address (empty = profiling off; never expose publicly)")
-	shardURLs := fs.String("shard-urls", "", "serve: run as a coordinator over these comma-separated shard base URLs")
-	shardIndex := fs.Int("shard-index", 0, "shard: which paper range this process serves (0-based)")
-	shardCount := fs.Int("shard-count", 1, "shard: total number of shard processes")
-	shardTimeout := fs.Duration("shard-timeout", server.DefaultShardTimeout, "coordinator: per-shard sub-request deadline (<=0 disables)")
-	allowPartial := fs.Bool("allow-partial", false, "coordinator: serve degraded pages flagged partial instead of 503 on shard failure")
-	maxRetries := fs.Int("max-retries", server.DefaultMaxRetries, "coordinator: retries per failed range call, preferring untried replicas (0 disables)")
-	retryBudget := fs.Float64("retry-budget", resilience.DefaultBudgetCapacity, "coordinator: retry token bucket capacity bounding total retry amplification (<=0 unbounded)")
-	retryRatio := fs.Float64("retry-ratio", resilience.DefaultBudgetRatio, "coordinator: retry tokens deposited per range call's first attempt (steady-state retry fraction)")
-	hedgeAfter := fs.Duration("hedge-after", 0, "coordinator: hedge a slow range call to a second replica after this delay (0 disables)")
-	breakerThreshold := fs.Int("breaker-threshold", resilience.DefaultFailureThreshold, "coordinator: consecutive failures tripping a replica's circuit breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", resilience.DefaultCooldown, "coordinator: how long an open breaker rejects before a half-open probe")
-	probeInterval := fs.Duration("probe-interval", resilience.DefaultProbeInterval, "coordinator: active /healthz probe period per replica (<=0 disables probing)")
+	var o options
+	fs := o.flags()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -185,89 +169,93 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("missing command")
 	}
-	cmd, rest := fs.Arg(0), fs.Args()[1:]
-	if *stateFormat != "v5" {
-		return fmt.Errorf("unknown -state-format %q: the state format is version 7, and v5 is the one spelling accepted (bench/deploy.go passes it)", *stateFormat)
+	name := fs.Arg(0)
+	// Flags may follow the command as well; what is left are its arguments.
+	if err := fs.Parse(fs.Args()[1:]); err != nil {
+		return err
 	}
-
-	cfg := ctxsearch.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.Papers = *papers
-	cfg.OntologyTerms = *terms
-	cfg.BuildWorkers = *buildWorkers
-
-	d := dataOpts{
-		cfg:        cfg,
-		corpusPath: *corpusPath, oboPath: *oboPath,
-		setKind: *setKind, scoreFn: *scoreFn, statePath: *statePath,
-	}
-	if cmd == "serve" || cmd == "shard" {
-		// A shard flag on the wrong command would be dropped, and the process
-		// would serve the whole corpus (or coordinate) where a range was meant.
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if cmd == "serve" && (set["shard-index"] || set["shard-count"]) {
-			return fmt.Errorf("serve: -shard-index and -shard-count select a paper range of the shard command (ctxsearch -shard-index I -shard-count N shard)")
-		}
-		if cmd == "shard" && set["shard-urls"] {
-			return fmt.Errorf("shard: -shard-urls makes a coordinator, which is the serve command; a shard serves one paper range")
-		}
-		o := serveOpts{
-			dataOpts: d,
-			addr:     *addr, debugAddr: *debugAddr,
-			queryTimeout: *queryTimeout, maxInflight: *maxInflight,
-			readTimeout: *httpReadTimeout, writeTimeout: *httpWriteTimeout,
-			idleTimeout: *httpIdleTimeout, shutdownTimeout: *shutdownTimeout,
-			cacheEntries: *cacheEntries, cacheTTL: *cacheTTL,
-			shardURLs:    *shardURLs,
-			shardTimeout: *shardTimeout, allowPartial: *allowPartial,
-			maxRetries: *maxRetries, retryBudget: *retryBudget, retryRatio: *retryRatio,
-			hedgeAfter: *hedgeAfter, breakerThreshold: *breakerThreshold,
-			breakerCooldown: *breakerCooldown, probeInterval: *probeInterval,
-		}
-		if cmd == "shard" {
-			if *shardCount < 1 || *shardIndex < 0 || *shardIndex >= *shardCount {
-				return fmt.Errorf("shard: need 0 <= -shard-index < -shard-count, got %d of %d", *shardIndex, *shardCount)
-			}
-			o.shardIndex, o.shardCount = *shardIndex, *shardCount
-		}
-		return serveCmd(ctx, out, o)
-	}
-
-	if cmd == "generate" {
-		o, c, _, err := loadOrGenData(d, true)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "generated %d papers over %d ontology terms (seed %d)\n", c.Len(), o.Len(), *seed)
-		return nil
-	}
-
-	// Reject a mistyped command before load builds (and saves) the world.
-	query := queryCommands[cmd]
-	if query == nil && cmd != "build" {
-		return fmt.Errorf("unknown command %q", cmd)
-	}
-	a, err := load(d, cmd == "build")
+	cmd, err := o.validate(fs, name, fs.Args())
 	if err != nil {
 		return err
 	}
-	defer a.close()
-	a.limit, a.boolean = *limit, *boolean
-	if cmd == "build" {
-		fmt.Fprintf(out, "built %s context set (%d contexts) with %q scores (%d scored contexts)\n",
-			*setKind, len(a.cs.Contexts()), *scoreFn, a.matrix.NumContexts())
-		if *statePath != "" {
-			fmt.Fprintf(out, "state saved to %s\n", *statePath)
-		}
-		if *verbose {
-			fmt.Fprintln(out, a.sys.BuildStats().Summary())
-		}
-		return nil
+	return cmd.run(ctx, &o, out, fs.Args())
+}
+
+// validate refuses, before anything is generated, built, opened or written,
+// a command line that would otherwise be ignored in part or fail late: an
+// unknown command, a wrong number of arguments, an unknown -set, -score or
+// -state-format, or a shard flag on the command that does not read it.
+func (o *options) validate(fs *flag.FlagSet, name string, args []string) (command, error) {
+	cmd, ok := commands[name]
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	switch {
+	case !ok:
+		return cmd, fmt.Errorf("unknown command %q", name)
+	case cmd.args == 0 && len(args) > 0:
+		return cmd, fmt.Errorf("%s takes no arguments, got %q", name, args)
+	case cmd.args > 0 && len(args) != cmd.args, cmd.args < 0 && len(args) == 0:
+		return cmd, fmt.Errorf("%s: want %s", name, cmd.usage)
+	case contextSets[o.set] == nil:
+		return cmd, fmt.Errorf("unknown context set %q (-set text | pattern)", o.set)
+	case scoreFns[o.score] == nil:
+		return cmd, fmt.Errorf("unknown score function %q (-score text | citation | pattern)", o.score)
+	case o.stateFormat != "v5":
+		return cmd, fmt.Errorf("unknown -state-format %q: the state format is version 7, and v5 is the one spelling accepted (bench/deploy.go passes it)", o.stateFormat)
+	// A shard flag on the wrong command would be dropped, and the process
+	// would serve the whole corpus (or coordinate) where a range was meant.
+	case name == "serve" && (given["shard-index"] || given["shard-count"]):
+		return cmd, fmt.Errorf("serve: -shard-index and -shard-count select a paper range of the shard command (ctxsearch -shard-index I -shard-count N shard)")
+	case name == "shard" && given["shard-urls"]:
+		return cmd, fmt.Errorf("shard: -shard-urls makes a coordinator, which is the serve command; a shard serves one paper range")
+	case name == "shard" && (o.shardCount < 1 || o.shardIndex < 0 || o.shardIndex >= o.shardCount):
+		return cmd, fmt.Errorf("shard: need 0 <= -shard-index < -shard-count, got %d of %d", o.shardIndex, o.shardCount)
 	}
-	a.engine = a.sys.Engine(a.matrix)
-	if *verbose {
+	return cmd, nil
+}
+
+// generateCmd generates the corpus and ontology and saves them to -corpus
+// and -obo.
+func generateCmd(_ context.Context, o *options, out io.Writer, _ []string) error {
+	onto, c, _, err := loadOrGenData(o, true)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "generated %d papers over %d ontology terms (seed %d)\n", c.Len(), onto.Len(), o.cfg.Seed)
+	return nil
+}
+
+// buildCmd runs the offline build, whether or not -state exists, and saves
+// the state when -state is given.
+func buildCmd(_ context.Context, o *options, out io.Writer, _ []string) error {
+	a, err := buildState(o)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "built %s context set (%d contexts) with %q scores (%d scored contexts)\n",
+		o.set, len(a.cs.Contexts()), o.score, a.matrix.NumContexts())
+	if o.statePath != "" {
+		fmt.Fprintf(out, "state saved to %s\n", o.statePath)
+	}
+	if o.verbose {
 		fmt.Fprintln(out, a.sys.BuildStats().Summary())
 	}
-	return query(a, out, rest)
+	return nil
+}
+
+// query makes a one-shot command's handler: it opens or builds the state
+// (load), binds the engine, and answers.
+func query(f func(*app, io.Writer, []string) error) handler {
+	return func(_ context.Context, o *options, out io.Writer, args []string) error {
+		a, err := load(o)
+		if err != nil {
+			return err
+		}
+		defer a.close()
+		a.engine = a.sys.Engine(a.matrix)
+		if o.verbose {
+			fmt.Fprintln(out, a.sys.BuildStats().Summary())
+		}
+		return f(a, out, args)
+	}
 }

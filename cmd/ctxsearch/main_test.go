@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io/fs"
 	"net/http"
 	"os"
@@ -390,19 +389,25 @@ func TestShardedServeWithoutState(t *testing.T) {
 	}
 }
 
-// TestServeCommandBuildFailure: a serve whose engine build fails must shut
-// the (already listening) server down and surface the build error.
+// TestServeCommandBuildFailure: a serve whose background load fails after
+// the port bound — here a -corpus path holding a file that is not a corpus,
+// which only loading it can tell — must shut the listening server down and
+// surface the load error.
 func TestServeCommandBuildFailure(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "corpus.gob")
+	if err := os.WriteFile(bad, []byte("not a gob stream"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var out syncBuffer
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	err := runCtx(ctx, []string{"-papers", "120", "-terms", "40",
-		"-set", "bogus", "-addr", "127.0.0.1:0", "serve"}, &out)
-	if err == nil {
-		t.Fatalf("bogus context set must fail serve:\n%s", out.String())
+		"-corpus", bad, "-addr", "127.0.0.1:0", "serve"}, &out)
+	if err == nil || !strings.Contains(err.Error(), bad) {
+		t.Fatalf("a corpus file that is not a corpus must fail serve, naming it: err = %v\n%s", err, out.String())
 	}
-	if !strings.Contains(fmt.Sprint(err), "bogus") {
-		t.Fatalf("error does not mention the bad flag: %v", err)
+	if !strings.Contains(out.String(), "listening on") {
+		t.Fatalf("the load failed before the port bound, so the post-listen path went untested:\n%s", out.String())
 	}
 }
 
@@ -496,5 +501,112 @@ func TestBooleanSearchCommand(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-papers", "150", "-terms", "40", "-boolean", "search", "((("}, &buf); err == nil {
 		t.Fatal("bad boolean query must fail")
+	}
+}
+
+// TestFlagsAfterCommand: flags may follow the command. `build -state F`
+// writes the very bytes `-state F build` does, and `search -limit 2 q`
+// prints two rows for q.
+func TestFlagsAfterCommand(t *testing.T) {
+	dir := t.TempDir()
+	after, before := filepath.Join(dir, "after.bin"), filepath.Join(dir, "before.bin")
+	runCLI(t, "build", "-state", after)
+	runCLI(t, "-state", before, "build")
+	a, err := os.ReadFile(after)
+	if err != nil {
+		t.Fatalf("build -state F wrote no file: %v", err)
+	}
+	b, err := os.ReadFile(before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("build -state F wrote %d bytes, -state F build %d, and they differ", len(a), len(b))
+	}
+	out := runCLI(t, "search", "-limit", "2", "transcription")
+	if rows := regexp.MustCompile(`(?m)^ *\d+\. \[`).FindAllString(out, -1); len(rows) != 2 || !strings.Contains(out, `for "transcription"`) {
+		t.Fatalf("search -limit 2 transcription printed %d rows:\n%s", len(rows), out)
+	}
+}
+
+// TestArgumentsRefused: a command that takes no arguments refuses any,
+// naming itself, before anything is built or written.
+func TestArgumentsRefused(t *testing.T) {
+	for _, cmd := range [][]string{{"build", "extra"}, {"stats", "extra", "args"}} {
+		state := filepath.Join(t.TempDir(), "x.state")
+		var buf bytes.Buffer
+		err := run(append([]string{"-papers", "150", "-terms", "40", "-state", state}, cmd...), &buf)
+		if err == nil || !strings.Contains(err.Error(), cmd[0]+" takes no arguments") {
+			t.Fatalf("%v: err = %v, want one naming %s\n%s", cmd, err, cmd[0], buf.String())
+		}
+		if _, serr := os.Stat(state); !errors.Is(serr, fs.ErrNotExist) {
+			t.Fatalf("%v left a state file behind (stat: %v)", cmd, serr)
+		}
+	}
+}
+
+// TestStateSetKind: a text-built state booted with another -set is refused
+// before any output, naming both kinds, instead of serving the text set.
+func TestStateSetKind(t *testing.T) {
+	args := builtState(t)
+	for set, want := range map[string][]string{
+		"pattern": {"text-based", "pattern-based", "ctxsearch build -state"},
+		"bogus":   {`unknown context set "bogus"`},
+	} {
+		var buf bytes.Buffer
+		err := run(append(args, "-set", set, "stats"), &buf)
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Fatalf("-set %s over a text state: err = %v, want one naming %q", set, err, w)
+			}
+		}
+		if buf.Len() != 0 {
+			t.Fatalf("-set %s over a text state printed before refusing:\n%s", set, buf.String())
+		}
+	}
+}
+
+// TestRefusalRebuildsVerbatim: every refusal that tells the user to run
+// `ctxsearch build -state …` means it. Run verbatim after the refused
+// command's other flags, it writes a state those flags boot.
+func TestRefusalRebuildsVerbatim(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flags []string
+		spoil func(path string) error // applied to a seed-1 text state
+	}{
+		{"fingerprint", []string{"-seed", "2"}, nil},
+		{"set kind", []string{"-set", "pattern"}, nil},
+		{"version 6", nil, func(path string) error {
+			img, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			binary.LittleEndian.PutUint32(img[8:], 6)
+			return os.WriteFile(path, img, 0o644)
+		}},
+		{"gob state", nil, func(path string) error {
+			return os.WriteFile(path, []byte("\x20\xff\x81ctxsearch-state"), 0o644)
+		}},
+	} {
+		args := builtState(t)
+		path := args[len(args)-1]
+		if tc.spoil != nil {
+			if err := tc.spoil(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		flags := append([]string{"-papers", "120", "-terms", "40"}, tc.flags...)
+		var buf bytes.Buffer
+		err := run(append(append(flags, "-state", path), "stats"), &buf)
+		if err == nil || !strings.Contains(err.Error(), "`ctxsearch build -state …`") {
+			t.Fatalf("%s: err = %v, want a refusal naming `ctxsearch build -state …`", tc.name, err)
+		}
+		if err := run(append(flags, "build", "-state", path), &buf); err != nil {
+			t.Fatalf("%s: the rebuild: %v", tc.name, err)
+		}
+		if err := run(append(append(flags, "-state", path), "stats"), &buf); err != nil {
+			t.Fatalf("%s: the rebuilt state does not boot: %v", tc.name, err)
+		}
 	}
 }

@@ -14,23 +14,8 @@ import (
 	"ctxsearch/internal/index"
 )
 
-// queryCommands are the one-shot commands that answer from a loaded app.
-var queryCommands = map[string]func(*app, io.Writer, []string) error{
-	"search":   (*app).search,
-	"contexts": (*app).contexts,
-	"inspect":  (*app).inspect,
-	"stats":    (*app).stats,
-	"sim":      (*app).sim,
-	"related":  (*app).related,
-	"cluster":  (*app).cluster,
-	"export":   (*app).export,
-}
-
 func (a *app) search(out io.Writer, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("search: missing query")
-	}
-	query := join(args)
+	query := strings.Join(args, " ")
 	var results []ctxsearch.SearchResult
 	if a.boolean {
 		var err error
@@ -59,10 +44,7 @@ func (a *app) search(out io.Writer, args []string) error {
 }
 
 func (a *app) contexts(out io.Writer, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("contexts: missing query")
-	}
-	query := join(args)
+	query := strings.Join(args, " ")
 	sel := a.engine.SelectContexts(query, ctxsearch.SearchOptions{})
 	if len(sel) == 0 {
 		fmt.Fprintf(out, "no contexts match %q\n", query)
@@ -78,9 +60,6 @@ func (a *app) contexts(out io.Writer, args []string) error {
 }
 
 func (a *app) inspect(out io.Writer, args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("inspect: want exactly one paper ID")
-	}
 	id, err := strconv.Atoi(args[0])
 	if err != nil {
 		return fmt.Errorf("inspect: bad paper ID %q", args[0])
@@ -127,9 +106,6 @@ func (a *app) stats(out io.Writer, _ []string) error {
 
 // sim prints semantic similarity between two terms (by ID or exact name).
 func (a *app) sim(out io.Writer, args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("sim: want exactly two term IDs")
-	}
 	t1, err := a.resolveTerm(args[0])
 	if err != nil {
 		return err
@@ -154,10 +130,7 @@ func (a *app) sim(out io.Writer, args []string) error {
 
 // related prints the terms most Lin-similar to the given term.
 func (a *app) related(out io.Writer, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("related: missing term")
-	}
-	t, err := a.resolveTerm(join(args))
+	t, err := a.resolveTerm(strings.Join(args, " "))
 	if err != nil {
 		return err
 	}
@@ -196,10 +169,7 @@ func (a *app) related(out io.Writer, args []string) error {
 // paper's §6 related work, for side-by-side comparison with ontology
 // contexts.
 func (a *app) cluster(out io.Writer, args []string) error {
-	if len(args) == 0 {
-		return fmt.Errorf("cluster: missing query")
-	}
-	query := join(args)
+	query := strings.Join(args, " ")
 	hits := ctxsearchBaseline(a.sys, query, 60)
 	if len(hits) < 4 {
 		fmt.Fprintf(out, "only %d results for %q — too few to cluster\n", len(hits), query)
@@ -236,9 +206,6 @@ func ctxsearchBaseline(sys *ctxsearch.System, query string, n int) []ctxsearch.P
 
 // export writes the corpus in an interchange format.
 func (a *app) export(out io.Writer, args []string) error {
-	if len(args) != 2 {
-		return fmt.Errorf("export: want <jsonl|gaf> <path>")
-	}
 	format, path := args[0], args[1]
 	f, err := os.Create(path)
 	if err != nil {
@@ -276,15 +243,4 @@ func (a *app) resolveTerm(s string) (ctxsearch.TermID, error) {
 		}
 	}
 	return "", fmt.Errorf("unknown term %q (use a GO:… ID or an exact name)", s)
-}
-
-func join(args []string) string {
-	out := ""
-	for i, a := range args {
-		if i > 0 {
-			out += " "
-		}
-		out += a
-	}
-	return out
 }

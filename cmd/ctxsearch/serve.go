@@ -17,30 +17,6 @@ import (
 	"ctxsearch/internal/shard"
 )
 
-// serveOpts carries everything the serve and shard commands need.
-type serveOpts struct {
-	dataOpts
-	addr, debugAddr                        string
-	queryTimeout                           time.Duration
-	maxInflight                            int
-	readTimeout, writeTimeout, idleTimeout time.Duration
-	shutdownTimeout                        time.Duration
-	cacheEntries                           int
-	cacheTTL                               time.Duration
-	// shardURLs turns the process into a stateless coordinator; shardCount
-	// > 1 makes it shard shardIndex of a multi-process deployment.
-	shardURLs              string
-	shardIndex, shardCount int
-	shardTimeout           time.Duration
-	allowPartial           bool
-	// Coordinator resilience tuning (see internal/resilience).
-	maxRetries                     int
-	retryBudget, retryRatio        float64
-	hedgeAfter                     time.Duration
-	breakerThreshold               int
-	breakerCooldown, probeInterval time.Duration
-}
-
 // orOff maps a flag's "<= 0 disables" onto Config's and ShardConfig's
 // "negative disables" (their zero means the default).
 func orOff[T int | float64 | time.Duration](v T) T {
@@ -55,21 +31,14 @@ func orOff[T int | float64 | time.Duration](v T) T {
 // built in the background (load) and swapped in, and SIGINT/SIGTERM
 // (or ctx cancellation) trigger a graceful drain. A failed build shuts the
 // server down and surfaces the build error.
-func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
-	scfg := server.Config{
-		QueryTimeout: orOff(o.queryTimeout),
-		MaxInflight:  orOff(o.maxInflight),
-		CacheEntries: orOff(o.cacheEntries),
-		CacheTTL:     orOff(o.cacheTTL),
-		Logger:       log.New(os.Stderr, "ctxsearch: ", log.LstdFlags),
-	}
-	run := server.RunConfig{
-		ReadTimeout:     o.readTimeout,
-		WriteTimeout:    o.writeTimeout,
-		IdleTimeout:     o.idleTimeout,
-		ShutdownTimeout: o.shutdownTimeout,
-		OnListen:        func(a net.Addr) { fmt.Fprintf(out, "listening on %s\n", a) },
-	}
+func serveCmd(ctx context.Context, o *options, out io.Writer, _ []string) error {
+	s, sh := &o.server, &o.shard
+	s.QueryTimeout, s.MaxInflight = orOff(s.QueryTimeout), orOff(s.MaxInflight)
+	s.CacheEntries, s.CacheTTL = orOff(s.CacheEntries), orOff(s.CacheTTL)
+	sh.ShardTimeout, sh.MaxRetries = orOff(sh.ShardTimeout), orOff(sh.MaxRetries)
+	sh.RetryBudget, sh.ProbeInterval = orOff(sh.RetryBudget), orOff(sh.ProbeInterval)
+	s.Logger = log.New(os.Stderr, "ctxsearch: ", log.LstdFlags)
+	o.run.OnListen = func(a net.Addr) { fmt.Fprintf(out, "listening on %s\n", a) }
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ctx, cancel := context.WithCancel(ctx)
@@ -85,7 +54,7 @@ func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
 			derr := server.Run(ctx, o.debugAddr, server.DebugHandler(), server.RunConfig{
 				ReadTimeout:     5 * time.Second,
 				WriteTimeout:    5 * time.Minute,
-				ShutdownTimeout: o.shutdownTimeout,
+				ShutdownTimeout: o.run.ShutdownTimeout,
 				OnListen:        func(a net.Addr) { fmt.Fprintf(out, "debug listening on %s (pprof)\n", a) },
 			})
 			if derr != nil {
@@ -108,23 +77,13 @@ func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
 		if len(urls) == 0 {
 			return fmt.Errorf("serve: -shard-urls has no URLs")
 		}
-		coord := server.NewCoordinator(urls, scfg, server.ShardConfig{
-			ShardTimeout:     orOff(o.shardTimeout),
-			AllowPartial:     o.allowPartial,
-			MaxRetries:       orOff(o.maxRetries),
-			RetryBudget:      orOff(o.retryBudget),
-			RetryRatio:       o.retryRatio,
-			HedgeAfter:       o.hedgeAfter,
-			BreakerThreshold: o.breakerThreshold,
-			BreakerCooldown:  o.breakerCooldown,
-			ProbeInterval:    orOff(o.probeInterval),
-		})
+		coord := server.NewCoordinator(urls, o.server, o.shard)
 		defer coord.Close()
 		fmt.Fprintf(out, "coordinating %d shards (%d replicas)\n", coord.NumShards(), coord.NumBackends())
-		return server.Run(ctx, o.addr, coord, run)
+		return server.Run(ctx, o.addr, coord, o.run)
 	}
 
-	srv := server.NewPending(scfg)
+	srv := server.NewPending(o.server)
 	defer srv.Close()
 	buildErr := make(chan error, 1)
 	go func() {
@@ -135,7 +94,7 @@ func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
 		}
 		buildErr <- nil
 	}()
-	err := server.Run(ctx, o.addr, srv, run)
+	err := server.Run(ctx, o.addr, srv, o.run)
 	select {
 	case berr := <-buildErr:
 		if berr != nil {
@@ -152,9 +111,9 @@ func serveCmd(ctx context.Context, out io.Writer, o serveOpts) error {
 // cold_start_ms. The server takes ownership of the state file's mapping: it
 // stays alive until the backend is swapped out and the last in-flight
 // request releases it.
-func buildAndInstall(out io.Writer, srv *server.Server, o serveOpts) error {
+func buildAndInstall(out io.Writer, srv *server.Server, o *options) error {
 	start := time.Now()
-	a, err := load(o.dataOpts, false)
+	a, err := load(o)
 	if err != nil {
 		return err
 	}
@@ -180,7 +139,7 @@ func buildAndInstall(out io.Writer, srv *server.Server, o serveOpts) error {
 
 // newSearcher binds the engine the shard flags ask for, and the line that
 // announces it.
-func newSearcher(o serveOpts, a *app) (*ctxsearch.Engine, string, error) {
+func newSearcher(o *options, a *app) (*ctxsearch.Engine, string, error) {
 	sys := a.sys
 	if o.shardCount <= 1 {
 		return sys.Engine(a.matrix), "engine ready", nil
@@ -188,7 +147,7 @@ func newSearcher(o serveOpts, a *app) (*ctxsearch.Engine, string, error) {
 	// One shard process of a multi-process deployment: full system (the
 	// analyzer's global statistics and the render endpoints need it) but a
 	// range-restricted query engine.
-	eng, r, err := shard.RangeEngineParts(sys.Analyzer(), a.parts, a.matrix, sys.Config().Relevancy, o.shardIndex, o.shardCount)
+	eng, r, err := shard.RangeEngineParts(sys.Analyzer(), sys.Index().Parts(), a.matrix, sys.Config().Relevancy, o.shardIndex, o.shardCount)
 	if err != nil {
 		return nil, "", err
 	}

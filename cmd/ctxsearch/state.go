@@ -9,46 +9,46 @@ import (
 
 	"ctxsearch"
 	"ctxsearch/internal/corpus"
-	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/store"
 )
 
-// app is the state every command but generate and the coordinator works on:
-// what load opened from the state file or built in-process.
+// app is the state every one-shot command, serve and shard work on: what
+// load opened from the state file or built in-process, and the options it
+// was loaded with.
 type app struct {
+	*options
 	sys *ctxsearch.System
 	cs  *ctxsearch.ContextSet
 	// matrix is the CSR prestige matrix: scoring's, or the opened state
 	// file's.
 	matrix *ctxsearch.Matrix
-	// parts are the postings shard engines slice: the state file's, or the
-	// built index's own.
-	parts *index.Parts
-	// mapped is the open state file sys, cs, matrix and parts alias; nil
-	// when they were built in-process.
+	// mapped is the open state file sys, cs and matrix alias; nil when they
+	// were built in-process.
 	mapped *store.Mapped
-
-	engine  *ctxsearch.Engine
-	limit   int
-	boolean bool
+	engine *ctxsearch.Engine
 }
 
-// dataOpts names the inputs of load: where the corpus, the ontology and the
-// state come from, and what to build when there is no state file yet.
-type dataOpts struct {
-	cfg                                              ctxsearch.Config
-	corpusPath, oboPath, setKind, scoreFn, statePath string
-}
+// contextSets and scoreFns map the -set and -score names to the
+// constructors the build calls; validate refuses a name neither holds.
+var (
+	contextSets = map[string]func(*ctxsearch.System) *ctxsearch.ContextSet{
+		"text":    (*ctxsearch.System).BuildTextContextSet,
+		"pattern": (*ctxsearch.System).BuildPatternContextSet,
+	}
+	scoreFns = map[string]func(*ctxsearch.System, *ctxsearch.ContextSet) *ctxsearch.Matrix{
+		"text":     (*ctxsearch.System).ScoreText,
+		"citation": (*ctxsearch.System).ScoreCitation,
+		"pattern":  (*ctxsearch.System).ScorePattern,
+	}
+)
 
-// load is the one road from the flags to (sys, cs, matrix, parts), taken by
-// serve, shard and every one-shot command. When -state names an existing
-// file it is opened and a frozen system bound to it: no paper is analysed,
-// and a file written by a newer binary fails here with the version
-// diagnostic. Otherwise — or always, for the build command (rebuild) — the
-// full offline build runs and saves the state if a path was given.
-func load(o dataOpts, rebuild bool) (*app, error) {
-	if o.statePath != "" && !rebuild {
+// load is the one road from the flags to (sys, cs, matrix), taken by serve,
+// shard and every one-shot command. When -state names an existing file it
+// is opened and a frozen system bound to it (openState). Otherwise the full
+// offline build runs and saves the state if a path was given.
+func load(o *options) (*app, error) {
+	if o.statePath != "" {
 		// Only a missing file means "build it": any other failure (permission,
 		// I/O) must not end in a rebuild that overwrites the path.
 		if _, err := os.Stat(o.statePath); err == nil {
@@ -60,100 +60,47 @@ func load(o dataOpts, rebuild bool) (*app, error) {
 	return buildState(o)
 }
 
-// openState memory-maps the state file (byte-copies it where mmap is
-// unavailable) and binds the engine's arrays to it directly
-// (ctxsearch.NewFrozenSystem). Producing the inputs, nearly all of a boot,
-// is its first stage, as in buildSystem. The state must have been built from
-// the very ontology and corpus the flags produced: its fingerprint is
-// compared with theirs, and a mismatch is an error naming both.
-func openState(o dataOpts) (_ *app, err error) {
-	t0 := time.Now()
-	onto, c, generated, err := loadOrGenData(o, false)
-	if err != nil {
-		return nil, fmt.Errorf("building system: %w", err)
-	}
-	inputsDur := time.Since(t0)
-	t0 = time.Now()
-	mapped, err := store.Open(o.statePath, onto)
+// openState binds the state file with ctxsearch.OpenState, which refuses a
+// state built from other inputs than the ontology and corpus the flags
+// produce. A state of another context-set kind than -set is refused as
+// well.
+func openState(o *options) (*app, error) {
+	onto, c, recordInputs, err := loadInputs(o)
 	if err != nil {
 		return nil, err
 	}
-	defer func() {
-		if err != nil {
-			err = fmt.Errorf("loading %s: %w", o.statePath, err)
-			_ = mapped.Close()
-		}
-	}()
-	mapDur := time.Since(t0)
-	a := &app{mapped: mapped}
-	if a.matrix, err = mapped.Matrix(o.scoreFn); err != nil {
-		return nil, err
-	}
-	a.cs = a.matrix.ContextSet()
-	if a.parts, err = mapped.IndexParts(); err != nil {
-		return nil, err
-	}
-	df, err := mapped.DF()
+	sys, m, mapped, err := ctxsearch.OpenState(o.statePath, onto, c, o.score, o.cfg)
 	if err != nil {
 		return nil, err
 	}
-	if a.sys, err = ctxsearch.NewFrozenSystem(onto, c, a.parts, df, o.cfg); err != nil {
-		return nil, err
+	a := &app{options: o, sys: sys, cs: m.ContextSet(), matrix: m, mapped: mapped}
+	// Kind names are the -set names with "-based" appended.
+	if got, want := a.cs.Kind().String(), o.set+"-based"; got != want {
+		a.close()
+		return nil, fmt.Errorf("loading %s: the state holds a %s context set, -set asks for %s — pass the -set it was built with, or rebuild it with `ctxsearch build -state …`", o.statePath, got, want)
 	}
-	var fp [32]byte
-	a.sys.BuildStats().Time("fingerprint", c.Len(), "papers", func() { fp = store.Fingerprint(onto, c) })
-	if fp != mapped.Fingerprint() {
-		return nil, fmt.Errorf("the state was built from inputs with fingerprint %x, the ontology and corpus loaded here have %x — pass the -seed, -papers, -terms, -corpus and -obo it was built with, or rebuild it with `ctxsearch build -state …`", mapped.Fingerprint(), fp)
-	}
-	a.sys.BuildStats().Add("state-map", mapDur, 0, "")
-	a.sys.BuildStats().AddFirst(inputsStage(generated), inputsDur, c.Len(), "papers")
+	recordInputs(sys)
 	return a, nil
 }
 
 // buildState runs the offline build — analysis, context set, prestige
 // scores — and, when -state is given, saves the result with the text-index
 // postings and DF table, so the next boot maps the file instead.
-func buildState(o dataOpts) (*app, error) {
-	sys, err := buildSystem(o)
+func buildState(o *options) (*app, error) {
+	onto, c, recordInputs, err := loadInputs(o)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := ctxsearch.NewSystem(onto, c, o.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("building system: %w", err)
 	}
-	a := &app{sys: sys}
-	switch o.setKind {
-	case "text":
-		a.cs = sys.BuildTextContextSet()
-	case "pattern":
-		a.cs = sys.BuildPatternContextSet()
-	default:
-		return nil, fmt.Errorf("unknown context set %q", o.setKind)
-	}
-	switch o.scoreFn {
-	case "text":
-		a.matrix = sys.ScoreText(a.cs)
-	case "citation":
-		a.matrix = sys.ScoreCitation(a.cs)
-	case "pattern":
-		a.matrix = sys.ScorePattern(a.cs)
-	default:
-		return nil, fmt.Errorf("unknown score function %q", o.scoreFn)
-	}
-	a.parts = sys.Index().Parts()
+	recordInputs(sys)
+	a := &app{options: o, sys: sys, cs: contextSets[o.set](sys)}
+	a.matrix = scoreFns[o.score](sys, a.cs)
 	if o.statePath != "" {
-		st := &store.State{
-			ContextSet: a.cs,
-			Matrices:   map[string]*ctxsearch.Matrix{o.scoreFn: a.matrix},
-			Index:      a.parts,
-			DF:         sys.Analyzer().DF(),
-		}
-		sys.BuildStats().Time("fingerprint", sys.Corpus.Len(), "papers", func() {
-			st.Fingerprint = store.Fingerprint(sys.Ontology, sys.Corpus)
-		})
-		var serr error
-		sys.BuildStats().Time("state-save", 0, "", func() {
-			serr = store.SaveFile(o.statePath, st)
-		})
-		if serr != nil {
-			return nil, fmt.Errorf("saving %s: %w", o.statePath, serr)
+		if err := ctxsearch.SaveState(o.statePath, sys, o.score, a.matrix); err != nil {
+			return nil, err
 		}
 	}
 	return a, nil
@@ -166,32 +113,21 @@ func (a *app) close() {
 	}
 }
 
-// buildSystem analyses the corpus loadOrGenData resolves. Producing the
-// inputs is recorded as the first build stage ("generate", or "load" when
-// both came from files), so the -v summary adds up to the process's wall
-// time.
-func buildSystem(d dataOpts) (*ctxsearch.System, error) {
+// loadInputs produces the ontology and corpus (loadOrGenData), nearly all
+// of a state boot, and the function that records producing them as a
+// system's first build stage — "generate", or "load" when both came from
+// files — so the -v summary adds up to the process's wall time.
+func loadInputs(o *options) (*ctxsearch.Ontology, *ctxsearch.Corpus, func(*ctxsearch.System), error) {
 	start := time.Now()
-	o, c, generated, err := loadOrGenData(d, false)
+	onto, c, generated, err := loadOrGenData(o, false)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, fmt.Errorf("building system: %w", err)
 	}
-	took := time.Since(start)
-	sys, err := ctxsearch.NewSystem(o, c, d.cfg)
-	if err != nil {
-		return nil, err
-	}
-	sys.BuildStats().AddFirst(inputsStage(generated), took, c.Len(), "papers")
-	return sys, nil
-}
-
-// inputsStage names the build stage that produced a system's inputs:
-// "generate", or "load" when both came from files.
-func inputsStage(generated bool) string {
+	took, stage := time.Since(start), "load"
 	if generated {
-		return "generate"
+		stage = "generate"
 	}
-	return "load"
+	return onto, c, func(sys *ctxsearch.System) { sys.BuildStats().AddFirst(stage, took, c.Len(), "papers") }, nil
 }
 
 // loadOrGenData resolves the ontology and corpus without analysing them —
@@ -199,8 +135,8 @@ func inputsStage(generated bool) string {
 // loading each from its file when that exists (unless forceGenerate),
 // generating and saving it otherwise, and reports whether either had to be
 // generated.
-func loadOrGenData(d dataOpts, forceGenerate bool) (o *ctxsearch.Ontology, c *ctxsearch.Corpus, generated bool, err error) {
-	cfg, corpusPath, oboPath := d.cfg, d.corpusPath, d.oboPath
+func loadOrGenData(opts *options, forceGenerate bool) (o *ctxsearch.Ontology, c *ctxsearch.Corpus, generated bool, err error) {
+	cfg, corpusPath, oboPath := opts.cfg, opts.corpusPath, opts.oboPath
 	if !forceGenerate && oboPath != "" {
 		if f, err := os.Open(oboPath); err == nil {
 			defer f.Close()

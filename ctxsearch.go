@@ -37,6 +37,7 @@ import (
 	"ctxsearch/internal/pattern"
 	"ctxsearch/internal/prestige"
 	"ctxsearch/internal/search"
+	"ctxsearch/internal/store"
 	"ctxsearch/internal/vector"
 )
 
@@ -232,6 +233,76 @@ func NewFrozenSystem(o *Ontology, c *Corpus, parts *index.Parts, df *vector.DF, 
 		return nil, fmt.Errorf("ctxsearch: binding index: %w", err)
 	}
 	return s, nil
+}
+
+// SaveState writes the state file a later OpenState binds: the context set
+// m scores, m itself under the score-function name scoreFn, sys's
+// text-index postings and DF table, and the fingerprint of sys's ontology
+// and corpus. The write is crash-safe (temp file, fsync, rename), and
+// fingerprinting and saving are timed as the build stages "fingerprint" and
+// "state-save".
+func SaveState(path string, sys *System, scoreFn string, m *Matrix) error {
+	st := &store.State{
+		ContextSet: m.ContextSet(),
+		Matrices:   map[string]*Matrix{scoreFn: m},
+		Index:      sys.index.Parts(),
+		DF:         sys.analyzer.DF(),
+	}
+	sys.stats.Time("fingerprint", sys.Corpus.Len(), "papers", func() {
+		st.Fingerprint = store.Fingerprint(sys.Ontology, sys.Corpus)
+	})
+	var err error
+	sys.stats.Time("state-save", 0, "", func() { err = store.SaveFile(path, st) })
+	if err != nil {
+		return fmt.Errorf("saving %s: %w", path, err)
+	}
+	return nil
+}
+
+// OpenState memory-maps a state file (byte-copies it where mmap is
+// unavailable) and binds a frozen system (NewFrozenSystem) and the matrix
+// of score function scoreFn to its arrays: no paper is analysed. The state
+// must have been built from onto and c: its fingerprint is compared with
+// theirs, and a mismatch is an error naming both. The build stages
+// "bind-index", "fingerprint" and "state-map" are timed in the system's
+// BuildStats. The returned mapping backs the system and the matrix; close
+// it once neither is used any more.
+func OpenState(path string, onto *Ontology, c *Corpus, scoreFn string, cfg Config) (_ *System, _ *Matrix, _ *store.Mapped, err error) {
+	t0 := time.Now()
+	mapped, err := store.Open(path, onto)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("loading %s: %w", path, err)
+			_ = mapped.Close()
+		}
+	}()
+	mapDur := time.Since(t0)
+	m, err := mapped.Matrix(scoreFn)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	parts, err := mapped.IndexParts()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	df, err := mapped.DF()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	sys, err := NewFrozenSystem(onto, c, parts, df, cfg)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var fp [32]byte
+	sys.stats.Time("fingerprint", c.Len(), "papers", func() { fp = store.Fingerprint(onto, c) })
+	if fp != mapped.Fingerprint() {
+		return nil, nil, nil, fmt.Errorf("the state was built from inputs with fingerprint %x, the ontology and corpus loaded here have %x — pass the -seed, -papers, -terms, -corpus and -obo it was built with, or rebuild it with `ctxsearch build -state …`", mapped.Fingerprint(), fp)
+	}
+	sys.stats.Add("state-map", mapDur, 0, "")
+	return sys, m, mapped, nil
 }
 
 // NewSyntheticSystem generates a deterministic synthetic ontology + corpus

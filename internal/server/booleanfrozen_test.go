@@ -11,21 +11,13 @@ import (
 	"ctxsearch"
 )
 
-// freshFrozenSystem binds a new frozen system (its own analyzer and index)
-// over the shared mapped state — a state-booted process that has served
-// nothing yet.
+// freshFrozenSystem binds a new frozen system (its own mapping, analyzer
+// and index) to a state file of the shared fixture — a state-booted process
+// that has served nothing yet.
 func freshFrozenSystem(t *testing.T) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix) {
 	t.Helper()
-	sys, _, _, _ := frozenMatrix(t)
-	_, mcs, mmat, parts, mapped := mappedState(t)
-	df, err := mapped.DF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys, err := ctxsearch.NewFrozenSystem(sys.Ontology, sys.Corpus, parts, df, sys.Config())
-	if err != nil {
-		t.Fatal(err)
-	}
+	fsys, mcs, mmat, mapped := openMappedSystem(t, savedState(t))
+	t.Cleanup(func() { mapped.Close() })
 	return fsys, mcs, mmat
 }
 
@@ -74,7 +66,7 @@ func statsOf(t *testing.T, srv *Server) StatsResponse {
 // row request counts as an analysis. /stats shows the same from outside and
 // reads per installed generation.
 func TestFrozenBooleanServesWithoutAnalysis(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	fsys, mcs, mmat := freshFrozenSystem(t)
 	eagerEng, frozenEng := sys.Engine(m), fsys.Engine(mmat)
 	ref := NewPending(Config{})

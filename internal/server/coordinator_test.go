@@ -24,18 +24,6 @@ import (
 	"ctxsearch/internal/shard"
 )
 
-var cachedMatrix *ctxsearch.Matrix
-
-// frozenMatrix freezes the shared test scores once.
-func frozenMatrix(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, string) {
-	t.Helper()
-	sys, cs, scores, query := testState(t)
-	if cachedMatrix == nil {
-		cachedMatrix = scores
-	}
-	return sys, cs, cachedMatrix, query
-}
-
 // sliceGroup partitions an in-process-built system into n shard engines by
 // slicing its own postings.
 func sliceGroup(t testing.TB, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, n int) *shard.Group {
@@ -51,7 +39,7 @@ func sliceGroup(t testing.TB, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m
 // range-restricted searcher) plus a coordinator in front of them.
 func shardCluster(t *testing.T, n int, scfg ShardConfig) (*Coordinator, []*httptest.Server) {
 	t.Helper()
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	g := sliceGroup(t, sys, cs, m, n)
 	var backends []*httptest.Server
 	var urls []string
@@ -80,7 +68,7 @@ func coordGet(t *testing.T, c *Coordinator, path string) *httptest.ResponseRecor
 // coordQueries builds the query battery from the shared fixture.
 func coordQueries(t *testing.T) []string {
 	t.Helper()
-	sys, _, _, _ := frozenMatrix(t)
+	sys, _, _, _ := testState(t)
 	_, _, scores, _ := testState(t)
 	var names []string
 	for _, ctx := range scores.Contexts() {
@@ -105,7 +93,7 @@ func coordQueries(t *testing.T) []string {
 // server's across randomized paging options, on both the vector and the
 // boolean path — and the cluster rendered exactly the rows it served.
 func TestCoordinatorGoldenEquality(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 	queries := coordQueries(t)
@@ -150,7 +138,7 @@ func TestCoordinatorGoldenEquality(t *testing.T) {
 // coordinator writes itself: it costs one exchange per range like any other
 // page, and is the single server's, byte for byte.
 func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
+	sys, cs, m, query := testState(t)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 	coord, _ := shardCluster(t, 2, ShardConfig{})
@@ -191,7 +179,7 @@ func rangeRequests(snap shard.Snapshot) uint64 {
 // coordinator without prober in front of them.
 func wrappedCluster(t *testing.T, nRanges int, ranges []int, wrap func(i int, srv http.Handler) http.Handler, cfg Config, scfg ShardConfig) *Coordinator {
 	t.Helper()
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	g := sliceGroup(t, sys, cs, m, nRanges)
 	urls := make([]string, g.NumShards())
 	for i, ri := range ranges {
@@ -269,7 +257,7 @@ func partialPage(t *testing.T, ref *Server, query string, offset, limit int, kee
 // next range in rotation finishes instead, and the page is the ranking
 // without the failed range's papers, flagged.
 func TestCoordinatorFinishFailover(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
+	sys, cs, m, query := testState(t)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 	queries := coordQueries(t)
@@ -393,7 +381,7 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 // own per-range counters and by what the shards saw arrive; exactly one of
 // them carries "finish", and the finishing rotates over the ranges.
 func TestCoordinatorExchangesPerPage(t *testing.T) {
-	_, _, _, query := frozenMatrix(t)
+	_, _, _, query := testState(t)
 	paths := []string{
 		"/search?q=" + urlQuery(query) + "&limit=10",
 		"/search?q=" + urlQuery(query) + "&limit=3&offset=4",
@@ -452,7 +440,7 @@ func TestCoordinatorExchangesPerPage(t *testing.T) {
 // are still the single server's: the finisher's rows count towards the
 // offset without crossing the wire.
 func TestCoordinatorFinisherOutsidePage(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 	ranges := par.Shards(sys.Corpus.Len(), 2)
@@ -505,7 +493,7 @@ func TestCoordinatorFinisherOutsidePage(t *testing.T) {
 // (http.DefaultTransport keeps 2 idle connections per host and re-dials the
 // rest of every burst).
 func TestCoordinatorReusesConnections(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	g := sliceGroup(t, sys, cs, m, 2)
 	var dials [2]atomic.Int64
 	var urls []string
@@ -555,7 +543,7 @@ func TestCoordinatorReusesConnections(t *testing.T) {
 // validation as a server, without touching any shard.
 func TestCoordinatorValidation(t *testing.T) {
 	coord, _ := shardCluster(t, 2, ShardConfig{})
-	_, _, _, query := frozenMatrix(t)
+	_, _, _, query := testState(t)
 	for _, path := range []string{
 		"/search",
 		"/search?q=" + urlQuery(query) + "&limit=zero",
@@ -586,7 +574,7 @@ func TestCoordinatorRelaysClientError(t *testing.T) {
 // 503 by default.
 func TestCoordinatorDeadShard(t *testing.T) {
 	_, backends := shardCluster(t, 3, ShardConfig{})
-	_, _, _, query := frozenMatrix(t)
+	_, _, _, query := testState(t)
 	// Re-front the same shards with one of them shut down.
 	urls := []string{backends[0].URL, backends[1].URL, backends[2].URL}
 	dead := httptest.NewServer(http.NewServeMux())
@@ -624,7 +612,7 @@ func TestCoordinatorDeadShard(t *testing.T) {
 // 503 within the per-shard timeout — the coordinator never hangs.
 func TestCoordinatorHangingShard(t *testing.T) {
 	_, backends := shardCluster(t, 2, ShardConfig{})
-	_, _, _, query := frozenMatrix(t)
+	_, _, _, query := testState(t)
 	// The handler must block without reading the request body: with the
 	// body unread the server cannot observe the coordinator abandoning the
 	// connection, which is exactly the worst-case hang. The stop channel
@@ -662,7 +650,7 @@ func TestCoordinatorHangingShard(t *testing.T) {
 // it; the degraded body is never cached, so a recovered shard immediately
 // restores the exact, unflagged page.
 func TestCoordinatorPartial(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
+	sys, cs, m, query := testState(t)
 	g := sliceGroup(t, sys, cs, m, 2)
 
 	srv0 := NewPending(Config{})
@@ -732,7 +720,7 @@ func TestCoordinatorPartial(t *testing.T) {
 // instead of re-fanning out.
 func TestCoordinatorCache(t *testing.T) {
 	coord, _ := shardCluster(t, 2, ShardConfig{})
-	_, _, _, query := frozenMatrix(t)
+	_, _, _, query := testState(t)
 	path := "/search?q=" + urlQuery(query) + "&limit=7"
 	first := coordGet(t, coord, path)
 	second := coordGet(t, coord, path)
@@ -753,7 +741,7 @@ func TestCoordinatorCache(t *testing.T) {
 // through the coordinator exactly as from a single server (modulo the
 // coordinator-specific cache and sharding stats).
 func TestCoordinatorProxyEndpoints(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
+	sys, cs, m, query := testState(t)
 	coord, _ := shardCluster(t, 3, ShardConfig{})
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
@@ -796,7 +784,7 @@ func TestCoordinatorProxyEndpoints(t *testing.T) {
 
 // TestCoordinatorReadyz: the coordinator is ready only when every shard is.
 func TestCoordinatorReadyz(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	g := sliceGroup(t, sys, cs, m, 2)
 
 	ready := NewPending(Config{})
@@ -825,7 +813,7 @@ func TestCoordinatorReadyz(t *testing.T) {
 // TestShardSearchEndpoint pins the internal endpoint's contract directly:
 // unrendered rows in engine order, validation of the extended limit range.
 func TestShardSearchEndpoint(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
+	sys, cs, m, query := testState(t)
 	srv := NewPending(Config{})
 	srv.install(sys, cs, m)
 
@@ -955,7 +943,7 @@ func TestShardSearchEndpoint(t *testing.T) {
 // the answer is the finish-rows 400; a finish the server can answer, padded
 // to exactly the cap, gets its page.
 func TestShardSearchBodyCap(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
+	sys, cs, m, query := testState(t)
 	// No query deadline: this is about bytes, and under the race detector
 	// decoding 101 000 rows alone outlasts the default one.
 	srv := NewPending(Config{QueryTimeout: -1})
@@ -1023,7 +1011,7 @@ func TestShardSearchBodyCap(t *testing.T) {
 // is a timeout of that replica, not an error, and a proxied request the
 // client abandons is a request that says nothing about the replica.
 func TestCoordinatorProxyStallIsATimeout(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	srv := NewPending(Config{}).install(sys, cs, m)
 	stop := make(chan struct{})
 	stalled := make(chan struct{}, 2)

@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
-	"ctxsearch"
 	"ctxsearch/internal/shard"
-	"ctxsearch/internal/store"
 )
 
 // TestCrossFormatGolden is the HTTP contract of the roads from a state file
@@ -19,19 +16,11 @@ import (
 // coordinator. How the arrays reached memory must be unobservable in any
 // response.
 func TestCrossFormatGolden(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
+	sys, cs, m, query := testState(t)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 
-	path := filepath.Join(t.TempDir(), "state.bin")
-	if err := store.SaveFile(path, &store.State{
-		ContextSet: cs,
-		Matrices:   map[string]*ctxsearch.Matrix{"text": m},
-		Index:      sys.Index().Parts(),
-		DF:         sys.Analyzer().DF(),
-	}); err != nil {
-		t.Fatal(err)
-	}
+	path := savedState(t)
 
 	for _, v := range []struct {
 		name   string
@@ -44,15 +33,12 @@ func TestCrossFormatGolden(t *testing.T) {
 			if v.noMmap {
 				t.Setenv("CTXSEARCH_NO_MMAP", "1")
 			}
-			fsys, mcs, mmat, mapped := openMappedSystem(t, path, sys.Ontology, sys.Corpus, sys.Config())
+			fsys, mcs, mmat, mapped := openMappedSystem(t, path)
 			t.Cleanup(func() { mapped.Close() })
 			if v.noMmap && mapped.ZeroCopy() {
 				t.Fatal("byte-copy open reports zero-copy")
 			}
-			parts, err := mapped.IndexParts()
-			if err != nil {
-				t.Fatal(err)
-			}
+			parts := fsys.Index().Parts()
 			rel := fsys.Config().Relevancy
 			rng := rand.New(rand.NewSource(37))
 

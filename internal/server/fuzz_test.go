@@ -61,7 +61,7 @@ func fuzzPost(t *testing.T, srv *Server, panics *panicLog, path string, body []b
 }
 
 func fuzzServer(f *testing.F) (*Server, *panicLog) {
-	sys, cs, m, _ := frozenMatrix(f)
+	sys, cs, m, _ := testState(f)
 	panics := &panicLog{}
 	srv := NewPending(Config{QueryTimeout: -1, Logger: log.New(panics, "", 0)})
 	srv.install(sys, cs, m)
@@ -78,7 +78,7 @@ func fuzzServer(f *testing.F) (*Server, *panicLog) {
 // here, where its identifiers are known.
 func FuzzShardFinish(f *testing.F) {
 	srv, panics := fuzzServer(f)
-	sys, _, _, query := frozenMatrix(f)
+	sys, _, _, query := testState(f)
 	ctx := sys.Ontology.TermIDs()[0]
 	n := sys.Corpus.Len()
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":10,"finish":{"offset":0,"limit":10,"rows":[{"d":3,"r":0.5,"m":0.25,"p":0.75,"c":%q}]}}`, query, ctx)))
@@ -121,7 +121,7 @@ func FuzzShardFinish(f *testing.F) {
 // the engine's order.
 func FuzzShardSearchRequest(f *testing.F) {
 	srv, panics := fuzzServer(f)
-	_, _, _, query := frozenMatrix(f)
+	_, _, _, query := testState(f)
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5}`, query)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"boolean":true,"limit":%d,"offset":3,"threshold":0.2}`, query, MaxOffset+MaxLimit)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5,"finsh":{}}`, query)))

@@ -11,65 +11,51 @@ import (
 	"time"
 
 	"ctxsearch"
-	"ctxsearch/internal/index"
 	"ctxsearch/internal/shard"
 	"ctxsearch/internal/store"
 )
 
 var (
-	cachedMappedSys  *ctxsearch.System
-	cachedMappedCS   *ctxsearch.ContextSet
-	cachedMappedMat  *ctxsearch.Matrix
-	cachedMappedRef  *store.Mapped
-	cachedMappedPrts *index.Parts
+	cachedMappedSys *ctxsearch.System
+	cachedMappedCS  *ctxsearch.ContextSet
+	cachedMappedMat *ctxsearch.Matrix
+	cachedMappedRef *store.Mapped
 )
 
-// mappedState saves the shared fixture as a state file, opens it
-// (zero-copy where the platform allows), and binds a frozen system directly
-// to the mapped arrays — the exact cold-start path `serve` takes. Cached
-// once; the mapping is deliberately never closed (it backs every test).
-func mappedState(t *testing.T) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, *index.Parts, *store.Mapped) {
+// savedState writes the shared fixture's state file with
+// ctxsearch.SaveState into the test's temp dir and returns its path.
+func savedState(t *testing.T) string {
 	t.Helper()
-	sys, cs, m, _ := frozenMatrix(t)
-	if cachedMappedSys == nil {
-		st := &store.State{
-			ContextSet: cs,
-			Matrices:   map[string]*ctxsearch.Matrix{"text": m},
-			Index:      sys.Index().Parts(),
-			DF:         sys.Analyzer().DF(),
-		}
-		path := filepath.Join(t.TempDir(), "state.bin")
-		if err := store.SaveFile(path, st); err != nil {
-			t.Fatal(err)
-		}
-		mapped, err := store.Open(path, sys.Ontology)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mcs, err := mapped.ContextSet()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mmat, err := mapped.Matrix("text")
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, err := mapped.IndexParts()
-		if err != nil {
-			t.Fatal(err)
-		}
-		df, err := mapped.DF()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fsys, err := ctxsearch.NewFrozenSystem(sys.Ontology, sys.Corpus, parts, df, sys.Config())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cachedMappedSys, cachedMappedCS, cachedMappedMat = fsys, mcs, mmat
-		cachedMappedRef, cachedMappedPrts = mapped, parts
+	sys, _, m, _ := testState(t)
+	path := filepath.Join(t.TempDir(), "state.bin")
+	if err := ctxsearch.SaveState(path, sys, "text", m); err != nil {
+		t.Fatal(err)
 	}
-	return cachedMappedSys, cachedMappedCS, cachedMappedMat, cachedMappedPrts, cachedMappedRef
+	return path
+}
+
+// openMappedSystem binds a frozen system to its own mapping of a state file
+// of the shared fixture with ctxsearch.OpenState — the cold-start path
+// `serve` takes, fingerprint check included.
+func openMappedSystem(t *testing.T, path string) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, *store.Mapped) {
+	t.Helper()
+	sys, _, _, _ := testState(t)
+	fsys, m, mapped, err := ctxsearch.OpenState(path, sys.Ontology, sys.Corpus, "text", sys.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fsys, m.ContextSet(), m, mapped
+}
+
+// mappedState saves the shared fixture as a state file and opens it
+// (zero-copy where the platform allows). Cached once; the mapping is
+// deliberately never closed (it backs every test).
+func mappedState(t *testing.T) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, *store.Mapped) {
+	t.Helper()
+	if cachedMappedSys == nil {
+		cachedMappedSys, cachedMappedCS, cachedMappedMat, cachedMappedRef = openMappedSystem(t, savedState(t))
+	}
+	return cachedMappedSys, cachedMappedCS, cachedMappedMat, cachedMappedRef
 }
 
 // mappedParams mirrors the coordinator golden battery's randomized paging,
@@ -92,8 +78,8 @@ func mappedParams(q string, rng *rand.Rand) string {
 // engine reads straight out of the mapped arrays answers every endpoint
 // byte-identically to one over the in-process build.
 func TestMappedGoldenEquality(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
-	fsys, mcs, mmat, _, mapped := mappedState(t)
+	sys, cs, m, _ := testState(t)
+	fsys, mcs, mmat, mapped := mappedState(t)
 
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
@@ -115,7 +101,7 @@ func TestMappedGoldenEquality(t *testing.T) {
 			}
 		}
 	}
-	_, _, _, query := frozenMatrix(t)
+	_, _, _, query := testState(t)
 	for _, path := range []string{
 		"/papers/0", "/papers/5", "/papers/999999", "/papers/xyz",
 		"/contexts?q=" + urlQuery(query), "/contexts",
@@ -133,8 +119,9 @@ func TestMappedGoldenEquality(t *testing.T) {
 // coordinator byte-identically to the single server over the in-process
 // build.
 func TestMappedCoordinatorGolden(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
-	fsys, mcs, mmat, parts, mapped := mappedState(t)
+	sys, cs, m, query := testState(t)
+	fsys, mcs, mmat, mapped := mappedState(t)
+	parts := fsys.Index().Parts()
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 
@@ -178,8 +165,8 @@ func TestMappedCoordinatorGolden(t *testing.T) {
 // TestMappedStats: /stats reports the mapped-state flag and the recorded
 // cold-start duration; a plain frozen server reports neither.
 func TestMappedStats(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
-	fsys, mcs, mmat, _, mapped := mappedState(t)
+	sys, cs, m, _ := testState(t)
+	fsys, mcs, mmat, mapped := mappedState(t)
 
 	srv := NewPending(Config{})
 	srv.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mmat), mapped)
@@ -206,56 +193,15 @@ func TestMappedStats(t *testing.T) {
 	}
 }
 
-// openMappedSystem opens its own mapping of a state file and binds a frozen
-// system to it — an independent replica generation for the swap test.
-func openMappedSystem(t *testing.T, path string, onto *ctxsearch.Ontology, c *ctxsearch.Corpus, cfg ctxsearch.Config) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, *store.Mapped) {
-	t.Helper()
-	mapped, err := store.Open(path, onto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcs, err := mapped.ContextSet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mmat, err := mapped.Matrix("text")
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := mapped.IndexParts()
-	if err != nil {
-		t.Fatal(err)
-	}
-	df, err := mapped.DF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys, err := ctxsearch.NewFrozenSystem(onto, c, parts, df, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fsys, mcs, mmat, mapped
-}
-
 // TestMappedSwapUnderLoad drives concurrent queries through a server while a
 // new mapping generation is swapped in (open-new, swap, close-old). Every
 // request must answer 200 from a coherent generation; the old mapping must
 // end up fully released (its pages can be unmapped) once in-flight requests
 // drain. Run under -race this pins the munmap-vs-reader ordering.
 func TestMappedSwapUnderLoad(t *testing.T) {
-	sys, cs, m, query := frozenMatrix(t)
-	st := &store.State{
-		ContextSet: cs,
-		Matrices:   map[string]*ctxsearch.Matrix{"text": m},
-		Index:      sys.Index().Parts(),
-		DF:         sys.Analyzer().DF(),
-	}
-	path := filepath.Join(t.TempDir(), "swap.bin")
-	if err := store.SaveFile(path, st); err != nil {
-		t.Fatal(err)
-	}
-
-	sysA, csA, mA, mappedA := openMappedSystem(t, path, sys.Ontology, sys.Corpus, sys.Config())
+	_, _, _, query := testState(t)
+	path := savedState(t)
+	sysA, csA, mA, mappedA := openMappedSystem(t, path)
 	srv := NewPending(Config{})
 	srv.SetReadyMapped(sysA, csA, mA, sysA.Engine(mA), mappedA)
 
@@ -298,7 +244,7 @@ func TestMappedSwapUnderLoad(t *testing.T) {
 	last := mappedA
 	for gen := 0; gen < 3; gen++ {
 		time.Sleep(20 * time.Millisecond)
-		sysB, csB, mB, mappedB := openMappedSystem(t, path, sys.Ontology, sys.Corpus, sys.Config())
+		sysB, csB, mB, mappedB := openMappedSystem(t, path)
 		srv.SetReadyMapped(sysB, csB, mB, sysB.Engine(mB), mappedB)
 		last = mappedB
 	}

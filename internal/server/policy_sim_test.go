@@ -112,7 +112,7 @@ func simClusterFor(t testing.TB, n int) *simCluster {
 	if cl := simClusters[n]; cl != nil {
 		return cl
 	}
-	sys, cs, m, query := frozenMatrix(t)
+	sys, cs, m, query := testState(t)
 	cl := &simCluster{n: n, shards: par.Shards(sys.Corpus.Len(), n), query: query,
 		memo: map[string]reply{}, restricted: map[uint][]byte{}, fronts: map[simShape]*Coordinator{}}
 	g := sliceGroup(t, sys, cs, m, n)

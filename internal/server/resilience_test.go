@@ -36,7 +36,7 @@ func fastResilience() ShardConfig {
 // request exercises the fan-out.
 func replicatedCluster(t *testing.T, nRanges int, scripts []faultproxy.Script, scfg ShardConfig) *Coordinator {
 	t.Helper()
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	g := sliceGroup(t, sys, cs, m, nRanges)
 	var urls []string
 	for ri := 0; ri < g.NumShards(); ri++ {
@@ -69,7 +69,7 @@ func replicatedCluster(t *testing.T, nRanges int, scripts []faultproxy.Script, s
 // server — fault handling must never change what the client reads, only
 // how it is obtained.
 func TestReplicatedGoldenUnderFaults(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 
@@ -134,7 +134,7 @@ func TestReplicatedGoldenUnderFaults(t *testing.T) {
 // after the cool-down a half-open probe readmits it and the breaker
 // closes.
 func TestBreakerTripsAndRecovers(t *testing.T) {
-	_, _, _, query := frozenMatrix(t)
+	_, _, _, query := testState(t)
 	scfg := fastResilience()
 	scfg.BreakerThreshold = 2
 	scfg.BreakerCooldown = 150 * time.Millisecond
@@ -184,7 +184,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 // latency floor — the hedge to the fast replica answers first, the page
 // stays exact, and the win is counted.
 func TestHedgeWins(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 	queries := coordQueries(t)
@@ -227,7 +227,7 @@ func TestHedgeWins(t *testing.T) {
 // range mid-traffic; every search keeps succeeding byte-identically, and
 // /readyz degrades only when a range loses its last replica.
 func TestChaosReplicaKill(t *testing.T) {
-	sys, cs, m, _ := frozenMatrix(t)
+	sys, cs, m, _ := testState(t)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 	g := sliceGroup(t, sys, cs, m, 2)
@@ -282,7 +282,7 @@ func TestChaosReplicaKill(t *testing.T) {
 // 503 whose Retry-After is derived from the breaker cool-down — the hint
 // tracks how long until a retry could plausibly succeed.
 func TestAllReplicasDown(t *testing.T) {
-	_, _, _, query := frozenMatrix(t)
+	_, _, _, query := testState(t)
 	dead := httptest.NewServer(http.NewServeMux())
 	deadURL := dead.URL
 	dead.Close()
@@ -331,7 +331,7 @@ func TestRetryAfterSecs(t *testing.T) {
 // state, health, and per-backend counters — that operators need during an
 // incident.
 func TestReplicaStatsExposed(t *testing.T) {
-	_, _, _, query := frozenMatrix(t)
+	_, _, _, query := testState(t)
 	coord := replicatedCluster(t, 2, nil, fastResilience())
 	coordGet(t, coord, "/search?q="+urlQuery(query)+"&limit=3")
 

@@ -108,7 +108,10 @@ go build -o "$bin" ./cmd/ctxsearch
 corpus=(-papers 300 -terms 60)
 state="$workdir/state.bin"
 echo "serve-smoke: building the state file"
-"$bin" "${corpus[@]}" -state "$state" build >"$workdir/build.log" 2>&1 || fail "build -state failed"
+# The form every rebuild refusal names, flags after the command; the
+# processes below pass theirs before it, as bench/ does.
+"$bin" "${corpus[@]}" build -state "$state" >"$workdir/build.log" 2>&1 || fail "build -state failed"
+[[ -s "$state" ]] || fail "build -state wrote no state file"
 
 # The reference: a server that builds everything in-process. Every page a
 # state-booted process serves below must equal its bytes.

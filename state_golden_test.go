@@ -80,24 +80,21 @@ const (
 )
 
 func TestStateFileGolden(t *testing.T) {
-	checkStateFileGolden(t, goldenStateSHA256, goldenStateSections, func(sys *System) (*ContextSet, *Matrix, string) {
-		cs := sys.BuildTextContextSet()
-		return cs, sys.ScoreText(cs), "text"
+	checkStateFileGolden(t, goldenStateSHA256, goldenStateSections, func(sys *System) (*Matrix, string) {
+		return sys.ScoreText(sys.BuildTextContextSet()), "text"
 	})
 }
 
 func TestPatternStateFileGolden(t *testing.T) {
-	checkStateFileGolden(t, goldenPatternStateSHA256, goldenPatternStateSections, func(sys *System) (*ContextSet, *Matrix, string) {
-		cs := sys.BuildPatternContextSet()
-		return cs, sys.ScorePattern(cs), "pattern"
+	checkStateFileGolden(t, goldenPatternStateSHA256, goldenPatternStateSections, func(sys *System) (*Matrix, string) {
+		return sys.ScorePattern(sys.BuildPatternContextSet()), "pattern"
 	})
 }
 
 // checkStateFileGolden builds smallConfig's system at BuildWorkers 1 and 3,
-// saves the context set and matrix build returns with the text index and
-// dictionary, and compares the file's section table with wantSections and
+// saves the matrix build returns with SaveState, and compares the file's section table with wantSections and
 // its SHA-256 with want.
-func checkStateFileGolden(t *testing.T, want, wantSections string, build func(*System) (*ContextSet, *Matrix, string)) {
+func checkStateFileGolden(t *testing.T, want, wantSections string, build func(*System) (*Matrix, string)) {
 	t.Helper()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("float bits are pinned on amd64 only: other targets may fuse multiply-adds")
@@ -109,16 +106,9 @@ func checkStateFileGolden(t *testing.T, want, wantSections string, build func(*S
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs, m, name := build(sys)
-		st := &store.State{
-			ContextSet:  cs,
-			Matrices:    map[string]*Matrix{name: m},
-			Index:       sys.Index().Parts(),
-			DF:          sys.Analyzer().DF(),
-			Fingerprint: store.Fingerprint(sys.Ontology, sys.Corpus),
-		}
+		m, name := build(sys)
 		path := filepath.Join(t.TempDir(), "state.v7")
-		if err := store.SaveFile(path, st); err != nil {
+		if err := SaveState(path, sys, name, m); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -250,6 +240,50 @@ func TestFromPartsDictionaryMismatch(t *testing.T) {
 		}
 		if err := mapped.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestOpenState: OpenState binds the state SaveState wrote over the same
+// inputs — answering as the built system does and timing its stages in
+// the order the -v summary prints them — and refuses the state when handed
+// another seed's ontology and corpus, naming both fingerprints.
+func TestOpenState(t *testing.T) {
+	sys := testSystem(t)
+	m := sys.ScoreText(sys.BuildTextContextSet())
+	path := filepath.Join(t.TempDir(), "state.bin")
+	if err := SaveState(path, sys, "text", m); err != nil {
+		t.Fatal(err)
+	}
+	fsys, fm, mapped, err := OpenState(path, sys.Ontology, sys.Corpus, "text", sys.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	q := sys.Ontology.Term(m.Contexts()[0]).Name
+	want, got := sys.Engine(m).Search(q, SearchOptions{}), fsys.Engine(fm).Search(q, SearchOptions{})
+	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%q: opened state answers %v, built system %v", q, got, want)
+	}
+	summary, last := fsys.BuildStats().Summary(), -1
+	for _, stage := range []string{"bind-index", "fingerprint", "state-map"} {
+		i := strings.Index(summary, "\n  "+stage)
+		if i <= last {
+			t.Fatalf("stage %s missing or out of order:\n%s", stage, summary)
+		}
+		last = i
+	}
+
+	cfg := smallConfig()
+	cfg.Seed = 2
+	other, err := NewSyntheticSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = OpenState(path, other.Ontology, other.Corpus, "text", cfg)
+	for _, fp := range [][32]byte{store.Fingerprint(sys.Ontology, sys.Corpus), store.Fingerprint(other.Ontology, other.Corpus)} {
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%x", fp)) {
+			t.Fatalf("a seed-1 state opened over seed 2's inputs: err = %v, want one naming fingerprint %x", err, fp)
 		}
 	}
 }
