@@ -103,7 +103,7 @@ func (o *options) flags() *flag.FlagSet {
 	fs.IntVar(&o.limit, "limit", 15, "max results")
 	fs.BoolVar(&o.boolean, "boolean", false, "treat the search query as a boolean expression (AND/OR/NOT, \"phrases\", field:term)")
 	fs.StringVar(&o.statePath, "state", "", "state file: context set, scores and text index (memory-mapped if present, else written after the build)")
-	fs.StringVar(&o.stateFormat, "state-format", "v5", "state file format: version 7, for which v5 is the one accepted spelling (bench/deploy.go passes it)")
+	fs.StringVar(&o.stateFormat, "state-format", "v5", "state file format: version 8, for which v5 is the one accepted spelling (bench/deploy.go passes it)")
 	fs.IntVar(&c.BuildWorkers, "build-workers", 0, "offline-build parallelism (0 = GOMAXPROCS; output identical at any setting)")
 	fs.BoolVar(&o.verbose, "v", false, "print the offline-build timing summary")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address for serve")
@@ -183,8 +183,9 @@ func runCtx(ctx context.Context, args []string, out io.Writer) error {
 
 // validate refuses, before anything is generated, built, opened or written,
 // a command line that would otherwise be ignored in part or fail late: an
-// unknown command, a wrong number of arguments, an unknown -set, -score or
-// -state-format, or a shard flag on the command that does not read it.
+// unknown command, a wrong number of arguments, an unknown -set, -score,
+// -state-format or export format, or a shard flag on the command that does
+// not read it.
 func (o *options) validate(fs *flag.FlagSet, name string, args []string) (command, error) {
 	cmd, ok := commands[name]
 	given := map[string]bool{}
@@ -196,12 +197,15 @@ func (o *options) validate(fs *flag.FlagSet, name string, args []string) (comman
 		return cmd, fmt.Errorf("%s takes no arguments, got %q", name, args)
 	case cmd.args > 0 && len(args) != cmd.args, cmd.args < 0 && len(args) == 0:
 		return cmd, fmt.Errorf("%s: want %s", name, cmd.usage)
+	// Export creates its path, so a late refusal would truncate the file.
+	case name == "export" && exporters[args[0]] == nil:
+		return cmd, fmt.Errorf("export: unknown format %q (jsonl | gaf)", args[0])
 	case contextSets[o.set] == nil:
 		return cmd, fmt.Errorf("unknown context set %q (-set text | pattern)", o.set)
 	case scoreFns[o.score] == nil:
 		return cmd, fmt.Errorf("unknown score function %q (-score text | citation | pattern)", o.score)
 	case o.stateFormat != "v5":
-		return cmd, fmt.Errorf("unknown -state-format %q: the state format is version 7, and v5 is the one spelling accepted (bench/deploy.go passes it)", o.stateFormat)
+		return cmd, fmt.Errorf("unknown -state-format %q: the state format is version 8, and v5 is the one spelling accepted (bench/deploy.go passes it)", o.stateFormat)
 	// A shard flag on the wrong command would be dropped, and the process
 	// would serve the whole corpus (or coordinate) where a range was meant.
 	case name == "serve" && (given["shard-index"] || given["shard-count"]):

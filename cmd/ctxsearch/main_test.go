@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -199,12 +201,12 @@ func TestStateRoundTrip(t *testing.T) {
 }
 
 // TestStateFormatFlag: -state-format still parses (bench/deploy.go passes
-// it) and accepts only v5, naming version 7 as the format.
+// it) and accepts only v5, naming version 8 as the format.
 func TestStateFormatFlag(t *testing.T) {
 	var buf bytes.Buffer
 	for _, f := range []string{"v3", "v4", "gob", ""} {
 		err := run([]string{"-papers", "150", "-terms", "40", "-state-format", f, "stats"}, &buf)
-		if err == nil || !strings.Contains(err.Error(), "the state format is version 7, and v5 is the one spelling accepted") {
+		if err == nil || !strings.Contains(err.Error(), "the state format is version 8, and v5 is the one spelling accepted") {
 			t.Fatalf("-state-format %q: %v", f, err)
 		}
 	}
@@ -262,6 +264,26 @@ func TestExportCommand(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-papers", "150", "-terms", "40", "export", "bogus", gaf}, &buf); err == nil {
 		t.Fatal("unknown export format must fail")
+	}
+}
+
+// TestExportUnknownFormatKeepsTarget: an unknown export format is refused
+// naming it, before the path is opened, so an earlier export there keeps
+// its bytes.
+func TestExportUnknownFormatKeepsTarget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out.jsonl")
+	runCLI(t, "export", "jsonl", path)
+	before, err := os.ReadFile(path)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("export jsonl wrote %d bytes: %v", len(before), err)
+	}
+	var buf bytes.Buffer
+	err = run([]string{"-papers", "150", "-terms", "40", "export", "bogus", path}, &buf)
+	if err == nil || !strings.Contains(err.Error(), `unknown format "bogus"`) {
+		t.Fatalf("export bogus: err = %v, want one naming the format", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("export bogus left %d bytes of the earlier %d-byte export (read: %v)", len(after), len(before), err)
 	}
 }
 
@@ -457,21 +479,24 @@ func builtState(t *testing.T) []string {
 }
 
 // TestServeRefusesV5: serve booted on an older state file — version 6, the
-// last before the postings were grouped by term frequency — exits with the
+// last before the postings were grouped by term frequency, or version 7,
+// the last whose context meta listed the representatives — exits with the
 // version error that names the rebuild, and /readyz never answers 200
 // meanwhile.
 func TestServeRefusesV5(t *testing.T) {
-	args := builtState(t)
-	path := args[len(args)-1]
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, ver := range []uint32{6, 7} {
+		args := builtState(t)
+		path := args[len(args)-1]
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(img[8:], ver)
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		requireServeRefuses(t, append(args, "serve"), fmt.Sprintf("version %d", ver), "ctxsearch build -state")
 	}
-	binary.LittleEndian.PutUint32(img[8:], 6)
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	requireServeRefuses(t, append(args, "serve"), "version 6", "ctxsearch build -state")
 }
 
 // TestStateCorpusMismatch: a state built from the seed-1 corpus and booted
@@ -545,6 +570,54 @@ func TestArgumentsRefused(t *testing.T) {
 	}
 }
 
+// TestEverySetScorePairAnswers: every (-set, -score) pair validate accepts
+// scores some contexts and answers a search, built in-process and booted
+// from the state `build -state` wrote, with the same page both ways. The
+// text function scores the pattern-based set with the representatives its
+// terms' evidence defines, as §4 does.
+func TestEverySetScorePairAnswers(t *testing.T) {
+	scored := regexp.MustCompile(`scored contexts \(> \d+ papers\): (\d+)`)
+	for _, set := range sortedNames(contextSets) {
+		for _, score := range sortedNames(scoreFns) {
+			flags := []string{"-papers", "120", "-terms", "40", "-set", set, "-score", score, "-limit", "5"}
+			state := append(slices.Clone(flags), "-state", filepath.Join(t.TempDir(), "state.bin"))
+			cli := func(args ...string) string {
+				var buf bytes.Buffer
+				if err := run(args, &buf); err != nil {
+					t.Fatalf("-set %s -score %s: run(%v): %v", set, score, args, err)
+				}
+				return buf.String()
+			}
+			cli(append(slices.Clone(state), "build")...)
+			var pages []string
+			for _, args := range [][]string{flags, state} {
+				m := scored.FindStringSubmatch(cli(append(slices.Clone(args), "stats")...))
+				if m == nil || m[1] == "0" {
+					t.Fatalf("-set %s -score %s: stats with %v printed %q, want a positive count of scored contexts", set, score, args, m)
+				}
+				page := cli(append(slices.Clone(args), "search", "transcription")...)
+				if !strings.Contains(page, `results for "transcription"`) || strings.HasPrefix(page, "no results") {
+					t.Fatalf("-set %s -score %s: search with %v printed an empty page:\n%s", set, score, args, page)
+				}
+				pages = append(pages, page)
+			}
+			if pages[0] != pages[1] {
+				t.Fatalf("-set %s -score %s: the state-booted page differs from the built one:\n%s\nvs\n%s", set, score, pages[1], pages[0])
+			}
+		}
+	}
+}
+
+// sortedNames returns the names a -set or -score table holds, sorted.
+func sortedNames[F any](table map[string]F) []string {
+	names := make([]string, 0, len(table))
+	for name := range table {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
+
 // TestStateSetKind: a text-built state booted with another -set is refused
 // before any output, naming both kinds, instead of serving the text set.
 func TestStateSetKind(t *testing.T) {
@@ -566,6 +639,19 @@ func TestStateSetKind(t *testing.T) {
 	}
 }
 
+// stampVersion returns a spoiler that rewrites a state file's header
+// version to ver.
+func stampVersion(ver uint32) func(path string) error {
+	return func(path string) error {
+		img, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint32(img[8:], ver)
+		return os.WriteFile(path, img, 0o644)
+	}
+}
+
 // TestRefusalRebuildsVerbatim: every refusal that tells the user to run
 // `ctxsearch build -state …` means it. Run verbatim after the refused
 // command's other flags, it writes a state those flags boot.
@@ -577,14 +663,8 @@ func TestRefusalRebuildsVerbatim(t *testing.T) {
 	}{
 		{"fingerprint", []string{"-seed", "2"}, nil},
 		{"set kind", []string{"-set", "pattern"}, nil},
-		{"version 6", nil, func(path string) error {
-			img, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint32(img[8:], 6)
-			return os.WriteFile(path, img, 0o644)
-		}},
+		{"version 6", nil, stampVersion(6)},
+		{"version 7", nil, stampVersion(7)},
 		{"gob state", nil, func(path string) error {
 			return os.WriteFile(path, []byte("\x20\xff\x81ctxsearch-state"), 0o644)
 		}},

@@ -204,6 +204,13 @@ func ctxsearchBaseline(sys *ctxsearch.System, query string, n int) []ctxsearch.P
 	return out
 }
 
+// exporters maps export's format names to the corpus writers; validate
+// refuses a name it does not hold.
+var exporters = map[string]func(io.Writer, *corpus.Corpus) error{
+	"jsonl": corpus.WriteJSONL,
+	"gaf":   corpus.WriteGAF,
+}
+
 // export writes the corpus in an interchange format.
 func (a *app) export(out io.Writer, args []string) error {
 	format, path := args[0], args[1]
@@ -212,15 +219,7 @@ func (a *app) export(out io.Writer, args []string) error {
 		return err
 	}
 	defer f.Close()
-	switch format {
-	case "jsonl":
-		err = corpus.WriteJSONL(f, a.sys.Corpus)
-	case "gaf":
-		err = corpus.WriteGAF(f, a.sys.Corpus)
-	default:
-		return fmt.Errorf("export: unknown format %q", format)
-	}
-	if err != nil {
+	if err := exporters[format](f, a.sys.Corpus); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {

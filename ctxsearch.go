@@ -386,8 +386,7 @@ func (s *System) CitationScorer() *prestige.CitationScorer {
 
 // TextScorer returns the text-based prestige scorer (§3.2), built once per
 // System — it embeds the citation graph and its ID-keyed section and author
-// tables. Use WithRepSource for the cross-set representative variant
-// sharing them.
+// tables.
 func (s *System) TextScorer() *prestige.TextScorer {
 	s.textOnce.Do(func() {
 		s.text = prestige.NewTextScorer(s.analyzer, s.cfg.TextWeights)

@@ -9,7 +9,6 @@ import (
 	"log"
 
 	"ctxsearch"
-	"ctxsearch/internal/prestige"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 	fmt.Println("computing prestige scores with all three functions…")
 	scoresByFn := map[string]*ctxsearch.Matrix{
 		"citation": sys.ScoreCitation(cs),
-		"text":     textScores(sys, cs),
+		"text":     sys.ScoreText(cs),
 		"pattern":  sys.ScorePattern(cs),
 	}
 
@@ -76,14 +75,6 @@ func main() {
 		}
 		fmt.Printf("  %s vs %s: %d/%d overlap\n", pair[0], pair[1], inter, den)
 	}
-}
-
-// textScores assigns text scores to pattern-set contexts by borrowing
-// representatives from the text-based set, as the paper's §4 does: the
-// pattern set has none of its own.
-func textScores(sys *ctxsearch.System, cs *ctxsearch.ContextSet) *ctxsearch.Matrix {
-	scorer := sys.TextScorer().WithRepSource(sys.BuildTextContextSet())
-	return prestige.PropagateMax(sys.Ontology, prestige.Score(scorer, cs, sys.MinContextSize(), 0))
 }
 
 // pickQuery returns the name of a scored context with a healthy paper

@@ -94,7 +94,6 @@ type ContextSet struct {
 	byPaper []int32
 	ctxOf   []int32
 
-	reps map[ontology.TermID]corpus.PaperID
 	// decay[ctx] < 1 when ctx inherited its papers from an ancestor.
 	decay map[ontology.TermID]float64
 	// inheritedFrom[ctx] is set when ctx's paper set came from an ancestor.
@@ -201,13 +200,6 @@ func (cs *ContextSet) Contains(ctx ontology.TermID, p corpus.PaperID) bool {
 	return found
 }
 
-// Representative returns the representative paper of a context in the
-// text-based set.
-func (cs *ContextSet) Representative(ctx ontology.TermID) (corpus.PaperID, bool) {
-	r, ok := cs.reps[ctx]
-	return r, ok
-}
-
 // Decay returns the RateOfDecay multiplier of a context: 1 for contexts
 // with their own papers, I(ancs)/I(desc) for contexts that inherited an
 // ancestor's paper set.
@@ -245,7 +237,6 @@ type builder struct {
 	onto          *ontology.Ontology
 	papers        int // the corpus's paper count, which bounds every member
 	members       map[ontology.TermID]map[corpus.PaperID]struct{}
-	reps          map[ontology.TermID]corpus.PaperID
 	decay         map[ontology.TermID]float64
 	inheritedFrom map[ontology.TermID]ontology.TermID
 }
@@ -256,7 +247,6 @@ func newBuilder(kind Kind, onto *ontology.Ontology, papers int) *builder {
 		onto:          onto,
 		papers:        papers,
 		members:       make(map[ontology.TermID]map[corpus.PaperID]struct{}),
-		reps:          make(map[ontology.TermID]corpus.PaperID),
 		decay:         make(map[ontology.TermID]float64),
 		inheritedFrom: make(map[ontology.TermID]ontology.TermID),
 	}
@@ -291,7 +281,6 @@ func (b *builder) finish() *ContextSet {
 		ord:           make(map[ontology.TermID]int32, len(ctxs)),
 		offsets:       make([]int32, len(ctxs)+1),
 		docs:          make([]corpus.PaperID, 0, nnz),
-		reps:          b.reps,
 		decay:         b.decay,
 		inheritedFrom: b.inheritedFrom,
 	}
@@ -309,12 +298,18 @@ func (b *builder) finish() *ContextSet {
 	return cs
 }
 
-// chooseRepresentative picks the evidence paper with the highest cosine to
-// the evidence centroid (ties: lowest ID). With a single evidence paper it
-// is the representative.
-func chooseRepresentative(a *corpus.Analyzer, evidence []corpus.PaperID) corpus.PaperID {
-	if len(evidence) == 1 {
-		return evidence[0]
+// Representative returns the representative paper of term: the evidence
+// paper with the highest whole-text cosine to the evidence centroid (ties:
+// lowest ID), or the one evidence paper there is. It is false when term has
+// no evidence papers. It depends on the analyzer and the term's evidence
+// only, so the text-based set and a text score over any set choose alike.
+func Representative(a *corpus.Analyzer, term ontology.TermID) (corpus.PaperID, bool) {
+	evidence := a.Corpus().EvidencePapers(term)
+	switch len(evidence) {
+	case 0:
+		return 0, false
+	case 1:
+		return evidence[0], true
 	}
 	rows := make([]corpus.Row, len(evidence))
 	for i, id := range evidence {
@@ -329,7 +324,7 @@ func chooseRepresentative(a *corpus.Analyzer, evidence []corpus.PaperID) corpus.
 			best = id
 		}
 	}
-	return best
+	return best, true
 }
 
 // BuildPatternBased constructs the simplified pattern-based context paper

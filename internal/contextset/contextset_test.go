@@ -38,7 +38,7 @@ func TestBuildTextBased(t *testing.T) {
 		t.Fatal("no contexts built")
 	}
 	for _, ctx := range ctxs {
-		rep, ok := cs.Representative(ctx)
+		rep, ok := Representative(a, ctx)
 		if !ok {
 			t.Fatalf("context %s has no representative", ctx)
 		}

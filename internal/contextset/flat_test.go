@@ -45,7 +45,6 @@ func TestFinishLayoutHandSorted(t *testing.T) {
 	b.add("GO:2", 0)
 	b.add("GO:3", 2)
 	b.add("GO:2", 3)
-	b.reps["GO:2"] = 3
 	b.decay["GO:3"] = 0.5
 	b.inheritedFrom["GO:3"] = "GO:2"
 	cs := b.finish()
@@ -56,7 +55,6 @@ func TestFinishLayoutHandSorted(t *testing.T) {
 		Offsets:       []int32{0, 4, 6},
 		Docs:          []corpus.PaperID{0, 1, 3, 4, 2, 5},
 		Papers:        7,
-		Reps:          map[ontology.TermID]corpus.PaperID{"GO:2": 3},
 		Decay:         map[ontology.TermID]float64{"GO:3": 0.5},
 		InheritedFrom: map[ontology.TermID]ontology.TermID{"GO:3": "GO:2"},
 	}

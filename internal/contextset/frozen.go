@@ -23,7 +23,6 @@ type Frozen struct {
 	// reader takes the index's document count.
 	Papers int
 
-	Reps          map[ontology.TermID]corpus.PaperID
 	Decay         map[ontology.TermID]float64
 	InheritedFrom map[ontology.TermID]ontology.TermID
 }
@@ -33,7 +32,7 @@ func (cs *ContextSet) Freeze() *Frozen {
 	return &Frozen{
 		Kind: cs.kind,
 		Ctxs: cs.ctxs, Offsets: cs.offsets, Docs: cs.docs, Papers: cs.papers(),
-		Reps: cs.reps, Decay: cs.decay, InheritedFrom: cs.inheritedFrom,
+		Decay: cs.decay, InheritedFrom: cs.inheritedFrom,
 	}
 }
 
@@ -65,7 +64,6 @@ func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 		ord:           make(map[ontology.TermID]int32, n),
 		offsets:       f.Offsets,
 		docs:          f.Docs,
-		reps:          f.Reps,
 		decay:         f.Decay,
 		inheritedFrom: f.InheritedFrom,
 	}
@@ -87,11 +85,6 @@ func FromFrozen(onto *ontology.Ontology, f *Frozen) (*ContextSet, error) {
 			prev = d
 		}
 		cs.ord[ctx] = int32(i)
-	}
-	for ctx := range f.Reps {
-		if onto.Term(ctx) == nil {
-			return nil, fmt.Errorf("contextset: frozen rep references unknown term %s", ctx)
-		}
 	}
 	cs.transpose(f.Papers)
 	return cs, nil

@@ -13,9 +13,8 @@ import (
 )
 
 // BuildTextBased constructs the text-based context paper set: for every
-// context with annotation evidence papers, the evidence paper closest to
-// the evidence centroid becomes the representative, and every corpus paper
-// whose full-text TF-IDF cosine to the representative reaches
+// context with annotation evidence papers, every corpus paper whose
+// full-text TF-IDF cosine to the context's Representative reaches
 // cfg.TextThreshold joins the context. ix must index the whole corpus.
 //
 // The cosines are computed term-at-a-time over the index rather than as
@@ -36,11 +35,9 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	// terms ascends by term ID, so a context's ordinal orders like its ID.
 	var terms []ontology.TermID
 	for _, term := range c.EvidenceTerms() {
-		if onto.Term(term) == nil {
-			continue
+		if onto.Term(term) != nil {
+			terms = append(terms, term)
 		}
-		b.reps[term] = chooseRepresentative(a, c.EvidencePapers(term))
-		terms = append(terms, term)
 	}
 
 	n, m := c.Len(), cfg.TopContextsPerPaper
@@ -57,7 +54,7 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 		var order segOrder
 		top := newTopLists(n, m)
 		for i := sh.Lo; i < sh.Hi; i++ {
-			rep := b.reps[terms[i]]
+			rep, _ := Representative(a, terms[i]) // an evidence term has one
 			for _, e := range order.of(ix, a.Row(rep, corpus.WholeText)) {
 				docs, _ := ix.Segment(e.seg)
 				for _, d := range docs {

@@ -12,10 +12,12 @@ import (
 )
 
 // TestBuildTextBasedMatchesReference is the exactness battery of the
-// postings-driven builder: over several corpora and every combination of
-// the knobs that shape membership, it must choose the reference's
-// representatives and members at any worker count. Threshold 0 admits papers that share no term
-// with the representative; 0.9 leaves little but the top-M lists.
+// postings-driven builder: over several corpora, Representative must choose
+// the map-form reference's representative for every evidence term and
+// decline a term without evidence, and under every combination of the knobs
+// that shape membership the builder must choose the reference's members at
+// any worker count. Threshold 0 admits papers that share no term with the
+// representative; 0.9 leaves little but the top-M lists.
 func TestBuildTextBasedMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 5, 23} {
 		o, err := ontology.Generate(ontology.GenConfig{Seed: seed, NumTerms: 30, MaxDepth: 5, SecondParentProb: 0.1})
@@ -29,6 +31,20 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := corpus.NewAnalyzerWorkers(c, 0)
+		vecs := referenceVectors(a)
+		for _, term := range o.TermIDs() {
+			evidence := c.EvidencePapers(term)
+			got, ok := Representative(a, term)
+			if ok != (len(evidence) > 0) {
+				t.Fatalf("seed %d: Representative(%s) ok = %v with %d evidence papers", seed, term, ok, len(evidence))
+			}
+			if !ok {
+				continue
+			}
+			if want := chooseRepresentativeReference(vecs, evidence); got != want {
+				t.Fatalf("seed %d: Representative(%s) = %d, reference %d", seed, term, got, want)
+			}
+		}
 		ix := must(index.BuildWorkers(a, 0))
 		for _, threshold := range []float64{0, DefaultConfig().TextThreshold, 0.9} {
 			for _, top := range []int{0, 1, 3} {
@@ -57,7 +73,7 @@ func TestSegOrderAscending(t *testing.T) {
 	var order segOrder
 	cs := BuildTextBased(ix, o, Config{Workers: 1})
 	for _, ctx := range cs.Contexts() {
-		rep, _ := cs.Representative(ctx)
+		rep, _ := Representative(a, ctx)
 		r := a.Row(rep, corpus.WholeText)
 		want := map[int32]float64{}
 		for i, term := range r.Terms {
@@ -177,13 +193,9 @@ func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
 	}
 }
 
-// requireSameSet fails unless got has want's representatives, contexts and
-// members.
+// requireSameSet fails unless got has want's contexts and members.
 func requireSameSet(t *testing.T, name string, want, got *ContextSet) {
 	t.Helper()
-	if !reflect.DeepEqual(want.reps, got.reps) {
-		t.Fatalf("%s: representatives differ", name)
-	}
 	if !reflect.DeepEqual(want.Contexts(), got.Contexts()) {
 		t.Fatalf("%s: context lists differ", name)
 	}

@@ -18,14 +18,7 @@ import (
 func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Config) *ContextSet {
 	c := a.Corpus()
 	b := newBuilder(TextBased, onto, c.Len())
-	vecs := make([]vector.Sparse, c.Len())
-	for i, p := range c.Papers() {
-		tf := vector.New()
-		for _, s := range corpus.Sections {
-			tf.Add(vector.FromTerms(a.Tokenizer().Terms(p.SectionText(s))))
-		}
-		vecs[i] = a.DF().Weight(tf)
-	}
+	vecs := referenceVectors(a)
 	terms := make([]ontology.TermID, 0, len(c.EvidenceTerms()))
 	repVecs := make(map[ontology.TermID]vector.Sparse)
 	repNorms := make(map[ontology.TermID]float64)
@@ -34,7 +27,6 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 			continue
 		}
 		rep := chooseRepresentativeReference(vecs, c.EvidencePapers(term))
-		b.reps[term] = rep
 		repVecs[term] = vecs[rep]
 		repNorms[term] = vecs[rep].Norm()
 		terms = append(terms, term)
@@ -119,9 +111,25 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 	return b.finish()
 }
 
-// chooseRepresentativeReference is chooseRepresentative on string-keyed
-// vectors: the evidence paper with the highest cosine to vector.Centroid of
-// the evidence (ties: lowest ID).
+// referenceVectors returns every paper's whole-text vector rebuilt from the
+// tokenizer alone: vector.FromTerms over each section, weighted by the
+// analyzer's DF table.
+func referenceVectors(a *corpus.Analyzer) []vector.Sparse {
+	c := a.Corpus()
+	vecs := make([]vector.Sparse, c.Len())
+	for i, p := range c.Papers() {
+		tf := vector.New()
+		for _, s := range corpus.Sections {
+			tf.Add(vector.FromTerms(a.Tokenizer().Terms(p.SectionText(s))))
+		}
+		vecs[i] = a.DF().Weight(tf)
+	}
+	return vecs
+}
+
+// chooseRepresentativeReference is Representative on string-keyed vectors:
+// the evidence paper with the highest cosine to vector.Centroid of the
+// evidence (ties: lowest ID).
 func chooseRepresentativeReference(vecs []vector.Sparse, evidence []corpus.PaperID) corpus.PaperID {
 	if len(evidence) == 1 {
 		return evidence[0]

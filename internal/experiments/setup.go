@@ -11,7 +11,6 @@ import (
 	"ctxsearch"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/eval"
-	"ctxsearch/internal/prestige"
 )
 
 // Scale selects the experiment size.
@@ -84,8 +83,10 @@ func NewSetup(scale Scale, log io.Writer) (*Setup, error) {
 	s.PatOnPatSet = sys.ScorePattern(s.PatternSet)
 	progress("scoring pattern-based set: citation function")
 	s.CitOnPatSet = sys.ScoreCitation(s.PatternSet)
-	progress("scoring pattern-based set: text function (text-set representatives)")
-	s.TextOnPatSet = s.scoreTextOnPatternSet()
+	// §4 scores the pattern set with the text set's representatives, which
+	// contextset.Representative chooses from the evidence alone.
+	progress("scoring pattern-based set: text function")
+	s.TextOnPatSet = sys.ScoreText(s.PatternSet)
 
 	progress("generating %d evaluation queries", scale.Queries)
 	qcfg := eval.DefaultQueryGenConfig()
@@ -106,18 +107,6 @@ func NewSetup(scale Scale, log io.Writer) (*Setup, error) {
 	progress("setup complete: %d text-set contexts, %d pattern-set contexts, %d queries",
 		len(s.TextSet.Contexts()), len(s.PatternSet.Contexts()), len(s.Queries))
 	return s, nil
-}
-
-// scoreTextOnPatternSet assigns text scores to pattern-set contexts using
-// the representatives defined by the text-based set, exactly as §4
-// describes ("text-based scores were assigned to only [the] contexts that
-// contain at least one representative paper").
-func (s *Setup) scoreTextOnPatternSet() *ctxsearch.Matrix {
-	// Clone the system's cached text scorer: the citation graph and the
-	// tables it embeds are shared, not rebuilt.
-	scorer := s.Sys.TextScorer().WithRepSource(s.TextSet)
-	scores := prestige.Score(scorer, s.PatternSet, s.Sys.MinContextSize(), s.Sys.Config().BuildWorkers)
-	return prestige.PropagateMax(s.Sys.Ontology, scores)
 }
 
 // ContextSizes returns the per-context sizes of a context set (used as the

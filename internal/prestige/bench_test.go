@@ -66,7 +66,7 @@ func BenchmarkTextScoreContext(b *testing.B) {
 	s := NewTextScorer(f.a, DefaultTextWeights())
 	var ctx ontology.TermID
 	for _, c := range f.text.Contexts() {
-		if _, ok := f.text.Representative(c); ok && f.text.Size(c) > 20 {
+		if _, ok := contextset.Representative(f.a, c); ok && f.text.Size(c) > 20 {
 			ctx = c
 			break
 		}

@@ -192,7 +192,7 @@ func TestTextScorer(t *testing.T) {
 			t.Fatalf("text context %s must have a representative", ctx)
 		}
 		inRange01(t, string(ctx), r)
-		rep, _ := f.text.Representative(ctx)
+		rep, _ := contextset.Representative(f.a, ctx)
 		if r.Get(rep) != 1 {
 			t.Fatalf("representative must score 1, got %v", r.Get(rep))
 		}
@@ -201,14 +201,24 @@ func TestTextScorer(t *testing.T) {
 	if scored == 0 {
 		t.Fatal("no contexts scored")
 	}
-	// Pattern-based contexts have no representative → declined.
+	// A pattern-based context is scored where its term has evidence papers,
+	// so a representative, and declined where it has none.
+	var scoredPat, declined int
 	for _, ctx := range f.pat.Contexts() {
-		if _, ok := f.pat.Representative(ctx); !ok {
-			if _, ok := scoreRun(s, f.pat, ctx); ok {
-				t.Fatal("context without representative must be declined")
-			}
-			break
+		_, hasRep := contextset.Representative(f.a, ctx)
+		r, ok := scoreRun(s, f.pat, ctx)
+		if ok != hasRep {
+			t.Fatalf("pattern context %s: scored %v, has a representative %v", ctx, ok, hasRep)
 		}
+		if ok {
+			inRange01(t, string(ctx), r)
+			scoredPat++
+		} else {
+			declined++
+		}
+	}
+	if scoredPat == 0 || declined == 0 {
+		t.Fatalf("pattern set: %d contexts scored, %d declined; the fixture needs both", scoredPat, declined)
 	}
 }
 

@@ -52,49 +52,28 @@ func DefaultTextWeights() TextWeights {
 type TextScorer struct {
 	analyzer *corpus.Analyzer
 	weights  TextWeights
-	// tables is built by the first call that scores and shared, with its
-	// scratch pool, by every WithRepSource clone.
-	tables *textTables
-
-	// RepSource optionally supplies representative papers from a different
-	// context set. The paper's §4 does exactly this: text scores are
-	// assigned to pattern-based-set contexts using the representatives
-	// defined by the text-based set.
-	RepSource *contextset.ContextSet
+	// tables is built by the first call that scores.
+	tables textTables
 }
 
 // NewTextScorer returns the scorer. Its tables — the author index in both
 // directions and the citation graph — are built by the first call that
 // scores.
 func NewTextScorer(a *corpus.Analyzer, weights TextWeights) *TextScorer {
-	return &TextScorer{analyzer: a, weights: weights, tables: new(textTables)}
-}
-
-// WithRepSource returns a scorer that draws representative papers from cs
-// instead of the scored set, sharing the (immutable) tables with the
-// receiver — cloning avoids rebuilding them and leaves the receiver
-// untouched, so cached scorers stay reusable.
-func (s *TextScorer) WithRepSource(cs *contextset.ContextSet) *TextScorer {
-	return &TextScorer{
-		analyzer:  s.analyzer,
-		weights:   s.weights,
-		tables:    s.tables,
-		RepSource: cs,
-	}
+	return &TextScorer{analyzer: a, weights: weights}
 }
 
 // Name implements Scorer.
 func (s *TextScorer) Name() string { return "text" }
 
-// ScoreContext implements Scorer. Contexts without a representative paper
-// are declined (the paper assigns text scores only where representatives
-// exist).
+// ScoreContext implements Scorer. The representative is
+// contextset.Representative of ctx, whichever set is scored: the paper's §4
+// scores the pattern-based set with the text-based set's representatives,
+// and those are functions of the evidence alone. A context without evidence
+// papers has none and is declined (the paper assigns text scores only where
+// representatives exist).
 func (s *TextScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID, vals []float64) bool {
-	repSrc := cs
-	if s.RepSource != nil {
-		repSrc = s.RepSource
-	}
-	rep, ok := repSrc.Representative(ctx)
+	rep, ok := contextset.Representative(s.analyzer, ctx)
 	if !ok {
 		return false
 	}
@@ -171,7 +150,7 @@ type boundRep struct {
 }
 
 func (s *TextScorer) bind(rep corpus.PaperID) *boundRep {
-	t := s.tables
+	t := &s.tables
 	t.once.Do(func() { t.build(s.analyzer) })
 	b, _ := t.scratch.Get().(*boundRep)
 	if b == nil {

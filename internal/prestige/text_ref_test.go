@@ -144,9 +144,9 @@ func (r *textReference) referenceSim(p, q corpus.PaperID) float64 {
 
 // TestTextScorerMatchesReference compares every (context, paper) score of
 // the bound-representative scorer with the pairwise definition, bit for
-// bit, on generated corpora: both context sets, representatives from the
-// scored set and from the text set, and Score serially, with workers
-// sharing the tables, and with more workers than CPUs.
+// bit, on generated corpora: both context sets, each context's
+// representative chosen from its term's evidence, and Score serially, with
+// workers sharing the tables, and with more workers than CPUs.
 func TestTextScorerMatchesReference(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -168,25 +168,18 @@ func TestTextScorerMatchesReference(t *testing.T) {
 		text := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg)
 		pat := contextset.BuildPatternBased(pattern.NewPosIndex(a), a, o, cfg, pattern.DefaultConfig())
 		ref := newTextReference(a, DefaultTextWeights())
-		base := NewTextScorer(a, DefaultTextWeights())
+		sc := NewTextScorer(a, DefaultTextWeights())
 		for _, tc := range []struct {
-			name   string
-			cs     *contextset.ContextSet
-			repSrc *contextset.ContextSet
+			name string
+			cs   *contextset.ContextSet
 		}{
-			{"text", text, nil},
-			{"text/reps-from-text", text, text},
-			{"pattern", pat, nil},
-			{"pattern/reps-from-text", pat, text},
+			{"text", text},
+			{"pattern", pat},
 		} {
-			sc, repSrc := base, tc.cs
-			if tc.repSrc != nil {
-				sc, repSrc = base.WithRepSource(tc.repSrc), tc.repSrc
-			}
 			want := make(map[ontology.TermID]map[corpus.PaperID]uint64)
 			pairs := 0
 			for _, ctx := range tc.cs.Contexts() {
-				rep, ok := repSrc.Representative(ctx)
+				rep, ok := contextset.Representative(a, ctx)
 				if !ok {
 					continue
 				}
@@ -202,7 +195,7 @@ func TestTextScorerMatchesReference(t *testing.T) {
 				}
 				want[ctx] = m
 			}
-			if tc.repSrc != nil && pairs == 0 {
+			if pairs == 0 {
 				t.Fatalf("seed %d %s: the reference scored no pair", seed, tc.name)
 			}
 			for _, workers := range []int{1, 2, 8} {

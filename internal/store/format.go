@@ -10,7 +10,7 @@ import (
 
 // The state format is a sectioned binary file built for memory-mapped,
 // zero-copy opens. The magic marks the container; the version field inside
-// the header counts revisions: Save stamps 7 and Open reads exactly that —
+// the header counts revisions: Save stamps 8 and Open reads exactly that —
 // a file of any other version is refused as a whole, naming the rebuild.
 // Save writes every section ID listed further down, and a reader requires
 // each one it materializes; a section whose ID it never asks for is
@@ -18,7 +18,7 @@ import (
 //
 //	header (56 bytes):
 //	  [8]byte  magic "CTXSRCH4"
-//	  uint32   version (7)
+//	  uint32   version (8)
 //	  uint32   section count
 //	  uint32   CRC32-C of the section table bytes
 //	  uint32   reserved (0)
@@ -49,7 +49,7 @@ import (
 // sections, never faulting in the CSR payload pages.
 const (
 	magic       = "CTXSRCH4"
-	version     = 7
+	version     = 8
 	headerSize  = 56
 	secHdrSize  = 32
 	secAlign    = 64
@@ -92,7 +92,7 @@ func elemSize(kind uint32) int {
 // matrix directory. IDs that earlier versions wrote are never reused: 5–11,
 // 13, 14, 17–21, and a matrix's base+1, base+2 and base+4.
 const (
-	secCSMeta       = uint32(1)  // bytes: kind, member ctx refs, reps, decay, inheritedFrom
+	secCSMeta       = uint32(1)  // bytes: kind, member ctx refs, decay, inheritedFrom
 	secTermDict     = uint32(2)  // bytes: shared term-ID string table
 	secCSOffsets    = uint32(3)  // int32: member run offsets
 	secCSDocs       = uint32(4)  // int32: member paper IDs

@@ -334,18 +334,6 @@ func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 			return nil, err
 		}
 	}
-	nr, err := count("representatives", 12)
-	if err != nil {
-		return nil, err
-	}
-	reps := make(map[ontology.TermID]corpus.PaperID, nr)
-	for i := 0; i < nr && !c.fail; i++ {
-		t, err := dictRef(dict, c.u32())
-		if err != nil {
-			return nil, err
-		}
-		reps[t] = corpus.PaperID(int64(c.u64()))
-	}
 	nd, err := count("decay entries", 12)
 	if err != nil {
 		return nil, err
@@ -393,7 +381,6 @@ func (m *Mapped) contextSetLocked() (*contextset.ContextSet, error) {
 		Offsets:       as32s[int32](offs),
 		Docs:          as32s[corpus.PaperID](docs),
 		Papers:        len(norms) / 8,
-		Reps:          reps,
 		Decay:         decay,
 		InheritedFrom: inherited,
 	})

@@ -236,22 +236,23 @@ func TestOpenIgnoresRetiredSections(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesV5: a file of an older version — version 6, whose
-// postings held one TF each (sections 9, 10 and 21), or version 5, from
-// before the per-context bitmaps (sections 6 and 7) went and the header
-// gained the fingerprint — is refused as a whole, naming its version, this
-// binary's and the rebuild, on the mapped and the byte-copy path alike. The
-// version is the first field the reader checks, so nothing of the older
-// layout is ever parsed.
+// TestOpenRefusesV5: a file of an older version — version 7, whose context
+// meta section still listed the representatives, version 6, whose postings
+// held one TF each (sections 9, 10 and 21), or version 5, from before the
+// per-context bitmaps (sections 6 and 7) went and the header gained the
+// fingerprint — is refused as a whole, naming its version, this binary's
+// and the rebuild, on the mapped and the byte-copy path alike. The version
+// is the first field the reader checks, so nothing of the older layout is
+// ever parsed.
 func TestOpenRefusesV5(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
-	for _, ver := range []uint32{5, 6} {
+	for _, ver := range []uint32{5, 6, 7} {
 		img := v5Bytes(t, st)
 		binary.LittleEndian.PutUint32(img[8:], ver)
 		for _, noMmap := range []string{"", "1"} {
 			t.Setenv(noMmapEnv, noMmap)
 			_, err := Open(writeFile(t, img), o)
-			for _, want := range []string{fmt.Sprintf("version %d is older than this binary reads (7)", ver), "ctxsearch build -state"} {
+			for _, want := range []string{fmt.Sprintf("version %d is older than this binary reads (8)", ver), "ctxsearch build -state"} {
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("CTXSEARCH_NO_MMAP=%q: want an error naming %q, got %v", noMmap, want, err)
 				}

@@ -54,9 +54,6 @@ func Save(w io.Writer, st *State) error {
 	for _, t := range f.Ctxs {
 		termSet[t] = struct{}{}
 	}
-	for t := range f.Reps {
-		termSet[t] = struct{}{}
-	}
 	for t := range f.Decay {
 		termSet[t] = struct{}{}
 	}
@@ -98,16 +95,7 @@ func Save(w io.Writer, st *State) error {
 	for _, t := range f.Ctxs {
 		mb.u32(ref[t])
 	}
-	// Reps, decay, inheritedFrom: sorted by term for determinism.
-	mb.u32(uint32(len(f.Reps)))
-	for _, t := range sortedTermKeys(len(f.Reps), func(yield func(ontology.TermID)) {
-		for k := range f.Reps {
-			yield(k)
-		}
-	}) {
-		mb.u32(ref[t])
-		mb.u64(uint64(int64(f.Reps[t])))
-	}
+	// Decay, inheritedFrom: sorted by term for determinism.
 	mb.u32(uint32(len(f.Decay)))
 	for _, t := range sortedTermKeys(len(f.Decay), func(yield func(ontology.TermID)) {
 		for k := range f.Decay {

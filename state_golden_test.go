@@ -19,19 +19,20 @@ import (
 	"ctxsearch/internal/vector"
 )
 
-// goldenStateSHA256 is the SHA-256 of the flat-v7 state file the text
+// goldenStateSHA256 is the SHA-256 of the flat-v8 state file the text
 // pipeline writes for smallConfig, fingerprint included. It was recorded
 // from the build that computed every paper × context cosine with
 // vector.CosineWithNorms, so it pins both "the offline build is
 // deterministic at any worker count" and "a faster build still writes the
 // same bytes". A change that is meant to alter the file (format, weighting,
-// generator) re-records it. It was last re-recorded when the writer stopped
-// repeating the DF table's terms as an index term dictionary (section 8)
-// and the matrix row maxima (section 104) went: the section table below
-// lost those two rows, and every other section kept its kind, length and
-// CRC. Inserting the two sections again reproduces the previous file,
-// SHA-256 f4bceafc…, byte for byte.
-const goldenStateSHA256 = "d07dab376ed446c1bb907c9dbfe0c4d51af41d2bb34119ebe458aeba83101d18"
+// generator) re-records it. It was last re-recorded when the context meta
+// section (1) stopped listing each context's representative, which the text
+// scorer now chooses from the evidence: section 1 lost its count and 57
+// (term, paper) entries, the header says version 8, and every other section
+// kept its kind, length and CRC. Inserting the block again, with the papers
+// contextset.Representative chooses, and stamping version 7 reproduces the
+// previous file, SHA-256 d07dab37…, byte for byte.
+const goldenStateSHA256 = "783166b288d6ab3768553c17cbf15987dc33c6c70840a2ee1896c1af5c108c9c"
 
 // goldenPatternStateSHA256 is the SHA-256 of the state file the pattern
 // pipeline writes for smallConfig: the §4 pattern-based context set scored
@@ -39,8 +40,9 @@ const goldenStateSHA256 = "d07dab376ed446c1bb907c9dbfe0c4d51af41d2bb34119ebe458a
 // spelled every token as a string and matched phrases through per-document
 // position maps, so it pins "the term-ID pattern matcher writes the same
 // bytes" as goldenStateSHA256 pins the text build, and is re-recorded with
-// it (previously f2fd2f64…).
-const goldenPatternStateSHA256 = "52756d2683f158c0690c30234a7e84ccca51b103a13bab5f237ae745475ae7af"
+// it: its section 1 lost only the representatives' zero count (previously
+// 52756d26…).
+const goldenPatternStateSHA256 = "7555c28ea3eed65d0f2e3b6a6089c41c42c8427244bb11bcf46aba729e58ac22"
 
 // goldenStateSections and goldenPatternStateSections are the section
 // tables of the two pinned files, one row per section in table order: id,
@@ -49,7 +51,7 @@ const goldenPatternStateSHA256 = "52756d2683f158c0690c30234a7e84ccca51b103a13bab
 const (
 	goldenStateSections = `
 2 0 802 2ffc9d45
-1 0 932 17c98b9c
+1 0 244 f3c7caf6
 3 1 232 94d05463
 4 1 16328 309768f6
 100 5 228 c8822427
@@ -64,7 +66,7 @@ const (
 `
 	goldenPatternStateSections = `
 2 0 802 2ffc9d45
-1 0 248 577eb336
+1 0 244 3d54bc97
 3 1 232 9f5f27ca
 4 1 19032 6cdfe237
 100 5 228 c8822427
@@ -107,7 +109,7 @@ func checkStateFileGolden(t *testing.T, want, wantSections string, build func(*S
 			t.Fatal(err)
 		}
 		m, name := build(sys)
-		path := filepath.Join(t.TempDir(), "state.v7")
+		path := filepath.Join(t.TempDir(), "state.v8")
 		if err := SaveState(path, sys, name, m); err != nil {
 			t.Fatal(err)
 		}
