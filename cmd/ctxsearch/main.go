@@ -54,6 +54,7 @@ import (
 	"ctxsearch"
 	"ctxsearch/internal/resilience"
 	"ctxsearch/internal/server"
+	"ctxsearch/internal/store"
 )
 
 func main() {
@@ -103,7 +104,7 @@ func (o *options) flags() *flag.FlagSet {
 	fs.IntVar(&o.limit, "limit", 15, "max results")
 	fs.BoolVar(&o.boolean, "boolean", false, "treat the search query as a boolean expression (AND/OR/NOT, \"phrases\", field:term)")
 	fs.StringVar(&o.statePath, "state", "", "state file: context set, scores and text index (memory-mapped if present, else written after the build)")
-	fs.StringVar(&o.stateFormat, "state-format", "v5", "state file format: version 8, for which v5 is the one accepted spelling (bench/deploy.go passes it)")
+	fs.StringVar(&o.stateFormat, "state-format", "v5", fmt.Sprintf("state file format: version %d, for which v5 is the one accepted spelling (bench/deploy.go passes it)", store.Version))
 	fs.IntVar(&c.BuildWorkers, "build-workers", 0, "offline-build parallelism (0 = GOMAXPROCS; output identical at any setting)")
 	fs.BoolVar(&o.verbose, "v", false, "print the offline-build timing summary")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address for serve")
@@ -205,7 +206,7 @@ func (o *options) validate(fs *flag.FlagSet, name string, args []string) (comman
 	case scoreFns[o.score] == nil:
 		return cmd, fmt.Errorf("unknown score function %q (-score text | citation | pattern)", o.score)
 	case o.stateFormat != "v5":
-		return cmd, fmt.Errorf("unknown -state-format %q: the state format is version 8, and v5 is the one spelling accepted (bench/deploy.go passes it)", o.stateFormat)
+		return cmd, fmt.Errorf("unknown -state-format %q: the state format is version %d, and v5 is the one spelling accepted (bench/deploy.go passes it)", o.stateFormat, store.Version)
 	// A shard flag on the wrong command would be dropped, and the process
 	// would serve the whole corpus (or coordinate) where a range was meant.
 	case name == "serve" && (given["shard-index"] || given["shard-count"]):

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ctxsearch/internal/store"
 )
 
 func runCLI(t *testing.T, args ...string) string {
@@ -201,12 +203,13 @@ func TestStateRoundTrip(t *testing.T) {
 }
 
 // TestStateFormatFlag: -state-format still parses (bench/deploy.go passes
-// it) and accepts only v5, naming version 8 as the format.
+// it) and accepts only v5, naming store.Version as the format.
 func TestStateFormatFlag(t *testing.T) {
 	var buf bytes.Buffer
+	want := fmt.Sprintf("the state format is version %d, and v5 is the one spelling accepted", store.Version)
 	for _, f := range []string{"v3", "v4", "gob", ""} {
 		err := run([]string{"-papers", "150", "-terms", "40", "-state-format", f, "stats"}, &buf)
-		if err == nil || !strings.Contains(err.Error(), "the state format is version 8, and v5 is the one spelling accepted") {
+		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("-state-format %q: %v", f, err)
 		}
 	}

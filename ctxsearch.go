@@ -343,22 +343,11 @@ func (s *System) MinContextSize() int { return s.cfg.minContextSize(s.Corpus.Len
 // same record; Summary() renders the whole pipeline.
 func (s *System) BuildStats() *BuildStats { return s.stats }
 
-// contextWorkers resolves the context-set construction parallelism: an
-// explicit ContextSet.Workers wins, otherwise BuildWorkers applies (both
-// zero = GOMAXPROCS).
-func (s *System) contextWorkers() contextset.Config {
-	cfg := s.cfg.ContextSet
-	if cfg.Workers == 0 {
-		cfg.Workers = s.cfg.BuildWorkers
-	}
-	return cfg
-}
-
 // BuildTextContextSet constructs the text-based context paper set (§4).
 func (s *System) BuildTextContextSet() *ContextSet {
 	var cs *ContextSet
 	s.stats.Time("contextset-text", s.Corpus.Len(), "papers", func() {
-		cs = contextset.BuildTextBased(s.index, s.Ontology, s.contextWorkers())
+		cs = contextset.BuildTextBased(s.index, s.Ontology, s.cfg.ContextSet, s.cfg.BuildWorkers)
 	})
 	return cs
 }
@@ -369,7 +358,7 @@ func (s *System) BuildPatternContextSet() *ContextSet {
 	var cs *ContextSet
 	pos := s.PosIndex() // outside the timed stage: its first use records its own
 	s.stats.Time("contextset-pattern", s.Corpus.Len(), "papers", func() {
-		cs = contextset.BuildPatternBased(pos, s.analyzer, s.Ontology, s.contextWorkers(), s.cfg.Pattern)
+		cs = contextset.BuildPatternBased(pos, s.analyzer, s.Ontology, s.cfg.ContextSet, s.cfg.Pattern, s.cfg.BuildWorkers)
 	})
 	return cs
 }

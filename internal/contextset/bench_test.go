@@ -50,7 +50,7 @@ func benchTextContextSet(b *testing.B, o *ontology.Ontology, a *corpus.Analyzer)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildTextBased(ix, o, cfg)
+		_ = BuildTextBased(ix, o, cfg, 0)
 	}
 }
 
@@ -60,6 +60,6 @@ func BenchmarkBuildPatternBased(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig())
+		_ = BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig(), 0)
 	}
 }

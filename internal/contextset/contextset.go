@@ -56,9 +56,6 @@ type Config struct {
 	// PatternThreshold is the minimum max-normalised pattern match score
 	// for membership in the pattern-based set.
 	PatternThreshold float64
-	// Workers bounds construction parallelism (0 = GOMAXPROCS, 1 = serial).
-	// Results are identical at any setting.
-	Workers int
 }
 
 // DefaultConfig returns thresholds used by the experiments, calibrated on
@@ -332,8 +329,9 @@ func Representative(a *corpus.Analyzer, term ontology.TermID) (corpus.PaperID, b
 // matched by middle tuple only; max-normalised match scores above
 // cfg.PatternThreshold grant membership; descendant papers are folded into
 // ancestors; contexts still empty inherit the closest non-empty ancestor's
-// papers with RateOfDecay damping.
-func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.Ontology, cfg Config, pcfg pattern.Config) *ContextSet {
+// papers with RateOfDecay damping. Terms fan out over workers (≤ 0 selects
+// GOMAXPROCS); the set is the same at every worker count.
+func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.Ontology, cfg Config, pcfg pattern.Config, workers int) *ContextSet {
 	c := a.Corpus()
 	b := newBuilder(PatternBased, onto, c.Len())
 	pcfg.Extended = false // simplified variant
@@ -349,7 +347,7 @@ func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.
 	}
 	// results[i][p] is term i's raw match score of paper p.
 	results := make([][]float64, len(terms))
-	par.For(len(terms), cfg.Workers, func(i int) {
+	par.For(len(terms), workers, func(i int) {
 		term := terms[i]
 		set := pattern.Build(ix, onto, term, c.EvidencePapers(term), termDF, pcfg)
 		results[i] = make([]float64, c.Len())

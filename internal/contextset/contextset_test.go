@@ -29,7 +29,7 @@ func fixture(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.Analyzer
 
 func TestBuildTextBased(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig())
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0)
 	if cs.Kind() != TextBased {
 		t.Fatal("kind wrong")
 	}
@@ -64,8 +64,8 @@ func TestTextBasedThresholdMonotone(t *testing.T) {
 	loose.TextThreshold = 0.05
 	strict := DefaultConfig()
 	strict.TextThreshold = 0.5
-	csLoose := BuildTextBased(must(index.BuildWorkers(a, 0)), o, loose)
-	csStrict := BuildTextBased(must(index.BuildWorkers(a, 0)), o, strict)
+	csLoose := BuildTextBased(must(index.BuildWorkers(a, 0)), o, loose, 0)
+	csStrict := BuildTextBased(must(index.BuildWorkers(a, 0)), o, strict, 0)
 	totalLoose, totalStrict := 0, 0
 	for _, ctx := range csLoose.Contexts() {
 		totalLoose += csLoose.Size(ctx)
@@ -83,7 +83,7 @@ func TestTextBasedMaxPerContext(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TextThreshold = 0.01
 	cfg.MaxPerContext = 7
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg)
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg, 0)
 	for _, ctx := range cs.Contexts() {
 		// Evidence papers are added on top of the cap, so allow the slack.
 		if cs.Size(ctx) > cfg.MaxPerContext+6 {
@@ -94,7 +94,7 @@ func TestTextBasedMaxPerContext(t *testing.T) {
 
 func TestBuildPatternBased(t *testing.T) {
 	o, c, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig())
+	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig(), 0)
 	if cs.Kind() != PatternBased {
 		t.Fatal("kind wrong")
 	}
@@ -113,7 +113,7 @@ func TestBuildPatternBased(t *testing.T) {
 
 func TestPatternBasedDescendantFolding(t *testing.T) {
 	o, _, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig())
+	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig(), 0)
 	// Every non-root context's papers must be contained in each of its
 	// non-root parents (descendant folding is transitive bottom-up).
 	for _, ctx := range cs.Contexts() {
@@ -138,7 +138,7 @@ func TestPatternBasedDescendantFolding(t *testing.T) {
 
 func TestPatternBasedInheritance(t *testing.T) {
 	o, _, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig())
+	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig(), 0)
 	sawInherited := false
 	for _, ctx := range cs.Contexts() {
 		anc, inherited := cs.InheritedFrom(ctx)
@@ -169,7 +169,7 @@ func TestPatternBasedInheritance(t *testing.T) {
 
 func TestContextsWithMinSize(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig())
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0)
 	all := cs.Contexts()
 	big := cs.ContextsWithMinSize(10)
 	if len(big) > len(all) {
@@ -184,7 +184,7 @@ func TestContextsWithMinSize(t *testing.T) {
 
 func TestContextsOf(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig())
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0)
 	// Any evidence paper must list its term among its contexts.
 	term := c.EvidenceTerms()[0]
 	e := c.EvidencePapers(term)[0]
@@ -210,7 +210,7 @@ func TestKindString(t *testing.T) {
 
 func TestPaperSetIsCopy(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig())
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0)
 	ctx := cs.Contexts()[0]
 	var set bitset.Set
 	set.UnionWith(cs.PaperBitset(ctx))
@@ -225,15 +225,11 @@ func TestPaperSetIsCopy(t *testing.T) {
 
 func TestParallelConstructionMatchesSerial(t *testing.T) {
 	o, _, a, ix := fixture(t)
-	serial := DefaultConfig()
-	serial.Workers = 1
-	parallel := DefaultConfig()
-	parallel.Workers = 4
-
+	cfg, pcfg := DefaultConfig(), pattern.DefaultConfig()
 	tix := must(index.BuildWorkers(a, 0))
-	ts, tp := BuildTextBased(tix, o, serial), BuildTextBased(tix, o, parallel)
+	ts, tp := BuildTextBased(tix, o, cfg, 1), BuildTextBased(tix, o, cfg, 4)
 	requireSameFrozen(t, "text", ts.Freeze(), tp.Freeze())
-	ps, pp := BuildPatternBased(ix, a, o, serial, pattern.DefaultConfig()), BuildPatternBased(ix, a, o, parallel, pattern.DefaultConfig())
+	ps, pp := BuildPatternBased(ix, a, o, cfg, pcfg, 1), BuildPatternBased(ix, a, o, cfg, pcfg, 4)
 	requireSameFrozen(t, "pattern", ps.Freeze(), pp.Freeze())
 }
 

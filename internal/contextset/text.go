@@ -27,8 +27,9 @@ import (
 // commute — which is the multiset, the summation order and, divided by
 // ‖rep‖·‖doc‖, the division vector.CosineWithNorms performs, so every
 // similarity has the same bits with no per-pair sort. Contexts fan out over
-// cfg.Workers; each worker needs scratch for one representative only.
-func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *ContextSet {
+// workers (≤ 0 selects GOMAXPROCS), and the set is the same at every count;
+// each worker needs scratch for one representative only.
+func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config, workers int) *ContextSet {
 	a := ix.Analyzer()
 	c := a.Corpus()
 	b := newBuilder(TextBased, onto, c.Len())
@@ -47,7 +48,7 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config) *Conte
 	// of its shard (generic papers join the broad contexts they match best,
 	// even with low absolute similarity).
 	members := make([][]cand, len(terms))
-	shards := par.Shards(len(terms), cfg.Workers)
+	shards := par.Shards(len(terms), workers)
 	tops := make([]topLists, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
 		acc := make([]float64, n)

@@ -49,12 +49,11 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 		for _, threshold := range []float64{0, DefaultConfig().TextThreshold, 0.9} {
 			for _, top := range []int{0, 1, 3} {
 				for _, maxPer := range []int{0, 5} {
-					cfg := Config{TextThreshold: threshold, TopContextsPerPaper: top, MaxPerContext: maxPer, Workers: 1}
+					cfg := Config{TextThreshold: threshold, TopContextsPerPaper: top, MaxPerContext: maxPer}
 					want := buildTextBasedReference(a, o, cfg)
 					for _, workers := range []int{1, 2, 8} {
-						cfg.Workers = workers
 						name := fmt.Sprintf("seed=%d threshold=%v top=%d max=%d workers=%d", seed, threshold, top, maxPer, workers)
-						requireSameSet(t, name, want, BuildTextBased(ix, o, cfg))
+						requireSameSet(t, name, want, BuildTextBased(ix, o, cfg, workers))
 					}
 				}
 			}
@@ -71,7 +70,7 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 func TestSegOrderAscending(t *testing.T) {
 	o, a, ix := randomFixture(t, 7)
 	var order segOrder
-	cs := BuildTextBased(ix, o, Config{Workers: 1})
+	cs := BuildTextBased(ix, o, Config{}, 1)
 	for _, ctx := range cs.Contexts() {
 		rep, _ := Representative(a, ctx)
 		r := a.Row(rep, corpus.WholeText)
@@ -181,14 +180,13 @@ func tieFixture(t *testing.T) (*ontology.Ontology, *corpus.Analyzer, *index.Inde
 func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
 	o, a, ix := tieFixture(t)
 	for _, top := range []int{1, 2, 3} {
-		cfg := Config{TextThreshold: 0.99, TopContextsPerPaper: top, Workers: 1}
+		cfg := Config{TextThreshold: 0.99, TopContextsPerPaper: top}
 		want := buildTextBasedReference(a, o, cfg)
 		if want.Contains("GO:5", 4) || !want.Contains("GO:2", 4) {
 			t.Fatalf("top=%d: fixture does not tie: paper 4 should join the lowest terms only", top)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			cfg.Workers = workers
-			requireSameSet(t, fmt.Sprintf("top=%d workers=%d", top, workers), want, BuildTextBased(ix, o, cfg))
+			requireSameSet(t, fmt.Sprintf("top=%d workers=%d", top, workers), want, BuildTextBased(ix, o, cfg, workers))
 		}
 	}
 }

@@ -52,7 +52,7 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 	}
 	papers := c.Papers()
 	rows := make([]paperRow, len(papers))
-	par.For(len(papers), cfg.Workers, func(i int) {
+	par.For(len(papers), 0, func(i int) {
 		pv := vecs[i]
 		pn := pv.Norm()
 		var row paperRow

@@ -44,7 +44,7 @@ func buildFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig(), 0)
 	scores := prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1)
 	cached = &fixture{
 		onto: o, c: c, a: a, ix: ix, cs: cs, scores: scores,

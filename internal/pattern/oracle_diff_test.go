@@ -264,7 +264,7 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 	}
 	a, onto := sys.Analyzer(), sys.Ontology
 	o := &oracle{
-		a: a, onto: onto, ix: sys.PosIndex(), ref: newMapPosIndex(a, 0),
+		a: a, onto: onto, ix: sys.PosIndex(), ref: newMapPosIndex(a),
 		patterns: map[string]builtPair{}, occs: map[string][]mapOcc{},
 	}
 	o.df, o.refDF = pattern.TermWordDF(onto, o.ix), mapTermWordDF(onto, o.ref)
@@ -300,12 +300,14 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 						within[p] = true
 					}
 					bits := cs.PaperBitset(ctx)
+					occs := make([][]mapOcc, len(b.set.Patterns))
 					for i, p := range b.set.Patterns {
 						if p.Kind == pattern.MiddleJoined {
 							continue
 						}
+						occs[i] = o.occurrencesOf(t, p.Middle, b.ref.Patterns[i].Middle)
 						var want []mapOcc
-						for _, oc := range o.occurrencesOf(t, p.Middle, b.ref.Patterns[i].Middle) {
+						for _, oc := range occs[i] {
 							if within[oc.doc] {
 								want = append(want, oc)
 							}
@@ -316,7 +318,7 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 					}
 					clear(dst)
 					b.set.ScorePapers(o.ix, bits, mode.mcfg, dst)
-					want := b.ref.ScorePapers(o.ref, within, mode.mcfg)
+					want := b.ref.ScorePapers(o.ref, within, mode.mcfg, occs)
 					for d, s := range dst {
 						if w, ok := want[corpus.PaperID(d)]; s != w || ok != (s != 0) {
 							t.Fatalf("%s: paper %d scores %v, want %v (in oracle map: %v)", ctx, d, s, w, ok)
@@ -390,7 +392,7 @@ func TestUnknownNameWordsKeepTheirSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix, ref := pattern.NewPosIndex(a), newMapPosIndex(a, 0)
+	ix, ref := pattern.NewPosIndex(a), newMapPosIndex(a)
 	df, refDF := pattern.TermWordDF(o, ix), mapTermWordDF(o, ref)
 	training := []corpus.PaperID{0, 1}
 	for _, tc := range []struct {

@@ -1,20 +1,20 @@
 package pattern_test
 
 // The map-form positional index, matcher, pattern builder and phrase miner,
-// kept verbatim (renamed, with the configuration and kind types taken from
-// the package) as the oracle the term-ID package is held to: every token is
-// a string, positions are keyed by word then document, and sections are
-// separated by gap slots in one position space per paper.
+// kept (renamed, with the configuration and kind types taken from the
+// package, built serially and without scratch pools, the matcher reading
+// each phrase's occurrences from the caller) as the oracle the term-ID
+// package is held to: every token is a string, positions are keyed by word
+// then document, and sections are separated by gap slots in one position
+// space per paper.
 
 import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
-	"ctxsearch/internal/par"
 	"ctxsearch/internal/pattern"
 )
 
@@ -47,24 +47,10 @@ type mapPosIndex struct {
 	// tokens[doc] = concatenated token stream with section gaps, indexed by
 	// global position (gap slots hold "").
 	tokens [][]string
-	// phrasePool recycles PhraseOccurrences' per-word position-set scratch
-	// across calls — pattern matching runs it for every (pattern, context)
-	// pair, so the maps are worth pooling.
-	phrasePool sync.Pool
-	// setAccPool recycles matchSet's per-document accumulator maps the same
-	// way (one lease per middle-joined pattern scored).
-	setAccPool sync.Pool
 }
 
-// newMapPosIndex builds the positional index from an analysed corpus:
-// papers are split into contiguous shards, each worker builds its shard's position
-// maps, token streams and section bounds, and the per-shard position maps
-// are merged afterwards. The merged index is identical at every worker
-// count — every (word, doc) entry is produced by exactly one shard (docs
-// are partitioned), so the merge writes disjoint keys, and the per-doc
-// position slices are built in the same ascending order as the sequential
-// build. workers <= 0 selects GOMAXPROCS.
-func newMapPosIndex(a *corpus.Analyzer, workers int) *mapPosIndex {
+// newMapPosIndex builds the positional index from an analysed corpus.
+func newMapPosIndex(a *corpus.Analyzer) *mapPosIndex {
 	n := a.Corpus().Len()
 	ix := &mapPosIndex{
 		analyzer:  a,
@@ -72,56 +58,33 @@ func newMapPosIndex(a *corpus.Analyzer, workers int) *mapPosIndex {
 		bounds:    make([][]int32, n),
 		tokens:    make([][]string, n),
 	}
-	papers := a.Corpus().Papers()
-	shards := par.Shards(len(papers), workers)
-	locals := make([]map[string]map[corpus.PaperID][]int32, len(shards))
-	par.ForShards(shards, func(si int, sh par.Shard) {
-		local := make(map[string]map[corpus.PaperID][]int32)
-		for i := sh.Lo; i < sh.Hi; i++ {
-			p := papers[i]
-			toks := a.Tokens(p.ID)
-			var stream []string
-			var bounds []int32
-			for _, s := range corpus.Sections {
-				if len(stream) > 0 {
-					for g := 0; g < sectionGap; g++ {
-						stream = append(stream, "")
-					}
-				}
-				bounds = append(bounds, int32(len(stream)))
-				for _, id := range toks.Section(s) {
-					stream = append(stream, a.Term(id))
+	for _, p := range a.Corpus().Papers() {
+		toks := a.Tokens(p.ID)
+		var stream []string
+		var bounds []int32
+		for _, s := range corpus.Sections {
+			if len(stream) > 0 {
+				for g := 0; g < sectionGap; g++ {
+					stream = append(stream, "")
 				}
 			}
-			ix.bounds[p.ID] = bounds
-			ix.tokens[p.ID] = stream
-			for pos, w := range stream {
-				if w == "" {
-					continue
-				}
-				m := local[w]
-				if m == nil {
-					m = make(map[corpus.PaperID][]int32)
-					local[w] = m
-				}
-				m[p.ID] = append(m[p.ID], int32(pos))
+			bounds = append(bounds, int32(len(stream)))
+			for _, id := range toks.Section(s) {
+				stream = append(stream, a.Term(id))
 			}
 		}
-		locals[si] = local
-	})
-	// Merge shard maps; (word, doc) keys are disjoint across shards, so the
-	// first shard seen for a word donates its inner map wholesale and later
-	// shards insert fresh doc keys into it.
-	for _, local := range locals {
-		for w, byDoc := range local {
-			g := ix.positions[w]
-			if g == nil {
-				ix.positions[w] = byDoc
+		ix.bounds[p.ID] = bounds
+		ix.tokens[p.ID] = stream
+		for pos, w := range stream {
+			if w == "" {
 				continue
 			}
-			for d, ps := range byDoc {
-				g[d] = ps
+			m := ix.positions[w]
+			if m == nil {
+				m = make(map[corpus.PaperID][]int32)
+				ix.positions[w] = m
 			}
+			m[p.ID] = append(m[p.ID], int32(pos))
 		}
 	}
 	return ix
@@ -145,14 +108,6 @@ func (ix *mapPosIndex) SectionOf(doc corpus.PaperID, pos int) corpus.Section {
 	return sec
 }
 
-// phraseScratch holds the per-word position sets PhraseOccurrences builds
-// while verifying word adjacency. Pooled per mapPosIndex: pattern matching
-// runs a phrase query for every (pattern, context) pair, and reusing the
-// maps (cleared per document) avoids re-allocating them millions of times.
-type phraseScratch struct {
-	sets []map[int32]bool
-}
-
 // PhraseOccurrences finds all contiguous occurrences of the stemmed word
 // sequence across the corpus (or within the docs set if non-nil). Returns
 // occurrences grouped per document in position order. Safe for concurrent
@@ -168,15 +123,7 @@ func (ix *mapPosIndex) PhraseOccurrences(words []string, within map[corpus.Paper
 			rarest = i
 		}
 	}
-	sc, _ := ix.phrasePool.Get().(*phraseScratch)
-	if sc == nil {
-		sc = &phraseScratch{}
-	}
-	defer ix.phrasePool.Put(sc)
-	for len(sc.sets) < len(words) {
-		sc.sets = append(sc.sets, nil)
-	}
-	sets := sc.sets[:len(words)]
+	sets := make([]map[int32]bool, len(words))
 	driver := ix.positions[words[rarest]]
 	out := make(map[corpus.PaperID][]mapOccurrence)
 	for doc, drvPositions := range driver {
@@ -184,9 +131,9 @@ func (ix *mapPosIndex) PhraseOccurrences(words []string, within map[corpus.Paper
 			continue
 		}
 		// Collect the other words' position sets for this doc, reusing the
-		// pooled maps (cleared before each fill; stale entries from an
-		// earlier document are never read because every non-rarest index is
-		// refilled before the match loop runs).
+		// maps (cleared before each fill; stale entries from an earlier
+		// document are never read because every non-rarest index is refilled
+		// before the match loop runs).
 		ok := true
 		for i, w := range words {
 			if i == rarest {
@@ -275,8 +222,11 @@ func (ix *mapPosIndex) DocFreqOfPhrase(words []string) int {
 // regular/side-joined patterns weigh the match fully and add a bonus for
 // left/right context corroboration; middle-joined (unordered) patterns
 // weigh by the fraction of their word set present. Scores are raw —
-// callers normalise per context.
-func (s *mapSet) ScorePapers(ix *mapPosIndex, within map[corpus.PaperID]bool, cfg pattern.MatchConfig) map[corpus.PaperID]float64 {
+// callers normalise per context. occs[i] holds the corpus-wide occurrences
+// of pattern i's middle with their cfg.Window-word windows (mapOccs), so a
+// phrase is found once per corpus rather than once per context; middle-
+// joined patterns have none.
+func (s *mapSet) ScorePapers(ix *mapPosIndex, within map[corpus.PaperID]bool, cfg pattern.MatchConfig, occs [][]mapOcc) map[corpus.PaperID]float64 {
 	if cfg.SectionWeights == nil {
 		cfg = pattern.DefaultMatchConfig()
 	}
@@ -287,13 +237,13 @@ func (s *mapSet) ScorePapers(ix *mapPosIndex, within map[corpus.PaperID]bool, cf
 		cfg.MinSetFraction = 0.5
 	}
 	scores := make(map[corpus.PaperID]float64)
-	for _, p := range s.Patterns {
+	for i, p := range s.Patterns {
 		switch p.Kind {
 		case pattern.Regular, pattern.SideJoined:
 			if cfg.MiddleOnly && p.Kind != pattern.Regular {
 				continue
 			}
-			s.matchSequential(ix, p, within, cfg, scores)
+			s.matchSequential(p, occs[i], within, cfg, scores)
 		case pattern.MiddleJoined:
 			if cfg.MiddleOnly {
 				continue
@@ -304,30 +254,30 @@ func (s *mapSet) ScorePapers(ix *mapPosIndex, within map[corpus.PaperID]bool, cf
 	return scores
 }
 
-// matchSequential handles exact contiguous middle-tuple matches.
-func (s *mapSet) matchSequential(ix *mapPosIndex, p *mapPattern, within map[corpus.PaperID]bool, cfg pattern.MatchConfig, scores map[corpus.PaperID]float64) {
-	occs := ix.PhraseOccurrences(p.Middle, within)
-	for doc, ds := range occs {
-		best := 0.0
-		for _, oc := range ds {
-			w := cfg.SectionWeights[oc.Section]
-			if w == 0 {
-				continue
-			}
-			strength := w
-			if !cfg.MiddleOnly {
-				// Corroborate with the surrounding window: the more of the
-				// observed neighbourhood appears in the pattern's
-				// left/right tuples, the stronger the match.
-				l, r := ix.Window(doc, oc.Pos, len(p.Middle), cfg.Window)
-				strength = w * (0.7 + float64(0.3*contextOverlap(l, r, p.Left, p.Right)))
-			}
-			if strength > best {
-				best = strength
-			}
+// matchSequential handles exact contiguous middle-tuple matches: occs are
+// the middle's occurrences, of which those in within count.
+func (s *mapSet) matchSequential(p *mapPattern, occs []mapOcc, within map[corpus.PaperID]bool, cfg pattern.MatchConfig, scores map[corpus.PaperID]float64) {
+	best := make(map[corpus.PaperID]float64)
+	for _, oc := range occs {
+		if within != nil && !within[oc.doc] {
+			continue
 		}
-		if best > 0 {
-			scores[doc] += float64(p.Score * best)
+		w := cfg.SectionWeights[oc.sec]
+		if w == 0 {
+			continue
+		}
+		strength := w
+		if !cfg.MiddleOnly {
+			// Corroborate with the surrounding window: the more of the
+			// observed neighbourhood appears in the pattern's left/right
+			// tuples, the stronger the match.
+			strength = w * (0.7 + float64(0.3*contextOverlap(oc.left, oc.right, p.Left, p.Right)))
+		}
+		best[oc.doc] = max(best[oc.doc], strength)
+	}
+	for doc, b := range best {
+		if b > 0 {
+			scores[doc] += float64(p.Score * b)
 		}
 	}
 }
@@ -337,15 +287,7 @@ func (s *mapSet) matchSequential(ix *mapPosIndex, p *mapPattern, within map[corp
 // present; strength scales with the fraction present and the best section
 // weight among the present words.
 func (s *mapSet) matchSet(ix *mapPosIndex, p *mapPattern, within map[corpus.PaperID]bool, cfg pattern.MatchConfig, scores map[corpus.PaperID]float64) {
-	// The accumulator map is pooled on the index (one lease per
-	// middle-joined pattern, across all concurrent scoring workers).
-	byDoc, _ := ix.setAccPool.Get().(map[corpus.PaperID]setAcc)
-	if byDoc == nil {
-		byDoc = make(map[corpus.PaperID]setAcc)
-	} else {
-		clear(byDoc)
-	}
-	defer ix.setAccPool.Put(byDoc)
+	byDoc := make(map[corpus.PaperID]setAcc)
 	for _, w := range p.Middle {
 		for doc, positions := range ix.positions[w] {
 			if within != nil && !within[doc] {

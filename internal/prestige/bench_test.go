@@ -31,8 +31,8 @@ func benchFix(b *testing.B) *fixture {
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
-		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg),
-		pat:  contextset.BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig()),
+		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg, 0),
+		pat:  contextset.BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig(), 0),
 	}
 	return cachedFixture
 }
@@ -137,7 +137,7 @@ func bigFix(b *testing.B) (*corpus.Corpus, *contextset.ContextSet) {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	cs := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.DefaultConfig(), 0)
 	if n := len(cs.Contexts()); n < 1000 {
 		b.Fatalf("fixture too small: %d contexts, want >= 1000", n)
 	}

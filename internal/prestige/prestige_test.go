@@ -45,8 +45,8 @@ func buildFixture(t *testing.T) *fixture {
 	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
-		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg),
-		pat:  contextset.BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig()),
+		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg, 0),
+		pat:  contextset.BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig(), 0),
 	}
 	return cachedFixture
 }
@@ -162,10 +162,10 @@ func TestCitationScorerUsesOnlyInContextEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	cs := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.Config{TextThreshold: 2}) // only evidence
+	cs := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.Config{TextThreshold: 2}, 0) // only evidence
 	// Manually verify context membership via evidence + threshold: context
 	// has only paper 0. Extend membership by lowering threshold instead:
-	cs = contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.Config{TextThreshold: 0.01})
+	cs = contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.Config{TextThreshold: 0.01}, 0)
 	if !cs.Contains("GO:2", 1) || !cs.Contains("GO:2", 2) {
 		t.Skip("fixture too dissimilar for text assignment; skipping")
 	}

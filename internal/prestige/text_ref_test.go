@@ -165,8 +165,8 @@ func TestTextScorerMatchesReference(t *testing.T) {
 		}
 		a := corpus.NewAnalyzerWorkers(c, 0)
 		cfg := contextset.DefaultConfig()
-		text := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg)
-		pat := contextset.BuildPatternBased(pattern.NewPosIndex(a), a, o, cfg, pattern.DefaultConfig())
+		text := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg, 0)
+		pat := contextset.BuildPatternBased(pattern.NewPosIndex(a), a, o, cfg, pattern.DefaultConfig(), 0)
 		ref := newTextReference(a, DefaultTextWeights())
 		sc := NewTextScorer(a, DefaultTextWeights())
 		for _, tc := range []struct {

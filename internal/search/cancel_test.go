@@ -7,25 +7,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ctxsearch/internal/goldentest"
 )
 
-// multiContextQuery returns a query that selects at least two contexts, so
-// the scoring stage has several rows to cancel between.
+// multiContextQuery returns the first two generated context names as one
+// query, which must select at least two contexts, so the scoring stage has
+// several rows to cancel between.
 func multiContextQuery(t *testing.T, f *fixture) string {
 	t.Helper()
-	var names []string
-	for _, ctx := range f.scores.Contexts() {
-		if tm := f.onto.Term(ctx); tm != nil {
-			names = append(names, tm.Name)
-		}
-		if len(names) >= 2 {
-			break
-		}
-	}
-	if len(names) < 2 {
-		t.Fatal("fixture has too few scored contexts")
-	}
-	q := names[0] + " " + names[1]
+	qs := goldentest.Queries(t, f.Onto, f.Matrix.Contexts())
+	q := qs[0].Text + " " + qs[1].Text
 	if sel := f.engine.SelectContexts(q, cancelOpts()); len(sel) < 2 {
 		t.Skipf("query %q selects only %d contexts", q, len(sel))
 	}
@@ -48,13 +40,13 @@ func setScoreRowHook(t *testing.T, h func()) {
 // plain one: with a background context both must return identical results.
 func TestSearchContextMatchesSearch(t *testing.T) {
 	f := buildFixture(t)
-	for _, q := range goldenQueries(f) {
-		for _, opts := range goldenOptions() {
-			got, err := f.engine.SearchContext(context.Background(), q, opts)
+	for _, q := range goldentest.Queries(t, f.Onto, f.Matrix.Contexts()) {
+		for _, p := range goldentest.Pages(0, 0) {
+			got, err := f.engine.SearchContext(context.Background(), q.Text, Options(p))
 			if err != nil {
-				t.Fatalf("SearchContext(%q): %v", q, err)
+				t.Fatalf("SearchContext(%q): %v", q.Text, err)
 			}
-			diffResults(t, q, got, f.engine.Search(q, opts))
+			goldentest.Same(t, q.Text, got, f.engine.Search(q.Text, Options(p)))
 		}
 	}
 }

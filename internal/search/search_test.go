@@ -3,19 +3,14 @@ package search
 import (
 	"testing"
 
-	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
-	"ctxsearch/internal/index"
+	"ctxsearch/internal/goldentest"
 	"ctxsearch/internal/ontology"
-	"ctxsearch/internal/prestige"
 )
 
+// fixture is a generated build and the eager engine over it.
 type fixture struct {
-	onto   *ontology.Ontology
-	c      *corpus.Corpus
-	ix     *index.Index
-	cs     *contextset.ContextSet
-	scores *prestige.Matrix
+	*goldentest.Fixture
 	engine *Engine
 }
 
@@ -32,34 +27,16 @@ func buildFixture(t testing.TB) *fixture {
 // newFixture builds an eager engine over a generated ontology and corpus.
 func newFixture(t testing.TB, ontoSeed int64, gcfg corpus.GenConfig) *fixture {
 	t.Helper()
-	o, err := ontology.Generate(ontology.GenConfig{Seed: ontoSeed, NumTerms: 60, MaxDepth: 6, SecondParentProb: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := corpus.Generate(o, gcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix, err := index.BuildWorkers(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
-	scorer := prestige.NewTextScorer(a, prestige.DefaultTextWeights())
-	scores := prestige.PropagateMax(o, prestige.Score(scorer, cs, 0, 1))
-	return &fixture{
-		onto: o, c: c, ix: ix, cs: cs, scores: scores,
-		engine: NewEngine(ix, scores, DefaultWeights()),
-	}
+	g := goldentest.NewFixture(t, ontoSeed, gcfg)
+	return &fixture{g, NewEngine(g.Index, g.Matrix, DefaultWeights())}
 }
 
 // queryForSomeContext returns a scored context's term name to use as query.
 func queryForSomeContext(t *testing.T, f *fixture) (string, ontology.TermID) {
 	t.Helper()
-	for _, ctx := range f.scores.Contexts() {
-		if f.cs.Size(ctx) >= 5 {
-			return f.onto.Term(ctx).Name, ctx
+	for _, ctx := range f.Matrix.Contexts() {
+		if f.Set.Size(ctx) >= 5 {
+			return f.Onto.Term(ctx).Name, ctx
 		}
 	}
 	t.Fatal("no usable context")
@@ -151,7 +128,7 @@ func TestSearchBasics(t *testing.T) {
 			t.Fatalf("relevancy %v != %v", r.Relevancy, want)
 		}
 		// Every result must belong to its winning context.
-		if !f.cs.Contains(r.Context, r.Doc) {
+		if !f.Set.Contains(r.Context, r.Doc) {
 			t.Fatalf("result %d not in winning context %s", r.Doc, r.Context)
 		}
 	}
@@ -189,7 +166,7 @@ func TestSearchReducesOutputSize(t *testing.T) {
 	f := buildFixture(t)
 	name, _ := queryForSomeContext(t, f)
 	ctxResults := f.engine.Search(name, Options{})
-	baseline := BaselineTFIDF(f.ix, name, 0, 0)
+	baseline := BaselineTFIDF(f.Index, name, 0, 0)
 	if len(ctxResults) > len(baseline) {
 		t.Fatalf("context search (%d) larger than baseline (%d)", len(ctxResults), len(baseline))
 	}
@@ -198,12 +175,12 @@ func TestSearchReducesOutputSize(t *testing.T) {
 func TestBaselinePubMedOrder(t *testing.T) {
 	f := buildFixture(t)
 	name, _ := queryForSomeContext(t, f)
-	ids := BaselinePubMed(f.ix, name)
+	ids := BaselinePubMed(f.Index, name)
 	if len(ids) == 0 {
 		t.Fatal("baseline returned nothing")
 	}
 	for i := 1; i < len(ids); i++ {
-		if f.c.Paper(ids[i]).PMID > f.c.Paper(ids[i-1]).PMID {
+		if f.Corpus.Paper(ids[i]).PMID > f.Corpus.Paper(ids[i-1]).PMID {
 			t.Fatal("PubMed baseline not in descending PMID order")
 		}
 	}
@@ -219,8 +196,8 @@ func TestSearchNoContexts(t *testing.T) {
 func TestContextWeightedToggle(t *testing.T) {
 	f := buildFixture(t)
 	name, _ := queryForSomeContext(t, f)
-	literal := NewEngine(f.ix, f.scores, Weights{Prestige: 0.5, Matching: 0.5, ContextWeighted: false})
-	weighted := NewEngine(f.ix, f.scores, Weights{Prestige: 0.5, Matching: 0.5, ContextWeighted: true})
+	literal := NewEngine(f.Index, f.Matrix, Weights{Prestige: 0.5, Matching: 0.5, ContextWeighted: false})
+	weighted := NewEngine(f.Index, f.Matrix, Weights{Prestige: 0.5, Matching: 0.5, ContextWeighted: true})
 	rl := literal.Search(name, Options{})
 	rw := weighted.Search(name, Options{})
 	if len(rl) == 0 || len(rw) == 0 {
@@ -284,7 +261,7 @@ func TestSearchBoolean(t *testing.T) {
 	}
 	// A NOT clause prunes.
 	if len(boolResults) > 0 {
-		firstWord := f.ix.Analyzer().Tokenizer().Terms(name)[0]
+		firstWord := f.Index.Analyzer().Tokenizer().Terms(name)[0]
 		pruned, err := f.engine.SearchBoolean(name+" AND NOT "+firstWord, Options{})
 		if err == nil && len(pruned) >= len(boolResults) && len(boolResults) > 0 {
 			t.Fatalf("NOT clause did not prune: %d vs %d", len(pruned), len(boolResults))
@@ -294,4 +271,12 @@ func TestSearchBoolean(t *testing.T) {
 	if _, err := f.engine.SearchBoolean("(((", Options{}); err == nil {
 		t.Fatal("bad query must error")
 	}
+}
+
+// TestSearchConcurrent hammers one engine from many goroutines — the
+// accumulator pool, the bitset cache and the per-context worker pool must
+// all be safe under concurrent queries (run with -race) and every
+// goroutine must see identical results.
+func TestSearchConcurrent(t *testing.T) {
+	hammer(t, buildFixture(t), Options{MaxContexts: 8, MinContextMatch: 0.01})
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
@@ -11,15 +10,7 @@ import (
 	"time"
 
 	"ctxsearch"
-	"ctxsearch/internal/shard"
 	"ctxsearch/internal/store"
-)
-
-var (
-	cachedMappedSys *ctxsearch.System
-	cachedMappedCS  *ctxsearch.ContextSet
-	cachedMappedMat *ctxsearch.Matrix
-	cachedMappedRef *store.Mapped
 )
 
 // savedState writes the shared fixture's state file with
@@ -47,126 +38,11 @@ func openMappedSystem(t *testing.T, path string) (*ctxsearch.System, *ctxsearch.
 	return fsys, m.ContextSet(), m, mapped
 }
 
-// mappedState saves the shared fixture as a state file and opens it
-// (zero-copy where the platform allows). Cached once; the mapping is
-// deliberately never closed (it backs every test).
-func mappedState(t *testing.T) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, *store.Mapped) {
-	t.Helper()
-	if cachedMappedSys == nil {
-		cachedMappedSys, cachedMappedCS, cachedMappedMat, cachedMappedRef = openMappedSystem(t, savedState(t))
-	}
-	return cachedMappedSys, cachedMappedCS, cachedMappedMat, cachedMappedRef
-}
-
-// mappedParams mirrors the coordinator golden battery's randomized paging,
-// threshold and boolean shapes.
-func mappedParams(q string, rng *rand.Rand) string {
-	params := "q=" + urlQuery(q) + fmt.Sprintf("&limit=%d", 1+rng.Intn(20))
-	if rng.Intn(2) == 0 {
-		params += fmt.Sprintf("&offset=%d", rng.Intn(15))
-	}
-	if rng.Intn(3) == 0 {
-		params += fmt.Sprintf("&threshold=%.2f", rng.Float64()*0.4)
-	}
-	if rng.Intn(3) == 0 {
-		params += "&boolean=1"
-	}
-	return params
-}
-
-// TestMappedGoldenEquality is the tentpole's HTTP contract: a server whose
-// engine reads straight out of the mapped arrays answers every endpoint
-// byte-identically to one over the in-process build.
-func TestMappedGoldenEquality(t *testing.T) {
-	sys, cs, m, _ := testState(t)
-	fsys, mcs, mmat, mapped := mappedState(t)
-
-	ref := NewPending(Config{})
-	ref.install(sys, cs, m)
-	mappedSrv := NewPending(Config{})
-	mappedSrv.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mmat), mapped)
-
-	rng := rand.New(rand.NewSource(23))
-	for qi, q := range coordQueries(t) {
-		for trial := 0; trial < 6; trial++ {
-			params := mappedParams(q, rng)
-			want := get(t, ref, "/search?"+params)
-			got := get(t, mappedSrv, "/search?"+params)
-			label := fmt.Sprintf("query %d %q trial %d params %s", qi, q, trial, params)
-			if got.Code != want.Code {
-				t.Fatalf("%s: mapped %d, built %d\n%s", label, got.Code, want.Code, got.Body)
-			}
-			if got.Body.String() != want.Body.String() {
-				t.Fatalf("%s: bodies differ\nmapped: %s\nbuilt:  %s", label, got.Body, want.Body)
-			}
-		}
-	}
-	_, _, _, query := testState(t)
-	for _, path := range []string{
-		"/papers/0", "/papers/5", "/papers/999999", "/papers/xyz",
-		"/contexts?q=" + urlQuery(query), "/contexts",
-	} {
-		want := get(t, ref, path)
-		got := get(t, mappedSrv, path)
-		if got.Code != want.Code || got.Body.String() != want.Body.String() {
-			t.Fatalf("%s: mapped (%d) %s\nbuilt (%d) %s", path, got.Code, got.Body, want.Code, want.Body)
-		}
-	}
-}
-
-// TestMappedCoordinatorGolden: a multi-process deployment where every shard
-// process opened the same mapping (RangeEngineParts) answers through the
-// coordinator byte-identically to the single server over the in-process
-// build.
-func TestMappedCoordinatorGolden(t *testing.T) {
-	sys, cs, m, query := testState(t)
-	fsys, mcs, mmat, mapped := mappedState(t)
-	parts := fsys.Index().Parts()
-	ref := NewPending(Config{})
-	ref.install(sys, cs, m)
-
-	const n = 3
-	var urls []string
-	for i := 0; i < n; i++ {
-		eng, _, err := shard.RangeEngineParts(fsys.Analyzer(), parts, mmat, fsys.Config().Relevancy, i, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := NewPending(Config{})
-		srv.SetReadyMapped(fsys, mcs, mmat, eng, mapped)
-		ts := httptest.NewServer(srv)
-		t.Cleanup(ts.Close)
-		urls = append(urls, ts.URL)
-	}
-	coord := NewCoordinator(urls, Config{}, ShardConfig{})
-	t.Cleanup(coord.Close)
-
-	rng := rand.New(rand.NewSource(31))
-	for qi, q := range coordQueries(t) {
-		for trial := 0; trial < 3; trial++ {
-			params := mappedParams(q, rng)
-			want := get(t, ref, "/search?"+params)
-			got := coordGet(t, coord, "/search?"+params)
-			label := fmt.Sprintf("query %d %q trial %d params %s", qi, q, trial, params)
-			if got.Code != want.Code || got.Body.String() != want.Body.String() {
-				t.Fatalf("%s: coordinator-over-mapped (%d) %s\nbuilt (%d) %s", label, got.Code, got.Body, want.Code, want.Body)
-			}
-		}
-	}
-	for _, path := range []string{"/papers/0", "/papers/999999", "/contexts?q=" + urlQuery(query)} {
-		want := get(t, ref, path)
-		got := coordGet(t, coord, path)
-		if got.Code != want.Code || got.Body.String() != want.Body.String() {
-			t.Fatalf("%s: coordinator-over-mapped (%d) %s\nbuilt (%d) %s", path, got.Code, got.Body, want.Code, want.Body)
-		}
-	}
-}
-
 // TestMappedStats: /stats reports the mapped-state flag and the recorded
 // cold-start duration; a plain frozen server reports neither.
 func TestMappedStats(t *testing.T) {
 	sys, cs, m, _ := testState(t)
-	fsys, mcs, mmat, mapped := mappedState(t)
+	fsys, mcs, mmat, mapped := openMappedSystem(t, savedState(t))
 
 	srv := NewPending(Config{})
 	srv.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mmat), mapped)

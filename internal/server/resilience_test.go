@@ -100,7 +100,7 @@ func TestReplicatedGoldenUnderFaults(t *testing.T) {
 				params += "&boolean=1"
 			}
 			want := get(t, ref, "/search?"+params)
-			got := coordGet(t, coord, "/search?"+params)
+			got := get(t, coord, "/search?"+params)
 			label := fmt.Sprintf("query %d %q trial %d params %s", qi, q, trial, params)
 			if got.Code != want.Code {
 				t.Fatalf("%s: coordinator %d, single server %d\n%s", label, got.Code, want.Code, got.Body)
@@ -150,7 +150,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}, scfg)
 
 	for i := 0; i < 6; i++ {
-		rec := coordGet(t, coord, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(query), 1+i))
+		rec := get(t, coord, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(query), 1+i))
 		if rec.Code != 200 {
 			t.Fatalf("search %d during replica flap = %d: %s", i, rec.Code, rec.Body)
 		}
@@ -166,7 +166,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	before := coord.metrics.Snapshot().Replicas[0].Requests
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; ; i++ {
-		rec := coordGet(t, coord, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(query), 30+i))
+		rec := get(t, coord, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(query), 30+i))
 		if rec.Code != 200 {
 			t.Fatalf("post-recovery search = %d: %s", rec.Code, rec.Body)
 		}
@@ -205,7 +205,7 @@ func TestHedgeWins(t *testing.T) {
 	for qi, q := range queries[:4] {
 		path := "/search?q=" + urlQuery(q) + "&limit=10"
 		want := get(t, ref, path)
-		got := coordGet(t, coord, path)
+		got := get(t, coord, path)
 		if got.Code != want.Code || got.Body.String() != want.Body.String() {
 			t.Fatalf("query %d %q: hedged page differs (%d vs %d)\ncoordinator: %s\nsingle:      %s",
 				qi, q, got.Code, want.Code, got.Body, want.Body)
@@ -252,7 +252,7 @@ func TestChaosReplicaKill(t *testing.T) {
 		for _, q := range queries[:5] {
 			path := "/search?q=" + urlQuery(q) + "&limit=10"
 			want := get(t, ref, path)
-			got := coordGet(t, coord, path)
+			got := get(t, coord, path)
 			if got.Code != want.Code || got.Body.String() != want.Body.String() {
 				t.Fatalf("%s: %q differs (%d vs %d): %s", stage, q, got.Code, want.Code, got.Body)
 			}
@@ -260,7 +260,7 @@ func TestChaosReplicaKill(t *testing.T) {
 	}
 
 	check("all replicas up")
-	if rec := coordGet(t, coord, "/readyz"); rec.Code != 200 {
+	if rec := get(t, coord, "/readyz"); rec.Code != 200 {
 		t.Fatalf("readyz with full cluster = %d: %s", rec.Code, rec.Body)
 	}
 
@@ -269,7 +269,7 @@ func TestChaosReplicaKill(t *testing.T) {
 	killable[1].Close() // range 1 loses replica 0 too
 	check("one replica down per range")
 	// One replica per range still up: the cluster remains ready.
-	if rec := coordGet(t, coord, "/readyz"); rec.Code != 200 {
+	if rec := get(t, coord, "/readyz"); rec.Code != 200 {
 		t.Fatalf("readyz with one replica per range = %d: %s", rec.Code, rec.Body)
 	}
 	snap := coord.metrics.Snapshot()
@@ -293,7 +293,7 @@ func TestAllReplicasDown(t *testing.T) {
 	})
 	t.Cleanup(coord.Close)
 
-	rec := coordGet(t, coord, "/search?q="+urlQuery(query)+"&limit=5")
+	rec := get(t, coord, "/search?q="+urlQuery(query)+"&limit=5")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("dead range = %d, want 503: %s", rec.Code, rec.Body)
 	}
@@ -333,9 +333,9 @@ func TestRetryAfterSecs(t *testing.T) {
 func TestReplicaStatsExposed(t *testing.T) {
 	_, _, _, query := testState(t)
 	coord := replicatedCluster(t, 2, nil, fastResilience())
-	coordGet(t, coord, "/search?q="+urlQuery(query)+"&limit=3")
+	get(t, coord, "/search?q="+urlQuery(query)+"&limit=3")
 
-	rec := coordGet(t, coord, "/stats")
+	rec := get(t, coord, "/stats")
 	if rec.Code != 200 {
 		t.Fatalf("stats = %d: %s", rec.Code, rec.Body)
 	}

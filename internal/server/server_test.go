@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -55,11 +56,11 @@ func testServer(t *testing.T) (*Server, string) {
 	return cachedServer, query
 }
 
-func get(t testing.TB, s *Server, path string) *httptest.ResponseRecorder {
+func get(t testing.TB, h http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest("GET", path, nil)
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
+	h.ServeHTTP(rec, req)
 	return rec
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ctxsearch/internal/corpus"
+	"ctxsearch/internal/goldentest"
 	"ctxsearch/internal/search"
 )
 
@@ -19,18 +20,6 @@ func refMerge(pages [][]search.Result, opts search.Options) []search.Result {
 	}
 	search.SortResults(all)
 	return search.Paginate(all, opts)
-}
-
-func diffMerged(t *testing.T, label string, got, want []search.Result) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows, reference has %d\ngot:  %+v\nwant: %+v", label, len(got), len(want), got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: row %d = %+v, reference %+v", label, i, got[i], want[i])
-		}
-	}
 }
 
 // makePages builds n disjoint sorted pages; sizes[i] rows in page i, with
@@ -79,7 +68,7 @@ func TestMergePagesEdgeCases(t *testing.T) {
 	for _, c := range cases {
 		pages := makePages(rng, c.sizes)
 		got := MergePages(pages, c.opts)
-		diffMerged(t, c.name, got, refMerge(pages, c.opts))
+		goldentest.Same(t, c.name, got, refMerge(pages, c.opts))
 	}
 }
 
@@ -98,8 +87,8 @@ func TestMergePagesRandomized(t *testing.T) {
 		pages := makePages(rng, sizes)
 		got := MergePages(pages, opts)
 		label := fmt.Sprintf("trial %d sizes %v opts %+v", trial, sizes, opts)
-		diffMerged(t, label, got, refMerge(pages, opts))
+		goldentest.Same(t, label, got, refMerge(pages, opts))
 		neg := search.Options{Limit: opts.Limit, Offset: -1 - rng.Intn(5)}
-		diffMerged(t, fmt.Sprintf("%s, offset %d", label, neg.Offset), MergePages(pages, neg), MergePages(pages, search.Options{Limit: opts.Limit}))
+		goldentest.Same(t, fmt.Sprintf("%s, offset %d", label, neg.Offset), MergePages(pages, neg), MergePages(pages, search.Options{Limit: opts.Limit}))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ctxsearch/internal/goldentest"
 	"ctxsearch/internal/search"
 )
 
@@ -14,19 +15,19 @@ import (
 func TestGroupPartsGolden(t *testing.T) {
 	f := buildFixture(t)
 	for _, n := range []int{1, 2, 3, 7} {
-		g := newGroup(t, f, n, Options{})
-		for _, q := range goldenQueries(f) {
+		g := newGroup(t, f, n, search.DefaultWeights())
+		for _, q := range goldentest.Queries(t, f.Onto, f.Matrix.Contexts()) {
 			for _, opts := range []search.Options{
 				{Limit: 10},
 				{Limit: 5, Offset: 3},
 				{Limit: 50, Threshold: 0.05},
 			} {
-				label := fmt.Sprintf("n=%d q=%q opts=%+v", n, q, opts)
-				got, err := g.SearchContext(context.Background(), q, opts)
+				label := fmt.Sprintf("n=%d q=%q opts=%+v", n, q.Text, opts)
+				got, err := g.SearchContext(context.Background(), q.Text, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				diffResults(t, label, got, f.ref.Search(q, opts))
+				goldentest.Same(t, label, got, f.ref.Search(q.Text, opts))
 			}
 		}
 	}
@@ -38,21 +39,21 @@ func TestRangeEngineParts(t *testing.T) {
 	f := buildFixture(t)
 	const n = 3
 	for i := 0; i < n; i++ {
-		sliced, r, err := RangeEngineParts(f.a, f.parts, f.matrix, search.DefaultWeights(), i, n)
+		sliced, r, err := RangeEngineParts(f.Index.Analyzer(), f.Index.Parts(), f.Matrix, search.DefaultWeights(), i, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range goldenQueries(f) {
+		for _, q := range goldentest.Queries(t, f.Onto, f.Matrix.Contexts()) {
 			var want []search.Result
-			for _, res := range f.ref.Search(q, search.Options{}) {
+			for _, res := range f.ref.Search(q.Text, search.Options{}) {
 				if int(res.Doc) >= r.Lo && int(res.Doc) < r.Hi && len(want) < 20 {
 					want = append(want, res)
 				}
 			}
-			diffResults(t, fmt.Sprintf("shard %d q=%q", i, q), sliced.Search(q, search.Options{Limit: 20}), want)
+			goldentest.Same(t, fmt.Sprintf("shard %d q=%q", i, q.Text), sliced.Search(q.Text, search.Options{Limit: 20}), want)
 		}
 	}
-	if _, _, err := RangeEngineParts(f.a, f.parts, f.matrix, search.DefaultWeights(), n, n); err == nil {
+	if _, _, err := RangeEngineParts(f.Index.Analyzer(), f.Index.Parts(), f.Matrix, search.DefaultWeights(), n, n); err == nil {
 		t.Fatal("out-of-range shard index accepted")
 	}
 }

@@ -30,7 +30,7 @@ func benchState(b *testing.B) (*ontology.Ontology, *State) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig(), 0)
 	return o, &State{
 		ContextSet: cs,
 		Matrices: map[string]*prestige.Matrix{

@@ -291,14 +291,14 @@ func TestOpenLazyCRCMismatch(t *testing.T) {
 func TestOpenTooNew(t *testing.T) {
 	o, _, _, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
-	binary.LittleEndian.PutUint32(img[8:], version+1)
+	binary.LittleEndian.PutUint32(img[8:], Version+1)
 	data := alignedBytes(len(img))
 	copy(data, img)
 	_, err := openBytes(data, false, o)
 	if err == nil {
 		t.Fatal("future version opened successfully")
 	}
-	for _, want := range []string{fmt.Sprintf("version %d", version+1), "newer ctxsearch"} {
+	for _, want := range []string{fmt.Sprintf("version %d", Version+1), "newer ctxsearch"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("too-new error missing %q: %v", want, err)
 		}

@@ -48,8 +48,10 @@ import (
 // therefore touches only the header, the table, and the small dictionary
 // sections, never faulting in the CSR payload pages.
 const (
-	magic       = "CTXSRCH4"
-	version     = 8
+	magic = "CTXSRCH4"
+	// Version is the one format this binary writes and reads; a file of
+	// any other is refused as a whole.
+	Version     = 8
 	headerSize  = 56
 	secHdrSize  = 32
 	secAlign    = 64

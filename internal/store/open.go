@@ -127,10 +127,10 @@ func openBytes(data []byte, mapped bool, onto *ontology.Ontology) (*Mapped, erro
 		return nil, fmt.Errorf("bad magic %q", data[:8])
 	}
 	ver := int(binary.LittleEndian.Uint32(data[8:]))
-	if ver > version {
+	if ver > Version {
 		return nil, tooNewError(ver)
 	}
-	if ver < version {
+	if ver < Version {
 		return nil, tooOldError(ver)
 	}
 	count := binary.LittleEndian.Uint32(data[12:])
@@ -196,13 +196,13 @@ func (m *Mapped) Fingerprint() [32]byte { return m.fp }
 // tooNewError names the file's version and points at the fix, so serve
 // startup prints something actionable instead of a bare decode error.
 func tooNewError(ver int) error {
-	return fmt.Errorf("store: state file version %d is newer than this binary supports (%d) — the file was built by a newer ctxsearch; upgrade this binary, or rebuild the state with this one", ver, version)
+	return fmt.Errorf("store: state file version %d is newer than this binary supports (%d) — the file was built by a newer ctxsearch; upgrade this binary, or rebuild the state with this one", ver, Version)
 }
 
 // tooOldError is tooNewError's counterpart for a version this binary no
 // longer reads.
 func tooOldError(ver int) error {
-	return fmt.Errorf("store: state file version %d is older than this binary reads (%d) — the file was built by an older ctxsearch; rebuild the state with `ctxsearch build -state …`", ver, version)
+	return fmt.Errorf("store: state file version %d is older than this binary reads (%d) — the file was built by an older ctxsearch; rebuild the state with `ctxsearch build -state …`", ver, Version)
 }
 
 // needLocked returns a section's data, verifying its CRC on first touch.

@@ -33,7 +33,7 @@ func fixtureWithIndex(t testing.TB) (*ontology.Ontology, *corpus.Corpus, *corpus
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig())
+	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig(), 0)
 	return o, c, a, &State{
 		ContextSet: cs,
 		Matrices: map[string]*prestige.Matrix{

@@ -181,7 +181,7 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 	return buf.Bytes()
 }
 
-// TestOpenIgnoresRetiredSections: the writer stamps version 7 and emits no
+// TestOpenIgnoresRetiredSections: the writer stamps Version and emits no
 // retired section, and an image that carries the assignment scores of the
 // first version-6 writer, the per-posting runs of version 6, the six
 // sections the block-max evaluator used, and the index term dictionary and
@@ -191,7 +191,7 @@ func withRetiredSections(t testing.TB, img []byte, st *State) []byte {
 func TestOpenIgnoresRetiredSections(t *testing.T) {
 	o, c, a, st := fixtureWithIndex(t)
 	img := v5Bytes(t, st)
-	if v := binary.LittleEndian.Uint32(img[8:]); v != version {
+	if v := binary.LittleEndian.Uint32(img[8:]); v != Version {
 		t.Fatalf("image stamps version %d", v)
 	}
 	for _, id := range retiredSectionIDs {
@@ -252,7 +252,7 @@ func TestOpenRefusesV5(t *testing.T) {
 		for _, noMmap := range []string{"", "1"} {
 			t.Setenv(noMmapEnv, noMmap)
 			_, err := Open(writeFile(t, img), o)
-			for _, want := range []string{fmt.Sprintf("version %d is older than this binary reads (8)", ver), "ctxsearch build -state"} {
+			for _, want := range []string{fmt.Sprintf("version %d is older than this binary reads (%d)", ver, Version), "ctxsearch build -state"} {
 				if err == nil || !strings.Contains(err.Error(), want) {
 					t.Fatalf("CTXSEARCH_NO_MMAP=%q: want an error naming %q, got %v", noMmap, want, err)
 				}

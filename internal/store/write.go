@@ -207,7 +207,7 @@ func writeSections(w io.Writer, fp [32]byte, secs []sectionData) error {
 
 	var hdr [headerSize]byte
 	copy(hdr[:8], magic)
-	binary.LittleEndian.PutUint32(hdr[8:], version)
+	binary.LittleEndian.PutUint32(hdr[8:], Version)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(secs)))
 	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(table, castagnoli))
 	binary.LittleEndian.PutUint32(hdr[20:], 0)
