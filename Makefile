@@ -22,8 +22,9 @@ build:
 # -shuffle=on randomizes test order so inter-test state dependencies
 # (leaked goroutines, shared ports, package-level caches) can't hide.
 # internal/server runs -short, here and under race: its failure-policy
-# simulator (policy_sim_test.go) then keeps the one-backend schedules and a
-# sample of the rest, under 2 s; CI's cluster-finish job runs all of them.
+# simulator (policy_sim_test.go), the one proof of the coordinator's failure
+# handling, then keeps the one-backend schedules and a sample of the rest,
+# under 2 s; CI's cluster-finish job runs all of them.
 test:
 	$(GO) test -shuffle=on $$($(GO) list ./... | grep -v /internal/server$$)
 	$(GO) test -shuffle=on -short ./internal/server/

@@ -37,7 +37,6 @@ var callerlessAllowed = map[string]string{
 	"ctxsearch/internal/corpus.InDegreeHistogram":                 "ROADMAP item 9(a): the exponent fit of the skewed corpus is to call it",
 	"(*ctxsearch/internal/prestige.Matrix).Freeze":                "test infrastructure: bench/bench_test.go calls it; deprecated, goes with the ROADMAP 1(e) unpin",
 	"(*ctxsearch/internal/contextset.ContextSet).PaperBitset":     "test infrastructure: bench/ref.go is its only caller; deprecated, goes with the ROADMAP 1(e) unpin",
-	"ctxsearch/internal/faultproxy":                               "test infrastructure: imported only by internal/server tests",
 	"ctxsearch/internal/goldentest":                               "test infrastructure: the spine batteries' query and page generator and bitwise comparator, imported only by tests",
 }
 

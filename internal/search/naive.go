@@ -1,6 +1,9 @@
 package search
 
 import (
+	"cmp"
+	"slices"
+
 	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
@@ -60,8 +63,10 @@ func (e *Engine) members(ctxs []ContextScore) []bitset.Set {
 // mergeNaive is the reference merge: per selected context, in selection
 // order, the hits hitsWithin returns for the context's members (members[i])
 // are scored, and a later context replaces an earlier one only on a
-// strictly greater relevancy; the survivors are sorted by SortResults and
-// paginated.
+// strictly greater relevancy; the survivors are ranked by relevancy
+// descending, ties by paper ascending, and paginated. The order is written
+// out here rather than taken from SortResults, which the engine ranks its
+// tie runs with: a reference that shared it could not see a wrong tie rule.
 func (e *Engine) mergeNaive(ctxs []ContextScore, members []bitset.Set, opts Options, hitsWithin func(members bitset.Set) ([]index.Hit, error)) ([]Result, error) {
 	scores := scoreMaps(e.matrix)
 	best := make(map[corpus.PaperID]Result)
@@ -92,7 +97,12 @@ func (e *Engine) mergeNaive(ctxs []ContextScore, members []bitset.Set, opts Opti
 	for _, r := range best {
 		out = append(out, r)
 	}
-	SortResults(out)
+	slices.SortFunc(out, func(a, b Result) int {
+		if a.Relevancy != b.Relevancy {
+			return -cmp.Compare(a.Relevancy, b.Relevancy)
+		}
+		return cmp.Compare(a.Doc, b.Doc)
+	})
 	return Paginate(out, opts), nil
 }
 

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
-	"fmt"
-	"reflect"
-	"strings"
 	"testing"
 
 	"ctxsearch"
+	"ctxsearch/internal/goldentest"
 )
 
 // freshFrozenSystem binds a new frozen system (its own mapping, analyzer
@@ -19,30 +16,6 @@ func freshFrozenSystem(t *testing.T) (*ctxsearch.System, *ctxsearch.ContextSet, 
 	fsys, mcs, mmat, mapped := openMappedSystem(t, savedState(t))
 	t.Cleanup(func() { mapped.Close() })
 	return fsys, mcs, mmat
-}
-
-// booleanExprs derives boolean expressions from the context names the
-// shared fixture scores: conjunctions, phrases, field-scoped terms,
-// negations and nesting over words that select contexts.
-func booleanExprs(t *testing.T) []string {
-	t.Helper()
-	var exprs []string
-	for _, name := range coordQueries(t) {
-		w := strings.Fields(name)
-		if len(w) < 2 {
-			continue
-		}
-		exprs = append(exprs,
-			w[0]+" AND "+w[1],
-			`"`+w[0]+" "+w[1]+`"`,
-			`"`+name+`" OR `+w[0],
-			"title:"+w[0]+" "+w[1],
-			w[0]+" AND NOT abstract:"+w[1],
-			"("+w[0]+" OR "+w[1]+`) AND NOT "`+w[1]+" "+w[0]+`"`,
-			w[0]+` AND NOT "zzyzxq `+w[1]+`"`,
-		)
-	}
-	return exprs
 }
 
 func statsOf(t *testing.T, srv *Server) StatsResponse {
@@ -59,47 +32,31 @@ func statsOf(t *testing.T, srv *Server) StatsResponse {
 }
 
 // TestFrozenBooleanServesWithoutAnalysis is the point of running boolean
-// queries on frozen data: a state-booted system answers them — through the
-// engine and through the HTTP handler, byte-identically to the eagerly
-// built system — and comes out having analysed no paper: the phrase and
-// field checks tokenize into the analyzer's token table, and only a TF-IDF
-// row request counts as an analysis. /stats shows the same from outside and
-// reads per installed generation.
+// queries on frozen data: a state-booted server answers every generated
+// boolean form — phrases and field-scoped terms included — and comes out
+// having analysed no paper: the phrase and field checks tokenize into the
+// analyzer's token table, and only a TF-IDF row request counts as an
+// analysis. /stats shows the same from outside and reads per installed
+// generation. (That the answers are the eager build's, byte for byte, is
+// TestCrossFormatGolden's.)
 func TestFrozenBooleanServesWithoutAnalysis(t *testing.T) {
 	sys, cs, m, _ := testState(t)
 	fsys, mcs, mmat := freshFrozenSystem(t)
-	eagerEng, frozenEng := sys.Engine(m), fsys.Engine(mmat)
 	ref := NewPending(Config{})
 	ref.install(sys, cs, m)
 	srv := NewPending(Config{})
-	srv.SetReadyMapped(fsys, mcs, mmat, frozenEng, nil)
+	srv.SetReadyMapped(fsys, mcs, mmat, fsys.Engine(mmat), nil)
 
-	exprs := booleanExprs(t)
-	if len(exprs) < 20 {
-		t.Fatalf("only %d boolean expressions derived from the fixture", len(exprs))
-	}
-	withResults := 0
-	for i, expr := range exprs {
-		opts := ctxsearch.SearchOptions{Limit: 1 + i%15, Offset: i % 4}
-		want, wantErr := eagerEng.SearchBooleanContext(context.Background(), expr, opts)
-		got, gotErr := frozenEng.SearchBooleanContext(context.Background(), expr, opts)
-		if (gotErr != nil) != (wantErr != nil) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("engine %q: frozen (%v, %v), eager (%v, %v)", expr, got, gotErr, want, wantErr)
+	qs := goldentest.Queries(t, sys.Ontology, m.Contexts())
+	for _, q := range goldentest.Kind(qs, true) {
+		path := "/search?q=" + urlQuery(q.Text) + "&boolean=1"
+		if rec := get(t, srv, path); rec.Code != 200 {
+			t.Fatalf("%s = %d: %s", path, rec.Code, rec.Body)
 		}
-		params := fmt.Sprintf("/search?q=%s&boolean=1&limit=%d&offset=%d", urlQuery(expr), opts.Limit, opts.Offset)
-		wantRec, gotRec := get(t, ref, params), get(t, srv, params)
-		if gotRec.Code != wantRec.Code || gotRec.Body.String() != wantRec.Body.String() {
-			t.Fatalf("%s: frozen %d %s\neager %d %s", params, gotRec.Code, gotRec.Body, wantRec.Code, wantRec.Body)
-		}
-		if len(got) > 0 {
-			withResults++
-		}
-	}
-	if withResults < len(exprs)/3 {
-		t.Fatalf("only %d of %d boolean expressions returned results", withResults, len(exprs))
 	}
 	// The other read routes leave the analyzer frozen too.
-	for _, path := range []string{"/search?q=" + urlQuery(coordQueries(t)[0]), "/contexts?q=" + urlQuery(coordQueries(t)[0]), "/papers/5"} {
+	plain := urlQuery(goldentest.Kind(qs, false)[0].Text)
+	for _, path := range []string{"/search?q=" + plain, "/contexts?q=" + plain, "/papers/5"} {
 		if rec := get(t, srv, path); rec.Code != 200 {
 			t.Fatalf("%s = %d", path, rec.Code)
 		}

@@ -376,6 +376,7 @@ type httpTransport struct {
 	client   *http.Client
 	backends []string      // base URLs by backend index
 	timeout  time.Duration // per-attempt deadline (0 = the caller's only)
+	maxBody  int           // the most of one answer read (0 = maxBackendBody)
 }
 
 func (t *httpTransport) now() time.Time { return time.Now() }
@@ -411,9 +412,10 @@ func (t *httpTransport) exchange(ctx context.Context, g int, method, uri string,
 	var body []byte
 	if err == nil {
 		defer resp.Body.Close()
-		body, err = io.ReadAll(io.LimitReader(resp.Body, maxBackendBody+1))
-		if err == nil && len(body) > maxBackendBody {
-			err = fmt.Errorf("backend answer exceeds %d bytes", maxBackendBody)
+		limit := orDefault(t.maxBody, maxBackendBody)
+		body, err = io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
+		if err == nil && len(body) > limit {
+			err = fmt.Errorf("backend answer exceeds %d bytes", limit)
 		}
 	}
 	if err != nil {

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -19,7 +19,7 @@ import (
 
 	"ctxsearch"
 	"ctxsearch/internal/goldentest"
-	"ctxsearch/internal/par"
+	"ctxsearch/internal/resilience"
 	"ctxsearch/internal/search"
 	"ctxsearch/internal/shard"
 )
@@ -38,30 +38,33 @@ func sliceGroup(t testing.TB, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m
 // shardCluster boots n shard servers over the shared fixture (each holding
 // the full system but a range-restricted searcher) plus a coordinator in
 // front of them.
-func shardCluster(t *testing.T, n int, scfg ShardConfig) (*Coordinator, []*httptest.Server) {
+func shardCluster(t *testing.T, n int, scfg ShardConfig) *Coordinator {
 	t.Helper()
 	sys, cs, m, _ := testState(t)
-	return clusterOver(t, sys, cs, m, n, scfg)
+	return clusterOver(t, sys, cs, m, n, 1, scfg)
 }
 
-// clusterOver is shardCluster over any system: built in-process, or booted
-// from a state file.
-func clusterOver(t *testing.T, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, n int, scfg ShardConfig) (*Coordinator, []*httptest.Server) {
+// clusterOver is shardCluster over any system — built in-process, or booted
+// from a state file — with each range served by that many replicas: listeners
+// over one range-restricted server.
+func clusterOver(t *testing.T, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, n, replicas int, scfg ShardConfig) *Coordinator {
 	t.Helper()
 	g := sliceGroup(t, sys, cs, m, n)
-	var backends []*httptest.Server
 	var urls []string
 	for i := 0; i < g.NumShards(); i++ {
 		srv := NewPending(Config{})
 		srv.SetReadyMapped(sys, cs, m, g.Engine(i), nil)
-		ts := httptest.NewServer(srv)
-		t.Cleanup(ts.Close)
-		backends = append(backends, ts)
-		urls = append(urls, ts.URL)
+		var members []string
+		for r := 0; r < replicas; r++ {
+			ts := httptest.NewServer(srv)
+			t.Cleanup(ts.Close)
+			members = append(members, ts.URL)
+		}
+		urls = append(urls, strings.Join(members, "|"))
 	}
 	coord := NewCoordinator(urls, Config{}, scfg)
 	t.Cleanup(coord.Close)
-	return coord, backends
+	return coord
 }
 
 // coordQueries returns the texts of the generated vector queries.
@@ -77,357 +80,136 @@ func coordQueries(t *testing.T) []string {
 	return qs
 }
 
+// The failure policy's tests below run the coordinator, front and cache
+// included, on the simulator (policy_sim_test.go): each names a schedule and
+// the pages it serves, the checker holds every request to the failure
+// policy, and the test adds what its mechanism must have done.
+
 // TestCoordinatorEmptyPageNotRendered: a page with no rows — an offset past
 // the end of the ranking, a query nothing matches — is not a special case the
 // coordinator writes itself: it costs one exchange per range like any other
 // page, and is the single server's, byte for byte.
 func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
-	sys, cs, m, query := testState(t)
-	ref := NewPending(Config{})
-	ref.install(sys, cs, m)
-	coord, _ := shardCluster(t, 2, ShardConfig{})
-	for _, path := range []string{
-		"/search?q=" + urlQuery(query) + "&limit=10&offset=5000",
-		"/search?q=" + urlQuery(query) + "&limit=10&offset=5000&boolean=1",
-		"/search?q=qqqzzz+unknown+words&limit=10",
-	} {
-		want := get(t, ref, path)
-		got := get(t, coord, path)
-		if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-			t.Fatalf("%s: coordinator (%d) %s\nsingle (%d) %s", path, got.Code, got.Body, want.Code, want.Body)
-		}
-		if !strings.Contains(got.Body.String(), `"results":[]`) {
-			t.Fatalf("%s: page not empty: %s", path, got.Body)
+	sh := simShape{ranges: 2, replicas: 1}
+	s, recs := simServe(t, sh, simConfig(sh), nil, "past the end", "unknown words")
+	for _, rec := range recs {
+		if !strings.Contains(rec.Body.String(), `"results":[]`) {
+			t.Fatalf("page not empty: %s", rec.Body)
 		}
 	}
-	snap := coord.metrics.Snapshot()
-	if snap.RenderCalls != 3 || snap.Searches != 3 || snap.RowsServed != 0 || rangeRequests(snap) != 6 {
-		t.Fatalf("3 empty pages on 2 ranges: %d finishing calls, %d searches, %d rows, %d range requests; want 3, 3, 0, 6",
+	if snap := s.coord.metrics.Snapshot(); snap.RenderCalls != 2 || snap.Searches != 2 || snap.RowsServed != 0 || rangeRequests(snap) != 4 {
+		t.Fatalf("2 empty pages on 2 ranges: %d finishing calls, %d searches, %d rows, %d range requests; want 2, 2, 0, 4",
 			snap.RenderCalls, snap.Searches, snap.RowsServed, rangeRequests(snap))
 	}
 }
 
-// rangeRequests sums the per-range request counters: the exchanges the
-// coordinator made for its pages.
-func rangeRequests(snap shard.Snapshot) uint64 {
-	var n uint64
-	for _, s := range snap.Shards {
-		n += s.Requests
-	}
-	return n
-}
-
-// wrappedCluster boots one shard server per element of ranges — the range it
-// serves, so a range listed twice gets two replicas — each behind
-// wrap(i, server), or refusing connections where that is nil, and a
-// coordinator without prober in front of them.
-func wrappedCluster(t *testing.T, nRanges int, ranges []int, wrap func(i int, srv http.Handler) http.Handler, cfg Config, scfg ShardConfig) *Coordinator {
-	t.Helper()
-	sys, cs, m, _ := testState(t)
-	g := sliceGroup(t, sys, cs, m, nRanges)
-	urls := make([]string, g.NumShards())
-	for i, ri := range ranges {
-		srv := NewPending(Config{})
-		srv.SetReadyMapped(sys, cs, m, g.Engine(ri), nil)
-		h := wrap(i, srv)
-		ts := httptest.NewServer(h)
-		t.Cleanup(ts.Close)
-		if h == nil {
-			ts.Close()
-		}
-		if urls[ri] != "" {
-			urls[ri] += "|"
-		}
-		urls[ri] += ts.URL
-	}
-	scfg.ProbeInterval = -1
-	coord := NewCoordinator(urls, cfg, scfg)
-	t.Cleanup(coord.Close)
-	return coord
-}
-
-// finishing reports whether r is a /shard/search call whose body holds
-// "finish"; the body is read for it, and restored.
-func finishing(r *http.Request) bool {
-	body, _ := io.ReadAll(r.Body)
-	r.Body = io.NopCloser(bytes.NewReader(body))
-	return r.URL.Path == "/shard/search" && bytes.Contains(body, []byte(`"finish":`))
-}
-
-// onFinish answers the finishing calls with broken and hands every other
-// request to srv.
-func onFinish(srv http.Handler, broken http.HandlerFunc) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if finishing(r) {
-			broken(w, r)
-			return
-		}
-		srv.ServeHTTP(w, r)
-	})
-}
-
-// partialPage builds, without the cluster, the degraded page of path's query:
-// the single server's whole ranking restricted to the papers keep admits,
-// cut to (offset, limit) and flagged.
-func partialPage(t *testing.T, ref *Server, query string, offset, limit int, keep func(paper int) bool) []byte {
-	t.Helper()
-	var full SearchResponse
-	if err := json.Unmarshal(get(t, ref, "/search?q="+urlQuery(query)+"&limit=1000").Body.Bytes(), &full); err != nil {
-		t.Fatal(err)
-	}
-	want := SearchResponse{Query: query, Results: []SearchResult{}, Partial: true}
-	for _, r := range full.Results {
-		if !keep(r.PaperID) {
-			continue
-		}
-		if offset > 0 {
-			offset--
-		} else if len(want.Results) < limit {
-			want.Results = append(want.Results, r)
-		}
-	}
-	body, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
-}
-
 // TestCoordinatorFinishFailover: the finishing call is a range call like any
-// other. A replica whose finishing answers 500, or never answers, costs a
-// failover to its sibling inside ShardTimeout and nothing else — every page
-// is still the single server's. A range that cannot finish at all is a 503
-// with Retry-After, never a 200 with unrendered rows; with AllowPartial the
-// next range in rotation finishes instead, and the page is the ranking
-// without the failed range's papers, flagged.
+// other. A replica whose finishing call fails — a 500, or past ShardTimeout —
+// costs a failover to its sibling and nothing else. A range that cannot
+// finish at all is a 503 by default; with AllowPartial the next range in
+// rotation finishes the page without it, flagged; when no range can finish,
+// the page is a 503 whatever the partial policy, and counts no search.
 func TestCoordinatorFinishFailover(t *testing.T) {
-	sys, cs, m, query := testState(t)
-	ref := NewPending(Config{})
-	ref.install(sys, cs, m)
-	queries := coordQueries(t)
-	fail := func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "finish down", http.StatusInternalServerError)
-	}
-	// The body has been read, so the server sees the coordinator give up on
-	// the connection and ends the request context.
-	hang := func(_ http.ResponseWriter, r *http.Request) { <-r.Context().Done() }
-	scfg := fastResilience()
-	scfg.BreakerThreshold = 1000 // every query must meet the broken backend
-	nocache := Config{CacheEntries: -1}
-
-	// 2 ranges x 2 replicas, the first replica of each cannot finish.
-	for name, broken := range map[string]http.HandlerFunc{"500": fail, "hang": hang} {
-		coord := wrappedCluster(t, 2, []int{0, 0, 1, 1}, func(i int, srv http.Handler) http.Handler {
-			if i%2 == 0 {
-				return onFinish(srv, broken)
-			}
-			return srv
-		}, nocache, scfg)
-		start := time.Now()
-		for _, q := range queries[:4] {
-			path := "/search?q=" + urlQuery(q) + "&limit=10"
-			want := get(t, ref, path)
-			got := get(t, coord, path)
-			if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-				t.Fatalf("finish %s on one replica: %q differs (%d vs %d): %s", name, q, got.Code, want.Code, got.Body)
-			}
-		}
-		if elapsed := time.Since(start); elapsed > 4*(scfg.ShardTimeout+100*time.Millisecond) {
-			t.Fatalf("finish %s: 4 queries took %v, each failover must fit one ShardTimeout (%v)", name, elapsed, scfg.ShardTimeout)
-		}
-		snap := coord.metrics.Snapshot()
-		if snap.Failovers == 0 || snap.RenderCalls <= snap.Searches || snap.RowsRendered != snap.RowsServed {
-			t.Fatalf("finish %s: the broken replicas were never tried: %+v", name, snap)
+	for _, k := range []simKind{sim5xx, simTimeout} {
+		// Range 0 finishes the first page, asking backend 0 first.
+		sh := simShape{ranges: 2, replicas: 2}
+		s, recs := simServe(t, sh, simConfig(sh), map[simKey]simKind{{0, 0}: k}, "offset")
+		if snap := s.coord.metrics.Snapshot(); recs[0].Code != 200 || snap.Failovers != 1 || snap.RenderCalls != 2 {
+			t.Fatalf("finish %v on one replica: %d, %d failovers, %d finishing calls; want 200, 1, 2", k, recs[0].Code, snap.Failovers, snap.RenderCalls)
 		}
 	}
-
-	// No range can finish: 503, whatever the partial policy.
-	for _, allow := range []bool{false, true} {
-		scfg.AllowPartial = allow
-		coord := wrappedCluster(t, 2, []int{0, 1}, func(_ int, srv http.Handler) http.Handler {
-			return onFinish(srv, fail)
-		}, nocache, scfg)
-		rec := get(t, coord, "/search?q="+urlQuery(queries[0])+"&limit=10")
-		if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
-			t.Fatalf("finish down everywhere (partial %v) = %d (Retry-After %q), want 503 with a hint: %s",
-				allow, rec.Code, rec.Header().Get("Retry-After"), rec.Body)
-		}
-		if snap := coord.metrics.Snapshot(); snap.RowsServed != 0 || snap.Searches != 0 {
-			t.Fatalf("a page nobody finished counted %d rows, %d searches", snap.RowsServed, snap.Searches)
-		}
-	}
-
 	// 3 ranges, range 0 answers rows but cannot finish. Three requests make
-	// each range the finisher once: with range 0 it is a 503 by default and,
-	// with AllowPartial, the page of ranges 1 and 2 finished by range 1.
-	path := "/search?q=" + urlQuery(query) + "&limit=10&offset=2"
-	exact := get(t, ref, path).Body.Bytes()
-	range0 := par.Shards(sys.Corpus.Len(), 3)[0]
-	degraded := partialPage(t, ref, query, 2, 10, func(paper int) bool { return paper >= range0.Hi })
-	if bytes.Equal(exact[:len(exact)-1], degraded[:len(exact)-1]) {
-		t.Fatal("fixture: range 0 holds no row of the page, the degraded page would prove nothing")
+	// each range the finisher once: with range 0 the first is a 503 by
+	// default and, with AllowPartial, the page of ranges 1 and 2 finished by
+	// range 1 (the checker holds it to their page); the other two are exact.
+	down, nowhere := map[simKey]simKind{}, map[simKey]simKind{}
+	for i := 0; i < 1+simMaxRetries; i++ {
+		down[simKey{0, i}], nowhere[simKey{0, i}], nowhere[simKey{1, 1 + i}] = sim5xx, sim5xx, sim5xx
 	}
-	for _, allow := range []bool{false, true} {
-		scfg.AllowPartial = allow
-		coord := wrappedCluster(t, 3, []int{0, 1, 2}, func(i int, srv http.Handler) http.Handler {
-			if i == 0 {
-				return onFinish(srv, fail)
-			}
-			return srv
-		}, nocache, scfg)
-		var codes []int
-		for k := 0; k < 3; k++ {
-			rec := get(t, coord, path)
-			codes = append(codes, rec.Code)
-			want := exact
-			if k == 0 {
-				want = degraded
-			}
-			if rec.Code == 200 && !bytes.Equal(rec.Body.Bytes(), want) {
-				t.Fatalf("partial %v, request %d differs\ncoordinator: %s\nwant:        %s", allow, k, rec.Body, want)
-			}
-		}
-		first := map[bool]int{false: 503, true: 200}[allow]
-		if codes[0] != first || codes[1] != 200 || codes[2] != 200 {
-			t.Fatalf("partial %v: statuses %v, want [%d 200 200]", allow, codes, first)
-		}
-		snap := coord.metrics.Snapshot()
-		if want := map[bool]uint64{false: 0, true: 1}[allow]; snap.Partial != want || snap.Shards[0].Errors != 1 {
-			t.Fatalf("partial %v: %d partial pages (want %d), range 0 errors %d (want 1)", allow, snap.Partial, want, snap.Shards[0].Errors)
+	for _, partial := range []bool{false, true} {
+		sh := simShape{ranges: 3, replicas: 1, partial: partial}
+		scfg := simConfig(sh)
+		scfg.BreakerThreshold = 1000 // range 0 must answer the later rows calls
+		s, recs := simServe(t, sh, scfg, down, "offset", "offset", "offset")
+		first := map[bool]int{false: 503, true: 200}[partial]
+		if recs[0].Code != first || recs[1].Code != 200 || recs[2].Code != 200 {
+			t.Fatalf("range 0 cannot finish, partial %v: statuses %d %d %d, want %d 200 200", partial, recs[0].Code, recs[1].Code, recs[2].Code, first)
 		}
 		// The degraded page asked range 1 twice: for its rows, then to finish.
-		if want := map[bool]uint64{false: 3, true: 4}[allow]; snap.Shards[1].Requests != want {
-			t.Fatalf("partial %v: range 1 saw %d requests, want %d", allow, snap.Shards[1].Requests, want)
+		snap := s.coord.metrics.Snapshot()
+		if snap.Partial != map[bool]uint64{false: 0, true: 1}[partial] || snap.Shards[0].Errors != 1 || snap.Shards[1].Requests != map[bool]uint64{false: 3, true: 4}[partial] {
+			t.Fatalf("range 0 cannot finish, partial %v: %d partial pages, range 0 errors %d, range 1 requests %d",
+				partial, snap.Partial, snap.Shards[0].Errors, snap.Shards[1].Requests)
 		}
 	}
-
-	// Range 0 gone altogether (connection refused), AllowPartial: whichever
-	// range is asked to finish, the page is the same degraded one.
-	scfg.AllowPartial = true
-	coord := wrappedCluster(t, 3, []int{0, 1, 2}, func(i int, srv http.Handler) http.Handler {
-		if i == 0 {
-			return nil
-		}
-		return srv
-	}, nocache, scfg)
-	for k := 0; k < 3; k++ {
-		if rec := get(t, coord, path); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), degraded) {
+	// Range 0 dead altogether, AllowPartial: whichever range is asked to
+	// finish, the page is the same degraded one.
+	dead := map[simKey]simKind{}
+	for i := 0; i < 16; i++ {
+		dead[simKey{0, i}] = sim5xx
+	}
+	sh := simShape{ranges: 3, replicas: 1, partial: true}
+	s, recs := simServe(t, sh, simConfig(sh), dead, "offset", "offset", "offset")
+	for k, rec := range recs {
+		if degraded := s.cl.body(s.cl.page(t, "offset"), 0b110); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), degraded) {
 			t.Fatalf("range 0 dead, request %d (%d) differs\ncoordinator: %s\nwant:        %s", k, rec.Code, rec.Body, degraded)
 		}
 	}
-	if snap := coord.metrics.Snapshot(); snap.Partial != 3 {
+	if snap := s.coord.metrics.Snapshot(); snap.Partial != 3 {
 		t.Fatalf("range 0 dead: %d of 3 pages flagged partial", snap.Partial)
+	}
+	// 2 ranges, every rows call answers but neither range can finish: range
+	// 0 fails its finishing attempts (its calls 0–2) and, with AllowPartial,
+	// range 1 is asked next and fails them too (its call 0 was its rows).
+	for _, partial := range []bool{false, true} {
+		sh := simShape{ranges: 2, replicas: 1, partial: partial}
+		s, recs := simServe(t, sh, simConfig(sh), nowhere, "offset")
+		snap, finishers := s.coord.metrics.Snapshot(), map[bool]uint64{false: 1, true: 2}[partial]
+		if recs[0].Code != 503 || recs[0].Header().Get("Retry-After") != "3" || snap.Searches != 0 || snap.RowsServed != 0 || snap.RenderCalls != finishers*(1+simMaxRetries) {
+			t.Fatalf("no range can finish, partial %v: %d (Retry-After %q), %d searches, %d rows, %d finishing calls; want 503 (\"3\"), 0, 0, %d",
+				partial, recs[0].Code, recs[0].Header().Get("Retry-After"), snap.Searches, snap.RowsServed, snap.RenderCalls, finishers*(1+simMaxRetries))
+		}
 	}
 }
 
-// TestCoordinatorExchangesPerPage: a page costs one /shard/search exchange per
-// range — full, empty, deep in the ranking or boolean — by the coordinator's
-// own per-range counters and by what the shards saw arrive; exactly one of
-// them carries "finish", and the finishing rotates over the ranges.
+// TestCoordinatorExchangesPerPage: every /search page of the table the single
+// server answers — full, empty, deep in the ranking, boolean — costs one
+// /shard/search exchange per range, exactly one of which carries "finish",
+// and the finishing rotates over the ranges (the checker's healthy-page
+// property, here over two requests of each page).
 func TestCoordinatorExchangesPerPage(t *testing.T) {
-	_, _, _, query := testState(t)
-	paths := []string{
-		"/search?q=" + urlQuery(query) + "&limit=10",
-		"/search?q=" + urlQuery(query) + "&limit=3&offset=4",
-		"/search?q=" + urlQuery(query) + "&limit=5&boolean=1",
-		"/search?q=" + urlQuery(query) + "&limit=10&offset=5000",
-		"/search?q=qqqzzz+unknown+words&limit=10",
-		"/search?q=" + urlQuery(query) + "&limit=7&threshold=0.05",
-	}
-	for _, n := range []int{1, 2, 3} {
-		ranges := make([]int, n)
-		plain := make([]atomic.Int64, n)
-		finished := make([]atomic.Int64, n)
-		var other atomic.Int64
-		for i := range ranges {
-			ranges[i] = i
-		}
-		coord := wrappedCluster(t, n, ranges, func(i int, srv http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				switch {
-				case finishing(r):
-					finished[i].Add(1)
-				case r.URL.Path == "/shard/search":
-					plain[i].Add(1)
-				default:
-					other.Add(1)
-				}
-				srv.ServeHTTP(w, r)
-			})
-		}, Config{CacheEntries: -1}, ShardConfig{})
-		for _, path := range paths {
-			if rec := get(t, coord, path); rec.Code != 200 {
-				t.Fatalf("%d ranges: %s = %d: %s", n, path, rec.Code, rec.Body)
+	for n := 1; n <= 3; n++ {
+		var pages []string
+		for _, pg := range simClusterFor(t, n).pages {
+			if !pg.proxied && pg.code == 200 {
+				pages = append(pages, pg.name, pg.name)
 			}
 		}
-		pages := uint64(len(paths))
-		snap := coord.metrics.Snapshot()
-		if got := rangeRequests(snap); got != pages*uint64(n) || snap.Searches != pages || snap.RenderCalls != pages {
-			t.Fatalf("%d ranges, %d pages: %d range requests, %d searches, %d finishing calls", n, pages, got, snap.Searches, snap.RenderCalls)
-		}
-		var sawPlain, sawFinishing int64
-		for i := range ranges {
-			sawPlain += plain[i].Load()
-			sawFinishing += finished[i].Load()
-			if want := int64(len(paths) / n); finished[i].Load() != want {
-				t.Fatalf("%d ranges: range %d finished %d of %d pages, want %d", n, i, finished[i].Load(), pages, want)
-			}
-		}
-		if sawFinishing != int64(pages) || sawPlain != int64(pages)*int64(n-1) || other.Load() != 0 {
-			t.Fatalf("%d ranges, %d pages: shards saw %d finishing, %d plain and %d other requests", n, pages, sawFinishing, sawPlain, other.Load())
+		sh := simShape{ranges: n, replicas: 1}
+		s, _ := simServe(t, sh, simConfig(sh), nil, pages...)
+		snap := s.coord.metrics.Snapshot()
+		if rangeRequests(snap) != uint64(len(pages)*n) || snap.RenderCalls != uint64(len(pages)) || snap.Searches != uint64(len(pages)) {
+			t.Fatalf("%d ranges, %d pages: %d range requests, %d finishing calls, %d searches",
+				n, len(pages), rangeRequests(snap), snap.RenderCalls, snap.Searches)
 		}
 	}
 }
 
 // TestCoordinatorFinisherOutsidePage: pages that hold none of the finisher's
-// own rows — all of them rank before the offset, or all after the page —
-// are still the single server's: the finisher's rows count towards the
-// offset without crossing the wire.
+// own rows — all of them rank before the page, or after it — are still the
+// single server's: the finisher's rows count towards the offset without
+// crossing the wire. Each page is served once per range in a row, so every
+// range finishes it.
 func TestCoordinatorFinisherOutsidePage(t *testing.T) {
-	sys, cs, m, _ := testState(t)
-	ref := NewPending(Config{})
-	ref.install(sys, cs, m)
-	ranges := par.Shards(sys.Corpus.Len(), 2)
-	coord := wrappedCluster(t, 2, []int{0, 1}, func(_ int, srv http.Handler) http.Handler { return srv }, Config{CacheEntries: -1}, ShardConfig{})
-	before, after := 0, 0
-	for _, q := range coordQueries(t) {
-		var full SearchResponse
-		if err := json.Unmarshal(get(t, ref, "/search?q="+urlQuery(q)+"&limit=1000").Body.Bytes(), &full); err != nil {
-			t.Fatal(err)
-		}
-		for fin := 0; fin < 2; fin++ {
-			// The finisher's best and worst rank in the whole list.
-			lo, hi := -1, -1
-			for i, r := range full.Results {
-				if own := ranges[fin]; r.PaperID >= own.Lo && r.PaperID < own.Hi {
-					if lo < 0 {
-						lo = i
-					}
-					hi = i
-				}
-			}
-			var paths []string
-			if lo > 0 {
-				after++
-				paths = append(paths, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(q), lo))
-			}
-			if hi >= 0 && hi+1 < len(full.Results) {
-				before++
-				paths = append(paths, fmt.Sprintf("/search?q=%s&limit=10&offset=%d", urlQuery(q), hi+1))
-			}
-			for _, path := range paths {
-				want := get(t, ref, path)
-				// Twice: each range finishes the page once.
-				for k := 0; k < 2; k++ {
-					if got := get(t, coord, path); got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-						t.Fatalf("%s (range %d outside the page), request %d\ncoordinator: %s\nsingle:      %s", path, fin, k, got.Body, want.Body)
-					}
-				}
+	for n := 2; n <= 3; n++ {
+		var pages []string
+		for _, name := range []string{"before range 0", "after range 0"} {
+			for k := 0; k < n; k++ {
+				pages = append(pages, name)
 			}
 		}
-	}
-	if before == 0 || after == 0 {
-		t.Fatalf("fixture: %d pages past all of a range's rows, %d pages before any — need both", before, after)
+		sh := simShape{ranges: n, replicas: 1}
+		simServe(t, sh, simConfig(sh), nil, pages...)
 	}
 }
 
@@ -486,7 +268,7 @@ func TestCoordinatorReusesConnections(t *testing.T) {
 // TestCoordinatorValidation: the coordinator enforces the same request
 // validation as a server, without touching any shard.
 func TestCoordinatorValidation(t *testing.T) {
-	coord, _ := shardCluster(t, 2, ShardConfig{})
+	coord := shardCluster(t, 2, ShardConfig{})
 	_, _, _, query := testState(t)
 	for _, path := range []string{
 		"/search",
@@ -501,221 +283,112 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRelaysClientError: a query every shard rejects (unparsable
-// boolean) comes back as the shard's 400, not a 503 and not a partial page.
+// TestCoordinatorRelaysClientError: a query every range rejects — an
+// unparsable boolean — is their 400, relayed byte for byte, and so is one
+// range's 400 among answers: never a 503, never a partial page.
 func TestCoordinatorRelaysClientError(t *testing.T) {
-	coord, _ := shardCluster(t, 3, ShardConfig{AllowPartial: true})
-	rec := get(t, coord, "/search?q="+urlQuery("AND AND (")+"&boolean=1")
-	if rec.Code != 400 {
-		t.Fatalf("unparsable boolean through coordinator = %d: %s", rec.Code, rec.Body)
-	}
-	if !strings.Contains(rec.Body.String(), "error") {
-		t.Fatalf("400 body lacks error payload: %s", rec.Body)
+	sh := simShape{ranges: 3, replicas: 1, partial: true}
+	_, recs := simServe(t, sh, simConfig(sh), nil, "rejected")
+	_, injected := simServe(t, sh, simConfig(sh), map[simKey]simKind{{1, 0}: sim4xx}, "offset")
+	for _, rec := range append(recs, injected...) {
+		if rec.Code != 400 || !strings.Contains(rec.Body.String(), "error") {
+			t.Fatalf("client error through the coordinator = %d: %s", rec.Code, rec.Body)
+		}
 	}
 }
 
-// TestCoordinatorDeadShard: a connection-refused shard fails the query with
-// 503 by default.
+// TestCoordinatorDeadShard: a range whose backend fails every attempt fails
+// the page with a 503 by default, counted against that range; /stats fails
+// over past it from every rotation position.
 func TestCoordinatorDeadShard(t *testing.T) {
-	_, backends := shardCluster(t, 3, ShardConfig{})
-	_, _, _, query := testState(t)
-	// Re-front the same shards with one of them shut down.
-	urls := []string{backends[0].URL, backends[1].URL, backends[2].URL}
-	dead := httptest.NewServer(http.NewServeMux())
-	urls[1] = dead.URL
-	dead.Close() // now refuses connections
-	coord := NewCoordinator(urls, Config{}, ShardConfig{})
-	t.Cleanup(coord.Close)
-	rec := get(t, coord, "/search?q="+urlQuery(query)+"&limit=5")
-	if rec.Code != 503 {
-		t.Fatalf("dead shard = %d, want 503: %s", rec.Code, rec.Body)
+	dead := map[simKey]simKind{}
+	for i := 0; i < 8; i++ {
+		dead[simKey{1, i}] = sim5xx
 	}
-	snap := coord.metrics.Snapshot()
-	if snap.Shards[1].Errors == 0 {
-		t.Fatalf("dead shard not counted as error: %+v", snap)
+	sh := simShape{ranges: 3, replicas: 1}
+	s, recs := simServe(t, sh, simConfig(sh), dead, "offset", "/stats", "/stats", "/stats")
+	if snap := s.coord.metrics.Snapshot(); recs[0].Code != 503 || snap.Shards[1].Errors != 1 {
+		t.Fatalf("dead range 1 = %d, counted %+v", recs[0].Code, snap.Shards[1])
 	}
-
-	// /stats fails over past the dead shard: every round-robin position
-	// must still answer 200 with the coordinator's own counters attached.
-	for k := 0; k < 3; k++ {
-		rec := get(t, coord, "/stats")
+	for k, rec := range recs[1:] {
 		if rec.Code != 200 {
-			t.Fatalf("stats pick %d with dead shard = %d, want 200: %s", k, rec.Code, rec.Body)
-		}
-		var st StatsResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			t.Fatalf("stats pick %d: %v", k, err)
-		}
-		if st.Sharding == nil {
-			t.Fatalf("stats pick %d lost the sharding counters", k)
+			t.Fatalf("/stats pick %d past the dead range = %d: %s", k, rec.Code, rec.Body)
 		}
 	}
 }
 
-// TestCoordinatorHangingShard: a shard that never answers resolves into a
-// 503 within the per-shard timeout — the coordinator never hangs.
+// TestCoordinatorHangingShard: a range whose backend never answers resolves
+// into a 503 once its attempts' deadlines and backoffs have passed on the
+// simulated clock, counted as a timeout — the coordinator never hangs. (A
+// real hang is a row of TestHTTPTransportExchange.)
 func TestCoordinatorHangingShard(t *testing.T) {
-	_, backends := shardCluster(t, 2, ShardConfig{})
-	_, _, _, query := testState(t)
-	// The handler must block without reading the request body: with the
-	// body unread the server cannot observe the coordinator abandoning the
-	// connection, which is exactly the worst-case hang. The stop channel
-	// releases it at cleanup so the httptest server can close.
-	stop := make(chan struct{})
-	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-r.Context().Done():
-		case <-stop:
-		}
-	}))
-	t.Cleanup(func() {
-		close(stop)
-		hang.Close()
-	})
-	coord := NewCoordinator([]string{backends[0].URL, hang.URL}, Config{}, ShardConfig{ShardTimeout: 100 * time.Millisecond})
-	t.Cleanup(coord.Close)
-	start := time.Now()
-	rec := get(t, coord, "/search?q="+urlQuery(query)+"&limit=5")
-	elapsed := time.Since(start)
-	if rec.Code != 503 {
-		t.Fatalf("hanging shard = %d, want 503: %s", rec.Code, rec.Body)
+	hung := map[simKey]simKind{}
+	for i := 0; i < 1+simMaxRetries; i++ {
+		hung[simKey{1, i}] = simTimeout
 	}
-	if elapsed > time.Second {
-		t.Fatalf("coordinator took %v to give up on a hanging shard", elapsed)
-	}
-	snap := coord.metrics.Snapshot()
-	if snap.Shards[1].Timeouts == 0 {
-		t.Fatalf("hang not counted as timeout: %+v", snap)
+	sh := simShape{ranges: 2, replicas: 1}
+	scfg := simConfig(sh)
+	s := newSimRun(simClusterFor(t, 2), sh, hung, scfg)
+	start := s.now()
+	rec := s.serve(s.cl.page(t, "offset"))
+	bound := (1+simMaxRetries)*simShardTimeout + scfg.Backoff.Delay(1, nil) + scfg.Backoff.Delay(2, nil)
+	if snap := s.coord.metrics.Snapshot(); rec.Code != 503 || snap.Shards[1].Timeouts != 1 || s.now().Sub(start) > bound || len(s.violations) > 0 {
+		t.Fatalf("hanging range = %d after %v (bound %v), range counters %+v: %v", rec.Code, s.now().Sub(start), bound, snap.Shards[1], s.violations)
 	}
 }
 
-// TestCoordinatorPartial: with AllowPartial, a failing shard degrades the
-// page (200, "partial": true, healthy shards' rows only) instead of failing
-// it; the degraded body is never cached, so a recovered shard immediately
-// restores the exact, unflagged page.
+// TestCoordinatorPartial: with AllowPartial, a range whose call fails
+// degrades the page — 200, flagged partial, the other range's rows only —
+// instead of failing it. The degraded page is not cached (a checker
+// property), and the next request, the range recovered, is exact. Retries
+// are off: one would heal the one-shot 500.
 func TestCoordinatorPartial(t *testing.T) {
-	sys, cs, m, query := testState(t)
-	g := sliceGroup(t, sys, cs, m, 2)
-
-	srv0 := NewPending(Config{})
-	srv0.SetReadyMapped(sys, cs, m, g.Engine(0), nil)
-	ts0 := httptest.NewServer(srv0)
-	t.Cleanup(ts0.Close)
-
-	// Shard 1 fails its first /shard/search with a 500, then recovers.
-	srv1 := NewPending(Config{})
-	srv1.SetReadyMapped(sys, cs, m, g.Engine(1), nil)
-	var failures atomic.Int64
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasPrefix(r.URL.Path, "/shard/") && failures.Add(1) == 1 {
-			http.Error(w, "transient", http.StatusInternalServerError)
-			return
-		}
-		srv1.ServeHTTP(w, r)
-	}))
-	t.Cleanup(flaky.Close)
-
-	// MaxRetries is disabled: a retry would heal the one-shot 500 and
-	// never produce the partial page this test is about.
-	coord := NewCoordinator([]string{ts0.URL, flaky.URL}, Config{}, ShardConfig{AllowPartial: true, MaxRetries: -1})
-	t.Cleanup(coord.Close)
-	ref := NewPending(Config{})
-	ref.install(sys, cs, m)
-	path := "/search?q=" + urlQuery(query) + "&limit=10"
-
-	rec := get(t, coord, path)
-	if rec.Code != 200 {
-		t.Fatalf("degraded search = %d: %s", rec.Code, rec.Body)
+	sh := simShape{ranges: 2, replicas: 1, partial: true}
+	scfg := simConfig(sh)
+	scfg.MaxRetries = -1
+	s, recs := simServe(t, sh, scfg, map[simKey]simKind{{1, 0}: sim5xx}, "offset", "offset")
+	if !strings.Contains(recs[0].Body.String(), `"partial":true`) || !bytes.Equal(recs[1].Body.Bytes(), s.cl.page(t, "offset").golden) {
+		t.Fatalf("degraded, then recovered:\n%s\n%s", recs[0].Body, recs[1].Body)
 	}
-	// The degraded page is the single server's ranking restricted to the
-	// healthy range, rendered the same and flagged: byte for byte.
-	var full SearchResponse
-	if err := json.Unmarshal(get(t, ref, "/search?q="+urlQuery(query)+"&limit=1000").Body.Bytes(), &full); err != nil {
-		t.Fatal(err)
-	}
-	want := SearchResponse{Query: query, Results: []SearchResult{}, Partial: true}
-	for _, r := range full.Results {
-		if r.PaperID < par.Shards(sys.Corpus.Len(), 2)[0].Hi && len(want.Results) < 10 {
-			want.Results = append(want.Results, r)
-		}
-	}
-	wantBody, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Results) == 0 || !bytes.Equal(rec.Body.Bytes(), wantBody) {
-		t.Fatalf("degraded page differs\ncoordinator: %s\nwant:        %s", rec.Body, wantBody)
-	}
-
-	// Recovered: same request now serves the exact page, unflagged —
-	// proving the partial body was not cached.
-	rec = get(t, coord, path)
-	exact := get(t, ref, path)
-	if rec.Code != 200 || rec.Body.String() != exact.Body.String() {
-		t.Fatalf("recovered search not exact:\ncoordinator: %s\nsingle:      %s", rec.Body, exact.Body)
-	}
-	snap := coord.metrics.Snapshot()
-	if snap.Partial != 1 {
+	if snap := s.coord.metrics.Snapshot(); snap.Partial != 1 {
 		t.Fatalf("partial counter = %d, want 1", snap.Partial)
 	}
 }
 
-// TestCoordinatorCache: identical queries hit the coordinator's body cache
-// instead of re-fanning out.
+// TestCoordinatorCache: an exact page is cached, and the same request again is
+// answered from the cache without an exchange.
 func TestCoordinatorCache(t *testing.T) {
-	coord, _ := shardCluster(t, 2, ShardConfig{})
-	_, _, _, query := testState(t)
-	path := "/search?q=" + urlQuery(query) + "&limit=7"
-	first := get(t, coord, path)
-	second := get(t, coord, path)
-	if first.Code != 200 || second.Code != 200 || first.Body.String() != second.Body.String() {
-		t.Fatalf("cached replay differs: %d %d", first.Code, second.Code)
+	sh := simShape{ranges: 2, replicas: 1}
+	s, recs := simServe(t, sh, simConfig(sh), nil, "offset")
+	exchanges := len(s.log)
+	again := get(t, s.coord, s.cl.page(t, "offset").path)
+	if !bytes.Equal(again.Body.Bytes(), recs[0].Body.Bytes()) || len(s.log) != exchanges {
+		t.Fatalf("cached replay: %d more exchanges, body %s", len(s.log)-exchanges, again.Body)
 	}
-	snap := coord.metrics.Snapshot()
-	if got := snap.Shards[0].Requests; got != 1 {
-		t.Fatalf("shard 0 saw %d search requests, want 1 (second must be served from cache)", got)
-	}
-	cst := coord.cache.Stats()
-	if cst.Hits != 1 || cst.Misses != 1 {
+	if cst := s.coord.cache.Stats(); cst.Hits != 1 || cst.Misses != 1 {
 		t.Fatalf("cache stats = %+v, want 1 hit / 1 miss", cst)
 	}
 }
 
 // TestCoordinatorProxyEndpoints: /stats answers through the coordinator with
-// the corpus and a sharding section (the proxied /papers and /contexts are
-// rows of the HTTP spine battery).
+// the corpus and a sharding section that has counted the page served before
+// it (the rest is the backend's, a checker property; the proxied /papers and
+// /contexts are rows of the HTTP spine battery).
 func TestCoordinatorProxyEndpoints(t *testing.T) {
-	sys, _, _, query := testState(t)
-	coord, _ := shardCluster(t, 3, ShardConfig{})
-	// Run one search so the sharding section has traffic, then check /stats.
-	get(t, coord, "/search?q="+urlQuery(query)+"&limit=3")
-	rec := get(t, coord, "/stats")
-	if rec.Code != 200 {
-		t.Fatalf("stats = %d: %s", rec.Code, rec.Body)
-	}
+	sys, _, _, _ := testState(t)
+	sh := simShape{ranges: 3, replicas: 1}
+	_, recs := simServe(t, sh, simConfig(sh), nil, "offset", "/stats")
 	var stats StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
+	if err := json.Unmarshal(recs[1].Body.Bytes(), &stats); err != nil || stats.Papers != sys.Corpus.Len() {
+		t.Fatalf("stats = %s (%v), want %d papers", recs[1].Body, err, sys.Corpus.Len())
 	}
-	if stats.Papers != sys.Corpus.Len() {
-		t.Fatalf("stats papers = %d, want %d", stats.Papers, sys.Corpus.Len())
-	}
-	if stats.Sharding == nil {
-		t.Fatal("coordinator stats lack sharding section")
-	}
-	if stats.Sharding.Searches == 0 || len(stats.Sharding.Shards) != 3 {
-		t.Fatalf("sharding stats = %+v", stats.Sharding)
-	}
-	var requests uint64
-	for _, s := range stats.Sharding.Shards {
-		requests += s.Requests
-	}
-	if requests == 0 {
-		t.Fatal("no shard requests counted")
+	if sc := stats.Sharding; sc == nil || sc.Searches != 1 || len(sc.Shards) != 3 || rangeRequests(*sc) != 3 {
+		t.Fatalf("sharding stats = %+v, want 1 search over 3 ranges", stats.Sharding)
 	}
 }
 
-// TestCoordinatorReadyz: the coordinator is ready only when every shard is.
+// TestCoordinatorReadyz: the coordinator is ready only when every shard range
+// has a ready replica — one lost replica of a range does not make it wait.
 func TestCoordinatorReadyz(t *testing.T) {
 	sys, cs, m, _ := testState(t)
 	g := sliceGroup(t, sys, cs, m, 2)
@@ -740,6 +413,13 @@ func TestCoordinatorReadyz(t *testing.T) {
 	pending.SetReadyMapped(sys, cs, m, g.Engine(1), nil)
 	if rec := get(t, coord, "/readyz"); rec.Code != 200 {
 		t.Fatalf("readyz with all shards ready = %d: %s", rec.Code, rec.Body)
+	}
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	replicated := NewCoordinator([]string{dead.URL + "|" + tsReady.URL, tsPending.URL}, Config{}, ShardConfig{ProbeInterval: -1})
+	t.Cleanup(replicated.Close)
+	if rec := get(t, replicated, "/readyz"); rec.Code != 200 {
+		t.Fatalf("readyz with one replica of a range lost = %d: %s", rec.Code, rec.Body)
 	}
 }
 
@@ -939,65 +619,119 @@ func TestShardSearchBodyCap(t *testing.T) {
 }
 
 // TestCoordinatorProxyStallIsATimeout: the proxied endpoints go through the
-// one exchange and the one verdict /search uses, over the real transport. A
-// backend that sends its header and then stalls /papers/1 past ShardTimeout
-// is a timeout of that replica, not an error, and a proxied request the
-// client abandons is a request that says nothing about the replica.
+// one exchange and the one verdict /search uses. A backend past ShardTimeout
+// on /papers/5 is a timeout of that replica and a 503, and a proxied request
+// the client abandons is a request that says nothing about the replica. (A
+// body stalled on a socket is a row of TestHTTPTransportExchange.)
 func TestCoordinatorProxyStallIsATimeout(t *testing.T) {
-	sys, cs, m, _ := testState(t)
-	srv := NewPending(Config{}).install(sys, cs, m)
-	stop := make(chan struct{})
-	stalled := make(chan struct{}, 2)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/papers/1" {
-			srv.ServeHTTP(w, r)
-			return
+	sh := simShape{ranges: 1, replicas: 1}
+	s, recs := simServe(t, sh, simConfig(sh), map[simKey]simKind{{0, 0}: simTimeout, {0, 1}: simCancel}, "/papers/5", "/papers/5")
+	if rs := s.coord.metrics.Snapshot().Replicas[0]; recs[0].Code != 503 || rs.Requests != 2 || rs.Timeouts != 1 || rs.Errors != 0 || s.coord.breakers[0].State() != resilience.Closed {
+		t.Fatalf("a stalled, then an abandoned /papers/5: first %d, replica %+v, breaker %v; want 503, 2 requests, 1 timeout, closed",
+			recs[0].Code, rs, s.coord.breakers[0].State())
+	}
+}
+
+// TestHTTPTransportExchange: the one function that touches a socket, against
+// plain handlers, one row per way a backend answers or fails. Each row pins
+// the (reply, error) the policy's exchange hands to record, and what record
+// makes of it in the replica's counters: a deadline comes back as
+// context.DeadlineExceeded itself, whatever net/http wrapped it in — a
+// timeout; a cancelled request is a request and nothing else; the rest are
+// errors of the backend. No row outlives the per-attempt deadline.
+func TestHTTPTransportExchange(t *testing.T) {
+	const timeout, maxBody = 100 * time.Millisecond, 1 << 10
+	stop, arrived := make(chan struct{}), make(chan struct{}, 1)
+	var servers []*httptest.Server
+	t.Cleanup(func() {
+		close(stop)
+		for _, ts := range servers {
+			ts.Close()
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.(http.Flusher).Flush()
-		stalled <- struct{}{}
+	})
+	block := func(r *http.Request) {
 		select {
 		case <-r.Context().Done():
 		case <-stop:
 		}
-	}))
-	t.Cleanup(func() {
-		close(stop)
-		ts.Close()
-	})
-	coord := NewCoordinator([]string{ts.URL}, Config{}, ShardConfig{ShardTimeout: 100 * time.Millisecond, ProbeInterval: -1})
-	t.Cleanup(coord.Close)
-
-	if rec := get(t, coord, "/papers/1"); rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("stalled /papers/1 = %d, want 503: %s", rec.Code, rec.Body)
 	}
-	<-stalled
-	replica := func() shard.ReplicaStat {
-		t.Helper()
-		var st StatsResponse
-		if rec := get(t, coord, "/stats"); rec.Code != 200 || json.Unmarshal(rec.Body.Bytes(), &st) != nil {
-			t.Fatalf("/stats = %d: %s", rec.Code, rec.Body)
-		}
-		return st.Sharding.Replicas[0]
-	}
-	if rs := replica(); rs.Timeouts != 1 || rs.Errors != 0 {
-		t.Fatalf("after one stalled body: %+v, want timeouts 1, errors 0", rs)
-	}
-
-	// The client leaves while the body stalls.
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		coord.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/papers/1", nil).WithContext(ctx))
-	}()
-	<-stalled
-	before := coord.metrics.Snapshot().Replicas[0].Requests
-	cancel()
-	<-done
-	if rs := replica(); rs.Requests != before+2 || rs.Timeouts != 1 || rs.Errors != 0 || rs.State != "closed" {
-		t.Fatalf("after an abandoned proxied request: %+v, want %d requests (it, and this /stats), timeouts 1, errors 0, breaker closed", rs, before+2)
+	for _, row := range []struct {
+		name             string
+		handler          http.HandlerFunc // nil: nothing listens, the connection is refused
+		cancel           bool             // the client leaves once the handler has the request
+		status           int              // of the reply; 0: an error
+		err              error            // that error itself; nil: any but a context's
+		timeouts, errors uint64
+	}{
+		{name: "200", handler: func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set(pageRowsHeader, "3")
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(bytes.Repeat([]byte(" "), maxBody))
+		}, status: 200},
+		{name: "refused", errors: 1},
+		{name: "hang with the body unread", handler: func(_ http.ResponseWriter, r *http.Request) { block(r) }, err: context.DeadlineExceeded, timeouts: 1},
+		{name: "stalled body", handler: func(w http.ResponseWriter, r *http.Request) {
+			w.WriteHeader(http.StatusOK)
+			w.(http.Flusher).Flush()
+			block(r)
+		}, err: context.DeadlineExceeded, timeouts: 1},
+		{name: "reset", handler: func(w http.ResponseWriter, _ *http.Request) {
+			conn, _, _ := w.(http.Hijacker).Hijack()
+			conn.Close()
+		}, errors: 1},
+		{name: "body over the cap", handler: func(w http.ResponseWriter, _ *http.Request) {
+			_, _ = w.Write(make([]byte, maxBody+1))
+		}, errors: 1},
+		{name: "5xx", handler: func(w http.ResponseWriter, _ *http.Request) { http.Error(w, "down", 500) }, status: 500, errors: 1},
+		{name: "cancelled", handler: func(_ http.ResponseWriter, r *http.Request) {
+			arrived <- struct{}{}
+			block(r)
+		}, cancel: true, err: context.Canceled},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			ts := httptest.NewServer(row.handler)
+			servers = append(servers, ts)
+			if row.handler == nil {
+				ts.Close()
+			}
+			client := &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
+			defer client.CloseIdleConnections()
+			tr := &httpTransport{client: client, backends: []string{ts.URL}, timeout: timeout, maxBody: maxBody}
+			p := newPolicy([][]int{{0}}, ShardConfig{ProbeInterval: -1}, tr)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if row.cancel {
+				go func() {
+					<-arrived
+					cancel()
+				}()
+			}
+			start := time.Now()
+			rep, cerr := p.exchange(ctx, 0, "POST", "/shard/search", []byte(`{"q":"x"}`))
+			p.record(ctx, 0, cerr)
+			if elapsed := time.Since(start); elapsed > 10*timeout {
+				t.Fatalf("took %v, the deadline is %v", elapsed, timeout)
+			}
+			switch {
+			case row.status == 200:
+				if cerr != nil || len(rep.body) != maxBody || rep.pageRows != "3" || rep.contentType != "application/json" {
+					t.Fatalf("got %d bytes, %s %q, type %q, error %v", len(rep.body), pageRowsHeader, rep.pageRows, rep.contentType, cerr)
+				}
+			case row.status != 0:
+				if rep.status != row.status || cerr == nil || cerr.status != row.status || cerr.err != nil {
+					t.Fatalf("got status %d, error %+v; want a status %d failure", rep.status, cerr, row.status)
+				}
+			case cerr == nil || cerr.status != 0 || rep.status != 0:
+				t.Fatalf("got status %d, error %v; want an error and no reply", rep.status, cerr)
+			case row.err != nil && cerr.err != row.err:
+				t.Fatalf("error %#v, want %v itself", cerr.err, row.err)
+			case row.err == nil && (errors.Is(cerr.err, context.DeadlineExceeded) || errors.Is(cerr.err, context.Canceled)):
+				t.Fatalf("error %v is a context's", cerr.err)
+			}
+			if rs := p.metrics.Snapshot().Replicas[0]; rs.Requests != 1 || rs.Timeouts != row.timeouts || rs.Errors != row.errors {
+				t.Fatalf("replica counters %+v, want 1 request, %d timeouts, %d errors", rs, row.timeouts, row.errors)
+			}
+		})
 	}
 }
 

@@ -123,7 +123,7 @@ func FuzzShardSearchRequest(f *testing.F) {
 	srv, panics := fuzzServer(f)
 	_, _, _, query := testState(f)
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5}`, query)))
-	f.Add([]byte(fmt.Sprintf(`{"q":%q,"boolean":true,"limit":%d,"offset":3,"threshold":0.2}`, query, MaxOffset+MaxLimit)))
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"boolean":true,"limit":%d,"threshold":0.2}`, query, MaxOffset+MaxLimit)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5,"finsh":{}}`, query)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5}}`, query)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":5} {"q":%q,"limit":5}`, query, query)))

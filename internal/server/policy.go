@@ -309,7 +309,7 @@ func (p *policy) searchPage(ctx context.Context, sp searchParams) ([]byte, error
 	req := ShardSearchRequest{
 		Q:         sp.q,
 		Boolean:   sp.boolean,
-		Limit:     sp.opts.Offset + sp.opts.Limit,
+		Limit:     shard.ShardOptions(sp.opts).Limit,
 		Threshold: sp.opts.Threshold,
 	}
 	payload, err := json.Marshal(req)

@@ -2,12 +2,16 @@
 // The coordinator runs as built, front and cache included, over a transport
 // that answers from a schedule and a clock only the test moves: no listener,
 // no wall-clock wait. A schedule is keyed by (backend, per-backend call
-// index) — internal/faultproxy's keying — so it fixes every backend answer
-// whatever the goroutine interleaving; the scheduler is left only the races
-// the policy itself leaves open (which answer of a hedged pair is taken
-// first, who gets the last shared retry token), and no assertion below
-// depends on them. The checker states DESIGN.md's "Failure policy" and
-// "Replicated serving" as properties of the call log.
+// index), so it fixes every backend answer whatever the goroutine
+// interleaving; the scheduler is left only the races the policy itself
+// leaves open (which answer of a hedged pair is taken first, who gets the
+// last shared retry token), and no assertion below depends on them. A run
+// serves requests from a table of pages: /search pages — an offset page, a
+// boolean one, empty ones, pages holding none of the first finisher's rows,
+// one every range rejects — and the GETs the coordinator proxies. The
+// checker states DESIGN.md's "Failure policy" and "Replicated serving" as
+// properties of the call log. What only a socket can show is
+// TestHTTPTransportExchange's.
 package server
 
 import (
@@ -16,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -24,9 +29,12 @@ import (
 	"testing"
 	"time"
 
+	"ctxsearch"
 	"ctxsearch/internal/cache"
+	"ctxsearch/internal/goldentest"
 	"ctxsearch/internal/par"
 	"ctxsearch/internal/resilience"
+	"ctxsearch/internal/shard"
 )
 
 // simKind is what one scheduled backend call resolves to.
@@ -59,7 +67,7 @@ func (k simKind) String() string {
 const (
 	simHedgeAfter   = 10 * time.Millisecond
 	simShardTimeout = 100 * time.Millisecond
-	simCooldown     = time.Second
+	simCooldown     = 3 * time.Second // longer than simShardTimeout: Retry-After must say so
 	simMaxRetries   = 2
 	simThreshold    = 1 + simMaxRetries
 	simBudget       = 100.0
@@ -86,26 +94,38 @@ type simReqKey struct{}
 
 // simCluster is the fixture of one range count: the in-process range
 // servers whose real handlers produce every "ok" answer (memoised — the
-// payloads repeat across schedules), and the single server's answers the
-// checker compares with.
+// payloads repeat across schedules), and the table of pages with the single
+// server's answers the checker compares with.
 type simCluster struct {
 	n       int
 	shards  []par.Shard
 	servers []*Server
-	query   string
-	path    string
-	golden  []byte
-	full    []SearchResult // the single server's whole ranking
+	pages   []*simPage
 
-	mu         sync.Mutex
-	memo       map[string]reply
-	restricted map[uint][]byte
-	fronts     map[simShape]*Coordinator
+	mu     sync.Mutex
+	memo   map[string]reply
+	fronts map[simShape]*Coordinator
 }
 
-const simOffset, simLimit = 1, 3
+// simPage is one request of the table: a /search page or a proxied GET, and
+// the single server's status and, for a page, its body and whole ranking.
+type simPage struct {
+	name, path string
+	proxied    bool
+	q          string
+	offset     int
+	limit      int
+	code       int // the single server's status
+	golden     []byte
+	full       []SearchResult
+	restricted map[uint][]byte // degraded bodies by the set of ranges answered, under the cluster's lock
+}
 
 var simClusters = map[int]*simCluster{}
+
+// simWhole memoises the single server's whole ranking of a /search query
+// string, which the clusters' pages share.
+var simWhole = map[string][]SearchResult{}
 
 func simClusterFor(t testing.TB, n int) *simCluster {
 	t.Helper()
@@ -113,8 +133,7 @@ func simClusterFor(t testing.TB, n int) *simCluster {
 		return cl
 	}
 	sys, cs, m, query := testState(t)
-	cl := &simCluster{n: n, shards: par.Shards(sys.Corpus.Len(), n), query: query,
-		memo: map[string]reply{}, restricted: map[uint][]byte{}, fronts: map[simShape]*Coordinator{}}
+	cl := &simCluster{n: n, shards: par.Shards(sys.Corpus.Len(), n), memo: map[string]reply{}, fronts: map[simShape]*Coordinator{}}
 	g := sliceGroup(t, sys, cs, m, n)
 	off := Config{QueryTimeout: -1, MaxInflight: -1, CacheEntries: -1}
 	for ri := 0; ri < n; ri++ {
@@ -123,37 +142,101 @@ func simClusterFor(t testing.TB, n int) *simCluster {
 		cl.servers = append(cl.servers, srv)
 	}
 	ref := NewPending(off).install(sys, cs, m)
-	cl.path = fmt.Sprintf("/search?q=%s&limit=%d&offset=%d", urlQuery(query), simLimit, simOffset)
-	cl.golden = get(t, ref, cl.path).Body.Bytes()
-	var whole SearchResponse
-	if err := json.Unmarshal(get(t, ref, "/search?q="+urlQuery(query)+"&limit=1000").Body.Bytes(), &whole); err != nil {
-		t.Fatal(err)
+	page := func(name, q string, boolean bool, offset, limit int) *simPage { // appended to the table
+		pg := &simPage{name: name, q: q, offset: offset, limit: limit, restricted: map[uint][]byte{}}
+		params := "q=" + urlQuery(q) + map[bool]string{true: "&boolean=1"}[boolean]
+		pg.path = fmt.Sprintf("/search?%s&limit=%d&offset=%d", params, limit, offset)
+		rec := get(t, ref, pg.path)
+		pg.code, pg.golden = rec.Code, rec.Body.Bytes()
+		full, ok := simWhole[params]
+		if !ok {
+			var whole SearchResponse
+			if rec := get(t, ref, "/search?"+params+"&limit=1000"); rec.Code == 200 && json.Unmarshal(rec.Body.Bytes(), &whole) != nil {
+				t.Fatal("undecodable ranking")
+			}
+			full, simWhole[params] = whole.Results, whole.Results
+		}
+		pg.full = full
+		cl.pages = append(cl.pages, pg)
+		return pg
 	}
-	cl.full = whole.Results
+	first := page("offset", query, false, 1, 3)
 	for ri := 0; n > 1 && ri < n; ri++ {
-		if bytes.Equal(bytes.Replace(cl.page((1<<n-1)&^(1<<ri)), []byte(`,"partial":true`), nil, 1), cl.golden) {
+		if bytes.Equal(bytes.Replace(cl.body(first, (1<<n-1)&^(1<<ri)), []byte(`,"partial":true`), nil, 1), first.golden) {
 			t.Fatalf("fixture: range %d of %d holds no row of the page, losing it would prove nothing", ri, n)
 		}
+	}
+	// The OR form of the generated boolean queries: rows in every range.
+	qs := goldentest.Queries(t, sys.Ontology, m.Contexts())
+	page("boolean", goldentest.Kind(qs, true)[1].Text, true, 0, 3)
+	page("past the end", query, false, 5000, 3)
+	page("unknown words", "qqqzzz unknown words", false, 0, 3)
+	page("rejected", "AND AND (", true, 0, 3)
+	// Pages holding none of range 0's rows — the finisher of a fresh
+	// coordinator: they end before its best row or start after its worst, for
+	// the first generated queries that have such pages.
+	var before, after bool
+	for _, q := range goldentest.Kind(qs, false) {
+		ranked, err := sys.Engine(m).SearchContext(context.Background(), q.Text, ctxsearch.SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi := -1, -1
+		for i, r := range ranked {
+			if int(r.Doc) < cl.shards[0].Hi {
+				if lo < 0 {
+					lo = i
+				}
+				hi = i
+			}
+		}
+		if !before && n > 1 && lo > 0 {
+			page("before range 0", q.Text, false, 0, lo)
+			before = true
+		}
+		if !after && n > 1 && hi >= 0 && hi+1 < len(ranked) {
+			page("after range 0", q.Text, false, hi+1, 3)
+			after = true
+		}
+	}
+	if n > 1 && !(before && after) {
+		t.Fatalf("fixture: no generated query ranks rows before range 0's (%v) or after (%v) over %d ranges", before, after, n)
+	}
+	for _, path := range []string{"/papers/5", "/papers/999999", "/contexts?q=" + urlQuery(query), "/stats"} {
+		cl.pages = append(cl.pages, &simPage{name: path, path: path, proxied: true, code: get(t, ref, path).Code})
 	}
 	simClusters[n] = cl
 	return cl
 }
 
-// page builds, without the cluster, the body owed when exactly the ranges in
-// set answered: the golden body for all of them, else the single server's
-// whole ranking restricted to their papers, cut to the window and flagged.
-func (cl *simCluster) page(set uint) []byte {
+// page returns the page of the table called name.
+func (cl *simCluster) page(t testing.TB, name string) *simPage {
+	t.Helper()
+	for _, pg := range cl.pages {
+		if pg.name == name {
+			return pg
+		}
+	}
+	t.Fatalf("no page %q over %d ranges", name, cl.n)
+	return nil
+}
+
+// body builds, without the cluster, the /search body of pg owed when
+// exactly the ranges in set answered: the golden body for all of them, else
+// the single server's whole ranking restricted to their papers, cut to the
+// window and flagged.
+func (cl *simCluster) body(pg *simPage, set uint) []byte {
 	if set == 1<<cl.n-1 {
-		return cl.golden
+		return pg.golden
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if body, ok := cl.restricted[set]; ok {
+	if body, ok := pg.restricted[set]; ok {
 		return body
 	}
-	want := SearchResponse{Query: cl.query, Results: []SearchResult{}, Partial: true}
-	skip := simOffset
-	for _, r := range cl.full {
+	want := SearchResponse{Query: pg.q, Results: []SearchResult{}, Partial: true}
+	skip := pg.offset
+	for _, r := range pg.full {
 		ri := 0
 		for r.PaperID >= cl.shards[ri].Hi {
 			ri++
@@ -162,12 +245,12 @@ func (cl *simCluster) page(set uint) []byte {
 		case set&(1<<ri) == 0:
 		case skip > 0:
 			skip--
-		case len(want.Results) < simLimit:
+		case len(want.Results) < pg.limit:
 			want.Results = append(want.Results, r)
 		}
 	}
 	body, _ := json.Marshal(want)
-	cl.restricted[set] = body
+	pg.restricted[set] = body
 	return body
 }
 
@@ -208,7 +291,7 @@ type simCall struct {
 	hedge      bool // the second call of a hedged attempt
 	ctx        context.Context
 	out        simOut
-	body       []byte        // of an outOK finishing call
+	rep        reply         // of an outOK or outClient call
 	partner    *simCall      // the hedge racing this call
 	fired      chan struct{} // closed when this stalled call's hedge timer was taken
 	done       chan struct{} // closed on return
@@ -236,16 +319,20 @@ type simRun struct {
 	timers     []*simTimer // pending hedge timers
 	stalled    []*simCall  // slow primaries waiting for theirs to fire
 	hedgeFires int
+	probeFails map[int]int // failed health probes per backend
 	req        int
+	page       *simPage
 	cancelReq  context.CancelFunc
-	arrived    map[int]bool  // ranges whose rows call reached a backend, this request
-	barrier    chan struct{} // closed once all but the finisher have; nil = not checked
+	closed     bool           // every breaker was closed when the request came in
+	before     shard.Snapshot // the counters when it came in
+	arrived    map[int]bool   // ranges whose rows call reached a backend, this request
+	barrier    chan struct{}  // closed once all but the finisher have; nil = not checked
 	violations []string
 	lagging    bool // some call of the run was abandoned; see check
 }
 
 func newSimRun(cl *simCluster, sh simShape, script map[simKey]simKind, scfg ShardConfig) *simRun {
-	s := &simRun{cl: cl, shape: sh, script: script, flying: map[*simCall]bool{}, next: make([]int, sh.ranges*sh.replicas)}
+	s := &simRun{cl: cl, shape: sh, script: script, flying: map[*simCall]bool{}, next: make([]int, sh.ranges*sh.replicas), probeFails: map[int]int{}}
 	s.idle = sync.NewCond(&s.mu)
 	s.clock.Store(time.Date(2007, 4, 15, 0, 0, 0, 0, time.UTC).UnixNano())
 	ranges := make([][]int, sh.ranges)
@@ -361,17 +448,17 @@ func (s *simRun) stall(c *simCall) {
 	s.stalled = append(s.stalled, c)
 	s.fire()
 	s.mu.Unlock()
+	watchdog := time.NewTimer(simWatchdog)
+	defer watchdog.Stop()
 	select {
 	case <-c.fired:
 	case <-c.ctx.Done():
+		s.unstall(c)
+		return
+	case <-watchdog.C:
+		s.unstall(c)
 		s.mu.Lock()
-		for i, o := range s.stalled {
-			if o == c {
-				s.stalled = append(s.stalled[:i], s.stalled[i+1:]...)
-				s.fire()
-				break
-			}
-		}
+		s.violate("slow call %d to backend %d: its attempt never armed a hedge timer", c.seq, c.g)
 		s.mu.Unlock()
 		return
 	}
@@ -391,6 +478,28 @@ func (s *simRun) stall(c *simCall) {
 			return
 		}
 		runtime.Gosched()
+	}
+}
+
+// probe feeds one health-probe verdict on backend g to the policy, as the
+// prober does.
+func (s *simRun) probe(g int, ok bool) {
+	if !ok {
+		s.probeFails[g]++
+	}
+	s.coord.onProbe(g, ok)
+}
+
+// unstall drops a stalled call that stops waiting for its hedge timer.
+func (s *simRun) unstall(c *simCall) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, o := range s.stalled {
+		if o == c {
+			s.stalled = append(s.stalled[:i], s.stalled[i+1:]...)
+			s.fire()
+			return
+		}
 	}
 }
 
@@ -414,7 +523,7 @@ func (s *simRun) exchange(ctx context.Context, g int, method, uri string, payloa
 	ri := g / s.shape.replicas
 	c := &simCall{g: g, ri: ri, ctx: ctx, finish: bytes.Contains(payload, []byte(`"finish":`)),
 		fired: make(chan struct{}), done: make(chan struct{})}
-	hedging := s.shape.hedge && s.shape.replicas > 1
+	hedging := s.shape.hedge && s.shape.replicas > 1 && method == "POST" // a proxied GET is never hedged
 	s.mu.Lock()
 	s.busy++
 	defer s.end(c)
@@ -483,47 +592,56 @@ func (s *simRun) exchange(ctx context.Context, g int, method, uri string, payloa
 		return reply{status: 500, body: []byte("injected failure\n"), contentType: "text/plain"}, nil
 	case sim4xx:
 		c.out = outClient
-		return reply{status: 400, body: []byte(`{"error":"injected client error"}` + "\n"), contentType: "application/json"}, nil
+		c.rep = reply{status: 400, body: []byte(`{"error":"injected client error"}` + "\n"), contentType: "application/json"}
+		return c.rep, nil
 	}
+	// The real answer; a shape is a /shard/search 200's, and the wrong ones
+	// are failures.
 	rep = s.cl.answer(ri, method, uri, payload)
 	switch {
+	case rep.status >= 400 && rep.status < 500:
+		c.out = outClient
+	case rep.status != 200:
+	case method != "POST" || c.kind != simShapeA && c.kind != simShapeB:
+		c.out = outOK
 	case c.kind == simShapeA && c.finish:
 		rep.pageRows = ""
 	case c.kind == simShapeA:
 		rep.body = rep.body[:len(rep.body)/2]
-	case c.kind == simShapeB && c.finish:
+	case c.finish:
 		rep.pageRows = "-1"
-	case c.kind == simShapeB:
+	default:
 		rep.body = append([]byte(`{"took_us":1,`), rep.body[1:]...)
-	case rep.status == 200:
-		c.out, c.body = outOK, rep.body
 	}
+	c.rep = rep
 	return rep, nil
 }
 
-// serve runs one /search through the coordinator's front and an empty cache,
-// waits until the transport is idle and checks the request against the
-// invariant list.
-func (s *simRun) serve() *httptest.ResponseRecorder {
+// serve runs one request of the table through the coordinator's front and an
+// empty cache, waits until the transport is idle and checks the request
+// against the invariant list.
+func (s *simRun) serve(pg *simPage) *httptest.ResponseRecorder {
 	s.mu.Lock()
 	s.req++
+	s.page = pg
 	ctx, cancel := context.WithCancel(context.WithValue(context.Background(), simReqKey{}, s.req))
 	s.cancelReq = cancel
 	s.arrived, s.barrier = map[int]bool{}, nil
-	closed := true
+	s.closed = true
 	for _, b := range s.coord.breakers {
-		closed = closed && b.State() == resilience.Closed
+		s.closed = s.closed && b.State() == resilience.Closed
 	}
 	// With a breaker open a range may fail without reaching a backend, and
 	// the other rows calls would wait for it in vain.
-	if closed && s.shape.ranges > 2 {
+	if s.closed && s.shape.ranges > 2 && !pg.proxied {
 		s.barrier = make(chan struct{})
 	}
+	s.before = s.coord.metrics.Snapshot()
 	s.coord.cache = cache.New[[]byte](1, time.Minute)
 	s.mu.Unlock()
 
 	rec := httptest.NewRecorder()
-	s.coord.ServeHTTP(rec, httptest.NewRequest("GET", s.cl.path, nil).WithContext(ctx))
+	s.coord.ServeHTTP(rec, httptest.NewRequest("GET", pg.path, nil).WithContext(ctx))
 
 	s.mu.Lock()
 	// TestCancelledRequestBurstNoLeak as a property: whatever the request
@@ -554,13 +672,17 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 	}
 	type callStat struct{ sent, hedges, failed, firstFinal, last int }
 	calls := map[callKey]*callStat{}
+	var mine []*simCall
 	var rowsOK, finishAsked, finishOK uint
 	var finished [][]byte
-	var clientErr, cancelled, hedged bool
+	var refusals []reply
+	var cancelled, hedged bool
+	clean := true // every call sent and answered at once
 	for _, c := range s.log {
 		if c.req != s.req {
 			continue
 		}
+		mine = append(mine, c)
 		k := callKey{c.ri, c.finish}
 		st := calls[k]
 		if st == nil {
@@ -571,6 +693,7 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 			finishAsked |= 1 << c.ri
 		}
 		hedged = hedged || c.hedge
+		clean = clean && c.out == outOK && !c.hedge
 		if c.idx < 0 {
 			continue // never sent
 		}
@@ -583,14 +706,14 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 		case outOK:
 			if c.finish {
 				finishOK |= 1 << c.ri
-				finished = append(finished, c.body)
+				finished = append(finished, c.rep.body)
 			} else {
 				rowsOK |= 1 << c.ri
 			}
 		case outFail:
 			st.failed++
 		case outClient:
-			clientErr = true
+			refusals = append(refusals, c.rep)
 		}
 		if c.kind == simCancel {
 			cancelled = true
@@ -603,6 +726,61 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 	excused := snap.RetriesDenied > 0 // a call may end early for want of a token
 	for _, b := range s.coord.breakers {
 		excused = excused || b.State() != resilience.Closed
+	}
+	body := rec.Body.Bytes()
+	if rec.Code == 503 {
+		if want := retryAfterSecs(max(s.coord.scfg.ShardTimeout, s.coord.scfg.BreakerCooldown)); rec.Header().Get("Retry-After") != want {
+			s.violate("503 with Retry-After %q, want %q: the longer of ShardTimeout and the breaker cool-down", rec.Header().Get("Retry-After"), want)
+		}
+	}
+	if cancelled && len(body) != 0 && rec.Code == 200 {
+		// Nobody reads the answer — another range's error may already have
+		// decided it — but nothing is served to a client that left.
+		s.violate("abandoned request was answered: %s", body)
+	}
+	if rec.Code >= 400 && rec.Code < 500 && !cancelled {
+		relayed := false
+		for _, r := range refusals {
+			relayed = relayed || r.status == rec.Code && bytes.Equal(r.body, body)
+		}
+		if !relayed {
+			s.violate("%d is no backend's client error, byte for byte: %s", rec.Code, body)
+		}
+	}
+	if rec.Code != 200 && !cancelled && s.coord.cache.Stats().Entries != 0 {
+		s.violate("a %d was cached", rec.Code)
+	}
+	// Retries and hedges over the run are what the budget could have paid.
+	if spent, cap := float64(snap.Retries+snap.Hedges), s.coord.scfg.RetryBudget+float64(rangeRequests(snap))*s.coord.scfg.RetryRatio; spent > cap {
+		s.violate("%v retries and hedges, the budget covers %v", spent, cap)
+	}
+	// A backend's counters and breaker move only with what it was seen to
+	// do, and its probes said: a cancelled call is a request and nothing
+	// else. Once a range call was abandoned — a hedge's loser, a client that
+	// left — its record may still be on its way: missing, never surplus. A
+	// proxied GET records each call before it returns.
+	s.lagging = s.lagging || hedged || cancelled && !s.page.proxied
+	for g, rs := range snap.Replicas {
+		var sent, failed uint64
+		for _, c := range s.log {
+			if c.g == g {
+				sent++
+				if c.out == outFail {
+					failed++
+				}
+			}
+		}
+		if rs.Requests > sent || rs.Errors+rs.Timeouts > failed || !s.lagging && (rs.Requests != sent || rs.Errors+rs.Timeouts != failed) {
+			s.violate("backend %d: counters %+v after %d calls, %d of them failures", g, rs, sent, failed)
+		}
+		if s.coord.breakers[g].State() != resilience.Closed && int(failed)+s.probeFails[g] < threshold {
+			s.violate("backend %d: breaker %v after %d failures and %d failed probes (threshold %d)", g, s.coord.breakers[g].State(), failed, s.probeFails[g], threshold)
+		}
+	}
+
+	if s.page.proxied {
+		s.checkProxy(rec, mine, cancelled, snap)
+		return
 	}
 
 	// Attempts per range call: 1 + MaxRetries, one more per hedge; a client
@@ -626,32 +804,54 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 	if hedges > s.hedgeFires {
 		s.violate("%d hedges sent on %d fired timers", hedges, s.hedgeFires)
 	}
+	// A primary slower than HedgeAfter that opened its range call, so its
+	// sibling is fresh, is raced by a hedge while the budget has tokens:
+	// each such attempt counts one (a hedge sent late may not be in the
+	// log yet; the count is taken before the attempt returns).
+	if s.shape.hedge && s.shape.replicas > 1 && s.closed && !cancelled && s.coord.scfg.RetryBudget >= simBudget {
+		opened, owed := map[callKey]bool{}, uint64(0)
+		for _, c := range mine {
+			if k := (callKey{c.ri, c.finish}); c.idx >= 0 && !c.hedge && !opened[k] {
+				opened[k] = true
+				select {
+				case <-c.fired:
+					if s.coord.breakers[c.g^1].State() == resilience.Closed {
+						owed++
+					}
+				default:
+				}
+			}
+		}
+		if sent := snap.Hedges - s.before.Hedges; sent < owed {
+			s.violate("%d slow primaries with a fresh sibling, %d hedged", owed, sent)
+		}
+	}
 
-	// Past the first in rotation, the finisher is a range that answered.
+	// The finisher rotates, and past the first in rotation it is a range
+	// that answered. A healthy page costs one exchange per range, and
+	// only the first in rotation's carries "finish".
+	all := uint(1)<<s.shape.ranges - 1
 	first := (s.req - 1) % s.shape.ranges
 	if late := finishAsked &^ rowsOK &^ (1 << first); late != 0 {
 		s.violate("range(s) %b asked to finish the page after their rows call had failed", late)
+	}
+	if s.closed && clean && (len(mine) != s.shape.ranges || finishAsked != 1<<first || rowsOK != all&^(1<<first)) {
+		s.violate("healthy page: %d exchanges over %d ranges, finish asked of ranges %b, rows of %b; want one each, range %d finishing",
+			len(mine), s.shape.ranges, finishAsked, rowsOK, first)
 	}
 
 	// The ranges a served page is made of: the one that finished it and
 	// those whose rows it was handed — answered, and not asked to finish and
 	// failed since.
-	all := uint(1)<<s.shape.ranges - 1
 	set := finishOK | rowsOK&^finishAsked
-	body := rec.Body.Bytes()
 	switch {
 	case cancelled:
-		// Nobody reads the answer — another range's error may already have
-		// decided it — but no page is finished for a client that left.
-		if len(body) != 0 && rec.Code == 200 {
-			s.violate("abandoned request was served a page: %s", body)
-		}
 	case rec.Code == 200:
 		switch {
 		case finishOK == 0 || finishOK&(finishOK-1) != 0:
 			s.violate("200 with finishing answers from ranges %b, want exactly one", finishOK)
-		case !bytes.Equal(body, s.cl.page(set)):
-			s.violate("200 for ranges %b is not their page\ngot:  %s\nwant: %s", set, body, s.cl.page(set))
+		case !bytes.Equal(body, s.cl.body(s.page, set)):
+			s.violate("200 for ranges %b is not their page\ngot:  %s\nwant: %s", set, body, s.cl.body(s.page, set))
 		case set != all && !s.shape.partial:
 			s.violate("degraded page (ranges %b) without AllowPartial", set)
 		}
@@ -667,15 +867,9 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 			s.violate("page of ranges %b: cache holds %d entries, want %d", set, s.coord.cache.Stats().Entries, want)
 		}
 	case rec.Code >= 400 && rec.Code < 500:
-		if !clientErr || !strings.Contains(string(body), "injected client error") {
-			s.violate("%d without a backend's client error to relay: %s", rec.Code, body)
-		}
 	case rec.Code == 503:
 		if finishOK != 0 && !hedged {
 			s.violate("503 although range(s) %b finished the page", finishOK)
-		}
-		if rec.Header().Get("Retry-After") == "" {
-			s.violate("503 without Retry-After")
 		}
 		// Someone must have run out of attempts.
 		exhausted := excused
@@ -688,17 +882,14 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 	default:
 		s.violate("answered %d: %s", rec.Code, body)
 	}
-	if rec.Code != 200 && !cancelled && s.coord.cache.Stats().Entries != 0 {
-		s.violate("a %d was cached", rec.Code)
-	}
 	// Without a hedged pair nothing races, and the outcome is the log's.
 	if !hedged && !cancelled {
 		switch {
-		case clientErr && (rec.Code < 400 || rec.Code >= 500):
+		case len(refusals) > 0 && (rec.Code < 400 || rec.Code >= 500):
 			s.violate("a backend's client error was answered with %d", rec.Code)
-		case !clientErr && finishOK != 0 && rec.Code != 200:
+		case len(refusals) == 0 && finishOK != 0 && rec.Code != 200:
 			s.violate("range %b finished the page, answered %d", finishOK, rec.Code)
-		case !clientErr && set != all && rec.Code == 200 && !excused:
+		case len(refusals) == 0 && set != all && rec.Code == 200 && !excused:
 			for ri := 0; ri < s.shape.ranges; ri++ {
 				st := calls[callKey{ri, finishAsked&(1<<ri) != 0}]
 				if set&(1<<ri) == 0 && (st == nil || st.failed < attempts) {
@@ -707,44 +898,77 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 			}
 		}
 	}
+}
 
-	// Retries and hedges over the run are what the budget could have paid.
-	var rangeCalls uint64
-	for _, sh := range snap.Shards {
-		rangeCalls += sh.Requests
+// checkProxy holds a proxied GET against its calls: the backends are asked
+// in turn, each at most once, until one answers — a 200 or a client error,
+// relayed verbatim (/stats decorated with the coordinator's counters) — or
+// the client leaves; a 503 only once every backend its breaker admits has
+// failed; and no range call, retry, hedge or budget token is spent on it.
+func (s *simRun) checkProxy(rec *httptest.ResponseRecorder, mine []*simCall, cancelled bool, snap shard.Snapshot) {
+	asked := map[int]bool{}
+	var answer *simCall
+	for _, c := range mine {
+		if asked[c.g] || answer != nil || cancelled && c.kind == simCancel && c != mine[len(mine)-1] {
+			s.violate("proxied %s: call %d to backend %d, asked twice or past an answer or the client leaving", s.page.path, c.seq, c.g)
+		}
+		asked[c.g] = true
+		if c.out == outOK || c.out == outClient {
+			answer = c
+		}
 	}
-	if spent, cap := float64(snap.Retries+snap.Hedges), s.coord.scfg.RetryBudget+float64(rangeCalls)*s.coord.scfg.RetryRatio; spent > cap {
-		s.violate("%v retries and hedges, the budget covers %v", spent, cap)
-	}
-	// A backend's counters and breaker move only with what it was seen to
-	// do: a cancelled call is a request and nothing else. Once a call was
-	// abandoned — a hedge's loser, a client that left — its record may still
-	// be on its way: missing, never surplus.
-	s.lagging = s.lagging || hedged || cancelled
-	for g, rs := range snap.Replicas {
-		var sent, failed uint64
-		for _, c := range s.log {
-			if c.g == g {
-				sent++
-				if c.out == outFail {
-					failed++
-				}
+	switch {
+	case cancelled:
+	case answer == nil && rec.Code == 503:
+		for g, b := range s.coord.breakers {
+			if !asked[g] && b.State() == resilience.Closed {
+				s.violate("proxied %s: 503 without asking backend %d, whose breaker is closed", s.page.path, g)
 			}
 		}
-		if rs.Requests > sent || rs.Errors+rs.Timeouts > failed || !s.lagging && (rs.Requests != sent || rs.Errors+rs.Timeouts != failed) {
-			s.violate("backend %d: counters %+v after %d calls, %d of them failures", g, rs, sent, failed)
+	case answer == nil || rec.Code != answer.rep.status:
+		s.violate("proxied %s answered %d: %s", s.page.path, rec.Code, rec.Body)
+	case s.page.path == "/stats" && rec.Code == 200:
+		var got, want StatsResponse
+		if json.Unmarshal(rec.Body.Bytes(), &got) != nil || json.Unmarshal(answer.rep.body, &want) != nil || got.Sharding == nil {
+			s.violate("/stats answered %s for %s", rec.Body, answer.rep.body)
+			break
 		}
-		if s.coord.breakers[g].State() != resilience.Closed && int(failed) < threshold {
-			s.violate("backend %d: breaker %v after %d failures (threshold %d)", g, s.coord.breakers[g].State(), failed, threshold)
+		want.CacheHits, want.CacheMisses, want.CacheCoalesced, want.CacheEntries, want.Sharding = got.CacheHits, got.CacheMisses, got.CacheCoalesced, got.CacheEntries, got.Sharding
+		if !reflect.DeepEqual(got, want) {
+			s.violate("/stats is not backend %d's: %+v, want %+v", answer.g, got, want)
 		}
+	case !bytes.Equal(rec.Body.Bytes(), answer.rep.body) || rec.Header().Get("Content-Type") != answer.rep.contentType:
+		s.violate("proxied %s: not backend %d's answer, byte for byte: %s", s.page.path, answer.g, rec.Body)
+	}
+	if rangeRequests(snap) != rangeRequests(s.before) || snap.Retries != s.before.Retries || snap.RetriesDenied != s.before.RetriesDenied || snap.Hedges != s.before.Hedges {
+		s.violate("proxied %s moved the range calls' counters: %+v, before %+v", s.page.path, snap, s.before)
 	}
 }
 
-// simulate runs one schedule on a fresh coordinator and reports what broke.
-func simulate(cl *simCluster, sh simShape, script map[simKey]simKind) []string {
-	s := newSimRun(cl, sh, script, simConfig(sh))
-	s.serve()
-	return s.violations
+// rangeRequests sums the per-range request counters: the range calls the
+// coordinator made for its pages.
+func rangeRequests(snap shard.Snapshot) uint64 {
+	var n uint64
+	for _, s := range snap.Shards {
+		n += s.Requests
+	}
+	return n
+}
+
+// simServe serves the named pages, in order, on one simulated coordinator of
+// shape sh over script, and fails the test on any violation of the checker.
+func simServe(t *testing.T, sh simShape, scfg ShardConfig, script map[simKey]simKind, pages ...string) (*simRun, []*httptest.ResponseRecorder) {
+	t.Helper()
+	cl := simClusterFor(t, sh.ranges)
+	s := newSimRun(cl, sh, script, scfg)
+	var recs []*httptest.ResponseRecorder
+	for _, name := range pages {
+		recs = append(recs, s.serve(cl.page(t, name)))
+	}
+	if len(s.violations) > 0 {
+		t.Fatalf("%v, schedule %v:\n  %s", sh, fmtScript(script), strings.Join(s.violations, "\n  "))
+	}
+	return s, recs
 }
 
 // streams lists the outcome sequences of one backend the policy can tell
@@ -779,11 +1003,25 @@ var streamsMemo = map[int][][]simKind{}
 // a whole range call, 1 + MaxRetries calls: on its one replica, or split 2 + 1
 // and 1 + 2 over its two (the order an unhedged call visits them; a hedged one
 // reaches deeper into the defaults). Two faulty ranges to depth 2 each. All
-// of it with and without AllowPartial and, on two replicas, hedging. -short
+// of it with and without AllowPartial and, on two replicas, hedging. Every
+// schedule serves the offset page, and then, on a fresh coordinator, the
+// table's next request in turn: another /search page, or a proxied GET when
+// the schedule reaches the backend a GET asks first (backend 0, call 0) —
+// else the GET is answered before any fault and checks nothing of it. -short
 // keeps the one-backend schedules and every 17th of the rest.
 func TestPolicySim(t *testing.T) {
 	seen := map[string]bool{}
-	failures := 0
+	failures, pages, gets := 0, 0, 0
+	// check serves pg on a fresh coordinator of shape sh over script.
+	check := func(cl *simCluster, sh simShape, script map[simKey]simKind, pg *simPage) {
+		s := newSimRun(cl, sh, script, simConfig(sh))
+		if s.serve(pg); len(s.violations) > 0 {
+			t.Errorf("%v, %s, schedule %v:\n  %s", sh, pg.path, fmtScript(script), strings.Join(s.violations, "\n  "))
+			if failures++; failures == 5 {
+				t.Fatal("giving up after 5 failing schedules")
+			}
+		}
+	}
 	// run simulates every combination of streams(depths[i]) on backends[i].
 	run := func(sh simShape, backends, depths []int) {
 		cl := simClusterFor(t, sh.ranges)
@@ -797,11 +1035,15 @@ func TestPolicySim(t *testing.T) {
 			}
 			if id := sh.String() + fmtScript(script); !seen[id] && (!testing.Short() || len(backends) == 1 || n%17 == 0) {
 				seen[id] = true
-				if v := simulate(cl, sh, script); len(v) > 0 {
-					t.Errorf("%v, schedule %v:\n  %s", sh, fmtScript(script), strings.Join(v, "\n  "))
-					if failures++; failures == 5 {
-						t.Fatal("giving up after 5 failing schedules")
-					}
+				check(cl, sh, script, cl.pages[0])
+				switch pg := cl.pages[n%len(cl.pages)]; {
+				case pg == cl.pages[0]:
+				case !pg.proxied:
+					check(cl, sh, script, pg)
+					pages++
+				case script[simKey{0, 0}] != simOK:
+					check(cl, sh, script, pg)
+					gets++
 				}
 			}
 			bi := 0
@@ -839,7 +1081,7 @@ func TestPolicySim(t *testing.T) {
 			run(simShape{3, 2, partial, true}, []int{0, 2}, []int{2, 2})
 		}
 	}
-	t.Logf("%d distinct schedules", len(seen))
+	t.Logf("%d distinct schedules on the offset page; %d of them also on another /search page, %d on a proxied GET", len(seen), pages, gets)
 	if !testing.Short() && len(seen) < 10000 {
 		t.Fatalf("full mode ran %d schedules, want at least 10000", len(seen))
 	}
@@ -868,9 +1110,10 @@ func TestPolicySimBreakerCooldown(t *testing.T) {
 		script[simKey{0, i}] = sim5xx
 	}
 	s := newSimRun(simClusterFor(t, 1), sh, script, simConfig(sh))
+	pg := s.cl.page(t, "offset")
 	page := func(stage string) {
 		t.Helper()
-		if rec := s.serve(); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), s.cl.golden) {
+		if rec := s.serve(pg); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), pg.golden) {
 			t.Fatalf("%s: %d %s", stage, rec.Code, rec.Body)
 		}
 	}
@@ -914,7 +1157,7 @@ func TestPolicySimRetryBudget(t *testing.T) {
 	}
 	s := newSimRun(simClusterFor(t, 1), sh, script, scfg)
 	for k := 0; k < requests; k++ {
-		if rec := s.serve(); rec.Code != 503 {
+		if rec := s.serve(s.cl.page(t, "offset")); rec.Code != 503 {
 			t.Fatalf("request %d against a dead range = %d: %s", k, rec.Code, rec.Body)
 		}
 	}
@@ -930,12 +1173,14 @@ func TestPolicySimRetryBudget(t *testing.T) {
 
 // FuzzCoordinatorSchedule is the enumeration's other half: arbitrary bytes
 // become a cluster shape, an outcome for every call of every backend — all
-// ranges at once, deeper than the enumeration goes — up to four requests on
-// one coordinator and clock jumps between them, checked by the same checker.
+// ranges at once, deeper than the enumeration goes — up to four requests of
+// the table on one coordinator and clock jumps between them, checked by the
+// same checker.
 //
 //	byte 0: ranges 1 + b%3, then bits 2–5: two replicas, AllowPartial, hedging,
 //	        a retry budget of one token (ratio 0.1)
-//	byte 1: requests 1 + b%4, bit 2: the breaker cool-down passes between them
+//	byte 1: requests 1 + b%4, bit 2: the breaker cool-down passes between them,
+//	        bits 3–7: the first request's row of the table (the rest follow it)
 //	byte 2+j: the outcome (b%8, a simKind) of call j/backends of backend j%backends
 func FuzzCoordinatorSchedule(f *testing.F) {
 	for n := 1; n <= 3; n++ {
@@ -957,7 +1202,7 @@ func FuzzCoordinatorSchedule(f *testing.F) {
 		}
 		s := newSimRun(simClusters[sh.ranges], sh, script, scfg)
 		for k := 0; k <= int(data[1]%4); k++ {
-			s.serve()
+			s.serve(s.cl.pages[(int(data[1]>>3)+k)%len(s.cl.pages)])
 			if data[1]>>2&1 == 1 {
 				s.clock.Add(int64(simCooldown))
 			}

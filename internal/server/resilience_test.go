@@ -2,303 +2,147 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
-	"math/rand"
-	"net/http"
-	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
-	"ctxsearch/internal/faultproxy"
 	"ctxsearch/internal/resilience"
 )
 
-// fastResilience is the deterministic test tuning: no health prober (no
-// background traffic perturbing request-index fault scripts), millisecond
-// jitter-free backoff, a short per-attempt timeout so hang faults resolve
-// quickly, and an ample budget so correctness tests are not about the
-// budget (TestRetryStormBounded covers that).
-func fastResilience() ShardConfig {
-	return ShardConfig{
-		ShardTimeout:     100 * time.Millisecond,
-		ProbeInterval:    -1,
-		RetryBudget:      100,
-		RetryRatio:       0.5,
-		BreakerThreshold: 3,
-		Backoff:          resilience.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: -1},
-	}
-}
+// The replicated-serving tests run on the simulator (policy_sim_test.go), as
+// the coordinator tests do: a schedule, the pages served, and what the
+// mechanism must have done on top of the checker's properties.
 
-// replicatedCluster boots nRanges shard ranges, each served by two
-// byte-identical replicas (two listeners over one range-restricted
-// server). scripts[ri], when non-nil, interposes a fault proxy in front of
-// replica 0 of that range. The coordinator's cache is disabled so every
-// request exercises the fan-out.
-func replicatedCluster(t *testing.T, nRanges int, scripts []faultproxy.Script, scfg ShardConfig) *Coordinator {
-	t.Helper()
-	sys, cs, m, _ := testState(t)
-	g := sliceGroup(t, sys, cs, m, nRanges)
-	var urls []string
-	for ri := 0; ri < g.NumShards(); ri++ {
-		srv := NewPending(Config{})
-		srv.SetReadyMapped(sys, cs, m, g.Engine(ri), nil)
-		a := httptest.NewServer(srv)
-		t.Cleanup(a.Close)
-		b := httptest.NewServer(srv)
-		t.Cleanup(b.Close)
-		aURL := a.URL
-		if ri < len(scripts) && scripts[ri] != nil {
-			p, err := faultproxy.New(a.URL, scripts[ri])
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(p.Close)
-			aURL = p.URL()
-		}
-		urls = append(urls, aURL+"|"+b.URL)
-	}
-	coord := NewCoordinator(urls, Config{CacheEntries: -1}, scfg)
-	t.Cleanup(coord.Close)
-	return coord
-}
-
-// TestReplicatedGoldenUnderFaults is the acceptance battery: a 3-range ×
-// 2-replica cluster where one replica per range is permanently broken in a
-// different way (5xx bursts, hanging, connection resets). Every /search
-// must succeed via failover AND be byte-identical to a single-engine
-// server — fault handling must never change what the client reads, only
-// how it is obtained.
+// TestReplicatedGoldenUnderFaults is the acceptance battery: 3 ranges x 2
+// replicas, the first replica of each permanently broken in its own way — a
+// 500, past ShardTimeout, a 200 of the wrong shape. Every request of the
+// table, twice, is answered as the single server answers it, by failover
+// alone: no range call fails, no page is partial, and the breakers trip.
 func TestReplicatedGoldenUnderFaults(t *testing.T) {
-	sys, cs, m, _ := testState(t)
-	ref := NewPending(Config{})
-	ref.install(sys, cs, m)
-
-	always := func(f faultproxy.Fault) faultproxy.Script {
-		return func(i int, r *http.Request) faultproxy.Fault {
-			if r.URL.Path == "/shard/search" {
-				return f
-			}
-			return faultproxy.Fault{}
-		}
+	broken := map[simKey]simKind{}
+	for i := 0; i < 64; i++ {
+		broken[simKey{0, i}], broken[simKey{2, i}], broken[simKey{4, i}] = sim5xx, simTimeout, simShapeA
 	}
-	coord := replicatedCluster(t, 3, []faultproxy.Script{
-		always(faultproxy.Fault{Status: http.StatusInternalServerError}), // range 0: flaky 5xx
-		always(faultproxy.Fault{Hang: true}),                             // range 1: wedged
-		always(faultproxy.Fault{Reset: true}),                            // range 2: resets
-	}, fastResilience())
-
-	queries := coordQueries(t)
-	rng := rand.New(rand.NewSource(23))
-	searches := 0
-	for qi, q := range queries {
-		for trial := 0; trial < 3; trial++ {
-			params := "q=" + urlQuery(q) + fmt.Sprintf("&limit=%d", 1+rng.Intn(20))
-			if rng.Intn(2) == 0 {
-				params += fmt.Sprintf("&offset=%d", rng.Intn(15))
-			}
-			if rng.Intn(3) == 0 {
-				params += "&boolean=1"
-			}
-			want := get(t, ref, "/search?"+params)
-			got := get(t, coord, "/search?"+params)
-			label := fmt.Sprintf("query %d %q trial %d params %s", qi, q, trial, params)
-			if got.Code != want.Code {
-				t.Fatalf("%s: coordinator %d, single server %d\n%s", label, got.Code, want.Code, got.Body)
-			}
-			if got.Body.String() != want.Body.String() {
-				t.Fatalf("%s: bodies differ under faults\ncoordinator: %s\nsingle:      %s", label, got.Body, want.Body)
-			}
-			searches++
-		}
-	}
-
-	snap := coord.metrics.Snapshot()
-	if snap.Failovers == 0 {
-		t.Fatalf("no failovers recorded across %d searches against half-broken replicas: %+v", searches, snap)
-	}
-	if snap.BreakerOpens == 0 {
-		t.Fatalf("no breaker ever tripped against permanently broken replicas: %+v", snap)
-	}
-	if snap.Partial != 0 {
-		t.Fatalf("%d partial pages served — failover must keep answers exact", snap.Partial)
-	}
-	for ri := range snap.Shards {
-		if snap.Shards[ri].Errors+snap.Shards[ri].Timeouts != 0 {
-			t.Fatalf("range %d recorded a range-level failure — every call must be rescued: %+v", ri, snap)
-		}
-	}
-}
-
-// TestBreakerTripsAndRecovers: a replica that fails its first shard
-// requests trips its breaker (queries stop paying for it), then heals —
-// after the cool-down a half-open probe readmits it and the breaker
-// closes.
-func TestBreakerTripsAndRecovers(t *testing.T) {
-	_, _, _, query := testState(t)
-	scfg := fastResilience()
-	scfg.BreakerThreshold = 2
-	scfg.BreakerCooldown = 150 * time.Millisecond
-	// Replica 0 of the single range 500s its first two search requests,
-	// then recovers.
-	coord := replicatedCluster(t, 1, []faultproxy.Script{
-		func(i int, r *http.Request) faultproxy.Fault {
-			if r.URL.Path == "/shard/search" && i < 2 {
-				return faultproxy.Fault{Status: http.StatusInternalServerError}
-			}
-			return faultproxy.Fault{}
-		},
-	}, scfg)
-
-	for i := 0; i < 6; i++ {
-		rec := get(t, coord, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(query), 1+i))
-		if rec.Code != 200 {
-			t.Fatalf("search %d during replica flap = %d: %s", i, rec.Code, rec.Body)
-		}
-	}
-	snap := coord.metrics.Snapshot()
-	if snap.BreakerOpens == 0 {
-		t.Fatalf("breaker never tripped after repeated 500s: %+v", snap)
-	}
-
-	// Past the cool-down, traffic readmits the recovered replica and the
-	// breaker closes again.
-	time.Sleep(scfg.BreakerCooldown + 50*time.Millisecond)
-	before := coord.metrics.Snapshot().Replicas[0].Requests
-	deadline := time.Now().Add(5 * time.Second)
-	for i := 0; ; i++ {
-		rec := get(t, coord, fmt.Sprintf("/search?q=%s&limit=%d", urlQuery(query), 30+i))
-		if rec.Code != 200 {
-			t.Fatalf("post-recovery search = %d: %s", rec.Code, rec.Body)
-		}
-		s := coord.metrics.Snapshot()
-		if s.Replicas[0].Requests > before && s.Replicas[0].Errors == before {
-			break // the healed replica served again, cleanly
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("recovered replica never readmitted: %+v", s)
-		}
-	}
-}
-
-// TestHedgeWins: with hedging on, a slow replica no longer sets the
-// latency floor — the hedge to the fast replica answers first, the page
-// stays exact, and the win is counted.
-func TestHedgeWins(t *testing.T) {
-	sys, cs, m, _ := testState(t)
-	ref := NewPending(Config{})
-	ref.install(sys, cs, m)
-	queries := coordQueries(t)
-
-	scfg := fastResilience()
-	scfg.ShardTimeout = 2 * time.Second
-	scfg.HedgeAfter = 20 * time.Millisecond
-	coord := replicatedCluster(t, 1, []faultproxy.Script{
-		func(i int, r *http.Request) faultproxy.Fault {
-			if r.URL.Path == "/shard/search" {
-				return faultproxy.Fault{Delay: 600 * time.Millisecond}
-			}
-			return faultproxy.Fault{}
-		},
-	}, scfg)
-
-	start := time.Now()
-	for qi, q := range queries[:4] {
-		path := "/search?q=" + urlQuery(q) + "&limit=10"
-		want := get(t, ref, path)
-		got := get(t, coord, path)
-		if got.Code != want.Code || got.Body.String() != want.Body.String() {
-			t.Fatalf("query %d %q: hedged page differs (%d vs %d)\ncoordinator: %s\nsingle:      %s",
-				qi, q, got.Code, want.Code, got.Body, want.Body)
-		}
-	}
-	// 4 queries, roughly half first-routed to the 600ms replica: without
-	// hedging that is >= 1.2s. With hedging every query resolves in tens
-	// of milliseconds.
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("4 hedged queries took %v — hedging is not cutting tail latency", elapsed)
-	}
-	snap := coord.metrics.Snapshot()
-	if snap.HedgesWon == 0 {
-		t.Fatalf("no hedge ever won against a 600ms replica: %+v", snap)
-	}
-}
-
-// TestChaosReplicaKill: replicas of a live cluster are killed one per
-// range mid-traffic; every search keeps succeeding byte-identically, and
-// /readyz degrades only when a range loses its last replica.
-func TestChaosReplicaKill(t *testing.T) {
-	sys, cs, m, _ := testState(t)
-	ref := NewPending(Config{})
-	ref.install(sys, cs, m)
-	g := sliceGroup(t, sys, cs, m, 2)
-
-	var urls []string
-	var killable []*httptest.Server
-	for ri := 0; ri < g.NumShards(); ri++ {
-		srv := NewPending(Config{})
-		srv.SetReadyMapped(sys, cs, m, g.Engine(ri), nil)
-		a := httptest.NewServer(srv)
-		killable = append(killable, a) // closed mid-test
-		b := httptest.NewServer(srv)
-		t.Cleanup(b.Close)
-		urls = append(urls, a.URL+"|"+b.URL)
-	}
-	coord := NewCoordinator(urls, Config{CacheEntries: -1}, fastResilience())
-	t.Cleanup(coord.Close)
-	queries := coordQueries(t)
-
-	check := func(stage string) {
+	sh := simShape{ranges: 3, replicas: 2}
+	s := newSimRun(simClusterFor(t, 3), sh, broken, simConfig(sh))
+	serve := func(pg *simPage) {
 		t.Helper()
-		for _, q := range queries[:5] {
-			path := "/search?q=" + urlQuery(q) + "&limit=10"
-			want := get(t, ref, path)
-			got := get(t, coord, path)
-			if got.Code != want.Code || got.Body.String() != want.Body.String() {
-				t.Fatalf("%s: %q differs (%d vs %d): %s", stage, q, got.Code, want.Code, got.Body)
+		for k := 0; k < 2; k++ {
+			if rec := s.serve(pg); rec.Code != pg.code {
+				t.Fatalf("%s under faults = %d, the single server's %d: %s", pg.name, rec.Code, pg.code, rec.Body)
 			}
 		}
 	}
-
-	check("all replicas up")
-	if rec := get(t, coord, "/readyz"); rec.Code != 200 {
-		t.Fatalf("readyz with full cluster = %d: %s", rec.Code, rec.Body)
+	for _, pg := range s.cl.pages {
+		if pg.name != "rejected" {
+			serve(pg)
+		}
 	}
-
-	killable[0].Close() // range 0 loses replica 0
-	check("one replica down")
-	killable[1].Close() // range 1 loses replica 0 too
-	check("one replica down per range")
-	// One replica per range still up: the cluster remains ready.
-	if rec := get(t, coord, "/readyz"); rec.Code != 200 {
-		t.Fatalf("readyz with one replica per range = %d: %s", rec.Code, rec.Body)
+	snap := s.coord.metrics.Snapshot()
+	if snap.Failovers == 0 || snap.BreakerOpens != 3 || snap.Partial != 0 {
+		t.Fatalf("%d failovers, %d breakers opened, %d partial pages; want some, 3, 0", snap.Failovers, snap.BreakerOpens, snap.Partial)
 	}
-	snap := coord.metrics.Snapshot()
-	if snap.Failovers == 0 {
-		t.Fatalf("kills never exercised failover: %+v", snap)
+	for ri, sc := range snap.Shards {
+		if sc.Errors+sc.Timeouts != 0 {
+			t.Fatalf("range %d recorded a failed range call — every call must be rescued: %+v", ri, sc)
+		}
+	}
+	// The page every range rejects comes after the range counters are read:
+	// callRange counts a relayed client error as a failed range call (a
+	// known defect), so they would read failures no failover could rescue.
+	serve(s.cl.page(t, "rejected"))
+	if len(s.violations) > 0 {
+		t.Fatal(strings.Join(s.violations, "\n"))
 	}
 }
 
-// TestAllReplicasDown: when a whole range is gone the query fails with a
-// 503 whose Retry-After is derived from the breaker cool-down — the hint
-// tracks how long until a retry could plausibly succeed.
-func TestAllReplicasDown(t *testing.T) {
-	_, _, _, query := testState(t)
-	dead := httptest.NewServer(http.NewServeMux())
-	deadURL := dead.URL
-	dead.Close()
-	coord := NewCoordinator([]string{deadURL + "|" + deadURL}, Config{CacheEntries: -1}, ShardConfig{
-		MaxRetries:      -1,
-		ProbeInterval:   -1,
-		BreakerCooldown: 3 * time.Second,
-	})
-	t.Cleanup(coord.Close)
-
-	rec := get(t, coord, "/search?q="+urlQuery(query)+"&limit=5")
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("dead range = %d, want 503: %s", rec.Code, rec.Body)
+// TestBreakerTripsAndRecovers: health probes alone move a breaker. Failed
+// probes trip a dead replica's breaker before any query pays for it, and
+// pages stay exact off its sibling; a successful probe does not close it
+// inside the cool-down, and past it the probe is the half-open one and closes
+// it, so the healed replica serves again without a query spent on the
+// discovery. (Queries tripping it is TestPolicySimBreakerCooldown.)
+func TestBreakerTripsAndRecovers(t *testing.T) {
+	sh := simShape{ranges: 1, replicas: 2}
+	s := newSimRun(simClusterFor(t, 1), sh, nil, simConfig(sh))
+	pg := s.cl.page(t, "offset")
+	for i := 0; i < simThreshold; i++ {
+		s.probe(0, false)
 	}
-	if got := rec.Header().Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After = %q, want %q (the breaker cool-down)", got, "3")
+	s.probe(0, true)
+	for k := 0; k < 4; k++ {
+		s.serve(pg)
+	}
+	if st := s.coord.breakers[0].State(); st != resilience.Open || s.next[0] != 0 {
+		t.Fatalf("after %d failed probes: breaker %v, %d calls to the replica", simThreshold, st, s.next[0])
+	}
+	s.clock.Add(int64(simCooldown))
+	s.probe(0, true)
+	for k := 0; k < 2; k++ {
+		s.serve(pg)
+	}
+	if st := s.coord.breakers[0].State(); st != resilience.Closed || s.next[0] != 1 {
+		t.Fatalf("after the cool-down and a good probe: breaker %v, %d calls to the replica, want closed and 1", st, s.next[0])
+	}
+	if len(s.violations) > 0 {
+		t.Fatal(strings.Join(s.violations, "\n"))
+	}
+}
+
+// TestHedgeWins: with hedging, a primary slower than HedgeAfter is raced by
+// a hedge to its fresh sibling. When the primary then fails, the hedge's
+// answer is the page and its win is counted; when it is merely slow, the
+// page is the same whichever answer is taken. (That every owed hedge is sent
+// is a checker property.)
+func TestHedgeWins(t *testing.T) {
+	sh := simShape{ranges: 1, replicas: 2, hedge: true}
+	for k, won := range map[simKind]uint64{simTimeout: 1, simSlowOK: 0} {
+		s, recs := simServe(t, sh, simConfig(sh), map[simKey]simKind{{0, 0}: k}, "offset")
+		snap := s.coord.metrics.Snapshot()
+		if recs[0].Code != 200 || snap.Hedges != 1 || snap.HedgesWon < won {
+			t.Fatalf("%v primary: %d, %d hedges, %d won", k, recs[0].Code, snap.Hedges, snap.HedgesWon)
+		}
+	}
+}
+
+// TestChaosReplicaKill: replicas are lost mid-traffic, one per range — from
+// some call on, each fails every call — and every page stays the single
+// server's, by failover.
+func TestChaosReplicaKill(t *testing.T) {
+	kills := map[simKey]simKind{}
+	for i := 0; i < 32; i++ {
+		kills[simKey{0, 2 + i}], kills[simKey{2, 5 + i}] = sim5xx, simTimeout
+	}
+	var pages []string
+	for k := 0; k < 4; k++ {
+		pages = append(pages, "offset", "boolean", "after range 0")
+	}
+	sh := simShape{ranges: 2, replicas: 2}
+	s, recs := simServe(t, sh, simConfig(sh), kills, pages...)
+	for i, rec := range recs {
+		if rec.Code != 200 {
+			t.Fatalf("page %d (%s) after the kills = %d: %s", i, pages[i], rec.Code, rec.Body)
+		}
+	}
+	if snap := s.coord.metrics.Snapshot(); snap.Failovers == 0 || snap.Partial != 0 {
+		t.Fatalf("kills: %d failovers, %d partial pages", snap.Failovers, snap.Partial)
+	}
+}
+
+// TestAllReplicasDown: when every replica of a range fails, the query fails
+// with a 503 whose Retry-After is the breaker cool-down, the longer of it and
+// ShardTimeout — the soonest a retry could plausibly see a recovered backend —
+// and whose body is a JSON error.
+func TestAllReplicasDown(t *testing.T) {
+	down := map[simKey]simKind{}
+	for i := 0; i < 1+simMaxRetries; i++ {
+		down[simKey{0, i}], down[simKey{1, i}] = sim5xx, sim5xx
+	}
+	sh := simShape{ranges: 1, replicas: 2}
+	_, recs := simServe(t, sh, simConfig(sh), down, "offset")
+	rec := recs[0]
+	if got := rec.Header().Get("Retry-After"); rec.Code != 503 || got != "3" {
+		t.Fatalf("dead range = %d with Retry-After %q, want 503 and %q (the breaker cool-down)", rec.Code, got, "3")
 	}
 	var body map[string]string
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
@@ -331,31 +175,18 @@ func TestRetryAfterSecs(t *testing.T) {
 // state, health, and per-backend counters — that operators need during an
 // incident.
 func TestReplicaStatsExposed(t *testing.T) {
-	_, _, _, query := testState(t)
-	coord := replicatedCluster(t, 2, nil, fastResilience())
+	sys, cs, m, query := testState(t)
+	coord := clusterOver(t, sys, cs, m, 2, 2, ShardConfig{})
 	get(t, coord, "/search?q="+urlQuery(query)+"&limit=3")
 
-	rec := get(t, coord, "/stats")
-	if rec.Code != 200 {
-		t.Fatalf("stats = %d: %s", rec.Code, rec.Body)
-	}
 	var stats StatsResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Sharding == nil {
-		t.Fatal("stats lost the sharding section")
-	}
-	if len(stats.Sharding.Replicas) != 4 {
-		t.Fatalf("replicas in stats = %d, want 4 (2 ranges x 2)", len(stats.Sharding.Replicas))
+	if rec := get(t, coord, "/stats"); rec.Code != 200 || json.Unmarshal(rec.Body.Bytes(), &stats) != nil || stats.Sharding == nil || len(stats.Sharding.Replicas) != 4 {
+		t.Fatalf("stats = %d, want 4 replicas (2 ranges x 2): %s", rec.Code, rec.Body)
 	}
 	var searched uint64
 	for g, rs := range stats.Sharding.Replicas {
-		if rs.URL == "" || rs.State == "" {
-			t.Fatalf("replica %d missing url/breaker state: %+v", g, rs)
-		}
-		if rs.Range != g/2 {
-			t.Fatalf("replica %d mapped to range %d, want %d", g, rs.Range, g/2)
+		if rs.URL != coord.backends[g] || rs.State != "closed" || rs.Range != g/2 {
+			t.Fatalf("replica %d: url %q, breaker %q, range %d; want %q, closed, %d", g, rs.URL, rs.State, rs.Range, coord.backends[g], g/2)
 		}
 		searched += rs.Requests
 	}

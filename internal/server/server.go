@@ -477,14 +477,13 @@ func (b *backend) renderResults(ctx context.Context, q string, results []ctxsear
 // ShardSearchRequest is the POST /shard/search payload: one shard's slice
 // of a scatter-gather query. Limit may exceed MaxLimit (up to
 // MaxOffset+MaxLimit) because the coordinator folds the client's offset
-// into the shard limit; Offset is always 0 in coordinator traffic but
-// accepted for direct diagnostics. With Finish the shard is the last range
-// asked: it answers the finished /search body instead of its rows.
+// into the shard limit (shard.ShardOptions); a range's rows always start at
+// its best. With Finish the shard is the last range asked: it answers the
+// finished /search body instead of its rows.
 type ShardSearchRequest struct {
 	Q         string       `json:"q"`
 	Boolean   bool         `json:"boolean,omitempty"`
 	Limit     int          `json:"limit"`
-	Offset    int          `json:"offset,omitempty"`
 	Threshold float64      `json:"threshold,omitempty"`
 	Finish    *ShardFinish `json:"finish,omitempty"`
 }
@@ -571,10 +570,6 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad shard limit %d", req.Limit)
 		return
 	}
-	if req.Offset < 0 || req.Offset > MaxOffset {
-		writeErr(w, http.StatusBadRequest, "bad shard offset %d", req.Offset)
-		return
-	}
 	if req.Threshold < 0 || req.Threshold > 1 {
 		writeErr(w, http.StatusBadRequest, "bad shard threshold %v", req.Threshold)
 		return
@@ -602,7 +597,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	if s.testHook != nil {
 		s.testHook(ctx)
 	}
-	opts := ctxsearch.SearchOptions{Limit: req.Limit, Offset: req.Offset, Threshold: req.Threshold}
+	opts := ctxsearch.SearchOptions{Limit: req.Limit, Threshold: req.Threshold}
 	var results []ctxsearch.SearchResult
 	if req.Boolean {
 		results, err = b.searcher.SearchBooleanContext(ctx, req.Q, opts)

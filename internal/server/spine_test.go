@@ -30,7 +30,7 @@ func TestCoordinatorGoldenEquality(t *testing.T) {
 		{name: "2 ranges", ranges: 2},
 		{name: "3 ranges", ranges: 3},
 		{name: "5 ranges", ranges: 5},
-		{name: "2 ranges x 2 replicas", ranges: 2, replicas: true},
+		{name: "2 ranges x 2 replicas", ranges: 2, replicas: 2},
 	} {
 		t.Run(row.name, func(t *testing.T) { row.check(t, ref, paths) })
 	}
@@ -104,7 +104,7 @@ type httpRow struct {
 	name     string
 	boot     string // "": built in-process; "mmap" or "byte-copy": opened from state
 	ranges   int    // 0: one server; else a coordinator over that many ranges
-	replicas bool   // two replicas per range
+	replicas int    // per range (0: one)
 	state    string // the state file a booted row opens
 }
 
@@ -124,11 +124,8 @@ func (row httpRow) check(t *testing.T, ref *Server, paths []string) {
 		}
 	}
 	var h http.Handler = NewPending(Config{}).install(sys, cs, m)
-	switch {
-	case row.replicas:
-		h = replicatedCluster(t, row.ranges, nil, ShardConfig{})
-	case row.ranges > 0:
-		h, _ = clusterOver(t, sys, cs, m, row.ranges, ShardConfig{})
+	if row.ranges > 0 {
+		h = clusterOver(t, sys, cs, m, row.ranges, max(row.replicas, 1), ShardConfig{})
 	}
 	for _, path := range paths {
 		want, got := get(t, ref, path), get(t, h, path)
