@@ -175,7 +175,7 @@ func (a *app) cluster(out io.Writer, args []string) error {
 		fmt.Fprintf(out, "only %d results for %q — too few to cluster\n", len(hits), query)
 		return nil
 	}
-	clusters, err := cluster.KMeans(a.sys.Analyzer(), hits, cluster.Config{})
+	clusters, err := cluster.KMeans(a.sys.Analyzer(), hits)
 	if err != nil {
 		return err
 	}

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"ctxsearch/internal/buildstats"
-	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
@@ -76,7 +75,12 @@ type (
 	Hit = index.Hit
 )
 
-// Config assembles every knob of the pipeline.
+// Config is what a caller sets: the synthetic corpus, the relevancy
+// weights and the build's parallelism. The paper fixes one setting for each
+// score function and set construction — PageRank's d, the text score's
+// weights, the pattern settings, the set thresholds — and each is a
+// constant of the package that reads it; the small-context cutoff follows
+// the corpus size (System.MinContextSize).
 type Config struct {
 	// Synthetic-data parameters (used by NewSyntheticSystem).
 	Seed          int64
@@ -84,21 +88,8 @@ type Config struct {
 	MaxDepth      int
 	Papers        int
 
-	// ContextSet configures both context paper set constructions.
-	ContextSet contextset.Config
-	// PageRank configures the citation-based score function.
-	PageRank citegraph.PageRankOpts
-	// TextWeights configures the text-based score function.
-	TextWeights prestige.TextWeights
-	// Pattern and Match configure the pattern-based score function.
-	Pattern pattern.Config
-	Match   pattern.MatchConfig
 	// Relevancy combines prestige and matching at query time.
 	Relevancy search.Weights
-	// MinContextSize excludes small contexts from scoring, mirroring the
-	// paper's ≤100-papers exclusion (scaled: the default is 0.15% of the
-	// corpus with a floor of 5).
-	MinContextSize int
 	// BuildWorkers bounds the parallelism of the offline build — corpus
 	// analysis (tokens, dictionary and TF-IDF rows), inverted-index
 	// construction, context-set assembly and prestige scoring (0 = GOMAXPROCS, 1 = serial). The built structures are
@@ -112,29 +103,19 @@ type Config struct {
 // scale (2,000 papers, 400 terms).
 func DefaultConfig() Config {
 	return Config{
-		Seed:           1,
-		OntologyTerms:  400,
-		MaxDepth:       9,
-		Papers:         2000,
-		ContextSet:     contextset.DefaultConfig(),
-		PageRank:       citegraph.PageRankOpts{},
-		TextWeights:    prestige.DefaultTextWeights(),
-		Pattern:        pattern.DefaultConfig(),
-		Match:          pattern.DefaultMatchConfig(),
-		Relevancy:      search.DefaultWeights(),
-		MinContextSize: -1, // -1 = derive from corpus size
+		Seed:          1,
+		OntologyTerms: 400,
+		MaxDepth:      9,
+		Papers:        2000,
+		Relevancy:     search.DefaultWeights(),
 	}
 }
 
-func (c *Config) minContextSize(corpusLen int) int {
-	if c.MinContextSize >= 0 {
-		return c.MinContextSize
-	}
-	m := corpusLen * 15 / 10000 // 0.15%, the paper's 100/72027 ratio
-	if m < 5 {
-		m = 5
-	}
-	return m
+// minContextSize is the small-context exclusion cutoff for a corpus of n
+// papers, mirroring the paper's ≤100-papers exclusion scaled to the corpus:
+// 0.15% of it (the paper's 100/72027), at least 5.
+func minContextSize(n int) int {
+	return max(n*15/10000, 5)
 }
 
 // BuildStats is the offline-build timing summary (re-exported from the
@@ -335,8 +316,9 @@ func NewSyntheticSystem(cfg Config) (*System, error) {
 // Config returns the system's configuration.
 func (s *System) Config() Config { return s.cfg }
 
-// MinContextSize returns the effective small-context exclusion cutoff.
-func (s *System) MinContextSize() int { return s.cfg.minContextSize(s.Corpus.Len()) }
+// MinContextSize returns the small-context exclusion cutoff: contexts of
+// at most this many papers are not scored.
+func (s *System) MinContextSize() int { return minContextSize(s.Corpus.Len()) }
 
 // BuildStats returns the system's offline-build timing record. Stages
 // recorded after construction (context sets, prestige scoring) append to the
@@ -347,7 +329,7 @@ func (s *System) BuildStats() *BuildStats { return s.stats }
 func (s *System) BuildTextContextSet() *ContextSet {
 	var cs *ContextSet
 	s.stats.Time("contextset-text", s.Corpus.Len(), "papers", func() {
-		cs = contextset.BuildTextBased(s.index, s.Ontology, s.cfg.ContextSet, s.cfg.BuildWorkers)
+		cs = contextset.BuildTextBased(s.index, s.Ontology, s.cfg.BuildWorkers)
 	})
 	return cs
 }
@@ -358,17 +340,17 @@ func (s *System) BuildPatternContextSet() *ContextSet {
 	var cs *ContextSet
 	pos := s.PosIndex() // outside the timed stage: its first use records its own
 	s.stats.Time("contextset-pattern", s.Corpus.Len(), "papers", func() {
-		cs = contextset.BuildPatternBased(pos, s.analyzer, s.Ontology, s.cfg.ContextSet, s.cfg.Pattern, s.cfg.BuildWorkers)
+		cs = contextset.BuildPatternBased(pos, s.analyzer, s.Ontology, s.cfg.BuildWorkers)
 	})
 	return cs
 }
 
 // CitationScorer returns the citation-based prestige scorer (§3.1), built
-// once per System — it embeds the corpus-wide citation graph. Use WithOpts /
-// WithCrossContext for ablation variants sharing the graph.
+// once per System — it embeds the corpus-wide citation graph. Use
+// WithTeleport / WithCrossContext for ablation variants sharing the graph.
 func (s *System) CitationScorer() *prestige.CitationScorer {
 	s.citationOnce.Do(func() {
-		s.citation = prestige.NewCitationScorer(s.Corpus, s.cfg.PageRank)
+		s.citation = prestige.NewCitationScorer(s.Corpus)
 	})
 	return s.citation
 }
@@ -378,7 +360,7 @@ func (s *System) CitationScorer() *prestige.CitationScorer {
 // tables.
 func (s *System) TextScorer() *prestige.TextScorer {
 	s.textOnce.Do(func() {
-		s.text = prestige.NewTextScorer(s.analyzer, s.cfg.TextWeights)
+		s.text = prestige.NewTextScorer(s.analyzer)
 	})
 	return s.text
 }
@@ -387,30 +369,36 @@ func (s *System) TextScorer() *prestige.TextScorer {
 // per System; its mined-pattern cache then persists across score runs.
 func (s *System) PatternScorer() *prestige.PatternScorer {
 	s.patternOnce.Do(func() {
-		s.pattern = prestige.NewPatternScorer(s.PosIndex(), s.Ontology, s.cfg.Pattern, s.cfg.Match)
+		s.pattern = prestige.NewPatternScorer(s.PosIndex(), s.Ontology)
 	})
 	return s.pattern
 }
 
-// score runs a scorer over a context set with the configured exclusion and
+// score runs a scorer over the contexts of a set larger than minSize and
 // applies hierarchical max propagation (§3). Scoring fans out across
 // contexts per Config.BuildWorkers.
-func (s *System) score(sc prestige.Scorer, cs *ContextSet) *Matrix {
+func (s *System) score(sc prestige.Scorer, cs *ContextSet, minSize int) *Matrix {
 	var out *Matrix
 	s.stats.Time("score-"+sc.Name(), len(cs.Contexts()), "contexts", func() {
-		out = prestige.PropagateMax(s.Ontology, prestige.Score(sc, cs, s.MinContextSize(), s.cfg.BuildWorkers))
+		out = prestige.PropagateMax(s.Ontology, prestige.Score(sc, cs, minSize, s.cfg.BuildWorkers))
 	})
 	return out
 }
 
 // ScoreCitation computes citation-based prestige scores over a context set.
-func (s *System) ScoreCitation(cs *ContextSet) *Matrix { return s.score(s.CitationScorer(), cs) }
+func (s *System) ScoreCitation(cs *ContextSet) *Matrix {
+	return s.score(s.CitationScorer(), cs, s.MinContextSize())
+}
 
 // ScoreText computes text-based prestige scores over a context set.
-func (s *System) ScoreText(cs *ContextSet) *Matrix { return s.score(s.TextScorer(), cs) }
+func (s *System) ScoreText(cs *ContextSet) *Matrix {
+	return s.score(s.TextScorer(), cs, s.MinContextSize())
+}
 
 // ScorePattern computes pattern-based prestige scores over a context set.
-func (s *System) ScorePattern(cs *ContextSet) *Matrix { return s.score(s.PatternScorer(), cs) }
+func (s *System) ScorePattern(cs *ContextSet) *Matrix {
+	return s.score(s.PatternScorer(), cs, s.MinContextSize())
+}
 
 // Engine assembles the context-based search engine over prestige scores —
 // the ones a Score method returned, or a state file's — and the context set

@@ -16,7 +16,6 @@ func smallConfig() Config {
 	cfg.OntologyTerms = 60
 	cfg.Papers = 220
 	cfg.MaxDepth = 7
-	cfg.MinContextSize = 3
 	return cfg
 }
 
@@ -132,39 +131,13 @@ func TestEndToEndPatternPipeline(t *testing.T) {
 	}
 }
 
-// TestPatternConfigReachesContextSet: Config.Pattern configures the §4
-// pattern-based context set's patterns, as it does the pattern scorer's.
-func TestPatternConfigReachesContextSet(t *testing.T) {
-	members := func(cs *ContextSet) (n int) {
-		for _, ctx := range cs.Contexts() {
-			n += cs.Size(ctx)
-		}
-		return n
-	}
-	cfg := smallConfig()
-	cfg.Pattern.MaxSignificant = 1
-	sys, err := NewSyntheticSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, base := members(sys.BuildPatternContextSet()), members(testSystem(t).BuildPatternContextSet()); got == base {
-		t.Fatalf("MaxSignificant 1 left the pattern context set at %d memberships", got)
-	}
-}
-
 func TestMinContextSizeDefault(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MinContextSize = -1
 	// 0.15% of 72027 ≈ 108, close to the paper's 100.
-	if got := cfg.minContextSize(72027); got < 100 || got > 115 {
+	if got := minContextSize(72027); got < 100 || got > 115 {
 		t.Fatalf("paper-scale cutoff = %d", got)
 	}
-	if got := cfg.minContextSize(1000); got != 5 {
+	if got := minContextSize(1000); got != 5 {
 		t.Fatalf("small-corpus floor = %d", got)
-	}
-	cfg.MinContextSize = 42
-	if got := cfg.minContextSize(72027); got != 42 {
-		t.Fatalf("explicit cutoff = %d", got)
 	}
 }
 

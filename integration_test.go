@@ -38,7 +38,6 @@ func getGolden(t *testing.T) *golden {
 		cfg.Seed = 7
 		cfg.Papers = 500
 		cfg.OntologyTerms = 120
-		cfg.MinContextSize = 5
 		sys, err := ctxsearch.NewSyntheticSystem(cfg)
 		if err != nil {
 			goldenErr = err

@@ -22,7 +22,7 @@ func BenchmarkPageRank1k(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = PageRank(g, PageRankOpts{})
+		_ = PageRank(g, TeleportE2)
 	}
 }
 
@@ -31,7 +31,7 @@ func BenchmarkPageRankE1(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = PageRank(g, PageRankOpts{Teleport: TeleportE1})
+		_ = PageRank(g, TeleportE1)
 	}
 }
 
@@ -40,7 +40,7 @@ func BenchmarkHITS1k(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _ = HITS(g, 0, 0)
+		_, _ = HITS(g)
 	}
 }
 
@@ -85,7 +85,7 @@ func BenchmarkSubgraphPageRankPipeline(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sub, _ := g.Subgraph(nodes)
-			_ = PageRank(sub, PageRankOpts{})
+			_ = PageRank(sub, TeleportE1)
 		}
 	})
 	b.Run("scratch", func(b *testing.B) {
@@ -93,7 +93,7 @@ func BenchmarkSubgraphPageRankPipeline(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sub, _ := g.SubgraphInto(nodes, s)
-			_ = PageRankScratch(sub, PageRankOpts{}, s)
+			_ = PageRankScratch(sub, TeleportE1, s)
 		}
 	})
 }

@@ -34,37 +34,21 @@ func (t Teleport) String() string {
 	}
 }
 
-// PageRankOpts configures the PageRank computation.
-type PageRankOpts struct {
-	// D is the teleport probability d of the paper's recurrence; the
-	// link-following weight is 1−d. Default 0.15.
-	D float64
-	// Teleport selects E1 or E2 (default E2).
-	Teleport Teleport
-	// MaxIter bounds the power iteration (default 100).
-	MaxIter int
-	// Tol is the L1 convergence tolerance (default 1e-9).
-	Tol float64
-}
-
-func (o *PageRankOpts) defaults() {
-	if o.D <= 0 || o.D >= 1 {
-		o.D = 0.15
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-9
-	}
-}
+// The power iteration's settings (§3.1): the teleport probability d — the
+// link-following weight is 1−d — the iteration cap and the L1 convergence
+// tolerance. HITS iterates under the same cap and tolerance.
+const (
+	damping = 0.15
+	maxIter = 100
+	tol     = 1e-9
+)
 
 // PageRank computes the paper's PageRank variant over g and returns one
 // score per node, L1-normalised (ΣP = 1). Dangling nodes (no outgoing
 // citations) distribute their mass uniformly, the standard correction; an
 // empty graph returns nil and a single node gets score 1.
-func PageRank(g *Graph, opts PageRankOpts) []float64 {
-	return PageRankScratch(g, opts, nil)
+func PageRank(g *Graph, tp Teleport) []float64 {
+	return PageRankScratch(g, tp, nil)
 }
 
 // PageRankScratch is PageRank with the power-iteration vectors drawn from a
@@ -73,8 +57,7 @@ func PageRank(g *Graph, opts PageRankOpts) []float64 {
 // arena and is only valid until its next use — copy out anything kept. A
 // nil scratch allocates fresh vectors (PageRank's behaviour); results are
 // bit-identical either way.
-func PageRankScratch(g *Graph, opts PageRankOpts, s *Scratch) []float64 {
-	opts.defaults()
+func PageRankScratch(g *Graph, tp Teleport, s *Scratch) []float64 {
 	n := g.Len()
 	if n == 0 {
 		return nil
@@ -89,8 +72,8 @@ func PageRankScratch(g *Graph, opts PageRankOpts, s *Scratch) []float64 {
 	for i := range p {
 		p[i] = 1 / float64(n)
 	}
-	link := 1 - opts.D
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	link := 1 - damping
+	for iter := 0; iter < maxIter; iter++ {
 		// Mass from dangling nodes, spread uniformly.
 		var dangling float64
 		for i := 0; i < n; i++ {
@@ -111,10 +94,10 @@ func PageRankScratch(g *Graph, opts PageRankOpts, s *Scratch) []float64 {
 				next[j] += share
 			}
 		}
-		switch opts.Teleport {
+		switch tp {
 		case TeleportE1:
 			for i := range next {
-				next[i] += opts.D
+				next[i] += damping
 			}
 			normalizeL1(next)
 		default: // TeleportE2
@@ -122,7 +105,7 @@ func PageRankScratch(g *Graph, opts PageRankOpts, s *Scratch) []float64 {
 			for _, x := range p {
 				total += x
 			}
-			add := opts.D * total / float64(n)
+			add := damping * total / float64(n)
 			for i := range next {
 				next[i] += add
 			}
@@ -132,7 +115,7 @@ func PageRankScratch(g *Graph, opts PageRankOpts, s *Scratch) []float64 {
 			delta += math.Abs(next[i] - p[i])
 		}
 		p, next = next, p
-		if delta < opts.Tol {
+		if delta < tol {
 			break
 		}
 	}
@@ -161,16 +144,10 @@ func normalizeL1(v []float64) {
 // HITS computes Kleinberg's hubs-and-authorities scores by power iteration
 // with L2 normalisation each step. Returns (authority, hub) slices; nil for
 // an empty graph.
-func HITS(g *Graph, maxIter int, tol float64) (auth, hub []float64) {
+func HITS(g *Graph) (auth, hub []float64) {
 	n := g.Len()
 	if n == 0 {
 		return nil, nil
-	}
-	if maxIter <= 0 {
-		maxIter = 100
-	}
-	if tol <= 0 {
-		tol = 1e-9
 	}
 	auth = make([]float64, n)
 	hub = make([]float64, n)

@@ -18,10 +18,10 @@ func sum(v []float64) float64 {
 }
 
 func TestPageRankEmptyAndSingle(t *testing.T) {
-	if got := PageRank(NewGraph(0), PageRankOpts{}); got != nil {
+	if got := PageRank(NewGraph(0), TeleportE1); got != nil {
 		t.Errorf("empty graph: %v", got)
 	}
-	got := PageRank(NewGraph(1), PageRankOpts{})
+	got := PageRank(NewGraph(1), TeleportE1)
 	if len(got) != 1 || !almostEq(got[0], 1, 1e-12) {
 		t.Errorf("single node: %v", got)
 	}
@@ -34,7 +34,7 @@ func TestPageRankStar(t *testing.T) {
 		for i := 1; i < 5; i++ {
 			_ = g.AddEdge(i, 0)
 		}
-		p := PageRank(g, PageRankOpts{Teleport: tp})
+		p := PageRank(g, tp)
 		if !almostEq(sum(p), 1, 1e-9) {
 			t.Errorf("%v: sum = %v", tp, sum(p))
 		}
@@ -59,7 +59,7 @@ func TestPageRankCycleUniform(t *testing.T) {
 		_ = g.AddEdge(i, (i+1)%4)
 	}
 	for _, tp := range []Teleport{TeleportE1, TeleportE2} {
-		p := PageRank(g, PageRankOpts{Teleport: tp})
+		p := PageRank(g, tp)
 		for i := range p {
 			if !almostEq(p[i], 0.25, 1e-9) {
 				t.Fatalf("%v: cycle not uniform: %v", tp, p)
@@ -72,7 +72,7 @@ func TestPageRankDanglingMassConserved(t *testing.T) {
 	// 0→1, 1 dangling. Scores must stay a distribution.
 	g := NewGraph(2)
 	_ = g.AddEdge(0, 1)
-	p := PageRank(g, PageRankOpts{Teleport: TeleportE2})
+	p := PageRank(g, TeleportE2)
 	if !almostEq(sum(p), 1, 1e-9) {
 		t.Fatalf("sum = %v", sum(p))
 	}
@@ -92,8 +92,8 @@ func TestPageRankE1E2Correlate(t *testing.T) {
 			_ = g.AddEdge(i, j)
 		}
 	}
-	p1 := PageRank(g, PageRankOpts{Teleport: TeleportE1})
-	p2 := PageRank(g, PageRankOpts{Teleport: TeleportE2})
+	p1 := PageRank(g, TeleportE1)
+	p2 := PageRank(g, TeleportE2)
 	// Same top node and positive correlation of scores.
 	top := func(v []float64) int {
 		best := 0
@@ -123,7 +123,7 @@ func TestPageRankConvergesProperty(t *testing.T) {
 			}
 		}
 		for _, tp := range []Teleport{TeleportE1, TeleportE2} {
-			p := PageRank(g, PageRankOpts{Teleport: tp})
+			p := PageRank(g, tp)
 			if !almostEq(sum(p), 1, 1e-6) {
 				return false
 			}
@@ -147,14 +147,14 @@ func TestHITS(t *testing.T) {
 	_ = g.AddEdge(0, 3)
 	_ = g.AddEdge(1, 2)
 	_ = g.AddEdge(1, 3)
-	auth, hub := HITS(g, 0, 0)
+	auth, hub := HITS(g)
 	if auth[2] <= auth[0] || auth[3] <= auth[1] {
 		t.Errorf("authorities wrong: %v", auth)
 	}
 	if hub[0] <= hub[2] || hub[1] <= hub[3] {
 		t.Errorf("hubs wrong: %v", hub)
 	}
-	if a, h := HITS(NewGraph(0), 10, 1e-9); a != nil || h != nil {
+	if a, h := HITS(NewGraph(0)); a != nil || h != nil {
 		t.Error("empty graph must return nils")
 	}
 }

@@ -71,16 +71,15 @@ func TestPageRankScratchMatchesPageRank(t *testing.T) {
 	g := randomGraph(600, 7000, 8)
 	s := NewScratch()
 	for _, tp := range []Teleport{TeleportE1, TeleportE2} {
-		opts := PageRankOpts{Teleport: tp}
 		for k := 1; k <= 12; k++ {
 			nodes := make([]int, 0, k*40)
 			for i := 0; i < k*40; i++ {
 				nodes = append(nodes, (i*13+k)%600)
 			}
 			subWant, _ := g.Subgraph(nodes)
-			want := PageRank(subWant, opts)
+			want := PageRank(subWant, tp)
 			subGot, _ := g.SubgraphInto(nodes, s)
-			got := PageRankScratch(subGot, opts, s)
+			got := PageRankScratch(subGot, tp, s)
 			if len(got) != len(want) {
 				t.Fatalf("%v k=%d: length %d, want %d", tp, k, len(got), len(want))
 			}
@@ -93,7 +92,7 @@ func TestPageRankScratchMatchesPageRank(t *testing.T) {
 	}
 	// Empty graph through the scratch path.
 	empty, _ := g.SubgraphInto(nil, s)
-	if got := PageRankScratch(empty, PageRankOpts{}, s); got != nil {
+	if got := PageRankScratch(empty, TeleportE1, s); got != nil {
 		t.Fatalf("empty subgraph returned %v", got)
 	}
 }

@@ -23,46 +23,32 @@ type Cluster struct {
 	Docs []corpus.PaperID
 }
 
-// Config configures k-means clustering.
-type Config struct {
-	// K is the number of clusters (0 = sqrt(n/2), a common heuristic).
-	K int
-	// MaxIter bounds Lloyd iterations (default 25).
-	MaxIter int
-	// LabelTerms is the number of centroid terms used as the label
-	// (default 3).
-	LabelTerms int
-}
+// maxIter bounds the Lloyd iterations, and labelTerms is the number of
+// centroid terms that label a cluster.
+const (
+	maxIter    = 25
+	labelTerms = 3
+)
 
 // KMeans clusters documents by cosine similarity of their full-text TF-IDF
-// vectors. Deterministic: initial centroids are the documents at evenly
-// spaced positions of the ID-sorted input, and ties in assignment go to the
-// lower cluster index. Returns clusters sorted by size (largest first);
-// empty clusters are dropped.
-func KMeans(a *corpus.Analyzer, docs []corpus.PaperID, cfg Config) ([]Cluster, error) {
+// vectors into √(n/2) clusters for n documents, a common heuristic.
+// Deterministic: initial centroids are the documents at evenly spaced
+// positions of the ID-sorted input, and ties in assignment go to the lower
+// cluster index. Returns clusters sorted by size (largest first); empty
+// clusters are dropped.
+func KMeans(a *corpus.Analyzer, docs []corpus.PaperID) ([]Cluster, error) {
+	return kmeans(a, docs, intSqrt(len(docs)/2))
+}
+
+// kmeans is KMeans into k clusters, at least one and at most one per
+// document.
+func kmeans(a *corpus.Analyzer, docs []corpus.PaperID, k int) ([]Cluster, error) {
 	if len(docs) == 0 {
 		return nil, fmt.Errorf("cluster: no documents")
 	}
 	ids := append([]corpus.PaperID(nil), docs...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	k := cfg.K
-	if k <= 0 {
-		k = intSqrt(len(ids) / 2)
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > len(ids) {
-		k = len(ids)
-	}
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = 25
-	}
-	labelTerms := cfg.LabelTerms
-	if labelTerms <= 0 {
-		labelTerms = 3
-	}
+	k = min(max(k, 1), len(ids))
 
 	rows := make([]corpus.Row, len(ids))
 	for i, id := range ids {

@@ -51,7 +51,7 @@ func twoTopicCorpus(t *testing.T) (*corpus.Analyzer, []corpus.PaperID, map[corpu
 
 func TestKMeansSeparatesTopics(t *testing.T) {
 	a, ids, labels := twoTopicCorpus(t)
-	clusters, err := KMeans(a, ids, Config{K: 2})
+	clusters, err := kmeans(a, ids, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestKMeansSeparatesTopics(t *testing.T) {
 
 func TestKMeansDeterministic(t *testing.T) {
 	a, ids, _ := twoTopicCorpus(t)
-	c1, err := KMeans(a, ids, Config{K: 3})
+	c1, err := kmeans(a, ids, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := KMeans(a, ids, Config{K: 3})
+	c2, err := kmeans(a, ids, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestKMeansDeterministic(t *testing.T) {
 
 func TestKMeansEdgeCases(t *testing.T) {
 	a, ids, _ := twoTopicCorpus(t)
-	if _, err := KMeans(a, nil, Config{}); err == nil {
+	if _, err := KMeans(a, nil); err == nil {
 		t.Fatal("empty input must fail")
 	}
 	// K larger than n clamps.
-	clusters, err := KMeans(a, ids[:2], Config{K: 10})
+	clusters, err := kmeans(a, ids[:2], 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestKMeansEdgeCases(t *testing.T) {
 		t.Fatalf("members lost: %d", total)
 	}
 	// Default K heuristic.
-	clusters, err = KMeans(a, ids, Config{})
+	clusters, err = KMeans(a, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestClusterGeneratedResults(t *testing.T) {
 		ids[i] = p.ID
 		labels[p.ID] = string(p.Topics[0])
 	}
-	clusters, err := KMeans(a, ids, Config{K: 8})
+	clusters, err := kmeans(a, ids, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestKMeansMatchesMapReference(t *testing.T) {
 		ids[i] = corpus.PaperID(i)
 	}
 	for _, k := range []int{1, 3, 8, 20} {
-		got, err := KMeans(a, ids, Config{K: k})
+		got, err := kmeans(a, ids, k)
 		if err != nil {
 			t.Fatal(err)
 		}

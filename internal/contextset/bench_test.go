@@ -46,20 +46,18 @@ func BenchmarkTextContextSet(b *testing.B) {
 
 func benchTextContextSet(b *testing.B, o *ontology.Ontology, a *corpus.Analyzer) {
 	ix := must(index.BuildWorkers(a, 0))
-	cfg := DefaultConfig()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildTextBased(ix, o, cfg, 0)
+		_ = BuildTextBased(ix, o, 0)
 	}
 }
 
 func BenchmarkBuildPatternBased(b *testing.B) {
 	o, a, ix := benchFixture(b)
-	cfg := DefaultConfig()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig(), 0)
+		_ = BuildPatternBased(ix, a, o, 0)
 	}
 }

@@ -39,36 +39,23 @@ func (k Kind) String() string {
 	}
 }
 
-// Config configures context paper set construction.
-type Config struct {
-	// TextThreshold is the minimum cosine similarity to the representative
+// The membership thresholds of the two sets, calibrated on the synthetic
+// corpus, where unrelated-pair full-text cosines sit around 0.2 and
+// same-topic pairs above 0.5.
+const (
+	// textThreshold is the minimum cosine similarity to the representative
 	// paper for membership in the text-based set.
-	TextThreshold float64
-	// TopContextsPerPaper additionally assigns every paper to its M
-	// best-matching contexts even below the threshold. This is what makes
-	// upper-level contexts large and diverse (generic papers land in the
-	// broad contexts they match best, with low absolute similarity) — the
-	// structure behind the paper's Figure 5.5 separability observation.
-	TopContextsPerPaper int
-	// MaxPerContext caps context size in the text-based set (0 = no cap);
-	// the highest-similarity papers win.
-	MaxPerContext int
-	// PatternThreshold is the minimum max-normalised pattern match score
+	textThreshold = 0.35
+	// topContextsPerPaper additionally assigns every paper to its best
+	// matching contexts, this many, even below the threshold. This is what
+	// makes upper-level contexts large and diverse (generic papers land in
+	// the broad contexts they match best, with low absolute similarity) —
+	// the structure behind the paper's Figure 5.5 separability observation.
+	topContextsPerPaper = 2
+	// patternThreshold is the minimum max-normalised pattern match score
 	// for membership in the pattern-based set.
-	PatternThreshold float64
-}
-
-// DefaultConfig returns thresholds used by the experiments, calibrated on
-// the synthetic corpus where unrelated-pair full-text cosines sit around
-// 0.2 and same-topic pairs above 0.5.
-func DefaultConfig() Config {
-	return Config{
-		TextThreshold:       0.35,
-		TopContextsPerPaper: 2,
-		MaxPerContext:       0,
-		PatternThreshold:    0.20,
-	}
-}
+	patternThreshold = 0.20
+)
 
 // ContextSet is an immutable paper-to-context assignment, held flat: member
 // runs in CSR layout (context rows ascending by term ID, each run's papers
@@ -325,19 +312,16 @@ func Representative(a *corpus.Analyzer, term ontology.TermID) (corpus.PaperID, b
 }
 
 // BuildPatternBased constructs the simplified pattern-based context paper
-// set of §4: per-term regular patterns (pcfg, with Extended forced off)
-// matched by middle tuple only; max-normalised match scores above
-// cfg.PatternThreshold grant membership; descendant papers are folded into
+// set of §4: per-term regular patterns (pattern.Build's simplified variant)
+// matched by middle tuple only; max-normalised match scores of at least
+// patternThreshold grant membership; descendant papers are folded into
 // ancestors; contexts still empty inherit the closest non-empty ancestor's
 // papers with RateOfDecay damping. Terms fan out over workers (≤ 0 selects
 // GOMAXPROCS); the set is the same at every worker count.
-func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.Ontology, cfg Config, pcfg pattern.Config, workers int) *ContextSet {
+func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.Ontology, workers int) *ContextSet {
 	c := a.Corpus()
 	b := newBuilder(PatternBased, onto, c.Len())
-	pcfg.Extended = false // simplified variant
 	termDF := pattern.TermWordDF(onto, ix)
-	mcfg := pattern.DefaultMatchConfig()
-	mcfg.MiddleOnly = true
 
 	terms := make([]ontology.TermID, 0, len(c.EvidenceTerms()))
 	for _, term := range c.EvidenceTerms() {
@@ -349,9 +333,9 @@ func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.
 	results := make([][]float64, len(terms))
 	par.For(len(terms), workers, func(i int) {
 		term := terms[i]
-		set := pattern.Build(ix, onto, term, c.EvidencePapers(term), termDF, pcfg)
+		set := pattern.Build(ix, onto, term, c.EvidencePapers(term), termDF, true)
 		results[i] = make([]float64, c.Len())
-		set.ScorePapers(ix, nil, mcfg, results[i])
+		set.ScorePapers(ix, nil, results[i])
 	})
 	for i, term := range terms {
 		scores := results[i]
@@ -363,7 +347,7 @@ func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.
 		}
 		if max > 0 {
 			for id, s := range scores {
-				if s > 0 && s/max >= cfg.PatternThreshold {
+				if s > 0 && s/max >= patternThreshold {
 					b.add(term, corpus.PaperID(id))
 				}
 			}

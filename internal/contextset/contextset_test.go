@@ -29,7 +29,7 @@ func fixture(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.Analyzer
 
 func TestBuildTextBased(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0)
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0)
 	if cs.Kind() != TextBased {
 		t.Fatal("kind wrong")
 	}
@@ -60,12 +60,9 @@ func TestBuildTextBased(t *testing.T) {
 
 func TestTextBasedThresholdMonotone(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	loose := DefaultConfig()
-	loose.TextThreshold = 0.05
-	strict := DefaultConfig()
-	strict.TextThreshold = 0.5
-	csLoose := BuildTextBased(must(index.BuildWorkers(a, 0)), o, loose, 0)
-	csStrict := BuildTextBased(must(index.BuildWorkers(a, 0)), o, strict, 0)
+	ix := must(index.BuildWorkers(a, 0))
+	csLoose := buildTextBased(ix, o, 0.05, topContextsPerPaper, 0)
+	csStrict := buildTextBased(ix, o, 0.5, topContextsPerPaper, 0)
 	totalLoose, totalStrict := 0, 0
 	for _, ctx := range csLoose.Contexts() {
 		totalLoose += csLoose.Size(ctx)
@@ -78,23 +75,9 @@ func TestTextBasedThresholdMonotone(t *testing.T) {
 	}
 }
 
-func TestTextBasedMaxPerContext(t *testing.T) {
-	o, _, a, _ := fixture(t)
-	cfg := DefaultConfig()
-	cfg.TextThreshold = 0.01
-	cfg.MaxPerContext = 7
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg, 0)
-	for _, ctx := range cs.Contexts() {
-		// Evidence papers are added on top of the cap, so allow the slack.
-		if cs.Size(ctx) > cfg.MaxPerContext+6 {
-			t.Fatalf("context %s has %d papers, cap %d", ctx, cs.Size(ctx), cfg.MaxPerContext)
-		}
-	}
-}
-
 func TestBuildPatternBased(t *testing.T) {
 	o, c, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig(), 0)
+	cs := BuildPatternBased(ix, a, o, 0)
 	if cs.Kind() != PatternBased {
 		t.Fatal("kind wrong")
 	}
@@ -113,7 +96,7 @@ func TestBuildPatternBased(t *testing.T) {
 
 func TestPatternBasedDescendantFolding(t *testing.T) {
 	o, _, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig(), 0)
+	cs := BuildPatternBased(ix, a, o, 0)
 	// Every non-root context's papers must be contained in each of its
 	// non-root parents (descendant folding is transitive bottom-up).
 	for _, ctx := range cs.Contexts() {
@@ -138,7 +121,7 @@ func TestPatternBasedDescendantFolding(t *testing.T) {
 
 func TestPatternBasedInheritance(t *testing.T) {
 	o, _, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, DefaultConfig(), pattern.DefaultConfig(), 0)
+	cs := BuildPatternBased(ix, a, o, 0)
 	sawInherited := false
 	for _, ctx := range cs.Contexts() {
 		anc, inherited := cs.InheritedFrom(ctx)
@@ -169,7 +152,7 @@ func TestPatternBasedInheritance(t *testing.T) {
 
 func TestContextsWithMinSize(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0)
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0)
 	all := cs.Contexts()
 	big := cs.ContextsWithMinSize(10)
 	if len(big) > len(all) {
@@ -184,7 +167,7 @@ func TestContextsWithMinSize(t *testing.T) {
 
 func TestContextsOf(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0)
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0)
 	// Any evidence paper must list its term among its contexts.
 	term := c.EvidenceTerms()[0]
 	e := c.EvidencePapers(term)[0]
@@ -210,7 +193,7 @@ func TestKindString(t *testing.T) {
 
 func TestPaperSetIsCopy(t *testing.T) {
 	o, _, a, _ := fixture(t)
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0)
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0)
 	ctx := cs.Contexts()[0]
 	var set bitset.Set
 	set.UnionWith(cs.PaperBitset(ctx))
@@ -225,11 +208,10 @@ func TestPaperSetIsCopy(t *testing.T) {
 
 func TestParallelConstructionMatchesSerial(t *testing.T) {
 	o, _, a, ix := fixture(t)
-	cfg, pcfg := DefaultConfig(), pattern.DefaultConfig()
 	tix := must(index.BuildWorkers(a, 0))
-	ts, tp := BuildTextBased(tix, o, cfg, 1), BuildTextBased(tix, o, cfg, 4)
+	ts, tp := BuildTextBased(tix, o, 1), BuildTextBased(tix, o, 4)
 	requireSameFrozen(t, "text", ts.Freeze(), tp.Freeze())
-	ps, pp := BuildPatternBased(ix, a, o, cfg, pcfg, 1), BuildPatternBased(ix, a, o, cfg, pcfg, 4)
+	ps, pp := BuildPatternBased(ix, a, o, 1), BuildPatternBased(ix, a, o, 4)
 	requireSameFrozen(t, "pattern", ps.Freeze(), pp.Freeze())
 }
 

@@ -102,8 +102,8 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 		}
 		a := corpus.NewAnalyzerWorkers(c, 0)
 		for name, built := range map[string]*ContextSet{
-			"text":     BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0),
-			"pattern":  BuildPatternBased(pattern.NewPosIndex(a), a, o, DefaultConfig(), pattern.DefaultConfig(), 0),
+			"text":     BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0),
+			"pattern":  BuildPatternBased(pattern.NewPosIndex(a), a, o, 0),
 			"gopubmed": BuildGoPubMedStyle(a, o, 0.5),
 		} {
 			name = fmt.Sprintf("seed %d %s", seed, name)
@@ -151,7 +151,7 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 // a first-boot server's request goroutines do with no lock; run under -race.
 func TestBuiltSetConcurrentReads(t *testing.T) {
 	o, c, a, _ := fixture(t)
-	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, DefaultConfig(), 0)
+	cs := BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0)
 	ctxs := cs.Contexts()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -15,7 +15,9 @@ import (
 // BuildTextBased constructs the text-based context paper set: for every
 // context with annotation evidence papers, every corpus paper whose
 // full-text TF-IDF cosine to the context's Representative reaches
-// cfg.TextThreshold joins the context. ix must index the whole corpus.
+// textThreshold joins the context, and so does every paper for its
+// topContextsPerPaper best-matching contexts below the threshold. ix must
+// index the whole corpus.
 //
 // The cosines are computed term-at-a-time over the index rather than as
 // papers × contexts map-keyed dot products. The index groups each term's
@@ -29,7 +31,13 @@ import (
 // similarity has the same bits with no per-pair sort. Contexts fan out over
 // workers (≤ 0 selects GOMAXPROCS), and the set is the same at every count;
 // each worker needs scratch for one representative only.
-func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config, workers int) *ContextSet {
+func BuildTextBased(ix *index.Index, onto *ontology.Ontology, workers int) *ContextSet {
+	return buildTextBased(ix, onto, textThreshold, topContextsPerPaper, workers)
+}
+
+// buildTextBased is BuildTextBased with threshold in place of textThreshold
+// and m in place of topContextsPerPaper.
+func buildTextBased(ix *index.Index, onto *ontology.Ontology, threshold float64, m, workers int) *ContextSet {
 	a := ix.Analyzer()
 	c := a.Corpus()
 	b := newBuilder(TextBased, onto, c.Len())
@@ -41,13 +49,13 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config, worker
 		}
 	}
 
-	n, m := c.Len(), cfg.TopContextsPerPaper
+	n := c.Len()
 	norms := ix.Parts().Norms // the whole-text rows' norms
 	// members[i] collects context i's thresholded papers in paper order;
 	// each worker also keeps, per paper, the best m below-threshold contexts
 	// of its shard (generic papers join the broad contexts they match best,
 	// even with low absolute similarity).
-	members := make([][]cand, len(terms))
+	members := make([][]corpus.PaperID, len(terms))
 	shards := par.Shards(len(terms), workers)
 	tops := make([]topLists, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
@@ -71,8 +79,8 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config, worker
 					sim = s / (repNorm * norms[d])
 				}
 				acc[d] = 0
-				if sim >= cfg.TextThreshold {
-					members[i] = append(members[i], cand{corpus.PaperID(d), sim})
+				if sim >= threshold {
+					members[i] = append(members[i], corpus.PaperID(d))
 				} else if m > 0 && sim > 0 {
 					top.offer(d, ctxSim{int32(i), sim})
 				}
@@ -94,23 +102,13 @@ func BuildTextBased(ix *index.Index, onto *ontology.Ontology, cfg Config, worker
 			best = best[:m]
 		}
 		for _, e := range best {
-			members[e.ctx] = append(members[e.ctx], cand{corpus.PaperID(d), e.sim})
+			members[e.ctx] = append(members[e.ctx], corpus.PaperID(d))
 		}
 	}
 
 	for i, term := range terms {
-		cands := members[i]
-		if cfg.MaxPerContext > 0 && len(cands) > cfg.MaxPerContext {
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].sim != cands[j].sim {
-					return cands[i].sim > cands[j].sim
-				}
-				return cands[i].id < cands[j].id
-			})
-			cands = cands[:cfg.MaxPerContext]
-		}
-		for _, cd := range cands {
-			b.add(term, cd.id)
+		for _, d := range members[i] {
+			b.add(term, d)
 		}
 		// Evidence papers always belong to their context.
 		for _, e := range c.EvidencePapers(term) {
@@ -166,12 +164,6 @@ func (o *segOrder) sort() []segProd {
 	}
 	o.pbuf, o.kbuf, o.count = pbuf, kbuf, count
 	return ents
-}
-
-// cand is one candidate member of a context.
-type cand struct {
-	id  corpus.PaperID
-	sim float64
 }
 
 // ctxSim is one candidate context of a paper, by ordinal.

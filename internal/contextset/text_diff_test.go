@@ -46,15 +46,12 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 			}
 		}
 		ix := must(index.BuildWorkers(a, 0))
-		for _, threshold := range []float64{0, DefaultConfig().TextThreshold, 0.9} {
-			for _, top := range []int{0, 1, 3} {
-				for _, maxPer := range []int{0, 5} {
-					cfg := Config{TextThreshold: threshold, TopContextsPerPaper: top, MaxPerContext: maxPer}
-					want := buildTextBasedReference(a, o, cfg)
-					for _, workers := range []int{1, 2, 8} {
-						name := fmt.Sprintf("seed=%d threshold=%v top=%d max=%d workers=%d", seed, threshold, top, maxPer, workers)
-						requireSameSet(t, name, want, BuildTextBased(ix, o, cfg, workers))
-					}
+		for _, threshold := range []float64{0, textThreshold, 0.9} {
+			for _, top := range []int{0, 1, topContextsPerPaper, 3} {
+				want := buildTextBasedReference(a, o, threshold, top)
+				for _, workers := range []int{1, 2, 8} {
+					name := fmt.Sprintf("seed=%d threshold=%v top=%d workers=%d", seed, threshold, top, workers)
+					requireSameSet(t, name, want, buildTextBased(ix, o, threshold, top, workers))
 				}
 			}
 		}
@@ -70,7 +67,7 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 func TestSegOrderAscending(t *testing.T) {
 	o, a, ix := randomFixture(t, 7)
 	var order segOrder
-	cs := BuildTextBased(ix, o, Config{}, 1)
+	cs := buildTextBased(ix, o, 0, 0, 1)
 	for _, ctx := range cs.Contexts() {
 		rep, _ := Representative(a, ctx)
 		r := a.Row(rep, corpus.WholeText)
@@ -180,13 +177,12 @@ func tieFixture(t *testing.T) (*ontology.Ontology, *corpus.Analyzer, *index.Inde
 func TestBuildTextBasedBreaksTiesLikeReference(t *testing.T) {
 	o, a, ix := tieFixture(t)
 	for _, top := range []int{1, 2, 3} {
-		cfg := Config{TextThreshold: 0.99, TopContextsPerPaper: top}
-		want := buildTextBasedReference(a, o, cfg)
+		want := buildTextBasedReference(a, o, 0.99, top)
 		if want.Contains("GO:5", 4) || !want.Contains("GO:2", 4) {
 			t.Fatalf("top=%d: fixture does not tie: paper 4 should join the lowest terms only", top)
 		}
 		for _, workers := range []int{1, 2, 4} {
-			requireSameSet(t, fmt.Sprintf("top=%d workers=%d", top, workers), want, BuildTextBased(ix, o, cfg, workers))
+			requireSameSet(t, fmt.Sprintf("top=%d workers=%d", top, workers), want, buildTextBased(ix, o, 0.99, top, workers))
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // rebuilt from the tokenizer alone (vector.FromTerms weighted by the
 // analyzer's DF table), with each representative chosen by the map-form
 // centroid.
-func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Config) *ContextSet {
+func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, threshold float64, m int) *ContextSet {
 	c := a.Corpus()
 	b := newBuilder(TextBased, onto, c.Len())
 	vecs := referenceVectors(a)
@@ -32,11 +32,7 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 		terms = append(terms, term)
 	}
 
-	type cand struct {
-		id  corpus.PaperID
-		sim float64
-	}
-	members := make(map[ontology.TermID][]cand, len(terms))
+	members := make(map[ontology.TermID][]corpus.PaperID, len(terms))
 	// Per-paper pass: threshold membership plus the paper's top-M contexts
 	// (generic papers join the broad contexts they match best, even with
 	// low absolute similarity).
@@ -59,49 +55,35 @@ func buildTextBasedReference(a *corpus.Analyzer, onto *ontology.Ontology, cfg Co
 		var best []ts
 		for _, term := range terms {
 			sim := vector.CosineWithNorms(repVecs[term], pv, repNorms[term], pn)
-			if sim >= cfg.TextThreshold {
+			if sim >= threshold {
 				row.thresholded = append(row.thresholded, ts{term, sim})
-			} else if cfg.TopContextsPerPaper > 0 && sim > 0 {
+			} else if m > 0 && sim > 0 {
 				best = append(best, ts{term, sim})
 			}
 		}
-		if cfg.TopContextsPerPaper > 0 && len(best) > 0 {
+		if m > 0 && len(best) > 0 {
 			sort.Slice(best, func(x, y int) bool {
 				if best[x].sim != best[y].sim {
 					return best[x].sim > best[y].sim
 				}
 				return best[x].term < best[y].term
 			})
-			m := cfg.TopContextsPerPaper
-			if m > len(best) {
-				m = len(best)
-			}
-			row.top = best[:m]
+			row.top = best[:min(m, len(best))]
 		}
 		rows[i] = row
 	})
 	for i, p := range papers {
 		for _, e := range rows[i].thresholded {
-			members[e.term] = append(members[e.term], cand{p.ID, e.sim})
+			members[e.term] = append(members[e.term], p.ID)
 		}
 		for _, e := range rows[i].top {
-			members[e.term] = append(members[e.term], cand{p.ID, e.sim})
+			members[e.term] = append(members[e.term], p.ID)
 		}
 	}
 
 	for _, term := range terms {
-		cands := members[term]
-		if cfg.MaxPerContext > 0 && len(cands) > cfg.MaxPerContext {
-			sort.Slice(cands, func(i, j int) bool {
-				if cands[i].sim != cands[j].sim {
-					return cands[i].sim > cands[j].sim
-				}
-				return cands[i].id < cands[j].id
-			})
-			cands = cands[:cfg.MaxPerContext]
-		}
-		for _, cd := range cands {
-			b.add(term, cd.id)
+		for _, d := range members[term] {
+			b.add(term, d)
 		}
 		// Evidence papers always belong to their context.
 		for _, e := range c.EvidencePapers(term) {

@@ -51,7 +51,7 @@ type ACBuilder struct {
 
 // NewACBuilder prepares a builder over an index.
 func NewACBuilder(ix *index.Index, graph *citegraph.Graph, cfg ACConfig) *ACBuilder {
-	pr := citegraph.PageRank(graph, citegraph.PageRankOpts{})
+	pr := citegraph.PageRank(graph, citegraph.TeleportE1)
 	sorted := append([]float64(nil), pr...)
 	sort.Float64s(sorted)
 	cutoff := 0.0

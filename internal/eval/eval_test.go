@@ -44,8 +44,8 @@ func buildFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig(), 0)
-	scores := prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1)
+	cs := contextset.BuildTextBased(ix, o, 0)
+	scores := prestige.Score(prestige.NewTextScorer(a), cs, 0, 1)
 	cached = &fixture{
 		onto: o, c: c, a: a, ix: ix, cs: cs, scores: scores,
 		engine: search.NewEngine(ix, scores, search.DefaultWeights()),

@@ -23,11 +23,9 @@ type TeleportAblation struct {
 // AblateTeleport runs the E1-vs-E2 ablation.
 func (s *Setup) AblateTeleport() TeleportAblation {
 	mk := func(tp citegraph.Teleport) *ctxsearch.Matrix {
-		opts := s.Sys.Config().PageRank
-		opts.Teleport = tp
 		// Clone the cached scorer: both teleport variants share the one
 		// corpus-wide citation graph.
-		scorer := s.Sys.CitationScorer().WithOpts(opts)
+		scorer := s.Sys.CitationScorer().WithTeleport(tp)
 		return prestige.Score(scorer, s.PatternSet, s.Sys.MinContextSize(), s.Sys.Config().BuildWorkers)
 	}
 	e1 := mk(citegraph.TeleportE1)
@@ -67,8 +65,8 @@ type HITSAblation struct {
 // AblateHITS runs the HITS-vs-PageRank correlation ablation.
 func (s *Setup) AblateHITS() HITSAblation {
 	g := s.Sys.CitationScorer().Graph()
-	pr := citegraph.PageRank(g, s.Sys.Config().PageRank)
-	auth, _ := citegraph.HITS(g, 0, 0)
+	pr := citegraph.PageRank(g, citegraph.TeleportE1)
+	auth, _ := citegraph.HITS(g)
 	var out HITSAblation
 	out.GlobalSpearman = stats.Spearman(pr, auth)
 
@@ -83,8 +81,8 @@ func (s *Setup) AblateHITS() HITSAblation {
 		if sub.Len() < 3 || sub.Edges() == 0 {
 			continue
 		}
-		spr := citegraph.PageRank(sub, s.Sys.Config().PageRank)
-		sauth, _ := citegraph.HITS(sub, 0, 0)
+		spr := citegraph.PageRank(sub, citegraph.TeleportE1)
+		sauth, _ := citegraph.HITS(sub)
 		sum += stats.Spearman(spr, sauth)
 		out.Contexts++
 	}

@@ -44,7 +44,7 @@ func (s *Setup) ClusteringVsContexts() ClusteringComparison {
 		for i, h := range hits {
 			docs[i] = h.Doc
 		}
-		clusters, err := cluster.KMeans(a, docs, cluster.Config{})
+		clusters, err := cluster.KMeans(a, docs)
 		if err != nil {
 			continue
 		}

@@ -51,8 +51,8 @@ func NewFixture(tb testing.TB, ontoSeed int64, gcfg corpus.GenConfig) *Fixture {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig(), 0)
-	m := prestige.PropagateMax(o, prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1))
+	cs := contextset.BuildTextBased(ix, o, 0)
+	m := prestige.PropagateMax(o, prestige.Score(prestige.NewTextScorer(a), cs, 0, 1))
 	return &Fixture{o, c, ix, cs, m}
 }
 

@@ -47,7 +47,7 @@ func TestSegmentsRegroupPostings(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "state")
-	st := &store.State{ContextSet: contextset.BuildTextBased(ix, o, contextset.DefaultConfig(), 0), Index: want, DF: a.DF()}
+	st := &store.State{ContextSet: contextset.BuildTextBased(ix, o, 0), Index: want, DF: a.DF()}
 	if err := store.SaveFile(path, st); err != nil {
 		t.Fatal(err)
 	}

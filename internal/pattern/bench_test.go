@@ -58,11 +58,10 @@ func BenchmarkBuildPatternSet(b *testing.B) {
 	o, c, ix := benchFixture(b)
 	term := c.EvidenceTerms()[0]
 	df := TermWordDF(o, ix)
-	cfg := DefaultConfig()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Build(ix, o, term, c.EvidencePapers(term), df, cfg)
+		_ = Build(ix, o, term, c.EvidencePapers(term), df, false)
 	}
 }
 
@@ -70,12 +69,11 @@ func BenchmarkScorePapers(b *testing.B) {
 	o, c, ix := benchFixture(b)
 	term := c.EvidenceTerms()[0]
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, term, c.EvidencePapers(term), df, DefaultConfig())
-	mcfg := DefaultMatchConfig()
+	set := Build(ix, o, term, c.EvidencePapers(term), df, false)
 	dst := make([]float64, c.Len())
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		set.ScorePapers(ix, nil, mcfg, dst)
+		set.ScorePapers(ix, nil, dst)
 	}
 }

@@ -5,38 +5,19 @@ import (
 	"ctxsearch/internal/corpus"
 )
 
-// MatchConfig configures pattern→paper matching.
-type MatchConfig struct {
-	// SectionWeights give the match-strength weight of the section
-	// containing a match (§3.3: M(P, pt) is influenced by the paper section
-	// containing the pattern match). Missing sections weigh 0.
-	SectionWeights map[corpus.Section]float64
-	// Window is the context window compared against the pattern's
-	// left/right tuples.
-	Window int
-	// MiddleOnly enables the simplified matching of §4 used to build the
-	// pattern-based context paper set: only middle tuples are considered
-	// and extended patterns are skipped.
-	MiddleOnly bool
-	// MinSetFraction is the fraction of a middle-joined pattern's word set
-	// that must be present in a document for the pattern to match.
-	MinSetFraction float64
+// sectionWeights give the match-strength weight of the section containing
+// a match (§3.3: M(P, pt) is influenced by the paper section containing the
+// pattern match): title matches are strongest, body matches weakest.
+var sectionWeights = [corpus.NumSections]float64{
+	corpus.SecTitle:      1.0,
+	corpus.SecIndexTerms: 0.9,
+	corpus.SecAbstract:   0.7,
+	corpus.SecBody:       0.4,
 }
 
-// DefaultMatchConfig returns the match weights used by the experiments:
-// title matches are strongest, body matches weakest.
-func DefaultMatchConfig() MatchConfig {
-	return MatchConfig{
-		SectionWeights: map[corpus.Section]float64{
-			corpus.SecTitle:      1.0,
-			corpus.SecIndexTerms: 0.9,
-			corpus.SecAbstract:   0.7,
-			corpus.SecBody:       0.4,
-		},
-		Window:         4,
-		MinSetFraction: 0.5,
-	}
-}
+// minSetFraction is the fraction of a middle-joined pattern's word set that
+// must be present in a document for the pattern to match.
+const minSetFraction = 0.5
 
 // ScorePapers adds the pattern-based paper score
 //
@@ -47,69 +28,49 @@ func DefaultMatchConfig() MatchConfig {
 // alone. M(P, pt) combines the weight of the best section containing a
 // match with the similarity between the pattern and the matching phrase:
 // exact middle matches of regular/side-joined patterns weigh the match fully
-// and add a bonus for left/right context corroboration; middle-joined
-// (unordered) patterns weigh by the fraction of their word set present. A
-// paper's terms are added in pattern order. Scores are raw — callers
-// normalise per context. Unset fields of cfg take DefaultMatchConfig's
-// values.
-func (s *Set) ScorePapers(ix *PosIndex, within bitset.Set, cfg MatchConfig, dst []float64) {
-	def := DefaultMatchConfig()
-	if cfg.SectionWeights == nil {
-		cfg.SectionWeights = def.SectionWeights
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = def.Window
-	}
-	if cfg.MinSetFraction <= 0 {
-		cfg.MinSetFraction = def.MinSetFraction
-	}
-	var weights [corpus.NumSections]float64
-	for _, sec := range corpus.Sections {
-		weights[sec] = cfg.SectionWeights[sec]
-	}
+// and, unless the set is simplified (§4: middle tuples only), add a bonus
+// for left/right context corroboration; middle-joined (unordered) patterns
+// weigh by the fraction of their word set present. A paper's terms are
+// added in pattern order. Scores are raw — callers normalise per context.
+func (s *Set) ScorePapers(ix *PosIndex, within bitset.Set, dst []float64) {
 	var occs []Occurrence
 	var tuples tupleBits
 	for _, p := range s.Patterns {
 		switch p.Kind {
 		case Regular, SideJoined:
-			if cfg.MiddleOnly && p.Kind != Regular {
-				continue
-			}
 			occs = ix.PhraseOccurrences(p.Middle, within, occs[:0])
 			if len(occs) == 0 {
 				continue
 			}
 			tuples.mark(p)
-			matchSequential(ix, p, occs, cfg, &weights, &tuples, dst)
+			matchSequential(ix, p, occs, !s.simplified, &tuples, dst)
 			tuples.clear(p)
 		case MiddleJoined:
-			if cfg.MiddleOnly {
-				continue
-			}
-			matchSet(ix, p, within, cfg, &weights, dst)
+			matchSet(ix, p, within, dst)
 		}
 	}
 }
 
 // matchSequential scores the exact contiguous middle-tuple matches occs,
-// in (doc, position) order, by the best occurrence of each paper.
-func matchSequential(ix *PosIndex, p *Pattern, occs []Occurrence, cfg MatchConfig, weights *[corpus.NumSections]float64, tuples *tupleBits, dst []float64) {
+// in (doc, position) order, by the best occurrence of each paper,
+// corroborating each with its window when corroborate is set.
+func matchSequential(ix *PosIndex, p *Pattern, occs []Occurrence, corroborate bool, tuples *tupleBits, dst []float64) {
 	for lo := 0; lo < len(occs); {
 		doc := occs[lo].Doc
 		best := 0.0
 		hi := lo
 		for ; hi < len(occs) && occs[hi].Doc == doc; hi++ {
 			oc := occs[hi]
-			w := weights[oc.Section]
+			w := sectionWeights[oc.Section]
 			if w == 0 {
 				continue
 			}
 			strength := w
-			if !cfg.MiddleOnly {
+			if corroborate {
 				// Corroborate with the surrounding window: the more of the
 				// observed neighbourhood appears in the pattern's
 				// left/right tuples, the stronger the match.
-				l, r := ix.Window(doc, oc.Pos, len(p.Middle), cfg.Window)
+				l, r := ix.Window(doc, oc.Pos, len(p.Middle), window)
 				strength = w * (0.7 + float64(0.3*contextOverlap(l, r, tuples.left, tuples.right)))
 			}
 			if strength > best {
@@ -124,16 +85,16 @@ func matchSequential(ix *PosIndex, p *Pattern, occs []Occurrence, cfg MatchConfi
 }
 
 // matchSet handles middle-joined patterns whose middle is an unordered word
-// set: a document matches when at least MinSetFraction of the set is
+// set: a document matches when at least minSetFraction of the set is
 // present; strength scales with the fraction present and the best section
 // weight among the present words. The middle words' runs are merged by
 // document.
-func matchSet(ix *PosIndex, p *Pattern, within bitset.Set, cfg MatchConfig, weights *[corpus.NumSections]float64, dst []float64) {
+func matchSet(ix *PosIndex, p *Pattern, within bitset.Set, dst []float64) {
 	runs := make([][]posting, len(p.Middle))
 	for i, id := range p.Middle {
 		runs[i] = ix.run(id)
 	}
-	need := float64(len(p.Middle)) * cfg.MinSetFraction
+	need := float64(len(p.Middle)) * minSetFraction
 	for {
 		doc := int32(-1)
 		for _, r := range runs {
@@ -155,7 +116,7 @@ func matchSet(ix *PosIndex, p *Pattern, within bitset.Set, cfg MatchConfig, weig
 			for ; j < len(r) && r[j].doc == doc; j++ {
 				if in {
 					sec, _, _ := section(toks, r[j].pos)
-					if sw := weights[sec]; sw > bestSec {
+					if sw := sectionWeights[sec]; sw > bestSec {
 						bestSec = sw
 					}
 				}

@@ -9,17 +9,17 @@ import (
 )
 
 // scorePapers returns ScorePapers' scores of every paper of the corpus.
-func scorePapers(s *Set, ix *PosIndex, within bitset.Set, cfg MatchConfig) []float64 {
+func scorePapers(s *Set, ix *PosIndex, within bitset.Set) []float64 {
 	dst := make([]float64, ix.Analyzer().Corpus().Len())
-	s.ScorePapers(ix, within, cfg, dst)
+	s.ScorePapers(ix, within, dst)
 	return dst
 }
 
 func TestScorePapersRankTrainingAndMentions(t *testing.T) {
 	o, c, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, DefaultConfig())
-	scores := scorePapers(set, ix, nil, DefaultMatchConfig())
+	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, false)
+	scores := scorePapers(set, ix, nil)
 	// Papers 0–2 mention "zinc finger binding"; 3–4 do not.
 	for _, id := range []corpus.PaperID{0, 1, 2} {
 		if scores[id] <= 0 {
@@ -39,8 +39,8 @@ func TestScorePapersRankTrainingAndMentions(t *testing.T) {
 func TestScorePapersWithin(t *testing.T) {
 	o, c, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, DefaultConfig())
-	scores := scorePapers(set, ix, papers(1), DefaultMatchConfig())
+	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, false)
+	scores := scorePapers(set, ix, papers(1))
 	for id, s := range scores {
 		if s != 0 && id != 1 {
 			t.Fatalf("score outside within set: %v", scores)
@@ -51,16 +51,12 @@ func TestScorePapersWithin(t *testing.T) {
 func TestScorePapersMiddleOnly(t *testing.T) {
 	o, c, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, DefaultConfig())
-	full := scorePapers(set, ix, nil, DefaultMatchConfig())
-	simplified := DefaultMatchConfig()
-	simplified.MiddleOnly = true
-	simple := scorePapers(set, ix, nil, simplified)
-	// A config that sets only MiddleOnly takes the default weights, window
-	// and set fraction, and keeps MiddleOnly.
-	if bare := scorePapers(set, ix, nil, MatchConfig{MiddleOnly: true}); !slices.Equal(bare, simple) {
-		t.Fatalf("MatchConfig{MiddleOnly: true} scored %v, want %v", bare, simple)
+	full := scorePapers(Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, false), ix, nil)
+	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, true)
+	if slices.ContainsFunc(set.Patterns, func(p *Pattern) bool { return p.Kind != Regular }) {
+		t.Fatal("the simplified set holds an extended pattern")
 	}
+	simple := scorePapers(set, ix, nil)
 	// Simplified matching must still find the training papers.
 	if simple[0] <= 0 || simple[1] <= 0 {
 		t.Fatalf("simplified matching lost training papers: %v", simple)
@@ -94,7 +90,7 @@ func TestSectionWeightsInfluenceStrength(t *testing.T) {
 	ix := NewPosIndex(corpus.NewAnalyzerWorkers(c, 0))
 	mid := phrase(ix, "zinc finger")
 	set := &Set{Patterns: []*Pattern{{Kind: Regular, Middle: mid, Score: 1}}}
-	scores := scorePapers(set, ix, nil, DefaultMatchConfig())
+	scores := scorePapers(set, ix, nil)
 	if scores[0] <= scores[1] {
 		t.Fatalf("title match must outweigh body match: %v", scores)
 	}
@@ -115,7 +111,7 @@ func TestMatchSetFractionThreshold(t *testing.T) {
 		Middle: sortedSet(phrase(ix, "alpha beta gamma")),
 		Score:  1,
 	}}}
-	scores := scorePapers(set, ix, nil, DefaultMatchConfig())
+	scores := scorePapers(set, ix, nil)
 	if scores[0] <= 0 {
 		t.Fatalf("full set presence must match: %v", scores)
 	}

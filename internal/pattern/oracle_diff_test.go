@@ -118,26 +118,18 @@ var oracleSystem = sync.OnceValues(func() (*ctxsearch.System, error) {
 	cfg.Seed = 7
 	cfg.Papers = 500
 	cfg.OntologyTerms = 120
-	cfg.MinContextSize = 5
 	cfg.BuildWorkers = 2
 	return ctxsearch.NewSyntheticSystem(cfg)
 })
 
-// matchMode pairs a pattern configuration with its match configuration:
-// the full §3.3 scorer, and the simplified §4 context-set construction.
+// matchMode is how patterns are built and matched: the full §3.3 scorer,
+// or the simplified §4 context-set construction.
 type matchMode struct {
-	name string
-	pcfg pattern.Config
-	mcfg pattern.MatchConfig
+	name       string
+	simplified bool
 }
 
-func matchModes() []matchMode {
-	full := matchMode{"full", pattern.DefaultConfig(), pattern.DefaultMatchConfig()}
-	simple := matchMode{"middle-only", pattern.DefaultConfig(), pattern.DefaultMatchConfig()}
-	simple.pcfg.Extended = false
-	simple.mcfg.MiddleOnly = true
-	return []matchMode{full, simple}
-}
+var matchModes = []matchMode{{"full", false}, {"middle-only", true}}
 
 // contextStride is how many contexts a differential test steps over per
 // context it checks: every one, except under the race detector, whose
@@ -173,9 +165,6 @@ type builtPair struct {
 	ref *mapSet
 }
 
-// window is the match window both match modes use.
-var window = pattern.DefaultMatchConfig().Window
-
 // patternsFor builds a term's patterns with both builders and checks that
 // they, and the phrases mined from the term's training papers, agree in
 // words and bits.
@@ -189,13 +178,13 @@ func (o *oracle) patternsFor(t *testing.T, mode matchMode, term ontology.TermID)
 	}
 	training := o.a.Corpus().EvidencePapers(term)
 	b = builtPair{
-		pattern.Build(o.ix, o.onto, term, training, o.df, mode.pcfg),
-		mapBuild(o.ref, o.onto, term, training, o.refDF, mode.pcfg),
+		pattern.Build(o.ix, o.onto, term, training, o.df, mode.simplified),
+		mapBuild(o.ref, o.onto, term, training, o.refDF, pattern.MaxSignificant, mode.simplified),
 	}
 	if got, want := showPatterns(o.a, b.set), showMapPatterns(b.ref); !slices.Equal(got, want) {
 		t.Fatalf("%s: patterns\n%v\nwant\n%v", term, got, want)
 	}
-	mcfg := pattern.MineConfig{MinSupport: mode.pcfg.MinSupport, MaxLen: mode.pcfg.MaxPhraseLen}
+	mcfg := pattern.MineConfig{MinSupport: pattern.MinSupport, MaxLen: pattern.MaxPhraseLen}
 	var got, want []shownPhrase
 	for _, fp := range pattern.MineFrequentPhrases(o.ix, training, mcfg) {
 		got = append(got, shownPhrase{spell(o.a, fp.Words), fp.Support, fp.Occurrences})
@@ -223,8 +212,8 @@ func (o *oracle) occurrencesOf(t *testing.T, ids []int32, words []string) []mapO
 	if ok {
 		return want
 	}
-	want = mapOccs(o.ref, words, window)
-	if !sameOccs(o.ix, o.ix.PhraseOccurrences(ids, nil, nil), want, len(ids), window) {
+	want = mapOccs(o.ref, words, pattern.Window)
+	if !sameOccs(o.ix, o.ix.PhraseOccurrences(ids, nil, nil), want, len(ids), pattern.Window) {
 		t.Fatalf("occurrences of %q differ from the oracle's", key)
 	}
 	docs := 0
@@ -268,8 +257,7 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 		patterns: map[string]builtPair{}, occs: map[string][]mapOcc{},
 	}
 	o.df, o.refDF = pattern.TermWordDF(onto, o.ix), mapTermWordDF(onto, o.ref)
-	cfg := sys.Config()
-	for _, mode := range matchModes() {
+	for _, mode := range matchModes {
 		for _, cs := range []*contextset.ContextSet{sys.BuildTextContextSet(), sys.BuildPatternContextSet()} {
 			t.Run(mode.name+"/"+cs.Kind().String(), func(t *testing.T) {
 				t.Parallel()
@@ -278,7 +266,7 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 				if mode.name == "full" && cs.Kind() == contextset.PatternBased {
 					go func() {
 						defer close(scored)
-						m = prestige.Score(prestige.NewPatternScorer(o.ix, onto, cfg.Pattern, cfg.Match), cs, cfg.MinContextSize, 2)
+						m = prestige.Score(prestige.NewPatternScorer(o.ix, onto), cs, sys.MinContextSize(), 2)
 					}()
 				} else {
 					close(scored)
@@ -312,13 +300,13 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 								want = append(want, oc)
 							}
 						}
-						if !sameOccs(o.ix, o.ix.PhraseOccurrences(p.Middle, bits, nil), want, len(p.Middle), window) {
+						if !sameOccs(o.ix, o.ix.PhraseOccurrences(p.Middle, bits, nil), want, len(p.Middle), pattern.Window) {
 							t.Fatalf("%s: occurrences of %s in the context differ from the oracle's", ctx, spell(a, p.Middle))
 						}
 					}
 					clear(dst)
-					b.set.ScorePapers(o.ix, bits, mode.mcfg, dst)
-					want := b.ref.ScorePapers(o.ref, within, mode.mcfg, occs)
+					b.set.ScorePapers(o.ix, bits, dst)
+					want := b.ref.ScorePapers(o.ref, within, occs)
 					for d, s := range dst {
 						if w, ok := want[corpus.PaperID(d)]; s != w || ok != (s != 0) {
 							t.Fatalf("%s: paper %d scores %v, want %v (in oracle map: %v)", ctx, d, s, w, ok)
@@ -400,10 +388,8 @@ func TestUnknownNameWordsKeepTheirSlots(t *testing.T) {
 		slots int // distinct runs of the name's words
 	}{{"GO:2", 6}, {"GO:3", 5}} {
 		for max := 1; max <= 12; max++ {
-			cfg := pattern.DefaultConfig()
-			cfg.MaxSignificant = max
-			got := showPatterns(a, pattern.Build(ix, o, tc.term, training, df, cfg))
-			want := showMapPatterns(mapBuild(ref, o, tc.term, training, refDF, cfg))
+			got := showPatterns(a, pattern.BuildCapped(ix, o, tc.term, training, df, max, false))
+			want := showMapPatterns(mapBuild(ref, o, tc.term, training, refDF, max, false))
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s MaxSignificant %d: patterns\n%v\nwant\n%v", tc.term, max, got, want)
 			}

@@ -1,8 +1,8 @@
 package pattern_test
 
 // The map-form positional index, matcher, pattern builder and phrase miner,
-// kept (renamed, with the configuration and kind types taken from the
-// package, built serially and without scratch pools, the matcher reading
+// kept (renamed, with the settings and kind type taken from the package,
+// built serially and without scratch pools, the matcher reading
 // each phrase's occurrences from the caller) as the oracle the term-ID
 // package is held to: every token is a string, positions are keyed by word
 // then document, and sections are separated by gap slots in one position
@@ -221,34 +221,20 @@ func (ix *mapPosIndex) DocFreqOfPhrase(words []string) int {
 // between the pattern and the matching phrase: exact middle matches of
 // regular/side-joined patterns weigh the match fully and add a bonus for
 // left/right context corroboration; middle-joined (unordered) patterns
-// weigh by the fraction of their word set present. Scores are raw —
-// callers normalise per context. occs[i] holds the corpus-wide occurrences
-// of pattern i's middle with their cfg.Window-word windows (mapOccs), so a
-// phrase is found once per corpus rather than once per context; middle-
-// joined patterns have none.
-func (s *mapSet) ScorePapers(ix *mapPosIndex, within map[corpus.PaperID]bool, cfg pattern.MatchConfig, occs [][]mapOcc) map[corpus.PaperID]float64 {
-	if cfg.SectionWeights == nil {
-		cfg = pattern.DefaultMatchConfig()
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
-	if cfg.MinSetFraction <= 0 {
-		cfg.MinSetFraction = 0.5
-	}
+// weigh by the fraction of their word set present. A simplified set's
+// matches are not corroborated. Scores are raw — callers normalise per
+// context. occs[i] holds the corpus-wide occurrences of pattern i's middle
+// with their pattern.Window-word windows (mapOccs), so a phrase is found
+// once per corpus rather than once per context; middle-joined patterns have
+// none.
+func (s *mapSet) ScorePapers(ix *mapPosIndex, within map[corpus.PaperID]bool, occs [][]mapOcc) map[corpus.PaperID]float64 {
 	scores := make(map[corpus.PaperID]float64)
 	for i, p := range s.Patterns {
 		switch p.Kind {
 		case pattern.Regular, pattern.SideJoined:
-			if cfg.MiddleOnly && p.Kind != pattern.Regular {
-				continue
-			}
-			s.matchSequential(p, occs[i], within, cfg, scores)
+			s.matchSequential(p, occs[i], within, scores)
 		case pattern.MiddleJoined:
-			if cfg.MiddleOnly {
-				continue
-			}
-			s.matchSet(ix, p, within, cfg, scores)
+			s.matchSet(ix, p, within, scores)
 		}
 	}
 	return scores
@@ -256,18 +242,18 @@ func (s *mapSet) ScorePapers(ix *mapPosIndex, within map[corpus.PaperID]bool, cf
 
 // matchSequential handles exact contiguous middle-tuple matches: occs are
 // the middle's occurrences, of which those in within count.
-func (s *mapSet) matchSequential(p *mapPattern, occs []mapOcc, within map[corpus.PaperID]bool, cfg pattern.MatchConfig, scores map[corpus.PaperID]float64) {
+func (s *mapSet) matchSequential(p *mapPattern, occs []mapOcc, within map[corpus.PaperID]bool, scores map[corpus.PaperID]float64) {
 	best := make(map[corpus.PaperID]float64)
 	for _, oc := range occs {
 		if within != nil && !within[oc.doc] {
 			continue
 		}
-		w := cfg.SectionWeights[oc.sec]
+		w := pattern.SectionWeights[oc.sec]
 		if w == 0 {
 			continue
 		}
 		strength := w
-		if !cfg.MiddleOnly {
+		if !s.simplified {
 			// Corroborate with the surrounding window: the more of the
 			// observed neighbourhood appears in the pattern's left/right
 			// tuples, the stronger the match.
@@ -283,10 +269,10 @@ func (s *mapSet) matchSequential(p *mapPattern, occs []mapOcc, within map[corpus
 }
 
 // matchSet handles middle-joined patterns whose middle is an unordered word
-// set: a document matches when at least MinSetFraction of the set is
+// set: a document matches when at least pattern.MinSetFraction of the set is
 // present; strength scales with the fraction present and the best section
 // weight among the present words.
-func (s *mapSet) matchSet(ix *mapPosIndex, p *mapPattern, within map[corpus.PaperID]bool, cfg pattern.MatchConfig, scores map[corpus.PaperID]float64) {
+func (s *mapSet) matchSet(ix *mapPosIndex, p *mapPattern, within map[corpus.PaperID]bool, scores map[corpus.PaperID]float64) {
 	byDoc := make(map[corpus.PaperID]setAcc)
 	for _, w := range p.Middle {
 		for doc, positions := range ix.positions[w] {
@@ -296,14 +282,14 @@ func (s *mapSet) matchSet(ix *mapPosIndex, p *mapPattern, within map[corpus.Pape
 			a := byDoc[doc]
 			a.present++
 			for _, pos := range positions {
-				if sw := cfg.SectionWeights[ix.SectionOf(doc, int(pos))]; sw > a.bestSec {
+				if sw := pattern.SectionWeights[ix.SectionOf(doc, int(pos))]; sw > a.bestSec {
 					a.bestSec = sw
 				}
 			}
 			byDoc[doc] = a
 		}
 	}
-	need := float64(len(p.Middle)) * cfg.MinSetFraction
+	need := float64(len(p.Middle)) * pattern.MinSetFraction
 	for doc, a := range byDoc {
 		f := float64(a.present) / float64(len(p.Middle))
 		if float64(a.present) >= need && a.bestSec > 0 {
@@ -370,8 +356,9 @@ func (p *mapPattern) MiddleKey() string { return strings.Join(p.Middle, " ") }
 
 // mapSet is the pattern set constructed for one context.
 type mapSet struct {
-	Term     ontology.TermID
-	Patterns []*mapPattern
+	Term       ontology.TermID
+	Patterns   []*mapPattern
+	simplified bool // regular patterns only, matches not corroborated (§4)
 }
 
 // mapTermWordDF counts, for every stemmed word appearing in any ontology term
@@ -393,18 +380,14 @@ func mapTermWordDF(onto *ontology.Ontology, ix *mapPosIndex) map[string]int {
 }
 
 // mapBuild constructs the scored pattern set for one context term from its
-// training (annotation evidence) papers. Returns an empty set when the term
-// has no training papers or none of the significant terms occur in them.
-func mapBuild(ix *mapPosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF map[string]int, cfg pattern.Config) *mapSet {
-	set := &mapSet{Term: term}
+// training (annotation evidence) papers, with at most maxSig significant
+// terms and, unless simplified, extended patterns. Returns an empty set when
+// the term has no training papers or none of the significant terms occur in
+// them.
+func mapBuild(ix *mapPosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF map[string]int, maxSig int, simplified bool) *mapSet {
+	set := &mapSet{Term: term, simplified: simplified}
 	if len(training) == 0 || onto.Term(term) == nil {
 		return set
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
-	if cfg.MaxSignificant <= 0 {
-		cfg.MaxSignificant = 12
 	}
 	tok := ix.analyzer.Tokenizer()
 	ctxWords := tok.Terms(onto.Term(term).Name)
@@ -422,7 +405,7 @@ func mapBuild(ix *mapPosIndex, onto *ontology.Ontology, term ontology.TermID, tr
 	var significant [][]string
 	seenSig := map[string]bool{}
 	addSig := func(words []string) {
-		if len(words) == 0 || len(significant) >= cfg.MaxSignificant {
+		if len(words) == 0 || len(significant) >= maxSig {
 			return
 		}
 		key := strings.Join(words, " ")
@@ -439,13 +422,13 @@ func mapBuild(ix *mapPosIndex, onto *ontology.Ontology, term ontology.TermID, tr
 
 	// Source (ii): frequent phrases mined from the training papers,
 	// combined apriori-style. Skip pure context-word phrases already added.
-	minSup := cfg.MinSupport
+	minSup := pattern.MinSupport
 	if minSup > len(training) {
 		minSup = len(training)
 	}
-	mined := mapMine(ix, training, pattern.MineConfig{MinSupport: minSup, MaxLen: cfg.MaxPhraseLen})
+	mined := mapMine(ix, training, pattern.MineConfig{MinSupport: minSup, MaxLen: pattern.MaxPhraseLen})
 	for _, fp := range mined {
-		if len(significant) >= cfg.MaxSignificant {
+		if len(significant) >= maxSig {
 			break
 		}
 		addSig(fp.Words)
@@ -464,7 +447,7 @@ func mapBuild(ix *mapPosIndex, onto *ontology.Ontology, term ontology.TermID, tr
 		for _, ds := range occs {
 			totalOcc += len(ds)
 			for _, oc := range ds {
-				l, r := ix.Window(oc.Doc, oc.Pos, len(sig), cfg.Window)
+				l, r := ix.Window(oc.Doc, oc.Pos, len(sig), pattern.Window)
 				for _, w := range l {
 					left[w] = true
 				}
@@ -486,11 +469,11 @@ func mapBuild(ix *mapPosIndex, onto *ontology.Ontology, term ontology.TermID, tr
 				p.HasFreqWords = true
 			}
 		}
-		p.Score = regularScore(p, ix, ctxSet, termWordDF, len(training), len(occs), totalOcc, cfg)
+		p.Score = regularScore(p, ix, ctxSet, termWordDF, len(training), len(occs), totalOcc)
 		set.Patterns = append(set.Patterns, p)
 	}
 
-	if cfg.Extended {
+	if !simplified {
 		set.Patterns = append(set.Patterns, buildExtended(set.Patterns)...)
 	}
 	// Deterministic order: by descending score, then middle key.
@@ -507,7 +490,7 @@ func mapBuild(ix *mapPosIndex, onto *ontology.Ontology, term ontology.TermID, tr
 //
 //	BaseScore = MiddleTypeScore + TotalTermScore + c·(PatternOccFreq + PatternPaperFreq)
 //	RegularPatternScore = BaseScore · (1/PaperCoverage)^t
-func regularScore(p *mapPattern, ix *mapPosIndex, ctxSet map[string]bool, termWordDF map[string]int, nTraining, paperFreq, occFreq int, cfg pattern.Config) float64 {
+func regularScore(p *mapPattern, ix *mapPosIndex, ctxSet map[string]bool, termWordDF map[string]int, nTraining, paperFreq, occFreq int) float64 {
 	// (1) Middle tuples of only frequent terms, only context-term words, or
 	// both receive high, higher, highest.
 	var middleType float64
@@ -540,10 +523,10 @@ func regularScore(p *mapPattern, ix *mapPosIndex, ctxSet map[string]bool, termWo
 	coverage := float64(df) / float64(n)
 	// (4) Training-paper frequency, as fractions of the training set so the
 	// scale is stable across contexts of different training sizes.
-	freqTerm := float64(cfg.C * (float64(occFreq)/float64(nTraining) + float64(paperFreq)/float64(nTraining)))
+	freqTerm := float64(pattern.FreqCoef * (float64(occFreq)/float64(nTraining) + float64(paperFreq)/float64(nTraining)))
 
 	base := middleType + termScore + freqTerm
-	return base * math.Pow(1/coverage, cfg.T)
+	return base * math.Pow(1/coverage, pattern.CoverageExp)
 }
 
 // buildExtended derives side-joined and middle-joined patterns from every

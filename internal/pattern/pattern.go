@@ -65,40 +65,30 @@ type Pattern struct {
 type Set struct {
 	Term     ontology.TermID
 	Patterns []*Pattern
+	// simplified marks the §4 variant Build makes for the pattern-based
+	// context set: regular patterns only, matched by their middle tuple
+	// alone.
+	simplified bool
 }
 
-// Config configures pattern construction and scoring.
-type Config struct {
-	// MinSupport is the mining support threshold over training papers.
-	MinSupport int
-	// MaxPhraseLen caps mined phrase length.
-	MaxPhraseLen int
-	// Window is the number of words collected on each side of a middle
-	// occurrence into the left/right tuples.
-	Window int
-	// MaxSignificant caps the number of significant terms (and hence
-	// regular patterns) per context.
-	MaxSignificant int
-	// T is the PaperCoverage exponent of RegularPatternScore.
-	T float64
-	// C is the coefficient of the training-frequency term of BaseScore.
-	C float64
-	// Extended enables construction of side- and middle-joined patterns.
-	Extended bool
-}
-
-// DefaultConfig returns the configuration used by the experiments.
-func DefaultConfig() Config {
-	return Config{
-		MinSupport:     2,
-		MaxPhraseLen:   3,
-		Window:         4,
-		MaxSignificant: 12,
-		T:              0.35,
-		C:              0.5,
-		Extended:       true,
-	}
-}
+// The settings of pattern construction (§3.3).
+const (
+	// minSupport is the mining support threshold over training papers, and
+	// maxPhraseLen caps mined phrase length.
+	minSupport   = 2
+	maxPhraseLen = 3
+	// window is the number of words on each side of a middle occurrence:
+	// collected into the left/right tuples, and compared with them when a
+	// match is corroborated.
+	window = 4
+	// maxSignificant caps the number of significant terms, and so of
+	// regular patterns, per context.
+	maxSignificant = 12
+	// coverageExp is the PaperCoverage exponent t of RegularPatternScore,
+	// and freqCoef the coefficient c of BaseScore's training-frequency term.
+	coverageExp = 0.35
+	freqCoef    = 0.5
+)
 
 // TermWordDF counts, for every dictionary term, the number of ontology
 // terms whose name contains it, indexed by term ID. The inverse is the
@@ -119,18 +109,20 @@ func TermWordDF(onto *ontology.Ontology, ix *PosIndex) []int32 {
 }
 
 // Build constructs the scored pattern set for one context term from its
-// training (annotation evidence) papers. Returns an empty set when the term
-// has no training papers or none of the significant terms occur in them.
-func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF []int32, cfg Config) *Set {
-	set := &Set{Term: term}
+// training (annotation evidence) papers: regular patterns and, unless
+// simplified, the side- and middle-joined patterns derived from them (the
+// §3.3 scorer's set; the §4 pattern-based context set is built simplified).
+// Returns an empty set when the term has no training papers or none of the
+// significant terms occur in them.
+func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF []int32, simplified bool) *Set {
+	return build(ix, onto, term, training, termWordDF, maxSignificant, simplified)
+}
+
+// build is Build with at most maxSig significant terms.
+func build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF []int32, maxSig int, simplified bool) *Set {
+	set := &Set{Term: term, simplified: simplified}
 	if len(training) == 0 || onto.Term(term) == nil {
 		return set
-	}
-	if cfg.Window <= 0 {
-		cfg.Window = 4
-	}
-	if cfg.MaxSignificant <= 0 {
-		cfg.MaxSignificant = 12
 	}
 	ctxWords := ix.nameIDs(onto.Term(term).Name)
 	trainSet := bitset.New(ix.analyzer.Corpus().Len())
@@ -142,7 +134,7 @@ func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 	// term words (the full name first, then shorter suffix/prefix runs).
 	var significant [][]int32
 	addSig := func(words []int32) {
-		if len(words) == 0 || len(significant) >= cfg.MaxSignificant {
+		if len(words) == 0 || len(significant) >= maxSig {
 			return
 		}
 		if !slices.ContainsFunc(significant, func(sig []int32) bool { return slices.Equal(sig, words) }) {
@@ -157,13 +149,10 @@ func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 
 	// Source (ii): frequent phrases mined from the training papers,
 	// combined apriori-style. Skip pure context-word phrases already added.
-	minSup := cfg.MinSupport
-	if minSup > len(training) {
-		minSup = len(training)
-	}
-	mined := MineFrequentPhrases(ix, training, MineConfig{MinSupport: minSup, MaxLen: cfg.MaxPhraseLen})
+	minSup := min(minSupport, len(training))
+	mined := MineFrequentPhrases(ix, training, MineConfig{MinSupport: minSup, MaxLen: maxPhraseLen})
 	for _, fp := range mined {
-		if len(significant) >= cfg.MaxSignificant {
+		if len(significant) >= maxSig {
 			break
 		}
 		addSig(fp.Words)
@@ -183,7 +172,7 @@ func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 			if i == 0 || oc.Doc != occs[i-1].Doc {
 				docs++
 			}
-			l, r := ix.Window(oc.Doc, oc.Pos, len(sig), cfg.Window)
+			l, r := ix.Window(oc.Doc, oc.Pos, len(sig), window)
 			left = append(left, l...)
 			right = append(right, r...)
 		}
@@ -200,11 +189,11 @@ func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 				p.HasFreqWords = true
 			}
 		}
-		p.Score = regularScore(p, ix, ctxWords, termWordDF, len(training), docs, len(occs), cfg)
+		p.Score = regularScore(p, ix, ctxWords, termWordDF, len(training), docs, len(occs))
 		set.Patterns = append(set.Patterns, p)
 	}
 
-	if cfg.Extended {
+	if !simplified {
 		set.Patterns = append(set.Patterns, buildExtended(set.Patterns)...)
 	}
 	// Deterministic order: by descending score, then middle tuple.
@@ -221,7 +210,7 @@ func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 //
 //	BaseScore = MiddleTypeScore + TotalTermScore + c·(PatternOccFreq + PatternPaperFreq)
 //	RegularPatternScore = BaseScore · (1/PaperCoverage)^t
-func regularScore(p *Pattern, ix *PosIndex, ctxWords, termWordDF []int32, nTraining, paperFreq, occFreq int, cfg Config) float64 {
+func regularScore(p *Pattern, ix *PosIndex, ctxWords, termWordDF []int32, nTraining, paperFreq, occFreq int) float64 {
 	// (1) Middle tuples of only frequent terms, only context-term words, or
 	// both receive high, higher, highest.
 	var middleType float64
@@ -254,10 +243,10 @@ func regularScore(p *Pattern, ix *PosIndex, ctxWords, termWordDF []int32, nTrain
 	coverage := float64(df) / float64(n)
 	// (4) Training-paper frequency, as fractions of the training set so the
 	// scale is stable across contexts of different training sizes.
-	freqTerm := float64(cfg.C * (float64(occFreq)/float64(nTraining) + float64(paperFreq)/float64(nTraining)))
+	freqTerm := float64(freqCoef * (float64(occFreq)/float64(nTraining) + float64(paperFreq)/float64(nTraining)))
 
 	base := middleType + termScore + freqTerm
-	return base * math.Pow(1/coverage, cfg.T)
+	return base * math.Pow(1/coverage, coverageExp)
 }
 
 // wordDF returns df[w], 0 for an ID outside the dictionary.

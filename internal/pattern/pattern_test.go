@@ -47,7 +47,7 @@ func patternFixture(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.A
 func TestBuildPatterns(t *testing.T) {
 	o, c, a, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, DefaultConfig())
+	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, false)
 	if len(set.Patterns) == 0 {
 		t.Fatal("no patterns built")
 	}
@@ -95,11 +95,11 @@ func middleKeys(a *corpus.Analyzer, s *Set) []string {
 func TestBuildEmptyTraining(t *testing.T) {
 	o, _, a, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, "GO:2", nil, df, DefaultConfig())
+	set := Build(ix, o, "GO:2", nil, df, false)
 	if len(set.Patterns) != 0 {
 		t.Fatalf("patterns from empty training: %v", middleKeys(a, set))
 	}
-	set = Build(ix, o, "GO:404", []corpus.PaperID{0}, df, DefaultConfig())
+	set = Build(ix, o, "GO:404", []corpus.PaperID{0}, df, false)
 	if len(set.Patterns) != 0 {
 		t.Fatal("patterns for unknown term")
 	}
@@ -110,11 +110,10 @@ func TestMiddleTypeScoreOrdering(t *testing.T) {
 	o, _, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
 	ctxSet := phrase(ix, "zinc")
-	cfg := DefaultConfig()
 	mk := func(hasTerm, hasFreq bool) float64 {
 		p := &Pattern{Middle: phrase(ix, "zinc"), HasTermWords: hasTerm, HasFreqWords: hasFreq}
 		// Fix the other criteria: same middle, same frequencies.
-		return regularScore(p, ix, ctxSet, df, 2, 1, 1, cfg)
+		return regularScore(p, ix, ctxSet, df, 2, 1, 1)
 	}
 	both := mk(true, true)
 	termOnly := mk(true, false)
@@ -127,14 +126,13 @@ func TestMiddleTypeScoreOrdering(t *testing.T) {
 func TestPaperCoveragePenalisesCommonMiddles(t *testing.T) {
 	o, _, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	cfg := DefaultConfig()
 	// "zinc" (2 docs) vs a word in all docs would score lower coverage-wise.
 	rare := phrase(ix, "corrosion") // 1 doc
 	common := phrase(ix, "cells")   // 2 docs
 	pRare := &Pattern{Middle: rare, HasFreqWords: true}
 	pCommon := &Pattern{Middle: common, HasFreqWords: true}
-	sRare := regularScore(pRare, ix, nil, df, 2, 1, 1, cfg)
-	sCommon := regularScore(pCommon, ix, nil, df, 2, 1, 1, cfg)
+	sRare := regularScore(pRare, ix, nil, df, 2, 1, 1)
+	sCommon := regularScore(pCommon, ix, nil, df, 2, 1, 1)
 	if sRare <= sCommon {
 		t.Fatalf("coverage penalty inverted: rare=%v common=%v", sRare, sCommon)
 	}

@@ -3,7 +3,6 @@ package prestige
 import (
 	"testing"
 
-	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
@@ -28,11 +27,10 @@ func benchFix(b *testing.B) *fixture {
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
 	ix := pattern.NewPosIndex(a)
-	cfg := contextset.DefaultConfig()
 	cachedFixture = &fixture{
 		onto: o, c: c, a: a, ix: ix,
-		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg, 0),
-		pat:  contextset.BuildPatternBased(ix, a, o, cfg, pattern.DefaultConfig(), 0),
+		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0),
+		pat:  contextset.BuildPatternBased(ix, a, o, 0),
 	}
 	return cachedFixture
 }
@@ -51,7 +49,7 @@ func largestContext(f *fixture) ontology.TermID {
 
 func BenchmarkCitationScoreContext(b *testing.B) {
 	f := benchFix(b)
-	s := NewCitationScorer(f.c, citegraph.PageRankOpts{})
+	s := NewCitationScorer(f.c)
 	ctx := largestContext(f)
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -63,7 +61,7 @@ func BenchmarkCitationScoreContext(b *testing.B) {
 
 func BenchmarkTextScoreContext(b *testing.B) {
 	f := benchFix(b)
-	s := NewTextScorer(f.a, DefaultTextWeights())
+	s := NewTextScorer(f.a)
 	var ctx ontology.TermID
 	for _, c := range f.text.Contexts() {
 		if _, ok := contextset.Representative(f.a, c); ok && f.text.Size(c) > 20 {
@@ -84,7 +82,7 @@ func BenchmarkTextScoreContext(b *testing.B) {
 
 func BenchmarkPatternScoreContext(b *testing.B) {
 	f := benchFix(b)
-	s := NewPatternScorer(f.ix, f.onto, pattern.DefaultConfig(), pattern.DefaultMatchConfig())
+	s := NewPatternScorer(f.ix, f.onto)
 	ctx := largestContext(f)
 	vals := make([]float64, f.pat.Size(ctx))
 	b.ResetTimer()
@@ -103,7 +101,7 @@ func BenchmarkScoreWorkers(b *testing.B) {
 		workers int
 	}{{"serial", 1}, {"parallel", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
-			s := NewCitationScorer(f.c, citegraph.PageRankOpts{})
+			s := NewCitationScorer(f.c)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_ = Score(s, f.pat, 10, bc.workers)
@@ -114,7 +112,7 @@ func BenchmarkScoreWorkers(b *testing.B) {
 
 func BenchmarkPropagateMax(b *testing.B) {
 	f := benchFix(b)
-	base := Score(NewCitationScorer(f.c, citegraph.PageRankOpts{}), f.pat, 10, 0)
+	base := Score(NewCitationScorer(f.c), f.pat, 10, 0)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -137,7 +135,7 @@ func bigFix(b *testing.B) (*corpus.Corpus, *contextset.ContextSet) {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	cs := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, contextset.DefaultConfig(), 0)
+	cs := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0)
 	if n := len(cs.Contexts()); n < 1000 {
 		b.Fatalf("fixture too small: %d contexts, want >= 1000", n)
 	}
@@ -146,7 +144,7 @@ func bigFix(b *testing.B) (*corpus.Corpus, *contextset.ContextSet) {
 
 func BenchmarkScore1kContexts(b *testing.B) {
 	c, cs := bigFix(b)
-	s := NewCitationScorer(c, citegraph.PageRankOpts{})
+	s := NewCitationScorer(c)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -159,7 +157,7 @@ func BenchmarkScore1kContexts(b *testing.B) {
 // context resolved per row, many papers probed within it.
 func BenchmarkPrestigeLookup(b *testing.B) {
 	f := benchFix(b)
-	m := Score(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0, 0)
+	m := Score(NewTextScorer(f.a), f.text, 0, 0)
 	ctxs := m.Contexts()
 	papers := make([]corpus.PaperID, f.c.Len())
 	for i := range papers {

@@ -15,8 +15,8 @@ import (
 // between papers inside the context count, so citations from other contexts
 // cannot erroneously boost a paper's score.
 type CitationScorer struct {
-	graph *citegraph.Graph
-	opts  citegraph.PageRankOpts
+	graph    *citegraph.Graph
+	teleport citegraph.Teleport
 
 	// scratch pools citegraph arenas so the subgraph + PageRank pipeline
 	// reuses its position table, adjacency and rank buffers across the
@@ -52,23 +52,24 @@ type CrossContextWeights struct {
 	Unrelated float64
 }
 
-// NewCitationScorer builds the scorer over the corpus-wide citation graph.
-func NewCitationScorer(c *corpus.Corpus, opts citegraph.PageRankOpts) *CitationScorer {
-	return &CitationScorer{graph: GraphFromCorpus(c), opts: opts}
+// NewCitationScorer builds the scorer over the corpus-wide citation graph,
+// with PageRank teleport E1.
+func NewCitationScorer(c *corpus.Corpus) *CitationScorer {
+	return &CitationScorer{graph: GraphFromCorpus(c)}
 }
 
-// WithOpts returns a scorer with different PageRank options sharing the
-// receiver's (immutable) citation graph — ablations sweep options without
-// re-extracting the graph from the corpus each time. The clone starts with
-// a fresh scratch pool (arenas are cheap; sync.Pool must not be copied).
-func (s *CitationScorer) WithOpts(opts citegraph.PageRankOpts) *CitationScorer {
-	return &CitationScorer{graph: s.graph, opts: opts, CrossContextWeight: s.CrossContextWeight}
+// WithTeleport returns a scorer with teleport tp sharing the receiver's
+// (immutable) citation graph — the teleport ablation compares E1 and E2
+// without re-extracting the graph from the corpus. The clone starts with a
+// fresh scratch pool (arenas are cheap; sync.Pool must not be copied).
+func (s *CitationScorer) WithTeleport(tp citegraph.Teleport) *CitationScorer {
+	return &CitationScorer{graph: s.graph, teleport: tp, CrossContextWeight: s.CrossContextWeight}
 }
 
 // WithCrossContext returns a scorer with the §7 cross-context extension
 // configured, sharing the receiver's citation graph.
 func (s *CitationScorer) WithCrossContext(w CrossContextWeights) *CitationScorer {
-	return &CitationScorer{graph: s.graph, opts: s.opts, CrossContextWeight: w}
+	return &CitationScorer{graph: s.graph, teleport: s.teleport, CrossContextWeight: w}
 }
 
 // Name implements Scorer.
@@ -92,7 +93,7 @@ func (s *CitationScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.Te
 	// subgraph node i is papers[i]; pr aliases the arena, and copying it
 	// out releases it for the worker's next context.
 	sub, _ := s.graph.SubgraphInto(nodes, sc)
-	copy(vals, citegraph.PageRankScratch(sub, s.opts, sc))
+	copy(vals, citegraph.PageRankScratch(sub, s.teleport, sc))
 	if s.CrossContextWeight.Enabled {
 		s.addCrossContextBonus(cs, ctx, papers, vals)
 	}

@@ -9,11 +9,9 @@ import (
 	"sync"
 	"testing"
 
-	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/ontology"
-	"ctxsearch/internal/pattern"
 )
 
 // scoreMapReference is the map form of Score: every context with more
@@ -121,9 +119,9 @@ func (r replayScorer) ScoreContext(_ *contextset.ContextSet, ctx ontology.TermID
 func TestScoreMatchesMapReference(t *testing.T) {
 	f := buildFixture(t)
 	for _, sc := range []Scorer{
-		NewCitationScorer(f.c, citegraph.PageRankOpts{}),
-		NewTextScorer(f.a, DefaultTextWeights()),
-		NewPatternScorer(f.ix, f.onto, pattern.DefaultConfig(), pattern.DefaultMatchConfig()),
+		NewCitationScorer(f.c),
+		NewTextScorer(f.a),
+		NewPatternScorer(f.ix, f.onto),
 	} {
 		for _, set := range []struct {
 			name string
@@ -174,7 +172,7 @@ func TestScoreMatchesMapReference(t *testing.T) {
 
 func TestMatrixContextsSortedAndOrdinals(t *testing.T) {
 	f := buildFixture(t)
-	m := Score(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0, 0)
+	m := Score(NewTextScorer(f.a), f.text, 0, 0)
 	ctxs := m.Contexts()
 	for i, ctx := range ctxs {
 		if i > 0 && ctxs[i-1] >= ctx {
@@ -203,7 +201,7 @@ func TestMatrixContextsSortedAndOrdinals(t *testing.T) {
 // result exactly.
 func TestScoreAllParallelArenaStress(t *testing.T) {
 	f := buildFixture(t)
-	sc := NewCitationScorer(f.c, citegraph.PageRankOpts{})
+	sc := NewCitationScorer(f.c)
 	want := Score(sc, f.pat, 0, 1)
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -224,7 +222,7 @@ func TestScoreAllParallelArenaStress(t *testing.T) {
 // with unchanged values, and a disjoint cover of slices partitions the full matrix's cells.
 func TestMatrixSlice(t *testing.T) {
 	f := buildFixture(t)
-	m := Score(NewTextScorer(f.a, DefaultTextWeights()), f.text, 0, 0)
+	m := Score(NewTextScorer(f.a), f.text, 0, 0)
 	n := f.c.Len()
 
 	for _, cuts := range [][]int{{0, n}, {0, n / 2, n}, {0, n / 3, 2 * n / 3, n}, {0, 1, n - 1, n}} {
@@ -296,7 +294,7 @@ func (d nanDecliner) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID
 // worker count.
 func TestScoreClearsDeclinedSlots(t *testing.T) {
 	f := buildFixture(t)
-	sc := nanDecliner{NewTextScorer(f.a, DefaultTextWeights())}
+	sc := nanDecliner{NewTextScorer(f.a)}
 	want := Score(sc, f.text, 0, 1)
 	if want.NumContexts() == 0 || want.NumContexts() == len(f.text.Contexts()) {
 		t.Fatalf("%d of %d contexts scored: the fixture declines none or all", want.NumContexts(), len(f.text.Contexts()))

@@ -18,8 +18,6 @@ type PatternScorer struct {
 	ix     *pattern.PosIndex
 	onto   *ontology.Ontology
 	termDF []int32
-	pcfg   pattern.Config
-	mcfg   pattern.MatchConfig
 
 	// sets caches the pattern set per term, since inherited contexts reuse
 	// their origin's patterns; mu makes the cache safe for parallel
@@ -28,16 +26,14 @@ type PatternScorer struct {
 	sets map[ontology.TermID]*pattern.Set
 }
 
-// NewPatternScorer builds the scorer. The pattern config's Extended flag is
-// honoured (the full §3.3 method uses extended patterns; the §4 simplified
-// construction does not — that variant lives in contextset).
-func NewPatternScorer(ix *pattern.PosIndex, onto *ontology.Ontology, pcfg pattern.Config, mcfg pattern.MatchConfig) *PatternScorer {
+// NewPatternScorer builds the scorer. It uses the full §3.3 method,
+// extended patterns and window corroboration; the §4 simplified variant is
+// contextset's.
+func NewPatternScorer(ix *pattern.PosIndex, onto *ontology.Ontology) *PatternScorer {
 	return &PatternScorer{
 		ix:     ix,
 		onto:   onto,
 		termDF: pattern.TermWordDF(onto, ix),
-		pcfg:   pcfg,
-		mcfg:   mcfg,
 		sets:   make(map[ontology.TermID]*pattern.Set),
 	}
 }
@@ -57,7 +53,7 @@ func (s *PatternScorer) patternsFor(c *corpus.Corpus, term ontology.TermID) *pat
 	// Build outside the lock: construction is the expensive part and two
 	// goroutines occasionally building the same term's set is harmless
 	// (identical, deterministic results).
-	set := pattern.Build(s.ix, s.onto, term, c.EvidencePapers(term), s.termDF, s.pcfg)
+	set := pattern.Build(s.ix, s.onto, term, c.EvidencePapers(term), s.termDF, false)
 	s.mu.Lock()
 	if prev, ok := s.sets[term]; ok {
 		set = prev
@@ -86,7 +82,7 @@ func (s *PatternScorer) ScoreContext(cs *contextset.ContextSet, ctx ontology.Ter
 		within.Add(int(p))
 	}
 	scores := make([]float64, c.Len())
-	s.patternsFor(c, term).ScorePapers(s.ix, within, s.mcfg, scores)
+	s.patternsFor(c, term).ScorePapers(s.ix, within, scores)
 	for i, p := range members {
 		vals[i] = scores[p]
 	}

@@ -12,28 +12,22 @@ import (
 	"ctxsearch/internal/vector"
 )
 
-// TextWeights are the section/author/reference similarity weights of the
-// §3.2 text-based score Sim(PX, PC) = Σ weightᵢ · Simᵢ(PX, PC).
-type TextWeights struct {
-	Title, Abstract, Body, IndexTerms float64
-	Authors                           float64
-	References                        float64
-	// L0Weight and L1Weight combine the two author-overlap levels.
-	L0Weight, L1Weight float64
-	// BibWeight combines bibliographic coupling (BibWeight) with
-	// co-citation (1−BibWeight) into SimReferences.
-	BibWeight float64
-}
-
-// DefaultTextWeights returns the weights used by the experiments.
-func DefaultTextWeights() TextWeights {
-	return TextWeights{
-		Title: 0.15, Abstract: 0.20, Body: 0.20, IndexTerms: 0.10,
-		Authors: 0.15, References: 0.20,
-		L0Weight: 0.7, L1Weight: 0.3,
-		BibWeight: 0.5,
-	}
-}
+// The weights of the §3.2 text-based score Sim(PX, PC) = Σ weightᵢ ·
+// Simᵢ(PX, PC) over the four sections, the authors and the references
+// (they sum to 1); the weights of the two author-overlap levels; and the
+// share of bibliographic coupling in SimReferences, co-citation having the
+// rest.
+const (
+	titleWeight      = 0.15
+	abstractWeight   = 0.20
+	bodyWeight       = 0.20
+	indexTermsWeight = 0.10
+	authorsWeight    = 0.15
+	referencesWeight = 0.20
+	level0Weight     = 0.7
+	level1Weight     = 0.3
+	bibWeight        = 0.5
+)
 
 // TextScorer implements the text-based prestige function of §3.2: a paper's
 // prestige in a context is its weighted similarity to the context's
@@ -51,7 +45,6 @@ func DefaultTextWeights() TextWeights {
 // for bit; similarityReference in the tests is that pairwise form.
 type TextScorer struct {
 	analyzer *corpus.Analyzer
-	weights  TextWeights
 	// tables is built by the first call that scores.
 	tables textTables
 }
@@ -59,8 +52,8 @@ type TextScorer struct {
 // NewTextScorer returns the scorer. Its tables — the author index in both
 // directions and the citation graph — are built by the first call that
 // scores.
-func NewTextScorer(a *corpus.Analyzer, weights TextWeights) *TextScorer {
-	return &TextScorer{analyzer: a, weights: weights}
+func NewTextScorer(a *corpus.Analyzer) *TextScorer {
+	return &TextScorer{analyzer: a}
 }
 
 // Name implements Scorer.
@@ -137,7 +130,6 @@ const (
 // all zeros whatever it was bound to.
 type boundRep struct {
 	t   *textTables
-	w   TextWeights
 	rep corpus.PaperID
 
 	// dense[s][term] is the representative's weight of term in section s, 0
@@ -163,7 +155,7 @@ func (s *TextScorer) bind(rep corpus.PaperID) *boundRep {
 			b.dense[sec] = make([]float64, len(s.analyzer.DF().Terms()))
 		}
 	}
-	b.w, b.rep = s.weights, rep
+	b.rep = rep
 	for _, sec := range corpus.Sections {
 		r := t.analyzer.Row(rep, sec)
 		for i, id := range r.Terms {
@@ -216,14 +208,12 @@ func (b *boundRep) similarity(p corpus.PaperID) float64 {
 		// The representative characterises the context by definition.
 		return 1
 	}
-	w := b.w
-	sim := float64(w.Title*b.sectionSim(p, corpus.SecTitle)) +
-		float64(w.Abstract*b.sectionSim(p, corpus.SecAbstract)) +
-		float64(w.Body*b.sectionSim(p, corpus.SecBody)) +
-		float64(w.IndexTerms*b.sectionSim(p, corpus.SecIndexTerms)) +
-		float64(w.Authors*b.authorSim(p)) +
-		float64(w.References*b.referenceSim(p))
-	return sim
+	return float64(titleWeight*b.sectionSim(p, corpus.SecTitle)) +
+		float64(abstractWeight*b.sectionSim(p, corpus.SecAbstract)) +
+		float64(bodyWeight*b.sectionSim(p, corpus.SecBody)) +
+		float64(indexTermsWeight*b.sectionSim(p, corpus.SecIndexTerms)) +
+		float64(authorsWeight*b.authorSim(p)) +
+		float64(referencesWeight*b.referenceSim(p))
 }
 
 // sectionSim is vector.CosineWithNorms(p's vector, the representative's,
@@ -251,7 +241,7 @@ func (b *boundRep) sectionSim(p corpus.PaperID, sec corpus.Section) float64 {
 // authors, Jaccard) with Level-1 overlap (each paper's authors co-write a
 // third paper), per [7].
 func (b *boundRep) authorSim(p corpus.PaperID) float64 {
-	return float64(b.w.L0Weight*b.authorJaccard(p)) + float64(b.w.L1Weight*b.levelOneOverlap(p))
+	return float64(level0Weight*b.authorJaccard(p)) + float64(level1Weight*b.levelOneOverlap(p))
 }
 
 // authorJaccard is |A(p) ∩ A(rep)| / |A(p) ∪ A(rep)| over the author sets,
@@ -305,7 +295,7 @@ func (b *boundRep) referenceSim(p corpus.PaperID) float64 {
 		bib = b.coupling(g.Out(int(p)), markCited, len(g.Out(int(b.rep))))
 		coc = b.coupling(g.In(int(p)), markCiting, len(g.In(int(b.rep))))
 	}
-	return float64(b.w.BibWeight*bib) + float64((1-b.w.BibWeight)*coc)
+	return float64(bibWeight*bib) + float64((1-bibWeight)*coc)
 }
 
 // coupling is citegraph's cosine-normalised overlap of two adjacency lists,

@@ -22,15 +22,14 @@ import (
 // table — so the analyzer's rows are checked, not trusted.
 type textReference struct {
 	g        *citegraph.Graph
-	w        TextWeights
 	coAuthor map[string][]corpus.PaperID
 	authors  []map[string]bool
 	vecs     [][corpus.NumSections]vector.Sparse
 }
 
-func newTextReference(a *corpus.Analyzer, w TextWeights) *textReference {
+func newTextReference(a *corpus.Analyzer) *textReference {
 	c := a.Corpus()
-	r := &textReference{g: GraphFromCorpus(c), w: w, coAuthor: c.CoAuthorIndex()}
+	r := &textReference{g: GraphFromCorpus(c), coAuthor: c.CoAuthorIndex()}
 	r.authors = authorSets(c)
 	r.vecs = make([][corpus.NumSections]vector.Sparse, c.Len())
 	for i, p := range c.Papers() {
@@ -60,14 +59,12 @@ func similarityReference(r *textReference, p, rep corpus.PaperID) float64 {
 	if p == rep {
 		return 1
 	}
-	w := r.w
-	sim := float64(w.Title*r.sectionSim(p, rep, corpus.SecTitle)) +
-		float64(w.Abstract*r.sectionSim(p, rep, corpus.SecAbstract)) +
-		float64(w.Body*r.sectionSim(p, rep, corpus.SecBody)) +
-		float64(w.IndexTerms*r.sectionSim(p, rep, corpus.SecIndexTerms)) +
-		float64(w.Authors*r.authorSim(p, rep)) +
-		float64(w.References*r.referenceSim(p, rep))
-	return sim
+	return float64(titleWeight*r.sectionSim(p, rep, corpus.SecTitle)) +
+		float64(abstractWeight*r.sectionSim(p, rep, corpus.SecAbstract)) +
+		float64(bodyWeight*r.sectionSim(p, rep, corpus.SecBody)) +
+		float64(indexTermsWeight*r.sectionSim(p, rep, corpus.SecIndexTerms)) +
+		float64(authorsWeight*r.authorSim(p, rep)) +
+		float64(referencesWeight*r.referenceSim(p, rep))
 }
 
 func (r *textReference) sectionSim(p, q corpus.PaperID, sec corpus.Section) float64 {
@@ -78,7 +75,7 @@ func (r *textReference) authorSim(p, q corpus.PaperID) float64 {
 	ap, aq := r.authors[p], r.authors[q]
 	l0 := authorJaccard(ap, aq)
 	l1 := levelOneOverlap(r.authors, r.coAuthor, p, q, ap, aq)
-	return float64(r.w.L0Weight*l0) + float64(r.w.L1Weight*l1)
+	return float64(level0Weight*l0) + float64(level1Weight*l1)
 }
 
 func authorJaccard(a, b map[string]bool) float64 {
@@ -139,7 +136,7 @@ func (s *TextScorer) levelOneOverlap(p, q corpus.PaperID, ap, aq map[string]bool
 func (r *textReference) referenceSim(p, q corpus.PaperID) float64 {
 	bib := r.g.BibliographicCoupling(int(p), int(q))
 	coc := r.g.CoCitation(int(p), int(q))
-	return float64(r.w.BibWeight*bib) + float64((1-r.w.BibWeight)*coc)
+	return float64(bibWeight*bib) + float64((1-bibWeight)*coc)
 }
 
 // TestTextScorerMatchesReference compares every (context, paper) score of
@@ -164,11 +161,10 @@ func TestTextScorerMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := corpus.NewAnalyzerWorkers(c, 0)
-		cfg := contextset.DefaultConfig()
-		text := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, cfg, 0)
-		pat := contextset.BuildPatternBased(pattern.NewPosIndex(a), a, o, cfg, pattern.DefaultConfig(), 0)
-		ref := newTextReference(a, DefaultTextWeights())
-		sc := NewTextScorer(a, DefaultTextWeights())
+		text := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0)
+		pat := contextset.BuildPatternBased(pattern.NewPosIndex(a), a, o, 0)
+		ref := newTextReference(a)
+		sc := NewTextScorer(a)
 		for _, tc := range []struct {
 			name string
 			cs   *contextset.ContextSet
@@ -263,8 +259,8 @@ func TestTextScorerMatchesReferenceOnEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ref := newTextReference(a, DefaultTextWeights())
-	s := NewTextScorer(a, DefaultTextWeights())
+	ref := newTextReference(a)
+	s := NewTextScorer(a)
 
 	// The fixture holds what its comment says it holds.
 	for p, want := range map[corpus.PaperID]float64{1: 2.0 / 3, 2: 1, 3: 1, 14: 0, 15: 0} {

@@ -125,21 +125,28 @@ func (p *policy) exchange(ctx context.Context, g int, method, uri string, payloa
 	return rep, nil
 }
 
-// record folds one attempt against backend g into its breaker and replica
-// counters — the one verdict. A cancelled attempt (hedge loser, abandoned
-// client) counts as a request and is never recorded into the breaker: a
-// cancellation says nothing about the backend. An answer or a client error
-// means the backend is alive; anything else is its failure.
-func (p *policy) record(ctx context.Context, g int, cerr *shardCallError) {
+// verdict is what a call made under ctx says about where it went — a
+// backend for the replica counters and the breaker, a range for the range
+// counters: context.Canceled when the call was cancelled (a hedge loser, an
+// abandoned client), which says nothing; nil for an answer or a client
+// error, which mean it is alive; else the call's failure.
+func verdict(ctx context.Context, cerr *shardCallError) error {
 	switch {
 	case cerr != nil && errors.Is(ctx.Err(), context.Canceled):
-		p.metrics.ObserveReplica(g, context.Canceled)
+		return context.Canceled
 	case cerr == nil || cerr.clientError():
-		p.metrics.ObserveReplica(g, nil)
-		p.breakers[g].Record(true)
-	default:
-		p.metrics.ObserveReplica(g, cerr)
-		p.breakers[g].Record(false)
+		return nil
+	}
+	return cerr
+}
+
+// record folds one attempt against backend g into its replica counters and,
+// unless it was cancelled, its breaker.
+func (p *policy) record(ctx context.Context, g int, cerr *shardCallError) {
+	v := verdict(ctx, cerr)
+	p.metrics.ObserveReplica(g, v)
+	if v != context.Canceled {
+		p.breakers[g].Record(v == nil)
 	}
 }
 
@@ -241,11 +248,11 @@ func (p *policy) callAttempt(ctx context.Context, ri int, tried map[int]bool, ca
 	return rangePage{}, lastErr
 }
 
-// callRange resolves range ri and counts the outcome: a first attempt, which
-// deposits into the retry budget, plus up to MaxRetries budget-covered
-// retries after an exponential backoff, each preferring a replica not yet
-// tried. A client error or the request's own context ending is final at once
-// — retrying them is waste.
+// callRange resolves range ri and counts the outcome by its verdict: a first
+// attempt, which deposits into the retry budget, plus up to MaxRetries
+// budget-covered retries after an exponential backoff, each preferring a
+// replica not yet tried. A client error or the request's own context ending
+// is final at once — retrying them is waste.
 func (p *policy) callRange(ctx context.Context, ri int, call rangeCall) (rangePage, *shardCallError) {
 	if p.budget != nil {
 		p.budget.Deposit()
@@ -275,7 +282,7 @@ func (p *policy) callRange(ctx context.Context, ri int, call rangeCall) (rangePa
 				p.metrics.ObserveRetryDenied()
 			}
 		}
-		p.metrics.ObserveShard(ri, cerr)
+		p.metrics.ObserveShard(ri, verdict(ctx, cerr))
 		return rangePage{}, cerr
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -781,6 +782,19 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 	if s.page.proxied {
 		s.checkProxy(rec, mine, cancelled, snap)
 		return
+	}
+
+	// A range's counters read a range call's outcome by the replicas' rule:
+	// a client error is an answer, and a client that left says nothing
+	// about the range. So a page none of whose calls failed — every range
+	// rejected it, the client abandoned it, or every range answered — moves
+	// no range's errors or timeouts.
+	if s.closed && !slices.ContainsFunc(mine, func(c *simCall) bool { return c.out == outFail }) {
+		for ri, rs := range snap.Shards {
+			if was := s.before.Shards[ri]; rs.Errors != was.Errors || rs.Timeouts != was.Timeouts {
+				s.violate("range %d: counters %+v, %+v before a page none of whose calls failed", ri, rs, was)
+			}
+		}
 	}
 
 	// Attempts per range call: 1 + MaxRetries, one more per hedge; a client

@@ -34,9 +34,7 @@ func TestReplicatedGoldenUnderFaults(t *testing.T) {
 		}
 	}
 	for _, pg := range s.cl.pages {
-		if pg.name != "rejected" {
-			serve(pg)
-		}
+		serve(pg)
 	}
 	snap := s.coord.metrics.Snapshot()
 	if snap.Failovers == 0 || snap.BreakerOpens != 3 || snap.Partial != 0 {
@@ -47,10 +45,6 @@ func TestReplicatedGoldenUnderFaults(t *testing.T) {
 			t.Fatalf("range %d recorded a failed range call — every call must be rescued: %+v", ri, sc)
 		}
 	}
-	// The page every range rejects comes after the range counters are read:
-	// callRange counts a relayed client error as a failed range call (a
-	// known defect), so they would read failures no failover could rescue.
-	serve(s.cl.page(t, "rejected"))
 	if len(s.violations) > 0 {
 		t.Fatal(strings.Join(s.violations, "\n"))
 	}

@@ -34,7 +34,6 @@ func testState(t testing.TB) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsear
 		cfg.Papers = 200
 		cfg.OntologyTerms = 50
 		cfg.MaxDepth = 6
-		cfg.MinContextSize = 3
 		sys, err := ctxsearch.NewSyntheticSystem(cfg)
 		if err != nil {
 			t.Fatal(err)

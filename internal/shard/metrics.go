@@ -56,19 +56,24 @@ func NewMetricsReplicated(nRanges int, rangeOf []int) *Metrics {
 	}
 }
 
-// ObserveShard records one shard request and its outcome. A deadline
-// expiry counts as a timeout, any other failure as an error.
-func (m *Metrics) ObserveShard(i int, err error) {
-	c := &m.shards[i]
+// observe counts one request and its outcome. A cancelled request (hedge
+// loser, abandoned client) counts as a request but says nothing about where
+// it went, so it is neither an error nor a timeout; a deadline expiry counts
+// as a timeout, any other failure as an error.
+func (c *shardCounters) observe(err error) {
 	c.requests.Add(1)
 	switch {
 	case err == nil:
+	case errors.Is(err, context.Canceled):
 	case errors.Is(err, context.DeadlineExceeded):
 		c.timeouts.Add(1)
 	default:
 		c.errors.Add(1)
 	}
 }
+
+// ObserveShard records one range call of range i and its outcome.
+func (m *Metrics) ObserveShard(i int, err error) { m.shards[i].observe(err) }
 
 // ObserveSearch records one completed scatter-gather — once per page: the
 // slowest shard's latency and the coordinator-side merge time.
@@ -96,21 +101,8 @@ func (m *Metrics) ObserveServed(rows int) { m.rowsServed.Add(uint64(rows)) }
 // (some shard failed and the coordinator's partial policy allowed it).
 func (m *Metrics) ObservePartial() { m.partial.Add(1) }
 
-// ObserveReplica records one physical request to backend g. A cancelled
-// attempt (hedge loser, abandoned client) counts as a request but says
-// nothing about the backend, so it is neither an error nor a timeout.
-func (m *Metrics) ObserveReplica(g int, err error) {
-	c := &m.replicas[g]
-	c.requests.Add(1)
-	switch {
-	case err == nil:
-	case errors.Is(err, context.Canceled):
-	case errors.Is(err, context.DeadlineExceeded):
-		c.timeouts.Add(1)
-	default:
-		c.errors.Add(1)
-	}
-}
+// ObserveReplica records one physical request to backend g and its outcome.
+func (m *Metrics) ObserveReplica(g int, err error) { m.replicas[g].observe(err) }
 
 // ObserveRetry records one budget-approved retry attempt; ObserveRetryDenied
 // one the retry budget refused.

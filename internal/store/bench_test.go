@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
@@ -30,12 +29,12 @@ func benchState(b *testing.B) (*ontology.Ontology, *State) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig(), 0)
+	cs := contextset.BuildTextBased(ix, o, 0)
 	return o, &State{
 		ContextSet: cs,
 		Matrices: map[string]*prestige.Matrix{
-			"text":     prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1),
-			"citation": prestige.Score(prestige.NewCitationScorer(c, citegraph.PageRankOpts{}), cs, 0, 1),
+			"text":     prestige.Score(prestige.NewTextScorer(a), cs, 0, 1),
+			"citation": prestige.Score(prestige.NewCitationScorer(c), cs, 0, 1),
 		},
 		Index: ix.Parts(),
 		DF:    a.DF(),

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"ctxsearch/internal/citegraph"
 	"ctxsearch/internal/contextset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
@@ -33,12 +32,12 @@ func fixtureWithIndex(t testing.TB) (*ontology.Ontology, *corpus.Corpus, *corpus
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := contextset.BuildTextBased(ix, o, contextset.DefaultConfig(), 0)
+	cs := contextset.BuildTextBased(ix, o, 0)
 	return o, c, a, &State{
 		ContextSet: cs,
 		Matrices: map[string]*prestige.Matrix{
-			"text":     prestige.Score(prestige.NewTextScorer(a, prestige.DefaultTextWeights()), cs, 0, 1),
-			"citation": prestige.Score(prestige.NewCitationScorer(c, citegraph.PageRankOpts{}), cs, 0, 1),
+			"text":     prestige.Score(prestige.NewTextScorer(a), cs, 0, 1),
+			"citation": prestige.Score(prestige.NewCitationScorer(c), cs, 0, 1),
 		},
 		Index: ix.Parts(),
 		DF:    a.DF(),
@@ -160,7 +159,7 @@ func (d nanDecliner) ScoreContext(cs *contextset.ContextSet, ctx ontology.TermID
 // workers 1, 2 and 8.
 func TestSaveClearsDeclinedSlots(t *testing.T) {
 	o, _, a, st := fixtureWithIndex(t)
-	sc := nanDecliner{prestige.NewTextScorer(a, prestige.DefaultTextWeights())}
+	sc := nanDecliner{prestige.NewTextScorer(a)}
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
 		m := prestige.Score(sc, st.ContextSet, 0, workers)

@@ -44,6 +44,11 @@ const goldenStateSHA256 = "783166b288d6ab3768553c17cbf15987dc33c6c70840a2ee1896c
 // 52756d26…).
 const goldenPatternStateSHA256 = "7555c28ea3eed65d0f2e3b6a6089c41c42c8427244bb11bcf46aba729e58ac22"
 
+// goldenMinContextSize is the small-context cutoff both pinned files were
+// recorded at: contexts of more than 3 papers are scored, where
+// smallConfig's 220 papers derive a cutoff of 5.
+const goldenMinContextSize = 3
+
 // goldenStateSections and goldenPatternStateSections are the section
 // tables of the two pinned files, one row per section in table order: id,
 // element kind, data length and CRC32-C. A re-record that moves a SHA-256
@@ -83,13 +88,13 @@ const (
 
 func TestStateFileGolden(t *testing.T) {
 	checkStateFileGolden(t, goldenStateSHA256, goldenStateSections, func(sys *System) (*Matrix, string) {
-		return sys.ScoreText(sys.BuildTextContextSet()), "text"
+		return sys.score(sys.TextScorer(), sys.BuildTextContextSet(), goldenMinContextSize), "text"
 	})
 }
 
 func TestPatternStateFileGolden(t *testing.T) {
 	checkStateFileGolden(t, goldenPatternStateSHA256, goldenPatternStateSections, func(sys *System) (*Matrix, string) {
-		return sys.ScorePattern(sys.BuildPatternContextSet()), "pattern"
+		return sys.score(sys.PatternScorer(), sys.BuildPatternContextSet(), goldenMinContextSize), "pattern"
 	})
 }
 
