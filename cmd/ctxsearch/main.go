@@ -34,8 +34,12 @@
 //	                   serves the coordinator: a range's unrendered
 //	                   rows, or with "finish" the finished page
 //
-// The README's "Serving" and "Sharded serving" sections and DESIGN.md's
-// failure-mode matrix describe the serving and coordinator flags.
+// serve and shard take what a deployment sets: -addr, -debug-addr and
+// -cache-entries, and for a coordinator -shard-urls, -allow-partial and
+// -hedge-after. The request deadline, admission cap, HTTP timeouts and the
+// coordinator's retries, budget, breakers and prober are fixed; the README's
+// "Serving" and "Sharded serving" sections and DESIGN.md's failure-mode
+// matrix give their values.
 //
 // serve binds its port immediately and opens (or builds) the state in the
 // background: /healthz answers at once, /readyz (and the API) flip from
@@ -49,10 +53,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
+	"strconv"
 
 	"ctxsearch"
-	"ctxsearch/internal/resilience"
 	"ctxsearch/internal/server"
 	"ctxsearch/internal/store"
 )
@@ -75,7 +78,6 @@ type options struct {
 	cfg    ctxsearch.Config
 	server server.Config
 	shard  server.ShardConfig
-	run    server.RunConfig
 
 	corpusPath, oboPath, statePath, stateFormat string
 	set, score                                  string
@@ -93,7 +95,7 @@ func (o *options) flags() *flag.FlagSet {
 	fs := flag.NewFlagSet("ctxsearch", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	o.cfg = ctxsearch.DefaultConfig()
-	c, s, sh, r := &o.cfg, &o.server, &o.shard, &o.run
+	c, sh := &o.cfg, &o.shard
 	fs.IntVar(&c.Papers, "papers", c.Papers, "synthetic corpus size")
 	fs.IntVar(&c.OntologyTerms, "terms", c.OntologyTerms, "synthetic ontology size")
 	fs.Int64Var(&c.Seed, "seed", c.Seed, "generator seed")
@@ -108,27 +110,21 @@ func (o *options) flags() *flag.FlagSet {
 	fs.IntVar(&c.BuildWorkers, "build-workers", 0, "offline-build parallelism (0 = GOMAXPROCS; output identical at any setting)")
 	fs.BoolVar(&o.verbose, "v", false, "print the offline-build timing summary")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address for serve")
-	fs.DurationVar(&s.QueryTimeout, "query-timeout", server.DefaultQueryTimeout, "serve: per-request search deadline, expiry returns 503 (<=0 disables)")
-	fs.IntVar(&s.MaxInflight, "max-inflight", server.DefaultMaxInflight, "serve: max concurrently served API requests, excess sheds with 429 (<=0 unlimited)")
-	fs.DurationVar(&r.ReadTimeout, "http-read-timeout", 5*time.Second, "serve: http.Server ReadTimeout")
-	fs.DurationVar(&r.WriteTimeout, "http-write-timeout", 30*time.Second, "serve: http.Server WriteTimeout")
-	fs.DurationVar(&r.IdleTimeout, "http-idle-timeout", 2*time.Minute, "serve: http.Server IdleTimeout")
-	fs.DurationVar(&r.ShutdownTimeout, "shutdown-timeout", 10*time.Second, "serve: drain window for in-flight requests on SIGINT/SIGTERM")
-	fs.IntVar(&s.CacheEntries, "cache-entries", server.DefaultCacheEntries, "serve: /search result-cache capacity (<=0 disables caching)")
-	fs.DurationVar(&s.CacheTTL, "cache-ttl", server.DefaultCacheTTL, "serve: cached /search response lifetime (<=0 = no expiry)")
+	// Unset, -cache-entries leaves server.Config's zero, the default cache.
+	fs.Func("cache-entries", "serve: /search result-cache capacity in `entries` (default 1024; <=0 disables caching)", func(v string) error {
+		n, err := strconv.Atoi(v)
+		if n <= 0 {
+			n = -1
+		}
+		o.server.CacheEntries = n
+		return err
+	})
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "serve: /debug/pprof listen address (empty = profiling off; never expose publicly)")
 	fs.StringVar(&o.shardURLs, "shard-urls", "", "serve: run as a coordinator over these comma-separated shard base URLs")
 	fs.IntVar(&o.shardIndex, "shard-index", 0, "shard: which paper range this process serves (0-based)")
 	fs.IntVar(&o.shardCount, "shard-count", 1, "shard: total number of shard processes")
-	fs.DurationVar(&sh.ShardTimeout, "shard-timeout", server.DefaultShardTimeout, "coordinator: per-shard sub-request deadline (<=0 disables)")
 	fs.BoolVar(&sh.AllowPartial, "allow-partial", false, "coordinator: serve degraded pages flagged partial instead of 503 on shard failure")
-	fs.IntVar(&sh.MaxRetries, "max-retries", server.DefaultMaxRetries, "coordinator: retries per failed range call, preferring untried replicas (0 disables)")
-	fs.Float64Var(&sh.RetryBudget, "retry-budget", resilience.DefaultBudgetCapacity, "coordinator: retry token bucket capacity bounding total retry amplification (<=0 unbounded)")
-	fs.Float64Var(&sh.RetryRatio, "retry-ratio", resilience.DefaultBudgetRatio, "coordinator: retry tokens deposited per range call's first attempt (steady-state retry fraction)")
 	fs.DurationVar(&sh.HedgeAfter, "hedge-after", 0, "coordinator: hedge a slow range call to a second replica after this delay (0 disables)")
-	fs.IntVar(&sh.BreakerThreshold, "breaker-threshold", resilience.DefaultFailureThreshold, "coordinator: consecutive failures tripping a replica's circuit breaker")
-	fs.DurationVar(&sh.BreakerCooldown, "breaker-cooldown", resilience.DefaultCooldown, "coordinator: how long an open breaker rejects before a half-open probe")
-	fs.DurationVar(&sh.ProbeInterval, "probe-interval", resilience.DefaultProbeInterval, "coordinator: active /healthz probe period per replica (<=0 disables probing)")
 	return fs
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"net/http"
 	"os"
@@ -110,6 +111,32 @@ func TestMisplacedShardFlags(t *testing.T) {
 		if _, serr := os.Stat(state); !errors.Is(serr, fs.ErrNotExist) {
 			t.Fatalf("%v left a state file behind (stat: %v)", tc.args, serr)
 		}
+	}
+}
+
+// TestCacheEntriesFlag: -cache-entries reaches server.Config's one
+// tri-state — unset is the default cache, <= 0 no cache, and a positive
+// capacity is used as given — and a non-number is refused.
+func TestCacheEntriesFlag(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want int
+	}{
+		{nil, 0},
+		{[]string{"-cache-entries", "0"}, -1},
+		{[]string{"-cache-entries", "-3"}, -1},
+		{[]string{"-cache-entries", "5"}, 5},
+	} {
+		var o options
+		if err := o.flags().Parse(tc.args); err != nil || o.server.CacheEntries != tc.want {
+			t.Fatalf("%v: CacheEntries %d (%v), want %d", tc.args, o.server.CacheEntries, err, tc.want)
+		}
+	}
+	var o options
+	set := o.flags()
+	set.SetOutput(io.Discard)
+	if err := set.Parse([]string{"-cache-entries", "many"}); err == nil {
+		t.Fatal("-cache-entries many was accepted")
 	}
 }
 

@@ -17,28 +17,14 @@ import (
 	"ctxsearch/internal/shard"
 )
 
-// orOff maps a flag's "<= 0 disables" onto Config's and ShardConfig's
-// "negative disables" (their zero means the default).
-func orOff[T int | float64 | time.Duration](v T) T {
-	if v <= 0 {
-		return -1
-	}
-	return v
-}
-
 // serveCmd runs the hardened HTTP server: the port binds immediately with a
 // pending server (liveness up, readiness 503), the state is opened or
 // built in the background (load) and swapped in, and SIGINT/SIGTERM
 // (or ctx cancellation) trigger a graceful drain. A failed build shuts the
 // server down and surfaces the build error.
 func serveCmd(ctx context.Context, o *options, out io.Writer, _ []string) error {
-	s, sh := &o.server, &o.shard
-	s.QueryTimeout, s.MaxInflight = orOff(s.QueryTimeout), orOff(s.MaxInflight)
-	s.CacheEntries, s.CacheTTL = orOff(s.CacheEntries), orOff(s.CacheTTL)
-	sh.ShardTimeout, sh.MaxRetries = orOff(sh.ShardTimeout), orOff(sh.MaxRetries)
-	sh.RetryBudget, sh.ProbeInterval = orOff(sh.RetryBudget), orOff(sh.ProbeInterval)
-	s.Logger = log.New(os.Stderr, "ctxsearch: ", log.LstdFlags)
-	o.run.OnListen = func(a net.Addr) { fmt.Fprintf(out, "listening on %s\n", a) }
+	o.server.Logger = log.New(os.Stderr, "ctxsearch: ", log.LstdFlags)
+	api := server.RunConfig{OnListen: func(a net.Addr) { fmt.Fprintf(out, "listening on %s\n", a) }}
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	ctx, cancel := context.WithCancel(ctx)
@@ -52,10 +38,8 @@ func serveCmd(ctx context.Context, o *options, out io.Writer, _ []string) error 
 		// without it.
 		go func() {
 			derr := server.Run(ctx, o.debugAddr, server.DebugHandler(), server.RunConfig{
-				ReadTimeout:     5 * time.Second,
-				WriteTimeout:    5 * time.Minute,
-				ShutdownTimeout: o.run.ShutdownTimeout,
-				OnListen:        func(a net.Addr) { fmt.Fprintf(out, "debug listening on %s (pprof)\n", a) },
+				WriteTimeout: 5 * time.Minute,
+				OnListen:     func(a net.Addr) { fmt.Fprintf(out, "debug listening on %s (pprof)\n", a) },
 			})
 			if derr != nil {
 				fmt.Fprintln(os.Stderr, "ctxsearch: debug listener:", derr)
@@ -80,7 +64,7 @@ func serveCmd(ctx context.Context, o *options, out io.Writer, _ []string) error 
 		coord := server.NewCoordinator(urls, o.server, o.shard)
 		defer coord.Close()
 		fmt.Fprintf(out, "coordinating %d shards (%d replicas)\n", coord.NumShards(), coord.NumBackends())
-		return server.Run(ctx, o.addr, coord, o.run)
+		return server.Run(ctx, o.addr, coord, api)
 	}
 
 	srv := server.NewPending(o.server)
@@ -94,7 +78,7 @@ func serveCmd(ctx context.Context, o *options, out io.Writer, _ []string) error 
 		}
 		buildErr <- nil
 	}()
-	err := server.Run(ctx, o.addr, srv, o.run)
+	err := server.Run(ctx, o.addr, srv, api)
 	select {
 	case berr := <-buildErr:
 		if berr != nil {

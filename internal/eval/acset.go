@@ -8,36 +8,25 @@ import (
 	"ctxsearch/internal/index"
 )
 
-// ACConfig configures AC(artificially constructed)-answer-set construction
-// (§2): a high-threshold keyword seed, text-based expansion toward the seed
-// centroid, and citation-based expansion along paths of length ≤ 2.
-type ACConfig struct {
-	// SeedThreshold is the cosine threshold of the initial keyword search.
-	SeedThreshold float64
-	// SeedLimit caps the initial set.
-	SeedLimit int
-	// TextThreshold admits papers whose similarity to the seed centroid
+// AC(artificially constructed)-answer-set construction (§2): a
+// high-threshold keyword seed, text-based expansion toward the seed centroid,
+// and citation-based expansion along paths of length ≤ 2.
+const (
+	// seedThreshold is the cosine threshold of the initial keyword search,
+	// and seedLimit caps the initial set.
+	seedThreshold = 0.30
+	seedLimit     = 40
+	// expandThreshold admits papers whose similarity to the seed centroid
 	// reaches it.
-	TextThreshold float64
-	// CitationDepth caps citation-path length (the paper uses 2: longer
+	expandThreshold = 0.22
+	// citationDepth caps citation-path length (the paper uses 2: longer
 	// paths lose context).
-	CitationDepth int
-	// CitationScoreQuantile keeps only citation-expansion candidates whose
-	// global PageRank is in the top (1−q) quantile, the paper's "high
-	// citation scores" filter.
-	CitationScoreQuantile float64
-}
-
-// DefaultACConfig returns the experiments' configuration.
-func DefaultACConfig() ACConfig {
-	return ACConfig{
-		SeedThreshold:         0.30,
-		SeedLimit:             40,
-		TextThreshold:         0.22,
-		CitationDepth:         2,
-		CitationScoreQuantile: 0.5,
-	}
-}
+	citationDepth = 2
+	// citationQuantile keeps only citation-expansion candidates whose global
+	// PageRank is in the top (1−q) quantile, the paper's "high citation
+	// scores" filter.
+	citationQuantile = 0.5
+)
 
 // ACBuilder constructs AC-answer sets. It precomputes the corpus-wide
 // PageRank once (the citation-expansion filter).
@@ -46,32 +35,23 @@ type ACBuilder struct {
 	graph    *citegraph.Graph
 	pagerank []float64
 	prCutoff float64
-	cfg      ACConfig
 }
 
 // NewACBuilder prepares a builder over an index.
-func NewACBuilder(ix *index.Index, graph *citegraph.Graph, cfg ACConfig) *ACBuilder {
+func NewACBuilder(ix *index.Index, graph *citegraph.Graph) *ACBuilder {
 	pr := citegraph.PageRank(graph, citegraph.TeleportE1)
 	sorted := append([]float64(nil), pr...)
 	sort.Float64s(sorted)
 	cutoff := 0.0
 	if len(sorted) > 0 {
-		q := cfg.CitationScoreQuantile
-		if q < 0 {
-			q = 0
-		}
-		if q > 1 {
-			q = 1
-		}
-		idx := int(q * float64(len(sorted)-1))
-		cutoff = sorted[idx]
+		cutoff = sorted[int(citationQuantile*float64(len(sorted)-1))]
 	}
-	return &ACBuilder{ix: ix, graph: graph, pagerank: pr, prCutoff: cutoff, cfg: cfg}
+	return &ACBuilder{ix: ix, graph: graph, pagerank: pr, prCutoff: cutoff}
 }
 
 // Build constructs the AC-answer set of a query.
 func (b *ACBuilder) Build(query string) map[corpus.PaperID]bool {
-	seedHits := b.ix.Search(query, index.Options{Threshold: b.cfg.SeedThreshold, Limit: b.cfg.SeedLimit})
+	seedHits := b.ix.Search(query, index.Options{Threshold: seedThreshold, Limit: seedLimit})
 	answer := make(map[corpus.PaperID]bool, len(seedHits)*3)
 	if len(seedHits) == 0 {
 		return answer
@@ -89,19 +69,19 @@ func (b *ACBuilder) Build(query string) map[corpus.PaperID]bool {
 		rows[i] = a.Row(id, corpus.WholeText)
 	}
 	centroid := a.Centroid(rows).Vector()
-	for _, h := range b.ix.SearchVector(centroid, index.Options{Threshold: b.cfg.TextThreshold}) {
+	for _, h := range b.ix.SearchVector(centroid, index.Options{Threshold: expandThreshold}) {
 		answer[h.Doc] = true
 	}
 
 	// Citation-based expansion: papers within citation-path distance ≤
-	// CitationDepth of the seed (following both directions), filtered to
+	// citationDepth of the seed (following both directions), filtered to
 	// high global PageRank.
 	frontier := seed
 	visited := make(map[corpus.PaperID]bool, len(seed))
 	for _, id := range seed {
 		visited[id] = true
 	}
-	for depth := 0; depth < b.cfg.CitationDepth; depth++ {
+	for depth := 0; depth < citationDepth; depth++ {
 		var next []corpus.PaperID
 		for _, id := range frontier {
 			for _, nb := range b.graph.Out(int(id)) {

@@ -184,7 +184,7 @@ func TestTrueAnswerSet(t *testing.T) {
 
 func TestACBuilder(t *testing.T) {
 	f := buildFixture(t)
-	b := NewACBuilder(f.ix, prestige.GraphFromCorpus(f.c), DefaultACConfig())
+	b := NewACBuilder(f.ix, prestige.GraphFromCorpus(f.c))
 	qs := GenerateQueries(f.onto, f.c, DefaultQueryGenConfig())
 	nonEmpty := 0
 	betterThanRandom := 0
@@ -224,7 +224,7 @@ func TestACBuilder(t *testing.T) {
 
 func TestACBuilderUnmatchableQuery(t *testing.T) {
 	f := buildFixture(t)
-	b := NewACBuilder(f.ix, prestige.GraphFromCorpus(f.c), DefaultACConfig())
+	b := NewACBuilder(f.ix, prestige.GraphFromCorpus(f.c))
 	if ac := b.Build("zzz qqq totally alien words"); len(ac) != 0 {
 		t.Fatalf("alien query produced AC set of %d", len(ac))
 	}
@@ -323,8 +323,7 @@ func TestOverlapByLevel(t *testing.T) {
 
 func TestSeparability(t *testing.T) {
 	f := buildFixture(t)
-	cfg := DefaultSeparabilityConfig()
-	sds := SeparabilitySDs(f.scores, f.scores.Contexts(), cfg)
+	sds := SeparabilitySDs(f.scores, f.scores.Contexts())
 	if len(sds) == 0 {
 		t.Fatal("no SDs computed")
 	}
@@ -333,7 +332,7 @@ func TestSeparability(t *testing.T) {
 			t.Fatalf("SD out of range: %v", sd)
 		}
 	}
-	hist := SeparabilityHistogram(sds, cfg)
+	hist := SeparabilityHistogram(sds)
 	if len(hist) != 8 { // 40/5
 		t.Fatalf("histogram bins = %d", len(hist))
 	}
@@ -347,11 +346,8 @@ func TestSeparability(t *testing.T) {
 }
 
 func TestSeparabilityDegenerate(t *testing.T) {
-	if got := SeparabilityHistogram(nil, SeparabilityConfig{ScoreBins: 10, SDBinWidth: 0, SDMax: 0}); got != nil {
-		t.Fatal("degenerate config must return nil")
-	}
 	s := matrixOf(t, scoreMap{"GO:1": {}})
-	if sds := SeparabilitySDs(s, []ontology.TermID{"GO:1"}, DefaultSeparabilityConfig()); len(sds) != 0 {
+	if sds := SeparabilitySDs(s, []ontology.TermID{"GO:1"}); len(sds) != 0 {
 		t.Fatal("empty context must be skipped")
 	}
 }

@@ -151,30 +151,26 @@ func OverlapByLevel(onto *ontology.Ontology, s1, s2 *prestige.Matrix, sizes map[
 	return out
 }
 
-// SeparabilityConfig configures the §5.2 separability histograms.
-type SeparabilityConfig struct {
-	// ScoreBins is the number of equal score ranges per context (paper: 10).
-	ScoreBins int
-	// SDBinWidth and SDMax define the histogram over per-context standard
-	// deviations (paper: 0–40 in steps of 5).
-	SDBinWidth, SDMax float64
-}
-
-// DefaultSeparabilityConfig returns the paper's binning.
-func DefaultSeparabilityConfig() SeparabilityConfig {
-	return SeparabilityConfig{ScoreBins: 10, SDBinWidth: 5, SDMax: 40}
-}
+// The §5.2 separability binning: each context's scores fall into ScoreBins
+// equal score ranges, and the per-context standard deviations into a
+// histogram over [0, SDMax] in steps of SDBinWidth (paper: 10 ranges; 0–40
+// in steps of 5).
+const (
+	ScoreBins  = 10
+	SDBinWidth = 5.0
+	SDMax      = 40.0
+)
 
 // SeparabilitySDs computes the per-context separability standard deviation
 // of a score function over the given contexts.
-func SeparabilitySDs(s *prestige.Matrix, ctxs []ontology.TermID, cfg SeparabilityConfig) []float64 {
+func SeparabilitySDs(s *prestige.Matrix, ctxs []ontology.TermID) []float64 {
 	out := make([]float64, 0, len(ctxs))
 	for _, ctx := range ctxs {
 		vals := s.Run(ctx).Vals
 		if len(vals) == 0 {
 			continue
 		}
-		out = append(out, stats.SeparabilitySD(vals, cfg.ScoreBins))
+		out = append(out, stats.SeparabilitySD(vals, ScoreBins))
 	}
 	return out
 }
@@ -182,12 +178,8 @@ func SeparabilitySDs(s *prestige.Matrix, ctxs []ontology.TermID, cfg Separabilit
 // SeparabilityHistogram converts per-context SDs into the paper's Figure
 // 5.4–5.7 series: the percentage of contexts whose SD falls into each
 // SDBinWidth-wide bin of [0, SDMax].
-func SeparabilityHistogram(sds []float64, cfg SeparabilityConfig) []float64 {
-	n := int(cfg.SDMax / cfg.SDBinWidth)
-	if n <= 0 {
-		return nil
-	}
-	counts := stats.Histogram(sds, n, 0, cfg.SDMax)
+func SeparabilityHistogram(sds []float64) []float64 {
+	counts := stats.Histogram(sds, int(SDMax/SDBinWidth), 0, SDMax)
 	return stats.Percentages(counts)
 }
 

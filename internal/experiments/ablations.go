@@ -30,7 +30,6 @@ func (s *Setup) AblateTeleport() TeleportAblation {
 	}
 	e1 := mk(citegraph.TeleportE1)
 	e2 := mk(citegraph.TeleportE2)
-	cfg := eval.DefaultSeparabilityConfig()
 	var out TeleportAblation
 	var sumRho, sumSD float64
 	// The citation function scores every context, so both matrices hold
@@ -41,7 +40,7 @@ func (s *Setup) AblateTeleport() TeleportAblation {
 			continue
 		}
 		sumRho += stats.Spearman(xs, ys)
-		sumSD += stats.SeparabilitySD(xs, cfg.ScoreBins) - stats.SeparabilitySD(ys, cfg.ScoreBins)
+		sumSD += stats.SeparabilitySD(xs, eval.ScoreBins) - stats.SeparabilitySD(ys, eval.ScoreBins)
 		out.Contexts++
 	}
 	if out.Contexts > 0 {
@@ -106,7 +105,6 @@ type CutoffAblation struct {
 
 // AblateCutoff sweeps MinContextSize over the pattern-based set.
 func (s *Setup) AblateCutoff(cutoffs []int) CutoffAblation {
-	cfg := eval.DefaultSeparabilityConfig()
 	out := CutoffAblation{Cutoffs: cutoffs}
 	for _, cut := range cutoffs {
 		ctxs := s.PatternSet.ContextsWithMinSize(cut)
@@ -115,7 +113,7 @@ func (s *Setup) AblateCutoff(cutoffs []int) CutoffAblation {
 		n := 0
 		for _, ctx := range ctxs {
 			if vals := s.CitOnPatSet.Run(ctx).Vals; len(vals) > 0 {
-				sds = append(sds, stats.SeparabilitySD(vals, cfg.ScoreBins))
+				sds = append(sds, stats.SeparabilitySD(vals, eval.ScoreBins))
 				n++
 			}
 		}
@@ -140,7 +138,6 @@ type CrossContextAblation struct {
 func (s *Setup) AblateCrossContext() CrossContextAblation {
 	base := s.Sys.CitationScorer()
 	ext := base.WithCrossContext(prestige.CrossContextWeights{Enabled: true, Related: 0.6, Unrelated: 0.1})
-	cfg := eval.DefaultSeparabilityConfig()
 	var out CrossContextAblation
 	var shift, sdB, sdE float64
 	n := 0
@@ -162,8 +159,8 @@ func (s *Setup) AblateCrossContext() CrossContextAblation {
 			continue
 		}
 		shift += d / float64(len(vb))
-		sdB += stats.SeparabilitySD(vb, cfg.ScoreBins)
-		sdE += stats.SeparabilitySD(ve, cfg.ScoreBins)
+		sdB += stats.SeparabilitySD(vb, eval.ScoreBins)
+		sdE += stats.SeparabilitySD(ve, eval.ScoreBins)
 		n++
 	}
 	if n > 0 {

@@ -101,9 +101,9 @@ type SeparabilityFigure struct {
 	MeanSD map[string]float64
 }
 
-func sdBinEdges(cfg eval.SeparabilityConfig) []float64 {
+func sdBinEdges() []float64 {
 	var edges []float64
-	for e := 0.0; e < cfg.SDMax; e += cfg.SDBinWidth {
+	for e := 0.0; e < eval.SDMax; e += eval.SDBinWidth {
 		edges = append(edges, e)
 	}
 	return edges
@@ -112,12 +112,11 @@ func sdBinEdges(cfg eval.SeparabilityConfig) []float64 {
 // Fig54 reproduces Figure 5.4: the overall separability histograms of both
 // context paper sets.
 func (s *Setup) Fig54() (textSet, patternSet SeparabilityFigure) {
-	cfg := eval.DefaultSeparabilityConfig()
 	mk := func(name string, series map[string]*ctxsearch.Matrix) SeparabilityFigure {
-		fig := SeparabilityFigure{Name: name, BinEdges: sdBinEdges(cfg), Series: map[string][]float64{}, MeanSD: map[string]float64{}}
+		fig := SeparabilityFigure{Name: name, BinEdges: sdBinEdges(), Series: map[string][]float64{}, MeanSD: map[string]float64{}}
 		for fn, scores := range series {
-			sds := eval.SeparabilitySDs(scores, scores.Contexts(), cfg)
-			fig.Series[fn] = eval.SeparabilityHistogram(sds, cfg)
+			sds := eval.SeparabilitySDs(scores, scores.Contexts())
+			fig.Series[fn] = eval.SeparabilityHistogram(sds)
 			fig.MeanSD[fn] = mean(sds)
 		}
 		return fig
@@ -132,13 +131,12 @@ func (s *Setup) Fig54() (textSet, patternSet SeparabilityFigure) {
 // perLevelSeparability renders Figures 5.5–5.7: one function's SD histogram
 // per context level.
 func (s *Setup) perLevelSeparability(name string, scores *ctxsearch.Matrix) SeparabilityFigure {
-	cfg := eval.DefaultSeparabilityConfig()
-	fig := SeparabilityFigure{Name: name, BinEdges: sdBinEdges(cfg), Series: map[string][]float64{}, MeanSD: map[string]float64{}}
+	fig := SeparabilityFigure{Name: name, BinEdges: sdBinEdges(), Series: map[string][]float64{}, MeanSD: map[string]float64{}}
 	for _, level := range Levels {
 		ctxs := eval.ContextsAtLevel(s.Sys.Ontology, scores, level)
-		sds := eval.SeparabilitySDs(scores, ctxs, cfg)
+		sds := eval.SeparabilitySDs(scores, ctxs)
 		key := fmt.Sprintf("level %d", level)
-		fig.Series[key] = eval.SeparabilityHistogram(sds, cfg)
+		fig.Series[key] = eval.SeparabilityHistogram(sds)
 		fig.MeanSD[key] = mean(sds)
 	}
 	return fig

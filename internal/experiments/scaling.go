@@ -67,5 +67,5 @@ func ScalingSweep(sizes []int, seed int64, log io.Writer) ([]ScalingRow, error) 
 
 // meanSepSD is the mean per-context separability SD of a score function.
 func meanSepSD(scores *ctxsearch.Matrix) float64 {
-	return mean(eval.SeparabilitySDs(scores, scores.Contexts(), eval.DefaultSeparabilityConfig()))
+	return mean(eval.SeparabilitySDs(scores, scores.Contexts()))
 }

@@ -97,7 +97,7 @@ func NewSetup(scale Scale, log io.Writer) (*Setup, error) {
 	progress("building AC-answer sets")
 	// The citation scorer was already built above (ScoreCitation); reuse its
 	// graph instead of re-extracting the citation edges from the corpus.
-	builder := eval.NewACBuilder(sys.Index(), sys.CitationScorer().Graph(), eval.DefaultACConfig())
+	builder := eval.NewACBuilder(sys.Index(), sys.CitationScorer().Graph())
 	s.ACAnswers = make([]map[ctxsearch.PaperID]bool, len(s.Queries))
 	s.TrueAnswers = make([]map[ctxsearch.PaperID]bool, len(s.Queries))
 	for i, q := range s.Queries {

@@ -50,7 +50,7 @@ func BenchmarkMineFrequentPhrases(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MineFrequentPhrases(ix, docs, MineConfig{MinSupport: 2, MaxLen: 3})
+		_ = MineFrequentPhrases(ix, docs, 2)
 	}
 }
 

@@ -16,18 +16,10 @@ type FreqPhrase struct {
 	Occurrences int
 }
 
-// MineConfig configures frequent-phrase mining.
-type MineConfig struct {
-	// MinSupport is the minimum number of distinct documents a phrase must
-	// occur in (≥ 1).
-	MinSupport int
-	// MaxLen caps phrase length in words.
-	MaxLen int
-}
-
 // MineFrequentPhrases runs apriori-style level-wise mining of contiguous
-// phrases over the given documents. Counting scans the documents' token
-// streams once per level (cost O(token mass · MaxLen)); a (k+1)-gram is
+// phrases of up to maxPhraseLen words that occur in at least minSup (at least
+// 1) distinct documents of docs. Counting scans the documents' token
+// streams once per level (cost O(token mass · maxPhraseLen)); a (k+1)-gram is
 // counted only when both its k-prefix and k-suffix were frequent at the
 // previous level — the apriori downward-closure property for contiguous
 // sequences, which prunes the candidate space without any corpus-wide
@@ -37,13 +29,14 @@ type MineConfig struct {
 // level and its last word, so no tuple is ever spelled out to be counted.
 // Results are sorted by descending support, then occurrences, then words
 // for determinism.
-func MineFrequentPhrases(ix *PosIndex, docs []corpus.PaperID, cfg MineConfig) []FreqPhrase {
-	if cfg.MinSupport < 1 {
-		cfg.MinSupport = 1
-	}
-	if cfg.MaxLen < 1 {
-		cfg.MaxLen = 3
-	}
+func MineFrequentPhrases(ix *PosIndex, docs []corpus.PaperID, minSup int) []FreqPhrase {
+	return mineFrequentPhrases(ix, docs, minSup, maxPhraseLen)
+}
+
+// mineFrequentPhrases is MineFrequentPhrases for phrases of up to maxLen
+// words.
+func mineFrequentPhrases(ix *PosIndex, docs []corpus.PaperID, minSup, maxLen int) []FreqPhrase {
+	minSup = max(minSup, 1)
 	uniq := slices.Clone(docs)
 	slices.Sort(uniq)
 	uniq = slices.Compact(uniq)
@@ -70,7 +63,7 @@ func MineFrequentPhrases(ix *PosIndex, docs []corpus.PaperID, cfg MineConfig) []
 	cur := make([]int32, total)
 	var prevWords [][]int32 // words of the previous level's frequent grams
 
-	for k := 1; k <= cfg.MaxLen; k++ {
+	for k := 1; k <= maxLen; k++ {
 		cands := make(map[gram]int32)
 		var stats []stat
 		for i := range cur {
@@ -116,7 +109,7 @@ func MineFrequentPhrases(ix *PosIndex, docs []corpus.PaperID, cfg MineConfig) []
 		var words [][]int32
 		for c, st := range stats {
 			frequent[c] = -1
-			if st.support < cfg.MinSupport {
+			if st.support < minSup {
 				continue
 			}
 			frequent[c] = int32(len(words))

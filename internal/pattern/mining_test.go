@@ -26,7 +26,7 @@ func miningCorpus(t *testing.T) (*corpus.Analyzer, *PosIndex) {
 
 func TestMineFrequentPhrases(t *testing.T) {
 	_, ix := miningCorpus(t)
-	phrases := MineFrequentPhrases(ix, []corpus.PaperID{0, 1}, MineConfig{MinSupport: 2, MaxLen: 3})
+	phrases := MineFrequentPhrases(ix, []corpus.PaperID{0, 1}, 2)
 	if len(phrases) == 0 {
 		t.Fatal("no frequent phrases mined")
 	}
@@ -53,7 +53,7 @@ func TestMineFrequentPhrases(t *testing.T) {
 			t.Errorf("sub-phrase %q missing (apriori closure violated)", k)
 		}
 	}
-	// "binds zinc" occurs in only one doc → must be absent at MinSupport 2.
+	// "binds zinc" occurs in only one doc → must be absent at minimum support 2.
 	if _, ok := byKey[fmt.Sprint(phrase(ix, "binds zinc"))]; ok {
 		t.Error("sub-support phrase mined")
 	}
@@ -61,18 +61,18 @@ func TestMineFrequentPhrases(t *testing.T) {
 
 func TestMineRespectsMaxLen(t *testing.T) {
 	_, ix := miningCorpus(t)
-	phrases := MineFrequentPhrases(ix, []corpus.PaperID{0, 1}, MineConfig{MinSupport: 2, MaxLen: 1})
+	phrases := mineFrequentPhrases(ix, []corpus.PaperID{0, 1}, 2, 1)
 	for _, p := range phrases {
 		if len(p.Words) > 1 {
-			t.Fatalf("MaxLen violated: %v", p.Words)
+			t.Fatalf("maxLen violated: %v", p.Words)
 		}
 	}
 }
 
 func TestMineDeterministicOrder(t *testing.T) {
 	_, ix := miningCorpus(t)
-	a := MineFrequentPhrases(ix, []corpus.PaperID{0, 1}, MineConfig{MinSupport: 1, MaxLen: 2})
-	b := MineFrequentPhrases(ix, []corpus.PaperID{0, 1}, MineConfig{MinSupport: 1, MaxLen: 2})
+	a := mineFrequentPhrases(ix, []corpus.PaperID{0, 1}, 1, 2)
+	b := mineFrequentPhrases(ix, []corpus.PaperID{0, 1}, 1, 2)
 	if len(a) != len(b) {
 		t.Fatal("different lengths")
 	}
@@ -91,7 +91,7 @@ func TestMineDeterministicOrder(t *testing.T) {
 
 func TestMineEmptyDocs(t *testing.T) {
 	_, ix := miningCorpus(t)
-	if got := MineFrequentPhrases(ix, nil, MineConfig{MinSupport: 1, MaxLen: 2}); len(got) != 0 {
+	if got := mineFrequentPhrases(ix, nil, 1, 2); len(got) != 0 {
 		t.Fatalf("empty doc set mined %v", got)
 	}
 }

@@ -184,12 +184,11 @@ func (o *oracle) patternsFor(t *testing.T, mode matchMode, term ontology.TermID)
 	if got, want := showPatterns(o.a, b.set), showMapPatterns(b.ref); !slices.Equal(got, want) {
 		t.Fatalf("%s: patterns\n%v\nwant\n%v", term, got, want)
 	}
-	mcfg := pattern.MineConfig{MinSupport: pattern.MinSupport, MaxLen: pattern.MaxPhraseLen}
 	var got, want []shownPhrase
-	for _, fp := range pattern.MineFrequentPhrases(o.ix, training, mcfg) {
+	for _, fp := range pattern.MineFrequentPhrases(o.ix, training, pattern.MinSupport) {
 		got = append(got, shownPhrase{spell(o.a, fp.Words), fp.Support, fp.Occurrences})
 	}
-	for _, fp := range mapMine(o.ref, training, mcfg) {
+	for _, fp := range mapMine(o.ref, training, pattern.MinSupport, pattern.MaxPhraseLen) {
 		want = append(want, shownPhrase{fp.Key(), fp.Support, fp.Occurrences})
 	}
 	if !slices.Equal(got, want) {

@@ -426,7 +426,7 @@ func mapBuild(ix *mapPosIndex, onto *ontology.Ontology, term ontology.TermID, tr
 	if minSup > len(training) {
 		minSup = len(training)
 	}
-	mined := mapMine(ix, training, pattern.MineConfig{MinSupport: minSup, MaxLen: pattern.MaxPhraseLen})
+	mined := mapMine(ix, training, minSup, pattern.MaxPhraseLen)
 	for _, fp := range mined {
 		if len(significant) >= maxSig {
 			break
@@ -654,7 +654,7 @@ func (f mapFreqPhrase) Key() string { return strings.Join(f.Words, " ") }
 
 // mapMine runs apriori-style level-wise mining of contiguous
 // phrases over the given documents. Counting scans the documents' token
-// streams once per level (cost O(token mass · MaxLen)); a (k+1)-gram is
+// streams once per level (cost O(token mass · maxLen)); a (k+1)-gram is
 // counted only when both its k-prefix and k-suffix were frequent at the
 // previous level — the apriori downward-closure property for contiguous
 // sequences, which prunes the candidate space without any corpus-wide
@@ -662,13 +662,8 @@ func (f mapFreqPhrase) Key() string { return strings.Join(f.Words, " ") }
 //
 // Results are sorted by descending support, then occurrences, then phrase
 // text for determinism.
-func mapMine(ix *mapPosIndex, docs []corpus.PaperID, cfg pattern.MineConfig) []mapFreqPhrase {
-	if cfg.MinSupport < 1 {
-		cfg.MinSupport = 1
-	}
-	if cfg.MaxLen < 1 {
-		cfg.MaxLen = 3
-	}
+func mapMine(ix *mapPosIndex, docs []corpus.PaperID, minSup, maxLen int) []mapFreqPhrase {
+	minSup = max(minSup, 1)
 	uniq := make([]corpus.PaperID, 0, len(docs))
 	seenDoc := make(map[corpus.PaperID]bool, len(docs))
 	for _, d := range docs {
@@ -683,7 +678,7 @@ func mapMine(ix *mapPosIndex, docs []corpus.PaperID, cfg pattern.MineConfig) []m
 	var out []mapFreqPhrase
 	prevFrequent := map[string]bool{} // keys of frequent (k)-grams
 
-	for k := 1; k <= cfg.MaxLen; k++ {
+	for k := 1; k <= maxLen; k++ {
 		counts := make(map[string]*stat)
 		for _, d := range uniq {
 			toks := ix.tokens[d]
@@ -722,7 +717,7 @@ func mapMine(ix *mapPosIndex, docs []corpus.PaperID, cfg pattern.MineConfig) []m
 		}
 		frequent := map[string]bool{}
 		for key, s := range counts {
-			if s.support >= cfg.MinSupport {
+			if s.support >= minSup {
 				frequent[key] = true
 				out = append(out, mapFreqPhrase{Words: strings.Fields(key), Support: s.support, Occurrences: s.occ})
 			}

@@ -150,7 +150,7 @@ func build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 	// Source (ii): frequent phrases mined from the training papers,
 	// combined apriori-style. Skip pure context-word phrases already added.
 	minSup := min(minSupport, len(training))
-	mined := MineFrequentPhrases(ix, training, MineConfig{MinSupport: minSup, MaxLen: maxPhraseLen})
+	mined := MineFrequentPhrases(ix, training, minSup)
 	for _, fp := range mined {
 		if len(significant) >= maxSig {
 			break

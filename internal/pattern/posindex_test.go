@@ -189,7 +189,7 @@ func TestNoTermSlotStopsPhrasesAndWindows(t *testing.T) {
 	if got := ix.DocFreqOfPhrase(phrase(ix, "polymerase assay")); got != 0 {
 		t.Fatalf("phrase across a NoTerm slot found in %d docs", got)
 	}
-	for _, fp := range MineFrequentPhrases(ix, []corpus.PaperID{0}, MineConfig{MinSupport: 1, MaxLen: 3}) {
+	for _, fp := range MineFrequentPhrases(ix, []corpus.PaperID{0}, 1) {
 		if slices.Contains(fp.Words, corpus.NoTerm) {
 			t.Fatalf("mined a phrase with a NoTerm slot: %v", fp.Words)
 		}

@@ -5,65 +5,29 @@ import (
 	"time"
 )
 
-// Backoff defaults.
-const (
-	DefaultBackoffBase   = 20 * time.Millisecond
-	DefaultBackoffMax    = 500 * time.Millisecond
-	DefaultBackoffJitter = 0.5
-)
-
-// Backoff is a bounded exponential backoff policy with proportional
-// jitter: retry n waits Base·2^(n-1), capped at Max, with up to a Jitter
-// fraction of the delay randomly shaved off so synchronized clients
-// desynchronize instead of retrying in lockstep.
-//
-// The zero value takes the defaults above; set Jitter negative for a
-// deterministic (jitter-free) policy.
-type Backoff struct {
-	Base   time.Duration
-	Max    time.Duration
-	Jitter float64
-}
-
-func (p Backoff) withDefaults() Backoff {
-	if p.Base <= 0 {
-		p.Base = DefaultBackoffBase
-	}
-	if p.Max <= 0 {
-		p.Max = DefaultBackoffMax
-	}
-	if p.Jitter == 0 {
-		p.Jitter = DefaultBackoffJitter
-	}
-	if p.Jitter < 0 {
-		p.Jitter = 0
-	}
-	if p.Jitter > 1 {
-		p.Jitter = 1
-	}
-	return p
-}
-
-// Delay returns the wait before retry attempt n (1-based; n <= 0 returns
-// 0). rnd supplies the jitter sample in [0,1) — nil uses math/rand's
-// global source; tests pass a fixed function for determinism.
-func (p Backoff) Delay(attempt int, rnd func() float64) time.Duration {
+// Backoff returns the wait before retry attempt n (1-based; n <= 0 waits 0)
+// of a bounded exponential backoff with proportional jitter: retry n waits
+// base·2^(n-1), capped at ceiling, with up to a jitter fraction (in [0, 1])
+// of the delay randomly shaved off so synchronized clients desynchronize
+// instead of retrying in lockstep. rnd supplies the jitter sample in [0,1) —
+// nil uses math/rand's global source; tests pass a fixed function for
+// determinism.
+func Backoff(attempt int, base, ceiling time.Duration, jitter float64, rnd func() float64) time.Duration {
 	if attempt <= 0 {
 		return 0
 	}
-	p = p.withDefaults()
-	d := p.Base
-	for i := 1; i < attempt && d < p.Max; i++ {
+	d := base
+	for i := 1; i < attempt && d < ceiling; i++ {
 		d *= 2
 	}
-	if d > p.Max {
-		d = p.Max
+	if d > ceiling {
+		d = ceiling
 	}
-	if p.Jitter > 0 {
+	if jitter > 0 {
 		if rnd == nil {
 			rnd = rand.Float64
 		}
-		d -= time.Duration(rnd() * p.Jitter * float64(d))
+		d -= time.Duration(rnd() * jitter * float64(d))
 	}
 	return d
 }

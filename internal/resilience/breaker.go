@@ -42,54 +42,23 @@ func (s State) String() string {
 	}
 }
 
-// Breaker defaults.
-const (
-	DefaultFailureThreshold = 5
-	DefaultCooldown         = 2 * time.Second
-)
-
-// BreakerConfig tunes a Breaker. Zero values take the defaults above.
-type BreakerConfig struct {
-	// FailureThreshold is the number of consecutive failures that trips a
-	// closed breaker open.
-	FailureThreshold int
-	// Cooldown is how long an open breaker rejects before admitting a
-	// half-open probe. It also bounds how long a half-open probe may stay
-	// unresolved before another probe is admitted (a probe whose outcome
-	// is never recorded — e.g. its request was abandoned — must not wedge
-	// the breaker).
-	Cooldown time.Duration
-	// Now is the clock (nil = time.Now); injectable for deterministic
-	// tests.
-	Now func() time.Time
-	// OnOpen, when set, is called after each trip to Open (from Closed or
-	// HalfOpen) — the coordinator counts breaker opens with it. Called
-	// without the breaker lock held.
-	OnOpen func()
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = DefaultFailureThreshold
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = DefaultCooldown
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
 // Breaker is a consecutive-failure circuit breaker. All methods are safe
 // for concurrent use.
 //
-// Closed → Open after FailureThreshold consecutive failures; Open →
-// HalfOpen once Cooldown has elapsed (the transition happens inside Allow,
-// which then admits exactly one probe); HalfOpen → Closed on a recorded
-// success, HalfOpen → Open on a recorded failure.
+// Closed → Open after threshold consecutive failures; Open → HalfOpen once
+// the cool-down has elapsed (the transition happens inside Allow, which then
+// admits exactly one probe); HalfOpen → Closed on a recorded success,
+// HalfOpen → Open on a recorded failure.
 type Breaker struct {
-	cfg BreakerConfig
+	threshold int
+	// cooldown is how long an open breaker rejects before admitting a
+	// half-open probe. It also bounds how long a half-open probe may stay
+	// unresolved before another probe is admitted (a probe whose outcome is
+	// never recorded — e.g. its request was abandoned — must not wedge the
+	// breaker).
+	cooldown time.Duration
+	now      func() time.Time
+	onOpen   func()
 
 	mu       sync.Mutex
 	state    State
@@ -99,9 +68,13 @@ type Breaker struct {
 	probeAt  time.Time // when that probe was admitted
 }
 
-// NewBreaker returns a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
+// NewBreaker returns a closed breaker that trips after threshold
+// consecutive failures and admits a half-open probe once cooldown has
+// passed on the clock now. onOpen, when non-nil, is called after each trip
+// to Open (from Closed or HalfOpen), without the breaker lock held — the
+// coordinator counts breaker opens with it.
+func NewBreaker(threshold int, cooldown time.Duration, now func() time.Time, onOpen func()) *Breaker {
+	return &Breaker{threshold: threshold, cooldown: cooldown, now: now, onOpen: onOpen}
 }
 
 // Allow reports whether a request may proceed. In the Open state it
@@ -111,12 +84,12 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	now := b.cfg.Now()
+	now := b.now()
 	switch b.state {
 	case Closed:
 		return true
 	case Open:
-		if now.Sub(b.openedAt) < b.cfg.Cooldown {
+		if now.Sub(b.openedAt) < b.cooldown {
 			return false
 		}
 		b.state = HalfOpen
@@ -124,7 +97,7 @@ func (b *Breaker) Allow() bool {
 		b.probeAt = now
 		return true
 	default: // HalfOpen
-		if b.probing && now.Sub(b.probeAt) < b.cfg.Cooldown {
+		if b.probing && now.Sub(b.probeAt) < b.cooldown {
 			return false
 		}
 		b.probing = true
@@ -146,7 +119,7 @@ func (b *Breaker) Record(ok bool) {
 			b.failures = 0
 		} else {
 			b.failures++
-			if b.failures >= b.cfg.FailureThreshold {
+			if b.failures >= b.threshold {
 				b.trip()
 				tripped = true
 			}
@@ -163,17 +136,16 @@ func (b *Breaker) Record(ok bool) {
 	case Open:
 		// Late result: ignore.
 	}
-	onOpen := b.cfg.OnOpen
 	b.mu.Unlock()
-	if tripped && onOpen != nil {
-		onOpen()
+	if tripped && b.onOpen != nil {
+		b.onOpen()
 	}
 }
 
 // trip moves to Open. Caller holds b.mu.
 func (b *Breaker) trip() {
 	b.state = Open
-	b.openedAt = b.cfg.Now()
+	b.openedAt = b.now()
 	b.failures = 0
 	b.probing = false
 }

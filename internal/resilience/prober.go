@@ -9,66 +9,44 @@ import (
 	"time"
 )
 
-// Prober defaults.
+// Every backend is probed at probePath, each probe bounded by probeTimeout.
 const (
-	DefaultProbeInterval = 500 * time.Millisecond
-	DefaultProbeTimeout  = time.Second
-	DefaultProbePath     = "/healthz"
+	probeTimeout = time.Second
+	probePath    = "/healthz"
 )
-
-// ProberConfig tunes a Prober. Zero values take the defaults above.
-type ProberConfig struct {
-	// Interval is the time between probes of one backend.
-	Interval time.Duration
-	// Timeout bounds each probe request.
-	Timeout time.Duration
-	// Path is the endpoint probed on every backend.
-	Path string
-	// OnProbe, when set, observes every probe outcome — the coordinator
-	// feeds breaker state with it. Called from the prober goroutines.
-	OnProbe func(i int, ok bool)
-}
-
-func (c ProberConfig) withDefaults() ProberConfig {
-	if c.Interval <= 0 {
-		c.Interval = DefaultProbeInterval
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = DefaultProbeTimeout
-	}
-	if c.Path == "" {
-		c.Path = DefaultProbePath
-	}
-	return c
-}
 
 // Prober actively health-checks a fixed set of backend base URLs, one
 // goroutine per backend, and publishes the latest per-backend verdict.
-// A backend is healthy when its probe endpoint answers 200 within the
-// probe timeout. Backends start out healthy — selection must not shun
-// every replica before the first probe has even run — and flip on the
-// first completed probe.
+// A backend is healthy when its probePath answers 200 within probeTimeout.
+// Backends start out healthy — selection must not shun every replica before
+// the first probe has even run — and flip on the first completed probe.
 type Prober struct {
-	cfg     ProberConfig
-	client  *http.Client
-	urls    []string
-	healthy []atomic.Bool
-	stop    chan struct{}
-	wg      sync.WaitGroup
+	// interval is the time between probes of one backend; onProbe, when
+	// set, observes every probe outcome — the coordinator feeds breaker
+	// state with it. It is called from the prober goroutines.
+	interval time.Duration
+	onProbe  func(i int, ok bool)
+	client   *http.Client
+	urls     []string
+	healthy  []atomic.Bool
+	stop     chan struct{}
+	wg       sync.WaitGroup
 }
 
-// NewProber starts probing the given base URLs. client may be nil (a
-// dedicated client is used). Close must be called to stop the goroutines.
-func NewProber(urls []string, cfg ProberConfig, client *http.Client) *Prober {
+// NewProber starts probing the given base URLs every interval. client may be
+// nil (a dedicated client is used). Close must be called to stop the
+// goroutines.
+func NewProber(urls []string, interval time.Duration, onProbe func(i int, ok bool), client *http.Client) *Prober {
 	if client == nil {
 		client = &http.Client{}
 	}
 	p := &Prober{
-		cfg:     cfg.withDefaults(),
-		client:  client,
-		urls:    urls,
-		healthy: make([]atomic.Bool, len(urls)),
-		stop:    make(chan struct{}),
+		interval: interval,
+		onProbe:  onProbe,
+		client:   client,
+		urls:     urls,
+		healthy:  make([]atomic.Bool, len(urls)),
+		stop:     make(chan struct{}),
 	}
 	for i := range p.healthy {
 		p.healthy[i].Store(true)
@@ -82,7 +60,7 @@ func NewProber(urls []string, cfg ProberConfig, client *http.Client) *Prober {
 
 func (p *Prober) run(i int) {
 	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.Interval)
+	t := time.NewTicker(p.interval)
 	defer t.Stop()
 	for {
 		select {
@@ -96,10 +74,10 @@ func (p *Prober) run(i int) {
 
 // probe runs one health check of backend i and publishes the verdict.
 func (p *Prober) probe(i int) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), p.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 	defer cancel()
 	ok := false
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.urls[i]+p.cfg.Path, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.urls[i]+probePath, nil)
 	if err == nil {
 		resp, derr := p.client.Do(req)
 		if derr == nil {
@@ -110,8 +88,8 @@ func (p *Prober) probe(i int) bool {
 		}
 	}
 	p.healthy[i].Store(ok)
-	if p.cfg.OnProbe != nil {
-		p.cfg.OnProbe(i, ok)
+	if p.onProbe != nil {
+		p.onProbe(i, ok)
 	}
 	return ok
 }

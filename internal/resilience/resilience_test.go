@@ -30,12 +30,7 @@ func (c *fakeClock) advance(d time.Duration) {
 func TestBreakerStateMachine(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	var opens atomic.Int64
-	b := NewBreaker(BreakerConfig{
-		FailureThreshold: 3,
-		Cooldown:         time.Second,
-		Now:              clk.now,
-		OnOpen:           func() { opens.Add(1) },
-	})
+	b := NewBreaker(3, time.Second, clk.now, func() { opens.Add(1) })
 
 	// Closed: passes, and a success resets the consecutive count.
 	for i := 0; i < 5; i++ {
@@ -103,7 +98,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // recorded (abandoned request) must not wedge the breaker forever.
 func TestBreakerLostProbeSelfHeals(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Second, Now: clk.now})
+	b := NewBreaker(1, time.Second, clk.now, nil)
 	b.Record(false) // trip
 	clk.advance(time.Second)
 	if !b.Allow() {
@@ -124,7 +119,7 @@ func TestBreakerLostProbeSelfHeals(t *testing.T) {
 func TestBreakerIgnoresLateResults(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	var opens atomic.Int64
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute, Now: clk.now, OnOpen: func() { opens.Add(1) }})
+	b := NewBreaker(1, time.Minute, clk.now, func() { opens.Add(1) })
 	b.Record(false)
 	b.Record(true) // late success from a request admitted pre-trip
 	if b.State() != Open {
@@ -136,7 +131,7 @@ func TestBreakerIgnoresLateResults(t *testing.T) {
 }
 
 func TestBudgetBound(t *testing.T) {
-	b := NewBudget(BudgetConfig{Capacity: 3, Ratio: 0.5})
+	b := NewBudget(3, 0.5)
 	// Starts full: exactly Capacity retries available with no deposits.
 	granted := 0
 	for i := 0; i < 10; i++ {
@@ -171,7 +166,7 @@ func TestBudgetBound(t *testing.T) {
 	}
 
 	// The storm bound: R requests grant at most Capacity + R·Ratio retries.
-	b2 := NewBudget(BudgetConfig{Capacity: 3, Ratio: 0.5})
+	b2 := NewBudget(3, 0.5)
 	const requests = 40
 	retries := 0
 	for i := 0; i < requests; i++ {
@@ -186,28 +181,26 @@ func TestBudgetBound(t *testing.T) {
 }
 
 func TestBackoffDelay(t *testing.T) {
-	p := Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, Jitter: -1}
 	want := []time.Duration{0, 10, 20, 40, 80, 80, 80}
 	for n, w := range want {
-		if got := p.Delay(n, nil); got != w*time.Millisecond {
-			t.Fatalf("Delay(%d) = %v, want %v", n, got, w*time.Millisecond)
+		if got := Backoff(n, 10*time.Millisecond, 80*time.Millisecond, 0, nil); got != w*time.Millisecond {
+			t.Fatalf("Backoff(%d) = %v, want %v", n, got, w*time.Millisecond)
 		}
 	}
 	// Jitter shaves off at most the jitter fraction, deterministically
-	// under an injected source.
-	pj := Backoff{Base: 100 * time.Millisecond, Max: time.Second, Jitter: 0.5}
-	if got := pj.Delay(1, func() float64 { return 0 }); got != 100*time.Millisecond {
+	// under an injected source, and never more than the delay.
+	jittered := func(attempt int, rnd func() float64) time.Duration {
+		return Backoff(attempt, 100*time.Millisecond, time.Second, 0.5, rnd)
+	}
+	if got := jittered(1, func() float64 { return 0 }); got != 100*time.Millisecond {
 		t.Fatalf("zero jitter sample = %v, want 100ms", got)
 	}
-	if got := pj.Delay(1, func() float64 { return 1 }); got != 50*time.Millisecond {
+	if got := jittered(1, func() float64 { return 1 }); got != 50*time.Millisecond {
 		t.Fatalf("full jitter sample = %v, want 50ms", got)
 	}
-	// Defaults: zero value is usable and bounded.
-	var zero Backoff
 	for n := 1; n < 20; n++ {
-		d := zero.Delay(n, nil)
-		if d <= 0 || d > DefaultBackoffMax {
-			t.Fatalf("zero-value Delay(%d) = %v out of (0, %v]", n, d, DefaultBackoffMax)
+		if d := jittered(n, nil); d < 50*time.Millisecond || d > time.Second {
+			t.Fatalf("Backoff(%d) = %v out of [50ms, 1s]", n, d)
 		}
 	}
 }
@@ -233,13 +226,11 @@ func TestProber(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var seen []probe
-	p := NewProber([]string{ts.URL}, ProberConfig{
-		Interval: time.Hour, // ticker never fires in-test; probe drives it
-		OnProbe: func(i int, ok bool) {
-			mu.Lock()
-			seen = append(seen, probe{i, ok})
-			mu.Unlock()
-		},
+	// The ticker never fires in-test; probe drives it.
+	p := NewProber([]string{ts.URL}, time.Hour, func(i int, ok bool) {
+		mu.Lock()
+		seen = append(seen, probe{i, ok})
+		mu.Unlock()
 	}, nil)
 	defer p.Close()
 
@@ -279,7 +270,7 @@ func TestProberDeadBackend(t *testing.T) {
 	ts := httptest.NewServer(http.NewServeMux())
 	url := ts.URL
 	ts.Close()
-	p := NewProber([]string{url}, ProberConfig{Interval: time.Hour, Timeout: 200 * time.Millisecond}, nil)
+	p := NewProber([]string{url}, time.Hour, nil, nil)
 	defer p.Close()
 	p.probe(0)
 	if p.Healthy(0) {
@@ -296,7 +287,7 @@ func TestProberBackground(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer ts.Close()
-	p := NewProber([]string{ts.URL}, ProberConfig{Interval: 10 * time.Millisecond}, nil)
+	p := NewProber([]string{ts.URL}, 10*time.Millisecond, nil, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for hits.Load() < 3 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)

@@ -134,7 +134,8 @@ func TestSearchCacheInvalidatedOnSwap(t *testing.T) {
 // and asserts the engine ran once while every caller got the full
 // response (run under -race by make race).
 func TestSearchCacheSingleflight(t *testing.T) {
-	s, query := freshServer(t, Config{QueryTimeout: 10 * time.Second})
+	sys, cs, scores, query := testState(t)
+	s := newPending(Config{}, queryDeadline(10*time.Second)).install(sys, cs, scores)
 	var loads atomic.Int32
 	gate := make(chan struct{})
 	s.testHook = func(context.Context) {

@@ -20,54 +20,47 @@ import (
 	"ctxsearch/internal/shard"
 )
 
-// DefaultShardTimeout bounds each shard sub-request of a scatter-gather
-// query. It is deliberately shorter than DefaultQueryTimeout so a slow
-// shard resolves into a 503 (or a flagged partial page) while the client
-// request still has budget to carry the answer.
-const DefaultShardTimeout = time.Second
+// The coordinator's failure policy, the one value of each in use.
+const (
+	// shardTimeout bounds each per-replica sub-request — each retry and hedge
+	// gets a fresh allowance. It is deliberately shorter than queryTimeout so
+	// a slow shard resolves into a 503 (or a flagged partial page) while the
+	// client request still has budget to carry the answer.
+	shardTimeout = time.Second
+	// maxRetries caps retry attempts per range call, on top of the first
+	// attempt. Each retry prefers a replica not yet tried and must be covered
+	// by the retry budget.
+	maxRetries = 2
+	// retryBudget is the retry token bucket's capacity, and retryRatio what
+	// each range call's first attempt deposits — an n-range page makes n.
+	// Retries and hedges each take a token.
+	retryBudget = 10.0
+	retryRatio  = 0.1
+	// breakerThreshold consecutive failures trip a backend's circuit
+	// breaker, which rejects for breakerCooldown before a half-open probe.
+	breakerThreshold = 5
+	breakerCooldown  = 2 * time.Second
+	// probeInterval is the active health-probe period per backend.
+	probeInterval = 500 * time.Millisecond
+	// Retry n waits backoffBase·2^(n-1), capped at backoffMax, less up to a
+	// backoffJitter fraction of it at random.
+	backoffBase   = 20 * time.Millisecond
+	backoffMax    = 500 * time.Millisecond
+	backoffJitter = 0.5
+)
 
-// DefaultMaxRetries is how many times a failed range call is retried on
-// another (or, with one replica, the same) backend before giving up.
-const DefaultMaxRetries = 2
-
-// ShardConfig tunes the coordinator's fan-out and resilience behaviour.
+// ShardConfig is what a deployment sets of the coordinator's fan-out: two
+// mechanisms, each on or off.
 type ShardConfig struct {
-	// ShardTimeout bounds each per-replica sub-request — each retry and
-	// hedge gets a fresh allowance (0 = DefaultShardTimeout, negative = no
-	// per-attempt deadline — the request deadline still applies).
-	ShardTimeout time.Duration
 	// AllowPartial serves a degraded page flagged "partial": true when some
 	// shard ranges fail, instead of a 503. Client errors (a shard's 400) are
 	// always relayed, never degraded around.
 	AllowPartial bool
-
-	// MaxRetries caps retry attempts per range call, on top of the first
-	// attempt (0 = DefaultMaxRetries, negative = no retries). Each retry
-	// prefers a replica not yet tried and must be covered by the retry
-	// budget.
-	MaxRetries int
-	// RetryBudget is the retry token bucket's capacity (0 =
-	// resilience.DefaultBudgetCapacity, negative = unbounded retries — for
-	// tests only). RetryRatio is what each range call's first attempt
-	// deposits (0 = resilience.DefaultBudgetRatio) — an n-range page makes n.
-	RetryBudget float64
-	RetryRatio  float64
 	// HedgeAfter, when positive, fires a hedge request to a second replica
 	// if the first has not answered within this delay, taking whichever
 	// succeeds first and cancelling the loser. Hedges draw from the retry
 	// budget. Zero disables hedging.
 	HedgeAfter time.Duration
-	// BreakerThreshold and BreakerCooldown tune the per-backend circuit
-	// breakers (0 = resilience defaults).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// ProbeInterval is the active health-probe period per backend (0 =
-	// resilience.DefaultProbeInterval, negative = no prober — every backend
-	// is assumed healthy).
-	ProbeInterval time.Duration
-	// Backoff spaces retries out (zero value = resilience defaults; set
-	// Jitter negative for deterministic delays in tests).
-	Backoff resilience.Backoff
 }
 
 // Coordinator is the multi-process scatter-gather front: a stateless
@@ -105,11 +98,10 @@ type ShardConfig struct {
 // one asked to finish, the next answered range finishes instead, searching
 // its own papers a second time. Partial pages are never cached, so a
 // recovered range immediately restores exact answers. Every attempt
-// is bounded by ShardTimeout — a dead or hung replica can delay a query,
+// is bounded by shardTimeout — a dead or hung replica can delay a query,
 // never hang it.
 type Coordinator struct {
 	*policy
-	cfg     Config
 	logger  *log.Logger
 	handler http.Handler
 	// cache mirrors the Server's /search body cache. Only exact (all-range)
@@ -134,10 +126,15 @@ type Coordinator struct {
 // the single-engine server's (newFront). Close must be called to stop the
 // health prober.
 func NewCoordinator(urls []string, cfg Config, scfg ShardConfig) *Coordinator {
+	return newCoordinator(urls, cfg, scfg, defaultTuning())
+}
+
+// newCoordinator is NewCoordinator under tuning tu.
+func newCoordinator(urls []string, cfg Config, scfg ShardConfig, tu tuning) *Coordinator {
 	if len(urls) == 0 {
 		panic("server: NewCoordinator needs at least one shard URL")
 	}
-	c := &Coordinator{cfg: cfg}
+	c := &Coordinator{}
 	var ranges [][]int
 	for _, group := range urls {
 		var members []int
@@ -155,20 +152,13 @@ func NewCoordinator(urls []string, cfg Config, scfg ShardConfig) *Coordinator {
 	// Every admitted query holds at most one connection per backend at a
 	// time, so the admission cap is also the idle pool a backend needs for
 	// connections to survive a burst. http.DefaultTransport keeps two.
-	conns := DefaultMaxInflight
-	if n := orDefault(cfg.MaxInflight, DefaultMaxInflight); n > 0 {
-		conns = n
-	}
 	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = conns
-	tr.MaxIdleConns = conns * len(c.backends)
+	tr.MaxIdleConnsPerHost = tu.maxInflight
+	tr.MaxIdleConns = tu.maxInflight * len(c.backends)
 	c.client = &http.Client{Transport: tr}
-	c.assemble(ranges, scfg, &httpTransport{client: c.client, backends: c.backends, timeout: orDefault(scfg.ShardTimeout, DefaultShardTimeout)})
-	if scfg.ProbeInterval >= 0 {
-		c.prober = resilience.NewProber(c.backends, resilience.ProberConfig{
-			Interval: scfg.ProbeInterval,
-			OnProbe:  c.onProbe,
-		}, c.client)
+	c.assemble(ranges, cfg, scfg, tu, &httpTransport{client: c.client, backends: c.backends, timeout: tu.shardTimeout, maxBody: maxBackendBody})
+	if tu.probeInterval > 0 {
+		c.prober = resilience.NewProber(c.backends, tu.probeInterval, c.onProbe, c.client)
 		c.healthy = c.prober.Healthy
 	}
 	return c
@@ -176,14 +166,10 @@ func NewCoordinator(urls []string, cfg Config, scfg ShardConfig) *Coordinator {
 
 // assemble wires the policy over tr, the cache and the handler: everything of
 // a coordinator that needs no socket.
-func (c *Coordinator) assemble(ranges [][]int, scfg ShardConfig, tr transport) {
-	c.policy = newPolicy(ranges, scfg, tr)
-	c.cache = cache.New[[]byte](orDefault(c.cfg.CacheEntries, DefaultCacheEntries), orDefault(c.cfg.CacheTTL, DefaultCacheTTL))
-	cooldown := resilience.DefaultCooldown
-	if scfg.BreakerCooldown > 0 {
-		cooldown = scfg.BreakerCooldown
-	}
-	c.retryAfter = retryAfterSecs(max(orDefault(scfg.ShardTimeout, DefaultShardTimeout), cooldown))
+func (c *Coordinator) assemble(ranges [][]int, cfg Config, scfg ShardConfig, tu tuning, tr transport) {
+	c.policy = newPolicy(ranges, scfg, tu, tr)
+	c.cache = cache.New[[]byte](cfg.cacheSize(), cacheTTL)
+	c.retryAfter = retryAfterSecs(max(tu.shardTimeout, tu.breakerCooldown))
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /search", c.handleSearch)
@@ -191,12 +177,12 @@ func (c *Coordinator) assemble(ranges [][]int, scfg ShardConfig, tr transport) {
 	mux.HandleFunc("GET /papers/{id}", c.handleProxy)
 	mux.HandleFunc("GET /stats", c.handleStats)
 	mux.HandleFunc("GET /readyz", c.handleReadyz)
-	c.handler, c.logger = newFront(c.cfg, mux)
+	c.handler, c.logger = newFront(cfg, tu, mux)
 }
 
 // newPolicy is a policy over tr with every breaker closed and a full budget.
-func newPolicy(ranges [][]int, scfg ShardConfig, tr transport) *policy {
-	p := &policy{scfg: scfg, tr: tr, ranges: ranges, replicaRR: make([]atomic.Uint64, len(ranges))}
+func newPolicy(ranges [][]int, scfg ShardConfig, tu tuning, tr transport) *policy {
+	p := &policy{scfg: scfg, tu: tu, tr: tr, ranges: ranges, replicaRR: make([]atomic.Uint64, len(ranges))}
 	for ri, reps := range ranges {
 		for range reps {
 			p.all = append(p.all, len(p.all))
@@ -204,16 +190,9 @@ func newPolicy(ranges [][]int, scfg ShardConfig, tr transport) *policy {
 		}
 	}
 	p.metrics = shard.NewMetricsReplicated(len(ranges), p.rangeOf)
-	if scfg.RetryBudget >= 0 {
-		p.budget = resilience.NewBudget(resilience.BudgetConfig{Capacity: scfg.RetryBudget, Ratio: scfg.RetryRatio})
-	}
+	p.budget = resilience.NewBudget(tu.retryBudget, tu.retryRatio)
 	for range p.all {
-		p.breakers = append(p.breakers, resilience.NewBreaker(resilience.BreakerConfig{
-			FailureThreshold: scfg.BreakerThreshold,
-			Cooldown:         scfg.BreakerCooldown,
-			Now:              tr.now,
-			OnOpen:           p.metrics.ObserveBreakerOpen,
-		}))
+		p.breakers = append(p.breakers, resilience.NewBreaker(tu.breakerThreshold, tu.breakerCooldown, tr.now, p.metrics.ObserveBreakerOpen))
 	}
 	return p
 }
@@ -337,7 +316,7 @@ func (c *Coordinator) writeShardErr(w http.ResponseWriter, r *http.Request, err 
 	var sce *shardCallError
 	switch {
 	case !errors.As(err, &sce):
-		if !writeCtxErr(w, r, c.logger, orDefault(c.cfg.QueryTimeout, DefaultQueryTimeout), err) {
+		if !writeCtxErr(w, r, c.logger, c.tu.queryTimeout, err) {
 			writeErr(w, http.StatusBadGateway, "shard backend error: %v", err)
 		}
 	case sce.clientError() && json.Valid(sce.body):
@@ -345,7 +324,7 @@ func (c *Coordinator) writeShardErr(w http.ResponseWriter, r *http.Request, err 
 		w.WriteHeader(sce.status)
 		_, _ = w.Write(sce.body)
 	case errors.Is(sce.err, context.Canceled):
-		writeCtxErr(w, r, c.logger, orDefault(c.cfg.QueryTimeout, DefaultQueryTimeout), sce.err)
+		writeCtxErr(w, r, c.logger, c.tu.queryTimeout, sce.err)
 	default:
 		c.logger.Printf("shard failure on %s %s: %v", r.Method, r.URL.Path, sce)
 		w.Header().Set("Retry-After", c.retryAfter)
@@ -376,7 +355,7 @@ type httpTransport struct {
 	client   *http.Client
 	backends []string      // base URLs by backend index
 	timeout  time.Duration // per-attempt deadline (0 = the caller's only)
-	maxBody  int           // the most of one answer read (0 = maxBackendBody)
+	maxBody  int           // the most of one answer read
 }
 
 func (t *httpTransport) now() time.Time { return time.Now() }
@@ -412,10 +391,9 @@ func (t *httpTransport) exchange(ctx context.Context, g int, method, uri string,
 	var body []byte
 	if err == nil {
 		defer resp.Body.Close()
-		limit := orDefault(t.maxBody, maxBackendBody)
-		body, err = io.ReadAll(io.LimitReader(resp.Body, int64(limit)+1))
-		if err == nil && len(body) > limit {
-			err = fmt.Errorf("backend answer exceeds %d bytes", limit)
+		body, err = io.ReadAll(io.LimitReader(resp.Body, int64(t.maxBody)+1))
+		if err == nil && len(body) > t.maxBody {
+			err = fmt.Errorf("backend answer exceeds %d bytes", t.maxBody)
 		}
 	}
 	if err != nil {

@@ -67,6 +67,13 @@ func clusterOver(t *testing.T, sys *ctxsearch.System, cs *ctxsearch.ContextSet, 
 	return coord
 }
 
+// noProber is the production tuning without the health prober.
+func noProber() tuning {
+	tu := defaultTuning()
+	tu.probeInterval = 0
+	return tu
+}
+
 // coordQueries returns the texts of the generated vector queries.
 func coordQueries(t *testing.T) []string {
 	t.Helper()
@@ -91,7 +98,7 @@ func coordQueries(t *testing.T) []string {
 // page, and is the single server's, byte for byte.
 func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
 	sh := simShape{ranges: 2, replicas: 1}
-	s, recs := simServe(t, sh, simConfig(sh), nil, "past the end", "unknown words")
+	s, recs := simServe(t, sh, simTuning(), nil, "past the end", "unknown words")
 	for _, rec := range recs {
 		if !strings.Contains(rec.Body.String(), `"results":[]`) {
 			t.Fatalf("page not empty: %s", rec.Body)
@@ -104,7 +111,7 @@ func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
 }
 
 // TestCoordinatorFinishFailover: the finishing call is a range call like any
-// other. A replica whose finishing call fails — a 500, or past ShardTimeout —
+// other. A replica whose finishing call fails — a 500, or past the shard timeout —
 // costs a failover to its sibling and nothing else. A range that cannot
 // finish at all is a 503 by default; with AllowPartial the next range in
 // rotation finishes the page without it, flagged; when no range can finish,
@@ -113,7 +120,7 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 	for _, k := range []simKind{sim5xx, simTimeout} {
 		// Range 0 finishes the first page, asking backend 0 first.
 		sh := simShape{ranges: 2, replicas: 2}
-		s, recs := simServe(t, sh, simConfig(sh), map[simKey]simKind{{0, 0}: k}, "offset")
+		s, recs := simServe(t, sh, simTuning(), map[simKey]simKind{{0, 0}: k}, "offset")
 		if snap := s.coord.metrics.Snapshot(); recs[0].Code != 200 || snap.Failovers != 1 || snap.RenderCalls != 2 {
 			t.Fatalf("finish %v on one replica: %d, %d failovers, %d finishing calls; want 200, 1, 2", k, recs[0].Code, snap.Failovers, snap.RenderCalls)
 		}
@@ -128,9 +135,9 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 	}
 	for _, partial := range []bool{false, true} {
 		sh := simShape{ranges: 3, replicas: 1, partial: partial}
-		scfg := simConfig(sh)
-		scfg.BreakerThreshold = 1000 // range 0 must answer the later rows calls
-		s, recs := simServe(t, sh, scfg, down, "offset", "offset", "offset")
+		tu := simTuning()
+		tu.breakerThreshold = 1000 // range 0 must answer the later rows calls
+		s, recs := simServe(t, sh, tu, down, "offset", "offset", "offset")
 		first := map[bool]int{false: 503, true: 200}[partial]
 		if recs[0].Code != first || recs[1].Code != 200 || recs[2].Code != 200 {
 			t.Fatalf("range 0 cannot finish, partial %v: statuses %d %d %d, want %d 200 200", partial, recs[0].Code, recs[1].Code, recs[2].Code, first)
@@ -149,7 +156,7 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 		dead[simKey{0, i}] = sim5xx
 	}
 	sh := simShape{ranges: 3, replicas: 1, partial: true}
-	s, recs := simServe(t, sh, simConfig(sh), dead, "offset", "offset", "offset")
+	s, recs := simServe(t, sh, simTuning(), dead, "offset", "offset", "offset")
 	for k, rec := range recs {
 		if degraded := s.cl.body(s.cl.page(t, "offset"), 0b110); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), degraded) {
 			t.Fatalf("range 0 dead, request %d (%d) differs\ncoordinator: %s\nwant:        %s", k, rec.Code, rec.Body, degraded)
@@ -163,7 +170,7 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 	// range 1 is asked next and fails them too (its call 0 was its rows).
 	for _, partial := range []bool{false, true} {
 		sh := simShape{ranges: 2, replicas: 1, partial: partial}
-		s, recs := simServe(t, sh, simConfig(sh), nowhere, "offset")
+		s, recs := simServe(t, sh, simTuning(), nowhere, "offset")
 		snap, finishers := s.coord.metrics.Snapshot(), map[bool]uint64{false: 1, true: 2}[partial]
 		if recs[0].Code != 503 || recs[0].Header().Get("Retry-After") != "3" || snap.Searches != 0 || snap.RowsServed != 0 || snap.RenderCalls != finishers*(1+simMaxRetries) {
 			t.Fatalf("no range can finish, partial %v: %d (Retry-After %q), %d searches, %d rows, %d finishing calls; want 503 (\"3\"), 0, 0, %d",
@@ -186,7 +193,7 @@ func TestCoordinatorExchangesPerPage(t *testing.T) {
 			}
 		}
 		sh := simShape{ranges: n, replicas: 1}
-		s, _ := simServe(t, sh, simConfig(sh), nil, pages...)
+		s, _ := simServe(t, sh, simTuning(), nil, pages...)
 		snap := s.coord.metrics.Snapshot()
 		if rangeRequests(snap) != uint64(len(pages)*n) || snap.RenderCalls != uint64(len(pages)) || snap.Searches != uint64(len(pages)) {
 			t.Fatalf("%d ranges, %d pages: %d range requests, %d finishing calls, %d searches",
@@ -209,7 +216,7 @@ func TestCoordinatorFinisherOutsidePage(t *testing.T) {
 			}
 		}
 		sh := simShape{ranges: n, replicas: 1}
-		simServe(t, sh, simConfig(sh), nil, pages...)
+		simServe(t, sh, simTuning(), nil, pages...)
 	}
 }
 
@@ -236,7 +243,7 @@ func TestCoordinatorReusesConnections(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
-	coord := NewCoordinator(urls, Config{CacheEntries: -1}, ShardConfig{ProbeInterval: -1})
+	coord := newCoordinator(urls, Config{CacheEntries: -1}, ShardConfig{}, noProber())
 	t.Cleanup(coord.Close)
 	queries := coordQueries(t)
 
@@ -288,8 +295,8 @@ func TestCoordinatorValidation(t *testing.T) {
 // range's 400 among answers: never a 503, never a partial page.
 func TestCoordinatorRelaysClientError(t *testing.T) {
 	sh := simShape{ranges: 3, replicas: 1, partial: true}
-	_, recs := simServe(t, sh, simConfig(sh), nil, "rejected")
-	_, injected := simServe(t, sh, simConfig(sh), map[simKey]simKind{{1, 0}: sim4xx}, "offset")
+	_, recs := simServe(t, sh, simTuning(), nil, "rejected")
+	_, injected := simServe(t, sh, simTuning(), map[simKey]simKind{{1, 0}: sim4xx}, "offset")
 	for _, rec := range append(recs, injected...) {
 		if rec.Code != 400 || !strings.Contains(rec.Body.String(), "error") {
 			t.Fatalf("client error through the coordinator = %d: %s", rec.Code, rec.Body)
@@ -306,7 +313,7 @@ func TestCoordinatorDeadShard(t *testing.T) {
 		dead[simKey{1, i}] = sim5xx
 	}
 	sh := simShape{ranges: 3, replicas: 1}
-	s, recs := simServe(t, sh, simConfig(sh), dead, "offset", "/stats", "/stats", "/stats")
+	s, recs := simServe(t, sh, simTuning(), dead, "offset", "/stats", "/stats", "/stats")
 	if snap := s.coord.metrics.Snapshot(); recs[0].Code != 503 || snap.Shards[1].Errors != 1 {
 		t.Fatalf("dead range 1 = %d, counted %+v", recs[0].Code, snap.Shards[1])
 	}
@@ -327,11 +334,11 @@ func TestCoordinatorHangingShard(t *testing.T) {
 		hung[simKey{1, i}] = simTimeout
 	}
 	sh := simShape{ranges: 2, replicas: 1}
-	scfg := simConfig(sh)
-	s := newSimRun(simClusterFor(t, 2), sh, hung, scfg)
+	tu := simTuning()
+	s := newSimRun(simClusterFor(t, 2), sh, hung, tu)
 	start := s.now()
 	rec := s.serve(s.cl.page(t, "offset"))
-	bound := (1+simMaxRetries)*simShardTimeout + scfg.Backoff.Delay(1, nil) + scfg.Backoff.Delay(2, nil)
+	bound := (1+simMaxRetries)*simShardTimeout + resilience.Backoff(1, tu.backoffBase, tu.backoffMax, 0, nil) + resilience.Backoff(2, tu.backoffBase, tu.backoffMax, 0, nil)
 	if snap := s.coord.metrics.Snapshot(); rec.Code != 503 || snap.Shards[1].Timeouts != 1 || s.now().Sub(start) > bound || len(s.violations) > 0 {
 		t.Fatalf("hanging range = %d after %v (bound %v), range counters %+v: %v", rec.Code, s.now().Sub(start), bound, snap.Shards[1], s.violations)
 	}
@@ -344,9 +351,9 @@ func TestCoordinatorHangingShard(t *testing.T) {
 // are off: one would heal the one-shot 500.
 func TestCoordinatorPartial(t *testing.T) {
 	sh := simShape{ranges: 2, replicas: 1, partial: true}
-	scfg := simConfig(sh)
-	scfg.MaxRetries = -1
-	s, recs := simServe(t, sh, scfg, map[simKey]simKind{{1, 0}: sim5xx}, "offset", "offset")
+	tu := simTuning()
+	tu.maxRetries = 0
+	s, recs := simServe(t, sh, tu, map[simKey]simKind{{1, 0}: sim5xx}, "offset", "offset")
 	if !strings.Contains(recs[0].Body.String(), `"partial":true`) || !bytes.Equal(recs[1].Body.Bytes(), s.cl.page(t, "offset").golden) {
 		t.Fatalf("degraded, then recovered:\n%s\n%s", recs[0].Body, recs[1].Body)
 	}
@@ -359,7 +366,7 @@ func TestCoordinatorPartial(t *testing.T) {
 // answered from the cache without an exchange.
 func TestCoordinatorCache(t *testing.T) {
 	sh := simShape{ranges: 2, replicas: 1}
-	s, recs := simServe(t, sh, simConfig(sh), nil, "offset")
+	s, recs := simServe(t, sh, simTuning(), nil, "offset")
 	exchanges := len(s.log)
 	again := get(t, s.coord, s.cl.page(t, "offset").path)
 	if !bytes.Equal(again.Body.Bytes(), recs[0].Body.Bytes()) || len(s.log) != exchanges {
@@ -377,7 +384,7 @@ func TestCoordinatorCache(t *testing.T) {
 func TestCoordinatorProxyEndpoints(t *testing.T) {
 	sys, _, _, _ := testState(t)
 	sh := simShape{ranges: 3, replicas: 1}
-	_, recs := simServe(t, sh, simConfig(sh), nil, "offset", "/stats")
+	_, recs := simServe(t, sh, simTuning(), nil, "offset", "/stats")
 	var stats StatsResponse
 	if err := json.Unmarshal(recs[1].Body.Bytes(), &stats); err != nil || stats.Papers != sys.Corpus.Len() {
 		t.Fatalf("stats = %s (%v), want %d papers", recs[1].Body, err, sys.Corpus.Len())
@@ -416,7 +423,7 @@ func TestCoordinatorReadyz(t *testing.T) {
 	}
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	replicated := NewCoordinator([]string{dead.URL + "|" + tsReady.URL, tsPending.URL}, Config{}, ShardConfig{ProbeInterval: -1})
+	replicated := newCoordinator([]string{dead.URL + "|" + tsReady.URL, tsPending.URL}, Config{}, ShardConfig{}, noProber())
 	t.Cleanup(replicated.Close)
 	if rec := get(t, replicated, "/readyz"); rec.Code != 200 {
 		t.Fatalf("readyz with one replica of a range lost = %d: %s", rec.Code, rec.Body)
@@ -559,7 +566,7 @@ func TestShardSearchBodyCap(t *testing.T) {
 	sys, cs, m, query := testState(t)
 	// No query deadline: this is about bytes, and under the race detector
 	// decoding 101 000 rows alone outlasts the default one.
-	srv := NewPending(Config{QueryTimeout: -1})
+	srv := newPending(Config{}, queryDeadline(0))
 	srv.install(sys, cs, m)
 	post := func(body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -619,13 +626,13 @@ func TestShardSearchBodyCap(t *testing.T) {
 }
 
 // TestCoordinatorProxyStallIsATimeout: the proxied endpoints go through the
-// one exchange and the one verdict /search uses. A backend past ShardTimeout
+// one exchange and the one verdict /search uses. A backend past the shard timeout
 // on /papers/5 is a timeout of that replica and a 503, and a proxied request
 // the client abandons is a request that says nothing about the replica. (A
 // body stalled on a socket is a row of TestHTTPTransportExchange.)
 func TestCoordinatorProxyStallIsATimeout(t *testing.T) {
 	sh := simShape{ranges: 1, replicas: 1}
-	s, recs := simServe(t, sh, simConfig(sh), map[simKey]simKind{{0, 0}: simTimeout, {0, 1}: simCancel}, "/papers/5", "/papers/5")
+	s, recs := simServe(t, sh, simTuning(), map[simKey]simKind{{0, 0}: simTimeout, {0, 1}: simCancel}, "/papers/5", "/papers/5")
 	if rs := s.coord.metrics.Snapshot().Replicas[0]; recs[0].Code != 503 || rs.Requests != 2 || rs.Timeouts != 1 || rs.Errors != 0 || s.coord.breakers[0].State() != resilience.Closed {
 		t.Fatalf("a stalled, then an abandoned /papers/5: first %d, replica %+v, breaker %v; want 503, 2 requests, 1 timeout, closed",
 			recs[0].Code, rs, s.coord.breakers[0].State())
@@ -697,7 +704,7 @@ func TestHTTPTransportExchange(t *testing.T) {
 			client := &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 			defer client.CloseIdleConnections()
 			tr := &httpTransport{client: client, backends: []string{ts.URL}, timeout: timeout, maxBody: maxBody}
-			p := newPolicy([][]int{{0}}, ShardConfig{ProbeInterval: -1}, tr)
+			p := newPolicy([][]int{{0}}, ShardConfig{}, defaultTuning(), tr)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			if row.cancel {

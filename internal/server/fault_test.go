@@ -18,17 +18,25 @@ import (
 	"time"
 )
 
-func faultServer(t *testing.T, cfg Config) (*Server, string) {
+func faultServer(t *testing.T, tu tuning) (*Server, string) {
 	t.Helper()
 	sys, cs, scores, query := testState(t)
-	return NewPending(cfg).install(sys, cs, scores), query
+	return newPending(Config{}, tu).install(sys, cs, scores), query
 }
 
-// TestTimeoutReturns503: a query slower than QueryTimeout gets a 503 with a
+// queryDeadline is the production tuning with the request deadline d (0 =
+// none).
+func queryDeadline(d time.Duration) tuning {
+	tu := defaultTuning()
+	tu.queryTimeout = d
+	return tu
+}
+
+// TestTimeoutReturns503: a query slower than the deadline gets a 503 with a
 // JSON error body and a Retry-After hint, within a small multiple of the
 // deadline.
 func TestTimeoutReturns503(t *testing.T) {
-	s, query := faultServer(t, Config{QueryTimeout: 50 * time.Millisecond})
+	s, query := faultServer(t, queryDeadline(50*time.Millisecond))
 	s.testHook = func(ctx context.Context) { <-ctx.Done() } // stall until the deadline fires
 	start := time.Now()
 	rec := get(t, s, "/search?q="+urlQuery(query))
@@ -47,11 +55,14 @@ func TestTimeoutReturns503(t *testing.T) {
 	}
 }
 
-// TestOverloadSheds429: with MaxInflight=1 and one request parked inside the
-// handler, the next request is shed immediately with 429 + Retry-After, and
-// the parked request still completes normally.
+// TestOverloadSheds429: with an admission cap of 1 and one request parked
+// inside the handler, the next request is shed immediately with 429 and a
+// Retry-After derived from the production deadline, and the parked request
+// still completes normally.
 func TestOverloadSheds429(t *testing.T) {
-	s, query := faultServer(t, Config{MaxInflight: 1, QueryTimeout: -1})
+	tu := defaultTuning()
+	tu.maxInflight = 1
+	s, query := faultServer(t, tu)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
@@ -75,8 +86,8 @@ func TestOverloadSheds429(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("second request = %d, want 429: %s", rec.Code, rec.Body)
 	}
-	if got := rec.Header().Get("Retry-After"); got != "1" {
-		t.Fatalf("Retry-After = %q, want \"1\"", got)
+	if got, want := rec.Header().Get("Retry-After"), retryAfterSecs(queryTimeout); got != want || want != "2" {
+		t.Fatalf("Retry-After = %q, want %q (the %v deadline, rounded up)", got, want, queryTimeout)
 	}
 	if elapsed := time.Since(shedStart); elapsed > 200*time.Millisecond {
 		t.Fatalf("shedding took %v — it must not queue", elapsed)
@@ -102,7 +113,7 @@ func TestOverloadSheds429(t *testing.T) {
 // TestPanicDoesNotKillServer: a panicking handler yields a logged 500 over
 // a real connection and the server keeps serving afterwards.
 func TestPanicDoesNotKillServer(t *testing.T) {
-	s, query := faultServer(t, Config{})
+	s, query := faultServer(t, defaultTuning())
 	s.mux.HandleFunc("GET /panic", func(http.ResponseWriter, *http.Request) {
 		panic("injected fault")
 	})
@@ -160,7 +171,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // TestGracefulShutdownDrains: cancelling Run's context while a request is
 // in flight must let that request finish with a 200 before Run returns.
 func TestGracefulShutdownDrains(t *testing.T) {
-	s, query := faultServer(t, Config{QueryTimeout: -1})
+	s, query := faultServer(t, queryDeadline(0))
 	inFlight := make(chan struct{})
 	var once sync.Once
 	s.testHook = func(ctx context.Context) {
@@ -172,10 +183,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	addrc := make(chan net.Addr, 1)
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- Run(ctx, "127.0.0.1:0", s, RunConfig{
-			ShutdownTimeout: 5 * time.Second,
-			OnListen:        func(a net.Addr) { addrc <- a },
-		})
+		runErr <- Run(ctx, "127.0.0.1:0", s, RunConfig{OnListen: func(a net.Addr) { addrc <- a }})
 	}()
 	var addr net.Addr
 	select {
@@ -225,7 +233,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // TestCancelledRequestBurstNoLeak: a burst of client-abandoned requests
 // must not leave goroutines behind once the dust settles.
 func TestCancelledRequestBurstNoLeak(t *testing.T) {
-	s, query := faultServer(t, Config{QueryTimeout: 25 * time.Millisecond})
+	s, query := faultServer(t, queryDeadline(25*time.Millisecond))
 	s.testHook = func(ctx context.Context) { <-ctx.Done() }
 	baseline := runtime.NumGoroutine()
 	var wg sync.WaitGroup

@@ -63,7 +63,7 @@ func fuzzPost(t *testing.T, srv *Server, panics *panicLog, path string, body []b
 func fuzzServer(f *testing.F) (*Server, *panicLog) {
 	sys, cs, m, _ := testState(f)
 	panics := &panicLog{}
-	srv := NewPending(Config{QueryTimeout: -1, Logger: log.New(panics, "", 0)})
+	srv := newPending(Config{Logger: log.New(panics, "", 0)}, queryDeadline(0))
 	srv.install(sys, cs, m)
 	return srv, panics
 }

@@ -17,25 +17,24 @@ import (
 // logger / semaphore / deadline they need, composed by newFront.
 
 // newFront registers /healthz on mux and wraps it in the production stack:
-// API requests are shed past Config.MaxInflight and run under
-// Config.QueryTimeout; /healthz and /readyz bypass both (probes must answer
-// while the API is saturated); recovery and logging wrap everything. It
-// returns the handler and the logger it resolved (nil = discard).
-func newFront(cfg Config, mux *http.ServeMux) (http.Handler, *log.Logger) {
+// API requests are shed past tu.maxInflight and run under tu.queryTimeout;
+// /healthz and /readyz bypass both (probes must answer while the API is
+// saturated); recovery and logging wrap everything. It returns the handler
+// and the logger it resolved (nil = discard).
+func newFront(cfg Config, tu tuning, mux *http.ServeMux) (http.Handler, *log.Logger) {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
 	var inflight chan struct{}
-	if n := orDefault(cfg.MaxInflight, DefaultMaxInflight); n > 0 {
-		inflight = make(chan struct{}, n)
+	if tu.maxInflight > 0 {
+		inflight = make(chan struct{}, tu.maxInflight)
 	}
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	timeout := orDefault(cfg.QueryTimeout, DefaultQueryTimeout)
-	api := withShedding(inflight, retryAfterSecs(timeout), withTimeout(timeout, mux))
+	api := withShedding(inflight, retryAfterSecs(tu.queryTimeout), withTimeout(tu.queryTimeout, mux))
 	root := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/healthz", "/readyz":

@@ -43,6 +43,7 @@ type reply struct {
 // each decision once, for /search and the proxied endpoints alike.
 type policy struct {
 	scfg    ShardConfig
+	tu      tuning
 	tr      transport
 	metrics *shard.Metrics
 
@@ -53,7 +54,7 @@ type policy struct {
 	all     []int
 
 	breakers []*resilience.Breaker
-	budget   *resilience.Budget // nil = unbounded (RetryBudget < 0)
+	budget   *resilience.Budget
 	// healthy is the prober's latest verdict (nil = every backend is).
 	healthy func(g int) bool
 
@@ -77,9 +78,6 @@ func (p *policy) onProbe(g int, ok bool) {
 		b.Record(true)
 	}
 }
-
-// budgetWithdraw takes one retry token; with no budget it is always granted.
-func (p *policy) budgetWithdraw() bool { return p.budget == nil || p.budget.Withdraw() }
 
 // inOrder visits members from rotation position start, the ones the prober
 // holds healthy first, then the rest (when it has marked everything down,
@@ -235,7 +233,7 @@ func (p *policy) callAttempt(ctx context.Context, ri int, tried map[int]bool, ca
 			// The primary is slow; without a fresh replica or budget, keep
 			// waiting on it alone.
 			hedge = nil
-			if g2, ok := p.pickReplica(ri, tried); ok && p.budgetWithdraw() {
+			if g2, ok := p.pickReplica(ri, tried); ok && p.budget.Withdraw() {
 				tried[g2], hedged = true, true
 				pending++
 				go race(g2, true)
@@ -249,14 +247,12 @@ func (p *policy) callAttempt(ctx context.Context, ri int, tried map[int]bool, ca
 }
 
 // callRange resolves range ri and counts the outcome by its verdict: a first
-// attempt, which deposits into the retry budget, plus up to MaxRetries
+// attempt, which deposits into the retry budget, plus up to maxRetries
 // budget-covered retries after an exponential backoff, each preferring a
 // replica not yet tried. A client error or the request's own context ending
 // is final at once — retrying them is waste.
 func (p *policy) callRange(ctx context.Context, ri int, call rangeCall) (rangePage, *shardCallError) {
-	if p.budget != nil {
-		p.budget.Deposit()
-	}
+	p.budget.Deposit()
 	tried := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
 		page, cerr := p.callAttempt(ctx, ri, tried, call)
@@ -267,10 +263,10 @@ func (p *policy) callRange(ctx context.Context, ri int, call rangeCall) (rangePa
 			p.metrics.ObserveShard(ri, nil)
 			return page, nil
 		}
-		if !cerr.clientError() && ctx.Err() == nil && attempt < orDefault(p.scfg.MaxRetries, DefaultMaxRetries) {
-			if p.budgetWithdraw() {
+		if !cerr.clientError() && ctx.Err() == nil && attempt < p.tu.maxRetries {
+			if p.budget.Withdraw() {
 				p.metrics.ObserveRetry()
-				backoff, stop := p.tr.after(p.scfg.Backoff.Delay(attempt+1, nil))
+				backoff, stop := p.tr.after(resilience.Backoff(attempt+1, p.tu.backoffBase, p.tu.backoffMax, p.tu.backoffJitter, nil))
 				select {
 				case <-backoff:
 					continue

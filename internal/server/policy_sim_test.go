@@ -136,13 +136,14 @@ func simClusterFor(t testing.TB, n int) *simCluster {
 	sys, cs, m, query := testState(t)
 	cl := &simCluster{n: n, shards: par.Shards(sys.Corpus.Len(), n), memo: map[string]reply{}, fronts: map[simShape]*Coordinator{}}
 	g := sliceGroup(t, sys, cs, m, n)
-	off := Config{QueryTimeout: -1, MaxInflight: -1, CacheEntries: -1}
+	// No deadline, no admission cap, no cache: the zero tuning.
+	off := Config{CacheEntries: -1}
 	for ri := 0; ri < n; ri++ {
-		srv := NewPending(off)
+		srv := newPending(off, tuning{})
 		srv.SetReadyMapped(sys, cs, m, g.Engine(ri), nil)
 		cl.servers = append(cl.servers, srv)
 	}
-	ref := NewPending(off).install(sys, cs, m)
+	ref := newPending(off, tuning{}).install(sys, cs, m)
 	page := func(name, q string, boolean bool, offset, limit int) *simPage { // appended to the table
 		pg := &simPage{name: name, q: q, offset: offset, limit: limit, restricted: map[uint][]byte{}}
 		params := "q=" + urlQuery(q) + map[bool]string{true: "&boolean=1"}[boolean]
@@ -332,7 +333,7 @@ type simRun struct {
 	lagging    bool // some call of the run was abandoned; see check
 }
 
-func newSimRun(cl *simCluster, sh simShape, script map[simKey]simKind, scfg ShardConfig) *simRun {
+func newSimRun(cl *simCluster, sh simShape, script map[simKey]simKind, tu tuning) *simRun {
 	s := &simRun{cl: cl, shape: sh, script: script, flying: map[*simCall]bool{}, next: make([]int, sh.ranges*sh.replicas), probeFails: map[int]int{}}
 	s.idle = sync.NewCond(&s.mu)
 	s.clock.Store(time.Date(2007, 4, 15, 0, 0, 0, 0, time.UTC).UnixNano())
@@ -345,34 +346,39 @@ func newSimRun(cl *simCluster, sh simShape, script map[simKey]simKind, scfg Shar
 	cl.mu.Lock()
 	front := cl.fronts[sh]
 	if front == nil {
-		front = &Coordinator{cfg: Config{QueryTimeout: -1, MaxInflight: -1}, backends: make([]string, len(s.next))}
-		front.assemble(ranges, scfg, s)
+		front = &Coordinator{backends: make([]string, len(s.next))}
+		front.assemble(ranges, Config{}, sh.config(), tu, s)
 		cl.fronts[sh] = front
 	}
 	cl.mu.Unlock()
 	s.coord = front
-	s.coord.policy = newPolicy(ranges, scfg, s)
+	s.coord.policy = newPolicy(ranges, sh.config(), tu, s)
 	return s
 }
 
-// simConfig is the policy tuning of a shape; the budget is ample so that the
-// enumeration is about failures, not about the budget (TestPolicySim/budget).
-func simConfig(sh simShape) ShardConfig {
-	scfg := ShardConfig{
-		ShardTimeout:     simShardTimeout,
-		AllowPartial:     sh.partial,
-		MaxRetries:       simMaxRetries,
-		RetryBudget:      simBudget,
-		RetryRatio:       simRatio,
-		BreakerThreshold: simThreshold,
-		BreakerCooldown:  simCooldown,
-		ProbeInterval:    -1,
-		Backoff:          resilience.Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond, Jitter: -1},
-	}
+// config is the shape's two mechanisms as the coordinator takes them.
+func (sh simShape) config() ShardConfig {
+	scfg := ShardConfig{AllowPartial: sh.partial}
 	if sh.hedge {
 		scfg.HedgeAfter = simHedgeAfter
 	}
 	return scfg
+}
+
+// simTuning is the simulated failure policy: no request deadline, admission
+// cap or prober, and a jitter-free backoff. The budget is ample so that the
+// enumeration is about failures, not about the budget (TestPolicySim/budget).
+func simTuning() tuning {
+	return tuning{
+		shardTimeout:     simShardTimeout,
+		maxRetries:       simMaxRetries,
+		retryBudget:      simBudget,
+		retryRatio:       simRatio,
+		breakerThreshold: simThreshold,
+		breakerCooldown:  simCooldown,
+		backoffBase:      time.Millisecond,
+		backoffMax:       4 * time.Millisecond,
+	}
 }
 
 func (s *simRun) violate(format string, args ...any) {
@@ -666,7 +672,7 @@ func (s *simRun) serve(pg *simPage) *httptest.ResponseRecorder {
 // check (s.mu held, transport idle) holds one answered request against the
 // log of the calls it made.
 func (s *simRun) check(rec *httptest.ResponseRecorder) {
-	attempts, threshold := 1+orDefault(s.coord.scfg.MaxRetries, DefaultMaxRetries), s.coord.scfg.BreakerThreshold
+	attempts, threshold := 1+s.coord.tu.maxRetries, s.coord.tu.breakerThreshold
 	type callKey struct {
 		ri     int
 		finish bool
@@ -730,8 +736,8 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 	}
 	body := rec.Body.Bytes()
 	if rec.Code == 503 {
-		if want := retryAfterSecs(max(s.coord.scfg.ShardTimeout, s.coord.scfg.BreakerCooldown)); rec.Header().Get("Retry-After") != want {
-			s.violate("503 with Retry-After %q, want %q: the longer of ShardTimeout and the breaker cool-down", rec.Header().Get("Retry-After"), want)
+		if want := retryAfterSecs(max(s.coord.tu.shardTimeout, s.coord.tu.breakerCooldown)); rec.Header().Get("Retry-After") != want {
+			s.violate("503 with Retry-After %q, want %q: the longer of the shard timeout and the breaker cool-down", rec.Header().Get("Retry-After"), want)
 		}
 	}
 	if cancelled && len(body) != 0 && rec.Code == 200 {
@@ -752,7 +758,7 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 		s.violate("a %d was cached", rec.Code)
 	}
 	// Retries and hedges over the run are what the budget could have paid.
-	if spent, cap := float64(snap.Retries+snap.Hedges), s.coord.scfg.RetryBudget+float64(rangeRequests(snap))*s.coord.scfg.RetryRatio; spent > cap {
+	if spent, cap := float64(snap.Retries+snap.Hedges), s.coord.tu.retryBudget+float64(rangeRequests(snap))*s.coord.tu.retryRatio; spent > cap {
 		s.violate("%v retries and hedges, the budget covers %v", spent, cap)
 	}
 	// A backend's counters and breaker move only with what it was seen to
@@ -797,7 +803,7 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 		}
 	}
 
-	// Attempts per range call: 1 + MaxRetries, one more per hedge; a client
+	// Attempts per range call: 1 + maxRetries, one more per hedge; a client
 	// error or the client's cancellation ends the call at once.
 	for k, st := range calls {
 		if st.sent-st.hedges > attempts {
@@ -822,7 +828,7 @@ func (s *simRun) check(rec *httptest.ResponseRecorder) {
 	// sibling is fresh, is raced by a hedge while the budget has tokens:
 	// each such attempt counts one (a hedge sent late may not be in the
 	// log yet; the count is taken before the attempt returns).
-	if s.shape.hedge && s.shape.replicas > 1 && s.closed && !cancelled && s.coord.scfg.RetryBudget >= simBudget {
+	if s.shape.hedge && s.shape.replicas > 1 && s.closed && !cancelled && s.coord.tu.retryBudget >= simBudget {
 		opened, owed := map[callKey]bool{}, uint64(0)
 		for _, c := range mine {
 			if k := (callKey{c.ri, c.finish}); c.idx >= 0 && !c.hedge && !opened[k] {
@@ -971,10 +977,10 @@ func rangeRequests(snap shard.Snapshot) uint64 {
 
 // simServe serves the named pages, in order, on one simulated coordinator of
 // shape sh over script, and fails the test on any violation of the checker.
-func simServe(t *testing.T, sh simShape, scfg ShardConfig, script map[simKey]simKind, pages ...string) (*simRun, []*httptest.ResponseRecorder) {
+func simServe(t *testing.T, sh simShape, tu tuning, script map[simKey]simKind, pages ...string) (*simRun, []*httptest.ResponseRecorder) {
 	t.Helper()
 	cl := simClusterFor(t, sh.ranges)
-	s := newSimRun(cl, sh, script, scfg)
+	s := newSimRun(cl, sh, script, tu)
 	var recs []*httptest.ResponseRecorder
 	for _, name := range pages {
 		recs = append(recs, s.serve(cl.page(t, name)))
@@ -1014,7 +1020,7 @@ var streamsMemo = map[int][][]simKind{}
 // TestPolicySim enumerates failure schedules instead of hand-picking them.
 // Every backend outside the schedule is healthy. One faulty range — the
 // finisher (range 0 of a fresh coordinator) or a rows range — to the depth of
-// a whole range call, 1 + MaxRetries calls: on its one replica, or split 2 + 1
+// a whole range call, 1 + maxRetries calls: on its one replica, or split 2 + 1
 // and 1 + 2 over its two (the order an unhedged call visits them; a hedged one
 // reaches deeper into the defaults). Two faulty ranges to depth 2 each. All
 // of it with and without AllowPartial and, on two replicas, hedging. Every
@@ -1028,7 +1034,7 @@ func TestPolicySim(t *testing.T) {
 	failures, pages, gets := 0, 0, 0
 	// check serves pg on a fresh coordinator of shape sh over script.
 	check := func(cl *simCluster, sh simShape, script map[simKey]simKind, pg *simPage) {
-		s := newSimRun(cl, sh, script, simConfig(sh))
+		s := newSimRun(cl, sh, script, simTuning())
 		if s.serve(pg); len(s.violations) > 0 {
 			t.Errorf("%v, %s, schedule %v:\n  %s", sh, pg.path, fmtScript(script), strings.Join(s.violations, "\n  "))
 			if failures++; failures == 5 {
@@ -1123,7 +1129,7 @@ func TestPolicySimBreakerCooldown(t *testing.T) {
 	for i := 0; i < simThreshold; i++ {
 		script[simKey{0, i}] = sim5xx
 	}
-	s := newSimRun(simClusterFor(t, 1), sh, script, simConfig(sh))
+	s := newSimRun(simClusterFor(t, 1), sh, script, simTuning())
 	pg := s.cl.page(t, "offset")
 	page := func(stage string) {
 		t.Helper()
@@ -1156,20 +1162,20 @@ func TestPolicySimBreakerCooldown(t *testing.T) {
 	}
 }
 
-// TestPolicySimRetryBudget: against a range that is down, with MaxRetries far
+// TestPolicySimRetryBudget: against a range that is down, with maxRetries far
 // above what the budget covers, n range calls make at most n + capacity +
 // n·ratio backend calls — and do make more than n, or the bound is vacuous.
 func TestPolicySimRetryBudget(t *testing.T) {
 	const capacity, ratio, requests = 3.0, 0.5, 20
 	sh := simShape{ranges: 1, replicas: 1}
-	scfg := simConfig(sh)
-	scfg.MaxRetries, scfg.RetryBudget, scfg.RetryRatio = 10, capacity, ratio
-	scfg.BreakerThreshold = 1000 // the breaker must not mask the budget
+	tu := simTuning()
+	tu.maxRetries, tu.retryBudget, tu.retryRatio = 10, capacity, ratio
+	tu.breakerThreshold = 1000 // the breaker must not mask the budget
 	script := map[simKey]simKind{}
 	for i := 0; i < requests*11; i++ {
 		script[simKey{0, i}] = sim5xx
 	}
-	s := newSimRun(simClusterFor(t, 1), sh, script, scfg)
+	s := newSimRun(simClusterFor(t, 1), sh, script, tu)
 	for k := 0; k < requests; k++ {
 		if rec := s.serve(s.cl.page(t, "offset")); rec.Code != 503 {
 			t.Fatalf("request %d against a dead range = %d: %s", k, rec.Code, rec.Body)
@@ -1206,15 +1212,15 @@ func FuzzCoordinatorSchedule(f *testing.F) {
 		}
 		sh := simShape{ranges: 1 + int(data[0]%3), replicas: 1 + int(data[0]>>2&1), partial: data[0]>>3&1 == 1}
 		sh.hedge = sh.replicas > 1 && data[0]>>4&1 == 1
-		scfg := simConfig(sh)
+		tu := simTuning()
 		if data[0]>>5&1 == 1 {
-			scfg.RetryBudget, scfg.RetryRatio = 1, 0.1
+			tu.retryBudget, tu.retryRatio = 1, 0.1
 		}
 		script := map[simKey]simKind{}
 		for j, b := range data[2:] {
 			script[simKey{j % (sh.ranges * sh.replicas), j / (sh.ranges * sh.replicas)}] = simKind(b % byte(simKinds))
 		}
-		s := newSimRun(simClusters[sh.ranges], sh, script, scfg)
+		s := newSimRun(simClusters[sh.ranges], sh, script, tu)
 		for k := 0; k <= int(data[1]%4); k++ {
 			s.serve(s.cl.pages[(int(data[1]>>3)+k)%len(s.cl.pages)])
 			if data[1]>>2&1 == 1 {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +17,7 @@ import (
 
 // TestReplicatedGoldenUnderFaults is the acceptance battery: 3 ranges x 2
 // replicas, the first replica of each permanently broken in its own way — a
-// 500, past ShardTimeout, a 200 of the wrong shape. Every request of the
+// 500, past the shard timeout, a 200 of the wrong shape. Every request of the
 // table, twice, is answered as the single server answers it, by failover
 // alone: no range call fails, no page is partial, and the breakers trip.
 func TestReplicatedGoldenUnderFaults(t *testing.T) {
@@ -24,7 +26,7 @@ func TestReplicatedGoldenUnderFaults(t *testing.T) {
 		broken[simKey{0, i}], broken[simKey{2, i}], broken[simKey{4, i}] = sim5xx, simTimeout, simShapeA
 	}
 	sh := simShape{ranges: 3, replicas: 2}
-	s := newSimRun(simClusterFor(t, 3), sh, broken, simConfig(sh))
+	s := newSimRun(simClusterFor(t, 3), sh, broken, simTuning())
 	serve := func(pg *simPage) {
 		t.Helper()
 		for k := 0; k < 2; k++ {
@@ -58,7 +60,7 @@ func TestReplicatedGoldenUnderFaults(t *testing.T) {
 // discovery. (Queries tripping it is TestPolicySimBreakerCooldown.)
 func TestBreakerTripsAndRecovers(t *testing.T) {
 	sh := simShape{ranges: 1, replicas: 2}
-	s := newSimRun(simClusterFor(t, 1), sh, nil, simConfig(sh))
+	s := newSimRun(simClusterFor(t, 1), sh, nil, simTuning())
 	pg := s.cl.page(t, "offset")
 	for i := 0; i < simThreshold; i++ {
 		s.probe(0, false)
@@ -91,7 +93,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 func TestHedgeWins(t *testing.T) {
 	sh := simShape{ranges: 1, replicas: 2, hedge: true}
 	for k, won := range map[simKind]uint64{simTimeout: 1, simSlowOK: 0} {
-		s, recs := simServe(t, sh, simConfig(sh), map[simKey]simKind{{0, 0}: k}, "offset")
+		s, recs := simServe(t, sh, simTuning(), map[simKey]simKind{{0, 0}: k}, "offset")
 		snap := s.coord.metrics.Snapshot()
 		if recs[0].Code != 200 || snap.Hedges != 1 || snap.HedgesWon < won {
 			t.Fatalf("%v primary: %d, %d hedges, %d won", k, recs[0].Code, snap.Hedges, snap.HedgesWon)
@@ -112,7 +114,7 @@ func TestChaosReplicaKill(t *testing.T) {
 		pages = append(pages, "offset", "boolean", "after range 0")
 	}
 	sh := simShape{ranges: 2, replicas: 2}
-	s, recs := simServe(t, sh, simConfig(sh), kills, pages...)
+	s, recs := simServe(t, sh, simTuning(), kills, pages...)
 	for i, rec := range recs {
 		if rec.Code != 200 {
 			t.Fatalf("page %d (%s) after the kills = %d: %s", i, pages[i], rec.Code, rec.Body)
@@ -125,7 +127,7 @@ func TestChaosReplicaKill(t *testing.T) {
 
 // TestAllReplicasDown: when every replica of a range fails, the query fails
 // with a 503 whose Retry-After is the breaker cool-down, the longer of it and
-// ShardTimeout — the soonest a retry could plausibly see a recovered backend —
+// the shard timeout — the soonest a retry could plausibly see a recovered backend —
 // and whose body is a JSON error.
 func TestAllReplicasDown(t *testing.T) {
 	down := map[simKey]simKind{}
@@ -133,7 +135,7 @@ func TestAllReplicasDown(t *testing.T) {
 		down[simKey{0, i}], down[simKey{1, i}] = sim5xx, sim5xx
 	}
 	sh := simShape{ranges: 1, replicas: 2}
-	_, recs := simServe(t, sh, simConfig(sh), down, "offset")
+	_, recs := simServe(t, sh, simTuning(), down, "offset")
 	rec := recs[0]
 	if got := rec.Header().Get("Retry-After"); rec.Code != 503 || got != "3" {
 		t.Fatalf("dead range = %d with Retry-After %q, want 503 and %q (the breaker cool-down)", rec.Code, got, "3")
@@ -141,6 +143,33 @@ func TestAllReplicasDown(t *testing.T) {
 	var body map[string]string
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
 		t.Fatalf("503 body not a JSON error: %q (%v)", rec.Body, err)
+	}
+}
+
+// TestServingConstantsOrder pins the order the serving constants keep: a
+// shard attempt ends inside the request deadline, which ends inside the HTTP
+// write timeout, so each failure is still answered in time; and a production
+// coordinator whose range is down answers 503 with the Retry-After of the
+// longer of the shard timeout and the breaker cool-down.
+func TestServingConstantsOrder(t *testing.T) {
+	for _, c := range []struct {
+		what            string
+		shorter, longer time.Duration
+	}{
+		{"shard timeout < query deadline", shardTimeout, queryTimeout},
+		{"query deadline < HTTP write timeout", queryTimeout, writeTimeout},
+	} {
+		if c.shorter >= c.longer {
+			t.Errorf("%s: %v, %v", c.what, c.shorter, c.longer)
+		}
+	}
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	coord := NewCoordinator([]string{dead.URL}, Config{}, ShardConfig{})
+	defer coord.Close()
+	rec := get(t, coord, "/search?q=x")
+	if got, want := rec.Header().Get("Retry-After"), retryAfterSecs(max(shardTimeout, breakerCooldown)); rec.Code != 503 || got != want || want != "2" {
+		t.Errorf("dead range = %d with Retry-After %q, want 503 and %q (of %v and %v), which is \"2\"", rec.Code, got, want, shardTimeout, breakerCooldown)
 	}
 }
 

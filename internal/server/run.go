@@ -8,52 +8,47 @@ import (
 	"time"
 )
 
-// RunConfig configures Run's http.Server and shutdown behaviour. Zero
-// values take the defaults below; WriteTimeout should stay comfortably
-// above Config.QueryTimeout so deadline-expired queries can still deliver
-// their 503.
+// Run's http.Server timeouts: the full request read, the API's response
+// write — comfortably above queryTimeout, so a deadline-expired query can
+// still deliver its 503 — and keep-alive idling; and the drain window for
+// in-flight requests on shutdown.
+const (
+	readTimeout     = 5 * time.Second
+	writeTimeout    = 30 * time.Second
+	idleTimeout     = 2 * time.Minute
+	shutdownTimeout = 10 * time.Second
+)
+
+// RunConfig is what Run's callers set differently.
 type RunConfig struct {
-	ReadTimeout     time.Duration // default 5s (full request read)
-	WriteTimeout    time.Duration // default 30s
-	IdleTimeout     time.Duration // default 120s (keep-alive connections)
-	ShutdownTimeout time.Duration // default 10s (drain window on shutdown)
+	// WriteTimeout bounds writing a response (0 = writeTimeout, the API's).
+	// A profiling listener needs longer: a CPU profile holds its response
+	// open for the whole capture.
+	WriteTimeout time.Duration
 	// OnListen, when set, receives the bound address before serving starts
 	// — with ":0" this is the only way to learn the chosen port.
 	OnListen func(net.Addr)
 }
 
-func (c RunConfig) withDefaults() RunConfig {
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 5 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 120 * time.Second
-	}
-	if c.ShutdownTimeout <= 0 {
-		c.ShutdownTimeout = 10 * time.Second
-	}
-	return c
-}
-
 // Run serves h on addr until ctx is cancelled (e.g. by SIGINT/SIGTERM via
 // signal.NotifyContext), then shuts down gracefully: the listener closes,
-// in-flight requests get up to ShutdownTimeout to finish, and only then are
+// in-flight requests get up to shutdownTimeout to finish, and only then are
 // stragglers cut off. Returns nil on a clean drain, the serve error if the
 // listener fails first.
 func Run(ctx context.Context, addr string, h http.Handler, cfg RunConfig) error {
-	cfg = cfg.withDefaults()
+	write := writeTimeout
+	if cfg.WriteTimeout > 0 {
+		write = cfg.WriteTimeout
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("server: listen %s: %w", addr, err)
 	}
 	hs := &http.Server{
 		Handler:      h,
-		ReadTimeout:  cfg.ReadTimeout,
-		WriteTimeout: cfg.WriteTimeout,
-		IdleTimeout:  cfg.IdleTimeout,
+		ReadTimeout:  readTimeout,
+		WriteTimeout: write,
+		IdleTimeout:  idleTimeout,
 	}
 	if cfg.OnListen != nil {
 		cfg.OnListen(ln.Addr())
@@ -65,7 +60,7 @@ func Run(ctx context.Context, addr string, h http.Handler, cfg RunConfig) error 
 		return fmt.Errorf("server: %w", err)
 	case <-ctx.Done():
 	}
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.ShutdownTimeout)
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	if err := hs.Shutdown(sctx); err != nil {
 		hs.Close()

@@ -10,9 +10,9 @@
 //	GET /readyz                             readiness (200 once the engine is built)
 //
 // The serving path is production-hardened: every API request runs under a
-// deadline (Config.QueryTimeout) that cancels the scoring pipeline and
+// deadline (queryTimeout) that cancels the scoring pipeline and
 // returns 503, a semaphore sheds excess load with 429 + Retry-After
-// (Config.MaxInflight), panics are recovered into 500s, and requests are
+// (maxInflight), panics are recovered into 500s, and requests are
 // logged with status and latency. /healthz and /readyz bypass shedding and
 // deadlines so probes keep answering under overload. Run serves a handler
 // with sane HTTP timeouts and graceful, draining shutdown.
@@ -39,16 +39,20 @@ import (
 	"ctxsearch/internal/shard"
 )
 
-// Defaults for Config's zero values.
+// The single server's tuning, the one value of each in use.
 const (
-	DefaultQueryTimeout = 2 * time.Second
-	DefaultMaxInflight  = 64
-	// DefaultCacheEntries and DefaultCacheTTL size the /search result
-	// cache. The TTL exists for hygiene (the corpus is immutable while an
-	// engine is installed; the cache is also invalidated wholesale on
-	// every engine swap), so it can be generous.
-	DefaultCacheEntries = 1024
-	DefaultCacheTTL     = time.Minute
+	// queryTimeout bounds each API request; on expiry the request gets a 503
+	// and the scoring pipeline is cancelled.
+	queryTimeout = 2 * time.Second
+	// maxInflight caps concurrently served API requests; excess requests are
+	// shed immediately with 429 + Retry-After.
+	maxInflight = 64
+	// cacheEntries and cacheTTL size the /search result cache. The TTL
+	// exists for hygiene (the corpus is immutable while an engine is
+	// installed; the cache is also invalidated wholesale on every engine
+	// swap), so it can be generous.
+	cacheEntries = 1024
+	cacheTTL     = time.Minute
 )
 
 // Paging bounds: a /search without limit serves DefaultLimit results, and
@@ -60,38 +64,64 @@ const (
 	MaxOffset    = 100000
 )
 
-// Config tunes the serving middleware stack.
+// Config is what a deployment sets of the serving middleware stack.
 type Config struct {
-	// QueryTimeout bounds each API request; on expiry the request gets a
-	// 503 and the scoring pipeline is cancelled (0 = DefaultQueryTimeout,
-	// negative = no deadline).
-	QueryTimeout time.Duration
-	// MaxInflight caps concurrently served API requests; excess requests
-	// are shed immediately with 429 + Retry-After (0 = DefaultMaxInflight,
-	// negative = unlimited).
-	MaxInflight int
 	// Logger receives request and panic logs (nil = discard).
 	Logger *log.Logger
-	// CacheEntries caps the /search result cache (0 = DefaultCacheEntries,
-	// negative = caching disabled).
+	// CacheEntries caps the /search result cache (0 = the default, 1024
+	// entries; negative = caching disabled).
 	CacheEntries int
-	// CacheTTL expires cached /search responses (0 = DefaultCacheTTL,
-	// negative = no expiry; the cache is invalidated on engine swap
-	// regardless).
-	CacheTTL time.Duration
 }
 
-// orDefault applies the "0 = default, negative = off" rule Config and
-// ShardConfig document for their timeouts, limits and cache sizes: 0 selects
-// def, a negative value yields 0 (off).
-func orDefault[T int | time.Duration](v, def T) T {
+// cacheSize resolves Config.CacheEntries to the cache's capacity, 0 for none.
+func (c Config) cacheSize() int {
 	switch {
-	case v == 0:
-		return def
-	case v < 0:
+	case c.CacheEntries == 0:
+		return cacheEntries
+	case c.CacheEntries < 0:
 		return 0
 	}
-	return v
+	return c.CacheEntries
+}
+
+// tuning is the serving configuration no deployment sets: the middleware's
+// deadline and admission cap, and the coordinator's failure policy. The
+// exported constructors serve with defaultTuning, built from the constants;
+// tests that need other values pass theirs to the unexported ones. A zero
+// queryTimeout, shardTimeout or probeInterval turns the request deadline,
+// the per-attempt deadline or the prober off, and a zero maxInflight admits
+// every request.
+type tuning struct {
+	queryTimeout     time.Duration
+	maxInflight      int
+	shardTimeout     time.Duration
+	maxRetries       int
+	retryBudget      float64
+	retryRatio       float64
+	breakerThreshold int
+	breakerCooldown  time.Duration
+	probeInterval    time.Duration
+	backoffBase      time.Duration
+	backoffMax       time.Duration
+	backoffJitter    float64
+}
+
+// defaultTuning is the tuning every deployment serves with.
+func defaultTuning() tuning {
+	return tuning{
+		queryTimeout:     queryTimeout,
+		maxInflight:      maxInflight,
+		shardTimeout:     shardTimeout,
+		maxRetries:       maxRetries,
+		retryBudget:      retryBudget,
+		retryRatio:       retryRatio,
+		breakerThreshold: breakerThreshold,
+		breakerCooldown:  breakerCooldown,
+		probeInterval:    probeInterval,
+		backoffBase:      backoffBase,
+		backoffMax:       backoffMax,
+		backoffJitter:    backoffJitter,
+	}
 }
 
 // StateRef is a refcounted handle on externally-owned resources backing a
@@ -134,7 +164,7 @@ func (b *backend) release() {
 // Server wires the search engine into an http.Handler behind the
 // middleware stack.
 type Server struct {
-	cfg     Config
+	tu      tuning
 	logger  *log.Logger
 	mux     *http.ServeMux
 	handler http.Handler
@@ -166,16 +196,19 @@ func New(sys *ctxsearch.System, m *ctxsearch.Matrix) *Server {
 // /readyz and every API endpoint answer 503 until SetReadyMapped is called.
 // This lets a deployment bind its port (liveness) while the index and
 // prestige scores are still being built or loaded.
-func NewPending(cfg Config) *Server {
-	s := &Server{cfg: cfg, mux: http.NewServeMux()}
-	s.cache = cache.New[[]byte](orDefault(cfg.CacheEntries, DefaultCacheEntries), orDefault(cfg.CacheTTL, DefaultCacheTTL))
+func NewPending(cfg Config) *Server { return newPending(cfg, defaultTuning()) }
+
+// newPending is NewPending under tuning tu.
+func newPending(cfg Config, tu tuning) *Server {
+	s := &Server{tu: tu, mux: http.NewServeMux()}
+	s.cache = cache.New[[]byte](cfg.cacheSize(), cacheTTL)
 	s.mux.HandleFunc("GET /search", s.handleSearch)
 	s.mux.HandleFunc("POST /shard/search", s.handleShardSearch)
 	s.mux.HandleFunc("GET /contexts", s.handleContexts)
 	s.mux.HandleFunc("GET /papers/{id}", s.handlePaper)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.handler, s.logger = newFront(cfg, s.mux)
+	s.handler, s.logger = newFront(cfg, tu, s.mux)
 	return s
 }
 
@@ -269,7 +302,7 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 // writeQueryErr maps a search-pipeline error to a response: the request's
 // context ending is writeCtxErr's, anything else is a 400 (bad query).
 func (s *Server) writeQueryErr(w http.ResponseWriter, r *http.Request, err error) {
-	if !writeCtxErr(w, r, s.logger, orDefault(s.cfg.QueryTimeout, DefaultQueryTimeout), err) {
+	if !writeCtxErr(w, r, s.logger, s.tu.queryTimeout, err) {
 		writeErr(w, http.StatusBadRequest, "bad query: %v", err)
 	}
 }
