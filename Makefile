@@ -62,11 +62,13 @@ bench:
 # BenchmarkEngineSearchFull, the serving benchmark's library_batch workload
 # as a micro-benchmark (frozen engine, Limit 0, 800 papers / 160 terms),
 # which fails itself above 21 allocs/op — plus the boolean evaluator's term /
-# phrase / NOT arms on a state-booted index shape, and the result-cache hit
-# path (must stay allocation-free).
+# phrase / NOT arms on a state-booted index shape, one first page's snippets
+# (BenchmarkSnippetPage, 10 rows at 800 papers / 160 terms, which fails
+# itself above 200 allocs/op), and the result-cache hit path (must stay
+# allocation-free).
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkSelectContexts|BenchmarkEngineSearch' -benchmem ./internal/search/
-	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean' -benchmem ./internal/index/
+	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean|BenchmarkSnippetPage' -benchmem ./internal/index/
 	$(GO) test -run xxx -bench 'BenchmarkCacheHit' -benchmem ./internal/cache/
 
 # The offline-build benchmarks behind BENCH_PR4.json, BENCH_PR12.json and

@@ -68,6 +68,11 @@ type Index struct {
 	logTF []float64
 	// accPool recycles dense score accumulators across searches.
 	accPool sync.Pool
+	// stems memoises Porter stems for Snippet: normalised raw word → stem.
+	// Only snippetFrom writes it, and only with words of a paper's abstract
+	// or body, never with query words, so its size is bounded by the
+	// vocabulary of the paper text, like the analyzer's surface-form table.
+	stems sync.Map
 }
 
 // accum is a reusable dense scoring scratchpad: val holds partial dot

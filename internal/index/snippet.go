@@ -36,7 +36,7 @@ func (ix *Index) Snippet(doc corpus.PaperID, query string, opts SnippetOptions) 
 		queryStems[t] = true
 	}
 	for _, text := range []string{p.Abstract, p.Body} {
-		if s, ok := snippetFrom(text, queryStems, opts); ok {
+		if s, ok := ix.snippetFrom(text, queryStems, opts); ok {
 			return s
 		}
 	}
@@ -49,14 +49,26 @@ func (ix *Index) Snippet(doc corpus.PaperID, query string, opts SnippetOptions) 
 	return strings.Join(words, " ")
 }
 
+// stem returns the Porter stem of the normalised word norm through the
+// stem memo.
+func (ix *Index) stem(norm string) string {
+	if v, ok := ix.stems.Load(norm); ok {
+		return v.(string)
+	}
+	// norm is usually a substring of a paper's text: clone it so the memo
+	// holds only its own words.
+	norm = strings.Clone(norm)
+	v, _ := ix.stems.LoadOrStore(norm, textproc.NewPorterStemmer().Stem(norm))
+	return v.(string)
+}
+
 // snippetFrom finds the window of raw words with the most stem matches and
 // renders it; ok is false when no word matches.
-func snippetFrom(text string, queryStems map[string]bool, opts SnippetOptions) (string, bool) {
+func (ix *Index) snippetFrom(text string, queryStems map[string]bool, opts SnippetOptions) (string, bool) {
 	raw := strings.Fields(text)
 	if len(raw) == 0 || len(queryStems) == 0 {
 		return "", false
 	}
-	stemmer := textproc.NewPorterStemmer()
 	matched := make([]bool, len(raw))
 	any := false
 	for i, w := range raw {
@@ -64,7 +76,7 @@ func snippetFrom(text string, queryStems map[string]bool, opts SnippetOptions) (
 		if norm == "" {
 			continue
 		}
-		if queryStems[norm] || queryStems[stemmer.Stem(norm)] {
+		if stem := ix.stem(norm); queryStems[norm] || queryStems[stem] {
 			matched[i] = true
 			any = true
 		}

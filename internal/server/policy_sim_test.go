@@ -105,7 +105,15 @@ type simCluster struct {
 
 	mu     sync.Mutex
 	memo   map[string]reply
-	fronts map[simShape]*Coordinator
+	fronts map[simFront]*Coordinator
+}
+
+// simFront keys a cluster's assembled coordinator fronts: a front bakes in
+// its tuning (the Retry-After it sends, the handler's deadline), so runs of
+// one shape with another tuning need their own.
+type simFront struct {
+	shape simShape
+	tu    tuning
 }
 
 // simPage is one request of the table: a /search page or a proxied GET, and
@@ -134,7 +142,7 @@ func simClusterFor(t testing.TB, n int) *simCluster {
 		return cl
 	}
 	sys, cs, m, query := testState(t)
-	cl := &simCluster{n: n, shards: par.Shards(sys.Corpus.Len(), n), memo: map[string]reply{}, fronts: map[simShape]*Coordinator{}}
+	cl := &simCluster{n: n, shards: par.Shards(sys.Corpus.Len(), n), memo: map[string]reply{}, fronts: map[simFront]*Coordinator{}}
 	g := sliceGroup(t, sys, cs, m, n)
 	// No deadline, no admission cap, no cache: the zero tuning.
 	off := Config{CacheEntries: -1}
@@ -341,14 +349,15 @@ func newSimRun(cl *simCluster, sh simShape, script map[simKey]simKind, tu tuning
 	for g := range s.next {
 		ranges[g/sh.replicas] = append(ranges[g/sh.replicas], g)
 	}
-	// The front of a shape is assembled once; every run gets its own policy
-	// (breakers, budget, counters, rotation), every request an empty cache.
+	// The front of a shape and tuning is assembled once; every run gets its
+	// own policy (breakers, budget, counters, rotation), every request an
+	// empty cache.
 	cl.mu.Lock()
-	front := cl.fronts[sh]
+	front := cl.fronts[simFront{sh, tu}]
 	if front == nil {
 		front = &Coordinator{backends: make([]string, len(s.next))}
 		front.assemble(ranges, Config{}, sh.config(), tu, s)
-		cl.fronts[sh] = front
+		cl.fronts[simFront{sh, tu}] = front
 	}
 	cl.mu.Unlock()
 	s.coord = front
@@ -1159,6 +1168,25 @@ func TestPolicySimBreakerCooldown(t *testing.T) {
 	}
 	if len(s.violations) > 0 {
 		t.Fatal(strings.Join(s.violations, "\n"))
+	}
+}
+
+// TestPolicySimFrontPerTuning: two runs of one shape whose breaker
+// cool-downs differ each answer a page no range can finish with their own
+// Retry-After, so a front assembled for one tuning never serves another.
+func TestPolicySimFrontPerTuning(t *testing.T) {
+	sh := simShape{ranges: 2, replicas: 1}
+	nowhere := map[simKey]simKind{}
+	for i := 0; i < 1+simMaxRetries; i++ {
+		nowhere[simKey{0, i}], nowhere[simKey{1, 1 + i}] = sim5xx, sim5xx
+	}
+	for _, cooldown := range []time.Duration{5 * time.Second, 7 * time.Second} {
+		tu := simTuning()
+		tu.breakerCooldown = cooldown
+		_, recs := simServe(t, sh, tu, nowhere, "offset")
+		if want := retryAfterSecs(cooldown); recs[0].Code != 503 || recs[0].Header().Get("Retry-After") != want {
+			t.Fatalf("cool-down %v: %d with Retry-After %q, want 503 with %q", cooldown, recs[0].Code, recs[0].Header().Get("Retry-After"), want)
+		}
 	}
 }
 
