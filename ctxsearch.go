@@ -138,6 +138,10 @@ type System struct {
 	// never pay for them.
 	posOnce  sync.Once
 	posIndex *pattern.PosIndex
+	// patterns, made on first use, holds each term's one pattern set for
+	// the pattern-based context set and the pattern scorer.
+	patternOnce sync.Once
+	patterns    *pattern.Memo
 
 	// Scorers are cached: the citation and text scorers embed the corpus
 	// citation graph and the text scorer's ID-keyed tables, which are
@@ -147,8 +151,6 @@ type System struct {
 	citation     *prestige.CitationScorer
 	textOnce     sync.Once
 	text         *prestige.TextScorer
-	patternOnce  sync.Once
-	pattern      *prestige.PatternScorer
 }
 
 // NewSystem analyses a user-provided ontology and corpus, fanning the build
@@ -338,9 +340,9 @@ func (s *System) BuildTextContextSet() *ContextSet {
 // paper set (§4).
 func (s *System) BuildPatternContextSet() *ContextSet {
 	var cs *ContextSet
-	pos := s.PosIndex() // outside the timed stage: its first use records its own
+	m := s.patternMemo() // outside the timed stage: the index's first use records its own
 	s.stats.Time("contextset-pattern", s.Corpus.Len(), "papers", func() {
-		cs = contextset.BuildPatternBased(pos, s.analyzer, s.Ontology, s.cfg.BuildWorkers)
+		cs = contextset.BuildPatternBased(m, s.Ontology, s.cfg.BuildWorkers)
 	})
 	return cs
 }
@@ -365,13 +367,18 @@ func (s *System) TextScorer() *prestige.TextScorer {
 	return s.text
 }
 
-// PatternScorer returns the pattern-based prestige scorer (§3.3), built once
-// per System; its mined-pattern cache then persists across score runs.
+// PatternScorer returns the pattern-based prestige scorer (§3.3) over the
+// pattern memo the pattern-based context set shares.
 func (s *System) PatternScorer() *prestige.PatternScorer {
+	return prestige.NewPatternScorer(s.patternMemo())
+}
+
+// patternMemo returns the System's pattern memo over PosIndex.
+func (s *System) patternMemo() *pattern.Memo {
 	s.patternOnce.Do(func() {
-		s.pattern = prestige.NewPatternScorer(s.PosIndex(), s.Ontology)
+		s.patterns = pattern.NewMemo(s.PosIndex(), s.Ontology)
 	})
-	return s.pattern
+	return s.patterns
 }
 
 // score runs a scorer over the contexts of a set larger than minSize and

@@ -54,10 +54,10 @@ func benchTextContextSet(b *testing.B, o *ontology.Ontology, a *corpus.Analyzer)
 }
 
 func BenchmarkBuildPatternBased(b *testing.B) {
-	o, a, ix := benchFixture(b)
+	o, _, ix := benchFixture(b)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = BuildPatternBased(ix, a, o, 0)
+		_ = BuildPatternBased(pattern.NewMemo(ix, o), o, 0)
 	}
 }

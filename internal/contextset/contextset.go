@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
@@ -312,16 +313,17 @@ func Representative(a *corpus.Analyzer, term ontology.TermID) (corpus.PaperID, b
 }
 
 // BuildPatternBased constructs the simplified pattern-based context paper
-// set of §4: per-term regular patterns (pattern.Build's simplified variant)
-// matched by middle tuple only; max-normalised match scores of at least
-// patternThreshold grant membership; descendant papers are folded into
-// ancestors; contexts still empty inherit the closest non-empty ancestor's
-// papers with RateOfDecay damping. Terms fan out over workers (≤ 0 selects
-// GOMAXPROCS); the set is the same at every worker count.
-func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.Ontology, workers int) *ContextSet {
-	c := a.Corpus()
+// set of §4: each term's regular patterns from the memo, matched by middle
+// tuple only; max-normalised match scores of at least patternThreshold
+// grant membership; descendant papers are folded into ancestors; contexts
+// still empty inherit the closest non-empty ancestor's papers with
+// RateOfDecay damping. Terms fan out over workers (≤ 0 selects GOMAXPROCS),
+// each scoring its term into a pooled corpus-sized row and keeping only
+// the papers it admits; the set is the same at every worker count.
+func BuildPatternBased(m *pattern.Memo, onto *ontology.Ontology, workers int) *ContextSet {
+	ix := m.Index()
+	c := ix.Analyzer().Corpus()
 	b := newBuilder(PatternBased, onto, c.Len())
-	termDF := pattern.TermWordDF(onto, ix)
 
 	terms := make([]ontology.TermID, 0, len(c.EvidenceTerms()))
 	for _, term := range c.EvidenceTerms() {
@@ -329,28 +331,25 @@ func BuildPatternBased(ix *pattern.PosIndex, a *corpus.Analyzer, onto *ontology.
 			terms = append(terms, term)
 		}
 	}
-	// results[i][p] is term i's raw match score of paper p.
-	results := make([][]float64, len(terms))
+	// admitted[i] is term i's admitted papers, ascending. A row is all
+	// zeros in the pool.
+	admitted := make([][]corpus.PaperID, len(terms))
+	rows := sync.Pool{New: func() any { row := make([]float64, c.Len()); return &row }}
 	par.For(len(terms), workers, func(i int) {
-		term := terms[i]
-		set := pattern.Build(ix, onto, term, c.EvidencePapers(term), termDF, true)
-		results[i] = make([]float64, c.Len())
-		set.ScorePapers(ix, nil, results[i])
-	})
-	for i, term := range terms {
-		scores := results[i]
-		var max float64
-		for _, s := range scores {
-			if s > max {
-				max = s
+		row := rows.Get().(*[]float64)
+		m.Set(terms[i]).ScorePapers(ix, nil, true, *row)
+		max := slices.Max(*row)
+		for id, s := range *row {
+			if s > 0 && s/max >= patternThreshold {
+				admitted[i] = append(admitted[i], corpus.PaperID(id))
 			}
 		}
-		if max > 0 {
-			for id, s := range scores {
-				if s > 0 && s/max >= patternThreshold {
-					b.add(term, corpus.PaperID(id))
-				}
-			}
+		clear(*row)
+		rows.Put(row)
+	})
+	for i, term := range terms {
+		for _, id := range admitted[i] {
+			b.add(term, id)
 		}
 		for _, e := range c.EvidencePapers(term) {
 			b.add(term, e)

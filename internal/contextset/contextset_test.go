@@ -76,8 +76,8 @@ func TestTextBasedThresholdMonotone(t *testing.T) {
 }
 
 func TestBuildPatternBased(t *testing.T) {
-	o, c, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, 0)
+	o, c, _, ix := fixture(t)
+	cs := BuildPatternBased(pattern.NewMemo(ix, o), o, 0)
 	if cs.Kind() != PatternBased {
 		t.Fatal("kind wrong")
 	}
@@ -95,8 +95,8 @@ func TestBuildPatternBased(t *testing.T) {
 }
 
 func TestPatternBasedDescendantFolding(t *testing.T) {
-	o, _, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, 0)
+	o, _, _, ix := fixture(t)
+	cs := BuildPatternBased(pattern.NewMemo(ix, o), o, 0)
 	// Every non-root context's papers must be contained in each of its
 	// non-root parents (descendant folding is transitive bottom-up).
 	for _, ctx := range cs.Contexts() {
@@ -120,8 +120,8 @@ func TestPatternBasedDescendantFolding(t *testing.T) {
 }
 
 func TestPatternBasedInheritance(t *testing.T) {
-	o, _, a, ix := fixture(t)
-	cs := BuildPatternBased(ix, a, o, 0)
+	o, _, _, ix := fixture(t)
+	cs := BuildPatternBased(pattern.NewMemo(ix, o), o, 0)
 	sawInherited := false
 	for _, ctx := range cs.Contexts() {
 		anc, inherited := cs.InheritedFrom(ctx)
@@ -211,7 +211,7 @@ func TestParallelConstructionMatchesSerial(t *testing.T) {
 	tix := must(index.BuildWorkers(a, 0))
 	ts, tp := BuildTextBased(tix, o, 1), BuildTextBased(tix, o, 4)
 	requireSameFrozen(t, "text", ts.Freeze(), tp.Freeze())
-	ps, pp := BuildPatternBased(ix, a, o, 1), BuildPatternBased(ix, a, o, 4)
+	ps, pp := BuildPatternBased(pattern.NewMemo(ix, o), o, 1), BuildPatternBased(pattern.NewMemo(ix, o), o, 4)
 	requireSameFrozen(t, "pattern", ps.Freeze(), pp.Freeze())
 }
 

@@ -103,7 +103,7 @@ func TestFinishLayoutRoundTrips(t *testing.T) {
 		a := corpus.NewAnalyzerWorkers(c, 0)
 		for name, built := range map[string]*ContextSet{
 			"text":     BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0),
-			"pattern":  BuildPatternBased(pattern.NewPosIndex(a), a, o, 0),
+			"pattern":  BuildPatternBased(pattern.NewMemo(pattern.NewPosIndex(a), o), o, 0),
 			"gopubmed": BuildGoPubMedStyle(a, o, 0.5),
 		} {
 			name = fmt.Sprintf("seed %d %s", seed, name)

@@ -61,7 +61,7 @@ func BenchmarkBuildPatternSet(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Build(ix, o, term, c.EvidencePapers(term), df, false)
+		_ = build(ix, o, term, c.EvidencePapers(term), df, maxSignificant)
 	}
 }
 
@@ -69,11 +69,11 @@ func BenchmarkScorePapers(b *testing.B) {
 	o, c, ix := benchFixture(b)
 	term := c.EvidenceTerms()[0]
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, term, c.EvidencePapers(term), df, false)
+	set := build(ix, o, term, c.EvidencePapers(term), df, maxSignificant)
 	dst := make([]float64, c.Len())
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		set.ScorePapers(ix, nil, dst)
+		set.ScorePapers(ix, nil, false, dst)
 	}
 }

@@ -28,14 +28,19 @@ const minSetFraction = 0.5
 // alone. M(P, pt) combines the weight of the best section containing a
 // match with the similarity between the pattern and the matching phrase:
 // exact middle matches of regular/side-joined patterns weigh the match fully
-// and, unless the set is simplified (§4: middle tuples only), add a bonus
-// for left/right context corroboration; middle-joined (unordered) patterns
-// weigh by the fraction of their word set present. A paper's terms are
-// added in pattern order. Scores are raw — callers normalise per context.
-func (s *Set) ScorePapers(ix *PosIndex, within bitset.Set, dst []float64) {
+// and add a bonus for left/right context corroboration; middle-joined
+// (unordered) patterns weigh by the fraction of their word set present.
+// middleOnly is the §4 pattern-based context set's match: the regular
+// patterns alone, each matched by its middle tuple without corroboration. A
+// paper's terms are added in pattern order. Scores are raw — callers
+// normalise per context.
+func (s *Set) ScorePapers(ix *PosIndex, within bitset.Set, middleOnly bool, dst []float64) {
 	var occs []Occurrence
 	var tuples tupleBits
 	for _, p := range s.Patterns {
+		if middleOnly && p.Kind != Regular {
+			continue
+		}
 		switch p.Kind {
 		case Regular, SideJoined:
 			occs = ix.PhraseOccurrences(p.Middle, within, occs[:0])
@@ -43,7 +48,7 @@ func (s *Set) ScorePapers(ix *PosIndex, within bitset.Set, dst []float64) {
 				continue
 			}
 			tuples.mark(p)
-			matchSequential(ix, p, occs, !s.simplified, &tuples, dst)
+			matchSequential(ix, p, occs, !middleOnly, &tuples, dst)
 			tuples.clear(p)
 		case MiddleJoined:
 			matchSet(ix, p, within, dst)

@@ -11,14 +11,14 @@ import (
 // scorePapers returns ScorePapers' scores of every paper of the corpus.
 func scorePapers(s *Set, ix *PosIndex, within bitset.Set) []float64 {
 	dst := make([]float64, ix.Analyzer().Corpus().Len())
-	s.ScorePapers(ix, within, dst)
+	s.ScorePapers(ix, within, false, dst)
 	return dst
 }
 
 func TestScorePapersRankTrainingAndMentions(t *testing.T) {
 	o, c, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, false)
+	set := build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, maxSignificant)
 	scores := scorePapers(set, ix, nil)
 	// Papers 0–2 mention "zinc finger binding"; 3–4 do not.
 	for _, id := range []corpus.PaperID{0, 1, 2} {
@@ -39,7 +39,7 @@ func TestScorePapersRankTrainingAndMentions(t *testing.T) {
 func TestScorePapersWithin(t *testing.T) {
 	o, c, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, false)
+	set := build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, maxSignificant)
 	scores := scorePapers(set, ix, papers(1))
 	for id, s := range scores {
 		if s != 0 && id != 1 {
@@ -51,12 +51,21 @@ func TestScorePapersWithin(t *testing.T) {
 func TestScorePapersMiddleOnly(t *testing.T) {
 	o, c, _, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	full := scorePapers(Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, false), ix, nil)
-	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, true)
-	if slices.ContainsFunc(set.Patterns, func(p *Pattern) bool { return p.Kind != Regular }) {
-		t.Fatal("the simplified set holds an extended pattern")
+	set := build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, maxSignificant)
+	full := scorePapers(set, ix, nil)
+	simple := make([]float64, c.Len())
+	set.ScorePapers(ix, nil, true, simple)
+	// The extended patterns are skipped: the regular ones alone score the
+	// same bits.
+	regular := &Set{Patterns: slices.DeleteFunc(slices.Clone(set.Patterns), func(p *Pattern) bool { return p.Kind != Regular })}
+	if len(regular.Patterns) == len(set.Patterns) {
+		t.Fatal("the fixture's set holds no extended pattern")
 	}
-	simple := scorePapers(set, ix, nil)
+	alone := make([]float64, c.Len())
+	regular.ScorePapers(ix, nil, true, alone)
+	if !slices.Equal(simple, alone) {
+		t.Fatalf("middle-only scores %v, the regular patterns alone %v", simple, alone)
+	}
 	// Simplified matching must still find the training papers.
 	if simple[0] <= 0 || simple[1] <= 0 {
 		t.Fatalf("simplified matching lost training papers: %v", simple)

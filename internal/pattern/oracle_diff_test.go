@@ -2,6 +2,7 @@ package pattern_test
 
 import (
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -122,8 +123,8 @@ var oracleSystem = sync.OnceValues(func() (*ctxsearch.System, error) {
 	return ctxsearch.NewSyntheticSystem(cfg)
 })
 
-// matchMode is how patterns are built and matched: the full §3.3 scorer,
-// or the simplified §4 context-set construction.
+// matchMode is which patterns are matched and how: the full §3.3 scorer,
+// or the §4 context-set construction's regular patterns by middle alone.
 type matchMode struct {
 	name       string
 	simplified bool
@@ -142,16 +143,16 @@ func contextStride() int {
 	return 1
 }
 
-// oracle pairs the term-ID structures of one analyzer with the map-form
-// ones and caches, across parallel subtests, each term's patterns and each
-// phrase's corpus-wide occurrences — checked against the term-ID results
-// when first computed.
+// oracle pairs the term-ID structures of one analyzer, and a memo of its
+// pattern sets, with the map-form ones and caches, across parallel
+// subtests, each term's map-form patterns and each phrase's corpus-wide
+// occurrences — checked against the term-ID results when first computed.
 type oracle struct {
 	a     *corpus.Analyzer
 	onto  *ontology.Ontology
 	ix    *pattern.PosIndex
+	memo  *pattern.Memo
 	ref   *mapPosIndex
-	df    []int32
 	refDF map[string]int
 
 	mu       sync.Mutex
@@ -165,9 +166,10 @@ type builtPair struct {
 	ref *mapSet
 }
 
-// patternsFor builds a term's patterns with both builders and checks that
-// they, and the phrases mined from the term's training papers, agree in
-// words and bits.
+// patternsFor takes a term's patterns from the memo — in middle-only mode
+// its regular patterns, in the set's order — and from the map-form builder,
+// and checks that they, and the phrases mined from the term's training
+// papers, agree in words and bits.
 func (o *oracle) patternsFor(t *testing.T, mode matchMode, term ontology.TermID) builtPair {
 	key := mode.name + "|" + string(term)
 	o.mu.Lock()
@@ -177,8 +179,12 @@ func (o *oracle) patternsFor(t *testing.T, mode matchMode, term ontology.TermID)
 		return b
 	}
 	training := o.a.Corpus().EvidencePapers(term)
+	set := o.memo.Set(term)
+	if mode.simplified {
+		set = &pattern.Set{Term: term, Patterns: slices.DeleteFunc(slices.Clone(set.Patterns), func(p *pattern.Pattern) bool { return p.Kind != pattern.Regular })}
+	}
 	b = builtPair{
-		pattern.Build(o.ix, o.onto, term, training, o.df, mode.simplified),
+		set,
 		mapBuild(o.ref, o.onto, term, training, o.refDF, pattern.MaxSignificant, mode.simplified),
 	}
 	if got, want := showPatterns(o.a, b.set), showMapPatterns(b.ref); !slices.Equal(got, want) {
@@ -242,9 +248,10 @@ func (o *oracle) occurrencesOf(t *testing.T, ids []int32, words []string) []mapO
 // oracle through the scores.
 //
 // Meanwhile prestige.Score scores the pattern contexts with the full match
-// on two workers sharing the index and one scorer — run the test under the
-// race detector — and every context's run must be the oracle's scores over
-// its members, max-normalised and damped by the context's decay.
+// on two workers sharing the index and the memo the subtests read — run the
+// test under the race detector — and every context's run must be the
+// oracle's scores over its members, max-normalised and damped by the
+// context's decay.
 func TestFlatIndexMatchesMapOracle(t *testing.T) {
 	sys, err := oracleSystem()
 	if err != nil {
@@ -255,7 +262,7 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 		a: a, onto: onto, ix: sys.PosIndex(), ref: newMapPosIndex(a),
 		patterns: map[string]builtPair{}, occs: map[string][]mapOcc{},
 	}
-	o.df, o.refDF = pattern.TermWordDF(onto, o.ix), mapTermWordDF(onto, o.ref)
+	o.memo, o.refDF = pattern.NewMemo(o.ix, onto), mapTermWordDF(onto, o.ref)
 	for _, mode := range matchModes {
 		for _, cs := range []*contextset.ContextSet{sys.BuildTextContextSet(), sys.BuildPatternContextSet()} {
 			t.Run(mode.name+"/"+cs.Kind().String(), func(t *testing.T) {
@@ -265,7 +272,7 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 				if mode.name == "full" && cs.Kind() == contextset.PatternBased {
 					go func() {
 						defer close(scored)
-						m = prestige.Score(prestige.NewPatternScorer(o.ix, onto), cs, sys.MinContextSize(), 2)
+						m = prestige.Score(prestige.NewPatternScorer(o.memo), cs, sys.MinContextSize(), 2)
 					}()
 				} else {
 					close(scored)
@@ -304,7 +311,7 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 						}
 					}
 					clear(dst)
-					b.set.ScorePapers(o.ix, bits, dst)
+					b.set.ScorePapers(o.ix, bits, mode.simplified, dst)
 					want := b.ref.ScorePapers(o.ref, within, occs)
 					for d, s := range dst {
 						if w, ok := want[corpus.PaperID(d)]; s != w || ok != (s != 0) {
@@ -351,6 +358,36 @@ func TestFlatIndexMatchesMapOracle(t *testing.T) {
 	}
 }
 
+// TestMemoFilledByBothBuildsAtOnce: the §4 context set on two workers and
+// prestige.Score on two workers fill one cold memo at the same time — run
+// the test under the race detector — and the set and the matrix equal
+// serial builds', each on a memo of its own.
+func TestMemoFilledByBothBuildsAtOnce(t *testing.T) {
+	sys, err := oracleSystem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, onto, text := sys.PosIndex(), sys.Ontology, sys.BuildTextContextSet()
+	score := func(m *pattern.Memo, workers int) *prestige.Matrix {
+		return prestige.Score(prestige.NewPatternScorer(m), text, sys.MinContextSize(), workers)
+	}
+	shared := pattern.NewMemo(ix, onto)
+	var m *prestige.Matrix
+	scored := make(chan struct{})
+	go func() {
+		defer close(scored)
+		m = score(shared, 2)
+	}()
+	cs := contextset.BuildPatternBased(shared, onto, 2)
+	<-scored
+	if want := contextset.BuildPatternBased(pattern.NewMemo(ix, onto), onto, 1); !reflect.DeepEqual(cs, want) {
+		t.Fatal("the pattern-based set built beside the scorer differs from a serial build's")
+	}
+	if want := score(pattern.NewMemo(ix, onto), 1); !reflect.DeepEqual(m, want) {
+		t.Fatal("the matrix scored beside the set's build differs from a serial score's")
+	}
+}
+
 // TestUnknownNameWordsKeepTheirSlots: a context name word no paper contains
 // yields no pattern, but each of the name's runs still takes one of the
 // MaxSignificant slots, deduplicated on the words — so two different
@@ -387,7 +424,7 @@ func TestUnknownNameWordsKeepTheirSlots(t *testing.T) {
 		slots int // distinct runs of the name's words
 	}{{"GO:2", 6}, {"GO:3", 5}} {
 		for max := 1; max <= 12; max++ {
-			got := showPatterns(a, pattern.BuildCapped(ix, o, tc.term, training, df, max, false))
+			got := showPatterns(a, pattern.BuildCapped(ix, o, tc.term, training, df, max))
 			want := showMapPatterns(mapBuild(ref, o, tc.term, training, refDF, max, false))
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s MaxSignificant %d: patterns\n%v\nwant\n%v", tc.term, max, got, want)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
@@ -65,10 +66,6 @@ type Pattern struct {
 type Set struct {
 	Term     ontology.TermID
 	Patterns []*Pattern
-	// simplified marks the §4 variant Build makes for the pattern-based
-	// context set: regular patterns only, matched by their middle tuple
-	// alone.
-	simplified bool
 }
 
 // The settings of pattern construction (§3.3).
@@ -108,19 +105,40 @@ func TermWordDF(onto *ontology.Ontology, ix *PosIndex) []int32 {
 	return df
 }
 
-// Build constructs the scored pattern set for one context term from its
-// training (annotation evidence) papers: regular patterns and, unless
-// simplified, the side- and middle-joined patterns derived from them (the
-// §3.3 scorer's set; the §4 pattern-based context set is built simplified).
-// Returns an empty set when the term has no training papers or none of the
-// significant terms occur in them.
-func Build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF []int32, simplified bool) *Set {
-	return build(ix, onto, term, training, termWordDF, maxSignificant, simplified)
+// Memo builds each term's pattern set once, from the term's evidence papers,
+// on the first request: the §3.3 scorer matches all of it and the §4
+// pattern-based context set its regular patterns. Safe for concurrent use;
+// a request for a set another goroutine is building waits for it.
+type Memo struct {
+	ix     *PosIndex
+	onto   *ontology.Ontology
+	termDF []int32
+	sets   sync.Map // ontology.TermID → func() *Set, a sync.OnceValue
 }
 
-// build is Build with at most maxSig significant terms.
-func build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF []int32, maxSig int, simplified bool) *Set {
-	set := &Set{Term: term, simplified: simplified}
+// NewMemo returns an empty memo of pattern sets over ix.
+func NewMemo(ix *PosIndex, onto *ontology.Ontology) *Memo {
+	return &Memo{ix: ix, onto: onto, termDF: TermWordDF(onto, ix)}
+}
+
+// Index returns the positional index the sets are built over.
+func (m *Memo) Index() *PosIndex { return m.ix }
+
+// Set returns term's pattern set, building it on the first request.
+func (m *Memo) Set(term ontology.TermID) *Set {
+	f, _ := m.sets.LoadOrStore(term, sync.OnceValue(func() *Set {
+		return build(m.ix, m.onto, term, m.ix.analyzer.Corpus().EvidencePapers(term), m.termDF, maxSignificant)
+	}))
+	return f.(func() *Set)()
+}
+
+// build constructs the scored pattern set for one context term from its
+// training (annotation evidence) papers, with at most maxSig significant
+// terms: regular patterns and the side- and middle-joined patterns derived
+// from them. Returns an empty set when the term has no training papers or
+// none of the significant terms occur in them.
+func build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training []corpus.PaperID, termWordDF []int32, maxSig int) *Set {
+	set := &Set{Term: term}
 	if len(training) == 0 || onto.Term(term) == nil {
 		return set
 	}
@@ -161,12 +179,13 @@ func build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 	// Build one regular pattern per significant term that actually occurs
 	// in the training papers.
 	var occs []Occurrence
+	var left, right []int32
 	for _, sig := range significant {
 		occs = ix.PhraseOccurrences(sig, trainSet, occs[:0])
 		if len(occs) == 0 {
 			continue
 		}
-		var left, right []int32
+		left, right = left[:0], right[:0]
 		docs := 0
 		for i, oc := range occs {
 			if i == 0 || oc.Doc != occs[i-1].Doc {
@@ -176,11 +195,12 @@ func build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 			left = append(left, l...)
 			right = append(right, r...)
 		}
+		// Copied out at their size: a memoised set keeps no window buffer.
 		p := &Pattern{
 			Kind:   Regular,
-			Left:   sortedSet(left),
+			Left:   exactCopy(sortedSet(left)),
 			Middle: slices.Clone(sig),
-			Right:  sortedSet(right),
+			Right:  exactCopy(sortedSet(right)),
 		}
 		for _, w := range sig {
 			if slices.Contains(ctxWords, w) {
@@ -193,10 +213,9 @@ func build(ix *PosIndex, onto *ontology.Ontology, term ontology.TermID, training
 		set.Patterns = append(set.Patterns, p)
 	}
 
-	if !simplified {
-		set.Patterns = append(set.Patterns, buildExtended(set.Patterns)...)
-	}
-	// Deterministic order: by descending score, then middle tuple.
+	set.Patterns = append(set.Patterns, buildExtended(set.Patterns)...)
+	// Deterministic order: by descending score, then middle tuple. Regular
+	// middles are distinct, so the regular patterns keep one order.
 	sort.Slice(set.Patterns, func(i, j int) bool {
 		if set.Patterns[i].Score != set.Patterns[j].Score {
 			return set.Patterns[i].Score > set.Patterns[j].Score
@@ -295,9 +314,9 @@ func buildExtended(regs []*Pattern) []*Pattern {
 				if !seen(MiddleJoined, mid) {
 					out = append(out, &Pattern{
 						Kind:         MiddleJoined,
-						Left:         unionSets(p1.Left, p2.Left),
+						Left:         exactCopy(unionSets(p1.Left, p2.Left)),
 						Middle:       mid,
-						Right:        unionSets(p1.Right, p2.Right),
+						Right:        exactCopy(unionSets(p1.Right, p2.Right)),
 						HasTermWords: p1.HasTermWords || p2.HasTermWords,
 						HasFreqWords: p1.HasFreqWords || p2.HasFreqWords,
 						Score:        float64(doo1*p1.Score) + float64(doo2*p2.Score),
@@ -337,6 +356,9 @@ func sortedSet(ids []int32) []int32 {
 	slices.Sort(ids)
 	return slices.Compact(ids)
 }
+
+// exactCopy returns a copy of ids whose capacity is its length.
+func exactCopy(ids []int32) []int32 { return append(make([]int32, 0, len(ids)), ids...) }
 
 // setsOverlap reports whether two sorted sets share a word.
 func setsOverlap(a, b []int32) bool {

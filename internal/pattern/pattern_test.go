@@ -47,7 +47,7 @@ func patternFixture(t *testing.T) (*ontology.Ontology, *corpus.Corpus, *corpus.A
 func TestBuildPatterns(t *testing.T) {
 	o, c, a, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, false)
+	set := build(ix, o, "GO:2", c.EvidencePapers("GO:2"), df, maxSignificant)
 	if len(set.Patterns) == 0 {
 		t.Fatal("no patterns built")
 	}
@@ -95,11 +95,11 @@ func middleKeys(a *corpus.Analyzer, s *Set) []string {
 func TestBuildEmptyTraining(t *testing.T) {
 	o, _, a, ix := patternFixture(t)
 	df := TermWordDF(o, ix)
-	set := Build(ix, o, "GO:2", nil, df, false)
+	set := build(ix, o, "GO:2", nil, df, maxSignificant)
 	if len(set.Patterns) != 0 {
 		t.Fatalf("patterns from empty training: %v", middleKeys(a, set))
 	}
-	set = Build(ix, o, "GO:404", []corpus.PaperID{0}, df, false)
+	set = build(ix, o, "GO:404", []corpus.PaperID{0}, df, maxSignificant)
 	if len(set.Patterns) != 0 {
 		t.Fatal("patterns for unknown term")
 	}
@@ -219,5 +219,41 @@ func TestTermWordDF(t *testing.T) {
 	// term ID and no count: a pattern middle is always a phrase of the text.
 	if fn := phrase(ix, "function")[0]; fn >= 0 {
 		t.Fatalf("function has term ID %d", fn)
+	}
+}
+
+// TestRegularTuplesExactSize: a memo keeps its sets for the life of the
+// process, so every regular pattern of every evidence term at 800/160 holds
+// its left and right tuples at their size, not in the window buffers they
+// were collected in. The extended patterns' tuples are a regular pattern's
+// or a union copied out at its size, so every pattern is checked. The memo
+// hands out one set per term.
+func TestRegularTuplesExactSize(t *testing.T) {
+	o, err := ontology.Generate(ontology.GenConfig{Seed: 1, NumTerms: 160, MaxDepth: 9, SecondParentProb: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := corpus.Generate(o, corpus.DefaultGenConfig(800))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMemo(NewPosIndex(corpus.NewAnalyzerWorkers(c, 0)), o)
+	regular := 0
+	for _, term := range c.EvidenceTerms() {
+		set := m.Set(term)
+		if m.Set(term) != set {
+			t.Fatalf("%s: the memo built a second set", term)
+		}
+		for _, p := range set.Patterns {
+			if p.Kind == Regular {
+				regular++
+			}
+			if cap(p.Left) != len(p.Left) || cap(p.Right) != len(p.Right) {
+				t.Fatalf("%s: %s tuples of %d and %d words hold %d and %d", term, p.Kind, len(p.Left), len(p.Right), cap(p.Left), cap(p.Right))
+			}
+		}
+	}
+	if regular == 0 {
+		t.Fatal("no regular pattern built")
 	}
 }

@@ -26,11 +26,11 @@ func benchFix(b *testing.B) *fixture {
 		b.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := pattern.NewPosIndex(a)
+	memo := pattern.NewMemo(pattern.NewPosIndex(a), o)
 	cachedFixture = &fixture{
-		onto: o, c: c, a: a, ix: ix,
+		onto: o, c: c, a: a, memo: memo,
 		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0),
-		pat:  contextset.BuildPatternBased(ix, a, o, 0),
+		pat:  contextset.BuildPatternBased(memo, o, 0),
 	}
 	return cachedFixture
 }
@@ -82,7 +82,7 @@ func BenchmarkTextScoreContext(b *testing.B) {
 
 func BenchmarkPatternScoreContext(b *testing.B) {
 	f := benchFix(b)
-	s := NewPatternScorer(f.ix, f.onto)
+	s := NewPatternScorer(f.memo)
 	ctx := largestContext(f)
 	vals := make([]float64, f.pat.Size(ctx))
 	b.ResetTimer()

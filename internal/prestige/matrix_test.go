@@ -121,7 +121,7 @@ func TestScoreMatchesMapReference(t *testing.T) {
 	for _, sc := range []Scorer{
 		NewCitationScorer(f.c),
 		NewTextScorer(f.a),
-		NewPatternScorer(f.ix, f.onto),
+		NewPatternScorer(f.memo),
 	} {
 		for _, set := range []struct {
 			name string

@@ -17,7 +17,7 @@ type fixture struct {
 	onto *ontology.Ontology
 	c    *corpus.Corpus
 	a    *corpus.Analyzer
-	ix   *pattern.PosIndex
+	memo *pattern.Memo
 	text *contextset.ContextSet
 	pat  *contextset.ContextSet
 }
@@ -40,11 +40,11 @@ func buildFixture(t *testing.T) *fixture {
 		t.Fatal(err)
 	}
 	a := corpus.NewAnalyzerWorkers(c, 0)
-	ix := pattern.NewPosIndex(a)
+	memo := pattern.NewMemo(pattern.NewPosIndex(a), o)
 	cachedFixture = &fixture{
-		onto: o, c: c, a: a, ix: ix,
+		onto: o, c: c, a: a, memo: memo,
 		text: contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0),
-		pat:  contextset.BuildPatternBased(ix, a, o, 0),
+		pat:  contextset.BuildPatternBased(memo, o, 0),
 	}
 	return cachedFixture
 }
@@ -279,7 +279,7 @@ func TestReferenceSim(t *testing.T) {
 
 func TestPatternScorer(t *testing.T) {
 	f := buildFixture(t)
-	s := NewPatternScorer(f.ix, f.onto)
+	s := NewPatternScorer(f.memo)
 	if s.Name() != "pattern" {
 		t.Fatal("name wrong")
 	}
@@ -297,10 +297,6 @@ func TestPatternScorer(t *testing.T) {
 	}
 	if scored == 0 {
 		t.Fatal("no contexts scored")
-	}
-	// Pattern sets must be cached.
-	if len(s.sets) == 0 {
-		t.Fatal("pattern set cache empty")
 	}
 }
 
@@ -521,7 +517,7 @@ func TestScorerInterfaceCompliance(t *testing.T) {
 	for _, sc := range []Scorer{
 		NewCitationScorer(f.c),
 		NewTextScorer(f.a),
-		NewPatternScorer(f.ix, f.onto),
+		NewPatternScorer(f.memo),
 	} {
 		if sc.Name() == "" {
 			t.Fatal("empty scorer name")

@@ -162,7 +162,7 @@ func TestTextScorerMatchesReference(t *testing.T) {
 		}
 		a := corpus.NewAnalyzerWorkers(c, 0)
 		text := contextset.BuildTextBased(must(index.BuildWorkers(a, 0)), o, 0)
-		pat := contextset.BuildPatternBased(pattern.NewPosIndex(a), a, o, 0)
+		pat := contextset.BuildPatternBased(pattern.NewMemo(pattern.NewPosIndex(a), o), o, 0)
 		ref := newTextReference(a)
 		sc := NewTextScorer(a)
 		for _, tc := range []struct {
