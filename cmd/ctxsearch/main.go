@@ -35,11 +35,10 @@
 //	                   rows, or with "finish" the finished page
 //
 // serve and shard take what a deployment sets: -addr, -debug-addr and
-// -cache-entries, and for a coordinator -shard-urls, -allow-partial and
-// -hedge-after. The request deadline, admission cap, HTTP timeouts and the
-// coordinator's retries, budget, breakers and prober are fixed; the README's
-// "Serving" and "Sharded serving" sections and DESIGN.md's failure-mode
-// matrix give their values.
+// -cache-entries, and for a coordinator -shard-urls. The request deadline,
+// admission cap, HTTP timeouts and the coordinator's retries, budget,
+// breakers and prober are fixed; the README's "Serving" and "Sharded
+// serving" sections and DESIGN.md's failure-mode matrix give their values.
 //
 // serve binds its port immediately and opens (or builds) the state in the
 // background: /healthz answers at once, /readyz (and the API) flip from
@@ -71,13 +70,12 @@ func run(args []string, out io.Writer) error {
 	return runCtx(context.Background(), args, out)
 }
 
-// options is what the flags set: the library's, the server's and the
-// coordinator's configurations, bound field by field, and the paths and
-// names the commands read.
+// options is what the flags set: the library's and the server's
+// configurations, bound field by field, and the paths and names the commands
+// read.
 type options struct {
 	cfg    ctxsearch.Config
 	server server.Config
-	shard  server.ShardConfig
 
 	corpusPath, oboPath, statePath, stateFormat string
 	set, score                                  string
@@ -95,7 +93,7 @@ func (o *options) flags() *flag.FlagSet {
 	fs := flag.NewFlagSet("ctxsearch", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	o.cfg = ctxsearch.DefaultConfig()
-	c, sh := &o.cfg, &o.shard
+	c := &o.cfg
 	fs.IntVar(&c.Papers, "papers", c.Papers, "synthetic corpus size")
 	fs.IntVar(&c.OntologyTerms, "terms", c.OntologyTerms, "synthetic ontology size")
 	fs.Int64Var(&c.Seed, "seed", c.Seed, "generator seed")
@@ -123,8 +121,6 @@ func (o *options) flags() *flag.FlagSet {
 	fs.StringVar(&o.shardURLs, "shard-urls", "", "serve: run as a coordinator over these comma-separated shard base URLs")
 	fs.IntVar(&o.shardIndex, "shard-index", 0, "shard: which paper range this process serves (0-based)")
 	fs.IntVar(&o.shardCount, "shard-count", 1, "shard: total number of shard processes")
-	fs.BoolVar(&sh.AllowPartial, "allow-partial", false, "coordinator: serve degraded pages flagged partial instead of 503 on shard failure")
-	fs.DurationVar(&sh.HedgeAfter, "hedge-after", 0, "coordinator: hedge a slow range call to a second replica after this delay (0 disables)")
 	return fs
 }
 

@@ -61,7 +61,7 @@ func serveCmd(ctx context.Context, o *options, out io.Writer, _ []string) error 
 		if len(urls) == 0 {
 			return fmt.Errorf("serve: -shard-urls has no URLs")
 		}
-		coord := server.NewCoordinator(urls, o.server, o.shard)
+		coord := server.NewCoordinator(urls, o.server)
 		defer coord.Close()
 		fmt.Fprintf(out, "coordinating %d shards (%d replicas)\n", coord.NumShards(), coord.NumBackends())
 		return server.Run(ctx, o.addr, coord, api)

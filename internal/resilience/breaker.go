@@ -7,8 +7,8 @@
 // about HTTP, the budget nothing about backends — so each is testable in
 // isolation with an injected clock or random source, and the coordinator
 // wires them together: the prober feeds breaker state, the breaker gates
-// replica selection, the budget bounds how much extra load retries and
-// hedges may generate, and the backoff spaces the retries out.
+// replica selection, the budget bounds how much extra load retries may
+// generate, and the backoff spaces the retries out.
 package resilience
 
 import (

@@ -3,8 +3,8 @@ package resilience
 import "sync"
 
 // Budget is a global retry token bucket: every first attempt deposits
-// ratio tokens (capped at the capacity), every retry or hedge withdraws one
-// whole token, and a withdrawal that cannot be covered is denied. This
+// ratio tokens (capped at the capacity), every retry withdraws one whole
+// token, and a withdrawal that cannot be covered is denied. This
 // bounds retry amplification absolutely — during a total outage, R client
 // requests can generate at most capacity + R·ratio retries on top of the
 // R first attempts, so a retry storm cannot multiply overload. All methods
@@ -31,7 +31,7 @@ func (b *Budget) Deposit() {
 	b.mu.Unlock()
 }
 
-// Withdraw takes one token for a retry or hedge, reporting whether the
+// Withdraw takes one token for a retry, reporting whether the
 // budget covered it. A denied withdrawal takes nothing.
 func (b *Budget) Withdraw() bool {
 	b.mu.Lock()

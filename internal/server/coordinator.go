@@ -22,10 +22,10 @@ import (
 
 // The coordinator's failure policy, the one value of each in use.
 const (
-	// shardTimeout bounds each per-replica sub-request — each retry and hedge
-	// gets a fresh allowance. It is deliberately shorter than queryTimeout so
-	// a slow shard resolves into a 503 (or a flagged partial page) while the
-	// client request still has budget to carry the answer.
+	// shardTimeout bounds each per-replica sub-request — each retry gets a
+	// fresh allowance. It is deliberately shorter than queryTimeout so a slow
+	// shard resolves into a 503 while the client request still has budget to
+	// carry the answer.
 	shardTimeout = time.Second
 	// maxRetries caps retry attempts per range call, on top of the first
 	// attempt. Each retry prefers a replica not yet tried and must be covered
@@ -33,7 +33,7 @@ const (
 	maxRetries = 2
 	// retryBudget is the retry token bucket's capacity, and retryRatio what
 	// each range call's first attempt deposits — an n-range page makes n.
-	// Retries and hedges each take a token.
+	// Each retry takes a token.
 	retryBudget = 10.0
 	retryRatio  = 0.1
 	// breakerThreshold consecutive failures trip a backend's circuit
@@ -49,20 +49,6 @@ const (
 	backoffJitter = 0.5
 )
 
-// ShardConfig is what a deployment sets of the coordinator's fan-out: two
-// mechanisms, each on or off.
-type ShardConfig struct {
-	// AllowPartial serves a degraded page flagged "partial": true when some
-	// shard ranges fail, instead of a 503. Client errors (a shard's 400) are
-	// always relayed, never degraded around.
-	AllowPartial bool
-	// HedgeAfter, when positive, fires a hedge request to a second replica
-	// if the first has not answered within this delay, taking whichever
-	// succeeds first and cancelling the loser. Hedges draw from the retry
-	// budget. Zero disables hedging.
-	HedgeAfter time.Duration
-}
-
 // Coordinator is the multi-process scatter-gather front: a stateless
 // http.Handler that fans /search out to shard servers' POST /shard/search —
 // every range but one answers unrendered rows, the last is handed their exact
@@ -77,7 +63,7 @@ type ShardConfig struct {
 //
 // Each shard range may be served by several replicas (all built from the
 // same deterministic artifact, so any replica's page is byte-identical).
-// The resilience layer stacks four mechanisms around replica calls:
+// The resilience layer stacks three mechanisms around replica calls:
 //
 //   - a circuit breaker per backend trips after consecutive failures and
 //     stops sending until a cool-down probe succeeds, so a dead replica
@@ -85,27 +71,21 @@ type ShardConfig struct {
 //   - failed range calls retry on the next replica with exponential
 //     backoff, governed by a global retry token budget that bounds retry
 //     amplification during outages (n range calls — an R-range page makes
-//     R — can add at most capacity + n·ratio retries and hedges);
-//   - optional hedging races a second replica when the first is slow;
+//     R — can add at most capacity + n·ratio retries);
 //   - an active health prober feeds breaker state so recovery is detected
 //     without sacrificing user queries.
 //
-// Failure policy: a shard that answers 400 fails the query with that 400
-// (bad queries are deterministic across shards). A range whose replicas
-// all fail either fails the query with 503 (default) or, with
-// ShardConfig.AllowPartial, degrades it into a page flagged "partial":
-// true computed from the healthy ranges; if the range that failed was the
-// one asked to finish, the next answered range finishes instead, searching
-// its own papers a second time. Partial pages are never cached, so a
-// recovered range immediately restores exact answers. Every attempt
-// is bounded by shardTimeout — a dead or hung replica can delay a query,
-// never hang it.
+// Failure policy: every page is the exact one, a relayed 4xx or a 503. A
+// shard that answers 400 fails the query with that 400 (bad queries are
+// deterministic across shards). A range whose replicas all fail, the
+// finisher's included, fails the query with 503, and a failure is never
+// cached. Every attempt is bounded by shardTimeout — a dead or hung replica
+// can delay a query, never hang it.
 type Coordinator struct {
 	*policy
 	logger  *log.Logger
 	handler http.Handler
-	// cache mirrors the Server's /search body cache. Only exact (all-range)
-	// responses are inserted; see errPartial.
+	// cache mirrors the Server's /search body cache.
 	cache *cache.Cache[[]byte]
 
 	// backends is the flat list of replica base URLs, range after range.
@@ -125,12 +105,12 @@ type Coordinator struct {
 // "http://127.0.0.1:8101|http://127.0.0.1:8201"). The middleware stack is
 // the single-engine server's (newFront). Close must be called to stop the
 // health prober.
-func NewCoordinator(urls []string, cfg Config, scfg ShardConfig) *Coordinator {
-	return newCoordinator(urls, cfg, scfg, defaultTuning())
+func NewCoordinator(urls []string, cfg Config) *Coordinator {
+	return newCoordinator(urls, cfg, defaultTuning())
 }
 
 // newCoordinator is NewCoordinator under tuning tu.
-func newCoordinator(urls []string, cfg Config, scfg ShardConfig, tu tuning) *Coordinator {
+func newCoordinator(urls []string, cfg Config, tu tuning) *Coordinator {
 	if len(urls) == 0 {
 		panic("server: NewCoordinator needs at least one shard URL")
 	}
@@ -156,7 +136,7 @@ func newCoordinator(urls []string, cfg Config, scfg ShardConfig, tu tuning) *Coo
 	tr.MaxIdleConnsPerHost = tu.maxInflight
 	tr.MaxIdleConns = tu.maxInflight * len(c.backends)
 	c.client = &http.Client{Transport: tr}
-	c.assemble(ranges, cfg, scfg, tu, &httpTransport{client: c.client, backends: c.backends, timeout: tu.shardTimeout, maxBody: maxBackendBody})
+	c.assemble(ranges, cfg, tu, &httpTransport{client: c.client, backends: c.backends, timeout: tu.shardTimeout, maxBody: maxBackendBody})
 	if tu.probeInterval > 0 {
 		c.prober = resilience.NewProber(c.backends, tu.probeInterval, c.onProbe, c.client)
 		c.healthy = c.prober.Healthy
@@ -166,8 +146,8 @@ func newCoordinator(urls []string, cfg Config, scfg ShardConfig, tu tuning) *Coo
 
 // assemble wires the policy over tr, the cache and the handler: everything of
 // a coordinator that needs no socket.
-func (c *Coordinator) assemble(ranges [][]int, cfg Config, scfg ShardConfig, tu tuning, tr transport) {
-	c.policy = newPolicy(ranges, scfg, tu, tr)
+func (c *Coordinator) assemble(ranges [][]int, cfg Config, tu tuning, tr transport) {
+	c.policy = newPolicy(ranges, tu, tr)
 	c.cache = cache.New[[]byte](cfg.cacheSize(), cacheTTL)
 	c.retryAfter = retryAfterSecs(max(tu.shardTimeout, tu.breakerCooldown))
 
@@ -181,8 +161,8 @@ func (c *Coordinator) assemble(ranges [][]int, cfg Config, scfg ShardConfig, tu 
 }
 
 // newPolicy is a policy over tr with every breaker closed and a full budget.
-func newPolicy(ranges [][]int, scfg ShardConfig, tu tuning, tr transport) *policy {
-	p := &policy{scfg: scfg, tu: tu, tr: tr, ranges: ranges, replicaRR: make([]atomic.Uint64, len(ranges))}
+func newPolicy(ranges [][]int, tu tuning, tr transport) *policy {
+	p := &policy{tu: tu, tr: tr, ranges: ranges, replicaRR: make([]atomic.Uint64, len(ranges))}
 	for ri, reps := range ranges {
 		for range reps {
 			p.all = append(p.all, len(p.all))
@@ -239,20 +219,12 @@ func (e *shardCallError) Unwrap() error { return e.err }
 
 // clientError reports a 4xx: deterministic across backends (same request,
 // same analyzer), so it is an answer about the request from a live backend —
-// final, relayed, never retried or degraded around.
+// final, relayed, never retried.
 func (e *shardCallError) clientError() bool { return e.status >= 400 && e.status < 500 }
 
 // errAllReplicasDown marks a call that found no admissible replica: every
 // breaker it could try is open and still cooling down.
 var errAllReplicasDown = errors.New("all replicas unavailable (circuit open)")
-
-// errPartial smuggles a degraded response body through cache.Do, which
-// never caches loads that return an error — exactly the behaviour partial
-// pages need (a recovered shard must not be masked by a cached degraded
-// page).
-type errPartial struct{ body []byte }
-
-func (*errPartial) Error() string { return "partial response" }
 
 // rangePage is one range's answer to /shard/search: its ranked, unrendered
 // rows or, to a finishing call, the finished /search body and its row count.
@@ -294,10 +266,6 @@ func (c *Coordinator) handleSearch(w http.ResponseWriter, r *http.Request) {
 	body, err := c.cache.Do(searchCacheKey(p.q, p.boolean, p.opts), func() ([]byte, error) {
 		return c.searchPage(ctx, p)
 	})
-	var pb *errPartial
-	if errors.As(err, &pb) {
-		body, err = pb.body, nil
-	}
 	if err != nil {
 		c.writeShardErr(w, r, err)
 		return

@@ -38,16 +38,16 @@ func sliceGroup(t testing.TB, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m
 // shardCluster boots n shard servers over the shared fixture (each holding
 // the full system but a range-restricted searcher) plus a coordinator in
 // front of them.
-func shardCluster(t *testing.T, n int, scfg ShardConfig) *Coordinator {
+func shardCluster(t *testing.T, n int) *Coordinator {
 	t.Helper()
 	sys, cs, m, _ := testState(t)
-	return clusterOver(t, sys, cs, m, n, 1, scfg)
+	return clusterOver(t, sys, cs, m, n, 1)
 }
 
 // clusterOver is shardCluster over any system — built in-process, or booted
 // from a state file — with each range served by that many replicas: listeners
 // over one range-restricted server.
-func clusterOver(t *testing.T, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, n, replicas int, scfg ShardConfig) *Coordinator {
+func clusterOver(t *testing.T, sys *ctxsearch.System, cs *ctxsearch.ContextSet, m *ctxsearch.Matrix, n, replicas int) *Coordinator {
 	t.Helper()
 	g := sliceGroup(t, sys, cs, m, n)
 	var urls []string
@@ -62,7 +62,7 @@ func clusterOver(t *testing.T, sys *ctxsearch.System, cs *ctxsearch.ContextSet, 
 		}
 		urls = append(urls, strings.Join(members, "|"))
 	}
-	coord := NewCoordinator(urls, Config{}, scfg)
+	coord := NewCoordinator(urls, Config{})
 	t.Cleanup(coord.Close)
 	return coord
 }
@@ -113,9 +113,8 @@ func TestCoordinatorEmptyPageNotRendered(t *testing.T) {
 // TestCoordinatorFinishFailover: the finishing call is a range call like any
 // other. A replica whose finishing call fails — a 500, or past the shard timeout —
 // costs a failover to its sibling and nothing else. A range that cannot
-// finish at all is a 503 by default; with AllowPartial the next range in
-// rotation finishes the page without it, flagged; when no range can finish,
-// the page is a 503 whatever the partial policy, and counts no search.
+// finish at all is a 503 that counts no search, and no other range finishes
+// in its place.
 func TestCoordinatorFinishFailover(t *testing.T) {
 	for _, k := range []simKind{sim5xx, simTimeout} {
 		// Range 0 finishes the first page, asking backend 0 first.
@@ -126,56 +125,28 @@ func TestCoordinatorFinishFailover(t *testing.T) {
 		}
 	}
 	// 3 ranges, range 0 answers rows but cannot finish. Three requests make
-	// each range the finisher once: with range 0 the first is a 503 by
-	// default and, with AllowPartial, the page of ranges 1 and 2 finished by
-	// range 1 (the checker holds it to their page); the other two are exact.
-	down, nowhere := map[simKey]simKind{}, map[simKey]simKind{}
+	// each range the finisher once: with range 0 the first is a 503, the
+	// other two are exact.
+	down := map[simKey]simKind{}
 	for i := 0; i < 1+simMaxRetries; i++ {
-		down[simKey{0, i}], nowhere[simKey{0, i}], nowhere[simKey{1, 1 + i}] = sim5xx, sim5xx, sim5xx
+		down[simKey{0, i}] = sim5xx
 	}
-	for _, partial := range []bool{false, true} {
-		sh := simShape{ranges: 3, replicas: 1, partial: partial}
-		tu := simTuning()
-		tu.breakerThreshold = 1000 // range 0 must answer the later rows calls
-		s, recs := simServe(t, sh, tu, down, "offset", "offset", "offset")
-		first := map[bool]int{false: 503, true: 200}[partial]
-		if recs[0].Code != first || recs[1].Code != 200 || recs[2].Code != 200 {
-			t.Fatalf("range 0 cannot finish, partial %v: statuses %d %d %d, want %d 200 200", partial, recs[0].Code, recs[1].Code, recs[2].Code, first)
-		}
-		// The degraded page asked range 1 twice: for its rows, then to finish.
-		snap := s.coord.metrics.Snapshot()
-		if snap.Partial != map[bool]uint64{false: 0, true: 1}[partial] || snap.Shards[0].Errors != 1 || snap.Shards[1].Requests != map[bool]uint64{false: 3, true: 4}[partial] {
-			t.Fatalf("range 0 cannot finish, partial %v: %d partial pages, range 0 errors %d, range 1 requests %d",
-				partial, snap.Partial, snap.Shards[0].Errors, snap.Shards[1].Requests)
-		}
+	sh := simShape{ranges: 3, replicas: 1}
+	tu := simTuning()
+	tu.breakerThreshold = 1000 // range 0 must answer the later rows calls
+	s, recs := simServe(t, sh, tu, down, "offset", "offset", "offset")
+	if recs[0].Code != 503 || recs[1].Code != 200 || recs[2].Code != 200 {
+		t.Fatalf("range 0 cannot finish: statuses %d %d %d, want 503 200 200", recs[0].Code, recs[1].Code, recs[2].Code)
 	}
-	// Range 0 dead altogether, AllowPartial: whichever range is asked to
-	// finish, the page is the same degraded one.
-	dead := map[simKey]simKind{}
-	for i := 0; i < 16; i++ {
-		dead[simKey{0, i}] = sim5xx
+	if snap := s.coord.metrics.Snapshot(); snap.Shards[0].Errors != 1 || snap.Shards[1].Requests != 3 {
+		t.Fatalf("range 0 cannot finish: range 0 errors %d, range 1 requests %d; want 1, 3", snap.Shards[0].Errors, snap.Shards[1].Requests)
 	}
-	sh := simShape{ranges: 3, replicas: 1, partial: true}
-	s, recs := simServe(t, sh, simTuning(), dead, "offset", "offset", "offset")
-	for k, rec := range recs {
-		if degraded := s.cl.body(s.cl.page(t, "offset"), 0b110); rec.Code != 200 || !bytes.Equal(rec.Body.Bytes(), degraded) {
-			t.Fatalf("range 0 dead, request %d (%d) differs\ncoordinator: %s\nwant:        %s", k, rec.Code, rec.Body, degraded)
-		}
-	}
-	if snap := s.coord.metrics.Snapshot(); snap.Partial != 3 {
-		t.Fatalf("range 0 dead: %d of 3 pages flagged partial", snap.Partial)
-	}
-	// 2 ranges, every rows call answers but neither range can finish: range
-	// 0 fails its finishing attempts (its calls 0–2) and, with AllowPartial,
-	// range 1 is asked next and fails them too (its call 0 was its rows).
-	for _, partial := range []bool{false, true} {
-		sh := simShape{ranges: 2, replicas: 1, partial: partial}
-		s, recs := simServe(t, sh, simTuning(), nowhere, "offset")
-		snap, finishers := s.coord.metrics.Snapshot(), map[bool]uint64{false: 1, true: 2}[partial]
-		if recs[0].Code != 503 || recs[0].Header().Get("Retry-After") != "3" || snap.Searches != 0 || snap.RowsServed != 0 || snap.RenderCalls != finishers*(1+simMaxRetries) {
-			t.Fatalf("no range can finish, partial %v: %d (Retry-After %q), %d searches, %d rows, %d finishing calls; want 503 (\"3\"), 0, 0, %d",
-				partial, recs[0].Code, recs[0].Header().Get("Retry-After"), snap.Searches, snap.RowsServed, snap.RenderCalls, finishers*(1+simMaxRetries))
-		}
+	// 2 ranges, range 0 cannot finish: its finishing attempts (its calls 0–2)
+	// fail, and the page is a 503 without a search.
+	s, recs = simServe(t, simShape{ranges: 2, replicas: 1}, simTuning(), down, "offset")
+	if snap := s.coord.metrics.Snapshot(); recs[0].Code != 503 || recs[0].Header().Get("Retry-After") != "3" || snap.Searches != 0 || snap.RowsServed != 0 || snap.RenderCalls != 1+simMaxRetries {
+		t.Fatalf("range 0 cannot finish: %d (Retry-After %q), %d searches, %d rows, %d finishing calls; want 503 (\"3\"), 0, 0, %d",
+			recs[0].Code, recs[0].Header().Get("Retry-After"), snap.Searches, snap.RowsServed, snap.RenderCalls, 1+simMaxRetries)
 	}
 }
 
@@ -243,7 +214,7 @@ func TestCoordinatorReusesConnections(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
-	coord := newCoordinator(urls, Config{CacheEntries: -1}, ShardConfig{}, noProber())
+	coord := newCoordinator(urls, Config{CacheEntries: -1}, noProber())
 	t.Cleanup(coord.Close)
 	queries := coordQueries(t)
 
@@ -275,7 +246,7 @@ func TestCoordinatorReusesConnections(t *testing.T) {
 // TestCoordinatorValidation: the coordinator enforces the same request
 // validation as a server, without touching any shard.
 func TestCoordinatorValidation(t *testing.T) {
-	coord := shardCluster(t, 2, ShardConfig{})
+	coord := shardCluster(t, 2)
 	_, _, _, query := testState(t)
 	for _, path := range []string{
 		"/search",
@@ -292,9 +263,9 @@ func TestCoordinatorValidation(t *testing.T) {
 
 // TestCoordinatorRelaysClientError: a query every range rejects — an
 // unparsable boolean — is their 400, relayed byte for byte, and so is one
-// range's 400 among answers: never a 503, never a partial page.
+// range's 400 among answers: never a 503.
 func TestCoordinatorRelaysClientError(t *testing.T) {
-	sh := simShape{ranges: 3, replicas: 1, partial: true}
+	sh := simShape{ranges: 3, replicas: 1}
 	_, recs := simServe(t, sh, simTuning(), nil, "rejected")
 	_, injected := simServe(t, sh, simTuning(), map[simKey]simKind{{1, 0}: sim4xx}, "offset")
 	for _, rec := range append(recs, injected...) {
@@ -305,7 +276,7 @@ func TestCoordinatorRelaysClientError(t *testing.T) {
 }
 
 // TestCoordinatorDeadShard: a range whose backend fails every attempt fails
-// the page with a 503 by default, counted against that range; /stats fails
+// the page with a 503, counted against that range; /stats fails
 // over past it from every rotation position.
 func TestCoordinatorDeadShard(t *testing.T) {
 	dead := map[simKey]simKind{}
@@ -341,24 +312,6 @@ func TestCoordinatorHangingShard(t *testing.T) {
 	bound := (1+simMaxRetries)*simShardTimeout + resilience.Backoff(1, tu.backoffBase, tu.backoffMax, 0, nil) + resilience.Backoff(2, tu.backoffBase, tu.backoffMax, 0, nil)
 	if snap := s.coord.metrics.Snapshot(); rec.Code != 503 || snap.Shards[1].Timeouts != 1 || s.now().Sub(start) > bound || len(s.violations) > 0 {
 		t.Fatalf("hanging range = %d after %v (bound %v), range counters %+v: %v", rec.Code, s.now().Sub(start), bound, snap.Shards[1], s.violations)
-	}
-}
-
-// TestCoordinatorPartial: with AllowPartial, a range whose call fails
-// degrades the page — 200, flagged partial, the other range's rows only —
-// instead of failing it. The degraded page is not cached (a checker
-// property), and the next request, the range recovered, is exact. Retries
-// are off: one would heal the one-shot 500.
-func TestCoordinatorPartial(t *testing.T) {
-	sh := simShape{ranges: 2, replicas: 1, partial: true}
-	tu := simTuning()
-	tu.maxRetries = 0
-	s, recs := simServe(t, sh, tu, map[simKey]simKind{{1, 0}: sim5xx}, "offset", "offset")
-	if !strings.Contains(recs[0].Body.String(), `"partial":true`) || !bytes.Equal(recs[1].Body.Bytes(), s.cl.page(t, "offset").golden) {
-		t.Fatalf("degraded, then recovered:\n%s\n%s", recs[0].Body, recs[1].Body)
-	}
-	if snap := s.coord.metrics.Snapshot(); snap.Partial != 1 {
-		t.Fatalf("partial counter = %d, want 1", snap.Partial)
 	}
 }
 
@@ -409,7 +362,7 @@ func TestCoordinatorReadyz(t *testing.T) {
 	tsPending := httptest.NewServer(pending)
 	t.Cleanup(tsPending.Close)
 
-	coord := NewCoordinator([]string{tsReady.URL, tsPending.URL}, Config{}, ShardConfig{})
+	coord := NewCoordinator([]string{tsReady.URL, tsPending.URL}, Config{})
 	t.Cleanup(coord.Close)
 	if rec := get(t, coord, "/readyz"); rec.Code != 503 {
 		t.Fatalf("readyz with pending shard = %d", rec.Code)
@@ -423,7 +376,7 @@ func TestCoordinatorReadyz(t *testing.T) {
 	}
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	replicated := newCoordinator([]string{dead.URL + "|" + tsReady.URL, tsPending.URL}, Config{}, ShardConfig{}, noProber())
+	replicated := newCoordinator([]string{dead.URL + "|" + tsReady.URL, tsPending.URL}, Config{}, noProber())
 	t.Cleanup(replicated.Close)
 	if rec := get(t, replicated, "/readyz"); rec.Code != 200 {
 		t.Fatalf("readyz with one replica of a range lost = %d: %s", rec.Code, rec.Body)
@@ -512,6 +465,8 @@ func TestShardSearchEndpoint(t *testing.T) {
 		`{"offset":-1,"limit":5,"rows":[]}`,
 		fmt.Sprintf(`{"offset":%d,"limit":5,"rows":[]}`, MaxOffset+1),
 		`{"offset":0,"limit":5,"rows":[{"d":99999999,"c":"x"}]}`,
+		// The degraded-page flag of an older coordinator: an unknown field.
+		`{"offset":0,"limit":5,"partial":true,"rows":[]}`,
 	} {
 		if rec := post(fmt.Sprintf(`{"q":%q,"limit":5,"finish":%s}`, query, fin)); rec.Code != 400 {
 			t.Fatalf("finish %s = %d, want 400: %s", fin, rec.Code, rec.Body)
@@ -596,7 +551,7 @@ func TestShardSearchBodyCap(t *testing.T) {
 	}
 	body, err := json.Marshal(ShardSearchRequest{
 		Q: query, Limit: MaxOffset + MaxLimit, Threshold: score,
-		Finish: &ShardFinish{Offset: MaxOffset, Limit: MaxLimit, Partial: true, Rows: rows},
+		Finish: &ShardFinish{Offset: MaxOffset, Limit: MaxLimit, Rows: rows},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -704,7 +659,7 @@ func TestHTTPTransportExchange(t *testing.T) {
 			client := &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 			defer client.CloseIdleConnections()
 			tr := &httpTransport{client: client, backends: []string{ts.URL}, timeout: timeout, maxBody: maxBody}
-			p := newPolicy([][]int{{0}}, ShardConfig{}, defaultTuning(), tr)
+			p := newPolicy([][]int{{0}}, defaultTuning(), tr)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			if row.cancel {

@@ -82,7 +82,7 @@ func FuzzShardFinish(f *testing.F) {
 	ctx := sys.Ontology.TermIDs()[0]
 	n := sys.Corpus.Len()
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":10,"finish":{"offset":0,"limit":10,"rows":[{"d":3,"r":0.5,"m":0.25,"p":0.75,"c":%q}]}}`, query, ctx)))
-	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":4,"finish":{"offset":2,"limit":2,"partial":true,"rows":[{"d":3,"c":%q},{"d":3,"c":%q}]}}`, query, ctx, ctx)))
+	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":4,"finish":{"offset":2,"limit":2,"rows":[{"d":3,"c":%q},{"d":3,"c":%q}]}}`, query, ctx, ctx)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":1,"finish":{"offset":0,"limit":1,"rows":[{"d":%d,"c":%q}]}}`, query, n, ctx)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":10,"finish":{"offset":0,"limit":10,"rows":[{"d":3,"r":0.99,"c":%q},{"d":3,"r":0.98,"c":%q}]}}`, query, ctx, ctx)))
 	f.Add([]byte(fmt.Sprintf(`{"q":%q,"limit":10,"finish":{"offset":0,"limit":10,"rows":[{"d":4,"r":0.1,"c":%q},{"d":5,"r":0.98,"c":%q}]}}`, query, ctx, ctx)))

@@ -39,10 +39,9 @@ type reply struct {
 }
 
 // policy decides which replica is asked, what its answer says about it, when
-// a call is retried, hedged or given up, and which range finishes the page —
-// each decision once, for /search and the proxied endpoints alike.
+// a call is retried or given up, and which range finishes the page — each
+// decision once, for /search and the proxied endpoints alike.
 type policy struct {
-	scfg    ShardConfig
 	tu      tuning
 	tr      transport
 	metrics *shard.Metrics
@@ -125,8 +124,8 @@ func (p *policy) exchange(ctx context.Context, g int, method, uri string, payloa
 
 // verdict is what a call made under ctx says about where it went — a
 // backend for the replica counters and the breaker, a range for the range
-// counters: context.Canceled when the call was cancelled (a hedge loser, an
-// abandoned client), which says nothing; nil for an answer or a client
+// counters: context.Canceled when the call was cancelled (an abandoned
+// client), which says nothing; nil for an answer or a client
 // error, which mean it is alive; else the call's failure.
 func verdict(ctx context.Context, cerr *shardCallError) error {
 	switch {
@@ -155,31 +154,11 @@ type rangeCall struct {
 	finish  bool
 }
 
-// callReplica runs one POST /shard/search attempt against backend g. A 200
-// in any other shape than the one asked for (decodeRangePage) comes from a
-// backend of another version and is that backend's failure, never relayed.
-func (p *policy) callReplica(ctx context.Context, g int, call rangeCall) (rangePage, *shardCallError) {
-	t0 := p.tr.now()
-	var page rangePage
-	rep, cerr := p.exchange(ctx, g, "POST", "/shard/search", call.payload)
-	if cerr == nil {
-		var err error
-		if page, err = decodeRangePage(rep, call.finish); err != nil {
-			cerr = &shardCallError{shard: p.rangeOf[g], err: fmt.Errorf("bad shard response: %w", err)}
-		}
-	}
-	if call.finish {
-		p.metrics.ObserveRender(page.n, p.tr.now().Sub(t0))
-	}
-	p.record(ctx, g, cerr)
-	return page, cerr
-}
-
-// callAttempt runs one attempt for range ri, marking every backend it touches
-// in tried: one replica call or, with hedging, a race — if the primary has not
-// answered within HedgeAfter and a fresh replica and the budget allow, a second
-// replica is asked too; the first success wins and the loser is cancelled.
-func (p *policy) callAttempt(ctx context.Context, ri int, tried map[int]bool, call rangeCall) (rangePage, *shardCallError) {
+// callReplica runs one POST /shard/search attempt for range ri on the replica
+// pickReplica selects, marking it in tried. A 200 in any other shape than the
+// one asked for (decodeRangePage) comes from a backend of another version and
+// is that backend's failure, never relayed.
+func (p *policy) callReplica(ctx context.Context, ri int, tried map[int]bool, call rangeCall) (rangePage, *shardCallError) {
 	g, ok := p.pickReplica(ri, tried)
 	if !ok && len(tried) > 0 {
 		// Every replica has been tried this call: a retry may revisit them
@@ -191,59 +170,20 @@ func (p *policy) callAttempt(ctx context.Context, ri int, tried map[int]bool, ca
 		return rangePage{}, &shardCallError{shard: ri, err: errAllReplicasDown}
 	}
 	tried[g] = true
-	if p.scfg.HedgeAfter <= 0 || len(p.ranges[ri]) < 2 {
-		return p.callReplica(ctx, g, call)
-	}
-
-	type outcome struct {
-		page   rangePage
-		err    *shardCallError
-		hedged bool
-	}
-	actx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	ch := make(chan outcome, 2)
-	race := func(g int, hedged bool) {
-		page, err := p.callReplica(actx, g, call)
-		ch <- outcome{page, err, hedged}
-	}
-	// HedgeAfter counts from the decision to send: the timer exists before
-	// the primary's exchange can start.
-	hedge, stop := p.tr.after(p.scfg.HedgeAfter)
-	defer stop()
-	go race(g, false)
-	hedged := false
-	var lastErr *shardCallError
-	for pending := 1; pending > 0; {
-		select {
-		case o := <-ch:
-			// An answer ends the race, and so does a client error: it is
-			// final whichever of the pair it came from.
-			if pending--; o.err != nil && !o.err.clientError() {
-				lastErr = o.err
-				continue
-			}
-			if hedged {
-				p.metrics.ObserveHedge(o.hedged && o.err == nil)
-			}
-			return o.page, o.err
-		case <-ctx.Done():
-			return rangePage{}, &shardCallError{shard: ri, err: ctx.Err()}
-		case <-hedge:
-			// The primary is slow; without a fresh replica or budget, keep
-			// waiting on it alone.
-			hedge = nil
-			if g2, ok := p.pickReplica(ri, tried); ok && p.budget.Withdraw() {
-				tried[g2], hedged = true, true
-				pending++
-				go race(g2, true)
-			}
+	t0 := p.tr.now()
+	var page rangePage
+	rep, cerr := p.exchange(ctx, g, "POST", "/shard/search", call.payload)
+	if cerr == nil {
+		var err error
+		if page, err = decodeRangePage(rep, call.finish); err != nil {
+			cerr = &shardCallError{shard: ri, err: fmt.Errorf("bad shard response: %w", err)}
 		}
 	}
-	if hedged {
-		p.metrics.ObserveHedge(false)
+	if call.finish {
+		p.metrics.ObserveRender(page.n, p.tr.now().Sub(t0))
 	}
-	return rangePage{}, lastErr
+	p.record(ctx, g, cerr)
+	return page, cerr
 }
 
 // callRange resolves range ri and counts the outcome by its verdict: a first
@@ -255,7 +195,7 @@ func (p *policy) callRange(ctx context.Context, ri int, call rangeCall) (rangePa
 	p.budget.Deposit()
 	tried := make(map[int]bool)
 	for attempt := 0; ; attempt++ {
-		page, cerr := p.callAttempt(ctx, ri, tried, call)
+		page, cerr := p.callReplica(ctx, ri, tried, call)
 		if cerr == nil {
 			if attempt > 0 {
 				p.metrics.ObserveFailover()
@@ -284,16 +224,15 @@ func (p *policy) callRange(ctx context.Context, ri int, call rangeCall) (rangePa
 }
 
 // queryError picks the error that fails a query from its range errors: a
-// client error first, else, unless the page may degrade, the first failed
-// range's.
-func queryError(errs []*shardCallError, degrade bool) *shardCallError {
+// client error first, else the first failed range's.
+func queryError(errs []*shardCallError) *shardCallError {
 	var first *shardCallError
 	for _, e := range errs {
 		switch {
 		case e == nil:
 		case e.clientError():
 			return e
-		case first == nil && !degrade:
+		case first == nil:
 			first = e
 		}
 	}
@@ -303,9 +242,9 @@ func queryError(errs []*shardCallError, degrade bool) *shardCallError {
 // searchPage fans one query out to every shard range but one, merges their
 // unrendered rows and has the remaining range finish the page: search its
 // own papers, merge, render. The finisher rotates, so rendering spreads over
-// the ranges, and its call is a range call like any other. The returned
-// error is a *shardCallError (request failed) or *errPartial (degraded body
-// that must bypass the cache).
+// the ranges, and its call is a range call like any other. A failed range
+// call, the finisher's included, fails the page with its *shardCallError:
+// every page served is the exact one.
 func (p *policy) searchPage(ctx context.Context, sp searchParams) ([]byte, error) {
 	// The scatter transformation: every range returns its own top offset+limit
 	// rows (limit >= 1, by parseSearchParams); the offset is applied last.
@@ -321,60 +260,39 @@ func (p *policy) searchPage(ctx context.Context, sp searchParams) ([]byte, error
 	}
 	n := len(p.ranges)
 	first := int((p.rr.Add(1) - 1) % uint64(n))
-	got := make([]rangePage, n)
+	got := make([][]ShardRow, n)
 	errs := make([]*shardCallError, n)
-	call := func(ri int, rc rangeCall) time.Duration {
-		t0 := p.tr.now()
-		got[ri], errs[ri] = p.callRange(ctx, ri, rc)
-		return p.tr.now().Sub(t0)
-	}
 	// One goroutine per rows call (inline when there is one): the calls wait
 	// on the network, so the fan-out is as wide as the cluster, not the CPU.
 	var maxShard shard.AtomicMaxDuration
 	par.For(n-1, n-1, func(k int) {
-		maxShard.Observe(call((first+1+k)%n, rangeCall{payload: payload}))
-	})
-
-	// The finisher is the first range in rotation order that has not failed;
-	// past the first that is the degraded path, where a range that already
-	// answered rows searches again — one duplicated engine pass instead of a
-	// render-only mode on the wire.
-	var merge time.Duration
-	for k := 0; k < n; k++ {
-		if e := queryError(errs, p.scfg.AllowPartial); e != nil {
-			return nil, e
-		}
-		ri := (first + k) % n
-		if errs[ri] != nil {
-			continue
-		}
-		pages := make([][]ShardRow, 0, n)
-		for rj := range got {
-			if rj != ri && errs[rj] == nil {
-				pages = append(pages, got[rj].rows)
-			}
-		}
-		partial := len(pages) < n-1
+		ri := (first + 1 + k) % n
 		t0 := p.tr.now()
-		rows := shard.MergePages(pages, ctxsearch.SearchOptions{Limit: req.Limit})
-		merge += p.tr.now().Sub(t0)
-		req.Finish = &ShardFinish{Offset: sp.opts.Offset, Limit: sp.opts.Limit, Partial: partial, Rows: rows}
-		if payload, err = json.Marshal(req); err != nil {
-			return nil, err
-		}
-		if call(ri, rangeCall{payload: payload, finish: true}); errs[ri] != nil {
-			continue
-		}
-		// The body is relayed as it arrived: never decoded or re-marshalled.
-		p.metrics.ObserveSearch(maxShard.Load(), merge)
-		p.metrics.ObserveServed(got[ri].n)
-		if partial {
-			p.metrics.ObservePartial()
-			return nil, &errPartial{body: got[ri].body}
-		}
-		return got[ri].body, nil
+		var page rangePage
+		page, errs[ri] = p.callRange(ctx, ri, rangeCall{payload: payload})
+		got[ri] = page.rows
+		maxShard.Observe(p.tr.now().Sub(t0))
+	})
+	if e := queryError(errs); e != nil {
+		return nil, e
 	}
-	return nil, queryError(errs, false)
+
+	// got[first] is empty: the finisher merges its own rows on its side.
+	t0 := p.tr.now()
+	rows := shard.MergePages(got, ctxsearch.SearchOptions{Limit: req.Limit})
+	merge := p.tr.now().Sub(t0)
+	req.Finish = &ShardFinish{Offset: sp.opts.Offset, Limit: sp.opts.Limit, Rows: rows}
+	if payload, err = json.Marshal(req); err != nil {
+		return nil, err
+	}
+	page, cerr := p.callRange(ctx, first, rangeCall{payload: payload, finish: true})
+	if cerr != nil {
+		return nil, cerr
+	}
+	// The body is relayed as it arrived: never decoded or re-marshalled.
+	p.metrics.ObserveSearch(maxShard.Load(), merge)
+	p.metrics.ObserveServed(page.n)
+	return page.body, nil
 }
 
 // proxyFetch runs one GET against the backends in order, past dead, erroring

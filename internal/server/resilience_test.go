@@ -19,7 +19,7 @@ import (
 // replicas, the first replica of each permanently broken in its own way — a
 // 500, past the shard timeout, a 200 of the wrong shape. Every request of the
 // table, twice, is answered as the single server answers it, by failover
-// alone: no range call fails, no page is partial, and the breakers trip.
+// alone: no range call fails, and the breakers trip.
 func TestReplicatedGoldenUnderFaults(t *testing.T) {
 	broken := map[simKey]simKind{}
 	for i := 0; i < 64; i++ {
@@ -39,8 +39,8 @@ func TestReplicatedGoldenUnderFaults(t *testing.T) {
 		serve(pg)
 	}
 	snap := s.coord.metrics.Snapshot()
-	if snap.Failovers == 0 || snap.BreakerOpens != 3 || snap.Partial != 0 {
-		t.Fatalf("%d failovers, %d breakers opened, %d partial pages; want some, 3, 0", snap.Failovers, snap.BreakerOpens, snap.Partial)
+	if snap.Failovers == 0 || snap.BreakerOpens != 3 {
+		t.Fatalf("%d failovers, %d breakers opened; want some, 3", snap.Failovers, snap.BreakerOpens)
 	}
 	for ri, sc := range snap.Shards {
 		if sc.Errors+sc.Timeouts != 0 {
@@ -85,22 +85,6 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestHedgeWins: with hedging, a primary slower than HedgeAfter is raced by
-// a hedge to its fresh sibling. When the primary then fails, the hedge's
-// answer is the page and its win is counted; when it is merely slow, the
-// page is the same whichever answer is taken. (That every owed hedge is sent
-// is a checker property.)
-func TestHedgeWins(t *testing.T) {
-	sh := simShape{ranges: 1, replicas: 2, hedge: true}
-	for k, won := range map[simKind]uint64{simTimeout: 1, simSlowOK: 0} {
-		s, recs := simServe(t, sh, simTuning(), map[simKey]simKind{{0, 0}: k}, "offset")
-		snap := s.coord.metrics.Snapshot()
-		if recs[0].Code != 200 || snap.Hedges != 1 || snap.HedgesWon < won {
-			t.Fatalf("%v primary: %d, %d hedges, %d won", k, recs[0].Code, snap.Hedges, snap.HedgesWon)
-		}
-	}
-}
-
 // TestChaosReplicaKill: replicas are lost mid-traffic, one per range — from
 // some call on, each fails every call — and every page stays the single
 // server's, by failover.
@@ -120,8 +104,8 @@ func TestChaosReplicaKill(t *testing.T) {
 			t.Fatalf("page %d (%s) after the kills = %d: %s", i, pages[i], rec.Code, rec.Body)
 		}
 	}
-	if snap := s.coord.metrics.Snapshot(); snap.Failovers == 0 || snap.Partial != 0 {
-		t.Fatalf("kills: %d failovers, %d partial pages", snap.Failovers, snap.Partial)
+	if snap := s.coord.metrics.Snapshot(); snap.Failovers == 0 {
+		t.Fatal("kills: no failover")
 	}
 }
 
@@ -165,7 +149,7 @@ func TestServingConstantsOrder(t *testing.T) {
 	}
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
-	coord := NewCoordinator([]string{dead.URL}, Config{}, ShardConfig{})
+	coord := NewCoordinator([]string{dead.URL}, Config{})
 	defer coord.Close()
 	rec := get(t, coord, "/search?q=x")
 	if got, want := rec.Header().Get("Retry-After"), retryAfterSecs(max(shardTimeout, breakerCooldown)); rec.Code != 503 || got != want || want != "2" {
@@ -199,7 +183,7 @@ func TestRetryAfterSecs(t *testing.T) {
 // incident.
 func TestReplicaStatsExposed(t *testing.T) {
 	sys, cs, m, query := testState(t)
-	coord := clusterOver(t, sys, cs, m, 2, 2, ShardConfig{})
+	coord := clusterOver(t, sys, cs, m, 2, 2)
 	get(t, coord, "/search?q="+urlQuery(query)+"&limit=3")
 
 	var stats StatsResponse

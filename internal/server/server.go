@@ -307,13 +307,10 @@ func (s *Server) writeQueryErr(w http.ResponseWriter, r *http.Request, err error
 	}
 }
 
-// SearchResponse is the /search payload. Partial is set (and serialised)
-// only when a sharded coordinator answered without every shard — the
-// healthy-path body stays byte-identical to the single-engine server's.
+// SearchResponse is the /search payload.
 type SearchResponse struct {
 	Query   string         `json:"query"`
 	Results []SearchResult `json:"results"`
-	Partial bool           `json:"partial,omitempty"`
 }
 
 // SearchResult is one /search row.
@@ -465,17 +462,17 @@ func (s *Server) buildSearchResponse(ctx context.Context, q string, boolean bool
 	if err != nil {
 		return nil, err
 	}
-	return b.renderPage(ctx, q, results, false)
+	return b.renderPage(ctx, q, results)
 }
 
 // renderPage renders ranked rows and marshals the finished /search body.
 // /search and a finishing /shard/search both end here.
-func (b *backend) renderPage(ctx context.Context, q string, results []ctxsearch.SearchResult, partial bool) ([]byte, error) {
+func (b *backend) renderPage(ctx context.Context, q string, results []ctxsearch.SearchResult) ([]byte, error) {
 	rows, err := b.renderResults(ctx, q, results)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(SearchResponse{Query: q, Results: rows, Partial: partial})
+	return json.Marshal(SearchResponse{Query: q, Results: rows})
 }
 
 // renderResults resolves engine rows into API rows: paper metadata, the
@@ -523,12 +520,11 @@ type ShardSearchRequest struct {
 
 // ShardFinish asks a shard to finish the page: Rows are the other ranges'
 // merged rows, (Offset, Limit) the client's window over the merge of those
-// with the shard's own, Partial the finished body's "partial" flag.
+// with the shard's own.
 type ShardFinish struct {
-	Offset  int        `json:"offset"`
-	Limit   int        `json:"limit"`
-	Partial bool       `json:"partial,omitempty"`
-	Rows    []ShardRow `json:"rows"`
+	Offset int        `json:"offset"`
+	Limit  int        `json:"limit"`
+	Rows   []ShardRow `json:"rows"`
 }
 
 // ShardRow is one unrendered row on the shard wire — the engine's result
@@ -657,7 +653,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	page := shard.MergePages([][]ShardRow{results, fin.Rows}, ctxsearch.SearchOptions{Limit: fin.Limit, Offset: fin.Offset})
-	body, err := b.renderPage(ctx, req.Q, page, fin.Partial)
+	body, err := b.renderPage(ctx, req.Q, page)
 	if err != nil {
 		s.writeQueryErr(w, r, err)
 		return

@@ -125,7 +125,7 @@ func (row httpRow) check(t *testing.T, ref *Server, paths []string) {
 	}
 	var h http.Handler = NewPending(Config{}).install(sys, cs, m)
 	if row.ranges > 0 {
-		h = clusterOver(t, sys, cs, m, row.ranges, max(row.replicas, 1), ShardConfig{})
+		h = clusterOver(t, sys, cs, m, row.ranges, max(row.replicas, 1))
 	}
 	for _, path := range paths {
 		want, got := get(t, ref, path), get(t, h, path)

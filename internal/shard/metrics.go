@@ -13,7 +13,6 @@ import (
 // derivable). All methods are safe for concurrent use.
 type Metrics struct {
 	searches      atomic.Uint64
-	partial       atomic.Uint64
 	maxShardNanos atomic.Int64
 	mergeNanos    atomic.Int64
 	shards        []shardCounters
@@ -27,8 +26,6 @@ type Metrics struct {
 	// Resilience counters.
 	retries       atomic.Uint64
 	retriesDenied atomic.Uint64
-	hedges        atomic.Uint64
-	hedgesWon     atomic.Uint64
 	breakerOpens  atomic.Uint64
 	failovers     atomic.Uint64
 	// replicas tracks each physical backend; rangeOf maps a backend to
@@ -56,9 +53,8 @@ func NewMetricsReplicated(nRanges int, rangeOf []int) *Metrics {
 	}
 }
 
-// observe counts one request and its outcome. A cancelled request (hedge
-// loser, abandoned client) counts as a request but says nothing about where
-// it went, so it is neither an error nor a timeout; a deadline expiry counts
+// observe counts one request and its outcome. A cancelled request (an
+// abandoned client) counts as a request but says nothing about where it went, so it is neither an error nor a timeout; a deadline expiry counts
 // as a timeout, any other failure as an error.
 func (c *shardCounters) observe(err error) {
 	c.requests.Add(1)
@@ -93,13 +89,9 @@ func (m *Metrics) ObserveRender(rows int, d time.Duration) {
 }
 
 // ObserveServed records the rows of one page built for a client. With
-// ObserveRender it shows rendering amplification: rows_rendered equals
-// rows_served unless two attempts finished the same page (a hedged pair).
+// ObserveRender it shows rendering amplification: each page is finished by
+// one successful attempt, so rows_rendered equals rows_served.
 func (m *Metrics) ObserveServed(rows int) { m.rowsServed.Add(uint64(rows)) }
-
-// ObservePartial records a search answered with a flagged partial result
-// (some shard failed and the coordinator's partial policy allowed it).
-func (m *Metrics) ObservePartial() { m.partial.Add(1) }
 
 // ObserveReplica records one physical request to backend g and its outcome.
 func (m *Metrics) ObserveReplica(g int, err error) { m.replicas[g].observe(err) }
@@ -108,15 +100,6 @@ func (m *Metrics) ObserveReplica(g int, err error) { m.replicas[g].observe(err) 
 // one the retry budget refused.
 func (m *Metrics) ObserveRetry()       { m.retries.Add(1) }
 func (m *Metrics) ObserveRetryDenied() { m.retriesDenied.Add(1) }
-
-// ObserveHedge records one fired hedge request and whether it won the race
-// (its response was the first success).
-func (m *Metrics) ObserveHedge(won bool) {
-	m.hedges.Add(1)
-	if won {
-		m.hedgesWon.Add(1)
-	}
-}
 
 // ObserveBreakerOpen records one circuit breaker tripping open.
 func (m *Metrics) ObserveBreakerOpen() { m.breakerOpens.Add(1) }
@@ -148,10 +131,8 @@ type ReplicaStat struct {
 // Snapshot is a point-in-time copy of the coordinator counters, shaped
 // for the /stats payload.
 type Snapshot struct {
-	// Searches counts completed scatter-gather merges; Partial the subset
-	// served degraded.
+	// Searches counts completed scatter-gather merges.
 	Searches uint64 `json:"searches"`
-	Partial  uint64 `json:"partial"`
 	// MaxShardMicrosTotal sums each search's slowest shard latency — for
 	// the HTTP coordinator the slowest rows call, the finishing call is
 	// under RenderMicrosTotal; MergeMicrosTotal sums the coordinator merge
@@ -169,14 +150,16 @@ type Snapshot struct {
 	RowsRendered      uint64 `json:"rows_rendered,omitempty"`
 	RowsServed        uint64 `json:"rows_served,omitempty"`
 	// Resilience counters: budget-approved retries and budget-denied
-	// ones, hedges fired / won, breaker trips, and range calls rescued by
-	// failover. Only the replicated coordinator moves these.
+	// ones, breaker trips, and range calls rescued by failover. Only the
+	// replicated coordinator moves these.
 	Retries       uint64 `json:"retries,omitempty"`
 	RetriesDenied uint64 `json:"retries_denied,omitempty"`
-	Hedges        uint64 `json:"hedges,omitempty"`
-	HedgesWon     uint64 `json:"hedges_won,omitempty"`
-	BreakerOpens  uint64 `json:"breaker_opens,omitempty"`
-	Failovers     uint64 `json:"failovers,omitempty"`
+	// Deprecated: Hedges is always 0, so /stats omits it; the coordinator
+	// sends no second request to a slow replica. It stays only while the
+	// benchmark harness reads it.
+	Hedges       uint64 `json:"hedges,omitempty"`
+	BreakerOpens uint64 `json:"breaker_opens,omitempty"`
+	Failovers    uint64 `json:"failovers,omitempty"`
 	// Replicas is the per-backend view.
 	Replicas []ReplicaStat `json:"replicas,omitempty"`
 }
@@ -185,7 +168,6 @@ type Snapshot struct {
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
 		Searches:            m.searches.Load(),
-		Partial:             m.partial.Load(),
 		MaxShardMicrosTotal: uint64(m.maxShardNanos.Load() / 1e3),
 		MergeMicrosTotal:    uint64(m.mergeNanos.Load() / 1e3),
 		Shards:              make([]ShardStat, len(m.shards)),
@@ -195,8 +177,6 @@ func (m *Metrics) Snapshot() Snapshot {
 		RowsServed:          m.rowsServed.Load(),
 		Retries:             m.retries.Load(),
 		RetriesDenied:       m.retriesDenied.Load(),
-		Hedges:              m.hedges.Load(),
-		HedgesWon:           m.hedgesWon.Load(),
 		BreakerOpens:        m.breakerOpens.Load(),
 		Failovers:           m.failovers.Load(),
 	}
