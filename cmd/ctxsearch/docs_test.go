@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"ctxsearch/internal/docspans"
 )
 
 // goTestFlags are the flags the docs name that are go test's, not
@@ -33,10 +35,10 @@ func TestDocsNameLiveFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, sp := range codeSpans(string(text)) {
-			for _, name := range spanFlags(sp.text) {
+		for _, sp := range docspans.CodeSpans(string(text)) {
+			for _, name := range spanFlags(sp.Text) {
 				if fs.Lookup(name) == nil && goTestFlags[name] == "" {
-					t.Errorf("%s:%d: `%s` names -%s, which is neither a ctxsearch nor a go test flag", doc, sp.line, sp.text, name)
+					t.Errorf("%s:%d: `%s` names -%s, which is neither a ctxsearch nor a go test flag", doc, sp.Line, sp.Text, name)
 				}
 			}
 		}
@@ -60,80 +62,16 @@ func TestCodeSpansAndFlags(t *testing.T) {
 		{"`-1` and `- x` and `-`", nil},
 	} {
 		var got []string
-		for _, sp := range codeSpans(tc.text) {
-			got = append(got, spanFlags(sp.text)...)
+		for _, sp := range docspans.CodeSpans(tc.text) {
+			got = append(got, spanFlags(sp.Text)...)
 		}
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("%q: flags %q, want %q", tc.text, got, tc.want)
 		}
 	}
-	if sp := codeSpans("one\n\ntwo `-x`"); len(sp) != 1 || sp[0].line != 3 {
+	if sp := docspans.CodeSpans("one\n\ntwo `-x`"); len(sp) != 1 || sp[0].Line != 3 {
 		t.Errorf("span lines: %+v, want one on line 3", sp)
 	}
-}
-
-// span is one code span of a Markdown text and the line it starts on.
-type span struct {
-	text string
-	line int
-}
-
-// codeSpans returns the code spans of a Markdown text: a run of n backticks
-// opens one and the next run of exactly n backticks in the same paragraph
-// closes it; a run that nothing closes is literal. Fenced code blocks hold no
-// spans.
-func codeSpans(text string) []span {
-	lines := strings.Split(text, "\n")
-	fenced := false
-	for i, l := range lines {
-		fence := strings.HasPrefix(strings.TrimSpace(l), "```")
-		if fence || fenced {
-			lines[i] = ""
-		}
-		if fence {
-			fenced = !fenced
-		}
-	}
-	text = strings.Join(lines, "\n")
-	var spans []span
-	for i := 0; i < len(text); {
-		if text[i] != '`' {
-			i++
-			continue
-		}
-		open := backticks(text[i:])
-		body := text[i+open:]
-		if end := strings.Index(body, "\n\n"); end >= 0 {
-			body = body[:end]
-		}
-		closed := -1
-		for j := 0; j < len(body) && closed < 0; {
-			switch n := backticks(body[j:]); {
-			case n == 0:
-				j++
-			case n == open:
-				closed = j
-			default:
-				j += n
-			}
-		}
-		if closed < 0 {
-			i += open
-			continue
-		}
-		spans = append(spans, span{text: body[:closed], line: 1 + strings.Count(text[:i], "\n")})
-		i += 2*open + closed
-	}
-	return spans
-}
-
-// backticks is the length of the run of backticks s starts with.
-func backticks(s string) int {
-	n := 0
-	for n < len(s) && s[n] == '`' {
-		n++
-	}
-	return n
 }
 
 // spanFlags returns the flag names a span starting with a flag names: each

@@ -37,8 +37,8 @@
 // serve and shard take what a deployment sets: -addr, -debug-addr and
 // -cache-entries, and for a coordinator -shard-urls. The request deadline,
 // admission cap, HTTP timeouts and the coordinator's retries, budget,
-// breakers and prober are fixed; the README's "Serving" and "Sharded
-// serving" sections and DESIGN.md's failure-mode matrix give their values.
+// breakers and prober are constants of internal/server; the README's
+// "Serving" section lists them in a table checked against the code.
 //
 // serve binds its port immediately and opens (or builds) the state in the
 // background: /healthz answers at once, /readyz (and the API) flip from

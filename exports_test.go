@@ -5,6 +5,7 @@
 package ctxsearch
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -15,6 +16,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,6 +40,7 @@ var callerlessAllowed = map[string]string{
 	"(*ctxsearch/internal/prestige.Matrix).Freeze":                "test infrastructure: bench/bench_test.go calls it; deprecated, goes with the ROADMAP 1(e) unpin",
 	"(*ctxsearch/internal/contextset.ContextSet).PaperBitset":     "test infrastructure: bench/ref.go is its only caller; deprecated, goes with the ROADMAP 1(e) unpin",
 	"ctxsearch/internal/goldentest":                               "test infrastructure: the spine batteries' query and page generator and bitwise comparator, imported only by tests",
+	"ctxsearch/internal/docspans":                                 "test infrastructure: the Markdown code-span reader the docs checks share, imported only by tests",
 }
 
 // TestExportedFunctionsHaveCallers holds the exported surface to what the
@@ -48,25 +51,93 @@ var callerlessAllowed = map[string]string{
 // interface. Resolving references by type, not by name, sees through two
 // methods that share a name.
 func TestExportedFunctionsHaveCallers(t *testing.T) {
-	out, err := exec.Command("go", "list", "-deps", "-f",
-		"{{if not .Standard}}{{.ImportPath}}\t{{.Dir}}\t{{join .GoFiles \" \"}}{{end}}", "./...").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
+	m := loadModule(t)
+	var defined []*ast.Ident
+	for path, files := range m.files {
+		for _, file := range files {
+			if !strings.HasPrefix(path, "ctxsearch/internal/") && !(path == "ctxsearch" && filepath.Base(m.fset.File(file.Pos()).Name()) == "ctxsearch.go") {
+				continue
+			}
+			for _, d := range file.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
+					defined = append(defined, fd.Name)
+				}
+			}
+		}
 	}
-	fset := token.NewFileSet()
+
+	used := map[*types.Func]bool{}
+	for _, obj := range m.info.Uses {
+		if fn, ok := obj.(*types.Func); ok {
+			used[fn.Origin()] = true
+		}
+	}
+	ifaces := interfacesOf(m.pkgs)
+	var missing []string
+	for _, id := range defined {
+		fn := m.info.Defs[id].(*types.Func)
+		if used[fn] || implementsWith(fn, ifaces) {
+			continue
+		}
+		if callerlessAllowed[fn.FullName()] != "" || callerlessAllowed[fn.Pkg().Path()] != "" {
+			continue
+		}
+		missing = append(missing, m.fset.Position(id.Pos()).String()+": "+fn.FullName())
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("%s has no caller outside tests", m)
+	}
+}
+
+// module is the type-checked module: every non-test file of every package
+// `go list -deps ./...` names, and the standard library those import,
+// type-checked from source. tests holds the name of every function (not
+// method) a _test.go file of the module declares, and names indexes what
+// the docs may name (docs_test.go).
+type module struct {
+	fset  *token.FileSet
+	pkgs  map[string]*types.Package // the module's packages by import path
+	files map[string][]*ast.File    // their non-test files by import path
+	info  *types.Info
+	tests map[string]bool
+	names *goNames
+}
+
+// loadModule type-checks the module once per test binary; the exported
+// surface check and the docs checks share the result.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	m, err := moduleOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+var moduleOnce = sync.OnceValues(func() (*module, error) {
+	out, err := exec.Command("go", "list", "-deps", "-f",
+		"{{if not .Standard}}{{.ImportPath}}\t{{.Dir}}\t{{join .GoFiles \" \"}}\t{{join .TestGoFiles \" \"}} {{join .XTestGoFiles \" \"}}{{end}}", "./...").Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %v", err)
+	}
+	m := &module{
+		fset:  token.NewFileSet(),
+		pkgs:  map[string]*types.Package{},
+		files: map[string][]*ast.File{},
+		info:  &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		tests: map[string]bool{},
+	}
 	// The standard library is type-checked from source; its pure-Go files
 	// suffice and need no C toolchain.
 	build.Default.CgoEnabled = false
-	std := importer.ForCompiler(fset, "source", nil)
-	pkgs := map[string]*types.Package{}
+	std := importer.ForCompiler(m.fset, "source", nil)
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
-		if p := pkgs[path]; p != nil {
+		if p := m.pkgs[path]; p != nil {
 			return p, nil
 		}
 		return std.Import(path)
 	})}
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	var defined []*ast.Ident
 	// go list -deps orders every package after its imports.
 	for _, line := range strings.Split(string(out), "\n") {
 		if line == "" {
@@ -76,48 +147,31 @@ func TestExportedFunctionsHaveCallers(t *testing.T) {
 		path, dir := f[0], f[1]
 		var files []*ast.File
 		for _, name := range strings.Fields(f[2]) {
-			file, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
+			file, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			files = append(files, file)
-			if !strings.HasPrefix(path, "ctxsearch/internal/") && !(path == "ctxsearch" && name == "ctxsearch.go") {
-				continue
+		}
+		if m.pkgs[path], err = conf.Check(path, m.fset, files, m.info); err != nil {
+			return nil, err
+		}
+		m.files[path] = files
+		for _, name := range strings.Fields(f[3]) {
+			file, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
 			}
 			for _, d := range file.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.IsExported() {
-					defined = append(defined, fd.Name)
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+					m.tests[fd.Name.Name] = true
 				}
 			}
 		}
-		if pkgs[path], err = conf.Check(path, fset, files, info); err != nil {
-			t.Fatal(err)
-		}
 	}
-
-	used := map[*types.Func]bool{}
-	for _, obj := range info.Uses {
-		if fn, ok := obj.(*types.Func); ok {
-			used[fn.Origin()] = true
-		}
-	}
-	ifaces := interfacesOf(pkgs)
-	var missing []string
-	for _, id := range defined {
-		fn := info.Defs[id].(*types.Func)
-		if used[fn] || implementsWith(fn, ifaces) {
-			continue
-		}
-		if callerlessAllowed[fn.FullName()] != "" || callerlessAllowed[fn.Pkg().Path()] != "" {
-			continue
-		}
-		missing = append(missing, fset.Position(id.Pos()).String()+": "+fn.FullName())
-	}
-	sort.Strings(missing)
-	for _, m := range missing {
-		t.Errorf("%s has no caller outside tests", m)
-	}
-}
+	m.names = goNamesOf(m.pkgs)
+	return m, nil
+})
 
 // importerFunc adapts a function to types.Importer.
 type importerFunc func(path string) (*types.Package, error)

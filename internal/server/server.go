@@ -520,7 +520,10 @@ type ShardSearchRequest struct {
 
 // ShardFinish asks a shard to finish the page: Rows are the other ranges'
 // merged rows, (Offset, Limit) the client's window over the merge of those
-// with the shard's own.
+// with the shard's own. That merge is the merge of every range's rows: a
+// row of the global top Offset+Limit is in the top Offset+Limit of any
+// subset of the papers that holds it, so cutting the others' merge there
+// drops none.
 type ShardFinish struct {
 	Offset int        `json:"offset"`
 	Limit  int        `json:"limit"`
