@@ -63,9 +63,9 @@ bench:
 # as a micro-benchmark (frozen engine, Limit 0, 800 papers / 160 terms),
 # which fails itself above 21 allocs/op — plus the boolean evaluator's term /
 # phrase / NOT arms on a state-booted index shape, one first page's snippets
-# (BenchmarkSnippetPage, 10 rows at 800 papers / 160 terms, which fails
-# itself above 200 allocs/op), and the result-cache hit path (must stay
-# allocation-free).
+# (BenchmarkSnippetPage, 10 rows at 800 papers / 160 terms through one
+# Snippeter as the server renders them, which fails itself above 24
+# allocs/op), and the result-cache hit path (must stay allocation-free).
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkSelectContexts|BenchmarkEngineSearch' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean|BenchmarkSnippetPage' -benchmem ./internal/index/

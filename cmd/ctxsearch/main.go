@@ -109,7 +109,7 @@ func (o *options) flags() *flag.FlagSet {
 	fs.BoolVar(&o.verbose, "v", false, "print the offline-build timing summary")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address for serve")
 	// Unset, -cache-entries leaves server.Config's zero, the default cache.
-	fs.Func("cache-entries", "serve: /search result-cache capacity in `entries` (default 1024; <=0 disables caching)", func(v string) error {
+	fs.Func("cache-entries", fmt.Sprintf("serve: /search result-cache capacity in `entries` (default %d; <=0 disables caching)", server.DefaultCacheEntries), func(v string) error {
 		n, err := strconv.Atoi(v)
 		if n <= 0 {
 			n = -1

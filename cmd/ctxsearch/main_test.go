@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"io/fs"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"ctxsearch/internal/server"
 	"ctxsearch/internal/store"
 )
 
@@ -137,6 +139,22 @@ func TestCacheEntriesFlag(t *testing.T) {
 	set.SetOutput(io.Discard)
 	if err := set.Parse([]string{"-cache-entries", "many"}); err == nil {
 		t.Fatal("-cache-entries many was accepted")
+	}
+}
+
+// TestHelpNamesCacheDefault: -h gives -cache-entries' default as the
+// server's constant, so the help cannot restate a stale value.
+func TestHelpNamesCacheDefault(t *testing.T) {
+	var o options
+	set := o.flags()
+	var buf bytes.Buffer
+	set.SetOutput(&buf)
+	if err := set.Parse([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v, want flag.ErrHelp", err)
+	}
+	want := regexp.MustCompile(fmt.Sprintf(`(?m)^  -cache-entries entries\n.*\(default %d;`, server.DefaultCacheEntries))
+	if !want.MatchString(buf.String()) {
+		t.Fatalf("-h does not give -cache-entries' default as %d:\n%s", server.DefaultCacheEntries, buf.String())
 	}
 }
 

@@ -31,12 +31,13 @@ func (a *app) search(out io.Writer, args []string) error {
 		return nil
 	}
 	fmt.Fprintf(out, "%d results for %q\n", len(results), query)
+	snippets := a.sys.Index().Snippeter(query, index.SnippetOptions{Window: 18})
 	for i, r := range results {
 		p := a.sys.Corpus.Paper(r.Doc)
 		fmt.Fprintf(out, "%2d. [%.3f] PMID %d (%d) %s\n", i+1, r.Relevancy, p.PMID, p.Year, p.Title)
 		fmt.Fprintf(out, "    prestige %.3f · match %.3f · context %s (%s)\n",
 			r.Prestige, r.Match, r.Context, a.sys.Ontology.Term(r.Context).Name)
-		if snip := a.sys.Index().Snippet(r.Doc, query, index.SnippetOptions{Window: 18}); snip != "" {
+		if snip := snippets.Snippet(r.Doc); snip != "" {
 			fmt.Fprintf(out, "    %s\n", snip)
 		}
 	}

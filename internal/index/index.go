@@ -69,9 +69,10 @@ type Index struct {
 	// accPool recycles dense score accumulators across searches.
 	accPool sync.Pool
 	// stems memoises Porter stems for Snippet: normalised raw word → stem.
-	// Only snippetFrom writes it, and only with words of a paper's abstract
-	// or body, never with query words, so its size is bounded by the
-	// vocabulary of the paper text, like the analyzer's surface-form table.
+	// Only Snippeter.matches stems through it, and only words of a paper's
+	// abstract or body that pass the query's prefilter, never query words,
+	// so its size is bounded by the vocabulary of the paper text, like the
+	// analyzer's surface-form table.
 	stems sync.Map
 }
 

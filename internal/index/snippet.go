@@ -2,6 +2,8 @@ package index
 
 import (
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/textproc"
@@ -15,38 +17,94 @@ type SnippetOptions struct {
 	Pre, Post string
 }
 
-// Snippet returns an excerpt of the paper around the densest cluster of
-// query-term matches, with matched words wrapped in Pre/Post markers. The
-// abstract is preferred; the body is used when the abstract has no match.
-// Matching is stem-aware ("binding" highlights "binds"). Returns the head
-// of the abstract when nothing matches.
-func (ix *Index) Snippet(doc corpus.PaperID, query string, opts SnippetOptions) string {
+// Snippeter renders the snippets of one page: it resolves the query's stems
+// once, and every row's text is then scanned in place against them. It is
+// immutable once built, so one Snippeter may render from many goroutines.
+type Snippeter struct {
+	ix    *Index
+	opts  SnippetOptions
+	stems map[string]bool
+	// first[c] is set when some query stem begins with byte c, and minLen
+	// is the length of the shortest stem. A normalised word matches a stem
+	// only if it equals it or stems to it, and a Porter stem keeps its
+	// word's first byte and is never longer than the word: a word that
+	// begins with another byte, or is shorter, cannot match, and is never
+	// stemmed.
+	first  [256]bool
+	minLen int
+}
+
+// Snippeter returns the snippet renderer of one query and set of options,
+// for every row of a page.
+func (ix *Index) Snippeter(query string, opts SnippetOptions) *Snippeter {
 	if opts.Window <= 0 {
 		opts.Window = 30
 	}
 	if opts.Pre == "" && opts.Post == "" {
 		opts.Pre, opts.Post = "[", "]"
 	}
-	p := ix.analyzer.Corpus().Paper(doc)
+	s := &Snippeter{ix: ix, opts: opts, stems: map[string]bool{}}
+	for _, t := range ix.analyzer.Tokenizer().Terms(query) {
+		// The tokenizer emits no empty term, and no word stems to one.
+		if t == "" {
+			continue
+		}
+		s.stems[t] = true
+		s.first[t[0]] = true
+		if s.minLen == 0 || len(t) < s.minLen {
+			s.minLen = len(t)
+		}
+	}
+	return s
+}
+
+// Snippet returns an excerpt of the paper around the densest cluster of
+// query-term matches, with matched words wrapped in Pre/Post markers. It is
+// ix.Snippeter(query, opts).Snippet(doc); a page's rows share one Snippeter.
+func (ix *Index) Snippet(doc corpus.PaperID, query string, opts SnippetOptions) string {
+	return ix.Snippeter(query, opts).Snippet(doc)
+}
+
+// Snippet returns an excerpt of the paper around the densest cluster of
+// query-term matches, with matched words wrapped in Pre/Post markers. The
+// abstract is preferred; the body is used when the abstract has no match.
+// Matching is stem-aware ("binding" highlights "binds"). Returns the head
+// of the abstract when nothing matches, and "" for an unknown paper.
+func (s *Snippeter) Snippet(doc corpus.PaperID) string {
+	p := s.ix.analyzer.Corpus().Paper(doc)
 	if p == nil {
 		return ""
 	}
-	queryStems := map[string]bool{}
-	for _, t := range ix.analyzer.Tokenizer().Terms(query) {
-		queryStems[t] = true
-	}
-	for _, text := range []string{p.Abstract, p.Body} {
-		if s, ok := ix.snippetFrom(text, queryStems, opts); ok {
-			return s
+	sc := scratchPool.Get().(*snippetScratch)
+	defer sc.release()
+	if len(s.stems) > 0 {
+		for _, text := range [2]string{p.Abstract, p.Body} {
+			if out, ok := s.snippetFrom(text, sc); ok {
+				return out
+			}
 		}
 	}
 	// Fall back to the abstract head.
-	words := strings.Fields(p.Abstract)
-	if len(words) > opts.Window {
-		words = words[:opts.Window]
-		return strings.Join(words, " ") + " …"
+	sc.words = appendFields(sc.words[:0], p.Abstract)
+	if len(sc.words) > s.opts.Window {
+		return strings.Join(sc.words[:s.opts.Window], " ") + " …"
 	}
-	return strings.Join(words, " ")
+	return strings.Join(sc.words, " ")
+}
+
+// snippetScratch is one render's word spans and match marks, pooled across
+// rows and pages.
+type snippetScratch struct {
+	words   []string
+	matched []bool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(snippetScratch) }}
+
+// release returns sc to the pool, dropping its references to paper text.
+func (sc *snippetScratch) release() {
+	clear(sc.words)
+	scratchPool.Put(sc)
 }
 
 // stem returns the Porter stem of the normalised word norm through the
@@ -64,31 +122,23 @@ func (ix *Index) stem(norm string) string {
 
 // snippetFrom finds the window of raw words with the most stem matches and
 // renders it; ok is false when no word matches.
-func (ix *Index) snippetFrom(text string, queryStems map[string]bool, opts SnippetOptions) (string, bool) {
-	raw := strings.Fields(text)
-	if len(raw) == 0 || len(queryStems) == 0 {
-		return "", false
+func (s *Snippeter) snippetFrom(text string, sc *snippetScratch) (string, bool) {
+	raw := appendFields(sc.words[:0], text)
+	sc.words = raw
+	if cap(sc.matched) < len(raw) {
+		sc.matched = make([]bool, len(raw))
 	}
-	matched := make([]bool, len(raw))
-	any := false
+	matched := sc.matched[:len(raw)]
+	hit := false
 	for i, w := range raw {
-		norm := normalizeWord(w)
-		if norm == "" {
-			continue
-		}
-		if stem := ix.stem(norm); queryStems[norm] || queryStems[stem] {
-			matched[i] = true
-			any = true
-		}
+		matched[i] = s.matches(w)
+		hit = hit || matched[i]
 	}
-	if !any {
+	if !hit {
 		return "", false
 	}
 	// Densest window by match count (first wins on ties).
-	win := opts.Window
-	if win > len(raw) {
-		win = len(raw)
-	}
+	win := min(s.opts.Window, len(raw))
 	count := 0
 	for i := 0; i < win; i++ {
 		if matched[i] {
@@ -108,32 +158,103 @@ func (ix *Index) snippetFrom(text string, queryStems map[string]bool, opts Snipp
 			best = i - win + 1
 		}
 	}
-	var b strings.Builder
+	head, tail := "", ""
 	if best > 0 {
-		b.WriteString("… ")
+		head = "… "
 	}
+	if best+win < len(raw) {
+		tail = " …"
+	}
+	n := len(head) + len(tail) + win - 1
+	for i := best; i < best+win; i++ {
+		n += len(raw[i])
+		if matched[i] {
+			n += len(s.opts.Pre) + len(s.opts.Post)
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(head)
 	for i := best; i < best+win; i++ {
 		if i > best {
 			b.WriteByte(' ')
 		}
 		if matched[i] {
-			b.WriteString(opts.Pre)
+			b.WriteString(s.opts.Pre)
 			b.WriteString(raw[i])
-			b.WriteString(opts.Post)
+			b.WriteString(s.opts.Post)
 		} else {
 			b.WriteString(raw[i])
 		}
 	}
-	if best+win < len(raw) {
-		b.WriteString(" …")
-	}
+	b.WriteString(tail)
 	return b.String(), true
 }
 
-// normalizeWord lowercases and strips surrounding punctuation from a raw
-// word, mirroring the tokenizer's normalisation closely enough for
-// highlighting.
-func normalizeWord(w string) string {
+// matches reports whether the raw word w highlights: its normalised form —
+// surrounding punctuation stripped, lowercased — or that form's Porter stem
+// is a query stem.
+func (s *Snippeter) matches(w string) bool {
+	w = trimWord(w)
+	// w[0] is an ASCII letter or digit, so |0x20 is its lower case.
+	if w == "" || !s.first[w[0]|0x20] {
+		return false
+	}
+	// strings.ToLower copies only a word with an upper-case or non-ASCII
+	// byte.
+	norm := strings.ToLower(w)
+	if len(norm) < s.minLen {
+		return false
+	}
+	stem := s.ix.stem(norm)
+	return s.stems[norm] || s.stems[stem]
+}
+
+// appendFields appends the words of text to dst as strings.Fields splits
+// them, each a substring of text. ASCII text is split in place; text with
+// any byte ≥ 0x80 is split by strings.Fields itself.
+func appendFields(dst []string, text string) []string {
+	base := len(dst)
+	for i := 0; i < len(text); {
+		for i < len(text) && byteClass[text[i]] == spaceByte {
+			i++
+		}
+		start := i
+		for i < len(text) && byteClass[text[i]] == wordByte {
+			i++
+		}
+		if i < len(text) && byteClass[text[i]] == nonASCIIByte {
+			return append(dst[:base], strings.Fields(text)...)
+		}
+		if i > start {
+			dst = append(dst, text[start:i])
+		}
+	}
+	return dst
+}
+
+// byteClass sorts bytes for appendFields: the ASCII bytes unicode.IsSpace
+// accepts, which separate strings.Fields' words in ASCII text, the bytes
+// ≥ 0x80 that end the in-place split, and the rest.
+var byteClass = func() (c [256]uint8) {
+	for _, b := range []byte{'\t', '\n', '\v', '\f', '\r', ' '} {
+		c[b] = spaceByte
+	}
+	for b := utf8.RuneSelf; b < len(c); b++ {
+		c[b] = nonASCIIByte
+	}
+	return c
+}()
+
+const (
+	wordByte = iota
+	spaceByte
+	nonASCIIByte
+)
+
+// trimWord strips the surrounding punctuation of a raw word: every byte but
+// an ASCII letter or digit.
+func trimWord(w string) string {
 	start, end := 0, len(w)
 	for start < end && !isAlnum(w[start]) {
 		start++
@@ -141,7 +262,7 @@ func normalizeWord(w string) string {
 	for end > start && !isAlnum(w[end-1]) {
 		end--
 	}
-	return strings.ToLower(w[start:end])
+	return w[start:end]
 }
 
 func isAlnum(c byte) bool {

@@ -100,7 +100,8 @@ func TestSnippetMatchesReference(t *testing.T) {
 
 // TestSnippetConcurrentColdMemo: 8 goroutines render the first pages of
 // the battery's queries over one index whose stem memo starts empty, each
-// in another order, and every row equals the reference's.
+// in another order and all through one Snippeter per query, and every row
+// equals the reference's.
 func TestSnippetConcurrentColdMemo(t *testing.T) {
 	ix, queries := snippetFixture(t)
 	if n := ix.StemMemoLen(); n != 0 {
@@ -112,7 +113,9 @@ func TestSnippetConcurrentColdMemo(t *testing.T) {
 		want  string
 	}
 	var rows []row
+	snippets := map[string]*index.Snippeter{}
 	for _, q := range queries {
+		snippets[q] = ix.Snippeter(q, servedSnippet)
 		for _, h := range ix.Search(q, index.Options{Limit: 10}) {
 			want, _ := ix.SnippetRef(h.Doc, q, servedSnippet)
 			rows = append(rows, row{h.Doc, q, want})
@@ -129,7 +132,7 @@ func TestSnippetConcurrentColdMemo(t *testing.T) {
 			defer wg.Done()
 			for i := range rows {
 				r := rows[(i+g*len(rows)/goroutines)%len(rows)]
-				if got := ix.Snippet(r.doc, r.query, servedSnippet); got != r.want {
+				if got := snippets[r.query].Snippet(r.doc); got != r.want {
 					t.Errorf("goroutine %d, paper %d, query %q:\n got %q\nwant %q", g, r.doc, r.query, got, r.want)
 					return
 				}
@@ -140,16 +143,18 @@ func TestSnippetConcurrentColdMemo(t *testing.T) {
 }
 
 // snippetPageAllocCeiling bounds the allocations of rendering one page's
-// snippets in BenchmarkSnippetPage: 190 measured, 19 a row (the query's
-// stem set, the text's split, the match marks and the excerpt), where
-// stemming each word with a fresh stemmer made 1 456. The count is
-// deterministic where ns/op is noise, so CI holds it as a gate.
-const snippetPageAllocCeiling = 200
+// snippets in BenchmarkSnippetPage: 24 measured, the query's stems and the
+// page's Snippeter once and then one excerpt a row, where a Snippet call
+// per row made 190 (the query's stems, the text's split and the match marks
+// again on every row) and stemming each word with a fresh stemmer 1 456.
+// The count is deterministic where ns/op is noise, so CI holds it as a gate.
+const snippetPageAllocCeiling = 24
 
 // BenchmarkSnippetPage renders the snippets of one first page — the 10
 // best rows of one query, with the server's options — at the serving
-// benchmark's corpus shape, stem memo warm, and reports the time per row.
-// It fails when a page allocates more than snippetPageAllocCeiling times.
+// benchmark's corpus shape, stem memo warm, through one Snippeter as the
+// server's renderResults does, and reports the time per row. It fails when
+// a page allocates more than snippetPageAllocCeiling times.
 func BenchmarkSnippetPage(b *testing.B) {
 	ix, _ := snippetFixture(b)
 	const q = "regulation of rna protein binding"
@@ -158,8 +163,9 @@ func BenchmarkSnippetPage(b *testing.B) {
 		b.Fatalf("%q has %d hits, want 10", q, len(hits))
 	}
 	page := func() {
+		snippets := ix.Snippeter(q, servedSnippet)
 		for _, h := range hits {
-			if ix.Snippet(h.Doc, q, servedSnippet) == "" {
+			if snippets.Snippet(h.Doc) == "" {
 				b.Fatalf("paper %d has no snippet", h.Doc)
 			}
 		}

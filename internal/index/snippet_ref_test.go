@@ -7,10 +7,11 @@ import (
 	"ctxsearch/internal/textproc"
 )
 
-// The reference snippet: Snippet as it was before the stem memo, with a
-// fresh Porter stemmer per text and every word stemmed where it is met. It
-// survives only here, as the oracle the memoised Snippet must match byte
-// for byte.
+// The reference snippet: Snippet as it was before the stem memo and the
+// page-level Snippeter, with the query's stems resolved per row, every text
+// split by strings.Fields, and a fresh Porter stemmer per text stemming
+// every word where it is met. It survives only here, as the oracle the
+// Snippeter must match byte for byte.
 
 // snippetRef is the reference Snippet. It also names the text it excerpts:
 // "abstract" or "body" where a word matches, "head" otherwise.
@@ -108,4 +109,18 @@ func snippetFromRef(text string, queryStems map[string]bool, opts SnippetOptions
 		b.WriteString(" …")
 	}
 	return b.String(), true
+}
+
+// normalizeWord is the reference normalisation: it lowercases and strips
+// surrounding punctuation from a raw word, mirroring the tokenizer's
+// normalisation closely enough for highlighting.
+func normalizeWord(w string) string {
+	start, end := 0, len(w)
+	for start < end && !isAlnum(w[start]) {
+		start++
+	}
+	for end > start && !isAlnum(w[end-1]) {
+		end--
+	}
+	return strings.ToLower(w[start:end])
 }

@@ -79,8 +79,8 @@ func TestNormalizeWord(t *testing.T) {
 		"'quote'": "quote",
 	}
 	for in, want := range cases {
-		if got := normalizeWord(in); got != want {
-			t.Errorf("normalizeWord(%q) = %q, want %q", in, got, want)
+		if got := strings.ToLower(trimWord(in)); got != want {
+			t.Errorf("trimWord(%q) lowercased = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -95,10 +95,35 @@ func memoWords(ix *Index) map[string]string {
 	return m
 }
 
-// TestSnippetStemMemoIsCorpusBounded: queries never put their own words in
-// the stem memo, and once every paper has rendered its abstract and body
-// the memo holds exactly the distinct non-empty normalised words of those
-// texts, each with its Porter stem.
+// addPassing adds to into the distinct normalised words of text that pass
+// the prefilter of a query with these stems: each begins with the first
+// byte of some stem and is no shorter than the shortest one.
+func addPassing(into map[string]bool, stems []string, text string) {
+	if len(stems) == 0 {
+		return
+	}
+	minLen := len(stems[0])
+	for _, st := range stems {
+		minLen = min(minLen, len(st))
+	}
+	for _, w := range strings.Fields(text) {
+		norm := normalizeWord(w)
+		if norm == "" || len(norm) < minLen {
+			continue
+		}
+		for _, st := range stems {
+			if st[0] == norm[0] {
+				into[norm] = true
+				break
+			}
+		}
+	}
+}
+
+// TestSnippetStemMemoIsCorpusBounded: the stem memo holds exactly the
+// distinct normalised words of the paper text that passed some query's
+// prefilter while rendering, each with its Porter stem, so it is a subset
+// of the paper text's words, and no query word ever enters it.
 func TestSnippetStemMemoIsCorpusBounded(t *testing.T) {
 	o, err := ontology.Generate(ontology.GenConfig{Seed: 5, NumTerms: 40, MaxDepth: 6})
 	if err != nil {
@@ -109,9 +134,24 @@ func TestSnippetStemMemoIsCorpusBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := must(BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0))
+	want := map[string]bool{}
+	// renderAll renders every paper's snippet for query, through one
+	// Snippeter as a page does, and adds to want what each render's scan
+	// passed: the abstract always, the body unless the abstract matched.
 	renderAll := func(query string) {
+		stems := ix.analyzer.Tokenizer().Terms(query)
+		sn := ix.Snippeter(query, SnippetOptions{})
 		for doc := range corpus.PaperID(c.Len()) {
-			ix.Snippet(doc, query, SnippetOptions{})
+			sn.Snippet(doc)
+			p := c.Paper(doc)
+			addPassing(want, stems, p.Abstract)
+			if _, src := snippetRef(ix, doc, query, SnippetOptions{}); src != "abstract" {
+				addPassing(want, stems, p.Body)
+			}
+		}
+		got := memoWords(ix)
+		if !maps.EqualFunc(got, want, func(string, bool) bool { return true }) {
+			t.Fatalf("after query %q the memo holds %d words, the renders passed %d", query, len(got), len(want))
 		}
 	}
 	// Nothing to match: no text is scanned.
@@ -121,73 +161,84 @@ func TestSnippetStemMemoIsCorpusBounded(t *testing.T) {
 			t.Fatalf("query %q left %d words in the memo", q, n)
 		}
 	}
-	// Unseen words match nothing, so every abstract and body is scanned.
-	renderAll("qqqzzz Xylophonic")
-	want := map[string]bool{}
-	for _, p := range c.Papers() {
-		for _, text := range []string{p.Abstract, p.Body} {
-			for _, w := range strings.Fields(text) {
-				if norm := normalizeWord(w); norm != "" {
-					want[norm] = true
-				}
-			}
-		}
+	// Unseen words match nothing, so every abstract and body is scanned,
+	// but only the words that begin with "p" or "r" and are at least six
+	// bytes long pass.
+	renderAll("pzzzzz Rqqqqq")
+	if len(want) == 0 {
+		t.Fatal("no word of the paper text passed the prefilter of \"pzzzzz Rqqqqq\"")
 	}
-	got := memoWords(ix)
-	if !maps.EqualFunc(got, want, func(string, bool) bool { return true }) {
-		t.Fatalf("memo holds %d words, the paper text has %d distinct ones", len(got), len(want))
-	}
-	stemmer := textproc.NewPorterStemmer()
-	for norm, stem := range got {
-		if want := stemmer.Stem(norm); stem != want {
-			t.Fatalf("memo stems %q to %q, the stemmer to %q", norm, stem, want)
-		}
-	}
-	// More unseen words, and names that match, add nothing.
+	// More unseen words, and names that match.
 	queries := []string{"zzzunseen wordsneverwritten", "ÜBERUNSEEN café-naïve"}
 	for _, id := range o.TermIDs()[:10] {
 		queries = append(queries, o.Term(id).Name)
 	}
 	for _, q := range queries {
 		renderAll(q)
-		if n := len(memoWords(ix)); n != len(want) {
-			t.Fatalf("query %q grew the memo from %d to %d words", q, len(want), n)
+	}
+	all := map[string]bool{}
+	for _, p := range c.Papers() {
+		for _, w := range strings.Fields(p.Abstract + " " + p.Body) {
+			if norm := normalizeWord(w); norm != "" {
+				all[norm] = true
+			}
 		}
 	}
+	stemmer := textproc.NewPorterStemmer()
+	got := memoWords(ix)
+	for norm, stem := range got {
+		if !all[norm] {
+			t.Fatalf("memo holds %q, which no paper's abstract or body has", norm)
+		}
+		if want := stemmer.Stem(norm); stem != want {
+			t.Fatalf("memo stems %q to %q, the stemmer to %q", norm, stem, want)
+		}
+	}
+	if len(got) >= len(all) {
+		t.Fatalf("memo holds %d words, every one of the paper text's %d: the prefilter passed them all", len(got), len(all))
+	}
+	t.Logf("memo %d of the paper text's %d distinct words", len(got), len(all))
 }
 
-// FuzzSnippet: over one index, whose stem memo every input shares,
-// snippetFrom renders any text as the reference does, for any query and
-// window, and leaves each of the text's words in the memo with its stem;
-// Snippet renders the test corpus's papers as the reference does.
+// FuzzSnippet: over one index, whose stem memo every input shares, one
+// Snippeter per query renders, as a page does, the input text, then every
+// abstract of the test corpus, then the input text again, each as the
+// reference does, for any query and window, and leaves each of the input
+// text's words that passed its prefilter in the memo with its stem; it
+// renders the test corpus's papers as the reference does.
 func FuzzSnippet(f *testing.F) {
 	ix, c := buildTestIndex(f)
 	stemmer := textproc.NewPorterStemmer()
 	f.Fuzz(func(t *testing.T, text, query string, window uint8) {
+		stems := ix.analyzer.Tokenizer().Terms(query)
 		queryStems := map[string]bool{}
-		for _, term := range ix.analyzer.Tokenizer().Terms(query) {
+		for _, term := range stems {
 			queryStems[term] = true
 		}
 		opts := SnippetOptions{Window: 1 + int(window)%40, Pre: "**", Post: "**"}
-		got, ok := ix.snippetFrom(text, queryStems, opts)
-		want, wok := snippetFromRef(text, queryStems, opts)
-		if got != want || ok != wok {
-			t.Fatalf("snippetFrom(%q, %q) = %q, %v; reference %q, %v", text, query, got, ok, want, wok)
+		sn := ix.Snippeter(query, opts)
+		texts := []string{text}
+		for _, p := range c.Papers() {
+			texts = append(texts, p.Abstract)
+		}
+		texts = append(texts, text)
+		sc := new(snippetScratch)
+		for _, text := range texts {
+			got, ok := sn.snippetFrom(text, sc)
+			want, wok := snippetFromRef(text, queryStems, opts)
+			if got != want || ok != wok {
+				t.Fatalf("snippetFrom(%q, %q) = %q, %v; reference %q, %v", text, query, got, ok, want, wok)
+			}
 		}
 		for doc := range corpus.PaperID(c.Len()) {
 			want, _ := snippetRef(ix, doc, query, opts)
-			if got := ix.Snippet(doc, query, opts); got != want {
+			if got := sn.Snippet(doc); got != want {
 				t.Fatalf("Snippet(%d, %q) = %q; reference %q", doc, query, got, want)
 			}
 		}
-		if len(queryStems) == 0 {
-			return
-		}
-		for _, w := range strings.Fields(text) {
-			norm := normalizeWord(w)
-			if norm == "" {
-				continue
-			}
+		passed := map[string]bool{}
+		addPassing(passed, stems, text)
+		for norm := range passed {
 			v, ok := ix.stems.Load(norm)
 			if !ok || v.(string) != stemmer.Stem(norm) {
 				t.Fatalf("memo entry for %q: %v, %v; the stemmer gives %q", norm, v, ok, stemmer.Stem(norm))

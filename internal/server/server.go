@@ -47,13 +47,16 @@ const (
 	// maxInflight caps concurrently served API requests; excess requests are
 	// shed immediately with 429 + Retry-After.
 	maxInflight = 64
-	// cacheEntries and cacheTTL size the /search result cache. The TTL
-	// exists for hygiene (the corpus is immutable while an engine is
-	// installed; the cache is also invalidated wholesale on every engine
-	// swap), so it can be generous.
-	cacheEntries = 1024
-	cacheTTL     = time.Minute
+	// cacheTTL bounds a cached /search response's lifetime. It exists for
+	// hygiene (the corpus is immutable while an engine is installed; the
+	// cache is also invalidated wholesale on every engine swap), so it can
+	// be generous.
+	cacheTTL = time.Minute
 )
+
+// DefaultCacheEntries is the /search result cache's capacity when
+// Config.CacheEntries is 0.
+const DefaultCacheEntries = 1024
 
 // Paging bounds: a /search without limit serves DefaultLimit results, and
 // requests with limit/offset above the Max caps are rejected with 400
@@ -68,8 +71,8 @@ const (
 type Config struct {
 	// Logger receives request and panic logs (nil = discard).
 	Logger *log.Logger
-	// CacheEntries caps the /search result cache (0 = the default, 1024
-	// entries; negative = caching disabled).
+	// CacheEntries caps the /search result cache (0 = DefaultCacheEntries;
+	// negative = caching disabled).
 	CacheEntries int
 }
 
@@ -77,7 +80,7 @@ type Config struct {
 func (c Config) cacheSize() int {
 	switch {
 	case c.CacheEntries == 0:
-		return cacheEntries
+		return DefaultCacheEntries
 	case c.CacheEntries < 0:
 		return 0
 	}
@@ -481,6 +484,8 @@ func (b *backend) renderPage(ctx context.Context, q string, results []ctxsearch.
 // arrive over the wire).
 func (b *backend) renderResults(ctx context.Context, q string, results []ctxsearch.SearchResult) ([]SearchResult, error) {
 	rows := []SearchResult{}
+	// One snippet renderer a page: the query's stems resolve once.
+	snippets := b.sys.Index().Snippeter(q, index.SnippetOptions{Window: 24, Pre: "**", Post: "**"})
 	for _, res := range results {
 		// Snippet extraction re-reads document text: keep honouring the
 		// deadline while building the response.
@@ -493,7 +498,7 @@ func (b *backend) renderResults(ctx context.Context, q string, results []ctxsear
 			PMID:        p.PMID,
 			Year:        p.Year,
 			Title:       p.Title,
-			Snippet:     b.sys.Index().Snippet(res.Doc, q, index.SnippetOptions{Window: 24, Pre: "**", Post: "**"}),
+			Snippet:     snippets.Snippet(res.Doc),
 			Relevancy:   res.Relevancy,
 			Prestige:    res.Prestige,
 			Match:       res.Match,

@@ -13,6 +13,12 @@ func NewPorterStemmer() *PorterStemmer { return &PorterStemmer{} }
 
 // Stem returns the Porter stem of word. Words of length ≤ 2 are returned
 // unchanged, per the original algorithm.
+//
+// Stem only strips or rewrites a suffix, so it never lengthens a word and
+// never changes its first byte: len(Stem(w)) ≤ len(w), and Stem(w) is empty
+// or begins with w[0]. Snippet highlighting relies on both to skip words
+// that cannot stem to a query's stem (FuzzPorterStem,
+// TestPorterStemContractOnCorpus).
 func (ps *PorterStemmer) Stem(word string) string {
 	if len(word) <= 2 || !isASCIILower(word) {
 		return word
