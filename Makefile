@@ -64,12 +64,16 @@ bench:
 # which fails itself above 21 allocs/op — plus the boolean evaluator's term /
 # phrase / NOT arms on a state-booted index shape, one first page's snippets
 # (BenchmarkSnippetPage, 10 rows at 800 papers / 160 terms through one
-# Snippeter as the server renders them, which fails itself above 24
-# allocs/op), and the result-cache hit path (must stay allocation-free).
+# Snippeter as the server renders them, which fails itself above 22
+# allocs/op), the result-cache hit path (must stay allocation-free), and the
+# served page through the handler chain, cache off, at 800 papers / 160
+# terms: 10 rows, the 100-row default and a 2-range finishing exchange, each
+# failing itself above its allocs-per-request ceiling (ns/op is a reading).
 bench-query:
 	$(GO) test -run xxx -bench 'BenchmarkSelectContexts|BenchmarkEngineSearch' -benchmem ./internal/search/
 	$(GO) test -run xxx -bench 'BenchmarkIndexSearchVector|BenchmarkSearchQueryBoolean|BenchmarkSnippetPage' -benchmem ./internal/index/
 	$(GO) test -run xxx -bench 'BenchmarkCacheHit' -benchmem ./internal/cache/
+	$(GO) test -run xxx -bench 'BenchmarkSearchPage10|BenchmarkSearchPage100|BenchmarkShardFinish' -benchmem ./internal/server/
 
 # The offline-build benchmarks behind BENCH_PR4.json, BENCH_PR12.json and
 # BENCH_PR26.json: first the ascending-sum kernel under every cosine of the

@@ -11,5 +11,12 @@ func (ix *Index) SnippetRef(doc corpus.PaperID, query string, opts SnippetOption
 	return snippetRef(ix, doc, query, opts)
 }
 
-// StemMemoLen returns the number of words in the index's stem memo.
-func (ix *Index) StemMemoLen() int { return len(memoWords(ix)) }
+// SnippetRefPaper returns the reference Snippet of paper doc for any query
+// and options, with the paper's words stemmed once for all of them.
+func (ix *Index) SnippetRefPaper(doc corpus.PaperID) func(query string, opts SnippetOptions) (snippet, source string) {
+	return newRefPaper(ix, doc).snippet
+}
+
+// WordTableLen returns the number of words in the index's snippet word
+// table.
+func (ix *Index) WordTableLen() int { return len(tableWords(ix)) }

@@ -68,12 +68,9 @@ type Index struct {
 	logTF []float64
 	// accPool recycles dense score accumulators across searches.
 	accPool sync.Pool
-	// stems memoises Porter stems for Snippet: normalised raw word → stem.
-	// Only Snippeter.matches stems through it, and only words of a paper's
-	// abstract or body that pass the query's prefilter, never query words,
-	// so its size is bounded by the vocabulary of the paper text, like the
-	// analyzer's surface-form table.
-	stems sync.Map
+	// words is the snippets' word table: trimmed raw word of paper text →
+	// its normalised form and Porter stem.
+	words wordTable
 }
 
 // accum is a reusable dense scoring scratchpad: val holds partial dot

@@ -1,8 +1,12 @@
 package index
 
 import (
+	"maps"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"ctxsearch/internal/corpus"
@@ -21,15 +25,17 @@ type SnippetOptions struct {
 // once, and every row's text is then scanned in place against them. It is
 // immutable once built, so one Snippeter may render from many goroutines.
 type Snippeter struct {
-	ix    *Index
-	opts  SnippetOptions
-	stems map[string]bool
+	ix   *Index
+	opts SnippetOptions
+	// stems are the query's distinct stems. A query has a handful, so a
+	// word is compared with each rather than hashed.
+	stems []string
 	// first[c] is set when some query stem begins with byte c, and minLen
 	// is the length of the shortest stem. A normalised word matches a stem
 	// only if it equals it or stems to it, and a Porter stem keeps its
 	// word's first byte and is never longer than the word: a word that
 	// begins with another byte, or is shorter, cannot match, and is never
-	// stemmed.
+	// looked up.
 	first  [256]bool
 	minLen int
 }
@@ -43,13 +49,14 @@ func (ix *Index) Snippeter(query string, opts SnippetOptions) *Snippeter {
 	if opts.Pre == "" && opts.Post == "" {
 		opts.Pre, opts.Post = "[", "]"
 	}
-	s := &Snippeter{ix: ix, opts: opts, stems: map[string]bool{}}
-	for _, t := range ix.analyzer.Tokenizer().Terms(query) {
+	terms := ix.analyzer.Tokenizer().Terms(query)
+	s := &Snippeter{ix: ix, opts: opts, stems: terms[:0]}
+	for _, t := range terms {
 		// The tokenizer emits no empty term, and no word stems to one.
-		if t == "" {
+		if t == "" || slices.Contains(s.stems, t) {
 			continue
 		}
-		s.stems[t] = true
+		s.stems = append(s.stems, t)
 		s.first[t[0]] = true
 		if s.minLen == 0 || len(t) < s.minLen {
 			s.minLen = len(t)
@@ -107,36 +114,13 @@ func (sc *snippetScratch) release() {
 	scratchPool.Put(sc)
 }
 
-// stem returns the Porter stem of the normalised word norm through the
-// stem memo.
-func (ix *Index) stem(norm string) string {
-	if v, ok := ix.stems.Load(norm); ok {
-		return v.(string)
-	}
-	// norm is usually a substring of a paper's text: clone it so the memo
-	// holds only its own words.
-	norm = strings.Clone(norm)
-	v, _ := ix.stems.LoadOrStore(norm, textproc.NewPorterStemmer().Stem(norm))
-	return v.(string)
-}
-
 // snippetFrom finds the window of raw words with the most stem matches and
 // renders it; ok is false when no word matches.
 func (s *Snippeter) snippetFrom(text string, sc *snippetScratch) (string, bool) {
-	raw := appendFields(sc.words[:0], text)
-	sc.words = raw
-	if cap(sc.matched) < len(raw) {
-		sc.matched = make([]bool, len(raw))
-	}
-	matched := sc.matched[:len(raw)]
-	hit := false
-	for i, w := range raw {
-		matched[i] = s.matches(w)
-		hit = hit || matched[i]
-	}
-	if !hit {
+	if !s.scan(text, sc) {
 		return "", false
 	}
+	raw, matched := sc.words, sc.matched
 	// Densest window by match count (first wins on ties).
 	win := min(s.opts.Window, len(raw))
 	count := 0
@@ -191,23 +175,172 @@ func (s *Snippeter) snippetFrom(text string, sc *snippetScratch) (string, bool) 
 	return b.String(), true
 }
 
+// scan splits text into sc.words as strings.Fields does, marks in
+// sc.matched the words that highlight, and reports whether any does. ASCII
+// text is split and matched in one pass; text with a byte ≥ 0x80 is split by
+// strings.Fields.
+func (s *Snippeter) scan(text string, sc *snippetScratch) bool {
+	words, matched := sc.words[:0], sc.matched[:0]
+	hit := false
+	for i := 0; i < len(text); {
+		for i < len(text) && byteClass[text[i]] == spaceByte {
+			i++
+		}
+		start := i
+		i = wordEnd(text, i)
+		if i < len(text) && byteClass[text[i]] == nonASCIIByte {
+			sc.words, sc.matched = words, matched
+			return s.scanFields(text, sc)
+		}
+		if i == start {
+			continue
+		}
+		w := text[start:i]
+		// An ASCII word is as long as its normalised form, and a word that
+		// begins with a letter or digit keeps it when trimmed: most words
+		// fail the prefilter here.
+		m := len(w) >= s.minLen && (!isAlnum(w[0]) || s.first[w[0]|0x20]) && s.matches(w, true)
+		words = append(words, w)
+		matched = append(matched, m)
+		hit = hit || m
+	}
+	sc.words, sc.matched = words, matched
+	return hit
+}
+
+// wordEnd returns the end of the run of word bytes (byteClass wordByte)
+// that starts at text[i]. It reads eight bytes at a time while none of them
+// is at most ' ' or at least 0x80, the bytes that can end a run.
+func wordEnd(text string, i int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= len(text); i += 8 {
+		t := text[i : i+8]
+		x := uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
+			uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
+		// The lowest set bit marks the first byte below '!' or above 0x7f;
+		// a borrow can only mark bytes after it.
+		if m := ((x-'!'*ones)&^x | x) & highs; m != 0 {
+			i += bits.TrailingZeros64(m) / 8
+			break
+		}
+	}
+	for i < len(text) && byteClass[text[i]] == wordByte {
+		i++
+	}
+	return i
+}
+
+// scanFields is scan for text with a byte ≥ 0x80.
+func (s *Snippeter) scanFields(text string, sc *snippetScratch) bool {
+	sc.words = append(sc.words[:0], strings.Fields(text)...)
+	sc.matched = sc.matched[:0]
+	hit := false
+	for _, w := range sc.words {
+		m := s.matches(w, false)
+		sc.matched = append(sc.matched, m)
+		hit = hit || m
+	}
+	return hit
+}
+
 // matches reports whether the raw word w highlights: its normalised form —
 // surrounding punctuation stripped, lowercased — or that form's Porter stem
-// is a query stem.
-func (s *Snippeter) matches(w string) bool {
+// is a query stem. ascii reports that w has no byte ≥ 0x80.
+func (s *Snippeter) matches(w string, ascii bool) bool {
 	w = trimWord(w)
 	// w[0] is an ASCII letter or digit, so |0x20 is its lower case.
 	if w == "" || !s.first[w[0]|0x20] {
 		return false
 	}
-	// strings.ToLower copies only a word with an upper-case or non-ASCII
-	// byte.
-	norm := strings.ToLower(w)
-	if len(norm) < s.minLen {
+	// Lowercasing may change the length of a word with a byte ≥ 0x80.
+	n := len(w)
+	if !ascii {
+		n = len(strings.ToLower(w))
+	}
+	if n < s.minLen {
 		return false
 	}
-	stem := s.ix.stem(norm)
-	return s.stems[norm] || s.stems[stem]
+	e := s.ix.words.lookup(w)
+	for _, t := range s.stems {
+		if t == e.norm || t == e.stem {
+			return true
+		}
+	}
+	return false
+}
+
+// wordStems is the word table's entry for a trimmed raw word: the word
+// lowercased — its normalised form — and that form's Porter stem.
+type wordStems struct{ norm, stem string }
+
+// wordTable maps the trimmed raw words of paper text that snippets look up
+// to their wordStems, filled on first lookup. Only Snippeter.matches looks
+// words up, and only words of a paper's abstract or body that pass the
+// query's prefilter, never query words, so the table is bounded by the
+// vocabulary of the paper text, like the analyzer's surface-form table.
+//
+// A lookup reads an immutable snapshot map without a lock. A word missing
+// from it is resolved under mu, in the overflow, and every such locked
+// lookup counts: once they reach 1/mergeShare of the snapshot's size (and
+// at least mergeMin), snapshot and overflow are merged into a new snapshot.
+// A merge copies at most mergeShare+1 entries per locked lookup since the
+// last one, so filling costs amortised O(1) copies a word, and the words
+// of a warm table are all in the snapshot, read without a lock, after one
+// more such round of locked lookups.
+type wordTable struct {
+	snap     atomic.Pointer[map[string]wordStems]
+	mu       sync.Mutex
+	overflow map[string]wordStems // guarded by mu
+	locked   int                  // locked lookups since the last merge, guarded by mu
+}
+
+const (
+	mergeShare = 4
+	mergeMin   = 16
+)
+
+// lookup returns the wordStems of the trimmed raw word w.
+func (t *wordTable) lookup(w string) wordStems {
+	if m := t.snap.Load(); m != nil {
+		if e, ok := (*m)[w]; ok {
+			return e
+		}
+	}
+	return t.lookupLocked(w)
+}
+
+// lookupLocked is lookup past the snapshot.
+func (t *wordTable) lookupLocked(w string) wordStems {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var snap map[string]wordStems
+	if m := t.snap.Load(); m != nil {
+		snap = *m
+	}
+	// A merge may have published w since the lock-free read.
+	if e, ok := snap[w]; ok {
+		return e
+	}
+	e, ok := t.overflow[w]
+	if !ok {
+		// w is usually a substring of a paper's text: clone it so the table
+		// holds only its own words.
+		w = strings.Clone(w)
+		norm := strings.ToLower(w)
+		e = wordStems{norm: norm, stem: textproc.NewPorterStemmer().Stem(norm)}
+		if t.overflow == nil {
+			t.overflow = map[string]wordStems{}
+		}
+		t.overflow[w] = e
+	}
+	if t.locked++; t.locked >= max(len(snap)/mergeShare, mergeMin) {
+		merged := make(map[string]wordStems, len(snap)+len(t.overflow))
+		maps.Copy(merged, snap)
+		maps.Copy(merged, t.overflow)
+		t.snap.Store(&merged)
+		t.overflow, t.locked = nil, 0
+	}
+	return e
 }
 
 // appendFields appends the words of text to dst as strings.Fields splits
@@ -220,10 +353,7 @@ func appendFields(dst []string, text string) []string {
 			i++
 		}
 		start := i
-		for i < len(text) && byteClass[text[i]] == wordByte {
-			i++
-		}
-		if i < len(text) && byteClass[text[i]] == nonASCIIByte {
+		if i = wordEnd(text, i); i < len(text) && byteClass[text[i]] == nonASCIIByte {
 			return append(dst[:base], strings.Fields(text)...)
 		}
 		if i > start {
@@ -233,9 +363,10 @@ func appendFields(dst []string, text string) []string {
 	return dst
 }
 
-// byteClass sorts bytes for appendFields: the ASCII bytes unicode.IsSpace
-// accepts, which separate strings.Fields' words in ASCII text, the bytes
-// ≥ 0x80 that end the in-place split, and the rest.
+// byteClass sorts bytes for the in-place split (scan, appendFields): the
+// ASCII bytes unicode.IsSpace accepts, which separate strings.Fields' words
+// in ASCII text, the bytes ≥ 0x80 that end the in-place split, and the
+// rest.
 var byteClass = func() (c [256]uint8) {
 	for _, b := range []byte{'\t', '\n', '\v', '\f', '\r', ' '} {
 		c[b] = spaceByte

@@ -17,7 +17,7 @@ import (
 var servedSnippet = index.SnippetOptions{Window: 24, Pre: "**", Post: "**"}
 
 // snippetFixture builds the serving benchmark's corpus shape (800 papers,
-// 160 terms, seed 1) and its eager index, whose stem memo is cold, and the
+// 160 terms, seed 1) and its eager index, whose word table is cold, and the
 // query battery over it: goldentest.Queries over the text context set's
 // contexts, then every ontology name not already among them.
 func snippetFixture(tb testing.TB) (*index.Index, []string) {
@@ -47,12 +47,13 @@ func snippetFixture(tb testing.TB) (*index.Index, []string) {
 	return ix, slices.Compact(queries)
 }
 
-// TestSnippetMatchesReference: the memoised Snippet renders every paper of
-// the benchmark's corpus, for every query of the battery, byte for byte as
-// the reference does, and the battery reaches abstract matches, the body
-// fallback and the head fallback. The reference stems every word it meets,
-// about 0.3 ms a pair, so -short and the race detector take every 25th
-// paper; the papers are shared out over GOMAXPROCS goroutines.
+// TestSnippetMatchesReference: Snippet, through one Snippeter per query as
+// a page renders, renders every paper of the benchmark's corpus, for every
+// query of the battery, byte for byte as the reference does, and the
+// battery reaches abstract matches, the body fallback and the head
+// fallback. The reference stems each paper's words once, with its own
+// stemmer, for all the queries; -short and the race detector take every
+// 25th paper. The papers are shared out over GOMAXPROCS goroutines.
 func TestSnippetMatchesReference(t *testing.T) {
 	ix, queries := snippetFixture(t)
 	stride := 1
@@ -63,6 +64,10 @@ func TestSnippetMatchesReference(t *testing.T) {
 	for doc := 0; doc < ix.Analyzer().Corpus().Len(); doc += stride {
 		docs = append(docs, corpus.PaperID(doc))
 	}
+	snippets := make([]*index.Snippeter, len(queries))
+	for i, q := range queries {
+		snippets[i] = ix.Snippeter(q, servedSnippet)
+	}
 	workers := runtime.GOMAXPROCS(0)
 	sources := make([]map[string]int, workers)
 	var wg sync.WaitGroup
@@ -72,9 +77,10 @@ func TestSnippetMatchesReference(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := w; i < len(docs); i += workers {
-				for _, q := range queries {
-					want, src := ix.SnippetRef(docs[i], q, servedSnippet)
-					if got := ix.Snippet(docs[i], q, servedSnippet); got != want {
+				ref := ix.SnippetRefPaper(docs[i])
+				for k, q := range queries {
+					want, src := ref(q, servedSnippet)
+					if got := snippets[k].Snippet(docs[i]); got != want {
 						t.Errorf("paper %d, query %q:\n got %q\nwant %q", docs[i], q, got, want)
 						return
 					}
@@ -99,13 +105,14 @@ func TestSnippetMatchesReference(t *testing.T) {
 }
 
 // TestSnippetConcurrentColdMemo: 8 goroutines render the first pages of
-// the battery's queries over one index whose stem memo starts empty, each
-// in another order and all through one Snippeter per query, and every row
-// equals the reference's.
+// the battery's queries over one index whose word table starts empty, each
+// in another order and all through one Snippeter per query, so they fill
+// the table and merge its snapshots concurrently, and every row equals the
+// reference's.
 func TestSnippetConcurrentColdMemo(t *testing.T) {
 	ix, queries := snippetFixture(t)
-	if n := ix.StemMemoLen(); n != 0 {
-		t.Fatalf("stem memo holds %d words before any render", n)
+	if n := ix.WordTableLen(); n != 0 {
+		t.Fatalf("the word table holds %d words before any render", n)
 	}
 	type row struct {
 		doc   corpus.PaperID
@@ -143,16 +150,17 @@ func TestSnippetConcurrentColdMemo(t *testing.T) {
 }
 
 // snippetPageAllocCeiling bounds the allocations of rendering one page's
-// snippets in BenchmarkSnippetPage: 24 measured, the query's stems and the
-// page's Snippeter once and then one excerpt a row, where a Snippet call
+// snippets in BenchmarkSnippetPage: 22 measured, the query's stems and the
+// page's Snippeter once and then one excerpt a row (24 while the query's
+// stems were a map), where a Snippet call
 // per row made 190 (the query's stems, the text's split and the match marks
 // again on every row) and stemming each word with a fresh stemmer 1 456.
 // The count is deterministic where ns/op is noise, so CI holds it as a gate.
-const snippetPageAllocCeiling = 24
+const snippetPageAllocCeiling = 22
 
 // BenchmarkSnippetPage renders the snippets of one first page — the 10
 // best rows of one query, with the server's options — at the serving
-// benchmark's corpus shape, stem memo warm, through one Snippeter as the
+// benchmark's corpus shape, word table warm, through one Snippeter as the
 // server's renderResults does, and reports the time per row. It fails when
 // a page allocates more than snippetPageAllocCeiling times.
 func BenchmarkSnippetPage(b *testing.B) {

@@ -9,34 +9,76 @@ import (
 
 // The reference snippet: Snippet as it was before the stem memo and the
 // page-level Snippeter, with the query's stems resolved per row, every text
-// split by strings.Fields, and a fresh Porter stemmer per text stemming
-// every word where it is met. It survives only here, as the oracle the
-// Snippeter must match byte for byte.
+// split by strings.Fields, and a fresh Porter stemmer per paper stemming
+// every word of its abstract and body. It survives only here, as the oracle
+// the Snippeter must match byte for byte. A paper's words are stemmed once
+// and serve every query.
+
+// refText is one text as the reference reads it: its words as
+// strings.Fields splits them, with each word's normalised form and that
+// form's Porter stem ("" for a word that normalises to nothing).
+type refText struct {
+	raw, norm, stem []string
+}
+
+// newRefText splits and stems text with stemmer.
+func newRefText(text string, stemmer *textproc.PorterStemmer) refText {
+	t := refText{raw: strings.Fields(text)}
+	t.norm = make([]string, len(t.raw))
+	t.stem = make([]string, len(t.raw))
+	for i, w := range t.raw {
+		if t.norm[i] = normalizeWord(w); t.norm[i] != "" {
+			t.stem[i] = stemmer.Stem(t.norm[i])
+		}
+	}
+	return t
+}
+
+// refPaper is one paper as the reference reads it, for every query.
+type refPaper struct {
+	ix             *Index
+	abstract, body refText
+}
+
+// newRefPaper stems the abstract and body of paper doc with a fresh
+// stemmer; it is nil for an unknown paper.
+func newRefPaper(ix *Index, doc corpus.PaperID) *refPaper {
+	p := ix.analyzer.Corpus().Paper(doc)
+	if p == nil {
+		return nil
+	}
+	stemmer := textproc.NewPorterStemmer()
+	return &refPaper{ix: ix, abstract: newRefText(p.Abstract, stemmer), body: newRefText(p.Body, stemmer)}
+}
 
 // snippetRef is the reference Snippet. It also names the text it excerpts:
 // "abstract" or "body" where a word matches, "head" otherwise.
 func snippetRef(ix *Index, doc corpus.PaperID, query string, opts SnippetOptions) (snippet, source string) {
+	return newRefPaper(ix, doc).snippet(query, opts)
+}
+
+// snippet is the reference Snippet of the paper rp reads.
+func (rp *refPaper) snippet(query string, opts SnippetOptions) (snippet, source string) {
+	if rp == nil {
+		return "", ""
+	}
 	if opts.Window <= 0 {
 		opts.Window = 30
 	}
 	if opts.Pre == "" && opts.Post == "" {
 		opts.Pre, opts.Post = "[", "]"
 	}
-	p := ix.analyzer.Corpus().Paper(doc)
-	if p == nil {
-		return "", ""
-	}
 	queryStems := map[string]bool{}
-	for _, t := range ix.analyzer.Tokenizer().Terms(query) {
+	for _, t := range rp.ix.analyzer.Tokenizer().Terms(query) {
 		queryStems[t] = true
 	}
-	if s, ok := snippetFromRef(p.Abstract, queryStems, opts); ok {
+	if s, ok := rp.abstract.snippet(queryStems, opts); ok {
 		return s, "abstract"
 	}
-	if s, ok := snippetFromRef(p.Body, queryStems, opts); ok {
+	if s, ok := rp.body.snippet(queryStems, opts); ok {
 		return s, "body"
 	}
-	words := strings.Fields(p.Abstract)
+	words := rp.abstract.raw
 	if len(words) > opts.Window {
 		words = words[:opts.Window]
 		return strings.Join(words, " ") + " …", "head"
@@ -46,19 +88,22 @@ func snippetRef(ix *Index, doc corpus.PaperID, query string, opts SnippetOptions
 
 // snippetFromRef is the reference snippetFrom.
 func snippetFromRef(text string, queryStems map[string]bool, opts SnippetOptions) (string, bool) {
-	raw := strings.Fields(text)
+	return newRefText(text, textproc.NewPorterStemmer()).snippet(queryStems, opts)
+}
+
+// snippet is the reference snippetFrom over t.
+func (t refText) snippet(queryStems map[string]bool, opts SnippetOptions) (string, bool) {
+	raw := t.raw
 	if len(raw) == 0 || len(queryStems) == 0 {
 		return "", false
 	}
-	stemmer := textproc.NewPorterStemmer()
 	matched := make([]bool, len(raw))
 	any := false
-	for i, w := range raw {
-		norm := normalizeWord(w)
+	for i, norm := range t.norm {
 		if norm == "" {
 			continue
 		}
-		if queryStems[norm] || queryStems[stemmer.Stem(norm)] {
+		if queryStems[norm] || queryStems[t.stem[i]] {
 			matched[i] = true
 			any = true
 		}

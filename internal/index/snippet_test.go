@@ -85,19 +85,30 @@ func TestNormalizeWord(t *testing.T) {
 	}
 }
 
-// memoWords returns the index's stem memo as a map.
-func memoWords(ix *Index) map[string]string {
-	m := map[string]string{}
-	ix.stems.Range(func(k, v any) bool {
-		m[k.(string)] = v.(string)
-		return true
-	})
+// tableWords returns the index's word table as a map.
+func tableWords(ix *Index) map[string]wordStems {
+	t := &ix.words
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m := maps.Clone(t.overflow)
+	if m == nil {
+		m = map[string]wordStems{}
+	}
+	if snap := t.snap.Load(); snap != nil {
+		maps.Copy(m, *snap)
+	}
 	return m
 }
 
-// addPassing adds to into the distinct normalised words of text that pass
-// the prefilter of a query with these stems: each begins with the first
-// byte of some stem and is no shorter than the shortest one.
+// trimRef strips the surrounding punctuation of a raw word, as
+// normalizeWord does, and keeps its case.
+func trimRef(w string) string {
+	return strings.TrimFunc(w, func(r rune) bool { return r >= 0x80 || !isAlnum(byte(r)) })
+}
+
+// addPassing adds to into the distinct trimmed raw words of text that pass
+// the prefilter of a query with these stems: each normalised word begins
+// with the first byte of some stem and is no shorter than the shortest one.
 func addPassing(into map[string]bool, stems []string, text string) {
 	if len(stems) == 0 {
 		return
@@ -113,17 +124,28 @@ func addPassing(into map[string]bool, stems []string, text string) {
 		}
 		for _, st := range stems {
 			if st[0] == norm[0] {
-				into[norm] = true
+				into[trimRef(w)] = true
 				break
 			}
 		}
 	}
 }
 
-// TestSnippetStemMemoIsCorpusBounded: the stem memo holds exactly the
-// distinct normalised words of the paper text that passed some query's
-// prefilter while rendering, each with its Porter stem, so it is a subset
-// of the paper text's words, and no query word ever enters it.
+// checkEntry fails unless e holds the normalised form of the trimmed raw
+// word w and that form's Porter stem, from a fresh stemmer.
+func checkEntry(t *testing.T, w string, e wordStems, ok bool) {
+	t.Helper()
+	norm := strings.ToLower(w)
+	if stem := textproc.NewPorterStemmer().Stem(norm); !ok || e != (wordStems{norm, stem}) {
+		t.Fatalf("word table entry for %q: %+v, %v; want %q stemming to %q", w, e, ok, norm, stem)
+	}
+}
+
+// TestSnippetStemMemoIsCorpusBounded: the word table holds exactly the
+// distinct trimmed raw words of the paper text that passed some query's
+// prefilter while rendering, each with its normalised form and Porter stem,
+// so it is a subset of the paper text's words, and no query word ever
+// enters it.
 func TestSnippetStemMemoIsCorpusBounded(t *testing.T) {
 	o, err := ontology.Generate(ontology.GenConfig{Seed: 5, NumTerms: 40, MaxDepth: 6})
 	if err != nil {
@@ -149,16 +171,16 @@ func TestSnippetStemMemoIsCorpusBounded(t *testing.T) {
 				addPassing(want, stems, p.Body)
 			}
 		}
-		got := memoWords(ix)
-		if !maps.EqualFunc(got, want, func(string, bool) bool { return true }) {
-			t.Fatalf("after query %q the memo holds %d words, the renders passed %d", query, len(got), len(want))
+		got := tableWords(ix)
+		if !maps.EqualFunc(got, want, func(wordStems, bool) bool { return true }) {
+			t.Fatalf("after query %q the word table holds %d words, the renders passed %d", query, len(got), len(want))
 		}
 	}
 	// Nothing to match: no text is scanned.
 	for _, q := range []string{"", "the of and", "!!"} {
 		renderAll(q)
-		if n := len(memoWords(ix)); n != 0 {
-			t.Fatalf("query %q left %d words in the memo", q, n)
+		if n := len(tableWords(ix)); n != 0 {
+			t.Fatalf("query %q left %d words in the word table", q, n)
 		}
 	}
 	// Unseen words match nothing, so every abstract and body is scanned,
@@ -179,36 +201,32 @@ func TestSnippetStemMemoIsCorpusBounded(t *testing.T) {
 	all := map[string]bool{}
 	for _, p := range c.Papers() {
 		for _, w := range strings.Fields(p.Abstract + " " + p.Body) {
-			if norm := normalizeWord(w); norm != "" {
-				all[norm] = true
+			if w := trimRef(w); w != "" {
+				all[w] = true
 			}
 		}
 	}
-	stemmer := textproc.NewPorterStemmer()
-	got := memoWords(ix)
-	for norm, stem := range got {
-		if !all[norm] {
-			t.Fatalf("memo holds %q, which no paper's abstract or body has", norm)
+	got := tableWords(ix)
+	for w, e := range got {
+		if !all[w] {
+			t.Fatalf("word table holds %q, which no paper's abstract or body has", w)
 		}
-		if want := stemmer.Stem(norm); stem != want {
-			t.Fatalf("memo stems %q to %q, the stemmer to %q", norm, stem, want)
-		}
+		checkEntry(t, w, e, true)
 	}
 	if len(got) >= len(all) {
-		t.Fatalf("memo holds %d words, every one of the paper text's %d: the prefilter passed them all", len(got), len(all))
+		t.Fatalf("word table holds %d words, every one of the paper text's %d: the prefilter passed them all", len(got), len(all))
 	}
-	t.Logf("memo %d of the paper text's %d distinct words", len(got), len(all))
+	t.Logf("word table %d of the paper text's %d distinct words", len(got), len(all))
 }
 
-// FuzzSnippet: over one index, whose stem memo every input shares, one
+// FuzzSnippet: over one index, whose word table every input shares, one
 // Snippeter per query renders, as a page does, the input text, then every
 // abstract of the test corpus, then the input text again, each as the
 // reference does, for any query and window, and leaves each of the input
-// text's words that passed its prefilter in the memo with its stem; it
-// renders the test corpus's papers as the reference does.
+// text's words that passed its prefilter in the table with its normalised
+// form and stem; it renders the test corpus's papers as the reference does.
 func FuzzSnippet(f *testing.F) {
 	ix, c := buildTestIndex(f)
-	stemmer := textproc.NewPorterStemmer()
 	f.Fuzz(func(t *testing.T, text, query string, window uint8) {
 		stems := ix.analyzer.Tokenizer().Terms(query)
 		queryStems := map[string]bool{}
@@ -238,11 +256,10 @@ func FuzzSnippet(f *testing.F) {
 		}
 		passed := map[string]bool{}
 		addPassing(passed, stems, text)
-		for norm := range passed {
-			v, ok := ix.stems.Load(norm)
-			if !ok || v.(string) != stemmer.Stem(norm) {
-				t.Fatalf("memo entry for %q: %v, %v; the stemmer gives %q", norm, v, ok, stemmer.Stem(norm))
-			}
+		table := tableWords(ix)
+		for w := range passed {
+			e, ok := table[w]
+			checkEntry(t, w, e, ok)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -278,11 +279,23 @@ func wordDF(df []int32, w int32) int32 {
 
 // buildExtended derives side-joined and middle-joined patterns from every
 // ordered pair of regular patterns (§3.3, [4]). A derived middle is kept
-// once per kind.
+// once per kind, the first time a pair derives it.
 func buildExtended(regs []*Pattern) []*Pattern {
 	var out []*Pattern
+	kept := map[string]bool{}
+	// seen reports whether a pattern of this kind and middle was derived
+	// before, and records it.
 	seen := func(kind Kind, mid []int32) bool {
-		return slices.ContainsFunc(out, func(q *Pattern) bool { return q.Kind == kind && slices.Equal(q.Middle, mid) })
+		key := make([]byte, 1, 1+4*len(mid))
+		key[0] = byte(kind)
+		for _, w := range mid {
+			key = binary.LittleEndian.AppendUint32(key, uint32(w))
+		}
+		if kept[string(key)] {
+			return true
+		}
+		kept[string(key)] = true
+		return false
 	}
 	for i, p1 := range regs {
 		for j, p2 := range regs {

@@ -245,10 +245,8 @@ func decodeRangePage(rep reply, finish bool) (rangePage, error) {
 		}
 		return rangePage{body: rep.body, n: n}, nil
 	}
-	var resp ShardSearchResponse
-	dec := json.NewDecoder(bytes.NewReader(rep.body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&resp); err != nil {
+	resp, err := decodeShardRows(rep.body)
+	if err != nil {
 		return rangePage{}, err
 	}
 	if i := misranked(resp.Results); i >= 0 {
@@ -359,10 +357,13 @@ func (t *httpTransport) exchange(ctx context.Context, g int, method, uri string,
 	var body []byte
 	if err == nil {
 		defer resp.Body.Close()
-		body, err = io.ReadAll(io.LimitReader(resp.Body, int64(t.maxBody)+1))
-		if err == nil && len(body) > t.maxBody {
-			err = fmt.Errorf("backend answer exceeds %d bytes", t.maxBody)
+		j := getBuf()
+		if err = j.readBody(resp.Body, t.maxBody); err == nil {
+			// A finished page is relayed, and may be cached: copy it out
+			// at its size.
+			body = bytes.Clone(j.b)
 		}
+		putBuf(j)
 	}
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {

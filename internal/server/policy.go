@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -254,7 +253,7 @@ func (p *policy) searchPage(ctx context.Context, sp searchParams) ([]byte, error
 		Limit:     shard.ShardOptions(sp.opts).Limit,
 		Threshold: sp.opts.Threshold,
 	}
-	payload, err := json.Marshal(req)
+	payload, err := encodeRequest(req)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +281,7 @@ func (p *policy) searchPage(ctx context.Context, sp searchParams) ([]byte, error
 	rows := shard.MergePages(got, ctxsearch.SearchOptions{Limit: req.Limit})
 	merge := p.tr.now().Sub(t0)
 	req.Finish = &ShardFinish{Offset: sp.opts.Offset, Limit: sp.opts.Limit, Rows: rows}
-	if payload, err = json.Marshal(req); err != nil {
+	if payload, err = encodeRequest(req); err != nil {
 		return nil, err
 	}
 	page, cerr := p.callRange(ctx, first, rangeCall{payload: payload, finish: true})

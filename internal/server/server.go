@@ -19,11 +19,11 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -465,17 +465,24 @@ func (s *Server) buildSearchResponse(ctx context.Context, q string, boolean bool
 	if err != nil {
 		return nil, err
 	}
-	return b.renderPage(ctx, q, results)
-}
-
-// renderPage renders ranked rows and marshals the finished /search body.
-// /search and a finishing /shard/search both end here.
-func (b *backend) renderPage(ctx context.Context, q string, results []ctxsearch.SearchResult) ([]byte, error) {
-	rows, err := b.renderResults(ctx, q, results)
-	if err != nil {
+	j := getBuf()
+	defer putBuf(j)
+	if err := b.renderPage(ctx, j, q, results); err != nil {
 		return nil, err
 	}
-	return json.Marshal(SearchResponse{Query: q, Results: rows})
+	// The cache keeps the body: copy it out at its size.
+	return bytes.Clone(j.b), nil
+}
+
+// renderPage renders ranked rows and appends the finished /search body to
+// j. /search and a finishing /shard/search both end here.
+func (b *backend) renderPage(ctx context.Context, j *jsonBuf, q string, results []ctxsearch.SearchResult) error {
+	rows, err := b.renderResults(ctx, q, results)
+	if err != nil {
+		return err
+	}
+	j.page(SearchResponse{Query: q, Results: rows})
+	return j.err
 }
 
 // renderResults resolves engine rows into API rows: paper metadata, the
@@ -583,14 +590,12 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer b.release()
+	j := getBuf()
+	defer putBuf(j)
+	err := j.readBody(r.Body, maxShardBody)
 	var req ShardSearchRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxShardBody))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
 	if err == nil {
-		if _, terr := dec.Token(); terr != io.EOF {
-			err = errors.New("data after the request object")
-		}
+		req, err = decodeShardRequest(j.b)
 	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad shard request: %v", err)
@@ -645,8 +650,16 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryErr(w, r, err)
 		return
 	}
+	// The request is decoded: its buffer takes the answer.
+	j.b = j.b[:0]
 	if fin == nil {
-		writeJSON(w, http.StatusOK, ShardSearchResponse{Results: results})
+		if j.rowsAnswer(ShardSearchResponse{Results: results}); j.err != nil {
+			writeErr(w, http.StatusInternalServerError, "encoding rows: %v", j.err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(j.b)
 		return
 	}
 	// MergePages also needs the pages to hold disjoint papers.
@@ -661,15 +674,14 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	page := shard.MergePages([][]ShardRow{results, fin.Rows}, ctxsearch.SearchOptions{Limit: fin.Limit, Offset: fin.Offset})
-	body, err := b.renderPage(ctx, req.Q, page)
-	if err != nil {
+	if err := b.renderPage(ctx, j, req.Q, page); err != nil {
 		s.writeQueryErr(w, r, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(pageRowsHeader, strconv.Itoa(len(page)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
+	_, _ = w.Write(j.b)
 }
 
 // ContextInfo is one /contexts row.
