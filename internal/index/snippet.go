@@ -1,12 +1,9 @@
 package index
 
 import (
-	"maps"
-	"math/bits"
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 
 	"ctxsearch/internal/corpus"
@@ -92,7 +89,7 @@ func (s *Snippeter) Snippet(doc corpus.PaperID) string {
 		}
 	}
 	// Fall back to the abstract head.
-	sc.words = appendFields(sc.words[:0], p.Abstract)
+	s.scan(p.Abstract, sc)
 	if len(sc.words) > s.opts.Window {
 		return strings.Join(sc.words[:s.opts.Window], " ") + " …"
 	}
@@ -187,7 +184,9 @@ func (s *Snippeter) scan(text string, sc *snippetScratch) bool {
 			i++
 		}
 		start := i
-		i = wordEnd(text, i)
+		for i < len(text) && byteClass[text[i]] == wordByte {
+			i++
+		}
 		if i < len(text) && byteClass[text[i]] == nonASCIIByte {
 			sc.words, sc.matched = words, matched
 			return s.scanFields(text, sc)
@@ -206,28 +205,6 @@ func (s *Snippeter) scan(text string, sc *snippetScratch) bool {
 	}
 	sc.words, sc.matched = words, matched
 	return hit
-}
-
-// wordEnd returns the end of the run of word bytes (byteClass wordByte)
-// that starts at text[i]. It reads eight bytes at a time while none of them
-// is at most ' ' or at least 0x80, the bytes that can end a run.
-func wordEnd(text string, i int) int {
-	const ones, highs = 0x0101010101010101, 0x8080808080808080
-	for ; i+8 <= len(text); i += 8 {
-		t := text[i : i+8]
-		x := uint64(t[0]) | uint64(t[1])<<8 | uint64(t[2])<<16 | uint64(t[3])<<24 |
-			uint64(t[4])<<32 | uint64(t[5])<<40 | uint64(t[6])<<48 | uint64(t[7])<<56
-		// The lowest set bit marks the first byte below '!' or above 0x7f;
-		// a borrow can only mark bytes after it.
-		if m := ((x-'!'*ones)&^x | x) & highs; m != 0 {
-			i += bits.TrailingZeros64(m) / 8
-			break
-		}
-	}
-	for i < len(text) && byteClass[text[i]] == wordByte {
-		i++
-	}
-	return i
 }
 
 // scanFields is scan for text with a byte ≥ 0x80.
@@ -274,99 +251,31 @@ func (s *Snippeter) matches(w string, ascii bool) bool {
 type wordStems struct{ norm, stem string }
 
 // wordTable maps the trimmed raw words of paper text that snippets look up
-// to their wordStems, filled on first lookup. Only Snippeter.matches looks
-// words up, and only words of a paper's abstract or body that pass the
-// query's prefilter, never query words, so the table is bounded by the
-// vocabulary of the paper text, like the analyzer's surface-form table.
-//
-// A lookup reads an immutable snapshot map without a lock. A word missing
-// from it is resolved under mu, in the overflow, and every such locked
-// lookup counts: once they reach 1/mergeShare of the snapshot's size (and
-// at least mergeMin), snapshot and overflow are merged into a new snapshot.
-// A merge copies at most mergeShare+1 entries per locked lookup since the
-// last one, so filling costs amortised O(1) copies a word, and the words
-// of a warm table are all in the snapshot, read without a lock, after one
-// more such round of locked lookups.
+// to their wordStems, filled on first lookup. Keyed by the raw word, a hit
+// needs no lowercasing. Only Snippeter.matches looks words up, and only
+// words of a paper's abstract or body that pass the query's prefilter,
+// never query words, so the table is bounded by the vocabulary of the paper
+// text, like the analyzer's surface-form table.
 type wordTable struct {
-	snap     atomic.Pointer[map[string]wordStems]
-	mu       sync.Mutex
-	overflow map[string]wordStems // guarded by mu
-	locked   int                  // locked lookups since the last merge, guarded by mu
+	m sync.Map // trimmed raw word → *wordStems
 }
-
-const (
-	mergeShare = 4
-	mergeMin   = 16
-)
 
 // lookup returns the wordStems of the trimmed raw word w.
 func (t *wordTable) lookup(w string) wordStems {
-	if m := t.snap.Load(); m != nil {
-		if e, ok := (*m)[w]; ok {
-			return e
-		}
+	if e, ok := t.m.Load(w); ok {
+		return *e.(*wordStems)
 	}
-	return t.lookupLocked(w)
+	// w is usually a substring of a paper's text: clone it so the table
+	// holds only its own words.
+	w = strings.Clone(w)
+	norm := strings.ToLower(w)
+	e, _ := t.m.LoadOrStore(w, &wordStems{norm: norm, stem: textproc.NewPorterStemmer().Stem(norm)})
+	return *e.(*wordStems)
 }
 
-// lookupLocked is lookup past the snapshot.
-func (t *wordTable) lookupLocked(w string) wordStems {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var snap map[string]wordStems
-	if m := t.snap.Load(); m != nil {
-		snap = *m
-	}
-	// A merge may have published w since the lock-free read.
-	if e, ok := snap[w]; ok {
-		return e
-	}
-	e, ok := t.overflow[w]
-	if !ok {
-		// w is usually a substring of a paper's text: clone it so the table
-		// holds only its own words.
-		w = strings.Clone(w)
-		norm := strings.ToLower(w)
-		e = wordStems{norm: norm, stem: textproc.NewPorterStemmer().Stem(norm)}
-		if t.overflow == nil {
-			t.overflow = map[string]wordStems{}
-		}
-		t.overflow[w] = e
-	}
-	if t.locked++; t.locked >= max(len(snap)/mergeShare, mergeMin) {
-		merged := make(map[string]wordStems, len(snap)+len(t.overflow))
-		maps.Copy(merged, snap)
-		maps.Copy(merged, t.overflow)
-		t.snap.Store(&merged)
-		t.overflow, t.locked = nil, 0
-	}
-	return e
-}
-
-// appendFields appends the words of text to dst as strings.Fields splits
-// them, each a substring of text. ASCII text is split in place; text with
-// any byte ≥ 0x80 is split by strings.Fields itself.
-func appendFields(dst []string, text string) []string {
-	base := len(dst)
-	for i := 0; i < len(text); {
-		for i < len(text) && byteClass[text[i]] == spaceByte {
-			i++
-		}
-		start := i
-		if i = wordEnd(text, i); i < len(text) && byteClass[text[i]] == nonASCIIByte {
-			return append(dst[:base], strings.Fields(text)...)
-		}
-		if i > start {
-			dst = append(dst, text[start:i])
-		}
-	}
-	return dst
-}
-
-// byteClass sorts bytes for the in-place split (scan, appendFields): the
-// ASCII bytes unicode.IsSpace accepts, which separate strings.Fields' words
-// in ASCII text, the bytes ≥ 0x80 that end the in-place split, and the
-// rest.
+// byteClass sorts bytes for scan's in-place split: the ASCII bytes
+// unicode.IsSpace accepts, which separate strings.Fields' words in ASCII
+// text, the bytes ≥ 0x80 that end the in-place split, and the rest.
 var byteClass = func() (c [256]uint8) {
 	for _, b := range []byte{'\t', '\n', '\v', '\f', '\r', ' '} {
 		c[b] = spaceByte

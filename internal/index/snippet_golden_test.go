@@ -107,8 +107,7 @@ func TestSnippetMatchesReference(t *testing.T) {
 // TestSnippetConcurrentColdMemo: 8 goroutines render the first pages of
 // the battery's queries over one index whose word table starts empty, each
 // in another order and all through one Snippeter per query, so they fill
-// the table and merge its snapshots concurrently, and every row equals the
-// reference's.
+// the table concurrently, and every row equals the reference's.
 func TestSnippetConcurrentColdMemo(t *testing.T) {
 	ix, queries := snippetFixture(t)
 	if n := ix.WordTableLen(); n != 0 {

@@ -87,16 +87,11 @@ func TestNormalizeWord(t *testing.T) {
 
 // tableWords returns the index's word table as a map.
 func tableWords(ix *Index) map[string]wordStems {
-	t := &ix.words
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	m := maps.Clone(t.overflow)
-	if m == nil {
-		m = map[string]wordStems{}
-	}
-	if snap := t.snap.Load(); snap != nil {
-		maps.Copy(m, *snap)
-	}
+	m := map[string]wordStems{}
+	ix.words.m.Range(func(w, e any) bool {
+		m[w.(string)] = *e.(*wordStems)
+		return true
+	})
 	return m
 }
 

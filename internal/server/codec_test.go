@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -203,4 +205,107 @@ func TestPageEncoderMatchesMarshal(t *testing.T) {
 		t.Fatal("the battery has no 200 page")
 	}
 	t.Logf("%d pages", pages)
+}
+
+// TestCodecKnowsEveryField: the decoder's field lists are the JSON names of
+// the shard wire types in field order, and a value of each type with every
+// field set, to a value of its own, encodes to the bytes json.Marshal
+// writes and decodes back to itself. A field added to a page or wire type
+// fails here until the codec learns it.
+func TestCodecKnowsEveryField(t *testing.T) {
+	for _, c := range []struct {
+		typ    reflect.Type
+		fields []string
+	}{
+		{reflect.TypeFor[ShardSearchRequest](), requestFields},
+		{reflect.TypeFor[ShardFinish](), finishFields},
+		{reflect.TypeFor[ShardRow](), rowFields},
+		{reflect.TypeFor[ShardSearchResponse](), answerFields},
+	} {
+		if names := jsonNames(c.typ); !slices.Equal(names, c.fields) {
+			t.Errorf("%v has JSON names %q; the decoder reads %q", c.typ, names, c.fields)
+		}
+	}
+
+	var page SearchResponse
+	var req ShardSearchRequest
+	var answer ShardSearchResponse
+	n := 0
+	for _, v := range []any{&page, &req, &answer} {
+		fillFields(t, reflect.ValueOf(v).Elem(), &n)
+	}
+	encoded := func(encode func(*jsonBuf)) []byte {
+		var j jsonBuf
+		if encode(&j); j.err != nil {
+			t.Fatal(j.err)
+		}
+		return j.b
+	}
+	for _, c := range []struct {
+		what string
+		v    any
+		got  []byte
+	}{
+		{"page", page, encoded(func(j *jsonBuf) { j.page(page) })},
+		{"request", req, encoded(func(j *jsonBuf) { j.request(req) })},
+		{"rows answer", answer, encoded(func(j *jsonBuf) { j.rowsAnswer(answer) })},
+	} {
+		want, err := json.Marshal(c.v)
+		if c.what == "rows answer" {
+			want = append(want, '\n')
+		}
+		if err != nil || !bytes.Equal(c.got, want) {
+			t.Errorf("%s:\n got %s\nwant %s (%v)", c.what, c.got, want, err)
+		}
+	}
+	roundTrip(t, req, func(j *jsonBuf) { j.request(req) }, decodeShardRequest)
+	roundTrip(t, answer, func(j *jsonBuf) { j.rowsAnswer(answer) }, decodeShardRows)
+}
+
+// jsonNames returns the JSON names of a struct type's fields, in order.
+func jsonNames(typ reflect.Type) []string {
+	var names []string
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		switch name {
+		case "-":
+			continue
+		case "":
+			name = f.Name
+		}
+		names = append(names, name)
+	}
+	return names
+}
+
+// fillFields sets every field of v, through pointers and into two elements
+// of each slice, to a value no other field has: numbered by *n.
+func fillFields(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			fillFields(t, v.Field(i), n)
+		}
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillFields(t, v.Elem(), n)
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+		for i := range v.Len() {
+			fillFields(t, v.Index(i), n)
+		}
+	case reflect.String:
+		v.SetString("s" + strconv.Itoa(*n))
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Float64:
+		v.SetFloat(float64(*n) + 0.5)
+	case reflect.Bool:
+		v.SetBool(true)
+	default:
+		t.Fatalf("no value for a field of kind %v (%v)", v.Kind(), v.Type())
+	}
 }
