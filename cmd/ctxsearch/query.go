@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -16,22 +17,16 @@ import (
 
 func (a *app) search(out io.Writer, args []string) error {
 	query := strings.Join(args, " ")
-	var results []ctxsearch.SearchResult
-	if a.boolean {
-		var err error
-		results, err = a.engine.SearchBoolean(query, ctxsearch.SearchOptions{Limit: a.limit})
-		if err != nil {
-			return fmt.Errorf("search: %w", err)
-		}
-	} else {
-		results = a.engine.Search(query, ctxsearch.SearchOptions{Limit: a.limit})
+	results, terms, err := a.engine.Page(context.Background(), query, a.boolean, ctxsearch.SearchOptions{Limit: a.limit})
+	if err != nil {
+		return fmt.Errorf("search: %w", err)
 	}
 	if len(results) == 0 {
 		fmt.Fprintf(out, "no results for %q\n", query)
 		return nil
 	}
 	fmt.Fprintf(out, "%d results for %q\n", len(results), query)
-	snippets := a.sys.Index().Snippeter(query, index.SnippetOptions{Window: 18})
+	snippets := a.sys.Index().Snippeter(terms, index.SnippetOptions{Window: 18})
 	for i, r := range results {
 		p := a.sys.Corpus.Paper(r.Doc)
 		fmt.Fprintf(out, "%2d. [%.3f] PMID %d (%d) %s\n", i+1, r.Relevancy, p.PMID, p.Year, p.Title)

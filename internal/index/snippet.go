@@ -1,9 +1,9 @@
 package index
 
 import (
-	"slices"
 	"strings"
 	"sync"
+	"unicode"
 	"unicode/utf8"
 
 	"ctxsearch/internal/corpus"
@@ -18,14 +18,15 @@ type SnippetOptions struct {
 	Pre, Post string
 }
 
-// Snippeter renders the snippets of one page: it resolves the query's stems
-// once, and every row's text is then scanned in place against them. It is
-// immutable once built, so one Snippeter may render from many goroutines.
+// Snippeter renders the snippets of one page: every row's text is scanned
+// in place against the query's terms. It is immutable once built, so one
+// Snippeter may render from many goroutines.
 type Snippeter struct {
 	ix   *Index
 	opts SnippetOptions
-	// stems are the query's distinct stems. A query has a handful, so a
-	// word is compared with each rather than hashed.
+	// stems are the query's terms as the caller passed them, duplicates
+	// included. A query has a handful, so a word is compared with each
+	// rather than hashed.
 	stems []string
 	// first[c] is set when some query stem begins with byte c, and minLen
 	// is the length of the shortest stem. A normalised word matches a stem
@@ -38,22 +39,23 @@ type Snippeter struct {
 }
 
 // Snippeter returns the snippet renderer of one query and set of options,
-// for every row of a page.
-func (ix *Index) Snippeter(query string, opts SnippetOptions) *Snippeter {
+// for every row of a page. terms are the query's Tokenizer.Terms: a page's
+// come from search.Engine.Page, which tokenized the query once for its
+// ranking. The Snippeter keeps terms and never writes to them; the caller
+// must not change them while it renders.
+func (ix *Index) Snippeter(terms []string, opts SnippetOptions) *Snippeter {
 	if opts.Window <= 0 {
 		opts.Window = 30
 	}
 	if opts.Pre == "" && opts.Post == "" {
 		opts.Pre, opts.Post = "[", "]"
 	}
-	terms := ix.analyzer.Tokenizer().Terms(query)
-	s := &Snippeter{ix: ix, opts: opts, stems: terms[:0]}
+	s := &Snippeter{ix: ix, opts: opts, stems: terms}
 	for _, t := range terms {
 		// The tokenizer emits no empty term, and no word stems to one.
-		if t == "" || slices.Contains(s.stems, t) {
+		if t == "" {
 			continue
 		}
-		s.stems = append(s.stems, t)
 		s.first[t[0]] = true
 		if s.minLen == 0 || len(t) < s.minLen {
 			s.minLen = len(t)
@@ -63,10 +65,10 @@ func (ix *Index) Snippeter(query string, opts SnippetOptions) *Snippeter {
 }
 
 // Snippet returns an excerpt of the paper around the densest cluster of
-// query-term matches, with matched words wrapped in Pre/Post markers. It is
-// ix.Snippeter(query, opts).Snippet(doc); a page's rows share one Snippeter.
+// query-term matches, with matched words wrapped in Pre/Post markers. It
+// tokenizes query, for this one row: a page's rows share one Snippeter.
 func (ix *Index) Snippet(doc corpus.PaperID, query string, opts SnippetOptions) string {
-	return ix.Snippeter(query, opts).Snippet(doc)
+	return ix.Snippeter(ix.analyzer.Tokenizer().Terms(query), opts).Snippet(doc)
 }
 
 // Snippet returns an excerpt of the paper around the densest cluster of
@@ -224,17 +226,26 @@ func (s *Snippeter) scanFields(text string, sc *snippetScratch) bool {
 // surrounding punctuation stripped, lowercased — or that form's Porter stem
 // is a query stem. ascii reports that w has no byte ≥ 0x80.
 func (s *Snippeter) matches(w string, ascii bool) bool {
-	w = trimWord(w)
-	// w[0] is an ASCII letter or digit, so |0x20 is its lower case.
-	if w == "" || !s.first[w[0]|0x20] {
-		return false
+	// The prefilter reads the first byte and the length of the normalised
+	// form. A trimmed ASCII word has its length and begins with a letter or
+	// digit, whose lower case is c|0x20; lowercasing a word with a byte
+	// ≥ 0x80 may change both.
+	var c byte
+	if ascii {
+		w = trimWord(w)
+		if w == "" || len(w) < s.minLen {
+			return false
+		}
+		c = w[0] | 0x20
+	} else {
+		w = strings.TrimFunc(w, notWordRune)
+		norm := strings.ToLower(w)
+		if norm == "" || len(norm) < s.minLen {
+			return false
+		}
+		c = norm[0]
 	}
-	// Lowercasing may change the length of a word with a byte ≥ 0x80.
-	n := len(w)
-	if !ascii {
-		n = len(strings.ToLower(w))
-	}
-	if n < s.minLen {
+	if !s.first[c] {
 		return false
 	}
 	e := s.ix.words.lookup(w)
@@ -292,8 +303,8 @@ const (
 	nonASCIIByte
 )
 
-// trimWord strips the surrounding punctuation of a raw word: every byte but
-// an ASCII letter or digit.
+// trimWord strips the surrounding punctuation of a raw ASCII word: every
+// byte but a letter or digit.
 func trimWord(w string) string {
 	start, end := 0, len(w)
 	for start < end && !isAlnum(w[start]) {
@@ -304,6 +315,11 @@ func trimWord(w string) string {
 	}
 	return w[start:end]
 }
+
+// notWordRune reports whether r is surrounding punctuation to strip from a
+// raw word with a byte ≥ 0x80: neither a letter nor a digit, the runes
+// textproc.AppendWords splits words at.
+func notWordRune(r rune) bool { return !unicode.IsLetter(r) && !unicode.IsDigit(r) }
 
 func isAlnum(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'

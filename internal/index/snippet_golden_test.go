@@ -66,7 +66,7 @@ func TestSnippetMatchesReference(t *testing.T) {
 	}
 	snippets := make([]*index.Snippeter, len(queries))
 	for i, q := range queries {
-		snippets[i] = ix.Snippeter(q, servedSnippet)
+		snippets[i] = ix.Snippeter(ix.Analyzer().Tokenizer().Terms(q), servedSnippet)
 	}
 	workers := runtime.GOMAXPROCS(0)
 	sources := make([]map[string]int, workers)
@@ -121,7 +121,7 @@ func TestSnippetConcurrentColdMemo(t *testing.T) {
 	var rows []row
 	snippets := map[string]*index.Snippeter{}
 	for _, q := range queries {
-		snippets[q] = ix.Snippeter(q, servedSnippet)
+		snippets[q] = ix.Snippeter(ix.Analyzer().Tokenizer().Terms(q), servedSnippet)
 		for _, h := range ix.Search(q, index.Options{Limit: 10}) {
 			want, _ := ix.SnippetRef(h.Doc, q, servedSnippet)
 			rows = append(rows, row{h.Doc, q, want})
@@ -149,19 +149,20 @@ func TestSnippetConcurrentColdMemo(t *testing.T) {
 }
 
 // snippetPageAllocCeiling bounds the allocations of rendering one page's
-// snippets in BenchmarkSnippetPage: 22 measured, the query's stems and the
-// page's Snippeter once and then one excerpt a row (24 while the query's
-// stems were a map), where a Snippet call
-// per row made 190 (the query's stems, the text's split and the match marks
-// again on every row) and stemming each word with a fresh stemmer 1 456.
-// The count is deterministic where ns/op is noise, so CI holds it as a gate.
-const snippetPageAllocCeiling = 22
+// snippets in BenchmarkSnippetPage from the query's terms: 10 measured, one
+// excerpt a row. Tokenizing the query in the page as well made 22 (24 while
+// the query's stems were a map), where a Snippet call per row made 190 (the
+// query's stems, the text's split and the match marks again on every row)
+// and stemming each word with a fresh stemmer 1 456. The count is
+// deterministic where ns/op is noise, so CI holds it as a gate.
+const snippetPageAllocCeiling = 10
 
 // BenchmarkSnippetPage renders the snippets of one first page — the 10
 // best rows of one query, with the server's options — at the serving
-// benchmark's corpus shape, word table warm, through one Snippeter as the
-// server's renderResults does, and reports the time per row. It fails when
-// a page allocates more than snippetPageAllocCeiling times.
+// benchmark's corpus shape, word table warm, through one Snippeter built
+// from the query's terms as the server's renderResults does, and reports
+// the time per row. It fails when a page allocates more than
+// snippetPageAllocCeiling times.
 func BenchmarkSnippetPage(b *testing.B) {
 	ix, _ := snippetFixture(b)
 	const q = "regulation of rna protein binding"
@@ -169,8 +170,11 @@ func BenchmarkSnippetPage(b *testing.B) {
 	if len(hits) != 10 {
 		b.Fatalf("%q has %d hits, want 10", q, len(hits))
 	}
+	// The server's page gets the query's terms from the engine, which
+	// tokenized the query for its ranking.
+	terms := ix.Analyzer().Tokenizer().Terms(q)
 	page := func() {
-		snippets := ix.Snippeter(q, servedSnippet)
+		snippets := ix.Snippeter(terms, servedSnippet)
 		for _, h := range hits {
 			if snippets.Snippet(h.Doc) == "" {
 				b.Fatalf("paper %d has no snippet", h.Doc)

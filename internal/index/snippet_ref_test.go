@@ -2,6 +2,7 @@ package index
 
 import (
 	"strings"
+	"unicode"
 
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/textproc"
@@ -160,12 +161,11 @@ func (t refText) snippet(queryStems map[string]bool, opts SnippetOptions) (strin
 // surrounding punctuation from a raw word, mirroring the tokenizer's
 // normalisation closely enough for highlighting.
 func normalizeWord(w string) string {
-	start, end := 0, len(w)
-	for start < end && !isAlnum(w[start]) {
-		start++
-	}
-	for end > start && !isAlnum(w[end-1]) {
-		end--
-	}
-	return strings.ToLower(w[start:end])
+	return strings.ToLower(trimRef(w))
+}
+
+// trimRef strips the surrounding punctuation of a raw word — every rune but
+// a letter or digit, where the tokenizer splits — and keeps its case.
+func trimRef(w string) string {
+	return strings.TrimFunc(w, func(r rune) bool { return !unicode.IsLetter(r) && !unicode.IsDigit(r) })
 }

@@ -2,6 +2,7 @@ package index
 
 import (
 	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,6 +26,41 @@ func TestSnippetStemAware(t *testing.T) {
 	s := ix.Snippet(0, "enzyme", SnippetOptions{})
 	if !strings.Contains(s, "[enzymes]") {
 		t.Fatalf("stem-aware highlight failed: %q", s)
+	}
+}
+
+// TestSnippetHighlightsNonASCIIWords: a query word with a byte ≥ 0x80, which
+// the tokenizer keeps as a term, highlights in a paper's text — behind
+// punctuation, in upper case, and where lowercasing changes a word's first
+// byte ("Ё" to "ё") or its length (the Kelvin sign to "k") — as an ASCII
+// word does, and as the reference does.
+func TestSnippetHighlightsNonASCIIWords(t *testing.T) {
+	c, err := corpus.NewCorpus([]*corpus.Paper{{
+		ID:       0,
+		Title:    "wnt signalling",
+		Abstract: "Wnt signalling stabilises β-catenin in the café assay at (Ångström) resolution, near Ёлка, at 4 \u212Aelvin, along the pathway.",
+		Body:     "no further text",
+		Authors:  []string{"a b"},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := must(BuildWorkers(corpus.NewAnalyzerWorkers(c, 0), 0))
+	for query, want := range map[string]string{
+		"β-catenin": "[β-catenin]",
+		"café":      "[café]",
+		"Ångström":  "[(Ångström)]",
+		"ёлка":      "[Ёлка,]",
+		"kelvin":    "[\u212Aelvin,]",
+		"pathway":   "[pathway.]",
+	} {
+		got := ix.Snippet(0, query, SnippetOptions{})
+		if !strings.Contains(got, want) {
+			t.Errorf("Snippet(%q) = %q, want it to hold %q", query, got, want)
+		}
+		if ref, _ := snippetRef(ix, 0, query, SnippetOptions{}); got != ref {
+			t.Errorf("Snippet(%q) = %q; reference %q", query, got, ref)
+		}
 	}
 }
 
@@ -95,12 +131,6 @@ func tableWords(ix *Index) map[string]wordStems {
 	return m
 }
 
-// trimRef strips the surrounding punctuation of a raw word, as
-// normalizeWord does, and keeps its case.
-func trimRef(w string) string {
-	return strings.TrimFunc(w, func(r rune) bool { return r >= 0x80 || !isAlnum(byte(r)) })
-}
-
 // addPassing adds to into the distinct trimmed raw words of text that pass
 // the prefilter of a query with these stems: each normalised word begins
 // with the first byte of some stem and is no shorter than the shortest one.
@@ -157,7 +187,7 @@ func TestSnippetStemMemoIsCorpusBounded(t *testing.T) {
 	// passed: the abstract always, the body unless the abstract matched.
 	renderAll := func(query string) {
 		stems := ix.analyzer.Tokenizer().Terms(query)
-		sn := ix.Snippeter(query, SnippetOptions{})
+		sn := ix.Snippeter(stems, SnippetOptions{})
 		for doc := range corpus.PaperID(c.Len()) {
 			sn.Snippet(doc)
 			p := c.Paper(doc)
@@ -219,7 +249,8 @@ func TestSnippetStemMemoIsCorpusBounded(t *testing.T) {
 // abstract of the test corpus, then the input text again, each as the
 // reference does, for any query and window, and leaves each of the input
 // text's words that passed its prefilter in the table with its normalised
-// form and stem; it renders the test corpus's papers as the reference does.
+// form and stem; it renders the test corpus's papers as the reference does,
+// and leaves the query's terms it was built from as they were.
 func FuzzSnippet(f *testing.F) {
 	ix, c := buildTestIndex(f)
 	f.Fuzz(func(t *testing.T, text, query string, window uint8) {
@@ -229,7 +260,8 @@ func FuzzSnippet(f *testing.F) {
 			queryStems[term] = true
 		}
 		opts := SnippetOptions{Window: 1 + int(window)%40, Pre: "**", Post: "**"}
-		sn := ix.Snippeter(query, opts)
+		terms := slices.Clone(stems)
+		sn := ix.Snippeter(terms, opts)
 		texts := []string{text}
 		for _, p := range c.Papers() {
 			texts = append(texts, p.Abstract)
@@ -248,6 +280,9 @@ func FuzzSnippet(f *testing.F) {
 			if got := sn.Snippet(doc); got != want {
 				t.Fatalf("Snippet(%d, %q) = %q; reference %q", doc, query, got, want)
 			}
+		}
+		if !slices.Equal(terms, stems) {
+			t.Fatalf("the Snippeter of %q changed its terms %q to %q", query, stems, terms)
 		}
 		passed := map[string]bool{}
 		addPassing(passed, stems, text)

@@ -5,6 +5,7 @@
 package search_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -108,7 +109,7 @@ func BenchmarkEngineSearchBoolean(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := e.SearchBoolean("regulation AND (rna OR protein) binding", opts)
+		res, err := e.SearchBooleanContext(context.Background(), "regulation AND (rna OR protein) binding", opts)
 		if err != nil {
 			b.Fatal(err)
 		}

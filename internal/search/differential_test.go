@@ -374,7 +374,7 @@ func TestEngineSearchAllocCeiling(t *testing.T) {
 			opts := Options{Limit: tc.limit, MaxContexts: 8, MinContextMatch: 0.01}
 			run := func() {
 				if tc.boolean {
-					if res, err := e.SearchBoolean(boolean, opts); err != nil || len(res) == 0 {
+					if res, err := e.SearchBooleanContext(context.Background(), boolean, opts); err != nil || len(res) == 0 {
 						t.Fatalf("%s: %d results, err %v", name, len(res), err)
 					}
 				} else if len(e.Search(vector, opts)) == 0 {

@@ -12,7 +12,7 @@ import (
 )
 
 // This file retains the straightforward per-context formulation of
-// Search/SearchBoolean that the optimized single-pass implementation in
+// Search/SearchBooleanContext that the optimized single-pass implementation in
 // search.go replaced: one full index pass per selected context restricted to
 // that context's own members, and map-form prestige scores (its own copy of
 // the matrix, see scoreMaps), merged through a map keyed by paper. It is the executable specification —
@@ -33,7 +33,7 @@ func (e *Engine) searchNaive(query string, opts Options) []Result {
 	return out
 }
 
-// searchBooleanNaive is the reference implementation of SearchBoolean.
+// searchBooleanNaive is the reference implementation of SearchBooleanContext.
 func (e *Engine) searchBooleanNaive(query string, opts Options) ([]Result, error) {
 	q, err := e.ix.ParseQuery(query)
 	if err != nil {

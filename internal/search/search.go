@@ -9,11 +9,11 @@
 //
 // The query hot path is engineered for throughput: context selection counts
 // token overlaps in a dense per-context array (only contexts sharing a query
-// token are visited), and Search/SearchBoolean score the union of the
-// selected contexts' member runs in a single index pass, then fold each
-// selected context's prestige run into per-hit best-relevancy arrays and
-// sort once. Results are identical to the retained naive per-context
-// implementation (see naive.go and the golden tests).
+// token are visited), and Engine.Page scores the union of the selected
+// contexts' member runs in a single index pass, then folds each selected
+// context's prestige run into per-hit best-relevancy arrays and sorts once.
+// Results are identical to the retained naive per-context implementation
+// (see naive.go and the golden tests).
 package search
 
 import (
@@ -307,41 +307,48 @@ func (e *Engine) Search(query string, opts Options) []Result {
 // results Search would (the golden tests pin this); a cancelled call
 // returns (nil, ctx.Err()).
 func (e *Engine) SearchContext(ctx context.Context, query string, opts Options) ([]Result, error) {
-	return e.search(ctx, query, nil, opts)
+	out, _, err := e.Page(ctx, query, false, opts)
+	return out, err
 }
 
-// SearchBoolean runs a context-based search with a boolean query (the
-// index package's AND/OR/NOT/"phrase"/field:term language): context
+// SearchBooleanContext runs a context-based search with a boolean query
+// (the index package's AND/OR/NOT/"phrase"/field:term language): context
 // selection and the text-matching score use the query's positive terms,
 // while the boolean structure filters candidates inside each selected
 // context. Returns an error for unparsable or purely negative queries.
-// Like Search, the boolean evaluation and text scoring run once over the
-// union of the selected contexts instead of once per context.
-func (e *Engine) SearchBoolean(query string, opts Options) ([]Result, error) {
-	return e.SearchBooleanContext(context.Background(), query, opts)
-}
-
-// SearchBooleanContext is SearchBoolean with cooperative cancellation (see
-// SearchContext for the semantics).
+// Like SearchContext, the boolean evaluation and text scoring run once over
+// the union of the selected contexts instead of once per context, and a
+// cancelled call returns (nil, ctx.Err()).
 func (e *Engine) SearchBooleanContext(ctx context.Context, query string, opts Options) ([]Result, error) {
-	q, err := e.ix.ParseQuery(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.search(ctx, query, q, opts)
+	out, _, err := e.Page(ctx, query, true, opts)
+	return out, err
 }
 
-// search is the one query pipeline: q is the parsed boolean query, nil for
-// a vector search. The query string is tokenized and stemmed once, for
-// context selection and the query vector alike, and the index hands over
-// its hits unsorted: the merge ranks them by relevancy itself.
-func (e *Engine) search(ctx context.Context, query string, q index.Query, opts Options) ([]Result, error) {
+// Page is the one query pipeline, for a boolean query (SearchBooleanContext)
+// or a vector one (SearchContext). Besides the ranked results it returns the
+// query's terms — Tokenizer.Terms of the query, for a query that parses —
+// which it computes once, for context selection and the query vector alike,
+// so a page renders its snippets from them (index.Index.Snippeter) without
+// tokenizing the query again. The index hands over its hits unsorted: the
+// merge ranks them by relevancy itself. An unparsable boolean query returns
+// its parse error, no results and no terms.
+func (e *Engine) Page(ctx context.Context, query string, boolean bool, opts Options) ([]Result, []string, error) {
+	var q index.Query
+	if boolean {
+		var err error
+		if q, err = e.ix.ParseQuery(query); err != nil {
+			return nil, nil, err
+		}
+	}
 	sc := e.getScratch()
 	defer e.pool.Put(sc)
 	words := e.ix.Analyzer().Tokenizer().Terms(query)
 	ctxs, err := e.selectContexts(ctx, sc, words, opts)
-	if err != nil || len(ctxs) == 0 {
-		return nil, err
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(ctxs) == 0 {
+		return nil, words, nil
 	}
 	iopts := index.Options{WithinSet: e.bind(sc, ctxs)}
 	if q != nil {
@@ -350,11 +357,11 @@ func (e *Engine) search(ctx context.Context, query string, q index.Query, opts O
 		sc.hits, err = e.ix.AppendVectorHits(ctx, e.ix.Analyzer().TermsVector(words), iopts, sc.hits[:0])
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	merged, err := e.mergeHits(ctx, sc, ctxs, sc.hits, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if opts.Limit <= 0 {
 		// Full lists are what batch callers ask for, back to back and
@@ -367,7 +374,7 @@ func (e *Engine) search(ctx context.Context, query string, q index.Query, opts O
 		// review_variants).
 		runtime.Gosched()
 	}
-	return Paginate(merged, opts), nil
+	return Paginate(merged, opts), words, nil
 }
 
 // WorseResult reports whether a ranks after b under SortResults (lower

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"testing"
 
 	"ctxsearch/internal/corpus"
@@ -243,7 +244,7 @@ func TestSearchBoolean(t *testing.T) {
 	}
 	// The same words as an AND query: results must be a subset of the
 	// plain (OR-ish vector) search and still sorted.
-	boolResults, err := f.engine.SearchBoolean(name, Options{})
+	boolResults, err := f.engine.SearchBooleanContext(context.Background(), name, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,13 +263,13 @@ func TestSearchBoolean(t *testing.T) {
 	// A NOT clause prunes.
 	if len(boolResults) > 0 {
 		firstWord := f.Index.Analyzer().Tokenizer().Terms(name)[0]
-		pruned, err := f.engine.SearchBoolean(name+" AND NOT "+firstWord, Options{})
+		pruned, err := f.engine.SearchBooleanContext(context.Background(), name+" AND NOT "+firstWord, Options{})
 		if err == nil && len(pruned) >= len(boolResults) && len(boolResults) > 0 {
 			t.Fatalf("NOT clause did not prune: %d vs %d", len(pruned), len(boolResults))
 		}
 	}
 	// Unparsable queries error.
-	if _, err := f.engine.SearchBoolean("(((", Options{}); err == nil {
+	if _, err := f.engine.SearchBooleanContext(context.Background(), "(((", Options{}); err == nil {
 		t.Fatal("bad query must error")
 	}
 }

@@ -1,7 +1,9 @@
 package search
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"ctxsearch/internal/contextset"
@@ -61,7 +63,7 @@ func ask(e *Engine, q goldentest.Query, opts Options, naive bool) ([]Result, err
 	case q.Boolean && naive:
 		return e.searchBooleanNaive(q.Text, opts)
 	case q.Boolean:
-		return e.SearchBoolean(q.Text, opts)
+		return e.SearchBooleanContext(context.Background(), q.Text, opts)
 	case naive:
 		return e.searchNaive(q.Text, opts), nil
 	}
@@ -145,5 +147,56 @@ func spineEngine(t *testing.T, f *fixture, fi int, boolean bool, pages []goldent
 				}
 			}
 		}
+	}
+}
+
+// TestPageContract: Page, on every shape and edge page, returns for each
+// query of the battery — vector and boolean, unknown words among them — and
+// for stopword-only atoms, the query's Tokenizer.Terms and the results
+// SearchContext or SearchBooleanContext returns; a boolean query that does
+// not parse returns the parse error, no results and no terms.
+func TestPageContract(t *testing.T) {
+	f := buildFixture(t)
+	tok := f.Index.Analyzer().Tokenizer()
+	name := f.Onto.Term(f.Matrix.Contexts()[0]).Name
+	queries := append(goldentest.Queries(t, f.Onto, f.Matrix.Contexts()),
+		goldentest.Query{Text: "the of and"},
+		goldentest.Query{Text: "the AND " + name + " OR (of AND the)", Boolean: true},
+		goldentest.Query{Text: "the of and", Boolean: true},
+		goldentest.Query{Text: "(((", Boolean: true},
+		goldentest.Query{Text: `"unclosed ` + name, Boolean: true},
+	)
+	parseErrs := 0
+	for _, s := range engineShapes(t, f, DefaultWeights()) {
+		for _, q := range queries {
+			_, parseErr := s.e.ix.ParseQuery(q.Text)
+			for _, p := range goldentest.Edges() {
+				opts := Options(p)
+				label := fmt.Sprintf("%s %+v %+v", s.name, q, opts)
+				got, terms, err := s.e.Page(context.Background(), q.Text, q.Boolean, opts)
+				if q.Boolean && parseErr != nil {
+					parseErrs++
+					if err == nil || err.Error() != parseErr.Error() || got != nil || terms != nil {
+						t.Fatalf("%s: Page = %v, %q, %v; want no results, no terms and the parse error %v", label, got, terms, err, parseErr)
+					}
+					continue
+				}
+				if want := tok.Terms(q.Text); !slices.Equal(terms, want) {
+					t.Fatalf("%s: Page's terms %q, Tokenizer.Terms %q", label, terms, want)
+				}
+				run := s.e.SearchContext
+				if q.Boolean {
+					run = s.e.SearchBooleanContext
+				}
+				want, wantErr := run(context.Background(), q.Text, opts)
+				if err != nil || wantErr != nil {
+					t.Fatalf("%s: Page error %v, search error %v", label, err, wantErr)
+				}
+				goldentest.Same(t, label, got, want)
+			}
+		}
+	}
+	if parseErrs == 0 {
+		t.Fatal("no boolean query failed to parse")
 	}
 }

@@ -18,8 +18,8 @@ import (
 // The served page as a Go benchmark: the handler chain a deployment runs
 // (newFront's middleware, the mux, the handler), through
 // httptest.NewRecorder, with the result cache off, at the serving
-// benchmark's corpus shape (800 papers, 160 terms, seed 1), over the vector
-// queries of the goldentest battery. Each benchmark fails when a request
+// benchmark's corpus shape (800 papers, 160 terms, seed 1), over the queries
+// of the goldentest battery. Each benchmark fails when a request
 // allocates more than its ceiling on average over the battery: the count is
 // deterministic where ns/op is noise, so the ceilings gate and ns/op is a
 // reading only.
@@ -29,12 +29,12 @@ var (
 	benchSys   *ctxsearch.System
 	benchCS    *ctxsearch.ContextSet
 	benchScore *ctxsearch.Matrix
-	benchQs    []string
+	benchQs    []goldentest.Query
 )
 
 // benchState builds, once, the serving benchmark's system, its text context
-// set and text scores, and the battery's vector queries.
-func benchState(b *testing.B) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, []string) {
+// set and text scores, and the battery's queries.
+func benchState(b *testing.B) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsearch.Matrix, []goldentest.Query) {
 	b.Helper()
 	benchOnce.Do(func() {
 		cfg := ctxsearch.DefaultConfig()
@@ -46,11 +46,7 @@ func benchState(b *testing.B) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsea
 		benchSys = sys
 		benchCS = sys.BuildTextContextSet()
 		benchScore = sys.ScoreText(benchCS)
-		for _, q := range goldentest.Queries(b, sys.Ontology, benchScore.Contexts()) {
-			if !q.Boolean {
-				benchQs = append(benchQs, q.Text)
-			}
-		}
+		benchQs = goldentest.Queries(b, sys.Ontology, benchScore.Contexts())
 	})
 	if benchSys == nil {
 		b.Fatal("the benchmark system failed to build")
@@ -59,13 +55,16 @@ func benchState(b *testing.B) (*ctxsearch.System, *ctxsearch.ContextSet, *ctxsea
 }
 
 // The allocs/op ceilings, each the count measured when it was pinned: a
-// request's average allocations over the battery's 15 queries. With the
-// page and shard-wire JSON through encoding/json and the snippet stems in a
-// sync.Map they read 75.8, 140.4 and 101.5.
+// request's average allocations over the battery's 15 vector or 13 boolean
+// queries. With the snippets tokenizing the query a second time the vector
+// pages read 72.6, 137.2 and 73.1, and the boolean page 105.5; with the page
+// and shard-wire JSON through encoding/json and the snippet stems in a
+// sync.Map as well, 75.8, 140.4 and 101.5.
 const (
-	searchPage10AllocCeiling  = 72.6
-	searchPage100AllocCeiling = 137.2
-	shardFinishAllocCeiling   = 73.2
+	searchPage10AllocCeiling  = 55.3
+	searchPage100AllocCeiling = 119.9
+	shardFinishAllocCeiling   = 55.8
+	booleanPageAllocCeiling   = 85.0
 )
 
 // benchRequests serves each request reqs builds in turn, b.N requests in
@@ -111,12 +110,15 @@ func benchRequests(b *testing.B, h http.Handler, reqs []func() *http.Request, ce
 	b.ReportMetric(n, "allocs/req")
 }
 
-// searchRequests returns a GET /search per battery query with these extra
-// parameters.
-func searchRequests(qs []string, params string) []func() *http.Request {
+// searchRequests returns a GET /search per battery query of this kind with
+// these extra parameters.
+func searchRequests(qs []goldentest.Query, boolean bool, params string) []func() *http.Request {
 	var reqs []func() *http.Request
-	for _, q := range qs {
-		path := "/search?q=" + url.QueryEscape(q) + params
+	for _, q := range goldentest.Kind(qs, boolean) {
+		path := "/search?q=" + url.QueryEscape(q.Text) + params
+		if boolean {
+			path += "&boolean=1"
+		}
 		reqs = append(reqs, func() *http.Request { return httptest.NewRequest("GET", path, nil) })
 	}
 	return reqs
@@ -132,14 +134,23 @@ func cacheOff(b *testing.B) *Server {
 // benchmark's HTTP workloads ask for.
 func BenchmarkSearchPage10(b *testing.B) {
 	_, _, _, qs := benchState(b)
-	benchRequests(b, cacheOff(b), searchRequests(qs, "&limit=10"), searchPage10AllocCeiling)
+	benchRequests(b, cacheOff(b), searchRequests(qs, false, "&limit=10"), searchPage10AllocCeiling)
 }
 
 // BenchmarkSearchPage100 serves first pages without a limit: DefaultLimit
 // rows, what a client that sets none gets.
 func BenchmarkSearchPage100(b *testing.B) {
 	_, _, _, qs := benchState(b)
-	benchRequests(b, cacheOff(b), searchRequests(qs, ""), searchPage100AllocCeiling)
+	benchRequests(b, cacheOff(b), searchRequests(qs, false, ""), searchPage100AllocCeiling)
+}
+
+// BenchmarkBooleanPage serves first pages of 10 rows for the battery's
+// boolean expressions, as the serving benchmark's boolean_page workload
+// asks them: the parser and the filter and phrase evaluator in place of
+// the vector pass.
+func BenchmarkBooleanPage(b *testing.B) {
+	_, _, _, qs := benchState(b)
+	benchRequests(b, cacheOff(b), searchRequests(qs, true, "&limit=10"), booleanPageAllocCeiling)
 }
 
 // BenchmarkShardFinish serves the finishing exchange of a 10-row page on two
@@ -157,8 +168,8 @@ func BenchmarkShardFinish(b *testing.B) {
 		return httptest.NewRequest("POST", "/shard/search", bytes.NewReader(body))
 	}
 	var reqs []func() *http.Request
-	for _, q := range qs {
-		req := ShardSearchRequest{Q: q, Limit: 10}
+	for _, q := range goldentest.Kind(qs, false) {
+		req := ShardSearchRequest{Q: q.Text, Limit: 10}
 		body, err := json.Marshal(req)
 		if err != nil {
 			b.Fatal(err)
@@ -167,7 +178,7 @@ func BenchmarkShardFinish(b *testing.B) {
 		ranges[0].ServeHTTP(rec, post(body))
 		var rows ShardSearchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &rows); err != nil {
-			b.Fatalf("%q: rows answer %d: %v: %s", q, rec.Code, err, rec.Body)
+			b.Fatalf("%q: rows answer %d: %v: %s", q.Text, rec.Code, err, rec.Body)
 		}
 		req.Finish = &ShardFinish{Limit: 10, Rows: rows.Results}
 		if rows.Results == nil {

@@ -455,19 +455,13 @@ func (s *Server) buildSearchResponse(ctx context.Context, q string, boolean bool
 	if s.testHook != nil {
 		s.testHook(ctx)
 	}
-	var results []ctxsearch.SearchResult
-	var err error
-	if boolean {
-		results, err = b.searcher.SearchBooleanContext(ctx, q, opts)
-	} else {
-		results, err = b.searcher.SearchContext(ctx, q, opts)
-	}
+	results, terms, err := b.searcher.Page(ctx, q, boolean, opts)
 	if err != nil {
 		return nil, err
 	}
 	j := getBuf()
 	defer putBuf(j)
-	if err := b.renderPage(ctx, j, q, results); err != nil {
+	if err := b.renderPage(ctx, j, q, terms, results); err != nil {
 		return nil, err
 	}
 	// The cache keeps the body: copy it out at its size.
@@ -475,9 +469,10 @@ func (s *Server) buildSearchResponse(ctx context.Context, q string, boolean bool
 }
 
 // renderPage renders ranked rows and appends the finished /search body to
-// j. /search and a finishing /shard/search both end here.
-func (b *backend) renderPage(ctx context.Context, j *jsonBuf, q string, results []ctxsearch.SearchResult) error {
-	rows, err := b.renderResults(ctx, q, results)
+// j. /search and a finishing /shard/search both end here, with the query's
+// terms as the engine's Page returned them.
+func (b *backend) renderPage(ctx context.Context, j *jsonBuf, q string, terms []string, results []ctxsearch.SearchResult) error {
+	rows, err := b.renderResults(ctx, terms, results)
 	if err != nil {
 		return err
 	}
@@ -489,10 +484,10 @@ func (b *backend) renderPage(ctx context.Context, j *jsonBuf, q string, results 
 // highlighted snippet and the context name. Every row's Doc and Context must
 // exist in b.sys (engine rows always do; handleShardSearch checks rows that
 // arrive over the wire).
-func (b *backend) renderResults(ctx context.Context, q string, results []ctxsearch.SearchResult) ([]SearchResult, error) {
+func (b *backend) renderResults(ctx context.Context, terms []string, results []ctxsearch.SearchResult) ([]SearchResult, error) {
 	rows := []SearchResult{}
-	// One snippet renderer a page: the query's stems resolve once.
-	snippets := b.sys.Index().Snippeter(q, index.SnippetOptions{Window: 24, Pre: "**", Post: "**"})
+	// One snippet renderer a page, from the terms the engine ranked by.
+	snippets := b.sys.Index().Snippeter(terms, index.SnippetOptions{Window: 24, Pre: "**", Post: "**"})
 	for _, res := range results {
 		// Snippet extraction re-reads document text: keep honouring the
 		// deadline while building the response.
@@ -640,12 +635,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		s.testHook(ctx)
 	}
 	opts := ctxsearch.SearchOptions{Limit: req.Limit, Threshold: req.Threshold}
-	var results []ctxsearch.SearchResult
-	if req.Boolean {
-		results, err = b.searcher.SearchBooleanContext(ctx, req.Q, opts)
-	} else {
-		results, err = b.searcher.SearchContext(ctx, req.Q, opts)
-	}
+	results, terms, err := b.searcher.Page(ctx, req.Q, req.Boolean, opts)
 	if err != nil {
 		s.writeQueryErr(w, r, err)
 		return
@@ -674,7 +664,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	page := shard.MergePages([][]ShardRow{results, fin.Rows}, ctxsearch.SearchOptions{Limit: fin.Limit, Offset: fin.Offset})
-	if err := b.renderPage(ctx, j, req.Q, page); err != nil {
+	if err := b.renderPage(ctx, j, req.Q, terms, page); err != nil {
 		s.writeQueryErr(w, r, err)
 		return
 	}

@@ -193,8 +193,8 @@ func urlQuery(s string) string {
 
 func TestSearchBooleanAndOffset(t *testing.T) {
 	s, query := testServer(t)
-	// boolean=1 routes through Engine.SearchBoolean (implicit AND between
-	// the query's words).
+	// boolean=1 routes through Engine.Page as a boolean query (implicit AND
+	// between the query's words).
 	rec := get(t, s, "/search?q="+urlQuery(query)+"&boolean=1&limit=5")
 	if rec.Code != 200 {
 		t.Fatalf("boolean search = %d: %s", rec.Code, rec.Body)

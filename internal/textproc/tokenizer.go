@@ -1,6 +1,6 @@
 // Package textproc provides the text-processing substrate used throughout
-// the context-based search system: tokenization, stopword filtering, a full
-// Porter stemmer, and n-gram (phrase) extraction.
+// the context-based search system: tokenization, stopword filtering and a
+// full Porter stemmer.
 //
 // All ranking functions in the paper operate on term statistics produced by
 // this package, so its behaviour is deliberately deterministic and
@@ -12,16 +12,6 @@ import (
 	"unicode"
 	"unicode/utf8"
 )
-
-// Token is a single processed token with its position in the source text.
-// Positions are token offsets (0-based), not byte offsets; pattern matching
-// uses them to recover word adjacency.
-type Token struct {
-	// Text is the normalised (lowercased, stemmed if requested) token text.
-	Text string
-	// Pos is the 0-based token position within the tokenized text.
-	Pos int
-}
 
 // Tokenizer converts raw text into normalised tokens. The zero value is not
 // usable; construct with NewTokenizer.
@@ -55,25 +45,10 @@ func NewTokenizer(opts ...TokenizerOption) *Tokenizer {
 	return t
 }
 
-// Tokenize splits text into normalised tokens. Hyphenated compounds are kept
-// together when both sides are alphabetic ("co-citation" → "co-citation"),
-// matching how biomedical index terms are written; all other punctuation
-// splits. Positions count every emitted token.
-func (t *Tokenizer) Tokenize(text string) []Token {
-	raw := AppendWords(nil, text)
-	out := make([]Token, 0, len(raw))
-	for _, w := range raw {
-		if term, ok := t.Term(w); ok {
-			out = append(out, Token{Text: term, Pos: len(out)})
-		}
-	}
-	return out
-}
-
 // Term normalises one raw word as produced by AppendWords — lowercase,
 // stopword filter, stem, minimum length — and reports whether it survives.
-// Tokenize is exactly AppendWords followed by Term on every word, so a caller
-// that memoises Term per distinct word reproduces Terms token for token.
+// Terms applies it to every word, so a caller that memoises Term per
+// distinct word reproduces Terms token for token.
 func (t *Tokenizer) Term(word string) (string, bool) {
 	w := strings.ToLower(word)
 	if t.dropStops {
@@ -90,12 +65,18 @@ func (t *Tokenizer) Term(word string) (string, bool) {
 	return w, true
 }
 
-// Terms is a convenience wrapper returning only the token strings.
+// Terms splits text into normalised terms: the words AppendWords splits,
+// each normalised by Term, dropping those Term drops. Hyphenated compounds
+// are kept together when both sides are alphabetic ("co-citation" →
+// "co-citation"), matching how biomedical index terms are written; all other
+// punctuation splits. The terms reuse the split's array.
 func (t *Tokenizer) Terms(text string) []string {
-	toks := t.Tokenize(text)
-	out := make([]string, len(toks))
-	for i, tk := range toks {
-		out[i] = tk.Text
+	words := AppendWords(nil, text)
+	out := words[:0]
+	for _, w := range words {
+		if term, ok := t.Term(w); ok {
+			out = append(out, term)
+		}
 	}
 	return out
 }

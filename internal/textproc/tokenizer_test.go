@@ -49,16 +49,6 @@ func TestTokenizeMinLength(t *testing.T) {
 	}
 }
 
-func TestTokenizePositionsAreDense(t *testing.T) {
-	tok := NewTokenizer(WithStopwords())
-	toks := tok.Tokenize("the cell membrane of the nucleus")
-	for i, tk := range toks {
-		if tk.Pos != i {
-			t.Fatalf("token %d has Pos %d", i, tk.Pos)
-		}
-	}
-}
-
 func TestTokenizeStemming(t *testing.T) {
 	tok := NewTokenizer(WithStemming())
 	got := tok.Terms("regulations binding activities")
