@@ -1,15 +1,12 @@
 package contextset
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/index"
 	"ctxsearch/internal/ontology"
 	"ctxsearch/internal/par"
-	"ctxsearch/internal/vector"
 )
 
 // BuildTextBased constructs the text-based context paper set: for every
@@ -20,17 +17,13 @@ import (
 // index the whole corpus.
 //
 // The cosines are computed term-at-a-time over the index rather than as
-// papers × contexts map-keyed dot products. The index groups each term's
-// postings into segments of one TF, so of one weight, and every posting of
-// a segment adds the same product w_rep·w_doc; per context, the
-// representative's segments are ordered by product and walked in that
-// order, adding each segment's product into a dense per-paper accumulator.
-// Every paper so receives its products in ascending order — equal products
-// commute — which is the multiset, the summation order and, divided by
-// ‖rep‖·‖doc‖, the division vector.CosineWithNorms performs, so every
-// similarity has the same bits with no per-pair sort. Contexts fan out over
-// workers (≤ 0 selects GOMAXPROCS), and the set is the same at every count;
-// each worker needs scratch for one representative only.
+// papers × contexts map-keyed dot products: per context, the
+// representative's segments are scattered into a dense per-paper
+// accumulator in index.SegOrder's ascending-product order, so every paper's
+// sum is the one vector.CosineWithNorms forms, and divided by ‖rep‖·‖doc‖
+// as there, every similarity has its bits with no per-pair sort. Contexts
+// fan out over workers (≤ 0 selects GOMAXPROCS), and the set is the same at
+// every count; each worker needs scratch for one representative only.
 func BuildTextBased(ix *index.Index, onto *ontology.Ontology, workers int) *ContextSet {
 	return buildTextBased(ix, onto, textThreshold, topContextsPerPaper, workers)
 }
@@ -60,14 +53,18 @@ func buildTextBased(ix *index.Index, onto *ontology.Ontology, threshold float64,
 	tops := make([]topLists, len(shards))
 	par.ForShards(shards, func(si int, sh par.Shard) {
 		acc := make([]float64, n)
-		var order segOrder
+		var order index.SegOrder
 		top := newTopLists(n, m)
 		for i := sh.Lo; i < sh.Hi; i++ {
 			rep, _ := Representative(a, terms[i]) // an evidence term has one
-			for _, e := range order.of(ix, a.Row(rep, corpus.WholeText)) {
-				docs, _ := ix.Segment(e.seg)
+			r := a.Row(rep, corpus.WholeText)
+			for k, t := range r.Terms {
+				order.Add(ix, t, r.Weights[k])
+			}
+			for _, e := range order.Sort() {
+				docs, _ := ix.Segment(e.Seg)
 				for _, d := range docs {
-					acc[d] += e.prod
+					acc[d] += e.Prod
 				}
 			}
 			repNorm := norms[rep]
@@ -116,54 +113,6 @@ func buildTextBased(ix *index.Index, onto *ontology.Ontology, threshold float64,
 		}
 	}
 	return b.finish()
-}
-
-// segProd is one segment of a representative's terms with its product.
-type segProd struct {
-	prod float64
-	seg  int32
-}
-
-// segOrder is a worker's scratch for ordering one representative's
-// segments: the products again as keys, and vector.SortByBits's scratch.
-type segOrder struct {
-	ents, pbuf  []segProd
-	prods, kbuf []float64
-	count       []int32
-}
-
-// of returns the index segments of rep's terms ascending by product
-// r_t·w, valid until the next call; w is the segment's posting weight.
-func (o *segOrder) of(ix *index.Index, rep corpus.Row) []segProd {
-	o.ents, o.prods = o.ents[:0], o.prods[:0]
-	for i, t := range rep.Terms {
-		lo, hi := ix.Segments(t)
-		for s := lo; s < hi; s++ {
-			_, tf := ix.Segment(s)
-			p := rep.Weights[i] * ix.Weight(t, tf)
-			o.ents = append(o.ents, segProd{p, s})
-			o.prods = append(o.prods, p)
-		}
-	}
-	return o.sort()
-}
-
-// sort orders o.ents ascending by product, o.prods holding the same
-// products, and returns them. The products are finite and positive, so
-// vector.SortByBits orders them on their bit patterns, carrying each
-// segment along; past its move budget the rest is left to slices.SortFunc.
-func (o *segOrder) sort() []segProd {
-	ents, prods := o.ents, o.prods
-	n := len(ents)
-	count := slices.Grow(o.count[:0], 2*n)[:2*n]
-	clear(count)
-	kbuf := slices.Grow(o.kbuf[:0], n)
-	pbuf := slices.Grow(o.pbuf[:0], n)
-	if !vector.SortByBits(prods, ents, count, kbuf[:n], pbuf[:n]) {
-		slices.SortFunc(ents, func(x, y segProd) int { return cmp.Compare(x.prod, y.prod) })
-	}
-	o.pbuf, o.kbuf, o.count = pbuf, kbuf, count
-	return ents
 }
 
 // ctxSim is one candidate context of a paper, by ordinal.

@@ -2,7 +2,6 @@ package contextset
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"testing"
 
@@ -54,71 +53,6 @@ func TestBuildTextBasedMatchesReference(t *testing.T) {
 					requireSameSet(t, name, want, buildTextBased(ix, o, threshold, top, workers))
 				}
 			}
-		}
-	}
-}
-
-// TestSegOrderAscending: a representative's segments come out ascending by
-// product and are exactly its terms' index segments with r_t·w — on every
-// representative of a generated corpus — and sort orders two hand-built
-// lists: one whose products all crowd one bucket in descending order (past
-// the move budget, so the comparison sort finishes), and one of equal
-// products.
-func TestSegOrderAscending(t *testing.T) {
-	o, a, ix := randomFixture(t, 7)
-	var order segOrder
-	cs := buildTextBased(ix, o, 0, 0, 1)
-	for _, ctx := range cs.Contexts() {
-		rep, _ := Representative(a, ctx)
-		r := a.Row(rep, corpus.WholeText)
-		want := map[int32]float64{}
-		for i, term := range r.Terms {
-			lo, hi := ix.Segments(term)
-			for s := lo; s < hi; s++ {
-				_, tf := ix.Segment(s)
-				want[s] = r.Weights[i] * ix.Weight(term, tf)
-			}
-		}
-		checkSegOrder(t, order.of(ix, r), want)
-	}
-
-	const n = 300
-	crowded, tied := make([]segProd, n+1), make([]segProd, n)
-	p := 1.0
-	for i := range n + 1 {
-		crowded[n-i] = segProd{p, int32(n - i)} // descending: every product moves
-		p = math.Nextafter(p, 2)
-		if i < n {
-			tied[i] = segProd{0.75, int32(i)}
-		}
-	}
-	crowded[0].prod = 1e300 // the outlier that puts the rest in one bucket
-	for _, ents := range [][]segProd{crowded, tied} {
-		want := map[int32]float64{}
-		order.ents, order.prods = order.ents[:0], order.prods[:0]
-		for _, e := range ents {
-			want[e.seg] = e.prod
-			order.ents = append(order.ents, e)
-			order.prods = append(order.prods, e.prod)
-		}
-		checkSegOrder(t, order.sort(), want)
-	}
-}
-
-// checkSegOrder fails unless got is the segments of want, each with its
-// product, ascending by product.
-func checkSegOrder(t *testing.T, got []segProd, want map[int32]float64) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%d segments ordered, want %d", len(got), len(want))
-	}
-	for k, e := range got {
-		if p, ok := want[e.seg]; !ok || math.Float64bits(p) != math.Float64bits(e.prod) {
-			t.Fatalf("segment %d with product %v, want %v (%v)", e.seg, e.prod, p, ok)
-		}
-		delete(want, e.seg)
-		if k > 0 && got[k-1].prod > e.prod {
-			t.Fatalf("products %v, %v out of order at %d", got[k-1].prod, e.prod, k)
 		}
 	}
 }

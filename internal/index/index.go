@@ -75,11 +75,13 @@ type Index struct {
 
 // accum is a reusable dense scoring scratchpad: val holds partial dot
 // products indexed by doc, seen marks touched docs, touched lists them so
-// reset is O(hits) not O(corpus).
+// reset is O(hits) not O(corpus); order is the boolean pass's segment
+// ordering scratch.
 type accum struct {
 	val     []float64
 	seen    []bool
 	touched []corpus.PaperID
+	order   SegOrder
 }
 
 // newIndex returns an index over the analyzer and the segmented postings,
@@ -309,21 +311,66 @@ func (ix *Index) Segment(s int32) ([]corpus.PaperID, uint16) {
 	return ix.docs[ix.start[s]:ix.start[s+1]], ix.tf[s]
 }
 
-// tfTable returns a term ID's TF for every paper, 0 where it has none (nil
-// for corpus.NoTerm): one load per lookup instead of a search of each of a
-// frequent term's dozens of segments.
-func (ix *Index) tfTable(t int32) []uint16 {
+// SegProd is one index segment with the product of a weight and the
+// segment's posting weight.
+type SegProd struct {
+	Prod float64
+	Seg  int32
+}
+
+// SegOrder orders index segments ascending by product: the one summation
+// order behind both of the index's ordered scatters, the boolean pass and
+// the text context set. Scattered in this order, every paper receives its
+// products ascending — equal products commute — which is the order
+// vector.SumSorted sorts them into, so each paper's sum has its bits with no
+// per-paper sort. The zero value is ready; it keeps its scratch across
+// lists, so it is not safe for concurrent use.
+type SegOrder struct {
+	ents, pbuf  []SegProd
+	prods, kbuf []float64
+	count       []int32
+}
+
+// Add lists term t's segments, each with the product w·Weight(t, tf).
+func (o *SegOrder) Add(ix *Index, t int32, w float64) {
+	lo, hi := ix.Segments(t)
+	for s := lo; s < hi; s++ {
+		p := w * ix.Weight(t, ix.tf[s])
+		o.ents = append(o.ents, SegProd{p, s})
+		o.prods = append(o.prods, p)
+	}
+}
+
+// Sort returns the listed segments ascending by product and starts a new
+// list: the result is valid until the next Add. The products are finite
+// and positive, so vector.SortByBits orders them on their bit patterns,
+// carrying each segment along; past its move budget the rest is left to
+// slices.SortFunc.
+func (o *SegOrder) Sort() []SegProd {
+	ents, prods := o.ents, o.prods
+	n := len(ents)
+	count := slices.Grow(o.count[:0], 2*n)[:2*n]
+	clear(count)
+	kbuf := slices.Grow(o.kbuf[:0], n)
+	pbuf := slices.Grow(o.pbuf[:0], n)
+	if !vector.SortByBits(prods, ents, count, kbuf[:n], pbuf[:n]) {
+		slices.SortFunc(ents, func(x, y SegProd) int { return cmp.Compare(x.Prod, y.Prod) })
+	}
+	o.ents, o.prods, o.pbuf, o.kbuf, o.count = ents[:0], prods[:0], pbuf, kbuf, count
+	return ents
+}
+
+// papers returns a term ID's papers, its postings run, as a set (nil for
+// corpus.NoTerm).
+func (ix *Index) papers(t int32) bitset.Set {
 	if t < 0 {
 		return nil
 	}
-	tfs := make([]uint16, len(ix.norms))
-	for s := ix.first[t]; s < ix.first[t+1]; s++ {
-		docs, f := ix.Segment(s)
-		for _, d := range docs {
-			tfs[d] = f
-		}
+	set := bitset.New(len(ix.norms))
+	for _, d := range ix.docs[ix.start[ix.first[t]]:ix.start[ix.first[t+1]]] {
+		set.Add(int(d))
 	}
-	return tfs
+	return set
 }
 
 // termID returns a term's dictionary ID, corpus.NoTerm when it has none.
@@ -391,8 +438,8 @@ type queryTerm struct {
 // resolveQuery maps the query vector's terms to IDs, dropping unindexed ones
 // (they have no postings, hence no contribution), sorted by term ID —
 // lexicographic term order, so accumulation order matches the historical
-// sort.Strings order bit for bit. The vector pass and the boolean text
-// scorer both resolve through here.
+// sort.Strings order bit for bit. The vector pass and the boolean pass
+// both resolve through here.
 func (ix *Index) resolveQuery(qv vector.Sparse) []queryTerm {
 	qts := make([]queryTerm, 0, len(qv))
 	for term, w := range qv {
@@ -509,51 +556,3 @@ type TopKStats struct {
 // Deprecated: kept only because bench/tour.go compiles against it; it goes
 // when bench/ stops naming it.
 func (ix *Index) TopKStats() TopKStats { return TopKStats{} }
-
-// textScorer scores single documents against one query from the frozen
-// postings: the query's indexed terms with their TF tables, resolved once.
-// Not safe for concurrent use (prods is scratch).
-type textScorer struct {
-	ix    *Index
-	qn    float64 // ‖q‖
-	terms []scorerTerm
-	prods []float64
-}
-
-// scorerTerm is one query term: its ID, query weight and TF table.
-type scorerTerm struct {
-	id int32
-	w  float64
-	tf []uint16
-}
-
-// newTextScorer resolves the query's terms (through resolveQuery, like the
-// vector pass) and fills their TF tables.
-func (ix *Index) newTextScorer(qv vector.Sparse) textScorer {
-	qts := ix.resolveQuery(qv)
-	sc := textScorer{ix: ix, qn: qv.Norm(), terms: make([]scorerTerm, len(qts)), prods: make([]float64, 0, len(qts))}
-	for i, qt := range qts {
-		sc.terms[i] = scorerTerm{qt.id, qt.w, ix.tfTable(qt.id)}
-	}
-	return sc
-}
-
-// score returns the cosine between the query and doc (0 <= doc <
-// len(norms)). A posting's weight is the document's TF-IDF component for
-// the term, so the products gathered here are the multiset Sparse.Dot forms
-// over the query and document vectors; summed ascending like Dot and
-// divided by the same ‖q‖·‖d‖, the score equals the vector-form cosine bit
-// for bit.
-func (sc *textScorer) score(doc corpus.PaperID) float64 {
-	dn := sc.ix.norms[doc]
-	if dn == 0 || sc.qn == 0 {
-		return 0
-	}
-	prods := sc.prods[:0]
-	for _, t := range sc.terms {
-		if f := t.tf[doc]; f != 0 {
-			prods = append(prods, t.w*sc.ix.Weight(t.id, f))
-		}
-	}
-	return vector.SumSorted(prods) / (sc.qn * dn)
-}

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -101,17 +102,72 @@ func TestSearchEmptyQuery(t *testing.T) {
 
 func TestMatchScore(t *testing.T) {
 	ix, _ := buildTestIndex(t)
-	qv := ix.Analyzer().QueryVector("rna polymerase")
-	s0 := matchScore(ix, qv, 0)
-	s3 := matchScore(ix, qv, 3)
-	if s0 <= s3 {
+	scores := matchScores(t, ix, "rna polymerase")
+	if s0, s3 := scores[0], scores[3]; s0 <= s3 {
 		t.Fatalf("match scores wrong: s0=%v s3=%v", s0, s3)
 	}
-	if got := matchScore(ix, qv, corpus.PaperID(99)); got != 0 {
-		t.Fatalf("out-of-range doc = %v", got)
+}
+
+// TestSegOrderAscending: the listed segments come out ascending by product
+// and are exactly the listed terms' index segments with w_t·Weight — for
+// every paper's whole-text row as the weights, the lists a text context
+// set's representatives make — and Sort orders two hand-built lists: one
+// whose products all crowd one bucket in descending order (past the move
+// budget, so the comparison sort finishes), and one of equal products.
+func TestSegOrderAscending(t *testing.T) {
+	a, ix := partsFixture(t)
+	var order SegOrder
+	for _, p := range a.Corpus().Papers() {
+		r := a.Row(p.ID, corpus.WholeText)
+		want := map[int32]float64{}
+		for i, term := range r.Terms {
+			order.Add(ix, term, r.Weights[i])
+			lo, hi := ix.Segments(term)
+			for s := lo; s < hi; s++ {
+				_, tf := ix.Segment(s)
+				want[s] = r.Weights[i] * ix.Weight(term, tf)
+			}
+		}
+		checkSegOrder(t, order.Sort(), want)
 	}
-	if got := matchScore(ix, vector.New(), 0); got != 0 {
-		t.Fatalf("empty query = %v", got)
+
+	const n = 300
+	crowded, tied := make([]SegProd, n+1), make([]SegProd, n)
+	p := 1.0
+	for i := range n + 1 {
+		crowded[n-i] = SegProd{p, int32(n - i)} // descending: every product moves
+		p = math.Nextafter(p, 2)
+		if i < n {
+			tied[i] = SegProd{0.75, int32(i)}
+		}
+	}
+	crowded[0].Prod = 1e300 // the outlier that puts the rest in one bucket
+	for _, ents := range [][]SegProd{crowded, tied} {
+		want := map[int32]float64{}
+		for _, e := range ents {
+			want[e.Seg] = e.Prod
+			order.ents = append(order.ents, e)
+			order.prods = append(order.prods, e.Prod)
+		}
+		checkSegOrder(t, order.Sort(), want)
+	}
+}
+
+// checkSegOrder fails unless got is the segments of want, each with its
+// product, ascending by product.
+func checkSegOrder(t *testing.T, got []SegProd, want map[int32]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d segments ordered, want %d", len(got), len(want))
+	}
+	for k, e := range got {
+		if p, ok := want[e.Seg]; !ok || math.Float64bits(p) != math.Float64bits(e.Prod) {
+			t.Fatalf("segment %d with product %v, want %v (%v)", e.Seg, e.Prod, p, ok)
+		}
+		delete(want, e.Seg)
+		if k > 0 && got[k-1].Prod > e.Prod {
+			t.Fatalf("products %v, %v out of order at %d", got[k-1].Prod, e.Prod, k)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"ctxsearch/internal/bitset"
 	"ctxsearch/internal/corpus"
 	"ctxsearch/internal/vector"
 )
@@ -34,16 +35,16 @@ type Query interface {
 	String() string
 }
 
-// termQuery matches documents containing the (stemmed) term: those with a
-// TF in its table, filled at parse time (nil, matching nothing, when the
-// term is not indexed).
+// termQuery matches documents containing the (stemmed) term: the members
+// of papers, its postings run, bound at parse time (empty, matching nothing,
+// when the term is not indexed).
 type termQuery struct {
-	term string
-	tf   []uint16
+	term   string
+	papers bitset.Set
 }
 
 func (q termQuery) matches(_ *Index, doc corpus.PaperID) bool {
-	return q.tf != nil && q.tf[doc] != 0
+	return q.papers.Contains(int(doc))
 }
 
 func (q termQuery) positiveTerms(into vector.Sparse) { into[q.term]++ }
@@ -205,22 +206,46 @@ var errStopTerm = fmt.Errorf("index: term is all stopwords")
 // (pure stopwords, e.g. the "of" in "regulation of transcription") are
 // skipped; a query with nothing left is an error.
 func (ix *Index) ParseQuery(s string) (Query, error) {
+	q, _, err := ix.ParseQueryTerms(s)
+	return q, err
+}
+
+// ParseQueryTerms is ParseQuery that also returns the query's terms,
+// Tokenizer.Terms(s), recorded from the one tokenization of its lexemes:
+// every lexeme boundary (blank, parenthesis, quote) is a split point of
+// textproc.AppendWords, so the lexemes' terms in lexeme order are the
+// whole expression's, keywords and field names included. On an error the
+// terms are nil.
+func (ix *Index) ParseQueryTerms(s string) (Query, []string, error) {
 	toks, err := lexQuery(s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	p := &queryParser{ix: ix, toks: toks}
+	// A colon splits words too, so a lexeme's terms are those of its text
+	// before the first colon, then those after it.
+	var terms []string
+	tk := ix.analyzer.Tokenizer()
+	for k := range toks {
+		t := &toks[k]
+		name, rest, _ := strings.Cut(t.text, ":")
+		t.lo = len(terms)
+		terms = tk.AppendTerms(terms, name)
+		t.mid = len(terms)
+		terms = tk.AppendTerms(terms, rest)
+		t.hi = len(terms)
+	}
+	p := &queryParser{ix: ix, toks: toks, terms: terms}
 	q, err := p.parseOr()
 	if err == errStopTerm {
-		return nil, fmt.Errorf("index: query contains only stopwords")
+		return nil, nil, fmt.Errorf("index: query contains only stopwords")
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if p.pos != len(p.toks) {
-		return nil, fmt.Errorf("index: unexpected %q at end of query", p.toks[p.pos].text)
+		return nil, nil, fmt.Errorf("index: unexpected %q at end of query", p.toks[p.pos].text)
 	}
-	return q, nil
+	return q, terms, nil
 }
 
 // SearchQuery evaluates a parsed query: candidate documents come from the
@@ -237,9 +262,9 @@ func (ix *Index) SearchQuery(q Query, opts Options) ([]Hit, error) {
 // SearchQuery would; a cancelled call returns (nil, ctx.Err()).
 //
 // The whole evaluation runs on the frozen index data: candidates and scores
-// come from the posting segments (see textScorer), phrase and field predicates
-// from the analyzer's token streams (a frozen analyzer tokenizes a paper on
-// its first such check). No TF-IDF row is touched.
+// come from the posting segments (see AppendQueryHits), phrase and field
+// predicates from the analyzer's token streams (a frozen analyzer tokenizes
+// a paper on its first such check). No TF-IDF row is touched.
 func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) ([]Hit, error) {
 	hits, err := ix.AppendQueryHits(ctx, q, opts, nil)
 	if err != nil {
@@ -255,24 +280,38 @@ func (ix *Index) SearchQueryContext(ctx context.Context, q Query, opts Options) 
 // AppendQueryHits is the boolean counterpart of AppendVectorHits: every hit
 // an unlimited SearchQueryContext would return is appended to dst, in
 // unspecified order. On an error dst is returned unextended.
+//
+// It is an ordered scatter, the text context set's: the positive terms'
+// segments are walked ascending by product (SegOrder), adding each
+// segment's product into the pooled dense accumulator, so every candidate
+// holds the sum vector.SumSorted forms over its products — the Sparse.Dot
+// of the query and document vectors, bit for bit. The boolean tree then
+// filters the candidates, and the survivors are divided by ‖q‖·‖d‖.
 func (ix *Index) AppendQueryHits(ctx context.Context, q Query, opts Options, dst []Hit) ([]Hit, error) {
 	raw := vector.New()
 	q.positiveTerms(raw)
 	if len(raw) == 0 {
 		return dst, fmt.Errorf("index: query has no positive terms to rank by")
 	}
-	sc := ix.newTextScorer(ix.analyzer.DF().Weight(raw))
-
-	// Candidates: union of postings of positive terms, deduplicated with
-	// the pooled dense scratchpad instead of a per-query map.
+	qv := ix.analyzer.DF().Weight(raw)
+	qn := qv.Norm()
+	if qn == 0 {
+		return dst, ctx.Err()
+	}
 	acc := ix.getAccum()
 	defer ix.putAccum(acc)
+	for _, qt := range ix.resolveQuery(qv) {
+		acc.order.Add(ix, qt.id, qt.w)
+	}
 	restricted := opts.restricted()
-	for _, t := range sc.terms {
-		if err := ctx.Err(); err != nil {
-			return dst, err
+	for i, e := range acc.order.Sort() {
+		if i&63 == 0 {
+			if err := ctx.Err(); err != nil {
+				return dst, err
+			}
 		}
-		for _, doc := range ix.docs[ix.start[ix.first[t.id]]:ix.start[ix.first[t.id+1]]] {
+		docs, _ := ix.Segment(e.Seg)
+		for _, doc := range docs {
 			if restricted && !opts.allows(doc) {
 				continue
 			}
@@ -280,6 +319,7 @@ func (ix *Index) AppendQueryHits(ctx context.Context, q Query, opts Options, dst
 				acc.seen[doc] = true
 				acc.touched = append(acc.touched, doc)
 			}
+			acc.val[doc] += e.Prod
 		}
 	}
 	hits := dst
@@ -292,10 +332,11 @@ func (ix *Index) AppendQueryHits(ctx context.Context, q Query, opts Options, dst
 				return dst, err
 			}
 		}
-		if !q.matches(ix, doc) {
+		dn := ix.norms[doc]
+		if dn == 0 || !q.matches(ix, doc) {
 			continue
 		}
-		score := sc.score(doc)
+		score := acc.val[doc] / (qn * dn)
 		if score >= opts.Threshold && score > 0 {
 			hits = append(hits, Hit{doc, score})
 		}
@@ -303,9 +344,13 @@ func (ix *Index) AppendQueryHits(ctx context.Context, q Query, opts Options, dst
 	return hits, nil
 }
 
+// queryToken is one lexeme. Its terms are terms[lo:hi] of the query's
+// recorded terms: those of the text before its first colon, if any, are
+// terms[lo:mid], and those after it terms[mid:hi].
 type queryToken struct {
-	kind string // "word", "phrase", "and", "or", "not", "(", ")"
-	text string
+	kind        string // "word", "phrase", "and", "or", "not", "(", ")"
+	text        string
+	lo, mid, hi int
 }
 
 func lexQuery(s string) ([]queryToken, error) {
@@ -317,17 +362,17 @@ func lexQuery(s string) ([]queryToken, error) {
 		case c == ' ' || c == '\t' || c == '\n':
 			i++
 		case c == '(':
-			toks = append(toks, queryToken{"(", "("})
+			toks = append(toks, queryToken{kind: "(", text: "("})
 			i++
 		case c == ')':
-			toks = append(toks, queryToken{")", ")"})
+			toks = append(toks, queryToken{kind: ")", text: ")"})
 			i++
 		case c == '"':
 			j := strings.IndexByte(s[i+1:], '"')
 			if j < 0 {
 				return nil, fmt.Errorf("index: unterminated quote in query")
 			}
-			toks = append(toks, queryToken{"phrase", s[i+1 : i+1+j]})
+			toks = append(toks, queryToken{kind: "phrase", text: s[i+1 : i+1+j]})
 			i += j + 2
 		default:
 			j := i
@@ -337,13 +382,13 @@ func lexQuery(s string) ([]queryToken, error) {
 			word := s[i:j]
 			switch strings.ToUpper(word) {
 			case "AND":
-				toks = append(toks, queryToken{"and", word})
+				toks = append(toks, queryToken{kind: "and", text: word})
 			case "OR":
-				toks = append(toks, queryToken{"or", word})
+				toks = append(toks, queryToken{kind: "or", text: word})
 			case "NOT":
-				toks = append(toks, queryToken{"not", word})
+				toks = append(toks, queryToken{kind: "not", text: word})
 			default:
-				toks = append(toks, queryToken{"word", word})
+				toks = append(toks, queryToken{kind: "word", text: word})
 			}
 			i = j
 		}
@@ -355,9 +400,10 @@ func lexQuery(s string) ([]queryToken, error) {
 }
 
 type queryParser struct {
-	ix   *Index
-	toks []queryToken
-	pos  int
+	ix    *Index
+	toks  []queryToken
+	terms []string // the lexemes' terms (see queryToken)
+	pos   int
 }
 
 func (p *queryParser) peek() (queryToken, bool) {
@@ -465,7 +511,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 		// index:... restrict matching to one section.
 		if name, rest, ok := strings.Cut(t.text, ":"); ok && rest != "" {
 			if sec, isField := parseField(name); isField {
-				fieldTerms := p.ix.analyzer.Tokenizer().Terms(rest)
+				fieldTerms := p.terms[t.mid:t.hi]
 				if len(fieldTerms) == 0 {
 					return nil, errStopTerm
 				}
@@ -479,7 +525,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 				return andQuery{kids}, nil
 			}
 		}
-		terms := p.ix.analyzer.Tokenizer().Terms(t.text)
+		terms := p.terms[t.lo:t.hi]
 		if len(terms) == 0 {
 			return nil, errStopTerm
 		}
@@ -487,7 +533,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 		// AND over them.
 		kids := make([]Query, len(terms))
 		for i, tm := range terms {
-			kids[i] = termQuery{tm, p.ix.tfTable(p.ix.termID(tm))}
+			kids[i] = termQuery{tm, p.ix.papers(p.ix.termID(tm))}
 		}
 		if len(kids) == 1 {
 			return kids[0], nil
@@ -495,7 +541,7 @@ func (p *queryParser) parseAtom() (Query, error) {
 		return andQuery{kids}, nil
 	case "phrase":
 		p.pos++
-		words := p.ix.analyzer.Tokenizer().Terms(t.text)
+		words := p.terms[t.lo:t.hi]
 		if len(words) == 0 {
 			return nil, errStopTerm
 		}

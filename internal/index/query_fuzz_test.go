@@ -1,6 +1,7 @@
 package index
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,8 +53,9 @@ func stableLeaves(a *corpus.Analyzer, q Query) bool {
 }
 
 // FuzzParseQuery throws arbitrary input at the boolean query language on a
-// small fixed index: ParseQuery and the evaluator never panic; a parsed
-// query whose leaves are stable under normalisation renders a String() that
+// small fixed index: ParseQuery and the evaluator never panic; the terms a
+// parse records are Tokenizer.Terms of the whole input; a parsed query
+// whose leaves are stable under normalisation renders a String() that
 // re-parses to the same String(); and the evaluator on frozen data agrees
 // with the reference evaluator on every hit.
 func FuzzParseQuery(f *testing.F) {
@@ -74,9 +76,12 @@ func FuzzParseQuery(f *testing.F) {
 	a := ix.Analyzer()
 	ref := newRefAnalysis(a)
 	f.Fuzz(func(t *testing.T, s string) {
-		q, err := ix.ParseQuery(s)
+		q, terms, err := ix.ParseQueryTerms(s)
 		if err != nil {
 			return
+		}
+		if want := a.Tokenizer().Terms(s); !slices.Equal(terms, want) {
+			t.Fatalf("%q: parse recorded terms %q, Tokenizer.Terms gives %q", s, terms, want)
 		}
 		canon := q.String()
 		if stableLeaves(a, q) {

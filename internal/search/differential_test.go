@@ -346,10 +346,10 @@ func hammer(t *testing.T, f *fixture, opts ...Options) {
 // deterministic CI quantity: full list and first page, vector and boolean,
 // on the state-loaded shape and on the eager one (built index, built context
 // set — what a first boot serves from), pinned to the same ceilings: a built
-// set is read exactly as a state file's. Ceilings are the measured counts
-// plus 2; what remains is the tokenizer and the query vector (per query
-// word), the selected contexts and the result list — a page's rows are the
-// ranked prefix, allocated once like a full list's.
+// set is read exactly as a state file's. Ceilings are the measured counts;
+// what remains is the tokenizer and the query vector (per query word), the
+// selected contexts and the result list — a page's rows are the ranked
+// prefix, allocated once like a full list's.
 func TestEngineSearchAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -364,10 +364,10 @@ func TestEngineSearchAllocCeiling(t *testing.T) {
 		limit   int
 		ceiling float64
 	}{
-		{"vector full list", false, 0, 29},
-		{"vector first page", false, 10, 29},
-		{"boolean full list", true, 0, 36},
-		{"boolean first page", true, 10, 36},
+		{"vector full list", false, 0, 25},
+		{"vector first page", false, 10, 25},
+		{"boolean full list", true, 0, 23},
+		{"boolean first page", true, 10, 23},
 	} {
 		for _, s := range shapes[:2] { // eager and frozen
 			e, name := s.e, s.name+" "+tc.name

@@ -327,22 +327,25 @@ func (e *Engine) SearchBooleanContext(ctx context.Context, query string, opts Op
 // Page is the one query pipeline, for a boolean query (SearchBooleanContext)
 // or a vector one (SearchContext). Besides the ranked results it returns the
 // query's terms — Tokenizer.Terms of the query, for a query that parses —
-// which it computes once, for context selection and the query vector alike,
-// so a page renders its snippets from them (index.Index.Snippeter) without
-// tokenizing the query again. The index hands over its hits unsorted: the
-// merge ranks them by relevancy itself. An unparsable boolean query returns
-// its parse error, no results and no terms.
+// which it computes once, for context selection and the query vector alike
+// (a boolean query's parse records them), so a page renders its snippets
+// from them (index.Index.Snippeter) without tokenizing the query again. The
+// index hands over its hits unsorted: the merge ranks them by relevancy
+// itself. An unparsable boolean query returns its parse error, no results
+// and no terms.
 func (e *Engine) Page(ctx context.Context, query string, boolean bool, opts Options) ([]Result, []string, error) {
 	var q index.Query
+	var words []string
 	if boolean {
 		var err error
-		if q, err = e.ix.ParseQuery(query); err != nil {
+		if q, words, err = e.ix.ParseQueryTerms(query); err != nil {
 			return nil, nil, err
 		}
+	} else {
+		words = e.ix.Analyzer().Tokenizer().Terms(query)
 	}
 	sc := e.getScratch()
 	defer e.pool.Put(sc)
-	words := e.ix.Analyzer().Tokenizer().Terms(query)
 	ctxs, err := e.selectContexts(ctx, sc, words, opts)
 	if err != nil {
 		return nil, nil, err

@@ -70,10 +70,13 @@ func (t *Tokenizer) Term(word string) (string, bool) {
 // are kept together when both sides are alphabetic ("co-citation" →
 // "co-citation"), matching how biomedical index terms are written; all other
 // punctuation splits. The terms reuse the split's array.
-func (t *Tokenizer) Terms(text string) []string {
-	words := AppendWords(nil, text)
-	out := words[:0]
-	for _, w := range words {
+func (t *Tokenizer) Terms(text string) []string { return t.AppendTerms(nil, text) }
+
+// AppendTerms appends Terms(text) to dst.
+func (t *Tokenizer) AppendTerms(dst []string, text string) []string {
+	words := AppendWords(dst, text)
+	out := words[:len(dst)]
+	for _, w := range words[len(dst):] {
 		if term, ok := t.Term(w); ok {
 			out = append(out, term)
 		}
